@@ -304,10 +304,9 @@ fn page_suite(opts: &Opts) -> BenchReport {
         &scale_param,
     ));
 
-    // Cache probes: one synthetic skewed trace, probed page-by-page vs
-    // in SweepPlan-chunk-sized batches, across all three policies.
+    // Cache probes: one synthetic skewed trace, probed page by page
+    // across all three policies.
     let trace = probe_trace(100_000, 1 << 10);
-    const CHUNK: usize = 64;
     type MakeCache = fn(usize) -> Box<dyn CachePolicy>;
     let policies: &[(&str, MakeCache)] = &[
         ("lru", |cap| Box::new(LruCache::new(cap))),
@@ -325,49 +324,12 @@ fn page_suite(opts: &Opts) -> BenchReport {
             black_box(hits);
             t0.elapsed().as_nanos() as f64
         });
-        let single_med = e.median();
         report.push(entry(
             &format!("probe_single_{name}"),
             "ns",
             e.samples,
             &[("trace_len", trace.len().to_string())],
         ));
-
-        let e = spec(opts, &format!("probe_batch_{name}"), "ns").run_values(|| {
-            let mut c = make(256);
-            let t0 = Instant::now();
-            let mut hits = 0u64;
-            for chunk in trace.chunks(CHUNK) {
-                for h in c.probe_batch(chunk) {
-                    hits += u64::from(h);
-                }
-            }
-            black_box(hits);
-            t0.elapsed().as_nanos() as f64
-        });
-        let batch_med = e.median();
-        report.push(entry(
-            &format!("probe_batch_{name}"),
-            "ns",
-            e.samples,
-            &[
-                ("trace_len", trace.len().to_string()),
-                ("chunk", CHUNK.to_string()),
-            ],
-        ));
-
-        let mut ratio = entry(
-            &format!("probe_batch_vs_single_{name}"),
-            "ratio",
-            vec![if single_med > 0.0 {
-                batch_med / single_med
-            } else {
-                0.0
-            }],
-            &[("chunk", CHUNK.to_string())],
-        );
-        ratio.gate = true;
-        report.push(ratio);
     }
     report
 }
@@ -932,12 +894,12 @@ fn wal_suite(opts: &Opts) -> BenchReport {
     )));
 
     // Torn-tail repair: a half-written append after the sealed chain,
-    // truncated (and re-fsynced) by the next `Wal::open`.
+    // cut off (and the cut fsynced) by the next `Wal::open`.
     report.push(tag(spec(opts, "reopen_repair_ns", "ns").run_values(|| {
         let dir = scratch("repair");
         std::fs::create_dir_all(&dir).expect("scratch dir");
         std::fs::copy(&sealed_log, dir.join(WAL_FILE)).expect("copy sealed log");
-        let mut torn = Wal::load(&dir).expect("sealed log loads");
+        let mut torn = Wal::open(&dir, &base).expect("sealed log opens");
         torn.log_batch_torn(&tip_batch, chain, chain + 1)
             .expect("torn append");
         let t0 = Instant::now();

@@ -71,10 +71,15 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
+    /// Append bytes as they are, with no length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Append a `u64`-length-prefixed byte blob.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        self.put_raw(v);
     }
 
     /// Append a `u64`-length-prefixed UTF-8 string.
@@ -113,7 +118,8 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    fn take(&mut self, what: &'static str, n: usize) -> Result<&'a [u8], CkptError> {
+    /// Read exactly `n` bytes, with no length prefix.
+    pub fn take_raw(&mut self, what: &'static str, n: usize) -> Result<&'a [u8], CkptError> {
         if self.remaining() < n {
             return Err(CkptError::Truncated {
                 what,
@@ -128,7 +134,7 @@ impl<'a> ByteReader<'a> {
 
     /// Read one byte.
     pub fn take_u8(&mut self, what: &'static str) -> Result<u8, CkptError> {
-        Ok(self.take(what, 1)?[0])
+        Ok(self.take_raw(what, 1)?[0])
     }
 
     /// Read a `bool` (any nonzero byte is `true`).
@@ -138,19 +144,19 @@ impl<'a> ByteReader<'a> {
 
     /// Read a little-endian `u16`.
     pub fn take_u16(&mut self, what: &'static str) -> Result<u16, CkptError> {
-        let b = self.take(what, 2)?;
+        let b = self.take_raw(what, 2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Read a little-endian `u32`.
     pub fn take_u32(&mut self, what: &'static str) -> Result<u32, CkptError> {
-        let b = self.take(what, 4)?;
+        let b = self.take_raw(what, 4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Read a little-endian `u64`.
     pub fn take_u64(&mut self, what: &'static str) -> Result<u64, CkptError> {
-        let b = self.take(what, 8)?;
+        let b = self.take_raw(what, 8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
@@ -172,7 +178,7 @@ impl<'a> ByteReader<'a> {
         let len = usize::try_from(len).map_err(|_| CkptError::Corrupt {
             reason: format!("{what}: blob length {len} exceeds addressable memory"),
         })?;
-        self.take(what, len)
+        self.take_raw(what, len)
     }
 
     /// Read a `u64`-length-prefixed UTF-8 string.

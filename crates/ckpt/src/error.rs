@@ -1,10 +1,10 @@
-//! Typed checkpoint errors.
+//! Typed errors of everything this crate reads and writes.
 
 use std::fmt;
 use std::path::PathBuf;
 
 /// Everything that can go wrong while writing, reading, or decoding a
-/// checkpoint. Every variant carries enough context to act on without a
+/// snapshot or a sealed log. Every variant carries enough context to act on without a
 /// debugger; the `Display` impls are the user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
@@ -17,8 +17,8 @@ pub enum CkptError {
         /// The OS error, stringified.
         source: String,
     },
-    /// Snapshot bytes failed structural validation (bad magic, checksum
-    /// mismatch, malformed section table).
+    /// Bytes failed structural validation (bad magic, checksum mismatch,
+    /// malformed section table, a rotted log frame).
     Corrupt {
         /// What exactly failed to validate.
         reason: String,
@@ -32,9 +32,9 @@ pub enum CkptError {
         /// Bytes actually available.
         have: usize,
     },
-    /// The snapshot was written by an incompatible payload-schema version.
+    /// The file was written by an incompatible schema version.
     VersionMismatch {
-        /// Version found in the snapshot header.
+        /// Version found in the file's header.
         found: u32,
         /// Version this build expects.
         expected: u32,
@@ -65,16 +65,16 @@ impl fmt::Display for CkptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CkptError::Io { op, path, source } => {
-                write!(f, "checkpoint {op} failed for {}: {source}", path.display())
+                write!(f, "{op} failed for {}: {source}", path.display())
             }
-            CkptError::Corrupt { reason } => write!(f, "corrupt checkpoint: {reason}"),
+            CkptError::Corrupt { reason } => write!(f, "corrupt data: {reason}"),
             CkptError::Truncated { what, need, have } => write!(
                 f,
-                "truncated checkpoint data: {what} needs {need} bytes, {have} available"
+                "truncated data: {what} needs {need} bytes, {have} available"
             ),
             CkptError::VersionMismatch { found, expected } => write!(
                 f,
-                "checkpoint schema version {found} is not supported (this build expects {expected})"
+                "schema version {found} is not supported (this build expects {expected})"
             ),
             CkptError::MissingSection { name } => {
                 write!(f, "checkpoint is missing required section \"{name}\"")

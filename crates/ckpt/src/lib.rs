@@ -4,41 +4,56 @@
 // an abort of the very run the snapshot exists to rescue.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-//! # gts-ckpt — crash-consistent checkpoint snapshots
+//! # gts-ckpt — crash-consistent checkpoints and the sealed-record log
 //!
 //! Long multi-sweep GTS runs (PageRank over an SSD-resident RMAT graph
 //! streams the full topology every iteration) must survive a crash by
 //! resuming from the last sweep boundary, not by restarting from scratch.
-//! This crate provides the storage half of that contract:
+//! This crate is where every durable byte other than the slotted-page
+//! store itself is framed, checksummed and written:
 //!
+//! * [`fnv1a`], [`seal`], [`unseal`] — the one checksum and the one
+//!   trailer; [`write_atomic`] — the one temp file → fsync → rename →
+//!   directory fsync. No other crate calls `sync_all` or `rename`.
 //! * [`Snapshot`] — a versioned container of named byte sections, sealed
-//!   with the same FNV-1a trailer checksum the slotted-page format uses,
-//!   so a torn or bit-flipped snapshot is *detected*, never silently
-//!   resumed from.
-//! * [`CkptStore`] — a directory of snapshots written crash-atomically
-//!   (temp file → fsync → rename → directory fsync) plus a `MANIFEST`
-//!   naming valid snapshots newest-first. [`CkptStore::load_latest`]
-//!   walks the manifest and returns the first snapshot that decodes and
-//!   checksums cleanly, falling back past torn entries.
+//!   whole, so a torn or bit-flipped snapshot is *detected*, never
+//!   silently resumed from.
+//! * [`CkptStore`] — a directory of snapshots written through
+//!   [`write_atomic`] plus a `MANIFEST` naming valid snapshots
+//!   newest-first. [`CkptStore::load_latest`] walks the manifest and
+//!   returns the first snapshot that decodes and checksums cleanly,
+//!   falling back past torn entries.
+//! * [`SealedLog`] — an append-only file of sealed frames behind a
+//!   sealed header: appends cost one write and one fsync of the new
+//!   frame, a torn tail is cut off on open, interior corruption is an
+//!   error. The mutation WAL (`gts-storage`) and the service journal
+//!   (`gts-serve`) are typed record codecs over it.
 //! * [`codec`] — a minimal little-endian byte codec ([`ByteWriter`] /
-//!   [`ByteReader`]) used by the engine to encode section payloads; every
-//!   read is bounds-checked and returns a typed [`CkptError`].
+//!   [`ByteReader`]) used to encode section payloads, bindings and frame
+//!   bodies; every read is bounds-checked and returns a typed
+//!   [`CkptError`].
 //!
-//! What goes *into* the sections (WA vectors, sim clock, fault-RNG
-//! cursors, ...) is the engine's business — see `gts-core::sweep::ckpt`
-//! and DESIGN.md §10. This crate only guarantees that what was written is
-//! either read back exactly or rejected loudly.
+//! What goes *into* sections and frames (WA vectors, sim clock, mutation
+//! batches, job results, ...) is the callers' business — see DESIGN.md
+//! "On-disk formats". This crate only guarantees that what was written
+//! is either read back exactly or rejected loudly.
 //!
-//! The [`CkptStore::write_torn`] hook deliberately publishes a truncated
-//! snapshot in the manifest; the kill-and-resume chaos tests use it to
-//! prove the fallback path.
+//! The [`CkptStore::write_torn`] and [`SealedLog::append_torn`] hooks
+//! deliberately leave a half-written file behind; the kill-and-resume
+//! chaos tests use them to prove the fallback and repair paths.
 
 pub mod codec;
+mod durable;
 mod error;
+mod log;
+mod seal;
 mod snapshot;
 mod store;
 
 pub use codec::{ByteReader, ByteWriter};
+pub use durable::write_atomic;
 pub use error::CkptError;
-pub use snapshot::{fnv1a, Snapshot};
+pub use log::{LogFormat, LogImage, SealedLog};
+pub use seal::{fnv1a, seal, unseal};
+pub use snapshot::Snapshot;
 pub use store::CkptStore;

@@ -19,20 +19,10 @@
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::CkptError;
+use crate::seal::{seal, unseal};
 use std::collections::BTreeMap;
 
 const MAGIC: &[u8; 8] = b"GTSCKPT1";
-
-/// FNV-1a 64-bit — the same constants as the slotted-page trailer
-/// checksum in `gts-storage`, reproduced here so the two crates stay
-/// dependency-free.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    bytes
-        .iter()
-        .fold(BASIS, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
-}
 
 /// A named-section container with a schema version and a whole-file
 /// FNV-1a checksum.
@@ -91,63 +81,39 @@ impl Snapshot {
     /// Serialize to the checksummed wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        let mut buf = MAGIC.to_vec();
+        w.put_raw(MAGIC);
         w.put_u32(self.version);
         w.put_u32(self.sections.len() as u32);
         for (name, body) in &self.sections {
             w.put_u32(name.len() as u32);
-            // Name bytes raw (length already written above).
-            for b in name.as_bytes() {
-                w.put_u8(*b);
-            }
+            w.put_raw(name.as_bytes());
             w.put_bytes(body);
         }
-        buf.extend_from_slice(&w.into_bytes());
-        let sum = fnv1a(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        let mut buf = w.into_bytes();
+        seal(&mut buf, 0);
         buf
     }
 
     /// Parse and validate the wire format: magic, checksum, and section
     /// table must all be intact, or the snapshot is rejected as torn.
     pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
-        const TRAILER: usize = 8;
-        if bytes.len() < MAGIC.len() + TRAILER {
-            return Err(CkptError::Corrupt {
-                reason: format!("{} bytes is too short to be a snapshot", bytes.len()),
-            });
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - TRAILER);
-        let stored = u64::from_le_bytes([
-            trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-            trailer[7],
-        ]);
-        let computed = fnv1a(payload);
-        if stored != computed {
-            return Err(CkptError::Corrupt {
-                reason: format!(
-                    "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-                ),
-            });
-        }
-        if &payload[..MAGIC.len()] != MAGIC {
+        let payload = unseal(bytes)?;
+        let mut r = ByteReader::new(payload);
+        if r.take_raw("snapshot magic", MAGIC.len())? != MAGIC {
             return Err(CkptError::Corrupt {
                 reason: "bad magic".to_string(),
             });
         }
-        let mut r = ByteReader::new(&payload[MAGIC.len()..]);
         let version = r.take_u32("snapshot version")?;
         let count = r.take_u32("section count")?;
         let mut sections = BTreeMap::new();
         for _ in 0..count {
             let name_len = r.take_u32("section name length")? as usize;
-            let mut name_bytes = Vec::with_capacity(name_len);
-            for _ in 0..name_len {
-                name_bytes.push(r.take_u8("section name")?);
-            }
-            let name = String::from_utf8(name_bytes).map_err(|_| CkptError::Corrupt {
-                reason: "section name is not UTF-8".to_string(),
-            })?;
+            let name = std::str::from_utf8(r.take_raw("section name", name_len)?)
+                .map_err(|_| CkptError::Corrupt {
+                    reason: "section name is not UTF-8".to_string(),
+                })?
+                .to_string();
             let body = r.take_bytes("section body")?.to_vec();
             sections.insert(name, body);
         }
@@ -160,6 +126,7 @@ impl Snapshot {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 mod tests {
     use super::*;
+    use crate::fnv1a;
 
     fn sample() -> Snapshot {
         let mut s = Snapshot::new(3);
@@ -244,7 +211,7 @@ mod tests {
     #[test]
     fn fnv_matches_reference_vectors() {
         // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
     }
 }

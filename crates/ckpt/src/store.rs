@@ -1,14 +1,9 @@
 //! The on-disk checkpoint store: atomic writes plus a manifest that lets
 //! resume fall back past torn snapshots.
 //!
-//! Write protocol (crash-safe on POSIX rename semantics):
-//!
-//! 1. encode the snapshot and write it to `ckpt.tmp`
-//! 2. `fsync` the temp file
-//! 3. `rename` it to `ckpt-<seq>.snap`
-//! 4. `fsync` the directory (persists the rename)
-//! 5. rewrite `MANIFEST` the same way (tmp → fsync → rename → dir fsync),
-//!    naming snapshots newest-first
+//! Write protocol: the encoded snapshot goes to `ckpt-<seq>.snap`
+//! through [`write_atomic`], then `MANIFEST` is rewritten the same way,
+//! naming snapshots newest-first.
 //!
 //! A crash between any two steps leaves either the previous manifest
 //! (pointing at the previous snapshot) or the new manifest (pointing at a
@@ -20,10 +15,10 @@
 //! Retention is two snapshots: the newest plus one fallback. Older files
 //! are unlinked after the manifest stops naming them.
 
+use crate::durable::write_atomic;
 use crate::error::CkptError;
 use crate::snapshot::Snapshot;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 const MANIFEST: &str = "MANIFEST";
@@ -67,7 +62,7 @@ impl CkptStore {
     pub fn write(&self, seq: u64, snap: &Snapshot) -> Result<u64, CkptError> {
         let bytes = snap.encode();
         let name = Self::snapshot_name(seq);
-        self.write_file_atomic(&name, &bytes)?;
+        write_atomic(&self.dir.join(&name), &bytes)?;
         self.publish(&name)?;
         Ok(bytes.len() as u64)
     }
@@ -157,20 +152,6 @@ impl CkptStore {
         })
     }
 
-    /// tmp → write → fsync → rename → dir fsync.
-    fn write_file_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), CkptError> {
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let path = self.dir.join(name);
-        {
-            let mut f = File::create(&tmp).map_err(|e| CkptError::io("create", &tmp, &e))?;
-            f.write_all(bytes)
-                .map_err(|e| CkptError::io("write", &tmp, &e))?;
-            f.sync_all().map_err(|e| CkptError::io("fsync", &tmp, &e))?;
-        }
-        fs::rename(&tmp, &path).map_err(|e| CkptError::io("rename", &path, &e))?;
-        self.sync_dir()
-    }
-
     /// Prepend `name` to the manifest, trim to the retention window, and
     /// unlink snapshots that fell out of it.
     fn publish(&self, name: &str) -> Result<(), CkptError> {
@@ -184,7 +165,7 @@ impl CkptStore {
             text.push_str(e);
             text.push('\n');
         }
-        self.write_file_atomic(MANIFEST, text.as_bytes())?;
+        write_atomic(&self.dir.join(MANIFEST), text.as_bytes())?;
         for e in dropped {
             // Best effort: a leftover unreferenced file is dead weight,
             // not a correctness problem.
@@ -204,17 +185,6 @@ impl CkptStore {
                     .collect()
             })
             .unwrap_or_default()
-    }
-
-    fn sync_dir(&self) -> Result<(), CkptError> {
-        // Persisting a rename requires fsyncing the containing directory.
-        // Some platforms refuse to open directories; treat that as a soft
-        // failure rather than aborting the run (the data file itself is
-        // already synced).
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
     }
 }
 

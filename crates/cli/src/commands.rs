@@ -197,7 +197,7 @@ watermark the job is dropped (`dropped:shed`, `serve.shed.*` counters);
 higher `prio=` classes in the workload survive longer.
 
 Serve recovery: `--journal-dir` keeps a crash-consistent service
-journal (JRNL1 records over the checkpoint store's atomic writes);
+journal (`journal.log`: one sealed, fsynced frame per scheduler step);
 `--resume-serve true` resumes a killed daemon from it — settled jobs
 are not re-run (`serve.resume.cached`) and the outputs are
 byte-identical to an uncrashed run, modulo the wall-side
@@ -1046,11 +1046,8 @@ fn fsck(args: &Args) -> Result<(), CliError> {
     if let Some(dir) = args.optional("wal-dir") {
         checked.push("wal");
         match gts_storage::Wal::load(dir) {
-            Err(gts_storage::WalError::Io { op, path, source }) => {
-                return Err(CliError::Io(format!(
-                    "wal: {op} {}: {source}",
-                    path.display()
-                )));
+            Err(gts_storage::WalError::Log(e @ gts_ckpt::CkptError::Io { .. })) => {
+                return Err(CliError::Io(format!("wal: {e}")));
             }
             Err(e) => findings.push(finding("wal", e.to_string())),
             Ok(w) => {
@@ -1166,10 +1163,13 @@ fn fsck(args: &Args) -> Result<(), CliError> {
         match gts_serve::inspect_journal(dir) {
             Err(e) => findings.push(finding("journal", e.to_string())),
             Ok(info) => {
-                for name in &info.skipped {
+                if info.truncated_tail > 0 {
                     findings.push(finding(
                         "journal",
-                        format!("manifest entry {name} skipped (missing, torn, or corrupt)"),
+                        format!(
+                            "torn tail: {} trailing bytes form no sealed step",
+                            info.truncated_tail
+                        ),
                     ));
                 }
                 let want = gts_serve::store_binding_fp(&store);
@@ -1682,6 +1682,25 @@ mod tests {
         // Resume repairs the tail, replays the log, and finishes the run.
         run(&["--resume", "true"]).unwrap();
         fsck(&["--wal-dir", &wd, "--checkpoint-dir", &ck]).unwrap();
+        // A rotted byte inside a sealed record that has successors is a
+        // finding as well — damage, not a torn tail a resume may cut off.
+        let rot = tmp("wal-rot");
+        std::fs::remove_dir_all(&rot).ok();
+        let store: GraphStore = load_store(&st).unwrap();
+        let mut wal = gts_storage::Wal::open(&rot, &store).unwrap();
+        for epoch in 0..3 {
+            let mut b = gts_storage::MutationBatch::new();
+            b.insert(epoch, epoch + 1);
+            wal.log_batch(&b, epoch, epoch + 1).unwrap();
+        }
+        let mut raw = std::fs::read(wal.path()).unwrap();
+        let mid = raw.len() / 2; // inside the first of the three records
+        raw[mid] ^= 0x01;
+        std::fs::write(wal.path(), &raw).unwrap();
+        let err = fsck(&["--wal-dir", &rot]).unwrap_err();
+        assert_eq!(err.exit_code(), EXIT_ENGINE, "{err}");
+        assert_eq!(std::fs::read(wal.path()).unwrap(), raw, "fsck is read-only");
+        std::fs::remove_dir_all(&rot).ok();
         // fsck's own argument and I/O failures stay classified.
         let err = dispatch(&sv(&["fsck"])).unwrap_err();
         assert_eq!(err.exit_code(), EXIT_USAGE, "{err}");

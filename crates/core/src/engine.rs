@@ -341,8 +341,62 @@ pub struct GtsConfigBuilder {
     cfg: GtsConfig,
 }
 
+/// One chainable setter per [`GtsConfig`] field, for a builder that has
+/// `cfg_mut()`. The field list is written once, here, and applied to both
+/// [`GtsConfigBuilder`] and [`GtsBuilder`].
 macro_rules! config_setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty),+ $(,)?) => {
+    () => {
+        config_setters! { @emit
+            /// Number of GPUs (>= 1).
+            num_gpus: usize,
+            /// Asynchronous streams per GPU (>= 1; Fig. 10 sweeps 1..32).
+            num_streams: usize,
+            /// Multi-GPU strategy (Sec. 4).
+            strategy: Strategy,
+            /// Micro-level parallel technique (Sec. 6.2).
+            technique: MicroTechnique,
+            /// Per-GPU hardware model.
+            gpu: GpuConfig,
+            /// PCI-E link model.
+            pcie: PcieConfig,
+            /// Where topology pages come from.
+            storage: StorageLocation,
+            /// MMBuf size as a percentage of the graph's pages (0..=100;
+            /// 0 disables the MMBuf).
+            mmbuf_percent: u32,
+            /// Page-cache replacement policy.
+            cache_policy: CachePolicyKind,
+            /// Optional cap on cache size in bytes (must fit in device memory).
+            cache_limit_bytes: Option<u64>,
+            /// Peer-to-peer WA merging under Strategy-P.
+            p2p_sync: bool,
+            /// Host threads for kernel bodies (>= 1; `1` = exact serial order,
+            /// any value = byte-identical results).
+            host_threads: usize,
+            /// Record wall-clock phase A/B host times (`host.phase_*_ns`
+            /// keys, outside the determinism contract; default off).
+            measure_host_phases: bool,
+            /// Deterministic fault-injection plan (`None` disables injection).
+            faults: Option<FaultConfig>,
+            /// Step down (P→S, fewer streams, no cache) instead of aborting
+            /// on device O.O.M.
+            degrade_on_oom: bool,
+            /// Crash-consistent checkpointing (`None` disables it).
+            checkpoint: Option<CheckpointConfig>,
+            /// Mutation write-ahead log directory for live runs (`None`
+            /// disables logging).
+            wal_dir: Option<PathBuf>,
+            /// Background scrub cadence in sweeps (>= 1; `None` disables
+            /// scrubbing).
+            scrub_every: Option<u32>,
+            /// Watchdog deadline per sweep, simulated ns (`None` disables it).
+            sweep_deadline_ns: Option<u64>,
+            /// Watchdog budget for the whole run, simulated ns (`None`
+            /// disables it).
+            run_budget_ns: Option<u64>,
+        }
+    };
+    (@emit $($(#[$doc:meta])* $field:ident: $ty:ty),+ $(,)?) => {
         $(
             $(#[$doc])*
             pub fn $field(mut self, $field: $ty) -> Self {
@@ -358,55 +412,7 @@ impl GtsConfigBuilder {
         &mut self.cfg
     }
 
-    config_setters! {
-        /// Number of GPUs (>= 1).
-        num_gpus: usize,
-        /// Asynchronous streams per GPU (>= 1; Fig. 10 sweeps 1..32).
-        num_streams: usize,
-        /// Multi-GPU strategy (Sec. 4).
-        strategy: Strategy,
-        /// Micro-level parallel technique (Sec. 6.2).
-        technique: MicroTechnique,
-        /// Per-GPU hardware model.
-        gpu: GpuConfig,
-        /// PCI-E link model.
-        pcie: PcieConfig,
-        /// Where topology pages come from.
-        storage: StorageLocation,
-        /// MMBuf size as a percentage of the graph's pages (0..=100;
-        /// 0 disables the MMBuf).
-        mmbuf_percent: u32,
-        /// Page-cache replacement policy.
-        cache_policy: CachePolicyKind,
-        /// Optional cap on cache size in bytes (must fit in device memory).
-        cache_limit_bytes: Option<u64>,
-        /// Peer-to-peer WA merging under Strategy-P.
-        p2p_sync: bool,
-        /// Host threads for kernel bodies (>= 1; `1` = exact serial order,
-        /// any value = byte-identical results).
-        host_threads: usize,
-        /// Record wall-clock phase A/B host times (`host.phase_*_ns`
-        /// keys, outside the determinism contract; default off).
-        measure_host_phases: bool,
-        /// Deterministic fault-injection plan (`None` disables injection).
-        faults: Option<FaultConfig>,
-        /// Step down (P→S, fewer streams, no cache) instead of aborting
-        /// on device O.O.M.
-        degrade_on_oom: bool,
-        /// Crash-consistent checkpointing (`None` disables it).
-        checkpoint: Option<CheckpointConfig>,
-        /// Mutation write-ahead log directory for live runs (`None`
-        /// disables logging).
-        wal_dir: Option<PathBuf>,
-        /// Background scrub cadence in sweeps (>= 1; `None` disables
-        /// scrubbing).
-        scrub_every: Option<u32>,
-        /// Watchdog deadline per sweep, simulated ns (`None` disables it).
-        sweep_deadline_ns: Option<u64>,
-        /// Watchdog budget for the whole run, simulated ns (`None`
-        /// disables it).
-        run_budget_ns: Option<u64>,
-    }
+    config_setters!();
 
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<GtsConfig, ConfigError> {
@@ -567,55 +573,7 @@ impl GtsBuilder {
         &mut self.cfg.cfg
     }
 
-    config_setters! {
-        /// Number of GPUs (>= 1).
-        num_gpus: usize,
-        /// Asynchronous streams per GPU (>= 1; Fig. 10 sweeps 1..32).
-        num_streams: usize,
-        /// Multi-GPU strategy (Sec. 4).
-        strategy: Strategy,
-        /// Micro-level parallel technique (Sec. 6.2).
-        technique: MicroTechnique,
-        /// Per-GPU hardware model.
-        gpu: GpuConfig,
-        /// PCI-E link model.
-        pcie: PcieConfig,
-        /// Where topology pages come from.
-        storage: StorageLocation,
-        /// MMBuf size as a percentage of the graph's pages (0..=100;
-        /// 0 disables the MMBuf).
-        mmbuf_percent: u32,
-        /// Page-cache replacement policy.
-        cache_policy: CachePolicyKind,
-        /// Optional cap on cache size in bytes (must fit in device memory).
-        cache_limit_bytes: Option<u64>,
-        /// Peer-to-peer WA merging under Strategy-P.
-        p2p_sync: bool,
-        /// Host threads for kernel bodies (>= 1; `1` = exact serial order,
-        /// any value = byte-identical results).
-        host_threads: usize,
-        /// Record wall-clock phase A/B host times (`host.phase_*_ns`
-        /// keys, outside the determinism contract; default off).
-        measure_host_phases: bool,
-        /// Deterministic fault-injection plan (`None` disables injection).
-        faults: Option<FaultConfig>,
-        /// Step down (P→S, fewer streams, no cache) instead of aborting
-        /// on device O.O.M.
-        degrade_on_oom: bool,
-        /// Crash-consistent checkpointing (`None` disables it).
-        checkpoint: Option<CheckpointConfig>,
-        /// Mutation write-ahead log directory for live runs (`None`
-        /// disables logging).
-        wal_dir: Option<PathBuf>,
-        /// Background scrub cadence in sweeps (>= 1; `None` disables
-        /// scrubbing).
-        scrub_every: Option<u32>,
-        /// Watchdog deadline per sweep, simulated ns (`None` disables it).
-        sweep_deadline_ns: Option<u64>,
-        /// Watchdog budget for the whole run, simulated ns (`None`
-        /// disables it).
-        run_budget_ns: Option<u64>,
-    }
+    config_setters!();
 
     /// Replace the whole configuration (e.g. one made by
     /// [`GtsConfig::builder`] or a struct literal).
@@ -1239,10 +1197,10 @@ mod tests {
                 "checkpoint: no checkpoint to resume from in ckpts",
             ),
             (
-                EngineError::Wal(WalError::Corrupt {
+                EngineError::Wal(WalError::Log(CkptError::Corrupt {
                     reason: "header truncated".to_string(),
-                }),
-                "wal: corrupt wal: header truncated",
+                })),
+                "wal: corrupt data: header truncated",
             ),
         ];
         for (e, want) in cases {

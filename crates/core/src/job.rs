@@ -699,7 +699,7 @@ impl ExecCtx<'_> {
                 let a0 = cfg.measure_host_phases.then(std::time::Instant::now);
                 let outcomes = kernels::run_page_kernels(prog, &pool, &env, phase, &mut scratch);
                 let b0 = cfg.measure_host_phases.then(std::time::Instant::now);
-                acc.account_phase(&ctx, &pool, lanes, source, phase, &outcomes)?;
+                acc.account_phase(&ctx, lanes, source, phase, &outcomes)?;
                 record_host_phases(tel, a0, b0);
             }
 

@@ -7,33 +7,14 @@
 //! (line 27), the nextPIDSet/cachedPIDMap write-back (lines 29-30), the
 //! WA synchronisation, and the per-sweep telemetry.
 //!
-//! Phase B used to be one strictly serial loop — the Amdahl ceiling of
-//! the host pipeline once phase A went parallel. It is now three
-//! sub-stages with the *serial core* reduced to what genuinely orders
-//! the simulation:
-//!
-//! 1. **Outcome merge** (parallel): edge/vertex totals are exact integer
-//!    sums into a [`CounterVec`] (commutative, so schedule-independent),
-//!    `any_update` is a commutative OR, and the kernels' local
-//!    nextPIDSets land in a `BTreeSet` whose content is insertion-order
-//!    independent.
-//! 2. **Cache probes** (batched, parallel across lanes): each lane's
-//!    probe subsequence — the phase's pids that target it, in page
-//!    order — is executed with one [`GpuLane::probe_batch`] call. Lane
-//!    caches are independent and `probe_batch` is byte-identical to
-//!    per-page probes (a property test in `gts-storage` pins this), so
-//!    hit/miss sequences and eviction state match the old interleaved
-//!    loop exactly. The line-16 `all_cached` predicate is recovered as
-//!    the AND of a page's per-target hits: a probe hits iff the page
-//!    was resident *before* it, which is precisely what the old
-//!    `contains` pre-check observed.
-//! 3. **Issue** (serial, page order): MMBuf/storage readiness and the
-//!    per-target copy/kernel issue mutate globally ordered simulated
-//!    state, so they stay serial — but they now only walk precomputed
-//!    hit flags. Spans are recorded here too, in the original order.
-//!
-//! Simulated time, counters, and traces are therefore identical for
-//! every `host_threads` setting, as before.
+//! Phase B is one serial pass in page order. Everything it touches is
+//! globally ordered simulated state — the lanes' page caches (hits,
+//! recency, evictions), MMBuf/storage readiness, the per-lane copy and
+//! kernel issue, every fault decision — so there is nothing to fan out:
+//! simulated time, counters, and traces are identical for every
+//! `host_threads` setting because no host thread but this one is
+//! involved. Fanning the merge or the probes out across workers was
+//! measured at 0.98–1.07× of this loop (DESIGN.md §11), so it is not done.
 
 use crate::engine::EngineError;
 use crate::report::SweepStats;
@@ -41,28 +22,11 @@ use crate::strategy::Strategy;
 use crate::sweep::ingest::PageSource;
 use crate::sweep::kernels::PageOutcome;
 use crate::sweep::schedule::{self, GpuLane};
-use gts_exec::{CounterVec, ThreadPool};
 use gts_gpu::timer::{KernelClass, KernelCost};
 use gts_sim::SimTime;
 use gts_storage::builder::GraphStore;
 use gts_telemetry::{keys, SpanCat, Telemetry, Track};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Minimum merge work (outcomes plus their nextPIDSet entries) before
-/// the outcome merge fans out across workers. Spawning scoped workers
-/// costs ~100µs and merge items cost single-digit nanoseconds, so only
-/// genuinely heavy phases (large BFS frontiers) clear the bar. The
-/// threshold only changes which code path computes the (identical)
-/// result, never the result itself.
-const MERGE_PAR_MIN: usize = 65_536;
-
-/// Minimum total probes in a phase before the per-lane batches fan out
-/// across workers; below this they run inline (same batched calls, same
-/// results — the threshold is wall-clock-only, like [`MERGE_PAR_MIN`]).
-/// Sized against the same ~100µs scoped-spawn cost: a probe is a few
-/// tens of nanoseconds, so fanning out under ~16k probes loses.
-const PROBE_PAR_MIN: usize = 16_384;
 
 /// Sweep-invariant inputs of the accounting pass.
 pub(crate) struct AccountCtx<'a> {
@@ -109,49 +73,40 @@ impl SweepAccounting {
         }
     }
 
-    /// Account one phase's pages, in page order: merge kernel outcomes,
-    /// resolve data readiness through the source (line 16 first!), then
-    /// issue the per-target copies and kernels on the lanes. The merge
-    /// and the cache probes run parallel/batched (see the module doc for
-    /// the equivalence argument); the issue core is serial, so it is
+    /// Account one phase's pages, in page order: fold each kernel
+    /// outcome into the sweep totals, probe the target lanes' caches
+    /// (line 16 first!), resolve data readiness through the source, then
+    /// issue the per-target copies and kernels on the lanes. This is
     /// also where every fault decision is made — a fetch or issue that
     /// exhausts its retries aborts the run with a typed error.
     pub fn account_phase(
         &mut self,
         ctx: &AccountCtx<'_>,
-        pool: &ThreadPool,
         lanes: &mut [GpuLane],
         source: &mut dyn PageSource,
         pids: &[u64],
         outcomes: &[PageOutcome],
     ) -> Result<(), EngineError> {
-        self.merge_outcomes(pool, outcomes);
-        let lane_hits = probe_lanes_batched(ctx, pool, lanes, pids);
-
-        // Serial issue core, in page order. `cursors[gi]` walks lane
-        // `gi`'s precomputed hit flags in step with its probe
-        // subsequence.
-        let mut cursors = vec![0usize; lanes.len()];
         let mut pid_hits: Vec<bool> = Vec::with_capacity(lanes.len());
         for (&pid, outcome) in pids.iter().zip(outcomes) {
             let work = &outcome.work;
+            self.edges += work.active_edges;
+            self.stats.active_vertices += work.active_vertices;
+            self.stats.active_edges += work.active_edges;
+            self.any_update |= work.updated;
+            self.next.extend(outcome.next_pids.iter().copied());
+
             let view = ctx.store.view(pid);
             let targets = ctx.strategy.targets(pid, ctx.num_gpus);
             let fanout = targets.len() as u64;
             // Algorithm 1 checks cachedPIDMap BEFORE touching storage
             // (line 16 precedes lines 18-26): a page every target GPU
             // already caches must not generate SSD traffic or MMBuf
-            // churn. A batched probe hits iff the page was resident
-            // before it, so ANDing the per-target hits IS the line-16
-            // pre-check.
+            // churn. A probe hits iff the page was resident before it,
+            // so ANDing the per-target hits IS the line-16 pre-check.
             pid_hits.clear();
-            let mut all_cached = true;
-            for gi in targets.clone() {
-                let hit = lane_hits[gi][cursors[gi]];
-                cursors[gi] += 1;
-                pid_hits.push(hit);
-                all_cached &= hit;
-            }
+            pid_hits.extend(targets.clone().map(|gi| lanes[gi].probe(pid)));
+            let all_cached = pid_hits.iter().all(|&hit| hit);
             let page = ctx.store.page(pid);
             let data_ready = source.page_ready(pid, page, all_cached, self.sweep_start)?;
             for (ti, gi) in targets.enumerate() {
@@ -192,105 +147,6 @@ impl SweepAccounting {
         }
         Ok(())
     }
-
-    /// Sub-stage 1: fold the kernels' work summaries and local
-    /// nextPIDSets into the sweep accumulator. Totals are exact integer
-    /// sums ([`CounterVec`] slots), `any_update` a commutative OR, and
-    /// the per-range pid lists feed a `BTreeSet` — all order-independent
-    /// merges, so the result is identical for every thread count.
-    fn merge_outcomes(&mut self, pool: &ThreadPool, outcomes: &[PageOutcome]) {
-        // The dominant merge cost is the nextPIDSet traffic, not the
-        // outcome count (PageRank sweeps carry empty next lists; BFS
-        // frontier phases carry most of the graph), so the fan-out gate
-        // weighs both.
-        let work: usize = outcomes
-            .iter()
-            .map(|o| 1 + o.next_pids.len())
-            .sum::<usize>();
-        if pool.threads() == 1 || work < MERGE_PAR_MIN {
-            for outcome in outcomes {
-                let w = &outcome.work;
-                self.edges += w.active_edges;
-                self.stats.active_vertices += w.active_vertices;
-                self.stats.active_edges += w.active_edges;
-                self.any_update |= w.updated;
-                self.next.extend(outcome.next_pids.iter().copied());
-            }
-            return;
-        }
-        const AV: usize = 0;
-        const AE: usize = 1;
-        let totals = CounterVec::new(2);
-        let updated = AtomicBool::new(false);
-        let grain = outcomes.len().div_ceil(4 * pool.threads()).max(1);
-        let partial_next = pool.par_ranges(outcomes.len(), grain, Vec::new, |next, range| {
-            for outcome in &outcomes[range] {
-                let work = &outcome.work;
-                totals.add(AV, work.active_vertices);
-                totals.add(AE, work.active_edges);
-                if work.updated {
-                    updated.store(true, Ordering::Relaxed);
-                }
-                next.extend(outcome.next_pids.iter().copied());
-            }
-        });
-        self.edges += totals.get(AE);
-        self.stats.active_vertices += totals.get(AV);
-        self.stats.active_edges += totals.get(AE);
-        self.any_update |= updated.load(Ordering::Relaxed);
-        for next in partial_next {
-            // The BTreeSet deduplicates globally; its content does not
-            // depend on which worker contributed which range.
-            self.next.extend(next);
-        }
-    }
-}
-
-/// Sub-stage 2: batch every lane's cache probes for one phase. Builds
-/// each lane's probe subsequence (the phase's pids that target it, in
-/// page order), then runs the per-lane batches in parallel — lane caches
-/// are disjoint, so [`ThreadPool::par_slices_mut`] hands each worker an
-/// exclusive lane. Returns one hit-flag vector per lane, aligned with
-/// its subsequence.
-fn probe_lanes_batched(
-    ctx: &AccountCtx<'_>,
-    pool: &ThreadPool,
-    lanes: &mut [GpuLane],
-    pids: &[u64],
-) -> Vec<Vec<bool>> {
-    let mut per_lane: Vec<Vec<u64>> = vec![Vec::new(); lanes.len()];
-    for &pid in pids {
-        for gi in ctx.strategy.targets(pid, ctx.num_gpus) {
-            per_lane[gi].push(pid);
-        }
-    }
-    struct ProbeTask<'a> {
-        lane: &'a mut GpuLane,
-        pids: Vec<u64>,
-        hits: Vec<bool>,
-    }
-    let total: usize = per_lane.iter().map(Vec::len).sum();
-    let mut tasks: Vec<ProbeTask<'_>> = lanes
-        .iter_mut()
-        .zip(per_lane)
-        .map(|(lane, pids)| ProbeTask {
-            lane,
-            pids,
-            hits: Vec::new(),
-        })
-        .collect();
-    if pool.threads() == 1 || total < PROBE_PAR_MIN {
-        for t in tasks.iter_mut() {
-            t.hits = t.lane.probe_batch(&t.pids);
-        }
-    } else {
-        pool.par_slices_mut(tasks.chunks_mut(1).collect(), |_, tasks| {
-            for t in tasks.iter_mut() {
-                t.hits = t.lane.probe_batch(&t.pids);
-            }
-        });
-    }
-    tasks.into_iter().map(|t| t.hits).collect()
 }
 
 /// The sweep barrier (Alg. 1 line 27): all GPUs finish before `t` moves on.

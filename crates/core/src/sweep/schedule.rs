@@ -175,15 +175,6 @@ impl GpuLane {
         self.cache.access(pid)
     }
 
-    /// Probe the cache for every pid in order with a single policy call —
-    /// semantically identical to [`GpuLane::probe`] per page (same hits,
-    /// misses, evictions and counters), but the per-probe virtual dispatch
-    /// amortises over the whole sweep-plan chunk. The accounting phase
-    /// batches each phase's probes per lane through this.
-    pub fn probe_batch(&mut self, pids: &[u64]) -> Vec<bool> {
-        self.cache.probe_batch(pids)
-    }
-
     /// This lane's retry budget: attempts allowed per operation and the
     /// sim-time backoff between them. Without a fault plan exactly one
     /// attempt is made and it cannot be failed by injection.

@@ -69,79 +69,10 @@ impl FixedVec {
     }
 }
 
-/// The integer sibling of [`FixedVec`]: a vector of concurrently-
-/// addressable `u64` accumulators.
-///
-/// Where [`FixedVec`] makes *real-valued* parallel sums bit-deterministic
-/// by routing them through fixed point, counts (edges, vertices, pages)
-/// are already integers — `fetch_add` commutes and associates exactly, so
-/// any schedule yields the same totals. `FixedVec`'s `[0, 4096)` range
-/// would overflow on edge counts; this type holds the full `u64` range.
-#[derive(Debug, Default)]
-pub struct CounterVec {
-    slots: Vec<AtomicU64>,
-}
-
-impl CounterVec {
-    /// `len` accumulators, all zero.
-    pub fn new(len: usize) -> Self {
-        CounterVec {
-            slots: (0..len).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Atomically add `x` to slot `i`. Safe from any number of threads;
-    /// all interleavings yield the same final value.
-    pub fn add(&self, i: usize, x: u64) {
-        self.slots[i].fetch_add(x, Ordering::Relaxed);
-    }
-
-    /// Current value of slot `i`.
-    pub fn get(&self, i: usize) -> u64 {
-        self.slots[i].load(Ordering::Relaxed)
-    }
-
-    /// Reset every slot to zero (requires exclusive access).
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s.get_mut() = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ThreadPool;
-
-    #[test]
-    fn counter_vec_concurrent_sums_are_exact() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let serial: u64 = items.iter().sum();
-        for threads in [1, 2, 4, 8] {
-            let acc = CounterVec::new(2);
-            ThreadPool::new(threads).par_for_each(&items, |i, &x| {
-                acc.add(i % 2, x);
-            });
-            assert_eq!(acc.get(0) + acc.get(1), serial, "threads={threads}");
-        }
-        let mut acc = CounterVec::new(2);
-        acc.add(1, 7);
-        acc.clear();
-        assert_eq!(acc.get(1), 0);
-        assert_eq!(acc.len(), 2);
-        assert!(!acc.is_empty());
-    }
 
     #[test]
     fn concurrent_adds_match_serial_bits_for_any_thread_count() {

@@ -15,8 +15,7 @@
 //!   fixed point. Integer `fetch_add` commutes exactly, so concurrent
 //!   accumulation produces bit-identical results for every thread count and
 //!   every interleaving — unlike floating-point `+`, which is commutative
-//!   but not associative. [`CounterVec`] is its integer sibling for plain
-//!   `u64` counts (edges, vertices, pages), full-range and exact.
+//!   but not associative.
 //!
 //! Everything here is safe Rust; no work ever leaks past a call because all
 //! workers are scoped to it.
@@ -24,5 +23,5 @@
 mod fixed;
 mod pool;
 
-pub use fixed::{CounterVec, FixedVec};
+pub use fixed::FixedVec;
 pub use pool::{default_host_threads, ThreadPool};

@@ -29,13 +29,9 @@
 //! assert_eq!(a, b);
 //! ```
 
-use gts_sim::SimDuration;
+use gts_sim::{Rng, SimDuration};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-
-mod rng;
-
-use rng::Rng;
 
 /// Decisions are expressed as rates in parts-per-million, drawn once per
 /// simulated operation.

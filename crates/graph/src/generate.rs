@@ -8,8 +8,8 @@
 //! cache model assumes random graphs); [`web_like`] builds high-diameter
 //! web-shaped graphs used by the YahooWeb look-alike.
 
-use crate::rng::Rng;
 use crate::types::{EdgeList, VertexId};
+use gts_sim::Rng;
 
 /// RMAT (Recursive MATrix) generator configuration.
 ///

@@ -16,7 +16,6 @@ pub mod csr;
 pub mod datasets;
 pub mod generate;
 pub mod reference;
-pub mod rng;
 pub mod stats;
 pub mod types;
 

@@ -1,12 +1,14 @@
-//! The crash-consistent service journal: `JRNL1` records over
-//! `gts-ckpt`'s atomic snapshot store.
+//! The crash-consistent service journal: typed records in a
+//! [`SealedLog`].
 //!
 //! After every scheduler step (a speculative read wave or one mutating
-//! job), the service encodes its full record log — admissions, starts,
-//! execution results, quarantines, epoch bumps — into one snapshot
-//! section and writes it through [`CkptStore`]'s tmp → fsync → rename
-//! path, so a kill at any instant leaves either the previous or the new
-//! journal intact, never a torn one.
+//! job), the service seals the records that step produced — admissions,
+//! starts, execution results, quarantines, epoch bumps — into one frame
+//! appended to `journal.log` and fsynced. A kill at any instant leaves
+//! the log ending either before that frame or after it; a frame torn by
+//! the kill is cut off on resume, so a step is journaled whole or not at
+//! all. Framing, checksums and file I/O are `gts-ckpt`'s (DESIGN.md
+//! "On-disk formats"); this module owns the record codec and the binding.
 //!
 //! ## Resume model
 //!
@@ -26,26 +28,21 @@
 
 use crate::workload::{render, JobSpec};
 use crate::ServeError;
-use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptStore, Snapshot};
+use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, LogFormat, LogImage, SealedLog};
 use gts_storage::GraphStore;
 use gts_telemetry::{keys, Telemetry};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// The record-format tag written at the head of every journal section.
-pub const JRNL_MAGIC: &str = "JRNL1";
-/// Snapshot payload schema version for journal snapshots. Version 2
-/// added the mutation-WAL binding (`wal_fp`) to the header.
-const JRNL_VERSION: u32 = 2;
-/// The single snapshot section holding the encoded journal.
-const SECTION: &str = "journal";
+/// The journal's file name inside its directory.
+pub const JOURNAL_FILE: &str = "journal.log";
 
 /// Where the service journal lives and whether this run resumes from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalConfig {
-    /// Directory for the journal's snapshot store.
+    /// Directory holding the journal's log file.
     pub dir: PathBuf,
-    /// Resume from the newest intact journal instead of starting empty.
+    /// Resume from the journal in `dir` instead of starting a fresh one.
     pub resume: bool,
 }
 
@@ -153,6 +150,36 @@ impl Header {
             wal_fp,
         }
     }
+
+    /// The four fingerprints with the name each goes by in a mismatch.
+    fn fields(&self) -> [(&'static str, u64); 4] {
+        [
+            ("workload", self.workload_fp),
+            ("store", self.store_fp),
+            ("config", self.cfg_fp),
+            ("wal", self.wal_fp),
+        ]
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for (_, fp) in self.fields() {
+            w.put_u64(fp);
+        }
+        w.into_bytes()
+    }
+
+    fn decode(binding: &[u8]) -> Result<Header, CkptError> {
+        let mut r = ByteReader::new(binding);
+        let header = Header {
+            workload_fp: r.take_u64("workload fingerprint")?,
+            store_fp: r.take_u64("store fingerprint")?,
+            cfg_fp: r.take_u64("config fingerprint")?,
+            wal_fp: r.take_u64("wal fingerprint")?,
+        };
+        r.finish()?;
+        Ok(header)
+    }
 }
 
 /// The store-shape fingerprint a journal header binds: vertices, edges,
@@ -180,23 +207,23 @@ pub struct JournalInfo {
     pub cfg_fp: u64,
     /// Binding to the mutation WAL's base epoch (0 when none was kept).
     pub wal_fp: u64,
-    /// Total records in the newest intact journal.
+    /// Total records in the journal's sealed frames.
     pub records: usize,
     /// Post-bump store epochs recorded by mutating jobs, in log order.
     pub epochs: Vec<u64>,
-    /// Newer manifest entries skipped as torn or unreadable on the way
-    /// to the newest intact journal.
-    pub skipped: Vec<String>,
+    /// Bytes at the end of the log that form no sealed frame — a step
+    /// torn by a kill, which a resume cuts off.
+    pub truncated_tail: u64,
 }
 
-/// Load and decode the newest intact journal in `dir` without a service
-/// to bind against — the `gts fsck` entry point. Typed
-/// [`ServeError::Journal`] when no journal decodes at all.
+/// Load and decode the journal in `dir` without a service to bind
+/// against and without modifying it — the `gts fsck` entry point. Typed
+/// [`ServeError::Journal`] when the log is absent, corrupt, or of
+/// another version.
 pub fn inspect_journal(dir: impl Into<PathBuf>) -> Result<JournalInfo, ServeError> {
-    let ck = CkptStore::open(dir).map_err(jerr)?;
-    let (_seq, snap, skipped) = ck.load_latest_with_skipped().map_err(jerr)?;
-    snap.require_version(JRNL_VERSION).map_err(jerr)?;
-    let (header, records) = decode(snap.section(SECTION).map_err(jerr)?)?;
+    let image =
+        SealedLog::load(&dir.into().join(JOURNAL_FILE), &LogFormat::JOURNAL).map_err(jerr)?;
+    let (header, records) = decode_image(&image)?;
     let epochs = records
         .iter()
         .filter_map(|r| match r {
@@ -211,17 +238,24 @@ pub fn inspect_journal(dir: impl Into<PathBuf>) -> Result<JournalInfo, ServeErro
         wal_fp: header.wal_fp,
         records: records.len(),
         epochs,
-        skipped,
+        truncated_tail: image.truncated_tail(),
     })
 }
 
-fn encode(header: &Header, records: &[Record]) -> Vec<u8> {
+/// The header and every record of a loaded journal, frames flattened in
+/// log order.
+fn decode_image(image: &LogImage) -> Result<(Header, Vec<Record>), ServeError> {
+    let header = Header::decode(image.binding()).map_err(jerr)?;
+    let mut records = Vec::new();
+    for frame in image.frames() {
+        records.extend(decode(frame)?);
+    }
+    Ok((header, records))
+}
+
+/// One frame body: the records of one scheduler step.
+fn encode(records: &[Record]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_str(JRNL_MAGIC);
-    w.put_u64(header.workload_fp);
-    w.put_u64(header.store_fp);
-    w.put_u64(header.cfg_fp);
-    w.put_u64(header.wal_fp);
     w.put_u32(records.len() as u32);
     for r in records {
         match r {
@@ -275,20 +309,8 @@ fn encode(header: &Header, records: &[Record]) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode(bytes: &[u8]) -> Result<(Header, Vec<Record>), ServeError> {
+fn decode(bytes: &[u8]) -> Result<Vec<Record>, ServeError> {
     let mut r = ByteReader::new(bytes);
-    let magic = r.take_str("journal magic").map_err(jerr)?;
-    if magic != JRNL_MAGIC {
-        return Err(ServeError::Journal(format!(
-            "bad magic {magic:?}, expected {JRNL_MAGIC:?}"
-        )));
-    }
-    let header = Header {
-        workload_fp: r.take_u64("workload fingerprint").map_err(jerr)?,
-        store_fp: r.take_u64("store fingerprint").map_err(jerr)?,
-        cfg_fp: r.take_u64("config fingerprint").map_err(jerr)?,
-        wal_fp: r.take_u64("wal fingerprint").map_err(jerr)?,
-    };
     let n = r.take_u32("record count").map_err(jerr)?;
     let mut records = Vec::with_capacity((n as usize).min(bytes.len()));
     for _ in 0..n {
@@ -342,58 +364,61 @@ fn decode(bytes: &[u8]) -> Result<(Header, Vec<Record>), ServeError> {
         records.push(rec);
     }
     r.finish().map_err(jerr)?;
-    Ok((header, records))
+    Ok(records)
 }
 
-/// The live journal: the record log, the memo table of settled
-/// executions, and the snapshot store the log flushes through.
+/// The live journal: the open log, the records settled since the last
+/// flush, and the memo table of settled executions.
 #[derive(Debug)]
 pub(crate) struct Journal {
-    ck: CkptStore,
-    header: Header,
-    records: Vec<Record>,
+    log: SealedLog,
+    /// Records appended since the last flush — the next frame.
+    pending: Vec<Record>,
+    /// Records sealed in the log so far.
+    sealed: usize,
     cached: BTreeMap<(u32, u32), ExecRecord>,
-    seq: u64,
 }
 
 impl Journal {
-    /// Open (and on `cfg.resume` load + verify) the journal at
-    /// `cfg.dir`. A resume with no intact journal, or one bound to a
-    /// different workload/store/config, is a typed error.
+    /// Start a fresh journal at `cfg.dir` bound to `header`, or on
+    /// `cfg.resume` open the one there (cutting off a torn last step),
+    /// verify its binding and load its memo table. A resume with no
+    /// journal, or one bound to a different workload/store/config, is a
+    /// typed error.
     pub(crate) fn open(cfg: &JournalConfig, header: Header) -> Result<Journal, ServeError> {
-        let ck = CkptStore::open(&cfg.dir).map_err(jerr)?;
-        let mut j = Journal {
-            ck,
-            header,
-            records: Vec::new(),
-            cached: BTreeMap::new(),
-            seq: 0,
-        };
-        if cfg.resume {
-            let (seq, snap) = j.ck.load_latest().map_err(jerr)?;
-            snap.require_version(JRNL_VERSION).map_err(jerr)?;
-            let (found, records) = decode(snap.section(SECTION).map_err(jerr)?)?;
-            for (what, found, want) in [
-                ("workload", found.workload_fp, header.workload_fp),
-                ("store", found.store_fp, header.store_fp),
-                ("config", found.cfg_fp, header.cfg_fp),
-                ("wal", found.wal_fp, header.wal_fp),
-            ] {
-                if found != want {
-                    return Err(ServeError::Journal(format!(
-                        "{what} fingerprint mismatch: journal {found:#x}, this run {want:#x}"
-                    )));
-                }
-            }
-            for r in &records {
-                if let Record::Exec(e) = r {
-                    j.cached.insert((e.job, e.attempt), e.clone());
-                }
-            }
-            j.records = records;
-            j.seq = seq + 1;
+        let path = cfg.dir.join(JOURNAL_FILE);
+        if !cfg.resume {
+            return Ok(Journal {
+                log: SealedLog::create(&path, &LogFormat::JOURNAL, &header.encode())
+                    .map_err(jerr)?,
+                pending: Vec::new(),
+                sealed: 0,
+                cached: BTreeMap::new(),
+            });
         }
-        Ok(j)
+        let (log, image) = SealedLog::open(&path, &LogFormat::JOURNAL).map_err(jerr)?;
+        let (found, records) = decode_image(&image)?;
+        for ((what, found), (_, want)) in found.fields().into_iter().zip(header.fields()) {
+            if found != want {
+                return Err(ServeError::Journal(format!(
+                    "{what} fingerprint mismatch: journal {found:#x}, this run {want:#x}"
+                )));
+            }
+        }
+        let sealed = records.len();
+        let cached = records
+            .into_iter()
+            .filter_map(|r| match r {
+                Record::Exec(e) => Some(((e.job, e.attempt), e)),
+                _ => None,
+            })
+            .collect();
+        Ok(Journal {
+            log,
+            pending: Vec::new(),
+            sealed,
+            cached,
+        })
     }
 
     /// The memoized execution of `(job, attempt)`, when it settled
@@ -408,18 +433,23 @@ impl Journal {
         if let Record::Exec(e) = &r {
             self.cached.insert((e.job, e.attempt), e.clone());
         }
-        self.records.push(r);
+        self.pending.push(r);
     }
 
-    /// Flush the full log as one atomic snapshot and account the I/O
-    /// under the wall-side `serve.journal.*` keys.
+    /// Seal the records appended since the last flush as one frame,
+    /// fsynced before this returns, and account the I/O under the
+    /// wall-side `serve.journal.*` keys. A step that settled nothing new
+    /// (every attempt a memo hit, or every arrival dropped) writes
+    /// nothing.
     pub(crate) fn flush(&mut self, tel: &Telemetry) -> Result<(), ServeError> {
-        let mut snap = Snapshot::new(JRNL_VERSION);
-        snap.insert(SECTION, encode(&self.header, &self.records));
-        let bytes = self.ck.write(self.seq, &snap).map_err(jerr)?;
-        self.seq += 1;
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let bytes = self.log.append(&encode(&self.pending)).map_err(jerr)?;
+        self.sealed += self.pending.len();
+        self.pending.clear();
         tel.add(keys::SERVE_JOURNAL_FLUSHES, 1);
-        tel.set(keys::SERVE_JOURNAL_RECORDS, self.records.len() as u64);
+        tel.set(keys::SERVE_JOURNAL_RECORDS, self.sealed as u64);
         tel.add("serve.journal.bytes", bytes);
         Ok(())
     }
@@ -487,31 +517,24 @@ mod tests {
             cfg_fp: 3,
             wal_fp: 4,
         };
+        assert_eq!(Header::decode(&header.encode()).unwrap(), header);
         let records = sample_records();
-        let (h, rs) = decode(&encode(&header, &records)).unwrap();
-        assert_eq!(h, header);
-        assert_eq!(rs, records);
+        assert_eq!(decode(&encode(&records)).unwrap(), records);
     }
 
     #[test]
     fn truncated_or_mislabeled_bytes_are_typed_errors() {
-        let header = Header {
-            workload_fp: 1,
-            store_fp: 2,
-            cfg_fp: 3,
-            wal_fp: 4,
-        };
-        let bytes = encode(&header, &sample_records());
+        let bytes = encode(&sample_records());
         let err = decode(&bytes[..bytes.len() - 3]).unwrap_err();
         assert!(matches!(err, ServeError::Journal(_)), "{err}");
-        let err = decode(&encode_bad_magic()).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
-    }
-
-    fn encode_bad_magic() -> Vec<u8> {
+        // An unknown record tag is refused, not skipped.
         let mut w = ByteWriter::new();
-        w.put_str("NOPE!");
-        w.into_bytes()
+        w.put_u32(1);
+        w.put_u8(9);
+        let err = decode(&w.into_bytes()).unwrap_err();
+        assert!(err.to_string().contains("unknown record tag 9"), "{err}");
+        // A binding of the wrong width is not a journal header.
+        assert!(Header::decode(&[0; 31]).is_err());
     }
 
     #[test]
@@ -561,6 +584,54 @@ mod tests {
             Journal::open(&empty, header),
             Err(ServeError::Journal(_))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `flush` writes O(new bytes): each step is one frame appended to
+    /// the same file, and a resumed journal keeps appending where the
+    /// crashed one stopped.
+    #[test]
+    #[cfg(unix)]
+    fn flushes_append_one_frame_each_to_the_same_file() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tempdir("append");
+        let header = Header {
+            workload_fp: 1,
+            store_fp: 2,
+            cfg_fp: 3,
+            wal_fp: 0,
+        };
+        let path = dir.join(JOURNAL_FILE);
+        let tel = Telemetry::new();
+        let mut j = Journal::open(&JournalConfig::new(&dir), header).unwrap();
+        let created = std::fs::metadata(&path).unwrap();
+        let mut len = created.len();
+        for (step, r) in sample_records().into_iter().enumerate() {
+            let frame = 4 + encode(std::slice::from_ref(&r)).len() as u64 + 8;
+            j.append(r);
+            j.flush(&tel).unwrap();
+            j.flush(&tel).unwrap(); // nothing pending: no write, no count
+            let now = std::fs::metadata(&path).unwrap();
+            assert_eq!(now.len(), len + frame, "step {step} grew by its frame");
+            assert_eq!(now.ino(), created.ino(), "same file, not a replacement");
+            len = now.len();
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no siblings");
+        }
+        assert_eq!(tel.counter(keys::SERVE_JOURNAL_FLUSHES), 6);
+        assert_eq!(tel.counter("serve.journal.bytes"), len - created.len());
+        drop(j);
+
+        let resume = JournalConfig {
+            dir: dir.clone(),
+            resume: true,
+        };
+        let mut j = Journal::open(&resume, header).unwrap();
+        j.append(Record::Epoch { job: 7, epoch: 2 });
+        j.flush(&tel).unwrap();
+        assert_eq!(tel.counter(keys::SERVE_JOURNAL_RECORDS), 7);
+        let info = inspect_journal(&dir).unwrap();
+        assert_eq!((info.records, info.truncated_tail), (7, 0));
+        assert_eq!(info.epochs, vec![1, 2]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -23,8 +23,8 @@
 //!   retry with quarantine ([`JobStatus::Quarantined`]), a per-tenant
 //!   circuit breaker ([`ServeError::BreakerOpen`]), and load-aware
 //!   overload shedding ([`ServeError::Shed`]).
-//! * [`journal`] — the crash-consistent service journal (`JRNL1`
-//!   records over `gts-ckpt`'s atomic snapshot store): a killed daemon
+//! * [`journal`] — the crash-consistent service journal (one sealed
+//!   frame per scheduler step in a `gts-ckpt` `SealedLog`): a killed daemon
 //!   resumes without re-running settled jobs, byte-identical to an
 //!   uncrashed run.
 //!

@@ -48,8 +48,8 @@
 //!
 //! ## Crash consistency
 //!
-//! With a journal configured ([`ServeConfig::journal`]), every settled
-//! execution is logged through `gts-ckpt`'s atomic store; a daemon
+//! With a journal configured ([`ServeConfig::journal`]), every scheduler
+//! step seals what it settled into one fsynced journal frame; a daemon
 //! killed mid-workload (the injected [`CrashPoint::AtEpoch`] fires
 //! right before an epoch bump) resumes by re-running the simulation
 //! with settled executions served from the journal — see
@@ -1627,24 +1627,7 @@ mod tests {
             out.telemetry.counter(keys::SERVE_RESUME_CACHED)
         );
         assert_eq!(resumed_st.epoch(), 2);
-        for (a, b) in baseline.jobs.iter().zip(&out.jobs) {
-            assert_eq!(a.status, b.status, "job {}", a.index);
-            assert_eq!(a.counters, b.counters, "job {}", a.index);
-            assert_eq!(
-                (a.start_ns, a.finish_ns, a.attempts, a.result_fp),
-                (b.start_ns, b.finish_ns, b.attempts, b.result_fp),
-                "job {}",
-                a.index
-            );
-        }
-        // Contract-side counters match exactly once the wall-side
-        // journal/resume keys are set aside.
-        let strip = |t: &Telemetry| {
-            let mut c = t.counters();
-            c.retain(|k, _| !k.starts_with("serve.journal.") && !k.starts_with("serve.resume."));
-            c
-        };
-        assert_eq!(strip(&baseline.telemetry), strip(&out.telemetry));
+        assert_same_service(&baseline, &out, "resumed");
 
         // Resuming against a different workload is refused, typed.
         let other = parse("at=0 tenant=z job=bfs\n").unwrap();
@@ -1654,6 +1637,101 @@ mod tests {
             "{err}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every job's fate, timing and counters, and the contract-side
+    /// service counters, agree between two runs of one workload.
+    fn assert_same_service(a: &ServeOutcome, b: &ServeOutcome, what: &str) {
+        for (a, b) in a.jobs.iter().zip(&b.jobs) {
+            assert_eq!(a.status, b.status, "{what}: job {}", a.index);
+            assert_eq!(a.counters, b.counters, "{what}: job {}", a.index);
+            assert_eq!(
+                (a.start_ns, a.finish_ns, a.attempts, a.result_fp),
+                (b.start_ns, b.finish_ns, b.attempts, b.result_fp),
+                "{what}: job {}",
+                a.index
+            );
+        }
+        assert_eq!(
+            contract_counters(&a.telemetry),
+            contract_counters(&b.telemetry),
+            "{what}"
+        );
+    }
+
+    /// A kill can land anywhere in the journal's append stream. Cut an
+    /// uncrashed run's log at every step boundary and one byte either
+    /// side of it: the resumed daemon drops the torn step whole, re-runs
+    /// what it lost, and lands byte-identical to the uncrashed run.
+    #[test]
+    fn journal_cut_at_any_step_boundary_resumes_byte_identical() {
+        use crate::journal::JOURNAL_FILE;
+        let engine = engine(2);
+        let jobs = parse(
+            "at=0 tenant=a job=bfs
+at=1000 tenant=b job=pagerank iters=3
+             at=2000 tenant=m job=bfs mutate-at=1 inserts=16 deletes=2 seed=5
+             at=3000 tenant=a job=cc
+             at=4000 tenant=m job=cc mutate-at=1 inserts=8 seed=7
+             at=5000 tenant=b job=degrees
+",
+        )
+        .unwrap();
+        let dir = tempdir("cut-whole");
+        let cfg = ServeConfig {
+            journal: Some(JournalConfig::new(&dir)),
+            ..ServeConfig::default()
+        };
+        let baseline = serve(&engine, &mut store(), &jobs, &cfg).unwrap();
+        let log = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let image =
+            gts_ckpt::SealedLog::load(&dir.join(JOURNAL_FILE), &gts_ckpt::LogFormat::JOURNAL)
+                .unwrap();
+        let framed: usize = image.frames().map(|f| 4 + f.len() + 8).sum();
+        let mut boundaries = vec![log.len() - framed];
+        for f in image.frames() {
+            boundaries.push(boundaries[boundaries.len() - 1] + 4 + f.len() + 8);
+        }
+        assert!(boundaries.len() > 4, "the run must journal several steps");
+        assert_eq!(*boundaries.last().unwrap(), log.len());
+
+        let cut_dir = tempdir("cut");
+        std::fs::create_dir_all(&cut_dir).unwrap();
+        let resume_cfg = ServeConfig {
+            journal: Some(JournalConfig {
+                dir: cut_dir.clone(),
+                resume: true,
+            }),
+            ..ServeConfig::default()
+        };
+        for (step, &b) in boundaries.iter().enumerate() {
+            for cut in [b - 1, b, b + 1] {
+                if cut > log.len() {
+                    continue;
+                }
+                std::fs::write(cut_dir.join(JOURNAL_FILE), &log[..cut]).unwrap();
+                let mut resumed_st = store();
+                let resumed = serve(&engine, &mut resumed_st, &jobs, &resume_cfg);
+                if cut < boundaries[0] {
+                    // Inside the header: not a torn step, not a journal.
+                    assert!(matches!(resumed, Err(ServeError::Journal(_))));
+                    continue;
+                }
+                let out = resumed.unwrap();
+                assert_same_service(&baseline, &out, &format!("step {step}, cut {cut}"));
+                assert_eq!(resumed_st.epoch(), 2);
+                // The torn bytes are gone and the lost steps were re-journaled.
+                let info = crate::journal::inspect_journal(&cut_dir).unwrap();
+                assert_eq!(info.truncated_tail, 0);
+                assert_eq!(
+                    info.records as u64,
+                    baseline.telemetry.counter(keys::SERVE_JOURNAL_RECORDS)
+                );
+            }
+        }
+        for d in [&dir, &cut_dir] {
+            std::fs::remove_dir_all(d).ok();
+        }
     }
 
     /// The workload the WAL tests share: two mutating jobs interleaved

@@ -17,7 +17,10 @@
 //! a classic event-driven simulator would, with far less machinery.
 //!
 //! All simulated time is deterministic, which makes the paper-shape
-//! experiments reproducible bit-for-bit across runs.
+//! experiments reproducible bit-for-bit across runs. The one source of
+//! randomness the workspace allows itself — the seeded [`Rng`] behind
+//! dataset generation and fault schedules — lives here for the same
+//! reason.
 //!
 //! ```
 //! use gts_sim::{Bandwidth, Resource, SimDuration, SimTime};
@@ -32,8 +35,10 @@
 
 pub mod bandwidth;
 pub mod resource;
+pub mod rng;
 pub mod time;
 
 pub use bandwidth::Bandwidth;
 pub use resource::Resource;
+pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

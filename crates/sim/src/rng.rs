@@ -1,13 +1,18 @@
-//! Self-contained deterministic PRNG for the graph generators.
+//! The workspace's one seeded PRNG: dataset generators (`gts-graph`) and
+//! fault schedules (`gts-faults`) both draw from it.
 //!
-//! The generators only need a seedable stream of uniform `f64`s and
-//! bounded integers, so instead of pulling the `rand` crate (which the
-//! build cannot fetch offline) we carry a small xoshiro256** generator
-//! seeded through splitmix64 — the same construction `rand`'s small RNGs
-//! use. Streams are fully determined by the seed, so datasets remain
-//! reproducible across runs and platforms.
+//! Callers only need a seedable stream of uniform `f64`s and bounded
+//! integers, so instead of pulling the `rand` crate (which the build
+//! cannot fetch offline) we carry a small xoshiro256** generator seeded
+//! through splitmix64 — the same construction `rand`'s small RNGs use.
+//! Streams are fully determined by the seed, so datasets and fault
+//! schedules are reproducible across runs and platforms.
 
 /// xoshiro256** pseudo-random generator (Blackman & Vigna).
+///
+/// The draw methods are `#[inline]`: generators call them once per edge
+/// per RMAT level from other crates, where an out-of-line call would
+/// cost about as much as the draw.
 #[derive(Debug, Clone)]
 pub struct Rng {
     s: [u64; 4],
@@ -31,6 +36,7 @@ impl Rng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -43,7 +49,18 @@ impl Rng {
         result
     }
 
+    /// The raw generator state, for checkpointing a stream mid-schedule.
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
+    /// Rebuild a generator at an exact checkpointed state.
+    pub fn from_state(s: [u64; 4]) -> Self {
+        Rng { s }
+    }
+
     /// Uniform `f64` in `[0, 1)` from the top 53 bits.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -52,6 +69,7 @@ impl Rng {
     ///
     /// # Panics
     /// Panics if `n == 0`.
+    #[inline]
     pub fn below_u64(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below_u64 bound must be non-zero");
         // Rejection-free fast path for powers of two.
@@ -72,11 +90,13 @@ impl Rng {
     }
 
     /// Uniform `u32` in `[0, n)`.
+    #[inline]
     pub fn below_u32(&mut self, n: u32) -> u32 {
         self.below_u64(n as u64) as u32
     }
 
     /// Uniform `usize` in `[0, n)`.
+    #[inline]
     pub fn below_usize(&mut self, n: usize) -> usize {
         self.below_u64(n as u64) as usize
     }
@@ -124,6 +144,24 @@ mod tests {
             seen[x as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn below_respects_bound() {
+        let mut r = Rng::seed_from_u64(3);
+        for _ in 0..10_000 {
+            assert!(r.below_u32(1_000_000) < 1_000_000);
+        }
+    }
+
+    #[test]
+    fn a_checkpointed_state_resumes_the_same_stream() {
+        let mut a = Rng::seed_from_u64(9);
+        a.next_u64();
+        let mut b = Rng::from_state(a.state());
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

@@ -17,17 +17,6 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 pub trait CachePolicy: Send {
     /// Record an access; returns `true` on a cache hit.
     fn access(&mut self, pid: u64) -> bool;
-    /// Record a batch of accesses, returning per-page hit flags.
-    ///
-    /// Semantically identical to calling [`CachePolicy::access`] for each
-    /// pid in order — same hit/miss sequence, same evictions, same
-    /// counters (a property test pins this) — but one virtual dispatch
-    /// amortises over the whole chunk and implementations keep their
-    /// bookkeeping hot in a tight monomorphic loop, which is what the
-    /// sweep's per-phase probe batching relies on.
-    fn probe_batch(&mut self, pids: &[u64]) -> Vec<bool> {
-        pids.iter().map(|&p| self.access(p)).collect()
-    }
     /// Drop `pid` from the cache if resident, returning whether it was.
     ///
     /// Mutation batches use this for targeted invalidation: a rewritten
@@ -107,11 +96,10 @@ impl LruCache {
             evictions: 0,
         }
     }
+}
 
-    /// The access transition, monomorphic so [`CachePolicy::probe_batch`]
-    /// loops over it without per-page virtual dispatch.
-    #[inline]
-    fn access_one(&mut self, pid: u64) -> bool {
+impl CachePolicy for LruCache {
+    fn access(&mut self, pid: u64) -> bool {
         self.stamp += 1;
         if let Some(s) = self.entries.get_mut(&pid) {
             self.by_stamp.remove(s);
@@ -135,20 +123,6 @@ impl LruCache {
         self.entries.insert(pid, self.stamp);
         self.by_stamp.insert(self.stamp, pid);
         false
-    }
-}
-
-impl CachePolicy for LruCache {
-    fn access(&mut self, pid: u64) -> bool {
-        self.access_one(pid)
-    }
-
-    fn probe_batch(&mut self, pids: &[u64]) -> Vec<bool> {
-        let mut hits = Vec::with_capacity(pids.len());
-        for &pid in pids {
-            hits.push(self.access_one(pid));
-        }
-        hits
     }
 
     fn invalidate(&mut self, pid: u64) -> bool {
@@ -221,10 +195,10 @@ impl FifoCache {
             evictions: 0,
         }
     }
+}
 
-    /// The access transition, monomorphic for batched probing.
-    #[inline]
-    fn access_one(&mut self, pid: u64) -> bool {
+impl CachePolicy for FifoCache {
+    fn access(&mut self, pid: u64) -> bool {
         if self.resident.contains(&pid) {
             self.hits += 1;
             return true;
@@ -242,20 +216,6 @@ impl FifoCache {
         self.resident.insert(pid);
         self.order.push_back(pid);
         false
-    }
-}
-
-impl CachePolicy for FifoCache {
-    fn access(&mut self, pid: u64) -> bool {
-        self.access_one(pid)
-    }
-
-    fn probe_batch(&mut self, pids: &[u64]) -> Vec<bool> {
-        let mut hits = Vec::with_capacity(pids.len());
-        for &pid in pids {
-            hits.push(self.access_one(pid));
-        }
-        hits
     }
 
     fn invalidate(&mut self, pid: u64) -> bool {
@@ -340,12 +300,10 @@ impl RandomCache {
         self.state = x;
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
+}
 
-    /// The access transition, monomorphic for batched probing. The RNG
-    /// advances exactly once per miss-with-eviction, so the victim
-    /// sequence is identical whether probes arrive singly or batched.
-    #[inline]
-    fn access_one(&mut self, pid: u64) -> bool {
+impl CachePolicy for RandomCache {
+    fn access(&mut self, pid: u64) -> bool {
         if self.index.contains_key(&pid) {
             self.hits += 1;
             return true;
@@ -370,20 +328,6 @@ impl RandomCache {
         self.index.insert(pid, self.entries.len());
         self.entries.push(pid);
         false
-    }
-}
-
-impl CachePolicy for RandomCache {
-    fn access(&mut self, pid: u64) -> bool {
-        self.access_one(pid)
-    }
-
-    fn probe_batch(&mut self, pids: &[u64]) -> Vec<bool> {
-        let mut hits = Vec::with_capacity(pids.len());
-        for &pid in pids {
-            hits.push(self.access_one(pid));
-        }
-        hits
     }
 
     fn invalidate(&mut self, pid: u64) -> bool {
@@ -511,35 +455,6 @@ mod tests {
             for i in 0..100 {
                 c.access(i);
                 assert!(c.len() <= 3, "{} overflowed", c.name());
-            }
-        }
-    }
-
-    #[test]
-    fn probe_batch_matches_sequential_access() {
-        let seq: Vec<u64> = (0..200u64).map(|i| (i * 7 + 3) % 13).collect();
-        let make = || -> Vec<PageCache> {
-            vec![
-                Box::new(LruCache::new(4)),
-                Box::new(FifoCache::new(4)),
-                Box::new(RandomCache::new(4, 11)),
-            ]
-        };
-        let mut batched = make();
-        let mut single = make();
-        for (b, s) in batched.iter_mut().zip(single.iter_mut()) {
-            let bh = b.probe_batch(&seq);
-            let sh: Vec<bool> = seq.iter().map(|&p| s.access(p)).collect();
-            assert_eq!(bh, sh, "{} hit sequence", b.name());
-            assert_eq!(b.hits(), s.hits());
-            assert_eq!(b.misses(), s.misses());
-            for p in 0..13 {
-                assert_eq!(
-                    b.contains(p),
-                    s.contains(p),
-                    "{} residency of {p}",
-                    b.name()
-                );
             }
         }
     }

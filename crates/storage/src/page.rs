@@ -171,12 +171,7 @@ impl<'a> VerifiedPage<'a> {
 
 /// FNV-1a 64 over everything except the trailer itself.
 pub fn page_checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in &data[..data.len() - PAGE_TRAILER_BYTES] {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    gts_ckpt::fnv1a(&data[..data.len() - PAGE_TRAILER_BYTES])
 }
 
 /// Write the checksum of `data` into its trailer.

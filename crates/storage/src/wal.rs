@@ -1,39 +1,22 @@
 //! Mutation write-ahead log: durability for the live topology.
 //!
-//! Since the mutation pipeline landed, an applied [`MutationBatch`] lives
-//! only in memory — a crash between checkpoints silently loses every
-//! batch, and resume can only *refuse* the mutated store. This module
-//! closes that gap with a log-before-apply WAL:
+//! An applied [`MutationBatch`] lives only in memory; without a log a
+//! crash between checkpoints silently loses every batch, and resume can
+//! only *refuse* the mutated store. This module closes that gap with a
+//! log-before-apply WAL:
 //!
-//! * every non-empty batch is appended to `wal.log` **before**
-//!   [`GraphStore::apply_mutations`] installs it, sealed record by record
-//!   with the same FNV-1a trailer the slotted pages use;
-//! * the file is rewritten through the checkpoint store's atomic
-//!   discipline (temp file → fsync → rename → directory fsync), so a
-//!   crash mid-append leaves either the old log or the new log — a torn
-//!   tail on a non-atomic filesystem is *detected* and truncated to the
-//!   longest valid prefix;
+//! * every non-empty batch is appended to `wal.log` — one sealed frame,
+//!   one fsync — **before** [`GraphStore::apply_mutations`] installs it;
+//! * the file is a [`SealedLog`]: a crash mid-append leaves a torn tail
+//!   that the next [`Wal::open`] cuts off, and a rotted interior frame is
+//!   a typed error, never a silent truncation;
 //! * recovery replays the WAL suffix on top of the newest snapshot and
 //!   lands byte-identical to the uncrashed store, epoch included, because
 //!   [`GraphStore::apply_mutations`] is deterministic.
 //!
-//! ## File layout (all integers little-endian)
-//!
-//! ```text
-//! magic         8 bytes   b"GTSWAL1\0"
-//! version       u32       1
-//! store_id_fp   u64       FNV-1a over (num_vertices, page_size, p, q)
-//! num_vertices  u64       ┐
-//! page_size     u32       │ the binding, readable without the store
-//! p, q          u8 × 2    ┘
-//! base_epoch    u64       store epoch when the log was created
-//! header sum    u64       FNV-1a over every preceding byte
-//! per record:
-//!   body len    u32
-//!   body                  pre_epoch u64, post_epoch u64, op count u32,
-//!                         ops (tag u8, src u64, dst u64)
-//!   trailer     u64       FNV-1a over the body
-//! ```
+//! This module owns only what is specific to mutations — the header
+//! binding ([`WalHeader`]), the record codec and the epoch chain; framing,
+//! checksums and file I/O are `gts-ckpt`'s (DESIGN.md "On-disk formats").
 //!
 //! Records form a contiguous epoch chain: the first record's `pre_epoch`
 //! is `base_epoch`, every record has `post_epoch == pre_epoch + 1`, and
@@ -44,37 +27,21 @@
 
 use crate::builder::GraphStore;
 use crate::mutate::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
-use gts_ckpt::{fnv1a, ByteReader, ByteWriter};
+use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, LogFormat, LogImage, SealedLog};
 use std::fmt;
-use std::fs::{self, File};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 8] = b"GTSWAL1\0";
-const VERSION: u32 = 1;
 /// The log's file name inside its directory.
 pub const WAL_FILE: &str = "wal.log";
 
 /// Everything that can go wrong while writing, reading, or replaying the
-/// mutation WAL. Mirrors `gts-ckpt`'s error shape: every variant carries
-/// enough context to act on without a debugger.
+/// mutation WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalError {
-    /// A filesystem operation failed.
-    Io {
-        /// What we were doing ("create", "write", "rename", ...).
-        op: &'static str,
-        /// The path involved.
-        path: PathBuf,
-        /// The OS error, stringified.
-        source: String,
-    },
-    /// Log bytes failed structural validation (bad magic, bad header
-    /// checksum, malformed record).
-    Corrupt {
-        /// What exactly failed to validate.
-        reason: String,
-    },
+    /// The sealed log under the WAL failed: a filesystem operation, a
+    /// corrupt header or frame, an unsupported version, or a record body
+    /// that does not decode.
+    Log(CkptError),
     /// The log belongs to a different store or disagrees with the epoch
     /// chain being appended.
     Mismatch {
@@ -93,10 +60,7 @@ pub enum WalError {
 impl fmt::Display for WalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WalError::Io { op, path, source } => {
-                write!(f, "wal {op} failed for {}: {source}", path.display())
-            }
-            WalError::Corrupt { reason } => write!(f, "corrupt wal: {reason}"),
+            WalError::Log(e) => write!(f, "{e}"),
             WalError::Mismatch { what, want, got } => write!(
                 f,
                 "wal {what} mismatch: log has {got:#018x}, this side requires {want:#018x}"
@@ -108,13 +72,9 @@ impl fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-impl WalError {
-    fn io(op: &'static str, path: &Path, e: &std::io::Error) -> Self {
-        WalError::Io {
-            op,
-            path: path.to_path_buf(),
-            source: e.to_string(),
-        }
+impl From<CkptError> for WalError {
+    fn from(e: CkptError) -> Self {
+        WalError::Log(e)
     }
 }
 
@@ -135,6 +95,65 @@ pub struct WalHeader {
     /// Store epoch when the log was created; the first record's
     /// `pre_epoch`.
     pub base_epoch: u64,
+}
+
+impl WalHeader {
+    /// The header a log created over `store` right now would carry.
+    fn of(store: &GraphStore) -> WalHeader {
+        let cfg = store.cfg();
+        let (num_vertices, page_size, p, q) = (
+            store.num_vertices(),
+            cfg.page_size as u32,
+            cfg.id.p,
+            cfg.id.q,
+        );
+        WalHeader {
+            store_id_fp: store_identity_fp(num_vertices, page_size, p, q),
+            num_vertices,
+            page_size,
+            p,
+            q,
+            base_epoch: store.epoch(),
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(self.store_id_fp);
+        w.put_u64(self.num_vertices);
+        w.put_u32(self.page_size);
+        w.put_u8(self.p);
+        w.put_u8(self.q);
+        w.put_u64(self.base_epoch);
+        w.into_bytes()
+    }
+
+    fn decode(binding: &[u8]) -> Result<WalHeader, CkptError> {
+        let mut r = ByteReader::new(binding);
+        let header = WalHeader {
+            store_id_fp: r.take_u64("wal store fp")?,
+            num_vertices: r.take_u64("wal num_vertices")?,
+            page_size: r.take_u32("wal page_size")?,
+            p: r.take_u8("wal p")?,
+            q: r.take_u8("wal q")?,
+            base_epoch: r.take_u64("wal base_epoch")?,
+        };
+        r.finish()?;
+        Ok(header)
+    }
+
+    /// Typed refusal unless this header binds the same store as `want`.
+    fn require_store(&self, want: &WalHeader) -> Result<(), WalError> {
+        if self.store_id_fp == want.store_id_fp {
+            Ok(())
+        } else {
+            Err(WalError::Mismatch {
+                what: "store fingerprint",
+                want: want.store_id_fp,
+                got: self.store_id_fp,
+            })
+        }
+    }
 }
 
 /// One sealed log entry: a batch plus the epoch transition it commits.
@@ -160,162 +179,64 @@ pub fn store_identity_fp(num_vertices: u64, page_size: u32, p: u8, q: u8) -> u64
     fnv1a(&w.into_bytes())
 }
 
-fn identity_of(store: &GraphStore) -> (u64, u32, u8, u8) {
-    let cfg = store.cfg();
-    (
-        store.num_vertices(),
-        cfg.page_size as u32,
-        cfg.id.p,
-        cfg.id.q,
-    )
-}
-
-fn encode_record_body(rec: &WalRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(rec.pre_epoch);
-    w.put_u64(rec.post_epoch);
-    w.put_u32(rec.batch.len() as u32);
-    for op in rec.batch.ops() {
-        match *op {
-            EdgeOp::Insert { src, dst } => {
-                w.put_u8(0);
-                w.put_u64(src);
-                w.put_u64(dst);
-            }
-            EdgeOp::Delete { src, dst } => {
-                w.put_u8(1);
-                w.put_u64(src);
-                w.put_u64(dst);
-            }
+impl WalRecord {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(self.pre_epoch);
+        w.put_u64(self.post_epoch);
+        w.put_u32(self.batch.len() as u32);
+        for op in self.batch.ops() {
+            let (tag, src, dst) = match *op {
+                EdgeOp::Insert { src, dst } => (0, src, dst),
+                EdgeOp::Delete { src, dst } => (1, src, dst),
+            };
+            w.put_u8(tag);
+            w.put_u64(src);
+            w.put_u64(dst);
         }
+        w.into_bytes()
     }
-    w.into_bytes()
-}
 
-fn decode_record_body(body: &[u8]) -> Result<WalRecord, WalError> {
-    let corrupt = |e: gts_ckpt::CkptError| WalError::Corrupt {
-        reason: format!("record body: {e}"),
-    };
-    let mut r = ByteReader::new(body);
-    let pre_epoch = r.take_u64("wal pre-epoch").map_err(corrupt)?;
-    let post_epoch = r.take_u64("wal post-epoch").map_err(corrupt)?;
-    let count = r.take_u32("wal op count").map_err(corrupt)?;
-    let mut batch = MutationBatch::new();
-    for _ in 0..count {
-        let tag = r.take_u8("wal op tag").map_err(corrupt)?;
-        let src = r.take_u64("wal op src").map_err(corrupt)?;
-        let dst = r.take_u64("wal op dst").map_err(corrupt)?;
-        match tag {
-            0 => batch.insert(src, dst),
-            1 => batch.delete(src, dst),
-            other => {
-                return Err(WalError::Corrupt {
-                    reason: format!("unknown wal op tag {other}"),
-                })
-            }
-        };
+    fn decode(body: &[u8]) -> Result<WalRecord, CkptError> {
+        let mut r = ByteReader::new(body);
+        let pre_epoch = r.take_u64("wal pre-epoch")?;
+        let post_epoch = r.take_u64("wal post-epoch")?;
+        let count = r.take_u32("wal op count")?;
+        let mut batch = MutationBatch::new();
+        for _ in 0..count {
+            let tag = r.take_u8("wal op tag")?;
+            let src = r.take_u64("wal op src")?;
+            let dst = r.take_u64("wal op dst")?;
+            match tag {
+                0 => batch.insert(src, dst),
+                1 => batch.delete(src, dst),
+                other => {
+                    return Err(CkptError::Corrupt {
+                        reason: format!("unknown wal op tag {other}"),
+                    })
+                }
+            };
+        }
+        r.finish()?;
+        Ok(WalRecord {
+            pre_epoch,
+            post_epoch,
+            batch,
+        })
     }
-    r.finish().map_err(corrupt)?;
-    Ok(WalRecord {
-        pre_epoch,
-        post_epoch,
-        batch,
-    })
-}
-
-fn encode_frame(rec: &WalRecord) -> Vec<u8> {
-    let body = encode_record_body(rec);
-    let mut frame = Vec::with_capacity(4 + body.len() + 8);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
-    frame.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    frame
-}
-
-fn encode_header(h: &WalHeader) -> Vec<u8> {
-    let mut buf = MAGIC.to_vec();
-    let mut w = ByteWriter::new();
-    w.put_u32(VERSION);
-    w.put_u64(h.store_id_fp);
-    w.put_u64(h.num_vertices);
-    w.put_u32(h.page_size);
-    w.put_u8(h.p);
-    w.put_u8(h.q);
-    w.put_u64(h.base_epoch);
-    buf.extend_from_slice(&w.into_bytes());
-    let sum = fnv1a(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    buf
-}
-
-/// magic + version + fp + nv + page_size + p + q + base_epoch + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 4 + 1 + 1 + 8 + 8;
-
-fn decode_header(bytes: &[u8]) -> Result<WalHeader, WalError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WalError::Corrupt {
-            reason: format!("{} bytes is too short to be a wal header", bytes.len()),
-        });
-    }
-    let (payload, trailer) = bytes[..HEADER_LEN].split_at(HEADER_LEN - 8);
-    let stored = u64::from_le_bytes([
-        trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-        trailer[7],
-    ]);
-    let computed = fnv1a(payload);
-    if stored != computed {
-        return Err(WalError::Corrupt {
-            reason: format!(
-                "header checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
-        });
-    }
-    if &payload[..MAGIC.len()] != MAGIC {
-        return Err(WalError::Corrupt {
-            reason: "bad magic".to_string(),
-        });
-    }
-    let corrupt = |e: gts_ckpt::CkptError| WalError::Corrupt {
-        reason: format!("header: {e}"),
-    };
-    let mut r = ByteReader::new(&payload[MAGIC.len()..]);
-    let version = r.take_u32("wal version").map_err(corrupt)?;
-    if version != VERSION {
-        return Err(WalError::Corrupt {
-            reason: format!("wal version {version} is not supported (expected {VERSION})"),
-        });
-    }
-    let store_id_fp = r.take_u64("wal store fp").map_err(corrupt)?;
-    let num_vertices = r.take_u64("wal num_vertices").map_err(corrupt)?;
-    let page_size = r.take_u32("wal page_size").map_err(corrupt)?;
-    let p = r.take_u8("wal p").map_err(corrupt)?;
-    let q = r.take_u8("wal q").map_err(corrupt)?;
-    let base_epoch = r.take_u64("wal base_epoch").map_err(corrupt)?;
-    r.finish().map_err(corrupt)?;
-    Ok(WalHeader {
-        store_id_fp,
-        num_vertices,
-        page_size,
-        p,
-        q,
-        base_epoch,
-    })
 }
 
 /// The mutation write-ahead log: an append-only epoch chain of sealed
 /// [`MutationBatch`] records bound to one store.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
+    /// The append handle; `None` for a log loaded read-only.
+    log: Option<SealedLog>,
     header: WalHeader,
     records: Vec<WalRecord>,
-    /// FNV-1a of each record's body, for idempotent duplicate checks.
-    record_fps: Vec<u64>,
-    /// The current valid file image (header + sealed frames); appends
-    /// rewrite this whole image atomically.
-    bytes: Vec<u8>,
-    /// Bytes dropped from the end of the file at open/load because they
-    /// did not form a sealed record (a torn append).
+    /// Bytes found at the end of the file at open/load that did not form
+    /// a sealed record (a torn append).
     truncated_tail: u64,
 }
 
@@ -323,47 +244,25 @@ impl Wal {
     /// Open (creating if needed) the log in `dir`, bound to `store`.
     ///
     /// An existing log must carry the structural identity of `store`
-    /// (typed [`WalError::Mismatch`] otherwise); a torn tail is truncated
-    /// to the longest valid prefix, on disk and in memory.
+    /// (typed [`WalError::Mismatch`] otherwise); a torn tail is cut off
+    /// the file, a rotted interior record is a typed error that leaves
+    /// the file untouched.
     pub fn open(dir: impl Into<PathBuf>, store: &GraphStore) -> Result<Wal, WalError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| WalError::io("create", &dir, &e))?;
-        let path = dir.join(WAL_FILE);
-        let (nv, ps, p, q) = identity_of(store);
-        let want_fp = store_identity_fp(nv, ps, p, q);
+        let path = dir.into().join(WAL_FILE);
+        let want = WalHeader::of(store);
         if !path.exists() {
-            let header = WalHeader {
-                store_id_fp: want_fp,
-                num_vertices: nv,
-                page_size: ps,
-                p,
-                q,
-                base_epoch: store.epoch(),
-            };
-            let bytes = encode_header(&header);
-            write_file_atomic(&path, &bytes)?;
+            let log = SealedLog::create(&path, &LogFormat::WAL, &want.encode())?;
             return Ok(Wal {
                 path,
-                header,
+                log: Some(log),
+                header: want,
                 records: Vec::new(),
-                record_fps: Vec::new(),
-                bytes,
                 truncated_tail: 0,
             });
         }
-        let wal = Wal::load_path(&path)?;
-        if wal.header.store_id_fp != want_fp {
-            return Err(WalError::Mismatch {
-                what: "store fingerprint",
-                want: want_fp,
-                got: wal.header.store_id_fp,
-            });
-        }
-        if wal.truncated_tail > 0 {
-            // Persist the truncation so the on-disk file is whole again.
-            write_file_atomic(&wal.path, &wal.bytes)?;
-        }
-        wal.check_chain()?;
+        let (log, image) = SealedLog::open(&path, &LogFormat::WAL)?;
+        let wal = Wal::from_image(path, Some(log), &image)?;
+        wal.header.require_store(&want)?;
         Ok(wal)
     }
 
@@ -371,59 +270,27 @@ impl Wal {
     /// the `fsck` entry point. A torn tail is noted
     /// ([`Wal::truncated_tail`]) but the file is left untouched.
     pub fn load(dir: impl AsRef<Path>) -> Result<Wal, WalError> {
-        let wal = Wal::load_path(&dir.as_ref().join(WAL_FILE))?;
-        wal.check_chain()?;
-        Ok(wal)
+        let path = dir.as_ref().join(WAL_FILE);
+        let image = SealedLog::load(&path, &LogFormat::WAL)?;
+        Wal::from_image(path, None, &image)
     }
 
-    fn load_path(path: &Path) -> Result<Wal, WalError> {
-        let raw = fs::read(path).map_err(|e| WalError::io("read", path, &e))?;
-        let header = decode_header(&raw)?;
-        let mut records = Vec::new();
-        let mut record_fps = Vec::new();
-        let mut pos = HEADER_LEN;
-        let mut valid = pos;
-        while pos < raw.len() {
-            // A frame needs its length, body, and trailer in full, with a
-            // matching trailer; anything less is a torn append.
-            if raw.len() - pos < 4 {
-                break;
-            }
-            let len =
-                u32::from_le_bytes([raw[pos], raw[pos + 1], raw[pos + 2], raw[pos + 3]]) as usize;
-            if raw.len() - pos < 4 + len + 8 {
-                break;
-            }
-            let body = &raw[pos + 4..pos + 4 + len];
-            let trailer = &raw[pos + 4 + len..pos + 4 + len + 8];
-            let stored = u64::from_le_bytes([
-                trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-                trailer[7],
-            ]);
-            if stored != fnv1a(body) {
-                break;
-            }
-            records.push(decode_record_body(body)?);
-            record_fps.push(fnv1a(body));
-            pos += 4 + len + 8;
-            valid = pos;
-        }
-        Ok(Wal {
-            path: path.to_path_buf(),
-            header,
-            records,
-            record_fps,
-            bytes: raw[..valid].to_vec(),
-            truncated_tail: (raw.len() - valid) as u64,
-        })
-    }
-
-    /// Reject a log whose sealed records do not form a contiguous
-    /// `+1`-per-record epoch chain from `base_epoch` — individually valid
-    /// frames in a broken order mean the file was tampered with, not torn.
-    fn check_chain(&self) -> Result<(), WalError> {
-        let mut expect = self.header.base_epoch;
-        for rec in &self.records {
+    /// Decode the header and every frame of `image`, then reject a log
+    /// whose sealed records do not form a contiguous `+1`-per-record
+    /// epoch chain from `base_epoch` — individually valid frames in a
+    /// broken order mean the file was tampered with, not torn.
+    fn from_image(
+        path: PathBuf,
+        log: Option<SealedLog>,
+        image: &LogImage,
+    ) -> Result<Wal, WalError> {
+        let header = WalHeader::decode(image.binding())?;
+        let records = image
+            .frames()
+            .map(WalRecord::decode)
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut expect = header.base_epoch;
+        for rec in &records {
             if rec.pre_epoch != expect {
                 return Err(WalError::Mismatch {
                     what: "pre-epoch chain",
@@ -440,7 +307,25 @@ impl Wal {
             }
             expect = rec.post_epoch;
         }
-        Ok(())
+        Ok(Wal {
+            path,
+            log,
+            header,
+            records,
+            truncated_tail: image.truncated_tail(),
+        })
+    }
+
+    /// The append handle, or a typed refusal for a log that
+    /// [`Wal::load`] opened read-only.
+    fn writer(&mut self) -> Result<&mut SealedLog, WalError> {
+        self.log.as_mut().ok_or_else(|| {
+            WalError::Log(CkptError::Io {
+                op: "append",
+                path: self.path.clone(),
+                source: "the log was loaded read-only".to_string(),
+            })
+        })
     }
 
     /// The path of the log file.
@@ -458,8 +343,8 @@ impl Wal {
         &self.records
     }
 
-    /// Bytes dropped from the end of the file at open/load because they
-    /// did not form a sealed record.
+    /// Bytes found at the end of the file at open/load that did not form
+    /// a sealed record.
     pub fn truncated_tail(&self) -> u64 {
         self.truncated_tail
     }
@@ -471,7 +356,8 @@ impl Wal {
             .map_or(self.header.base_epoch, |r| r.post_epoch)
     }
 
-    /// Append a sealed record for `batch` committing `pre → post`.
+    /// Append a sealed record for `batch` committing `pre → post`,
+    /// fsynced before this returns.
     ///
     /// Idempotent: if the chain already holds `pre`, the stored record
     /// must match `batch` exactly (typed mismatch otherwise) and nothing
@@ -510,13 +396,13 @@ impl Wal {
             }
             // Already logged (the crash-between-log-and-apply resume
             // path): verify the stored record is the same batch.
-            let idx = (pre - self.header.base_epoch) as usize;
-            let fp = fnv1a(&encode_record_body(&rec));
-            if self.record_fps[idx] != fp {
+            let stored = &self.records[(pre - self.header.base_epoch) as usize];
+            let (want, got) = (fnv1a(&stored.encode()), fnv1a(&rec.encode()));
+            if want != got {
                 return Err(WalError::Mismatch {
                     what: "duplicate batch fingerprint",
-                    want: self.record_fps[idx],
-                    got: fp,
+                    want,
+                    got,
                 });
             }
             return Ok(0);
@@ -528,19 +414,16 @@ impl Wal {
                 got: pre,
             });
         }
-        let frame = encode_frame(&rec);
-        self.bytes.extend_from_slice(&frame);
-        write_file_atomic(&self.path, &self.bytes)?;
-        self.record_fps.push(fnv1a(&encode_record_body(&rec)));
+        let appended = self.writer()?.append(&rec.encode())?;
         self.records.push(rec);
-        Ok(frame.len() as u64)
+        Ok(appended)
     }
 
-    /// Chaos hook: write only a *prefix* of the sealed frame for `batch`
-    /// directly to the final path (no temp/rename), simulating a crash
-    /// halfway through a non-atomic append. The in-memory log is left
-    /// unchanged; a later [`Wal::open`] must truncate the torn tail.
-    /// Returns the torn bytes written.
+    /// Chaos hook: leave only a *prefix* of the sealed frame for `batch`
+    /// at the end of the file, simulating a crash halfway through an
+    /// append. The in-memory log is left unchanged; a later
+    /// [`Wal::open`] must cut the torn tail off. Returns the torn bytes
+    /// written.
     pub fn log_batch_torn(
         &mut self,
         batch: &MutationBatch,
@@ -552,24 +435,16 @@ impl Wal {
             post_epoch: post,
             batch: batch.clone(),
         };
-        let frame = encode_frame(&rec);
-        let torn = &frame[..frame.len() / 2];
-        let mut image = self.bytes.clone();
-        image.extend_from_slice(torn);
-        fs::write(&self.path, &image).map_err(|e| WalError::io("write", &self.path, &e))?;
-        Ok(torn.len() as u64)
+        Ok(self.writer()?.append_torn(&rec.encode())?)
     }
 
     /// Drop the last sealed record, on disk and in memory — the rollback
     /// used when the store rejects a just-logged batch.
     fn pop_record(&mut self) -> Result<(), WalError> {
-        let Some(rec) = self.records.pop() else {
-            return Ok(());
-        };
-        self.record_fps.pop();
-        let frame = encode_frame(&rec);
-        self.bytes.truncate(self.bytes.len() - frame.len());
-        write_file_atomic(&self.path, &self.bytes)
+        if self.records.pop().is_some() {
+            self.writer()?.truncate_last()?;
+        }
+        Ok(())
     }
 
     /// Replay every record past `store.epoch()` onto `store`, in chain
@@ -577,15 +452,7 @@ impl Wal {
     /// store's epoch (typed mismatch otherwise — the log does not cover
     /// the gap). Returns the number of batches applied.
     pub fn replay_onto(&self, store: &mut GraphStore) -> Result<u64, WalError> {
-        let (nv, ps, p, q) = identity_of(store);
-        let want_fp = store_identity_fp(nv, ps, p, q);
-        if self.header.store_id_fp != want_fp {
-            return Err(WalError::Mismatch {
-                what: "store fingerprint",
-                want: want_fp,
-                got: self.header.store_id_fp,
-            });
-        }
+        self.header.require_store(&WalHeader::of(store))?;
         let mut applied = 0u64;
         for rec in &self.records {
             if rec.post_epoch <= store.epoch() {
@@ -636,27 +503,6 @@ impl GraphStore {
     }
 }
 
-/// tmp → write → fsync → rename → dir fsync, the checkpoint store's
-/// crash-safe write protocol.
-fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), WalError> {
-    let tmp = path.with_extension("log.tmp");
-    {
-        let mut f = File::create(&tmp).map_err(|e| WalError::io("create", &tmp, &e))?;
-        f.write_all(bytes)
-            .map_err(|e| WalError::io("write", &tmp, &e))?;
-        f.sync_all().map_err(|e| WalError::io("fsync", &tmp, &e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| WalError::io("rename", path, &e))?;
-    // Persisting a rename requires fsyncing the containing directory;
-    // platforms that refuse to open directories get best-effort.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 mod tests {
@@ -664,6 +510,7 @@ mod tests {
     use crate::builder::build_graph_store;
     use crate::format::{PageFormatConfig, PhysicalIdConfig};
     use gts_graph::EdgeList;
+    use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -862,27 +709,106 @@ mod tests {
         let store = store_of(8, vec![(0, 1)]);
         Wal::open(&dir, &store).unwrap();
         let path = dir.join(WAL_FILE);
+        let raw = fs::read(&path).unwrap();
+        // A flipped binding byte fails the header checksum...
+        let mut bad = raw.clone();
+        bad[24] ^= 0x40;
+        fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            Wal::load(&dir),
+            Err(WalError::Log(CkptError::Corrupt { .. }))
+        ));
+        // ...and a different version is refused by name, not as garbage.
+        let mut old = raw;
+        old[8] = 1;
+        fs::write(&path, &old).unwrap();
+        assert_eq!(
+            Wal::load(&dir).unwrap_err(),
+            WalError::Log(CkptError::VersionMismatch {
+                found: 1,
+                expected: 2
+            })
+        );
+    }
+
+    /// `log_batch` writes O(new bytes): the file grows by exactly the
+    /// returned frame length, in place, and nothing is staged beside it.
+    #[test]
+    #[cfg(unix)]
+    fn appends_grow_the_file_in_place_by_one_frame() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp_dir("append");
+        let store = store_of(8, vec![(0, 1)]);
+        let mut wal = Wal::open(&dir, &store).unwrap();
+        let path = dir.join(WAL_FILE);
+        let created = fs::metadata(&path).unwrap();
+        let mut len = created.len();
+        for epoch in 0..6u64 {
+            let appended = wal
+                .log_batch(&batch(&[(0, epoch % 8, (epoch + 1) % 8)]), epoch, epoch + 1)
+                .unwrap();
+            // 4-byte length + 20-byte record header + 17 per op + 8 trailer.
+            assert_eq!(appended, 4 + 20 + 17 + 8);
+            let now = fs::metadata(&path).unwrap();
+            assert_eq!(now.len(), len + appended, "grew by one frame");
+            assert_eq!(now.ino(), created.ino(), "same file, not a replacement");
+            len = now.len();
+            let names: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(names, vec![std::ffi::OsString::from(WAL_FILE)]);
+        }
+        // The rejected-batch rollback cuts exactly the last frame off.
+        wal.pop_record().unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), len - (4 + 20 + 17 + 8));
+        assert_eq!(Wal::load(&dir).unwrap().records().len(), 5);
+    }
+
+    /// One rotted byte in a middle record is damage, not a torn tail:
+    /// `open` must refuse it and must not "repair" 3 sealed records away.
+    #[test]
+    fn interior_corruption_is_refused_and_the_file_left_untouched() {
+        let dir = tmp_dir("rot");
+        let store = store_of(8, vec![(0, 1)]);
+        let mut wal = Wal::open(&dir, &store).unwrap();
+        let mut ends = Vec::new();
+        for epoch in 0..5u64 {
+            wal.log_batch(&batch(&[(0, epoch, epoch + 1)]), epoch, epoch + 1)
+                .unwrap();
+            ends.push(fs::metadata(wal.path()).unwrap().len() as usize);
+        }
+        drop(wal);
+        let path = dir.join(WAL_FILE);
         let mut raw = fs::read(&path).unwrap();
-        raw[10] ^= 0x40;
+        raw[(ends[1] + ends[2]) / 2] ^= 0x01; // inside record 2 of 0..5
         fs::write(&path, &raw).unwrap();
-        assert!(matches!(Wal::load(&dir), Err(WalError::Corrupt { .. })));
+        for result in [Wal::open(&dir, &store), Wal::load(&dir)] {
+            match result {
+                Err(WalError::Log(CkptError::Corrupt { reason })) => {
+                    assert!(reason.contains("frame 2"), "{reason}")
+                }
+                other => panic!("expected a corrupt-frame error, got {other:?}"),
+            }
+        }
+        assert_eq!(fs::read(&path).unwrap(), raw, "open must not rewrite it");
     }
 
     #[test]
     fn error_displays_render_context_fields() {
         let cases: Vec<(WalError, &[&str])> = vec![
             (
-                WalError::Io {
+                WalError::Log(CkptError::Io {
                     op: "rename",
                     path: PathBuf::from("/wal/wal.log"),
                     source: "permission denied".into(),
-                },
+                }),
                 &["rename", "/wal/wal.log", "permission denied"],
             ),
             (
-                WalError::Corrupt {
+                WalError::Log(CkptError::Corrupt {
                     reason: "bad magic".into(),
-                },
+                }),
                 &["corrupt", "bad magic"],
             ),
             (

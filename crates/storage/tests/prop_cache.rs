@@ -4,10 +4,7 @@
 //! - residency never exceeds capacity;
 //! - every access is counted exactly once (`hits + misses == accesses`);
 //! - `contains` is a pure observation — probing never changes recency,
-//!   residency, or counters;
-//! - `probe_batch` is byte-identical to per-page `access` — same hit/miss
-//!   sequence, same eviction state, same counters, and the same behaviour
-//!   for every access that comes *after* the batch.
+//!   residency, or counters.
 
 use gts_storage::{CachePolicy, FifoCache, LruCache, MmBuf, RandomCache};
 use proptest::prelude::*;
@@ -77,42 +74,6 @@ proptest! {
                 prop_assert_eq!(residency(&*probed), residency(&*control), "{}", probed.name());
                 prop_assert_eq!(probed.hits(), control.hits(), "{}", probed.name());
                 prop_assert_eq!(probed.misses(), control.misses(), "{}", probed.name());
-            }
-        }
-    }
-
-    #[test]
-    fn probe_batch_is_byte_identical_to_per_page_probes(
-        input in arb_trace(),
-        splits in proptest::collection::vec(0usize..300, 0..8),
-    ) {
-        let (capacity, trace) = input;
-        // Cut the trace into chunks at arbitrary points — the batched
-        // instance executes each chunk with one probe_batch call, the
-        // control instance probes page by page. Hit/miss sequences,
-        // eviction state (residency over the whole pid universe), and
-        // hit/miss counters must agree after every chunk, for all three
-        // policies. This is the exact contract the sweep scheduler's
-        // per-chunk batching relies on.
-        let mut cuts: Vec<usize> = splits.iter().map(|&s| s % (trace.len() + 1)).collect();
-        cuts.push(0);
-        cuts.push(trace.len());
-        cuts.sort_unstable();
-        for (mut batched, mut control) in policies(capacity).into_iter().zip(policies(capacity)) {
-            for w in cuts.windows(2) {
-                let chunk = &trace[w[0]..w[1]];
-                let got = batched.probe_batch(chunk);
-                let want: Vec<bool> = chunk.iter().map(|&p| control.access(p)).collect();
-                prop_assert_eq!(got, want, "{}: hit/miss sequence diverged", batched.name());
-                prop_assert_eq!(
-                    residency(&*batched),
-                    residency(&*control),
-                    "{}: eviction state diverged",
-                    batched.name()
-                );
-                prop_assert_eq!(batched.hits(), control.hits(), "{}", batched.name());
-                prop_assert_eq!(batched.misses(), control.misses(), "{}", batched.name());
-                prop_assert_eq!(batched.len(), control.len(), "{}", batched.name());
             }
         }
     }

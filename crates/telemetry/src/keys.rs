@@ -216,7 +216,8 @@ pub const SERVE_SHED_TOTAL: &str = "serve.shed.total";
 /// `ckpt.*`) `serve.journal.*` and `serve.resume.*` sit OUTSIDE the
 /// resume-diff determinism contract; CI filters them.
 pub const SERVE_JOURNAL_RECORDS: &str = "serve.journal.records";
-/// Journal snapshots flushed through the atomic checkpoint store.
+/// Journal frames appended and fsynced: one per scheduler step that
+/// settled at least one new record.
 pub const SERVE_JOURNAL_FLUSHES: &str = "serve.journal.flushes";
 /// Executions served from the journal on `--resume-serve` instead of
 /// being re-run (outside the resume-diff contract, as above).

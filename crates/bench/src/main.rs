@@ -774,6 +774,7 @@ fn serve_suite(opts: &Opts) -> BenchReport {
 /// informational — the CI bench-smoke job validates the artifact, it
 /// does not gate on fsync latency.
 fn wal_suite(opts: &Opts) -> BenchReport {
+    use gts_ckpt::KillSwitch;
     use gts_storage::{Wal, WAL_FILE};
 
     let mut report = BenchReport::new(
@@ -899,9 +900,11 @@ fn wal_suite(opts: &Opts) -> BenchReport {
         let dir = scratch("repair");
         std::fs::create_dir_all(&dir).expect("scratch dir");
         std::fs::copy(&sealed_log, dir.join(WAL_FILE)).expect("copy sealed log");
-        let mut torn = Wal::open(&dir, &base).expect("sealed log opens");
-        torn.log_batch_torn(&tip_batch, chain, chain + 1)
-            .expect("torn append");
+        // Reopening an intact log takes no durable step, so step 0 is
+        // the append's write: the kill tears it.
+        let mut torn = Wal::open_with(&dir, &base, KillSwitch::at(0)).expect("sealed log opens");
+        torn.log_batch(&tip_batch, chain, chain + 1)
+            .expect_err("the kill tears the append");
         let t0 = Instant::now();
         let repaired = Wal::open(&dir, &base).expect("repair");
         let ns = t0.elapsed().as_nanos() as f64;

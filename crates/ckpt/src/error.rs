@@ -59,6 +59,13 @@ pub enum CkptError {
         /// Fingerprint recorded in the snapshot.
         got: u64,
     },
+    /// An armed [`KillSwitch`](crate::KillSwitch) fired: the process
+    /// "died" at this durable step, which was torn (a write) or withheld
+    /// (anything else), as was every step after it.
+    InjectedCrash {
+        /// The 0-based durable step the switch was armed for.
+        step: u64,
+    },
 }
 
 impl fmt::Display for CkptError {
@@ -87,6 +94,9 @@ impl fmt::Display for CkptError {
                 "checkpoint {what} mismatch: snapshot was taken with {got:#018x}, \
                  this run has {want:#018x}"
             ),
+            CkptError::InjectedCrash { step } => {
+                write!(f, "injected crash at durable step {step}")
+            }
         }
     }
 }

@@ -13,13 +13,15 @@
 //! store itself is framed, checksummed and written:
 //!
 //! * [`fnv1a`], [`seal`], [`unseal`] — the one checksum and the one
-//!   trailer; [`write_atomic`] — the one temp file → fsync → rename →
-//!   directory fsync. No other crate calls `sync_all` or `rename`.
+//!   trailer; `durable` — the one temp file → fsync → rename →
+//!   directory fsync and the one append → fsync. No other module calls
+//!   `sync_all` or `rename`, so its [`KillSwitch`] numbers every durable
+//!   step and is the one place a crash is injected.
 //! * [`Snapshot`] — a versioned container of named byte sections, sealed
 //!   whole, so a torn or bit-flipped snapshot is *detected*, never
 //!   silently resumed from.
-//! * [`CkptStore`] — a directory of snapshots written through
-//!   [`write_atomic`] plus a `MANIFEST` naming valid snapshots
+//! * [`CkptStore`] — a directory of snapshots written
+//!   crash-atomically plus a `MANIFEST` naming valid snapshots
 //!   newest-first. [`CkptStore::load_latest`] walks the manifest and
 //!   returns the first snapshot that decodes and checksums cleanly,
 //!   falling back past torn entries.
@@ -37,10 +39,6 @@
 //! batches, job results, ...) is the callers' business — see DESIGN.md
 //! "On-disk formats". This crate only guarantees that what was written
 //! is either read back exactly or rejected loudly.
-//!
-//! The [`CkptStore::write_torn`] and [`SealedLog::append_torn`] hooks
-//! deliberately leave a half-written file behind; the kill-and-resume
-//! chaos tests use them to prove the fallback and repair paths.
 
 pub mod codec;
 mod durable;
@@ -51,7 +49,7 @@ mod snapshot;
 mod store;
 
 pub use codec::{ByteReader, ByteWriter};
-pub use durable::write_atomic;
+pub use durable::KillSwitch;
 pub use error::CkptError;
 pub use log::{LogFormat, LogImage, SealedLog};
 pub use seal::{fnv1a, seal, unseal};

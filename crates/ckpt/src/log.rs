@@ -24,7 +24,7 @@
 //! append and is treated as one.)
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::durable::{append_sync, truncate_sync, write_atomic};
+use crate::durable::{append_sync, truncate_sync, write_atomic, KillSwitch};
 use crate::error::CkptError;
 use crate::seal::{seal, unseal, TRAILER};
 use std::fs::{self, File, OpenOptions};
@@ -192,42 +192,56 @@ pub struct SealedLog {
     /// End offset of the header, then of every sealed frame; the last is
     /// the sealed length of the file.
     ends: Vec<usize>,
+    /// Asked before every durable step this log takes.
+    kill: KillSwitch,
 }
 
 impl SealedLog {
     /// Start a log at `path` holding only a header that carries
     /// `binding`, replacing whatever was there (crash-atomically) and
-    /// creating the parent directory if needed.
-    pub fn create(path: &Path, format: &LogFormat, binding: &[u8]) -> Result<SealedLog, CkptError> {
+    /// creating the parent directory if needed. `kill` gates this and
+    /// every later durable step of the log.
+    pub fn create(
+        path: &Path,
+        format: &LogFormat,
+        binding: &[u8],
+        kill: KillSwitch,
+    ) -> Result<SealedLog, CkptError> {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir).map_err(|e| CkptError::io("create", dir, &e))?;
         }
         let header = encode_header(format, binding);
-        write_atomic(path, &header)?;
+        write_atomic(&kill, path, &header)?;
         Ok(SealedLog {
             path: path.to_path_buf(),
             file: open_for_append(path)?,
             ends: vec![header.len()],
+            kill,
         })
     }
 
     /// Open the log at `path` for appending and return what it holds. A
     /// torn tail is cut off the file (and the cut fsynced) before this
     /// returns; interior corruption is an error and leaves the file
-    /// untouched.
-    pub fn open(path: &Path, format: &LogFormat) -> Result<(SealedLog, LogImage), CkptError> {
+    /// untouched. `kill` gates the cut and every later durable step.
+    pub fn open(
+        path: &Path,
+        format: &LogFormat,
+        kill: KillSwitch,
+    ) -> Result<(SealedLog, LogImage), CkptError> {
         let mut file = open_for_append(path)?;
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)
             .map_err(|e| CkptError::io("read", path, &e))?;
         let image = LogImage::parse(raw, format)?;
         if image.truncated_tail() > 0 {
-            truncate_sync(&file, path, image.sealed_len() as u64)?;
+            truncate_sync(&kill, &file, path, image.sealed_len() as u64)?;
         }
         let log = SealedLog {
             path: path.to_path_buf(),
             file,
             ends: image.ends.clone(),
+            kill,
         };
         Ok((log, image))
     }
@@ -248,26 +262,16 @@ impl SealedLog {
     /// before returning. Returns the frame's size on disk.
     pub fn append(&mut self, body: &[u8]) -> Result<u64, CkptError> {
         let frame = encode_frame(body)?;
-        if let Err(e) = append_sync(&mut self.file, &self.path, &frame) {
+        if let Err(e) = append_sync(&self.kill, &mut self.file, &self.path, &frame) {
             // Best effort: do not leave a partial frame for the next
-            // append to land behind.
-            let _ = self.file.set_len(self.sealed_len());
+            // append to land behind. (A dead process cleans up nothing.)
+            if !matches!(e, CkptError::InjectedCrash { .. }) {
+                let _ = self.file.set_len(self.sealed_len());
+            }
             return Err(e);
         }
         self.ends.push(self.ends[self.ends.len() - 1] + frame.len());
         Ok(frame.len() as u64)
-    }
-
-    /// Chaos hook: write only the first half of the frame for `body`, as
-    /// a crash partway through [`SealedLog::append`] would, and leave
-    /// this handle's view of the log unchanged. The next
-    /// [`SealedLog::open`] must cut the torn bytes off. Returns the torn
-    /// bytes written.
-    pub fn append_torn(&mut self, body: &[u8]) -> Result<u64, CkptError> {
-        let frame = encode_frame(body)?;
-        let torn = &frame[..frame.len() / 2];
-        append_sync(&mut self.file, &self.path, torn)?;
-        Ok(torn.len() as u64)
     }
 
     /// Drop the last sealed frame from the file (fsynced) — the rollback
@@ -276,7 +280,7 @@ impl SealedLog {
     pub fn truncate_last(&mut self) -> Result<(), CkptError> {
         if self.ends.len() > 1 {
             self.ends.pop();
-            truncate_sync(&self.file, &self.path, self.sealed_len())?;
+            truncate_sync(&self.kill, &self.file, &self.path, self.sealed_len())?;
         }
         Ok(())
     }

@@ -15,7 +15,7 @@
 //! Retention is two snapshots: the newest plus one fallback. Older files
 //! are unlinked after the manifest stops naming them.
 
-use crate::durable::write_atomic;
+use crate::durable::{write_atomic, KillSwitch};
 use crate::error::CkptError;
 use crate::snapshot::Snapshot;
 use std::fs;
@@ -30,14 +30,21 @@ const RETAIN: usize = 2;
 #[derive(Debug, Clone)]
 pub struct CkptStore {
     dir: PathBuf,
+    /// Asked before every durable step this store takes.
+    kill: KillSwitch,
 }
 
 impl CkptStore {
     /// Open (creating if needed) a checkpoint directory.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CkptError> {
+        Self::open_with(dir, KillSwitch::never())
+    }
+
+    /// [`CkptStore::open`] with `kill` gating every durable step.
+    pub fn open_with(dir: impl Into<PathBuf>, kill: KillSwitch) -> Result<Self, CkptError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| CkptError::io("create", &dir, &e))?;
-        Ok(Self { dir })
+        Ok(Self { dir, kill })
     }
 
     /// The directory this store manages.
@@ -62,26 +69,9 @@ impl CkptStore {
     pub fn write(&self, seq: u64, snap: &Snapshot) -> Result<u64, CkptError> {
         let bytes = snap.encode();
         let name = Self::snapshot_name(seq);
-        write_atomic(&self.dir.join(&name), &bytes)?;
+        write_atomic(&self.kill, &self.dir.join(&name), &bytes)?;
         self.publish(&name)?;
         Ok(bytes.len() as u64)
-    }
-
-    /// Chaos hook: publish a *torn* snapshot — the file at the final path
-    /// holds only a prefix of the encoded bytes, yet the manifest names it
-    /// as newest. This is the worst-case torn write that the checksum +
-    /// manifest-fallback machinery exists to survive; the kill-and-resume
-    /// tests call this and then die. Returns the (truncated) size written.
-    pub fn write_torn(&self, seq: u64, snap: &Snapshot) -> Result<u64, CkptError> {
-        let bytes = snap.encode();
-        let torn = &bytes[..bytes.len() / 2];
-        let name = Self::snapshot_name(seq);
-        let path = self.dir.join(&name);
-        // Deliberately NOT atomic: bytes land at the final path directly,
-        // simulating a crash halfway through a non-atomic writer.
-        fs::write(&path, torn).map_err(|e| CkptError::io("write", &path, &e))?;
-        self.publish(&name)?;
-        Ok(torn.len() as u64)
     }
 
     /// Load the newest snapshot that decodes and checksums cleanly,
@@ -165,10 +155,11 @@ impl CkptStore {
             text.push_str(e);
             text.push('\n');
         }
-        write_atomic(&self.dir.join(MANIFEST), text.as_bytes())?;
+        write_atomic(&self.kill, &self.dir.join(MANIFEST), text.as_bytes())?;
         for e in dropped {
             // Best effort: a leftover unreferenced file is dead weight,
             // not a correctness problem.
+            self.kill.step()?;
             let _ = fs::remove_file(self.dir.join(e));
         }
         Ok(())
@@ -198,6 +189,14 @@ mod tests {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("gts-ckpt-test-{}-{tag}-{n}", std::process::id()))
+    }
+
+    /// Rot the published snapshot `seq` down to its first half — the
+    /// manifest still names it.
+    fn tear(store: &CkptStore, seq: u64) {
+        let path = store.dir().join(CkptStore::snapshot_name(seq));
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
     }
 
     fn snap(marker: u8) -> Snapshot {
@@ -231,7 +230,8 @@ mod tests {
     fn torn_newest_falls_back_to_previous() {
         let store = CkptStore::open(tmp_dir("torn")).unwrap();
         store.write(2, &snap(2)).unwrap();
-        store.write_torn(4, &snap(4)).unwrap();
+        store.write(4, &snap(4)).unwrap();
+        tear(&store, 4);
         // The manifest's first entry is the torn file; load must skip it.
         let (seq, loaded) = store.load_latest().unwrap();
         assert_eq!(seq, 2);
@@ -242,13 +242,14 @@ mod tests {
     fn skipped_manifest_entries_are_surfaced_by_name() {
         let store = CkptStore::open(tmp_dir("skipped")).unwrap();
         store.write(2, &snap(2)).unwrap();
-        store.write_torn(4, &snap(4)).unwrap();
+        store.write(4, &snap(4)).unwrap();
+        tear(&store, 4);
         let (seq, loaded, skipped) = store.load_latest_with_skipped().unwrap();
         assert_eq!(seq, 2);
         assert_eq!(loaded, snap(2));
         assert_eq!(skipped, vec!["ckpt-0000000004.snap".to_string()]);
 
-        // A hand-corrupted newest entry (not just a torn write) is
+        // A hand-corrupted newest entry (not just a truncated one) is
         // surfaced the same way: real damage, silently walked past.
         let store = CkptStore::open(tmp_dir("corrupted")).unwrap();
         store.write(1, &snap(1)).unwrap();
@@ -262,11 +263,49 @@ mod tests {
     #[test]
     fn all_entries_torn_is_a_typed_corrupt_error() {
         let store = CkptStore::open(tmp_dir("alltorn")).unwrap();
-        store.write_torn(1, &snap(1)).unwrap();
+        store.write(1, &snap(1)).unwrap();
+        tear(&store, 1);
         assert!(matches!(
             store.load_latest(),
             Err(CkptError::Corrupt { .. })
         ));
+    }
+
+    /// A checkpoint write is eight steps (snapshot, then manifest, each
+    /// tmp-write · fsync · rename · dir-fsync) plus one unlink per retired
+    /// snapshot, and a kill at any of them leaves `load_latest` on the
+    /// previous snapshot until the manifest's rename and on the new one
+    /// from then on — never on nothing.
+    #[test]
+    fn a_kill_at_every_step_of_a_write_leaves_old_or_new() {
+        let steps = {
+            let kill = KillSwitch::never();
+            let store = CkptStore::open_with(tmp_dir("steps"), kill.clone()).unwrap();
+            store.write(1, &snap(1)).unwrap();
+            store.write(2, &snap(2)).unwrap();
+            assert_eq!(kill.steps(), 16);
+            store.write(3, &snap(3)).unwrap();
+            kill.steps() - 16
+        };
+        assert_eq!(steps, 9, "eight steps plus the unlink of snapshot 1");
+        for k in 0..steps {
+            let dir = tmp_dir("kill");
+            let store = CkptStore::open(&dir).unwrap();
+            store.write(1, &snap(1)).unwrap();
+            store.write(2, &snap(2)).unwrap();
+            let dying = CkptStore::open_with(&dir, KillSwitch::at(k)).unwrap();
+            assert!(matches!(
+                dying.write(3, &snap(3)),
+                Err(CkptError::InjectedCrash { step }) if step == k
+            ));
+            let (seq, loaded, skipped) = store.load_latest_with_skipped().unwrap();
+            let want = if k <= 6 { 2 } else { 3 };
+            assert_eq!((seq, loaded), (want, snap(want as u8)), "step {k}");
+            assert!(
+                skipped.is_empty(),
+                "step {k}: a kill never publishes damage"
+            );
+        }
     }
 
     #[test]

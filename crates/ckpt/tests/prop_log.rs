@@ -4,7 +4,7 @@
 //! verifiably there or a typed error, `open` repairs only a torn tail,
 //! and nothing panics.
 
-use gts_ckpt::{CkptError, LogFormat, SealedLog};
+use gts_ckpt::{CkptError, KillSwitch, LogFormat, SealedLog};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +30,7 @@ fn arb_log() -> impl Strategy<Value = (Vec<u8>, Vec<Vec<u8>>)> {
 /// Write the log through the real append path; return its bytes and the
 /// end offset of the header followed by that of every frame.
 fn build(path: &PathBuf, binding: &[u8], frames: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
-    let mut log = SealedLog::create(path, &FORMAT, binding).unwrap();
+    let mut log = SealedLog::create(path, &FORMAT, binding, KillSwitch::never()).unwrap();
     let mut ends = vec![log.sealed_len() as usize];
     for body in frames {
         let appended = log.append(body).unwrap();
@@ -61,7 +61,7 @@ proptest! {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             if cut < ends[0] {
                 prop_assert!(SealedLog::load(&path, &FORMAT).is_err(), "cut {} in header", cut);
-                prop_assert!(SealedLog::open(&path, &FORMAT).is_err(), "cut {} in header", cut);
+                prop_assert!(SealedLog::open(&path, &FORMAT, KillSwitch::never()).is_err(), "cut {} in header", cut);
                 prop_assert_eq!(std::fs::read(&path).unwrap().len(), cut, "untouched");
                 continue;
             }
@@ -72,7 +72,7 @@ proptest! {
             prop_assert_eq!(image.truncated_tail() as usize, cut - ends[whole]);
             prop_assert_eq!(std::fs::read(&path).unwrap().len(), cut, "load is read-only");
 
-            let (mut reopened, seen) = SealedLog::open(&path, &FORMAT).unwrap();
+            let (mut reopened, seen) = SealedLog::open(&path, &FORMAT, KillSwitch::never()).unwrap();
             prop_assert_eq!(bodies(&seen), frames[..whole].to_vec());
             prop_assert_eq!(reopened.sealed_len() as usize, ends[whole]);
             prop_assert_eq!(std::fs::read(&path).unwrap(), bytes[..ends[whole]].to_vec());
@@ -127,7 +127,7 @@ proptest! {
                     ),
                     "unexpected error kind {:?}", e
                 );
-                prop_assert!(SealedLog::open(&path, &FORMAT).is_err());
+                prop_assert!(SealedLog::open(&path, &FORMAT, KillSwitch::never()).is_err());
                 prop_assert_eq!(std::fs::read(&path).unwrap(), bytes, "refused, so untouched");
             }
         }

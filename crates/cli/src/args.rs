@@ -11,8 +11,8 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse `argv`. Flags must be `--name value` pairs; a trailing flag
-    /// without a value is an error.
+    /// Parse `argv`. Flags must be `--name value` pairs; a flag followed
+    /// by another flag (or by nothing) has no value and is an error.
     pub fn parse(argv: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = HashMap::new();
@@ -21,6 +21,7 @@ impl Args {
             if let Some(name) = a.strip_prefix("--") {
                 let value = it
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
                 if flags.insert(name.to_string(), value.clone()).is_some() {
                     return Err(format!("flag --{name} given twice"));
@@ -60,6 +61,15 @@ impl Args {
         }
     }
 
+    /// A `true | false` flag; absent means `false`.
+    pub fn flag_bool(&self, name: &str) -> Result<bool, String> {
+        match self.optional(name) {
+            None | Some("false") => Ok(false),
+            Some("true") => Ok(true),
+            Some(other) => Err(format!("bad --{name} {other:?} (true | false)")),
+        }
+    }
+
     /// Error if any flag was not consumed by the command (catches typos).
     pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
         for k in self.flags.keys() {
@@ -92,6 +102,21 @@ mod tests {
     #[test]
     fn trailing_flag_without_value_is_an_error() {
         assert!(Args::parse(&sv(&["--out"])).is_err());
+    }
+
+    #[test]
+    fn a_flag_is_never_taken_as_another_flags_value() {
+        let err = Args::parse(&sv(&["run", "--json", "--host-threads", "4"])).err();
+        assert_eq!(err.as_deref(), Some("flag --json needs a value"));
+    }
+
+    #[test]
+    fn boolean_flags_accept_only_true_or_false() {
+        let a = Args::parse(&sv(&["--json", "true", "--resume", "false", "--x", "yes"])).unwrap();
+        assert_eq!(a.flag_bool("json"), Ok(true));
+        assert_eq!(a.flag_bool("resume"), Ok(false));
+        assert_eq!(a.flag_bool("absent"), Ok(false));
+        assert!(a.flag_bool("x").unwrap_err().contains("--x"));
     }
 
     #[test]

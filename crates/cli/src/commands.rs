@@ -26,7 +26,7 @@ use gts_core::programs::{
     Bc, Bfs, Cc, Degrees, GtsProgram, KCore, PageRank, RadiusEstimation, Rwr, Sssp,
 };
 use gts_core::MutationSchedule;
-use gts_core::{CheckpointConfig, CrashPoint, FaultConfig};
+use gts_core::{CheckpointConfig, FaultConfig};
 use gts_core::{Strategy, Telemetry};
 use gts_gpu::GpuConfig;
 use gts_graph::generate::{erdos_renyi, web_like, Rmat};
@@ -105,13 +105,12 @@ USAGE:
                --store <store file>
                [--source N] [--iterations N] [--k N] [--gpus N] [--streams N]
                [--strategy p|s] [--storage mem|ssd:N|hdd:N]
-               [--device-memory BYTES] [--cache lru|fifo|random] [--json]
+               [--device-memory BYTES] [--cache lru|fifo|random] [--json true]
                [--trace-out trace.json] [--host-threads N] [--fault-seed N]
                [--measure-host-phases true]
                [--checkpoint-dir DIR] [--checkpoint-every N] [--resume true]
                [--run-budget NS] [--sweep-deadline NS] [--counters-out FILE]
-               [--crash-at-sweep K | --crash-mid-write K |
-                --crash-mid-wal K | --crash-pre-apply K]
+               [--crash-at-step K]
                [--mutate-at K] [--mutate-inserts N] [--mutate-deletes N]
                [--mutate-seed N]
                [--wal-dir DIR] [--scrub-every N] [--bit-rot-ppm N]
@@ -119,16 +118,15 @@ USAGE:
                [--slots N] [--queue-cap N] [--tenant-queue-cap N]
                [--deadline NS] [--gpus N] [--streams N] [--strategy p|s]
                [--storage mem|ssd:N|hdd:N] [--device-memory BYTES]
-               [--cache lru|fifo|random] [--host-threads N] [--json]
+               [--cache lru|fifo|random] [--host-threads N] [--json true]
                [--counters-out FILE] [--jobs-out FILE]
                [--fault-seed N] [--retry-max N] [--backoff-base NS]
                [--breaker-threshold K] [--breaker-cooldown NS]
                [--shed-watermark PCT]
                [--journal-dir DIR] [--resume-serve true]
-               [--crash-at-epoch K | --crash-mid-wal K | --crash-pre-apply K]
-               [--wal-dir DIR]
+               [--crash-at-step K] [--wal-dir DIR]
   gts fsck     --store <store file> [--wal-dir DIR] [--checkpoint-dir DIR]
-               [--journal-dir DIR] [--json]
+               [--journal-dir DIR] [--json true]
   gts help
 
 Edge files are the binary GTSEDGES format produced by `gts generate`, or
@@ -149,10 +147,8 @@ Checkpoint/restart: `--checkpoint-dir` snapshots resumable state every
 `--resume true` restarts from the latest valid snapshot there. The
 watchdog budgets `--sweep-deadline` / `--run-budget` (simulated ns) abort
 an overrunning run with exit code 4 after flushing a final checkpoint and
-the trace. `--crash-at-sweep K` / `--crash-mid-write K` inject a
-deterministic kill at (or during the snapshot write of) sweep K's
-boundary, for kill-and-resume chaos testing. `--counters-out` writes the
-final counter registry as sorted 'key value' lines, also on failure.
+the trace. `--counters-out` writes the final counter registry as sorted
+'key value' lines, also on failure.
 
 Live topology: `--mutate-at K` applies a batched edge mutation at the
 boundary of sweep K while the query runs (Sec. 2's slotted pages are
@@ -201,18 +197,14 @@ journal (`journal.log`: one sealed, fsynced frame per scheduler step);
 `--resume-serve true` resumes a killed daemon from it — settled jobs
 are not re-run (`serve.resume.cached`) and the outputs are
 byte-identical to an uncrashed run, modulo the wall-side
-`serve.journal.*` / `serve.resume.*` keys. `--crash-at-epoch K` injects
-a deterministic kill right before the service applies its K-th epoch
-bump (exit code 4), for kill-and-resume chaos testing.
+`serve.journal.*` / `serve.resume.*` keys.
 
 Durability: `--wal-dir` keeps a mutation write-ahead log for live runs —
 every batch is sealed into the log (fsync) before it touches the store,
 so a `--resume true` run whose crash landed between a checkpoint and the
 next boundary rolls the store forward by replaying the logged bytes
 (`wal.*` counters) instead of refusing with a fingerprint mismatch.
-`--crash-mid-wal K` / `--crash-pre-apply K` kill sweep K's boundary
-mid-append (torn frame) or after the seal but before the apply, for
-kill-and-recover chaos testing. `--scrub-every N` walks every at-rest
+`--scrub-every N` walks every at-rest
 page each N sweeps verifying trailer checksums, repairing detections
 from the in-memory copy and routing them through drive quarantine
 (`scrub.*` counters); `--bit-rot-ppm` arms the seeded rot injector that
@@ -220,6 +212,15 @@ gives the scrubber something to find. `gts serve --wal-dir` logs
 mutating jobs through the same path, binds the journal header to the
 log, and re-derives journaled epoch bumps from the logged bytes on
 `--resume-serve` (`serve.wal.replayed`).
+
+Chaos testing: every durable write of a run or a service (checkpoint
+snapshot and manifest, WAL, journal) is a fixed sequence of numbered
+steps — tmp-write, fsync, rename, directory fsync; append, fsync — and
+`--crash-at-step K` kills the process at step K (0-based, exit code 4):
+a write lands half its bytes, any other step and everything after it is
+withheld. A K past the last step never fires, so raising K from 0 until
+the command exits 0 visits every crash the run can suffer
+(DESIGN.md, Crash model).
 
 `gts fsck` verifies artifacts offline and cross-checks every pair it is
 given: store page trailers and the RVT, the WAL chain and its
@@ -376,15 +377,7 @@ fn parse_storage(s: &str) -> Result<StorageLocation, String> {
 /// `--checkpoint-every` and `--resume` are meaningless without a
 /// directory, so they are usage errors on their own (typo protection).
 fn parse_checkpoint(args: &Args) -> Result<Option<CheckpointConfig>, CliError> {
-    let resume = match args.optional("resume") {
-        None | Some("false") => false,
-        Some("true") => true,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "bad --resume {other:?} (true | false)"
-            )))
-        }
-    };
+    let resume = args.flag_bool("resume")?;
     let Some(dir) = args.optional("checkpoint-dir") else {
         if args.optional("checkpoint-every").is_some() || resume {
             return Err(CliError::Usage(
@@ -403,52 +396,14 @@ fn parse_checkpoint(args: &Args) -> Result<Option<CheckpointConfig>, CliError> {
     Ok(Some(if resume { ck.resuming() } else { ck }))
 }
 
-/// `--crash-at-sweep K` / `--crash-mid-write K` / `--crash-mid-wal K` /
-/// `--crash-pre-apply K` — at most one. The WAL kinds kill inside the
-/// log-before-apply window and are meaningless without `--wal-dir`
-/// (there is no log to tear).
-fn parse_crash_point(args: &Args) -> Result<Option<CrashPoint>, CliError> {
-    let parse = |name: &str, v: &str| -> Result<u32, CliError> {
-        v.parse()
-            .map_err(|_| CliError::Usage(format!("bad --{name} {v:?} (sweep number)")))
-    };
-    let set: Vec<(&str, &str)> = [
-        "crash-at-sweep",
-        "crash-mid-write",
-        "crash-mid-wal",
-        "crash-pre-apply",
-    ]
-    .iter()
-    .filter_map(|&name| args.optional(name).map(|v| (name, v)))
-    .collect();
-    if set.len() > 1 {
-        let names: Vec<String> = set.iter().map(|(n, _)| format!("--{n}")).collect();
-        return Err(CliError::Usage(format!(
-            "{} are mutually exclusive (one crash point per run)",
-            names.join(" and ")
-        )));
+/// `--crash-at-step K`: the durable I/O step at which the process dies.
+fn parse_crash_step(args: &Args) -> Result<Option<u64>, CliError> {
+    match args.optional("crash-at-step") {
+        None => Ok(None),
+        Some(v) => v.parse().map(Some).map_err(|_| {
+            CliError::Usage(format!("bad --crash-at-step {v:?} (durable step number)"))
+        }),
     }
-    let Some(&(name, v)) = set.first() else {
-        return Ok(None);
-    };
-    let k = parse(name, v)?;
-    let point = match name {
-        "crash-at-sweep" => CrashPoint::AtSweep(k),
-        "crash-mid-write" => CrashPoint::MidSnapshotWrite(k),
-        "crash-mid-wal" => CrashPoint::MidWalAppend(k),
-        "crash-pre-apply" => CrashPoint::BetweenLogAndApply(k),
-        _ => unreachable!("crash flag list above is exhaustive"),
-    };
-    if matches!(
-        point,
-        CrashPoint::MidWalAppend(_) | CrashPoint::BetweenLogAndApply(_)
-    ) && args.optional("wal-dir").is_none()
-    {
-        return Err(CliError::Usage(format!(
-            "--{name} needs --wal-dir (there is no log to tear)"
-        )));
-    }
-    Ok(Some(point))
 }
 
 /// `--scrub-every N`: background integrity scrub cadence in sweeps.
@@ -541,10 +496,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         "resume",
         "run-budget",
         "sweep-deadline",
-        "crash-at-sweep",
-        "crash-mid-write",
-        "crash-mid-wal",
-        "crash-pre-apply",
+        "crash-at-step",
         "counters-out",
         "mutate-at",
         "mutate-inserts",
@@ -554,6 +506,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         "scrub-every",
         "bit-rot-ppm",
     ])?;
+    let json = args.flag_bool("json")?;
     let alg = args
         .positional(1)
         .ok_or("usage: gts run <algorithm> --store <file>")?;
@@ -570,11 +523,7 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
 
     let mut cfg_builder = engine_config_builder(args)?;
-    if args
-        .optional("measure-host-phases")
-        .map(|v| v == "true")
-        .unwrap_or(false)
-    {
+    if args.flag_bool("measure-host-phases")? {
         cfg_builder = cfg_builder.measure_host_phases(true);
     }
     let mut faults = match args.optional("fault-seed") {
@@ -584,10 +533,10 @@ fn run(args: &Args) -> Result<(), CliError> {
         )),
         None => None,
     };
-    if let Some(crash) = parse_crash_point(args)? {
-        // A crash point needs a fault plan to live in; without an
+    if let Some(step) = parse_crash_step(args)? {
+        // The crash step needs a fault plan to live in; without an
         // explicit seed, use a quiet plan so the kill is the only fault.
-        faults.get_or_insert_with(|| FaultConfig::quiet(0)).crash = Some(crash);
+        faults.get_or_insert_with(|| FaultConfig::quiet(0)).crash = Some(step);
     }
     if let Some(ppm) = args.optional("bit-rot-ppm") {
         let ppm: u32 = ppm
@@ -736,7 +685,7 @@ fn run(args: &Args) -> Result<(), CliError> {
         std::fs::write(path, lines).map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
     }
     let (report, summary) = outcome?;
-    if args.optional("json").map(|v| v == "true").unwrap_or(false) {
+    if json {
         outln!("{}", report.to_json());
     } else {
         outln!("algorithm:      {}", report.algorithm);
@@ -800,10 +749,7 @@ fn serve_resilience(args: &Args) -> Result<ResilienceConfig, CliError> {
 /// `--journal-dir` / `--resume-serve`: the crash-consistent service
 /// journal. Resuming without a journal directory is a usage error.
 fn serve_journal(args: &Args) -> Result<Option<JournalConfig>, CliError> {
-    let resume = args
-        .optional("resume-serve")
-        .map(|v| v == "true")
-        .unwrap_or(false);
+    let resume = args.flag_bool("resume-serve")?;
     match args.optional("journal-dir") {
         Some(dir) => {
             let mut j = JournalConfig::new(dir);
@@ -815,42 +761,6 @@ fn serve_journal(args: &Args) -> Result<Option<JournalConfig>, CliError> {
         )),
         None => Ok(None),
     }
-}
-
-/// `--crash-at-epoch K` / `--crash-mid-wal K` / `--crash-pre-apply K`
-/// for serve mode — at most one. The WAL kinds kill the daemon inside
-/// the mutating job's log-before-apply window and need `--wal-dir`.
-fn serve_crash_point(args: &Args) -> Result<Option<CrashPoint>, CliError> {
-    let parse = |name: &str, v: &str, what: &str| -> Result<u32, CliError> {
-        v.parse()
-            .map_err(|_| CliError::Usage(format!("bad --{name} {v:?} ({what})")))
-    };
-    let set: Vec<(&str, &str)> = ["crash-at-epoch", "crash-mid-wal", "crash-pre-apply"]
-        .iter()
-        .filter_map(|&name| args.optional(name).map(|v| (name, v)))
-        .collect();
-    if set.len() > 1 {
-        let names: Vec<String> = set.iter().map(|(n, _)| format!("--{n}")).collect();
-        return Err(CliError::Usage(format!(
-            "{} are mutually exclusive (one crash point per service)",
-            names.join(" and ")
-        )));
-    }
-    let Some(&(name, v)) = set.first() else {
-        return Ok(None);
-    };
-    let point = match name {
-        "crash-at-epoch" => CrashPoint::AtEpoch(parse(name, v, "epoch number")?),
-        "crash-mid-wal" => CrashPoint::MidWalAppend(parse(name, v, "epoch number")?),
-        "crash-pre-apply" => CrashPoint::BetweenLogAndApply(parse(name, v, "epoch number")?),
-        _ => unreachable!("serve crash flag list above is exhaustive"),
-    };
-    if !matches!(point, CrashPoint::AtEpoch(_)) && args.optional("wal-dir").is_none() {
-        return Err(CliError::Usage(format!(
-            "--{name} needs --wal-dir (there is no log to tear)"
-        )));
-    }
-    Ok(Some(point))
 }
 
 /// `gts serve`: a scripted multi-tenant workload through the long-lived
@@ -882,11 +792,10 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         "shed-watermark",
         "journal-dir",
         "resume-serve",
-        "crash-at-epoch",
+        "crash-at-step",
         "wal-dir",
-        "crash-mid-wal",
-        "crash-pre-apply",
     ])?;
+    let json = args.flag_bool("json")?;
     let mut store: GraphStore =
         load_store(args.required("store")?).map_err(|e| CliError::Io(e.to_string()))?;
     let path = args.required("workload")?;
@@ -913,22 +822,16 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         faults: serve_fault_template(args)?,
         resilience: serve_resilience(args)?,
         journal: serve_journal(args)?,
-        crash: serve_crash_point(args)?,
+        crash: parse_crash_step(args)?,
         wal_dir: args.optional("wal-dir").map(std::path::PathBuf::from),
     };
-    if serve_cfg.journal.is_none() && serve_cfg.crash.is_some() {
-        return Err(CliError::Usage(
-            "serve crash points require --journal-dir (a crash without a journal cannot resume)"
-                .into(),
-        ));
-    }
     let out = serve(&engine, &mut store, &jobs, &serve_cfg).map_err(|e| match e {
         ServeError::Config(_) | ServeError::Workload(_) => CliError::Usage(e.to_string()),
         ServeError::Journal(_) => CliError::Io(e.to_string()),
         other => CliError::Engine(other.to_string()),
     })?;
     write_serve_outputs(args, &out)?;
-    if args.optional("json").map(|v| v == "true").unwrap_or(false) {
+    if json {
         outln!(
             "{{\"jobs\":{},\"completed\":{},\"dropped\":{},\"failed\":{},\"quarantined\":{},\"epochs\":{},\"makespan_ns\":{},\"latency\":{}}}",
             out.jobs.len(),
@@ -1219,7 +1122,7 @@ fn fsck(args: &Args) -> Result<(), CliError> {
     }
 
     // --- Report.
-    let json = args.optional("json").map(|v| v == "true").unwrap_or(false);
+    let json = args.flag_bool("json")?;
     if json {
         let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let list: Vec<String> = findings
@@ -1492,33 +1395,15 @@ mod tests {
             (&["--run-budget", "0"], "run_budget_ns"),
             (&["--sweep-deadline", "-1"], "--sweep-deadline"),
             (&["--sweep-deadline", "0"], "sweep_deadline_ns"),
-            (&["--crash-at-sweep", "x"], "--crash-at-sweep"),
-            (&["--crash-mid-write", "x"], "--crash-mid-write"),
-            (
-                &["--crash-at-sweep", "2", "--crash-mid-write", "4"],
-                "mutually exclusive",
-            ),
+            (&["--crash-at-step", "x"], "--crash-at-step"),
+            (&["--crash-at-step", "-1"], "--crash-at-step"),
+            (&["--json", "yes"], "--json"),
+            (&["--json", "--host-threads", "4"], "--json needs a value"),
+            (&["--measure-host-phases", "1"], "--measure-host-phases"),
             (&["--mutate-at", "x"], "--mutate-at"),
             (&["--mutate-inserts", "5"], "--mutate-at"),
             (&["--mutate-deletes", "5"], "--mutate-at"),
             (&["--mutate-seed", "5"], "--mutate-at"),
-            (
-                &["--wal-dir", "d", "--crash-mid-wal", "x"],
-                "--crash-mid-wal",
-            ),
-            (&["--crash-mid-wal", "3"], "--wal-dir"),
-            (&["--crash-pre-apply", "3"], "--wal-dir"),
-            (
-                &[
-                    "--wal-dir",
-                    "d",
-                    "--crash-at-sweep",
-                    "2",
-                    "--crash-mid-wal",
-                    "3",
-                ],
-                "mutually exclusive",
-            ),
             (&["--scrub-every", "x"], "--scrub-every"),
             (&["--scrub-every", "0"], "--scrub-every"),
             (&["--bit-rot-ppm", "lots"], "--bit-rot-ppm"),
@@ -1595,7 +1480,9 @@ mod tests {
             argv.extend(sv(extra));
             dispatch(&argv)
         };
-        let err = run(&["--crash-at-sweep", "3"]).unwrap_err();
+        // A checkpoint is eight durable steps: die entering the second
+        // one, with the sweep-2 snapshot published.
+        let err = run(&["--crash-at-step", "8"]).unwrap_err();
         assert_eq!(err.exit_code(), EXIT_ENGINE, "{err}");
         assert!(err.to_string().contains("injected crash"), "{err}");
         run(&["--resume", "true", "--counters-out", &counters]).unwrap();
@@ -1620,9 +1507,10 @@ mod tests {
         std::fs::remove_dir_all(&ck).ok();
     }
 
-    /// The durability surface end to end: a mid-WAL-append kill leaves a
-    /// torn tail that `gts fsck` reports (exit 4), resume repairs and
-    /// completes, and fsck then signs off on every artifact (exit 0).
+    /// The durability surface end to end: a kill in the WAL append's
+    /// write step leaves a torn tail that `gts fsck` reports (exit 4),
+    /// resume repairs and completes, and fsck then signs off on every
+    /// artifact (exit 0).
     #[test]
     fn wal_crash_fsck_and_recover_through_the_cli() {
         let el = tmp("wal.el");
@@ -1667,7 +1555,9 @@ mod tests {
             argv.extend(sv(extra));
             dispatch(&argv)
         };
-        let err = run(&["--crash-mid-wal", "3"]).unwrap_err();
+        // Log creation is steps 0-3, the sweep-2 checkpoint 4-11, so 12
+        // is the write of the sweep-3 batch's frame.
+        let err = run(&["--crash-at-step", "12"]).unwrap_err();
         assert_eq!(err.exit_code(), EXIT_ENGINE, "{err}");
         assert!(err.to_string().contains("injected crash"), "{err}");
         // fsck sees the torn tail the kill left behind.
@@ -1814,22 +1704,14 @@ mod tests {
             ),
             (&["--shed-watermark", "hot"], "--shed-watermark"),
             (&["--shed-watermark", "150"], "shed_watermark_pct"),
-            (&["--crash-at-epoch", "x"], "--crash-at-epoch"),
-            (&["--crash-at-epoch", "1"], "--journal-dir"),
+            (&["--crash-at-step", "x"], "--crash-at-step"),
             (&["--resume-serve", "true"], "--journal-dir"),
-            (&["--crash-mid-wal", "1"], "--wal-dir"),
-            (&["--crash-pre-apply", "1"], "--wal-dir"),
             (
-                &[
-                    "--wal-dir",
-                    "d",
-                    "--crash-mid-wal",
-                    "1",
-                    "--crash-at-epoch",
-                    "1",
-                ],
-                "mutually exclusive",
+                &["--journal-dir", "d", "--resume-serve", "True"],
+                "--resume-serve",
             ),
+            (&["--json", "yes"], "--json"),
+            (&["--json", "--host-threads", "4"], "--json needs a value"),
             (&["--mutate-at", "1"], "unknown flag"),
             (&["--checkpoint-dir", "d"], "unknown flag"),
         ];
@@ -2100,7 +1982,7 @@ mod tests {
         }
     }
 
-    /// Kill-and-resume through the CLI: `--crash-at-epoch` exits with
+    /// Kill-and-resume through the CLI: `--crash-at-step` exits with
     /// the engine code mid-workload, `--resume-serve` replays from the
     /// journal, and both dumps match an uncrashed run byte-for-byte
     /// (modulo the wall-side `serve.journal.*`/`serve.resume.*` keys).
@@ -2141,9 +2023,11 @@ mod tests {
         // Uncrashed baseline, no journal.
         let (bj, bc) = outputs("base");
         run(&[], &bj, &bc).unwrap();
-        // Crash right before the epoch bump: engine failure (exit 4).
+        // Journal creation is steps 0-3 and the first read wave's frame
+        // 4-5: die writing the mutating job's frame. Engine failure
+        // (exit 4).
         let (cj, cc) = outputs("crash");
-        let err = run(&["--journal-dir", &dir, "--crash-at-epoch", "0"], &cj, &cc).unwrap_err();
+        let err = run(&["--journal-dir", &dir, "--crash-at-step", "6"], &cj, &cc).unwrap_err();
         assert_eq!(err.exit_code(), EXIT_ENGINE, "{err}");
         assert!(err.to_string().contains("injected crash"), "{err}");
         // Resume from the journal: byte-identical to the baseline.

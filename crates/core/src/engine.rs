@@ -447,12 +447,12 @@ pub enum EngineError {
         /// Attempts made, the first one included.
         attempts: u32,
     },
-    /// The fault plan's injected crash point fired (kill-and-resume chaos
-    /// testing): the process "died" at a sweep boundary, after any
-    /// checkpoint due there reached the directory.
+    /// The run's kill switch fired (kill-and-resume chaos testing): the
+    /// process "died" at this durable I/O step of its checkpoint store or
+    /// WAL, which — with every step after it — did not reach the disk.
     InjectedCrash {
-        /// The sweep at whose boundary the crash fired.
-        sweep: u32,
+        /// The 0-based durable step the switch was armed for.
+        step: u64,
     },
     /// A watchdog deadline was exceeded on the simulated clock. When
     /// checkpointing is configured, a final snapshot was flushed before
@@ -495,8 +495,8 @@ impl fmt::Display for EngineError {
             EngineError::GpuFault { gpu, op, attempts } => {
                 write!(f, "gpu{gpu}: {op} failed after {attempts} attempts")
             }
-            EngineError::InjectedCrash { sweep } => {
-                write!(f, "injected crash at sweep {sweep} boundary")
+            EngineError::InjectedCrash { step } => {
+                write!(f, "injected crash at durable step {step}")
             }
             EngineError::DeadlineExceeded {
                 what,
@@ -534,18 +534,25 @@ impl From<StorageError> for EngineError {
 }
 
 impl From<CkptError> for EngineError {
+    /// A fired kill switch keeps its identity — the process "died", the
+    /// checkpoint did not fail.
     fn from(e: CkptError) -> Self {
-        EngineError::Checkpoint(e)
+        match e {
+            CkptError::InjectedCrash { step } => EngineError::InjectedCrash { step },
+            other => EngineError::Checkpoint(other),
+        }
     }
 }
 
 impl From<WalError> for EngineError {
     /// A batch the store rejected *after* logging keeps its typed
     /// [`EngineError::Mutation`] identity — the WAL rolled the record
-    /// back, so the failure is the store's, not the log's.
+    /// back, so the failure is the store's, not the log's. A fired kill
+    /// switch keeps its identity too.
     fn from(e: WalError) -> Self {
         match e {
             WalError::Rejected(m) => EngineError::Mutation(m),
+            WalError::Log(crash @ CkptError::InjectedCrash { .. }) => crash.into(),
             other => EngineError::Wal(other),
         }
     }
@@ -1179,8 +1186,8 @@ mod tests {
                 "gpu2: H2D copy failed after 4 attempts",
             ),
             (
-                EngineError::InjectedCrash { sweep: 6 },
-                "injected crash at sweep 6 boundary",
+                EngineError::InjectedCrash { step: 6 },
+                "injected crash at durable step 6",
             ),
             (
                 EngineError::DeadlineExceeded {
@@ -1647,10 +1654,11 @@ mod tests {
 
     #[test]
     fn wal_replays_the_log_to_reach_a_post_mutation_snapshot() {
-        // The batch applies at sweep 3, the snapshot lands at sweep 4
-        // (post-mutation epoch), the crash kills sweep 5. Resuming over a
-        // FRESH store — epoch 0, exactly what an operator rebuilds from
-        // the original edge list — used to refuse with a fingerprint
+        // The batch applies at sweep 3 and the snapshot lands at sweep 4
+        // (post-mutation epoch); wherever the process then dies — here it
+        // does not even die — its memory is gone. Resuming over a FRESH
+        // store — epoch 0, exactly what an operator rebuilds from the
+        // original edge list — used to refuse with a fingerprint
         // mismatch; with the WAL it rolls the store forward to the
         // snapshot's epoch and completes byte-identically.
         let (ck_dir, wal_dir) = wal_dirs("wal-replay");
@@ -1658,51 +1666,28 @@ mod tests {
         let build = || {
             build_graph_store(&g, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 1024)).unwrap()
         };
-        let mk = |resume: bool, crash: Option<gts_faults::CrashPoint>| {
+        let mk = |resume: bool| {
             let ck = CheckpointConfig::new(&ck_dir, 4);
             GtsConfig {
                 checkpoint: Some(if resume { ck.resuming() } else { ck }),
                 wal_dir: Some(wal_dir.clone()),
-                faults: Some(FaultConfig {
-                    crash,
-                    ..FaultConfig::quiet(7)
-                }),
+                faults: Some(FaultConfig::quiet(7)),
                 ..GtsConfig::default()
             }
         };
-        // Uncrashed baseline: the same configuration shape (checkpoints
-        // perturb simulated time by rebuilding the caches cold, so the
-        // baseline must checkpoint too) over its own scratch dirs.
-        let (base_ck, base_wal) = wal_dirs("wal-replay-base");
         let mut base_store = build();
         let mut base_pr = PageRank::new(base_store.num_vertices(), 7);
-        let base = Gts::new(GtsConfig {
-            checkpoint: Some(CheckpointConfig::new(&base_ck, 4)),
-            wal_dir: Some(base_wal),
-            faults: Some(FaultConfig::quiet(7)),
-            ..GtsConfig::default()
-        })
-        .run_live(
-            &mut base_store,
-            &mut base_pr,
-            MutationSchedule::new().at(3, burst(&g, 1, 24)),
-        )
-        .unwrap();
-        // Crashed run.
-        let mut store = build();
-        let mut pr = PageRank::new(store.num_vertices(), 7);
-        let err = Gts::new(mk(false, Some(gts_faults::CrashPoint::AtSweep(5))))
+        let base = Gts::new(mk(false))
             .run_live(
-                &mut store,
-                &mut pr,
+                &mut base_store,
+                &mut base_pr,
                 MutationSchedule::new().at(3, burst(&g, 1, 24)),
             )
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InjectedCrash { sweep: 5 }));
-        assert_eq!(store.epoch(), 1, "the batch applied before the crash");
+            .unwrap();
+        assert_eq!(base_store.epoch(), 1, "the batch applied");
         // Recover over a FRESH store: the WAL supplies the missing epoch.
         let mut fresh = build();
-        let engine = Gts::new(mk(true, None));
+        let engine = Gts::new(mk(true));
         let mut pr2 = PageRank::new(fresh.num_vertices(), 7);
         let report = engine
             .run_live(
@@ -1722,83 +1707,6 @@ mod tests {
             "recovered store must be byte-equivalent to the uncrashed one"
         );
         std::fs::remove_dir_all(ck_dir.parent().unwrap()).ok();
-        std::fs::remove_dir_all(base_ck.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn wal_crash_points_recover_without_double_apply() {
-        // Both WAL crash kinds at the sweep-3 boundary: MidWalAppend
-        // persists a torn frame (repaired on reopen, then the batch is
-        // re-logged for real), BetweenLogAndApply persists the full
-        // record (the resumed boundary's re-log is an idempotent 0-byte
-        // append). Either way the resumed run matches the uncrashed one.
-        let g = rmat(9);
-        let build = || {
-            build_graph_store(&g, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 1024)).unwrap()
-        };
-        let mut base_store = build();
-        let mut base_pr = PageRank::new(base_store.num_vertices(), 6);
-        Gts::new(GtsConfig::default())
-            .run_live(
-                &mut base_store,
-                &mut base_pr,
-                MutationSchedule::new().at(3, burst(&g, 2, 16)),
-            )
-            .unwrap();
-        for (tag, crash, want_appends) in [
-            ("torn", gts_faults::CrashPoint::MidWalAppend(3), 1),
-            ("sealed", gts_faults::CrashPoint::BetweenLogAndApply(3), 0),
-        ] {
-            let (ck_dir, wal_dir) = wal_dirs(&format!("wal-crash-{tag}"));
-            let mk = |resume: bool, crash: Option<gts_faults::CrashPoint>| {
-                let ck = CheckpointConfig::new(&ck_dir, 2);
-                GtsConfig {
-                    checkpoint: Some(if resume { ck.resuming() } else { ck }),
-                    wal_dir: Some(wal_dir.clone()),
-                    faults: Some(FaultConfig {
-                        crash,
-                        ..FaultConfig::quiet(7)
-                    }),
-                    ..GtsConfig::default()
-                }
-            };
-            let mut store = build();
-            let mut pr = PageRank::new(store.num_vertices(), 6);
-            let err = Gts::new(mk(false, Some(crash)))
-                .run_live(
-                    &mut store,
-                    &mut pr,
-                    MutationSchedule::new().at(3, burst(&g, 2, 16)),
-                )
-                .unwrap_err();
-            assert!(
-                matches!(err, EngineError::InjectedCrash { sweep: 3 }),
-                "{tag}: {err:?}"
-            );
-            assert_eq!(store.epoch(), 0, "{tag}: died before the apply");
-            let engine = Gts::new(mk(true, None));
-            let mut pr2 = PageRank::new(store.num_vertices(), 6);
-            engine
-                .run_live(
-                    &mut store,
-                    &mut pr2,
-                    MutationSchedule::new().at(3, burst(&g, 2, 16)),
-                )
-                .unwrap();
-            assert_eq!(pr2.ranks(), base_pr.ranks(), "{tag}");
-            assert_eq!(store.epoch(), 1, "{tag}: applied exactly once");
-            assert_eq!(
-                engine.telemetry().counter(keys::WAL_APPENDS),
-                want_appends,
-                "{tag}"
-            );
-            assert_eq!(
-                crate::sweep::ckpt::store_fingerprint(&store),
-                crate::sweep::ckpt::store_fingerprint(&base_store),
-                "{tag}"
-            );
-            std::fs::remove_dir_all(ck_dir.parent().unwrap()).ok();
-        }
     }
 
     #[test]

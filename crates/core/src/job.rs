@@ -31,9 +31,9 @@ use crate::sweep::plan::SweepPlan;
 use crate::sweep::schedule::{self, GpuLane};
 use crate::sweep::scrub;
 use crate::{ConfigError, EngineError, GtsConfig};
-use gts_ckpt::{CkptStore, Snapshot};
+use gts_ckpt::{CkptStore, KillSwitch, Snapshot};
 use gts_exec::ThreadPool;
-use gts_faults::{CrashPoint, FaultPlan};
+use gts_faults::FaultPlan;
 use gts_sim::SimTime;
 use gts_storage::builder::GraphStore;
 use gts_storage::Wal;
@@ -67,15 +67,17 @@ pub struct JobOptions {
     /// the job's retry budget surfaces as this job's typed
     /// [`EngineError`] — it never touches any other job's context.
     pub faults: Option<gts_faults::FaultConfig>,
+    /// The kill switch the job's checkpoint store and WAL ask before each
+    /// durable step, for a caller whose own durable files share one step
+    /// numbering with the job's (a service and its journal). A crash step
+    /// in the job's fault config takes precedence; the default never
+    /// fires.
+    pub kill: KillSwitch,
 }
 
 impl Default for JobOptions {
     fn default() -> Self {
-        JobOptions {
-            telemetry: Telemetry::new(),
-            tenant: None,
-            faults: None,
-        }
+        JobOptions::with_telemetry(Telemetry::new())
     }
 }
 
@@ -86,6 +88,7 @@ impl JobOptions {
             telemetry: tel,
             tenant: None,
             faults: None,
+            kill: KillSwitch::never(),
         }
     }
 
@@ -189,8 +192,13 @@ impl Engine {
         // to the snapshot's fingerprint before `open_job` verifies it, so
         // a crash between a checkpoint and the next boundary no longer
         // refuses with a fingerprint mismatch.
-        let (mut wal, wal_replayed) = self.open_wal(handle)?;
-        let mut job = self.open_job(handle.store(), prog, opts)?;
+        let faults = opts.faults.as_ref().or(self.cfg.faults.as_ref());
+        let kill = match faults.and_then(|f| f.crash) {
+            Some(step) => KillSwitch::at(step),
+            None => opts.kill.clone(),
+        };
+        let (mut wal, wal_replayed) = self.open_wal(handle, &kill)?;
+        let mut job = self.open_job(handle.store(), prog, opts, kill)?;
         self.execute_job(&mut job, handle, prog, wal.as_mut(), wal_replayed)
     }
 
@@ -203,14 +211,18 @@ impl Engine {
     /// the resumed loop does not apply them twice; leading *empty* batches
     /// due strictly before the snapshot's sweep are also behind us (they
     /// never move the epoch, so the replay cannot see them).
-    fn open_wal(&self, handle: &mut StoreHandle<'_>) -> Result<(Option<Wal>, u64), EngineError> {
+    fn open_wal(
+        &self,
+        handle: &mut StoreHandle<'_>,
+        kill: &KillSwitch,
+    ) -> Result<(Option<Wal>, u64), EngineError> {
         let Some(dir) = &self.cfg.wal_dir else {
             return Ok((None, 0));
         };
         let StoreHandle::Live { store, queue } = handle else {
             return Ok((None, 0));
         };
-        let wal = Wal::open(dir, store)?;
+        let wal = Wal::open_with(dir, store, kill.clone())?;
         let mut replayed = 0u64;
         if let Some(c) = &self.cfg.checkpoint {
             if c.resume {
@@ -248,6 +260,7 @@ impl Engine {
         store: &GraphStore,
         prog: &mut dyn GtsProgram,
         opts: &JobOptions,
+        kill: KillSwitch,
     ) -> Result<JobContext, EngineError> {
         let tel = opts.telemetry.clone();
         tel.start_run();
@@ -262,7 +275,7 @@ impl Engine {
             .or_else(|| self.cfg.faults.clone())
             .map(FaultPlan::new);
         let ck = match &self.cfg.checkpoint {
-            Some(c) => Some(CkptStore::open(&c.dir).map_err(EngineError::Checkpoint)?),
+            Some(c) => Some(CkptStore::open_with(&c.dir, kill).map_err(EngineError::Checkpoint)?),
             None => None,
         };
         let mut resume: Option<Snapshot> = None;
@@ -535,8 +548,7 @@ impl ExecCtx<'_> {
     ///    fingerprints the pre-mutation epoch and a resume against the
     ///    mutated store is refused with a typed mismatch. The boundary
     ///    the run resumed at is skipped — its snapshot already exists.
-    /// 2. Injected boundary kill ([`CrashPoint::AtSweep`]).
-    /// 3. Due background scrub — AFTER the checkpoint write (so a
+    /// 2. Due background scrub — AFTER the checkpoint write (so a
     ///    snapshot restores pre-scrub counters and fault cursors, and a
     ///    resumed run re-runs this boundary's scrub with identical
     ///    draws), verifying the epoch every in-flight sweep read.
@@ -552,14 +564,10 @@ impl ExecCtx<'_> {
         let (t, sweep) = (g.t, g.sweep);
         if let (Some(c), Some(ck)) = (&self.cfg.checkpoint, g.ck) {
             if sweep > 0 && sweep.is_multiple_of(c.every) && g.resumed_at != Some(sweep) {
-                let torn = g.crash == Some(CrashPoint::MidSnapshotWrite(sweep));
                 let b = boundary(g.rung, t, sweep, g.edges);
                 let w = self.write_ctx(store, ck, g.faults);
-                ckpt::write_checkpoint(&w, lanes, source, prog, plan, &b, torn)?;
+                ckpt::write_checkpoint(&w, lanes, source, prog, plan, &b)?;
             }
-        }
-        if g.crash == Some(CrashPoint::AtSweep(sweep)) {
-            return Err(EngineError::InjectedCrash { sweep });
         }
         if let Some(every) = self.cfg.scrub_every {
             if sweep > 0 && sweep.is_multiple_of(every) {
@@ -596,8 +604,6 @@ impl ExecCtx<'_> {
             wal_replayed,
             manifest_skipped,
         } = env;
-        let crash = faults.and_then(FaultPlan::crash);
-
         // Total degree of every Large-Page vertex (K_PR_LP needs it);
         // recomputed whenever a mutation boundary changes the topology.
         let mut lp_degrees = kernels::lp_total_degrees(handle.store());
@@ -634,13 +640,12 @@ impl ExecCtx<'_> {
         // results are independent of `host_threads`.
         let pool = ThreadPool::new(cfg.host_threads);
         loop {
-            // --- Sweep-top upkeep: due checkpoint, injected boundary
-            // kill, then due scrub — all BEFORE the mutation boundary
-            // (ordering contract documented on `sweep_top_upkeep`).
+            // --- Sweep-top upkeep: due checkpoint, then due scrub — both
+            // BEFORE the mutation boundary (ordering contract documented
+            // on `sweep_top_upkeep`).
             let gate = UpkeepGate {
                 ck,
                 faults,
-                crash,
                 rung,
                 resumed_at,
                 t,
@@ -665,7 +670,6 @@ impl ExecCtx<'_> {
                     sweep_mode,
                     revived,
                     wal: wal.as_deref_mut(),
-                    crash,
                 },
             )?;
             revived = false;
@@ -766,7 +770,7 @@ impl ExecCtx<'_> {
                 if let (Some(_), Some(ck)) = (&cfg.checkpoint, ck) {
                     let b = boundary(rung, t, sweep, out.edges);
                     let w = self.write_ctx(store, ck, faults);
-                    ckpt::write_checkpoint(&w, lanes, source, prog, &plan, &b, false)?;
+                    ckpt::write_checkpoint(&w, lanes, source, prog, &plan, &b)?;
                 }
                 return Err(EngineError::DeadlineExceeded {
                     what,
@@ -920,7 +924,6 @@ struct RunEntry {
 struct UpkeepGate<'a> {
     ck: Option<&'a CkptStore>,
     faults: Option<&'a FaultPlan>,
-    crash: Option<CrashPoint>,
     rung: ckpt::Rung,
     resumed_at: Option<u32>,
     t: SimTime,

@@ -79,7 +79,7 @@ pub use engine::{
     CheckpointConfig, ConfigError, EngineError, Gts, GtsBuilder, GtsConfig, MutationSchedule,
     StorageLocation,
 };
-pub use gts_faults::{CrashPoint, FaultConfig, FaultPlan};
+pub use gts_faults::{FaultConfig, FaultPlan};
 pub use gts_storage::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
 pub use gts_telemetry::Telemetry;
 pub use job::{Engine, JobContext, JobOptions};

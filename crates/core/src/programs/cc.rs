@@ -48,7 +48,7 @@ impl Cc {
         vid: u64,
         rids: &mut dyn Iterator<Item = gts_storage::RecordId>,
     ) {
-        let mut lv = self.label[vid as usize];
+        let lv = self.label[vid as usize];
         let mut pulled = lv;
         for rid in rids {
             work.active_edges += 1;
@@ -64,8 +64,6 @@ impl Cc {
         }
         if pulled < lv {
             self.label[vid as usize] = pulled;
-            lv = pulled;
-            let _ = lv;
             work.updated = true;
         }
     }

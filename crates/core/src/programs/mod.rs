@@ -232,14 +232,6 @@ pub trait SharedKernel: Sync {
     fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork;
 }
 
-/// Drive a kernel over one page's vertices: `f(vid, len, kind, rids)` is
-/// called once per Small-Page slot, or once for a Large-Page chunk's
-/// single vertex (`len` is then the *chunk* length — programs that need
-/// the vertex's total degree read [`PageCtx::lp_total_degree`]).
-///
-/// This is the K_SP/K_LP dispatch every program shares; keeping it in one
-/// place keeps the per-page bookkeeping conventions (degree pushes,
-/// active-vertex counting) from drifting across the nine kernels.
 /// Helpers for [`GtsProgram::save_state`] / [`GtsProgram::load_state`]
 /// blobs. Every vector is length-prefixed and, on load, checked against
 /// the freshly-constructed vector's length — so resuming a snapshot
@@ -356,6 +348,14 @@ pub(crate) mod state {
     }
 }
 
+/// Drive a kernel over one page's vertices: `f(vid, len, kind, rids)` is
+/// called once per Small-Page slot, or once for a Large-Page chunk's
+/// single vertex (`len` is then the *chunk* length — programs that need
+/// the vertex's total degree read [`PageCtx::lp_total_degree`]).
+///
+/// This is the K_SP/K_LP dispatch every program shares; keeping it in one
+/// place keeps the per-page bookkeeping conventions (degree pushes,
+/// active-vertex counting) from drifting across the nine kernels.
 pub(crate) fn visit_page<F>(view: PageView<'_>, mut f: F)
 where
     F: FnMut(u64, u32, PageKind, &mut dyn Iterator<Item = RecordId>),

@@ -141,7 +141,7 @@ pub fn store_fingerprint(store: &GraphStore) -> u64 {
 /// Fingerprint of the configuration facets that shape a run's schedule.
 /// `host_threads` is excluded (any value is byte-identical by contract),
 /// as are the checkpoint block itself, the WAL directory, and the fault
-/// plan's crash point — a resumed run differs from the crashed one in
+/// plan's crash step — a resumed run differs from the crashed one in
 /// exactly those. `scrub_every` and the bit-rot rate ARE folded in: scrub
 /// passes draw on the fault plan's per-page streams, so a run scrubbed on
 /// a different cadence is a different schedule.
@@ -171,8 +171,8 @@ pub(crate) fn config_fingerprint(cfg: &GtsConfig) -> u64 {
     w.put_u32(cfg.scrub_every.unwrap_or(0));
     // A plan with every injection rate at zero never draws a fault, so it
     // is behaviorally identical to no plan at all — normalize it to None.
-    // (The CLI hosts `--crash-at-sweep` in a quiet plan when no
-    // `--fault-seed` is given; the resumed run, crash point gone, must
+    // (The CLI hosts `--crash-at-step` in a quiet plan when no
+    // `--fault-seed` is given; the resumed run, crash step gone, must
     // still fingerprint-match.)
     let quiet = |f: &gts_faults::FaultConfig| {
         f.read_error_ppm == 0
@@ -317,10 +317,7 @@ pub(crate) fn rung_of(snap: &Snapshot) -> Result<Rung, CkptError> {
 }
 
 /// Reset the warm state a resumed run cannot rebuild (page caches, the
-/// MMBuf), write a snapshot crash-atomically, and account the write. With
-/// `torn` (the `MidSnapshotWrite` crash point) the snapshot lands torn at
-/// its final path with the manifest naming it, and the injected crash
-/// surfaces as the typed error.
+/// MMBuf), write a snapshot crash-atomically, and account the write.
 pub(crate) fn write_checkpoint(
     w: &WriteCtx<'_>,
     lanes: &mut [GpuLane],
@@ -328,7 +325,6 @@ pub(crate) fn write_checkpoint(
     prog: &dyn GtsProgram,
     plan: &SweepPlan,
     b: &Boundary,
-    torn: bool,
 ) -> Result<(), EngineError> {
     for lane in lanes.iter_mut() {
         // Rebuild rather than clear: a resumed run's caches are brand-new
@@ -340,12 +336,7 @@ pub(crate) fn write_checkpoint(
     source.checkpoint_reset();
     let snap = build_snapshot(w, lanes, source, prog, plan, b);
     let started = Instant::now();
-    let write = if torn {
-        w.ck.write_torn(b.sweep as u64, &snap)
-    } else {
-        w.ck.write(b.sweep as u64, &snap)
-    };
-    let bytes = write.map_err(EngineError::Checkpoint)?;
+    let bytes = w.ck.write(b.sweep as u64, &snap)?;
     w.tel.add(keys::CKPT_BYTES, bytes);
     w.tel
         .add(keys::CKPT_WRITE_NS, started.elapsed().as_nanos() as u64);
@@ -357,9 +348,6 @@ pub(crate) fn write_checkpoint(
             b.t,
             b.t,
         );
-    }
-    if torn {
-        return Err(EngineError::InjectedCrash { sweep: b.sweep });
     }
     Ok(())
 }

@@ -13,7 +13,6 @@ use crate::sweep::kernels;
 use crate::sweep::plan::SweepPlan;
 use crate::sweep::schedule::GpuLane;
 use crate::EngineError;
-use gts_faults::CrashPoint;
 use gts_storage::builder::GraphStore;
 use gts_storage::{MutationBatch, MutationOutcome, Wal};
 use gts_telemetry::{keys, Telemetry};
@@ -118,16 +117,11 @@ impl StoreHandle<'_> {
     /// With a `wal` attached, every non-empty batch is logged before it
     /// is applied ([`GraphStore::apply_mutations_logged`]), so a crash at
     /// any instant leaves the log at or ahead of the store and recovery
-    /// can always roll forward. The WAL crash points fire here, on the
-    /// first due batch of their keyed sweep: `MidWalAppend` persists a
-    /// torn frame and dies, `BetweenLogAndApply` persists the full record
-    /// and dies before touching the store. Both are ignored when no WAL
-    /// is attached (there is no log to tear).
+    /// can always roll forward.
     pub(crate) fn apply_due(
         &mut self,
         sweep: u32,
         mut wal: Option<&mut Wal>,
-        crash: Option<CrashPoint>,
     ) -> Result<Option<AppliedMutations>, EngineError> {
         let StoreHandle::Live { store, queue } = self else {
             return Ok(None);
@@ -138,21 +132,7 @@ impl StoreHandle<'_> {
                 break;
             };
             let (outcome, bytes) = match wal.as_deref_mut() {
-                Some(w) => {
-                    let pre = store.epoch();
-                    match crash {
-                        Some(CrashPoint::MidWalAppend(s)) if s == sweep => {
-                            w.log_batch_torn(&batch, pre, pre + 1)?;
-                            return Err(EngineError::InjectedCrash { sweep });
-                        }
-                        Some(CrashPoint::BetweenLogAndApply(s)) if s == sweep => {
-                            w.log_batch(&batch, pre, pre + 1)?;
-                            return Err(EngineError::InjectedCrash { sweep });
-                        }
-                        _ => {}
-                    }
-                    store.apply_mutations_logged(&batch, w)?
-                }
+                Some(w) => store.apply_mutations_logged(&batch, w)?,
                 None => (store.apply_mutations(&batch)?, 0),
             };
             applied = Some(match applied {
@@ -217,9 +197,6 @@ pub(crate) struct BoundaryCtx<'a> {
     /// Write-ahead log for log-before-apply durability (live runs with
     /// `GtsConfig::wal_dir` only).
     pub(crate) wal: Option<&'a mut Wal>,
-    /// The run's injected crash point, so the WAL crash kinds can fire
-    /// on the first due batch of their keyed sweep.
-    pub(crate) crash: Option<CrashPoint>,
 }
 
 /// Apply every mutation batch due at the top of `ctx.sweep` and absorb
@@ -238,7 +215,7 @@ pub(crate) fn mutation_boundary(
     prog: &mut dyn GtsProgram,
     ctx: BoundaryCtx<'_>,
 ) -> Result<bool, EngineError> {
-    let Some(applied) = handle.apply_due(ctx.sweep, ctx.wal, ctx.crash)? else {
+    let Some(applied) = handle.apply_due(ctx.sweep, ctx.wal)? else {
         return Ok(false);
     };
     let tel = ctx.tel;

@@ -66,9 +66,10 @@ pub struct FaultConfig {
     pub quarantine_after: u32,
     /// Simulated backoff charged between an error and its retry.
     pub backoff: SimDuration,
-    /// An injected process death, for kill-and-resume chaos testing.
-    /// `None` (the default) never crashes.
-    pub crash: Option<CrashPoint>,
+    /// An injected process death, for kill-and-resume chaos testing: the
+    /// 0-based durable I/O step (`gts_ckpt::KillSwitch`) at which the
+    /// run dies. `None` (the default) never crashes.
+    pub crash: Option<u64>,
 }
 
 impl FaultConfig {
@@ -107,7 +108,7 @@ impl FaultConfig {
     /// seed, the job id, and the attempt number — so every job (and every
     /// service-level retry of it) draws an unrelated schedule, while the
     /// schedule itself stays a pure function of `(service seed, job,
-    /// attempt)` at any host thread count. The crash point is stripped:
+    /// attempt)` at any host thread count. The crash step is stripped:
     /// process death belongs to the service, never to one tenant's job.
     pub fn derived(&self, job: u64, attempt: u32) -> FaultConfig {
         FaultConfig {
@@ -131,37 +132,6 @@ pub fn domain_seed(seed: u64, a: u64, b: u64) -> u64 {
         9,
         a,
     )
-}
-
-/// Where an injected crash kills the run. Both points die *after* state
-/// that should survive has reached the checkpoint directory, so a
-/// subsequent `--resume` must reproduce the uncrashed run byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Die at the top of sweep `k`, immediately after any checkpoint due
-    /// at that boundary has been written.
-    AtSweep(u32),
-    /// Die halfway through writing the checkpoint due at sweep `k`: a
-    /// torn snapshot lands at its final path and the manifest names it,
-    /// so resume must detect the bad checksum and fall back to the
-    /// previous snapshot.
-    MidSnapshotWrite(u32),
-    /// Die in serve mode, immediately before executing the admitted
-    /// mutating job that would apply the service's `k`-th epoch bump
-    /// (0-based) — after every preceding job has settled and the service
-    /// journal has flushed. A `k` past the workload's mutation count
-    /// never fires. Ignored outside serve mode.
-    AtEpoch(u32),
-    /// Die halfway through appending the WAL record for the mutation
-    /// batch due at sweep `k`: a torn frame lands at the end of the log
-    /// file, so recovery must truncate the tail, re-log, and re-apply the
-    /// batch. Requires a WAL; ignored otherwise.
-    MidWalAppend(u32),
-    /// Die after the WAL record for the batch due at sweep `k` is fully
-    /// sealed and synced, but *before* the store applies it — the classic
-    /// logged-but-unapplied window. Recovery replays the record and lands
-    /// on the post-batch state. Requires a WAL; ignored otherwise.
-    BetweenLogAndApply(u32),
 }
 
 /// What one simulated device read attempt returns.
@@ -241,11 +211,6 @@ impl FaultPlan {
     /// Whether the next kernel launch on GPU `gpu` faults.
     pub fn gpu_launch_fault(&self, gpu: u32) -> bool {
         self.draw(Domain::GpuLaunch, gpu as u64) < self.config.launch_fault_ppm
-    }
-
-    /// The injected crash point, if any.
-    pub fn crash(&self) -> Option<CrashPoint> {
-        self.config.crash
     }
 
     /// Whether page `pid` has rotted at rest since the last scrub visit,
@@ -464,18 +429,18 @@ mod tests {
 
     #[test]
     fn crash_point_rides_in_the_config() {
-        assert_eq!(FaultPlan::new(FaultConfig::with_seed(1)).crash(), None);
+        assert_eq!(FaultConfig::with_seed(1).crash, None);
         let plan = FaultPlan::new(FaultConfig {
-            crash: Some(CrashPoint::MidSnapshotWrite(3)),
+            crash: Some(3),
             ..FaultConfig::quiet(1)
         });
-        assert_eq!(plan.crash(), Some(CrashPoint::MidSnapshotWrite(3)));
+        assert_eq!(plan.config().crash, Some(3));
     }
 
     #[test]
     fn derived_domains_are_deterministic_independent_and_crash_free() {
         let svc = FaultConfig {
-            crash: Some(CrashPoint::AtEpoch(1)),
+            crash: Some(1),
             ..FaultConfig::with_seed(42)
         };
         // Deterministic: same (job, attempt), same domain.
@@ -483,7 +448,7 @@ mod tests {
         // Independent: job ids and attempts each shift the seed.
         assert_ne!(svc.derived(3, 1).seed, svc.derived(4, 1).seed);
         assert_ne!(svc.derived(3, 1).seed, svc.derived(3, 2).seed);
-        // Policy rides along; the crash point does not.
+        // Policy rides along; the crash step does not.
         let d = svc.derived(0, 1);
         assert_eq!(d.max_retries, svc.max_retries);
         assert_eq!(d.read_error_ppm, svc.read_error_ppm);

@@ -28,7 +28,9 @@
 
 use crate::workload::{render, JobSpec};
 use crate::ServeError;
-use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, LogFormat, LogImage, SealedLog};
+use gts_ckpt::{
+    fnv1a, ByteReader, ByteWriter, CkptError, KillSwitch, LogFormat, LogImage, SealedLog,
+};
 use gts_storage::GraphStore;
 use gts_telemetry::{keys, Telemetry};
 use std::collections::BTreeMap;
@@ -117,12 +119,17 @@ pub(crate) enum Record {
     },
 }
 
-fn jerr(e: impl std::fmt::Display) -> ServeError {
-    ServeError::Journal(e.to_string())
+/// A sealed-log failure as the service reports it: a fired kill switch
+/// keeps its identity, everything else is an unusable journal.
+pub(crate) fn jerr(e: CkptError) -> ServeError {
+    match e {
+        CkptError::InjectedCrash { step } => ServeError::InjectedCrash { step },
+        e => ServeError::Journal(e.to_string()),
+    }
 }
 
 /// The identity a journal is bound to. `cfg_fp` must be computed from a
-/// *normalized* config rendering (host threads and crash point
+/// *normalized* config rendering (host threads and crash step
 /// excluded) so a journal written at `--host-threads 4` resumes at 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Header {
@@ -384,19 +391,23 @@ impl Journal {
     /// `cfg.resume` open the one there (cutting off a torn last step),
     /// verify its binding and load its memo table. A resume with no
     /// journal, or one bound to a different workload/store/config, is a
-    /// typed error.
-    pub(crate) fn open(cfg: &JournalConfig, header: Header) -> Result<Journal, ServeError> {
+    /// typed error. `kill` gates every durable step of the log.
+    pub(crate) fn open(
+        cfg: &JournalConfig,
+        header: Header,
+        kill: KillSwitch,
+    ) -> Result<Journal, ServeError> {
         let path = cfg.dir.join(JOURNAL_FILE);
         if !cfg.resume {
             return Ok(Journal {
-                log: SealedLog::create(&path, &LogFormat::JOURNAL, &header.encode())
+                log: SealedLog::create(&path, &LogFormat::JOURNAL, &header.encode(), kill)
                     .map_err(jerr)?,
                 pending: Vec::new(),
                 sealed: 0,
                 cached: BTreeMap::new(),
             });
         }
-        let (log, image) = SealedLog::open(&path, &LogFormat::JOURNAL).map_err(jerr)?;
+        let (log, image) = SealedLog::open(&path, &LogFormat::JOURNAL, kill).map_err(jerr)?;
         let (found, records) = decode_image(&image)?;
         for ((what, found), (_, want)) in found.fields().into_iter().zip(header.fields()) {
             if found != want {
@@ -547,7 +558,7 @@ mod tests {
             wal_fp: 44,
         };
         let tel = Telemetry::new();
-        let mut j = Journal::open(&JournalConfig::new(&dir), header).unwrap();
+        let mut j = Journal::open(&JournalConfig::new(&dir), header, KillSwitch::never()).unwrap();
         for r in sample_records() {
             j.append(r);
         }
@@ -560,7 +571,7 @@ mod tests {
             dir: dir.clone(),
             resume: true,
         };
-        let j2 = Journal::open(&resume, header).unwrap();
+        let j2 = Journal::open(&resume, header, KillSwitch::never()).unwrap();
         assert!(!j2.cached(0, 1).unwrap().ok);
         assert_eq!(j2.cached(1, 2).unwrap().service_ns, 1234);
         assert_eq!(j2.cached(9, 1), None);
@@ -570,7 +581,7 @@ mod tests {
             workload_fp: 99,
             ..header
         };
-        let err = Journal::open(&resume, other).unwrap_err();
+        let err = Journal::open(&resume, other, KillSwitch::never()).unwrap_err();
         assert!(
             err.to_string().contains("workload fingerprint mismatch"),
             "{err}"
@@ -581,7 +592,7 @@ mod tests {
             resume: true,
         };
         assert!(matches!(
-            Journal::open(&empty, header),
+            Journal::open(&empty, header, KillSwitch::never()),
             Err(ServeError::Journal(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -603,7 +614,7 @@ mod tests {
         };
         let path = dir.join(JOURNAL_FILE);
         let tel = Telemetry::new();
-        let mut j = Journal::open(&JournalConfig::new(&dir), header).unwrap();
+        let mut j = Journal::open(&JournalConfig::new(&dir), header, KillSwitch::never()).unwrap();
         let created = std::fs::metadata(&path).unwrap();
         let mut len = created.len();
         for (step, r) in sample_records().into_iter().enumerate() {
@@ -625,7 +636,7 @@ mod tests {
             dir: dir.clone(),
             resume: true,
         };
-        let mut j = Journal::open(&resume, header).unwrap();
+        let mut j = Journal::open(&resume, header, KillSwitch::never()).unwrap();
         j.append(Record::Epoch { job: 7, epoch: 2 });
         j.flush(&tel).unwrap();
         assert_eq!(tel.counter(keys::SERVE_JOURNAL_RECORDS), 7);

@@ -122,13 +122,13 @@ pub enum ServeError {
         /// The watermark this job's priority had to stay under.
         watermark_pct: u32,
     },
-    /// The injected serve-mode crash point fired
-    /// ([`CrashPoint::AtEpoch`](gts_faults::CrashPoint)): the daemon
-    /// "died" right before applying this epoch bump, after flushing its
-    /// journal, so `--resume-serve` must reproduce the uncrashed run.
+    /// The service's kill switch fired ([`ServeConfig::crash`]): the
+    /// daemon "died" at this durable I/O step of its journal or WAL,
+    /// which — with every step after it — did not reach the disk, so
+    /// `--resume-serve` must reproduce the uncrashed run.
     InjectedCrash {
-        /// The 0-based epoch bump the service was about to apply.
-        epoch: u32,
+        /// The 0-based durable step the switch was armed for.
+        step: u64,
     },
     /// The service journal is unusable: the directory cannot be opened,
     /// a record is malformed, or the journal belongs to a different
@@ -179,8 +179,8 @@ impl std::fmt::Display for ServeError {
                 f,
                 "shed {class} job: pressure {pressure_pct}% over watermark {watermark_pct}%"
             ),
-            ServeError::InjectedCrash { epoch } => {
-                write!(f, "injected crash before epoch bump {epoch}")
+            ServeError::InjectedCrash { step } => {
+                write!(f, "injected crash at durable step {step}")
             }
             ServeError::Journal(m) => write!(f, "serve journal: {m}"),
             ServeError::Config(m) => write!(f, "serve config: {m}"),

@@ -27,7 +27,9 @@
 
 use crate::builder::GraphStore;
 use crate::mutate::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
-use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, LogFormat, LogImage, SealedLog};
+use gts_ckpt::{
+    fnv1a, ByteReader, ByteWriter, CkptError, KillSwitch, LogFormat, LogImage, SealedLog,
+};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -248,10 +250,20 @@ impl Wal {
     /// the file, a rotted interior record is a typed error that leaves
     /// the file untouched.
     pub fn open(dir: impl Into<PathBuf>, store: &GraphStore) -> Result<Wal, WalError> {
+        Wal::open_with(dir, store, KillSwitch::never())
+    }
+
+    /// [`Wal::open`] with `kill` gating every durable step of the log:
+    /// its creation, a tail repair, every append and rollback.
+    pub fn open_with(
+        dir: impl Into<PathBuf>,
+        store: &GraphStore,
+        kill: KillSwitch,
+    ) -> Result<Wal, WalError> {
         let path = dir.into().join(WAL_FILE);
         let want = WalHeader::of(store);
         if !path.exists() {
-            let log = SealedLog::create(&path, &LogFormat::WAL, &want.encode())?;
+            let log = SealedLog::create(&path, &LogFormat::WAL, &want.encode(), kill)?;
             return Ok(Wal {
                 path,
                 log: Some(log),
@@ -260,7 +272,7 @@ impl Wal {
                 truncated_tail: 0,
             });
         }
-        let (log, image) = SealedLog::open(&path, &LogFormat::WAL)?;
+        let (log, image) = SealedLog::open(&path, &LogFormat::WAL, kill)?;
         let wal = Wal::from_image(path, Some(log), &image)?;
         wal.header.require_store(&want)?;
         Ok(wal)
@@ -419,25 +431,6 @@ impl Wal {
         Ok(appended)
     }
 
-    /// Chaos hook: leave only a *prefix* of the sealed frame for `batch`
-    /// at the end of the file, simulating a crash halfway through an
-    /// append. The in-memory log is left unchanged; a later
-    /// [`Wal::open`] must cut the torn tail off. Returns the torn bytes
-    /// written.
-    pub fn log_batch_torn(
-        &mut self,
-        batch: &MutationBatch,
-        pre: u64,
-        post: u64,
-    ) -> Result<u64, WalError> {
-        let rec = WalRecord {
-            pre_epoch: pre,
-            post_epoch: post,
-            batch: batch.clone(),
-        };
-        Ok(self.writer()?.append_torn(&rec.encode())?)
-    }
-
     /// Drop the last sealed record, on disk and in memory — the rollback
     /// used when the store rejects a just-logged batch.
     fn pop_record(&mut self) -> Result<(), WalError> {
@@ -586,9 +579,14 @@ mod tests {
     fn torn_tail_truncates_to_longest_valid_prefix() {
         let dir = tmp_dir("torn");
         let store = store_of(8, vec![(0, 1), (1, 2)]);
-        let mut wal = Wal::open(&dir, &store).unwrap();
+        // Creation is four steps, an append two: die in the second
+        // append's write, which tears it.
+        let mut wal = Wal::open_with(&dir, &store, KillSwitch::at(4 + 2)).unwrap();
         wal.log_batch(&batch(&[(0, 0, 2)]), 0, 1).unwrap();
-        wal.log_batch_torn(&batch(&[(0, 1, 3)]), 1, 2).unwrap();
+        assert!(matches!(
+            wal.log_batch(&batch(&[(0, 1, 3)]), 1, 2),
+            Err(WalError::Log(CkptError::InjectedCrash { step: 6 }))
+        ));
 
         let loaded = Wal::load(&dir).unwrap();
         assert_eq!(loaded.records().len(), 1);

@@ -4,9 +4,11 @@
 //! delta tables, and epoch — and a torn tail must truncate to the longest
 //! valid prefix without losing any sealed record.
 
+use gts_ckpt::{CkptError, KillSwitch};
 use gts_graph::EdgeList;
 use gts_storage::{
-    build_graph_store, GraphStore, MutationBatch, PageFormatConfig, PhysicalIdConfig, Wal, WAL_FILE,
+    build_graph_store, GraphStore, MutationBatch, PageFormatConfig, PhysicalIdConfig, Wal,
+    WalError, WAL_FILE,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -152,10 +154,15 @@ proptest! {
             direct.apply_mutations_logged(&b, &mut wal).unwrap();
         }
         // Crash mid-append of one more batch: only a prefix of the frame
-        // reaches the file.
+        // reaches the file. (Reopening an intact log takes no durable
+        // step, so step 0 is the append's write.)
+        drop(wal);
+        let mut wal = Wal::open_with(&dir, &direct, KillSwitch::at(0)).unwrap();
         let torn_batch = realize_batch(n as u64, &mut edges, &[(0, 1, 2)]);
         let pre = direct.epoch();
-        wal.log_batch_torn(&torn_batch, pre, pre + 1).unwrap();
+        let killed = wal.log_batch(&torn_batch, pre, pre + 1);
+        let torn = matches!(killed, Err(WalError::Log(CkptError::InjectedCrash { step: 0 })));
+        prop_assert!(torn, "{:?}", killed);
 
         let loaded = Wal::load(&dir).unwrap();
         prop_assert_eq!(loaded.records().len(), batch_seeds.len());

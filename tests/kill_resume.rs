@@ -1,13 +1,15 @@
 //! Kill-and-resume chaos tests for crash-consistent checkpoint/restart.
 //!
-//! The contract under test: a run that is killed at (or during) a
-//! checkpoint boundary and restarted with `resume` produces a final
-//! report, counter registry, and program results **byte-identical** to
-//! the same run never having crashed — at every `--host-threads` value.
-//! Only the `ckpt.*` wall-clock counters are outside the contract (they
-//! measure real snapshot I/O, not simulated work), so comparisons drop
-//! them. A snapshot torn mid-write must be detected by its checksum and
-//! the previous snapshot used instead. Watchdog deadlines must surface
+//! The contract under test: a run that is killed at *any* durable I/O
+//! step of its checkpoint store or WAL and restarted with `resume`
+//! produces a final report, counter registry, and program results
+//! **byte-identical** to the same run never having crashed — at every
+//! `--host-threads` value. Only the wall-side durability counters are
+//! outside the contract (`ckpt.*` measures real snapshot I/O, `wal.*`
+//! counts appends a recovery legitimately skips), so comparisons drop
+//! them. A published snapshot that has rotted since
+//! must be detected by its checksum and the previous snapshot used
+//! instead. Watchdog deadlines must surface
 //! as typed [`EngineError::DeadlineExceeded`] after flushing a final
 //! checkpoint and the telemetry trace — never a panic, never a hang.
 
@@ -17,9 +19,11 @@ use std::path::{Path, PathBuf};
 use gts_ckpt::{CkptError, CkptStore};
 use gts_core::engine::{CheckpointConfig, EngineError, Gts, GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, PageRank};
-use gts_core::{CrashPoint, FaultConfig, Strategy, Telemetry};
+use gts_core::{store_fingerprint, FaultConfig, MutationSchedule, Strategy, Telemetry};
 use gts_graph::generate::rmat;
-use gts_storage::{build_graph_store, GraphStore, PageFormatConfig, PhysicalIdConfig};
+use gts_storage::{
+    build_graph_store, GraphStore, MutationBatch, PageFormatConfig, PhysicalIdConfig,
+};
 
 fn store() -> GraphStore {
     build_graph_store(
@@ -41,7 +45,7 @@ fn tmp(name: &str) -> PathBuf {
 /// The CI kill-resume configuration: 4-GPU Strategy-P over striped SSDs
 /// with the MMBuf enabled, so resume must reproduce cold-buffer
 /// boundaries, and checkpoints every 2 sweeps.
-fn ck_config(host_threads: usize, dir: &Path, seed: u64, crash: Option<CrashPoint>) -> GtsConfig {
+fn ck_config(host_threads: usize, dir: &Path, seed: u64, crash: Option<u64>) -> GtsConfig {
     GtsConfig {
         num_gpus: 4,
         strategy: Strategy::Performance,
@@ -58,7 +62,7 @@ fn ck_config(host_threads: usize, dir: &Path, seed: u64, crash: Option<CrashPoin
 }
 
 /// One observed run: report JSON, program ranks, and the counter
-/// registry with the non-deterministic `ckpt.*` wall-clock keys dropped.
+/// registry with the wall-side `ckpt.*` / `wal.*` keys dropped.
 struct Observed {
     result: Result<String, EngineError>,
     ranks: Vec<f64>,
@@ -66,13 +70,19 @@ struct Observed {
 }
 
 fn observe(store: &GraphStore, cfg: GtsConfig) -> Observed {
+    observe_live(&mut store.clone(), cfg, MutationSchedule::new())
+}
+
+fn observe_live(store: &mut GraphStore, cfg: GtsConfig, schedule: MutationSchedule) -> Observed {
     let engine = Gts::builder()
         .config(cfg)
         .telemetry(Telemetry::with_spans())
         .build()
         .unwrap();
     let mut pr = PageRank::new(store.num_vertices(), 8);
-    let result = engine.run(store, &mut pr).map(|r| r.to_json());
+    let result = engine
+        .run_live(store, &mut pr, schedule)
+        .map(|r| r.to_json());
     Observed {
         result,
         ranks: pr.ranks().iter().map(|&r| f64::from(r)).collect(),
@@ -80,69 +90,137 @@ fn observe(store: &GraphStore, cfg: GtsConfig) -> Observed {
             .telemetry()
             .counters()
             .into_iter()
-            .filter(|(k, _)| !k.starts_with("ckpt."))
+            .filter(|(k, _)| !["ckpt.", "wal."].iter().any(|p| k.starts_with(p)))
             .collect(),
     }
 }
 
-/// Crash at a sweep boundary, resume, and require the resumed run to be
-/// byte-identical to the never-crashed run — at 1 and 4 host threads.
+/// The exhaustive crash sweep. The configuration is [`ck_config`] plus
+/// everything durable a solo run can do: a WAL, one mutation batch at
+/// sweep 3, a scrub pass every 2 sweeps and seeded bit rot. Kill the run
+/// at durable step `k = 0, 1, 2, …` until one survives (that `k` is the
+/// step count). Every kill is the typed crash; the restarted run — fresh
+/// store, same directories, `resume` — or, when the kill left no snapshot
+/// to resume from, a re-run, is byte-identical to the uncrashed run:
+/// report, ranks, contract counters, store fingerprint, and no `*.tmp`
+/// left behind. Durable I/O happens only in serial phases, so the step
+/// count is the same at 1 and 4 host threads.
 #[test]
-fn kill_at_sweep_boundary_then_resume_is_byte_identical() {
-    let store = store();
-    let mut cells: Vec<String> = Vec::new();
-    for threads in [1usize, 4] {
-        let base_dir = tmp(&format!("base-{threads}"));
-        let crash_dir = tmp(&format!("crash-{threads}"));
-
-        // The baseline checkpoints at the same cadence (boundary resets
-        // are part of the deterministic schedule) but never crashes.
-        let clean = observe(&store, ck_config(threads, &base_dir, 0xA11CE, None));
-        let clean_json = clean.result.expect("uncrashed run completes");
-
-        // Killed at the sweep-5 boundary: the last snapshot is sweep 4.
-        let killed = observe(
-            &store,
-            ck_config(threads, &crash_dir, 0xA11CE, Some(CrashPoint::AtSweep(5))),
-        );
-        match killed.result {
-            Err(EngineError::InjectedCrash { sweep: 5 }) => {}
-            other => panic!("expected injected crash at sweep 5, got {other:?}"),
+fn kill_at_every_durable_step_then_resume_is_byte_identical() {
+    let base = store();
+    let schedule = || {
+        let mut batch = MutationBatch::new();
+        for d in 0..32 {
+            batch.insert(7, 11 * d + 1);
         }
+        let mut doomed = base.decode_edges();
+        doomed.dedup();
+        for &(s, d) in &doomed[..4] {
+            batch.delete(s, d);
+        }
+        MutationSchedule::new().at(3, batch)
+    };
+    let cfg = |threads: usize, dirs: &[PathBuf; 2], resume: bool, crash: Option<u64>| {
+        let ck = CheckpointConfig::new(&dirs[0], 2);
+        GtsConfig {
+            faults: Some(FaultConfig {
+                crash,
+                bit_rot_ppm: 10_000,
+                ..FaultConfig::with_seed(0xA11CE)
+            }),
+            checkpoint: Some(if resume { ck.resuming() } else { ck }),
+            wal_dir: Some(dirs[1].clone()),
+            scrub_every: Some(2),
+            ..ck_config(threads, &dirs[0], 0xA11CE, None)
+        }
+    };
+    let mut cells: Vec<(u64, String)> = Vec::new();
+    for threads in [1usize, 4] {
+        let base_dirs = [
+            tmp(&format!("sweep-base-ck-{threads}")),
+            tmp(&format!("sweep-base-wal-{threads}")),
+        ];
+        let mut clean_store = base.clone();
+        let clean = observe_live(
+            &mut clean_store,
+            cfg(threads, &base_dirs, false, None),
+            schedule(),
+        );
+        let clean_json = clean.result.expect("uncrashed run completes");
+        assert_eq!(clean_store.epoch(), 1, "the batch applied");
+        assert!(clean.counters["scrub.errors"] > 0, "the rot must bite");
 
-        // Restart from the snapshot. No crash this time.
-        let resumed = observe(
-            &store,
-            GtsConfig {
-                checkpoint: Some(CheckpointConfig::new(&crash_dir, 2).resuming()),
-                ..ck_config(threads, &crash_dir, 0xA11CE, None)
-            },
-        );
-        let resumed_json = resumed.result.expect("resumed run completes");
-
-        assert_eq!(
-            resumed_json, clean_json,
-            "{threads} threads: report diverged"
-        );
-        assert_eq!(
-            resumed.ranks, clean.ranks,
-            "{threads} threads: ranks diverged"
-        );
-        assert_eq!(
-            resumed.counters, clean.counters,
-            "{threads} threads: counters diverged"
-        );
-        cells.push(resumed_json);
-
-        std::fs::remove_dir_all(&base_dir).ok();
-        std::fs::remove_dir_all(&crash_dir).ok();
+        let dirs = [
+            tmp(&format!("sweep-ck-{threads}")),
+            tmp(&format!("sweep-wal-{threads}")),
+        ];
+        let mut k = 0u64;
+        loop {
+            for d in &dirs {
+                std::fs::remove_dir_all(d).ok();
+            }
+            let what = format!("{threads} threads, step {k}");
+            let killed = observe_live(
+                &mut base.clone(),
+                cfg(threads, &dirs, false, Some(k)),
+                schedule(),
+            );
+            match killed.result {
+                // No step was left to kill: `k` is the step count.
+                Ok(json) => {
+                    assert_eq!(json, clean_json, "{what}");
+                    break;
+                }
+                Err(EngineError::InjectedCrash { step }) if step == k => {}
+                Err(other) => panic!("{what}: expected the injected crash, got {other:?}"),
+            }
+            // The dead process's memory is gone: restart over a fresh
+            // store. A kill before the first manifest was renamed into
+            // place leaves nothing to resume; re-run instead.
+            let mut st = base.clone();
+            let mut resumed = observe_live(&mut st, cfg(threads, &dirs, true, None), schedule());
+            if let Err(EngineError::Checkpoint(CkptError::NoSnapshot { .. })) = resumed.result {
+                st = base.clone();
+                resumed = observe_live(&mut st, cfg(threads, &dirs, false, None), schedule());
+            }
+            assert_eq!(
+                resumed.result.expect("restart completes"),
+                clean_json,
+                "{what}"
+            );
+            assert_eq!(resumed.ranks, clean.ranks, "{what}");
+            assert_eq!(resumed.counters, clean.counters, "{what}");
+            assert_eq!(
+                store_fingerprint(&st),
+                store_fingerprint(&clean_store),
+                "{what}"
+            );
+            for d in &dirs {
+                for f in std::fs::read_dir(d).unwrap() {
+                    let name = f.unwrap().file_name();
+                    assert!(
+                        !name.to_string_lossy().ends_with(".tmp"),
+                        "{what}: {name:?}"
+                    );
+                }
+            }
+            k += 1;
+        }
+        cells.push((k, clean_json));
+        for d in base_dirs.iter().chain(&dirs) {
+            std::fs::remove_dir_all(d).ok();
+        }
     }
-    assert_eq!(cells[0], cells[1], "host threads leaked into the report");
+    assert_eq!(
+        cells[0], cells[1],
+        "host threads leaked into the steps or the report"
+    );
 }
 
-/// A crash *during* the snapshot write leaves a torn file behind; the
-/// manifest-guided load must fall back to the previous good snapshot and
-/// the resumed run must still match the uncrashed one exactly.
+/// A published snapshot that rots afterwards (here: truncated to half)
+/// fails its checksum; the manifest-guided load must fall back to the
+/// previous good snapshot and the resumed run must still match the
+/// uncrashed one exactly.
 #[test]
 fn torn_snapshot_falls_back_to_previous_and_still_matches() {
     let store = store();
@@ -152,16 +230,14 @@ fn torn_snapshot_falls_back_to_previous_and_still_matches() {
     let clean = observe(&store, ck_config(1, &base_dir, 7, None));
     let clean_json = clean.result.expect("uncrashed run completes");
 
-    // Die mid-write at the sweep-6 boundary: snapshots 2 and 4 are good,
-    // snapshot 6 is torn (bad checksum) but named by the manifest.
-    let killed = observe(
-        &store,
-        ck_config(1, &crash_dir, 7, Some(CrashPoint::MidSnapshotWrite(6))),
-    );
-    match killed.result {
-        Err(EngineError::InjectedCrash { sweep: 6 }) => {}
-        other => panic!("expected injected crash mid-write at sweep 6, got {other:?}"),
-    }
+    // Snapshots 4 and 6 are retained; tear 6, which the manifest names
+    // first.
+    observe(&store, ck_config(1, &crash_dir, 7, None))
+        .result
+        .expect("the run that leaves the snapshots completes");
+    let newest = crash_dir.join("ckpt-0000000006.snap");
+    let bytes = std::fs::read(&newest).unwrap();
+    std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
 
     // The store itself must report the fallback: latest *valid* is 4.
     let ck = CkptStore::open(&crash_dir).unwrap();
@@ -178,7 +254,7 @@ fn torn_snapshot_falls_back_to_previous_and_still_matches() {
     assert_eq!(
         resumed.result.expect("resume from fallback completes"),
         clean_json,
-        "report diverged after torn-write fallback"
+        "report diverged after torn-snapshot fallback"
     );
     assert_eq!(resumed.ranks, clean.ranks);
     assert_eq!(resumed.counters, clean.counters);
@@ -194,7 +270,7 @@ fn bfs_traversal_survives_kill_and_resume() {
     let store = store();
     let base_dir = tmp("bfs-base");
     let crash_dir = tmp("bfs-crash");
-    let cfg = |dir: &Path, crash: Option<CrashPoint>, resume: bool| {
+    let cfg = |dir: &Path, crash: Option<u64>, resume: bool| {
         let ck = CheckpointConfig::new(dir, 1);
         GtsConfig {
             checkpoint: Some(if resume { ck.resuming() } else { ck }),
@@ -212,9 +288,11 @@ fn bfs_traversal_survives_kill_and_resume() {
         let (r, l) = run(cfg(&base_dir, None, false));
         (r.expect("uncrashed BFS completes"), l)
     };
-    let (killed, _) = run(cfg(&crash_dir, Some(CrashPoint::AtSweep(2)), false));
+    // A checkpoint is eight durable steps: die entering the second one
+    // (sweep 2), with the sweep-1 snapshot published.
+    let (killed, _) = run(cfg(&crash_dir, Some(8), false));
     assert!(
-        matches!(killed, Err(EngineError::InjectedCrash { sweep: 2 })),
+        matches!(killed, Err(EngineError::InjectedCrash { step: 8 })),
         "{killed:?}"
     );
     let (resumed, levels) = run(cfg(&crash_dir, None, true));
@@ -344,10 +422,11 @@ fn resume_refuses_a_mismatched_config_or_store() {
     let store = store();
     let dir = tmp("mismatch");
 
-    let killed = observe(&store, ck_config(1, &dir, 5, Some(CrashPoint::AtSweep(4))));
+    // Die entering the second checkpoint (sweep 4): snapshot 2 is whole.
+    let killed = observe(&store, ck_config(1, &dir, 5, Some(8)));
     assert!(matches!(
         killed.result,
-        Err(EngineError::InjectedCrash { sweep: 4 })
+        Err(EngineError::InjectedCrash { step: 8 })
     ));
 
     // Same snapshot, different GPU count: config fingerprint mismatch.

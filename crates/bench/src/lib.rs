@@ -18,14 +18,11 @@
 //! ~1024× and the comparisons are about ratios and crossovers, exactly as
 //! scoped in `DESIGN.md` §1 and recorded per-experiment in
 //! `EXPERIMENTS.md`.
+//!
+//! Everything here reports **simulated** time. How fast this
+//! implementation runs on the wall clock is measured by `benchmark/`
+//! (see `benchmark/README.md`), from outside the crates.
 
-//! Alongside the simulated-evaluation benches, [`bench`] is the
-//! **wall-clock** harness: `BenchSpec` → `BenchReport` with a
-//! warmup/repeat/median protocol and machine-readable JSON artifacts
-//! (`BENCH_*.json` at the repo root), driven by the `gts-bench` binary
-//! (`cargo run -p gts-bench --release -- --suite all --json-out .`).
-
-pub mod bench;
 pub mod datasets;
 pub mod scale;
 pub mod table;

@@ -2,12 +2,9 @@
 //! under `target/experiments/` for downstream plotting.
 //!
 //! Rendering is pure — [`render`] and [`to_csv`] turn a header and rows
-//! into strings without touching the filesystem or stdout — and every
-//! consumer goes through the same two functions: [`ExperimentTable`]
-//! (the figure/table benches' accumulator) and [`report_table`] (the
-//! tabular view of a wall-clock [`BenchReport`]).
+//! into strings without touching the filesystem or stdout;
+//! [`ExperimentTable`] is the figure/table benches' accumulator over them.
 
-use crate::bench::BenchReport;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -98,35 +95,6 @@ pub fn to_csv(header: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// The tabular view of a wall-clock benchmark report: one row per entry
-/// (id, parameters flattened to `k=v`, median/min/max in the entry's
-/// unit, and whether the entry is regression-gated).
-pub fn report_table(report: &BenchReport) -> ExperimentTable {
-    let mut t = ExperimentTable::new(
-        &format!("bench_{}", report.suite),
-        &report.title,
-        &["entry", "params", "median", "min", "max", "unit", "gated"],
-    );
-    for e in &report.entries {
-        let params = e
-            .params
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        t.row(vec![
-            e.id.clone(),
-            params,
-            format!("{:.1}", e.median()),
-            format!("{:.1}", e.min()),
-            format!("{:.1}", e.max()),
-            e.unit.clone(),
-            if e.gate { "yes" } else { "no" }.to_string(),
-        ]);
-    }
-    t
-}
-
 /// Where experiment CSVs land.
 pub fn out_dir() -> PathBuf {
     // target/ of the workspace regardless of cwd quirk under cargo bench.
@@ -155,7 +123,6 @@ pub fn secs_or_oom<E>(r: &Result<gts_sim::SimDuration, E>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::{BenchEntry, BenchReport};
     use gts_sim::SimDuration;
 
     #[test]
@@ -184,24 +151,6 @@ mod tests {
         assert!(s.contains("col  wide_column"));
         assert!(s.contains("  1            2"), "{s}");
         assert_eq!(to_csv(&header, &rows), "col,wide_column\n1,2\n");
-    }
-
-    #[test]
-    fn report_table_flattens_entries() {
-        let mut r = BenchReport::new("page", "Page hot paths");
-        r.push(BenchEntry {
-            id: "encode".to_string(),
-            unit: "ns".to_string(),
-            params: vec![("scale".to_string(), "12".to_string())],
-            samples: vec![2.0, 4.0, 6.0],
-            gate: true,
-        });
-        let t = report_table(&r);
-        let s = render(&t.id, &t.title, &t.header, &t.rows);
-        assert!(s.contains("bench_page"));
-        assert!(s.contains("scale=12"));
-        assert!(s.contains("4.0"), "{s}");
-        assert!(s.contains("yes"));
     }
 
     #[test]

@@ -107,7 +107,6 @@ USAGE:
                [--strategy p|s] [--storage mem|ssd:N|hdd:N]
                [--device-memory BYTES] [--cache lru|fifo|random] [--json true]
                [--trace-out trace.json] [--host-threads N] [--fault-seed N]
-               [--measure-host-phases true]
                [--checkpoint-dir DIR] [--checkpoint-every N] [--resume true]
                [--run-budget NS] [--sweep-deadline NS] [--counters-out FILE]
                [--crash-at-step K]
@@ -138,9 +137,6 @@ machine (default: all cores); results, traces and simulated times are
 identical for every value. `--fault-seed` enables deterministic fault
 injection (transient read errors, torn/corrupt pages, GPU copy/launch
 faults) with that seed; recovered faults only add simulated time.
-`--measure-host-phases true` records wall-clock host time in kernel
-phase A vs accounting phase B under `host.phase_*_ns` counter keys
-(wall-side, outside the determinism contract — like `ckpt.*`).
 
 Checkpoint/restart: `--checkpoint-dir` snapshots resumable state every
 `--checkpoint-every` sweeps (default 1) with crash-atomic writes;
@@ -267,6 +263,9 @@ fn generate(args: &Args) -> Result<(), CliError> {
     let graph: EdgeList = match kind {
         "rmat" => {
             let scale = args.get_or("scale", 16u32)?;
+            if scale >= 32 {
+                return Err(CliError::Usage(format!("bad --scale {scale} (0..=31)")));
+            }
             let ef = args.get_or("edge-factor", 16u32)?;
             Rmat::new(scale)
                 .with_edge_factor(ef)
@@ -275,11 +274,18 @@ fn generate(args: &Args) -> Result<(), CliError> {
         }
         "erdos" => {
             let n = args.get_or("vertices", 1u32 << 16)?;
+            if n == 0 {
+                return Err(CliError::Usage("bad --vertices 0 (>= 1)".into()));
+            }
             let m = args.get_or("edges", 1usize << 20)?;
             erdos_renyi(n, m, seed)
         }
         "web" => {
             let n = args.get_or("vertices", 1u32 << 16)?;
+            // Two communities of two vertices is the smallest web graph.
+            if n < 4 {
+                return Err(CliError::Usage(format!("bad --vertices {n} (>= 4)")));
+            }
             let communities = (n / 512).max(2);
             web_like(communities, n / communities, 4, seed)
         }
@@ -299,12 +305,29 @@ fn generate(args: &Args) -> Result<(), CliError> {
 
 fn build(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["graph", "out", "page-size", "p", "q"])?;
-    let graph = edgelist::read(args.required("graph")?).map_err(|e| CliError::Io(e.to_string()))?;
     let out = args.required("out")?;
     let page_size = args.get_or("page-size", 64 * 1024usize)?;
     let p = args.get_or("p", 2u8)?;
     let q = args.get_or("q", 2u8)?;
-    let cfg = PageFormatConfig::new(PhysicalIdConfig::new(p, q), page_size);
+    for (flag, width) in [("p", p), ("q", q)] {
+        if !(1..=8).contains(&width) {
+            return Err(CliError::Usage(format!(
+                "bad --{flag} {width} (1..=8 bytes)"
+            )));
+        }
+    }
+    let id = PhysicalIdConfig::new(p, q);
+    // A store file carries page sizes of 64 B..=1 GiB (`load_store`
+    // refuses anything else), which clears the page format's own minimum
+    // at every id width; the slot width caps the size further.
+    let max = id.max_page_size().min(1 << 30);
+    if !(64..=max).contains(&(page_size as u64)) {
+        return Err(CliError::Usage(format!(
+            "bad --page-size {page_size} (64..={max} bytes for {id})"
+        )));
+    }
+    let cfg = PageFormatConfig::new(id, page_size);
+    let graph = edgelist::read(args.required("graph")?).map_err(|e| CliError::Io(e.to_string()))?;
     let store = build_graph_store(&graph, cfg).map_err(|e| e.to_string())?;
     save_store(&store, out).map_err(|e| CliError::Io(e.to_string()))?;
     outln!(
@@ -360,15 +383,15 @@ fn parse_storage(s: &str) -> Result<StorageLocation, String> {
     if s == "mem" {
         return Ok(StorageLocation::InMemory);
     }
+    let count = |n: &str| match n.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("bad --storage {s:?} (device count {n:?}, >= 1)")),
+    };
     if let Some(n) = s.strip_prefix("ssd:") {
-        return Ok(StorageLocation::Ssds(
-            n.parse().map_err(|_| format!("bad ssd count {n:?}"))?,
-        ));
+        return Ok(StorageLocation::Ssds(count(n)?));
     }
     if let Some(n) = s.strip_prefix("hdd:") {
-        return Ok(StorageLocation::Hdds(
-            n.parse().map_err(|_| format!("bad hdd count {n:?}"))?,
-        ));
+        return Ok(StorageLocation::Hdds(count(n)?));
     }
     Err(format!("bad --storage {s:?} (mem | ssd:N | hdd:N)"))
 }
@@ -489,7 +512,6 @@ fn run(args: &Args) -> Result<(), CliError> {
         "json",
         "trace-out",
         "host-threads",
-        "measure-host-phases",
         "fault-seed",
         "checkpoint-dir",
         "checkpoint-every",
@@ -515,6 +537,9 @@ fn run(args: &Args) -> Result<(), CliError> {
     let mut schedule = parse_mutation(args, &store)?;
     let source = args.get_or("source", 0u64)?;
     let iterations = args.get_or("iterations", 10u32)?;
+    if iterations == 0 {
+        return Err(CliError::Usage("bad --iterations 0 (>= 1)".into()));
+    }
     if source >= store.num_vertices() {
         return Err(CliError::Usage(format!(
             "--source {source} out of range ({} vertices)",
@@ -523,9 +548,6 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
 
     let mut cfg_builder = engine_config_builder(args)?;
-    if args.flag_bool("measure-host-phases")? {
-        cfg_builder = cfg_builder.measure_host_phases(true);
-    }
     let mut faults = match args.optional("fault-seed") {
         Some(seed) => Some(FaultConfig::with_seed(
             seed.parse()
@@ -1124,23 +1146,7 @@ fn fsck(args: &Args) -> Result<(), CliError> {
     // --- Report.
     let json = args.flag_bool("json")?;
     if json {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let list: Vec<String> = findings
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"artifact\":\"{}\",\"detail\":\"{}\"}}",
-                    f.artifact,
-                    esc(&f.detail)
-                )
-            })
-            .collect();
-        let names: Vec<String> = checked.iter().map(|c| format!("\"{c}\"")).collect();
-        outln!(
-            "{{\"checked\":[{}],\"findings\":[{}]}}",
-            names.join(","),
-            list.join(",")
-        );
+        outln!("{}", findings_json(&checked, &findings));
     } else {
         for f in &findings {
             outln!("fsck: {}: {}", f.artifact, f.detail);
@@ -1158,6 +1164,28 @@ fn fsck(args: &Args) -> Result<(), CliError> {
             checked.join(" + ")
         )))
     }
+}
+
+/// `gts fsck --json true`: the artifacts checked and one object per
+/// finding. Details carry OS error strings and paths, so they go through
+/// the workspace's one JSON escaper.
+fn findings_json(checked: &[&str], findings: &[Finding]) -> String {
+    let list: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"artifact\":\"{}\",\"detail\":\"{}\"}}",
+                f.artifact,
+                gts_telemetry::json::escape(&f.detail)
+            )
+        })
+        .collect();
+    let names: Vec<String> = checked.iter().map(|c| format!("\"{c}\"")).collect();
+    format!(
+        "{{\"checked\":[{}],\"findings\":[{}]}}",
+        names.join(","),
+        list.join(",")
+    )
 }
 
 /// `--jobs-out` (one record line plus the full counter registry per job
@@ -1376,6 +1404,61 @@ mod tests {
         assert_eq!(err.exit_code(), EXIT_IO);
         let msg = err.to_string();
         assert!(msg.contains("i/o") || msg.contains("No such file"), "{msg}");
+
+        // Values the libraries guard with `assert!` are usage errors
+        // naming the flag at the CLI boundary, never a panic.
+        let el = tmp("he.el");
+        let st = tmp("he.gts");
+        let wl = tmp("he.wl");
+        let wl0 = tmp("he0.wl");
+        dispatch(&sv(&[
+            "generate", "--kind", "rmat", "--scale", "8", "--out", &el,
+        ]))
+        .unwrap();
+        dispatch(&sv(&[
+            "build",
+            "--graph",
+            &el,
+            "--out",
+            &st,
+            "--page-size",
+            "4096",
+        ]))
+        .unwrap();
+        std::fs::write(&wl, "at=0 tenant=a job=bfs\n").unwrap();
+        std::fs::write(&wl0, "at=0 tenant=a job=pagerank iters=0\n").unwrap();
+        let build = ["build", "--graph", &el, "--out", "/tmp/x"];
+        let generate = ["generate", "--out", "/tmp/x", "--kind"];
+        let run = ["run", "pagerank", "--store", &st];
+        let serve = ["serve", "--store", &st, "--workload"];
+        let cases: &[(&[&str], &[&str], &str)] = &[
+            (&build, &["--page-size", "8"], "--page-size 8"),
+            (&build, &["--page-size", "48"], "--page-size 48"),
+            (&build, &["--page-size", "1310721"], "--page-size 1310721"),
+            (&build, &["--p", "0"], "--p 0"),
+            (&build, &["--q", "9"], "--q 9"),
+            (&generate, &["erdos", "--vertices", "0"], "--vertices 0"),
+            (&generate, &["web", "--vertices", "3"], "--vertices 3"),
+            (&generate, &["rmat", "--scale", "32"], "--scale 32"),
+            (&run, &["--iterations", "0"], "--iterations 0"),
+            (&run, &["--storage", "ssd:0"], "--storage \"ssd:0\""),
+            (&run, &["--storage", "hdd:0"], "--storage \"hdd:0\""),
+            (&serve, &[&wl0], "line 1: iters=0 out of range"),
+            (&serve, &[&wl, "--storage", "ssd:0"], "--storage \"ssd:0\""),
+        ];
+        for (cmd, flags, needle) in cases {
+            let mut argv = sv(cmd);
+            argv.extend(sv(flags));
+            let err = dispatch(&argv).unwrap_err();
+            assert_eq!(err.exit_code(), EXIT_USAGE, "{flags:?}: {err}");
+            assert!(
+                err.to_string().contains(needle),
+                "{flags:?}: error {err:?} does not name {needle:?}"
+            );
+        }
+        for f in [&el, &st, &wl, &wl0] {
+            std::fs::remove_file(f).ok();
+        }
     }
 
     /// Every malformed checkpoint/watchdog/chaos flag is a typed usage
@@ -1399,7 +1482,6 @@ mod tests {
             (&["--crash-at-step", "-1"], "--crash-at-step"),
             (&["--json", "yes"], "--json"),
             (&["--json", "--host-threads", "4"], "--json needs a value"),
-            (&["--measure-host-phases", "1"], "--measure-host-phases"),
             (&["--mutate-at", "x"], "--mutate-at"),
             (&["--mutate-inserts", "5"], "--mutate-at"),
             (&["--mutate-deletes", "5"], "--mutate-at"),
@@ -2056,6 +2138,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A finding's detail may carry anything an OS error string or a
+    /// path can: the JSON report escapes it all, not just `\\` and `"`.
+    #[test]
+    fn fsck_json_escapes_finding_details() {
+        let findings = [Finding {
+            artifact: "wal",
+            detail: "open \"a\\b\":\n\tdenied\u{1}".into(),
+        }];
+        assert_eq!(
+            findings_json(&["store", "wal"], &findings),
+            "{\"checked\":[\"store\",\"wal\"],\"findings\":[{\"artifact\":\"wal\",\
+             \"detail\":\"open \\\"a\\\\b\\\":\\n\\tdenied\\u0001\"}]}"
+        );
+        assert_eq!(
+            findings_json(&["store"], &[]),
+            "{\"checked\":[\"store\"],\"findings\":[]}"
+        );
+    }
+
     #[test]
     fn storage_flag_parsing() {
         assert!(matches!(
@@ -2072,5 +2173,7 @@ mod tests {
         ));
         assert!(parse_storage("floppy:1").is_err());
         assert!(parse_storage("ssd:x").is_err());
+        assert!(parse_storage("ssd:0").is_err());
+        assert!(parse_storage("hdd:0").is_err());
     }
 }

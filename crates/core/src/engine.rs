@@ -236,6 +236,12 @@ impl GtsConfig {
         if self.host_threads < 1 {
             return Err(ConfigError::ZeroHostThreads);
         }
+        if matches!(
+            self.storage,
+            StorageLocation::Ssds(0) | StorageLocation::Hdds(0)
+        ) {
+            return Err(ConfigError::ZeroStorageDevices);
+        }
         if self.mmbuf_percent > 100 {
             return Err(ConfigError::MmbufPercentOutOfRange(self.mmbuf_percent));
         }
@@ -279,6 +285,9 @@ pub enum ConfigError {
     /// `host_threads` was zero — kernel bodies need at least one host
     /// thread (`1` means exact serial execution).
     ZeroHostThreads,
+    /// `storage` was `Ssds(0)` or `Hdds(0)` — pages cannot be striped
+    /// over an array of no devices.
+    ZeroStorageDevices,
     /// `mmbuf_percent` above 100 (it is a percentage of the graph's
     /// pages; Sec. 7.2 uses 20, and 0 disables the MMBuf entirely).
     MmbufPercentOutOfRange(u32),
@@ -310,6 +319,9 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroGpus => write!(f, "num_gpus must be >= 1"),
             ConfigError::ZeroStreams => write!(f, "num_streams must be >= 1"),
             ConfigError::ZeroHostThreads => write!(f, "host_threads must be >= 1"),
+            ConfigError::ZeroStorageDevices => {
+                write!(f, "storage must name >= 1 device (Ssds(0) / Hdds(0))")
+            }
             ConfigError::MmbufPercentOutOfRange(p) => {
                 write!(f, "mmbuf_percent must be in 0..=100, got {p}")
             }
@@ -1084,6 +1096,22 @@ mod tests {
                 .host_threads,
             4
         );
+        for empty in [StorageLocation::Ssds(0), StorageLocation::Hdds(0)] {
+            let err = GtsConfig::builder().storage(empty).build().unwrap_err();
+            assert_eq!(err, ConfigError::ZeroStorageDevices);
+            assert_eq!(
+                err.to_string(),
+                "storage must name >= 1 device (Ssds(0) / Hdds(0))"
+            );
+            // The struct-literal path reports it too, typed, before any
+            // device array is built.
+            let cfg = GtsConfig {
+                storage: empty,
+                ..GtsConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::ZeroStorageDevices));
+            assert!(crate::Engine::new(cfg).is_err());
+        }
         // 0 is valid — it disables the MMBuf; only >100 is rejected.
         assert_eq!(
             GtsConfig::builder()

@@ -67,7 +67,7 @@
 
 use crate::journal::{jerr, ExecRecord, Header, Journal, JournalConfig, Record};
 use crate::resilience::{Resilience, ResilienceConfig};
-use crate::workload::{seeded_batch, JobSpec, ALGORITHMS};
+use crate::workload::{limits, seeded_batch, JobSpec, ALGORITHMS};
 use crate::ServeError;
 use gts_ckpt::{fnv1a, CkptError, KillSwitch};
 use gts_core::programs::{
@@ -563,6 +563,13 @@ fn check_workload(workload: &[JobSpec], store: &GraphStore) -> Result<(), ServeE
         }
         if spec.tenant.is_empty() {
             return Err(ServeError::Workload("empty tenant tag".into()));
+        }
+        if spec.iterations < limits::ITERS_MIN {
+            return Err(ServeError::Workload(format!(
+                "iters={} out of range (min {})",
+                spec.iterations,
+                limits::ITERS_MIN
+            )));
         }
     }
     Ok(())
@@ -1926,6 +1933,13 @@ at=1000 tenant=b job=pagerank iters=3
             Err(ServeError::Workload(_))
         ));
         let spec = JobSpec::new(0, "a", "frobnicate");
+        assert!(matches!(
+            serve(&engine(1), &mut st, &[spec], &ServeConfig::default()),
+            Err(ServeError::Workload(_))
+        ));
+        // Zero iterations would trip PageRank's assert inside a worker.
+        let mut spec = JobSpec::new(0, "a", "pagerank");
+        spec.iterations = 0;
         assert!(matches!(
             serve(&engine(1), &mut st, &[spec], &ServeConfig::default()),
             Err(ServeError::Workload(_))

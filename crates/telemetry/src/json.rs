@@ -2,7 +2,7 @@
 //! crates, so serialisation is hand-rolled).
 
 /// Escape `s` as the contents of a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -41,7 +41,7 @@
 //! ```
 
 mod handle;
-mod json;
+pub mod json;
 pub mod keys;
 mod report;
 mod span;

@@ -16,10 +16,12 @@
 
 use gts_core::engine::{Gts, GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, GtsProgram, PageRank};
-use gts_core::{Strategy, Telemetry};
+use gts_core::{MutationSchedule, Strategy, Telemetry};
 use gts_gpu::GpuConfig;
 use gts_graph::generate::rmat;
-use gts_storage::{build_graph_store, GraphStore, PageFormatConfig, PhysicalIdConfig};
+use gts_storage::{
+    build_graph_store, GraphStore, MutationBatch, PageFormatConfig, PhysicalIdConfig,
+};
 use gts_telemetry::keys;
 use std::path::PathBuf;
 
@@ -220,5 +222,56 @@ fn degraded_oom_step_down_matches_golden() {
         mismatches.is_empty(),
         "degraded run diverged from its blessed fixture: {mismatches:?}\n\
          (if the degradation ladder changed intentionally, re-bless with GTS_BLESS=1)"
+    );
+}
+
+/// The blessed live run: BFS streaming from the 2-SSD array while one
+/// hand-built batch (a burst of inserts on one vertex, enough to spill
+/// into a delta page, plus four deletes) lands at the boundary of
+/// sweep 1. Pins what a mutation does to the timeline — rewritten and
+/// delta pages, cache invalidations, the epoch bump, the re-streamed
+/// pages — to the simulated nanosecond.
+#[test]
+fn live_mutation_run_matches_golden() {
+    let mut store = store();
+    let mut batch = MutationBatch::new();
+    for d in 0..96 {
+        batch.insert(3, (7 * d + 5) % store.num_vertices());
+    }
+    let mut doomed = store.decode_edges();
+    doomed.dedup();
+    for &(s, d) in &doomed[..4] {
+        batch.delete(s, d);
+    }
+    let engine = Gts::builder()
+        .config(GtsConfig {
+            storage: StorageLocation::Ssds(2),
+            ..GtsConfig::default()
+        })
+        .build()
+        .unwrap();
+    let mut bfs = Bfs::new(store.num_vertices(), 0);
+    let report = engine
+        .run_live(&mut store, &mut bfs, MutationSchedule::new().at(1, batch))
+        .unwrap();
+    let tel = engine.telemetry();
+    assert_eq!(tel.counter(keys::MUT_BATCHES), 1, "the batch applied");
+    assert!(tel.counter(keys::MUT_DELTA_PAGES) >= 1, "no delta page");
+
+    let mut mismatches = Vec::new();
+    check_or_bless(
+        "live_1gpu_ssd_bfs.report.json",
+        &format!("{}\n", report.to_json()),
+        &mut mismatches,
+    );
+    check_or_bless(
+        "live_1gpu_ssd_bfs.counters.json",
+        &counters_json(tel),
+        &mut mismatches,
+    );
+    assert!(
+        mismatches.is_empty(),
+        "live run diverged from its blessed fixture: {mismatches:?}\n\
+         (if the mutation pipeline's timing changed intentionally, re-bless with GTS_BLESS=1)"
     );
 }

@@ -1,6 +1,10 @@
 //! Minimal `--flag value` argument parsing (no external dependencies —
 //! the workspace's dependency policy allows only the approved crates, and
 //! the CLI surface is small enough that a parser crate would be overkill).
+//!
+//! A command's synopsis — the text `gts help` prints for it — is its flag
+//! table: [`Args::declare`] reads the accepted `--name` set and the
+//! positional arity out of it, so a flag exists by being documented.
 
 use std::collections::HashMap;
 
@@ -8,6 +12,27 @@ use std::collections::HashMap;
 pub struct Args {
     positional: Vec<String>,
     flags: HashMap<String, String>,
+    /// The flag names of the synopsis this command line was checked
+    /// against.
+    declared: Vec<&'static str>,
+}
+
+/// What a synopsis declares: every `--name` in it, and how many `<...>`
+/// placeholders stand on their own rather than as a flag's value.
+fn read_synopsis(synopsis: &'static str) -> (Vec<&'static str>, usize) {
+    let mut flags = Vec::new();
+    let mut positionals = 0;
+    let mut after_flag = false;
+    for word in synopsis.split_whitespace() {
+        let flag = word.trim_start_matches('[').strip_prefix("--");
+        if let Some(name) = flag {
+            flags.push(name.trim_end_matches(']'));
+        } else if word.starts_with('<') && !after_flag {
+            positionals += 1;
+        }
+        after_flag = flag.is_some();
+    }
+    (flags, positionals)
 }
 
 impl Args {
@@ -30,54 +55,86 @@ impl Args {
                 positional.push(a.clone());
             }
         }
-        Ok(Args { positional, flags })
+        Ok(Args {
+            positional,
+            flags,
+            declared: Vec::new(),
+        })
     }
 
-    /// The `i`-th positional argument.
-    pub fn positional(&self, i: usize) -> Option<&str> {
-        self.positional.get(i).map(|s| s.as_str())
+    /// Check the command line against `synopsis` (`gts <command> ...`):
+    /// a flag it does not name is an error (catches typos), and so is a
+    /// missing or stray positional after the command word.
+    pub fn declare(&mut self, synopsis: &'static str) -> Result<(), String> {
+        let (declared, arity) = read_synopsis(synopsis);
+        let unknown = self
+            .flags
+            .keys()
+            .filter(|k| !declared.contains(&k.as_str()));
+        if let Some(k) = unknown.min() {
+            return Err(format!("unknown flag --{k}"));
+        }
+        if let Some(stray) = self.positional.get(1 + arity) {
+            return Err(format!("unexpected argument {stray:?}\nusage: {synopsis}"));
+        }
+        if self.positional.len() < 1 + arity {
+            return Err(format!("usage: {synopsis}"));
+        }
+        self.declared = declared;
+        Ok(())
     }
 
-    /// A required flag.
-    pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.flags
-            .get(name)
-            .map(|s| s.as_str())
-            .ok_or_else(|| format!("missing required flag --{name}"))
+    /// The command word (`gts <command> ...`), when there is one.
+    pub fn command(&self) -> Option<&str> {
+        self.positional.first().map(|s| s.as_str())
+    }
+
+    /// The `i`-th positional after the command word; [`Args::declare`]
+    /// checked that there are exactly as many as the synopsis shows.
+    pub fn positional(&self, i: usize) -> &str {
+        &self.positional[1 + i]
     }
 
     /// An optional flag.
     pub fn optional(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.declared.contains(&name),
+            "--{name} is read but not in the command's synopsis"
+        );
         self.flags.get(name).map(|s| s.as_str())
+    }
+
+    /// A required flag.
+    pub fn required(&self, name: &str) -> Result<&str, String> {
+        self.optional(name)
+            .ok_or_else(|| format!("missing required flag --{name}"))
+    }
+
+    /// An optional flag parsed to a type; `hint` says what a good value
+    /// looks like.
+    pub fn parsed<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        hint: &str,
+    ) -> Result<Option<T>, String> {
+        self.optional(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("bad --{name} {v:?} ({hint})"))
+            })
+            .transpose()
     }
 
     /// An optional flag parsed to a type, with a default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag --{name}: cannot parse {v:?}")),
-        }
+        Ok(self
+            .parsed(name, std::any::type_name::<T>())?
+            .unwrap_or(default))
     }
 
     /// A `true | false` flag; absent means `false`.
     pub fn flag_bool(&self, name: &str) -> Result<bool, String> {
-        match self.optional(name) {
-            None | Some("false") => Ok(false),
-            Some("true") => Ok(true),
-            Some(other) => Err(format!("bad --{name} {other:?} (true | false)")),
-        }
-    }
-
-    /// Error if any flag was not consumed by the command (catches typos).
-    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        for k in self.flags.keys() {
-            if !known.contains(&k.as_str()) {
-                return Err(format!("unknown flag --{k}"));
-            }
-        }
-        Ok(())
+        Ok(self.parsed(name, "true | false")?.unwrap_or(false))
     }
 }
 
@@ -89,11 +146,21 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    fn declared(argv: &[&str], synopsis: &'static str) -> Result<Args, String> {
+        let mut a = Args::parse(&sv(argv))?;
+        a.declare(synopsis)?;
+        Ok(a)
+    }
+
     #[test]
     fn parses_positionals_and_flags() {
-        let a = Args::parse(&sv(&["run", "bfs", "--source", "7", "--gpus", "2"])).unwrap();
-        assert_eq!(a.positional(0), Some("run"));
-        assert_eq!(a.positional(1), Some("bfs"));
+        let a = declared(
+            &["run", "bfs", "--source", "7", "--gpus", "2"],
+            "gts run <algorithm> [--source N] [--gpus N] [--streams N]",
+        )
+        .unwrap();
+        assert_eq!(a.command(), Some("run"));
+        assert_eq!(a.positional(0), "bfs");
         assert_eq!(a.required("source").unwrap(), "7");
         assert_eq!(a.get_or("gpus", 1usize).unwrap(), 2);
         assert_eq!(a.get_or("streams", 16usize).unwrap(), 16);
@@ -112,7 +179,11 @@ mod tests {
 
     #[test]
     fn boolean_flags_accept_only_true_or_false() {
-        let a = Args::parse(&sv(&["--json", "true", "--resume", "false", "--x", "yes"])).unwrap();
+        let a = declared(
+            &["x", "--json", "true", "--resume", "false", "--x", "yes"],
+            "gts x [--json true] [--resume true] [--absent true] [--x true]",
+        )
+        .unwrap();
         assert_eq!(a.flag_bool("json"), Ok(true));
         assert_eq!(a.flag_bool("resume"), Ok(false));
         assert_eq!(a.flag_bool("absent"), Ok(false));
@@ -126,15 +197,37 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let a = Args::parse(&sv(&["--scale", "10", "--oops", "1"])).unwrap();
-        assert!(a.reject_unknown(&["scale"]).is_err());
-        assert!(a.reject_unknown(&["scale", "oops"]).is_ok());
+        let argv = ["x", "--scale", "10", "--oops", "1"];
+        let err = declared(&argv, "gts x [--scale N]").err();
+        assert_eq!(err.as_deref(), Some("unknown flag --oops"));
+        assert!(declared(&argv, "gts x [--scale N] [--oops N]").is_ok());
     }
 
     #[test]
     fn bad_parse_reports_flag_name() {
-        let a = Args::parse(&sv(&["--gpus", "two"])).unwrap();
+        let a = declared(&["x", "--gpus", "two"], "gts x [--gpus N]").unwrap();
         let err = a.get_or("gpus", 1usize).unwrap_err();
         assert!(err.contains("--gpus"));
+    }
+
+    #[test]
+    fn a_synopsis_declares_its_flags_and_its_arity() {
+        let (flags, arity) = read_synopsis(
+            "gts run      <algorithm>\n               --store <store file>\n               \
+             [--source N] [--strategy p|s] [--storage mem|ssd:N|hdd:N] [--json true]",
+        );
+        assert_eq!(flags, ["store", "source", "strategy", "storage", "json"]);
+        assert_eq!(
+            arity, 1,
+            "<store file> is --store's value, not a positional"
+        );
+        assert_eq!(read_synopsis("gts help"), (vec![], 0));
+        // Arity is exact: a missing positional and a stray one both fail.
+        let synopsis = "gts info     <store file>";
+        assert!(declared(&["info", "s"], synopsis).is_ok());
+        let err = declared(&["info"], synopsis).err().unwrap();
+        assert!(err.starts_with("usage: gts info"), "{err}");
+        let err = declared(&["info", "s", "extra"], synopsis).err().unwrap();
+        assert!(err.contains("unexpected argument \"extra\""), "{err}");
     }
 }

@@ -22,9 +22,7 @@ macro_rules! outln {
     }};
 }
 use gts_core::engine::{CachePolicyKind, Gts, GtsConfig, StorageLocation};
-use gts_core::programs::{
-    Bc, Bfs, Cc, Degrees, GtsProgram, KCore, PageRank, RadiusEstimation, Rwr, Sssp,
-};
+use gts_core::programs::ALGORITHMS;
 use gts_core::MutationSchedule;
 use gts_core::{CheckpointConfig, FaultConfig};
 use gts_core::{Strategy, Telemetry};
@@ -32,8 +30,8 @@ use gts_gpu::GpuConfig;
 use gts_graph::generate::{erdos_renyi, web_like, Rmat};
 use gts_graph::{Dataset, EdgeList};
 use gts_serve::scheduler::{serve, JobStatus, ServeConfig, ServeOutcome};
-use gts_serve::workload::seeded_batch;
-use gts_serve::{JournalConfig, ResilienceConfig, ServeError};
+use gts_serve::workload::{seeded_batch, WorkloadErrorKind};
+use gts_serve::{JobSpec, JournalConfig, ResilienceConfig, ServeError};
 use gts_storage::{
     build_graph_store, load_store, save_store, GraphStore, PageFormatConfig, PhysicalIdConfig,
 };
@@ -86,48 +84,84 @@ impl From<String> for CliError {
     }
 }
 
-impl From<&str> for CliError {
-    fn from(m: &str) -> Self {
-        CliError::Usage(m.to_string())
+/// One subcommand. Its synopsis is what `gts help` prints for it *and*
+/// its declaration: [`dispatch`] takes the command word, the accepted
+/// `--flags` and the positional arity from it, and a handler that reads a
+/// flag it does not name trips a `debug_assert!` in [`Args`]. `<algorithm>`
+/// is spelled out from the program registry when printed.
+struct Command {
+    synopsis: &'static str,
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+impl Command {
+    /// The command word: the synopsis's second (`gts <word> ...`).
+    fn name(&self) -> &'static str {
+        self.synopsis.split_whitespace().nth(1).unwrap_or("")
     }
 }
 
-const USAGE: &str = "\
-gts — GTS (SIGMOD'16) graph processing, reproduced in Rust
+const COMMANDS: &[Command] = &[
+    Command {
+        synopsis: "\
+gts generate --kind <rmat|erdos|web|twitter|uk2007|yahooweb> --out <file>
+             [--scale N] [--edge-factor N] [--vertices N] [--edges N] [--seed N]",
+        run: generate,
+    },
+    Command {
+        synopsis: "\
+gts build    --graph <edge file> --out <store file>
+             [--page-size BYTES] [--p BYTES] [--q BYTES]",
+        run: build,
+    },
+    Command {
+        synopsis: "gts info     <store file>",
+        run: info,
+    },
+    Command {
+        synopsis: "\
+gts run      <algorithm>
+             --store <store file>
+             [--source N] [--iterations N] [--k N] [--gpus N] [--streams N]
+             [--strategy p|s] [--storage mem|ssd:N|hdd:N]
+             [--device-memory BYTES] [--cache lru|fifo|random] [--json true]
+             [--trace-out trace.json] [--host-threads N] [--fault-seed N]
+             [--checkpoint-dir DIR] [--checkpoint-every N] [--resume true]
+             [--run-budget NS] [--sweep-deadline NS] [--counters-out FILE]
+             [--crash-at-step K]
+             [--mutate-at K] [--mutate-inserts N] [--mutate-deletes N]
+             [--mutate-seed N]
+             [--wal-dir DIR] [--scrub-every N] [--bit-rot-ppm N]",
+        run,
+    },
+    Command {
+        synopsis: "\
+gts serve    --store <store file> --workload <file>
+             [--slots N] [--queue-cap N] [--tenant-queue-cap N]
+             [--deadline NS] [--gpus N] [--streams N] [--strategy p|s]
+             [--storage mem|ssd:N|hdd:N] [--device-memory BYTES]
+             [--cache lru|fifo|random] [--host-threads N] [--json true]
+             [--counters-out FILE] [--jobs-out FILE]
+             [--fault-seed N] [--retry-max N] [--backoff-base NS]
+             [--breaker-threshold K] [--breaker-cooldown NS]
+             [--shed-watermark PCT]
+             [--journal-dir DIR] [--resume-serve true]
+             [--crash-at-step K] [--wal-dir DIR]",
+        run: serve_cmd,
+    },
+    Command {
+        synopsis: "\
+gts fsck     --store <store file> [--wal-dir DIR] [--checkpoint-dir DIR]
+             [--journal-dir DIR] [--json true]",
+        run: fsck,
+    },
+    Command {
+        synopsis: "gts help",
+        run: help,
+    },
+];
 
-USAGE:
-  gts generate --kind <rmat|erdos|web|twitter|uk2007|yahooweb> --out <file>
-               [--scale N] [--edge-factor N] [--vertices N] [--edges N] [--seed N]
-  gts build    --graph <edge file> --out <store file>
-               [--page-size BYTES] [--p BYTES] [--q BYTES]
-  gts info     <store file>
-  gts run      <bfs|pagerank|sssp|cc|bc|rwr|degrees|kcore|radius>
-               --store <store file>
-               [--source N] [--iterations N] [--k N] [--gpus N] [--streams N]
-               [--strategy p|s] [--storage mem|ssd:N|hdd:N]
-               [--device-memory BYTES] [--cache lru|fifo|random] [--json true]
-               [--trace-out trace.json] [--host-threads N] [--fault-seed N]
-               [--checkpoint-dir DIR] [--checkpoint-every N] [--resume true]
-               [--run-budget NS] [--sweep-deadline NS] [--counters-out FILE]
-               [--crash-at-step K]
-               [--mutate-at K] [--mutate-inserts N] [--mutate-deletes N]
-               [--mutate-seed N]
-               [--wal-dir DIR] [--scrub-every N] [--bit-rot-ppm N]
-  gts serve    --store <store file> --workload <file>
-               [--slots N] [--queue-cap N] [--tenant-queue-cap N]
-               [--deadline NS] [--gpus N] [--streams N] [--strategy p|s]
-               [--storage mem|ssd:N|hdd:N] [--device-memory BYTES]
-               [--cache lru|fifo|random] [--host-threads N] [--json true]
-               [--counters-out FILE] [--jobs-out FILE]
-               [--fault-seed N] [--retry-max N] [--backoff-base NS]
-               [--breaker-threshold K] [--breaker-cooldown NS]
-               [--shed-watermark PCT]
-               [--journal-dir DIR] [--resume-serve true]
-               [--crash-at-step K] [--wal-dir DIR]
-  gts fsck     --store <store file> [--wal-dir DIR] [--checkpoint-dir DIR]
-               [--journal-dir DIR] [--json true]
-  gts help
-
+const NOTES: &str = "\
 Edge files are the binary GTSEDGES format produced by `gts generate`, or
 plain text 'src dst' lines. Store files are the GTSPAGES slotted-page
 format of the paper's Section 2. `--trace-out` writes a chrome://tracing
@@ -227,36 +261,41 @@ when clean, 3 when an artifact is unreadable, 4 when findings exist.
 
 Exit codes: 0 success, 2 usage error, 3 I/O failure, 4 engine failure.";
 
+/// The full help text: every command's synopsis, then the notes.
+fn usage() -> String {
+    let names: Vec<&str> = ALGORITHMS.iter().map(|a| a.name).collect();
+    let synopses: Vec<&str> = COMMANDS.iter().map(|c| c.synopsis).collect();
+    let synopses = synopses
+        .join("\n")
+        .replace("<algorithm>", &format!("<{}>", names.join("|")))
+        .replace('\n', "\n  ");
+    format!(
+        "gts — GTS (SIGMOD'16) graph processing, reproduced in Rust\n\nUSAGE:\n  {synopses}\n\n{NOTES}"
+    )
+}
+
+fn help(_: &Args) -> Result<(), CliError> {
+    outln!("{}", usage());
+    Ok(())
+}
+
 /// Dispatch the command line.
 pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
-    match args.positional(0) {
-        Some("generate") => generate(&args),
-        Some("build") => build(&args),
-        Some("info") => info(&args),
-        Some("run") => run(&args),
-        Some("serve") => serve_cmd(&args),
-        Some("fsck") => fsck(&args),
-        Some("help") | None => {
-            outln!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown command {other:?}\n{USAGE}"
-        ))),
-    }
+    let mut args = Args::parse(argv)?;
+    let Some(name) = args.command() else {
+        return help(&args);
+    };
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name() == name) else {
+        return Err(CliError::Usage(format!(
+            "unknown command {name:?}\n{}",
+            usage()
+        )));
+    };
+    args.declare(cmd.synopsis)?;
+    (cmd.run)(&args)
 }
 
 fn generate(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "kind",
-        "out",
-        "scale",
-        "edge-factor",
-        "vertices",
-        "edges",
-        "seed",
-    ])?;
     let kind = args.required("kind")?;
     let out = args.required("out")?;
     let seed = args.get_or("seed", 0x6715_2016u64)?;
@@ -304,7 +343,6 @@ fn generate(args: &Args) -> Result<(), CliError> {
 }
 
 fn build(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["graph", "out", "page-size", "p", "q"])?;
     let out = args.required("out")?;
     let page_size = args.get_or("page-size", 64 * 1024usize)?;
     let p = args.get_or("p", 2u8)?;
@@ -342,8 +380,7 @@ fn build(args: &Args) -> Result<(), CliError> {
 }
 
 fn info(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[])?;
-    let path = args.positional(1).ok_or("usage: gts info <store file>")?;
+    let path = args.positional(0);
     let store = load_store(path).map_err(|e| CliError::Io(e.to_string()))?;
     let cfg = store.cfg();
     outln!("store:     {path}");
@@ -401,200 +438,116 @@ fn parse_storage(s: &str) -> Result<StorageLocation, String> {
 /// directory, so they are usage errors on their own (typo protection).
 fn parse_checkpoint(args: &Args) -> Result<Option<CheckpointConfig>, CliError> {
     let resume = args.flag_bool("resume")?;
+    let every: Option<u32> = args.parsed("checkpoint-every", "sweeps")?;
     let Some(dir) = args.optional("checkpoint-dir") else {
-        if args.optional("checkpoint-every").is_some() || resume {
+        if every.is_some() || resume {
             return Err(CliError::Usage(
                 "--checkpoint-every/--resume need --checkpoint-dir".into(),
             ));
         }
         return Ok(None);
     };
-    let every: u32 = match args.optional("checkpoint-every") {
-        None => 1,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --checkpoint-every {v:?} (sweeps)"))?,
-    };
-    let ck = CheckpointConfig::new(dir, every);
+    let ck = CheckpointConfig::new(dir, every.unwrap_or(1));
     Ok(Some(if resume { ck.resuming() } else { ck }))
 }
 
-/// `--crash-at-step K`: the durable I/O step at which the process dies.
-fn parse_crash_step(args: &Args) -> Result<Option<u64>, CliError> {
-    match args.optional("crash-at-step") {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| {
-            CliError::Usage(format!("bad --crash-at-step {v:?} (durable step number)"))
-        }),
-    }
-}
+/// `gts run`'s job flags and the workload key each one sets; `mutate-at`
+/// first, because the batch knobs need it.
+const JOB_FLAGS: [(&str, &str); 7] = [
+    ("mutate-at", "mutate-at"),
+    ("mutate-inserts", "inserts"),
+    ("mutate-deletes", "deletes"),
+    ("mutate-seed", "seed"),
+    ("source", "source"),
+    ("iterations", "iters"),
+    ("k", "k"),
+];
 
-/// `--scrub-every N`: background integrity scrub cadence in sweeps.
-fn parse_scrub_every(args: &Args) -> Result<Option<u32>, CliError> {
-    match args.optional("scrub-every") {
-        None => Ok(None),
-        Some(v) => match v.parse::<u32>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(CliError::Usage(format!(
-                "bad --scrub-every {v:?} (sweep cadence, >= 1)"
-            ))),
-        },
-    }
-}
-
-/// The `--mutate-at` / `--mutate-inserts` / `--mutate-deletes` /
-/// `--mutate-seed` quartet: one deterministic update-while-query batch
-/// applied at the given sweep boundary via [`Gts::run_live`]. The batch
-/// flags are meaningless without `--mutate-at`.
-fn parse_mutation(args: &Args, store: &GraphStore) -> Result<Option<MutationSchedule>, CliError> {
-    let Some(at) = args.optional("mutate-at") else {
-        for flag in ["mutate-inserts", "mutate-deletes", "mutate-seed"] {
-            if args.optional(flag).is_some() {
-                return Err(CliError::Usage(format!("--{flag} needs --mutate-at")));
-            }
+/// The job `gts run <algorithm>` describes, built through the same
+/// [`JobSpec::set`] a workload line goes through — same defaults, same
+/// bounds — so a serve job and its solo replay cannot drift apart.
+fn job_spec(args: &Args) -> Result<JobSpec, CliError> {
+    let mut spec = JobSpec::new(0, "run", "");
+    spec.set("job", args.positional(0))
+        .map_err(|e| e.to_string())?;
+    for (flag, key) in JOB_FLAGS {
+        if let Some(v) = args.optional(flag) {
+            spec.set(key, v).map_err(|e| match e {
+                WorkloadErrorKind::OrphanMutateKeys => format!("--{flag} needs --mutate-at"),
+                e => format!("bad --{flag} {v} ({e})"),
+            })?;
         }
-        return Ok(None);
-    };
-    let at: u32 = at
-        .parse()
-        .map_err(|_| CliError::Usage(format!("bad --mutate-at {at:?} (sweep number)")))?;
-    let inserts = args.get_or("mutate-inserts", 64u64)?;
-    let deletes = args.get_or("mutate-deletes", 0u64)?;
-    let seed = args.get_or("mutate-seed", 0x6715_2016u64)?;
-    // The same seeded generator serves workload `mutate-at=` lines, so a
-    // serve job and its solo replay build the identical batch.
-    let batch = seeded_batch(store, inserts, deletes, seed);
-    Ok(Some(MutationSchedule::new().at(at, batch)))
+    }
+    Ok(spec)
 }
 
 /// The flags shared by `run` and `serve` that shape the engine itself:
 /// GPU topology, streams, strategy, storage tier, device memory, cache
-/// policy, host threads. Returns the builder so each command can stack
-/// its own extras (faults, checkpoints, budgets) on top.
-fn engine_config_builder(args: &Args) -> Result<gts_core::engine::GtsConfigBuilder, CliError> {
-    let mut cfg_builder = GtsConfig::builder()
-        .num_gpus(args.get_or("gpus", 1usize)?)
-        .num_streams(args.get_or("streams", 16usize)?)
-        .strategy(match args.optional("strategy").unwrap_or("p") {
+/// policy, host threads. Each command stacks its own extras (faults,
+/// checkpoints, budgets) on top with struct-update syntax.
+fn engine_config(args: &Args) -> Result<GtsConfig, CliError> {
+    let defaults = GtsConfig::default();
+    Ok(GtsConfig {
+        num_gpus: args.get_or("gpus", defaults.num_gpus)?,
+        num_streams: args.get_or("streams", defaults.num_streams)?,
+        strategy: match args.optional("strategy").unwrap_or("p") {
             "p" => Strategy::Performance,
             "s" => Strategy::Scalability,
             other => return Err(CliError::Usage(format!("bad --strategy {other:?} (p | s)"))),
-        })
-        .storage(parse_storage(args.optional("storage").unwrap_or("mem"))?)
-        .gpu(GpuConfig::titan_x().with_device_memory(args.get_or("device-memory", 12u64 << 30)?))
-        .cache_policy(match args.optional("cache").unwrap_or("lru") {
+        },
+        storage: parse_storage(args.optional("storage").unwrap_or("mem"))?,
+        gpu: GpuConfig::titan_x().with_device_memory(args.get_or("device-memory", 12u64 << 30)?),
+        cache_policy: match args.optional("cache").unwrap_or("lru") {
             "lru" => CachePolicyKind::Lru,
             "fifo" => CachePolicyKind::Fifo,
             "random" => CachePolicyKind::Random,
             other => return Err(CliError::Usage(format!("bad --cache {other:?}"))),
-        });
-    if let Some(ht) = args.optional("host-threads") {
-        cfg_builder = cfg_builder.host_threads(
-            ht.parse()
-                .map_err(|_| format!("bad --host-threads {ht:?}"))?,
-        );
-    }
-    Ok(cfg_builder)
+        },
+        host_threads: args.get_or("host-threads", defaults.host_threads)?,
+        ..defaults
+    })
 }
 
 fn run(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "store",
-        "source",
-        "iterations",
-        "k",
-        "gpus",
-        "streams",
-        "strategy",
-        "storage",
-        "device-memory",
-        "cache",
-        "json",
-        "trace-out",
-        "host-threads",
-        "fault-seed",
-        "checkpoint-dir",
-        "checkpoint-every",
-        "resume",
-        "run-budget",
-        "sweep-deadline",
-        "crash-at-step",
-        "counters-out",
-        "mutate-at",
-        "mutate-inserts",
-        "mutate-deletes",
-        "mutate-seed",
-        "wal-dir",
-        "scrub-every",
-        "bit-rot-ppm",
-    ])?;
     let json = args.flag_bool("json")?;
-    let alg = args
-        .positional(1)
-        .ok_or("usage: gts run <algorithm> --store <file>")?;
+    let spec = job_spec(args)?;
     let mut store: GraphStore =
         load_store(args.required("store")?).map_err(|e| CliError::Io(e.to_string()))?;
-    let mut schedule = parse_mutation(args, &store)?;
-    let source = args.get_or("source", 0u64)?;
-    let iterations = args.get_or("iterations", 10u32)?;
-    if iterations == 0 {
-        return Err(CliError::Usage("bad --iterations 0 (>= 1)".into()));
-    }
-    if source >= store.num_vertices() {
-        return Err(CliError::Usage(format!(
-            "--source {source} out of range ({} vertices)",
-            store.num_vertices()
-        )));
-    }
+    let n = store.num_vertices();
+    spec.check(n).map_err(|e| e.to_string())?;
+    let schedule = spec.mutate.map(|m| {
+        MutationSchedule::new().at(
+            m.at_sweep,
+            seeded_batch(&store, m.inserts, m.deletes, m.seed),
+        )
+    });
 
-    let mut cfg_builder = engine_config_builder(args)?;
-    let mut faults = match args.optional("fault-seed") {
-        Some(seed) => Some(FaultConfig::with_seed(
-            seed.parse()
-                .map_err(|_| format!("bad --fault-seed {seed:?}"))?,
-        )),
-        None => None,
-    };
-    if let Some(step) = parse_crash_step(args)? {
+    let mut faults = args
+        .parsed("fault-seed", "seed")?
+        .map(FaultConfig::with_seed);
+    if let Some(step) = args.parsed("crash-at-step", "durable step number")? {
         // The crash step needs a fault plan to live in; without an
         // explicit seed, use a quiet plan so the kill is the only fault.
         faults.get_or_insert_with(|| FaultConfig::quiet(0)).crash = Some(step);
     }
-    if let Some(ppm) = args.optional("bit-rot-ppm") {
-        let ppm: u32 = ppm
-            .parse()
-            .map_err(|_| format!("bad --bit-rot-ppm {ppm:?} (parts per million)"))?;
+    if let Some(ppm) = args.parsed("bit-rot-ppm", "parts per million")? {
         // Rot rides in a fault plan; a quiet one makes it the only fault.
         faults
             .get_or_insert_with(|| FaultConfig::quiet(0))
             .bit_rot_ppm = ppm;
     }
-    cfg_builder = cfg_builder.faults(faults);
-    if let Some(dir) = args.optional("wal-dir") {
-        cfg_builder = cfg_builder.wal_dir(Some(dir.into()));
-    }
-    if let Some(every) = parse_scrub_every(args)? {
-        cfg_builder = cfg_builder.scrub_every(Some(every));
-    }
-    if let Some(ck) = parse_checkpoint(args)? {
-        cfg_builder = cfg_builder.checkpoint(Some(ck));
-    }
-    if let Some(ns) = args.optional("sweep-deadline") {
-        let ns: u64 = ns
-            .parse()
-            .map_err(|_| format!("bad --sweep-deadline {ns:?} (simulated ns)"))?;
-        cfg_builder = cfg_builder.sweep_deadline_ns(Some(ns));
-    }
-    if let Some(ns) = args.optional("run-budget") {
-        let ns: u64 = ns
-            .parse()
-            .map_err(|_| format!("bad --run-budget {ns:?} (simulated ns)"))?;
-        cfg_builder = cfg_builder.run_budget_ns(Some(ns));
-    }
-    let cfg = cfg_builder.build().map_err(|e| e.to_string())?;
+    let cfg = GtsConfig {
+        faults,
+        wal_dir: args.optional("wal-dir").map(std::path::PathBuf::from),
+        scrub_every: args
+            .parsed::<std::num::NonZeroU32>("scrub-every", "sweep cadence, >= 1")?
+            .map(std::num::NonZeroU32::get),
+        checkpoint: parse_checkpoint(args)?,
+        sweep_deadline_ns: args.parsed("sweep-deadline", "simulated ns")?,
+        run_budget_ns: args.parsed("run-budget", "simulated ns")?,
+        ..engine_config(args)?
+    };
 
-    let n = store.num_vertices();
-    let k = args.get_or("k", 2u32)?;
     let trace_out = args.optional("trace-out");
     let mut builder = Gts::builder().config(cfg);
     if trace_out.is_some() {
@@ -603,94 +556,15 @@ fn run(args: &Args) -> Result<(), CliError> {
         builder = builder.telemetry(Telemetry::with_spans());
     }
     let engine = builder.build().map_err(|e| e.to_string())?;
-    let mut exec = |prog: &mut dyn GtsProgram| {
-        let r = match schedule.take() {
-            Some(s) => engine.run_live(&mut store, prog, s),
-            None => engine.run(&store, prog),
-        };
-        r.map_err(|e| CliError::Engine(e.to_string()))
-    };
+    let mut prog = spec.program(n).map_err(|e| e.to_string())?;
     // Run the algorithm but hold the result: when the run fails mid-sweep
     // the engine still flushes its open spans and counters, and the
     // partial trace below is exactly the evidence needed to debug it.
-    let outcome = (|| -> Result<_, CliError> {
-        Ok(match alg {
-            "bfs" => {
-                let mut p = Bfs::new(n, source);
-                let r = exec(&mut p)?;
-                let reached = p.levels().iter().filter(|&&l| l != u16::MAX).count();
-                (r, format!("{reached} vertices reached from {source}"))
-            }
-            "pagerank" => {
-                let mut p = PageRank::new(n, iterations);
-                let r = exec(&mut p)?;
-                let top = top_vertex(p.ranks())
-                    .map(|(v, s)| format!("top vertex {v} (score {s:.6})"))
-                    .unwrap_or_default();
-                (r, top)
-            }
-            "sssp" => {
-                let mut p = Sssp::new(n, source);
-                let r = exec(&mut p)?;
-                let reached = p.distances().iter().filter(|&&d| d != u32::MAX).count();
-                (r, format!("{reached} vertices reachable from {source}"))
-            }
-            "cc" => {
-                let mut p = Cc::new(n);
-                let r = exec(&mut p)?;
-                let mut labels: Vec<u64> = p.labels().to_vec();
-                labels.sort_unstable();
-                labels.dedup();
-                (r, format!("{} weakly connected components", labels.len()))
-            }
-            "bc" => {
-                let mut p = Bc::new(n, source);
-                let r = exec(&mut p)?;
-                let top = top_vertex(p.centrality())
-                    .map(|(v, s)| format!("most central vertex {v} (bc {s:.1})"))
-                    .unwrap_or_default();
-                (r, top)
-            }
-            "rwr" => {
-                let mut p = Rwr::new(n, source, iterations);
-                let r = exec(&mut p)?;
-                let mut scored: Vec<(usize, f32)> =
-                    p.scores().iter().copied().enumerate().collect();
-                scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let near: Vec<String> = scored
-                    .iter()
-                    .take(4)
-                    .map(|(v, s)| format!("{v}:{s:.4}"))
-                    .collect();
-                (r, format!("closest to {source}: {}", near.join(" ")))
-            }
-            "degrees" => {
-                let mut p = Degrees::new(n);
-                let r = exec(&mut p)?;
-                let max = p.degrees().iter().max().copied().unwrap_or(0);
-                (r, format!("max out-degree {max}"))
-            }
-            "kcore" => {
-                let mut p = KCore::new(n, k);
-                let r = exec(&mut p)?;
-                (r, format!("{}-core has {} vertices", k, p.core_size()))
-            }
-            "radius" => {
-                let mut p = RadiusEstimation::new(n);
-                let r = exec(&mut p)?;
-                (
-                    r,
-                    format!(
-                        "estimated radius {:?}, diameter {}{}",
-                        p.radius(),
-                        p.diameter(),
-                        if p.is_exact() { " (exact)" } else { "" }
-                    ),
-                )
-            }
-            other => return Err(CliError::Usage(format!("unknown algorithm {other:?}"))),
-        })
-    })();
+    let outcome = match schedule {
+        Some(s) => engine.run_live(&mut store, &mut *prog, s),
+        None => engine.run(&store, &mut *prog),
+    }
+    .map_err(|e| CliError::Engine(e.to_string()));
 
     if let Some(path) = trace_out {
         std::fs::write(path, engine.telemetry().to_chrome_trace())
@@ -700,13 +574,9 @@ fn run(args: &Args) -> Result<(), CliError> {
     if let Some(path) = args.optional("counters-out") {
         // Written before the outcome propagates: a crashed/deadlined run's
         // counters are exactly what the kill-resume CI job diffs.
-        let mut lines = String::new();
-        for (k, v) in engine.telemetry().counters() {
-            lines.push_str(&format!("{k} {v}\n"));
-        }
-        std::fs::write(path, lines).map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
+        write_counters(path, engine.telemetry())?;
     }
-    let (report, summary) = outcome?;
+    let report = outcome?;
     if json {
         outln!("{}", report.to_json());
     } else {
@@ -724,7 +594,7 @@ fn run(args: &Args) -> Result<(), CliError> {
             report.edges_traversed,
             report.mteps()
         );
-        outln!("result:         {summary}");
+        outln!("result:         {}", prog.summary());
     }
     Ok(())
 }
@@ -736,20 +606,12 @@ fn run(args: &Args) -> Result<(), CliError> {
 /// for retry/quarantine/breaker policy to act on, not vanish inside a
 /// lane's own retry loop.
 fn serve_fault_template(args: &Args) -> Result<Option<FaultConfig>, CliError> {
-    match args.optional("fault-seed") {
-        None => Ok(None),
-        Some(seed) => {
-            let seed: u64 = seed
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --fault-seed {seed:?}")))?;
-            Ok(Some(FaultConfig {
-                copy_fault_ppm: 60_000,
-                launch_fault_ppm: 60_000,
-                max_retries: 0,
-                ..FaultConfig::with_seed(seed)
-            }))
-        }
-    }
+    Ok(args.parsed("fault-seed", "seed")?.map(|seed| FaultConfig {
+        copy_fault_ppm: 60_000,
+        launch_fault_ppm: 60_000,
+        max_retries: 0,
+        ..FaultConfig::with_seed(seed)
+    }))
 }
 
 /// The retry/backoff, circuit-breaker, and shedding knobs; every flag
@@ -760,11 +622,7 @@ fn serve_resilience(args: &Args) -> Result<ResilienceConfig, CliError> {
     r.backoff_base_ns = args.get_or("backoff-base", r.backoff_base_ns)?;
     r.breaker_threshold = args.get_or("breaker-threshold", r.breaker_threshold)?;
     r.breaker_cooldown_ns = args.get_or("breaker-cooldown", r.breaker_cooldown_ns)?;
-    if let Some(pct) = args.optional("shed-watermark") {
-        r.shed_watermark_pct = Some(pct.parse().map_err(|_| {
-            CliError::Usage(format!("bad --shed-watermark {pct:?} (percent 1-100)"))
-        })?);
-    }
+    r.shed_watermark_pct = args.parsed("shed-watermark", "percent 1-100")?;
     Ok(r)
 }
 
@@ -789,34 +647,6 @@ fn serve_journal(args: &Args) -> Result<Option<JournalConfig>, CliError> {
 /// engine over the shared store. Scheduling runs on the simulated
 /// clock, so every output is byte-identical at any `--host-threads`.
 fn serve_cmd(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "store",
-        "workload",
-        "slots",
-        "queue-cap",
-        "tenant-queue-cap",
-        "deadline",
-        "gpus",
-        "streams",
-        "strategy",
-        "storage",
-        "device-memory",
-        "cache",
-        "host-threads",
-        "json",
-        "counters-out",
-        "jobs-out",
-        "fault-seed",
-        "retry-max",
-        "backoff-base",
-        "breaker-threshold",
-        "breaker-cooldown",
-        "shed-watermark",
-        "journal-dir",
-        "resume-serve",
-        "crash-at-step",
-        "wal-dir",
-    ])?;
     let json = args.flag_bool("json")?;
     let mut store: GraphStore =
         load_store(args.required("store")?).map_err(|e| CliError::Io(e.to_string()))?;
@@ -825,26 +655,16 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("reading {path}: {e}")))?;
     let jobs =
         gts_serve::workload::parse(&text).map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
-    let cfg = engine_config_builder(args)?
-        .build()
-        .map_err(|e| e.to_string())?;
-    let engine = gts_core::Engine::new(cfg).map_err(|e| e.to_string())?;
-    let deadline_ns = match args.optional("deadline") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("bad --deadline {v:?} (simulated ns)"))?,
-        ),
-    };
+    let engine = gts_core::Engine::new(engine_config(args)?).map_err(|e| e.to_string())?;
     let serve_cfg = ServeConfig {
         slots: args.get_or("slots", 4usize)?,
         queue_capacity: args.get_or("queue-cap", 64usize)?,
         tenant_queue_capacity: args.get_or("tenant-queue-cap", 16usize)?,
-        deadline_ns,
+        deadline_ns: args.parsed("deadline", "simulated ns")?,
         faults: serve_fault_template(args)?,
         resilience: serve_resilience(args)?,
         journal: serve_journal(args)?,
-        crash: parse_crash_step(args)?,
+        crash: args.parsed("crash-at-step", "durable step number")?,
         wal_dir: args.optional("wal-dir").map(std::path::PathBuf::from),
     };
     let out = serve(&engine, &mut store, &jobs, &serve_cfg).map_err(|e| match e {
@@ -920,7 +740,6 @@ struct Finding {
 /// One line per finding; exit 0 when clean, 3 when an artifact cannot
 /// be read at all, 4 when findings exist.
 fn fsck(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["store", "wal-dir", "checkpoint-dir", "journal-dir", "json"])?;
     let store: GraphStore =
         load_store(args.required("store")?).map_err(|e| CliError::Io(e.to_string()))?;
     let mut findings: Vec<Finding> = Vec::new();
@@ -1221,13 +1040,18 @@ fn write_serve_outputs(args: &Args, out: &ServeOutcome) -> Result<(), CliError> 
         std::fs::write(path, lines).map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
     }
     if let Some(path) = args.optional("counters-out") {
-        let mut lines = String::new();
-        for (k, v) in out.telemetry.counters() {
-            lines.push_str(&format!("{k} {v}\n"));
-        }
-        std::fs::write(path, lines).map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
+        write_counters(path, &out.telemetry)?;
     }
     Ok(())
+}
+
+/// `--counters-out`: a counter registry as sorted `key value` lines.
+fn write_counters(path: &str, tel: &Telemetry) -> Result<(), CliError> {
+    let mut lines = String::new();
+    for (k, v) in tel.counters() {
+        lines.push_str(&format!("{k} {v}\n"));
+    }
+    std::fs::write(path, lines).map_err(|e| CliError::Io(format!("writing {path}: {e}")))
 }
 
 fn status_word(s: &JobStatus) -> &'static str {
@@ -1244,15 +1068,6 @@ fn status_word(s: &JobStatus) -> &'static str {
     }
 }
 
-/// Highest-scoring vertex (NaN-safe via total order); `None` on empty.
-fn top_vertex(scores: &[f32]) -> Option<(usize, f32)> {
-    scores
-        .iter()
-        .copied()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1265,6 +1080,80 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("gts-cli-test-{}-{name}", std::process::id()));
         p.to_string_lossy().into_owned()
+    }
+
+    fn synopsis(command: &str) -> &'static str {
+        let cmd = COMMANDS.iter().find(|c| c.name() == command);
+        cmd.unwrap().synopsis
+    }
+
+    /// The synopsis is the parser: for every command, each `--flag` its
+    /// synopsis prints is accepted and each flag only another command
+    /// prints is refused. (That no handler reads a flag its synopsis
+    /// lacks is the `debug_assert!` in `Args`, which every end-to-end
+    /// test in this module runs under.)
+    #[test]
+    fn every_synopsis_flag_is_accepted_and_foreign_flags_are_refused() {
+        let flags_of = |c: &Command| -> Vec<String> {
+            let words = c
+                .synopsis
+                .split(|ch: char| !(ch == '-' || ch.is_ascii_alphanumeric()));
+            words
+                .filter(|w| w.starts_with("--"))
+                .map(String::from)
+                .collect()
+        };
+        let positionals = |c: &Command| match c.name() {
+            "run" => vec!["run", "bfs"],
+            "info" => vec!["info", "store"],
+            word => vec![word],
+        };
+        let check = |c: &Command, flag: &str| {
+            let mut argv = sv(&positionals(c));
+            argv.extend(sv(&[flag, "1"]));
+            Args::parse(&argv).unwrap().declare(c.synopsis)
+        };
+        let mut total = 0;
+        for c in COMMANDS {
+            let own = flags_of(c);
+            total += own.len();
+            for flag in &own {
+                assert_eq!(check(c, flag), Ok(()), "{flag} of {}", c.synopsis);
+            }
+            for other in COMMANDS {
+                for flag in flags_of(other).iter().filter(|f| !own.contains(f)) {
+                    let err = check(c, flag).unwrap_err();
+                    assert_eq!(err, format!("unknown flag {flag}"), "{}", c.synopsis);
+                }
+            }
+        }
+        assert_eq!(
+            total,
+            7 + 5 + 28 + 26 + 5,
+            "generate, build, run, serve, fsck"
+        );
+        assert!(usage().contains("<bfs|pagerank|sssp|cc|bc|rwr|degrees|kcore|radius>"));
+    }
+
+    /// `gts run <name>` and a workload `job=<name>` accept exactly the
+    /// registry's names: both resolve the name through `JobSpec::set`.
+    #[test]
+    fn run_and_serve_accept_exactly_the_registry_names() {
+        let accepted_by_run = |name: &str| {
+            let mut args = Args::parse(&sv(&["run", name])).unwrap();
+            args.declare(synopsis("run")).unwrap();
+            job_spec(&args).is_ok()
+        };
+        let accepted_by_serve =
+            |name: &str| gts_serve::parse(&format!("at=0 tenant=a job={name}")).is_ok();
+        for alg in ALGORITHMS {
+            assert!(accepted_by_run(alg.name), "{}", alg.name);
+            assert!(accepted_by_serve(alg.name), "{}", alg.name);
+        }
+        for name in ["BFS", "PageRank", "pr", "frobnicate", ""] {
+            assert!(!accepted_by_run(name), "{name:?}");
+            assert!(!accepted_by_serve(name), "{name:?}");
+        }
     }
 
     #[test]
@@ -1431,6 +1320,7 @@ mod tests {
         let generate = ["generate", "--out", "/tmp/x", "--kind"];
         let run = ["run", "pagerank", "--store", &st];
         let serve = ["serve", "--store", &st, "--workload"];
+        let mutate = ["run", "bfs", "--store", &st, "--mutate-at", "1"];
         let cases: &[(&[&str], &[&str], &str)] = &[
             (&build, &["--page-size", "8"], "--page-size 8"),
             (&build, &["--page-size", "48"], "--page-size 48"),
@@ -1445,6 +1335,48 @@ mod tests {
             (&run, &["--storage", "hdd:0"], "--storage \"hdd:0\""),
             (&serve, &[&wl0], "line 1: iters=0 out of range"),
             (&serve, &[&wl, "--storage", "ssd:0"], "--storage \"ssd:0\""),
+            // `gts run` refuses what the workload parser refuses, with the
+            // parser's own bounds.
+            (
+                &mutate,
+                &["--mutate-inserts", "2000000"],
+                "--mutate-inserts 2000000",
+            ),
+            (&mutate, &["--mutate-inserts", "2000000"], "max 1000000"),
+            (
+                &mutate,
+                &["--mutate-deletes", "2000000"],
+                "--mutate-deletes 2000000",
+            ),
+            (&mutate, &["--mutate-deletes", "2000000"], "max 1000000"),
+            (&run, &["--iterations", "1000001"], "--iterations 1000001"),
+            (&run, &["--iterations", "1000001"], "max 1000000"),
+            (&run, &["--k", "1000001"], "--k 1000001"),
+            (&run, &["--k", "1000001"], "max 1000000"),
+            (&run, &["--source", "256"], "source 256 out of range"),
+            // Stray positionals are named, not ignored.
+            (&run, &["bfs"], "unexpected argument \"bfs\""),
+            (&["info", &st], &["extra"], "unexpected argument \"extra\""),
+            (
+                &["fsck", "--store", &st],
+                &["stray"],
+                "unexpected argument \"stray\"",
+            ),
+            (
+                &generate,
+                &["rmat", "extra"],
+                "unexpected argument \"extra\"",
+            ),
+            (&build, &["extra"], "unexpected argument \"extra\""),
+            (&serve, &[&wl, "extra"], "unexpected argument \"extra\""),
+            (&["help"], &["extra"], "unexpected argument \"extra\""),
+            (&build, &["--gpus", "2"], "unknown flag --gpus"),
+            (&["run", "--store", &st], &[], "usage: gts run"),
+            (
+                &["run", "frobnicate", "--store", &st],
+                &[],
+                "unknown algorithm",
+            ),
         ];
         for (cmd, flags, needle) in cases {
             let mut argv = sv(cmd);
@@ -1456,6 +1388,15 @@ mod tests {
                 "{flags:?}: error {err:?} does not name {needle:?}"
             );
         }
+        // One bound, from `workload::limits`: its largest value is taken
+        // by `gts run`'s flag and by a workload line alike.
+        let max = gts_serve::workload::limits::ITERS_MAX;
+        let mut args = Args::parse(&sv(&["run", "pagerank", "--iterations", &max.to_string()]));
+        let args = args.as_mut().unwrap();
+        args.declare(synopsis("run")).unwrap();
+        assert_eq!(job_spec(args).unwrap().iterations, max);
+        let line = format!("at=0 tenant=a job=pagerank iters={max}");
+        assert_eq!(gts_serve::parse(&line).unwrap()[0].iterations, max);
         for f in [&el, &st, &wl, &wl0] {
             std::fs::remove_file(f).ok();
         }
@@ -1786,6 +1727,7 @@ mod tests {
             ),
             (&["--shed-watermark", "hot"], "--shed-watermark"),
             (&["--shed-watermark", "150"], "shed_watermark_pct"),
+            (&["--shed-watermark", "0"], "shed_watermark_pct 0"),
             (&["--crash-at-step", "x"], "--crash-at-step"),
             (&["--resume-serve", "true"], "--journal-dir"),
             (
@@ -2121,7 +2063,7 @@ mod tests {
         );
         let strip = |text: String| -> String {
             text.lines()
-                .filter(|l| !l.starts_with("serve.journal.") && !l.starts_with("serve.resume."))
+                .filter(|l| gts_telemetry::keys::is_contract(l))
                 .map(|l| format!("{l}\n"))
                 .collect()
         };

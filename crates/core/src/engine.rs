@@ -214,18 +214,12 @@ impl Default for GtsConfig {
 }
 
 impl GtsConfig {
-    /// A validating builder, starting from [`GtsConfig::default`].
-    pub fn builder() -> GtsConfigBuilder {
-        GtsConfigBuilder {
-            cfg: GtsConfig::default(),
-        }
-    }
-
-    /// Check the configuration's invariants. Both construction paths route
-    /// through this one checker: [`GtsConfigBuilder::build`] (and
-    /// [`GtsBuilder::build`]) report violations as [`ConfigError`] values,
-    /// [`Gts::new`] panics with the same error's message — so the two
-    /// paths can never drift apart on what "valid" means.
+    /// Check the configuration's invariants. A configuration is a struct
+    /// literal over `..GtsConfig::default()`, and every consumer routes
+    /// through this one checker: [`GtsBuilder::build`] and
+    /// [`Engine::new`] report violations as [`ConfigError`] values,
+    /// [`Gts::new`] panics with the same error's message — so the paths
+    /// can never drift apart on what "valid" means.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_gpus < 1 {
             return Err(ConfigError::ZeroGpus);
@@ -275,7 +269,7 @@ impl GtsConfig {
     }
 }
 
-/// A configuration rejected by [`GtsConfigBuilder::build`].
+/// A configuration rejected by [`GtsConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// `num_gpus` was zero — the engine needs at least one GPU.
@@ -346,92 +340,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Builder for [`GtsConfig`]; [`GtsConfigBuilder::build`] validates.
-#[derive(Debug, Clone)]
-pub struct GtsConfigBuilder {
-    cfg: GtsConfig,
-}
-
-/// One chainable setter per [`GtsConfig`] field, for a builder that has
-/// `cfg_mut()`. The field list is written once, here, and applied to both
-/// [`GtsConfigBuilder`] and [`GtsBuilder`].
-macro_rules! config_setters {
-    () => {
-        config_setters! { @emit
-            /// Number of GPUs (>= 1).
-            num_gpus: usize,
-            /// Asynchronous streams per GPU (>= 1; Fig. 10 sweeps 1..32).
-            num_streams: usize,
-            /// Multi-GPU strategy (Sec. 4).
-            strategy: Strategy,
-            /// Micro-level parallel technique (Sec. 6.2).
-            technique: MicroTechnique,
-            /// Per-GPU hardware model.
-            gpu: GpuConfig,
-            /// PCI-E link model.
-            pcie: PcieConfig,
-            /// Where topology pages come from.
-            storage: StorageLocation,
-            /// MMBuf size as a percentage of the graph's pages (0..=100;
-            /// 0 disables the MMBuf).
-            mmbuf_percent: u32,
-            /// Page-cache replacement policy.
-            cache_policy: CachePolicyKind,
-            /// Optional cap on cache size in bytes (must fit in device memory).
-            cache_limit_bytes: Option<u64>,
-            /// Peer-to-peer WA merging under Strategy-P.
-            p2p_sync: bool,
-            /// Host threads for kernel bodies (>= 1; `1` = exact serial order,
-            /// any value = byte-identical results).
-            host_threads: usize,
-            /// Record wall-clock phase A/B host times (`host.phase_*_ns`
-            /// keys, outside the determinism contract; default off).
-            measure_host_phases: bool,
-            /// Deterministic fault-injection plan (`None` disables injection).
-            faults: Option<FaultConfig>,
-            /// Step down (P→S, fewer streams, no cache) instead of aborting
-            /// on device O.O.M.
-            degrade_on_oom: bool,
-            /// Crash-consistent checkpointing (`None` disables it).
-            checkpoint: Option<CheckpointConfig>,
-            /// Mutation write-ahead log directory for live runs (`None`
-            /// disables logging).
-            wal_dir: Option<PathBuf>,
-            /// Background scrub cadence in sweeps (>= 1; `None` disables
-            /// scrubbing).
-            scrub_every: Option<u32>,
-            /// Watchdog deadline per sweep, simulated ns (`None` disables it).
-            sweep_deadline_ns: Option<u64>,
-            /// Watchdog budget for the whole run, simulated ns (`None`
-            /// disables it).
-            run_budget_ns: Option<u64>,
-        }
-    };
-    (@emit $($(#[$doc:meta])* $field:ident: $ty:ty),+ $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $field(mut self, $field: $ty) -> Self {
-                self.cfg_mut().$field = $field;
-                self
-            }
-        )+
-    };
-}
-
-impl GtsConfigBuilder {
-    fn cfg_mut(&mut self) -> &mut GtsConfig {
-        &mut self.cfg
-    }
-
-    config_setters!();
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<GtsConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
 
 /// Errors an engine run can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -583,21 +491,14 @@ pub struct Gts {
 /// handle the engine records into.
 #[derive(Debug, Clone)]
 pub struct GtsBuilder {
-    cfg: GtsConfigBuilder,
+    cfg: GtsConfig,
     telemetry: Telemetry,
 }
 
 impl GtsBuilder {
-    fn cfg_mut(&mut self) -> &mut GtsConfig {
-        &mut self.cfg.cfg
-    }
-
-    config_setters!();
-
-    /// Replace the whole configuration (e.g. one made by
-    /// [`GtsConfig::builder`] or a struct literal).
+    /// Run with `cfg` instead of [`GtsConfig::default`].
     pub fn config(mut self, cfg: GtsConfig) -> Self {
-        self.cfg = GtsConfigBuilder { cfg };
+        self.cfg = cfg;
         self
     }
 
@@ -611,8 +512,9 @@ impl GtsBuilder {
 
     /// Validate the configuration and produce the engine.
     pub fn build(self) -> Result<Gts, ConfigError> {
+        self.cfg.validate()?;
         Ok(Gts {
-            cfg: self.cfg.build()?,
+            cfg: self.cfg,
             telemetry: self.telemetry,
         })
     }
@@ -626,8 +528,7 @@ impl Gts {
     /// the exact same [`ConfigError`] set [`Gts::builder`] reports as
     /// values (zero GPUs/streams/host threads, `mmbuf_percent` above 100,
     /// a cache cap beyond device memory). Callers that want the error as
-    /// a value use the builder; the CLI keeps one documented `expect` at
-    /// its boundary.
+    /// a value use the builder.
     pub fn new(cfg: GtsConfig) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid GtsConfig: {e}");
@@ -642,9 +543,7 @@ impl Gts {
     /// counters-only [`Telemetry`].
     pub fn builder() -> GtsBuilder {
         GtsBuilder {
-            cfg: GtsConfigBuilder {
-                cfg: GtsConfig::default(),
-            },
+            cfg: GtsConfig::default(),
             telemetry: Telemetry::new(),
         }
     }
@@ -1076,107 +975,128 @@ mod tests {
 
     #[test]
     fn builder_validates_configuration() {
+        let d = GtsConfig::default;
+        let rejected = |cfg: GtsConfig| cfg.validate().unwrap_err();
         assert_eq!(
-            GtsConfig::builder().num_gpus(0).build().unwrap_err(),
+            rejected(GtsConfig { num_gpus: 0, ..d() }),
             ConfigError::ZeroGpus
         );
         assert_eq!(
-            GtsConfig::builder().num_streams(0).build().unwrap_err(),
+            rejected(GtsConfig {
+                num_streams: 0,
+                ..d()
+            }),
             ConfigError::ZeroStreams
         );
         assert_eq!(
-            GtsConfig::builder().host_threads(0).build().unwrap_err(),
+            rejected(GtsConfig {
+                host_threads: 0,
+                ..d()
+            }),
             ConfigError::ZeroHostThreads
         );
+        let four = GtsConfig {
+            host_threads: 4,
+            ..d()
+        };
+        assert_eq!(four.validate(), Ok(()));
         assert_eq!(
-            GtsConfig::builder()
-                .host_threads(4)
+            Gts::builder()
+                .config(four)
                 .build()
                 .unwrap()
+                .config()
                 .host_threads,
             4
         );
         for empty in [StorageLocation::Ssds(0), StorageLocation::Hdds(0)] {
-            let err = GtsConfig::builder().storage(empty).build().unwrap_err();
+            let cfg = GtsConfig {
+                storage: empty,
+                ..d()
+            };
+            let err = rejected(cfg.clone());
             assert_eq!(err, ConfigError::ZeroStorageDevices);
             assert_eq!(
                 err.to_string(),
                 "storage must name >= 1 device (Ssds(0) / Hdds(0))"
             );
-            // The struct-literal path reports it too, typed, before any
-            // device array is built.
-            let cfg = GtsConfig {
-                storage: empty,
-                ..GtsConfig::default()
-            };
-            assert_eq!(cfg.validate(), Err(ConfigError::ZeroStorageDevices));
+            // Every consumer reports it too, typed, before any device
+            // array is built.
+            assert_eq!(
+                Gts::builder().config(cfg.clone()).build().unwrap_err(),
+                ConfigError::ZeroStorageDevices
+            );
             assert!(crate::Engine::new(cfg).is_err());
         }
         // 0 is valid — it disables the MMBuf; only >100 is rejected.
+        let no_mmbuf = GtsConfig {
+            mmbuf_percent: 0,
+            ..d()
+        };
+        assert_eq!(no_mmbuf.validate(), Ok(()));
         assert_eq!(
-            GtsConfig::builder()
-                .mmbuf_percent(0)
-                .build()
-                .unwrap()
-                .mmbuf_percent,
-            0
-        );
-        assert_eq!(
-            GtsConfig::builder().mmbuf_percent(101).build().unwrap_err(),
+            rejected(GtsConfig {
+                mmbuf_percent: 101,
+                ..d()
+            }),
             ConfigError::MmbufPercentOutOfRange(101)
         );
         assert!(matches!(
-            GtsConfig::builder()
-                .cache_limit_bytes(Some(u64::MAX))
-                .build(),
-            Err(ConfigError::CacheLimitExceedsDeviceMemory { .. })
+            rejected(GtsConfig {
+                cache_limit_bytes: Some(u64::MAX),
+                ..d()
+            }),
+            ConfigError::CacheLimitExceedsDeviceMemory { .. }
         ));
-        let cfg = GtsConfig::builder()
-            .num_gpus(2)
-            .num_streams(8)
-            .strategy(Strategy::Scalability)
+        let engine = Gts::builder()
+            .config(GtsConfig {
+                num_gpus: 2,
+                num_streams: 8,
+                strategy: Strategy::Scalability,
+                ..d()
+            })
             .build()
             .unwrap();
-        assert_eq!(cfg.num_gpus, 2);
-        assert_eq!(cfg.num_streams, 8);
-        assert_eq!(cfg.strategy, Strategy::Scalability);
-        assert!(Gts::builder().num_gpus(0).build().is_err());
+        assert_eq!(engine.config().num_gpus, 2);
+        assert_eq!(engine.config().num_streams, 8);
+        assert_eq!(engine.config().strategy, Strategy::Scalability);
+        assert!(Gts::builder()
+            .config(GtsConfig { num_gpus: 0, ..d() })
+            .build()
+            .is_err());
         assert_eq!(
-            GtsConfig::builder()
-                .checkpoint(Some(CheckpointConfig::new("ckpts", 0)))
-                .build()
-                .unwrap_err(),
+            rejected(GtsConfig {
+                checkpoint: Some(CheckpointConfig::new("ckpts", 0)),
+                ..d()
+            }),
             ConfigError::ZeroCheckpointEvery
         );
         assert_eq!(
-            GtsConfig::builder()
-                .scrub_every(Some(0))
-                .build()
-                .unwrap_err(),
+            rejected(GtsConfig {
+                scrub_every: Some(0),
+                ..d()
+            }),
             ConfigError::ZeroScrubEvery
         );
+        let scrubbing = GtsConfig {
+            scrub_every: Some(4),
+            ..d()
+        };
+        assert_eq!(scrubbing.validate(), Ok(()));
         assert_eq!(
-            GtsConfig::builder()
-                .scrub_every(Some(4))
-                .build()
-                .unwrap()
-                .scrub_every,
-            Some(4)
-        );
-        assert_eq!(
-            GtsConfig::builder()
-                .sweep_deadline_ns(Some(0))
-                .build()
-                .unwrap_err(),
+            rejected(GtsConfig {
+                sweep_deadline_ns: Some(0),
+                ..d()
+            }),
             ConfigError::ZeroDeadline {
                 what: "sweep_deadline_ns"
             }
         );
         assert_eq!(
-            GtsConfig::builder()
-                .run_budget_ns(Some(0))
-                .build()
-                .unwrap_err(),
+            rejected(GtsConfig {
+                run_budget_ns: Some(0),
+                ..d()
+            }),
             ConfigError::ZeroDeadline {
                 what: "run_budget_ns"
             }
@@ -1247,7 +1167,10 @@ mod tests {
     #[test]
     fn report_is_a_view_of_the_counter_registry() {
         let store = small_store();
-        let engine = Gts::builder().num_gpus(2).build().unwrap();
+        let engine = Gts::new(GtsConfig {
+            num_gpus: 2,
+            ..GtsConfig::default()
+        });
         let mut bfs = Bfs::new(store.num_vertices(), 0);
         let r = engine.run(&store, &mut bfs).unwrap();
         let tel = engine.telemetry();

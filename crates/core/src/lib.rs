@@ -26,14 +26,15 @@
 //! ## Quick start
 //!
 //! ```
-//! use gts_core::engine::Gts;
+//! use gts_core::engine::{Gts, GtsConfig};
 //! use gts_core::programs::Bfs;
 //! use gts_graph::generate::rmat;
 //! use gts_storage::{build_graph_store, PageFormatConfig};
 //!
 //! let graph = rmat(10);
 //! let store = build_graph_store(&graph, PageFormatConfig::small_default()).unwrap();
-//! let engine = Gts::builder().num_streams(16).build().unwrap();
+//! let cfg = GtsConfig { num_streams: 16, ..GtsConfig::default() };
+//! let engine = Gts::builder().config(cfg).build().unwrap();
 //! let mut bfs = Bfs::new(store.num_vertices(), 0);
 //! let report = engine.run(&store, &mut bfs).unwrap();
 //! assert!(report.elapsed.as_nanos() > 0);

@@ -150,6 +150,12 @@ impl GtsProgram for Bc {
         Some(self.source)
     }
 
+    fn summary(&self) -> String {
+        super::argmax(&self.bc)
+            .map(|(v, s)| format!("most central vertex {v} (bc {s:.1})"))
+            .unwrap_or_default()
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         scratch.reset();
         let mut work = PageWork::default();

@@ -122,6 +122,11 @@ impl GtsProgram for Bfs {
         Some(self.source)
     }
 
+    fn summary(&self) -> String {
+        let reached = self.lv.iter().filter(|&&l| l != LV_NULL).count();
+        format!("{reached} vertices reached from {}", self.source)
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         scratch.reset();
         let mut work = PageWork::default();

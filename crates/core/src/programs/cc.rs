@@ -86,6 +86,13 @@ impl GtsProgram for Cc {
         None
     }
 
+    fn summary(&self) -> String {
+        let mut labels = self.labels().to_vec();
+        labels.sort_unstable();
+        labels.dedup();
+        format!("{} weakly connected components", labels.len())
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         scratch.reset();
         let mut work = PageWork::default();

@@ -81,6 +81,11 @@ impl GtsProgram for Degrees {
         None
     }
 
+    fn summary(&self) -> String {
+        let max = self.degrees().iter().max().copied().unwrap_or(0);
+        format!("max out-degree {max}")
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         self.process_page_shared(ctx, scratch)
     }

@@ -70,6 +70,10 @@ impl GtsProgram for KCore {
         None
     }
 
+    fn summary(&self) -> String {
+        format!("{}-core has {} vertices", self.k, self.core_size())
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         scratch.reset();
         let mut work = PageWork::default();

@@ -45,6 +45,147 @@ use gts_storage::page::PageView;
 use gts_storage::rvt::Rvt;
 use gts_storage::{MutationOutcome, PageKind, RecordId};
 
+/// One row of [`ALGORITHMS`]: an algorithm as every front end names it.
+pub struct Algorithm {
+    /// The name `gts run` and workload `job=` lines use.
+    pub name: &'static str,
+    /// What the built program's [`GtsProgram::name`] reports.
+    pub report_name: &'static str,
+    build: fn(n: u64, source: u64, iterations: u32, k: u32) -> Box<dyn GtsProgram>,
+}
+
+/// The programs GTS hosts. An algorithm is declared here once: the CLI's
+/// `gts run <name>`, its help text, and serve's `job=<name>` all read
+/// this table. Each takes what it needs of `(source, iterations, k)`.
+pub const ALGORITHMS: &[Algorithm] = &[
+    Algorithm {
+        name: "bfs",
+        report_name: "BFS",
+        build: |n, source, _, _| Box::new(Bfs::new(n, source)),
+    },
+    Algorithm {
+        name: "pagerank",
+        report_name: "PageRank",
+        build: |n, _, iterations, _| Box::new(PageRank::new(n, iterations)),
+    },
+    Algorithm {
+        name: "sssp",
+        report_name: "SSSP",
+        build: |n, source, _, _| Box::new(Sssp::new(n, source)),
+    },
+    Algorithm {
+        name: "cc",
+        report_name: "CC",
+        build: |n, _, _, _| Box::new(Cc::new(n)),
+    },
+    Algorithm {
+        name: "bc",
+        report_name: "BC",
+        build: |n, source, _, _| Box::new(Bc::new(n, source)),
+    },
+    Algorithm {
+        name: "rwr",
+        report_name: "RWR",
+        build: |n, source, iterations, _| Box::new(Rwr::new(n, source, iterations)),
+    },
+    Algorithm {
+        name: "degrees",
+        report_name: "DegreeDistribution",
+        build: |n, _, _, _| Box::new(Degrees::new(n)),
+    },
+    Algorithm {
+        name: "kcore",
+        report_name: "KCore",
+        build: |n, _, _, k| Box::new(KCore::new(n, k)),
+    },
+    Algorithm {
+        name: "radius",
+        report_name: "RadiusEstimation",
+        build: |n, _, _, _| Box::new(RadiusEstimation::new(n)),
+    },
+];
+
+/// Why [`by_name`] refused to build a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProgramError {
+    /// The name is not in [`ALGORITHMS`].
+    UnknownAlgorithm {
+        /// The name as given.
+        name: String,
+    },
+    /// The source vertex does not exist in the graph.
+    SourceOutOfRange {
+        /// The requested source.
+        source: u64,
+        /// The graph's vertex count.
+        vertices: u64,
+    },
+    /// Zero iterations were asked for.
+    ZeroIterations,
+}
+
+impl std::fmt::Display for ProgramError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProgramError::UnknownAlgorithm { name } => write!(f, "unknown algorithm {name:?}"),
+            ProgramError::SourceOutOfRange { source, vertices } => {
+                write!(f, "source {source} out of range ({vertices} vertices)")
+            }
+            ProgramError::ZeroIterations => write!(f, "iterations must be >= 1"),
+        }
+    }
+}
+
+impl std::error::Error for ProgramError {}
+
+/// The [`ALGORITHMS`] row called `name`.
+pub fn find(name: &str) -> Result<&'static Algorithm, ProgramError> {
+    ALGORITHMS
+        .iter()
+        .find(|a| a.name == name)
+        .ok_or_else(|| ProgramError::UnknownAlgorithm {
+            name: name.to_string(),
+        })
+}
+
+/// Reject the parameters a program constructor would `assert!` on, for
+/// a graph of `n` vertices. The same bounds hold for every algorithm,
+/// whether or not it reads the parameter.
+pub fn check_params(n: u64, source: u64, iterations: u32) -> Result<(), ProgramError> {
+    if source >= n {
+        return Err(ProgramError::SourceOutOfRange {
+            source,
+            vertices: n,
+        });
+    }
+    if iterations == 0 {
+        return Err(ProgramError::ZeroIterations);
+    }
+    Ok(())
+}
+
+/// Build the program called `name` for a graph of `n` vertices.
+pub fn by_name(
+    name: &str,
+    n: u64,
+    source: u64,
+    iterations: u32,
+    k: u32,
+) -> Result<Box<dyn GtsProgram>, ProgramError> {
+    let algorithm = find(name)?;
+    check_params(n, source, iterations)?;
+    Ok((algorithm.build)(n, source, iterations, k))
+}
+
+/// Highest-scoring vertex (NaN-safe via total order); `None` on empty.
+fn argmax(scores: &[f32]) -> Option<(usize, f32)> {
+    scores
+        .iter()
+        .copied()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+}
+
 /// Everything a kernel sees when invoked on one streamed page.
 pub struct PageCtx<'a> {
     /// Decoded view of the page in SPBuf/LPBuf.
@@ -156,6 +297,12 @@ pub trait GtsProgram {
     /// For traversal programs: the vertex whose page seeds `nextPIDSet`
     /// (Algorithm 1 line 5).
     fn start_vertex(&self) -> Option<u64>;
+
+    /// The finished run's result in one line — what `gts run` prints
+    /// after `result:`. Empty by default.
+    fn summary(&self) -> String {
+        String::new()
+    }
 
     /// The kernel: process one streamed page (K_SP or K_LP depending on
     /// `ctx.view.kind()`), updating WA state and reporting work done.
@@ -374,6 +521,80 @@ where
             let len = view.count();
             let mut rids = (0..len).map(|i| view.lp_adj(i));
             f(vid, len, PageKind::Large, &mut rids);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{Gts, GtsConfig};
+    use gts_graph::generate::rmat;
+    use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
+
+    /// The `result:` line of `gts run <name> --store <RMAT8, 4 KiB pages>`
+    /// with the default `source 0, iterations 10, k 2`.
+    #[test]
+    fn summaries_are_pinned_for_all_nine_programs() {
+        let store = build_graph_store(
+            &rmat(8),
+            PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 4096),
+        )
+        .unwrap();
+        let want = [
+            "218 vertices reached from 0",
+            "top vertex 0 (score 0.084741)",
+            "218 vertices reachable from 0",
+            "22 weakly connected components",
+            "most central vertex 8 (bc 10.1)",
+            "closest to 0: 0:0.2480 1:0.0318 4:0.0307 8:0.0301",
+            "max out-degree 454",
+            "2-core has 209 vertices",
+            "estimated radius Some(1), diameter 3",
+        ];
+        assert_eq!(ALGORITHMS.len(), want.len());
+        for (alg, want) in ALGORITHMS.iter().zip(want) {
+            let mut prog = by_name(alg.name, store.num_vertices(), 0, 10, 2).unwrap();
+            Gts::new(GtsConfig::default())
+                .run(&store, &mut *prog)
+                .unwrap();
+            assert_eq!(prog.summary(), want, "{}", alg.name);
+        }
+    }
+
+    #[test]
+    fn registry_builds_every_name_and_types_its_refusals() {
+        for alg in ALGORITHMS {
+            let prog = by_name(alg.name, 16, 15, 1, 2).unwrap();
+            assert_eq!(prog.name(), alg.report_name, "{}", alg.name);
+            assert_eq!(find(alg.name).unwrap().report_name, alg.report_name);
+        }
+        let err = |name, n, source, iterations| {
+            by_name(name, n, source, iterations, 2)
+                .err()
+                .expect("must be refused")
+        };
+        assert_eq!(
+            err("frobnicate", 16, 0, 1),
+            ProgramError::UnknownAlgorithm {
+                name: "frobnicate".into()
+            }
+        );
+        assert_eq!(
+            err("frobnicate", 16, 0, 1).to_string(),
+            "unknown algorithm \"frobnicate\""
+        );
+        // The bounds hold for every algorithm, not just those that would
+        // reach a constructor `assert!`.
+        for alg in ALGORITHMS {
+            assert_eq!(
+                err(alg.name, 16, 16, 1),
+                ProgramError::SourceOutOfRange {
+                    source: 16,
+                    vertices: 16
+                }
+            );
+            assert_eq!(err(alg.name, 16, 0, 0), ProgramError::ZeroIterations);
         }
     }
 }

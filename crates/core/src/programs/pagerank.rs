@@ -151,6 +151,12 @@ impl GtsProgram for PageRank {
         None
     }
 
+    fn summary(&self) -> String {
+        super::argmax(self.ranks())
+            .map(|(v, s)| format!("top vertex {v} (score {s:.6})"))
+            .unwrap_or_default()
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         self.process_page_shared(ctx, scratch)
     }

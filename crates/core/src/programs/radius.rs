@@ -121,6 +121,15 @@ impl GtsProgram for RadiusEstimation {
         None
     }
 
+    fn summary(&self) -> String {
+        format!(
+            "estimated radius {:?}, diameter {}{}",
+            self.radius(),
+            self.diameter(),
+            if self.is_exact() { " (exact)" } else { "" }
+        )
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         scratch.reset();
         let mut work = PageWork::default();

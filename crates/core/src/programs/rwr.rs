@@ -131,6 +131,17 @@ impl GtsProgram for Rwr {
         None
     }
 
+    fn summary(&self) -> String {
+        let mut scored: Vec<(usize, f32)> = self.scores().iter().copied().enumerate().collect();
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let near: Vec<String> = scored
+            .iter()
+            .take(4)
+            .map(|(v, s)| format!("{v}:{s:.4}"))
+            .collect();
+        format!("closest to {}: {}", self.seed, near.join(" "))
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         self.process_page_shared(ctx, scratch)
     }

@@ -94,6 +94,11 @@ impl GtsProgram for Sssp {
         Some(self.source)
     }
 
+    fn summary(&self) -> String {
+        let reached = self.dist.iter().filter(|&&d| d != DIST_INF).count();
+        format!("{reached} vertices reachable from {}", self.source)
+    }
+
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         scratch.reset();
         let mut work = PageWork::default();

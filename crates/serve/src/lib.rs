@@ -9,8 +9,9 @@
 //!
 //! * [`workload`] — deterministic scripted workloads: a line format of
 //!   arrival sim-times × job specs (`at=… tenant=… job=…`), a parser,
-//!   a seeded synthetic generator, and the seeded mutation-batch
-//!   generator shared with the CLI's `--mutate-*` flags.
+//!   the one key/value setter and pre-run check behind both workload
+//!   lines and `gts run`'s job flags, and the seeded mutation-batch
+//!   generator.
 //! * [`scheduler`] — the service itself: a FIFO queueing simulation on
 //!   the *simulated* clock that multiplexes a fixed number of service
 //!   slots (GPU lane sets + their share of storage bandwidth) across
@@ -66,7 +67,7 @@ pub mod workload;
 pub use journal::{inspect_journal, store_binding_fp, JournalConfig, JournalInfo};
 pub use resilience::ResilienceConfig;
 pub use scheduler::{serve, JobOutcome, JobStatus, ServeConfig, ServeOutcome};
-pub use workload::{parse, synthetic, JobSpec, MutateSpec, WorkloadError};
+pub use workload::{parse, JobSpec, MutateSpec, WorkloadError};
 
 /// Why the service refused or abandoned a job (or could not start at
 /// all). The first three variants are the typed backpressure surfaced

@@ -62,8 +62,8 @@ pub struct ResilienceConfig {
     /// How long a tripped breaker sheds the tenant's arrivals,
     /// simulated ns.
     pub breaker_cooldown_ns: u64,
-    /// Load-aware shedding watermark, percent; `None` (default)
-    /// disables shedding.
+    /// Load-aware shedding watermark, percent (1..=100); `None`
+    /// (default) disables shedding.
     pub shed_watermark_pct: Option<u32>,
 }
 
@@ -90,9 +90,9 @@ impl ResilienceConfig {
             ));
         }
         if let Some(pct) = self.shed_watermark_pct {
-            if pct > 100 {
+            if !(1..=100).contains(&pct) {
                 return Err(ServeError::Config(format!(
-                    "shed_watermark_pct {pct} must be <= 100"
+                    "shed_watermark_pct {pct} must be in 1..=100"
                 )));
             }
         }
@@ -208,7 +208,7 @@ impl Resilience {
         // a quarter of the remaining headroom, so prio 3 sheds only at
         // near-total pressure.
         let watermark = base + prio.min(3) * (100 - base) / 4;
-        (pressure >= watermark.max(1)).then_some((pressure, watermark))
+        (pressure >= watermark).then_some((pressure, watermark))
     }
 }
 
@@ -303,11 +303,16 @@ mod tests {
             ..ResilienceConfig::default()
         };
         assert!(matches!(bad.validate(), Err(ServeError::Config(_))));
-        let bad = ResilienceConfig {
-            shed_watermark_pct: Some(101),
-            ..ResilienceConfig::default()
-        };
-        assert!(matches!(bad.validate(), Err(ServeError::Config(_))));
+        for pct in [0, 101] {
+            let bad = ResilienceConfig {
+                shed_watermark_pct: Some(pct),
+                ..ResilienceConfig::default()
+            };
+            assert!(
+                matches!(bad.validate(), Err(ServeError::Config(_))),
+                "{pct}"
+            );
+        }
         let bad = ResilienceConfig {
             breaker_threshold: 1,
             breaker_cooldown_ns: 0,

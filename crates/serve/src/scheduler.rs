@@ -67,12 +67,10 @@
 
 use crate::journal::{jerr, ExecRecord, Header, Journal, JournalConfig, Record};
 use crate::resilience::{Resilience, ResilienceConfig};
-use crate::workload::{limits, seeded_batch, JobSpec, ALGORITHMS};
+use crate::workload::{seeded_batch, JobSpec};
 use crate::ServeError;
 use gts_ckpt::{fnv1a, CkptError, KillSwitch};
-use gts_core::programs::{
-    Bc, Bfs, Cc, Degrees, GtsProgram, KCore, PageRank, RadiusEstimation, Rwr, Sssp,
-};
+use gts_core::programs::{self, GtsProgram};
 use gts_core::{Engine, JobOptions, MutationSchedule, RunReport};
 use gts_exec::ThreadPool;
 use gts_faults::FaultConfig;
@@ -374,22 +372,6 @@ impl Sim {
     }
 }
 
-/// Build the program a spec names. `n` is the store's vertex count.
-fn make_program(spec: &JobSpec, n: u64) -> Result<Box<dyn GtsProgram>, ServeError> {
-    Ok(match spec.algorithm.as_str() {
-        "bfs" => Box::new(Bfs::new(n, spec.source)),
-        "pagerank" => Box::new(PageRank::new(n, spec.iterations)),
-        "sssp" => Box::new(Sssp::new(n, spec.source)),
-        "cc" => Box::new(Cc::new(n)),
-        "bc" => Box::new(Bc::new(n, spec.source)),
-        "rwr" => Box::new(Rwr::new(n, spec.source, spec.iterations)),
-        "degrees" => Box::new(Degrees::new(n)),
-        "kcore" => Box::new(KCore::new(n, spec.k)),
-        "radius" => Box::new(RadiusEstimation::new(n)),
-        other => return Err(ServeError::Workload(format!("unknown algorithm {other:?}"))),
-    })
-}
-
 fn job_options(spec: &JobSpec) -> JobOptions {
     JobOptions::with_telemetry(Telemetry::new()).tenant(spec.tenant.clone())
 }
@@ -456,7 +438,7 @@ fn run_read(
     cfg: &ServeConfig,
 ) -> (ExecRecord, Option<RunReport>) {
     let opts = attempt_options(spec, cfg, p);
-    let mut prog = match make_program(spec, store.num_vertices()) {
+    let mut prog = match spec.program(store.num_vertices()) {
         Ok(prog) => prog,
         Err(e) => return (failed_record(p, e.to_string()), None),
     };
@@ -493,7 +475,7 @@ fn run_mutating(
     let m = spec.mutate.expect("caller checked spec.mutate");
     let batch = seeded_batch(store, m.inserts, m.deletes, m.seed);
     let schedule = MutationSchedule::new().at(m.at_sweep, batch);
-    let (mut rec, report) = match make_program(spec, store.num_vertices()) {
+    let (mut rec, report) = match spec.program(store.num_vertices()) {
         Ok(mut prog) => match engine.run_job_live(store, &mut *prog, schedule, opts) {
             Ok(report) => {
                 let rec = completed_record(p, &report, &*prog, opts);
@@ -516,13 +498,12 @@ fn run_mutating(
 /// Rebuild a journal-restored completion's report from its memoized
 /// counters — [`RunReport::from_telemetry`] reads nothing else, so the
 /// rebuilt report equals the one the crashed run held in memory.
-fn rebuild_report(store: &GraphStore, spec: &JobSpec, rec: &ExecRecord) -> RunReport {
+fn rebuild_report(spec: &JobSpec, rec: &ExecRecord) -> RunReport {
     let tel = Telemetry::new();
     for (k, v) in &rec.counters {
         tel.set(k, *v);
     }
-    let algorithm = make_program(spec, store.num_vertices())
-        .map_or_else(|_| spec.algorithm.clone(), |prog| prog.name().to_string());
+    let algorithm = programs::find(&spec.algorithm).map_or(&*spec.algorithm, |a| a.report_name);
     RunReport::from_telemetry(&tel, algorithm, "GTS")
 }
 
@@ -544,35 +525,6 @@ fn config_rendering(engine: &Engine, cfg: &ServeConfig) -> String {
         cfg.faults,
         cfg.resilience,
     )
-}
-
-fn check_workload(workload: &[JobSpec], store: &GraphStore) -> Result<(), ServeError> {
-    for spec in workload {
-        if !ALGORITHMS.contains(&spec.algorithm.as_str()) {
-            return Err(ServeError::Workload(format!(
-                "unknown algorithm {:?}",
-                spec.algorithm
-            )));
-        }
-        if spec.source >= store.num_vertices() {
-            return Err(ServeError::Workload(format!(
-                "source {} out of range ({} vertices)",
-                spec.source,
-                store.num_vertices()
-            )));
-        }
-        if spec.tenant.is_empty() {
-            return Err(ServeError::Workload("empty tenant tag".into()));
-        }
-        if spec.iterations < limits::ITERS_MIN {
-            return Err(ServeError::Workload(format!(
-                "iters={} out of range (min {})",
-                spec.iterations,
-                limits::ITERS_MIN
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// The live service: the pending-attempt pool, the queueing simulation,
@@ -649,14 +601,13 @@ impl Service<'_> {
             }
         });
         for ((p, hit), live) in wave.iter().zip(hits).zip(live) {
-            self.settle_read(store, p, hit, live);
+            self.settle_read(p, hit, live);
         }
         self.flush()
     }
 
     fn settle_read(
         &mut self,
-        store: &GraphStore,
         p: &Pending,
         hit: Option<ExecRecord>,
         live: Option<(ExecRecord, Option<RunReport>)>,
@@ -674,7 +625,7 @@ impl Service<'_> {
                     }
                 };
                 self.record_admission(p, start, &rec, cached);
-                self.settle_exec(store, p, start, rec, report, cached);
+                self.settle_exec(p, start, rec, report, cached);
             }
         }
     }
@@ -738,7 +689,7 @@ impl Service<'_> {
                         });
                     }
                 }
-                self.settle_exec(store, p, start, rec, report, cached);
+                self.settle_exec(p, start, rec, report, cached);
             }
         }
         self.flush()
@@ -782,7 +733,6 @@ impl Service<'_> {
     /// service registry, and either a settled outcome or a re-admission.
     fn settle_exec(
         &mut self,
-        store: &GraphStore,
         p: &Pending,
         start: u64,
         rec: ExecRecord,
@@ -801,7 +751,7 @@ impl Service<'_> {
             out.service_ns = rec.service_ns;
             out.finish_ns = start + rec.service_ns;
             out.result_fp = rec.result_fp;
-            out.report = Some(report.unwrap_or_else(|| rebuild_report(store, spec, &rec)));
+            out.report = Some(report.unwrap_or_else(|| rebuild_report(spec, &rec)));
             out.counters = rec.counters;
             out.status = JobStatus::Completed;
             self.sim.commit(start, out.service_ns, mutating);
@@ -945,7 +895,10 @@ pub fn serve(
     cfg: &ServeConfig,
 ) -> Result<ServeOutcome, ServeError> {
     cfg.validate()?;
-    check_workload(workload, store)?;
+    for spec in workload {
+        spec.check(store.num_vertices())
+            .map_err(|e| ServeError::Workload(e.to_string()))?;
+    }
     let mut jobs = workload.to_vec();
     jobs.sort_by_key(|j| j.at_ns);
     let kill = cfg.crash.map_or_else(KillSwitch::never, KillSwitch::at);
@@ -1014,6 +967,7 @@ pub fn serve(
 mod tests {
     use super::*;
     use crate::workload::{parse, synthetic};
+    use gts_core::programs::Bfs;
     use gts_core::{Gts, GtsConfig};
     use gts_graph::generate::rmat;
     use gts_storage::{build_graph_store, PageFormatConfig};
@@ -1025,12 +979,10 @@ mod tests {
     }
 
     fn engine(host_threads: usize) -> Engine {
-        Engine::new(
-            GtsConfig::builder()
-                .host_threads(host_threads)
-                .build()
-                .unwrap(),
-        )
+        Engine::new(GtsConfig {
+            host_threads,
+            ..GtsConfig::default()
+        })
         .unwrap()
     }
 
@@ -1084,7 +1036,7 @@ mod tests {
         let out = serve(&engine, &mut st, &jobs, &ServeConfig::default()).unwrap();
         assert_eq!(out.completed, 4, "{:?}", out.jobs);
         for (job, spec) in out.jobs.iter().zip(&jobs) {
-            let mut prog = make_program(spec, solo_st.num_vertices()).unwrap();
+            let mut prog = spec.program(solo_st.num_vertices()).unwrap();
             let opts = job_options(spec);
             let report = match spec.mutate {
                 Some(m) => {
@@ -1369,7 +1321,7 @@ mod tests {
         assert!(out.completed > 0, "expected survivors: {:?}", out.jobs);
         for (seq, (job, spec)) in out.jobs.iter().zip(&jobs).enumerate() {
             // Solo replay under the same derived fault domain.
-            let mut prog = make_program(spec, st.num_vertices()).unwrap();
+            let mut prog = spec.program(st.num_vertices()).unwrap();
             let opts = job_options(spec).faults(template.derived(seq as u64, 1));
             match engine.run_job(&st, &mut *prog, &opts) {
                 Ok(_) => {
@@ -1662,7 +1614,7 @@ mod tests {
     fn assert_same_service(a: &ServeOutcome, b: &ServeOutcome, what: &str) {
         let strip = |c: &BTreeMap<String, u64>| {
             let mut c = c.clone();
-            c.retain(|k, _| !k.starts_with("wal."));
+            c.retain(|k, _| keys::is_contract(k));
             c
         };
         for (a, b) in a.jobs.iter().zip(&b.jobs) {
@@ -1780,11 +1732,7 @@ at=1000 tenant=b job=pagerank iters=3
     /// aside — everything else is under the byte-identity contract.
     fn contract_counters(t: &Telemetry) -> std::collections::BTreeMap<String, u64> {
         let mut c = t.counters();
-        c.retain(|k, _| {
-            !k.starts_with("serve.journal.")
-                && !k.starts_with("serve.resume.")
-                && !k.starts_with("serve.wal.")
-        });
+        c.retain(|k, _| keys::is_contract(k));
         c
     }
 

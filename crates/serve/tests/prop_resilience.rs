@@ -64,12 +64,10 @@ fn store_for(g: &EdgeList) -> GraphStore {
 }
 
 fn engine(host_threads: usize) -> Engine {
-    Engine::new(
-        GtsConfig::builder()
-            .host_threads(host_threads)
-            .build()
-            .unwrap(),
-    )
+    Engine::new(GtsConfig {
+        host_threads,
+        ..GtsConfig::default()
+    })
     .unwrap()
 }
 

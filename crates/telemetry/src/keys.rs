@@ -244,6 +244,23 @@ pub fn sweep(j: u32, field: &str) -> String {
     format!("sweep{j}.{field}")
 }
 
+/// Whether `key` is under the byte-identity contract: equal at every
+/// `host_threads` value and between an uncrashed run and its resumed
+/// twin. The prefixes outside it are wall-clock readings (`host.`) and
+/// durability bookkeeping that depends on where a run was interrupted
+/// (`ckpt.`, `wal.`, `serve.journal.`, `serve.resume.`, `serve.wal.`).
+pub fn is_contract(key: &str) -> bool {
+    const OUTSIDE: [&str; 6] = [
+        "host.",
+        "ckpt.",
+        "wal.",
+        "serve.journal.",
+        "serve.resume.",
+        "serve.wal.",
+    ];
+    !OUTSIDE.iter().any(|prefix| key.starts_with(prefix))
+}
+
 /// Track-pid allocation shared by all components.
 pub mod pid {
     /// The engine's own track (run/sweep spans live here).
@@ -271,5 +288,36 @@ pub mod tid {
     /// Stream `s`'s thread id.
     pub fn stream(s: usize) -> u32 {
         STREAM0 + s as u32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn contract_excludes_exactly_the_wall_side_prefixes() {
+        for key in [
+            HOST_PHASE_A_NS,
+            CKPT_BYTES,
+            CKPT_MANIFEST_SKIPPED,
+            WAL_APPENDS,
+            SERVE_JOURNAL_RECORDS,
+            SERVE_RESUME_CACHED,
+            SERVE_WAL_REPLAYED,
+        ] {
+            assert!(!is_contract(key), "{key}");
+        }
+        for key in [
+            RUN_ELAPSED_NS,
+            SCRUB_PAGES,
+            MUT_EPOCH,
+            SERVE_RETRY_ATTEMPTS,
+            "serve.jobs.total",
+            "tenant.a.cache.hits",
+            "job.3.wal.appends",
+        ] {
+            assert!(is_contract(key), "{key}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! cargo run --release -p gts-examples --example social_network_analytics
 //! ```
 
-use gts_core::engine::Gts;
+use gts_core::engine::{Gts, GtsConfig};
 use gts_core::programs::{Cc, PageRank, Sssp};
 use gts_core::Strategy;
 use gts_graph::Dataset;
@@ -27,11 +27,11 @@ fn main() {
         store.num_edges()
     );
 
-    let engine = Gts::builder()
-        .num_gpus(2)
-        .strategy(Strategy::Performance)
-        .build()
-        .expect("valid config");
+    let engine = Gts::new(GtsConfig {
+        num_gpus: 2,
+        strategy: Strategy::Performance,
+        ..GtsConfig::default()
+    });
 
     // Influencer ranking.
     let mut pr = PageRank::new(store.num_vertices(), 10);

@@ -23,12 +23,12 @@ fn artifacts(
     host_threads: usize,
     mk_prog: impl Fn(u64) -> Box<dyn GtsProgram>,
 ) -> (String, String, String) {
-    let cfg = GtsConfig::builder()
-        .storage(StorageLocation::Ssds(2))
-        .num_streams(8)
-        .host_threads(host_threads)
-        .build()
-        .unwrap();
+    let cfg = GtsConfig {
+        storage: StorageLocation::Ssds(2),
+        num_streams: 8,
+        host_threads,
+        ..GtsConfig::default()
+    };
     let engine = Gts::builder()
         .config(cfg)
         .telemetry(Telemetry::with_spans())
@@ -74,7 +74,10 @@ fn pagerank_results_match_serial_exactly() {
     // Not just the artifacts: the rank vector itself is bit-identical.
     let s = store();
     let run = |threads| {
-        let cfg = GtsConfig::builder().host_threads(threads).build().unwrap();
+        let cfg = GtsConfig {
+            host_threads: threads,
+            ..GtsConfig::default()
+        };
         let mut pr = PageRank::new(s.num_vertices(), 5);
         Gts::new(cfg).run(&s, &mut pr).unwrap();
         pr.ranks().to_vec()

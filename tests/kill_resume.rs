@@ -90,7 +90,7 @@ fn observe_live(store: &mut GraphStore, cfg: GtsConfig, schedule: MutationSchedu
             .telemetry()
             .counters()
             .into_iter()
-            .filter(|(k, _)| !["ckpt.", "wal."].iter().any(|p| k.starts_with(p)))
+            .filter(|(k, _)| gts_telemetry::keys::is_contract(k))
             .collect(),
     }
 }

@@ -3,7 +3,7 @@
 //! chrome://tracing JSON exporter — validated with a small self-contained
 //! JSON parser (the workspace has no serde).
 
-use gts_core::engine::Gts;
+use gts_core::engine::{Gts, GtsConfig};
 use gts_core::programs::{Bfs, PageRank};
 use gts_core::Telemetry;
 use gts_graph::generate::rmat;
@@ -217,8 +217,11 @@ mod json {
 fn traced_bfs_run() -> (gts_core::RunReport, Telemetry) {
     let store = build_graph_store(&rmat(10), PageFormatConfig::small_default()).unwrap();
     let engine = Gts::builder()
-        .num_streams(8)
-        .cache_limit_bytes(Some(0)) // force streaming so copy spans exist
+        .config(GtsConfig {
+            num_streams: 8,
+            cache_limit_bytes: Some(0), // force streaming so copy spans exist
+            ..GtsConfig::default()
+        })
         .telemetry(Telemetry::with_spans())
         .build()
         .unwrap();
@@ -369,8 +372,11 @@ fn sweep_spans_and_sweep_counters_share_one_timing_definition() {
 
     let store = build_graph_store(&rmat(10), PageFormatConfig::small_default()).unwrap();
     let engine = Gts::builder()
-        .num_streams(8)
-        .cache_limit_bytes(Some(0))
+        .config(GtsConfig {
+            num_streams: 8,
+            cache_limit_bytes: Some(0),
+            ..GtsConfig::default()
+        })
         .telemetry(Telemetry::with_spans())
         .build()
         .unwrap();

@@ -579,10 +579,9 @@ impl ExecCtx<'_> {
 
     /// The repeat-until loop (Alg. 1 lines 13-31): per sweep, run the
     /// functional kernels (phase A, host-parallel safe), account their
-    /// simulated cost (phase B: parallel merge + batched probes around a
-    /// serial issue core), then barrier and synchronise. Progress lands
-    /// in `out` as it is made, so a typed mid-run error leaves `out`
-    /// describing the partial run.
+    /// simulated cost (phase B: one serial pass in page order), then
+    /// barrier and synchronise. Progress lands in `out` as it is made,
+    /// so a typed mid-run error leaves `out` describing the partial run.
     fn sweep_loop(
         &self,
         handle: &mut StoreHandle<'_>,

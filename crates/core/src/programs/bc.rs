@@ -77,7 +77,7 @@ impl Bc {
         scratch: &mut KernelScratch,
         work: &mut PageWork,
         vid: u64,
-        rids: &mut dyn Iterator<Item = gts_storage::RecordId>,
+        rids: gts_storage::AdjRun<'_>,
     ) {
         let next = ctx.sweep as u16 + 1;
         let sv = self.sigma[vid as usize];
@@ -102,7 +102,7 @@ impl Bc {
         work: &mut PageWork,
         level: u32,
         vid: u64,
-        rids: &mut dyn Iterator<Item = gts_storage::RecordId>,
+        rids: gts_storage::AdjRun<'_>,
     ) {
         let succ_level = level as u16 + 1;
         let sv = self.sigma[vid as usize];

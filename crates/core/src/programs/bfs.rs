@@ -82,7 +82,7 @@ impl Bfs {
         scratch: &mut KernelScratch,
         work: &mut PageWork,
         vid: u64,
-        rids: &mut dyn Iterator<Item = gts_storage::RecordId>,
+        rids: gts_storage::AdjRun<'_>,
     ) {
         let cand = self.lv[vid as usize] + 1;
         for rid in rids {

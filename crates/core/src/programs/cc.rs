@@ -46,7 +46,7 @@ impl Cc {
         ctx: &PageCtx<'_>,
         work: &mut PageWork,
         vid: u64,
-        rids: &mut dyn Iterator<Item = gts_storage::RecordId>,
+        rids: gts_storage::AdjRun<'_>,
     ) {
         let lv = self.label[vid as usize];
         let mut pulled = lv;

@@ -41,9 +41,9 @@ use gts_ckpt::CkptError;
 use gts_gpu::timer::KernelClass;
 use gts_gpu::warp::MicroTechnique;
 use gts_storage::builder::GraphStore;
-use gts_storage::page::PageView;
+use gts_storage::page::{AdjRun, PageView};
 use gts_storage::rvt::Rvt;
-use gts_storage::{MutationOutcome, PageKind, RecordId};
+use gts_storage::{MutationOutcome, PageKind};
 
 /// One row of [`ALGORITHMS`]: an algorithm as every front end names it.
 pub struct Algorithm {
@@ -503,24 +503,19 @@ pub(crate) mod state {
 /// This is the K_SP/K_LP dispatch every program shares; keeping it in one
 /// place keeps the per-page bookkeeping conventions (degree pushes,
 /// active-vertex counting) from drifting across the nine kernels.
-pub(crate) fn visit_page<F>(view: PageView<'_>, mut f: F)
+pub(crate) fn visit_page<'a, F>(view: PageView<'a>, mut f: F)
 where
-    F: FnMut(u64, u32, PageKind, &mut dyn Iterator<Item = RecordId>),
+    F: FnMut(u64, u32, PageKind, AdjRun<'a>),
 {
     match view.kind() {
         PageKind::Small => {
-            for slot in 0..view.count() {
-                let vid = view.sp_vid(slot);
-                let len = view.sp_adj_len(slot);
-                let mut rids = (0..len).map(|i| view.sp_adj(slot, i));
-                f(vid, len, PageKind::Small, &mut rids);
+            for (vid, rids) in view.sp_vertices() {
+                f(vid, rids.len() as u32, PageKind::Small, rids);
             }
         }
         PageKind::Large => {
-            let vid = view.lp_vid();
-            let len = view.count();
-            let mut rids = (0..len).map(|i| view.lp_adj(i));
-            f(vid, len, PageKind::Large, &mut rids);
+            let rids = view.lp_adj_run();
+            f(view.lp_vid(), rids.len() as u32, PageKind::Large, rids)
         }
     }
 }
@@ -559,6 +554,47 @@ mod tests {
                 .run(&store, &mut *prog)
                 .unwrap();
             assert_eq!(prog.summary(), want, "{}", alg.name);
+        }
+    }
+
+    /// `visit_page` hands kernels exactly the edges the store holds: per
+    /// vertex the run, its reported length and the per-index accessors
+    /// agree, and all pages together are `decode_edges`.
+    #[test]
+    fn visit_page_reports_what_decode_edges_implies() {
+        for page_size in [1024, 4096] {
+            let store = build_graph_store(
+                &rmat(8),
+                PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, page_size),
+            )
+            .unwrap();
+            // Only the 1 KiB pages are too small for the top vertex (454 edges).
+            assert_eq!(store.large_pids().is_empty(), page_size == 4096);
+            let mut edges = Vec::new();
+            for pid in 0..store.num_pages() {
+                let view = store.view(pid);
+                let mut slot = 0;
+                visit_page(view, |vid, len, kind, rids| {
+                    assert_eq!(kind, view.kind());
+                    assert_eq!(len as usize, rids.len());
+                    for (i, rid) in rids.enumerate() {
+                        let at = match kind {
+                            PageKind::Small => view.sp_adj(slot, i as u32),
+                            PageKind::Large => view.lp_adj(i as u32),
+                        };
+                        assert_eq!(rid, at);
+                        edges.push((vid, store.rvt().translate(rid)));
+                    }
+                    slot += 1;
+                });
+                let vertices = match view.kind() {
+                    PageKind::Small => view.count(),
+                    PageKind::Large => 1,
+                };
+                assert_eq!(slot, vertices);
+            }
+            edges.sort_unstable();
+            assert_eq!(edges, store.decode_edges());
         }
     }
 

@@ -115,7 +115,7 @@ impl PageRank {
         work: &mut PageWork,
         vid: u64,
         total_degree: u64,
-        rids: &mut dyn Iterator<Item = gts_storage::RecordId>,
+        rids: gts_storage::AdjRun<'_>,
     ) {
         if total_degree == 0 {
             return;

@@ -58,7 +58,7 @@ impl Sssp {
         scratch: &mut KernelScratch,
         work: &mut PageWork,
         vid: u64,
-        rids: &mut dyn Iterator<Item = gts_storage::RecordId>,
+        rids: gts_storage::AdjRun<'_>,
     ) {
         let dv = self.dist[vid as usize];
         for rid in rids {

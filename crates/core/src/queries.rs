@@ -13,6 +13,7 @@
 //! actually pulled across PCI-E.
 
 use crate::engine::CachePolicyKind;
+use crate::programs::visit_page;
 use gts_gpu::timer::{KernelClass, KernelCost};
 use gts_gpu::{GpuConfig, GpuTimer, PcieConfig};
 use gts_sim::{SimDuration, SimTime};
@@ -96,22 +97,13 @@ impl<'s> QueryEngine<'s> {
         let mut out = Vec::new();
         for pid in self.pages_of(v) {
             let view = self.store.view(pid);
-            match view.kind() {
-                PageKind::Small => {
-                    let rid = self.store.rid_of_vertex(v);
-                    let len = view.sp_adj_len(rid.slot);
-                    for i in 0..len {
-                        out.push(self.store.rvt().translate(view.sp_adj(rid.slot, i)));
-                    }
-                    self.touch(pid, len as u64);
-                }
-                PageKind::Large => {
-                    for i in 0..view.count() {
-                        out.push(self.store.rvt().translate(view.lp_adj(i)));
-                    }
-                    self.touch(pid, view.count() as u64);
-                }
-            }
+            let run = match view.kind() {
+                PageKind::Small => view.sp_adj_run(self.store.rid_of_vertex(v).slot),
+                PageKind::Large => view.lp_adj_run(),
+            };
+            let len = run.len() as u64;
+            out.extend(run.map(|rid| self.store.rvt().translate(rid)));
+            self.touch(pid, len);
         }
         out
     }
@@ -152,34 +144,18 @@ impl<'s> QueryEngine<'s> {
         for pid in pages {
             let view = self.store.view(pid);
             let mut scanned = 0u64;
-            match view.kind() {
-                PageKind::Small => {
-                    for (vid, adj) in view.sp_vertices() {
-                        if !sources.contains(&vid) {
-                            continue;
-                        }
-                        for rid in adj {
-                            scanned += 1;
-                            let w = self.store.rvt().translate(rid);
-                            if targets.contains(&w) {
-                                edges.push((vid, w));
-                            }
-                        }
+            visit_page(view, |vid, _len, _kind, adj| {
+                if !sources.contains(&vid) {
+                    return;
+                }
+                for rid in adj {
+                    scanned += 1;
+                    let w = self.store.rvt().translate(rid);
+                    if targets.contains(&w) {
+                        edges.push((vid, w));
                     }
                 }
-                PageKind::Large => {
-                    let vid = view.lp_vid();
-                    if sources.contains(&vid) {
-                        for i in 0..view.count() {
-                            scanned += 1;
-                            let w = self.store.rvt().translate(view.lp_adj(i));
-                            if targets.contains(&w) {
-                                edges.push((vid, w));
-                            }
-                        }
-                    }
-                }
-            }
+            });
             self.touch(pid, scanned);
         }
         edges

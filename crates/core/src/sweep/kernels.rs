@@ -3,10 +3,12 @@
 //! Kernels really run on the host and produce exact algorithm results;
 //! only *time* is simulated, and that accounting happens strictly
 //! afterwards in [`crate::sweep::account`]. Splitting the two phases is
-//! what makes host parallelism safe: pages may execute concurrently on
-//! the thread pool here, but the serial accounting pass consumes their
-//! outcomes in page order, so `host_threads` can never change a
-//! simulated number.
+//! what makes host parallelism safe: the pages of a program with a
+//! [`crate::programs::SharedKernel`] (PageRank, RWR, degrees) execute
+//! concurrently on the thread pool here — the other six run on the
+//! calling thread whatever `host_threads` says — and phase B, one serial
+//! pass, consumes the outcomes in page order, so `host_threads` can
+//! never change a simulated number.
 
 use crate::programs::{GtsProgram, KernelScratch, PageCtx, PageWork};
 use gts_exec::ThreadPool;

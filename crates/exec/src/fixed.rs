@@ -51,6 +51,7 @@ impl FixedVec {
 
     /// Atomically add `x` to slot `i`. Safe to call from any number of
     /// threads; all interleavings yield the same final bits.
+    #[inline]
     pub fn add(&self, i: usize, x: f64) {
         self.slots[i].fetch_add(Self::to_fixed(x), Ordering::Relaxed);
     }

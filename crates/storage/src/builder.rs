@@ -11,8 +11,8 @@
 //! placed before any page can be encoded); pass 2 encodes pages.
 
 use crate::device::StorageError;
-use crate::format::{PageFormatConfig, RecordId};
-use crate::page::{encode_large_page, Page, PageView, SmallPageEncoder};
+use crate::format::{PageFormatConfig, PageKind, RecordId};
+use crate::page::{encode_large_page, AdjRun, Page, PageView, SmallPageEncoder};
 use crate::rvt::{Rvt, RvtEntry};
 use gts_graph::{Csr, EdgeList};
 use std::collections::BTreeMap;
@@ -191,11 +191,11 @@ impl GraphStore {
         }
         let view = self.view(pid);
         let (lo, hi) = match view.kind() {
-            crate::format::PageKind::Small => {
+            PageKind::Small => {
                 let s = self.rvt.entry(pid).start_vid;
                 (s, s + (view.count() as u64).saturating_sub(1))
             }
-            crate::format::PageKind::Large => {
+            PageKind::Large => {
                 let v = view.lp_vid();
                 (v, v)
             }
@@ -240,20 +240,12 @@ impl GraphStore {
         let mut out = Vec::with_capacity(self.num_edges as usize);
         for pid in 0..self.num_pages() {
             let v = self.view(pid);
+            let mut decode = |vid: u64, adj: AdjRun<'_>| {
+                out.extend(adj.map(|rid| (vid, self.rvt.translate(rid))));
+            };
             match v.kind() {
-                crate::format::PageKind::Small => {
-                    for (vid, adj) in v.sp_vertices() {
-                        for rid in adj {
-                            out.push((vid, self.rvt.translate(rid)));
-                        }
-                    }
-                }
-                crate::format::PageKind::Large => {
-                    let vid = v.lp_vid();
-                    for i in 0..v.count() {
-                        out.push((vid, self.rvt.translate(v.lp_adj(i))));
-                    }
-                }
+                PageKind::Small => v.sp_vertices().for_each(|(vid, adj)| decode(vid, adj)),
+                PageKind::Large => decode(v.lp_vid(), v.lp_adj_run()),
             }
         }
         out.sort_unstable();
@@ -303,7 +295,7 @@ impl GraphStore {
             let pid = i as u64;
             let view = pages[i].verify(cfg)?.view();
             match view.kind() {
-                crate::format::PageKind::Small => {
+                PageKind::Small => {
                     let count = view.count();
                     if count == 0 {
                         return Err(format!("empty small page {pid}"));
@@ -333,7 +325,7 @@ impl GraphStore {
                     num_edges += edges;
                     i += 1;
                 }
-                crate::format::PageKind::Large => {
+                PageKind::Large => {
                     let vid = view.lp_vid();
                     if vid >= num_vertices {
                         return Err(format!("page {pid}: LP vid {vid} out of range"));
@@ -342,7 +334,7 @@ impl GraphStore {
                     let mut chunks = 0usize;
                     while i + chunks < pages.len() {
                         let v = pages[i + chunks].verify(cfg)?.view();
-                        if v.kind() != crate::format::PageKind::Large || v.lp_vid() != vid {
+                        if v.kind() != PageKind::Large || v.lp_vid() != vid {
                             break;
                         }
                         chunks += 1;
@@ -414,8 +406,8 @@ impl GraphStore {
                 // high-degree vertex's record ID names its first chunk).
                 let target_view = store.view(rid.pid);
                 let slot_ok = match target_view.kind() {
-                    crate::format::PageKind::Small => rid.slot < target_view.count(),
-                    crate::format::PageKind::Large => rid.slot == 0,
+                    PageKind::Small => rid.slot < target_view.count(),
+                    PageKind::Large => rid.slot == 0,
                 };
                 if !slot_ok {
                     return Err(format!(
@@ -432,18 +424,10 @@ impl GraphStore {
                 Ok(())
             };
             match view.kind() {
-                crate::format::PageKind::Small => {
-                    for slot in 0..view.count() {
-                        for i in 0..view.sp_adj_len(slot) {
-                            check(view.sp_adj(slot, i))?;
-                        }
-                    }
-                }
-                crate::format::PageKind::Large => {
-                    for i in 0..view.count() {
-                        check(view.lp_adj(i))?;
-                    }
-                }
+                PageKind::Small => view
+                    .sp_vertices()
+                    .try_for_each(|(_, mut adj)| adj.try_for_each(check))?,
+                PageKind::Large => view.lp_adj_run().try_for_each(check)?,
             }
         }
         Ok(store)

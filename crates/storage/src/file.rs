@@ -147,11 +147,9 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
         let mut data = vec![0u8; page_size];
         r.read_exact(&mut data)
             .map_err(|_| FileError::BadHeader(format!("truncated at page {pid}")))?;
-        let kind = if data[0] == 0 {
-            PageKind::Small
-        } else {
-            PageKind::Large
-        };
+        let kind = PageKind::from_byte(data[0]).ok_or_else(|| {
+            FileError::BadHeader(format!("page {pid}: unknown kind byte {}", data[0]))
+        })?;
         pages.push(Page::new(pid, kind, data.into_boxed_slice()));
     }
     GraphStore::reconstruct(cfg, pages, num_vertices).map_err(FileError::BadHeader)

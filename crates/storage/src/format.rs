@@ -112,9 +112,21 @@ impl RecordId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// Small Page: consecutive low-degree vertices, records + slots.
-    Small,
+    Small = 0,
     /// Large Page: one chunk of a single high-degree vertex.
-    Large,
+    Large = 1,
+}
+
+impl PageKind {
+    /// The kind a page's first header byte names (its discriminant);
+    /// `None` for any other byte.
+    pub fn from_byte(byte: u8) -> Option<PageKind> {
+        match byte {
+            0 => Some(PageKind::Small),
+            1 => Some(PageKind::Large),
+            _ => None,
+        }
+    }
 }
 
 /// Full format configuration: ID widths plus the fixed page size.

@@ -43,6 +43,6 @@ pub use file::{load_store, save_store, FileError};
 pub use format::{PageFormatConfig, PageKind, PhysicalIdConfig, RecordId};
 pub use mmbuf::MmBuf;
 pub use mutate::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
-pub use page::{page_checksum, Page, PageView, VerifiedPage};
+pub use page::{page_checksum, AdjRun, Page, PageView, VerifiedPage};
 pub use rvt::{Rvt, RvtEntry};
 pub use wal::{store_identity_fp, Wal, WalError, WalHeader, WalRecord, WAL_FILE};

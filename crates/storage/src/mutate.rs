@@ -197,27 +197,17 @@ impl GraphStore {
         let mut adj = Vec::new();
         let hv = self.view(home.pid);
         match hv.kind() {
-            PageKind::Small => {
-                for i in 0..hv.sp_adj_len(home.slot) {
-                    adj.push(hv.sp_adj(home.slot, i));
-                }
-            }
+            PageKind::Small => adj.extend(hv.sp_adj_run(home.slot)),
             PageKind::Large => {
                 let run = self.rvt.entry(home.pid).lp_range.unwrap_or(0) as u64;
                 for pid in home.pid..=home.pid + run {
-                    let v = self.view(pid);
-                    for i in 0..v.count() {
-                        adj.push(v.lp_adj(i));
-                    }
+                    adj.extend(self.view(pid).lp_adj_run());
                 }
             }
         }
         if let Some(dps) = self.delta_pages.get(&vid) {
             for &pid in dps {
-                let v = self.view(pid);
-                for i in 0..v.count() {
-                    adj.push(v.lp_adj(i));
-                }
+                adj.extend(self.view(pid).lp_adj_run());
             }
         }
         adj
@@ -328,12 +318,7 @@ impl GraphStore {
                 } else if let Some(a) = overlay.get(&vid) {
                     slot_adj.push(Some(a.clone()));
                 } else {
-                    let len = view.sp_adj_len(s);
-                    let mut a = Vec::with_capacity(len as usize);
-                    for i in 0..len {
-                        a.push(view.sp_adj(s, i));
-                    }
-                    slot_adj.push(Some(a));
+                    slot_adj.push(Some(view.sp_adj_run(s).collect()));
                 }
             }
             let foot = |o: &Option<Vec<RecordId>>| {

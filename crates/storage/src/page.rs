@@ -12,8 +12,8 @@
 //! slots grow backward from just before the trailer.
 
 use crate::format::{
-    PageFormatConfig, PageKind, RecordId, ADJLIST_SZ_BYTES, OFF_BYTES, PAGE_HEADER_BYTES,
-    PAGE_TRAILER_BYTES, VID_BYTES,
+    PageFormatConfig, PageKind, PhysicalIdConfig, RecordId, ADJLIST_SZ_BYTES, OFF_BYTES,
+    PAGE_HEADER_BYTES, PAGE_TRAILER_BYTES, VID_BYTES,
 };
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -81,7 +81,7 @@ impl Page {
     /// The checksum stored in the page trailer.
     pub fn stored_checksum(&self) -> u64 {
         let at = self.data.len() - PAGE_TRAILER_BYTES;
-        read_le(&self.data[at..], PAGE_TRAILER_BYTES)
+        read_le::<PAGE_TRAILER_BYTES>(&self.data[at..])
     }
 
     /// Recompute the trailer checksum and compare it to the stored one.
@@ -178,24 +178,79 @@ pub fn page_checksum(data: &[u8]) -> u64 {
 fn seal(data: &mut [u8]) {
     let sum = page_checksum(data);
     let at = data.len() - PAGE_TRAILER_BYTES;
-    write_le(&mut data[at..], sum, PAGE_TRAILER_BYTES);
+    write_le::<PAGE_TRAILER_BYTES>(&mut data[at..], sum);
 }
 
+/// Write the low `N` bytes of `value`. `N` is a constant at every call
+/// site, so the copy is a fixed-width store, never a `memcpy` call.
 #[inline]
-fn write_le(buf: &mut [u8], value: u64, width: usize) {
-    debug_assert!(width <= 8);
+fn write_le<const N: usize>(buf: &mut [u8], value: u64) {
     debug_assert!(
-        width == 8 || value < 1u64 << (8 * width),
-        "value {value} overflows {width} bytes"
+        N == 8 || value < 1u64 << (8 * N),
+        "value {value} overflows {N} bytes"
     );
-    buf[..width].copy_from_slice(&value.to_le_bytes()[..width]);
+    buf[..N].copy_from_slice(&value.to_le_bytes()[..N]);
 }
 
+/// Read an `N`-byte little-endian field (a fixed-width load, as above).
 #[inline]
-fn read_le(buf: &[u8], width: usize) -> u64 {
+fn read_le<const N: usize>(buf: &[u8]) -> u64 {
     let mut bytes = [0u8; 8];
-    bytes[..width].copy_from_slice(&buf[..width]);
+    bytes[..N].copy_from_slice(&buf[..N]);
     u64::from_le_bytes(bytes)
+}
+
+/// All-ones in the low `bytes` (1..=8) bytes.
+#[inline]
+fn low_mask(bytes: u32) -> u64 {
+    u64::MAX >> (64 - 8 * bytes)
+}
+
+/// Bytes of one slot-directory entry.
+const SLOT_BYTES: usize = VID_BYTES + OFF_BYTES;
+/// Bytes one [`decode_rid`] load reads, whatever the entry's width.
+const LOAD_BYTES: usize = 8;
+// The trailer behind every record is what an adjacency list's last
+// entry loads into (see [`PageView::run`]).
+const _: () = assert!(PAGE_TRAILER_BYTES >= LOAD_BYTES);
+
+/// Pack `adj` from the start of `buf`, one `(p, q)`-wide entry each.
+fn encode_rids(buf: &mut [u8], adj: &[RecordId], id: PhysicalIdConfig) {
+    let entries = buf[..adj.len() * id.rid_bytes()].chunks_exact_mut(id.rid_bytes());
+    for (entry, rid) in entries.zip(adj) {
+        debug_assert!(
+            rid.pid <= low_mask(id.p as u32) && rid.slot as u64 <= low_mask(id.q as u32),
+            "{rid:?} overflows {id}"
+        );
+        let (pid, slot) = entry.split_at_mut(id.p as usize);
+        // Byte loops: the widths are run-time values, and a slice copy of
+        // run-time length is a `memcpy` call per half.
+        for (i, b) in pid.iter_mut().enumerate() {
+            *b = (rid.pid >> (8 * i)) as u8;
+        }
+        for (i, b) in slot.iter_mut().enumerate() {
+            *b = (rid.slot as u64 >> (8 * i)) as u8;
+        }
+    }
+}
+
+/// The one place bytes become a [`RecordId`]: `at` begins at a packed
+/// `(ADJ_PID, ADJ_OFF)` entry and holds at least [`LOAD_BYTES`] past the
+/// entry's `q` half. One load plus mask/shift when the entry fits a
+/// word, two loads when it is wider.
+#[inline]
+fn decode_rid(at: &[u8], id: PhysicalIdConfig) -> RecordId {
+    let (p, q) = (id.p as u32, id.q as u32);
+    let word = read_le::<LOAD_BYTES>(at);
+    let slot = if p + q <= 8 {
+        word >> (8 * p)
+    } else {
+        read_le::<LOAD_BYTES>(&at[p as usize..])
+    };
+    RecordId {
+        pid: word & low_mask(p),
+        slot: (slot & low_mask(q)) as u32,
+    }
 }
 
 /// Builder that encodes one Small Page.
@@ -223,7 +278,7 @@ impl SmallPageEncoder {
         let used = PAGE_HEADER_BYTES
             + PAGE_TRAILER_BYTES
             + self.record_cursor
-            + self.slots as usize * (VID_BYTES + OFF_BYTES);
+            + self.slots as usize * SLOT_BYTES;
         self.cfg.page_size - used
     }
 
@@ -244,37 +299,26 @@ impl SmallPageEncoder {
     /// Panics if the vertex does not fit; callers must check [`fits`].
     pub fn push_vertex(&mut self, vid: u64, adj: &[RecordId]) -> u32 {
         assert!(self.fits(adj.len()), "vertex {vid} does not fit");
-        let rid_w = self.cfg.id.rid_bytes();
         let off = self.record_cursor;
         // Record: ADJLIST_SZ then packed record IDs.
         let rec_at = PAGE_HEADER_BYTES + off;
-        write_le(&mut self.data[rec_at..], adj.len() as u64, ADJLIST_SZ_BYTES);
-        let mut at = rec_at + ADJLIST_SZ_BYTES;
-        for r in adj {
-            write_le(&mut self.data[at..], r.pid, self.cfg.id.p as usize);
-            write_le(
-                &mut self.data[at + self.cfg.id.p as usize..],
-                r.slot as u64,
-                self.cfg.id.q as usize,
-            );
-            at += rid_w;
-        }
-        self.record_cursor += ADJLIST_SZ_BYTES + adj.len() * rid_w;
+        write_le::<ADJLIST_SZ_BYTES>(&mut self.data[rec_at..], adj.len() as u64);
+        let id = self.cfg.id;
+        encode_rids(&mut self.data[rec_at + ADJLIST_SZ_BYTES..], adj, id);
+        self.record_cursor += ADJLIST_SZ_BYTES + adj.len() * id.rid_bytes();
         // Slot, growing backward from just before the checksum trailer.
         let slot_no = self.slots;
-        let slot_at = self.cfg.page_size
-            - PAGE_TRAILER_BYTES
-            - (slot_no as usize + 1) * (VID_BYTES + OFF_BYTES);
-        write_le(&mut self.data[slot_at..], vid, VID_BYTES);
-        write_le(&mut self.data[slot_at + VID_BYTES..], off as u64, OFF_BYTES);
+        let slot_at = self.cfg.page_size - PAGE_TRAILER_BYTES - (slot_no as usize + 1) * SLOT_BYTES;
+        write_le::<VID_BYTES>(&mut self.data[slot_at..], vid);
+        write_le::<OFF_BYTES>(&mut self.data[slot_at + VID_BYTES..], off as u64);
         self.slots += 1;
         slot_no
     }
 
     /// Finish the page with its global ID, sealing the trailer checksum.
     pub fn finish(mut self, pid: u64) -> Page {
-        self.data[0] = 0; // kind = Small
-        write_le(&mut self.data[1..], self.slots as u64, 4);
+        self.data[0] = PageKind::Small as u8;
+        write_le::<4>(&mut self.data[1..], self.slots as u64);
         seal(&mut self.data);
         Page::new(pid, PageKind::Small, self.data.into_boxed_slice())
     }
@@ -289,19 +333,10 @@ pub fn encode_large_page(cfg: PageFormatConfig, pid: u64, vid: u64, adj: &[Recor
         cfg.lp_capacity()
     );
     let mut data = vec![0u8; cfg.page_size];
-    data[0] = 1; // kind = Large
-    write_le(&mut data[1..], adj.len() as u64, 4);
-    write_le(&mut data[PAGE_HEADER_BYTES..], vid, VID_BYTES);
-    let mut at = PAGE_HEADER_BYTES + VID_BYTES;
-    for r in adj {
-        write_le(&mut data[at..], r.pid, cfg.id.p as usize);
-        write_le(
-            &mut data[at + cfg.id.p as usize..],
-            r.slot as u64,
-            cfg.id.q as usize,
-        );
-        at += cfg.id.rid_bytes();
-    }
+    data[0] = PageKind::Large as u8;
+    write_le::<4>(&mut data[1..], adj.len() as u64);
+    write_le::<VID_BYTES>(&mut data[PAGE_HEADER_BYTES..], vid);
+    encode_rids(&mut data[PAGE_HEADER_BYTES + VID_BYTES..], adj, cfg.id);
     seal(&mut data);
     Page::new(pid, PageKind::Large, data.into_boxed_slice())
 }
@@ -324,69 +359,81 @@ impl<'a> PageView<'a> {
         }
     }
 
-    /// Page kind as encoded in the header.
+    /// Page kind as encoded in the header (verification proved the
+    /// header byte is a kind and agrees with [`Page::kind`]).
+    #[inline]
     pub fn kind(&self) -> PageKind {
-        if self.page.data[0] == 0 {
-            PageKind::Small
-        } else {
-            PageKind::Large
-        }
+        self.page.kind
     }
 
     /// Small Page: number of vertices (slots). Large Page: number of
     /// adjacency entries in this chunk.
+    #[inline]
     pub fn count(&self) -> u32 {
-        read_le(&self.page.data[1..], 4) as u32
+        read_le::<4>(&self.page.data[1..]) as u32
     }
 
     /// Small Page: the VID stored in `slot`.
     ///
     /// # Panics
     /// Panics if `slot` is out of range for this page.
+    #[inline]
     pub fn sp_vid(&self, slot: u32) -> u64 {
-        assert!(slot < self.count(), "slot {slot} out of range");
-        let at =
-            self.cfg.page_size - PAGE_TRAILER_BYTES - (slot as usize + 1) * (VID_BYTES + OFF_BYTES);
-        read_le(&self.page.data[at..], VID_BYTES)
+        read_le::<VID_BYTES>(&self.page.data[self.sp_slot_at(slot)..])
     }
 
     /// Small Page: adjacency-list length of the vertex in `slot`.
+    #[inline]
     pub fn sp_adj_len(&self, slot: u32) -> u32 {
-        let rec = self.sp_record_at(slot);
-        read_le(&self.page.data[rec..], ADJLIST_SZ_BYTES) as u32
+        self.sp_adj_run(slot).len() as u32
     }
 
-    /// Small Page: the `i`-th record ID in `slot`'s adjacency list.
+    /// Small Page: the `i`-th record ID in `slot`'s adjacency list; panics
+    /// past its end. Loops want [`PageView::sp_adj_run`].
+    #[inline]
     pub fn sp_adj(&self, slot: u32, i: u32) -> RecordId {
-        let rec = self.sp_record_at(slot) + ADJLIST_SZ_BYTES;
-        self.read_rid(rec + i as usize * self.cfg.id.rid_bytes())
+        self.sp_adj_run(slot).entry(i)
     }
 
-    /// Small Page: iterate `(vid, adjacency iterator)` over all slots.
-    pub fn sp_vertices(&self) -> impl Iterator<Item = (u64, SpAdjIter<'a>)> + '_ {
+    /// Small Page: the adjacency list of the vertex in `slot`, as a run.
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range for this page.
+    #[inline]
+    pub fn sp_adj_run(&self, slot: u32) -> AdjRun<'a> {
+        self.sp_record_run(&self.page.data[self.sp_slot_at(slot) + VID_BYTES..])
+    }
+
+    /// Small Page: iterate `(vid, adjacency run)` over all slots.
+    #[inline]
+    pub fn sp_vertices(&self) -> impl Iterator<Item = (u64, AdjRun<'a>)> + '_ {
         let me = *self;
-        (0..self.count()).map(move |slot| {
-            (
-                me.sp_vid(slot),
-                SpAdjIter {
-                    view: me,
-                    slot,
-                    next: 0,
-                    len: me.sp_adj_len(slot),
-                },
-            )
+        // The slot directory, cut out once: slot 0 is its last entry.
+        let end = self.cfg.page_size - PAGE_TRAILER_BYTES;
+        let slots = &self.page.data[end - self.count() as usize * SLOT_BYTES..end];
+        slots.rchunks_exact(SLOT_BYTES).map(move |slot| {
+            let (vid, off) = slot.split_at(VID_BYTES);
+            (read_le::<VID_BYTES>(vid), me.sp_record_run(off))
         })
     }
 
     /// Large Page: the single vertex this chunk belongs to.
+    #[inline]
     pub fn lp_vid(&self) -> u64 {
-        read_le(&self.page.data[PAGE_HEADER_BYTES..], VID_BYTES)
+        read_le::<VID_BYTES>(&self.page.data[PAGE_HEADER_BYTES..])
     }
 
-    /// Large Page: the `i`-th record ID in this chunk.
+    /// Large Page: the `i`-th record ID in this chunk; panics past its
+    /// end. Loops want [`PageView::lp_adj_run`].
+    #[inline]
     pub fn lp_adj(&self, i: u32) -> RecordId {
-        let base = PAGE_HEADER_BYTES + VID_BYTES;
-        self.read_rid(base + i as usize * self.cfg.id.rid_bytes())
+        self.lp_adj_run().entry(i)
+    }
+
+    /// Large Page: this chunk's adjacency entries, as a run.
+    #[inline]
+    pub fn lp_adj_run(&self) -> AdjRun<'a> {
+        self.run(PAGE_HEADER_BYTES + VID_BYTES, self.count() as usize)
     }
 
     /// Total edges (record-id entries) stored in this page, either kind.
@@ -397,41 +444,107 @@ impl<'a> PageView<'a> {
         }
     }
 
-    fn sp_record_at(&self, slot: u32) -> usize {
+    /// Byte offset of `slot`'s `VID` + `OFF` pair.
+    #[inline]
+    fn sp_slot_at(&self, slot: u32) -> usize {
         // A real bounds check, not a debug_assert: in release builds an
         // out-of-range slot would wrap the offset arithmetic and read
         // garbage (or panic deep in slice indexing) — fail loudly here.
         assert!(slot < self.count(), "slot {slot} out of range");
-        let at =
-            self.cfg.page_size - PAGE_TRAILER_BYTES - (slot as usize + 1) * (VID_BYTES + OFF_BYTES);
-        let off = read_le(&self.page.data[at + VID_BYTES..], OFF_BYTES) as usize;
-        PAGE_HEADER_BYTES + off
+        self.cfg.page_size - PAGE_TRAILER_BYTES - (slot as usize + 1) * SLOT_BYTES
     }
 
-    fn read_rid(&self, at: usize) -> RecordId {
-        let pid = read_le(&self.page.data[at..], self.cfg.id.p as usize);
-        let slot = read_le(
-            &self.page.data[at + self.cfg.id.p as usize..],
-            self.cfg.id.q as usize,
-        ) as u32;
-        RecordId { pid, slot }
+    /// The record a slot's `OFF` field (at the start of `off`) points at.
+    #[inline]
+    fn sp_record_run(&self, off: &[u8]) -> AdjRun<'a> {
+        let rec = PAGE_HEADER_BYTES + read_le::<OFF_BYTES>(off) as usize;
+        let len = read_le::<ADJLIST_SZ_BYTES>(&self.page.data[rec..]);
+        self.run(rec + ADJLIST_SZ_BYTES, len as usize)
+    }
+
+    /// The `len` packed record IDs starting at byte `start`.
+    #[inline]
+    fn run(&self, start: usize, len: usize) -> AdjRun<'a> {
+        // `validate_structure` proved the list ends at or before the
+        // trailer, so the slice can take [`LOAD_BYTES`] more: the slack
+        // that lets the last entry be decoded with a full-word load
+        // without leaving the page. Still a checked slice — the run's
+        // one real bounds check.
+        let end = start + len * self.cfg.id.rid_bytes();
+        AdjRun {
+            bytes: &self.page.data[start..end + LOAD_BYTES],
+            left: len,
+            id: self.cfg.id,
+        }
     }
 }
+
+/// One vertex's adjacency list on one page — a Small-Page record or a
+/// Large-Page chunk — as a run of packed record IDs. The slot bound, the
+/// record offset, `ADJLIST_SZ` and the `(p, q)` widths were taken once,
+/// when the run was cut out of the page; each entry is then one
+/// fixed-width load ([`decode_rid`]).
+#[derive(Debug, Clone)]
+pub struct AdjRun<'a> {
+    /// From the next entry to [`LOAD_BYTES`] past the last one.
+    bytes: &'a [u8],
+    /// Entries not yet yielded.
+    left: usize,
+    id: PhysicalIdConfig,
+}
+
+impl AdjRun<'_> {
+    /// Random access for the cold [`PageView::sp_adj`] / [`PageView::lp_adj`].
+    #[inline]
+    fn entry(&self, i: u32) -> RecordId {
+        assert!((i as usize) < self.left, "entry {i} out of range");
+        decode_rid(&self.bytes[i as usize * self.id.rid_bytes()..], self.id)
+    }
+}
+
+impl Iterator for AdjRun<'_> {
+    type Item = RecordId;
+
+    #[inline]
+    fn next(&mut self) -> Option<RecordId> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let rid = decode_rid(self.bytes, self.id);
+        self.bytes = &self.bytes[self.id.rid_bytes()..];
+        Some(rid)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for AdjRun<'_> {}
 
 /// Structural half of [`Page::verify`]: check that every [`PageView`]
 /// accessor would stay in bounds. Size and checksum are already checked
 /// by the caller.
 fn validate_structure(cfg: PageFormatConfig, page: &Page) -> Result<(), String> {
+    let kind = PageKind::from_byte(page.data[0])
+        .ok_or_else(|| format!("page {}: unknown kind byte {}", page.pid, page.data[0]))?;
+    if kind != page.kind {
+        let (pid, label) = (page.pid, page.kind);
+        return Err(format!(
+            "page {pid}: {kind:?} by its header, labelled {label:?}"
+        ));
+    }
     // Raw in-module view: the page is structurally unproven, but this
     // function only reads the header fields it is about to bound-check.
     let view = PageView { cfg, page };
     let rid_w = cfg.id.rid_bytes();
-    match view.kind() {
+    match kind {
         PageKind::Small => {
             let count = view.count() as usize;
-            let slot_bytes = VID_BYTES + OFF_BYTES;
             let slots_start = (cfg.page_size - PAGE_TRAILER_BYTES)
-                .checked_sub(count * slot_bytes)
+                .checked_sub(count * SLOT_BYTES)
                 .ok_or_else(|| format!("page {}: {} slots overflow the page", page.pid, count))?;
             if slots_start < PAGE_HEADER_BYTES {
                 return Err(format!(
@@ -440,8 +553,8 @@ fn validate_structure(cfg: PageFormatConfig, page: &Page) -> Result<(), String> 
                 ));
             }
             for slot in 0..count as u32 {
-                let at = cfg.page_size - PAGE_TRAILER_BYTES - (slot as usize + 1) * slot_bytes;
-                let off = read_le(&page.data[at + VID_BYTES..], OFF_BYTES) as usize;
+                let at = cfg.page_size - PAGE_TRAILER_BYTES - (slot as usize + 1) * SLOT_BYTES;
+                let off = read_le::<OFF_BYTES>(&page.data[at + VID_BYTES..]) as usize;
                 let rec = PAGE_HEADER_BYTES + off;
                 if rec + ADJLIST_SZ_BYTES > slots_start {
                     return Err(format!(
@@ -449,7 +562,7 @@ fn validate_structure(cfg: PageFormatConfig, page: &Page) -> Result<(), String> 
                         page.pid
                     ));
                 }
-                let len = read_le(&page.data[rec..], ADJLIST_SZ_BYTES) as usize;
+                let len = read_le::<ADJLIST_SZ_BYTES>(&page.data[rec..]) as usize;
                 let end = rec + ADJLIST_SZ_BYTES + len * rid_w;
                 if end > slots_start {
                     return Err(format!(
@@ -473,39 +586,10 @@ fn validate_structure(cfg: PageFormatConfig, page: &Page) -> Result<(), String> 
     Ok(())
 }
 
-/// Iterator over one Small-Page vertex's adjacency record IDs.
-pub struct SpAdjIter<'a> {
-    view: PageView<'a>,
-    slot: u32,
-    next: u32,
-    len: u32,
-}
-
-impl Iterator for SpAdjIter<'_> {
-    type Item = RecordId;
-
-    fn next(&mut self) -> Option<RecordId> {
-        if self.next >= self.len {
-            return None;
-        }
-        let r = self.view.sp_adj(self.slot, self.next);
-        self.next += 1;
-        Some(r)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = (self.len - self.next) as usize;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for SpAdjIter<'_> {}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 mod tests {
     use super::*;
-    use crate::format::PhysicalIdConfig;
 
     fn cfg() -> PageFormatConfig {
         PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 256)
@@ -579,6 +663,43 @@ mod tests {
         let mut enc = SmallPageEncoder::new(c);
         let adj: Vec<RecordId> = (0..1000).map(|i| RecordId::new(0, i)).collect();
         enc.push_vertex(0, &adj);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 2 out of range")]
+    fn sp_adj_past_the_list_panics() {
+        let c = cfg();
+        let mut enc = SmallPageEncoder::new(c);
+        enc.push_vertex(0, &[RecordId::new(1, 1), RecordId::new(1, 2)]);
+        enc.push_vertex(1, &[RecordId::new(2, 2)]);
+        let page = enc.finish(0);
+        let v = page.verify(c).unwrap().view();
+        // Would otherwise decode vertex 1's ADJLIST_SZ as a record ID.
+        v.sp_adj(0, v.sp_adj_len(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 1 out of range")]
+    fn lp_adj_past_the_chunk_panics() {
+        let c = cfg();
+        let page = encode_large_page(c, 0, 7, &[RecordId::new(2, 3)]);
+        let v = page.verify(c).unwrap().view();
+        v.lp_adj(v.count());
+    }
+
+    #[test]
+    fn resealed_unknown_or_mislabelled_kind_is_rejected() {
+        let c = cfg();
+        let mut page = encode_large_page(c, 4, 7, &[RecordId::new(2, 3)]);
+        page.data[0] = 2;
+        seal(&mut page.data);
+        assert!(page.checksum_ok());
+        assert_eq!(page.verify(c).unwrap_err(), "page 4: unknown kind byte 2");
+        // A valid header byte the page table disagrees with.
+        page.data[0] = PageKind::Small as u8;
+        seal(&mut page.data);
+        let err = page.verify(c).unwrap_err();
+        assert_eq!(err, "page 4: Small by its header, labelled Large");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! every record ID back to the vertex that owns it.
 
 use gts_graph::EdgeList;
-use gts_storage::{build_graph_store, PageFormatConfig, PageKind, PhysicalIdConfig};
+use gts_storage::page::{encode_large_page, SmallPageEncoder};
+use gts_storage::{
+    build_graph_store, AdjRun, PageFormatConfig, PageKind, PhysicalIdConfig, RecordId,
+};
 use proptest::prelude::*;
 
 /// Random small multigraph (duplicates and self-loops allowed).
@@ -194,13 +197,169 @@ proptest! {
     }
 }
 
+/// A flipped kind byte passes the per-page checksum once the page is
+/// resealed; the load must still refuse it, not walk it as an LP chunk.
+#[test]
+fn load_rejects_a_resealed_unknown_kind_byte() {
+    use gts_storage::{load_store, page_checksum, save_store, FileError};
+    let graph = gts_graph::generate::Rmat::new(7).generate();
+    let fmt = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512);
+    let store = build_graph_store(&graph, fmt).unwrap();
+    let path = std::env::temp_dir().join(format!("gts-fuzz-kind-{}", std::process::id()));
+    save_store(&store, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let first = bytes.len() - store.num_pages() as usize * fmt.page_size;
+    let page = &mut bytes[first..first + fmt.page_size];
+    page[0] = 2;
+    let sum = page_checksum(page).to_le_bytes();
+    page[fmt.page_size - sum.len()..].copy_from_slice(&sum);
+    std::fs::write(&path, &bytes).unwrap();
+    let result = load_store(&path);
+    std::fs::remove_file(&path).ok();
+    match result {
+        Err(FileError::BadHeader(m)) => assert!(m.contains("page 0: unknown kind byte 2"), "{m}"),
+        other => panic!("expected a typed error, got {:?}", other.map(|_| "a store")),
+    }
+}
+
+/// Every `(p, q)` width pair: both the one-load path (`p + q <= 8`) and
+/// the two-load path, up to `(8, 8)`.
+fn all_widths() -> impl Iterator<Item = PhysicalIdConfig> {
+    (1u8..=8).flat_map(|p| (1u8..=8).map(move |q| PhysicalIdConfig::new(p, q)))
+}
+
+/// Largest record ID `id` can pack (`RecordId::slot` is itself 32 bits).
+fn max_rid(id: PhysicalIdConfig) -> RecordId {
+    let max = |bytes: u8| u64::MAX >> (64 - 8 * bytes as u32);
+    RecordId::new(max(id.p), max(id.q).min(u32::MAX as u64) as u32)
+}
+
+/// `run`, the per-index accessor `at` and the encoded `want` all agree,
+/// and `len()` stays exact while the run is consumed.
+fn assert_run_is(run: AdjRun<'_>, at: impl Fn(u32) -> RecordId, want: &[RecordId]) {
+    assert_eq!(run.len(), want.len());
+    assert_eq!(run.clone().collect::<Vec<_>>(), want);
+    for (i, r) in want.iter().enumerate() {
+        assert_eq!(at(i as u32), *r);
+    }
+    let mut rest = run;
+    for left in (0..want.len()).rev() {
+        assert!(rest.next().is_some());
+        assert_eq!(rest.len(), left);
+    }
+    assert_eq!(rest.next(), None);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random adjacency lists with either half at 0, at its maximum or
+    /// anywhere between, on a Small Page and as one Large-Page chunk.
+    #[test]
+    fn adj_runs_equal_accessors_equal_input_at_every_width(
+        lists in proptest::collection::vec(
+            proptest::collection::vec((0u64..=u64::MAX, 0u64..=u64::MAX, 0u8..9), 0..12),
+            1..6,
+        ),
+    ) {
+        for id in all_widths() {
+            let cfg = PageFormatConfig::new(id, 1024);
+            let max = max_rid(id);
+            // `pick % 3` places the pid half, `pick / 3` the slot half.
+            let half = |raw: u64, pick: u8, max: u64| match pick {
+                0 => 0,
+                1 => max,
+                _ => raw & max,
+            };
+            let lists: Vec<Vec<RecordId>> = lists
+                .iter()
+                .map(|l| {
+                    l.iter()
+                        .map(|&(pid, slot, pick)| {
+                            RecordId::new(
+                                half(pid, pick % 3, max.pid),
+                                half(slot, pick / 3, max.slot as u64) as u32,
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut enc = SmallPageEncoder::new(cfg);
+            for (vid, adj) in lists.iter().enumerate() {
+                enc.push_vertex(vid as u64, adj);
+            }
+            let page = enc.finish(0);
+            let v = page.verify(cfg).unwrap().view();
+            for (slot, want) in lists.iter().enumerate() {
+                let slot = slot as u32;
+                assert_run_is(v.sp_adj_run(slot), |i| v.sp_adj(slot, i), want);
+                prop_assert_eq!(v.sp_adj_len(slot) as usize, want.len());
+            }
+            let walked: Vec<(u64, Vec<RecordId>)> =
+                v.sp_vertices().map(|(vid, adj)| (vid, adj.collect())).collect();
+            let want: Vec<(u64, Vec<RecordId>)> =
+                lists.iter().cloned().enumerate().map(|(i, l)| (i as u64, l)).collect();
+            prop_assert_eq!(walked, want);
+
+            let chunk: Vec<RecordId> = lists.concat();
+            let page = encode_large_page(cfg, 1, 7, &chunk);
+            let v = page.verify(cfg).unwrap().view();
+            assert_run_is(v.lp_adj_run(), |i| v.lp_adj(i), &chunk);
+        }
+    }
+}
+
+/// The last entry's full-word load reads past its own bytes: into the
+/// slot directory on a Small Page whose last record abuts it, into the
+/// trailer on a Large Page at exactly `lp_capacity()`. Every entry is
+/// all-ones, so a mask that let a neighbouring byte in would show.
+#[test]
+fn runs_decode_where_the_last_entry_abuts_the_slots_or_the_trailer() {
+    for id in all_widths() {
+        let w = id.rid_bytes();
+        let max = max_rid(id);
+        // One record filling the page to the byte: header + trailer,
+        // one slot + ADJLIST_SZ, 20 entries.
+        let cfg = PageFormatConfig::new(id, 16 + 14 + 20 * w);
+        let mut enc = SmallPageEncoder::new(cfg);
+        enc.push_vertex(3, &[max; 20]);
+        assert_eq!(enc.remaining(), 0, "{id}");
+        let page = enc.finish(0);
+        let v = page.verify(cfg).unwrap().view();
+        assert_run_is(v.sp_adj_run(0), |i| v.sp_adj(0, i), &[max; 20]);
+
+        // Many one-edge vertices until no further one fits.
+        let cfg = PageFormatConfig::new(id, 1024);
+        let mut enc = SmallPageEncoder::new(cfg);
+        while enc.fits(1) {
+            enc.push_vertex(enc.num_slots() as u64, &[max]);
+        }
+        let n = enc.num_slots();
+        let page = enc.finish(0);
+        let v = page.verify(cfg).unwrap().view();
+        assert_eq!(v.sp_vertices().count(), n as usize);
+        for (vid, adj) in v.sp_vertices() {
+            assert_run_is(adj, |i| v.sp_adj(vid as u32, i), &[max]);
+        }
+
+        // A full Large Page whose last entry ends where the trailer
+        // starts: header + VID + trailer, 20 entries, no padding.
+        let cfg = PageFormatConfig::new(id, 8 + 6 + 8 + 20 * w);
+        assert_eq!(cfg.lp_capacity(), 20);
+        let page = encode_large_page(cfg, 0, 9, &[max; 20]);
+        let v = page.verify(cfg).unwrap().view();
+        assert_run_is(v.lp_adj_run(), |i| v.lp_adj(i), &[max; 20]);
+        // ...and an empty chunk yields nothing.
+        let page = encode_large_page(cfg, 0, 9, &[]);
+        assert_run_is(page.verify(cfg).unwrap().view().lp_adj_run(), |_| max, &[]);
+    }
+}
+
 #[test]
 fn vid_range_spanning_vertex_ids_work_at_48_bits() {
     // Not random: one deliberate boundary check at the 6-byte VID limit
     // via direct page encoding (graph-level builds at 2^48 vertices are
     // not materialisable).
-    use gts_storage::page::SmallPageEncoder;
-    use gts_storage::RecordId;
     let cfg = PageFormatConfig::new(PhysicalIdConfig::new(4, 4), 4096);
     let mut enc = SmallPageEncoder::new(cfg);
     let vid = (1u64 << 48) - 1;

@@ -633,10 +633,9 @@ impl ExecCtx<'_> {
         out.t = t;
 
         let mut scratch = KernelScratch::default();
-        // Host threads execute kernel bodies (phase A) and phase B's
-        // order-independent bookkeeping (exact integer merges, batched
-        // cache probes); the serial issue core orders simulated time, so
-        // results are independent of `host_threads`.
+        // Host threads execute kernel bodies (phase A), each into its own
+        // lane of `scratch`; phase B is one serial pass that orders
+        // simulated time, so results are independent of `host_threads`.
         let pool = ThreadPool::new(cfg.host_threads);
         loop {
             // --- Sweep-top upkeep: due checkpoint, then due scrub — both

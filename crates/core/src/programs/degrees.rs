@@ -13,25 +13,39 @@ use super::{
 };
 use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
+use gts_exec::fold_lane;
 use gts_gpu::timer::KernelClass;
-use gts_storage::PageKind;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Degree-distribution vertex program (single sweep).
 pub struct Degrees {
-    /// Shared kernel target: Small-Page stores are per-vertex disjoint and
-    /// Large-Page chunk contributions are commutative `fetch_add`s, so
-    /// pages can execute on any number of host threads.
-    acc: Vec<AtomicU32>,
+    /// Kernel target: a vertex's Small-Page record and each of its
+    /// Large-Page chunks add their length. Integer sums, so pages can
+    /// execute on any number of host threads (into their lanes).
+    acc: Vec<u64>,
     /// Plain snapshot taken at end of sweep, what `degrees()` exposes.
     degree: Vec<u32>,
+}
+
+/// The kernel body: record the page's record lengths into `lane` (the
+/// program's `acc` on the serial path, a worker's lane on the pool).
+fn record_page(ctx: &PageCtx<'_>, lane: &mut [u64]) -> PageWork {
+    let mut work = PageWork::default();
+    visit_page(ctx.view, |vid, len, _kind, _rids| {
+        lane[vid as usize] += len as u64;
+        work.active_vertices += 1;
+        work.atomic_ops += 1;
+    });
+    // The kernel only reads slot headers: one lane-slot per vertex.
+    work.lane_slots = work.active_vertices;
+    work.updated = true;
+    work
 }
 
 impl Degrees {
     /// Prepare for a graph of `num_vertices`.
     pub fn new(num_vertices: u64) -> Self {
         Degrees {
-            acc: (0..num_vertices).map(|_| AtomicU32::new(0)).collect(),
+            acc: vec![0; num_vertices as usize],
             degree: vec![0; num_vertices as usize],
         }
     }
@@ -86,17 +100,23 @@ impl GtsProgram for Degrees {
         format!("max out-degree {max}")
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        self.process_page_shared(ctx, scratch)
+    fn process_page(&mut self, ctx: &PageCtx<'_>, _scratch: &mut KernelScratch) -> PageWork {
+        record_page(ctx, &mut self.acc)
     }
 
     fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
         Some(self)
     }
 
+    fn absorb(&mut self, worker: &mut KernelScratch) {
+        fold_lane(&mut self.acc, &mut worker.lane);
+    }
+
     fn end_sweep(&mut self, _sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
+        // Snapshot and reset, so a refresh sweep (a mutation batch after
+        // `Done`) counts every record once, not on top of this sweep.
         for (slot, acc) in self.degree.iter_mut().zip(&mut self.acc) {
-            *slot = *acc.get_mut();
+            *slot = std::mem::take(acc) as u32;
         }
         SweepControl::Done
     }
@@ -104,8 +124,8 @@ impl GtsProgram for Degrees {
     fn save_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(self.acc.len() as u64);
-        for a in &self.acc {
-            w.put_u32(a.load(Ordering::Relaxed));
+        for &a in &self.acc {
+            w.put_u32(a as u32);
         }
         state::put_u32s(&mut w, &self.degree);
         w.into_bytes()
@@ -121,8 +141,8 @@ impl GtsProgram for Degrees {
                 got: n,
             });
         }
-        for a in &self.acc {
-            a.store(r.take_u32("degrees.acc")?, Ordering::Relaxed);
+        for a in &mut self.acc {
+            *a = r.take_u32("degrees.acc")? as u64;
         }
         state::load_u32s(&mut r, "degrees.degree", &mut self.degree)?;
         r.finish()
@@ -131,25 +151,8 @@ impl GtsProgram for Degrees {
 
 impl SharedKernel for Degrees {
     fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.reset();
-        let mut work = PageWork::default();
-        visit_page(ctx.view, |vid, len, kind, _rids| {
-            match kind {
-                // A vertex lives in exactly one Small Page: disjoint writes.
-                PageKind::Small => self.acc[vid as usize].store(len, Ordering::Relaxed),
-                // Chunks accumulate into the vertex's total degree;
-                // fetch_add commutes across chunk order.
-                PageKind::Large => {
-                    self.acc[vid as usize].fetch_add(len, Ordering::Relaxed);
-                }
-            }
-            work.active_vertices += 1;
-            work.atomic_ops += 1;
-        });
-        // The kernel only reads slot headers: one lane-slot per vertex.
-        work.lane_slots = work.active_vertices;
-        work.updated = true;
-        work
+        scratch.size_lane(self.acc.len());
+        record_page(ctx, &mut scratch.lane)
     }
 }
 
@@ -212,5 +215,27 @@ mod tests {
             .run(&store, &mut deg)
             .unwrap();
         assert_eq!(deg.degrees()[0], 500);
+    }
+
+    #[test]
+    fn refresh_sweep_after_a_late_batch_counts_every_edge_once() {
+        // The batch is due after `Done`, so the engine runs one more full
+        // sweep: degrees must be those of the mutated graph, Large-Page
+        // hub included — not added on top of the first sweep's.
+        use crate::engine::MutationSchedule;
+        let edges: Vec<(u32, u32)> = (0..500).map(|i| (0, 1 + i)).collect();
+        let mut store = build_graph_store(
+            &gts_graph::EdgeList::new(501, edges),
+            PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 256),
+        )
+        .unwrap();
+        let mut batch = gts_storage::MutationBatch::new();
+        batch.insert(7, 8);
+        let mut deg = Degrees::new(store.num_vertices());
+        Gts::new(GtsConfig::default())
+            .run_live(&mut store, &mut deg, MutationSchedule::new().at(3, batch))
+            .unwrap();
+        assert_eq!(deg.degrees()[0], 500);
+        assert_eq!(deg.degrees()[7], 1);
     }
 }

@@ -38,6 +38,7 @@ pub use sssp::Sssp;
 
 use crate::attrs::AlgorithmKind;
 use gts_ckpt::CkptError;
+use gts_exec::FixedVec;
 use gts_gpu::timer::KernelClass;
 use gts_gpu::warp::MicroTechnique;
 use gts_storage::builder::GraphStore;
@@ -204,8 +205,8 @@ pub struct PageCtx<'a> {
     pub lp_total_degree: u64,
 }
 
-/// Reusable per-engine scratch buffers so kernels stay allocation-free on
-/// the hot path.
+/// Reusable per-job scratch so kernels stay allocation-free on the hot
+/// path: the calling thread's, which owns one more per pool worker.
 #[derive(Default)]
 pub struct KernelScratch {
     /// Out-degrees of the page's *active* vertices, fed to the warp model.
@@ -214,13 +215,28 @@ pub struct KernelScratch {
     /// the engine drains this after each kernel, so the buffer is reused
     /// across pages without reallocating.
     pub next_pids: Vec<u64>,
+    /// A pool worker's private scatter lane, one integer slot per vertex
+    /// (the paper's per-GPU WA copy, Sec. 4.1). All-zero outside
+    /// `run_page_kernels`, which folds it into the program
+    /// ([`GtsProgram::absorb`]) before returning.
+    pub lane: Vec<u64>,
+    /// The pool workers' scratches, kept across phases and sweeps. Empty
+    /// on the serial path, which has no lane.
+    pub workers: Vec<KernelScratch>,
 }
 
 impl KernelScratch {
-    /// Clear both buffers, keeping capacity.
+    /// Clear the per-page buffers, keeping capacity (and the lane).
     pub fn reset(&mut self) {
         self.degrees.clear();
         self.next_pids.clear();
+    }
+
+    /// Grow the lane to at least `n` zeroed slots.
+    pub fn size_lane(&mut self, n: usize) {
+        if self.lane.len() < n {
+            self.lane.resize(n, 0);
+        }
     }
 }
 
@@ -229,7 +245,7 @@ impl KernelScratch {
 pub struct PageWork {
     /// Warp lane-slots consumed (drives simulated kernel duration).
     pub lane_slots: u64,
-    /// Atomic device-memory updates performed.
+    /// Device-memory updates that are `atomicAdd`/CAS on hardware.
     pub atomic_ops: u64,
     /// Vertices that did work in this page.
     pub active_vertices: u64,
@@ -356,24 +372,32 @@ pub trait GtsProgram {
 
     /// The shared-state form of the kernel, if this program supports
     /// executing pages concurrently on host threads. Returning `Some`
-    /// asserts that every WA update the kernel performs is *atomically
-    /// commutative* — the final state is a pure function of the multiset of
-    /// updates, independent of page order and interleaving — which is
-    /// exactly the property the paper relies on for device-side atomics.
+    /// asserts that every WA update the kernel performs is an exact integer
+    /// addition — the final state is a pure function of the multiset of
+    /// updates, independent of page order and of which worker made them —
+    /// which is the property the paper relies on for device-side atomics.
     /// Programs whose accounting depends on claim order (the CAS-based
     /// traversal family) return `None` and run serially.
     fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
         None
     }
+
+    /// Fold what one pool worker's [`SharedKernel`] calls left in
+    /// `worker.lane` into this program and zero the lane
+    /// (`gts_exec::fold_lane`); `run_page_kernels` calls it per worker, in
+    /// worker-index order, before it returns. Default: nothing to fold.
+    fn absorb(&mut self, _worker: &mut KernelScratch) {}
 }
 
-/// A kernel whose page invocations may run concurrently (`&self`, `Sync`)
-/// because all of its shared-state updates commute exactly (atomic integer
-/// adds, fixed-point accumulators, atomic min over order-preserving bits).
+/// A kernel whose page invocations may run concurrently (`&self`, `Sync`).
+/// The contract is **read `&self`, write only your scratch**: WA updates
+/// are wrapping integer adds into `scratch.lane` and reach the program
+/// through [`GtsProgram::absorb`]; workers share nothing, so none is atomic.
 ///
-/// Implementors must guarantee `process_page_shared` is observationally
-/// identical to [`GtsProgram::process_page`] — the engine picks between
-/// them based on `host_threads`, and reports/traces must not change.
+/// Implementors must guarantee `process_page_shared` + `absorb` is
+/// observationally identical to [`GtsProgram::process_page`] — the engine
+/// picks between them based on `host_threads`, and reports/traces must not
+/// change.
 pub trait SharedKernel: Sync {
     /// Process one streamed page; see [`GtsProgram::process_page`].
     fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork;
@@ -518,6 +542,47 @@ where
             f(view.lp_vid(), rids.len() as u32, PageKind::Large, rids)
         }
     }
+}
+
+/// The rank scatter PageRank and RWR share (`K_PR_SP` / `K_PR_LP`, App.
+/// B.2): every vertex adds `factor * prev[v] / ADJLIST_SZ`, in 2^-52 fixed
+/// point, to each out-neighbour's slot of `lane` — the program's own
+/// accumulator on the serial path, the worker's lane on the pool. The
+/// hardware's `atomicAdd` (Algorithm 4 line 16) is a wrapping add: nobody
+/// else writes `lane`, and integer sums do not depend on their order.
+pub(crate) fn scatter_page(
+    ctx: &PageCtx<'_>,
+    prev: &[f32],
+    factor: f32,
+    degrees: &mut Vec<u32>,
+    lane: &mut [u64],
+) -> PageWork {
+    degrees.clear();
+    let mut work = PageWork::default();
+    visit_page(ctx.view, |vid, len, kind, rids| {
+        degrees.push(len);
+        work.active_vertices += 1;
+        // K_PR_LP divides by the vertex's total ADJLIST_SZ across all
+        // chunks, not this chunk's count (Algorithm 5 line 7).
+        let total_degree = match kind {
+            PageKind::Small => len as u64,
+            PageKind::Large => ctx.lp_total_degree,
+        };
+        if total_degree == 0 {
+            return;
+        }
+        let share = factor * prev[vid as usize] / total_degree as f32;
+        let share = FixedVec::to_fixed(share as f64);
+        for rid in rids {
+            let slot = &mut lane[ctx.rvt.translate(rid) as usize];
+            *slot = slot.wrapping_add(share);
+        }
+        work.active_edges += len as u64;
+        work.atomic_ops += len as u64;
+        work.updated = true;
+    });
+    work.lane_slots = ctx.technique.lane_slots(degrees);
+    work
 }
 
 #[cfg(test)]

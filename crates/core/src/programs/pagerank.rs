@@ -3,19 +3,18 @@
 //! The read/write attribute vector (WA, device-resident) is `nextPR`; the
 //! read-only vector (RA, streamed page-by-page) is `prevPR` (Sec. 3.1).
 //! Each kernel scatters `df * prevPR[v] / ADJLIST_SZ` to every
-//! out-neighbour with an `atomicAdd`; dangling vertices scatter nothing,
-//! exactly like the paper's kernel (so mass leaks — matching
-//! `gts_graph::reference::pagerank`).
+//! out-neighbour (`super::scatter_page`, shared with RWR); dangling
+//! vertices scatter nothing, exactly like the paper's kernel (so mass
+//! leaks — matching `gts_graph::reference::pagerank`).
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SharedKernel,
+    scatter_page, state, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SharedKernel,
     SweepControl,
 };
 use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
-use gts_exec::FixedVec;
+use gts_exec::{fold_lane, FixedVec};
 use gts_gpu::timer::KernelClass;
-use gts_storage::PageKind;
 
 /// When a PageRank run stops.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,10 +32,11 @@ pub struct PageRank {
     prev: Vec<f32>,
     /// WA: next iteration's ranks, materialised from `acc` at end of sweep.
     next: Vec<f32>,
-    /// The `atomicAdd` target: scattered shares accumulate here in 64-bit
-    /// fixed point, so concurrent page kernels produce bit-identical sums
-    /// in any execution order (see `gts_exec::FixedVec`).
-    acc: FixedVec,
+    /// The `atomicAdd` target: scattered shares accumulate here in 2^-52
+    /// fixed point — straight from the serial kernel, through per-worker
+    /// lanes from the pool — so the sums carry the same bits in any
+    /// execution order (see `gts_exec::fold_lane`).
+    acc: Vec<u64>,
     df: f32,
     termination: Termination,
     converged_at: Option<u32>,
@@ -53,6 +53,9 @@ impl PageRank {
     }
 
     /// PageRank with an explicit damping factor.
+    ///
+    /// # Panics
+    /// Panics if `df` is outside `[0, 1]`.
     pub fn with_damping(num_vertices: u64, iterations: u32, df: f32) -> Self {
         Self::with_termination(num_vertices, df, Termination::Fixed(iterations))
     }
@@ -76,12 +79,14 @@ impl PageRank {
             // whether to stop, so "zero iterations" cannot be honoured.
             assert!(iterations >= 1, "PageRank needs at least one iteration");
         }
+        // Shares are accumulated in unsigned fixed point.
+        assert!((0.0..=1.0).contains(&df), "damping {df} outside [0, 1]");
         let n = num_vertices as usize;
         let base = (1.0 - df) / n as f32;
         PageRank {
             prev: vec![1.0 / n as f32; n],
             next: vec![base; n],
-            acc: FixedVec::new(n),
+            acc: vec![0; n],
             df,
             termination,
             converged_at: None,
@@ -92,10 +97,9 @@ impl PageRank {
     /// accumulated shares) and reset the accumulator for the next sweep.
     fn materialize(&mut self) {
         let base = (1.0 - self.df) / self.next.len() as f32;
-        for (v, slot) in self.next.iter_mut().enumerate() {
-            *slot = (base as f64 + self.acc.get(v)) as f32;
+        for (slot, acc) in self.next.iter_mut().zip(&mut self.acc) {
+            *slot = (base as f64 + FixedVec::from_fixed(std::mem::take(acc))) as f32;
         }
-        self.acc.clear();
     }
 
     /// The sweep (1-based) at which convergence-mode termination fired,
@@ -107,30 +111,6 @@ impl PageRank {
     /// The ranks after the last completed iteration.
     pub fn ranks(&self) -> &[f32] {
         &self.next
-    }
-
-    fn scatter(
-        &self,
-        ctx: &PageCtx<'_>,
-        work: &mut PageWork,
-        vid: u64,
-        total_degree: u64,
-        rids: gts_storage::AdjRun<'_>,
-    ) {
-        if total_degree == 0 {
-            return;
-        }
-        let share = self.df * self.prev[vid as usize] / total_degree as f32;
-        for rid in rids {
-            let adj_vid = ctx.rvt.translate(rid) as usize;
-            // atomicAdd on hardware (Algorithm 4 line 16); the fixed-point
-            // add commutes exactly, so any page order — serial or across
-            // host threads — yields the same bits.
-            self.acc.add(adj_vid, share as f64);
-            work.active_edges += 1;
-            work.atomic_ops += 1;
-        }
-        work.updated = true;
     }
 }
 
@@ -158,11 +138,16 @@ impl GtsProgram for PageRank {
     }
 
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        self.process_page_shared(ctx, scratch)
+        let degrees = &mut scratch.degrees;
+        scatter_page(ctx, &self.prev, self.df, degrees, &mut self.acc)
     }
 
     fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
         Some(self)
+    }
+
+    fn absorb(&mut self, worker: &mut KernelScratch) {
+        fold_lane(&mut self.acc, &mut worker.lane);
     }
 
     fn end_sweep(&mut self, sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -220,21 +205,9 @@ impl GtsProgram for PageRank {
 
 impl SharedKernel for PageRank {
     fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.reset();
-        let mut work = PageWork::default();
-        visit_page(ctx.view, |vid, len, kind, rids| {
-            scratch.degrees.push(len);
-            work.active_vertices += 1;
-            // K_PR_LP divides by the vertex's total ADJLIST_SZ across all
-            // chunks, not this chunk's count (Algorithm 5 line 7).
-            let total_degree = match kind {
-                PageKind::Small => len as u64,
-                PageKind::Large => ctx.lp_total_degree,
-            };
-            self.scatter(ctx, &mut work, vid, total_degree, rids);
-        });
-        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
-        work
+        scratch.size_lane(self.acc.len());
+        let KernelScratch { degrees, lane, .. } = scratch;
+        scatter_page(ctx, &self.prev, self.df, degrees, lane)
     }
 }
 
@@ -284,5 +257,13 @@ mod tests {
         let report = Gts::new(GtsConfig::default()).run(&store, &mut pr).unwrap();
         assert_eq!(report.sweeps, 3);
         assert_eq!(pr.converged_at(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn damping_bounds_checked() {
+        // Used to reach the scatter: a debug-only panic there, and every
+        // share silently saturated to zero under `--release`.
+        let _ = PageRank::with_damping(8, 5, -0.5);
     }
 }

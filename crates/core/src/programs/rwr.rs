@@ -11,23 +11,21 @@
 //! different Apply rule.
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SharedKernel,
+    scatter_page, state, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SharedKernel,
     SweepControl,
 };
 use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
-use gts_exec::FixedVec;
+use gts_exec::{fold_lane, FixedVec};
 use gts_gpu::timer::KernelClass;
-use gts_storage::PageKind;
 
 /// Random-walk-with-restart vertex program.
 pub struct Rwr {
     prev: Vec<f32>,
     /// Scores materialised from `acc` at the end of each sweep.
     next: Vec<f32>,
-    /// Shared `atomicAdd` target in fixed point — commutative, so page
-    /// kernels can run on any number of host threads with identical bits.
-    acc: FixedVec,
+    /// `atomicAdd` target in 2^-52 fixed point, exactly as PageRank's.
+    acc: Vec<u64>,
     restart: f32,
     seed: u64,
     iterations: u32,
@@ -46,8 +44,13 @@ impl Rwr {
     }
 
     /// RWR with an explicit restart probability `c`.
+    ///
+    /// # Panics
+    /// Panics if `seed` is out of range or `c` is outside `[0, 1]`.
     pub fn with_restart(num_vertices: u64, seed: u64, iterations: u32, c: f32) -> Self {
         assert!(seed < num_vertices, "seed {seed} out of range");
+        // Shares are accumulated in unsigned fixed point.
+        assert!((0.0..=1.0).contains(&c), "restart {c} outside [0, 1]");
         let n = num_vertices as usize;
         let mut prev = vec![0.0f32; n];
         prev[seed as usize] = 1.0;
@@ -56,7 +59,7 @@ impl Rwr {
         Rwr {
             prev,
             next,
-            acc: FixedVec::new(n),
+            acc: vec![0; n],
             restart: c,
             seed,
             iterations,
@@ -66,45 +69,19 @@ impl Rwr {
     /// Fold the accumulated shares into `next` (restart mass at the seed,
     /// zero elsewhere) and reset the accumulator.
     fn materialize(&mut self) {
-        for (v, slot) in self.next.iter_mut().enumerate() {
+        for (v, (slot, acc)) in self.next.iter_mut().zip(&mut self.acc).enumerate() {
             let base = if v as u64 == self.seed {
                 self.restart as f64
             } else {
                 0.0
             };
-            *slot = (base + self.acc.get(v)) as f32;
+            *slot = (base + FixedVec::from_fixed(std::mem::take(acc))) as f32;
         }
-        self.acc.clear();
     }
 
     /// Proximity scores to the seed after the last completed iteration.
     pub fn scores(&self) -> &[f32] {
         &self.next
-    }
-
-    fn scatter(
-        &self,
-        ctx: &PageCtx<'_>,
-        work: &mut PageWork,
-        vid: u64,
-        total_degree: u64,
-        rids: gts_storage::AdjRun<'_>,
-    ) {
-        if total_degree == 0 {
-            return;
-        }
-        let share = (1.0 - self.restart) * self.prev[vid as usize] / total_degree as f32;
-        if share == 0.0 {
-            // The walk has not reached this vertex yet; nothing to push.
-            // (Counting the scan anyway mirrors the kernel's work.)
-        }
-        for rid in rids {
-            let adj_vid = ctx.rvt.translate(rid) as usize;
-            self.acc.add(adj_vid, share as f64);
-            work.active_edges += 1;
-            work.atomic_ops += 1;
-        }
-        work.updated = true;
     }
 }
 
@@ -143,11 +120,16 @@ impl GtsProgram for Rwr {
     }
 
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        self.process_page_shared(ctx, scratch)
+        let walk = 1.0 - self.restart;
+        scatter_page(ctx, &self.prev, walk, &mut scratch.degrees, &mut self.acc)
     }
 
     fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
         Some(self)
+    }
+
+    fn absorb(&mut self, worker: &mut KernelScratch) {
+        fold_lane(&mut self.acc, &mut worker.lane);
     }
 
     fn end_sweep(&mut self, sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -178,19 +160,9 @@ impl GtsProgram for Rwr {
 
 impl SharedKernel for Rwr {
     fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.reset();
-        let mut work = PageWork::default();
-        visit_page(ctx.view, |vid, len, kind, rids| {
-            scratch.degrees.push(len);
-            work.active_vertices += 1;
-            let total_degree = match kind {
-                PageKind::Small => len as u64,
-                PageKind::Large => ctx.lp_total_degree,
-            };
-            self.scatter(ctx, &mut work, vid, total_degree, rids);
-        });
-        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
-        work
+        scratch.size_lane(self.acc.len());
+        let KernelScratch { degrees, lane, .. } = scratch;
+        scatter_page(ctx, &self.prev, 1.0 - self.restart, degrees, lane)
     }
 }
 
@@ -267,5 +239,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn seed_bounds_checked() {
         let _ = Rwr::new(10, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn restart_bounds_checked() {
+        // 1 - c < 0: see `pagerank::tests::damping_bounds_checked`.
+        let _ = Rwr::with_restart(10, 0, 5, 1.5);
     }
 }

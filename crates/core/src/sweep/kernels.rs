@@ -5,10 +5,10 @@
 //! afterwards in [`crate::sweep::account`]. Splitting the two phases is
 //! what makes host parallelism safe: the pages of a program with a
 //! [`crate::programs::SharedKernel`] (PageRank, RWR, degrees) execute
-//! concurrently on the thread pool here — the other six run on the
-//! calling thread whatever `host_threads` says — and phase B, one serial
-//! pass, consumes the outcomes in page order, so `host_threads` can
-//! never change a simulated number.
+//! concurrently on the thread pool here, each into its own scratch — the
+//! other six run on the calling thread whatever `host_threads` says — and
+//! phase B, one serial pass, consumes the outcomes in page order, so
+//! `host_threads` can never change a simulated number.
 
 use crate::programs::{GtsProgram, KernelScratch, PageCtx, PageWork};
 use gts_exec::ThreadPool;
@@ -40,10 +40,13 @@ pub struct KernelEnv<'a> {
 
 /// Execute the functional kernels for `pids` (phase A of a sweep). When
 /// the program exposes a [`crate::programs::SharedKernel`] and more than
-/// one host thread is configured, pages run concurrently on the pool:
-/// outcomes still come back in page order, and every shared-state update
-/// the kernels perform commutes exactly, so the program state and the
-/// returned [`PageWork`]s are bit-identical to serial execution.
+/// one host thread is configured, pages run concurrently on the pool, each
+/// worker scattering into the lane of its own `scratch.workers` entry
+/// (created on first use, kept for the job); before this returns, the
+/// lanes are folded into the program in worker-index order
+/// ([`GtsProgram::absorb`]) and left all-zero. Outcomes come back in page
+/// order and the folds are exact integer sums, so the program state and
+/// the returned [`PageWork`]s are bit-identical to serial execution.
 pub fn run_page_kernels(
     prog: &mut dyn GtsProgram,
     pool: &ThreadPool,
@@ -67,26 +70,24 @@ pub fn run_page_kernels(
             lp_total_degree,
         }
     };
-    if pool.threads() > 1 && pids.len() > 1 && prog.shared_kernel().is_some() {
-        let kernel = prog.shared_kernel().expect("checked above");
-        pool.par_map_init(pids, KernelScratch::default, |scratch, _, &pid| {
-            scratch.reset();
-            let work = kernel.process_page_shared(&ctx_for(pid), scratch);
-            PageOutcome {
-                work,
-                next_pids: std::mem::take(&mut scratch.next_pids),
-            }
-        })
-        .0
+    let outcome = |work, scratch: &mut KernelScratch| PageOutcome {
+        work,
+        next_pids: std::mem::take(&mut scratch.next_pids),
+    };
+    let workers = pool.threads().min(pids.len());
+    if let Some(kernel) = prog.shared_kernel().filter(|_| workers > 1) {
+        if scratch.workers.len() < workers {
+            scratch.workers.resize_with(workers, KernelScratch::default);
+        }
+        let lent = &mut scratch.workers[..workers];
+        let outcomes = pool.par_map_with(pids, lent, |scratch, _, &pid| {
+            outcome(kernel.process_page_shared(&ctx_for(pid), scratch), scratch)
+        });
+        lent.iter_mut().for_each(|worker| prog.absorb(worker));
+        outcomes
     } else {
         pids.iter()
-            .map(|&pid| {
-                let work = prog.process_page(&ctx_for(pid), scratch);
-                PageOutcome {
-                    work,
-                    next_pids: std::mem::take(&mut scratch.next_pids),
-                }
-            })
+            .map(|&pid| outcome(prog.process_page(&ctx_for(pid), scratch), scratch))
             .collect()
     }
 }
@@ -104,7 +105,7 @@ pub fn lp_total_degrees(store: &GraphStore) -> HashMap<u64, u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::programs::PageRank;
+    use crate::programs::{Degrees, PageRank, Rwr, SweepControl};
     use gts_graph::generate::rmat;
     use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
 
@@ -135,5 +136,67 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial.len(), pids.len());
         assert_eq!(run(4), serial, "parallel phase A must match serial");
+    }
+
+    /// One sweep of `prog` over all of `store` through `run_page_kernels`,
+    /// then `end_sweep`: what `Gts::run`, serve's scheduler and the frozen
+    /// benchmark each do with a scratch they keep between jobs.
+    fn one_sweep(
+        store: &gts_storage::GraphStore,
+        prog: &mut dyn GtsProgram,
+        threads: usize,
+        scratch: &mut KernelScratch,
+    ) -> Vec<u8> {
+        let lp_degrees = lp_total_degrees(store);
+        let env = KernelEnv {
+            store,
+            lp_degrees: &lp_degrees,
+            technique: MicroTechnique::default_edge_centric(),
+            sweep: 0,
+        };
+        let pool = ThreadPool::new(threads);
+        for pids in [store.small_pids(), store.large_pids()] {
+            run_page_kernels(prog, &pool, &env, pids, scratch);
+        }
+        assert_eq!(prog.end_sweep(0, true, true), SweepControl::Done);
+        prog.save_state()
+    }
+
+    #[test]
+    fn a_reused_scratch_leaves_no_residue_and_one_thread_allocates_no_lane() {
+        let build = |scale, page| {
+            build_graph_store(
+                &rmat(scale),
+                PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, page),
+            )
+            .unwrap()
+        };
+        let (big, small) = (build(9, 512), build(7, 1024));
+        assert!(!big.large_pids().is_empty());
+        let mut reused = KernelScratch::default();
+        let pr = |scratch: &mut _| one_sweep(&big, &mut PageRank::new(512, 1), 3, scratch);
+        let first = pr(&mut reused);
+        assert_eq!(reused.workers.len(), 3);
+        assert!(reused.workers.iter().any(|w| w.lane.len() == 512));
+        assert!(reused
+            .workers
+            .iter()
+            .all(|w| w.lane.iter().all(|&l| l == 0)));
+        // Another program, fewer vertices, then the first again: each as
+        // if its scratch were fresh.
+        for threads in [1, 2, 4] {
+            let fresh = &mut KernelScratch::default();
+            assert_eq!(
+                one_sweep(&small, &mut Rwr::new(128, 5, 1), threads, &mut reused),
+                one_sweep(&small, &mut Rwr::new(128, 5, 1), 1, fresh)
+            );
+            assert_eq!(
+                one_sweep(&small, &mut Degrees::new(128), threads, &mut reused),
+                one_sweep(&small, &mut Degrees::new(128), 1, fresh)
+            );
+            // The serial path scattered straight into the programs.
+            assert!(fresh.workers.is_empty() && fresh.lane.is_empty());
+            assert_eq!(pr(&mut reused), first);
+        }
     }
 }

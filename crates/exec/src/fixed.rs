@@ -1,10 +1,16 @@
-//! A shared fixed-point accumulator: bit-deterministic concurrent sums.
+//! 64-bit fixed point: bit-deterministic parallel sums.
 //!
 //! Floating-point addition is not associative, so a parallel reduction of
 //! `f64`s depends on the schedule. Converting each addend to 64-bit fixed
-//! point first turns the sum into integer `fetch_add`, which commutes and
+//! point first turns the sum into integer addition, which commutes and
 //! associates exactly — the final bits are a pure function of the *multiset*
 //! of addends, independent of thread count and interleaving.
+//!
+//! The engine scatters into plain `u64` *lanes*, one per worker, folded
+//! into the program's accumulator in worker order by [`fold_lane`], and
+//! pays for no atomic. [`FixedVec`] is the shared form of the same sum (one
+//! `fetch_add` per addend), kept as the reference the lanes are tested
+//! against.
 //!
 //! With [`FRAC_BITS`] = 52 the resolution is 2^-52 ≈ 2.2e-16 per addend and
 //! the representable range is `[0, 4096)`, ample for PageRank/RWR mass
@@ -16,8 +22,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const FRAC_BITS: u32 = 52;
 const SCALE: f64 = (1u64 << FRAC_BITS) as f64;
 
+/// Add a worker's private `lane` into `acc` slot by slot, zeroing the lane
+/// for its next use. Any split of the addends over any number of lanes
+/// folds to the bits of the serial sum.
+pub fn fold_lane(acc: &mut [u64], lane: &mut [u64]) {
+    for (a, l) in acc.iter_mut().zip(lane) {
+        *a = a.wrapping_add(std::mem::take(l));
+    }
+}
+
 /// A vector of concurrently-addressable fixed-point accumulators for
-/// non-negative reals.
+/// non-negative reals: the shared-accumulator reference for the lane
+/// scatter (module doc). The engine does not add through it.
 #[derive(Debug, Default)]
 pub struct FixedVec {
     slots: Vec<AtomicU64>,
@@ -39,7 +55,10 @@ impl FixedVec {
     }
 
     /// Convert a non-negative `f64` to fixed point (truncating — a pure
-    /// function of `x`, so conversion itself is deterministic).
+    /// function of `x`, so conversion itself is deterministic). Debug
+    /// builds assert `x >= 0`; in release the cast saturates — negative or
+    /// NaN to 0, `x >= 4096` to `u64::MAX` — so callers bound their inputs.
+    #[inline]
     pub fn to_fixed(x: f64) -> u64 {
         debug_assert!(x >= 0.0, "FixedVec only accumulates non-negative values");
         (x * SCALE) as u64

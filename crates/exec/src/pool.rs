@@ -72,8 +72,7 @@ impl ThreadPool {
         self.par_map(items, |i, t| f(i, t));
     }
 
-    /// Map with per-worker state: each worker runs `init()` once, threads the
-    /// state through every item it processes, and hands it back at the end.
+    /// [`Self::par_map_with`] over one fresh `init()` state per worker.
     /// Returns `(results in item order, states in worker-index order)`.
     ///
     /// Which items a worker sees is schedule-dependent, so downstream merges
@@ -86,49 +85,60 @@ impl ThreadPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        if self.threads == 1 || items.len() <= 1 {
-            let mut state = init();
-            let out = items
+        let mut states: Vec<S> = (0..self.threads.min(items.len()).max(1))
+            .map(|_| init())
+            .collect();
+        let out = self.par_map_with(items, &mut states, f);
+        (out, states)
+    }
+
+    /// Map with per-worker state the caller owns: worker `w` is lent
+    /// `&mut states[w]` for the whole call, so state that is expensive to
+    /// build (a scatter lane) outlives it. At most `states.len()` (≥ 1)
+    /// workers run; `threads == 1` or a single item runs inline on
+    /// `states[0]`. Results come back in item order.
+    pub fn par_map_with<T, S, R, F>(&self, items: &[T], states: &mut [S], f: F) -> Vec<R>
+    where
+        T: Sync,
+        S: Send,
+        R: Send,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+    {
+        assert!(!states.is_empty(), "par_map_with needs at least one state");
+        if self.threads == 1 || items.len() <= 1 || states.len() == 1 {
+            let state = &mut states[0];
+            return items
                 .iter()
                 .enumerate()
-                .map(|(i, t)| f(&mut state, i, t))
+                .map(|(i, t)| f(state, i, t))
                 .collect();
-            return (out, vec![state]);
         }
         let chunk = self.chunk_size(items.len(), 1);
         let nchunks = items.len().div_ceil(chunk);
         let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(nchunks));
-        let states: Mutex<Vec<(usize, S)>> = Mutex::new(Vec::with_capacity(self.threads));
         std::thread::scope(|scope| {
-            for w in 0..self.threads.min(nchunks) {
-                let (cursor, results, states, init, f) = (&cursor, &results, &states, &init, &f);
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        let ci = cursor.fetch_add(1, Ordering::Relaxed);
-                        if ci >= nchunks {
-                            break;
-                        }
-                        let lo = ci * chunk;
-                        let hi = (lo + chunk).min(items.len());
-                        let out: Vec<R> = items[lo..hi]
-                            .iter()
-                            .enumerate()
-                            .map(|(k, t)| f(&mut state, lo + k, t))
-                            .collect();
-                        results.lock().unwrap().push((ci, out));
+            for state in states.iter_mut().take(self.threads.min(nchunks)) {
+                let (cursor, results, f) = (&cursor, &results, &f);
+                scope.spawn(move || loop {
+                    let ci = cursor.fetch_add(1, Ordering::Relaxed);
+                    if ci >= nchunks {
+                        break;
                     }
-                    states.lock().unwrap().push((w, state));
+                    let lo = ci * chunk;
+                    let hi = (lo + chunk).min(items.len());
+                    let out: Vec<R> = items[lo..hi]
+                        .iter()
+                        .enumerate()
+                        .map(|(k, t)| f(state, lo + k, t))
+                        .collect();
+                    results.lock().unwrap().push((ci, out));
                 });
             }
         });
         let mut per_chunk = results.into_inner().unwrap();
         per_chunk.sort_unstable_by_key(|&(ci, _)| ci);
-        let out = per_chunk.into_iter().flat_map(|(_, v)| v).collect();
-        let mut per_worker = states.into_inner().unwrap();
-        per_worker.sort_by_key(|&(w, _)| w);
-        (out, per_worker.into_iter().map(|(_, s)| s).collect())
+        per_chunk.into_iter().flat_map(|(_, v)| v).collect()
     }
 
     /// Run `body` over disjoint subranges of `0..len` with per-worker state,
@@ -141,35 +151,18 @@ impl ThreadPool {
         F: Fn(&mut S, std::ops::Range<usize>) + Sync,
     {
         let grain = grain.max(1);
-        if self.threads == 1 || len < 2 * grain {
-            let mut state = init();
-            body(&mut state, 0..len);
-            return vec![state];
-        }
-        let chunk = self.chunk_size(len, grain);
-        let nchunks = len.div_ceil(chunk);
-        let cursor = AtomicUsize::new(0);
-        let states: Mutex<Vec<(usize, S)>> = Mutex::new(Vec::with_capacity(self.threads));
-        std::thread::scope(|scope| {
-            for w in 0..self.threads.min(nchunks) {
-                let (cursor, states, init, body) = (&cursor, &states, &init, &body);
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        let ci = cursor.fetch_add(1, Ordering::Relaxed);
-                        if ci >= nchunks {
-                            break;
-                        }
-                        let lo = ci * chunk;
-                        body(&mut state, lo..(lo + chunk).min(len));
-                    }
-                    states.lock().unwrap().push((w, state));
-                });
-            }
-        });
-        let mut per_worker = states.into_inner().unwrap();
-        per_worker.sort_by_key(|&(w, _)| w);
-        per_worker.into_iter().map(|(_, s)| s).collect()
+        let chunk = if self.threads == 1 || len < 2 * grain {
+            len.max(1)
+        } else {
+            self.chunk_size(len, grain)
+        };
+        // At most `threads * CHUNKS_PER_WORKER` ranges, so the map below
+        // claims them one at a time.
+        let ranges: Vec<_> = (0..len.div_ceil(chunk).max(1))
+            .map(|ci| ci * chunk..((ci + 1) * chunk).min(len))
+            .collect();
+        self.par_map_init(&ranges, init, |state, _, r| body(state, r.clone()))
+            .1
     }
 
     /// Run `f` over a set of disjoint mutable slices (typically produced by
@@ -179,28 +172,11 @@ impl ThreadPool {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        if self.threads == 1 || slices.len() <= 1 {
-            for (i, s) in slices.into_iter().enumerate() {
-                f(i, s);
-            }
-            return;
-        }
-        let n = slices.len();
+        // A slot is taken once, by whichever worker claims its index.
         let slots: Vec<Mutex<Option<&mut [T]>>> =
             slices.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                let (cursor, slots, f) = (&cursor, &slots, &f);
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let slice = slots[i].lock().unwrap().take().expect("slice claimed once");
-                    f(i, slice);
-                });
-            }
+        self.par_for_each(&slots, |i, slot| {
+            f(i, slot.lock().unwrap().take().expect("slice claimed once"));
         });
     }
 }
@@ -236,6 +212,57 @@ mod tests {
         assert_eq!(out, items);
         assert!(states.len() <= 4);
         assert_eq!(states.iter().sum::<u64>(), 503);
+    }
+
+    #[test]
+    fn par_map_with_lends_each_worker_its_own_state() {
+        // Every worker blocks on its first item until all have claimed a
+        // chunk, so each of the `threads` states must record some items.
+        for threads in [2, 3, 8] {
+            let barrier = std::sync::Barrier::new(threads);
+            let items: Vec<usize> = (0..400).collect();
+            let mut states = vec![Vec::new(); threads];
+            let out = ThreadPool::new(threads).par_map_with(&items, &mut states, |seen, i, &x| {
+                if seen.is_empty() {
+                    barrier.wait();
+                }
+                seen.push(i);
+                x * 2
+            });
+            assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            assert!(states.iter().all(|s| !s.is_empty()), "threads={threads}");
+            let mut all: Vec<usize> = states.concat();
+            all.sort_unstable();
+            assert_eq!(all, items, "every item reached exactly one state");
+        }
+    }
+
+    #[test]
+    fn par_map_with_runs_small_cases_inline_on_the_first_state() {
+        let caller = std::thread::current().id();
+        let on_caller = |seen: &mut usize, _, &x: &u32| {
+            assert_eq!(std::thread::current().id(), caller);
+            *seen += 1;
+            x
+        };
+        let mut states = [0usize; 4];
+        assert_eq!(
+            ThreadPool::new(1).par_map_with(&[5, 6, 7], &mut states, on_caller),
+            [5, 6, 7]
+        );
+        assert_eq!(
+            ThreadPool::new(4).par_map_with(&[9], &mut states, on_caller),
+            [9]
+        );
+        assert_eq!(states, [4, 0, 0, 0]);
+        // More threads (and states) than items: still every item once, in order.
+        let mut states = [0usize; 8];
+        let out = ThreadPool::new(8).par_map_with(&[1u32, 2, 3], &mut states, |seen, _, &x| {
+            *seen += 1;
+            x
+        });
+        assert_eq!(out, [1, 2, 3]);
+        assert_eq!(states.iter().sum::<usize>(), 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! value (ISSUE: real wall-clock may improve, simulated numbers may not).
 
 use gts_core::engine::{Gts, GtsConfig, StorageLocation};
-use gts_core::programs::{Bfs, GtsProgram, PageRank};
+use gts_core::programs::{by_name, Bfs, GtsProgram, PageRank};
 use gts_core::Telemetry;
 use gts_graph::generate::rmat;
 use gts_storage::{build_graph_store, GraphStore, PageFormatConfig, PhysicalIdConfig};
@@ -23,6 +23,14 @@ fn artifacts(
     host_threads: usize,
     mk_prog: impl Fn(u64) -> Box<dyn GtsProgram>,
 ) -> (String, String, String) {
+    run_artifacts(s, host_threads, mk_prog(s.num_vertices()).as_mut())
+}
+
+fn run_artifacts(
+    s: &GraphStore,
+    host_threads: usize,
+    prog: &mut dyn GtsProgram,
+) -> (String, String, String) {
     let cfg = GtsConfig {
         storage: StorageLocation::Ssds(2),
         num_streams: 8,
@@ -34,8 +42,7 @@ fn artifacts(
         .telemetry(Telemetry::with_spans())
         .build()
         .unwrap();
-    let mut prog = mk_prog(s.num_vertices());
-    let report = engine.run(s, prog.as_mut()).unwrap();
+    let report = engine.run(s, prog).unwrap();
     let counters = format!("{:?}", engine.telemetry().counters());
     (
         report.to_json(),
@@ -89,5 +96,34 @@ fn pagerank_results_match_serial_exactly() {
             serial.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
             "threads={threads}"
         );
+    }
+}
+
+#[test]
+fn every_lane_program_is_thread_invariant_with_large_pages_and_with_few_pages() {
+    // All three shared kernels scatter into per-worker lanes. Their result
+    // vectors (`save_state` holds them bit for bit) and every artifact must
+    // not depend on how many lanes there were — on a store whose hub spans
+    // Large-Page chunks, and on one with fewer Small Pages than threads.
+    let hub = store();
+    assert!(!hub.large_pids().is_empty());
+    let tiny = build_graph_store(
+        &rmat(7),
+        PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 2048),
+    )
+    .unwrap();
+    assert!((2..8).contains(&tiny.small_pids().len()));
+    for s in [&hub, &tiny] {
+        for name in ["pagerank", "rwr", "degrees"] {
+            let run = |threads| {
+                let mut prog = by_name(name, s.num_vertices(), 1, 4, 2).unwrap();
+                let artifacts = run_artifacts(s, threads, prog.as_mut());
+                (artifacts, prog.save_state())
+            };
+            let serial = run(1);
+            for threads in [2, 3, 8] {
+                assert!(run(threads) == serial, "{name}, threads={threads}");
+            }
+        }
     }
 }

@@ -6,10 +6,11 @@
 //! the serial path:
 //!
 //! - [`ThreadPool`]: a dependency-free chunked pool built on
-//!   `std::thread::scope`. Work items are claimed dynamically (an atomic
-//!   chunk cursor), but results are returned in **item order** and per-worker
-//!   states in **worker-index order**, so any reduction the caller performs
-//!   is schedule-independent as long as the merge operation is commutative
+//!   `std::thread::scope`, the calling thread working as worker 0. Work
+//!   items are claimed dynamically (an atomic chunk cursor), but results
+//!   are returned in **item order** and per-worker states in
+//!   **worker-index order**, so any reduction the caller performs is
+//!   schedule-independent as long as the merge operation is commutative
 //!   and associative over the chosen representation.
 //! - 2^-52 fixed point ([`FixedVec::to_fixed`]): integer addition commutes
 //!   and associates exactly — unlike floating-point `+` — so sums scattered

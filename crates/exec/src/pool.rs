@@ -21,9 +21,10 @@ pub fn default_host_threads() -> usize {
 /// chunk does not serialize the tail of the input.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// A fixed-width pool of scoped workers. `threads == 1` (or trivially small
-/// inputs) takes an inline fast path on the calling thread, which is by
-/// construction the exact serial order.
+/// A fixed-width pool of scoped workers: the calling thread and
+/// `threads - 1` threads spawned per call. `threads == 1` (or trivially
+/// small inputs) takes an inline fast path on the calling thread, which is
+/// by construction the exact serial order.
 #[derive(Debug, Clone)]
 pub struct ThreadPool {
     threads: usize,
@@ -95,8 +96,9 @@ impl ThreadPool {
     /// Map with per-worker state the caller owns: worker `w` is lent
     /// `&mut states[w]` for the whole call, so state that is expensive to
     /// build (a scatter lane) outlives it. At most `states.len()` (≥ 1)
-    /// workers run; `threads == 1` or a single item runs inline on
-    /// `states[0]`. Results come back in item order.
+    /// workers run: the calling thread as worker 0, the others on threads
+    /// spawned for the call; `threads == 1` or a single item runs inline
+    /// on `states[0]`. Results come back in item order.
     pub fn par_map_with<T, S, R, F>(&self, items: &[T], states: &mut [S], f: F) -> Vec<R>
     where
         T: Sync,
@@ -117,24 +119,29 @@ impl ThreadPool {
         let nchunks = items.len().div_ceil(chunk);
         let cursor = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(nchunks));
-        std::thread::scope(|scope| {
-            for state in states.iter_mut().take(self.threads.min(nchunks)) {
-                let (cursor, results, f) = (&cursor, &results, &f);
-                scope.spawn(move || loop {
-                    let ci = cursor.fetch_add(1, Ordering::Relaxed);
-                    if ci >= nchunks {
-                        break;
-                    }
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(items.len());
-                    let out: Vec<R> = items[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(k, t)| f(state, lo + k, t))
-                        .collect();
-                    results.lock().unwrap().push((ci, out));
-                });
+        let work = |state: &mut S| loop {
+            let ci = cursor.fetch_add(1, Ordering::Relaxed);
+            if ci >= nchunks {
+                break;
             }
+            let lo = ci * chunk;
+            let hi = (lo + chunk).min(items.len());
+            let out: Vec<R> = items[lo..hi]
+                .iter()
+                .enumerate()
+                .map(|(k, t)| f(state, lo + k, t))
+                .collect();
+            results.lock().unwrap().push((ci, out));
+        };
+        // The caller works too, so a call spawns one thread fewer and never
+        // sleeps while the kernel is still placing fresh threads on cores.
+        let (own, lent) = states.split_at_mut(1);
+        std::thread::scope(|scope| {
+            for state in lent.iter_mut().take(self.threads.min(nchunks) - 1) {
+                let work = &work;
+                scope.spawn(move || work(state));
+            }
+            work(&mut own[0]);
         });
         let mut per_chunk = results.into_inner().unwrap();
         per_chunk.sort_unstable_by_key(|&(ci, _)| ci);
@@ -218,19 +225,26 @@ mod tests {
     fn par_map_with_lends_each_worker_its_own_state() {
         // Every worker blocks on its first item until all have claimed a
         // chunk, so each of the `threads` states must record some items.
+        let caller = std::thread::current().id();
         for threads in [2, 3, 8] {
             let barrier = std::sync::Barrier::new(threads);
             let items: Vec<usize> = (0..400).collect();
             let mut states = vec![Vec::new(); threads];
+            let on_caller = Mutex::new(Vec::new());
             let out = ThreadPool::new(threads).par_map_with(&items, &mut states, |seen, i, &x| {
                 if seen.is_empty() {
                     barrier.wait();
+                }
+                if std::thread::current().id() == caller {
+                    on_caller.lock().unwrap().push(i);
                 }
                 seen.push(i);
                 x * 2
             });
             assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
             assert!(states.iter().all(|s| !s.is_empty()), "threads={threads}");
+            // The calling thread is worker 0, and only worker 0.
+            assert_eq!(states[0], on_caller.into_inner().unwrap());
             let mut all: Vec<usize> = states.concat();
             all.sort_unstable();
             assert_eq!(all, items, "every item reached exactly one state");

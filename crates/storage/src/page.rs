@@ -525,8 +525,9 @@ impl Iterator for AdjRun<'_> {
 impl ExactSizeIterator for AdjRun<'_> {}
 
 /// Structural half of [`Page::verify`]: check that every [`PageView`]
-/// accessor would stay in bounds. Size and checksum are already checked
-/// by the caller.
+/// accessor would stay in bounds and that a Small Page's record region is
+/// laid out the way [`SmallPageEncoder`] lays it out. Size and checksum
+/// are already checked by the caller.
 fn validate_structure(cfg: PageFormatConfig, page: &Page) -> Result<(), String> {
     let kind = PageKind::from_byte(page.data[0])
         .ok_or_else(|| format!("page {}: unknown kind byte {}", page.pid, page.data[0]))?;
@@ -552,14 +553,18 @@ fn validate_structure(cfg: PageFormatConfig, page: &Page) -> Result<(), String> 
                     page.pid
                 ));
             }
+            // The encoder lays records out in slot order from offset 0,
+            // each where the previous one ends: `rec` is where this slot's
+            // must start, so no two slots share a record and none is skipped.
+            let mut rec = PAGE_HEADER_BYTES;
             for slot in 0..count as u32 {
                 let at = cfg.page_size - PAGE_TRAILER_BYTES - (slot as usize + 1) * SLOT_BYTES;
                 let off = read_le::<OFF_BYTES>(&page.data[at + VID_BYTES..]) as usize;
-                let rec = PAGE_HEADER_BYTES + off;
-                if rec + ADJLIST_SZ_BYTES > slots_start {
+                if PAGE_HEADER_BYTES + off != rec || rec + ADJLIST_SZ_BYTES > slots_start {
                     return Err(format!(
-                        "page {}: slot {slot} record offset {off} out of bounds",
-                        page.pid
+                        "page {}: slot {slot} record offset {off}, but the next record belongs at {}, before the slots",
+                        page.pid,
+                        rec - PAGE_HEADER_BYTES
                     ));
                 }
                 let len = read_le::<ADJLIST_SZ_BYTES>(&page.data[rec..]) as usize;
@@ -570,6 +575,7 @@ fn validate_structure(cfg: PageFormatConfig, page: &Page) -> Result<(), String> 
                         page.pid
                     ));
                 }
+                rec = end;
             }
         }
         PageKind::Large => {

@@ -222,6 +222,54 @@ fn load_rejects_a_resealed_unknown_kind_byte() {
     }
 }
 
+/// A Small Page whose slot directory was edited and the page resealed
+/// passes the checksum; the structural walk must still refuse slots that
+/// alias one record or name records out of slot order, or `load_store`
+/// would count some edges twice and skip others.
+#[test]
+fn load_rejects_resealed_slot_offsets_that_are_not_the_encoders() {
+    use gts_storage::{load_store, page_checksum, save_store, FileError};
+    const SLOT: usize = 10; // VID (6) + OFF (4), growing back from the trailer
+    let graph = EdgeList::new(8, vec![(0, 1), (0, 2), (1, 2), (2, 3)]);
+    let fmt = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512);
+    let store = build_graph_store(&graph, fmt).unwrap();
+    assert_eq!(store.small_pids(), [0]);
+    let path = std::env::temp_dir().join(format!("gts-fuzz-off-{}", std::process::id()));
+    let off_at = |slot: usize| fmt.page_size - 8 - (slot + 1) * SLOT + 6;
+    type Edit = fn(&mut [u8], usize, usize);
+    let edits: [(&str, Edit); 2] = [
+        (
+            "slot 0 record offset 12, but the next record belongs at 0,",
+            |page, a, b| {
+                let (lo, hi) = page.split_at_mut(a); // slot 1 lies below slot 0
+                lo[b..b + 4].swap_with_slice(&mut hi[..4]);
+            },
+        ),
+        (
+            "slot 1 record offset 0, but the next record belongs at 12,",
+            |page, a, b| {
+                page.copy_within(a..a + 4, b);
+            },
+        ),
+    ];
+    for (want, edit) in edits {
+        save_store(&store, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first = bytes.len() - store.num_pages() as usize * fmt.page_size;
+        let page = &mut bytes[first..first + fmt.page_size];
+        edit(page, off_at(0), off_at(1));
+        let sum = page_checksum(page).to_le_bytes();
+        page[fmt.page_size - sum.len()..].copy_from_slice(&sum);
+        std::fs::write(&path, &bytes).unwrap();
+        let result = load_store(&path);
+        std::fs::remove_file(&path).ok();
+        match result {
+            Err(FileError::BadHeader(m)) => assert!(m.contains(want), "{m}"),
+            other => panic!("{want}: got {:?}", other.map(|_| "a store")),
+        }
+    }
+}
+
 /// Every `(p, q)` width pair: both the one-load path (`p + q <= 8`) and
 /// the two-load path, up to `(8, 8)`.
 fn all_widths() -> impl Iterator<Item = PhysicalIdConfig> {

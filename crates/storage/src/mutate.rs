@@ -6,9 +6,11 @@
 //! atomically to the store:
 //!
 //! * **In-place rewrites.** A Small Page with enough slack absorbs the new
-//!   adjacency directly: the page is re-encoded (fresh trailer checksum)
-//!   and replaces the old page under the same page ID, so every inbound
-//!   [`RecordId`] stays valid.
+//!   adjacency directly: the page is rebuilt in slot order — a changed
+//!   record encoded from its new adjacency, every other record's packed
+//!   bytes copied from the old page undecoded — sealed with a fresh
+//!   trailer checksum, and replaces the old page under the same page ID,
+//!   so every inbound [`RecordId`] stays valid.
 //! * **Spill to delta pages.** When a Small Page overflows its budget, the
 //!   vertex with the largest record (ties to the lowest VID) is *spilled*:
 //!   its home record is rewritten zero-length and its **entire** adjacency
@@ -43,8 +45,9 @@
 
 use crate::builder::GraphStore;
 use crate::format::{PageKind, RecordId};
-use crate::page::{encode_large_page, Page, SmallPageEncoder};
+use crate::page::{encode_large_page, AdjRun, Page, SmallPageEncoder};
 use crate::rvt::RvtEntry;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -189,6 +192,25 @@ pub struct MutationOutcome {
     pub epoch: u64,
 }
 
+/// Where one slot of a rebuilt Small Page takes its record from.
+enum SlotSource<'a> {
+    /// Not named by the batch: the old page's record, still packed.
+    Kept(AdjRun<'a>),
+    /// The batch's new adjacency; empty for a spilled vertex, whose home
+    /// record stays zero-length.
+    New(&'a [RecordId]),
+}
+
+impl SlotSource<'_> {
+    /// `ADJLIST_SZ` of the record the slot will get.
+    fn len(&self) -> usize {
+        match self {
+            SlotSource::Kept(run) => run.len(),
+            SlotSource::New(adj) => adj.len(),
+        }
+    }
+}
+
 impl GraphStore {
     /// Full current adjacency of `vid`: home record (Small) or home chunk
     /// run (Large), followed by any delta pages, in stored order.
@@ -284,80 +306,60 @@ impl GraphStore {
         // home page; already-spilled Small-Page vertices and Large-Page
         // vertices get whole-adjacency rewrites.
         let mut sp_touched: BTreeSet<u64> = BTreeSet::new();
-        let mut delta_rewrites: BTreeMap<u64, Vec<RecordId>> = BTreeMap::new();
+        let mut delta_rewrites: BTreeMap<u64, Cow<'_, [RecordId]>> = BTreeMap::new();
         for (&vid, adj) in &overlay {
-            let home = self.vertex_rid[vid as usize];
-            match self.view(home.pid).kind() {
-                PageKind::Large => {
-                    delta_rewrites.insert(vid, adj.clone());
-                }
-                PageKind::Small => {
-                    if self.delta_pages.contains_key(&vid) {
-                        delta_rewrites.insert(vid, adj.clone());
-                    } else {
-                        sp_touched.insert(home.pid);
-                    }
-                }
+            let home = self.vertex_rid[vid as usize].pid;
+            if self.view(home).kind() == PageKind::Large || self.delta_pages.contains_key(&vid) {
+                delta_rewrites.insert(vid, Cow::Borrowed(adj.as_slice()));
+            } else {
+                sp_touched.insert(home);
             }
         }
 
-        // --- Stage 3: rewrite touched Small Pages, spilling on overflow. ---
+        // --- Stage 3: rebuild touched Small Pages, spilling on overflow. ---
         let mut replaced: BTreeMap<u64, (Page, u64)> = BTreeMap::new();
         let budget = self.cfg.sp_budget();
+        let mut slots: Vec<(u64, SlotSource<'_>)> = Vec::new();
         for &pid in &sp_touched {
-            let view = self.view(pid);
-            let count = view.count();
-            let start_vid = self.rvt.entry(pid).start_vid;
-            // New per-slot adjacency: `None` marks a (pre- or newly-)
-            // spilled vertex whose record stays zero-length.
-            let mut slot_adj: Vec<Option<Vec<RecordId>>> = Vec::with_capacity(count as usize);
-            for s in 0..count {
-                let vid = start_vid + s as u64;
-                if self.delta_pages.contains_key(&vid) || delta_rewrites.contains_key(&vid) {
-                    slot_adj.push(None);
-                } else if let Some(a) = overlay.get(&vid) {
-                    slot_adj.push(Some(a.clone()));
-                } else {
-                    slot_adj.push(Some(view.sp_adj_run(s).collect()));
-                }
-            }
-            let foot = |o: &Option<Vec<RecordId>>| {
-                self.cfg.sp_vertex_bytes(o.as_ref().map_or(0, |a| a.len()))
-            };
-            let mut total: usize = slot_adj.iter().map(foot).sum();
+            slots.clear();
+            slots.extend(self.view(pid).sp_vertices().map(|(vid, run)| {
+                let source = match overlay.get(&vid) {
+                    _ if self.delta_pages.contains_key(&vid) => SlotSource::New(&[]),
+                    Some(adj) => SlotSource::New(adj),
+                    None => SlotSource::Kept(run),
+                };
+                (vid, source)
+            }));
+            let foot = |len: usize| self.cfg.sp_vertex_bytes(len);
+            let mut total: usize = slots.iter().map(|(_, src)| foot(src.len())).sum();
             // Spill the largest record (ties to the lowest VID) until the
             // page fits again. This always terminates: the all-spilled
             // page costs `count` empty records, which fit by construction
             // (the builder packed `count` non-smaller records here).
             while total > budget {
                 let mut best: Option<(usize, usize)> = None;
-                for (s, o) in slot_adj.iter().enumerate() {
-                    if let Some(a) = o {
-                        if !a.is_empty() && best.is_none_or(|(_, bl)| a.len() > bl) {
-                            best = Some((s, a.len()));
-                        }
+                for (s, (_, src)) in slots.iter().enumerate() {
+                    if src.len() > best.map_or(0, |(_, len)| len) {
+                        best = Some((s, src.len()));
                     }
                 }
-                let Some((s, _)) = best else { break };
-                if let Some(adj) = slot_adj[s].take() {
-                    total -= self.cfg.sp_vertex_bytes(adj.len());
-                    total += self.cfg.sp_vertex_bytes(0);
-                    delta_rewrites.insert(start_vid + s as u64, adj);
-                }
+                let Some((s, len)) = best else { break };
+                total = total - foot(len) + foot(0);
+                let (vid, src) = &mut slots[s];
+                let adj = match std::mem::replace(src, SlotSource::New(&[])) {
+                    SlotSource::New(adj) => Cow::Borrowed(adj),
+                    SlotSource::Kept(run) => Cow::Owned(run.collect()),
+                };
+                delta_rewrites.insert(*vid, adj);
             }
             let mut enc = SmallPageEncoder::new(self.cfg);
             let mut edges = 0u64;
-            for (s, o) in slot_adj.iter().enumerate() {
-                let vid = start_vid + s as u64;
-                match o {
-                    Some(a) => {
-                        enc.push_vertex(vid, a);
-                        edges += a.len() as u64;
-                    }
-                    None => {
-                        enc.push_vertex(vid, &[]);
-                    }
-                }
+            for (vid, src) in &slots {
+                edges += src.len() as u64;
+                match src {
+                    SlotSource::New(adj) => enc.push_vertex(*vid, adj),
+                    SlotSource::Kept(run) => enc.push_run(*vid, run),
+                };
             }
             replaced.insert(pid, (enc.finish(pid), edges));
         }

@@ -298,14 +298,32 @@ impl SmallPageEncoder {
     /// # Panics
     /// Panics if the vertex does not fit; callers must check [`fits`].
     pub fn push_vertex(&mut self, vid: u64, adj: &[RecordId]) -> u32 {
-        assert!(self.fits(adj.len()), "vertex {vid} does not fit");
-        let off = self.record_cursor;
-        // Record: ADJLIST_SZ then packed record IDs.
-        let rec_at = PAGE_HEADER_BYTES + off;
-        write_le::<ADJLIST_SZ_BYTES>(&mut self.data[rec_at..], adj.len() as u64);
         let id = self.cfg.id;
-        encode_rids(&mut self.data[rec_at + ADJLIST_SZ_BYTES..], adj, id);
-        self.record_cursor += ADJLIST_SZ_BYTES + adj.len() * id.rid_bytes();
+        self.push_record(vid, adj.len(), |packed| encode_rids(packed, adj, id))
+    }
+
+    /// [`push_vertex`] of the entries `run` has not yet yielded, without
+    /// decoding them: the run's packed bytes are copied as they are.
+    ///
+    /// # Panics
+    /// Panics if the run's `(p, q)` is not this encoder's, or if the
+    /// vertex does not fit.
+    pub fn push_run(&mut self, vid: u64, run: &AdjRun<'_>) -> u32 {
+        assert_eq!(run.id, self.cfg.id, "vertex {vid}: run of another (p, q)");
+        let bytes = run.packed_bytes();
+        self.push_record(vid, run.left, |packed| packed.copy_from_slice(bytes))
+    }
+
+    /// One record (`ADJLIST_SZ`, then `len` packed record IDs written by
+    /// `fill`) and its slot.
+    fn push_record(&mut self, vid: u64, len: usize, fill: impl FnOnce(&mut [u8])) -> u32 {
+        assert!(self.fits(len), "vertex {vid} does not fit");
+        let off = self.record_cursor;
+        let rec_at = PAGE_HEADER_BYTES + off;
+        write_le::<ADJLIST_SZ_BYTES>(&mut self.data[rec_at..], len as u64);
+        let packed = len * self.cfg.id.rid_bytes();
+        fill(&mut self.data[rec_at + ADJLIST_SZ_BYTES..][..packed]);
+        self.record_cursor += ADJLIST_SZ_BYTES + packed;
         // Slot, growing backward from just before the checksum trailer.
         let slot_no = self.slots;
         let slot_at = self.cfg.page_size - PAGE_TRAILER_BYTES - (slot_no as usize + 1) * SLOT_BYTES;
@@ -493,7 +511,13 @@ pub struct AdjRun<'a> {
     id: PhysicalIdConfig,
 }
 
-impl AdjRun<'_> {
+impl<'a> AdjRun<'a> {
+    /// The packed `(ADJ_PID, ADJ_OFF)` bytes of the entries not yet
+    /// yielded: what [`SmallPageEncoder::push_run`] copies undecoded.
+    pub fn packed_bytes(&self) -> &'a [u8] {
+        &self.bytes[..self.left * self.id.rid_bytes()]
+    }
+
     /// Random access for the cold [`PageView::sp_adj`] / [`PageView::lp_adj`].
     #[inline]
     fn entry(&self, i: u32) -> RecordId {
@@ -669,6 +693,50 @@ mod tests {
         let mut enc = SmallPageEncoder::new(c);
         let adj: Vec<RecordId> = (0..1000).map(|i| RecordId::new(0, i)).collect();
         enc.push_vertex(0, &adj);
+    }
+
+    #[test]
+    fn push_run_copies_what_push_vertex_would_encode() {
+        let c = PageFormatConfig::new(PhysicalIdConfig::new(3, 2), 256);
+        let lists = [
+            vec![RecordId::new(0x01_02_03, 0x0405), RecordId::new(7, 0xFFFF)],
+            vec![],
+            vec![RecordId::new(0xFF_FF_FF, 1)],
+        ];
+        let mut enc = SmallPageEncoder::new(c);
+        for (vid, adj) in lists.iter().enumerate() {
+            enc.push_vertex(vid as u64, adj);
+        }
+        let page = enc.finish(3);
+        let mut copy = SmallPageEncoder::new(c);
+        for (vid, mut run) in page.verify(c).unwrap().view().sp_vertices() {
+            if vid == 0 {
+                // A partly consumed run is the entries not yet yielded.
+                assert_eq!(run.next(), Some(lists[0][0]));
+                assert_eq!(run.packed_bytes(), [7, 0, 0, 0xFF, 0xFF]);
+                copy.push_vertex(vid, &lists[0][..1]);
+                copy.push_run(vid + 10, &run);
+            } else {
+                copy.push_run(vid, &run);
+            }
+        }
+        let mut want = SmallPageEncoder::new(c);
+        want.push_vertex(0, &lists[0][..1]);
+        want.push_vertex(10, &lists[0][1..]);
+        want.push_vertex(1, &lists[1]);
+        want.push_vertex(2, &lists[2]);
+        assert_eq!(copy.finish(3).data, want.finish(3).data);
+    }
+
+    #[test]
+    #[should_panic(expected = "run of another (p, q)")]
+    fn push_run_of_another_width_panics() {
+        let page = encode_large_page(cfg(), 0, 7, &[RecordId::new(2, 3)]);
+        let run = page.verify(cfg()).unwrap().view().lp_adj_run();
+        // Same entry width (4 bytes), different split: the copied bytes
+        // would decode to other record IDs.
+        let other = PageFormatConfig::new(PhysicalIdConfig::new(3, 1), 256);
+        SmallPageEncoder::new(other).push_run(0, &run);
     }
 
     #[test]

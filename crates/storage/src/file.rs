@@ -11,7 +11,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "GTSPAGES"
-//! 8       4     format version (LE u32, currently 2: checksummed pages)
+//! 8       4     format version (LE u32, currently 3: lane-hashed page trailers)
 //! 12      4     page size in bytes (LE u32)
 //! 16      1     p (page-id bytes)
 //! 17      1     q (slot bytes)
@@ -29,9 +29,9 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"GTSPAGES";
-/// Version 2 added the per-page trailer checksum; version-1 files have no
-/// trailer (slots reach the page end) and are rejected as unsupported.
-const VERSION: u32 = 2;
+/// Version 3 page trailers are lane-parallel FNV-1a; version 2's are plain
+/// FNV-1a, version 1 has none. Both are rejected as unsupported: rebuild.
+const VERSION: u32 = 3;
 const HEADER_BYTES: usize = 40;
 
 /// Decode a little-endian `u32` at `at` without `unwrap` (the caller
@@ -220,6 +220,24 @@ mod tests {
         let err = load_store(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, FileError::BadHeader(_)));
+    }
+
+    #[test]
+    fn rejects_a_version_2_file_and_leaves_it_untouched() {
+        let store = build_graph_store(&rmat(7), PageFormatConfig::small_default()).unwrap();
+        let path = tmp("v2");
+        save_store(&store, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_store(&path).unwrap_err();
+        let after = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            err.to_string(),
+            "bad store file: unsupported version 2 (expected 3)"
+        );
+        assert_eq!(after, bytes);
     }
 
     #[test]

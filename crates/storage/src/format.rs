@@ -28,9 +28,9 @@ pub const ADJLIST_SZ_BYTES: usize = 4;
 pub const MIN_VERTEX_FOOTPRINT: u64 = (VID_BYTES + OFF_BYTES + ADJLIST_SZ_BYTES + 6) as u64;
 /// Bytes of the page header: kind (1) + entry count (4), padded to 8.
 pub const PAGE_HEADER_BYTES: usize = 8;
-/// Bytes of the page trailer: a little-endian FNV-1a 64 checksum over the
-/// rest of the page, sealed at encode time and verified on every fetch so
-/// torn or corrupt pages are *detected*, not silently traversed.
+/// Bytes of the page trailer: `page::page_checksum` of the rest of the
+/// page, little-endian, sealed at encode time and verified on every fetch
+/// so torn or corrupt pages are *detected*, not silently traversed.
 pub const PAGE_TRAILER_BYTES: usize = 8;
 
 impl PhysicalIdConfig {

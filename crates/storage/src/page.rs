@@ -8,8 +8,8 @@
 //!
 //! All multi-byte fields are little-endian with configurable widths (the
 //! `(p,q)` generalisation of Sec. 6.1). Every page ends in a
-//! [`PAGE_TRAILER_BYTES`]-wide FNV-1a checksum sealed at encode time;
-//! slots grow backward from just before the trailer.
+//! [`PAGE_TRAILER_BYTES`]-wide checksum ([`page_checksum`]) sealed at
+//! encode time; slots grow backward from just before the trailer.
 
 use crate::format::{
     PageFormatConfig, PageKind, PhysicalIdConfig, RecordId, ADJLIST_SZ_BYTES, OFF_BYTES,
@@ -169,9 +169,9 @@ impl<'a> VerifiedPage<'a> {
     }
 }
 
-/// FNV-1a 64 over everything except the trailer itself.
+/// [`gts_ckpt::fnv1a_lanes`] over everything except the trailer itself.
 pub fn page_checksum(data: &[u8]) -> u64 {
-    gts_ckpt::fnv1a(&data[..data.len() - PAGE_TRAILER_BYTES])
+    gts_ckpt::fnv1a_lanes(&data[..data.len() - PAGE_TRAILER_BYTES])
 }
 
 /// Write the checksum of `data` into its trailer.
@@ -816,6 +816,45 @@ mod tests {
         assert!(!page.checksum_ok());
         let err = page.verify(c).unwrap_err();
         assert!(err.contains("checksum"), "unexpected error: {err}");
+    }
+
+    /// Every byte of a sealed page is covered at every page size, whether
+    /// or not the body divides into the hash's lanes evenly — the last
+    /// `body % FNV_LANES` bytes included — and equal-length stripes are
+    /// not interchangeable.
+    #[test]
+    fn any_flipped_byte_or_swapped_stripe_is_detected_at_every_page_size() {
+        for size in [64usize, 65, 66, 67, 72, 100, 101, 256, 4096, 65536] {
+            let id = PhysicalIdConfig::new(2, 4);
+            let c = PageFormatConfig::new(id, size);
+            let adj: Vec<RecordId> = (0..c.lp_capacity() as u32)
+                .map(|i| RecordId::new(i as u64 * 251 % 65_521, i.wrapping_mul(2_654_435_761)))
+                .collect();
+            let page = encode_large_page(c, 0, 0x0102_0304_0506, &adj);
+            assert!(page.checksum_ok() && page.verify(c).is_ok(), "{size}");
+            // Every position up to 4 KiB; for 64 KiB a stride coprime to
+            // the stripe length plus both sides of every stripe boundary,
+            // the leftover bytes and the trailer.
+            let body = size - PAGE_TRAILER_BYTES;
+            let stripe = body / gts_ckpt::FNV_LANES;
+            let mut at: Vec<usize> = (0..size)
+                .step_by(if size > 4096 { 251 } else { 1 })
+                .collect();
+            at.extend((1..=gts_ckpt::FNV_LANES).flat_map(|l| [l * stripe - 1, l * stripe]));
+            at.extend(body - 1..size);
+            for at in at {
+                let mut data = page.data.clone();
+                data[at] ^= 1 << (at % 8);
+                let bad = Page::new(0, PageKind::Large, data);
+                assert!(!bad.checksum_ok(), "{size}: flip at {at}");
+                let err = bad.verify(c).unwrap_err();
+                assert!(err.contains("checksum"), "{size}: flip at {at}: {err}");
+            }
+            let mut data = page.data.clone();
+            let (a, b) = data.split_at_mut(stripe);
+            a.swap_with_slice(&mut b[stripe..2 * stripe]); // stripes 0 and 2
+            assert!(!Page::new(0, PageKind::Large, data).checksum_ok(), "{size}");
+        }
     }
 
     #[test]

@@ -162,15 +162,15 @@ gts fsck     --store <store file> [--wal-dir DIR] [--checkpoint-dir DIR]
 ];
 
 const NOTES: &str = "\
-Edge files are the binary GTSEDGES format produced by `gts generate`, or
-plain text 'src dst' lines. Store files are the GTSPAGES slotted-page
-format of the paper's Section 2. `--trace-out` writes a chrome://tracing
-/ Perfetto JSON timeline of the run (the paper's Fig. 4 pipeline).
-`--host-threads` sets the real threads used for kernel execution on this
-machine (default: all cores); results, traces and simulated times are
-identical for every value. `--fault-seed` enables deterministic fault
-injection (transient read errors, torn/corrupt pages, GPU copy/launch
-faults) with that seed; recovered faults only add simulated time.
+Edge files are the binary GTSEDGES format produced by `gts generate`, or plain
+text 'src dst' lines. Store files are the GTSPAGES slotted-page format of the
+paper's Section 2, version 3 (an older file is refused: rebuild it).
+`--trace-out` writes a chrome://tracing / Perfetto JSON timeline of the run
+(the paper's Fig. 4 pipeline). `--host-threads` sets the real threads used for
+kernel execution on this machine (default: all cores); results, traces and
+simulated times are identical for every value. `--fault-seed` enables
+deterministic fault injection (transient read errors, torn/corrupt pages, GPU
+copy/launch faults) with that seed; recovered faults only add simulated time.
 
 Checkpoint/restart: `--checkpoint-dir` snapshots resumable state every
 `--checkpoint-every` sweeps (default 1) with crash-atomic writes;

@@ -104,12 +104,7 @@ fn assert_canonical(store: &GraphStore, model: &Model) -> Result<(), TestCaseErr
         let page = store.page(pid);
         // From the unverified state, as a page read back from disk.
         let fresh = Page::new(pid, page.kind, page.data.clone());
-        prop_assert!(
-            fresh.verify(fmt).is_ok(),
-            "page {}: {:?}",
-            pid,
-            fresh.verify(fmt).err()
-        );
+        prop_assert_eq!(fresh.verify(fmt).map(|_| ()), Ok(()), "page {}", pid);
         let v = store.view(pid);
         prop_assert_eq!(
             store.edges_in_page(pid),

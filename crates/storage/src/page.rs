@@ -302,7 +302,7 @@ impl SmallPageEncoder {
         self.push_record(vid, adj.len(), |packed| encode_rids(packed, adj, id))
     }
 
-    /// [`push_vertex`] of the entries `run` has not yet yielded, without
+    /// [`Self::push_vertex`] of the entries `run` has not yet yielded, without
     /// decoding them: the run's packed bytes are copied as they are.
     ///
     /// # Panics

@@ -86,6 +86,46 @@ impl ByteWriter {
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
+
+    /// Append a sequence: a `u64` element count, then the elements.
+    pub fn put_seq<T: Scalar>(&mut self, v: &[T]) {
+        self.put_u64(v.len() as u64);
+        for &x in v {
+            x.put(self);
+        }
+    }
+}
+
+/// A fixed-width field a sequence ([`ByteWriter::put_seq`] /
+/// [`ByteReader::take_seq`]) can hold.
+pub trait Scalar: Copy {
+    /// Encoded size in bytes.
+    const WIDTH: usize;
+    /// Append `self` to `w`.
+    fn put(self, w: &mut ByteWriter);
+    /// Read one value from `r`.
+    fn take(r: &mut ByteReader<'_>, what: &'static str) -> Result<Self, CkptError>;
+}
+
+macro_rules! scalar {
+    ($($t:ty, $width:expr, $put:ident, $take:ident;)*) => {$(
+        impl Scalar for $t {
+            const WIDTH: usize = $width;
+            fn put(self, w: &mut ByteWriter) {
+                w.$put(self);
+            }
+            fn take(r: &mut ByteReader<'_>, what: &'static str) -> Result<Self, CkptError> {
+                r.$take(what)
+            }
+        }
+    )*};
+}
+scalar! {
+    bool, 1, put_bool, take_bool;
+    u16, 2, put_u16, take_u16;
+    u32, 4, put_u32, take_u32;
+    u64, 8, put_u64, take_u64;
+    f32, 4, put_f32, take_f32;
 }
 
 /// Bounds-checked cursor over encoded bytes.
@@ -181,6 +221,25 @@ impl<'a> ByteReader<'a> {
         self.take_raw(what, len)
     }
 
+    /// Read a sequence written by [`ByteWriter::put_seq`]. The count is
+    /// checked against the bytes that follow before anything is
+    /// allocated, so a corrupt count is a typed error, never an abort.
+    pub fn take_seq<T: Scalar>(&mut self, what: &'static str) -> Result<Vec<T>, CkptError> {
+        let count = self.take_u64(what)?;
+        let need = usize::try_from(count)
+            .ok()
+            .and_then(|n| n.checked_mul(T::WIDTH))
+            .unwrap_or(usize::MAX);
+        if need > self.remaining() {
+            return Err(CkptError::Truncated {
+                what,
+                need,
+                have: self.remaining(),
+            });
+        }
+        (0..count).map(|_| T::take(self, what)).collect()
+    }
+
     /// Read a `u64`-length-prefixed UTF-8 string.
     pub fn take_str(&mut self, what: &'static str) -> Result<String, CkptError> {
         let b = self.take_bytes(what)?;
@@ -250,5 +309,62 @@ mod tests {
         let bytes = w.into_bytes();
         let got = ByteReader::new(&bytes).take_f32("nan").unwrap();
         assert_eq!(got.to_bits(), weird.to_bits());
+    }
+
+    /// `put_seq` / `take_seq` round-trip exactly at lengths 0, 1 and 4097
+    /// for every scalar width, a second sequence behind the first stays
+    /// readable, and every strict prefix of the encoding is a typed error.
+    fn seq_round_trips<T: Scalar + PartialEq + std::fmt::Debug>(make: impl Fn(u64) -> T) {
+        for len in [0u64, 1, 4097] {
+            let v: Vec<T> = (0..len).map(&make).collect();
+            let mut w = ByteWriter::new();
+            w.put_seq(&v);
+            let one = w.len();
+            assert_eq!(one, 8 + v.len() * T::WIDTH);
+            w.put_seq(&v[..v.len().min(1)]);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(r.take_seq::<T>("first").unwrap(), v);
+            assert_eq!(r.take_seq::<T>("second").unwrap(), v[..v.len().min(1)]);
+            r.finish().unwrap();
+            for cut in 0..one {
+                let err = ByteReader::new(&bytes[..cut]).take_seq::<T>("cut");
+                assert!(
+                    matches!(err, Err(CkptError::Truncated { what: "cut", .. })),
+                    "len {len}, cut {cut}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sequences_round_trip_for_every_scalar_width() {
+        seq_round_trips(|i| i % 3 == 0);
+        seq_round_trips(|i| (i * 40_503) as u16);
+        seq_round_trips(|i| (i * 2_654_435_761) as u32);
+        seq_round_trips(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        seq_round_trips(|i| f32::from_bits((i * 2_654_435_761) as u32).abs().min(1e30));
+    }
+
+    #[test]
+    fn hostile_sequence_counts_are_typed_before_any_allocation() {
+        for count in [u64::MAX, u64::MAX / 8, 3] {
+            let mut w = ByteWriter::new();
+            w.put_u64(count);
+            w.put_raw(&[0; 23]); // one byte short of three u64s
+            let bytes = w.into_bytes();
+            let err = ByteReader::new(&bytes).take_seq::<u64>("pids").unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CkptError::Truncated {
+                        what: "pids",
+                        have: 23,
+                        ..
+                    }
+                ),
+                "{count}: {err:?}"
+            );
+        }
     }
 }

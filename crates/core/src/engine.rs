@@ -480,10 +480,11 @@ impl From<WalError> for EngineError {
 
 pub use crate::sweep::live::MutationSchedule;
 
-/// The GTS engine.
+/// The GTS engine for solo runs: an [`Engine`] plus the [`Telemetry`]
+/// handle every run records into.
 #[derive(Debug, Clone)]
 pub struct Gts {
-    cfg: GtsConfig,
+    engine: Engine,
     telemetry: Telemetry,
 }
 
@@ -512,9 +513,8 @@ impl GtsBuilder {
 
     /// Validate the configuration and produce the engine.
     pub fn build(self) -> Result<Gts, ConfigError> {
-        self.cfg.validate()?;
         Ok(Gts {
-            cfg: self.cfg,
+            engine: Engine::new(self.cfg)?,
             telemetry: self.telemetry,
         })
     }
@@ -530,12 +530,9 @@ impl Gts {
     /// a cache cap beyond device memory). Callers that want the error as
     /// a value use the builder.
     pub fn new(cfg: GtsConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid GtsConfig: {e}");
-        }
-        Gts {
-            cfg,
-            telemetry: Telemetry::new(),
+        match Gts::builder().config(cfg).build() {
+            Ok(gts) => gts,
+            Err(e) => panic!("invalid GtsConfig: {e}"),
         }
     }
 
@@ -550,7 +547,7 @@ impl Gts {
 
     /// The engine's configuration.
     pub fn config(&self) -> &GtsConfig {
-        &self.cfg
+        self.engine.config()
     }
 
     /// The engine's telemetry handle. After [`Gts::run`] it holds the
@@ -574,7 +571,7 @@ impl Gts {
         store: &GraphStore,
         prog: &mut dyn GtsProgram,
     ) -> Result<RunReport, EngineError> {
-        self.session().run_job(store, prog, &self.job_options())
+        self.engine.run_job(store, prog, &self.job_options())
     }
 
     /// Execute `prog` over a *live* `store`: each of `schedule`'s mutation
@@ -596,15 +593,8 @@ impl Gts {
         prog: &mut dyn GtsProgram,
         schedule: MutationSchedule,
     ) -> Result<RunReport, EngineError> {
-        self.session()
+        self.engine
             .run_job_live(store, prog, schedule, &self.job_options())
-    }
-
-    /// The one-job session behind [`Gts::run`]/[`Gts::run_live`]: a
-    /// long-lived [`Engine`] over this configuration. The configuration
-    /// was validated at construction, so this cannot fail.
-    fn session(&self) -> Engine {
-        Engine::from_validated(self.cfg.clone())
     }
 
     /// Solo runs record into the engine's own telemetry handle with no

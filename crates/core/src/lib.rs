@@ -83,7 +83,7 @@ pub use engine::{
 pub use gts_faults::{FaultConfig, FaultPlan};
 pub use gts_storage::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
 pub use gts_telemetry::Telemetry;
-pub use job::{Engine, JobContext, JobOptions};
+pub use job::{Engine, JobOptions};
 pub use report::RunReport;
 pub use strategy::Strategy;
 pub use sweep::ckpt::{snapshot_progress, store_fingerprint};

@@ -226,10 +226,10 @@ impl GtsProgram for Bc {
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        state::put_u16s(&mut w, &self.dist);
-        state::put_f32s(&mut w, &self.sigma);
-        state::put_f32s(&mut w, &self.delta);
-        state::put_f32s(&mut w, &self.bc);
+        w.put_seq(&self.dist);
+        w.put_seq(&self.sigma);
+        w.put_seq(&self.delta);
+        w.put_seq(&self.bc);
         match self.phase {
             Phase::Forward => {
                 w.put_u8(0);
@@ -242,17 +242,17 @@ impl GtsProgram for Bc {
         }
         w.put_u64(self.pages_by_level.len() as u64);
         for level in &self.pages_by_level {
-            state::put_u64s(&mut w, level);
+            w.put_seq(level);
         }
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load_u16s(&mut r, "bc.dist", &mut self.dist)?;
-        state::load_f32s(&mut r, "bc.sigma", &mut self.sigma)?;
-        state::load_f32s(&mut r, "bc.delta", &mut self.delta)?;
-        state::load_f32s(&mut r, "bc.bc", &mut self.bc)?;
+        state::load(&mut r, "bc.dist", &mut self.dist)?;
+        state::load(&mut r, "bc.sigma", &mut self.sigma)?;
+        state::load(&mut r, "bc.delta", &mut self.delta)?;
+        state::load(&mut r, "bc.bc", &mut self.bc)?;
         let tag = r.take_u8("bc.phase tag")?;
         let level = r.take_u32("bc.phase level")?;
         self.phase = match tag {
@@ -264,23 +264,12 @@ impl GtsProgram for Bc {
                 })
             }
         };
-        let depth = r.take_u64("bc.pages_by_level count")? as usize;
-        self.pages_by_level = Vec::with_capacity(depth);
-        for _ in 0..depth {
-            let n = r.take_u64("bc.level pids count")? as usize;
-            let mut pids = vec![0u64; n];
-            state_load_raw_u64s(&mut r, &mut pids)?;
-            self.pages_by_level.push(pids);
-        }
+        // No capacity from the unchecked depth: each level's sequence
+        // checks its own count, and a level costs at least its 8 bytes.
+        let depth = r.take_u64("bc.pages_by_level count")?;
+        self.pages_by_level = (0..depth)
+            .map(|_| r.take_seq("bc.level pids"))
+            .collect::<Result<_, _>>()?;
         r.finish()
     }
-}
-
-/// Read `into.len()` raw u64s (no length prefix — the caller already
-/// consumed it to size the buffer).
-fn state_load_raw_u64s(r: &mut ByteReader<'_>, into: &mut [u64]) -> Result<(), CkptError> {
-    for slot in into {
-        *slot = r.take_u64("bc.level pid")?;
-    }
-    Ok(())
 }

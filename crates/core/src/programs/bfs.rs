@@ -197,14 +197,30 @@ impl GtsProgram for Bfs {
     }
 
     fn save_state(&self) -> Vec<u8> {
+        // Boundary invariant: `end_sweep` moved `pending_next` into
+        // `pending` and drained its pages, so `lv` and `pending` are all
+        // that crosses a sweep boundary.
+        assert!(
+            self.pending_next.is_empty() && self.pending_pids_next.is_empty(),
+            "BFS state saved mid-sweep"
+        );
         let mut w = ByteWriter::new();
-        state::put_u16s(&mut w, &self.lv);
+        w.put_seq(&self.lv);
+        // `pending` follows only when it holds something: a finished run
+        // has none, and its blob — which serve fingerprints as the job's
+        // result — stays the levels alone.
+        if !self.pending.is_empty() {
+            w.put_seq(&self.pending.iter().copied().collect::<Vec<_>>());
+        }
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load_u16s(&mut r, "bfs.lv", &mut self.lv)?;
+        state::load(&mut r, "bfs.lv", &mut self.lv)?;
+        if r.remaining() > 0 {
+            self.pending = r.take_seq("bfs.pending")?.into_iter().collect();
+        }
         r.finish()
     }
 }

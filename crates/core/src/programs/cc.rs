@@ -132,13 +132,13 @@ impl GtsProgram for Cc {
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        state::put_u64s(&mut w, &self.label);
+        w.put_seq(&self.label);
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load_u64s(&mut r, "cc.label", &mut self.label)?;
+        state::load(&mut r, "cc.label", &mut self.label)?;
         r.finish()
     }
 }

@@ -123,28 +123,17 @@ impl GtsProgram for Degrees {
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u64(self.acc.len() as u64);
-        for &a in &self.acc {
-            w.put_u32(a as u32);
-        }
-        state::put_u32s(&mut w, &self.degree);
+        w.put_seq(&self.acc.iter().map(|&a| a as u32).collect::<Vec<_>>());
+        w.put_seq(&self.degree);
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        let n = r.take_u64("degrees.acc count")?;
-        if n != self.acc.len() as u64 {
-            return Err(CkptError::Mismatch {
-                what: "degrees.acc",
-                want: self.acc.len() as u64,
-                got: n,
-            });
-        }
-        for a in &mut self.acc {
-            *a = r.take_u32("degrees.acc")? as u64;
-        }
-        state::load_u32s(&mut r, "degrees.degree", &mut self.degree)?;
+        let mut acc = vec![0u32; self.acc.len()];
+        state::load(&mut r, "degrees.acc", &mut acc)?;
+        self.acc = acc.into_iter().map(u64::from).collect();
+        state::load(&mut r, "degrees.degree", &mut self.degree)?;
         r.finish()
     }
 }

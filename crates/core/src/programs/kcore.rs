@@ -120,15 +120,15 @@ impl GtsProgram for KCore {
         // Boundary invariant: `end_sweep` just zero-filled `degree`, so
         // only the alive flags carry state (degree saved for robustness).
         let mut w = ByteWriter::new();
-        state::put_bools(&mut w, &self.alive);
-        state::put_u32s(&mut w, &self.degree);
+        w.put_seq(&self.alive);
+        w.put_seq(&self.degree);
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load_bools(&mut r, "kcore.alive", &mut self.alive)?;
-        state::load_u32s(&mut r, "kcore.degree", &mut self.degree)?;
+        state::load(&mut r, "kcore.alive", &mut self.alive)?;
+        state::load(&mut r, "kcore.degree", &mut self.degree)?;
         r.finish()
     }
 }

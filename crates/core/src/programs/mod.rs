@@ -403,118 +403,30 @@ pub trait SharedKernel: Sync {
     fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork;
 }
 
-/// Helpers for [`GtsProgram::save_state`] / [`GtsProgram::load_state`]
-/// blobs. Every vector is length-prefixed and, on load, checked against
-/// the freshly-constructed vector's length — so resuming a snapshot
-/// against a different graph fails with a typed [`CkptError::Mismatch`]
-/// instead of scribbling over the wrong vertices.
+/// The reading half of [`GtsProgram::save_state`] /
+/// [`GtsProgram::load_state`] blobs. Every vector is a
+/// [`ByteWriter::put_seq`](gts_ckpt::ByteWriter::put_seq) sequence and, on
+/// load, checked against the freshly-constructed vector's length — so
+/// resuming a snapshot against a different graph fails with a typed
+/// [`CkptError::Mismatch`] instead of scribbling over the wrong vertices.
 pub(crate) mod state {
-    use gts_ckpt::{ByteReader, ByteWriter, CkptError};
+    use gts_ckpt::codec::Scalar;
+    use gts_ckpt::{ByteReader, CkptError};
 
-    fn check_len(what: &'static str, want: usize, got: u64) -> Result<(), CkptError> {
-        if got == want as u64 {
-            Ok(())
-        } else {
-            Err(CkptError::Mismatch {
+    pub(crate) fn load<T: Scalar>(
+        r: &mut ByteReader<'_>,
+        what: &'static str,
+        into: &mut Vec<T>,
+    ) -> Result<(), CkptError> {
+        let got = r.take_seq::<T>(what)?;
+        if got.len() != into.len() {
+            return Err(CkptError::Mismatch {
                 what,
-                want: want as u64,
-                got,
-            })
+                want: into.len() as u64,
+                got: got.len() as u64,
+            });
         }
-    }
-
-    pub(crate) fn put_u16s(w: &mut ByteWriter, v: &[u16]) {
-        w.put_u64(v.len() as u64);
-        for &x in v {
-            w.put_u16(x);
-        }
-    }
-
-    pub(crate) fn load_u16s(
-        r: &mut ByteReader<'_>,
-        what: &'static str,
-        into: &mut [u16],
-    ) -> Result<(), CkptError> {
-        check_len(what, into.len(), r.take_u64(what)?)?;
-        for slot in into {
-            *slot = r.take_u16(what)?;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn put_u32s(w: &mut ByteWriter, v: &[u32]) {
-        w.put_u64(v.len() as u64);
-        for &x in v {
-            w.put_u32(x);
-        }
-    }
-
-    pub(crate) fn load_u32s(
-        r: &mut ByteReader<'_>,
-        what: &'static str,
-        into: &mut [u32],
-    ) -> Result<(), CkptError> {
-        check_len(what, into.len(), r.take_u64(what)?)?;
-        for slot in into {
-            *slot = r.take_u32(what)?;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn put_u64s(w: &mut ByteWriter, v: &[u64]) {
-        w.put_u64(v.len() as u64);
-        for &x in v {
-            w.put_u64(x);
-        }
-    }
-
-    pub(crate) fn load_u64s(
-        r: &mut ByteReader<'_>,
-        what: &'static str,
-        into: &mut [u64],
-    ) -> Result<(), CkptError> {
-        check_len(what, into.len(), r.take_u64(what)?)?;
-        for slot in into {
-            *slot = r.take_u64(what)?;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn put_f32s(w: &mut ByteWriter, v: &[f32]) {
-        w.put_u64(v.len() as u64);
-        for &x in v {
-            w.put_f32(x);
-        }
-    }
-
-    pub(crate) fn load_f32s(
-        r: &mut ByteReader<'_>,
-        what: &'static str,
-        into: &mut [f32],
-    ) -> Result<(), CkptError> {
-        check_len(what, into.len(), r.take_u64(what)?)?;
-        for slot in into {
-            *slot = r.take_f32(what)?;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn put_bools(w: &mut ByteWriter, v: &[bool]) {
-        w.put_u64(v.len() as u64);
-        for &x in v {
-            w.put_bool(x);
-        }
-    }
-
-    pub(crate) fn load_bools(
-        r: &mut ByteReader<'_>,
-        what: &'static str,
-        into: &mut [bool],
-    ) -> Result<(), CkptError> {
-        check_len(what, into.len(), r.take_u64(what)?)?;
-        for slot in into {
-            *slot = r.take_bool(what)?;
-        }
+        *into = got;
         Ok(())
     }
 }

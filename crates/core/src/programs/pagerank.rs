@@ -185,8 +185,8 @@ impl GtsProgram for PageRank {
         // sweep, so `acc` is empty — only the rank vectors and the
         // convergence marker carry state.
         let mut w = ByteWriter::new();
-        state::put_f32s(&mut w, &self.prev);
-        state::put_f32s(&mut w, &self.next);
+        w.put_seq(&self.prev);
+        w.put_seq(&self.next);
         w.put_bool(self.converged_at.is_some());
         w.put_u32(self.converged_at.unwrap_or(0));
         w.into_bytes()
@@ -194,8 +194,8 @@ impl GtsProgram for PageRank {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load_f32s(&mut r, "pagerank.prev", &mut self.prev)?;
-        state::load_f32s(&mut r, "pagerank.next", &mut self.next)?;
+        state::load(&mut r, "pagerank.prev", &mut self.prev)?;
+        state::load(&mut r, "pagerank.next", &mut self.next)?;
         let some = r.take_bool("pagerank.converged_at tag")?;
         let at = r.take_u32("pagerank.converged_at")?;
         self.converged_at = some.then_some(at);

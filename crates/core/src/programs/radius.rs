@@ -173,18 +173,18 @@ impl GtsProgram for RadiusEstimation {
 
     fn save_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        state::put_u64s(&mut w, &self.prev);
-        state::put_u64s(&mut w, &self.cur);
-        state::put_u16s(&mut w, &self.last_change);
+        w.put_seq(&self.prev);
+        w.put_seq(&self.cur);
+        w.put_seq(&self.last_change);
         w.put_bool(self.changed);
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load_u64s(&mut r, "radius.prev", &mut self.prev)?;
-        state::load_u64s(&mut r, "radius.cur", &mut self.cur)?;
-        state::load_u16s(&mut r, "radius.last_change", &mut self.last_change)?;
+        state::load(&mut r, "radius.prev", &mut self.prev)?;
+        state::load(&mut r, "radius.cur", &mut self.cur)?;
+        state::load(&mut r, "radius.last_change", &mut self.last_change)?;
         self.changed = r.take_bool("radius.changed")?;
         r.finish()
     }

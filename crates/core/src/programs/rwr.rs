@@ -145,15 +145,15 @@ impl GtsProgram for Rwr {
         // Boundary invariant: `materialize` already folded and cleared
         // `acc`, so only the two score vectors carry state.
         let mut w = ByteWriter::new();
-        state::put_f32s(&mut w, &self.prev);
-        state::put_f32s(&mut w, &self.next);
+        w.put_seq(&self.prev);
+        w.put_seq(&self.next);
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load_f32s(&mut r, "rwr.prev", &mut self.prev)?;
-        state::load_f32s(&mut r, "rwr.next", &mut self.next)?;
+        state::load(&mut r, "rwr.prev", &mut self.prev)?;
+        state::load(&mut r, "rwr.next", &mut self.next)?;
         r.finish()
     }
 }

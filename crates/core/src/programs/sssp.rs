@@ -128,15 +128,15 @@ impl GtsProgram for Sssp {
         // Boundary invariant: `end_sweep` swapped the frontiers and
         // blanked `next_active`, so only `dist` and `active` carry state.
         let mut w = ByteWriter::new();
-        state::put_u32s(&mut w, &self.dist);
-        state::put_bools(&mut w, &self.active);
+        w.put_seq(&self.dist);
+        w.put_seq(&self.active);
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load_u32s(&mut r, "sssp.dist", &mut self.dist)?;
-        state::load_bools(&mut r, "sssp.active", &mut self.active)?;
+        state::load(&mut r, "sssp.dist", &mut self.dist)?;
+        state::load(&mut r, "sssp.active", &mut self.active)?;
         self.next_active.fill(false);
         r.finish()
     }

@@ -8,7 +8,7 @@
 //! * the simulated clock, sweep index, and edge total,
 //! * the effective (possibly degraded) execution rung,
 //! * the telemetry counter registry — including what the lanes and the
-//!   page source would flush at finalize, folded in through a scratch
+//!   page source would flush at `Job::finish`, folded in through a scratch
 //!   registry so the live one is untouched,
 //! * the program's attribute vectors ([`GtsProgram::save_state`]),
 //! * the next sweep's page plan,
@@ -22,13 +22,12 @@
 //! drained at the boundary barrier, so fresh ones behave identically.
 
 use crate::engine::{EngineError, GtsConfig, StorageLocation};
-use crate::job::LaneSetup;
+use crate::job::Job;
 use crate::programs::GtsProgram;
 use crate::strategy::Strategy;
-use crate::sweep::ingest::PageSource;
 use crate::sweep::plan::SweepPlan;
 use crate::sweep::schedule::GpuLane;
-use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, CkptStore, Snapshot};
+use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, Snapshot};
 use gts_faults::FaultPlan;
 use gts_sim::{SimDuration, SimTime};
 use gts_storage::builder::GraphStore;
@@ -36,12 +35,15 @@ use gts_telemetry::{keys, SpanCat, Telemetry, Track};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Payload-schema version of the snapshot sections written here.
-pub(crate) const SNAPSHOT_VERSION: u32 = 1;
+/// Payload-schema version of the snapshot sections written here. There
+/// is no reader for older versions: version 1 BFS snapshots dropped the
+/// re-activated set, so they are refused ([`CkptError::VersionMismatch`]).
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
-/// The effective execution rung: what [`LaneSetup`] settled on after any
-/// O.O.M. degradations. A resumed run re-enters at this rung directly
-/// instead of replaying the ladder.
+/// The effective execution rung: what [`crate::job::LaneSetup`] settled
+/// on after any O.O.M. degradations, and the snapshot's `rung` section. A
+/// resumed run re-enters at this rung directly instead of replaying the
+/// ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Rung {
     /// Multi-GPU strategy in effect.
@@ -50,17 +52,6 @@ pub(crate) struct Rung {
     pub num_streams: usize,
     /// Whether the page cache was stepped down to off.
     pub cache_off: bool,
-}
-
-impl Rung {
-    /// The rung a [`LaneSetup`] ended up on.
-    pub fn of(setup: &LaneSetup) -> Rung {
-        Rung {
-            strategy: setup.strategy,
-            num_streams: setup.num_streams,
-            cache_off: setup.cache_off,
-        }
-    }
 }
 
 /// Wire code for a strategy (shared with `run.final_strategy`):
@@ -80,45 +71,6 @@ fn strategy_from_code(code: u8) -> Result<Strategy, CkptError> {
             reason: format!("unknown strategy code {other} in rung section"),
         }),
     }
-}
-
-/// Everything a checkpoint write needs besides the loop's mutable state.
-pub(crate) struct WriteCtx<'a> {
-    /// The engine configuration (cache policy for the boundary rebuild).
-    pub cfg: &'a GtsConfig,
-    /// The live telemetry registry (counter capture + ckpt bookkeeping).
-    pub tel: &'a Telemetry,
-    /// The graph being processed (fingerprint).
-    pub store: &'a GraphStore,
-    /// The snapshot directory.
-    pub ck: &'a CkptStore,
-    /// The run's fault plan, for RNG cursor export.
-    pub faults: Option<&'a FaultPlan>,
-}
-
-/// One sweep boundary: the rung plus the loop progress at that instant.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Boundary {
-    /// The effective execution rung.
-    pub rung: Rung,
-    /// Simulated clock at the boundary.
-    pub t: SimTime,
-    /// The sweep about to run.
-    pub sweep: u32,
-    /// Edges traversed so far.
-    pub edges: u64,
-}
-
-/// What a resumed run restores from the latest snapshot.
-pub(crate) struct ResumeState {
-    /// Simulated clock to continue from.
-    pub t: SimTime,
-    /// The sweep to run next.
-    pub sweep: u32,
-    /// Edges traversed before the crash.
-    pub edges: u64,
-    /// The next sweep's page plan.
-    pub plan: SweepPlan,
 }
 
 /// Fingerprint of the graph store a snapshot belongs to. The mutation
@@ -199,6 +151,17 @@ pub(crate) fn config_fingerprint(cfg: &GtsConfig) -> u64 {
     fnv1a(&w.into_bytes())
 }
 
+/// The `meta` section: the algorithm's name, then the store and
+/// configuration fingerprints.
+fn read_meta(snap: &Snapshot) -> Result<(String, u64, u64), CkptError> {
+    let mut r = ByteReader::new(snap.section("meta")?);
+    let alg = r.take_str("meta algorithm")?;
+    let store_fp = r.take_u64("meta store fingerprint")?;
+    let cfg_fp = r.take_u64("meta config fingerprint")?;
+    r.finish()?;
+    Ok((alg, store_fp, cfg_fp))
+}
+
 /// Check a loaded snapshot against this run's schema version, algorithm,
 /// graph store, and configuration before anything is restored from it.
 pub(crate) fn verify_meta(
@@ -208,44 +171,30 @@ pub(crate) fn verify_meta(
     algorithm: &str,
 ) -> Result<(), CkptError> {
     snap.require_version(SNAPSHOT_VERSION)?;
-    let mut r = ByteReader::new(snap.section("meta")?);
-    let alg = r.take_str("meta algorithm")?;
-    let store_fp = r.take_u64("meta store fingerprint")?;
-    let cfg_fp = r.take_u64("meta config fingerprint")?;
-    r.finish()?;
+    let (alg, store_fp, cfg_fp) = read_meta(snap)?;
     if alg != algorithm {
         return Err(CkptError::Corrupt {
             reason: format!("snapshot was taken by {alg}, this run executes {algorithm}"),
         });
     }
-    let want = store_fingerprint(store);
-    if store_fp != want {
-        return Err(CkptError::Mismatch {
-            what: "store fingerprint",
-            want,
-            got: store_fp,
-        });
-    }
-    let want = config_fingerprint(cfg);
-    if cfg_fp != want {
-        return Err(CkptError::Mismatch {
-            what: "config fingerprint",
-            want,
-            got: cfg_fp,
-        });
+    for (what, want, got) in [
+        ("store fingerprint", store_fingerprint(store), store_fp),
+        ("config fingerprint", config_fingerprint(cfg), cfg_fp),
+    ] {
+        if got != want {
+            return Err(CkptError::Mismatch { what, want, got });
+        }
     }
     Ok(())
 }
 
-/// The store fingerprint and sweep index a snapshot recorded, read ahead
-/// of [`verify_meta`]: crash recovery needs the *target* state before the
-/// caller's store can be rolled forward to match it.
+/// The store fingerprint and sweep index a snapshot of this schema
+/// version recorded, read ahead of [`verify_meta`]: crash recovery needs
+/// the *target* state before the caller's store can be rolled forward to
+/// match it.
 pub fn snapshot_progress(snap: &Snapshot) -> Result<(u64, u32), CkptError> {
-    let mut r = ByteReader::new(snap.section("meta")?);
-    let _alg = r.take_str("meta algorithm")?;
-    let store_fp = r.take_u64("meta store fingerprint")?;
-    let _cfg_fp = r.take_u64("meta config fingerprint")?;
-    r.finish()?;
+    snap.require_version(SNAPSHOT_VERSION)?;
+    let (_alg, store_fp, _cfg_fp) = read_meta(snap)?;
     let mut r = ByteReader::new(snap.section("clock")?);
     let _t = r.take_u64("clock t")?;
     let sweep = r.take_u32("clock sweep")?;
@@ -316,211 +265,179 @@ pub(crate) fn rung_of(snap: &Snapshot) -> Result<Rung, CkptError> {
     })
 }
 
-/// Reset the warm state a resumed run cannot rebuild (page caches, the
-/// MMBuf), write a snapshot crash-atomically, and account the write.
-pub(crate) fn write_checkpoint(
-    w: &WriteCtx<'_>,
-    lanes: &mut [GpuLane],
-    source: &mut dyn PageSource,
-    prog: &dyn GtsProgram,
-    plan: &SweepPlan,
-    b: &Boundary,
-) -> Result<(), EngineError> {
-    for lane in lanes.iter_mut() {
-        // Rebuild rather than clear: a resumed run's caches are brand-new
-        // policy instances (fresh RNG state for Random), so the
-        // checkpointing run must match exactly.
-        let fresh = w.cfg.cache_policy.build(lane.cache().capacity());
-        lane.checkpoint_reset(fresh);
-    }
-    source.checkpoint_reset();
-    let snap = build_snapshot(w, lanes, source, prog, plan, b);
-    let started = Instant::now();
-    let bytes = w.ck.write(b.sweep as u64, &snap)?;
-    w.tel.add(keys::CKPT_BYTES, bytes);
-    w.tel
-        .add(keys::CKPT_WRITE_NS, started.elapsed().as_nanos() as u64);
-    if w.tel.spans_enabled() {
-        w.tel.record_span(
-            Track::new(keys::pid::ENGINE, 0),
-            SpanCat::Checkpoint,
-            format!("ckpt sweep {}", b.sweep),
-            b.t,
-            b.t,
-        );
-    }
-    Ok(())
-}
-
-/// Encode the full resumable state. Counters are captured through a
-/// scratch registry: copy the live counters, then fold in what every lane
-/// and the source *would* flush at finalize (their flushes are additive
-/// and non-destructive), plus the finalize-derived cache aggregates — so
-/// restoring the section and adding the post-resume deltas reproduces the
-/// uncrashed totals exactly.
-fn build_snapshot(
-    w: &WriteCtx<'_>,
-    lanes: &[GpuLane],
-    source: &dyn PageSource,
-    prog: &dyn GtsProgram,
-    plan: &SweepPlan,
-    b: &Boundary,
-) -> Snapshot {
-    let mut snap = Snapshot::new(SNAPSHOT_VERSION);
-    let mut m = ByteWriter::new();
-    m.put_str(prog.name());
-    m.put_u64(store_fingerprint(w.store));
-    m.put_u64(config_fingerprint(w.cfg));
-    snap.insert("meta", m.into_bytes());
-
-    let mut c = ByteWriter::new();
-    c.put_u64((b.t - SimTime::ZERO).as_nanos());
-    c.put_u32(b.sweep);
-    c.put_u64(b.edges);
-    snap.insert("clock", c.into_bytes());
-
-    let mut rg = ByteWriter::new();
-    rg.put_u8(strategy_code(b.rung.strategy));
-    rg.put_u64(b.rung.num_streams as u64);
-    rg.put_bool(b.rung.cache_off);
-    snap.insert("rung", rg.into_bytes());
-
-    let scratch = Telemetry::new();
-    for (k, v) in w.tel.counters() {
-        scratch.set(k, v);
-    }
-    for (i, lane) in lanes.iter().enumerate() {
-        lane.flush_to(&scratch, i as u32);
-    }
-    source.flush_to(&scratch);
-    let hits: u64 = lanes.iter().map(GpuLane::cache_hits_total).sum();
-    let misses: u64 = lanes.iter().map(GpuLane::cache_misses_total).sum();
-    scratch.add(keys::CACHE_HITS, hits);
-    scratch.add(keys::CACHE_MISSES, misses);
-    scratch.add(keys::PAGES_STREAMED, misses);
-    let counters = scratch.counters();
-    let mut cw = ByteWriter::new();
-    cw.put_u64(counters.len() as u64);
-    for (k, v) in &counters {
-        cw.put_str(k);
-        cw.put_u64(*v);
-    }
-    snap.insert("counters", cw.into_bytes());
-
-    snap.insert("program", prog.save_state());
-
-    let mut pw = ByteWriter::new();
-    pw.put_u64(plan.sp_pids().len() as u64);
-    for &p in plan.sp_pids() {
-        pw.put_u64(p);
-    }
-    pw.put_u64(plan.lp_pids().len() as u64);
-    for &p in plan.lp_pids() {
-        pw.put_u64(p);
-    }
-    snap.insert("plan", pw.into_bytes());
-
-    let cursors = w.faults.map(FaultPlan::export_cursors).unwrap_or_default();
-    let mut fw = ByteWriter::new();
-    fw.put_u64(cursors.len() as u64);
-    for (&(domain, entity), state) in &cursors {
-        fw.put_u8(domain);
-        fw.put_u64(entity);
-        for &word in state {
-            fw.put_u64(word);
+impl Job<'_> {
+    /// When a checkpoint store is configured: reset the warm state a
+    /// resumed run cannot rebuild (page caches, the MMBuf), write a
+    /// snapshot of this boundary crash-atomically, and account the write.
+    pub(crate) fn write_checkpoint(
+        &mut self,
+        store: &GraphStore,
+        prog: &dyn GtsProgram,
+    ) -> Result<(), EngineError> {
+        let Some(ck) = &self.ck else {
+            return Ok(());
+        };
+        for lane in &mut self.setup.lanes {
+            // Rebuild rather than clear: a resumed run's caches are
+            // brand-new policy instances (fresh RNG state for Random), so
+            // the checkpointing run must match exactly.
+            let fresh = self.cfg.cache_policy.build(lane.cache().capacity());
+            lane.checkpoint_reset(fresh);
         }
-    }
-    snap.insert("faults", fw.into_bytes());
-
-    let (quarantined, failures) = source.export_recovery();
-    let mut sw = ByteWriter::new();
-    sw.put_u64(quarantined.len() as u64);
-    for &q in &quarantined {
-        sw.put_bool(q);
-    }
-    for &f in &failures {
-        sw.put_u32(f);
-    }
-    snap.insert("storage", sw.into_bytes());
-    snap
-}
-
-/// Restore everything [`build_snapshot`] captured (the caller already
-/// verified the meta section and rebuilt the lanes from the rung): the
-/// counter registry, the program's vectors, the fault-plan RNG cursors,
-/// the storage quarantine state, and the loop progress returned as a
-/// [`ResumeState`].
-pub(crate) fn import_snapshot(
-    snap: &Snapshot,
-    tel: &Telemetry,
-    prog: &mut dyn GtsProgram,
-    source: &mut dyn PageSource,
-    faults: Option<&FaultPlan>,
-) -> Result<ResumeState, CkptError> {
-    let mut r = ByteReader::new(snap.section("counters")?);
-    let n = r.take_u64("counter count")?;
-    for _ in 0..n {
-        let key = r.take_str("counter key")?;
-        let value = r.take_u64("counter value")?;
-        tel.set(key, value);
-    }
-    r.finish()?;
-
-    prog.load_state(snap.section("program")?)?;
-
-    let mut r = ByteReader::new(snap.section("plan")?);
-    let sp_count = r.take_u64("plan sp count")?;
-    let mut sp = Vec::with_capacity(sp_count as usize);
-    for _ in 0..sp_count {
-        sp.push(r.take_u64("plan sp pid")?);
-    }
-    let lp_count = r.take_u64("plan lp count")?;
-    let mut lp = Vec::with_capacity(lp_count as usize);
-    for _ in 0..lp_count {
-        lp.push(r.take_u64("plan lp pid")?);
-    }
-    r.finish()?;
-
-    let mut r = ByteReader::new(snap.section("faults")?);
-    let n = r.take_u64("fault cursor count")?;
-    let mut cursors = BTreeMap::new();
-    for _ in 0..n {
-        let domain = r.take_u8("fault cursor domain")?;
-        let entity = r.take_u64("fault cursor entity")?;
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.take_u64("fault cursor state")?;
+        self.source.checkpoint_reset();
+        let snap = self.build_snapshot(store, prog);
+        let started = Instant::now();
+        let bytes = ck.write(self.sweep as u64, &snap)?;
+        let tel = &self.tel;
+        tel.add(keys::CKPT_BYTES, bytes);
+        tel.add(keys::CKPT_WRITE_NS, started.elapsed().as_nanos() as u64);
+        if tel.spans_enabled() {
+            tel.record_span(
+                Track::new(keys::pid::ENGINE, 0),
+                SpanCat::Checkpoint,
+                format!("ckpt sweep {}", self.sweep),
+                self.t,
+                self.t,
+            );
         }
-        cursors.insert((domain, entity), state);
-    }
-    r.finish()?;
-    if let Some(plan) = faults {
-        plan.restore_cursors(&cursors);
+        Ok(())
     }
 
-    let mut r = ByteReader::new(snap.section("storage")?);
-    let drives = r.take_u64("storage drive count")? as usize;
-    let mut quarantined = Vec::with_capacity(drives);
-    for _ in 0..drives {
-        quarantined.push(r.take_bool("storage quarantine flag")?);
-    }
-    let mut failures = Vec::with_capacity(drives);
-    for _ in 0..drives {
-        failures.push(r.take_u32("storage failure count")?);
-    }
-    r.finish()?;
-    source.import_recovery(&quarantined, &failures);
+    /// Encode the full resumable state. Counters are captured through a
+    /// scratch registry: copy the live counters, then fold in what every
+    /// lane and the source *would* flush at finish (their flushes are
+    /// additive and non-destructive), plus the finish-derived cache
+    /// aggregates — so restoring the section and adding the post-resume
+    /// deltas reproduces the uncrashed totals exactly.
+    fn build_snapshot(&self, store: &GraphStore, prog: &dyn GtsProgram) -> Snapshot {
+        let mut snap = Snapshot::new(SNAPSHOT_VERSION);
+        let mut w = ByteWriter::new();
+        w.put_str(prog.name());
+        w.put_u64(store_fingerprint(store));
+        w.put_u64(config_fingerprint(self.cfg));
+        snap.insert("meta", w.into_bytes());
 
-    let mut r = ByteReader::new(snap.section("clock")?);
-    let t_ns = r.take_u64("clock t")?;
-    let sweep = r.take_u32("clock sweep")?;
-    let edges = r.take_u64("clock edges")?;
-    r.finish()?;
+        let mut w = ByteWriter::new();
+        w.put_u64((self.t - SimTime::ZERO).as_nanos());
+        w.put_u32(self.sweep);
+        w.put_u64(self.edges);
+        snap.insert("clock", w.into_bytes());
 
-    Ok(ResumeState {
-        t: SimTime::ZERO + SimDuration::from_nanos(t_ns),
-        sweep,
-        edges,
-        plan: SweepPlan::from_parts(sp, lp),
-    })
+        let rung = self.setup.rung;
+        let mut w = ByteWriter::new();
+        w.put_u8(strategy_code(rung.strategy));
+        w.put_u64(rung.num_streams as u64);
+        w.put_bool(rung.cache_off);
+        snap.insert("rung", w.into_bytes());
+
+        let lanes = &self.setup.lanes;
+        let scratch = Telemetry::new();
+        for (k, v) in self.tel.counters() {
+            scratch.set(k, v);
+        }
+        for (i, lane) in lanes.iter().enumerate() {
+            lane.flush_to(&scratch, i as u32);
+        }
+        self.source.flush_to(&scratch);
+        let hits: u64 = lanes.iter().map(GpuLane::cache_hits_total).sum();
+        let misses: u64 = lanes.iter().map(GpuLane::cache_misses_total).sum();
+        scratch.add(keys::CACHE_HITS, hits);
+        scratch.add(keys::CACHE_MISSES, misses);
+        scratch.add(keys::PAGES_STREAMED, misses);
+        let counters = scratch.counters();
+        let mut w = ByteWriter::new();
+        w.put_u64(counters.len() as u64);
+        for (k, v) in &counters {
+            w.put_str(k);
+            w.put_u64(*v);
+        }
+        snap.insert("counters", w.into_bytes());
+
+        snap.insert("program", prog.save_state());
+
+        let mut w = ByteWriter::new();
+        w.put_seq(self.plan.sp_pids());
+        w.put_seq(self.plan.lp_pids());
+        snap.insert("plan", w.into_bytes());
+
+        let cursors = self.faults.as_ref().map(FaultPlan::export_cursors);
+        let cursors = cursors.unwrap_or_default();
+        let mut w = ByteWriter::new();
+        w.put_u64(cursors.len() as u64);
+        for (&(domain, entity), state) in &cursors {
+            w.put_u8(domain);
+            w.put_u64(entity);
+            for &word in state {
+                w.put_u64(word);
+            }
+        }
+        snap.insert("faults", w.into_bytes());
+
+        let (quarantined, failures) = self.source.export_recovery();
+        let mut w = ByteWriter::new();
+        w.put_seq(&quarantined);
+        w.put_seq(&failures);
+        snap.insert("storage", w.into_bytes());
+        snap
+    }
+
+    /// Restore everything [`Job::build_snapshot`] captured ([`Job::open`]
+    /// already verified the meta section and rebuilt the lanes from the
+    /// rung): the counter registry, the program's vectors, the fault-plan
+    /// RNG cursors, the storage quarantine state, and — once every
+    /// section has decoded — the loop progress (clock, sweep, edges, plan).
+    pub(crate) fn import_snapshot(
+        &mut self,
+        snap: &Snapshot,
+        prog: &mut dyn GtsProgram,
+    ) -> Result<(), CkptError> {
+        let mut r = ByteReader::new(snap.section("counters")?);
+        let n = r.take_u64("counter count")?;
+        for _ in 0..n {
+            let key = r.take_str("counter key")?;
+            let value = r.take_u64("counter value")?;
+            self.tel.set(key, value);
+        }
+        r.finish()?;
+
+        prog.load_state(snap.section("program")?)?;
+
+        let mut r = ByteReader::new(snap.section("plan")?);
+        let sp = r.take_seq("plan sp pids")?;
+        let lp = r.take_seq("plan lp pids")?;
+        r.finish()?;
+
+        let mut r = ByteReader::new(snap.section("faults")?);
+        let n = r.take_u64("fault cursor count")?;
+        let mut cursors = BTreeMap::new();
+        for _ in 0..n {
+            let domain = r.take_u8("fault cursor domain")?;
+            let entity = r.take_u64("fault cursor entity")?;
+            let mut state = [0u64; 4];
+            for word in &mut state {
+                *word = r.take_u64("fault cursor state")?;
+            }
+            cursors.insert((domain, entity), state);
+        }
+        r.finish()?;
+        if let Some(plan) = &self.faults {
+            plan.restore_cursors(&cursors);
+        }
+
+        let mut r = ByteReader::new(snap.section("storage")?);
+        let quarantined: Vec<bool> = r.take_seq("storage quarantine flags")?;
+        let failures: Vec<u32> = r.take_seq("storage failure counts")?;
+        r.finish()?;
+        self.source.import_recovery(&quarantined, &failures);
+
+        let mut r = ByteReader::new(snap.section("clock")?);
+        let t_ns = r.take_u64("clock t")?;
+        let sweep = r.take_u32("clock sweep")?;
+        let edges = r.take_u64("clock edges")?;
+        r.finish()?;
+        self.t = SimTime::ZERO + SimDuration::from_nanos(t_ns);
+        (self.sweep, self.edges) = (sweep, edges);
+        self.plan = SweepPlan::from_parts(sp, lp);
+        Ok(())
+    }
 }

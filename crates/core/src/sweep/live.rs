@@ -7,16 +7,16 @@
 //! due-ordered batch queue, outcome merging, cache/MMBuf invalidation,
 //! plan reseeding — lives in this module.
 
-use crate::programs::GtsProgram;
-use crate::sweep::ingest::PageSource;
-use crate::sweep::kernels;
+use crate::job::Job;
+use crate::programs::{ExecMode, GtsProgram};
 use crate::sweep::plan::SweepPlan;
-use crate::sweep::schedule::GpuLane;
+use crate::sweep::{ckpt, kernels};
 use crate::EngineError;
+use gts_ckpt::Snapshot;
 use gts_storage::builder::GraphStore;
 use gts_storage::{MutationBatch, MutationOutcome, Wal};
-use gts_telemetry::{keys, Telemetry};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use gts_telemetry::keys;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// When each [`MutationBatch`] of a live run applies: at the boundary of
 /// the keyed sweep (before that sweep streams any page), so an in-flight
@@ -108,6 +108,40 @@ impl StoreHandle<'_> {
         }
     }
 
+    /// Crash recovery ahead of a checkpoint resume (live runs only):
+    /// replay the suffix of `wal` that rolls the store forward to the
+    /// fingerprint `snap` recorded, and return how many records that took.
+    ///
+    /// Batches the replay applied are popped off the schedule queue so
+    /// the resumed loop does not apply them twice; leading *empty* batches
+    /// due strictly before the snapshot's sweep are also behind us (they
+    /// never move the epoch, so the replay cannot see them).
+    pub(crate) fn recover(&mut self, wal: &Wal, snap: &Snapshot) -> Result<u64, EngineError> {
+        let StoreHandle::Live { store, queue } = self else {
+            return Ok(0);
+        };
+        let (target_fp, snap_sweep) =
+            ckpt::snapshot_progress(snap).map_err(EngineError::Checkpoint)?;
+        let base_epoch = store.epoch();
+        let replayed = ckpt::recover_store(store, wal, target_fp)?;
+        let mut to_skip = store.epoch() - base_epoch;
+        while to_skip > 0 {
+            let Some((_, batch)) = queue.pop_front() else {
+                break;
+            };
+            if !batch.is_empty() {
+                to_skip -= 1;
+            }
+        }
+        while queue
+            .front()
+            .is_some_and(|(due, b)| b.is_empty() && *due < snap_sweep)
+        {
+            queue.pop_front();
+        }
+        Ok(replayed)
+    }
+
     /// Apply every batch due at or before the boundary of `sweep`,
     /// merging their outcomes. `None` when nothing was due. A rejected
     /// batch aborts with [`EngineError::Mutation`], the store unchanged
@@ -181,87 +215,72 @@ fn merge_outcomes(a: MutationOutcome, b: MutationOutcome) -> MutationOutcome {
     }
 }
 
-/// Everything a mutation boundary reaches into: the job's counter
-/// registry, the per-GPU lanes and the page source (for targeted
-/// invalidation), the LP degree map, the sweep plan it rebuilds, and the
-/// loop flags that pick the rebuild shape.
-pub(crate) struct BoundaryCtx<'a> {
-    pub(crate) tel: &'a Telemetry,
-    pub(crate) lanes: &'a mut [GpuLane],
-    pub(crate) source: &'a mut dyn PageSource,
-    pub(crate) lp_degrees: &'a mut HashMap<u64, u64>,
-    pub(crate) plan: &'a mut SweepPlan,
-    pub(crate) sweep: u32,
-    pub(crate) sweep_mode: bool,
-    pub(crate) revived: bool,
-    /// Write-ahead log for log-before-apply durability (live runs with
-    /// `GtsConfig::wal_dir` only).
-    pub(crate) wal: Option<&'a mut Wal>,
-}
-
-/// Apply every mutation batch due at the top of `ctx.sweep` and absorb
-/// the result into the run: drop rewritten pages from all GPU caches and
-/// the MMBuf, register the fresh delta pages with the storage array,
-/// refresh the LP degree map, bump the `mut.*` counters, and rebuild the
-/// sweep plan around the program's re-activation seeds.
-///
-/// Returns `true` when the new plan is a seed-restricted sweep-mode plan
-/// (only sound after a `Done` revival: the program's state is a fixpoint
-/// of the pre-mutation topology, so only the disturbed pages can start
-/// new propagation). `false` — with a full rebuild of the plan — in every
-/// other case, including "nothing was due".
-pub(crate) fn mutation_boundary(
-    handle: &mut StoreHandle<'_>,
-    prog: &mut dyn GtsProgram,
-    ctx: BoundaryCtx<'_>,
-) -> Result<bool, EngineError> {
-    let Some(applied) = handle.apply_due(ctx.sweep, ctx.wal)? else {
-        return Ok(false);
-    };
-    let tel = ctx.tel;
-    let o = &applied.outcome;
-    // Targeted invalidation: every cached copy of a rewritten page —
-    // GPU page caches and the host-side MMBuf — is stale. Delta pages
-    // are brand new, so they cannot be cached and only need placement
-    // on the storage array's live drives.
-    let mut dropped = 0u64;
-    for lane in ctx.lanes.iter_mut() {
-        dropped += lane.invalidate_pages(&o.dirty_pids);
-    }
-    ctx.source.invalidate(&o.dirty_pids);
-    ctx.source.note_new_pages(&o.new_pids);
-    let store = handle.store();
-    *ctx.lp_degrees = kernels::lp_total_degrees(store);
-    tel.add(keys::MUT_BATCHES, applied.batches);
-    tel.add(keys::MUT_INSERTED, o.inserted);
-    tel.add(keys::MUT_DELETED, o.deleted);
-    tel.add(keys::MUT_PAGES_REWRITTEN, o.pages_rewritten);
-    tel.add(keys::MUT_DELTA_PAGES, o.delta_pages_allocated);
-    tel.add(keys::MUT_CACHE_INVALIDATIONS, dropped);
-    tel.set(keys::MUT_EPOCH, o.epoch);
-    tel.add(keys::WAL_APPENDS, applied.wal_appends);
-    tel.add(keys::WAL_BYTES, applied.wal_bytes);
-    let seeds = prog.on_mutation(store, o);
-    if ctx.sweep_mode {
-        if ctx.revived && !seeds.is_empty() {
-            *ctx.plan = SweepPlan::from_marked(store, seeds.into_iter().collect())?;
-            return Ok(true);
+impl Job<'_> {
+    /// Apply every mutation batch due at the top of this sweep and absorb
+    /// the result into the run: drop rewritten pages from all GPU caches
+    /// and the MMBuf, register the fresh delta pages with the storage
+    /// array, refresh the LP degree map, bump the `mut.*` counters, and
+    /// rebuild the sweep plan around the program's re-activation seeds.
+    /// In-flight state only ever sees the store before or after a whole
+    /// batch — never mid-rewrite (epoch visibility, DESIGN.md §12).
+    ///
+    /// Leaves `restricted` set when the new plan is a seed-restricted
+    /// sweep-mode plan (only sound after a `Done` revival: the program's
+    /// state is a fixpoint of the pre-mutation topology, so only the
+    /// disturbed pages can start new propagation), and clear — with a
+    /// full rebuild of the plan — in every other case, including "nothing
+    /// was due". Either way the revival is consumed.
+    pub(crate) fn mutation_boundary(
+        &mut self,
+        handle: &mut StoreHandle<'_>,
+        prog: &mut dyn GtsProgram,
+    ) -> Result<(), EngineError> {
+        let revived = std::mem::take(&mut self.revived);
+        self.restricted = false;
+        let Some(applied) = handle.apply_due(self.sweep, self.wal.as_mut())? else {
+            return Ok(());
+        };
+        let o = &applied.outcome;
+        // Targeted invalidation: every cached copy of a rewritten page —
+        // GPU page caches and the host-side MMBuf — is stale. Delta pages
+        // are brand new, so they cannot be cached and only need placement
+        // on the storage array's live drives.
+        let mut dropped = 0u64;
+        for lane in &mut self.setup.lanes {
+            dropped += lane.invalidate_pages(&o.dirty_pids);
         }
-        // Mid-run (state is not a fixpoint) the full plan is the only
-        // sound choice; likewise when the program gave no seeds.
-        *ctx.plan = SweepPlan::full(store);
-    } else {
-        // Traversal: the pending frontier pages stay planned; the
-        // mutation's seeds join them.
-        let mut marked: BTreeSet<u64> = ctx
-            .plan
-            .sp_pids()
-            .iter()
-            .chain(ctx.plan.lp_pids())
-            .copied()
-            .collect();
-        marked.extend(seeds);
-        *ctx.plan = SweepPlan::from_marked(store, marked)?;
+        self.source.invalidate(&o.dirty_pids);
+        self.source.note_new_pages(&o.new_pids);
+        let store = handle.store();
+        self.lp_degrees = kernels::lp_total_degrees(store);
+        let tel = &self.tel;
+        tel.add(keys::MUT_BATCHES, applied.batches);
+        tel.add(keys::MUT_INSERTED, o.inserted);
+        tel.add(keys::MUT_DELETED, o.deleted);
+        tel.add(keys::MUT_PAGES_REWRITTEN, o.pages_rewritten);
+        tel.add(keys::MUT_DELTA_PAGES, o.delta_pages_allocated);
+        tel.add(keys::MUT_CACHE_INVALIDATIONS, dropped);
+        tel.set(keys::MUT_EPOCH, o.epoch);
+        tel.add(keys::WAL_APPENDS, applied.wal_appends);
+        tel.add(keys::WAL_BYTES, applied.wal_bytes);
+        let seeds = prog.on_mutation(store, o);
+        self.plan = if prog.mode() == ExecMode::Sweep {
+            // Mid-run (state is not a fixpoint) the full plan is the only
+            // sound choice; likewise when the program gave no seeds.
+            self.restricted = revived && !seeds.is_empty();
+            if self.restricted {
+                SweepPlan::from_marked(store, seeds.into_iter().collect())?
+            } else {
+                SweepPlan::full(store)
+            }
+        } else {
+            // Traversal: the pending frontier pages stay planned; the
+            // mutation's seeds join them.
+            let planned = self.plan.sp_pids().iter().chain(self.plan.lp_pids());
+            let mut marked: BTreeSet<u64> = planned.copied().collect();
+            marked.extend(seeds);
+            SweepPlan::from_marked(store, marked)?
+        };
+        Ok(())
     }
-    Ok(false)
 }

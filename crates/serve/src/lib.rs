@@ -31,7 +31,7 @@
 //!
 //! ## The determinism contract, extended to serving
 //!
-//! Each admitted job runs in its own [`gts_core::JobContext`] (own lanes,
+//! Each admitted job runs as its own `Job` (`gts_core::job`: own lanes,
 //! page caches, fault domains, counter registry), so its report and
 //! counters are **byte-identical to the same job run solo** — at any
 //! `host_threads` value, at any slot count, regardless of what the other

@@ -62,7 +62,7 @@
 //! u64 arithmetic over the script. Host threads only change wall-clock
 //! speed: read jobs within an epoch execute speculatively in parallel
 //! on the `gts-exec` pool (side-effect-free over the shared store), and
-//! each runs in its own [`JobContext`](gts_core::JobContext), keeping
+//! each runs as its own `Job` (`gts_core::job`), keeping
 //! its report and counters byte-identical to a solo run.
 
 use crate::journal::{jerr, ExecRecord, Header, Journal, JournalConfig, Record};
@@ -427,7 +427,7 @@ fn completed_record(
     }
 }
 
-/// Execute one read job solo (its own `JobContext`, its own registry,
+/// Execute one read job solo (its own `Job`, its own registry,
 /// its own fault domain). Failures are data in the record, never an
 /// error: a job fault must not abort the service.
 fn run_read(

@@ -505,3 +505,185 @@ fn checkpoint_and_deadline_config_is_validated() {
         assert!(e.to_string().contains(what), "{what}: {e}");
     }
 }
+
+/// One observed live-BFS run over the chain graph of
+/// [`live_bfs_killed_at_every_durable_step_resumes_to_the_uncrashed_levels`].
+struct BfsRun {
+    result: Result<String, EngineError>,
+    levels: Vec<u16>,
+    counters: BTreeMap<String, u64>,
+}
+
+/// The first traversal-mode program through an exhaustive crash sweep,
+/// and the shape that loses state a snapshot forgot: a chain `0→1→…→9`
+/// plus a detached `10→11→12→13`, BFS from 0 with a checkpoint at every
+/// sweep, and `insert 1→10` applied at sweep 3 — so vertex 10 is claimed
+/// *off* the `lv == sweep` frontier and the tail is reached only through
+/// the program's re-activated set, which has to survive every boundary.
+/// Kill at durable step `k = 0, 1, 2, …` until a run survives; every
+/// resumed run — or re-run, where the kill left nothing to resume or
+/// (without a WAL) the snapshot fingerprints the post-mutation store the
+/// restarted process no longer has — ends on the uncrashed levels, report
+/// and contract counters, at 1 and 4 host threads.
+#[test]
+fn live_bfs_killed_at_every_durable_step_resumes_to_the_uncrashed_levels() {
+    let mut edges: Vec<(u32, u32)> = (0..9).map(|v| (v, v + 1)).collect();
+    edges.extend((10..13).map(|v| (v, v + 1)));
+    let base = build_graph_store(
+        &gts_graph::EdgeList::new(14, edges),
+        PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 1024),
+    )
+    .unwrap();
+    let schedule = || {
+        let mut batch = MutationBatch::new();
+        batch.insert(1, 10);
+        MutationSchedule::new().at(3, batch)
+    };
+    let run = |store: &mut GraphStore, cfg: GtsConfig| {
+        let engine = Gts::new(cfg);
+        let mut bfs = Bfs::new(store.num_vertices(), 0);
+        let result = engine
+            .run_live(store, &mut bfs, schedule())
+            .map(|r| r.to_json());
+        BfsRun {
+            result,
+            levels: bfs.levels().to_vec(),
+            counters: engine
+                .telemetry()
+                .counters()
+                .into_iter()
+                .filter(|(k, _)| gts_telemetry::keys::is_contract(k))
+                .collect(),
+        }
+    };
+    for with_wal in [false, true] {
+        let mut cells: Vec<(u64, String)> = Vec::new();
+        for threads in [1usize, 4] {
+            let dirs = |tag: &str| {
+                [
+                    tmp(&format!("bfs-{tag}-ck-{with_wal}-{threads}")),
+                    tmp(&format!("bfs-{tag}-wal-{with_wal}-{threads}")),
+                ]
+            };
+            let cfg = |dirs: &[PathBuf; 2], resume: bool, crash: Option<u64>| {
+                let ck = CheckpointConfig::new(&dirs[0], 1);
+                GtsConfig {
+                    host_threads: threads,
+                    faults: crash.map(|k| FaultConfig {
+                        crash: Some(k),
+                        ..FaultConfig::quiet(0)
+                    }),
+                    checkpoint: Some(if resume { ck.resuming() } else { ck }),
+                    wal_dir: with_wal.then(|| dirs[1].clone()),
+                    ..GtsConfig::default()
+                }
+            };
+            let base_dirs = dirs("base");
+            let clean = run(&mut base.clone(), cfg(&base_dirs, false, None));
+            let clean_json = clean.result.expect("uncrashed run completes");
+            assert_eq!(
+                clean.levels,
+                [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2, 3, 4, 5],
+                "the inserted edge reaches the tail"
+            );
+
+            let dirs = dirs("kill");
+            let mut k = 0u64;
+            loop {
+                for d in &dirs {
+                    std::fs::remove_dir_all(d).ok();
+                }
+                let what = format!("wal {with_wal}, {threads} threads, step {k}");
+                let killed = run(&mut base.clone(), cfg(&dirs, false, Some(k)));
+                match killed.result {
+                    Ok(json) => {
+                        assert_eq!(json, clean_json, "{what}");
+                        break;
+                    }
+                    Err(EngineError::InjectedCrash { step }) if step == k => {}
+                    Err(other) => panic!("{what}: expected the injected crash, got {other:?}"),
+                }
+                let mut resumed = run(&mut base.clone(), cfg(&dirs, true, None));
+                let rerun = match &resumed.result {
+                    Err(EngineError::Checkpoint(CkptError::NoSnapshot { .. })) => true,
+                    // DESIGN.md §10: without a WAL a snapshot taken after
+                    // the batch applied cannot be reached from a fresh
+                    // store, and the resume says so.
+                    Err(EngineError::Checkpoint(CkptError::Mismatch { what, .. })) => {
+                        !with_wal && *what == "store fingerprint"
+                    }
+                    _ => false,
+                };
+                if rerun {
+                    resumed = run(&mut base.clone(), cfg(&dirs, false, None));
+                }
+                assert_eq!(
+                    resumed.result.expect("restart completes"),
+                    clean_json,
+                    "{what}"
+                );
+                assert_eq!(resumed.levels, clean.levels, "{what}");
+                assert_eq!(resumed.counters, clean.counters, "{what}");
+                k += 1;
+            }
+            cells.push((k, clean_json));
+            for d in base_dirs.iter().chain(&dirs) {
+                std::fs::remove_dir_all(d).ok();
+            }
+        }
+        assert_eq!(
+            cells[0], cells[1],
+            "host threads leaked into the steps or the report"
+        );
+    }
+}
+
+/// A snapshot whose sections carry hostile element counts — `u64::MAX`,
+/// or one more than the bytes that follow hold — is sealed and published
+/// like any other, so only the section decoders stand between it and the
+/// allocator. Each resumes to a typed checkpoint error: no panic, no
+/// abort, nothing allocated from the count.
+#[test]
+fn hostile_section_counts_resume_to_typed_errors() {
+    let store = store();
+    let dir = tmp("hostile-counts");
+    let cfg = |resume: bool| {
+        let ck = CheckpointConfig::new(&dir, 2);
+        GtsConfig {
+            checkpoint: Some(if resume { ck.resuming() } else { ck }),
+            ..GtsConfig::default()
+        }
+    };
+    let resume = || {
+        let mut pr = PageRank::new(store.num_vertices(), 4);
+        Gts::new(cfg(true)).run(&store, &mut pr)
+    };
+    let mut pr = PageRank::new(store.num_vertices(), 4);
+    Gts::new(cfg(false)).run(&store, &mut pr).unwrap();
+    let ck = CkptStore::open(&dir).unwrap();
+    let (seq, good) = ck.load_latest().unwrap();
+    resume().expect("the untouched snapshot resumes");
+
+    // Element width of each section's leading sequence; a counter is a
+    // length-prefixed key and a value, 16 bytes at the least.
+    for (section, width) in [("plan", 8), ("storage", 1), ("counters", 16)] {
+        let body = good.section(section).unwrap().to_vec();
+        let fits = (body.len() as u64 - 8) / width;
+        for count in [u64::MAX, fits + 1] {
+            let mut bad = good.clone();
+            let mut bytes = body.clone();
+            bytes[..8].copy_from_slice(&count.to_le_bytes());
+            bad.insert(section, bytes);
+            ck.write(seq, &bad).unwrap();
+            match resume() {
+                Err(EngineError::Checkpoint(
+                    CkptError::Truncated { .. } | CkptError::Corrupt { .. },
+                )) => {}
+                other => panic!("{section} count {count}: expected a typed error, got {other:?}"),
+            }
+        }
+    }
+    ck.write(seq, &good).unwrap();
+    resume().expect("the restored snapshot resumes again");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -16,11 +16,10 @@
 //!   memory — exceeding it is the figures' `O.O.M.`.
 
 use crate::cluster::{ClusterConfig, FrameworkProfile};
-use crate::propagation::{self, place, PropagationTrace};
-use crate::report::{finish_run, record_sweep, values_to_u32, BaselineError, RunReport};
-use gts_graph::{Csr, EdgeList};
-use gts_sim::{SimDuration, SimTime};
-use gts_telemetry::Telemetry;
+use crate::propagation::{Placement, PropagationTrace};
+use crate::report::{fits, Algo, BaselineError, Cost, CostModel};
+use gts_graph::Csr;
+use gts_sim::SimDuration;
 
 /// A BSP engine instance.
 #[derive(Debug, Clone)]
@@ -29,90 +28,29 @@ pub struct BspEngine {
     pub cluster: ClusterConfig,
     /// Framework cost profile.
     pub profile: FrameworkProfile,
-    telemetry: Telemetry,
 }
 
 impl BspEngine {
     /// Create an engine for `profile` on `cluster`.
     pub fn new(cluster: ClusterConfig, profile: FrameworkProfile) -> Self {
-        BspEngine {
-            cluster,
-            profile,
-            telemetry: Telemetry::new(),
-        }
+        BspEngine { cluster, profile }
+    }
+}
+
+impl CostModel for BspEngine {
+    fn name(&self) -> &str {
+        self.profile.name
     }
 
-    /// Record runs into `tel` instead of a private handle.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.telemetry = tel;
-        self
+    /// Hash partitioning; the memory check waits for the message buffers.
+    fn place(&self, _g: &Csr, _algo: Algo) -> Result<Placement, BaselineError> {
+        Ok(Placement::Hash(self.cluster.nodes))
     }
 
-    /// The engine's telemetry handle (counters of the last run).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// BFS from `source`; returns per-vertex levels (`u32::MAX` unreached).
-    pub fn run_bfs(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let n = self.cluster.nodes;
-        let trace =
-            propagation::min_propagation(g, Some(source), |_, _, x| x + 1.0, place::hash(n), n);
-        let run = self.account(g, &trace, "BFS")?;
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// SSSP from `source` with the workspace's deterministic weights.
-    pub fn run_sssp(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let n = self.cluster.nodes;
-        let trace = propagation::min_propagation(
-            g,
-            Some(source),
-            |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
-            place::hash(n),
-            n,
-        );
-        let run = self.account(g, &trace, "SSSP")?;
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// Weakly connected components (runs on the symmetrised graph, as the
-    /// Pregel-family implementations do).
-    pub fn run_cc(&self, g: &Csr) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let n = self.cluster.nodes;
-        let sym = g.symmetrize();
-        let trace = propagation::min_propagation(&sym, None, |_, _, x| x, place::hash(n), n);
-        let run = self.account(&sym, &trace, "CC")?;
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// PageRank for `iterations` sweeps.
-    pub fn run_pagerank(
-        &self,
-        g: &Csr,
-        iterations: u32,
-    ) -> Result<(Vec<f64>, RunReport), BaselineError> {
-        let n = self.cluster.nodes;
-        let trace = propagation::pagerank_propagation(g, 0.85, iterations, place::hash(n), n);
-        let run = self.account(g, &trace, "PageRank")?;
-        Ok((trace.values.clone(), run))
-    }
-
-    /// Turn a functional trace into simulated time + memory verdicts.
-    ///
-    /// Public so the experiment harness can price the *same* trace under
-    /// several framework profiles (Giraph/GraphX/Naiad share the hash
-    /// partitioning, so their functional traces are identical).
-    pub fn account(
-        &self,
-        g: &Csr,
-        trace: &PropagationTrace,
-        algorithm: &str,
-    ) -> Result<RunReport, BaselineError> {
+    fn price(&self, g: &Csr, _algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         let p = &self.profile;
         let c = &self.cluster;
         let nodes = c.nodes as u64;
-        self.telemetry.start_run();
 
         // Static partition footprint on the most loaded node (hash
         // partitioning balances within ~1 page, so mean is a fair proxy).
@@ -121,60 +59,38 @@ impl BspEngine {
         let graph_bytes =
             part_edges * p.memory_bytes_per_edge + part_vertices * p.memory_bytes_per_vertex;
 
-        let mut t = SimTime::ZERO;
-        let mut network_bytes = 0u64;
-        let mut memory_peak = graph_bytes;
-        for (j, sweep) in trace.sweeps.iter().enumerate() {
+        let mut cost = Cost {
+            memory_peak: graph_bytes,
+            ..Cost::default()
+        };
+        for sweep in &trace.sweeps {
             let mut compute_max = SimDuration::ZERO;
             let mut net_max = SimDuration::ZERO;
-            let mut active_vertices = 0u64;
-            let mut active_edges = 0u64;
             for load in &sweep.nodes {
-                active_vertices += load.active_vertices;
-                active_edges += load.edges;
                 let work_ns = (load.edges + load.msgs_in) as f64 * p.per_edge_ns
                     + load.active_vertices as f64 * p.per_vertex_ns;
                 let compute = SimDuration::from_secs_f64(work_ns / c.cores_per_node as f64 / 1e9);
                 compute_max = compute_max.max(compute);
                 let bytes_in = load.remote_msgs_in * p.bytes_per_message;
-                network_bytes += bytes_in;
+                cost.network_bytes += bytes_in;
                 net_max = net_max.max(c.network_bw.transfer_time(bytes_in));
                 // Messages are buffered per node before the barrier.
-                let msg_bytes = load.msgs_in * p.bytes_per_message;
-                memory_peak = memory_peak.max(graph_bytes + msg_bytes);
-                if graph_bytes + msg_bytes > c.memory_per_node {
-                    return Err(BaselineError::OutOfMemory {
-                        engine: p.name.to_string(),
-                        needed: graph_bytes + msg_bytes,
-                        available: c.memory_per_node,
-                    });
-                }
+                let needed = graph_bytes + load.msgs_in * p.bytes_per_message;
+                cost.memory_peak = cost.memory_peak.max(needed);
+                fits(p.name, needed, c.memory_per_node)?;
             }
             let step = compute_max + net_max + c.network_latency + p.superstep_overhead;
-            record_sweep(
-                &self.telemetry,
-                j as u32,
-                active_vertices,
-                active_edges,
-                step,
-            );
-            t += step;
+            cost.sweeps
+                .push((sweep.total_active(), sweep.total_edges(), step));
         }
-        Ok(finish_run(
-            &self.telemetry,
-            p.name,
-            algorithm,
-            t - SimTime::ZERO,
-            trace.sweeps.len() as u32,
-            network_bytes,
-            memory_peak,
-        ))
+        Ok(cost)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run, values_to_u32};
     use gts_graph::generate::rmat;
     use gts_graph::reference;
 
@@ -189,35 +105,41 @@ mod tests {
     #[test]
     fn bfs_matches_reference() {
         let g = small();
-        let (levels, run) = engine().run_bfs(&g, 0).unwrap();
-        assert_eq!(levels, reference::bfs(&g, 0));
-        assert!(run.elapsed.as_nanos() > 0);
-        assert!(run.network_bytes > 0, "hash partitioning must cross nodes");
+        let r = run(&engine(), &g, Algo::Bfs { source: 0 }).unwrap();
+        assert_eq!(values_to_u32(&r.values), reference::bfs(&g, 0));
+        assert!(r.report.elapsed.as_nanos() > 0);
+        assert!(
+            r.report.network_bytes > 0,
+            "hash partitioning must cross nodes"
+        );
     }
 
     #[test]
     fn sssp_matches_reference() {
         let g = small();
-        let (dist, _) = engine().run_sssp(&g, 0).unwrap();
-        assert_eq!(dist, reference::sssp(&g, 0));
+        let r = run(&engine(), &g, Algo::Sssp { source: 0 }).unwrap();
+        assert_eq!(values_to_u32(&r.values), reference::sssp(&g, 0));
     }
 
     #[test]
     fn cc_matches_reference() {
         let g = small();
-        let (cc, _) = engine().run_cc(&g).unwrap();
-        assert_eq!(cc, reference::connected_components(&g));
+        let r = run(&engine(), &g, Algo::Cc).unwrap();
+        assert_eq!(
+            values_to_u32(&r.values),
+            reference::connected_components(&g)
+        );
     }
 
     #[test]
     fn pagerank_matches_reference() {
         let g = small();
-        let (pr, run) = engine().run_pagerank(&g, 5).unwrap();
+        let r = run(&engine(), &g, Algo::PageRank { iterations: 5 }).unwrap();
         let want = reference::pagerank(&g, 0.85, 5);
-        for (a, b) in pr.iter().zip(&want) {
+        for (a, b) in r.values.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12);
         }
-        assert_eq!(run.sweeps, 5);
+        assert_eq!(r.report.sweeps, 5);
     }
 
     #[test]
@@ -225,16 +147,13 @@ mod tests {
         // Same engine, different coefficients: the per-framework ordering
         // must carry through to elapsed time.
         let g = small();
-        let giraph = engine().run_pagerank(&g, 3).unwrap().1.elapsed;
+        let pr = Algo::PageRank { iterations: 3 };
+        let giraph = run(&engine(), &g, pr).unwrap().report.elapsed;
         let fast = BspEngine::new(
             ClusterConfig::paper_cluster(),
             FrameworkProfile::powergraph(),
-        )
-        .run_pagerank(&g, 3)
-        .unwrap()
-        .1
-        .elapsed;
-        assert!(fast < giraph);
+        );
+        assert!(run(&fast, &g, pr).unwrap().report.elapsed < giraph);
     }
 
     #[test]
@@ -242,7 +161,7 @@ mod tests {
         let mut cluster = ClusterConfig::paper_cluster();
         cluster.memory_per_node = 4 * 1024; // 4 KiB per node
         let e = BspEngine::new(cluster, FrameworkProfile::giraph());
-        match e.run_pagerank(&small(), 2) {
+        match run(&e, &small(), Algo::PageRank { iterations: 2 }) {
             Err(BaselineError::OutOfMemory { engine, .. }) => assert_eq!(engine, "Giraph"),
             other => panic!("expected OOM, got {other:?}"),
         }
@@ -257,8 +176,8 @@ mod tests {
             edges.push((v, v + 1));
         }
         let g = Csr::from_edge_list(&gts_graph::EdgeList::new(201, edges));
-        let (_, run) = engine().run_bfs(&g, 0).unwrap();
+        let r = run(&engine(), &g, Algo::Bfs { source: 0 }).unwrap();
         let min_expected = engine().profile.superstep_overhead * 200;
-        assert!(run.elapsed >= min_expected);
+        assert!(r.report.elapsed >= min_expected);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! One engine, four profiles:
 //!
-//! * **Ligra** — frontier-based with sparse(push)/dense(pull) direction
-//!   switching; needs CSR *and* its transpose in memory.
+//! * **Ligra** — frontier-based; needs CSR *and* its transpose in memory
+//!   (the transpose serves Ligra's dense direction, whose cost the model
+//!   does not price separately).
 //! * **Ligra+** — Ligra with compressed adjacency (smaller footprint,
 //!   slight per-edge decode cost).
 //! * **Galois** — fast native work-item scheduler; frontier-based, CSR only.
@@ -15,11 +16,10 @@
 //! why the paper's Fig. 7 has no CPU bars for RMAT29+ ("the CPU-based
 //! methods cannot load data into main memory").
 
-use crate::propagation::{self, place, PropagationTrace};
-use crate::report::{finish_run, record_sweep, values_to_u32, BaselineError, RunReport};
-use gts_graph::{Csr, EdgeList};
-use gts_sim::{SimDuration, SimTime};
-use gts_telemetry::Telemetry;
+use crate::propagation::{Placement, PropagationTrace};
+use crate::report::{fits, Algo, BaselineError, Cost, CostModel};
+use gts_graph::Csr;
+use gts_sim::SimDuration;
 
 /// Cost/architecture profile of one CPU engine.
 #[derive(Debug, Clone)]
@@ -110,11 +110,6 @@ pub struct CpuEngine {
     pub threads: u32,
     /// Host memory in bytes.
     pub host_memory: u64,
-    /// Real threads used to execute the functional propagation on *this*
-    /// machine. Never changes results or simulated time — see
-    /// [`propagation::min_propagation_threads`].
-    pub host_threads: usize,
-    telemetry: Telemetry,
 }
 
 impl CpuEngine {
@@ -124,27 +119,7 @@ impl CpuEngine {
             profile,
             threads: 16,
             host_memory: 128 << 30,
-            host_threads: gts_exec::default_host_threads(),
-            telemetry: Telemetry::new(),
         }
-    }
-
-    /// Set the real execution thread count (`1` = the serial reference
-    /// path; every value produces identical traces and reports).
-    pub fn with_host_threads(mut self, host_threads: usize) -> Self {
-        self.host_threads = host_threads.max(1);
-        self
-    }
-
-    /// Record runs into `tel` instead of a private handle.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.telemetry = tel;
-        self
-    }
-
-    /// The engine's telemetry handle (counters of the last run).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Scale host memory by `1/div` (regime scaling, DESIGN.md §1).
@@ -153,88 +128,32 @@ impl CpuEngine {
         self
     }
 
-    /// BFS from `source`.
-    pub fn run_bfs(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        self.check_memory(g)?;
-        let trace = propagation::min_propagation_threads(
-            g,
-            Some(source),
-            |_, _, x| x + 1.0,
-            place::single(),
-            1,
-            self.host_threads,
-        );
-        let run = self.account(g, &trace, "BFS");
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// SSSP from `source`.
-    pub fn run_sssp(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        self.check_memory(g)?;
-        let trace = propagation::min_propagation_threads(
-            g,
-            Some(source),
-            |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
-            place::single(),
-            1,
-            self.host_threads,
-        );
-        let run = self.account(g, &trace, "SSSP");
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// Weakly connected components.
-    pub fn run_cc(&self, g: &Csr) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        self.check_memory(g)?;
-        let sym = g.symmetrize();
-        let trace = propagation::min_propagation_threads(
-            &sym,
-            None,
-            |_, _, x| x,
-            place::single(),
-            1,
-            self.host_threads,
-        );
-        let run = self.account(&sym, &trace, "CC");
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// PageRank for `iterations` sweeps.
-    pub fn run_pagerank(
-        &self,
-        g: &Csr,
-        iterations: u32,
-    ) -> Result<(Vec<f64>, RunReport), BaselineError> {
-        self.check_memory(g)?;
-        let trace = propagation::pagerank_propagation(g, 0.85, iterations, place::single(), 1);
-        let run = self.account(g, &trace, "PageRank");
-        Ok((trace.values.clone(), run))
-    }
-
     /// Bytes the engine needs resident for `g`.
     pub fn memory_needed(&self, g: &Csr) -> u64 {
         let direction_copies = if self.profile.needs_transpose { 2 } else { 1 };
         g.num_edges() as u64 * self.profile.memory_bytes_per_edge * direction_copies
             + g.num_vertices() as u64 * 16
     }
+}
 
-    fn check_memory(&self, g: &Csr) -> Result<(), BaselineError> {
-        let needed = self.memory_needed(g);
-        if needed > self.host_memory {
-            return Err(BaselineError::OutOfMemory {
-                engine: self.profile.name.to_string(),
-                needed,
-                available: self.host_memory,
-            });
-        }
-        Ok(())
+impl CostModel for CpuEngine {
+    fn name(&self) -> &str {
+        self.profile.name
     }
 
-    fn account(&self, g: &Csr, trace: &PropagationTrace, algorithm: &str) -> RunReport {
+    /// The whole graph in host memory, one shared partition.
+    fn place(&self, g: &Csr, _algo: Algo) -> Result<Placement, BaselineError> {
+        fits(self.profile.name, self.memory_needed(g), self.host_memory)?;
+        Ok(Placement::Single)
+    }
+
+    fn price(&self, g: &Csr, _algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         let p = &self.profile;
-        self.telemetry.start_run();
-        let mut t = SimTime::ZERO;
-        for (j, sweep) in trace.sweeps.iter().enumerate() {
+        let mut cost = Cost {
+            memory_peak: self.memory_needed(g),
+            ..Cost::default()
+        };
+        for sweep in &trace.sweeps {
             let load = &sweep.nodes[0];
             let (vertices, edges) = if p.frontier_based {
                 (load.active_vertices, load.edges)
@@ -245,30 +164,24 @@ impl CpuEngine {
             let work_ns = edges as f64 * p.per_edge_ns + vertices as f64 * p.per_vertex_ns;
             let step =
                 SimDuration::from_secs_f64(work_ns / self.threads as f64 / 1e9) + p.sweep_overhead;
-            record_sweep(&self.telemetry, j as u32, vertices, edges, step);
-            t += step;
+            cost.sweeps.push((vertices, edges, step));
         }
-        finish_run(
-            &self.telemetry,
-            p.name,
-            algorithm,
-            t - SimTime::ZERO,
-            trace.sweeps.len() as u32,
-            0,
-            self.memory_needed(g),
-        )
+        Ok(cost)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run, values_to_u32};
     use gts_graph::generate::rmat;
     use gts_graph::reference;
 
     fn small() -> Csr {
         Csr::from_edge_list(&rmat(8))
     }
+
+    const BFS: Algo = Algo::Bfs { source: 0 };
 
     #[test]
     fn all_profiles_match_reference_bfs() {
@@ -280,8 +193,8 @@ mod tests {
             CpuProfile::galois(),
             CpuProfile::mtgl(),
         ] {
-            let (levels, _) = CpuEngine::new(p).run_bfs(&g, 0).unwrap();
-            assert_eq!(levels, want);
+            let r = run(&CpuEngine::new(p), &g, BFS).unwrap();
+            assert_eq!(values_to_u32(&r.values), want);
         }
     }
 
@@ -289,29 +202,25 @@ mod tests {
     fn pagerank_and_cc_and_sssp_match_reference() {
         let g = small();
         let e = CpuEngine::new(CpuProfile::ligra());
-        let (pr, _) = e.run_pagerank(&g, 4).unwrap();
-        for (a, b) in pr.iter().zip(&reference::pagerank(&g, 0.85, 4)) {
+        let pr = run(&e, &g, Algo::PageRank { iterations: 4 }).unwrap();
+        for (a, b) in pr.values.iter().zip(&reference::pagerank(&g, 0.85, 4)) {
             assert!((a - b).abs() < 1e-12);
         }
-        assert_eq!(e.run_cc(&g).unwrap().0, reference::connected_components(&g));
-        assert_eq!(e.run_sssp(&g, 0).unwrap().0, reference::sssp(&g, 0));
+        let cc = run(&e, &g, Algo::Cc).unwrap();
+        assert_eq!(
+            values_to_u32(&cc.values),
+            reference::connected_components(&g)
+        );
+        let sssp = run(&e, &g, Algo::Sssp { source: 0 }).unwrap();
+        assert_eq!(values_to_u32(&sssp.values), reference::sssp(&g, 0));
     }
 
     #[test]
     fn mtgl_is_much_slower_than_ligra() {
         // Fig. 7's headline: frontier engines dominate MTGL.
         let g = small();
-        let ligra = CpuEngine::new(CpuProfile::ligra())
-            .run_bfs(&g, 0)
-            .unwrap()
-            .1
-            .elapsed;
-        let mtgl = CpuEngine::new(CpuProfile::mtgl())
-            .run_bfs(&g, 0)
-            .unwrap()
-            .1
-            .elapsed;
-        assert!(mtgl > ligra * 3);
+        let elapsed = |p| run(&CpuEngine::new(p), &g, BFS).unwrap().report.elapsed;
+        assert!(elapsed(CpuProfile::mtgl()) > elapsed(CpuProfile::ligra()) * 3);
     }
 
     #[test]
@@ -324,10 +233,10 @@ mod tests {
         let mut plus = CpuEngine::new(CpuProfile::ligra_plus());
         plus.host_memory = needed_ligra - 1;
         assert!(matches!(
-            ligra.run_bfs(&g, 0),
+            run(&ligra, &g, BFS),
             Err(BaselineError::OutOfMemory { .. })
         ));
-        assert!(plus.run_bfs(&g, 0).is_ok());
+        assert!(run(&plus, &g, BFS).is_ok());
     }
 
     #[test]
@@ -335,9 +244,22 @@ mod tests {
         let g = small();
         let mut e = CpuEngine::new(CpuProfile::galois());
         e.host_memory = 16;
-        match e.run_pagerank(&g, 1) {
+        match run(&e, &g, Algo::PageRank { iterations: 1 }) {
             Err(BaselineError::OutOfMemory { engine, .. }) => assert_eq!(engine, "Galois"),
             other => panic!("expected OOM, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cc_checks_memory_against_the_symmetrised_graph() {
+        // CC runs on the symmetrised graph, so that is what must fit.
+        let g = small();
+        let mut e = CpuEngine::new(CpuProfile::galois());
+        e.host_memory = e.memory_needed(&g.symmetrize()) - 1;
+        assert!(e.memory_needed(&g) <= e.host_memory);
+        assert!(matches!(
+            run(&e, &g, Algo::Cc),
+            Err(BaselineError::OutOfMemory { .. })
+        ));
     }
 }

@@ -16,11 +16,10 @@
 //! the node count; we use the standard `1 + c·√N` fit.
 
 use crate::cluster::{ClusterConfig, FrameworkProfile};
-use crate::propagation::{self, place, PropagationTrace};
-use crate::report::{finish_run, record_sweep, values_to_u32, BaselineError, RunReport};
-use gts_graph::{Csr, EdgeList};
-use gts_sim::{SimDuration, SimTime};
-use gts_telemetry::Telemetry;
+use crate::propagation::{Placement, PropagationTrace};
+use crate::report::{fits, Algo, BaselineError, Cost, CostModel};
+use gts_graph::Csr;
+use gts_sim::SimDuration;
 
 /// A GAS engine instance (defaults to the PowerGraph cost profile).
 #[derive(Debug, Clone)]
@@ -29,7 +28,6 @@ pub struct GasEngine {
     pub cluster: ClusterConfig,
     /// Cost profile (PowerGraph's by default).
     pub profile: FrameworkProfile,
-    telemetry: Telemetry,
 }
 
 impl GasEngine {
@@ -38,19 +36,7 @@ impl GasEngine {
         GasEngine {
             cluster,
             profile: FrameworkProfile::powergraph(),
-            telemetry: Telemetry::new(),
         }
-    }
-
-    /// Record runs into `tel` instead of a private handle.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.telemetry = tel;
-        self
-    }
-
-    /// The engine's telemetry handle (counters of the last run).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Replication factor of a random vertex-cut over `n` nodes.
@@ -58,80 +44,47 @@ impl GasEngine {
         1.0 + 0.8 * (self.cluster.nodes as f64).sqrt()
     }
 
-    /// BFS from `source`.
-    pub fn run_bfs(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let trace =
-            propagation::min_propagation(g, Some(source), |_, _, x| x + 1.0, place::single(), 1);
-        let run = self.account(g, &trace, "BFS")?;
-        Ok((values_to_u32(&trace.values), run))
+    /// Vertex-cut memory per node: E/N edges + replicated vertex state.
+    fn graph_bytes(&self, g: &Csr) -> u64 {
+        let p = &self.profile;
+        let nodes = self.cluster.nodes as u64;
+        let part_edges = (g.num_edges() as u64).div_ceil(nodes);
+        let replicated_vertices =
+            ((g.num_vertices() as f64 * self.replication_factor()) / nodes as f64).ceil() as u64;
+        part_edges * p.memory_bytes_per_edge + replicated_vertices * p.memory_bytes_per_vertex
+    }
+}
+
+impl CostModel for GasEngine {
+    fn name(&self) -> &str {
+        self.profile.name
     }
 
-    /// SSSP from `source`.
-    pub fn run_sssp(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let trace = propagation::min_propagation(
-            g,
-            Some(source),
-            |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
-            place::single(),
-            1,
-        );
-        let run = self.account(g, &trace, "SSSP")?;
-        Ok((values_to_u32(&trace.values), run))
+    /// Edges are cut, not vertices: one logical partition, balanced by
+    /// construction.
+    fn place(&self, g: &Csr, _algo: Algo) -> Result<Placement, BaselineError> {
+        fits(
+            self.profile.name,
+            self.graph_bytes(g),
+            self.cluster.memory_per_node,
+        )?;
+        Ok(Placement::Single)
     }
 
-    /// Weakly connected components.
-    pub fn run_cc(&self, g: &Csr) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let sym = g.symmetrize();
-        let trace = propagation::min_propagation(&sym, None, |_, _, x| x, place::single(), 1);
-        let run = self.account(&sym, &trace, "CC")?;
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// PageRank for `iterations` sweeps.
-    pub fn run_pagerank(
-        &self,
-        g: &Csr,
-        iterations: u32,
-    ) -> Result<(Vec<f64>, RunReport), BaselineError> {
-        let trace = propagation::pagerank_propagation(g, 0.85, iterations, place::single(), 1);
-        let run = self.account(g, &trace, "PageRank")?;
-        Ok((trace.values.clone(), run))
-    }
-
-    /// Price a functional trace under this engine's architecture model
-    /// (public for harness-side trace reuse).
-    pub fn account(
-        &self,
-        g: &Csr,
-        trace: &PropagationTrace,
-        algorithm: &str,
-    ) -> Result<RunReport, BaselineError> {
+    fn price(&self, g: &Csr, _algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         let p = &self.profile;
         let c = &self.cluster;
         let nodes = c.nodes as u64;
         let rf = self.replication_factor();
-
-        // Vertex-cut memory: E/N edges + replicated vertex state per node.
-        let part_edges = (g.num_edges() as u64).div_ceil(nodes);
-        let replicated_vertices = ((g.num_vertices() as f64 * rf) / nodes as f64).ceil() as u64;
-        let graph_bytes =
-            part_edges * p.memory_bytes_per_edge + replicated_vertices * p.memory_bytes_per_vertex;
-        if graph_bytes > c.memory_per_node {
-            return Err(BaselineError::OutOfMemory {
-                engine: p.name.to_string(),
-                needed: graph_bytes,
-                available: c.memory_per_node,
-            });
-        }
-
-        self.telemetry.start_run();
-        let mut t = SimTime::ZERO;
-        let mut network_bytes = 0u64;
-        for (j, sweep) in trace.sweeps.iter().enumerate() {
+        let mut cost = Cost {
+            memory_peak: self.graph_bytes(g),
+            ..Cost::default()
+        };
+        for sweep in &trace.sweeps {
             // Edge work is balanced by the vertex-cut: each node handles
             // ~active_edges/N, gather + scatter (2 passes).
-            let active_edges: u64 = sweep.total_edges();
-            let active_vertices: u64 = sweep.nodes.iter().map(|l| l.active_vertices).sum();
+            let active_edges = sweep.total_edges();
+            let active_vertices = sweep.total_active();
             let per_node_edges = active_edges.div_ceil(nodes);
             let work_ns = 2.0 * per_node_edges as f64 * p.per_edge_ns
                 + (active_vertices.div_ceil(nodes)) as f64 * p.per_vertex_ns;
@@ -139,27 +92,12 @@ impl GasEngine {
             // Replica synchronisation: each active vertex syncs its mirrors
             // (gather results in, new value out).
             let sync_bytes = (active_vertices as f64 * (rf - 1.0)) as u64 * p.bytes_per_message * 2;
-            network_bytes += sync_bytes;
+            cost.network_bytes += sync_bytes;
             let net = c.network_bw.transfer_time(sync_bytes / nodes.max(1));
             let step = compute + net + c.network_latency + p.superstep_overhead;
-            record_sweep(
-                &self.telemetry,
-                j as u32,
-                active_vertices,
-                active_edges,
-                step,
-            );
-            t += step;
+            cost.sweeps.push((active_vertices, active_edges, step));
         }
-        Ok(finish_run(
-            &self.telemetry,
-            p.name,
-            algorithm,
-            t - SimTime::ZERO,
-            trace.sweeps.len() as u32,
-            network_bytes,
-            graph_bytes,
-        ))
+        Ok(cost)
     }
 }
 
@@ -167,6 +105,7 @@ impl GasEngine {
 mod tests {
     use super::*;
     use crate::bsp::BspEngine;
+    use crate::report::{run, values_to_u32};
     use gts_graph::generate::rmat;
     use gts_graph::reference;
 
@@ -181,13 +120,14 @@ mod tests {
     #[test]
     fn results_match_reference() {
         let g = small();
-        let (levels, _) = engine().run_bfs(&g, 0).unwrap();
+        let values = |algo| run(&engine(), &g, algo).unwrap().values;
+        let levels = values_to_u32(&values(Algo::Bfs { source: 0 }));
         assert_eq!(levels, reference::bfs(&g, 0));
-        let (dist, _) = engine().run_sssp(&g, 0).unwrap();
+        let dist = values_to_u32(&values(Algo::Sssp { source: 0 }));
         assert_eq!(dist, reference::sssp(&g, 0));
-        let (cc, _) = engine().run_cc(&g).unwrap();
+        let cc = values_to_u32(&values(Algo::Cc));
         assert_eq!(cc, reference::connected_components(&g));
-        let (pr, _) = engine().run_pagerank(&g, 5).unwrap();
+        let pr = values(Algo::PageRank { iterations: 5 });
         let want = reference::pagerank(&g, 0.85, 5);
         for (a, b) in pr.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12);
@@ -198,12 +138,10 @@ mod tests {
     fn powergraph_beats_giraph_on_pagerank() {
         // Fig. 6b: PowerGraph is the fastest distributed baseline.
         let g = small();
-        let pg = engine().run_pagerank(&g, 3).unwrap().1.elapsed;
-        let giraph = BspEngine::new(ClusterConfig::paper_cluster(), FrameworkProfile::giraph())
-            .run_pagerank(&g, 3)
-            .unwrap()
-            .1
-            .elapsed;
+        let pr = Algo::PageRank { iterations: 3 };
+        let pg = run(&engine(), &g, pr).unwrap().report.elapsed;
+        let giraph = BspEngine::new(ClusterConfig::paper_cluster(), FrameworkProfile::giraph());
+        let giraph = run(&giraph, &g, pr).unwrap().report.elapsed;
         assert!(pg < giraph, "PowerGraph {pg:?} must beat Giraph {giraph:?}");
     }
 
@@ -211,13 +149,10 @@ mod tests {
     fn vertex_cut_uses_less_memory_than_bsp_on_skewed_graphs() {
         // C++ + vertex-cut: memory per node far below the JVM engines'.
         let g = small();
-        let gas = engine().run_pagerank(&g, 1).unwrap().1.memory_peak;
-        let bsp = BspEngine::new(ClusterConfig::paper_cluster(), FrameworkProfile::giraph())
-            .run_pagerank(&g, 1)
-            .unwrap()
-            .1
-            .memory_peak;
-        assert!(gas < bsp);
+        let pr = Algo::PageRank { iterations: 1 };
+        let gas = run(&engine(), &g, pr).unwrap().report.memory_peak;
+        let bsp = BspEngine::new(ClusterConfig::paper_cluster(), FrameworkProfile::giraph());
+        assert!(gas < run(&bsp, &g, pr).unwrap().report.memory_peak);
     }
 
     #[test]
@@ -234,7 +169,11 @@ mod tests {
     fn ooms_when_partition_exceeds_node_memory() {
         let mut c = ClusterConfig::paper_cluster();
         c.memory_per_node = 1024;
-        match GasEngine::new(c).run_pagerank(&small(), 1) {
+        match run(
+            &GasEngine::new(c),
+            &small(),
+            Algo::PageRank { iterations: 1 },
+        ) {
             Err(BaselineError::OutOfMemory { engine, .. }) => assert_eq!(engine, "PowerGraph"),
             other => panic!("expected OOM, got {other:?}"),
         }

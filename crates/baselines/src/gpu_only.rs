@@ -6,14 +6,13 @@
 //! which is why MapGraph OOMs before CuSha ("the Market Matrix format of
 //! MapGraph is less space-efficient than the G-Shard format of CuSha").
 
-use crate::propagation::{self, place, PropagationTrace};
-use crate::report::{finish_run, record_sweep, values_to_u32, BaselineError, RunReport};
+use crate::propagation::{Placement, PropagationTrace};
+use crate::report::{fits, Algo, BaselineError, Cost, CostModel};
 use gts_core::sweep::GpuLane;
-use gts_gpu::timer::{GpuTimer, KernelClass, KernelCost};
+use gts_gpu::timer::{GpuTimer, KernelCost};
 use gts_gpu::{GpuConfig, PcieConfig};
 use gts_graph::Csr;
 use gts_sim::SimTime;
-use gts_telemetry::Telemetry;
 
 /// Space/speed profile of a GPU-resident format.
 #[derive(Debug, Clone)]
@@ -65,90 +64,50 @@ pub struct GpuOnlyEngine {
     pub profile: GpuOnlyProfile,
     /// GPU model.
     pub gpu: GpuConfig,
-    telemetry: Telemetry,
 }
 
 impl GpuOnlyEngine {
     /// Create an engine.
     pub fn new(profile: GpuOnlyProfile, gpu: GpuConfig) -> Self {
-        GpuOnlyEngine {
-            profile,
-            gpu,
-            telemetry: Telemetry::new(),
+        GpuOnlyEngine { profile, gpu }
+    }
+
+    /// Device bytes `algo` needs for `g`: the resident format plus its
+    /// working state — 2-byte levels, or for PageRank prevPR + nextPR
+    /// (8 bytes/vertex, the reason "CuSha cannot process PageRank for all
+    /// graphs tested") and per-edge values.
+    pub fn memory_needed(&self, g: &Csr, algo: Algo) -> u64 {
+        let (wa, edge_values) = self.state_bytes(algo);
+        self.footprint(g, wa, edge_values)
+    }
+
+    /// Working-state bytes per vertex and per edge.
+    fn state_bytes(&self, algo: Algo) -> (u64, u64) {
+        match algo {
+            Algo::PageRank { .. } => (8, self.profile.pagerank_edge_value_bytes),
+            _ => (2, 0),
         }
     }
 
-    /// Record runs into `tel` instead of a private handle.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.telemetry = tel;
-        self
-    }
-
-    /// The engine's telemetry handle (counters of the last run).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Device bytes needed for `g` plus `wa_bytes_per_vertex` of state and
-    /// `edge_value_bytes` of per-edge values.
-    pub fn memory_needed(&self, g: &Csr, wa_bytes_per_vertex: u64) -> u64 {
-        self.memory_needed_with_values(g, wa_bytes_per_vertex, 0)
-    }
-
-    /// Memory accounting including per-edge value storage.
-    pub fn memory_needed_with_values(
-        &self,
-        g: &Csr,
-        wa_bytes_per_vertex: u64,
-        edge_value_bytes: u64,
-    ) -> u64 {
+    fn footprint(&self, g: &Csr, wa_bytes_per_vertex: u64, edge_value_bytes: u64) -> u64 {
         g.num_edges() as u64 * (self.profile.bytes_per_edge + edge_value_bytes)
             + g.num_vertices() as u64 * (self.profile.bytes_per_vertex + wa_bytes_per_vertex)
     }
+}
 
-    /// BFS from `source` (WA: 2-byte levels).
-    pub fn run_bfs(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        self.check(g, 2, 0)?;
-        let trace =
-            propagation::min_propagation(g, Some(source), |_, _, x| x + 1.0, place::single(), 1);
-        let run = self.account(g, &trace, "BFS", KernelClass::Traversal, 2);
-        Ok((values_to_u32(&trace.values), run))
+impl CostModel for GpuOnlyEngine {
+    fn name(&self) -> &str {
+        self.profile.name
     }
 
-    /// PageRank (WA: prevPR + nextPR both resident — 8 bytes/vertex, the
-    /// reason "CuSha cannot process PageRank for all graphs tested").
-    pub fn run_pagerank(
-        &self,
-        g: &Csr,
-        iterations: u32,
-    ) -> Result<(Vec<f64>, RunReport), BaselineError> {
-        self.check(g, 8, self.profile.pagerank_edge_value_bytes)?;
-        let trace = propagation::pagerank_propagation(g, 0.85, iterations, place::single(), 1);
-        let run = self.account(g, &trace, "PageRank", KernelClass::Compute, 8);
-        Ok((trace.values.clone(), run))
+    /// The whole graph resident in device memory.
+    fn place(&self, g: &Csr, algo: Algo) -> Result<Placement, BaselineError> {
+        let needed = self.memory_needed(g, algo);
+        fits(self.profile.name, needed, self.gpu.device_memory)?;
+        Ok(Placement::Single)
     }
 
-    fn check(&self, g: &Csr, wa_bpv: u64, edge_value_bytes: u64) -> Result<(), BaselineError> {
-        let needed = self.memory_needed_with_values(g, wa_bpv, edge_value_bytes);
-        if needed > self.gpu.device_memory {
-            return Err(BaselineError::OutOfMemory {
-                engine: self.profile.name.to_string(),
-                needed,
-                available: self.gpu.device_memory,
-            });
-        }
-        Ok(())
-    }
-
-    fn account(
-        &self,
-        g: &Csr,
-        trace: &PropagationTrace,
-        algorithm: &str,
-        class: KernelClass,
-        wa_bpv: u64,
-    ) -> RunReport {
-        self.telemetry.start_run();
+    fn price(&self, g: &Csr, algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         // One uncached lane, one stream: each superstep is a single
         // whole-graph kernel with its inputs already resident — no PCI-E
         // streaming at all, the defining property of these engines. The
@@ -158,40 +117,32 @@ impl GpuOnlyEngine {
         let mut lane =
             GpuLane::uncached(GpuTimer::new(self.gpu.clone(), PcieConfig::gen3_x16(), 1));
         let mut t = SimTime::ZERO;
-        for (j, sweep) in trace.sweeps.iter().enumerate() {
+        let (wa, _) = self.state_bytes(algo);
+        let mut cost = Cost {
+            memory_peak: self.footprint(g, wa, 0),
+            ..Cost::default()
+        };
+        for sweep in &trace.sweeps {
             let edges = sweep.total_edges();
-            let cost = KernelCost {
-                class,
+            let kernel = KernelCost {
+                class: algo.kernel_class(),
                 lane_slots: (edges as f64 * self.profile.kernel_multiplier).round() as u64,
                 atomic_ops: 0,
             };
             let k = lane
-                .issue_kernel(cost, t, self.profile.name)
+                .issue_kernel(kernel, t, self.profile.name)
                 .expect("baselines run without fault injection");
-            record_sweep(
-                &self.telemetry,
-                j as u32,
-                sweep.total_active(),
-                edges,
-                k.end - t,
-            );
+            cost.sweeps.push((sweep.total_active(), edges, k.end - t));
             t = k.end;
         }
-        finish_run(
-            &self.telemetry,
-            self.profile.name,
-            algorithm,
-            lane.sync() - SimTime::ZERO,
-            trace.sweeps.len() as u32,
-            0,
-            self.memory_needed(g, wa_bpv),
-        )
+        Ok(cost)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run, values_to_u32};
     use gts_graph::generate::rmat;
     use gts_graph::reference;
 
@@ -199,13 +150,16 @@ mod tests {
         Csr::from_edge_list(&rmat(8))
     }
 
+    const BFS: Algo = Algo::Bfs { source: 0 };
+
     #[test]
     fn bfs_and_pagerank_match_reference() {
         let g = small();
         let e = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), GpuConfig::titan_x());
-        assert_eq!(e.run_bfs(&g, 0).unwrap().0, reference::bfs(&g, 0));
-        let (pr, _) = e.run_pagerank(&g, 4).unwrap();
-        for (a, b) in pr.iter().zip(&reference::pagerank(&g, 0.85, 4)) {
+        let bfs = run(&e, &g, BFS).unwrap();
+        assert_eq!(values_to_u32(&bfs.values), reference::bfs(&g, 0));
+        let pr = run(&e, &g, Algo::PageRank { iterations: 4 }).unwrap();
+        for (a, b) in pr.values.iter().zip(&reference::pagerank(&g, 0.85, 4)) {
             assert!((a - b).abs() < 1e-12);
         }
     }
@@ -216,27 +170,31 @@ mod tests {
         let g = small();
         let cusha = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), GpuConfig::titan_x());
         let mapgraph = GpuOnlyEngine::new(GpuOnlyProfile::mapgraph(), GpuConfig::titan_x());
-        let boundary = cusha.memory_needed(&g, 2);
+        let boundary = cusha.memory_needed(&g, BFS);
         let gpu = GpuConfig::titan_x().with_device_memory(boundary);
-        assert!(GpuOnlyEngine::new(GpuOnlyProfile::cusha(), gpu.clone())
-            .run_bfs(&g, 0)
-            .is_ok());
+        let cusha_tight = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), gpu.clone());
+        assert!(run(&cusha_tight, &g, BFS).is_ok());
         assert!(matches!(
-            GpuOnlyEngine::new(GpuOnlyProfile::mapgraph(), gpu).run_bfs(&g, 0),
+            run(
+                &GpuOnlyEngine::new(GpuOnlyProfile::mapgraph(), gpu),
+                &g,
+                BFS
+            ),
             Err(BaselineError::OutOfMemory { .. })
         ));
-        assert!(mapgraph.memory_needed(&g, 2) > cusha.memory_needed(&g, 2));
+        assert!(mapgraph.memory_needed(&g, BFS) > cusha.memory_needed(&g, BFS));
     }
 
     #[test]
     fn pagerank_needs_more_memory_than_bfs() {
         let g = small();
+        let pr = Algo::PageRank { iterations: 1 };
         let e = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), GpuConfig::titan_x());
-        assert!(e.memory_needed(&g, 8) > e.memory_needed(&g, 2));
+        assert!(e.memory_needed(&g, pr) > e.memory_needed(&g, BFS));
         // A device sized for BFS only must OOM on PageRank.
-        let gpu = GpuConfig::titan_x().with_device_memory(e.memory_needed(&g, 2));
+        let gpu = GpuConfig::titan_x().with_device_memory(e.memory_needed(&g, BFS));
         let tight = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), gpu);
-        assert!(tight.run_bfs(&g, 0).is_ok());
-        assert!(tight.run_pagerank(&g, 1).is_err());
+        assert!(run(&tight, &g, BFS).is_ok());
+        assert!(run(&tight, &g, pr).is_err());
     }
 }

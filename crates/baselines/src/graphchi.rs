@@ -16,11 +16,10 @@
 //! * **read-and-write traffic** — shard edge values are rewritten each
 //!   pass, doubling the I/O volume of a read-only streamer.
 
-use crate::propagation::{self, place, PropagationTrace};
-use crate::report::{finish_run, record_sweep, values_to_u32, BaselineError, RunReport};
+use crate::propagation::{Placement, PropagationTrace};
+use crate::report::{Algo, BaselineError, Cost, CostModel};
 use gts_graph::Csr;
-use gts_sim::{Bandwidth, SimDuration, SimTime};
-use gts_telemetry::Telemetry;
+use gts_sim::{Bandwidth, SimDuration};
 
 /// GraphChi engine configuration.
 #[derive(Debug, Clone)]
@@ -54,27 +53,12 @@ impl Default for GraphChiConfig {
 #[derive(Debug, Clone)]
 pub struct GraphChi {
     cfg: GraphChiConfig,
-    telemetry: Telemetry,
 }
 
 impl GraphChi {
     /// Create an engine.
     pub fn new(cfg: GraphChiConfig) -> Self {
-        GraphChi {
-            cfg,
-            telemetry: Telemetry::new(),
-        }
-    }
-
-    /// Record runs into `tel` instead of a private handle.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.telemetry = tel;
-        self
-    }
-
-    /// The engine's telemetry handle (counters of the last run).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        GraphChi { cfg }
     }
 
     /// Number of shards for `g` under the memory budget (at least 1).
@@ -82,33 +66,27 @@ impl GraphChi {
         let graph_bytes = g.num_edges() as u64 * self.cfg.edge_bytes;
         graph_bytes.div_ceil(self.cfg.memory_budget.max(1)).max(1)
     }
+}
 
-    /// BFS from `source`.
-    pub fn run_bfs(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let trace =
-            propagation::min_propagation(g, Some(source), |_, _, x| x + 1.0, place::single(), 1);
-        let run = self.account(g, &trace, "BFS");
-        Ok((values_to_u32(&trace.values), run))
+impl CostModel for GraphChi {
+    fn name(&self) -> &str {
+        "GraphChi"
     }
 
-    /// PageRank for `iterations` sweeps.
-    pub fn run_pagerank(
-        &self,
-        g: &Csr,
-        iterations: u32,
-    ) -> Result<(Vec<f64>, RunReport), BaselineError> {
-        let trace = propagation::pagerank_propagation(g, 0.85, iterations, place::single(), 1);
-        let run = self.account(g, &trace, "PageRank");
-        Ok((trace.values.clone(), run))
+    /// Shards stream from storage, so nothing has to fit up front.
+    fn place(&self, _g: &Csr, _algo: Algo) -> Result<Placement, BaselineError> {
+        Ok(Placement::Single)
     }
 
-    fn account(&self, g: &Csr, trace: &PropagationTrace, algorithm: &str) -> RunReport {
+    fn price(&self, g: &Csr, _algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         let c = &self.cfg;
-        self.telemetry.start_run();
         let graph_bytes = g.num_edges() as u64 * c.edge_bytes;
-        let mut t = SimTime::ZERO;
         let mut io_bytes = 0u64;
-        for (j, sweep) in trace.sweeps.iter().enumerate() {
+        let mut cost = Cost {
+            memory_peak: c.memory_budget.min(graph_bytes),
+            ..Cost::default()
+        };
+        for sweep in &trace.sweeps {
             // Every pass fully loads the graph's shards and rewrites the
             // updated edge values: read + write of the whole edge file.
             let load = c.storage_bw.transfer_time(graph_bytes);
@@ -120,32 +98,19 @@ impl GraphChi {
             // The defining drawback: NO overlap — the phases are summed,
             // not maxed (X-Stream and GTS overlap I/O with compute).
             let step = load + compute + write;
-            record_sweep(
-                &self.telemetry,
-                j as u32,
-                sweep.total_active(),
-                g.num_edges() as u64,
-                step,
-            );
-            t += step;
+            cost.sweeps
+                .push((sweep.total_active(), g.num_edges() as u64, step));
         }
-        self.telemetry
-            .add(gts_telemetry::keys::IO_BYTES_READ, io_bytes);
-        finish_run(
-            &self.telemetry,
-            "GraphChi",
-            algorithm,
-            t - SimTime::ZERO,
-            trace.sweeps.len() as u32,
-            io_bytes,
-            self.cfg.memory_budget.min(graph_bytes),
-        )
+        cost.io_bytes_read = io_bytes;
+        cost.network_bytes = io_bytes;
+        Ok(cost)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run, values_to_u32};
     use crate::xstream::{XStream, XStreamConfig};
     use gts_graph::generate::rmat;
     use gts_graph::reference;
@@ -158,9 +123,10 @@ mod tests {
     fn results_match_reference() {
         let g = small();
         let e = GraphChi::new(GraphChiConfig::default());
-        assert_eq!(e.run_bfs(&g, 0).unwrap().0, reference::bfs(&g, 0));
-        let (pr, _) = e.run_pagerank(&g, 3).unwrap();
-        for (a, b) in pr.iter().zip(&reference::pagerank(&g, 0.85, 3)) {
+        let bfs = run(&e, &g, Algo::Bfs { source: 0 }).unwrap();
+        assert_eq!(values_to_u32(&bfs.values), reference::bfs(&g, 0));
+        let pr = run(&e, &g, Algo::PageRank { iterations: 3 }).unwrap();
+        for (a, b) in pr.values.iter().zip(&reference::pagerank(&g, 0.85, 3)) {
             assert!((a - b).abs() < 1e-12);
         }
     }
@@ -170,16 +136,10 @@ mod tests {
         // Sec. 8: no I/O/compute overlap + full rewrites make GraphChi the
         // slower of the two out-of-core streamers.
         let g = Csr::from_edge_list(&rmat(12));
-        let chi = GraphChi::new(GraphChiConfig::default())
-            .run_pagerank(&g, 5)
-            .unwrap()
-            .1
-            .elapsed;
-        let xs = XStream::new(XStreamConfig::default())
-            .run_pagerank(&g, 5)
-            .unwrap()
-            .1
-            .elapsed;
+        let pr = Algo::PageRank { iterations: 5 };
+        let chi = run(&GraphChi::new(GraphChiConfig::default()), &g, pr);
+        let xs = run(&XStream::new(XStreamConfig::default()), &g, pr);
+        let (chi, xs) = (chi.unwrap().report.elapsed, xs.unwrap().report.elapsed);
         assert!(chi > xs, "GraphChi {chi} must trail X-Stream {xs}");
     }
 

@@ -13,9 +13,9 @@
 //!   Naiad via per-framework cost profiles) and a PowerGraph-style
 //!   vertex-cut GAS engine ([`gas`]). They pay network time per superstep
 //!   and OOM when a node's partition + message buffers exceed node memory.
-//! * **Shared-memory CPU** (Fig. 7): [`cpu`] — a Ligra-like frontier engine
-//!   with sparse/dense direction switching and an MTGL-like naive parallel
-//!   engine. They need the whole CSR in host memory.
+//! * **Shared-memory CPU** (Fig. 7): [`cpu`] — Ligra-like frontier engines
+//!   and an MTGL-like naive parallel engine. They need the whole CSR in
+//!   host memory.
 //! * **GPU-based** (Fig. 8): [`totem`] — the hybrid CPU+GPU partitioned
 //!   engine with its GPU%:CPU% option table (Table 5), and [`gpu_only`] —
 //!   CuSha/MapGraph-like engines that require the entire graph in device
@@ -23,22 +23,26 @@
 //! * **Out-of-core streaming** (Sec. 8's discussion): [`xstream`] — an
 //!   X-Stream-like edge-centric scatter-gather engine that streams the
 //!   *entire* edge list every iteration, which is why it collapses on
-//!   high-diameter graphs.
+//!   high-diameter graphs — and [`graphchi`], which loads whole shards
+//!   with no I/O/compute overlap.
 //!
-//! Every engine executes its algorithm functionally (results are validated
-//! against `gts_graph::reference` in the test suites) and accounts time on
-//! the same simulated clock as GTS.
+//! Each engine is only a [`CostModel`]: a placement with its memory
+//! check, and a price per sweep. One driver, [`run`], executes every
+//! algorithm functionally ([`propagation`]; results are validated against
+//! `gts_graph::reference` in the test suites) and records the priced
+//! sweeps on the same simulated clock and [`RunReport`] as GTS.
 //!
 //! ```
 //! use gts_baselines::bsp::BspEngine;
 //! use gts_baselines::cluster::{ClusterConfig, FrameworkProfile};
+//! use gts_baselines::{report::values_to_u32, run, Algo};
 //! use gts_graph::{generate::rmat, Csr};
 //!
 //! let graph = Csr::from_edge_list(&rmat(9));
 //! let giraph = BspEngine::new(ClusterConfig::paper_cluster(), FrameworkProfile::giraph());
-//! let (levels, run) = giraph.run_bfs(&graph, 0).unwrap();
-//! assert_eq!(levels, gts_graph::reference::bfs(&graph, 0));
-//! assert!(run.network_bytes > 0); // hash partitioning crosses nodes
+//! let r = run(&giraph, &graph, Algo::Bfs { source: 0 }).unwrap();
+//! assert_eq!(values_to_u32(&r.values), gts_graph::reference::bfs(&graph, 0));
+//! assert!(r.report.network_bytes > 0); // hash partitioning crosses nodes
 //! ```
 
 pub mod bsp;
@@ -53,4 +57,4 @@ pub mod totem;
 pub mod xstream;
 
 pub use cluster::{ClusterConfig, FrameworkProfile};
-pub use report::{BaselineError, RunReport};
+pub use report::{run, Algo, BaselineError, CostModel, Run, RunReport};

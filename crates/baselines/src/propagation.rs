@@ -5,9 +5,9 @@
 //! and targets keep the minimum) or *sum-propagation* (PageRank). The
 //! engines differ in **where** the work happens and **what it costs**, not
 //! in the algorithm itself. This module executes the algorithm once,
-//! partitioned by an engine-supplied placement function, and records a
-//! per-sweep, per-partition load trace; each engine turns that trace into
-//! simulated time and memory checks under its own architecture model.
+//! partitioned by an engine-supplied [`Placement`], and records a
+//! per-sweep, per-partition load trace; each engine's cost model turns
+//! that trace into simulated time (see [`crate::report`]).
 
 /// Work observed on one partition (cluster node, CPU/GPU side, …) during
 /// one sweep.
@@ -51,11 +51,6 @@ impl SweepLoads {
     pub fn total_remote_msgs(&self) -> u64 {
         self.nodes.iter().map(|n| n.remote_msgs_in).sum()
     }
-
-    /// The most loaded partition's edge count (stragglers gate BSP).
-    pub fn max_edges(&self) -> u64 {
-        self.nodes.iter().map(|n| n.edges).max().unwrap_or(0)
-    }
 }
 
 /// Full execution trace: the final per-vertex values plus per-sweep loads.
@@ -74,26 +69,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Unreached/unset marker for min-propagation.
 pub const UNSET: f64 = f64::INFINITY;
 
-/// Run min-propagation over `g` using the machine's available host
-/// parallelism. See [`min_propagation_threads`] for the semantics and the
-/// determinism argument.
-pub fn min_propagation(
-    g: &Csr,
-    source: Option<u32>,
-    edge_val: impl Fn(u32, u32, f64) -> f64 + Sync,
-    partition: impl Fn(u32) -> usize + Sync,
-    nparts: usize,
-) -> PropagationTrace {
-    min_propagation_threads(
-        g,
-        source,
-        edge_val,
-        partition,
-        nparts,
-        gts_exec::default_host_threads(),
-    )
-}
-
 /// Run min-propagation over `g` with an explicit host-thread count.
 ///
 /// * `source = Some(s)` starts with only `s` active at value 0 (BFS/SSSP);
@@ -104,8 +79,7 @@ pub fn min_propagation(
 ///   Candidates must be non-negative (sign bit clear): the parallel sweep
 ///   takes minima through `AtomicU64::fetch_min` on the IEEE-754 bit
 ///   pattern, which orders exactly like the numbers on `[0, +inf]`.
-/// * `partition(v)` places vertex `v` for load accounting; `nparts` is the
-///   partition count.
+/// * `placement` places each vertex for load accounting.
 ///
 /// Every thread count produces the same trace: `min` is commutative (and
 /// bit-exact on f64 bits), the per-vertex activation flag depends only on
@@ -116,8 +90,7 @@ pub fn min_propagation_threads(
     g: &Csr,
     source: Option<u32>,
     edge_val: impl Fn(u32, u32, f64) -> f64 + Sync,
-    partition: impl Fn(u32) -> usize + Sync,
-    nparts: usize,
+    placement: Placement,
     threads: usize,
 ) -> PropagationTrace {
     let pool = ThreadPool::new(threads);
@@ -147,14 +120,14 @@ pub fn min_propagation_threads(
         let shards = pool.par_ranges(
             n,
             4096,
-            || SweepLoads::new(nparts),
+            || SweepLoads::new(placement.parts()),
             |loads, r| {
                 for v in r {
                     if !active[v] {
                         continue;
                     }
                     let v = v as u32;
-                    let pv = partition(v);
+                    let pv = placement.of(v);
                     loads.nodes[pv].active_vertices += 1;
                     let x = values[v as usize];
                     for &w in g.neighbors(v) {
@@ -164,7 +137,7 @@ pub fn min_propagation_threads(
                             cand.to_bits() >> 63 == 0,
                             "min_propagation candidates must be non-negative"
                         );
-                        let pw = partition(w);
+                        let pw = placement.of(w);
                         loads.nodes[pw].msgs_in += 1;
                         if pw != pv {
                             loads.nodes[pw].remote_msgs_in += 1;
@@ -182,7 +155,7 @@ pub fn min_propagation_threads(
                 }
             },
         );
-        let mut loads = SweepLoads::new(nparts);
+        let mut loads = SweepLoads::new(placement.parts());
         for shard in shards {
             for (slot, s) in loads.nodes.iter_mut().zip(shard.nodes) {
                 slot.active_vertices += s.active_vertices;
@@ -220,17 +193,16 @@ pub fn pagerank_propagation(
     g: &Csr,
     df: f64,
     iterations: u32,
-    partition: impl Fn(u32) -> usize,
-    nparts: usize,
+    placement: Placement,
 ) -> PropagationTrace {
     let n = g.num_vertices() as usize;
     let mut prev = vec![1.0 / n as f64; n];
     let mut sweeps = Vec::new();
     for _ in 0..iterations {
-        let mut loads = SweepLoads::new(nparts);
+        let mut loads = SweepLoads::new(placement.parts());
         let mut next = vec![(1.0 - df) / n as f64; n];
         for v in 0..g.num_vertices() {
-            let pv = partition(v);
+            let pv = placement.of(v);
             loads.nodes[pv].active_vertices += 1;
             let deg = g.out_degree(v);
             if deg == 0 {
@@ -239,7 +211,7 @@ pub fn pagerank_propagation(
             let share = df * prev[v as usize] / deg as f64;
             for &w in g.neighbors(v) {
                 loads.nodes[pv].edges += 1;
-                let pw = partition(w);
+                let pw = placement.of(w);
                 loads.nodes[pw].msgs_in += 1;
                 if pw != pv {
                     loads.nodes[pw].remote_msgs_in += 1;
@@ -256,22 +228,35 @@ pub fn pagerank_propagation(
     }
 }
 
-/// Standard placements.
-pub mod place {
-    /// Hash partitioning over `n` nodes (what Pregel-family systems use).
-    pub fn hash(n: usize) -> impl Fn(u32) -> usize {
-        move |v| (v as usize) % n
-    }
-
+/// Where each vertex's work is accounted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
     /// Everything on one partition (shared-memory engines).
-    pub fn single() -> impl Fn(u32) -> usize {
-        |_| 0
+    Single,
+    /// Hash partitioning over `n` nodes (what Pregel-family systems use).
+    Hash(usize),
+    /// Two-way split at a vertex boundary (TOTEM's GPU/CPU partition:
+    /// vertices below the split on partition 0 = GPU, the rest on CPU).
+    TwoWay(u32),
+}
+
+impl Placement {
+    /// Number of partitions.
+    pub fn parts(self) -> usize {
+        match self {
+            Placement::Single => 1,
+            Placement::Hash(n) => n,
+            Placement::TwoWay(_) => 2,
+        }
     }
 
-    /// Two-way split at a vertex boundary (TOTEM's GPU/CPU partition:
-    /// vertices below `split` on partition 0 = GPU, the rest on CPU).
-    pub fn two_way(split: u32) -> impl Fn(u32) -> usize {
-        move |v| usize::from(v >= split)
+    /// Partition of vertex `v`.
+    pub fn of(self, v: u32) -> usize {
+        match self {
+            Placement::Single => 0,
+            Placement::Hash(n) => v as usize % n,
+            Placement::TwoWay(split) => usize::from(v >= split),
+        }
     }
 }
 
@@ -288,7 +273,7 @@ mod tests {
     #[test]
     fn min_propagation_reproduces_bfs() {
         let g = csr(8);
-        let t = min_propagation(&g, Some(0), |_, _, x| x + 1.0, place::hash(4), 4);
+        let t = min_propagation_threads(&g, Some(0), |_, _, x| x + 1.0, Placement::Hash(4), 2);
         let want = reference::bfs(&g, 0);
         for (v, &lvl) in want.iter().enumerate() {
             if lvl == u32::MAX {
@@ -302,12 +287,12 @@ mod tests {
     #[test]
     fn min_propagation_reproduces_sssp() {
         let g = csr(7);
-        let t = min_propagation(
+        let t = min_propagation_threads(
             &g,
             Some(0),
             |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
-            place::single(),
-            1,
+            Placement::Single,
+            2,
         );
         let want = reference::sssp(&g, 0);
         for (v, &d) in want.iter().enumerate() {
@@ -322,7 +307,7 @@ mod tests {
     #[test]
     fn min_propagation_reproduces_cc_on_symmetrized() {
         let g = csr(7).symmetrize();
-        let t = min_propagation(&g, None, |_, _, x| x, place::hash(3), 3);
+        let t = min_propagation_threads(&g, None, |_, _, x| x, Placement::Hash(3), 2);
         let want = reference::connected_components(&g);
         for (v, &label) in want.iter().enumerate() {
             assert_eq!(t.values[v], label as f64);
@@ -332,7 +317,7 @@ mod tests {
     #[test]
     fn pagerank_propagation_matches_reference() {
         let g = csr(7);
-        let t = pagerank_propagation(&g, 0.85, 5, place::single(), 1);
+        let t = pagerank_propagation(&g, 0.85, 5, Placement::Single);
         let want = reference::pagerank(&g, 0.85, 5);
         for (got, want) in t.values.iter().zip(&want) {
             assert!((got - want).abs() < 1e-12);
@@ -342,7 +327,7 @@ mod tests {
     #[test]
     fn loads_account_every_edge_for_pagerank() {
         let g = csr(7);
-        let t = pagerank_propagation(&g, 0.85, 3, place::hash(4), 4);
+        let t = pagerank_propagation(&g, 0.85, 3, Placement::Hash(4));
         assert_eq!(t.sweeps.len(), 3);
         for s in &t.sweeps {
             assert_eq!(s.total_edges(), g.num_edges() as u64);
@@ -352,7 +337,7 @@ mod tests {
     #[test]
     fn remote_messages_vanish_on_single_partition() {
         let g = csr(6);
-        let t = min_propagation(&g, Some(0), |_, _, x| x + 1.0, place::single(), 1);
+        let t = min_propagation_threads(&g, Some(0), |_, _, x| x + 1.0, Placement::Single, 2);
         for s in &t.sweeps {
             assert_eq!(s.total_remote_msgs(), 0);
         }
@@ -367,8 +352,7 @@ mod tests {
             &g,
             Some(0),
             |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
-            place::hash(4),
-            4,
+            Placement::Hash(4),
             1,
         );
         for threads in [2, 4, 8] {
@@ -376,8 +360,7 @@ mod tests {
                 &g,
                 Some(0),
                 |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
-                place::hash(4),
-                4,
+                Placement::Hash(4),
                 threads,
             );
             assert_eq!(par.values, serial.values, "threads={threads}");
@@ -390,8 +373,9 @@ mod tests {
 
     #[test]
     fn two_way_placement_splits_at_boundary() {
-        let p = place::two_way(10);
-        assert_eq!(p(9), 0);
-        assert_eq!(p(10), 1);
+        let p = Placement::TwoWay(10);
+        assert_eq!(p.of(9), 0);
+        assert_eq!(p.of(10), 1);
+        assert_eq!(p.parts(), 2);
     }
 }

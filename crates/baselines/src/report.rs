@@ -1,22 +1,204 @@
-//! Results and errors shared by all baseline engines.
+//! The one baseline driver: run the algorithm once, let an engine price it.
 //!
-//! Baselines report through the same telemetry-backed [`RunReport`] as the
-//! GTS engine: each engine holds a [`Telemetry`] handle, records its
-//! counters into the registry under the [`keys`] glossary, and derives the
-//! report from it with [`finish_run`]. There is no baseline-specific
-//! report struct any more.
+//! Every comparator engine is a [`CostModel`] — a placement with its
+//! static memory check, and a price for a [`PropagationTrace`]. [`run`]
+//! does everything else: it symmetrises the graph for CC, propagates,
+//! replays Brandes' backward pass for BC, and records the priced sweeps
+//! into a fresh [`Telemetry`] registry under the [`keys`] glossary, from
+//! which the unified [`RunReport`] is derived — the same view the GTS
+//! engine reports through.
 
+use crate::propagation::{
+    min_propagation_threads, pagerank_propagation, Placement, PropagationTrace,
+};
+use gts_gpu::timer::KernelClass;
+use gts_graph::{reference, Csr, EdgeList};
 use gts_sim::SimDuration;
 use gts_telemetry::{keys, Telemetry};
 use std::fmt;
 
 pub use gts_telemetry::RunReport;
 
+/// An algorithm a baseline runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Algo {
+    /// BFS levels from `source`.
+    Bfs {
+        /// Start vertex.
+        source: u32,
+    },
+    /// SSSP distances from `source` under the workspace's deterministic
+    /// edge weights.
+    Sssp {
+        /// Start vertex.
+        source: u32,
+    },
+    /// Weakly connected components (label propagation on the symmetrised
+    /// graph, as the Pregel-family implementations do).
+    Cc,
+    /// PageRank (damping 0.85) for `iterations` sweeps.
+    PageRank {
+        /// Sweeps to run.
+        iterations: u32,
+    },
+    /// Single-source betweenness centrality (Fig. 13c): a forward BFS plus
+    /// Brandes' backward accumulation pass.
+    Bc {
+        /// Source vertex.
+        source: u32,
+    },
+}
+
+impl Algo {
+    /// Report name (`"BFS"`, `"SSSP"`, `"CC"`, `"PageRank"`, `"BC"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Algo::Bfs { .. } => "BFS",
+            Algo::Sssp { .. } => "SSSP",
+            Algo::Cc => "CC",
+            Algo::PageRank { .. } => "PageRank",
+            Algo::Bc { .. } => "BC",
+        }
+    }
+
+    /// The GPU kernel class that runs it: PageRank computes, the rest
+    /// traverse.
+    pub fn kernel_class(self) -> KernelClass {
+        match self {
+            Algo::PageRank { .. } => KernelClass::Compute,
+            _ => KernelClass::Traversal,
+        }
+    }
+}
+
+/// What a cost model charges for one trace.
+#[derive(Debug, Clone, Default)]
+pub struct Cost {
+    /// Per sweep: active vertices, active edges, simulated time. The run's
+    /// elapsed time is their sum.
+    pub sweeps: Vec<(u64, u64, SimDuration)>,
+    /// See [`RunReport::network_bytes`].
+    pub network_bytes: u64,
+    /// Bytes streamed from storage (`io.bytes_read`).
+    pub io_bytes_read: u64,
+    /// See [`RunReport::memory_peak`].
+    pub memory_peak: u64,
+}
+
+/// One comparator engine's architecture: where the work runs and what it
+/// costs. Everything else is [`run`]'s.
+pub trait CostModel {
+    /// Engine name for reports and O.O.M. cells.
+    fn name(&self) -> &str;
+
+    /// Place `g`'s vertices for `algo`, or fail the static memory check.
+    /// Runs before any propagation, so an O.O.M. cell stays cheap.
+    fn place(&self, g: &Csr, algo: Algo) -> Result<Placement, BaselineError>;
+
+    /// Price `trace` (of `algo` on `g`, placed by [`CostModel::place`]),
+    /// or fail a memory check that depends on the run (message buffers).
+    fn price(&self, g: &Csr, algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError>;
+}
+
+/// A finished baseline run.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Per-vertex results: levels, distances or labels as `f64`
+    /// ([`values_to_u32`] narrows them), ranks, or BC scores.
+    pub values: Vec<f64>,
+    /// The report derived from [`Run::registry`].
+    pub report: RunReport,
+    /// This run's counter registry.
+    pub registry: Telemetry,
+}
+
+/// Run `algo` on `g` under `model`.
+pub fn run(model: &dyn CostModel, g: &Csr, algo: Algo) -> Result<Run, BaselineError> {
+    let sym;
+    let g = if algo == Algo::Cc {
+        sym = g.symmetrize();
+        &sym
+    } else {
+        g
+    };
+    let trace = trace(model, g, algo)?;
+    let (report, registry) = account(model, g, algo, &trace)?;
+    let values = match algo {
+        Algo::Bc { source } => reference::betweenness(g, &[source]),
+        _ => trace.values,
+    };
+    Ok(Run {
+        values,
+        report,
+        registry,
+    })
+}
+
+/// Place and propagate `algo` on `g` (already symmetrised for CC) under
+/// `model`'s placement.
+pub fn trace(
+    model: &dyn CostModel,
+    g: &Csr,
+    algo: Algo,
+) -> Result<PropagationTrace, BaselineError> {
+    let placement = model.place(g, algo)?;
+    let threads = gts_exec::default_host_threads();
+    Ok(match algo {
+        Algo::Bfs { source } | Algo::Bc { source } => {
+            min_propagation_threads(g, Some(source), |_, _, x| x + 1.0, placement, threads)
+        }
+        Algo::Sssp { source } => min_propagation_threads(
+            g,
+            Some(source),
+            |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
+            placement,
+            threads,
+        ),
+        Algo::Cc => min_propagation_threads(g, None, |_, _, x| x, placement, threads),
+        Algo::PageRank { iterations } => pagerank_propagation(g, 0.85, iterations, placement),
+    })
+}
+
+/// Price `trace` under `model` and derive the report from a fresh
+/// registry. Public so one trace can be priced under several models that
+/// place alike (Fig. 6's three BSP profiles).
+pub fn account(
+    model: &dyn CostModel,
+    g: &Csr,
+    algo: Algo,
+    trace: &PropagationTrace,
+) -> Result<(RunReport, Telemetry), BaselineError> {
+    let mut cost = model.price(g, algo, trace)?;
+    if let Algo::Bc { .. } = algo {
+        // Brandes' accumulation replays the levels in reverse with the
+        // same volume, so time, traffic and sweep count all double.
+        let backward: Vec<_> = cost.sweeps.iter().rev().copied().collect();
+        cost.sweeps.extend(backward);
+        cost.network_bytes *= 2;
+        cost.io_bytes_read *= 2;
+    }
+    let tel = Telemetry::new();
+    let mut elapsed = SimDuration::ZERO;
+    for (j, &(vertices, edges, step)) in cost.sweeps.iter().enumerate() {
+        record_sweep(&tel, j as u32, vertices, edges, step);
+        elapsed += step;
+    }
+    tel.add(keys::IO_BYTES_READ, cost.io_bytes_read);
+    let report = finish_run(
+        &tel,
+        model.name(),
+        algo.name(),
+        elapsed,
+        cost.sweeps.len() as u32,
+        cost.network_bytes,
+        cost.memory_peak,
+    );
+    Ok((report, tel))
+}
+
 /// Record a finished run's aggregates into `tel`'s registry and derive the
-/// unified [`RunReport`] from it. The caller must have called
-/// [`Telemetry::start_run`] at the start of the run (so per-sweep counters
-/// recorded along the way survive).
-pub fn finish_run(
+/// unified [`RunReport`] from it.
+fn finish_run(
     tel: &Telemetry,
     engine: &str,
     algorithm: &str,
@@ -33,7 +215,7 @@ pub fn finish_run(
 }
 
 /// Record one sweep's activity under the per-sweep keys.
-pub fn record_sweep(
+fn record_sweep(
     tel: &Telemetry,
     sweep: u32,
     active_vertices: u64,
@@ -82,6 +264,18 @@ impl fmt::Display for BaselineError {
 
 impl std::error::Error for BaselineError {}
 
+/// `Ok` when `needed` bytes fit in `available`, else `engine`'s O.O.M.
+pub(crate) fn fits(engine: &str, needed: u64, available: u64) -> Result<(), BaselineError> {
+    if needed > available {
+        return Err(BaselineError::OutOfMemory {
+            engine: engine.to_string(),
+            needed,
+            available,
+        });
+    }
+    Ok(())
+}
+
 /// Narrow a propagation result to the engines' u32 convention:
 /// non-finite (unreached) becomes `u32::MAX`.
 pub fn values_to_u32(values: &[f64]) -> Vec<u32> {
@@ -109,7 +303,6 @@ mod tests {
     #[test]
     fn finish_run_round_trips_through_the_registry() {
         let tel = Telemetry::new();
-        tel.start_run();
         record_sweep(&tel, 0, 10, 100, SimDuration::from_nanos(5));
         record_sweep(&tel, 1, 20, 200, SimDuration::from_nanos(7));
         let r = finish_run(

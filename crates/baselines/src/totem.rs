@@ -13,14 +13,13 @@
 //! 3. the whole graph must still fit in *host* memory as one contiguous
 //!    in-memory structure — TOTEM "cannot process RMAT30-32".
 
-use crate::propagation::{self, place, PropagationTrace};
-use crate::report::{finish_run, record_sweep, values_to_u32, BaselineError, RunReport};
+use crate::propagation::{Placement, PropagationTrace};
+use crate::report::{fits, run, Algo, BaselineError, Cost, CostModel};
 use gts_core::sweep::GpuLane;
-use gts_gpu::timer::{GpuTimer, KernelClass, KernelCost};
+use gts_gpu::timer::{GpuTimer, KernelCost};
 use gts_gpu::{GpuConfig, PcieConfig};
-use gts_graph::{reference, Csr, EdgeList};
+use gts_graph::Csr;
 use gts_sim::{SimDuration, SimTime};
-use gts_telemetry::Telemetry;
 
 /// TOTEM configuration.
 #[derive(Debug, Clone)]
@@ -78,27 +77,12 @@ const DEV_BYTES_PER_VERTEX: u64 = 8;
 #[derive(Debug, Clone)]
 pub struct Totem {
     cfg: TotemConfig,
-    telemetry: Telemetry,
 }
 
 impl Totem {
     /// Create an engine.
     pub fn new(cfg: TotemConfig) -> Self {
-        Totem {
-            cfg,
-            telemetry: Telemetry::new(),
-        }
-    }
-
-    /// Record runs into `tel` instead of a private handle.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.telemetry = tel;
-        self
-    }
-
-    /// The engine's telemetry handle (counters of the last run).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        Totem { cfg }
     }
 
     /// The configuration in use.
@@ -114,124 +98,18 @@ impl Totem {
         1.5 / self.cfg.gpu.max_concurrent_kernels as f64
     }
 
-    /// BFS from `source`.
-    pub fn run_bfs(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let split = self.split_vertex(g)?;
-        let trace = propagation::min_propagation(
-            g,
-            Some(source),
-            |_, _, x| x + 1.0,
-            place::two_way(split),
-            2,
-        );
-        let run = self.account(
-            g,
-            &trace,
-            "BFS",
-            KernelClass::Traversal,
-            self.bulk_slots_per_edge(),
-        )?;
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// SSSP from `source`.
-    pub fn run_sssp(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let split = self.split_vertex(g)?;
-        let trace = propagation::min_propagation(
-            g,
-            Some(source),
-            |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
-            place::two_way(split),
-            2,
-        );
-        let run = self.account(
-            g,
-            &trace,
-            "SSSP",
-            KernelClass::Traversal,
-            self.bulk_slots_per_edge(),
-        )?;
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// Weakly connected components.
-    pub fn run_cc(&self, g: &Csr) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        let sym = g.symmetrize();
-        let split = self.split_vertex(&sym)?;
-        let trace = propagation::min_propagation(&sym, None, |_, _, x| x, place::two_way(split), 2);
-        let run = self.account(
-            &sym,
-            &trace,
-            "CC",
-            KernelClass::Traversal,
-            self.bulk_slots_per_edge(),
-        )?;
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// PageRank for `iterations` sweeps.
-    pub fn run_pagerank(
-        &self,
-        g: &Csr,
-        iterations: u32,
-    ) -> Result<(Vec<f64>, RunReport), BaselineError> {
-        let split = self.split_vertex(g)?;
-        let trace =
-            propagation::pagerank_propagation(g, 0.85, iterations, place::two_way(split), 2);
-        let run = self.account(
-            g,
-            &trace,
-            "PageRank",
-            KernelClass::Compute,
-            self.bulk_slots_per_edge(),
-        )?;
-        Ok((trace.values.clone(), run))
-    }
-
-    /// Betweenness centrality from one source (Fig. 13c). Functionally
-    /// Brandes; timed as a forward BFS plus a backward accumulation pass of
-    /// the same volume with heavier per-edge arithmetic.
-    pub fn run_bc(&self, g: &Csr, source: u32) -> Result<(Vec<f64>, RunReport), BaselineError> {
-        let split = self.split_vertex(g)?;
-        let trace = propagation::min_propagation(
-            g,
-            Some(source),
-            |_, _, x| x + 1.0,
-            place::two_way(split),
-            2,
-        );
-        // Forward + backward: the accumulation pass replays the levels in
-        // reverse with the same volume, so time, traffic and superstep
-        // count all double. The heavier per-edge arithmetic is 1.5× the
-        // lane-slots of a plain traversal.
-        let run = self.account_passes(
-            g,
-            &trace,
-            "BC",
-            KernelClass::Traversal,
-            self.bulk_slots_per_edge() * 1.5,
-            true,
-        )?;
-        let bc = reference::betweenness(g, &[source]);
-        Ok((bc, run))
-    }
-
     /// Sweep the partition ratio and return `(best_fraction, elapsed)` for
-    /// PageRank — how Table 5's recommended options were found.
+    /// `algo` — how Table 5's recommended options were found.
     pub fn best_ratio(
         &self,
         g: &Csr,
         candidates: &[f64],
-        pagerank: bool,
+        algo: Algo,
     ) -> Result<(f64, SimDuration), BaselineError> {
         let mut best: Option<(f64, SimDuration)> = None;
         for &f in candidates {
             let engine = Totem::new(self.cfg.clone().with_gpu_fraction(f));
-            let elapsed = if pagerank {
-                engine.run_pagerank(g, 3)?.1.elapsed
-            } else {
-                engine.run_bfs(g, 0)?.1.elapsed
-            };
+            let elapsed = run(&engine, g, algo)?.report.elapsed;
             if best.map(|(_, t)| elapsed < t).unwrap_or(true) {
                 best = Some((f, elapsed));
             }
@@ -246,17 +124,15 @@ impl Totem {
         Ok(offsets[split as usize] as f64 / g.num_edges().max(1) as f64)
     }
 
+    /// The whole graph as one contiguous host structure.
+    fn host_needed(g: &Csr) -> u64 {
+        g.num_edges() as u64 * HOST_BYTES_PER_EDGE + g.num_vertices() as u64 * 8
+    }
+
     /// Pick the vertex boundary so the GPU partition holds ~`gpu_fraction`
     /// of the edges, clamped by device memory; verifies host capacity.
     fn split_vertex(&self, g: &Csr) -> Result<u32, BaselineError> {
-        let host_needed = g.num_edges() as u64 * HOST_BYTES_PER_EDGE + g.num_vertices() as u64 * 8;
-        if host_needed > self.cfg.host_memory {
-            return Err(BaselineError::OutOfMemory {
-                engine: "TOTEM".to_string(),
-                needed: host_needed,
-                available: self.cfg.host_memory,
-            });
-        }
+        fits("TOTEM", Self::host_needed(g), self.cfg.host_memory)?;
         // Device budget for topology after the full state vector.
         let state = g.num_vertices() as u64 * DEV_BYTES_PER_VERTEX;
         let budget = self.cfg.gpu.device_memory.saturating_sub(state);
@@ -267,94 +143,66 @@ impl Totem {
         let split = offsets.partition_point(|&o| o <= want_edges) - 1;
         Ok(split as u32)
     }
+}
 
-    fn account(
-        &self,
-        g: &Csr,
-        trace: &PropagationTrace,
-        algorithm: &str,
-        class: KernelClass,
-        slots_per_edge: f64,
-    ) -> Result<RunReport, BaselineError> {
-        self.account_passes(g, trace, algorithm, class, slots_per_edge, false)
+impl CostModel for Totem {
+    fn name(&self) -> &str {
+        "TOTEM"
     }
 
-    /// Cost accounting. With `backward_pass`, a second pass of the same
-    /// per-sweep volume is replayed in reverse (Brandes' accumulation), so
-    /// the registry carries both passes and the derived report doubles.
-    fn account_passes(
-        &self,
-        g: &Csr,
-        trace: &PropagationTrace,
-        algorithm: &str,
-        class: KernelClass,
-        slots_per_edge: f64,
-        backward_pass: bool,
-    ) -> Result<RunReport, BaselineError> {
+    /// GPU partition below the split vertex, CPU partition above it.
+    fn place(&self, g: &Csr, _algo: Algo) -> Result<Placement, BaselineError> {
+        Ok(Placement::TwoWay(self.split_vertex(g)?))
+    }
+
+    /// `network_bytes` is the boundary exchange over PCI-E.
+    fn price(&self, g: &Csr, algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         let c = &self.cfg;
-        self.telemetry.start_run();
+        let mut slots_per_edge = self.bulk_slots_per_edge();
+        if let Algo::Bc { .. } = algo {
+            // Brandes' heavier per-edge arithmetic: 1.5× the lane-slots of
+            // a plain traversal.
+            slots_per_edge *= 1.5;
+        }
         // One uncached lane, one stream: the GPU partition runs one bulk
         // kernel per superstep, then the boundary values cross PCI-E as a
         // blocking chunk copy once the CPU partition has also finished.
         let mut lane = GpuLane::uncached(GpuTimer::new(c.gpu.clone(), c.pcie.clone(), 1));
         let mut t = SimTime::ZERO;
-        let mut pcie_bytes = 0u64;
-        let mut steps = Vec::with_capacity(trace.sweeps.len());
+        let mut cost = Cost {
+            memory_peak: Self::host_needed(g),
+            ..Cost::default()
+        };
         for sweep in &trace.sweeps {
             let gpu_load = &sweep.nodes[0];
             let cpu_load = &sweep.nodes[1];
-            let cost = KernelCost {
-                class,
+            let kernel = KernelCost {
+                class: algo.kernel_class(),
                 lane_slots: (gpu_load.edges as f64 * slots_per_edge).round() as u64,
                 atomic_ops: 0,
             };
             let k = lane
-                .issue_kernel(cost, t, "bulk")
+                .issue_kernel(kernel, t, "bulk")
                 .expect("baselines run without fault injection");
             let cpu_end = t + SimDuration::from_secs_f64(
                 cpu_load.edges as f64 * c.cpu_per_edge_ns / c.threads as f64 / 1e9,
             );
             // Boundary values cross PCI-E both ways each superstep.
             let boundary = (gpu_load.remote_msgs_in + cpu_load.remote_msgs_in) * 8;
-            pcie_bytes += boundary;
+            cost.network_bytes += boundary;
             let sync = lane.write_back(boundary, k.end.max(cpu_end));
-            steps.push((
-                gpu_load.active_vertices + cpu_load.active_vertices,
-                gpu_load.edges + cpu_load.edges,
-                sync.end - t,
-            ));
+            cost.sweeps
+                .push((sweep.total_active(), sweep.total_edges(), sync.end - t));
             t = sync.end;
         }
-        for (j, &(v, e, step)) in steps.iter().enumerate() {
-            record_sweep(&self.telemetry, j as u32, v, e, step);
-        }
-        let n = steps.len();
-        let mut sweeps = n as u32;
-        let mut elapsed = t - SimTime::ZERO;
-        if backward_pass {
-            for (k, &(v, e, step)) in steps.iter().rev().enumerate() {
-                record_sweep(&self.telemetry, (n + k) as u32, v, e, step);
-            }
-            elapsed = elapsed * 2;
-            pcie_bytes *= 2;
-            sweeps *= 2;
-        }
-        let host_needed = g.num_edges() as u64 * HOST_BYTES_PER_EDGE + g.num_vertices() as u64 * 8;
-        Ok(finish_run(
-            &self.telemetry,
-            "TOTEM",
-            algorithm,
-            elapsed,
-            sweeps,
-            pcie_bytes,
-            host_needed,
-        ))
+        Ok(cost)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::values_to_u32;
     use gts_graph::generate::rmat;
     use gts_graph::reference;
 
@@ -366,17 +214,17 @@ mod tests {
         Totem::new(TotemConfig::new(GpuConfig::titan_x()))
     }
 
+    const PR3: Algo = Algo::PageRank { iterations: 3 };
+
     #[test]
     fn results_match_reference() {
         let g = small();
-        assert_eq!(engine().run_bfs(&g, 0).unwrap().0, reference::bfs(&g, 0));
-        assert_eq!(engine().run_sssp(&g, 0).unwrap().0, reference::sssp(&g, 0));
-        assert_eq!(
-            engine().run_cc(&g).unwrap().0,
-            reference::connected_components(&g)
-        );
-        let (pr, _) = engine().run_pagerank(&g, 4).unwrap();
-        for (a, b) in pr.iter().zip(&reference::pagerank(&g, 0.85, 4)) {
+        let levels = |algo| values_to_u32(&run(&engine(), &g, algo).unwrap().values);
+        assert_eq!(levels(Algo::Bfs { source: 0 }), reference::bfs(&g, 0));
+        assert_eq!(levels(Algo::Sssp { source: 0 }), reference::sssp(&g, 0));
+        assert_eq!(levels(Algo::Cc), reference::connected_components(&g));
+        let pr = run(&engine(), &g, Algo::PageRank { iterations: 4 }).unwrap();
+        for (a, b) in pr.values.iter().zip(&reference::pagerank(&g, 0.85, 4)) {
             assert!((a - b).abs() < 1e-12);
         }
     }
@@ -384,12 +232,12 @@ mod tests {
     #[test]
     fn bc_matches_reference() {
         let g = small();
-        let (bc, run) = engine().run_bc(&g, 0).unwrap();
+        let r = run(&engine(), &g, Algo::Bc { source: 0 }).unwrap();
         let want = reference::betweenness(&g, &[0]);
-        for (a, b) in bc.iter().zip(&want) {
+        for (a, b) in r.values.iter().zip(&want) {
             assert!((a - b).abs() < 1e-9);
         }
-        assert!(run.elapsed.as_nanos() > 0);
+        assert!(r.report.elapsed.as_nanos() > 0);
     }
 
     #[test]
@@ -412,17 +260,11 @@ mod tests {
         // Underutilising the GPU costs time — drawback (1). Needs a graph
         // large enough that edge work dominates launch overheads.
         let g = Csr::from_edge_list(&rmat(13));
-        let mostly_gpu = Totem::new(TotemConfig::new(GpuConfig::titan_x()).with_gpu_fraction(0.95))
-            .run_pagerank(&g, 3)
-            .unwrap()
-            .1
-            .elapsed;
-        let mostly_cpu = Totem::new(TotemConfig::new(GpuConfig::titan_x()).with_gpu_fraction(0.05))
-            .run_pagerank(&g, 3)
-            .unwrap()
-            .1
-            .elapsed;
-        assert!(mostly_gpu < mostly_cpu);
+        let elapsed = |f| {
+            let totem = Totem::new(TotemConfig::new(GpuConfig::titan_x()).with_gpu_fraction(f));
+            run(&totem, &g, PR3).unwrap().report.elapsed
+        };
+        assert!(elapsed(0.95) < elapsed(0.05));
     }
 
     #[test]
@@ -431,7 +273,7 @@ mod tests {
         let g = small();
         let mut cfg = TotemConfig::new(GpuConfig::titan_x());
         cfg.host_memory = 1024;
-        match Totem::new(cfg).run_bfs(&g, 0) {
+        match run(&Totem::new(cfg), &g, Algo::Bfs { source: 0 }) {
             Err(BaselineError::OutOfMemory { engine, .. }) => assert_eq!(engine, "TOTEM"),
             other => panic!("expected OOM, got {other:?}"),
         }
@@ -440,7 +282,7 @@ mod tests {
     #[test]
     fn best_ratio_prefers_more_gpu_when_it_fits() {
         let g = Csr::from_edge_list(&rmat(13));
-        let (frac, _) = engine().best_ratio(&g, &[0.1, 0.5, 0.9], true).unwrap();
+        let (frac, _) = engine().best_ratio(&g, &[0.1, 0.5, 0.9], PR3).unwrap();
         assert!(frac >= 0.5, "GPU-heavy ratios should win, got {frac}");
     }
 }

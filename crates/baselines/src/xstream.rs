@@ -14,11 +14,10 @@
 //! * a mixture of read and write streaming only partially exploits
 //!   sequential bandwidth, unlike GTS's read-only page streaming.
 
-use crate::propagation::{self, place, PropagationTrace};
-use crate::report::{finish_run, record_sweep, values_to_u32, BaselineError, RunReport};
-use gts_graph::{Csr, EdgeList};
-use gts_sim::{Bandwidth, SimDuration, SimTime};
-use gts_telemetry::Telemetry;
+use crate::propagation::{Placement, PropagationTrace};
+use crate::report::{fits, Algo, BaselineError, Cost, CostModel};
+use gts_graph::Csr;
+use gts_sim::{Bandwidth, SimDuration};
 
 /// X-Stream engine configuration.
 #[derive(Debug, Clone)]
@@ -54,85 +53,40 @@ impl Default for XStreamConfig {
 #[derive(Debug, Clone)]
 pub struct XStream {
     cfg: XStreamConfig,
-    telemetry: Telemetry,
 }
 
 impl XStream {
     /// Create an engine.
     pub fn new(cfg: XStreamConfig) -> Self {
-        XStream {
-            cfg,
-            telemetry: Telemetry::new(),
-        }
+        XStream { cfg }
+    }
+}
+
+impl CostModel for XStream {
+    fn name(&self) -> &str {
+        "X-Stream"
     }
 
-    /// Record runs into `tel` instead of a private handle.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.telemetry = tel;
-        self
+    /// Vertex data must fit in memory (X-Stream's own requirement; its
+    /// partitioned fallback is out of scope for the comparison).
+    fn place(&self, g: &Csr, _algo: Algo) -> Result<Placement, BaselineError> {
+        fits(
+            "X-Stream",
+            g.num_vertices() as u64 * 16,
+            self.cfg.host_memory,
+        )?;
+        Ok(Placement::Single)
     }
 
-    /// The engine's telemetry handle (counters of the last run).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// BFS from `source`.
-    pub fn run_bfs(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        self.check(g)?;
-        let trace =
-            propagation::min_propagation(g, Some(source), |_, _, x| x + 1.0, place::single(), 1);
-        let run = self.account(g, &trace, "BFS");
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// SSSP from `source`.
-    pub fn run_sssp(&self, g: &Csr, source: u32) -> Result<(Vec<u32>, RunReport), BaselineError> {
-        self.check(g)?;
-        let trace = propagation::min_propagation(
-            g,
-            Some(source),
-            |v, w, x| x + EdgeList::edge_weight(v, w) as f64,
-            place::single(),
-            1,
-        );
-        let run = self.account(g, &trace, "SSSP");
-        Ok((values_to_u32(&trace.values), run))
-    }
-
-    /// PageRank for `iterations` sweeps.
-    pub fn run_pagerank(
-        &self,
-        g: &Csr,
-        iterations: u32,
-    ) -> Result<(Vec<f64>, RunReport), BaselineError> {
-        self.check(g)?;
-        let trace = propagation::pagerank_propagation(g, 0.85, iterations, place::single(), 1);
-        let run = self.account(g, &trace, "PageRank");
-        Ok((trace.values.clone(), run))
-    }
-
-    fn check(&self, g: &Csr) -> Result<(), BaselineError> {
-        // Vertex data must fit in memory (X-Stream's own requirement; its
-        // partitioned fallback is out of scope for the comparison).
-        let needed = g.num_vertices() as u64 * 16;
-        if needed > self.cfg.host_memory {
-            return Err(BaselineError::OutOfMemory {
-                engine: "X-Stream".to_string(),
-                needed,
-                available: self.cfg.host_memory,
-            });
-        }
-        Ok(())
-    }
-
-    fn account(&self, g: &Csr, trace: &PropagationTrace, algorithm: &str) -> RunReport {
+    fn price(&self, g: &Csr, _algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         let c = &self.cfg;
-        self.telemetry.start_run();
         let full_scan_bytes = g.num_edges() as u64 * c.edge_bytes;
-        let mut t = SimTime::ZERO;
         let mut io_bytes = 0u64;
-        for (j, sweep) in trace.sweeps.iter().enumerate() {
+        let mut cost = Cost {
+            memory_peak: g.num_vertices() as u64 * 16,
+            ..Cost::default()
+        };
+        for sweep in &trace.sweeps {
             // Scatter: stream the WHOLE edge list, regardless of frontier.
             let scan = c.storage_bw.transfer_time(full_scan_bytes);
             // Updates: one per edge leaving an active vertex; written then
@@ -145,32 +99,19 @@ impl XStream {
             io_bytes += full_scan_bytes + 2 * updates * c.update_bytes;
             // I/O and compute overlap; the longer one gates the iteration.
             let step = (scan + update_io).max(compute);
-            record_sweep(
-                &self.telemetry,
-                j as u32,
-                sweep.total_active(),
-                g.num_edges() as u64 + updates,
-                step,
-            );
-            t += step;
+            cost.sweeps
+                .push((sweep.total_active(), g.num_edges() as u64 + updates, step));
         }
-        self.telemetry
-            .add(gts_telemetry::keys::IO_BYTES_READ, io_bytes);
-        finish_run(
-            &self.telemetry,
-            "X-Stream",
-            algorithm,
-            t - SimTime::ZERO,
-            trace.sweeps.len() as u32,
-            io_bytes,
-            g.num_vertices() as u64 * 16,
-        )
+        cost.io_bytes_read = io_bytes;
+        cost.network_bytes = io_bytes;
+        Ok(cost)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{run, values_to_u32};
     use gts_graph::generate::{rmat, web_like};
     use gts_graph::reference;
 
@@ -178,14 +119,17 @@ mod tests {
         Csr::from_edge_list(&rmat(8))
     }
 
+    const BFS: Algo = Algo::Bfs { source: 0 };
+
     #[test]
     fn results_match_reference() {
         let g = small();
         let e = XStream::new(XStreamConfig::default());
-        assert_eq!(e.run_bfs(&g, 0).unwrap().0, reference::bfs(&g, 0));
-        assert_eq!(e.run_sssp(&g, 0).unwrap().0, reference::sssp(&g, 0));
-        let (pr, _) = e.run_pagerank(&g, 3).unwrap();
-        for (a, b) in pr.iter().zip(&reference::pagerank(&g, 0.85, 3)) {
+        let levels = |algo| values_to_u32(&run(&e, &g, algo).unwrap().values);
+        assert_eq!(levels(BFS), reference::bfs(&g, 0));
+        assert_eq!(levels(Algo::Sssp { source: 0 }), reference::sssp(&g, 0));
+        let pr = run(&e, &g, Algo::PageRank { iterations: 3 }).unwrap();
+        for (a, b) in pr.values.iter().zip(&reference::pagerank(&g, 0.85, 3)) {
             assert!((a - b).abs() < 1e-12);
         }
     }
@@ -196,8 +140,8 @@ mod tests {
         let e = XStream::new(XStreamConfig::default());
         let shallow = Csr::from_edge_list(&rmat(10));
         let deep = Csr::from_edge_list(&web_like(64, 16, 4, 3));
-        let (_, shallow_run) = e.run_bfs(&shallow, 0).unwrap();
-        let (_, deep_run) = e.run_bfs(&deep, 0).unwrap();
+        let shallow_run = run(&e, &shallow, BFS).unwrap().report;
+        let deep_run = run(&e, &deep, BFS).unwrap().report;
         // The deep graph has ~4x fewer edges but far more levels: X-Stream
         // must be slower on it anyway.
         assert!(shallow.num_edges() > 3 * deep.num_edges());
@@ -209,8 +153,12 @@ mod tests {
     fn pagerank_scans_once_per_iteration() {
         let g = small();
         let e = XStream::new(XStreamConfig::default());
-        let (_, r3) = e.run_pagerank(&g, 3).unwrap();
-        let (_, r6) = e.run_pagerank(&g, 6).unwrap();
+        let r3 = run(&e, &g, Algo::PageRank { iterations: 3 })
+            .unwrap()
+            .report;
+        let r6 = run(&e, &g, Algo::PageRank { iterations: 6 })
+            .unwrap()
+            .report;
         assert_eq!(r6.sweeps, 6);
         let ratio = r6.elapsed.as_secs_f64() / r3.elapsed.as_secs_f64();
         assert!(
@@ -225,7 +173,7 @@ mod tests {
             host_memory: 64,
             ..Default::default()
         };
-        match XStream::new(cfg).run_bfs(&small(), 0) {
+        match run(&XStream::new(cfg), &small(), BFS) {
             Err(BaselineError::OutOfMemory { engine, .. }) => assert_eq!(engine, "X-Stream"),
             other => panic!("expected OOM, got {other:?}"),
         }

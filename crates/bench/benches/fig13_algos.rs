@@ -12,9 +12,10 @@ use gts_baselines::bsp::BspEngine;
 use gts_baselines::cluster::FrameworkProfile;
 use gts_baselines::gas::GasEngine;
 use gts_baselines::totem::Totem;
+use gts_baselines::{run, Algo, CostModel};
 use gts_bench::datasets::{Prepared, BFS_SOURCE};
 use gts_bench::scale;
-use gts_bench::table::{secs, ExperimentTable};
+use gts_bench::table::{secs_or_oom, ExperimentTable};
 use gts_core::programs::{Bc, Cc, Sssp};
 use gts_graph::Dataset;
 
@@ -25,63 +26,45 @@ fn main() {
         ..scale::gts_config()
     };
 
+    let graphx = BspEngine::new(
+        cluster.clone(),
+        scale::framework(FrameworkProfile::graphx()),
+    );
+    let giraph = BspEngine::new(
+        cluster.clone(),
+        scale::framework(FrameworkProfile::giraph()),
+    );
+    let mut gas = GasEngine::new(cluster);
+    gas.profile = scale::framework(gas.profile);
+    let totem = Totem::new(scale::totem_config().with_gpu_fraction(0.6));
+    let engines: [&dyn CostModel; 4] = [&graphx, &giraph, &gas, &totem];
+    let source = BFS_SOURCE as u32;
+
     // --- 13a/13b: SSSP and CC on twitter-like and RMAT18 (paper RMAT28).
-    for (alg, csv) in [("SSSP", "fig13a_sssp"), ("CC", "fig13b_cc")] {
+    for (algo, csv) in [
+        (Algo::Sssp { source }, "fig13a_sssp"),
+        (Algo::Cc, "fig13b_cc"),
+    ] {
         let mut t = ExperimentTable::new(
             csv,
-            &format!("{alg}: seconds across engines (paper Fig. 13)"),
+            &format!("{}: seconds across engines (paper Fig. 13)", algo.name()),
             &["dataset", "GraphX", "Giraph", "PowerGraph", "TOTEM", "GTS"],
         );
         for d in [Dataset::TwitterLike, Dataset::Rmat(18)] {
             let prep = Prepared::build(d);
             let mut row = vec![d.name()];
-            for profile in [
-                scale::framework(FrameworkProfile::graphx()),
-                scale::framework(FrameworkProfile::giraph()),
-            ] {
-                let e = BspEngine::new(cluster.clone(), profile);
-                let r = if alg == "SSSP" {
-                    e.run_sssp(&prep.csr, BFS_SOURCE as u32).map(|x| x.1)
-                } else {
-                    e.run_cc(&prep.csr).map(|x| x.1)
-                };
-                row.push(match r {
-                    Ok(run) => secs(run.elapsed),
-                    Err(_) => "O.O.M.".into(),
-                });
+            for e in engines {
+                let r = run(e, &prep.csr, algo);
+                row.push(secs_or_oom(&r.map(|r| r.report.elapsed)));
             }
-            let mut gas = GasEngine::new(cluster.clone());
-            gas.profile = scale::framework(gas.profile);
-            let r = if alg == "SSSP" {
-                gas.run_sssp(&prep.csr, BFS_SOURCE as u32).map(|x| x.1)
-            } else {
-                gas.run_cc(&prep.csr).map(|x| x.1)
-            };
-            row.push(match r {
-                Ok(run) => secs(run.elapsed),
-                Err(_) => "O.O.M.".into(),
-            });
-            let totem = Totem::new(scale::totem_config().with_gpu_fraction(0.6));
-            let r = if alg == "SSSP" {
-                totem.run_sssp(&prep.csr, BFS_SOURCE as u32).map(|x| x.1)
-            } else {
-                totem.run_cc(&prep.csr).map(|x| x.1)
-            };
-            row.push(match r {
-                Ok(run) => secs(run.elapsed),
-                Err(_) => "O.O.M.".into(),
-            });
-            let elapsed = if alg == "SSSP" {
+            let r = if let Algo::Sssp { .. } = algo {
                 let mut p = Sssp::new(prep.store.num_vertices(), BFS_SOURCE);
-                prep.run_gts(gts_cfg(), &mut p).map(|r| r.elapsed)
+                prep.run_gts(gts_cfg(), &mut p)
             } else {
                 let mut p = Cc::new(prep.store.num_vertices());
-                prep.run_gts(gts_cfg(), &mut p).map(|r| r.elapsed)
+                prep.run_gts(gts_cfg(), &mut p)
             };
-            row.push(match elapsed {
-                Ok(e) => secs(e),
-                Err(_) => "O.O.M.".into(),
-            });
+            row.push(secs_or_oom(&r.map(|r| r.elapsed)));
             t.row(row);
         }
         t.finish();
@@ -100,22 +83,16 @@ fn main() {
     ];
     for (d, paper_totem, paper_gts) in paper {
         let prep = Prepared::build(d);
-        let totem = Totem::new(scale::totem_config().with_gpu_fraction(0.6));
-        let totem_cell = match totem.run_bc(&prep.csr, BFS_SOURCE as u32) {
-            Ok((_, r)) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        };
+        let r = run(&totem, &prep.csr, Algo::Bc { source });
+        let totem_cell = secs_or_oom(&r.map(|r| r.report.elapsed));
         let mut bc = Bc::new(prep.store.num_vertices(), BFS_SOURCE);
-        let gts_cell = match prep.run_gts(gts_cfg(), &mut bc) {
-            Ok(r) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        };
+        let r = prep.run_gts(gts_cfg(), &mut bc);
         t.row(vec![
             d.name(),
             paper_totem.to_string(),
             paper_gts.to_string(),
             totem_cell,
-            gts_cell,
+            secs_or_oom(&r.map(|r| r.elapsed)),
         ]);
     }
     t.finish();

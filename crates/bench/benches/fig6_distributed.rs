@@ -15,10 +15,10 @@
 use gts_baselines::bsp::BspEngine;
 use gts_baselines::cluster::FrameworkProfile;
 use gts_baselines::gas::GasEngine;
-use gts_baselines::propagation::{self, place};
+use gts_baselines::{report, Algo};
 use gts_bench::datasets::{Prepared, BFS_SOURCE, PR_ITERATIONS};
 use gts_bench::scale;
-use gts_bench::table::{secs, ExperimentTable};
+use gts_bench::table::{secs_or_oom, ExperimentTable};
 use gts_core::engine::{GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, PageRank};
 use gts_core::Strategy;
@@ -47,12 +47,15 @@ fn gts_config_for(d: Dataset) -> GtsConfig {
 }
 
 fn main() {
-    let profiles = [
-        scale::framework(FrameworkProfile::graphx()),
-        scale::framework(FrameworkProfile::giraph()),
-        scale::framework(FrameworkProfile::naiad()),
-    ];
     let cluster = scale::cluster();
+    let bsp = [
+        FrameworkProfile::graphx(),
+        FrameworkProfile::giraph(),
+        FrameworkProfile::naiad(),
+    ]
+    .map(|p| BspEngine::new(cluster.clone(), scale::framework(p)));
+    let mut gas = GasEngine::new(cluster);
+    gas.profile = scale::framework(gas.profile);
     let mut bfs_table = ExperimentTable::new(
         "fig6_bfs",
         "BFS: GTS vs distributed engines, seconds (paper Fig. 6a)",
@@ -64,54 +67,39 @@ fn main() {
         &["dataset", "GraphX", "Giraph", "Naiad", "PowerGraph", "GTS"],
     );
 
+    let bfs = Algo::Bfs {
+        source: BFS_SOURCE as u32,
+    };
+    let pr = Algo::PageRank {
+        iterations: PR_ITERATIONS,
+    };
+
     for d in Dataset::comparison_sweep() {
         let prep = Prepared::build(d);
-        let nodes = cluster.nodes;
-
-        // One functional trace per algorithm serves all three BSP profiles.
-        let bfs_trace = propagation::min_propagation(
-            &prep.csr,
-            Some(BFS_SOURCE as u32),
-            |_, _, x| x + 1.0,
-            place::hash(nodes),
-            nodes,
-        );
-        let pr_trace = propagation::pagerank_propagation(
-            &prep.csr,
-            0.85,
-            PR_ITERATIONS,
-            place::hash(nodes),
-            nodes,
-        );
-
+        let g = &prep.csr;
         let mut bfs_row = vec![d.name()];
         let mut pr_row = vec![d.name()];
-        for p in &profiles {
-            let engine = BspEngine::new(cluster.clone(), p.clone());
-            bfs_row.push(cell(engine.account(&prep.csr, &bfs_trace, "BFS")));
-            pr_row.push(cell(engine.account(&prep.csr, &pr_trace, "PageRank")));
+        for (algo, row) in [(bfs, &mut bfs_row), (pr, &mut pr_row)] {
+            // One functional trace serves all three BSP profiles (they
+            // share the hash placement), in the figure's column order
+            // (GraphX, Giraph, Naiad); PowerGraph comes from the GAS engine.
+            let trace = report::trace(&bsp[0], g, algo).expect("BSP places without a check");
+            for e in &bsp {
+                let r = report::account(e, g, algo, &trace);
+                row.push(secs_or_oom(&r.map(|(r, _)| r.elapsed)));
+            }
+            let r = report::run(&gas, g, algo);
+            row.push(secs_or_oom(&r.map(|r| r.report.elapsed)));
         }
-        // Reorder into the figure's column order (GraphX, Giraph, Naiad,
-        // PowerGraph) — PowerGraph comes from the GAS engine.
-        let mut gas = GasEngine::new(cluster.clone());
-        gas.profile = scale::framework(gas.profile);
-        bfs_row.push(cell(gas.run_bfs(&prep.csr, BFS_SOURCE as u32).map(|r| r.1)));
-        pr_row.push(cell(
-            gas.run_pagerank(&prep.csr, PR_ITERATIONS).map(|r| r.1),
-        ));
 
         // GTS itself.
         let cfg = gts_config_for(d);
-        let mut bfs = Bfs::new(prep.store.num_vertices(), BFS_SOURCE);
-        bfs_row.push(match prep.run_gts(cfg.clone(), &mut bfs) {
-            Ok(r) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
-        let mut pr = PageRank::new(prep.store.num_vertices(), PR_ITERATIONS);
-        pr_row.push(match prep.run_gts(cfg, &mut pr) {
-            Ok(r) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
+        let mut prog = Bfs::new(prep.store.num_vertices(), BFS_SOURCE);
+        let r = prep.run_gts(cfg.clone(), &mut prog);
+        bfs_row.push(secs_or_oom(&r.map(|r| r.elapsed)));
+        let mut prog = PageRank::new(prep.store.num_vertices(), PR_ITERATIONS);
+        let r = prep.run_gts(cfg, &mut prog);
+        pr_row.push(secs_or_oom(&r.map(|r| r.elapsed)));
 
         bfs_table.row(bfs_row);
         pr_table.row(pr_row);
@@ -123,11 +111,4 @@ fn main() {
          PowerGraph 17, GTS 0.9; PageRank twitter — GraphX 210, Giraph 1654, \
          PowerGraph 84, GTS 7.2; RMAT32 — all distributed O.O.M., GTS finishes."
     );
-}
-
-fn cell(r: Result<gts_baselines::RunReport, gts_baselines::BaselineError>) -> String {
-    match r {
-        Ok(run) => secs(run.elapsed),
-        Err(_) => "O.O.M.".into(),
-    }
 }

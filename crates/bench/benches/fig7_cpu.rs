@@ -10,9 +10,10 @@
 //!   graphs (paper: RMAT29/30) while GTS keeps going.
 
 use gts_baselines::cpu::CpuProfile;
+use gts_baselines::{run, Algo};
 use gts_bench::datasets::{Prepared, BFS_SOURCE, PR_ITERATIONS};
 use gts_bench::scale;
-use gts_bench::table::{secs, ExperimentTable};
+use gts_bench::table::{secs_or_oom, ExperimentTable};
 use gts_core::programs::{Bfs, PageRank};
 use gts_graph::Dataset;
 
@@ -32,6 +33,12 @@ fn main() {
         Dataset::Rmat(19),
         Dataset::Rmat(20),
     ];
+    let bfs = Algo::Bfs {
+        source: BFS_SOURCE as u32,
+    };
+    let pr = Algo::PageRank {
+        iterations: PR_ITERATIONS,
+    };
     let mut bfs_table = ExperimentTable::new(
         "fig7_bfs",
         "BFS: GTS vs CPU engines, seconds (paper Fig. 7a)",
@@ -48,29 +55,21 @@ fn main() {
         let mut pr_row = vec![d.name()];
         for p in &profiles {
             let e = scale::cpu_engine(p.clone());
-            bfs_row.push(match e.run_bfs(&prep.csr, BFS_SOURCE as u32) {
-                Ok((_, r)) => secs(r.elapsed),
-                Err(_) => "O.O.M.".into(),
-            });
-            pr_row.push(match e.run_pagerank(&prep.csr, PR_ITERATIONS) {
-                Ok((_, r)) => secs(r.elapsed),
-                Err(_) => "O.O.M.".into(),
-            });
+            for (algo, row) in [(bfs, &mut bfs_row), (pr, &mut pr_row)] {
+                let r = run(&e, &prep.csr, algo);
+                row.push(secs_or_oom(&r.map(|r| r.report.elapsed)));
+            }
         }
         let cfg = gts_core::engine::GtsConfig {
             num_gpus: 2,
             ..scale::gts_config()
         };
-        let mut bfs = Bfs::new(prep.store.num_vertices(), BFS_SOURCE);
-        bfs_row.push(match prep.run_gts(cfg.clone(), &mut bfs) {
-            Ok(r) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
-        let mut pr = PageRank::new(prep.store.num_vertices(), PR_ITERATIONS);
-        pr_row.push(match prep.run_gts(cfg, &mut pr) {
-            Ok(r) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
+        let mut prog = Bfs::new(prep.store.num_vertices(), BFS_SOURCE);
+        let r = prep.run_gts(cfg.clone(), &mut prog);
+        bfs_row.push(secs_or_oom(&r.map(|r| r.elapsed)));
+        let mut prog = PageRank::new(prep.store.num_vertices(), PR_ITERATIONS);
+        let r = prep.run_gts(cfg, &mut prog);
+        pr_row.push(secs_or_oom(&r.map(|r| r.elapsed)));
         bfs_table.row(bfs_row);
         pr_table.row(pr_row);
     }

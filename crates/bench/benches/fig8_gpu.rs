@@ -12,9 +12,10 @@
 
 use gts_baselines::gpu_only::{GpuOnlyEngine, GpuOnlyProfile};
 use gts_baselines::totem::Totem;
+use gts_baselines::{run, Algo, CostModel};
 use gts_bench::datasets::{Prepared, BFS_SOURCE, PR_ITERATIONS};
 use gts_bench::scale;
-use gts_bench::table::{secs, ExperimentTable};
+use gts_bench::table::{secs_or_oom, ExperimentTable};
 use gts_core::programs::{Bfs, PageRank};
 use gts_graph::Dataset;
 
@@ -38,57 +39,40 @@ fn main() {
         "PageRank x10: GTS vs GPU engines, seconds (paper Fig. 8b)",
         &["dataset", "MapGraph", "CuSha", "TOTEM", "GTS"],
     );
+    let mapgraph = GpuOnlyEngine::new(GpuOnlyProfile::mapgraph(), scale::gpu());
+    let cusha = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), scale::gpu());
+    // TOTEM with the per-dataset recommended ratio class: denser graphs get
+    // a bigger GPU share (Appendix C); the capacity clamp inside the engine
+    // does the rest.
+    let totem = Totem::new(scale::totem_config().with_gpu_fraction(0.6));
+    let engines: [&dyn CostModel; 3] = [&mapgraph, &cusha, &totem];
+    let bfs = Algo::Bfs {
+        source: BFS_SOURCE as u32,
+    };
+    let pr = Algo::PageRank {
+        iterations: PR_ITERATIONS,
+    };
     for d in datasets {
         let prep = Prepared::build(d);
-        let mapgraph = GpuOnlyEngine::new(GpuOnlyProfile::mapgraph(), scale::gpu());
-        let cusha = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), scale::gpu());
-        // TOTEM with the per-dataset recommended ratio class: denser
-        // graphs get a bigger GPU share (Appendix C); the capacity clamp
-        // inside the engine does the rest.
-        let totem = Totem::new(scale::totem_config().with_gpu_fraction(0.6));
-
         let mut bfs_row = vec![d.name()];
-        bfs_row.push(match mapgraph.run_bfs(&prep.csr, BFS_SOURCE as u32) {
-            Ok((_, r)) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
-        bfs_row.push(match cusha.run_bfs(&prep.csr, BFS_SOURCE as u32) {
-            Ok((_, r)) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
-        bfs_row.push(match totem.run_bfs(&prep.csr, BFS_SOURCE as u32) {
-            Ok((_, r)) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
+        let mut pr_row = vec![d.name()];
+        for (algo, row) in [(bfs, &mut bfs_row), (pr, &mut pr_row)] {
+            for e in engines {
+                let r = run(e, &prep.csr, algo);
+                row.push(secs_or_oom(&r.map(|r| r.report.elapsed)));
+            }
+        }
         let cfg = gts_core::engine::GtsConfig {
             num_gpus: 2,
             ..scale::gts_config()
         };
-        let mut bfs = Bfs::new(prep.store.num_vertices(), BFS_SOURCE);
-        bfs_row.push(match prep.run_gts(cfg.clone(), &mut bfs) {
-            Ok(r) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
+        let mut prog = Bfs::new(prep.store.num_vertices(), BFS_SOURCE);
+        let r = prep.run_gts(cfg.clone(), &mut prog);
+        bfs_row.push(secs_or_oom(&r.map(|r| r.elapsed)));
+        let mut prog = PageRank::new(prep.store.num_vertices(), PR_ITERATIONS);
+        let r = prep.run_gts(cfg, &mut prog);
+        pr_row.push(secs_or_oom(&r.map(|r| r.elapsed)));
         bfs_table.row(bfs_row);
-
-        let mut pr_row = vec![d.name()];
-        pr_row.push(match mapgraph.run_pagerank(&prep.csr, PR_ITERATIONS) {
-            Ok((_, r)) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
-        pr_row.push(match cusha.run_pagerank(&prep.csr, PR_ITERATIONS) {
-            Ok((_, r)) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
-        pr_row.push(match totem.run_pagerank(&prep.csr, PR_ITERATIONS) {
-            Ok((_, r)) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
-        let mut pr = PageRank::new(prep.store.num_vertices(), PR_ITERATIONS);
-        pr_row.push(match prep.run_gts(cfg, &mut pr) {
-            Ok(r) => secs(r.elapsed),
-            Err(_) => "O.O.M.".into(),
-        });
         pr_table.row(pr_row);
     }
     bfs_table.finish();

@@ -15,6 +15,7 @@
 
 use gts_baselines::graphchi::{GraphChi, GraphChiConfig};
 use gts_baselines::xstream::{XStream, XStreamConfig};
+use gts_baselines::{run, Algo};
 use gts_bench::datasets::{Prepared, BFS_SOURCE, PR_ITERATIONS};
 use gts_bench::scale;
 use gts_bench::table::{secs, ExperimentTable};
@@ -46,15 +47,17 @@ fn main() {
         );
         for d in datasets {
             let prep = Prepared::build(d);
-            let (sweeps, xs, chi) = if pagerank {
-                let xs = xstream.run_pagerank(&prep.csr, PR_ITERATIONS).unwrap().1;
-                let chi = graphchi.run_pagerank(&prep.csr, PR_ITERATIONS).unwrap().1;
-                (xs.sweeps, xs.elapsed, chi.elapsed)
+            let algo = if pagerank {
+                Algo::PageRank {
+                    iterations: PR_ITERATIONS,
+                }
             } else {
-                let xs = xstream.run_bfs(&prep.csr, BFS_SOURCE as u32).unwrap().1;
-                let chi = graphchi.run_bfs(&prep.csr, BFS_SOURCE as u32).unwrap().1;
-                (xs.sweeps, xs.elapsed, chi.elapsed)
+                Algo::Bfs {
+                    source: BFS_SOURCE as u32,
+                }
             };
+            let xs = run(&xstream, &prep.csr, algo).unwrap().report;
+            let chi = run(&graphchi, &prep.csr, algo).unwrap().report;
             let gts = if pagerank {
                 let mut pr = PageRank::new(prep.store.num_vertices(), PR_ITERATIONS);
                 prep.run_gts(gts_cfg.clone(), &mut pr).unwrap().elapsed
@@ -64,9 +67,9 @@ fn main() {
             };
             t.row(vec![
                 d.name(),
-                sweeps.to_string(),
-                secs(xs),
-                secs(chi),
+                xs.sweeps.to_string(),
+                secs(xs.elapsed),
+                secs(chi.elapsed),
                 secs(gts),
             ]);
         }

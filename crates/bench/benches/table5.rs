@@ -10,6 +10,7 @@
 //! is fixed), and doubling GPU memory pushes it back up.
 
 use gts_baselines::totem::Totem;
+use gts_baselines::Algo;
 use gts_bench::datasets::Prepared;
 use gts_bench::scale;
 use gts_bench::table::ExperimentTable;
@@ -36,8 +37,12 @@ fn main() {
             let mut cfg = scale::totem_config();
             cfg.gpu.device_memory *= gpus;
             let totem = Totem::new(cfg);
-            for (alg, paper_ratio, pagerank) in [("BFS", pb, false), ("PageRank", pp, true)] {
-                match totem.best_ratio(&prep.csr, &candidates, pagerank) {
+            for (algo, paper_ratio) in [
+                (Algo::Bfs { source: 0 }, pb),
+                (Algo::PageRank { iterations: 3 }, pp),
+            ] {
+                let alg = algo.name();
+                match totem.best_ratio(&prep.csr, &candidates, algo) {
                     Ok((frac, elapsed)) => {
                         // Report the ratio of edges actually placed on the
                         // GPU after capacity clamping.

@@ -13,6 +13,7 @@
 //! ```
 
 use gts_baselines::gpu_only::{GpuOnlyEngine, GpuOnlyProfile};
+use gts_baselines::{run, Algo};
 use gts_core::engine::{Gts, GtsConfig, StorageLocation};
 use gts_core::programs::PageRank;
 use gts_core::Strategy;
@@ -37,7 +38,7 @@ fn main() {
     // 1. GPU-memory-only engines need the whole graph resident: O.O.M.
     let csr = Csr::from_edge_list(&graph);
     let cusha = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), device.clone());
-    match cusha.run_pagerank(&csr, 10) {
+    match run(&cusha, &csr, Algo::PageRank { iterations: 10 }) {
         Err(e) => println!("CuSha-style engine: {e}"),
         Ok(_) => unreachable!("graph cannot fit in device memory"),
     }

@@ -8,8 +8,11 @@ use gts_baselines::cluster::{ClusterConfig, FrameworkProfile};
 use gts_baselines::cpu::{CpuEngine, CpuProfile};
 use gts_baselines::gas::GasEngine;
 use gts_baselines::gpu_only::{GpuOnlyEngine, GpuOnlyProfile};
+use gts_baselines::graphchi::{GraphChi, GraphChiConfig};
+use gts_baselines::report::values_to_u32;
 use gts_baselines::totem::{Totem, TotemConfig};
 use gts_baselines::xstream::{XStream, XStreamConfig};
+use gts_baselines::{run, Algo, CostModel};
 use gts_core::engine::{Gts, GtsConfig};
 use gts_core::programs::{Bfs, Cc, PageRank, Sssp};
 use gts_gpu::GpuConfig;
@@ -19,6 +22,47 @@ use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
 
 fn graph() -> Csr {
     Csr::from_edge_list(&rmat(10))
+}
+
+/// Every comparator engine and profile the figures use.
+fn models() -> Vec<Box<dyn CostModel>> {
+    let cluster = ClusterConfig::paper_cluster;
+    let mut models: Vec<Box<dyn CostModel>> = Vec::new();
+    for p in [
+        FrameworkProfile::giraph(),
+        FrameworkProfile::graphx(),
+        FrameworkProfile::naiad(),
+    ] {
+        models.push(Box::new(BspEngine::new(cluster(), p)));
+    }
+    models.push(Box::new(GasEngine::new(cluster())));
+    for p in [
+        CpuProfile::mtgl(),
+        CpuProfile::galois(),
+        CpuProfile::ligra(),
+        CpuProfile::ligra_plus(),
+    ] {
+        models.push(Box::new(CpuEngine::new(p)));
+    }
+    models.push(Box::new(Totem::new(TotemConfig::new(GpuConfig::titan_x()))));
+    for p in [GpuOnlyProfile::cusha(), GpuOnlyProfile::mapgraph()] {
+        models.push(Box::new(GpuOnlyEngine::new(p, GpuConfig::titan_x())));
+    }
+    models.push(Box::new(XStream::new(XStreamConfig::default())));
+    models.push(Box::new(GraphChi::new(GraphChiConfig::default())));
+    models
+}
+
+/// Run `algo` on every model and check its values with `ok`.
+fn every_model_agrees(g: &Csr, algo: Algo, ok: impl Fn(&[f64]) -> bool) {
+    for m in models() {
+        let r = run(m.as_ref(), g, algo).unwrap();
+        assert!(ok(&r.values), "{} {}", m.name(), algo.name());
+    }
+}
+
+fn close(want: &[f64], tol: f64) -> impl Fn(&[f64]) -> bool + '_ {
+    move |got| got.len() == want.len() && got.iter().zip(want).all(|(a, b)| (a - b).abs() < tol)
 }
 
 fn gts_bfs(csr_graph: &Csr) -> Vec<u32> {
@@ -38,101 +82,14 @@ fn all_engines_agree_on_bfs() {
     let g = graph();
     let want = reference::bfs(&g, 0);
     assert_eq!(gts_bfs(&g), want, "GTS");
-    for profile in [
-        FrameworkProfile::giraph(),
-        FrameworkProfile::graphx(),
-        FrameworkProfile::naiad(),
-    ] {
-        let name = profile.name;
-        let e = BspEngine::new(ClusterConfig::paper_cluster(), profile);
-        assert_eq!(e.run_bfs(&g, 0).unwrap().0, want, "{name}");
-    }
-    assert_eq!(
-        GasEngine::new(ClusterConfig::paper_cluster())
-            .run_bfs(&g, 0)
-            .unwrap()
-            .0,
-        want,
-        "PowerGraph"
-    );
-    for profile in [
-        CpuProfile::mtgl(),
-        CpuProfile::galois(),
-        CpuProfile::ligra(),
-        CpuProfile::ligra_plus(),
-    ] {
-        let name = profile.name;
-        assert_eq!(
-            CpuEngine::new(profile).run_bfs(&g, 0).unwrap().0,
-            want,
-            "{name}"
-        );
-    }
-    assert_eq!(
-        Totem::new(TotemConfig::new(GpuConfig::titan_x()))
-            .run_bfs(&g, 0)
-            .unwrap()
-            .0,
-        want,
-        "TOTEM"
-    );
-    assert_eq!(
-        GpuOnlyEngine::new(GpuOnlyProfile::cusha(), GpuConfig::titan_x())
-            .run_bfs(&g, 0)
-            .unwrap()
-            .0,
-        want,
-        "CuSha"
-    );
-    assert_eq!(
-        XStream::new(XStreamConfig::default())
-            .run_bfs(&g, 0)
-            .unwrap()
-            .0,
-        want,
-        "X-Stream"
-    );
+    every_model_agrees(&g, Algo::Bfs { source: 0 }, |v| values_to_u32(v) == want);
 }
 
 #[test]
 fn all_engines_agree_on_pagerank() {
     let g = graph();
     let want = reference::pagerank(&g, 0.85, 5);
-    let close = |got: &[f64], name: &str| {
-        for (a, b) in got.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-10, "{name}");
-        }
-    };
-    let e = BspEngine::new(ClusterConfig::paper_cluster(), FrameworkProfile::giraph());
-    close(&e.run_pagerank(&g, 5).unwrap().0, "Giraph");
-    close(
-        &GasEngine::new(ClusterConfig::paper_cluster())
-            .run_pagerank(&g, 5)
-            .unwrap()
-            .0,
-        "PowerGraph",
-    );
-    close(
-        &CpuEngine::new(CpuProfile::ligra())
-            .run_pagerank(&g, 5)
-            .unwrap()
-            .0,
-        "Ligra",
-    );
-    close(
-        &Totem::new(TotemConfig::new(GpuConfig::titan_x()))
-            .run_pagerank(&g, 5)
-            .unwrap()
-            .0,
-        "TOTEM",
-    );
-    close(
-        &XStream::new(XStreamConfig::default())
-            .run_pagerank(&g, 5)
-            .unwrap()
-            .0,
-        "X-Stream",
-    );
+    every_model_agrees(&g, Algo::PageRank { iterations: 5 }, close(&want, 1e-10));
 
     // GTS runs in f32; compare at f32 tolerance.
     let edges: Vec<(u32, u32)> = g.edges().collect();
@@ -151,12 +108,10 @@ fn traversal_engines_agree_on_sssp_and_cc() {
     let g = graph();
     let want_sssp = reference::sssp(&g, 0);
     let want_cc = reference::connected_components(&g);
-    let bsp = BspEngine::new(ClusterConfig::paper_cluster(), FrameworkProfile::graphx());
-    assert_eq!(bsp.run_sssp(&g, 0).unwrap().0, want_sssp);
-    assert_eq!(bsp.run_cc(&g).unwrap().0, want_cc);
-    let totem = Totem::new(TotemConfig::new(GpuConfig::titan_x()));
-    assert_eq!(totem.run_sssp(&g, 0).unwrap().0, want_sssp);
-    assert_eq!(totem.run_cc(&g).unwrap().0, want_cc);
+    every_model_agrees(&g, Algo::Sssp { source: 0 }, |v| {
+        values_to_u32(v) == want_sssp
+    });
+    every_model_agrees(&g, Algo::Cc, |v| values_to_u32(v) == want_cc);
 
     let edges: Vec<(u32, u32)> = g.edges().collect();
     let el = gts_graph::EdgeList::new(g.num_vertices(), edges);
@@ -170,6 +125,13 @@ fn traversal_engines_agree_on_sssp_and_cc() {
     let mut cc = Cc::new(store.num_vertices());
     Gts::new(GtsConfig::default()).run(&store, &mut cc).unwrap();
     assert_eq!(cc.labels_u32(), want_cc);
+}
+
+#[test]
+fn all_engines_agree_on_bc() {
+    let g = graph();
+    let want = reference::betweenness(&g, &[0]);
+    every_model_agrees(&g, Algo::Bc { source: 0 }, close(&want, 1e-9));
 }
 
 #[test]
@@ -193,15 +155,12 @@ fn performance_ordering_matches_the_papers_headlines() {
         .elapsed;
 
     let cluster = ClusterConfig::paper_cluster();
-    let giraph = BspEngine::new(cluster.clone(), FrameworkProfile::giraph())
-        .run_pagerank(&g, 5)
+    let pr5 = Algo::PageRank { iterations: 5 };
+    let giraph = BspEngine::new(cluster.clone(), FrameworkProfile::giraph());
+    let giraph = run(&giraph, &g, pr5).unwrap().report.elapsed;
+    let powergraph = run(&GasEngine::new(cluster), &g, pr5)
         .unwrap()
-        .1
-        .elapsed;
-    let powergraph = GasEngine::new(cluster)
-        .run_pagerank(&g, 5)
-        .unwrap()
-        .1
+        .report
         .elapsed;
     assert!(gts < powergraph, "GTS {gts} vs PowerGraph {powergraph}");
     assert!(

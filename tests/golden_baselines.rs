@@ -18,174 +18,129 @@ use gts_baselines::cpu::{CpuEngine, CpuProfile};
 use gts_baselines::gas::GasEngine;
 use gts_baselines::gpu_only::{GpuOnlyEngine, GpuOnlyProfile};
 use gts_baselines::graphchi::{GraphChi, GraphChiConfig};
+use gts_baselines::report::values_to_u32;
 use gts_baselines::totem::{Totem, TotemConfig};
 use gts_baselines::xstream::{XStream, XStreamConfig};
-use gts_baselines::{BaselineError, ClusterConfig, FrameworkProfile, RunReport};
+use gts_baselines::{run, Algo, BaselineError, ClusterConfig, CostModel, FrameworkProfile};
 use gts_gpu::GpuConfig;
 use gts_graph::generate::rmat;
 use gts_graph::Csr;
-use gts_telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-const PR_ITERS: u32 = 5;
+const BFS: Algo = Algo::Bfs { source: 0 };
+const SSSP: Algo = Algo::Sssp { source: 0 };
+const PR: Algo = Algo::PageRank { iterations: 5 };
+const BC: Algo = Algo::Bc { source: 0 };
+const CC: Algo = Algo::Cc;
 
-fn hash_u32(v: &[u32]) -> u64 {
-    let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_le_bytes()).collect();
+/// fnv1a of the values in the engines' result convention: `u32` levels,
+/// distances and labels; `f64` ranks and BC scores.
+fn values_hash(algo: Algo, values: &[f64]) -> u64 {
+    let bytes: Vec<u8> = match algo {
+        Algo::PageRank { .. } | Algo::Bc { .. } => values
+            .iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .collect(),
+        _ => values_to_u32(values)
+            .iter()
+            .flat_map(|x| x.to_le_bytes())
+            .collect(),
+    };
     gts_ckpt::fnv1a(&bytes)
 }
 
-fn hash_f64(v: &[f64]) -> u64 {
-    let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
-    gts_ckpt::fnv1a(&bytes)
-}
-
-fn cell(out: &mut String, alg: &str, r: Result<(u64, RunReport), BaselineError>, tel: &Telemetry) {
-    let (hash, report) = r.unwrap_or_else(|e| panic!("{alg}: {e}"));
-    writeln!(out, "== {} {alg} ==", report.engine).unwrap();
-    writeln!(out, "values fnv1a {hash:016x}").unwrap();
-    writeln!(out, "{}", report.to_json()).unwrap();
-    for (k, v) in tel.counters() {
-        writeln!(out, "{k} {v}").unwrap();
-    }
-}
-
-fn oom<T>(out: &mut String, r: Result<T, BaselineError>) {
-    match r {
+fn oom(out: &mut String, model: &dyn CostModel, g: &Csr, algo: Algo) {
+    match run(model, g, algo) {
         Err(e) => writeln!(out, "oom {e}").unwrap(),
         Ok(_) => panic!("expected an O.O.M."),
     }
 }
 
-fn u32s(
-    r: Result<(Vec<u32>, RunReport), BaselineError>,
-) -> Result<(u64, RunReport), BaselineError> {
-    r.map(|(v, run)| (hash_u32(&v), run))
-}
-
-fn f64s(
-    r: Result<(Vec<f64>, RunReport), BaselineError>,
-) -> Result<(u64, RunReport), BaselineError> {
-    r.map(|(v, run)| (hash_f64(&v), run))
-}
-
-fn render(g: &Csr) -> String {
-    let mut out = String::new();
-    let o = &mut out;
+/// Every engine/profile with the algorithms it ran before the driver.
+fn cells() -> Vec<(Box<dyn CostModel>, Vec<Algo>)> {
+    let cluster = ClusterConfig::paper_cluster;
+    let mut cells: Vec<(Box<dyn CostModel>, Vec<Algo>)> = Vec::new();
     for p in [
         FrameworkProfile::giraph(),
         FrameworkProfile::graphx(),
         FrameworkProfile::naiad(),
     ] {
-        let e = BspEngine::new(ClusterConfig::paper_cluster(), p);
-        cell(o, "BFS", u32s(e.run_bfs(g, 0)), e.telemetry());
-        cell(o, "SSSP", u32s(e.run_sssp(g, 0)), e.telemetry());
-        cell(o, "CC", u32s(e.run_cc(g)), e.telemetry());
-        cell(
-            o,
-            "PageRank",
-            f64s(e.run_pagerank(g, PR_ITERS)),
-            e.telemetry(),
-        );
+        cells.push((
+            Box::new(BspEngine::new(cluster(), p)),
+            vec![BFS, SSSP, CC, PR],
+        ));
     }
-    let e = GasEngine::new(ClusterConfig::paper_cluster());
-    cell(o, "BFS", u32s(e.run_bfs(g, 0)), e.telemetry());
-    cell(o, "SSSP", u32s(e.run_sssp(g, 0)), e.telemetry());
-    cell(o, "CC", u32s(e.run_cc(g)), e.telemetry());
-    cell(
-        o,
-        "PageRank",
-        f64s(e.run_pagerank(g, PR_ITERS)),
-        e.telemetry(),
-    );
+    cells.push((Box::new(GasEngine::new(cluster())), vec![BFS, SSSP, CC, PR]));
     for p in [
         CpuProfile::mtgl(),
         CpuProfile::galois(),
         CpuProfile::ligra(),
         CpuProfile::ligra_plus(),
     ] {
-        let e = CpuEngine::new(p);
-        cell(o, "BFS", u32s(e.run_bfs(g, 0)), e.telemetry());
-        cell(o, "SSSP", u32s(e.run_sssp(g, 0)), e.telemetry());
-        cell(o, "CC", u32s(e.run_cc(g)), e.telemetry());
-        cell(
-            o,
-            "PageRank",
-            f64s(e.run_pagerank(g, PR_ITERS)),
-            e.telemetry(),
-        );
+        cells.push((Box::new(CpuEngine::new(p)), vec![BFS, SSSP, CC, PR]));
     }
-    let e = Totem::new(TotemConfig::new(GpuConfig::titan_x()));
-    cell(o, "BFS", u32s(e.run_bfs(g, 0)), e.telemetry());
-    cell(o, "SSSP", u32s(e.run_sssp(g, 0)), e.telemetry());
-    cell(o, "CC", u32s(e.run_cc(g)), e.telemetry());
-    cell(
-        o,
-        "PageRank",
-        f64s(e.run_pagerank(g, PR_ITERS)),
-        e.telemetry(),
-    );
-    cell(o, "BC", f64s(e.run_bc(g, 0)), e.telemetry());
+    let totem = Totem::new(TotemConfig::new(GpuConfig::titan_x()));
+    cells.push((Box::new(totem), vec![BFS, SSSP, CC, PR, BC]));
     for p in [GpuOnlyProfile::cusha(), GpuOnlyProfile::mapgraph()] {
         let e = GpuOnlyEngine::new(p, GpuConfig::titan_x());
-        cell(o, "BFS", u32s(e.run_bfs(g, 0)), e.telemetry());
-        cell(
-            o,
-            "PageRank",
-            f64s(e.run_pagerank(g, PR_ITERS)),
-            e.telemetry(),
-        );
+        cells.push((Box::new(e), vec![BFS, PR]));
     }
-    let e = XStream::new(XStreamConfig::default());
-    cell(o, "BFS", u32s(e.run_bfs(g, 0)), e.telemetry());
-    cell(o, "SSSP", u32s(e.run_sssp(g, 0)), e.telemetry());
-    cell(
-        o,
-        "PageRank",
-        f64s(e.run_pagerank(g, PR_ITERS)),
-        e.telemetry(),
-    );
-    let e = GraphChi::new(GraphChiConfig::default());
-    cell(o, "BFS", u32s(e.run_bfs(g, 0)), e.telemetry());
-    cell(
-        o,
-        "PageRank",
-        f64s(e.run_pagerank(g, PR_ITERS)),
-        e.telemetry(),
-    );
+    let xs = XStream::new(XStreamConfig::default());
+    cells.push((Box::new(xs), vec![BFS, SSSP, PR]));
+    let chi = GraphChi::new(GraphChiConfig::default());
+    cells.push((Box::new(chi), vec![BFS, PR]));
+    cells
+}
+
+fn render(g: &Csr) -> String {
+    let mut out = String::new();
+    let o = &mut out;
+    for (model, algos) in cells() {
+        for algo in algos {
+            let r = run(model.as_ref(), g, algo)
+                .unwrap_or_else(|e: BaselineError| panic!("{}: {e}", algo.name()));
+            writeln!(o, "== {} {} ==", r.report.engine, algo.name()).unwrap();
+            writeln!(o, "values fnv1a {:016x}", values_hash(algo, &r.values)).unwrap();
+            writeln!(o, "{}", r.report.to_json()).unwrap();
+            for (k, v) in r.registry.counters() {
+                writeln!(o, "{k} {v}").unwrap();
+            }
+        }
+    }
 
     // One memory-starved run per engine with a memory check.
     let mut c = ClusterConfig::paper_cluster();
     c.memory_per_node = 4 << 10;
+    let pr2 = Algo::PageRank { iterations: 2 };
     oom(
         o,
-        BspEngine::new(c.clone(), FrameworkProfile::giraph()).run_pagerank(g, 2),
+        &BspEngine::new(c.clone(), FrameworkProfile::giraph()),
+        g,
+        pr2,
     );
-    oom(o, GasEngine::new(c).run_pagerank(g, 2));
+    oom(o, &GasEngine::new(c), g, pr2);
     let mut e = CpuEngine::new(CpuProfile::galois());
     e.host_memory = 16;
-    oom(o, e.run_bfs(g, 0));
+    oom(o, &e, g, BFS);
     let mut cfg = TotemConfig::new(GpuConfig::titan_x());
     cfg.host_memory = 1024;
-    oom(o, Totem::new(cfg).run_bfs(g, 0));
+    oom(o, &Totem::new(cfg), g, BFS);
     let gpu = GpuConfig::titan_x().with_device_memory(16 << 10);
-    oom(
-        o,
-        GpuOnlyEngine::new(GpuOnlyProfile::cusha(), gpu).run_pagerank(g, 2),
-    );
+    oom(o, &GpuOnlyEngine::new(GpuOnlyProfile::cusha(), gpu), g, pr2);
     let cfg = XStreamConfig {
         host_memory: 64,
         ..Default::default()
     };
-    oom(o, XStream::new(cfg).run_bfs(g, 0));
+    oom(o, &XStream::new(cfg), g, BFS);
 
     // TOTEM's ratio search (Table 5), unclamped and device-clamped.
     let candidates: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     for device in [12u64 << 30, 16 << 10] {
         let cfg = TotemConfig::new(GpuConfig::titan_x().with_device_memory(device));
         let totem = Totem::new(cfg.clone());
-        for pagerank in [false, true] {
-            let (frac, elapsed) = totem.best_ratio(g, &candidates, pagerank).unwrap();
+        for (pagerank, algo) in [(false, BFS), (true, Algo::PageRank { iterations: 3 })] {
+            let (frac, elapsed) = totem.best_ratio(g, &candidates, algo).unwrap();
             let eff = Totem::new(cfg.clone().with_gpu_fraction(frac))
                 .effective_gpu_fraction(g)
                 .unwrap();

@@ -394,7 +394,7 @@ fn derived_report_equals_the_registry_for_every_engine() {
     use gts_baselines::graphchi::{GraphChi, GraphChiConfig};
     use gts_baselines::totem::{Totem, TotemConfig};
     use gts_baselines::xstream::{XStream, XStreamConfig};
-    use gts_baselines::{ClusterConfig, FrameworkProfile};
+    use gts_baselines::{run, Algo, ClusterConfig, CostModel, FrameworkProfile};
     use gts_graph::Csr;
 
     let edges = rmat(9);
@@ -430,37 +430,31 @@ fn derived_report_equals_the_registry_for_every_engine() {
         );
     };
 
-    let bsp = BspEngine::new(ClusterConfig::paper_cluster(), FrameworkProfile::giraph());
-    let (_, run) = bsp.run_bfs(&g, 0).unwrap();
-    check(&run, bsp.telemetry(), "Giraph");
-
-    let gas = GasEngine::new(ClusterConfig::paper_cluster());
-    let (_, run) = gas.run_bfs(&g, 0).unwrap();
-    check(&run, gas.telemetry(), "PowerGraph");
-
-    let cpu = CpuEngine::new(CpuProfile::ligra());
-    let (_, run) = cpu.run_bfs(&g, 0).unwrap();
-    check(&run, cpu.telemetry(), "Ligra");
-
-    let gpu = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), gts_gpu::GpuConfig::titan_x());
-    let (_, run) = gpu.run_bfs(&g, 0).unwrap();
-    check(&run, gpu.telemetry(), "CuSha");
-
-    let chi = GraphChi::new(GraphChiConfig::default());
-    let (_, run) = chi.run_bfs(&g, 0).unwrap();
-    check(&run, chi.telemetry(), "GraphChi");
-
-    let totem = Totem::new(TotemConfig::new(gts_gpu::GpuConfig::titan_x()));
-    let (_, run) = totem.run_bfs(&g, 0).unwrap();
-    check(&run, totem.telemetry(), "TOTEM");
+    let titan = gts_gpu::GpuConfig::titan_x;
+    let models: Vec<Box<dyn CostModel>> = vec![
+        Box::new(BspEngine::new(
+            ClusterConfig::paper_cluster(),
+            FrameworkProfile::giraph(),
+        )),
+        Box::new(GasEngine::new(ClusterConfig::paper_cluster())),
+        Box::new(CpuEngine::new(CpuProfile::ligra())),
+        Box::new(GpuOnlyEngine::new(GpuOnlyProfile::cusha(), titan())),
+        Box::new(GraphChi::new(GraphChiConfig::default())),
+        Box::new(Totem::new(TotemConfig::new(titan()))),
+        Box::new(XStream::new(XStreamConfig::default())),
+    ];
+    for m in &models {
+        let r = run(m.as_ref(), &g, Algo::Bfs { source: 0 }).unwrap();
+        check(&r.report, &r.registry, m.name());
+    }
     // BC's backward pass doubles the registry, not just the report.
-    let (_, run) = totem.run_bc(&g, 0).unwrap();
-    check(&run, totem.telemetry(), "TOTEM");
-    assert_eq!(run.sweeps as usize, run.per_sweep.len());
-
-    let xs = XStream::new(XStreamConfig::default());
-    let (_, run) = xs.run_bfs(&g, 0).unwrap();
-    check(&run, xs.telemetry(), "X-Stream");
+    let totem = Totem::new(TotemConfig::new(titan()));
+    let bfs = run(&totem, &g, Algo::Bfs { source: 0 }).unwrap().report;
+    let bc = run(&totem, &g, Algo::Bc { source: 0 }).unwrap();
+    check(&bc.report, &bc.registry, "TOTEM");
+    assert_eq!(bc.report.sweeps, 2 * bfs.sweeps);
+    let (forward, backward) = bc.report.per_sweep.split_at(bfs.sweeps as usize);
+    assert!(forward.iter().eq(backward.iter().rev()));
 
     // And GTS itself.
     let store = build_graph_store(&edges, PageFormatConfig::small_default()).unwrap();

@@ -77,21 +77,12 @@ impl GpuOnlyEngine {
     /// (8 bytes/vertex, the reason "CuSha cannot process PageRank for all
     /// graphs tested") and per-edge values.
     pub fn memory_needed(&self, g: &Csr, algo: Algo) -> u64 {
-        let (wa, edge_values) = self.state_bytes(algo);
-        self.footprint(g, wa, edge_values)
-    }
-
-    /// Working-state bytes per vertex and per edge.
-    fn state_bytes(&self, algo: Algo) -> (u64, u64) {
-        match algo {
+        let (wa, edge_values) = match algo {
             Algo::PageRank { .. } => (8, self.profile.pagerank_edge_value_bytes),
             _ => (2, 0),
-        }
-    }
-
-    fn footprint(&self, g: &Csr, wa_bytes_per_vertex: u64, edge_value_bytes: u64) -> u64 {
-        g.num_edges() as u64 * (self.profile.bytes_per_edge + edge_value_bytes)
-            + g.num_vertices() as u64 * (self.profile.bytes_per_vertex + wa_bytes_per_vertex)
+        };
+        g.num_edges() as u64 * (self.profile.bytes_per_edge + edge_values)
+            + g.num_vertices() as u64 * (self.profile.bytes_per_vertex + wa)
     }
 }
 
@@ -117,9 +108,8 @@ impl CostModel for GpuOnlyEngine {
         let mut lane =
             GpuLane::uncached(GpuTimer::new(self.gpu.clone(), PcieConfig::gen3_x16(), 1));
         let mut t = SimTime::ZERO;
-        let (wa, _) = self.state_bytes(algo);
         let mut cost = Cost {
-            memory_peak: self.footprint(g, wa, 0),
+            memory_peak: self.memory_needed(g, algo),
             ..Cost::default()
         };
         for sweep in &trace.sweeps {
@@ -191,6 +181,9 @@ mod tests {
         let pr = Algo::PageRank { iterations: 1 };
         let e = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), GpuConfig::titan_x());
         assert!(e.memory_needed(&g, pr) > e.memory_needed(&g, BFS));
+        // The peak a run reports is what its check demanded.
+        let peak = run(&e, &g, pr).unwrap().report.memory_peak;
+        assert_eq!(peak, e.memory_needed(&g, pr));
         // A device sized for BFS only must OOM on PageRank.
         let gpu = GpuConfig::titan_x().with_device_memory(e.memory_needed(&g, BFS));
         let tight = GpuOnlyEngine::new(GpuOnlyProfile::cusha(), gpu);

@@ -81,7 +81,6 @@ impl CostModel for GraphChi {
     fn price(&self, g: &Csr, _algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         let c = &self.cfg;
         let graph_bytes = g.num_edges() as u64 * c.edge_bytes;
-        let mut io_bytes = 0u64;
         let mut cost = Cost {
             memory_peak: c.memory_budget.min(graph_bytes),
             ..Cost::default()
@@ -94,15 +93,13 @@ impl CostModel for GraphChi {
             let compute = SimDuration::from_secs_f64(
                 g.num_edges() as f64 * c.per_edge_ns / c.threads as f64 / 1e9,
             );
-            io_bytes += 2 * graph_bytes;
+            cost.io_bytes_read += graph_bytes;
             // The defining drawback: NO overlap — the phases are summed,
             // not maxed (X-Stream and GTS overlap I/O with compute).
             let step = load + compute + write;
             cost.sweeps
                 .push((sweep.total_active(), g.num_edges() as u64, step));
         }
-        cost.io_bytes_read = io_bytes;
-        cost.network_bytes = io_bytes;
         Ok(cost)
     }
 }

@@ -81,7 +81,6 @@ impl CostModel for XStream {
     fn price(&self, g: &Csr, _algo: Algo, trace: &PropagationTrace) -> Result<Cost, BaselineError> {
         let c = &self.cfg;
         let full_scan_bytes = g.num_edges() as u64 * c.edge_bytes;
-        let mut io_bytes = 0u64;
         let mut cost = Cost {
             memory_peak: g.num_vertices() as u64 * 16,
             ..Cost::default()
@@ -96,14 +95,13 @@ impl CostModel for XStream {
             let compute = SimDuration::from_secs_f64(
                 (g.num_edges() as u64 + updates) as f64 * c.per_edge_ns / c.threads as f64 / 1e9,
             );
-            io_bytes += full_scan_bytes + 2 * updates * c.update_bytes;
+            // Only the scan and the updates' read-back are reads.
+            cost.io_bytes_read += full_scan_bytes + updates * c.update_bytes;
             // I/O and compute overlap; the longer one gates the iteration.
             let step = (scan + update_io).max(compute);
             cost.sweeps
                 .push((sweep.total_active(), g.num_edges() as u64 + updates, step));
         }
-        cost.io_bytes_read = io_bytes;
-        cost.network_bytes = io_bytes;
         Ok(cost)
     }
 }
@@ -160,6 +158,7 @@ mod tests {
             .unwrap()
             .report;
         assert_eq!(r6.sweeps, 6);
+        assert_eq!(r6.network_bytes, 0, "one machine: storage is not network");
         let ratio = r6.elapsed.as_secs_f64() / r3.elapsed.as_secs_f64();
         assert!(
             (ratio - 2.0).abs() < 0.05,

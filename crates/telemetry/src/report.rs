@@ -73,7 +73,8 @@ pub struct RunReport {
     /// Per-sweep breakdown (levels for traversal, iterations for sweeps).
     pub per_sweep: Vec<SweepStats>,
     /// Bytes that crossed the simulated cluster network (distributed
-    /// baselines; zero for single-node engines).
+    /// baselines) or, for TOTEM, the PCI-E boundary exchange between its
+    /// GPU and CPU partitions; zero for the other single-node engines.
     pub network_bytes: u64,
     /// Peak working-set bytes on the most loaded node/device (baselines;
     /// zero where not tracked).

@@ -57,4 +57,4 @@ pub mod totem;
 pub mod xstream;
 
 pub use cluster::{ClusterConfig, FrameworkProfile};
-pub use report::{run, Algo, BaselineError, CostModel, Run, RunReport};
+pub use report::{run, Algo, BaselineError, CostModel, RunReport};

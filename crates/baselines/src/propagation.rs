@@ -242,7 +242,7 @@ pub enum Placement {
 
 impl Placement {
     /// Number of partitions.
-    pub fn parts(self) -> usize {
+    pub(crate) fn parts(self) -> usize {
         match self {
             Placement::Single => 1,
             Placement::Hash(n) => n,
@@ -251,7 +251,7 @@ impl Placement {
     }
 
     /// Partition of vertex `v`.
-    pub fn of(self, v: u32) -> usize {
+    pub(crate) fn of(self, v: u32) -> usize {
         match self {
             Placement::Single => 0,
             Placement::Hash(n) => v as usize % n,

@@ -63,7 +63,7 @@ impl Algo {
 
     /// The GPU kernel class that runs it: PageRank computes, the rest
     /// traverse.
-    pub fn kernel_class(self) -> KernelClass {
+    pub(crate) fn kernel_class(self) -> KernelClass {
         match self {
             Algo::PageRank { .. } => KernelClass::Compute,
             _ => KernelClass::Traversal,

@@ -208,7 +208,10 @@ impl BlockDevice {
 #[derive(Debug, Clone)]
 pub struct StorageArray {
     devices: Vec<BlockDevice>,
-    telemetry: Option<Telemetry>,
+    /// The span sink: set only when the attached telemetry records spans
+    /// (read once, at attach), so a fetch with spans off builds no label
+    /// and takes no lock.
+    spans: Option<Telemetry>,
     faults: Option<FaultPlan>,
     /// Per-drive quarantine flag; quarantined drives serve no more reads.
     quarantined: Vec<bool>,
@@ -235,7 +238,7 @@ impl StorageArray {
         let n = devices.len();
         StorageArray {
             devices,
-            telemetry: None,
+            spans: None,
             faults: None,
             quarantined: vec![false; n],
             consecutive_failures: vec![0; n],
@@ -256,6 +259,7 @@ impl StorageArray {
     /// Share `tel` as this array's recording surface: fetches draw I/O
     /// spans (one lane per drive) when `tel` has spans enabled.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
+        self.spans = None;
         if tel.spans_enabled() {
             tel.name_process(keys::pid::STORAGE, "storage");
             for d in 0..self.devices.len() {
@@ -266,8 +270,8 @@ impl StorageArray {
                 };
                 tel.name_thread(Track::new(keys::pid::STORAGE, d as u32), name);
             }
+            self.spans = Some(tel);
         }
-        self.telemetry = Some(tel);
     }
 
     /// `n` identical SSDs.
@@ -397,7 +401,7 @@ impl StorageArray {
             match failure {
                 None => {
                     self.consecutive_failures[dev] = 0;
-                    self.record_io_span(dev, format!("page {pid}"), s.start, s.end);
+                    self.record_io_span(dev, || format!("page {pid}"), s.start, s.end);
                     return Ok(s);
                 }
                 Some((tag, is_read_error)) => {
@@ -406,7 +410,7 @@ impl StorageArray {
                     } else {
                         self.checksum_mismatches += 1;
                     }
-                    self.record_io_span(dev, format!("page {pid} {tag}"), s.start, s.end);
+                    self.record_io_span(dev, || format!("page {pid} {tag}"), s.start, s.end);
                     self.consecutive_failures[dev] += 1;
                     if self.consecutive_failures[dev] >= quarantine_after {
                         self.quarantine(dev, s.end);
@@ -449,7 +453,7 @@ impl StorageArray {
         }
         self.quarantined[dev] = true;
         self.drives_quarantined += 1;
-        if let Some(tel) = &self.telemetry {
+        if let Some(tel) = &self.spans {
             tel.record_span(
                 Track::new(keys::pid::STORAGE, dev as u32),
                 SpanCat::Degrade,
@@ -460,12 +464,18 @@ impl StorageArray {
         }
     }
 
-    fn record_io_span(&self, dev: usize, name: String, start: SimTime, end: SimTime) {
-        if let Some(tel) = &self.telemetry {
+    fn record_io_span(
+        &self,
+        dev: usize,
+        name: impl FnOnce() -> String,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        if let Some(tel) = &self.spans {
             tel.record_span(
                 Track::new(keys::pid::STORAGE, dev as u32),
                 SpanCat::Io,
-                name,
+                name(),
                 start,
                 end,
             );

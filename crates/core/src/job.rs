@@ -512,7 +512,7 @@ impl<'e> Job<'e> {
             // Eq. (1)'s first |WA|/c1 term).
             t = schedule::broadcast_wa(&mut self.setup.lanes, self.setup.wa_per_gpu, t);
         }
-        let mut acc = SweepAccounting::new(t);
+        let mut acc = SweepAccounting::new(t, store.num_pages());
         // SPs first, then LPs (reduces kernel switching, Sec. 3.2).
         for phase in self.plan.phases() {
             let env = KernelEnv {
@@ -595,7 +595,7 @@ impl<'e> Job<'e> {
                 self.sweep = self.sweep.max(due);
             }
             SweepControl::Continue if !sweep_mode => {
-                self.plan = SweepPlan::from_marked(store, acc.next)?;
+                self.plan = SweepPlan::from_marked(store, acc.next.iter())?;
             }
             // The seed-restricted sweep changed something, so the
             // perturbation may have escaped the dirty pages: fall back to
@@ -604,7 +604,7 @@ impl<'e> Job<'e> {
             SweepControl::Continue if self.restricted => self.plan = SweepPlan::full(store),
             SweepControl::Continue => {}
             SweepControl::ContinueWith(pids) => {
-                self.plan = SweepPlan::from_marked(store, pids.into_iter().collect())?;
+                self.plan = SweepPlan::from_marked(store, pids)?;
             }
         }
         Ok(true)

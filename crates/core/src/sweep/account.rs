@@ -21,12 +21,12 @@ use crate::report::SweepStats;
 use crate::strategy::Strategy;
 use crate::sweep::ingest::PageSource;
 use crate::sweep::kernels::PageOutcome;
+use crate::sweep::plan::PageBitmap;
 use crate::sweep::schedule::{self, GpuLane};
 use gts_gpu::timer::{KernelClass, KernelCost};
 use gts_sim::SimTime;
 use gts_storage::builder::GraphStore;
 use gts_telemetry::{keys, SpanCat, Telemetry, Track};
-use std::collections::BTreeSet;
 
 /// Sweep-invariant inputs of the accounting pass.
 pub(crate) struct AccountCtx<'a> {
@@ -50,8 +50,8 @@ pub(crate) struct AccountCtx<'a> {
 
 /// Accumulator for one sweep's accounting across both phases.
 pub(crate) struct SweepAccounting {
-    /// Global `nextPIDSet` for the following sweep (deduplicated).
-    pub next: BTreeSet<u64>,
+    /// Global `nextPIDSet` for the following sweep: a page bitmap.
+    pub next: PageBitmap,
     /// Did any kernel update an attribute this sweep?
     pub any_update: bool,
     /// Per-sweep statistics (pages, hits, active vertices/edges).
@@ -62,10 +62,11 @@ pub(crate) struct SweepAccounting {
 }
 
 impl SweepAccounting {
-    /// Start accounting a sweep whose streaming begins at `sweep_start`.
-    pub fn new(sweep_start: SimTime) -> SweepAccounting {
+    /// Start accounting a sweep over a store of `num_pages` pages whose
+    /// streaming begins at `sweep_start`.
+    pub fn new(sweep_start: SimTime, num_pages: u64) -> SweepAccounting {
         SweepAccounting {
-            next: BTreeSet::new(),
+            next: PageBitmap::new(num_pages),
             any_update: false,
             stats: SweepStats::default(),
             edges: 0,
@@ -94,7 +95,9 @@ impl SweepAccounting {
             self.stats.active_vertices += work.active_vertices;
             self.stats.active_edges += work.active_edges;
             self.any_update |= work.updated;
-            self.next.extend(outcome.next_pids.iter().copied());
+            for &next in &outcome.next_pids {
+                self.next.insert(next);
+            }
 
             let view = ctx.store.view(pid);
             let targets = ctx.strategy.targets(pid, ctx.num_gpus);

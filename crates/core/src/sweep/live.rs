@@ -269,7 +269,7 @@ impl Job<'_> {
             // sound choice; likewise when the program gave no seeds.
             self.restricted = revived && !seeds.is_empty();
             if self.restricted {
-                SweepPlan::from_marked(store, seeds.into_iter().collect())?
+                SweepPlan::from_marked(store, seeds)?
             } else {
                 SweepPlan::full(store)
             }
@@ -277,9 +277,7 @@ impl Job<'_> {
             // Traversal: the pending frontier pages stay planned; the
             // mutation's seeds join them.
             let planned = self.plan.sp_pids().iter().chain(self.plan.lp_pids());
-            let mut marked: BTreeSet<u64> = planned.copied().collect();
-            marked.extend(seeds);
-            SweepPlan::from_marked(store, marked)?
+            SweepPlan::from_marked(store, planned.copied().chain(seeds))?
         };
         Ok(())
     }

@@ -5,7 +5,7 @@
 //! sweep — and each stage lives in its own module with a narrow,
 //! unit-testable interface:
 //!
-//! * [`plan`] — frontier → [`SweepPlan`]: SP/LP ordering and the
+//! * [`plan`] — page-bitmap frontier → [`SweepPlan`]: SP/LP ordering and the
 //!   `split_and_expand` chunk-run widening (Alg. 1 lines 4-7, 28).
 //!   Pure: no clocks, no telemetry.
 //! * [`ingest`] — a [`PageSource`] answering "when is page j's data ready

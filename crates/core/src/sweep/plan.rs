@@ -1,15 +1,64 @@
 //! Stage 1 — planning: which pages the next sweep streams, in what order.
 //!
-//! A [`SweepPlan`] is the engine's `nextPIDSet` materialised as two sorted
-//! page lists: Small Pages first, then Large Pages (Sec. 3.2's phase
-//! separation — batching by kind reduces kernel switching). Planning is
+//! The engine keeps `nextPIDSet` as a [`PageBitmap`], one bit per page,
+//! and a [`SweepPlan`] is that set materialised as two sorted page lists:
+//! Small Pages first, then Large Pages (Sec. 3.2's phase separation —
+//! batching by kind reduces kernel switching). Planning is
 //! pure — it reads the store's RVT and page kinds, touches no clock and
 //! no telemetry — so it can be tested exhaustively in isolation.
 
 use crate::engine::EngineError;
 use gts_storage::builder::GraphStore;
 use gts_storage::PageKind;
-use std::collections::BTreeSet;
+
+/// The global `nextPIDSet` as Alg. 1 keeps it: one bit per page of the
+/// store. Marking a page is one bit-or however many kernels name it, and
+/// [`PageBitmap::iter`] yields the marked pages ascending. A pid past the
+/// bitmap is kept aside rather than indexed, so [`SweepPlan::from_marked`]
+/// — never the bitmap — is what refuses it, with its typed error.
+#[derive(Debug, Clone)]
+pub(crate) struct PageBitmap {
+    words: Vec<u64>,
+    stray: Vec<u64>,
+}
+
+impl PageBitmap {
+    /// An empty set over `num_pages` pages.
+    pub(crate) fn new(num_pages: u64) -> PageBitmap {
+        PageBitmap {
+            words: vec![0; num_pages.div_ceil(64) as usize],
+            stray: Vec::new(),
+        }
+    }
+
+    /// Mark `pid`.
+    pub(crate) fn insert(&mut self, pid: u64) {
+        match self.words.get_mut((pid / 64) as usize) {
+            Some(word) => *word |= 1 << (pid % 64),
+            None => self.stray.push(pid),
+        }
+    }
+
+    /// True when nothing is marked.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.stray.is_empty() && self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The marked pages: the bitmap's in ascending order, then any strays.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let bits = self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    i as u64 * 64 + u64::from(bit)
+                })
+            })
+        });
+        bits.chain(self.stray.iter().copied())
+    }
+}
 
 /// The pages one sweep will stream: SP phase then LP phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,14 +81,12 @@ impl SweepPlan {
     /// from the source vertex's page, sweep programs from every page.
     pub fn seeded(store: &GraphStore, start_vertex: Option<u64>) -> Result<SweepPlan, EngineError> {
         match start_vertex {
-            Some(src) => {
-                SweepPlan::from_marked(store, std::iter::once(store.pid_of_vertex(src)).collect())
-            }
+            Some(src) => SweepPlan::from_marked(store, [store.pid_of_vertex(src)]),
             None => Ok(SweepPlan::full(store)),
         }
     }
 
-    /// Expand a marked page set into a plan, widening each Large-Page
+    /// Expand marked pages into a plan, widening each Large-Page
     /// reference to the vertex's whole chunk run: a record ID always points
     /// at the *first* chunk, but a traversal must stream them all. A page
     /// holding a vertex with delta/overflow pages (allocated by a mutation
@@ -53,9 +100,12 @@ impl SweepPlan {
     /// instead of panicking — and with [`EngineError::Storage`] when a
     /// marked pid is out of range (`ContinueWith` lists are
     /// program-supplied, so they are validated, not trusted).
+    ///
+    /// `marked` may come in any order and repeat pages: both phases are
+    /// sorted and deduplicated here.
     pub fn from_marked(
         store: &GraphStore,
-        marked: BTreeSet<u64>,
+        marked: impl IntoIterator<Item = u64>,
     ) -> Result<SweepPlan, EngineError> {
         let mut sps = Vec::new();
         let mut lps = Vec::new();
@@ -75,13 +125,16 @@ impl SweepPlan {
             }
             lps.extend(store.delta_pids_for_page(pid));
         }
-        // Several chunks of one run may have been marked independently
-        // (each record ID points at the first chunk, but ContinueWith
-        // lists replay every chunk); their expansions overlap, and a page
-        // must be processed at most once per sweep — kernels like BC's
-        // backward accumulation are not idempotent.
-        lps.sort_unstable();
-        lps.dedup();
+        // A page may be marked twice, and several chunks of one run may
+        // have been marked independently (each record ID points at the
+        // first chunk, but ContinueWith lists replay every chunk), so the
+        // expansions overlap; a page must be processed at most once per
+        // sweep — kernels like BC's backward accumulation are not
+        // idempotent.
+        for pids in [&mut sps, &mut lps] {
+            pids.sort_unstable();
+            pids.dedup();
+        }
         Ok(SweepPlan {
             sp_pids: sps,
             lp_pids: lps,
@@ -125,7 +178,8 @@ impl SweepPlan {
 mod tests {
     use super::*;
     use gts_graph::EdgeList;
-    use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
+    use gts_storage::{build_graph_store, MutationBatch, PageFormatConfig, PhysicalIdConfig};
+    use std::collections::BTreeSet;
 
     /// A star graph whose hub adjacency overflows one page: vertex 0
     /// points at every other vertex, so it becomes a Large-Page chunk run.
@@ -175,7 +229,7 @@ mod tests {
         assert!(lps.len() >= 2, "hub must span multiple Large Pages");
         let first = lps[0];
         // Marking only the first chunk must pull in the entire run...
-        let plan = SweepPlan::from_marked(&store, std::iter::once(first).collect()).unwrap();
+        let plan = SweepPlan::from_marked(&store, [first]).unwrap();
         let run_len = store.rvt().entry(first).lp_range.unwrap() as usize + 1;
         let want: Vec<u64> = (first..first + run_len as u64).collect();
         assert_eq!(plan.lp_pids(), want.as_slice());
@@ -186,25 +240,25 @@ mod tests {
         assert_eq!(plan2.lp_pids(), want.as_slice());
     }
 
-    #[test]
-    fn marking_a_home_page_pulls_in_its_delta_pages() {
-        use gts_storage::MutationBatch;
-        let mut store = star_store();
-        // Overflow a spoke vertex's Small-Page slot so the batch spills it
-        // into delta pages.
+    /// Overflow a spoke vertex's Small-Page slot so the batch spills it
+    /// into delta pages; returns the new delta pids.
+    fn spill_spoke(store: &mut GraphStore) -> Vec<u64> {
         let mut batch = MutationBatch::new();
         for d in 2..40 {
             batch.insert(1, d);
         }
-        let out = store.apply_mutations(&batch).unwrap();
-        assert!(
-            !out.new_pids.is_empty(),
-            "38 inserts must overflow the slot: {out:?}"
-        );
+        store.apply_mutations(&batch).unwrap().new_pids
+    }
+
+    #[test]
+    fn marking_a_home_page_pulls_in_its_delta_pages() {
+        let mut store = star_store();
+        let new_pids = spill_spoke(&mut store);
+        assert!(!new_pids.is_empty(), "38 inserts must overflow the slot");
         let home = store.pid_of_vertex(1);
-        let plan = SweepPlan::from_marked(&store, std::iter::once(home).collect()).unwrap();
+        let plan = SweepPlan::from_marked(&store, [home]).unwrap();
         assert!(plan.sp_pids().contains(&home));
-        for pid in &out.new_pids {
+        for pid in &new_pids {
             assert!(
                 plan.lp_pids().contains(pid),
                 "delta page {pid} missing from {plan:?}"
@@ -213,13 +267,46 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_marks_with_repeats_plan_like_their_set() {
+        let mut mutated = star_store();
+        assert!(!spill_spoke(&mut mutated).is_empty());
+        for store in [star_store(), mutated] {
+            let n = store.num_pages();
+            let every_page_twice_descending: Vec<u64> = (0..n).rev().flat_map(|p| [p, p]).collect();
+            let scattered: Vec<u64> = (0..2 * n).map(|i| i * 7 % n).step_by(3).collect();
+            for marked in [every_page_twice_descending, scattered] {
+                let set: BTreeSet<u64> = marked.iter().copied().collect();
+                let mut frontier = PageBitmap::new(n);
+                marked.iter().for_each(|&p| frontier.insert(p));
+                assert!(frontier.iter().eq(set.iter().copied()));
+                let want = SweepPlan::from_marked(&store, set).unwrap();
+                assert_eq!(SweepPlan::from_marked(&store, marked).unwrap(), want);
+                assert_eq!(
+                    SweepPlan::from_marked(&store, frontier.iter()).unwrap(),
+                    want
+                );
+            }
+        }
+    }
+
+    #[test]
     fn out_of_range_marked_pid_is_a_typed_error() {
         let store = star_store();
         // ContinueWith lists are program-supplied: validated, not trusted.
-        let bad = store.num_pages() + 7;
-        match SweepPlan::from_marked(&store, std::iter::once(bad).collect()) {
-            Err(crate::engine::EngineError::Storage(_)) => {}
-            other => panic!("expected a typed BadPid error, got {other:?}"),
+        // A frontier naming a page past the store does not panic either:
+        // planning refuses it, whether it landed in the bitmap's last
+        // word or past it.
+        let n = store.num_pages();
+        let mut frontier = PageBitmap::new(n);
+        for pid in [n, n + 7, u64::MAX] {
+            frontier.insert(pid);
+        }
+        assert!(!frontier.is_empty());
+        for marked in [vec![n + 7], frontier.iter().collect()] {
+            match SweepPlan::from_marked(&store, marked) {
+                Err(crate::engine::EngineError::Storage(_)) => {}
+                other => panic!("expected a typed BadPid error, got {other:?}"),
+            }
         }
     }
 

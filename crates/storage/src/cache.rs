@@ -5,9 +5,11 @@
 //! level-by-level traversal) skip the PCI-E transfer. The paper "basically
 //! adopts the LRU algorithm … but other algorithms can be used as well" —
 //! so the policy is a trait here, with LRU, FIFO and seeded-random
-//! implementations, and the cache ablation bench compares them.
+//! implementations, and the cache ablation bench compares them. The LRU
+//! is the one on every engine probe, so it is a dense table indexed by
+//! page ID, as Alg. 1's per-page `cachedPIDMap` is.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A page-cache replacement policy over page IDs.
 ///
@@ -67,20 +69,35 @@ pub type PageCache = Box<dyn CachePolicy>;
 
 /// Least-recently-used replacement (the paper's default).
 ///
-/// Recency is a monotone stamp; a `BTreeMap<stamp, pid>` mirrors the
-/// `pid → stamp` map so both the hit path and the eviction are
-/// O(log capacity) — default configurations cache hundreds of thousands
-/// of pages (12 GiB of device memory at 64 KiB pages), where a linear
-/// victim scan per miss would dominate out-of-core runs.
+/// Alg. 1 keeps `cachedPIDMap` per page, and so does this cache: an
+/// intrusive recency list indexed by page ID. `links[pid]` holds the
+/// page's neighbours in recency order (head = LRU, tail = MRU) and
+/// whether it is resident, so a hit, an admission, an eviction and an
+/// invalidation are each a few array writes — no hashing, no ordered map.
+/// The table grows to the largest page ID touched, one small entry per
+/// page of the store, however large `capacity` is (default
+/// configurations allow millions of pages).
 #[derive(Debug, Clone)]
 pub struct LruCache {
     capacity: usize,
-    stamp: u64,
-    entries: HashMap<u64, u64>,
-    by_stamp: BTreeMap<u64, u64>,
+    links: Vec<Link>,
+    head: usize,
+    tail: usize,
+    len: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+/// The end of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One page's entry in [`LruCache`]'s recency list.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: usize,
+    next: usize,
+    resident: bool,
 }
 
 impl LruCache {
@@ -88,23 +105,50 @@ impl LruCache {
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
-            stamp: 0,
-            entries: HashMap::with_capacity(capacity),
-            by_stamp: BTreeMap::new(),
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
+
+    /// Take resident page `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let Link { prev, next, .. } = self.links[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.links[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.links[n].prev = prev,
+        }
+    }
+
+    /// Make page `i` the most recently used.
+    fn push_mru(&mut self, i: usize) {
+        self.links[i] = Link {
+            prev: self.tail,
+            next: NIL,
+            resident: true,
+        };
+        match self.tail {
+            NIL => self.head = i,
+            t => self.links[t].next = i,
+        }
+        self.tail = i;
+    }
 }
 
 impl CachePolicy for LruCache {
     fn access(&mut self, pid: u64) -> bool {
-        self.stamp += 1;
-        if let Some(s) = self.entries.get_mut(&pid) {
-            self.by_stamp.remove(s);
-            *s = self.stamp;
-            self.by_stamp.insert(self.stamp, pid);
+        let i = pid as usize;
+        if self.contains(pid) {
+            self.unlink(i);
+            self.push_mru(i);
             self.hits += 1;
             return true;
         }
@@ -112,30 +156,40 @@ impl CachePolicy for LruCache {
         if self.capacity == 0 {
             return false;
         }
-        if self.entries.len() >= self.capacity {
-            // len >= capacity > 0, and by_stamp mirrors entries 1:1.
-            #[allow(clippy::expect_used)]
-            let (&oldest, &victim) = self.by_stamp.first_key_value().expect("cache non-empty");
-            self.by_stamp.remove(&oldest);
-            self.entries.remove(&victim);
+        if self.len >= self.capacity {
+            // len >= capacity > 0, so the list has a head.
+            let victim = self.head;
+            self.unlink(victim);
+            self.links[victim].resident = false;
+            self.len -= 1;
             self.evictions += 1;
         }
-        self.entries.insert(pid, self.stamp);
-        self.by_stamp.insert(self.stamp, pid);
+        if i >= self.links.len() {
+            let free = Link {
+                prev: NIL,
+                next: NIL,
+                resident: false,
+            };
+            self.links.resize(i + 1, free);
+        }
+        self.push_mru(i);
+        self.len += 1;
         false
     }
 
     fn invalidate(&mut self, pid: u64) -> bool {
-        if let Some(s) = self.entries.remove(&pid) {
-            self.by_stamp.remove(&s);
-            true
-        } else {
-            false
+        if !self.contains(pid) {
+            return false;
         }
+        let i = pid as usize;
+        self.unlink(i);
+        self.links[i].resident = false;
+        self.len -= 1;
+        true
     }
 
     fn contains(&self, pid: u64) -> bool {
-        self.entries.contains_key(&pid)
+        self.links.get(pid as usize).is_some_and(|l| l.resident)
     }
 
     fn capacity(&self) -> usize {
@@ -143,16 +197,17 @@ impl CachePolicy for LruCache {
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     fn clear(&mut self) {
-        self.entries.clear();
-        self.by_stamp.clear();
+        self.links.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.len = 0;
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
-        self.stamp = 0;
     }
 
     fn hits(&self) -> u64 {
@@ -467,16 +522,18 @@ mod tests {
     }
 
     /// Straight-line single-`Vec` reimplementations of each policy's
-    /// semantics, kept deliberately free of the incremental index/mirror
+    /// semantics, kept deliberately free of the incremental index/list
     /// bookkeeping the real caches use. Replaying the same op stream
     /// through both and demanding identical hit sequences, counters and
     /// residency pins `invalidate` to "consistent with a rebuild from
     /// scratch" across all three policies.
+    #[derive(Default)]
     struct LruModel {
         cap: usize,
         order: Vec<u64>, // LRU .. MRU
         hits: u64,
         misses: u64,
+        evictions: u64,
     }
 
     impl LruModel {
@@ -493,6 +550,7 @@ mod tests {
             }
             if self.order.len() >= self.cap {
                 self.order.remove(0);
+                self.evictions += 1;
             }
             self.order.push(pid);
             false
@@ -501,13 +559,22 @@ mod tests {
         fn invalidate(&mut self, pid: u64) {
             self.order.retain(|&p| p != pid);
         }
+
+        fn clear(&mut self) {
+            *self = LruModel {
+                cap: self.cap,
+                ..LruModel::default()
+            };
+        }
     }
 
+    #[derive(Default)]
     struct FifoModel {
         cap: usize,
         order: Vec<u64>, // admission order
         hits: u64,
         misses: u64,
+        evictions: u64,
     }
 
     impl FifoModel {
@@ -522,6 +589,7 @@ mod tests {
             }
             if self.order.len() >= self.cap {
                 self.order.remove(0);
+                self.evictions += 1;
             }
             self.order.push(pid);
             false
@@ -530,14 +598,23 @@ mod tests {
         fn invalidate(&mut self, pid: u64) {
             self.order.retain(|&p| p != pid);
         }
+
+        fn clear(&mut self) {
+            *self = FifoModel {
+                cap: self.cap,
+                ..FifoModel::default()
+            };
+        }
     }
 
+    #[derive(Default)]
     struct RandomModel {
         cap: usize,
         slots: Vec<u64>,
         state: u64, // mirrors RandomCache's xorshift64*
         hits: u64,
         misses: u64,
+        evictions: u64,
     }
 
     impl RandomModel {
@@ -562,6 +639,7 @@ mod tests {
             if self.slots.len() >= self.cap {
                 let at = (self.next_rand() % self.slots.len() as u64) as usize;
                 self.slots.swap_remove(at);
+                self.evictions += 1;
             }
             self.slots.push(pid);
             false
@@ -572,11 +650,20 @@ mod tests {
             // cache's invalidate documents.
             self.slots.retain(|&p| p != pid);
         }
+
+        fn clear(&mut self) {
+            // `clear` drops residency and counters; the RNG runs on.
+            *self = RandomModel {
+                cap: self.cap,
+                state: self.state,
+                ..RandomModel::default()
+            };
+        }
     }
 
-    /// Deterministic op stream: ~1 in 4 ops invalidates a page from a
-    /// small universe, the rest access.
-    fn op_stream(seed: u64, len: usize, universe: u64) -> Vec<Op> {
+    /// Deterministic op stream over `pids`: ~1 in 4 ops invalidates a
+    /// page, the rest access.
+    fn op_stream(seed: u64, len: usize, pids: &[u64]) -> Vec<Op> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
         let mut next = move || {
             let mut x = state;
@@ -588,7 +675,7 @@ mod tests {
         };
         (0..len)
             .map(|_| {
-                let pid = next() % universe;
+                let pid = pids[(next() % pids.len() as u64) as usize];
                 if next() % 4 == 0 {
                     Op::Invalidate(pid)
                 } else {
@@ -600,70 +687,91 @@ mod tests {
 
     #[test]
     fn invalidate_is_consistent_with_rebuild_from_scratch_across_policies() {
-        const CAP: usize = 4;
         const SEED: u64 = 0x6715;
-        for stream_seed in 0..24u64 {
-            let ops = op_stream(stream_seed, 400, 17);
-            let mut caches: Vec<PageCache> = vec![
-                Box::new(LruCache::new(CAP)),
-                Box::new(FifoCache::new(CAP)),
-                Box::new(RandomCache::new(CAP, SEED)),
-            ];
-            let mut lru = LruModel {
-                cap: CAP,
-                order: Vec::new(),
-                hits: 0,
-                misses: 0,
-            };
-            let mut fifo = FifoModel {
-                cap: CAP,
-                order: Vec::new(),
-                hits: 0,
-                misses: 0,
-            };
-            let mut random = RandomModel {
-                cap: CAP,
-                slots: Vec::new(),
-                state: SEED | 1,
-                hits: 0,
-                misses: 0,
-            };
-            for (i, &op) in ops.iter().enumerate() {
-                match op {
-                    Op::Access(pid) => {
-                        let want = [lru.access(pid), fifo.access(pid), random.access(pid)];
-                        for (c, w) in caches.iter_mut().zip(want) {
-                            assert_eq!(
-                                c.access(pid),
-                                w,
-                                "{} diverged from model at op {i} of stream {stream_seed}",
-                                c.name()
-                            );
-                        }
+        // (capacity, distinct pids, their spacing): a dense universe just
+        // past the capacity, and a sparse one reaching up to 1 << 16.
+        for (cap, universe, spread) in [(4, 17, 1), (64, 96, 683)] {
+            let pids: Vec<u64> = (0..universe).map(|p| p * spread).collect();
+            assert!(pids.iter().all(|&p| p < 1 << 16));
+            for stream_seed in 0..24u64 {
+                let ops = op_stream(stream_seed, 400, &pids);
+                let mut caches: Vec<PageCache> = vec![
+                    Box::new(LruCache::new(cap)),
+                    Box::new(FifoCache::new(cap)),
+                    Box::new(RandomCache::new(cap, SEED)),
+                ];
+                let mut lru = LruModel {
+                    cap,
+                    ..LruModel::default()
+                };
+                let mut fifo = FifoModel {
+                    cap,
+                    ..FifoModel::default()
+                };
+                let mut random = RandomModel {
+                    cap,
+                    state: SEED | 1,
+                    ..RandomModel::default()
+                };
+                for (i, &op) in ops.iter().enumerate() {
+                    if i == ops.len() / 2 {
+                        // A cleared cache is reused as if it were new.
+                        lru.clear();
+                        fifo.clear();
+                        random.clear();
+                        caches.iter_mut().for_each(|c| c.clear());
                     }
-                    Op::Invalidate(pid) => {
-                        lru.invalidate(pid);
-                        fifo.invalidate(pid);
-                        random.invalidate(pid);
-                        for c in caches.iter_mut() {
-                            c.invalidate(pid);
-                            assert!(!c.contains(pid), "{} kept an invalidated page", c.name());
+                    match op {
+                        Op::Access(pid) => {
+                            let want = [lru.access(pid), fifo.access(pid), random.access(pid)];
+                            for (c, w) in caches.iter_mut().zip(want) {
+                                assert_eq!(
+                                    c.access(pid),
+                                    w,
+                                    "{} diverged from model at op {i} of stream {stream_seed}",
+                                    c.name()
+                                );
+                            }
+                        }
+                        Op::Invalidate(pid) => {
+                            lru.invalidate(pid);
+                            fifo.invalidate(pid);
+                            random.invalidate(pid);
+                            for c in caches.iter_mut() {
+                                c.invalidate(pid);
+                                assert!(!c.contains(pid), "{} kept an invalidated page", c.name());
+                            }
                         }
                     }
                 }
-            }
-            let residency = |m: &[u64]| (0..17u64).map(|p| m.contains(&p)).collect::<Vec<bool>>();
-            let want = [
-                (residency(&lru.order), lru.hits, lru.misses),
-                (residency(&fifo.order), fifo.hits, fifo.misses),
-                (residency(&random.slots), random.hits, random.misses),
-            ];
-            for (c, (res, hits, misses)) in caches.iter().zip(want) {
-                let got: Vec<bool> = (0..17u64).map(|p| c.contains(p)).collect();
-                assert_eq!(got, res, "{} residency, stream {stream_seed}", c.name());
-                assert_eq!(c.hits(), hits, "{} hits", c.name());
-                assert_eq!(c.misses(), misses, "{} misses", c.name());
-                assert!(c.len() <= CAP);
+                let residency = |m: &[u64]| pids.iter().map(|p| m.contains(p)).collect::<Vec<_>>();
+                let want = [
+                    (residency(&lru.order), lru.hits, lru.misses, lru.evictions),
+                    (
+                        residency(&fifo.order),
+                        fifo.hits,
+                        fifo.misses,
+                        fifo.evictions,
+                    ),
+                    (
+                        residency(&random.slots),
+                        random.hits,
+                        random.misses,
+                        random.evictions,
+                    ),
+                ];
+                for (c, (res, hits, misses, evictions)) in caches.iter().zip(want) {
+                    let got: Vec<bool> = pids.iter().map(|&p| c.contains(p)).collect();
+                    let name = c.name();
+                    assert_eq!(
+                        got, res,
+                        "{name} residency, cap {cap}, stream {stream_seed}"
+                    );
+                    assert_eq!(c.hits(), hits, "{name} hits");
+                    assert_eq!(c.misses(), misses, "{name} misses");
+                    assert_eq!(c.evictions(), evictions, "{name} evictions");
+                    assert_eq!(c.len(), res.iter().filter(|&&r| r).count(), "{name} len");
+                }
             }
         }
     }

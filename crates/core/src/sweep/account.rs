@@ -95,9 +95,7 @@ impl SweepAccounting {
             self.stats.active_vertices += work.active_vertices;
             self.stats.active_edges += work.active_edges;
             self.any_update |= work.updated;
-            for &next in &outcome.next_pids {
-                self.next.insert(next);
-            }
+            outcome.next_pids.iter().for_each(|&p| self.next.insert(p));
 
             let view = ctx.store.view(pid);
             let targets = ctx.strategy.targets(pid, ctx.num_gpus);

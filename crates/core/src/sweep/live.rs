@@ -16,7 +16,7 @@ use gts_ckpt::Snapshot;
 use gts_storage::builder::GraphStore;
 use gts_storage::{MutationBatch, MutationOutcome, Wal};
 use gts_telemetry::keys;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// When each [`MutationBatch`] of a live run applies: at the boundary of
 /// the keyed sweep (before that sweep streams any page), so an in-flight
@@ -192,18 +192,15 @@ impl StoreHandle<'_> {
 /// batch and rewritten by the second stays in `new_pids` (no sweep ran in
 /// between, so no cache ever saw it and placement happens once).
 fn merge_outcomes(a: MutationOutcome, b: MutationOutcome) -> MutationOutcome {
-    let new_pids: Vec<u64> = {
-        let mut set: BTreeSet<u64> = a.new_pids.into_iter().collect();
-        set.extend(b.new_pids);
-        set.into_iter().collect()
+    let union = |mut x: Vec<u64>, y: Vec<u64>| {
+        x.extend(y);
+        x.sort_unstable();
+        x.dedup();
+        x
     };
-    let dirty_pids: Vec<u64> = {
-        let mut set: BTreeSet<u64> = a.dirty_pids.into_iter().collect();
-        set.extend(b.dirty_pids);
-        set.into_iter()
-            .filter(|pid| !new_pids.contains(pid))
-            .collect()
-    };
+    let new_pids = union(a.new_pids, b.new_pids);
+    let mut dirty_pids = union(a.dirty_pids, b.dirty_pids);
+    dirty_pids.retain(|pid| new_pids.binary_search(pid).is_err());
     MutationOutcome {
         inserted: a.inserted + b.inserted,
         deleted: a.deleted + b.deleted,

@@ -11,52 +11,40 @@ use crate::engine::EngineError;
 use gts_storage::builder::GraphStore;
 use gts_storage::PageKind;
 
-/// The global `nextPIDSet` as Alg. 1 keeps it: one bit per page of the
-/// store. Marking a page is one bit-or however many kernels name it, and
-/// [`PageBitmap::iter`] yields the marked pages ascending. A pid past the
-/// bitmap is kept aside rather than indexed, so [`SweepPlan::from_marked`]
-/// — never the bitmap — is what refuses it, with its typed error.
+/// The global `nextPIDSet` as Alg. 1 keeps it: one bit per page. A pid
+/// past the store is kept aside, never indexed, so that
+/// [`SweepPlan::from_marked`] refuses it with its typed error.
 #[derive(Debug, Clone)]
 pub(crate) struct PageBitmap {
     words: Vec<u64>,
-    stray: Vec<u64>,
+    stray: Option<u64>,
 }
 
 impl PageBitmap {
     /// An empty set over `num_pages` pages.
     pub(crate) fn new(num_pages: u64) -> PageBitmap {
-        PageBitmap {
-            words: vec![0; num_pages.div_ceil(64) as usize],
-            stray: Vec::new(),
-        }
+        let words = vec![0; num_pages.div_ceil(64) as usize];
+        PageBitmap { words, stray: None }
     }
 
     /// Mark `pid`.
     pub(crate) fn insert(&mut self, pid: u64) {
         match self.words.get_mut((pid / 64) as usize) {
             Some(word) => *word |= 1 << (pid % 64),
-            None => self.stray.push(pid),
+            None => self.stray = Some(pid),
         }
     }
 
     /// True when nothing is marked.
     pub(crate) fn is_empty(&self) -> bool {
-        self.stray.is_empty() && self.words.iter().all(|&w| w == 0)
+        self.stray.is_none() && self.words.iter().all(|&w| w == 0)
     }
 
-    /// The marked pages: the bitmap's in ascending order, then any strays.
+    /// The marked pages in ascending order (a stray last).
     pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        let bits = self.words.iter().enumerate().flat_map(|(i, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    i as u64 * 64 + u64::from(bit)
-                })
-            })
-        });
-        bits.chain(self.stray.iter().copied())
+        (0..self.words.len() as u64 * 64)
+            .filter(|&p| self.words[(p / 64) as usize] & (1 << (p % 64)) != 0)
+            .chain(self.stray)
     }
 }
 
@@ -86,13 +74,14 @@ impl SweepPlan {
         }
     }
 
-    /// Expand marked pages into a plan, widening each Large-Page
-    /// reference to the vertex's whole chunk run: a record ID always points
-    /// at the *first* chunk, but a traversal must stream them all. A page
-    /// holding a vertex with delta/overflow pages (allocated by a mutation
-    /// batch) additionally pulls those delta pages in — record IDs only
-    /// ever name home pages, so without this widening a mutated vertex's
-    /// overflow edges would never be streamed.
+    /// Expand marked pages, in any order and with repeats, into a plan,
+    /// widening each Large-Page reference to the vertex's whole chunk
+    /// run: a record ID always points at the *first* chunk, but a
+    /// traversal must stream them all. A page holding a vertex with
+    /// delta/overflow pages (allocated by a mutation batch) additionally
+    /// pulls those delta pages in — record IDs only ever name home pages,
+    /// so without this widening a mutated vertex's overflow edges would
+    /// never be streamed.
     ///
     /// Fails with [`EngineError::CorruptRvt`] if a Large Page's RVT entry
     /// is missing its `LP_RANGE` (the tuple the paper's Fig. 12 stores as
@@ -100,9 +89,6 @@ impl SweepPlan {
     /// instead of panicking — and with [`EngineError::Storage`] when a
     /// marked pid is out of range (`ContinueWith` lists are
     /// program-supplied, so they are validated, not trusted).
-    ///
-    /// `marked` may come in any order and repeat pages: both phases are
-    /// sorted and deduplicated here.
     pub fn from_marked(
         store: &GraphStore,
         marked: impl IntoIterator<Item = u64>,
@@ -118,9 +104,7 @@ impl SweepPlan {
                         .entry(pid)
                         .lp_range
                         .ok_or(EngineError::CorruptRvt { pid })?;
-                    for p in pid..=pid + range as u64 {
-                        lps.push(p);
-                    }
+                    lps.extend(pid..=pid + range as u64);
                 }
             }
             lps.extend(store.delta_pids_for_page(pid));

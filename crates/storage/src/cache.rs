@@ -6,8 +6,7 @@
 //! adopts the LRU algorithm … but other algorithms can be used as well" —
 //! so the policy is a trait here, with LRU, FIFO and seeded-random
 //! implementations, and the cache ablation bench compares them. The LRU
-//! is the one on every engine probe, so it is a dense table indexed by
-//! page ID, as Alg. 1's per-page `cachedPIDMap` is.
+//! is indexed by page ID, as Alg. 1's per-page `cachedPIDMap` is.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -69,34 +68,27 @@ pub type PageCache = Box<dyn CachePolicy>;
 
 /// Least-recently-used replacement (the paper's default).
 ///
-/// Alg. 1 keeps `cachedPIDMap` per page, and so does this cache: an
-/// intrusive recency list indexed by page ID. `links[pid]` holds the
-/// page's neighbours in recency order (head = LRU, tail = MRU) and
-/// whether it is resident, so a hit, an admission, an eviction and an
-/// invalidation are each a few array writes — no hashing, no ordered map.
-/// The table grows to the largest page ID touched, one small entry per
-/// page of the store, however large `capacity` is (default
-/// configurations allow millions of pages).
-#[derive(Debug, Clone)]
+/// An intrusive recency list indexed by page ID: `links[pid]` holds the
+/// page's neighbours (head = LRU, tail = MRU) and whether it is resident,
+/// so every operation is a few array writes. The table grows to the
+/// largest page ID touched, not to `capacity`.
+#[derive(Debug, Clone, Default)]
 pub struct LruCache {
     capacity: usize,
     links: Vec<Link>,
-    head: usize,
-    tail: usize,
+    head: Option<usize>,
+    tail: Option<usize>,
     len: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-/// The end of the recency list.
-const NIL: usize = usize::MAX;
-
 /// One page's entry in [`LruCache`]'s recency list.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Link {
-    prev: usize,
-    next: usize,
+    prev: Option<usize>,
+    next: Option<usize>,
     resident: bool,
 }
 
@@ -105,87 +97,69 @@ impl LruCache {
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
-            links: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+            ..LruCache::default()
         }
     }
 
-    /// Take resident page `i` out of the recency list.
+    /// Take resident page `i` out of the list.
     fn unlink(&mut self, i: usize) {
-        let Link { prev, next, .. } = self.links[i];
+        let Link { prev, next, .. } = std::mem::take(&mut self.links[i]);
         match prev {
-            NIL => self.head = next,
-            p => self.links[p].next = next,
+            Some(p) => self.links[p].next = next,
+            None => self.head = next,
         }
         match next {
-            NIL => self.tail = prev,
-            n => self.links[n].prev = prev,
+            Some(n) => self.links[n].prev = prev,
+            None => self.tail = prev,
         }
     }
 
     /// Make page `i` the most recently used.
     fn push_mru(&mut self, i: usize) {
+        if i >= self.links.len() {
+            self.links.resize(i + 1, Link::default());
+        }
         self.links[i] = Link {
             prev: self.tail,
-            next: NIL,
+            next: None,
             resident: true,
         };
-        match self.tail {
-            NIL => self.head = i,
-            t => self.links[t].next = i,
+        match self.tail.replace(i) {
+            Some(t) => self.links[t].next = Some(i),
+            None => self.head = Some(i),
         }
-        self.tail = i;
     }
 }
 
 impl CachePolicy for LruCache {
     fn access(&mut self, pid: u64) -> bool {
-        let i = pid as usize;
-        if self.contains(pid) {
-            self.unlink(i);
-            self.push_mru(i);
+        let resident = self.contains(pid);
+        if resident {
+            self.unlink(pid as usize);
             self.hits += 1;
-            return true;
+        } else {
+            self.misses += 1;
+            if self.capacity == 0 {
+                return false;
+            }
+            if let Some(victim) = self.head.filter(|_| self.len >= self.capacity) {
+                self.unlink(victim);
+                self.len -= 1;
+                self.evictions += 1;
+            }
+            self.len += 1;
         }
-        self.misses += 1;
-        if self.capacity == 0 {
-            return false;
-        }
-        if self.len >= self.capacity {
-            // len >= capacity > 0, so the list has a head.
-            let victim = self.head;
-            self.unlink(victim);
-            self.links[victim].resident = false;
-            self.len -= 1;
-            self.evictions += 1;
-        }
-        if i >= self.links.len() {
-            let free = Link {
-                prev: NIL,
-                next: NIL,
-                resident: false,
-            };
-            self.links.resize(i + 1, free);
-        }
-        self.push_mru(i);
-        self.len += 1;
-        false
+        self.push_mru(pid as usize);
+        resident
     }
 
     fn invalidate(&mut self, pid: u64) -> bool {
-        if !self.contains(pid) {
-            return false;
+        let resident = self.contains(pid);
+        if resident {
+            self.unlink(pid as usize);
+            self.len -= 1;
         }
-        let i = pid as usize;
-        self.unlink(i);
-        self.links[i].resident = false;
-        self.len -= 1;
-        true
+        resident
     }
 
     fn contains(&self, pid: u64) -> bool {
@@ -201,13 +175,7 @@ impl CachePolicy for LruCache {
     }
 
     fn clear(&mut self) {
-        self.links.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.len = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
+        *self = LruCache::new(self.capacity);
     }
 
     fn hits(&self) -> u64 {

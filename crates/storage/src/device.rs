@@ -208,9 +208,7 @@ impl BlockDevice {
 #[derive(Debug, Clone)]
 pub struct StorageArray {
     devices: Vec<BlockDevice>,
-    /// The span sink: set only when the attached telemetry records spans
-    /// (read once, at attach), so a fetch with spans off builds no label
-    /// and takes no lock.
+    /// The span sink, kept only when spans are on (read once, at attach).
     spans: Option<Telemetry>,
     faults: Option<FaultPlan>,
     /// Per-drive quarantine flag; quarantined drives serve no more reads.
@@ -401,7 +399,7 @@ impl StorageArray {
             match failure {
                 None => {
                     self.consecutive_failures[dev] = 0;
-                    self.record_io_span(dev, || format!("page {pid}"), s.start, s.end);
+                    self.record_io_span(dev, || format!("page {pid}"), s);
                     return Ok(s);
                 }
                 Some((tag, is_read_error)) => {
@@ -410,7 +408,7 @@ impl StorageArray {
                     } else {
                         self.checksum_mismatches += 1;
                     }
-                    self.record_io_span(dev, || format!("page {pid} {tag}"), s.start, s.end);
+                    self.record_io_span(dev, || format!("page {pid} {tag}"), s);
                     self.consecutive_failures[dev] += 1;
                     if self.consecutive_failures[dev] >= quarantine_after {
                         self.quarantine(dev, s.end);
@@ -464,20 +462,14 @@ impl StorageArray {
         }
     }
 
-    fn record_io_span(
-        &self,
-        dev: usize,
-        name: impl FnOnce() -> String,
-        start: SimTime,
-        end: SimTime,
-    ) {
+    fn record_io_span(&self, dev: usize, name: impl FnOnce() -> String, s: Scheduled) {
         if let Some(tel) = &self.spans {
             tel.record_span(
                 Track::new(keys::pid::STORAGE, dev as u32),
                 SpanCat::Io,
                 name(),
-                start,
-                end,
+                s.start,
+                s.end,
             );
         }
     }

@@ -12,8 +12,8 @@ use gts_storage::builder::GraphStore;
 use gts_storage::PageKind;
 
 /// The global `nextPIDSet` as Alg. 1 keeps it: one bit per page. A pid
-/// past the store is kept aside, never indexed, so that
-/// [`SweepPlan::from_marked`] refuses it with its typed error.
+/// past the last word is kept aside, never indexed: the bitmap takes any
+/// pid, and [`SweepPlan::from_marked`] refuses those past the store.
 #[derive(Debug, Clone)]
 pub(crate) struct PageBitmap {
     words: Vec<u64>,

@@ -101,7 +101,7 @@ impl LruCache {
         }
     }
 
-    /// Take resident page `i` out of the list.
+    /// Take resident page `i` out of the list; it is no longer resident.
     fn unlink(&mut self, i: usize) {
         let Link { prev, next, .. } = std::mem::take(&mut self.links[i]);
         match prev {
@@ -144,10 +144,10 @@ impl CachePolicy for LruCache {
             }
             if let Some(victim) = self.head.filter(|_| self.len >= self.capacity) {
                 self.unlink(victim);
-                self.len -= 1;
                 self.evictions += 1;
+            } else {
+                self.len += 1;
             }
-            self.len += 1;
         }
         self.push_mru(pid as usize);
         resident

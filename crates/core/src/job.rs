@@ -32,7 +32,7 @@
 use crate::programs::{ExecMode, GtsProgram, KernelScratch, SweepControl};
 use crate::report::RunReport;
 use crate::strategy::Strategy;
-use crate::sweep::account::{self, AccountCtx, SweepAccounting};
+use crate::sweep::account::{self, SweepAccounting};
 use crate::sweep::ckpt::{self, Rung};
 use crate::sweep::ingest::{self, PageSource};
 use crate::sweep::kernels::{self, KernelEnv};
@@ -495,16 +495,6 @@ impl<'e> Job<'e> {
     ) -> Result<SweepAccounting, EngineError> {
         let (cfg, sweep, spans) = (self.cfg, self.sweep, self.tel.spans_enabled());
         let sweep_mode = prog.mode() == ExecMode::Sweep;
-        let ctx = AccountCtx {
-            store,
-            strategy: self.setup.rung.strategy,
-            num_gpus: cfg.num_gpus,
-            page_size: store.cfg().page_size as u64,
-            ra_bytes_per_vertex: prog.ra_bytes_per_vertex(),
-            class: prog.class(),
-            tel: &self.tel,
-            spans,
-        };
         let sweep_wall = self.t;
         let mut t = sweep_wall;
         if sweep_mode {
@@ -514,19 +504,19 @@ impl<'e> Job<'e> {
         }
         let mut acc = SweepAccounting::new(t, store.num_pages());
         // SPs first, then LPs (reduces kernel switching, Sec. 3.2).
-        for phase in self.plan.phases() {
+        for phase in 0..2 {
             let env = KernelEnv {
                 store,
                 lp_degrees: &self.lp_degrees,
                 technique: cfg.technique,
                 sweep,
             };
+            let pids = self.plan.phases()[phase];
             let a0 = cfg.measure_host_phases.then(Instant::now);
             let outcomes =
-                kernels::run_page_kernels(prog, &self.pool, &env, phase, &mut self.scratch);
+                kernels::run_page_kernels(prog, &self.pool, &env, pids, &mut self.scratch);
             let b0 = cfg.measure_host_phases.then(Instant::now);
-            let (lanes, source) = (&mut self.setup.lanes, self.source.as_mut());
-            acc.account_phase(&ctx, lanes, source, phase, &outcomes)?;
+            self.account_phase(&mut acc, store, prog, phase, &outcomes)?;
             if let (Some(a0), Some(b0)) = (a0, b0) {
                 // Wall-clock, not simulated: the `host.*` keys sit OUTSIDE
                 // the determinism contract (like `ckpt.*`).

@@ -2,7 +2,8 @@
 //!
 //! Consumes the page outcomes of [`crate::sweep::kernels`] in page order
 //! and charges their simulated cost: the Alg. 1 line-16 cache check, the
-//! storage/MMBuf fetch via the [`PageSource`], the per-target kernel or
+//! storage/MMBuf fetch via the
+//! [`PageSource`](crate::sweep::ingest::PageSource), the per-target kernel or
 //! H2D+RA+kernel issue on each [`GpuLane`], then the sweep barrier
 //! (line 27), the nextPIDSet/cachedPIDMap write-back (lines 29-30), the
 //! WA synchronisation, and the per-sweep telemetry.
@@ -17,36 +18,17 @@
 //! measured at 0.98–1.07× of this loop (DESIGN.md §11), so it is not done.
 
 use crate::engine::EngineError;
+use crate::job::Job;
+use crate::programs::GtsProgram;
 use crate::report::SweepStats;
 use crate::strategy::Strategy;
-use crate::sweep::ingest::PageSource;
 use crate::sweep::kernels::PageOutcome;
 use crate::sweep::plan::PageBitmap;
 use crate::sweep::schedule::{self, GpuLane};
-use gts_gpu::timer::{KernelClass, KernelCost};
+use gts_gpu::timer::KernelCost;
 use gts_sim::SimTime;
 use gts_storage::builder::GraphStore;
 use gts_telemetry::{keys, SpanCat, Telemetry, Track};
-
-/// Sweep-invariant inputs of the accounting pass.
-pub(crate) struct AccountCtx<'a> {
-    /// The graph being processed.
-    pub store: &'a GraphStore,
-    /// Multi-GPU page placement (`h(j)`).
-    pub strategy: Strategy,
-    /// Number of GPUs (the strategy's `N`).
-    pub num_gpus: usize,
-    /// Bytes per topology page.
-    pub page_size: u64,
-    /// RA bytes per vertex the program streams alongside topology.
-    pub ra_bytes_per_vertex: u64,
-    /// The program's kernel cost class.
-    pub class: KernelClass,
-    /// The run's telemetry registry.
-    pub tel: &'a Telemetry,
-    /// Whether spans are recorded (cache-probe markers).
-    pub spans: bool,
-}
 
 /// Accumulator for one sweep's accounting across both phases.
 pub(crate) struct SweepAccounting {
@@ -73,32 +55,41 @@ impl SweepAccounting {
             sweep_start,
         }
     }
+}
 
-    /// Account one phase's pages, in page order: fold each kernel
-    /// outcome into the sweep totals, probe the target lanes' caches
-    /// (line 16 first!), resolve data readiness through the source, then
-    /// issue the per-target copies and kernels on the lanes. This is
-    /// also where every fault decision is made — a fetch or issue that
-    /// exhausts its retries aborts the run with a typed error.
-    pub fn account_phase(
+impl Job<'_> {
+    /// Account phase `phase` of the plan (SPs, then LPs) into `acc`, in
+    /// page order: fold each kernel outcome into the sweep totals, probe
+    /// the target lanes' caches (line 16 first!), resolve data readiness
+    /// through the page source, then issue the per-target copies and
+    /// kernels on the lanes. This is also where every fault decision is
+    /// made — a fetch or issue that exhausts its retries aborts the run
+    /// with a typed error.
+    pub(crate) fn account_phase(
         &mut self,
-        ctx: &AccountCtx<'_>,
-        lanes: &mut [GpuLane],
-        source: &mut dyn PageSource,
-        pids: &[u64],
+        acc: &mut SweepAccounting,
+        store: &GraphStore,
+        prog: &dyn GtsProgram,
+        phase: usize,
         outcomes: &[PageOutcome],
     ) -> Result<(), EngineError> {
+        let pids = self.plan.phases()[phase];
+        let (strategy, num_gpus) = (self.setup.rung.strategy, self.cfg.num_gpus);
+        let (class, ra_bytes_per_vertex) = (prog.class(), prog.ra_bytes_per_vertex());
+        let page_size = store.cfg().page_size as u64;
+        let spans = self.tel.spans_enabled();
+        let (lanes, source) = (&mut self.setup.lanes, self.source.as_mut());
         let mut pid_hits: Vec<bool> = Vec::with_capacity(lanes.len());
         for (&pid, outcome) in pids.iter().zip(outcomes) {
             let work = &outcome.work;
-            self.edges += work.active_edges;
-            self.stats.active_vertices += work.active_vertices;
-            self.stats.active_edges += work.active_edges;
-            self.any_update |= work.updated;
-            outcome.next_pids.iter().for_each(|&p| self.next.insert(p));
+            acc.edges += work.active_edges;
+            acc.stats.active_vertices += work.active_vertices;
+            acc.stats.active_edges += work.active_edges;
+            acc.any_update |= work.updated;
+            outcome.next_pids.iter().for_each(|&p| acc.next.insert(p));
 
-            let view = ctx.store.view(pid);
-            let targets = ctx.strategy.targets(pid, ctx.num_gpus);
+            let view = store.view(pid);
+            let targets = strategy.targets(pid, num_gpus);
             let fanout = targets.len() as u64;
             // Algorithm 1 checks cachedPIDMap BEFORE touching storage
             // (line 16 precedes lines 18-26): a page every target GPU
@@ -108,41 +99,41 @@ impl SweepAccounting {
             pid_hits.clear();
             pid_hits.extend(targets.clone().map(|gi| lanes[gi].probe(pid)));
             let all_cached = pid_hits.iter().all(|&hit| hit);
-            let page = ctx.store.page(pid);
-            let data_ready = source.page_ready(pid, page, all_cached, self.sweep_start)?;
+            let page = store.page(pid);
+            let data_ready = source.page_ready(pid, page, all_cached, acc.sweep_start)?;
             for (ti, gi) in targets.enumerate() {
                 let cost = KernelCost {
-                    class: ctx.class,
+                    class,
                     lane_slots: work.lane_slots,
                     atomic_ops: per_target_atomic_ops(work.atomic_ops, fanout, ti),
                 };
-                self.stats.pages += 1;
+                acc.stats.pages += 1;
                 let hit = pid_hits[ti];
-                if ctx.spans {
+                if spans {
                     // Zero-duration marker: cache probes are bookkeeping,
                     // not time, but they explain why a page did (not)
                     // generate PCI-E traffic.
-                    ctx.tel.record_span(
+                    self.tel.record_span(
                         Track::new(keys::pid::ENGINE, 1),
                         SpanCat::Cache,
                         format!("{} p{pid} g{gi}", if hit { "hit" } else { "miss" }),
-                        self.sweep_start,
-                        self.sweep_start,
+                        acc.sweep_start,
+                        acc.sweep_start,
                     );
                 }
                 let lane = &mut lanes[gi];
                 if hit {
-                    self.stats.cache_hits += 1;
-                    lane.issue_kernel(cost, self.sweep_start, "K(cached)")?;
+                    acc.stats.cache_hits += 1;
+                    lane.issue_kernel(cost, acc.sweep_start, "K(cached)")?;
                 } else {
-                    let ra_bytes = (ctx.ra_bytes_per_vertex > 0).then(|| {
+                    let ra_bytes = (ra_bytes_per_vertex > 0).then(|| {
                         schedule::ra_copy_bytes(
                             view.kind(),
                             view.count() as usize,
-                            ctx.ra_bytes_per_vertex,
+                            ra_bytes_per_vertex,
                         )
                     });
-                    lane.issue_streamed(ctx.page_size, ra_bytes, cost, data_ready)?;
+                    lane.issue_streamed(page_size, ra_bytes, cost, data_ready)?;
                 }
             }
         }

@@ -53,10 +53,11 @@ impl LogFormat {
         version: 2,
     };
     /// The service journal of `gts-serve` (v1–v2 were snapshot-per-flush
-    /// directories, not logs).
+    /// directories, not logs; v3 frames held five record kinds, v4 only
+    /// executions).
     pub const JOURNAL: LogFormat = LogFormat {
         magic: *b"GTSJRNL\0",
-        version: 3,
+        version: 4,
     };
 }
 

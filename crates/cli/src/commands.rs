@@ -733,13 +733,38 @@ struct Finding {
 ///   unreadable, and that the newest snapshot's store fingerprint is
 ///   reachable from the store by replaying the log;
 /// - `--journal-dir`: the serve journal's store binding, its WAL-epoch
-///   binding, and that every journaled epoch lies inside the log's
-///   chain.
+///   binding, and that the post-bump epoch of every journaled execution
+///   lies inside the log's chain.
 ///
 /// Nothing is modified (the WAL's torn tail is *noted*, not repaired).
 /// One line per finding; exit 0 when clean, 3 when an artifact cannot
 /// be read at all, 4 when findings exist.
 fn fsck(args: &Args) -> Result<(), CliError> {
+    let (checked, findings) = fsck_findings(args)?;
+    let json = args.flag_bool("json")?;
+    if json {
+        outln!("{}", findings_json(&checked, &findings));
+    } else {
+        for f in &findings {
+            outln!("fsck: {}: {}", f.artifact, f.detail);
+        }
+        if findings.is_empty() {
+            outln!("fsck: clean ({})", checked.join(" + "));
+        }
+    }
+    if findings.is_empty() {
+        Ok(())
+    } else {
+        Err(CliError::Engine(format!(
+            "fsck: {} finding(s) across {}",
+            findings.len(),
+            checked.join(" + ")
+        )))
+    }
+}
+
+/// Every check of [`fsck`]: the artifacts checked and what was found.
+fn fsck_findings(args: &Args) -> Result<(Vec<&'static str>, Vec<Finding>), CliError> {
     let store: GraphStore =
         load_store(args.required("store")?).map_err(|e| CliError::Io(e.to_string()))?;
     let mut findings: Vec<Finding> = Vec::new();
@@ -962,27 +987,7 @@ fn fsck(args: &Args) -> Result<(), CliError> {
         }
     }
 
-    // --- Report.
-    let json = args.flag_bool("json")?;
-    if json {
-        outln!("{}", findings_json(&checked, &findings));
-    } else {
-        for f in &findings {
-            outln!("fsck: {}: {}", f.artifact, f.detail);
-        }
-        if findings.is_empty() {
-            outln!("fsck: clean ({})", checked.join(" + "));
-        }
-    }
-    if findings.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::Engine(format!(
-            "fsck: {} finding(s) across {}",
-            findings.len(),
-            checked.join(" + ")
-        )))
-    }
+    Ok((checked, findings))
 }
 
 /// `gts fsck --json true`: the artifacts checked and one object per
@@ -2078,6 +2083,94 @@ mod tests {
             std::fs::remove_file(p).ok();
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `gts fsck` over a served journal and its WAL: clean after the
+    /// run; against a WAL holding fewer records than the journal has
+    /// epoch bumps, a finding naming the stray epoch (exit 4). A journal
+    /// of the previous layout (version 3) is refused by `--resume-serve`
+    /// with a typed version mismatch (exit 3) and reported by fsck.
+    #[test]
+    fn serve_journal_and_wal_through_fsck() {
+        let (el, st, wl, wl1) = (
+            tmp("jfsck.el"),
+            tmp("jfsck.gts"),
+            tmp("jfsck.wl"),
+            tmp("jfsck1.wl"),
+        );
+        let dirs = [
+            tmp("jfsck-j"),
+            tmp("jfsck-w"),
+            tmp("jfsck-j1"),
+            tmp("jfsck-w1"),
+        ];
+        let [j, w, j1, w1] = &dirs;
+        for d in &dirs {
+            std::fs::remove_dir_all(d).ok();
+        }
+        dispatch(&sv(&[
+            "generate", "--kind", "rmat", "--scale", "8", "--out", &el,
+        ]))
+        .unwrap();
+        dispatch(&sv(&["build", "--graph", &el, "--out", &st])).unwrap();
+        let one = "at=0    tenant=a job=bfs\n\
+                   at=1000 tenant=m job=bfs mutate-at=1 inserts=16 deletes=2 seed=5\n";
+        std::fs::write(&wl1, one).unwrap();
+        std::fs::write(
+            &wl,
+            format!("{one}at=2000 tenant=m job=cc mutate-at=1 inserts=8 seed=7\n"),
+        )
+        .unwrap();
+        let serve = |wl: &str, j: &str, w: &str, extra: &[&str]| {
+            let mut argv = sv(&["serve", "--store", &st, "--workload", wl]);
+            argv.extend(sv(&["--journal-dir", j, "--wal-dir", w]));
+            argv.extend(sv(extra));
+            dispatch(&argv)
+        };
+        serve(&wl, j, w, &[]).unwrap();
+        serve(&wl1, j1, w1, &[]).unwrap();
+        let argv =
+            |j: &str, w: &str| sv(&["fsck", "--store", &st, "--journal-dir", j, "--wal-dir", w]);
+        let findings = |j: &str, w: &str| -> Vec<String> {
+            let mut args = Args::parse(&argv(j, w)).unwrap();
+            let cmd = COMMANDS.iter().find(|c| c.name() == "fsck").unwrap();
+            args.declare(cmd.synopsis).unwrap();
+            let (_, found) = fsck_findings(&args).unwrap();
+            found.into_iter().map(|f| f.detail).collect()
+        };
+        dispatch(&argv(j, w)).unwrap();
+        assert_eq!(findings(j, w), Vec::<String>::new());
+        // The two-mutation journal against the one-record log.
+        let err = dispatch(&argv(j, w1)).unwrap_err();
+        assert_eq!(err.exit_code(), EXIT_ENGINE, "{err}");
+        assert_eq!(
+            findings(j, w1),
+            ["journaled epoch 2 outside the log's chain (0, 1]"]
+        );
+        // Patch the header's version field (after the 8-byte magic).
+        let log = std::path::Path::new(j).join(gts_serve::journal::JOURNAL_FILE);
+        let mut raw = std::fs::read(&log).unwrap();
+        raw[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&log, &raw).unwrap();
+        let err = serve(&wl, j, w, &["--resume-serve", "true"]).unwrap_err();
+        assert_eq!(err.exit_code(), EXIT_IO, "{err}");
+        assert!(
+            err.to_string()
+                .contains("schema version 3 is not supported"),
+            "{err}"
+        );
+        let found = findings(j, w);
+        assert!(
+            found.len() == 1 && found[0].contains("schema version 3"),
+            "{found:?}"
+        );
+        assert_eq!(std::fs::read(&log).unwrap(), raw, "fsck is read-only");
+        for f in [&el, &st, &wl, &wl1] {
+            std::fs::remove_file(f).ok();
+        }
+        for d in &dirs {
+            std::fs::remove_dir_all(d).ok();
+        }
     }
 
     /// A finding's detail may carry anything an OS error string or a

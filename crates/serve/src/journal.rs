@@ -1,30 +1,33 @@
-//! The crash-consistent service journal: typed records in a
-//! [`SealedLog`].
+//! The crash-consistent service journal: a memo table of executions in
+//! a [`SealedLog`].
 //!
-//! After every scheduler step (a speculative read wave or one mutating
-//! job), the service seals the records that step produced — admissions,
-//! starts, execution results, quarantines, epoch bumps — into one frame
-//! appended to `journal.log` and fsynced. A kill at any instant leaves
-//! the log ending either before that frame or after it; a frame torn by
-//! the kill is cut off on resume, so a step is journaled whole or not at
-//! all. Framing, checksums and file I/O are `gts-ckpt`'s (DESIGN.md
-//! "On-disk formats"); this module owns the record codec and the binding.
+//! The journal holds one record kind, `ExecRecord`: the functional
+//! result of one `(job, attempt)` engine execution. After every
+//! scheduler step (a speculative read wave or one mutating job), the
+//! service seals the executions that step ran live into one frame —
+//! a record count followed by the records — appended to `journal.log`
+//! and fsynced. A kill at any instant leaves the log ending either
+//! before that frame or after it; a frame torn by the kill is cut off
+//! on resume, so a step is journaled whole or not at all. Framing,
+//! checksums and file I/O are `gts-ckpt`'s (DESIGN.md "On-disk
+//! formats"); this module owns the record codec and the binding.
 //!
 //! ## Resume model
 //!
 //! The scheduler is a pure function of `(workload, service seed)`, so a
 //! resumed daemon does not reconstruct queue state from the journal — it
 //! *re-runs the whole simulation* and uses the journal as a memo table:
-//! every `(job, attempt)` execution whose [`ExecRecord`] was journaled
+//! every `(job, attempt)` execution whose `ExecRecord` was journaled
 //! is served from the record instead of touching the engine (settled
-//! jobs are never re-run; a journaled mutation re-applies its seeded
-//! batch directly so the store fast-forwards through the same epochs),
-//! while in-flight work — attempts with no record — executes fresh,
+//! jobs are never re-run; a journaled mutation re-applies its batch
+//! directly so the store fast-forwards through the same epochs), while
+//! in-flight work — attempts with no record — executes fresh,
 //! deterministically reproducing what the crashed run would have done.
-//! The header binds the journal to its workload, store, and normalized
-//! config (host threads excluded — resuming at a different
-//! `--host-threads` is part of the determinism contract), with typed
-//! [`ServeError::Journal`] mismatches.
+//! Admissions, start times, retries and quarantines are recomputed by
+//! that re-run, so none of them is stored. The header binds the journal
+//! to its workload, store, and normalized config (host threads excluded
+//! — resuming at a different `--host-threads` is part of the
+//! determinism contract), with typed [`ServeError::Journal`] mismatches.
 
 use crate::workload::{render, JobSpec};
 use crate::ServeError;
@@ -74,49 +77,11 @@ pub(crate) struct ExecRecord {
     pub service_ns: u64,
     /// FNV-1a fingerprint of the program's final state (0 when `!ok`).
     pub result_fp: u64,
-    /// Whether this execution advanced the store epoch (mutating jobs).
-    pub epoch_advanced: bool,
+    /// The store epoch after this execution's bump, when it advanced
+    /// one (mutating jobs only; a bump always leaves the epoch >= 1).
+    pub epoch: Option<u64>,
     /// The job's full counter registry.
     pub counters: BTreeMap<String, u64>,
-}
-
-/// One journal entry, appended in settle order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Record {
-    /// Admission granted: the job will occupy slot time.
-    Admit {
-        /// Workload position.
-        job: u32,
-        /// 1-based attempt.
-        attempt: u32,
-        /// Simulated arrival of this attempt.
-        at_ns: u64,
-    },
-    /// Execution dispatched at `start_ns` on the simulated clock.
-    Start {
-        /// Workload position.
-        job: u32,
-        /// 1-based attempt.
-        attempt: u32,
-        /// Simulated dispatch instant.
-        start_ns: u64,
-    },
-    /// The attempt's engine execution settled (completion or failure).
-    Exec(ExecRecord),
-    /// The job exhausted its service-level retries and was quarantined.
-    Quarantine {
-        /// Workload position.
-        job: u32,
-        /// Total attempts consumed.
-        attempts: u32,
-    },
-    /// A mutating job advanced the store epoch.
-    Epoch {
-        /// Workload position of the mutating job.
-        job: u32,
-        /// The store epoch after the bump.
-        epoch: u64,
-    },
 }
 
 /// A sealed-log failure as the service reports it: a fired kill switch
@@ -214,9 +179,10 @@ pub struct JournalInfo {
     pub cfg_fp: u64,
     /// Binding to the mutation WAL's base epoch (0 when none was kept).
     pub wal_fp: u64,
-    /// Total records in the journal's sealed frames.
+    /// Total execution records in the journal's sealed frames.
     pub records: usize,
-    /// Post-bump store epochs recorded by mutating jobs, in log order.
+    /// Post-bump store epochs of the journaled executions that advanced
+    /// one, in log order.
     pub epochs: Vec<u64>,
     /// Bytes at the end of the log that form no sealed frame — a step
     /// torn by a kill, which a resume cuts off.
@@ -231,13 +197,7 @@ pub fn inspect_journal(dir: impl Into<PathBuf>) -> Result<JournalInfo, ServeErro
     let image =
         SealedLog::load(&dir.into().join(JOURNAL_FILE), &LogFormat::JOURNAL).map_err(jerr)?;
     let (header, records) = decode_image(&image)?;
-    let epochs = records
-        .iter()
-        .filter_map(|r| match r {
-            Record::Epoch { epoch, .. } => Some(*epoch),
-            _ => None,
-        })
-        .collect();
+    let epochs = records.iter().filter_map(|e| e.epoch).collect();
     Ok(JournalInfo {
         workload_fp: header.workload_fp,
         store_fp: header.store_fp,
@@ -251,136 +211,76 @@ pub fn inspect_journal(dir: impl Into<PathBuf>) -> Result<JournalInfo, ServeErro
 
 /// The header and every record of a loaded journal, frames flattened in
 /// log order.
-fn decode_image(image: &LogImage) -> Result<(Header, Vec<Record>), ServeError> {
+fn decode_image(image: &LogImage) -> Result<(Header, Vec<ExecRecord>), ServeError> {
     let header = Header::decode(image.binding()).map_err(jerr)?;
     let mut records = Vec::new();
     for frame in image.frames() {
-        records.extend(decode(frame)?);
+        records.extend(decode(frame).map_err(jerr)?);
     }
     Ok((header, records))
 }
 
-/// One frame body: the records of one scheduler step.
-fn encode(records: &[Record]) -> Vec<u8> {
+/// One frame body: the executions one scheduler step ran live.
+fn encode(records: &[ExecRecord]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(records.len() as u32);
-    for r in records {
-        match r {
-            Record::Admit {
-                job,
-                attempt,
-                at_ns,
-            } => {
-                w.put_u8(1);
-                w.put_u32(*job);
-                w.put_u32(*attempt);
-                w.put_u64(*at_ns);
-            }
-            Record::Start {
-                job,
-                attempt,
-                start_ns,
-            } => {
-                w.put_u8(2);
-                w.put_u32(*job);
-                w.put_u32(*attempt);
-                w.put_u64(*start_ns);
-            }
-            Record::Exec(e) => {
-                w.put_u8(3);
-                w.put_u32(e.job);
-                w.put_u32(e.attempt);
-                w.put_bool(e.ok);
-                w.put_str(&e.error);
-                w.put_u64(e.service_ns);
-                w.put_u64(e.result_fp);
-                w.put_bool(e.epoch_advanced);
-                w.put_u32(e.counters.len() as u32);
-                for (k, v) in &e.counters {
-                    w.put_str(k);
-                    w.put_u64(*v);
-                }
-            }
-            Record::Quarantine { job, attempts } => {
-                w.put_u8(4);
-                w.put_u32(*job);
-                w.put_u32(*attempts);
-            }
-            Record::Epoch { job, epoch } => {
-                w.put_u8(5);
-                w.put_u32(*job);
-                w.put_u64(*epoch);
-            }
+    for e in records {
+        w.put_u32(e.job);
+        w.put_u32(e.attempt);
+        w.put_bool(e.ok);
+        w.put_str(&e.error);
+        w.put_u64(e.service_ns);
+        w.put_u64(e.result_fp);
+        w.put_u64(e.epoch.unwrap_or(0));
+        w.put_u32(e.counters.len() as u32);
+        for (k, v) in &e.counters {
+            w.put_str(k);
+            w.put_u64(*v);
         }
     }
     w.into_bytes()
 }
 
-fn decode(bytes: &[u8]) -> Result<Vec<Record>, ServeError> {
+fn decode(bytes: &[u8]) -> Result<Vec<ExecRecord>, CkptError> {
     let mut r = ByteReader::new(bytes);
-    let n = r.take_u32("record count").map_err(jerr)?;
+    let n = r.take_u32("record count")?;
     let mut records = Vec::with_capacity((n as usize).min(bytes.len()));
     for _ in 0..n {
-        let rec = match r.take_u8("record tag").map_err(jerr)? {
-            1 => Record::Admit {
-                job: r.take_u32("admit job").map_err(jerr)?,
-                attempt: r.take_u32("admit attempt").map_err(jerr)?,
-                at_ns: r.take_u64("admit at").map_err(jerr)?,
-            },
-            2 => Record::Start {
-                job: r.take_u32("start job").map_err(jerr)?,
-                attempt: r.take_u32("start attempt").map_err(jerr)?,
-                start_ns: r.take_u64("start ns").map_err(jerr)?,
-            },
-            3 => {
-                let job = r.take_u32("exec job").map_err(jerr)?;
-                let attempt = r.take_u32("exec attempt").map_err(jerr)?;
-                let ok = r.take_bool("exec ok").map_err(jerr)?;
-                let error = r.take_str("exec error").map_err(jerr)?;
-                let service_ns = r.take_u64("exec service").map_err(jerr)?;
-                let result_fp = r.take_u64("exec result fp").map_err(jerr)?;
-                let epoch_advanced = r.take_bool("exec epoch flag").map_err(jerr)?;
-                let k = r.take_u32("exec counter count").map_err(jerr)?;
-                let mut counters = BTreeMap::new();
-                for _ in 0..k {
-                    let key = r.take_str("exec counter key").map_err(jerr)?;
-                    let v = r.take_u64("exec counter value").map_err(jerr)?;
-                    counters.insert(key, v);
-                }
-                Record::Exec(ExecRecord {
-                    job,
-                    attempt,
-                    ok,
-                    error,
-                    service_ns,
-                    result_fp,
-                    epoch_advanced,
-                    counters,
-                })
-            }
-            4 => Record::Quarantine {
-                job: r.take_u32("quarantine job").map_err(jerr)?,
-                attempts: r.take_u32("quarantine attempts").map_err(jerr)?,
-            },
-            5 => Record::Epoch {
-                job: r.take_u32("epoch job").map_err(jerr)?,
-                epoch: r.take_u64("epoch value").map_err(jerr)?,
-            },
-            tag => return Err(ServeError::Journal(format!("unknown record tag {tag}"))),
-        };
-        records.push(rec);
+        let job = r.take_u32("exec job")?;
+        let attempt = r.take_u32("exec attempt")?;
+        let ok = r.take_bool("exec ok")?;
+        let error = r.take_str("exec error")?;
+        let service_ns = r.take_u64("exec service")?;
+        let result_fp = r.take_u64("exec result fp")?;
+        let epoch = r.take_u64("exec epoch")?;
+        let k = r.take_u32("exec counter count")?;
+        let mut counters = BTreeMap::new();
+        for _ in 0..k {
+            let key = r.take_str("exec counter key")?;
+            counters.insert(key, r.take_u64("exec counter value")?);
+        }
+        records.push(ExecRecord {
+            job,
+            attempt,
+            ok,
+            error,
+            service_ns,
+            result_fp,
+            epoch: (epoch > 0).then_some(epoch),
+            counters,
+        });
     }
-    r.finish().map_err(jerr)?;
+    r.finish()?;
     Ok(records)
 }
 
-/// The live journal: the open log, the records settled since the last
-/// flush, and the memo table of settled executions.
+/// The live journal: the open log, the executions appended since the
+/// last flush, and the memo table of executions sealed before a crash.
 #[derive(Debug)]
 pub(crate) struct Journal {
     log: SealedLog,
-    /// Records appended since the last flush — the next frame.
-    pending: Vec<Record>,
+    /// Executions appended since the last flush — the next frame.
+    pending: Vec<ExecRecord>,
     /// Records sealed in the log so far.
     sealed: usize,
     cached: BTreeMap<(u32, u32), ExecRecord>,
@@ -419,10 +319,7 @@ impl Journal {
         let sealed = records.len();
         let cached = records
             .into_iter()
-            .filter_map(|r| match r {
-                Record::Exec(e) => Some(((e.job, e.attempt), e)),
-                _ => None,
-            })
+            .map(|e| ((e.job, e.attempt), e))
             .collect();
         Ok(Journal {
             log,
@@ -438,16 +335,13 @@ impl Journal {
         self.cached.get(&(job, attempt))
     }
 
-    /// Append one record (live settles only — memo hits are already in
-    /// the log from the crashed run).
-    pub(crate) fn append(&mut self, r: Record) {
-        if let Record::Exec(e) = &r {
-            self.cached.insert((e.job, e.attempt), e.clone());
-        }
-        self.pending.push(r);
+    /// Append one live execution (memo hits are already in the log from
+    /// the crashed run).
+    pub(crate) fn append(&mut self, rec: ExecRecord) {
+        self.pending.push(rec);
     }
 
-    /// Seal the records appended since the last flush as one frame,
+    /// Seal the executions appended since the last flush as one frame,
     /// fsynced before this returns, and account the I/O under the
     /// wall-side `serve.journal.*` keys. A step that settled nothing new
     /// (every attempt a memo hit, or every arrival dropped) writes
@@ -480,44 +374,29 @@ mod tests {
         ))
     }
 
-    fn sample_records() -> Vec<Record> {
-        vec![
-            Record::Admit {
-                job: 0,
-                attempt: 1,
-                at_ns: 10,
-            },
-            Record::Start {
-                job: 0,
-                attempt: 1,
-                start_ns: 10,
-            },
-            Record::Exec(ExecRecord {
-                job: 0,
-                attempt: 1,
-                ok: false,
-                error: "gpu0: H2D copy failed after 5 attempts".into(),
-                service_ns: 0,
-                result_fp: 0,
-                epoch_advanced: false,
-                counters: BTreeMap::new(),
-            }),
-            Record::Exec(ExecRecord {
-                job: 1,
-                attempt: 2,
-                ok: true,
-                error: String::new(),
-                service_ns: 1234,
-                result_fp: 0xFEED,
-                epoch_advanced: true,
-                counters: BTreeMap::from([("run.sweeps".to_string(), 3u64)]),
-            }),
-            Record::Quarantine {
-                job: 0,
-                attempts: 3,
-            },
-            Record::Epoch { job: 1, epoch: 1 },
-        ]
+    fn exec(job: u32, attempt: u32, epoch: Option<u64>) -> ExecRecord {
+        ExecRecord {
+            job,
+            attempt,
+            ok: true,
+            error: String::new(),
+            service_ns: 1234,
+            result_fp: 0xFEED,
+            epoch,
+            counters: BTreeMap::from([("run.sweeps".to_string(), 3u64)]),
+        }
+    }
+
+    fn sample_records() -> Vec<ExecRecord> {
+        let failed = ExecRecord {
+            ok: false,
+            error: "gpu0: H2D copy failed after 5 attempts".into(),
+            service_ns: 0,
+            result_fp: 0,
+            counters: BTreeMap::new(),
+            ..exec(0, 1, None)
+        };
+        vec![failed, exec(1, 2, Some(1)), exec(2, 1, None)]
     }
 
     #[test]
@@ -536,14 +415,8 @@ mod tests {
     #[test]
     fn truncated_or_mislabeled_bytes_are_typed_errors() {
         let bytes = encode(&sample_records());
-        let err = decode(&bytes[..bytes.len() - 3]).unwrap_err();
+        let err = jerr(decode(&bytes[..bytes.len() - 3]).unwrap_err());
         assert!(matches!(err, ServeError::Journal(_)), "{err}");
-        // An unknown record tag is refused, not skipped.
-        let mut w = ByteWriter::new();
-        w.put_u32(1);
-        w.put_u8(9);
-        let err = decode(&w.into_bytes()).unwrap_err();
-        assert!(err.to_string().contains("unknown record tag 9"), "{err}");
         // A binding of the wrong width is not a journal header.
         assert!(Header::decode(&[0; 31]).is_err());
     }
@@ -564,7 +437,7 @@ mod tests {
         }
         j.flush(&tel).unwrap();
         assert_eq!(tel.counter(keys::SERVE_JOURNAL_FLUSHES), 1);
-        assert_eq!(tel.counter(keys::SERVE_JOURNAL_RECORDS), 6);
+        assert_eq!(tel.counter(keys::SERVE_JOURNAL_RECORDS), 3);
 
         // Resume with the same binding: the memo table holds both execs.
         let resume = JournalConfig {
@@ -595,6 +468,14 @@ mod tests {
             Journal::open(&empty, header, KillSwitch::never()),
             Err(ServeError::Journal(_))
         ));
+        // A journal of the v3 layout (five record kinds) is refused,
+        // typed, with no attempt to read it.
+        let path = dir.join(JOURNAL_FILE);
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, raw).unwrap();
+        let err = Journal::open(&resume, header, KillSwitch::never()).unwrap_err();
+        assert!(err.to_string().contains("version 3"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -628,7 +509,7 @@ mod tests {
             len = now.len();
             assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no siblings");
         }
-        assert_eq!(tel.counter(keys::SERVE_JOURNAL_FLUSHES), 6);
+        assert_eq!(tel.counter(keys::SERVE_JOURNAL_FLUSHES), 3);
         assert_eq!(tel.counter("serve.journal.bytes"), len - created.len());
         drop(j);
 
@@ -637,11 +518,11 @@ mod tests {
             resume: true,
         };
         let mut j = Journal::open(&resume, header, KillSwitch::never()).unwrap();
-        j.append(Record::Epoch { job: 7, epoch: 2 });
+        j.append(exec(7, 1, Some(2)));
         j.flush(&tel).unwrap();
-        assert_eq!(tel.counter(keys::SERVE_JOURNAL_RECORDS), 7);
+        assert_eq!(tel.counter(keys::SERVE_JOURNAL_RECORDS), 4);
         let info = inspect_journal(&dir).unwrap();
-        assert_eq!((info.records, info.truncated_tail), (7, 0));
+        assert_eq!((info.records, info.truncated_tail), (4, 0));
         assert_eq!(info.epochs, vec![1, 2]);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -19,15 +19,15 @@
 //!   ([`ServeError::QueueFull`] / [`ServeError::Rejected`] /
 //!   [`ServeError::Deadline`]). Edge-mutating jobs serialise through the
 //!   store's epoch pipeline as an all-slots barrier.
-//! * [`resilience`] — the service-level fault policy: per-job fault
-//!   domains derived from one service seed, capped exponential backoff
-//!   retry with quarantine ([`JobStatus::Quarantined`]), a per-tenant
-//!   circuit breaker ([`ServeError::BreakerOpen`]), and load-aware
-//!   overload shedding ([`ServeError::Shed`]).
-//! * [`journal`] — the crash-consistent service journal (one sealed
-//!   frame per scheduler step in a `gts-ckpt` `SealedLog`): a killed daemon
-//!   resumes without re-running settled jobs, byte-identical to an
-//!   uncrashed run.
+//! * [`resilience`] — admission and the service-level fault policy: the
+//!   queue and per-tenant circuit breakers ([`ServeError::BreakerOpen`])
+//!   as one state struct, capped exponential backoff retry with
+//!   quarantine ([`JobStatus::Quarantined`]), and load-aware overload
+//!   shedding ([`ServeError::Shed`]).
+//! * [`journal`] — the crash-consistent service journal, a memo table of
+//!   executions (one sealed frame per scheduler step in a `gts-ckpt`
+//!   `SealedLog`): a killed daemon resumes without re-running settled
+//!   jobs, byte-identical to an uncrashed run.
 //!
 //! ## The determinism contract, extended to serving
 //!

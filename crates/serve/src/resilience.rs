@@ -1,10 +1,14 @@
-//! Service-level fault policy: retry/backoff, quarantine, the
-//! per-tenant circuit breaker, and load-aware overload shedding.
+//! Admission and the service-level fault policy: the FIFO queue, the
+//! per-tenant circuit breaker, load-aware overload shedding, and
+//! retry/backoff with quarantine.
 //!
 //! Everything here is pure u64 arithmetic over the simulated clock plus
 //! splitmix-derived jitter — no wall clock, no shared RNG — so every
 //! decision is a function of `(workload, service seed)` alone and the
-//! whole service stays host-thread invariant.
+//! whole service stays host-thread invariant. Backoff and shedding are
+//! pure functions of [`ResilienceConfig`]; the queue and the breakers
+//! are one state struct, `Admission`, with two mutators: `decide` an
+//! arrival, `settle` an admitted attempt.
 //!
 //! ## Retry → quarantine
 //!
@@ -12,7 +16,8 @@
 //! engine-level retry budget) is re-admitted up to `retry_max` times.
 //! Re-admission `k` (1-based) arrives `backoff_base_ns · 2^(k-1)` after
 //! the failure, capped at [`BACKOFF_CAP_DOUBLINGS`] doublings and
-//! jittered from the job's fault domain, and each attempt draws a fresh
+//! jittered from the job's fault domain (saturating at `u64::MAX` for
+//! bases too large to double), and each attempt draws a fresh
 //! per-`(job, attempt)` fault domain — retrying under the *same* seeded
 //! schedule would fail forever. A job that fails `retry_max + 1` total
 //! attempts is quarantined as poison ([`crate::JobStatus::Quarantined`]);
@@ -28,6 +33,8 @@
 //! simulated clock, the tenant's arrivals are dropped with
 //! [`crate::ServeError::BreakerOpen`] instead of occupying queue space.
 //! Any success (or an elapsed cool-down) closes it and resets the count.
+//! A cool-down too large for the clock keeps the breaker open to the
+//! end of simulated time instead of wrapping.
 //!
 //! ## Overload shedding
 //!
@@ -39,6 +46,8 @@
 //! priority first. Shed jobs are data ([`crate::ServeError::Shed`]
 //! inside a `Dropped` status), not errors.
 
+use crate::scheduler::ServeConfig;
+use crate::workload::JobSpec;
 use crate::ServeError;
 use std::collections::BTreeMap;
 
@@ -98,91 +107,17 @@ impl ResilienceConfig {
         }
         Ok(())
     }
-}
-
-/// One tenant's breaker: the consecutive-failure count and, when
-/// tripped, the simulated instant it closes.
-#[derive(Debug, Default, Clone)]
-struct Breaker {
-    consecutive: u32,
-    open_until: Option<u64>,
-}
-
-/// The live policy state the scheduler threads through settlement, in
-/// strict admission order — which is what keeps it deterministic.
-#[derive(Debug)]
-pub(crate) struct Resilience {
-    cfg: ResilienceConfig,
-    jitter_seed: u64,
-    breakers: BTreeMap<String, Breaker>,
-    /// Breaker trips, drained into telemetry by the scheduler.
-    pub(crate) trips: u64,
-}
-
-impl Resilience {
-    pub(crate) fn new(cfg: ResilienceConfig, jitter_seed: u64) -> Resilience {
-        Resilience {
-            cfg,
-            jitter_seed,
-            breakers: BTreeMap::new(),
-            trips: 0,
-        }
-    }
-
-    pub(crate) fn retry_max(&self) -> u32 {
-        self.cfg.retry_max
-    }
 
     /// The simulated delay before re-admission `attempt` (1-based count
     /// of service-level retries so far): capped exponential in the
     /// attempt, plus sub-base jitter drawn purely from
-    /// `(jitter seed, job, attempt)`.
-    pub(crate) fn backoff_ns(&self, job: u64, attempt: u32) -> u64 {
-        let base = self.cfg.backoff_base_ns;
-        let exp = base << attempt.saturating_sub(1).min(BACKOFF_CAP_DOUBLINGS);
-        let jitter = gts_faults::domain_seed(self.jitter_seed, job, u64::from(attempt)) % base;
+    /// `(jitter seed, job, attempt)`, saturating at `u64::MAX`.
+    pub(crate) fn backoff_ns(&self, jitter_seed: u64, job: u64, attempt: u32) -> u64 {
+        let base = self.backoff_base_ns;
+        let doublings = attempt.saturating_sub(1).min(BACKOFF_CAP_DOUBLINGS);
+        let exp = base.saturating_mul(1 << doublings);
+        let jitter = gts_faults::domain_seed(jitter_seed, job, u64::from(attempt)) % base;
         exp.saturating_add(jitter)
-    }
-
-    /// Gate an arrival on its tenant's breaker: `Err(BreakerOpen)` while
-    /// tripped and inside the cool-down; closes (and resets the count)
-    /// once the cool-down has elapsed.
-    pub(crate) fn admission_gate(&mut self, tenant: &str, now: u64) -> Result<(), ServeError> {
-        let Some(b) = self.breakers.get_mut(tenant) else {
-            return Ok(());
-        };
-        match b.open_until {
-            Some(until) if now < until => Err(ServeError::BreakerOpen {
-                tenant: tenant.to_string(),
-                failures: b.consecutive,
-                until_ns: until,
-            }),
-            Some(_) => {
-                *b = Breaker::default();
-                Ok(())
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Record a failed attempt by `tenant` at simulated time `now`,
-    /// tripping the breaker at the configured threshold.
-    pub(crate) fn record_failure(&mut self, tenant: &str, now: u64) {
-        if self.cfg.breaker_threshold == 0 {
-            return;
-        }
-        let b = self.breakers.entry(tenant.to_string()).or_default();
-        b.consecutive += 1;
-        if b.consecutive >= self.cfg.breaker_threshold && b.open_until.is_none() {
-            b.open_until = Some(now + self.cfg.breaker_cooldown_ns);
-            self.trips += 1;
-        }
-    }
-
-    /// Record a success: any completion closes the tenant's breaker
-    /// bookkeeping entirely.
-    pub(crate) fn record_success(&mut self, tenant: &str) {
-        self.breakers.remove(tenant);
     }
 
     /// Load-aware shedding decision for an arrival that would have to
@@ -198,7 +133,7 @@ impl Resilience {
         projected_wait_ns: u64,
         deadline_ns: Option<u64>,
     ) -> Option<(u32, u32)> {
-        let base = self.cfg.shed_watermark_pct?;
+        let base = self.shed_watermark_pct?;
         let depth_pct = (waiting * 100 / queue_capacity.max(1)) as u32;
         let wait_pct = deadline_ns
             .map(|d| (projected_wait_ns.saturating_mul(100) / d.max(1)).min(100) as u32)
@@ -212,76 +147,281 @@ impl Resilience {
     }
 }
 
+/// One tenant's breaker: the consecutive-failure count and, when
+/// tripped, the simulated instant it closes.
+#[derive(Debug, Default, Clone)]
+struct Breaker {
+    consecutive: u32,
+    open_until: Option<u64>,
+}
+
+/// The admission state on the simulated clock: the FIFO G/G/c queue
+/// and every tenant's circuit breaker. `slots[i]` is the time slot *i*
+/// becomes free; `waiting` are admitted-but-not-yet-started jobs, kept
+/// so queue-occupancy checks at later arrivals see them — a job
+/// occupies queue space from arrival until its start. Jobs doomed by
+/// their deadline are dropped without ever occupying queue space.
+///
+/// Its two mutators are called in strict `(arrival, seq, attempt)`
+/// order, which is what keeps admission deterministic.
+#[derive(Debug)]
+pub(crate) struct Admission<'a> {
+    cfg: &'a ServeConfig,
+    slots: Vec<u64>,
+    waiting: Vec<(u64, String)>,
+    breakers: BTreeMap<String, Breaker>,
+    /// Breaker trips so far (`serve.breaker.trips`).
+    pub(crate) trips: u64,
+}
+
+impl Admission<'_> {
+    pub(crate) fn new(cfg: &ServeConfig) -> Admission<'_> {
+        Admission {
+            cfg,
+            slots: vec![0; cfg.slots],
+            waiting: Vec::new(),
+            breakers: BTreeMap::new(),
+            trips: 0,
+        }
+    }
+
+    /// Decide an attempt of `spec` arriving at `arrival` (later than
+    /// `spec.at_ns` for service-level re-admissions): its start time, or
+    /// the typed drop. The tenant's breaker gates first — it refuses
+    /// while open and closes once its cool-down has elapsed — then the
+    /// queueing decision. Processing attempts in arrival order with
+    /// `start = max(earliest-free, arrival)` *is* the FIFO simulation —
+    /// dispatch order equals arrival order, so decisions depend only on
+    /// already-settled attempts.
+    pub(crate) fn decide(&mut self, arrival: u64, spec: &JobSpec) -> Result<u64, ServeError> {
+        if let Some(b) = self.breakers.get(&spec.tenant) {
+            match b.open_until {
+                Some(until) if arrival < until => {
+                    return Err(ServeError::BreakerOpen {
+                        tenant: spec.tenant.clone(),
+                        failures: b.consecutive,
+                        until_ns: until,
+                    });
+                }
+                Some(_) => {
+                    self.breakers.remove(&spec.tenant);
+                }
+                None => {}
+            }
+        }
+        let cfg = self.cfg;
+        self.waiting.retain(|(until, _)| *until > arrival);
+        let slot_free = if spec.mutate.is_some() {
+            // Topology rewrite: every lane set must drain first.
+            self.slots.iter().copied().max().unwrap_or(0)
+        } else {
+            self.slots.iter().copied().min().unwrap_or(0)
+        };
+        let start = slot_free.max(arrival);
+        if start == arrival {
+            return Ok(start); // a slot is free right now: no queueing
+        }
+        // An overloaded service refuses before capacity bookkeeping:
+        // shedding is a pressure decision, not a queue-full accident.
+        if let Some((pressure_pct, watermark_pct)) = cfg.resilience.shed(
+            spec.priority,
+            self.waiting.len(),
+            cfg.queue_capacity,
+            start - arrival,
+            cfg.deadline_ns,
+        ) {
+            return Err(ServeError::Shed {
+                class: spec.algorithm.clone(),
+                pressure_pct,
+                watermark_pct,
+            });
+        }
+        let mine = self
+            .waiting
+            .iter()
+            .filter(|(_, t)| *t == spec.tenant)
+            .count();
+        if mine >= cfg.tenant_queue_capacity {
+            return Err(ServeError::Rejected {
+                tenant: spec.tenant.clone(),
+                waiting: mine,
+                capacity: cfg.tenant_queue_capacity,
+            });
+        }
+        if self.waiting.len() >= cfg.queue_capacity {
+            return Err(ServeError::QueueFull {
+                waiting: self.waiting.len(),
+                capacity: cfg.queue_capacity,
+            });
+        }
+        if let Some(deadline) = cfg.deadline_ns {
+            if start - arrival > deadline {
+                // Doomed at decision time: known dead now, so it frees
+                // its queue slot immediately instead of crowding out
+                // later arrivals until the deadline expires.
+                return Err(ServeError::Deadline {
+                    waited_ns: start - arrival,
+                    deadline_ns: deadline,
+                });
+            }
+        }
+        self.waiting.push((start, spec.tenant.clone()));
+        Ok(start)
+    }
+
+    /// Record a settled attempt of `spec` admitted at `start`: a
+    /// completion (`Some(service_ns)`) occupies its slot time — every
+    /// slot for a mutating job — and closes the tenant's breaker; a
+    /// failure (`None`) charges no slot time and counts towards the
+    /// breaker, tripping it at the configured threshold.
+    pub(crate) fn settle(&mut self, start: u64, spec: &JobSpec, service_ns: Option<u64>) {
+        let finish = start.saturating_add(service_ns.unwrap_or(0));
+        if spec.mutate.is_some() {
+            self.slots.iter_mut().for_each(|s| *s = finish);
+        } else if let Some(s) = self.slots.iter_mut().min_by_key(|s| **s) {
+            *s = finish;
+        }
+        let res = &self.cfg.resilience;
+        if service_ns.is_some() {
+            self.breakers.remove(&spec.tenant);
+        } else if res.breaker_threshold > 0 {
+            let b = self.breakers.entry(spec.tenant.clone()).or_default();
+            b.consecutive += 1;
+            if b.consecutive >= res.breaker_threshold && b.open_until.is_none() {
+                b.open_until = Some(start.saturating_add(res.breaker_cooldown_ns));
+                self.trips += 1;
+            }
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn policy(cfg: ResilienceConfig) -> Resilience {
-        Resilience::new(cfg, 0xB0FF)
+    const SEED: u64 = 0xB0FF;
+
+    fn serve_cfg(resilience: ResilienceConfig) -> ServeConfig {
+        ServeConfig {
+            resilience,
+            ..ServeConfig::default()
+        }
+    }
+
+    fn job(tenant: &str) -> JobSpec {
+        JobSpec::new(0, tenant, "bfs")
     }
 
     #[test]
     fn backoff_is_capped_exponential_with_seeded_jitter() {
-        let r = policy(ResilienceConfig {
+        let r = ResilienceConfig {
             retry_max: 8,
             backoff_base_ns: 1000,
             ..ResilienceConfig::default()
-        });
+        };
         // Deterministic, growing, jitter strictly below the base.
         for attempt in 1..=8u32 {
-            let d = r.backoff_ns(7, attempt);
-            assert_eq!(d, r.backoff_ns(7, attempt));
+            let d = r.backoff_ns(SEED, 7, attempt);
+            assert_eq!(d, r.backoff_ns(SEED, 7, attempt));
             let exp = 1000u64 << attempt.saturating_sub(1).min(BACKOFF_CAP_DOUBLINGS);
             assert!(d >= exp && d < exp + 1000, "attempt {attempt}: {d}");
         }
         // Capped: attempts 7 and 8 share the exponential part.
-        assert_eq!(r.backoff_ns(7, 7) / 1000, r.backoff_ns(7, 8) / 1000);
+        assert_eq!(
+            r.backoff_ns(SEED, 7, 7) / 1000,
+            r.backoff_ns(SEED, 7, 8) / 1000
+        );
         // Jitter differs across jobs and attempts.
-        assert_ne!(r.backoff_ns(1, 1), r.backoff_ns(2, 1));
+        assert_ne!(r.backoff_ns(SEED, 1, 1), r.backoff_ns(SEED, 2, 1));
     }
 
     #[test]
     fn breaker_trips_on_consecutive_failures_and_cools_down() {
-        let mut r = policy(ResilienceConfig {
+        let cfg = serve_cfg(ResilienceConfig {
             breaker_threshold: 2,
             breaker_cooldown_ns: 100,
             ..ResilienceConfig::default()
         });
-        assert!(r.admission_gate("a", 0).is_ok());
-        r.record_failure("a", 10);
-        assert!(r.admission_gate("a", 11).is_ok(), "one failure is not K");
-        r.record_failure("a", 20);
-        assert_eq!(r.trips, 1);
-        let err = r.admission_gate("a", 50).unwrap_err();
+        let mut adm = Admission::new(&cfg);
+        let (a, b) = (job("a"), job("b"));
+        assert_eq!(adm.decide(0, &a), Ok(0));
+        adm.settle(10, &a, None);
+        assert!(adm.decide(11, &a).is_ok(), "one failure is not K");
+        adm.settle(20, &a, None);
+        assert_eq!(adm.trips, 1);
+        let err = adm.decide(50, &a).unwrap_err();
         assert!(
             matches!(&err, ServeError::BreakerOpen { tenant, failures: 2, until_ns: 120 }
                 if tenant == "a"),
             "{err}"
         );
         // Another tenant is unaffected; the cool-down closes it.
-        assert!(r.admission_gate("b", 50).is_ok());
-        assert!(r.admission_gate("a", 120).is_ok());
-        assert!(r.admission_gate("a", 121).is_ok(), "count reset on close");
+        assert!(adm.decide(50, &b).is_ok());
+        assert!(adm.decide(120, &a).is_ok());
+        assert!(adm.decide(121, &a).is_ok(), "count reset on close");
     }
 
     #[test]
     fn success_resets_the_consecutive_count() {
-        let mut r = policy(ResilienceConfig {
+        let cfg = serve_cfg(ResilienceConfig {
             breaker_threshold: 2,
             ..ResilienceConfig::default()
         });
-        r.record_failure("a", 0);
-        r.record_success("a");
-        r.record_failure("a", 1);
-        assert_eq!(r.trips, 0, "non-consecutive failures never trip");
+        let mut adm = Admission::new(&cfg);
+        let a = job("a");
+        adm.settle(0, &a, None);
+        adm.settle(1, &a, Some(5));
+        adm.settle(6, &a, None);
+        assert_eq!(adm.trips, 0, "non-consecutive failures never trip");
+    }
+
+    /// Regression: a backoff base too large to double dropped its high
+    /// bits (`2^60 << 4` wrapped to 0, so attempt 5 backed off by jitter
+    /// only), and `now + breaker_cooldown_ns` overflowed for a large
+    /// cool-down (a panic in debug builds, a breaker that closed at
+    /// once in release). Both saturate at the end of simulated time.
+    #[test]
+    fn backoff_and_breaker_saturate_at_u64_extremes() {
+        let r = ResilienceConfig {
+            retry_max: 8,
+            backoff_base_ns: 1 << 60,
+            ..ResilienceConfig::default()
+        };
+        let delays: Vec<u64> = (1..=8).map(|k| r.backoff_ns(SEED, 7, k)).collect();
+        assert!(delays.windows(2).all(|w| w[0] <= w[1]), "{delays:?}");
+        assert!(delays[0] >= 1 << 60, "{delays:?}");
+        assert_eq!(delays[4], u64::MAX);
+        let max = ResilienceConfig {
+            backoff_base_ns: u64::MAX,
+            ..ResilienceConfig::default()
+        };
+        assert_eq!(max.backoff_ns(SEED, 7, 1), u64::MAX);
+
+        let cfg = serve_cfg(ResilienceConfig {
+            breaker_threshold: 1,
+            breaker_cooldown_ns: u64::MAX,
+            ..ResilienceConfig::default()
+        });
+        let mut adm = Admission::new(&cfg);
+        let a = job("a");
+        adm.settle(10, &a, None);
+        assert!(
+            matches!(
+                adm.decide(u64::MAX - 1, &a),
+                Err(ServeError::BreakerOpen {
+                    until_ns: u64::MAX,
+                    ..
+                })
+            ),
+            "the breaker stays open to the end of simulated time"
+        );
     }
 
     #[test]
     fn shedding_orders_by_priority_and_watches_both_pressures() {
-        let r = policy(ResilienceConfig {
+        let r = ResilienceConfig {
             shed_watermark_pct: Some(40),
             ..ResilienceConfig::default()
-        });
+        };
         // Queue 50% full: prio 0 sheds (watermark 40), prio 1 (55) not.
         assert_eq!(r.shed(0, 5, 10, 0, None), Some((50, 40)));
         assert_eq!(r.shed(1, 5, 10, 0, None), None);
@@ -291,7 +431,7 @@ mod tests {
         assert_eq!(r.shed(3, 8, 10, 0, None), None);
         assert_eq!(r.shed(3, 9, 10, 0, None), Some((90, 85)));
         // No watermark, no shedding.
-        let off = policy(ResilienceConfig::default());
+        let off = ResilienceConfig::default();
         assert_eq!(off.shed(0, 10, 10, 100, Some(1)), None);
     }
 

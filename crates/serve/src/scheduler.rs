@@ -49,11 +49,21 @@
 //! ## Crash consistency
 //!
 //! With a journal configured ([`ServeConfig::journal`]), every scheduler
-//! step seals what it settled into one fsynced journal frame; a daemon
-//! killed mid-workload (at any durable step of the journal or the WAL —
-//! [`ServeConfig::crash`]) resumes by re-running the simulation with
-//! settled executions served from the journal — see
+//! step seals the executions it ran live into one fsynced journal frame;
+//! a daemon killed mid-workload (at any durable step of the journal or
+//! the WAL — [`ServeConfig::crash`]) resumes by re-running the
+//! simulation with settled executions served from the journal — see
 //! [`journal`](crate::journal) for the memoization model.
+//!
+//! ## Structure
+//!
+//! Admission is one state struct with two mutators
+//! ([`resilience`](crate::resilience)): decide an arrival, settle an
+//! admitted attempt. Execution is separate: a read wave runs its
+//! attempts speculatively in parallel, a mutating job runs once
+//! admitted, and either may instead be a journal hit. Every attempt then
+//! goes through one settle path — admission, the journal append for a
+//! live execution, and the outcome or retry.
 //!
 //! ## Determinism
 //!
@@ -65,13 +75,13 @@
 //! each runs as its own `Job` (`gts_core::job`), keeping
 //! its report and counters byte-identical to a solo run.
 
-use crate::journal::{jerr, ExecRecord, Header, Journal, JournalConfig, Record};
-use crate::resilience::{Resilience, ResilienceConfig};
+use crate::journal::{jerr, ExecRecord, Header, Journal, JournalConfig};
+use crate::resilience::{Admission, ResilienceConfig};
 use crate::workload::{seeded_batch, JobSpec};
 use crate::ServeError;
 use gts_ckpt::{fnv1a, CkptError, KillSwitch};
-use gts_core::programs::{self, GtsProgram};
-use gts_core::{Engine, JobOptions, MutationSchedule, RunReport};
+use gts_core::programs;
+use gts_core::{Engine, EngineError, JobOptions, MutationSchedule, RunReport};
 use gts_exec::ThreadPool;
 use gts_faults::FaultConfig;
 use gts_storage::builder::GraphStore;
@@ -223,7 +233,9 @@ impl JobOutcome {
         self.finish_ns.saturating_sub(self.arrival_ns)
     }
 
-    fn dropped(index: usize, spec: &JobSpec, why: ServeError) -> JobOutcome {
+    /// Job `index` with `status` and nothing run yet: zero times and
+    /// attempts, no results. A settled attempt fills in the rest.
+    fn new(index: usize, spec: &JobSpec, status: JobStatus) -> JobOutcome {
         JobOutcome {
             index,
             tenant: spec.tenant.clone(),
@@ -235,7 +247,7 @@ impl JobOutcome {
             service_ns: 0,
             attempts: 0,
             result_fp: 0,
-            status: JobStatus::Dropped(why),
+            status,
             counters: BTreeMap::new(),
             report: None,
         }
@@ -264,114 +276,6 @@ pub struct ServeOutcome {
     pub quarantined: usize,
 }
 
-/// The FIFO G/G/c state on the simulated clock. `slots[i]` is the time
-/// slot *i* becomes free; `waiting` are dispatched-but-not-yet-started
-/// jobs, kept so queue-occupancy checks at later arrivals see them — a
-/// job occupies queue space from arrival until its start. Jobs doomed
-/// by their deadline are dropped without ever occupying queue space.
-struct Sim {
-    slots: Vec<u64>,
-    waiting: Vec<(u64, String)>,
-    queue_capacity: usize,
-    tenant_queue_capacity: usize,
-    deadline_ns: Option<u64>,
-}
-
-impl Sim {
-    fn new(cfg: &ServeConfig) -> Sim {
-        Sim {
-            slots: vec![0; cfg.slots],
-            waiting: Vec::new(),
-            queue_capacity: cfg.queue_capacity,
-            tenant_queue_capacity: cfg.tenant_queue_capacity,
-            deadline_ns: cfg.deadline_ns,
-        }
-    }
-
-    /// Admission decision for `spec` arriving at `arrival` (which is
-    /// later than `spec.at_ns` for service-level re-admissions): its
-    /// start time, or the typed drop. Processing jobs in arrival order
-    /// with `start = max(earliest-free, arrival)` *is* the FIFO
-    /// simulation — dispatch order equals arrival order, so decisions
-    /// depend only on already-settled jobs.
-    fn decide(
-        &mut self,
-        arrival: u64,
-        spec: &JobSpec,
-        resil: &Resilience,
-    ) -> Result<u64, ServeError> {
-        self.waiting.retain(|(until, _)| *until > arrival);
-        let slot_free = if spec.mutate.is_some() {
-            // Topology rewrite: every lane set must drain first.
-            self.slots.iter().copied().max().unwrap_or(0)
-        } else {
-            self.slots.iter().copied().min().unwrap_or(0)
-        };
-        let start = slot_free.max(arrival);
-        if start == arrival {
-            return Ok(start); // a slot is free right now: no queueing
-        }
-        // An overloaded service refuses before capacity bookkeeping:
-        // shedding is a pressure decision, not a queue-full accident.
-        if let Some((pressure_pct, watermark_pct)) = resil.shed(
-            spec.priority,
-            self.waiting.len(),
-            self.queue_capacity,
-            start - arrival,
-            self.deadline_ns,
-        ) {
-            return Err(ServeError::Shed {
-                class: spec.algorithm.clone(),
-                pressure_pct,
-                watermark_pct,
-            });
-        }
-        let mine = self
-            .waiting
-            .iter()
-            .filter(|(_, t)| *t == spec.tenant)
-            .count();
-        if mine >= self.tenant_queue_capacity {
-            return Err(ServeError::Rejected {
-                tenant: spec.tenant.clone(),
-                waiting: mine,
-                capacity: self.tenant_queue_capacity,
-            });
-        }
-        if self.waiting.len() >= self.queue_capacity {
-            return Err(ServeError::QueueFull {
-                waiting: self.waiting.len(),
-                capacity: self.queue_capacity,
-            });
-        }
-        if let Some(deadline) = self.deadline_ns {
-            if start - arrival > deadline {
-                // Doomed at decision time: known dead now, so it frees
-                // its queue slot immediately instead of crowding out
-                // later arrivals until the deadline expires.
-                return Err(ServeError::Deadline {
-                    waited_ns: start - arrival,
-                    deadline_ns: deadline,
-                });
-            }
-        }
-        self.waiting.push((start, spec.tenant.clone()));
-        Ok(start)
-    }
-
-    /// Occupy slot time for a job admitted at `start`.
-    fn commit(&mut self, start: u64, service_ns: u64, mutating: bool) {
-        let finish = start + service_ns;
-        if mutating {
-            for s in &mut self.slots {
-                *s = finish;
-            }
-        } else if let Some(s) = self.slots.iter_mut().min_by_key(|s| **s) {
-            *s = finish;
-        }
-    }
-}
-
 fn job_options(spec: &JobSpec) -> JobOptions {
     JobOptions::with_telemetry(Telemetry::new()).tenant(spec.tenant.clone())
 }
@@ -396,35 +300,62 @@ fn attempt_options(spec: &JobSpec, cfg: &ServeConfig, p: &Pending) -> JobOptions
     opts
 }
 
-fn failed_record(p: &Pending, error: String) -> ExecRecord {
-    ExecRecord {
-        job: p.seq,
-        attempt: p.attempt,
-        ok: false,
-        error,
-        service_ns: 0,
-        result_fp: 0,
-        epoch_advanced: false,
-        counters: BTreeMap::new(),
+/// One admitted attempt's execution, however it was obtained: a live
+/// engine run, or a journal memo hit (for a mutation, with its epoch
+/// bump replayed onto the store).
+struct Execution {
+    rec: ExecRecord,
+    /// The live run's report (completed live runs only).
+    report: Option<RunReport>,
+    /// Served from the journal rather than run.
+    cached: bool,
+}
+
+impl Execution {
+    /// A live run's execution: on `Ok((report, result_fp))` the job's
+    /// counters come from `opts`; on `Err` the error rendering is kept.
+    fn live(p: &Pending, run: Result<(RunReport, u64), String>, opts: &JobOptions) -> Execution {
+        let mut rec = ExecRecord {
+            job: p.seq,
+            attempt: p.attempt,
+            ok: run.is_ok(),
+            error: String::new(),
+            service_ns: 0,
+            result_fp: 0,
+            epoch: None,
+            counters: BTreeMap::new(),
+        };
+        let report = match run {
+            Ok((report, result_fp)) => {
+                rec.service_ns = report.elapsed.as_nanos();
+                rec.result_fp = result_fp;
+                rec.counters = opts.telemetry.counters();
+                Some(report)
+            }
+            Err(error) => {
+                rec.error = error;
+                None
+            }
+        };
+        Execution {
+            rec,
+            report,
+            cached: false,
+        }
+    }
+
+    fn cached(rec: ExecRecord) -> Execution {
+        Execution {
+            rec,
+            report: None,
+            cached: true,
+        }
     }
 }
 
-fn completed_record(
-    p: &Pending,
-    report: &RunReport,
-    prog: &dyn GtsProgram,
-    opts: &JobOptions,
-) -> ExecRecord {
-    ExecRecord {
-        job: p.seq,
-        attempt: p.attempt,
-        ok: true,
-        error: String::new(),
-        service_ns: report.elapsed.as_nanos(),
-        result_fp: fnv1a(&prog.save_state()),
-        epoch_advanced: false,
-        counters: opts.telemetry.counters(),
-    }
+/// An engine failure as a job's error rendering.
+fn engine_error(e: EngineError) -> String {
+    ServeError::Engine(e.to_string()).to_string()
 }
 
 /// Execute one read job solo (its own `Job`, its own registry,
@@ -436,28 +367,24 @@ fn run_read(
     spec: &JobSpec,
     p: &Pending,
     cfg: &ServeConfig,
-) -> (ExecRecord, Option<RunReport>) {
+) -> Execution {
     let opts = attempt_options(spec, cfg, p);
-    let mut prog = match spec.program(store.num_vertices()) {
-        Ok(prog) => prog,
-        Err(e) => return (failed_record(p, e.to_string()), None),
-    };
-    match engine.run_job(store, &mut *prog, &opts) {
-        Ok(report) => {
-            let rec = completed_record(p, &report, &*prog, &opts);
-            (rec, Some(report))
-        }
-        Err(e) => (
-            failed_record(p, ServeError::Engine(e.to_string()).to_string()),
-            None,
-        ),
-    }
+    let run = spec
+        .program(store.num_vertices())
+        .map_err(|e| e.to_string())
+        .and_then(|mut prog| {
+            let report = engine
+                .run_job(store, &mut *prog, &opts)
+                .map_err(engine_error)?;
+            Ok((report, fnv1a(&prog.save_state())))
+        });
+    Execution::live(p, run, &opts)
 }
 
-/// Execute the mutating job that closes an epoch group: its batch goes
-/// through the store's epoch pipeline at the scripted sweep boundary.
-/// `epoch_advanced` reflects the store, not the job status — a faulted
-/// run may fail *after* its batch applied.
+/// Execute a mutating job: its batch goes through the store's epoch
+/// pipeline at the scripted sweep boundary. The record's `epoch`
+/// reflects the store, not the job status — a faulted run may fail
+/// *after* its batch applied.
 ///
 /// `engine` is the service's WAL-backed engine when
 /// [`ServeConfig::wal_dir`] is set, so the batch is logged before it
@@ -470,37 +397,32 @@ fn run_mutating(
     spec: &JobSpec,
     p: &Pending,
     opts: &JobOptions,
-) -> Result<(ExecRecord, Option<RunReport>), ServeError> {
+) -> Result<Execution, ServeError> {
     let before = store.epoch();
     let m = spec.mutate.expect("caller checked spec.mutate");
     let batch = seeded_batch(store, m.inserts, m.deletes, m.seed);
     let schedule = MutationSchedule::new().at(m.at_sweep, batch);
-    let (mut rec, report) = match spec.program(store.num_vertices()) {
+    let run = match spec.program(store.num_vertices()) {
         Ok(mut prog) => match engine.run_job_live(store, &mut *prog, schedule, opts) {
-            Ok(report) => {
-                let rec = completed_record(p, &report, &*prog, opts);
-                (rec, Some(report))
-            }
-            Err(gts_core::EngineError::InjectedCrash { step }) => {
+            Ok(report) => Ok((report, fnv1a(&prog.save_state()))),
+            Err(EngineError::InjectedCrash { step }) => {
                 return Err(ServeError::InjectedCrash { step });
             }
-            Err(e) => (
-                failed_record(p, ServeError::Engine(e.to_string()).to_string()),
-                None,
-            ),
+            Err(e) => Err(engine_error(e)),
         },
-        Err(e) => (failed_record(p, e.to_string()), None),
+        Err(e) => Err(e.to_string()),
     };
-    rec.epoch_advanced = store.epoch() > before;
-    Ok((rec, report))
+    let mut exec = Execution::live(p, run, opts);
+    exec.rec.epoch = (store.epoch() > before).then(|| store.epoch());
+    Ok(exec)
 }
 
 /// Rebuild a journal-restored completion's report from its memoized
 /// counters — [`RunReport::from_telemetry`] reads nothing else, so the
 /// rebuilt report equals the one the crashed run held in memory.
-fn rebuild_report(spec: &JobSpec, rec: &ExecRecord) -> RunReport {
+fn rebuild_report(spec: &JobSpec, counters: &BTreeMap<String, u64>) -> RunReport {
     let tel = Telemetry::new();
-    for (k, v) in &rec.counters {
+    for (k, v) in counters {
         tel.set(k, *v);
     }
     let algorithm = programs::find(&spec.algorithm).map_or(&*spec.algorithm, |a| a.report_name);
@@ -527,9 +449,9 @@ fn config_rendering(engine: &Engine, cfg: &ServeConfig) -> String {
     )
 }
 
-/// The live service: the pending-attempt pool, the queueing simulation,
-/// the resilience policy, and the journal, advanced in deterministic
-/// `(arrival, seq, attempt)` order.
+/// The live service: the pending-attempt pool, the admission state,
+/// and the journal, advanced in deterministic `(arrival, seq, attempt)`
+/// order.
 struct Service<'a> {
     engine: &'a Engine,
     /// What mutating jobs run on: `engine`, or its WAL-backed twin when
@@ -541,8 +463,7 @@ struct Service<'a> {
     cfg: &'a ServeConfig,
     pool: ThreadPool,
     tel: Telemetry,
-    sim: Sim,
-    resil: Resilience,
+    admission: Admission<'a>,
     journal: Option<Journal>,
     /// The mutation WAL's records as of service start, for re-deriving
     /// journaled epoch bumps on resume (empty without a WAL).
@@ -556,6 +477,7 @@ impl Service<'_> {
     /// read attempts ordered before the next mutating job, then that
     /// mutating job (an all-slots barrier), until nothing is pending.
     /// Settled failures re-enter the pool as backoff-delayed retries.
+    /// Each step seals what it ran live into one journal frame.
     fn run(&mut self, store: &mut GraphStore) -> Result<(), ServeError> {
         loop {
             self.pending.sort_by_key(|p| (p.arrival, p.seq, p.attempt));
@@ -572,9 +494,19 @@ impl Service<'_> {
                 return Ok(());
             } else {
                 let p = self.pending.remove(0);
-                self.mutation(store, &p)?;
+                self.settle(&p, |svc| svc.mutation(store, &p))?;
+            }
+            if let Some(j) = &mut self.journal {
+                j.flush(&self.tel)?;
             }
         }
+    }
+
+    /// The journal's memoized execution of `p`, when it settled before
+    /// the crash.
+    fn memo(&self, p: &Pending) -> Option<ExecRecord> {
+        let j = self.journal.as_ref()?;
+        j.cached(p.seq, p.attempt).cloned()
     }
 
     /// One read wave: speculative parallel execution (reads are
@@ -583,243 +515,145 @@ impl Service<'_> {
     /// Journal-memoized attempts skip the engine entirely.
     fn wave(&mut self, store: &GraphStore, wave: &[Pending]) -> Result<(), ServeError> {
         let (engine, jobs, cfg) = (self.engine, self.jobs, self.cfg);
-        let hits: Vec<Option<ExecRecord>> = wave
-            .iter()
-            .map(|p| {
-                self.journal
-                    .as_ref()
-                    .and_then(|j| j.cached(p.seq, p.attempt))
-                    .cloned()
-            })
-            .collect();
-        let hits_ref = &hits;
-        let live = self.pool.par_map(wave, |i, p| {
-            if hits_ref[i].is_some() {
-                None
-            } else {
-                Some(run_read(engine, store, &jobs[p.seq as usize], p, cfg))
-            }
+        let this = &*self;
+        let execs = self.pool.par_map(wave, |_, p| match this.memo(p) {
+            Some(rec) => Execution::cached(rec),
+            None => run_read(engine, store, &jobs[p.seq as usize], p, cfg),
         });
-        for ((p, hit), live) in wave.iter().zip(hits).zip(live) {
-            self.settle_read(p, hit, live);
+        for (p, exec) in wave.iter().zip(execs) {
+            self.settle(p, |_| Ok(exec))?;
         }
-        self.flush()
+        Ok(())
     }
 
-    fn settle_read(
+    /// One mutating job's execution, run only once admission has let it
+    /// in — a dropped mutating job must not advance the store epoch. A
+    /// journal-memoized mutation fast-forwards the store by re-applying
+    /// its batch directly, without the engine: the WAL's logged bytes
+    /// when one is kept, else the seeded generator.
+    fn mutation(&mut self, store: &mut GraphStore, p: &Pending) -> Result<Execution, ServeError> {
+        let spec = &self.jobs[p.seq as usize];
+        let Some(rec) = self.memo(p) else {
+            let mut opts = attempt_options(spec, self.cfg, p);
+            opts.kill = self.kill.clone();
+            return run_mutating(self.mut_engine, store, spec, p, &opts);
+        };
+        if rec.epoch.is_some() {
+            let logged = self
+                .wal_records
+                .iter()
+                .find(|r| r.pre_epoch == store.epoch());
+            let batch = match logged {
+                Some(r) => {
+                    self.tel.add(keys::SERVE_WAL_REPLAYED, 1);
+                    r.batch.clone()
+                }
+                None => {
+                    let m = spec.mutate.expect("mutation() only sees mutating jobs");
+                    seeded_batch(store, m.inserts, m.deletes, m.seed)
+                }
+            };
+            store
+                .apply_mutations(&batch)
+                .map_err(|e| ServeError::Journal(format!("epoch replay failed: {e}")))?;
+        }
+        Ok(Execution::cached(rec))
+    }
+
+    /// The one settle path, and the only journal append. Admission
+    /// decides `p` first; a dropped attempt never executes. An admitted
+    /// one takes its execution from `exec` — a live run, a journal hit,
+    /// or a replayed epoch bump — journals it when live, and folds it
+    /// into the admission state, the service registry, and either the
+    /// job's outcome or a backoff-delayed re-admission.
+    fn settle(
         &mut self,
         p: &Pending,
-        hit: Option<ExecRecord>,
-        live: Option<(ExecRecord, Option<RunReport>)>,
-    ) {
-        let jobs = self.jobs;
-        let spec = &jobs[p.seq as usize];
-        match self.admit(p, spec) {
-            Err(why) => self.drop_job(p, spec, why),
-            Ok(start) => {
-                let (rec, report, cached) = match hit {
-                    Some(rec) => (rec, None, true),
-                    None => {
-                        let (rec, report) = live.expect("speculative execution covered this job");
-                        (rec, report, false)
-                    }
-                };
-                self.record_admission(p, start, &rec, cached);
-                self.settle_exec(p, start, rec, report, cached);
+        exec: impl FnOnce(&mut Self) -> Result<Execution, ServeError>,
+    ) -> Result<(), ServeError> {
+        let (jobs, cfg) = (self.jobs, self.cfg);
+        let (seq, spec) = (p.seq as usize, &jobs[p.seq as usize]);
+        let start = match self.admission.decide(p.arrival, spec) {
+            Ok(start) => start,
+            Err(why) => {
+                self.outcomes[seq] = Some(JobOutcome {
+                    attempts: p.attempt - 1,
+                    ..JobOutcome::new(seq, spec, JobStatus::Dropped(why))
+                });
+                return Ok(());
             }
-        }
-    }
-
-    /// One mutating job: admission is decided before execution — a
-    /// dropped mutating job must not advance the store epoch — and a
-    /// journal-memoized mutation fast-forwards the store by re-applying
-    /// its seeded batch directly, without the engine.
-    fn mutation(&mut self, store: &mut GraphStore, p: &Pending) -> Result<(), ServeError> {
-        let jobs = self.jobs;
-        let spec = &jobs[p.seq as usize];
-        match self.admit(p, spec) {
-            Err(why) => self.drop_job(p, spec, why),
-            Ok(start) => {
-                let hit = self
-                    .journal
-                    .as_ref()
-                    .and_then(|j| j.cached(p.seq, p.attempt))
-                    .cloned();
-                let (rec, report, cached) = match hit {
-                    Some(rec) => {
-                        if rec.epoch_advanced {
-                            // Re-derive the journaled bump from the WAL
-                            // when one is kept — the logged bytes, not a
-                            // re-generated batch — falling back to the
-                            // seeded generator without one.
-                            let batch = match self
-                                .wal_records
-                                .iter()
-                                .find(|r| r.pre_epoch == store.epoch())
-                            {
-                                Some(r) => {
-                                    self.tel.add(keys::SERVE_WAL_REPLAYED, 1);
-                                    r.batch.clone()
-                                }
-                                None => {
-                                    let m =
-                                        spec.mutate.expect("mutation() only sees mutating jobs");
-                                    seeded_batch(store, m.inserts, m.deletes, m.seed)
-                                }
-                            };
-                            store.apply_mutations(&batch).map_err(|e| {
-                                ServeError::Journal(format!("epoch replay failed: {e}"))
-                            })?;
-                        }
-                        (rec, None, true)
-                    }
-                    None => {
-                        let mut opts = attempt_options(spec, self.cfg, p);
-                        opts.kill = self.kill.clone();
-                        let (rec, report) = run_mutating(self.mut_engine, store, spec, p, &opts)?;
-                        (rec, report, false)
-                    }
-                };
-                self.record_admission(p, start, &rec, cached);
-                if !cached && rec.epoch_advanced {
-                    if let Some(j) = &mut self.journal {
-                        j.append(Record::Epoch {
-                            job: p.seq,
-                            epoch: store.epoch(),
-                        });
-                    }
-                }
-                self.settle_exec(p, start, rec, report, cached);
-            }
-        }
-        self.flush()
-    }
-
-    /// Breaker gate, then the queueing decision.
-    fn admit(&mut self, p: &Pending, spec: &JobSpec) -> Result<u64, ServeError> {
-        self.resil.admission_gate(&spec.tenant, p.arrival)?;
-        self.sim.decide(p.arrival, spec, &self.resil)
-    }
-
-    fn drop_job(&mut self, p: &Pending, spec: &JobSpec, why: ServeError) {
-        let mut out = JobOutcome::dropped(p.seq as usize, spec, why);
-        out.attempts = p.attempt - 1;
-        self.outcomes[p.seq as usize] = Some(out);
-    }
-
-    /// Journal the admission + execution of a live attempt, or count
-    /// the memo hit.
-    fn record_admission(&mut self, p: &Pending, start: u64, rec: &ExecRecord, cached: bool) {
+        };
+        let Execution {
+            rec,
+            report,
+            cached,
+        } = exec(self)?;
         if cached {
             self.tel.add(keys::SERVE_RESUME_CACHED, 1);
-            return;
+        } else if let Some(j) = &mut self.journal {
+            j.append(rec.clone());
         }
-        if let Some(j) = &mut self.journal {
-            j.append(Record::Admit {
-                job: p.seq,
-                attempt: p.attempt,
-                at_ns: p.arrival,
-            });
-            j.append(Record::Start {
-                job: p.seq,
-                attempt: p.attempt,
-                start_ns: start,
-            });
-            j.append(Record::Exec(rec.clone()));
-        }
-    }
-
-    /// Fold one admitted attempt's execution into the simulation, the
-    /// service registry, and either a settled outcome or a re-admission.
-    fn settle_exec(
-        &mut self,
-        p: &Pending,
-        start: u64,
-        rec: ExecRecord,
-        report: Option<RunReport>,
-        cached: bool,
-    ) {
-        let jobs = self.jobs;
-        let spec = &jobs[p.seq as usize];
-        let seq = p.seq as usize;
         self.tel.add("serve.jobs.admitted", 1);
         let mutating = spec.mutate.is_some();
-        if rec.ok {
-            let mut out = JobOutcome::dropped(seq, spec, ServeError::Config(String::new()));
-            out.attempts = p.attempt;
-            out.start_ns = start;
-            out.service_ns = rec.service_ns;
-            out.finish_ns = start + rec.service_ns;
-            out.result_fp = rec.result_fp;
-            out.report = Some(report.unwrap_or_else(|| rebuild_report(spec, &rec)));
-            out.counters = rec.counters;
-            out.status = JobStatus::Completed;
-            self.sim.commit(start, out.service_ns, mutating);
-            self.resil.record_success(&spec.tenant);
-            self.tel.add("serve.jobs.completed", 1);
+        self.admission
+            .settle(start, spec, rec.ok.then_some(rec.service_ns));
+        let tel = &self.tel;
+        let (status, finish) = if rec.ok {
+            let finish = start.saturating_add(rec.service_ns);
+            tel.add("serve.jobs.completed", 1);
             if mutating {
-                self.tel.add("serve.epochs", 1);
+                tel.add("serve.epochs", 1);
             }
             if p.attempt > 1 {
-                self.tel.add(keys::SERVE_RETRY_RECOVERED, 1);
+                tel.add(keys::SERVE_RETRY_RECOVERED, 1);
             }
-            let latency = out.latency_ns();
-            self.tel
-                .observe(format!("serve.lat.{}", out.class), latency);
-            self.tel.observe("serve.lat.all", latency);
-            for (k, v) in &out.counters {
+            let latency = finish - spec.at_ns;
+            tel.observe(format!("serve.lat.{}", spec.algorithm), latency);
+            tel.observe("serve.lat.all", latency);
+            for (k, v) in &rec.counters {
                 if k.starts_with("tenant.") {
-                    self.tel.add(k, *v);
+                    tel.add(k, *v);
                 }
             }
-            self.outcomes[seq] = Some(out);
-            return;
-        }
-        // The attempt failed: the slot time it would have used is not
-        // charged, and the failure feeds the tenant's breaker.
-        self.sim.commit(start, 0, mutating);
-        self.resil.record_failure(&spec.tenant, start);
-        if !mutating && p.attempt <= self.resil.retry_max() {
-            self.tel.add(keys::SERVE_RETRY_ATTEMPTS, 1);
-            let delay = self.resil.backoff_ns(u64::from(p.seq), p.attempt);
+            (JobStatus::Completed, finish)
+        } else if mutating || cfg.resilience.retry_max == 0 {
+            // Final at once: mutating jobs are never service-retried.
+            tel.add("serve.jobs.failed", 1);
+            (JobStatus::Failed { error: rec.error }, start)
+        } else if p.attempt <= cfg.resilience.retry_max {
+            tel.add(keys::SERVE_RETRY_ATTEMPTS, 1);
+            let jitter_seed = cfg.faults.as_ref().map_or(0, |f| f.seed);
+            let delay = cfg
+                .resilience
+                .backoff_ns(jitter_seed, u64::from(p.seq), p.attempt);
             self.pending.push(Pending {
                 arrival: start.saturating_add(delay),
                 seq: p.seq,
                 attempt: p.attempt + 1,
             });
-            return;
-        }
-        let mut out = JobOutcome::dropped(seq, spec, ServeError::Config(String::new()));
-        out.attempts = p.attempt;
-        out.start_ns = start;
-        out.finish_ns = start;
-        if !mutating && self.resil.retry_max() > 0 {
-            out.status = JobStatus::Quarantined {
+            return Ok(());
+        } else {
+            tel.add(keys::SERVE_QUARANTINE_JOBS, 1);
+            tel.add(keys::SERVE_QUARANTINE_ATTEMPTS, u64::from(p.attempt));
+            let status = JobStatus::Quarantined {
                 error: rec.error,
                 attempts: p.attempt,
             };
-            self.tel.add(keys::SERVE_QUARANTINE_JOBS, 1);
-            self.tel
-                .add(keys::SERVE_QUARANTINE_ATTEMPTS, u64::from(p.attempt));
-            if !cached {
-                if let Some(j) = &mut self.journal {
-                    j.append(Record::Quarantine {
-                        job: p.seq,
-                        attempts: p.attempt,
-                    });
-                }
-            }
-        } else {
-            out.status = JobStatus::Failed { error: rec.error };
-            self.tel.add("serve.jobs.failed", 1);
-        }
-        self.outcomes[seq] = Some(out);
-    }
-
-    fn flush(&mut self) -> Result<(), ServeError> {
-        if let Some(j) = &mut self.journal {
-            j.flush(&self.tel)?;
-        }
+            (status, start)
+        };
+        let report = rec
+            .ok
+            .then(|| report.unwrap_or_else(|| rebuild_report(spec, &rec.counters)));
+        self.outcomes[seq] = Some(JobOutcome {
+            start_ns: start,
+            finish_ns: finish,
+            service_ns: rec.service_ns,
+            attempts: p.attempt,
+            result_fp: rec.result_fp,
+            counters: rec.counters,
+            report,
+            ..JobOutcome::new(seq, spec, status)
+        });
         Ok(())
     }
 
@@ -854,7 +688,7 @@ impl Service<'_> {
             }
         }
         if cfg.resilience.breaker_threshold > 0 {
-            tel.set(keys::SERVE_BREAKER_TRIPS, self.resil.trips);
+            tel.set(keys::SERVE_BREAKER_TRIPS, self.admission.trips);
         }
         let makespan_ns = outcomes.iter().map(|o| o.finish_ns).max().unwrap_or(0);
         tel.set("serve.jobs.total", outcomes.len() as u64);
@@ -935,7 +769,6 @@ pub fn serve(
         )?),
         None => None,
     };
-    let jitter_seed = cfg.faults.as_ref().map_or(0, |f| f.seed);
     let mut svc = Service {
         engine,
         mut_engine: walled.as_ref().unwrap_or(engine),
@@ -944,8 +777,7 @@ pub fn serve(
         cfg,
         pool: ThreadPool::new(engine.config().host_threads),
         tel: Telemetry::new(),
-        sim: Sim::new(cfg),
-        resil: Resilience::new(cfg.resilience.clone(), jitter_seed),
+        admission: Admission::new(cfg),
         journal,
         wal_records,
         pending: jobs
@@ -1588,10 +1420,10 @@ mod tests {
                 std::fs::remove_dir_all(d).ok();
             }
         }
-        assert_eq!(
-            step_counts[0], step_counts[1],
-            "durable steps per thread count"
-        );
+        // Pinned absolutely, not just 1 vs 4 threads: the journal's
+        // shape may change, but every step that appends a frame appends
+        // exactly one, so the kill points must not move.
+        assert_eq!(step_counts, [22, 22], "durable steps per thread count");
 
         // Resuming against a different workload is refused, typed.
         let tag = format!("{}-other", std::process::id());
@@ -1639,30 +1471,25 @@ mod tests {
         );
     }
 
-    /// A kill can land anywhere in the journal's append stream. Cut an
-    /// uncrashed run's log at every step boundary and one byte either
-    /// side of it: the resumed daemon drops the torn step whole, re-runs
-    /// what it lost, and lands byte-identical to the uncrashed run.
-    #[test]
-    fn journal_cut_at_any_step_boundary_resumes_byte_identical() {
+    /// Cut an uncrashed journal-keeping run's log at every step
+    /// boundary and one byte either side of it, resume from each cut,
+    /// and check the resumed daemon drops the torn step whole, re-runs
+    /// what it lost, and lands byte-identical to the uncrashed run —
+    /// outcomes, counters, store — with every lost step re-journaled.
+    /// Returns the uncrashed run.
+    fn assert_every_cut_resumes(jobs: &[JobSpec], cfg: ServeConfig) -> ServeOutcome {
         use crate::journal::JOURNAL_FILE;
         let engine = engine(2);
-        let jobs = parse(
-            "at=0 tenant=a job=bfs
-at=1000 tenant=b job=pagerank iters=3
-             at=2000 tenant=m job=bfs mutate-at=1 inserts=16 deletes=2 seed=5
-             at=3000 tenant=a job=cc
-             at=4000 tenant=m job=cc mutate-at=1 inserts=8 seed=7
-             at=5000 tenant=b job=degrees
-",
-        )
-        .unwrap();
         let dir = tempdir("cut-whole");
-        let cfg = ServeConfig {
-            journal: Some(JournalConfig::new(&dir)),
-            ..ServeConfig::default()
+        let cfg = |dir: &PathBuf, resume: bool| ServeConfig {
+            journal: Some(JournalConfig {
+                dir: dir.clone(),
+                resume,
+            }),
+            ..cfg.clone()
         };
-        let baseline = serve(&engine, &mut store(), &jobs, &cfg).unwrap();
+        let mut base_st = store();
+        let baseline = serve(&engine, &mut base_st, jobs, &cfg(&dir, false)).unwrap();
         let log = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
         let image =
             gts_ckpt::SealedLog::load(&dir.join(JOURNAL_FILE), &gts_ckpt::LogFormat::JOURNAL)
@@ -1677,13 +1504,6 @@ at=1000 tenant=b job=pagerank iters=3
 
         let cut_dir = tempdir("cut");
         std::fs::create_dir_all(&cut_dir).unwrap();
-        let resume_cfg = ServeConfig {
-            journal: Some(JournalConfig {
-                dir: cut_dir.clone(),
-                resume: true,
-            }),
-            ..ServeConfig::default()
-        };
         for (step, &b) in boundaries.iter().enumerate() {
             for cut in [b - 1, b, b + 1] {
                 if cut > log.len() {
@@ -1691,7 +1511,7 @@ at=1000 tenant=b job=pagerank iters=3
                 }
                 std::fs::write(cut_dir.join(JOURNAL_FILE), &log[..cut]).unwrap();
                 let mut resumed_st = store();
-                let resumed = serve(&engine, &mut resumed_st, &jobs, &resume_cfg);
+                let resumed = serve(&engine, &mut resumed_st, jobs, &cfg(&cut_dir, true));
                 if cut < boundaries[0] {
                     // Inside the header: not a torn step, not a journal.
                     assert!(matches!(resumed, Err(ServeError::Journal(_))));
@@ -1699,7 +1519,11 @@ at=1000 tenant=b job=pagerank iters=3
                 }
                 let out = resumed.unwrap();
                 assert_same_service(&baseline, &out, &format!("step {step}, cut {cut}"));
-                assert_eq!(resumed_st.epoch(), 2);
+                assert_eq!(
+                    gts_core::store_fingerprint(&resumed_st),
+                    gts_core::store_fingerprint(&base_st),
+                    "step {step}, cut {cut}"
+                );
                 // The torn bytes are gone and the lost steps were re-journaled.
                 let info = crate::journal::inspect_journal(&cut_dir).unwrap();
                 assert_eq!(info.truncated_tail, 0);
@@ -1712,6 +1536,89 @@ at=1000 tenant=b job=pagerank iters=3
         for d in [&dir, &cut_dir] {
             std::fs::remove_dir_all(d).ok();
         }
+        baseline
+    }
+
+    /// A kill can land anywhere in the journal's append stream.
+    #[test]
+    fn journal_cut_at_any_step_boundary_resumes_byte_identical() {
+        let jobs = parse(
+            "at=0 tenant=a job=bfs
+at=1000 tenant=b job=pagerank iters=3
+             at=2000 tenant=m job=bfs mutate-at=1 inserts=16 deletes=2 seed=5
+             at=3000 tenant=a job=cc
+             at=4000 tenant=m job=cc mutate-at=1 inserts=8 seed=7
+             at=5000 tenant=b job=degrees
+",
+        )
+        .unwrap();
+        let baseline = assert_every_cut_resumes(&jobs, ServeConfig::default());
+        assert_eq!(baseline.telemetry.counter("serve.epochs"), 2);
+    }
+
+    /// Retries, quarantines and breaker drops are not journaled: a
+    /// resume recomputes them from the memoized executions alone. Cut a
+    /// journal holding retried, quarantined and breaker-dropped jobs at
+    /// every step boundary: each resume reproduces their statuses,
+    /// attempts and `serve.retry.*` / `serve.quarantine.*` /
+    /// `serve.breaker.*` counters.
+    #[test]
+    fn journal_cut_with_retries_resumes_byte_identical() {
+        let resilience = ResilienceConfig {
+            retry_max: 2,
+            backoff_base_ns: 500,
+            breaker_threshold: 3,
+            breaker_cooldown_ns: 1_000_000,
+            ..ResilienceConfig::default()
+        };
+        // Poison: every attempt fails, so reads are quarantined after
+        // three attempts, tenant "bad" trips its breaker and drops an
+        // attempt, and the mutating job fails outright.
+        let jobs = parse(
+            "at=0 tenant=bad job=bfs\nat=1 tenant=good job=cc\n\
+             at=200000 tenant=bad job=bfs\n\
+             at=300000 tenant=m job=bfs mutate-at=1 inserts=16 seed=5\n\
+             at=5000000 tenant=bad job=bfs\n",
+        )
+        .unwrap();
+        let cfg = ServeConfig {
+            slots: 2,
+            faults: Some(poison()),
+            resilience: resilience.clone(),
+            ..ServeConfig::default()
+        };
+        let out = assert_every_cut_resumes(&jobs, cfg);
+        let tel = &out.telemetry;
+        assert!(out.quarantined >= 2, "{:?}", out.jobs);
+        assert!(
+            out.jobs.iter().any(|j| matches!(
+                &j.status,
+                JobStatus::Dropped(ServeError::BreakerOpen { tenant, .. }) if tenant == "bad"
+            )),
+            "{:?}",
+            out.jobs
+        );
+        assert_eq!(
+            tel.counter(keys::SERVE_QUARANTINE_JOBS),
+            out.quarantined as u64
+        );
+        assert!(tel.counter(keys::SERVE_BREAKER_TRIPS) >= 1);
+        assert!(tel.counter(keys::SERVE_RETRY_ATTEMPTS) > 0);
+
+        // Flaky: some jobs recover on a retry, under fresh per-attempt
+        // fault domains that the resume must re-derive identically.
+        let cfg = ServeConfig {
+            slots: 2,
+            faults: Some(flaky(0x5EED)),
+            resilience,
+            ..ServeConfig::default()
+        };
+        let out = assert_every_cut_resumes(&synthetic(4, 3, 11, true), cfg);
+        assert!(
+            out.telemetry.counter(keys::SERVE_RETRY_RECOVERED) > 0,
+            "{:?}",
+            out.jobs
+        );
     }
 
     /// The workload the WAL tests share: two mutating jobs interleaved

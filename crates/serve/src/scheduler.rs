@@ -515,8 +515,8 @@ impl Service<'_> {
     /// Journal-memoized attempts skip the engine entirely.
     fn wave(&mut self, store: &GraphStore, wave: &[Pending]) -> Result<(), ServeError> {
         let (engine, jobs, cfg) = (self.engine, self.jobs, self.cfg);
-        let this = &*self;
-        let execs = self.pool.par_map(wave, |_, p| match this.memo(p) {
+        let svc = &*self;
+        let execs = self.pool.par_map(wave, |_, p| match svc.memo(p) {
             Some(rec) => Execution::cached(rec),
             None => run_read(engine, store, &jobs[p.seq as usize], p, cfg),
         });

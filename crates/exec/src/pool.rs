@@ -171,21 +171,6 @@ impl ThreadPool {
         self.par_map_init(&ranges, init, |state, _, r| body(state, r.clone()))
             .1
     }
-
-    /// Run `f` over a set of disjoint mutable slices (typically produced by
-    /// repeated `split_at_mut`), each exactly once, indexed by position.
-    pub fn par_slices_mut<T, F>(&self, slices: Vec<&mut [T]>, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        // A slot is taken once, by whichever worker claims its index.
-        let slots: Vec<Mutex<Option<&mut [T]>>> =
-            slices.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        self.par_for_each(&slots, |i, slot| {
-            f(i, slot.lock().unwrap().take().expect("slice claimed once"));
-        });
-    }
 }
 
 #[cfg(test)]
@@ -298,23 +283,6 @@ mod tests {
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
             assert_eq!(states.iter().sum::<usize>(), 997);
         }
-    }
-
-    #[test]
-    fn par_slices_mut_visits_every_slice() {
-        let pool = ThreadPool::new(4);
-        let mut data = vec![0u32; 100];
-        let mut slices = Vec::new();
-        let mut rest: &mut [u32] = &mut data;
-        while !rest.is_empty() {
-            let take = rest.len().min(7);
-            let (head, tail) = rest.split_at_mut(take);
-            slices.push(head);
-            rest = tail;
-        }
-        pool.par_slices_mut(slices, |i, s| s.fill(i as u32 + 1));
-        assert!(data.iter().all(|&x| x > 0));
-        assert_eq!(data[0], 1);
     }
 
     #[test]

@@ -4,13 +4,6 @@
 //! which is exactly the limitation the TOTEM/CPU baselines exhibit here).
 
 use crate::types::{EdgeList, VertexId};
-use gts_exec::ThreadPool;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// Below this edge count the parallel build is not worth its setup cost.
-/// Both paths produce identical output, so the threshold is purely a
-/// performance knob.
-const PAR_EDGE_THRESHOLD: usize = 1 << 16;
 
 /// Compressed Sparse Row representation of a directed graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,113 +16,33 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build a CSR from an edge list via counting sort (O(V + E)), using
-    /// the machine's available parallelism for large inputs. Adjacency
-    /// lists preserve a stable, sorted-by-target order so that different
-    /// construction paths — including every thread count — compare equal.
+    /// Build a CSR from an edge list by a serial counting sort (O(V + E)):
+    /// count out-degrees, prefix-sum them into offsets, scatter each
+    /// target to its source's cursor, then sort every adjacency list so
+    /// the result is canonical (sorted by target, duplicates kept).
+    ///
+    /// The build is serial by construction. It runs at the speed of its
+    /// memory traffic: a parallel scatter through atomic cursors measured
+    /// 2–3× slower on two cores, and an atomic-free one (per-worker
+    /// histograms, a disjoint scatter) no faster than this loop.
     pub fn from_edge_list(g: &EdgeList) -> Self {
-        Self::from_edge_list_threads(g, gts_exec::default_host_threads())
-    }
-
-    /// [`Csr::from_edge_list`] with an explicit host-thread count. The
-    /// output is identical for every value: degree counting and the scatter
-    /// use commutative atomic adds, and the per-list canonicalising sort
-    /// erases whatever arrival order the scatter produced.
-    pub fn from_edge_list_threads(g: &EdgeList, threads: usize) -> Self {
-        let pool = ThreadPool::new(threads);
-        if pool.threads() == 1 || g.edges.len() < PAR_EDGE_THRESHOLD {
-            return Self::from_edge_list_serial(g);
-        }
         let n = g.num_vertices as usize;
-        // Count degrees: commutative fetch_add per source vertex.
-        let counts: Vec<AtomicU64> = (0..n + 1).map(|_| AtomicU64::new(0)).collect();
-        pool.par_ranges(
-            g.edges.len(),
-            4096,
-            || (),
-            |(), r| {
-                for &(s, _) in &g.edges[r] {
-                    counts[s as usize + 1].fetch_add(1, Ordering::Relaxed);
-                }
-            },
-        );
-        // Serial prefix sum (O(V), inherently sequential, cheap).
-        let mut offsets: Vec<u64> = counts.into_iter().map(AtomicU64::into_inner).collect();
+        let mut offsets = vec![0u64; n + 1];
+        for &(s, _) in &g.edges {
+            offsets[s as usize + 1] += 1;
+        }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        // Scatter through per-vertex atomic cursors. Slot assignment within
-        // an adjacency list is schedule-dependent, but the sort below
-        // canonicalises it away.
-        let cursor: Vec<AtomicU64> = offsets.iter().map(|&o| AtomicU64::new(o)).collect();
-        let targets: Vec<AtomicU32> = (0..g.edges.len()).map(|_| AtomicU32::new(0)).collect();
-        pool.par_ranges(
-            g.edges.len(),
-            4096,
-            || (),
-            |(), r| {
-                for &(s, d) in &g.edges[r] {
-                    let at = cursor[s as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                    targets[at].store(d, Ordering::Relaxed);
-                }
-            },
-        );
-        let mut targets: Vec<VertexId> = targets.into_iter().map(AtomicU32::into_inner).collect();
-        // Sort each adjacency list for canonical form, distributing
-        // contiguous vertex ranges over the pool via split_at_mut.
-        let vchunk = n.div_ceil(pool.threads() * 4).max(1);
-        let mut slices: Vec<&mut [VertexId]> = Vec::new();
-        let mut bounds: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut rest: &mut [VertexId] = &mut targets;
-            let mut consumed = 0u64;
-            let mut v = 0;
-            while v < n {
-                let vend = (v + vchunk).min(n);
-                let (head, tail) = rest.split_at_mut((offsets[vend] - consumed) as usize);
-                slices.push(head);
-                bounds.push((v, vend));
-                consumed = offsets[vend];
-                rest = tail;
-                v = vend;
-            }
-        }
-        pool.par_slices_mut(slices, |i, slice| {
-            let (v0, v1) = bounds[i];
-            let base = offsets[v0];
-            for v in v0..v1 {
-                let (a, b) = (
-                    (offsets[v] - base) as usize,
-                    (offsets[v + 1] - base) as usize,
-                );
-                slice[a..b].sort_unstable();
-            }
-        });
-        Csr { offsets, targets }
-    }
-
-    /// The single-threaded reference build.
-    fn from_edge_list_serial(g: &EdgeList) -> Self {
-        let n = g.num_vertices as usize;
-        let mut counts = vec![0u64; n + 1];
-        for &(s, _) in &g.edges {
-            counts[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts;
         let mut cursor = offsets.clone();
         let mut targets = vec![0 as VertexId; g.edges.len()];
         for &(s, d) in &g.edges {
-            let at = cursor[s as usize];
-            targets[at as usize] = d;
-            cursor[s as usize] += 1;
+            let at = &mut cursor[s as usize];
+            targets[*at as usize] = d;
+            *at += 1;
         }
-        // Sort each adjacency list for canonical form.
         for v in 0..n {
-            let (a, b) = (offsets[v] as usize, offsets[v + 1] as usize);
-            targets[a..b].sort_unstable();
+            targets[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
         }
         Csr { offsets, targets }
     }
@@ -208,6 +121,54 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The CSR of the sorted edge list, built without a counting sort:
+    /// `offsets[v]` counts the edges whose source is below `v`, and the
+    /// targets are the sorted list's targets.
+    fn oracle(g: &EdgeList) -> (Vec<u64>, Vec<VertexId>) {
+        let mut sorted = g.edges.clone();
+        sorted.sort_unstable();
+        let offsets = (0..=g.num_vertices)
+            .map(|v| sorted.partition_point(|&(s, _)| s < v) as u64)
+            .collect();
+        (offsets, sorted.into_iter().map(|(_, d)| d).collect())
+    }
+
+    fn built(g: &EdgeList) -> (Vec<u64>, Vec<VertexId>) {
+        let csr = Csr::from_edge_list(g);
+        (csr.offsets().to_vec(), csr.targets().to_vec())
+    }
+
+    /// Multigraphs on 0..48 vertices: with at most ~3 edges per vertex
+    /// they carry self-loops, duplicate edges and isolated vertices.
+    fn arb_multigraph() -> impl Strategy<Value = EdgeList> {
+        (0u32..48).prop_flat_map(|n| {
+            let v = n.max(1);
+            proptest::collection::vec((0..v, 0..v), 0..3 * v as usize + 1)
+                .prop_map(move |edges| EdgeList::new(n, if n == 0 { Vec::new() } else { edges }))
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn build_matches_the_sorted_edge_list(g in arb_multigraph()) {
+            prop_assert_eq!(built(&g), oracle(&g));
+        }
+    }
+
+    #[test]
+    fn build_matches_the_sorted_edge_list_at_the_edges() {
+        for g in [
+            EdgeList::new(0, vec![]),
+            EdgeList::new(1, vec![]),
+            EdgeList::new(1, vec![(0, 0), (0, 0)]),
+            EdgeList::new(5, vec![(4, 4), (4, 0), (4, 4), (2, 1)]),
+            crate::generate::rmat(13),
+        ] {
+            assert_eq!(built(&g), oracle(&g), "{} vertices", g.num_vertices);
+        }
+    }
 
     fn small() -> Csr {
         // 0 -> 1,2 ; 1 -> 2 ; 2 -> 0 ; 3 isolated
@@ -261,18 +222,5 @@ mod tests {
     #[test]
     fn memory_accounting_positive() {
         assert!(small().memory_bytes() > 0);
-    }
-
-    #[test]
-    fn parallel_build_equals_serial_for_every_thread_count() {
-        // Big enough to clear PAR_EDGE_THRESHOLD, skewed enough to contain
-        // hubs, plus duplicate edges (multigraph) that must survive intact.
-        let g = crate::generate::rmat(13);
-        let serial = Csr::from_edge_list_threads(&g, 1);
-        assert!(g.edges.len() >= super::PAR_EDGE_THRESHOLD);
-        for threads in [2, 4, 8] {
-            let par = Csr::from_edge_list_threads(&g, threads);
-            assert_eq!(par, serial, "threads={threads}");
-        }
     }
 }

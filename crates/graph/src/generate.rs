@@ -58,29 +58,24 @@ impl Rmat {
     }
 
     /// Generate the edge list.
+    ///
+    /// Each of the `scale` levels of an edge draws `k = next_u64() >> 11`
+    /// and picks a quadrant by comparing `r = k · 2^-53` (the exact value
+    /// `Rng::f64` returns) against the cumulative probabilities `a`,
+    /// `a + b`, `a + b + c`. The comparisons run on integers and the pick
+    /// has no branch (see [`quadrant`]); the edge list is bit for bit the
+    /// one the `f64` if-chain gives.
     pub fn generate(&self) -> EdgeList {
         assert!(self.scale < 32, "in-memory reproduction caps at scale 31");
         let n: u64 = 1u64 << self.scale;
         let m = n * self.edge_factor as u64;
         let mut rng = Rng::seed_from_u64(self.seed);
-        let (a, b, c) = (self.a, self.b, self.c);
-        let ab = a + b;
-        let abc = a + b + c;
+        let th = thresholds(self.a, self.b, self.c);
         let mut edges = Vec::with_capacity(m as usize);
         for _ in 0..m {
             let (mut src, mut dst) = (0u64, 0u64);
             for bit in (0..self.scale).rev() {
-                let r: f64 = rng.f64();
-                // Pick quadrant: a | b over c | d.
-                let (si, di) = if r < a {
-                    (0, 0)
-                } else if r < ab {
-                    (0, 1)
-                } else if r < abc {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
+                let (si, di) = quadrant(rng.next_u64() >> 11, th);
                 src |= si << bit;
                 dst |= di << bit;
             }
@@ -88,6 +83,33 @@ impl Rmat {
         }
         EdgeList::new(n as VertexId, edges)
     }
+}
+
+/// The integer form of `r < t` for an exact draw `r = k · 2^-53`,
+/// `k < 2^53`: `k < threshold(t)` holds exactly when `r < t` does. Scaling
+/// by a power of two is exact and an integer is below a real exactly when
+/// it is below its ceiling; the cast sends NaN and negatives to 0 (never
+/// true, as `r < t` is not) and saturates `t ≥ 1` above every `k`.
+fn threshold(t: f64) -> u64 {
+    (t * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// The thresholds of `a`, `a + b` and `a + b + c`, clamped to be
+/// non-decreasing: a draw below an earlier one has already picked its
+/// quadrant, whatever the later ones say.
+fn thresholds(a: f64, b: f64, c: f64) -> [u64; 3] {
+    let t_a = threshold(a);
+    let t_ab = threshold(a + b).max(t_a);
+    [t_a, t_ab, threshold(a + b + c).max(t_ab)]
+}
+
+/// The quadrant of draw `k` as (row, column) bits: a | b over c | d, so
+/// the row is 1 for c and d and the column 1 for b and d.
+#[inline]
+fn quadrant(k: u64, [t_a, t_ab, t_abc]: [u64; 3]) -> (u64, u64) {
+    let row = k >= t_ab;
+    let col = (k >= t_a) & (k < t_ab) | (k >= t_abc);
+    (row as u64, col as u64)
 }
 
 /// Convenience: RMAT at `scale` with paper defaults.
@@ -193,6 +215,103 @@ mod tests {
     use super::*;
     use crate::csr::Csr;
     use crate::stats::degree_stats;
+    use proptest::prelude::*;
+
+    /// `r < t` for the draw `r = k · 2^-53`, computed as `Rng::f64` does.
+    fn below(k: u64, t: f64) -> bool {
+        (k as f64) * (1.0 / (1u64 << 53) as f64) < t
+    }
+
+    /// The quadrant the `f64` if-chain picks for draw `k`.
+    fn quadrant_by_floats(k: u64, a: f64, b: f64, c: f64) -> (u64, u64) {
+        if below(k, a) {
+            (0, 0)
+        } else if below(k, a + b) {
+            (0, 1)
+        } else if below(k, a + b + c) {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// `k < threshold(t)` ⟺ `r < t` at `k` = 0, 1, the threshold and its
+    /// neighbours, the largest draw, and `extra`.
+    fn check_threshold(t: f64, extra: u64) {
+        let th = threshold(t);
+        let ks = [
+            0,
+            1,
+            th.wrapping_sub(1),
+            th,
+            th.wrapping_add(1),
+            (1 << 53) - 1,
+            extra,
+        ];
+        for k in ks.into_iter().filter(|&k| k < 1 << 53) {
+            assert_eq!(k < th, below(k, t), "k={k} t={t:e} threshold={th}");
+        }
+    }
+
+    /// Exact grid points `j · 2^-53` and their float neighbours.
+    fn grid_point(j: u64) -> [f64; 3] {
+        let t = j as f64 * (1.0 / (1u64 << 53) as f64);
+        [t, t.next_up(), t.next_down()]
+    }
+
+    const THRESHOLD_PROBES: [f64; 11] = [
+        0.0,
+        0.05,
+        0.19,
+        0.57,
+        0.76,
+        0.95,
+        0.5,
+        1.0,
+        1.5,
+        -0.1,
+        f64::NAN,
+    ];
+
+    #[test]
+    fn threshold_matches_float_compare() {
+        for t in THRESHOLD_PROBES {
+            check_threshold(t, 0);
+        }
+        for j in [0, 1, 2, 3, 1 << 52, (1 << 53) - 1, 1 << 53] {
+            for t in grid_point(j) {
+                check_threshold(t, 0);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn threshold_matches_float_compare_on_random_draws(
+            k in 0u64..1 << 53,
+            j in 0u64..=1 << 53,
+            t in -0.5f64..1.5,
+        ) {
+            for t in THRESHOLD_PROBES.into_iter().chain(grid_point(j)).chain([t]) {
+                check_threshold(t, k);
+            }
+        }
+
+        #[test]
+        fn quadrant_matches_the_float_if_chain(
+            k in 0u64..1 << 53,
+            a in -0.5f64..1.5,
+            b in -0.5f64..1.5,
+            c in -0.5f64..1.5,
+        ) {
+            let th = thresholds(a, b, c);
+            prop_assert_eq!(quadrant(k, th), quadrant_by_floats(k, a, b, c));
+            // And at each threshold, where a tie would show.
+            for k in th.into_iter().filter(|&k| k < 1 << 53) {
+                prop_assert_eq!(quadrant(k, th), quadrant_by_floats(k, a, b, c));
+            }
+        }
+    }
 
     #[test]
     fn rmat_is_deterministic() {

@@ -19,31 +19,17 @@ pub struct DegreeStats {
     pub zero_out_degree: u64,
 }
 
-/// Compute [`DegreeStats`] for a CSR graph, using available host
-/// parallelism. `max` and `+` are commutative, and per-worker partials are
-/// merged in worker-index order, so the result is thread-count independent.
+/// Compute [`DegreeStats`] for a CSR graph in one O(V) pass over the
+/// degrees (serial: it reads one offset per vertex, far less than any
+/// pass that builds or scans the graph).
 pub fn degree_stats(g: &Csr) -> DegreeStats {
     let n = g.num_vertices() as u64;
-    let pool = gts_exec::ThreadPool::with_default_threads();
-    let partials = pool.par_ranges(
-        g.num_vertices() as usize,
-        4096,
-        || (0u64, 0u64),
-        |(max_d, zeros), r| {
-            for v in r {
-                let d = g.out_degree(v as crate::types::VertexId);
-                *max_d = (*max_d).max(d);
-                if d == 0 {
-                    *zeros += 1;
-                }
-            }
-        },
-    );
     let mut max_d = 0u64;
     let mut zeros = 0u64;
-    for (m, z) in partials {
-        max_d = max_d.max(m);
-        zeros += z;
+    for v in 0..g.num_vertices() {
+        let d = g.out_degree(v);
+        max_d = max_d.max(d);
+        zeros += (d == 0) as u64;
     }
     DegreeStats {
         num_vertices: n,
@@ -60,31 +46,17 @@ pub fn degree_stats(g: &Csr) -> DegreeStats {
 
 /// Out-degree histogram in power-of-two buckets: `hist[i]` counts vertices
 /// with out-degree in `[2^i, 2^(i+1))`; bucket 0 holds degree 0 and 1.
-/// Per-worker histograms are merged by elementwise addition (commutative),
-/// so the result is thread-count independent.
+/// One O(V) pass, like [`degree_stats`].
 pub fn degree_histogram(g: &Csr) -> Vec<u64> {
-    let pool = gts_exec::ThreadPool::with_default_threads();
-    let partials = pool.par_ranges(
-        g.num_vertices() as usize,
-        4096,
-        || vec![0u64; 33],
-        |hist, r| {
-            for v in r {
-                let d = g.out_degree(v as crate::types::VertexId);
-                let bucket = if d <= 1 {
-                    0
-                } else {
-                    63 - (d.leading_zeros() as usize)
-                };
-                hist[bucket.min(32)] += 1;
-            }
-        },
-    );
     let mut hist = vec![0u64; 33];
-    for p in partials {
-        for (slot, x) in hist.iter_mut().zip(p) {
-            *slot += x;
-        }
+    for v in 0..g.num_vertices() {
+        let d = g.out_degree(v);
+        let bucket = if d <= 1 {
+            0
+        } else {
+            63 - (d.leading_zeros() as usize)
+        };
+        hist[bucket.min(32)] += 1;
     }
     while hist.len() > 1 && *hist.last().unwrap() == 0 {
         hist.pop();

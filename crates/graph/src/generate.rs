@@ -63,8 +63,9 @@ impl Rmat {
     /// and picks a quadrant by comparing `r = k · 2^-53` (the exact value
     /// `Rng::f64` returns) against the cumulative probabilities `a`,
     /// `a + b`, `a + b + c`. The comparisons run on integers and the pick
-    /// has no branch (see [`quadrant`]); the edge list is bit for bit the
-    /// one the `f64` if-chain gives.
+    /// has no branch ([`quadrant`]); the edge list is bit for bit the one
+    /// the `f64` if-chain gives. A level appends its quadrant's two bits to
+    /// the Morton code of `(src, dst)`, which is split once per edge.
     pub fn generate(&self) -> EdgeList {
         assert!(self.scale < 32, "in-memory reproduction caps at scale 31");
         let n: u64 = 1u64 << self.scale;
@@ -73,13 +74,11 @@ impl Rmat {
         let th = thresholds(self.a, self.b, self.c);
         let mut edges = Vec::with_capacity(m as usize);
         for _ in 0..m {
-            let (mut src, mut dst) = (0u64, 0u64);
-            for bit in (0..self.scale).rev() {
-                let (si, di) = quadrant(rng.next_u64() >> 11, th);
-                src |= si << bit;
-                dst |= di << bit;
+            let mut z = 0u64;
+            for _ in 0..self.scale {
+                z = (z << 2) | quadrant(rng.next_u64() >> 11, th);
             }
-            edges.push((src as VertexId, dst as VertexId));
+            edges.push((even_bits(z >> 1), even_bits(z)));
         }
         EdgeList::new(n as VertexId, edges)
     }
@@ -103,13 +102,24 @@ fn thresholds(a: f64, b: f64, c: f64) -> [u64; 3] {
     [t_a, t_ab, threshold(a + b + c).max(t_ab)]
 }
 
-/// The quadrant of draw `k` as (row, column) bits: a | b over c | d, so
-/// the row is 1 for c and d and the column 1 for b and d.
+/// The quadrant of draw `k`, 0..=3 for a | b over c | d: the number of the
+/// non-decreasing thresholds `k` reaches. Its high bit is the row (c, d)
+/// and its low bit the column (b, d).
 #[inline]
-fn quadrant(k: u64, [t_a, t_ab, t_abc]: [u64; 3]) -> (u64, u64) {
-    let row = k >= t_ab;
-    let col = (k >= t_a) & (k < t_ab) | (k >= t_abc);
-    (row as u64, col as u64)
+fn quadrant(k: u64, [t_a, t_ab, t_abc]: [u64; 3]) -> u64 {
+    (k >= t_a) as u64 + (k >= t_ab) as u64 + (k >= t_abc) as u64
+}
+
+/// Bits 0, 2, 4, … of `z` packed into bits 0, 1, 2, … (one coordinate of a
+/// Morton code).
+#[inline]
+fn even_bits(z: u64) -> VertexId {
+    let mut x = z & 0x5555_5555_5555_5555;
+    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
+    x = (x | (x >> 2)) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | (x >> 4)) & 0x00ff_00ff_00ff_00ff;
+    x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
+    ((x | (x >> 16)) & 0xffff_ffff) as VertexId
 }
 
 /// Convenience: RMAT at `scale` with paper defaults.
@@ -223,15 +233,15 @@ mod tests {
     }
 
     /// The quadrant the `f64` if-chain picks for draw `k`.
-    fn quadrant_by_floats(k: u64, a: f64, b: f64, c: f64) -> (u64, u64) {
+    fn quadrant_by_floats(k: u64, a: f64, b: f64, c: f64) -> u64 {
         if below(k, a) {
-            (0, 0)
+            0
         } else if below(k, a + b) {
-            (0, 1)
+            1
         } else if below(k, a + b + c) {
-            (1, 0)
+            2
         } else {
-            (1, 1)
+            3
         }
     }
 

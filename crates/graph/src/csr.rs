@@ -2,6 +2,10 @@
 //! and hybrid baseline engines (the paper's Sec. 2 lists CSR among the
 //! in-memory formats whose "very long contiguous edge array" limits scale —
 //! which is exactly the limitation the TOTEM/CPU baselines exhibit here).
+//!
+//! It is also the first step of every slotted-page store build and what
+//! the reference algorithms read, so its build sits on every setup path;
+//! [`Csr::from_edge_list`] says why that build is serial.
 
 use crate::types::{EdgeList, VertexId};
 

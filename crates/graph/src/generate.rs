@@ -7,6 +7,12 @@
 //! random graphs for cache-hit-rate baselines (the paper's Sec. 3.3 naive
 //! cache model assumes random graphs); [`web_like`] builds high-diameter
 //! web-shaped graphs used by the YahooWeb look-alike.
+//!
+//! Every experiment and benchmark input is an RMAT edge list, so RMAT's
+//! output is pinned byte for byte (`tests/pinned_generators.rs`). Its cost
+//! is the xoshiro stream: one draw per level, one level per bit of the
+//! vertex ID, on one serial stream; the quadrant pick around each draw is
+//! a few integer compares.
 
 use crate::types::{EdgeList, VertexId};
 use gts_sim::Rng;

@@ -19,13 +19,10 @@ pub struct DegreeStats {
     pub zero_out_degree: u64,
 }
 
-/// Compute [`DegreeStats`] for a CSR graph in one O(V) pass over the
-/// degrees (serial: it reads one offset per vertex, far less than any
-/// pass that builds or scans the graph).
+/// Compute [`DegreeStats`] for a CSR graph in one serial O(V) pass.
 pub fn degree_stats(g: &Csr) -> DegreeStats {
     let n = g.num_vertices() as u64;
-    let mut max_d = 0u64;
-    let mut zeros = 0u64;
+    let (mut max_d, mut zeros) = (0u64, 0u64);
     for v in 0..g.num_vertices() {
         let d = g.out_degree(v);
         max_d = max_d.max(d);
@@ -34,11 +31,8 @@ pub fn degree_stats(g: &Csr) -> DegreeStats {
     DegreeStats {
         num_vertices: n,
         num_edges: g.num_edges() as u64,
-        mean_out_degree: if n == 0 {
-            0.0
-        } else {
-            g.num_edges() as f64 / n as f64
-        },
+        // An empty graph has no edges either: 0 / 1.
+        mean_out_degree: g.num_edges() as f64 / n.max(1) as f64,
         max_out_degree: max_d,
         zero_out_degree: zeros,
     }
@@ -50,12 +44,8 @@ pub fn degree_stats(g: &Csr) -> DegreeStats {
 pub fn degree_histogram(g: &Csr) -> Vec<u64> {
     let mut hist = vec![0u64; 33];
     for v in 0..g.num_vertices() {
-        let d = g.out_degree(v);
-        let bucket = if d <= 1 {
-            0
-        } else {
-            63 - (d.leading_zeros() as usize)
-        };
+        // floor(log2 d), with degree 0 sharing bucket 0 with degree 1.
+        let bucket = 63 - (g.out_degree(v) | 1).leading_zeros() as usize;
         hist[bucket.min(32)] += 1;
     }
     while hist.len() > 1 && *hist.last().unwrap() == 0 {

@@ -162,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_the_sorted_edge_list_at_the_edges() {
+    fn build_matches_the_sorted_edge_list_on_corner_cases() {
         for g in [
             EdgeList::new(0, vec![]),
             EdgeList::new(1, vec![]),

@@ -53,11 +53,11 @@ impl LogFormat {
         version: 2,
     };
     /// The service journal of `gts-serve` (v1–v2 were snapshot-per-flush
-    /// directories, not logs; v3 frames held five record kinds, v4 only
-    /// executions).
+    /// directories, not logs; v3 frames held five record kinds; v4 bound
+    /// the store by its own fingerprint, v5 by the checkpoints' one).
     pub const JOURNAL: LogFormat = LogFormat {
         magic: *b"GTSJRNL\0",
-        version: 4,
+        version: 5,
     };
 }
 

@@ -21,10 +21,9 @@ macro_rules! outln {
         }
     }};
 }
-use gts_core::engine::{CachePolicyKind, Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{CachePolicyKind, GtsConfig, StorageLocation};
 use gts_core::programs::ALGORITHMS;
-use gts_core::MutationSchedule;
-use gts_core::{CheckpointConfig, FaultConfig};
+use gts_core::{CheckpointConfig, Engine, FaultConfig, JobOptions, MutationSchedule};
 use gts_core::{Strategy, Telemetry};
 use gts_gpu::GpuConfig;
 use gts_graph::generate::{erdos_renyi, web_like, Rmat};
@@ -33,7 +32,8 @@ use gts_serve::scheduler::{serve, JobStatus, ServeConfig, ServeOutcome};
 use gts_serve::workload::{seeded_batch, WorkloadErrorKind};
 use gts_serve::{JobSpec, JournalConfig, ResilienceConfig, ServeError};
 use gts_storage::{
-    build_graph_store, load_store, save_store, GraphStore, PageFormatConfig, PhysicalIdConfig,
+    build_graph_store, load_store, save_store, GraphStore, PageFormatConfig, PhysicalIdConfig, Wal,
+    WalError,
 };
 
 /// Exit code for usage errors: unknown command, bad flag, bad value.
@@ -253,8 +253,8 @@ the command exits 0 visits every crash the run can suffer
 (DESIGN.md, Crash model).
 
 `gts fsck` verifies artifacts offline and cross-checks every pair it is
-given: store page trailers and the RVT, the WAL chain and its
-replayability onto the store, checkpoint manifest fallbacks
+given: the store as loading verifies it, the WAL chain and its replay
+onto the store by recovery's own loop, checkpoint manifest fallbacks
 (`ckpt.manifest.skipped`) and snapshot reachability through the log, and
 the serve journal's store/WAL bindings. One line per finding; exit 0
 when clean, 3 when an artifact is unreadable, 4 when findings exist.
@@ -409,11 +409,20 @@ fn info(args: &Args) -> Result<(), CliError> {
     ] {
         let bytes = wa.wa_bytes(store.num_vertices());
         outln!(
-            "WA {name:<9} {bytes} bytes ({:.1} % of topology)",
-            bytes as f64 / store.topology_bytes() as f64 * 100.0
+            "WA {name:<9} {bytes} bytes{}",
+            topology_share(bytes, store.topology_bytes())
         );
     }
     Ok(())
+}
+
+/// `gts info`'s " (x % of topology)" suffix; empty for a store with no
+/// topology, which has no share to print.
+fn topology_share(bytes: u64, topology: u64) -> String {
+    match topology {
+        0 => String::new(),
+        t => format!(" ({:.1} % of topology)", bytes as f64 / t as f64 * 100.0),
+    }
 }
 
 fn parse_storage(s: &str) -> Result<StorageLocation, String> {
@@ -548,33 +557,31 @@ fn run(args: &Args) -> Result<(), CliError> {
         ..engine_config(args)?
     };
 
+    let engine = Engine::new(cfg).map_err(|e| e.to_string())?;
     let trace_out = args.optional("trace-out");
-    let mut builder = Gts::builder().config(cfg);
-    if trace_out.is_some() {
-        // Spans cost memory proportional to pages streamed; only record
-        // them when the user asked for a trace file.
-        builder = builder.telemetry(Telemetry::with_spans());
-    }
-    let engine = builder.build().map_err(|e| e.to_string())?;
+    // Spans cost memory proportional to pages streamed; only record them
+    // when the user asked for a trace file.
+    let tel = trace_out.map_or_else(Telemetry::new, |_| Telemetry::with_spans());
+    let opts = JobOptions::with_telemetry(tel);
     let mut prog = spec.program(n).map_err(|e| e.to_string())?;
     // Run the algorithm but hold the result: when the run fails mid-sweep
     // the engine still flushes its open spans and counters, and the
     // partial trace below is exactly the evidence needed to debug it.
     let outcome = match schedule {
-        Some(s) => engine.run_live(&mut store, &mut *prog, s),
-        None => engine.run(&store, &mut *prog),
+        Some(s) => engine.run_job_live(&mut store, &mut *prog, s, &opts),
+        None => engine.run_job(&store, &mut *prog, &opts),
     }
     .map_err(|e| CliError::Engine(e.to_string()));
 
     if let Some(path) = trace_out {
-        std::fs::write(path, engine.telemetry().to_chrome_trace())
+        std::fs::write(path, opts.telemetry.to_chrome_trace())
             .map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
         outln!("trace:          {path} (load in ui.perfetto.dev or chrome://tracing)");
     }
     if let Some(path) = args.optional("counters-out") {
         // Written before the outcome propagates: a crashed/deadlined run's
         // counters are exactly what the kill-resume CI job diffs.
-        write_counters(path, engine.telemetry())?;
+        write_counters(path, &opts.telemetry)?;
     }
     let report = outcome?;
     if json {
@@ -655,7 +662,7 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("reading {path}: {e}")))?;
     let jobs =
         gts_serve::workload::parse(&text).map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
-    let engine = gts_core::Engine::new(engine_config(args)?).map_err(|e| e.to_string())?;
+    let engine = Engine::new(engine_config(args)?).map_err(|e| e.to_string())?;
     let serve_cfg = ServeConfig {
         slots: args.get_or("slots", 4usize)?,
         queue_capacity: args.get_or("queue-cap", 64usize)?,
@@ -720,15 +727,15 @@ struct Finding {
     detail: String,
 }
 
-/// `gts fsck`: offline cross-artifact verifier. Loads the store and,
-/// for every artifact directory it is given, verifies it internally and
-/// cross-checks it against everything else on the table:
+/// `gts fsck`: offline cross-artifact verifier. Loads the store (loading
+/// verifies every page and rebuilds the RVT from the pages, so a damaged
+/// store is unreadable, exit 3) and, for every artifact directory it is
+/// given, verifies it internally and cross-checks it against everything
+/// else on the table:
 ///
-/// - store: every page's at-rest trailer checksum, and the RVT's shape
-///   (one entry per page; `LP_RANGE` present exactly on Large Pages);
 /// - `--wal-dir`: the log's header/trailer chain (torn tails included),
 ///   its identity binding to the store, and that every record replays
-///   onto the store in epoch order;
+///   onto the store through recovery's own loop ([`Wal::replay_until`]);
 /// - `--checkpoint-dir`: manifest entries silently skipped as torn or
 ///   unreadable, and that the newest snapshot's store fingerprint is
 ///   reachable from the store by replaying the log;
@@ -768,112 +775,63 @@ fn fsck_findings(args: &Args) -> Result<(Vec<&'static str>, Vec<Finding>), CliEr
     let store: GraphStore =
         load_store(args.required("store")?).map_err(|e| CliError::Io(e.to_string()))?;
     let mut findings: Vec<Finding> = Vec::new();
-    let finding = |artifact: &'static str, detail: String| Finding { artifact, detail };
+    // One finding: its artifact, then the `format!` arguments of its detail.
+    macro_rules! found {
+        ($artifact:literal, $($detail:tt)+) => {
+            findings.push(Finding { artifact: $artifact, detail: format!($($detail)+) })
+        };
+    }
     let mut checked: Vec<&'static str> = vec!["store"];
 
-    // --- Store: at-rest page trailers, then the RVT's shape.
-    for pid in 0..store.num_pages() {
-        if !store.page(pid).checksum_ok() {
-            findings.push(finding(
-                "store",
-                format!("page {pid}: trailer checksum mismatch"),
-            ));
-        }
-    }
-    if store.rvt().len() as u64 != store.num_pages() {
-        findings.push(finding(
-            "store",
-            format!(
-                "rvt covers {} pages, store has {}",
-                store.rvt().len(),
-                store.num_pages()
-            ),
-        ));
-    } else {
-        for &pid in store.large_pids() {
-            if store.rvt().entry(pid).lp_range.is_none() {
-                findings.push(finding(
-                    "store",
-                    format!("rvt: large page {pid} lacks its LP_RANGE"),
-                ));
-            }
-        }
-        for &pid in store.small_pids() {
-            if store.rvt().entry(pid).lp_range.is_some() {
-                findings.push(finding(
-                    "store",
-                    format!("rvt: small page {pid} carries an LP_RANGE"),
-                ));
-            }
-        }
-    }
-
-    // --- WAL: chain integrity, identity binding, replayability. The
-    // stepwise fingerprints double as the checkpoint reachability set.
-    let mut wal: Option<gts_storage::Wal> = None;
-    let mut replay_fps: Option<Vec<u64>> = None;
+    // --- WAL: chain integrity, then recovery's replay onto a scratch
+    // store. The fingerprints it passes are the checkpoint reachability
+    // set (empty when the log was not replayed).
+    let mut wal: Option<Wal> = None;
+    let mut reachable = Vec::new();
     if let Some(dir) = args.optional("wal-dir") {
         checked.push("wal");
-        match gts_storage::Wal::load(dir) {
-            Err(gts_storage::WalError::Log(e @ gts_ckpt::CkptError::Io { .. })) => {
+        match Wal::load(dir) {
+            Err(WalError::Log(e @ gts_ckpt::CkptError::Io { .. })) => {
                 return Err(CliError::Io(format!("wal: {e}")));
             }
-            Err(e) => findings.push(finding("wal", e.to_string())),
+            Err(e) => found!("wal", "{e}"),
             Ok(w) => {
-                if w.truncated_tail() > 0 {
-                    findings.push(finding(
+                let tail = w.truncated_tail();
+                if tail > 0 {
+                    found!(
                         "wal",
-                        format!(
-                            "torn tail: {} trailing bytes form no sealed record",
-                            w.truncated_tail()
-                        ),
-                    ));
+                        "torn tail: {tail} trailing bytes form no sealed record"
+                    );
                 }
-                let cfg = store.cfg();
-                let want = gts_storage::store_identity_fp(
-                    store.num_vertices(),
-                    cfg.page_size as u32,
-                    cfg.id.p,
-                    cfg.id.q,
-                );
-                if w.header().store_id_fp != want {
-                    findings.push(finding(
+                let (base, epoch) = (w.header().base_epoch, store.epoch());
+                // A log based at another epoch is reported, not replayed.
+                let replayed = w.replay_until(&mut store.clone(), |s| {
+                    reachable.push(gts_core::store_fingerprint(s));
+                    base != epoch
+                });
+                match replayed {
+                    Err(WalError::Mismatch {
+                        what: "store fingerprint",
+                        want,
+                        got,
+                    }) => found!(
                         "wal",
-                        format!(
-                            "log belongs to a different store (log {:#x}, store {want:#x})",
-                            w.header().store_id_fp
-                        ),
-                    ));
-                } else {
-                    if w.header().base_epoch != store.epoch() {
-                        findings.push(finding(
+                        "log belongs to a different store (log {got:#x}, store {want:#x})"
+                    ),
+                    Err(WalError::Rejected(e)) => {
+                        let i = reachable.len() - 1;
+                        let (pre, post) = (w.records()[i].pre_epoch, w.records()[i].post_epoch);
+                        found!(
                             "wal",
-                            format!(
-                                "log base epoch {} != store epoch {}",
-                                w.header().base_epoch,
-                                store.epoch()
-                            ),
-                        ));
+                            "record {i} (epoch {pre} -> {post}) does not apply onto the \
+                             store: {e}"
+                        );
                     }
-                    let mut scratch = store.clone();
-                    let mut fps = vec![gts_core::store_fingerprint(&scratch)];
-                    for (i, rec) in w.records().iter().enumerate() {
-                        match scratch.apply_mutations(&rec.batch) {
-                            Ok(_) => fps.push(gts_core::store_fingerprint(&scratch)),
-                            Err(e) => {
-                                findings.push(finding(
-                                    "wal",
-                                    format!(
-                                        "record {i} (epoch {} -> {}) does not apply \
-                                         onto the store: {e}",
-                                        rec.pre_epoch, rec.post_epoch
-                                    ),
-                                ));
-                                break;
-                            }
-                        }
+                    Err(e) => found!("wal", "{e}"),
+                    Ok(_) if base != epoch => {
+                        found!("wal", "log base epoch {base} != store epoch {epoch}");
                     }
-                    replay_fps = Some(fps);
+                    Ok(_) => {}
                 }
                 wal = Some(w);
             }
@@ -890,33 +848,24 @@ fn fsck_findings(args: &Args) -> Result<(Vec<&'static str>, Vec<Finding>), CliEr
         let ck = gts_ckpt::CkptStore::open(dir).map_err(|e| CliError::Io(e.to_string()))?;
         match ck.load_latest_with_skipped() {
             Err(e @ gts_ckpt::CkptError::Io { .. }) => return Err(CliError::Io(e.to_string())),
-            Err(e) => findings.push(finding("checkpoint", e.to_string())),
+            Err(e) => found!("checkpoint", "{e}"),
             Ok((seq, snap, skipped)) => {
                 for name in skipped {
-                    findings.push(finding(
+                    found!(
                         "checkpoint",
-                        format!("manifest entry {name} skipped (missing, torn, or corrupt)"),
-                    ));
+                        "manifest entry {name} skipped (missing, torn, or corrupt)"
+                    );
                 }
                 match gts_core::snapshot_progress(&snap) {
-                    Err(e) => findings.push(finding(
-                        "checkpoint",
-                        format!("snapshot {seq} does not decode: {e}"),
-                    )),
-                    Ok((target_fp, sweep)) => {
-                        if let Some(fps) = &replay_fps {
-                            if !fps.contains(&target_fp) {
-                                findings.push(finding(
-                                    "checkpoint",
-                                    format!(
-                                        "snapshot {seq} (sweep {sweep}) records store \
-                                         fingerprint {target_fp:#x}, unreachable from the \
-                                         store through the log"
-                                    ),
-                                ));
-                            }
-                        }
+                    Err(e) => found!("checkpoint", "snapshot {seq} does not decode: {e}"),
+                    Ok((fp, sweep)) if !reachable.is_empty() && !reachable.contains(&fp) => {
+                        found!(
+                            "checkpoint",
+                            "snapshot {seq} (sweep {sweep}) records store fingerprint \
+                             {fp:#x}, unreachable from the store through the log"
+                        );
                     }
+                    Ok(_) => {}
                 }
             }
         }
@@ -930,57 +879,44 @@ fn fsck_findings(args: &Args) -> Result<(Vec<&'static str>, Vec<Finding>), CliEr
             return Err(CliError::Io(format!("journal dir {dir}: not found")));
         }
         match gts_serve::inspect_journal(dir) {
-            Err(e) => findings.push(finding("journal", e.to_string())),
+            Err(e) => found!("journal", "{e}"),
             Ok(info) => {
-                if info.truncated_tail > 0 {
-                    findings.push(finding(
+                let tail = info.truncated_tail;
+                if tail > 0 {
+                    found!(
                         "journal",
-                        format!(
-                            "torn tail: {} trailing bytes form no sealed step",
-                            info.truncated_tail
-                        ),
-                    ));
+                        "torn tail: {tail} trailing bytes form no sealed step"
+                    );
                 }
-                let want = gts_serve::store_binding_fp(&store);
-                if info.store_fp != want {
-                    findings.push(finding(
+                let (fp, want) = (info.store_fp, gts_core::store_fingerprint(&store));
+                if fp != want {
+                    found!(
                         "journal",
-                        format!(
-                            "bound to a different store (journal {:#x}, this store {want:#x})",
-                            info.store_fp
-                        ),
-                    ));
+                        "bound to a different store (journal {fp:#x}, this store {want:#x})"
+                    );
                 }
                 match (&wal, info.wal_fp) {
                     (Some(w), fp) => {
-                        let want = gts_ckpt::fnv1a(&w.header().base_epoch.to_le_bytes());
+                        let want = gts_serve::journal::wal_binding_fp(w);
                         if fp != want {
-                            findings.push(finding(
+                            found!(
                                 "journal",
-                                format!("WAL binding mismatch (journal {fp:#x}, log {want:#x})"),
-                            ));
+                                "WAL binding mismatch (journal {fp:#x}, log {want:#x})"
+                            );
                         }
-                        let base = w.header().base_epoch;
-                        let tip = base + w.records().len() as u64;
-                        for &e in &info.epochs {
-                            if e <= base || e > tip {
-                                findings.push(finding(
-                                    "journal",
-                                    format!(
-                                        "journaled epoch {e} outside the log's chain \
-                                         ({base}, {tip}]"
-                                    ),
-                                ));
-                            }
+                        let (base, tip) = (w.header().base_epoch, w.next_pre_epoch());
+                        for e in info.epochs.iter().filter(|&&e| e <= base || e > tip) {
+                            found!(
+                                "journal",
+                                "journaled epoch {e} outside the log's chain ({base}, {tip}]"
+                            );
                         }
                     }
-                    (None, fp) if fp != 0 => findings.push(finding(
+                    (None, fp) if fp != 0 => found!(
                         "journal",
-                        format!(
-                            "journal binds a mutation WAL ({fp:#x}) but no --wal-dir \
-                             was given to check it against"
-                        ),
-                    )),
+                        "journal binds a mutation WAL ({fp:#x}) but no --wal-dir \
+                         was given to check it against"
+                    ),
                     (None, _) => {}
                 }
             }
@@ -1180,6 +1116,18 @@ mod tests {
         ]))
         .unwrap();
         dispatch(&sv(&["info", &st])).unwrap();
+        // An empty edge file builds a store with no pages; `info` prints
+        // no share of its zero-byte topology (it once printed NaN).
+        let empty_el = tmp("empty.el");
+        let empty_st = tmp("empty.gts");
+        std::fs::write(&empty_el, "").unwrap();
+        dispatch(&sv(&["build", "--graph", &empty_el, "--out", &empty_st])).unwrap();
+        dispatch(&sv(&["info", &empty_st])).unwrap();
+        assert_eq!(load_store(&empty_st).unwrap().topology_bytes(), 0);
+        assert_eq!(topology_share(0, 0), "");
+        assert_eq!(topology_share(1, 8), " (12.5 % of topology)");
+        std::fs::remove_file(&empty_el).ok();
+        std::fs::remove_file(&empty_st).ok();
         for alg in [
             "bfs", "pagerank", "sssp", "cc", "bc", "rwr", "degrees", "kcore", "radius",
         ] {
@@ -2088,8 +2036,9 @@ mod tests {
     /// `gts fsck` over a served journal and its WAL: clean after the
     /// run; against a WAL holding fewer records than the journal has
     /// epoch bumps, a finding naming the stray epoch (exit 4). A journal
-    /// of the previous layout (version 3) is refused by `--resume-serve`
-    /// with a typed version mismatch (exit 3) and reported by fsck.
+    /// of the previous layout (version 4, bound to the store by another
+    /// fingerprint) is refused by `--resume-serve` with a typed version
+    /// mismatch (exit 3) and reported by fsck.
     #[test]
     fn serve_journal_and_wal_through_fsck() {
         let (el, st, wl, wl1) = (
@@ -2150,18 +2099,18 @@ mod tests {
         // Patch the header's version field (after the 8-byte magic).
         let log = std::path::Path::new(j).join(gts_serve::journal::JOURNAL_FILE);
         let mut raw = std::fs::read(&log).unwrap();
-        raw[8..12].copy_from_slice(&3u32.to_le_bytes());
+        raw[8..12].copy_from_slice(&4u32.to_le_bytes());
         std::fs::write(&log, &raw).unwrap();
         let err = serve(&wl, j, w, &["--resume-serve", "true"]).unwrap_err();
         assert_eq!(err.exit_code(), EXIT_IO, "{err}");
         assert!(
             err.to_string()
-                .contains("schema version 3 is not supported"),
+                .contains("schema version 4 is not supported"),
             "{err}"
         );
         let found = findings(j, w);
         assert!(
-            found.len() == 1 && found[0].contains("schema version 3"),
+            found.len() == 1 && found[0].contains("schema version 4"),
             "{found:?}"
         );
         assert_eq!(std::fs::read(&log).unwrap(), raw, "fsck is read-only");

@@ -104,8 +104,8 @@ pub struct GtsConfig {
     /// Host threads executing kernel bodies (functional work only — the
     /// simulated clock is unaffected). Defaults to the machine's available
     /// parallelism; `1` reproduces the exact serial execution order, and
-    /// every value produces byte-identical reports and traces because all
-    /// parallel updates are atomically commutative.
+    /// every value produces byte-identical reports and traces because each
+    /// worker scatters into its own lane and the lanes fold in worker order.
     pub host_threads: usize,
     /// Record wall-clock nanoseconds spent in host phase A (functional
     /// kernels) and phase B (accounting) under the `host.phase_*_ns`

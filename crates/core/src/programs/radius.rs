@@ -86,11 +86,9 @@ impl RadiusEstimation {
 /// Flajolet–Martin register bit for a vertex: trailing zeros of a mixed
 /// hash, capped to keep the register in range.
 fn fm_bit(v: u64) -> u32 {
-    let mut z = v.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
-    (z.trailing_zeros()).min(63)
+    gts_sim::rng::mix64(v.wrapping_add(0x9E3779B97F4A7C15))
+        .trailing_zeros()
+        .min(63)
 }
 
 impl GtsProgram for RadiusEstimation {

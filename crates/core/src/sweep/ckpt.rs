@@ -208,42 +208,25 @@ pub fn snapshot_progress(snap: &Snapshot) -> Result<(u64, u32), CkptError> {
 /// byte-identical (topology *and* epoch) to the instant the snapshot was
 /// taken. Returns how many records were applied.
 ///
-/// Typed [`CkptError::Mismatch`] when the log is exhausted — or a record
-/// does not chain onto the store's epoch — before `target` is reached:
-/// the WAL does not cover the gap, so the old refusal stands.
+/// Typed [`CkptError::Mismatch`] when the log is exhausted before
+/// `target` is reached, and [`EngineError::Wal`] when a record does not
+/// chain onto the store's epoch: either way the WAL does not cover the
+/// gap, so the old refusal stands.
 pub(crate) fn recover_store(
     store: &mut GraphStore,
     wal: &gts_storage::Wal,
     target: u64,
 ) -> Result<u64, EngineError> {
-    let mut applied = 0u64;
-    if store_fingerprint(store) == target {
-        return Ok(applied);
+    let applied = wal.replay_until(store, |s| store_fingerprint(s) == target)?;
+    let got = store_fingerprint(store);
+    if got != target {
+        return Err(EngineError::Checkpoint(CkptError::Mismatch {
+            what: "store fingerprint",
+            want: target,
+            got,
+        }));
     }
-    for rec in wal.records() {
-        if rec.post_epoch <= store.epoch() {
-            continue;
-        }
-        if rec.pre_epoch != store.epoch() {
-            return Err(EngineError::Checkpoint(CkptError::Mismatch {
-                what: "wal replay pre-epoch",
-                want: store.epoch(),
-                got: rec.pre_epoch,
-            }));
-        }
-        store
-            .apply_mutations(&rec.batch)
-            .map_err(EngineError::Mutation)?;
-        applied += 1;
-        if store_fingerprint(store) == target {
-            return Ok(applied);
-        }
-    }
-    Err(EngineError::Checkpoint(CkptError::Mismatch {
-        what: "store fingerprint",
-        want: target,
-        got: store_fingerprint(store),
-    }))
+    Ok(applied)
 }
 
 /// The execution rung recorded in a snapshot.

@@ -29,6 +29,7 @@
 //! assert_eq!(a, b);
 //! ```
 
+use gts_sim::rng::mix64;
 use gts_sim::{Rng, SimDuration};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -272,12 +273,10 @@ impl FaultPlan {
 /// Mix `(seed, domain, entity)` into one stream seed via chained
 /// splitmix64 finalizers, so nearby entities get unrelated streams.
 fn stream_seed(seed: u64, domain: u8, entity: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(u64::from(domain).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(entity.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(
+        seed.wrapping_add(u64::from(domain).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(entity.wrapping_mul(0xD1B5_4A32_D192_ED03)),
+    )
 }
 
 #[cfg(test)]

@@ -65,10 +65,8 @@ impl EdgeList {
     /// weight of each edge without storing a weight array.
     pub fn edge_weight(src: VertexId, dst: VertexId) -> u32 {
         // SplitMix64 finalizer over the packed endpoints: cheap, well mixed.
-        let mut z = ((src as u64) << 32 | dst as u64).wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
+        let packed = (src as u64) << 32 | dst as u64;
+        let z = gts_sim::rng::mix64(packed.wrapping_add(0x9E3779B97F4A7C15));
         // Weights in [1, 64]: small enough that path sums stay far from
         // overflow, varied enough that shortest paths differ from hop counts.
         (z % 64) as u32 + 1

@@ -117,7 +117,7 @@ impl Header {
     ) -> Header {
         Header {
             workload_fp: fnv1a(render(jobs).as_bytes()),
-            store_fp: store_binding_fp(store),
+            store_fp: gts_core::store_fingerprint(store),
             cfg_fp: fnv1a(cfg_rendering.as_bytes()),
             wal_fp,
         }
@@ -154,29 +154,19 @@ impl Header {
     }
 }
 
-/// The store-shape fingerprint a journal header binds: vertices, edges,
-/// pages, and epoch of the store the service opened over. Public so an
-/// offline verifier (`gts fsck`) can recompute it from a loaded store
-/// and cross-check [`JournalInfo::store_fp`].
-pub fn store_binding_fp(store: &GraphStore) -> u64 {
-    let mut w = ByteWriter::new();
-    w.put_u64(store.num_vertices());
-    w.put_u64(store.num_edges());
-    w.put_u64(store.num_pages());
-    w.put_u64(store.epoch());
-    fnv1a(&w.into_bytes())
+/// The fingerprint a journal header binds its mutation WAL by: the
+/// log's base epoch, where the chain its journaled epoch bumps extend
+/// starts. Shared by the service and `gts fsck`.
+pub fn wal_binding_fp(wal: &gts_storage::Wal) -> u64 {
+    fnv1a(&wal.header().base_epoch.to_le_bytes())
 }
 
 /// One journal's decoded identity and shape — the non-mutating view
 /// [`inspect_journal`] hands an offline verifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalInfo {
-    /// FNV-1a of the canonical workload rendering.
-    pub workload_fp: u64,
-    /// FNV-1a of the base store's shape ([`store_binding_fp`]).
+    /// The base store's [`gts_core::store_fingerprint`].
     pub store_fp: u64,
-    /// FNV-1a of the normalized engine/service config rendering.
-    pub cfg_fp: u64,
     /// Binding to the mutation WAL's base epoch (0 when none was kept).
     pub wal_fp: u64,
     /// Total execution records in the journal's sealed frames.
@@ -199,9 +189,7 @@ pub fn inspect_journal(dir: impl Into<PathBuf>) -> Result<JournalInfo, ServeErro
     let (header, records) = decode_image(&image)?;
     let epochs = records.iter().filter_map(|e| e.epoch).collect();
     Ok(JournalInfo {
-        workload_fp: header.workload_fp,
         store_fp: header.store_fp,
-        cfg_fp: header.cfg_fp,
         wal_fp: header.wal_fp,
         records: records.len(),
         epochs,

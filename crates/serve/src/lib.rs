@@ -64,7 +64,7 @@ pub mod resilience;
 pub mod scheduler;
 pub mod workload;
 
-pub use journal::{inspect_journal, store_binding_fp, JournalConfig, JournalInfo};
+pub use journal::{inspect_journal, JournalConfig, JournalInfo};
 pub use resilience::ResilienceConfig;
 pub use scheduler::{serve, JobOutcome, JobStatus, ServeConfig, ServeOutcome};
 pub use workload::{parse, JobSpec, MutateSpec, WorkloadError};

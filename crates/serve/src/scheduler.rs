@@ -75,7 +75,7 @@
 //! each runs as its own `Job` (`gts_core::job`), keeping
 //! its report and counters byte-identical to a solo run.
 
-use crate::journal::{jerr, ExecRecord, Header, Journal, JournalConfig};
+use crate::journal::{jerr, wal_binding_fp, ExecRecord, Header, Journal, JournalConfig};
 use crate::resilience::{Admission, ResilienceConfig};
 use crate::workload::{seeded_batch, JobSpec};
 use crate::ServeError;
@@ -754,10 +754,7 @@ pub fn serve(
             let mut ecfg = engine.config().clone();
             ecfg.wal_dir = Some(dir.clone());
             walled = Some(Engine::new(ecfg).map_err(|e| ServeError::Engine(e.to_string()))?);
-            (
-                fnv1a(&wal.header().base_epoch.to_le_bytes()),
-                wal.records().to_vec(),
-            )
+            (wal_binding_fp(&wal), wal.records().to_vec())
         }
         None => (0, Vec::new()),
     };

@@ -8,6 +8,15 @@
 //! Streams are fully determined by the seed, so datasets and fault
 //! schedules are reproducible across runs and platforms.
 
+/// The splitmix64 finalizer, the workspace's one copy: seed expansion,
+/// SSSP's edge weights, fault-stream seeds and radius sketches use it.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// xoshiro256** pseudo-random generator (Blackman & Vigna).
 ///
 /// The draw methods are `#[inline]`: generators call them once per edge
@@ -22,16 +31,10 @@ impl Rng {
     /// Seed the generator; any seed (including 0) gives a good stream
     /// because the state is expanded through splitmix64.
     pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        // Word k is splitmix64's k-th output: the seed advanced k gammas.
+        let word = |k: u64| mix64(seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         Rng {
-            s: [next(), next(), next(), next()],
+            s: [word(1), word(2), word(3), word(4)],
         }
     }
 

@@ -45,4 +45,4 @@ pub use mmbuf::MmBuf;
 pub use mutate::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
 pub use page::{page_checksum, AdjRun, Page, PageView, VerifiedPage};
 pub use rvt::{Rvt, RvtEntry};
-pub use wal::{store_identity_fp, Wal, WalError, WalHeader, WalRecord, WAL_FILE};
+pub use wal::{Wal, WalError, WalHeader, WalRecord, WAL_FILE};

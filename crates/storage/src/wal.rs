@@ -172,7 +172,7 @@ pub struct WalRecord {
 /// The structural identity fingerprint a WAL header binds: everything a
 /// log needs to refuse replay against the wrong store, computable from
 /// either side.
-pub fn store_identity_fp(num_vertices: u64, page_size: u32, p: u8, q: u8) -> u64 {
+fn store_identity_fp(num_vertices: u64, page_size: u32, p: u8, q: u8) -> u64 {
     let mut w = ByteWriter::new();
     w.put_u64(num_vertices);
     w.put_u32(page_size);
@@ -441,12 +441,28 @@ impl Wal {
     }
 
     /// Replay every record past `store.epoch()` onto `store`, in chain
-    /// order. The first applied record's `pre_epoch` must equal the
-    /// store's epoch (typed mismatch otherwise — the log does not cover
-    /// the gap). Returns the number of batches applied.
+    /// order; returns the number of batches applied.
     pub fn replay_onto(&self, store: &mut GraphStore) -> Result<u64, WalError> {
+        self.replay_until(store, |_| false)
+    }
+
+    /// The one replay loop, shared by [`Wal::replay_onto`], crash
+    /// recovery and `gts fsck`: apply the records past `store.epoch()`
+    /// onto `store` in chain order, asking `done` before the first record
+    /// and after each applied one, and stop once it holds. Typed
+    /// mismatch when the log binds another store, or when the first
+    /// record to apply does not start at the store's epoch (the log does
+    /// not cover the gap). Returns the number of batches applied.
+    pub fn replay_until(
+        &self,
+        store: &mut GraphStore,
+        mut done: impl FnMut(&GraphStore) -> bool,
+    ) -> Result<u64, WalError> {
         self.header.require_store(&WalHeader::of(store))?;
         let mut applied = 0u64;
+        if done(store) {
+            return Ok(applied);
+        }
         for rec in &self.records {
             if rec.post_epoch <= store.epoch() {
                 continue; // already applied before the snapshot
@@ -462,6 +478,9 @@ impl Wal {
                 .apply_mutations(&rec.batch)
                 .map_err(WalError::Rejected)?;
             applied += 1;
+            if done(store) {
+                break;
+            }
         }
         Ok(applied)
     }
@@ -699,6 +718,78 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(resumed.epoch(), 2);
         assert_eq!(resumed.decode_edges(), store.decode_edges());
+    }
+
+    /// `replay_until` asks `done` before the first record and after each
+    /// applied one and stops once it holds; records the store already
+    /// has are skipped; a gap and another store's log are typed errors.
+    #[test]
+    fn replay_until_asks_done_and_stops_once_it_holds() {
+        let dir = tmp_dir("until");
+        let base = store_of(8, vec![(0, 1), (1, 2)]);
+        let mut live = base.clone();
+        let mut wal = Wal::open(&dir, &live).unwrap();
+        for b in [
+            batch(&[(0, 0, 2)]),
+            batch(&[(0, 1, 3)]),
+            batch(&[(0, 2, 4)]),
+        ] {
+            live.apply_mutations_logged(&b, &mut wal).unwrap();
+        }
+        let replay = |store: &mut GraphStore, stop_at: u64| {
+            let mut asked = Vec::new();
+            let applied = wal
+                .replay_until(store, |s| {
+                    asked.push(s.epoch());
+                    s.epoch() == stop_at
+                })
+                .unwrap();
+            (applied, asked)
+        };
+        let mut all = base.clone();
+        assert_eq!(replay(&mut all, u64::MAX), (3, vec![0, 1, 2, 3]));
+        assert_eq!(all.decode_edges(), live.decode_edges());
+        let mut part = base.clone();
+        assert_eq!(replay(&mut part, 2), (2, vec![0, 1, 2]));
+        assert_eq!(replay(&mut base.clone(), 0), (0, vec![0]));
+        // Resumed at epoch 2: the first two records are skipped.
+        assert_eq!(replay(&mut part, u64::MAX), (1, vec![2, 3]));
+        assert_eq!(part.decode_edges(), live.decode_edges());
+
+        // A log based one epoch past the store does not cover the gap.
+        let gap_dir = tmp_dir("until-gap");
+        let mut ahead = base.clone();
+        ahead.apply_mutations(&batch(&[(0, 0, 2)])).unwrap();
+        let mut gap = Wal::open(&gap_dir, &ahead).unwrap();
+        ahead
+            .apply_mutations_logged(&batch(&[(0, 1, 3)]), &mut gap)
+            .unwrap();
+        assert_eq!(
+            gap.replay_until(&mut base.clone(), |_| false),
+            Err(WalError::Mismatch {
+                what: "replay pre-epoch",
+                want: 0,
+                got: 1
+            })
+        );
+        // Another store's log is refused before `done` is ever asked.
+        let mut asked = false;
+        let err = wal
+            .replay_until(&mut store_of(16, vec![(0, 1)]), |_| {
+                asked = true;
+                false
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            WalError::Mismatch {
+                what: "store fingerprint",
+                ..
+            }
+        ));
+        assert!(!asked);
+        fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&gap_dir).ok();
     }
 
     #[test]

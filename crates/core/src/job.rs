@@ -625,27 +625,32 @@ impl<'e> Job<'e> {
         })
     }
 
-    /// Flush every component's counters into the registry and close the
-    /// run span. Every page touch goes through the per-GPU caches, so
-    /// misses ARE the streamed pages and hits the cache serves — no
-    /// parallel hand-maintained counters to drift. Called on the error
-    /// path too, so partial runs still report what they did.
-    fn finish(&self, name: &str) {
-        let tel = &self.tel;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (i, lane) in self.setup.lanes.iter().enumerate() {
-            // Bank-inclusive totals: checkpoint boundaries rebuild the
-            // caches cold, banking their statistics first.
-            hits += lane.cache_hits_total();
-            misses += lane.cache_misses_total();
+    /// Add what every lane and the page source have counted, plus the
+    /// run-wide cache aggregates, to `tel`. Every page touch goes through
+    /// the per-GPU caches, so misses ARE the streamed pages and hits the
+    /// cache serves — no parallel hand-maintained counters to drift. The
+    /// flushes are additive and leave the components untouched, so
+    /// `finish` and a snapshot's counter section share this.
+    pub(crate) fn flush_components(&self, tel: &Telemetry) {
+        let lanes = &self.setup.lanes;
+        for (i, lane) in lanes.iter().enumerate() {
             lane.flush_to(tel, i as u32);
         }
+        self.source.flush_to(tel);
+        let hits: u64 = lanes.iter().map(|l| l.cache().hits()).sum();
+        let misses: u64 = lanes.iter().map(|l| l.cache().misses()).sum();
         tel.add(keys::CACHE_HITS, hits);
         tel.add(keys::CACHE_MISSES, misses);
         tel.add(keys::PAGES_STREAMED, misses);
+    }
+
+    /// Flush every component's counters into the registry and close the
+    /// run span. Called on the error path too, so partial runs still
+    /// report what they did.
+    fn finish(&self, name: &str) {
+        let tel = &self.tel;
+        self.flush_components(tel);
         tel.add(keys::EDGES_TRAVERSED, self.edges);
-        self.source.flush_to(tel);
         tel.set(keys::RUN_SWEEPS, self.sweep as u64);
         tel.set(keys::RUN_GPUS, self.cfg.num_gpus as u64);
         tel.set(keys::RUN_ELAPSED_NS, (self.t - SimTime::ZERO).as_nanos());

@@ -16,9 +16,10 @@
 //! * the storage array's quarantine flags.
 //!
 //! Deliberately *not* captured: GPU page caches, the MMBuf, GPU timers,
-//! and drive queues. Caches and the MMBuf are reset cold at every
-//! boundary (statistics banked first) so the checkpointing run and the
-//! resumed run see identical schedules; timers and drive queues are fully
+//! and drive queues. The caches and the MMBuf are one mechanism
+//! (`gts_storage::CachePolicy`); every boundary clears them to their
+//! freshly built state, counters kept, so the checkpointing run and the
+//! resumed run see identical schedules. Timers and drive queues are fully
 //! drained at the boundary barrier, so fresh ones behave identically.
 
 use crate::engine::{EngineError, GtsConfig, StorageLocation};
@@ -26,7 +27,6 @@ use crate::job::Job;
 use crate::programs::GtsProgram;
 use crate::strategy::Strategy;
 use crate::sweep::plan::SweepPlan;
-use crate::sweep::schedule::GpuLane;
 use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, Snapshot};
 use gts_faults::FaultPlan;
 use gts_sim::{SimDuration, SimTime};
@@ -261,11 +261,7 @@ impl Job<'_> {
             return Ok(());
         };
         for lane in &mut self.setup.lanes {
-            // Rebuild rather than clear: a resumed run's caches are
-            // brand-new policy instances (fresh RNG state for Random), so
-            // the checkpointing run must match exactly.
-            let fresh = self.cfg.cache_policy.build(lane.cache().capacity());
-            lane.checkpoint_reset(fresh);
+            lane.checkpoint_reset();
         }
         self.source.checkpoint_reset();
         let snap = self.build_snapshot(store, prog);
@@ -287,11 +283,10 @@ impl Job<'_> {
     }
 
     /// Encode the full resumable state. Counters are captured through a
-    /// scratch registry: copy the live counters, then fold in what every
-    /// lane and the source *would* flush at finish (their flushes are
-    /// additive and non-destructive), plus the finish-derived cache
-    /// aggregates — so restoring the section and adding the post-resume
-    /// deltas reproduces the uncrashed totals exactly.
+    /// scratch registry: copy the live counters, then add what `finish`
+    /// would flush ([`Job::flush_components`]) — so restoring the section
+    /// and adding the post-resume deltas reproduces the uncrashed totals
+    /// exactly.
     fn build_snapshot(&self, store: &GraphStore, prog: &dyn GtsProgram) -> Snapshot {
         let mut snap = Snapshot::new(SNAPSHOT_VERSION);
         let mut w = ByteWriter::new();
@@ -313,20 +308,11 @@ impl Job<'_> {
         w.put_bool(rung.cache_off);
         snap.insert("rung", w.into_bytes());
 
-        let lanes = &self.setup.lanes;
         let scratch = Telemetry::new();
         for (k, v) in self.tel.counters() {
             scratch.set(k, v);
         }
-        for (i, lane) in lanes.iter().enumerate() {
-            lane.flush_to(&scratch, i as u32);
-        }
-        self.source.flush_to(&scratch);
-        let hits: u64 = lanes.iter().map(GpuLane::cache_hits_total).sum();
-        let misses: u64 = lanes.iter().map(GpuLane::cache_misses_total).sum();
-        scratch.add(keys::CACHE_HITS, hits);
-        scratch.add(keys::CACHE_MISSES, misses);
-        scratch.add(keys::PAGES_STREAMED, misses);
+        self.flush_components(&scratch);
         let counters = scratch.counters();
         let mut w = ByteWriter::new();
         w.put_u64(counters.len() as u64);

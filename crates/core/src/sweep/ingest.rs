@@ -18,8 +18,8 @@
 use crate::engine::{EngineError, GtsConfig, StorageLocation};
 use gts_faults::FaultPlan;
 use gts_sim::SimTime;
+use gts_storage::cache::{CachePolicy, FifoCache};
 use gts_storage::device::StorageArray;
-use gts_storage::mmbuf::MmBuf;
 use gts_storage::Page;
 use gts_telemetry::{keys, Telemetry};
 
@@ -43,9 +43,10 @@ pub trait PageSource {
     /// `tel`'s registry at end of run.
     fn flush_to(&self, tel: &Telemetry);
 
-    /// Checkpoint-boundary reset: discard warm state a resumed run could
-    /// not rebuild (the MMBuf ring), banking its statistics first so run
-    /// totals survive. The in-memory source holds no such state.
+    /// Checkpoint-boundary reset: the warm state a resumed run could not
+    /// rebuild (the MMBuf) goes cold, as in a new run, while its counters
+    /// keep counting over the whole run ([`CachePolicy::clear`]). The
+    /// in-memory source holds no such state.
     fn checkpoint_reset(&mut self) {}
 
     /// Per-drive recovery state (quarantine flags, consecutive-failure
@@ -97,32 +98,21 @@ impl PageSource for InMemorySource {
 }
 
 /// Pages stream from a striped storage array through the MMBuf
-/// (Alg. 1 lines 9-10, 18-26).
+/// (Alg. 1 lines 9-10, 18-26), which is the FIFO page-cache policy.
 #[derive(Debug)]
 pub struct StorageSource {
     array: StorageArray,
-    mmbuf: MmBuf,
-    /// MMBuf statistics accumulated before checkpoint-boundary clears
-    /// (`MmBuf::clear` zeroes its counters along with residency).
-    banked_hits: u64,
-    banked_misses: u64,
-    banked_evictions: u64,
+    mmbuf: FifoCache,
 }
 
 impl StorageSource {
     /// A source reading from `array` with `mmbuf` in front.
-    pub fn new(array: StorageArray, mmbuf: MmBuf) -> StorageSource {
-        StorageSource {
-            array,
-            mmbuf,
-            banked_hits: 0,
-            banked_misses: 0,
-            banked_evictions: 0,
-        }
+    pub fn new(array: StorageArray, mmbuf: FifoCache) -> StorageSource {
+        StorageSource { array, mmbuf }
     }
 
     /// The underlying MMBuf (hit/miss statistics).
-    pub fn mmbuf(&self) -> &MmBuf {
+    pub fn mmbuf(&self) -> &FifoCache {
         &self.mmbuf
     }
 
@@ -154,22 +144,15 @@ impl PageSource for StorageSource {
     }
 
     fn flush_to(&self, tel: &Telemetry) {
-        tel.add(keys::MMBUF_HITS, self.banked_hits + self.mmbuf.hits());
-        tel.add(keys::MMBUF_MISSES, self.banked_misses + self.mmbuf.misses());
-        tel.add(
-            keys::MMBUF_EVICTIONS,
-            self.banked_evictions + self.mmbuf.evictions(),
-        );
+        tel.add(keys::MMBUF_HITS, self.mmbuf.hits());
+        tel.add(keys::MMBUF_MISSES, self.mmbuf.misses());
+        tel.add(keys::MMBUF_EVICTIONS, self.mmbuf.evictions());
         self.array.flush_to(tel);
     }
 
     fn checkpoint_reset(&mut self) {
         // A resumed run's MMBuf starts empty; the checkpointing run must
-        // go cold at the same boundary or the ready-times diverge. Bank
-        // the counters first — `clear` zeroes them with the residency.
-        self.banked_hits += self.mmbuf.hits();
-        self.banked_misses += self.mmbuf.misses();
-        self.banked_evictions += self.mmbuf.evictions();
+        // go cold at the same boundary or the ready-times diverge.
         self.mmbuf.clear();
     }
 
@@ -217,7 +200,7 @@ pub fn for_config(
     }
     Box::new(StorageSource::new(
         array,
-        MmBuf::with_fraction(num_pages, cfg.mmbuf_percent),
+        FifoCache::with_fraction(num_pages, cfg.mmbuf_percent),
     ))
 }
 
@@ -254,7 +237,7 @@ mod tests {
     #[test]
     fn fully_cached_pages_generate_zero_storage_traffic() {
         let page = sample_page();
-        let mut src = StorageSource::new(StorageArray::ssds(2), MmBuf::new(8));
+        let mut src = StorageSource::new(StorageArray::ssds(2), FifoCache::new(8));
         let start = SimTime::ZERO;
         // Line 16: every target GPU caches the page — the source must not
         // be consulted, so no I/O bytes and no MMBuf admission.
@@ -268,7 +251,7 @@ mod tests {
     fn miss_fetches_from_storage_then_mmbuf_serves_the_repeat() {
         let page = sample_page();
         let bytes = page.size_bytes() as u64;
-        let mut src = StorageSource::new(StorageArray::ssds(1), MmBuf::new(8));
+        let mut src = StorageSource::new(StorageArray::ssds(1), FifoCache::new(8));
         let start = SimTime::ZERO;
         // Cold: the page comes off the drive — ready strictly later.
         let ready = src.page_ready(3, &page, false, start).unwrap();
@@ -285,7 +268,7 @@ mod tests {
     #[test]
     fn flush_reports_mmbuf_and_io_counters() {
         let page = sample_page();
-        let mut src = StorageSource::new(StorageArray::ssds(1), MmBuf::new(8));
+        let mut src = StorageSource::new(StorageArray::ssds(1), FifoCache::new(8));
         src.page_ready(0, &page, false, SimTime::ZERO).unwrap();
         src.page_ready(0, &page, false, SimTime::ZERO).unwrap();
         let tel = Telemetry::new();
@@ -301,7 +284,7 @@ mod tests {
     #[test]
     fn zero_capacity_mmbuf_always_fetches() {
         let page = sample_page();
-        let mut src = StorageSource::new(StorageArray::ssds(1), MmBuf::new(0));
+        let mut src = StorageSource::new(StorageArray::ssds(1), FifoCache::new(0));
         for _ in 0..3 {
             let r = src.page_ready(1, &page, false, SimTime::ZERO).unwrap();
             assert!(r > SimTime::ZERO);
@@ -315,7 +298,7 @@ mod tests {
         let mut page = sample_page();
         // Flip one payload bit: the trailer checksum no longer matches.
         page.data[PAGE_HEADER_FLIP] ^= 0x40;
-        let mut src = StorageSource::new(StorageArray::ssds(1), MmBuf::new(8));
+        let mut src = StorageSource::new(StorageArray::ssds(1), FifoCache::new(8));
         match src.page_ready(0, &page, false, SimTime::ZERO) {
             Err(EngineError::Storage(e)) => {
                 assert!(e.to_string().contains("checksum"), "{e}");

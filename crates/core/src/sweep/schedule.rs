@@ -33,13 +33,6 @@ pub struct GpuLane {
     copy_faults: u64,
     /// Injected transient kernel-launch faults absorbed by retry.
     launch_faults: u64,
-    /// Cache hits accumulated before checkpoint-boundary cache resets
-    /// (the live cache's counters die with it; see `checkpoint_reset`).
-    banked_cache_hits: u64,
-    /// Cache misses accumulated before checkpoint-boundary cache resets.
-    banked_cache_misses: u64,
-    /// Evictions accumulated before checkpoint-boundary cache resets.
-    banked_cache_evictions: u64,
     /// Tenant this lane's cache traffic is attributed to. A lane serves
     /// exactly one job, so every probe it takes belongs to one tenant;
     /// flushing the attribution per lane is therefore identical to
@@ -68,9 +61,6 @@ impl GpuLane {
             faults: None,
             copy_faults: 0,
             launch_faults: 0,
-            banked_cache_hits: 0,
-            banked_cache_misses: 0,
-            banked_cache_evictions: 0,
             tenant: None,
             page_size: 0,
             _mem: None,
@@ -145,9 +135,6 @@ impl GpuLane {
             faults: None,
             copy_faults: 0,
             launch_faults: 0,
-            banked_cache_hits: 0,
-            banked_cache_misses: 0,
-            banked_cache_evictions: 0,
             tenant: None,
             page_size,
             _mem: Some(mem),
@@ -316,24 +303,6 @@ impl GpuLane {
         self.cache.as_ref()
     }
 
-    /// Cache hits including those banked before checkpoint-boundary
-    /// cache resets.
-    pub fn cache_hits_total(&self) -> u64 {
-        self.banked_cache_hits + self.cache.hits()
-    }
-
-    /// Cache misses including those banked before checkpoint-boundary
-    /// cache resets.
-    pub fn cache_misses_total(&self) -> u64 {
-        self.banked_cache_misses + self.cache.misses()
-    }
-
-    /// Cache evictions including those banked before checkpoint-boundary
-    /// cache resets.
-    pub fn cache_evictions_total(&self) -> u64 {
-        self.banked_cache_evictions + self.cache.evictions()
-    }
-
     /// Drop rewritten pages from this lane's topology cache after a
     /// mutation batch: the cached copies are stale and the next probe
     /// must miss and re-stream. Returns how many of `pids` were resident.
@@ -349,16 +318,13 @@ impl GpuLane {
         dropped
     }
 
-    /// Checkpoint-boundary reset. A resumed run rebuilds its page cache
+    /// Checkpoint-boundary reset. A resumed run builds its page cache
     /// cold, so the checkpointing run itself must also go cold at every
-    /// boundary or the two schedules diverge; the dying cache's hit/miss
-    /// counters are banked first so run totals still add up. The
-    /// round-robin stream cursor rewinds with it (it is not serialized).
-    pub(crate) fn checkpoint_reset(&mut self, fresh: PageCache) {
-        self.banked_cache_hits += self.cache.hits();
-        self.banked_cache_misses += self.cache.misses();
-        self.banked_cache_evictions += self.cache.evictions();
-        self.cache = fresh;
+    /// boundary or the two schedules diverge; [`CachePolicy::clear`] does
+    /// that and keeps the run's counters. The round-robin stream cursor
+    /// rewinds with it (it is not serialized).
+    pub(crate) fn checkpoint_reset(&mut self) {
+        self.cache.clear();
         self.stream_cursor = 0;
     }
 
@@ -366,13 +332,10 @@ impl GpuLane {
     /// hits/misses/capacity — into `tel`'s registry as GPU `index`.
     pub fn flush_to(&self, tel: &Telemetry, index: u32) {
         self.timer.flush_to(tel, index);
-        tel.add(
-            keys::gpu(index, keys::GPU_CACHE_HITS),
-            self.cache_hits_total(),
-        );
+        tel.add(keys::gpu(index, keys::GPU_CACHE_HITS), self.cache.hits());
         tel.add(
             keys::gpu(index, keys::GPU_CACHE_MISSES),
-            self.cache_misses_total(),
+            self.cache.misses(),
         );
         tel.set(
             keys::gpu(index, keys::GPU_CACHE_CAPACITY_PAGES),
@@ -389,19 +352,19 @@ impl GpuLane {
         if let Some(tenant) = &self.tenant {
             tel.add(
                 keys::tenant(tenant, keys::TENANT_CACHE_HITS),
-                self.cache_hits_total(),
+                self.cache.hits(),
             );
             tel.add(
                 keys::tenant(tenant, keys::TENANT_CACHE_MISSES),
-                self.cache_misses_total(),
+                self.cache.misses(),
             );
             tel.add(
                 keys::tenant(tenant, keys::TENANT_CACHE_EVICTIONS),
-                self.cache_evictions_total(),
+                self.cache.evictions(),
             );
             tel.add(
                 keys::tenant(tenant, keys::TENANT_CACHE_BYTES_STREAMED),
-                self.cache_misses_total() * self.page_size,
+                self.cache.misses() * self.page_size,
             );
         }
     }

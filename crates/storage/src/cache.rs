@@ -7,6 +7,10 @@
 //! so the policy is a trait here, with LRU, FIFO and seeded-random
 //! implementations, and the cache ablation bench compares them. The LRU
 //! is indexed by page ID, as Alg. 1's per-page `cachedPIDMap` is.
+//!
+//! The host's main-memory buffer (MMBuf, Alg. 1's `bufferPIDMap`, lines
+//! 18–26) is the same mechanism: a [`FifoCache`] sized as a fraction of
+//! the store by [`FifoCache::with_fraction`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -39,7 +43,12 @@ pub trait CachePolicy: Send {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Drop all cached pages and counters.
+    /// Make the cache as if freshly built — nothing resident, replacement
+    /// state (recency, FIFO order, the random policy's RNG) back to where
+    /// the constructor left it — but keep the hit/miss/eviction counters,
+    /// which count over the whole run. A checkpoint boundary does this:
+    /// a resumed run starts with a new cache, so the checkpointing run
+    /// must go cold the same way.
     fn clear(&mut self);
     /// Hits recorded so far.
     fn hits(&self) -> u64;
@@ -59,8 +68,6 @@ pub trait CachePolicy: Send {
             self.hits() as f64 / t as f64
         }
     }
-    /// Policy name for experiment tables.
-    fn name(&self) -> &'static str;
 }
 
 /// Boxed policy, the form engines hold (`cachedPIDMap` per GPU).
@@ -175,7 +182,10 @@ impl CachePolicy for LruCache {
     }
 
     fn clear(&mut self) {
-        *self = LruCache::new(self.capacity);
+        self.links.clear();
+        self.head = None;
+        self.tail = None;
+        self.len = 0;
     }
 
     fn hits(&self) -> u64 {
@@ -189,14 +199,10 @@ impl CachePolicy for LruCache {
     fn evictions(&self) -> u64 {
         self.evictions
     }
-
-    fn name(&self) -> &'static str {
-        "lru"
-    }
 }
 
-/// First-in-first-out replacement.
-#[derive(Debug, Clone)]
+/// First-in-first-out replacement; also the MMBuf's policy.
+#[derive(Debug, Clone, Default)]
 pub struct FifoCache {
     capacity: usize,
     resident: HashSet<u64>,
@@ -211,12 +217,22 @@ impl FifoCache {
     pub fn new(capacity: usize) -> Self {
         FifoCache {
             capacity,
-            resident: HashSet::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+            ..FifoCache::default()
         }
+    }
+
+    /// Size a cache as `percent`% of `total_pages` (the paper's MMBuf
+    /// "buffer size of 20% of a graph size").
+    ///
+    /// The multiply is widened to 128 bits so huge page counts cannot
+    /// overflow, and any non-zero fraction of a non-empty store gets at
+    /// least one page — naive truncating division would silently disable
+    /// the buffer for small graphs (e.g. 4 pages at 20% → 0).
+    pub fn with_fraction(total_pages: u64, percent: u32) -> Self {
+        let pages = (total_pages as u128 * percent as u128) / 100;
+        let pages = usize::try_from(pages).unwrap_or(usize::MAX);
+        let min = usize::from(percent > 0 && total_pages > 0);
+        Self::new(pages.max(min))
     }
 }
 
@@ -265,9 +281,6 @@ impl CachePolicy for FifoCache {
     fn clear(&mut self) {
         self.resident.clear();
         self.order.clear();
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
     }
 
     fn hits(&self) -> u64 {
@@ -281,18 +294,15 @@ impl CachePolicy for FifoCache {
     fn evictions(&self) -> u64 {
         self.evictions
     }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
 }
 
 /// Random replacement with a deterministic xorshift victim sequence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RandomCache {
     capacity: usize,
     entries: Vec<u64>,
     index: HashMap<u64, usize>,
+    seed: u64,
     state: u64,
     hits: u64,
     misses: u64,
@@ -305,12 +315,9 @@ impl RandomCache {
     pub fn new(capacity: usize, seed: u64) -> Self {
         RandomCache {
             capacity,
-            entries: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            seed,
             state: seed | 1,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+            ..RandomCache::default()
         }
     }
 
@@ -384,9 +391,7 @@ impl CachePolicy for RandomCache {
     fn clear(&mut self) {
         self.entries.clear();
         self.index.clear();
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
+        self.state = self.seed | 1;
     }
 
     fn hits(&self) -> u64 {
@@ -399,10 +404,6 @@ impl CachePolicy for RandomCache {
 
     fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
     }
 }
 
@@ -417,9 +418,14 @@ mod tests {
         assert!(c.contains(1));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
+        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
+        // A cleared cache is cold but keeps counting over the whole run.
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.hits() + c.misses(), 0);
+        assert!(!c.contains(1));
+        assert_eq!((c.hits(), c.misses()), (1, 1));
+        assert!(!c.access(1), "a cleared cache must miss");
+        assert_eq!((c.hits(), c.misses()), (1, 2));
     }
 
     #[test]
@@ -447,9 +453,41 @@ mod tests {
         c.access(1);
         c.access(2);
         c.access(1); // hit, but FIFO position unchanged
+        assert_eq!(c.evictions(), 0);
         c.access(3); // evicts 1
         assert!(!c.contains(1));
         assert!(c.contains(2));
+        assert!(c.contains(3));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.evictions(), 1);
+    }
+
+    #[test]
+    fn fraction_sizing() {
+        let b = FifoCache::with_fraction(1000, 20);
+        assert_eq!(b.capacity(), 200);
+    }
+
+    #[test]
+    fn fraction_sizing_never_rounds_a_nonzero_fraction_to_zero() {
+        // 4 pages at 20% used to truncate to capacity 0, silently turning
+        // the main-memory buffer off for small graphs.
+        assert_eq!(FifoCache::with_fraction(4, 20).capacity(), 1);
+        assert_eq!(FifoCache::with_fraction(1, 1).capacity(), 1);
+        // A zero fraction (or an empty store) still means "no buffer".
+        assert_eq!(FifoCache::with_fraction(4, 0).capacity(), 0);
+        assert_eq!(FifoCache::with_fraction(0, 20).capacity(), 0);
+    }
+
+    #[test]
+    fn fraction_sizing_does_not_overflow_huge_page_counts() {
+        // u64::MAX pages at 100% would overflow a usize multiply; the
+        // widened math saturates instead of wrapping to a tiny capacity,
+        // and nothing is allocated up front.
+        let b = FifoCache::with_fraction(u64::MAX, 100);
+        assert_eq!(b.capacity(), usize::MAX);
+        let b = FifoCache::with_fraction(u64::MAX / 2, 50);
+        assert!(b.capacity() >= (u64::MAX / 8) as usize);
     }
 
     #[test]
@@ -474,10 +512,10 @@ mod tests {
             Box::new(FifoCache::new(3)),
             Box::new(RandomCache::new(3, 5)),
         ];
-        for c in &mut caches {
+        for (p, c) in caches.iter_mut().enumerate() {
             for i in 0..100 {
                 c.access(i);
-                assert!(c.len() <= 3, "{} overflowed", c.name());
+                assert!(c.len() <= 3, "policy {p} overflowed");
             }
         }
     }
@@ -529,10 +567,7 @@ mod tests {
         }
 
         fn clear(&mut self) {
-            *self = LruModel {
-                cap: self.cap,
-                ..LruModel::default()
-            };
+            self.order.clear();
         }
     }
 
@@ -568,10 +603,7 @@ mod tests {
         }
 
         fn clear(&mut self) {
-            *self = FifoModel {
-                cap: self.cap,
-                ..FifoModel::default()
-            };
+            self.order.clear();
         }
     }
 
@@ -579,6 +611,7 @@ mod tests {
     struct RandomModel {
         cap: usize,
         slots: Vec<u64>,
+        seed: u64,
         state: u64, // mirrors RandomCache's xorshift64*
         hits: u64,
         misses: u64,
@@ -620,12 +653,10 @@ mod tests {
         }
 
         fn clear(&mut self) {
-            // `clear` drops residency and counters; the RNG runs on.
-            *self = RandomModel {
-                cap: self.cap,
-                state: self.state,
-                ..RandomModel::default()
-            };
+            // Residency goes and the RNG rewinds to its seed, as in a
+            // new cache; the counters stay.
+            self.slots.clear();
+            self.state = self.seed | 1;
         }
     }
 
@@ -678,12 +709,14 @@ mod tests {
                 };
                 let mut random = RandomModel {
                     cap,
+                    seed: SEED,
                     state: SEED | 1,
                     ..RandomModel::default()
                 };
                 for (i, &op) in ops.iter().enumerate() {
                     if i == ops.len() / 2 {
-                        // A cleared cache is reused as if it were new.
+                        // A cleared cache is reused as if it were new,
+                        // its counters carried on.
                         lru.clear();
                         fifo.clear();
                         random.clear();
@@ -692,12 +725,11 @@ mod tests {
                     match op {
                         Op::Access(pid) => {
                             let want = [lru.access(pid), fifo.access(pid), random.access(pid)];
-                            for (c, w) in caches.iter_mut().zip(want) {
+                            for (p, (c, w)) in caches.iter_mut().zip(want).enumerate() {
                                 assert_eq!(
                                     c.access(pid),
                                     w,
-                                    "{} diverged from model at op {i} of stream {stream_seed}",
-                                    c.name()
+                                    "policy {p} diverged from model at op {i} of stream {stream_seed}"
                                 );
                             }
                         }
@@ -705,9 +737,9 @@ mod tests {
                             lru.invalidate(pid);
                             fifo.invalidate(pid);
                             random.invalidate(pid);
-                            for c in caches.iter_mut() {
+                            for (p, c) in caches.iter_mut().enumerate() {
                                 c.invalidate(pid);
-                                assert!(!c.contains(pid), "{} kept an invalidated page", c.name());
+                                assert!(!c.contains(pid), "policy {p} kept an invalidated page");
                             }
                         }
                     }
@@ -728,17 +760,21 @@ mod tests {
                         random.evictions,
                     ),
                 ];
-                for (c, (res, hits, misses, evictions)) in caches.iter().zip(want) {
-                    let got: Vec<bool> = pids.iter().map(|&p| c.contains(p)).collect();
-                    let name = c.name();
+                for (p, (c, (res, hits, misses, evictions))) in caches.iter().zip(want).enumerate()
+                {
+                    let got: Vec<bool> = pids.iter().map(|&pid| c.contains(pid)).collect();
                     assert_eq!(
                         got, res,
-                        "{name} residency, cap {cap}, stream {stream_seed}"
+                        "policy {p} residency, cap {cap}, stream {stream_seed}"
                     );
-                    assert_eq!(c.hits(), hits, "{name} hits");
-                    assert_eq!(c.misses(), misses, "{name} misses");
-                    assert_eq!(c.evictions(), evictions, "{name} evictions");
-                    assert_eq!(c.len(), res.iter().filter(|&&r| r).count(), "{name} len");
+                    assert_eq!(c.hits(), hits, "policy {p} hits");
+                    assert_eq!(c.misses(), misses, "policy {p} misses");
+                    assert_eq!(c.evictions(), evictions, "policy {p} evictions");
+                    assert_eq!(
+                        c.len(),
+                        res.iter().filter(|&&r| r).count(),
+                        "policy {p} len"
+                    );
                 }
             }
         }
@@ -751,14 +787,14 @@ mod tests {
             Box::new(FifoCache::new(4)),
             Box::new(RandomCache::new(4, 7)),
         ];
-        for c in &mut caches {
+        for (p, c) in caches.iter_mut().enumerate() {
             c.access(1);
             c.access(2);
             let (h, m) = (c.hits(), c.misses());
-            assert!(c.invalidate(1), "{}", c.name());
-            assert!(!c.invalidate(1), "{} double-invalidate", c.name());
-            assert!(!c.invalidate(99), "{} never-resident", c.name());
-            assert_eq!((c.hits(), c.misses()), (h, m), "{} counters", c.name());
+            assert!(c.invalidate(1), "policy {p}");
+            assert!(!c.invalidate(1), "policy {p} double-invalidate");
+            assert!(!c.invalidate(99), "policy {p} never-resident");
+            assert_eq!((c.hits(), c.misses()), (h, m), "policy {p} counters");
             assert!(!c.contains(1));
             assert!(c.contains(2));
             assert_eq!(c.len(), 1);
@@ -767,10 +803,16 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let mut c = LruCache::new(0);
-        assert!(!c.access(1));
-        assert!(!c.access(1));
-        assert_eq!(c.len(), 0);
+        let caches: [PageCache; 3] = [
+            Box::new(LruCache::new(0)),
+            Box::new(FifoCache::new(0)),
+            Box::new(RandomCache::new(0, 7)),
+        ];
+        for (p, mut c) in caches.into_iter().enumerate() {
+            assert!(!c.access(1), "policy {p}");
+            assert!(!c.access(1), "policy {p}");
+            assert_eq!((c.len(), c.hits(), c.misses()), (0, 0, 2), "policy {p}");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Property tests for the cache/buffer contracts shared by every
-//! `CachePolicy` implementation (LRU, FIFO, random) and `MmBuf`:
+//! Property tests for the contracts shared by every `CachePolicy`
+//! implementation (LRU, FIFO — which is also the MMBuf — and random):
 //!
 //! - residency never exceeds capacity;
 //! - every access is counted exactly once (`hits + misses == accesses`);
 //! - `contains` is a pure observation — probing never changes recency,
-//!   residency, or counters.
+//!   residency, hit/miss answers, or counters.
 
-use gts_storage::{CachePolicy, FifoCache, LruCache, MmBuf, RandomCache};
+use gts_storage::{CachePolicy, FifoCache, LruCache, RandomCache};
 use proptest::prelude::*;
 
 const PID_UNIVERSE: u64 = 24;
@@ -38,20 +38,20 @@ proptest! {
     #[test]
     fn cache_len_is_bounded_and_accesses_are_conserved(input in arb_trace()) {
         let (capacity, trace) = input;
-        for mut c in policies(capacity) {
+        for (p, mut c) in policies(capacity).into_iter().enumerate() {
             for (step, &pid) in trace.iter().enumerate() {
                 c.access(pid);
                 prop_assert!(
                     c.len() <= c.capacity(),
-                    "{}: len {} > capacity {} after step {}",
-                    c.name(), c.len(), c.capacity(), step
+                    "policy {}: len {} > capacity {} after step {}",
+                    p, c.len(), c.capacity(), step
                 );
-                prop_assert_eq!(c.hits() + c.misses(), step as u64 + 1, "{}", c.name());
+                prop_assert_eq!(c.hits() + c.misses(), step as u64 + 1, "policy {}", p);
             }
             // is_empty is defined as len == 0 — the comparison IS the contract.
             #[allow(clippy::len_zero)]
             {
-                prop_assert_eq!(c.is_empty(), c.len() == 0, "{}", c.name());
+                prop_assert_eq!(c.is_empty(), c.len() == 0, "policy {}", p);
             }
         }
     }
@@ -63,37 +63,19 @@ proptest! {
         // `contains` between every access. If probing influenced recency
         // (or the random policy's RNG), eviction decisions — and therefore
         // residency or hit counts — would eventually diverge.
-        for (mut probed, mut control) in policies(capacity).into_iter().zip(policies(capacity)) {
+        let twins = policies(capacity).into_iter().zip(policies(capacity));
+        for (p, (mut probed, mut control)) in twins.enumerate() {
             for &pid in &trace {
-                probed.access(pid);
-                control.access(pid);
-                for p in 0..PID_UNIVERSE {
-                    let r = probed.contains(p);
-                    prop_assert_eq!(r, probed.contains(p), "contains not idempotent");
+                prop_assert_eq!(probed.access(pid), control.access(pid), "policy {}", p);
+                for q in 0..PID_UNIVERSE {
+                    let r = probed.contains(q);
+                    prop_assert_eq!(r, probed.contains(q), "contains not idempotent");
                 }
-                prop_assert_eq!(residency(&*probed), residency(&*control), "{}", probed.name());
-                prop_assert_eq!(probed.hits(), control.hits(), "{}", probed.name());
-                prop_assert_eq!(probed.misses(), control.misses(), "{}", probed.name());
+                prop_assert_eq!(residency(&*probed), residency(&*control), "policy {}", p);
+                prop_assert_eq!(probed.hits(), control.hits(), "policy {}", p);
+                prop_assert_eq!(probed.misses(), control.misses(), "policy {}", p);
+                prop_assert_eq!(probed.evictions(), control.evictions(), "policy {}", p);
             }
-        }
-    }
-
-    #[test]
-    fn mmbuf_meets_the_same_contract(input in arb_trace()) {
-        let (capacity, trace) = input;
-        let mut probed = MmBuf::new(capacity);
-        let mut control = MmBuf::new(capacity);
-        for (step, &pid) in trace.iter().enumerate() {
-            let hit = probed.access(pid);
-            prop_assert_eq!(hit, control.access(pid));
-            prop_assert!(probed.len() <= probed.capacity());
-            prop_assert_eq!(probed.hits() + probed.misses(), step as u64 + 1);
-            // Probing residency must not disturb FIFO order or counters.
-            let r: Vec<bool> = (0..PID_UNIVERSE).map(|p| probed.contains(p)).collect();
-            let rc: Vec<bool> = (0..PID_UNIVERSE).map(|p| control.contains(p)).collect();
-            prop_assert_eq!(r, rc);
-            prop_assert_eq!(probed.hits(), control.hits());
-            prop_assert_eq!(probed.evictions(), control.evictions());
         }
     }
 }

@@ -144,7 +144,9 @@ proptest! {
 
     #[test]
     fn mmbuf_hit_rate_bounded(accesses in proptest::collection::vec(0u64..32, 1..200), cap in 0usize..16) {
-        let mut buf = gts_storage::MmBuf::new(cap);
+        use gts_storage::{CachePolicy, FifoCache};
+        // The MMBuf is the FIFO policy.
+        let mut buf = FifoCache::new(cap);
         for &a in &accesses {
             buf.access(a);
         }

@@ -17,7 +17,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use gts_ckpt::{CkptError, CkptStore};
-use gts_core::engine::{CheckpointConfig, EngineError, Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{
+    CachePolicyKind, CheckpointConfig, EngineError, Gts, GtsConfig, StorageLocation,
+};
 use gts_core::programs::{Bfs, PageRank};
 use gts_core::{store_fingerprint, FaultConfig, MutationSchedule, Strategy, Telemetry};
 use gts_graph::generate::rmat;
@@ -86,13 +88,17 @@ fn observe_live(store: &mut GraphStore, cfg: GtsConfig, schedule: MutationSchedu
     Observed {
         result,
         ranks: pr.ranks().iter().map(|&r| f64::from(r)).collect(),
-        counters: engine
-            .telemetry()
-            .counters()
-            .into_iter()
-            .filter(|(k, _)| gts_telemetry::keys::is_contract(k))
-            .collect(),
+        counters: contract_counters(engine.telemetry()),
     }
+}
+
+/// The counter registry with the wall-side `ckpt.*` / `wal.*` keys
+/// dropped.
+fn contract_counters(tel: &Telemetry) -> BTreeMap<String, u64> {
+    tel.counters()
+        .into_iter()
+        .filter(|(k, _)| gts_telemetry::keys::is_contract(k))
+        .collect()
 }
 
 /// The exhaustive crash sweep. The configuration is [`ck_config`] plus
@@ -264,43 +270,89 @@ fn torn_snapshot_falls_back_to_previous_and_still_matches() {
 }
 
 /// The traversal path (frontier bitmaps, per-sweep plans) survives
-/// kill-and-resume too: BFS levels and report match the uncrashed run.
+/// kill-and-resume too: BFS levels, report and contract counters match
+/// the uncrashed run, under every cache policy. The cache holds four
+/// pages and carries over two sweeps between checkpoints, so it evicts
+/// before a boundary and again after it, and what it evicted decides the
+/// next sweep's hits: a checkpoint reset that left any replacement state
+/// behind (the random policy's RNG included) would split the uncrashed
+/// and the resumed schedules. A chain hung off the source keeps the
+/// traversal going past three boundaries.
 #[test]
 fn bfs_traversal_survives_kill_and_resume() {
-    let store = store();
-    let base_dir = tmp("bfs-base");
-    let crash_dir = tmp("bfs-crash");
-    let cfg = |dir: &Path, crash: Option<u64>, resume: bool| {
-        let ck = CheckpointConfig::new(dir, 1);
-        GtsConfig {
-            checkpoint: Some(if resume { ck.resuming() } else { ck }),
-            ..ck_config(2, dir, 3, crash)
+    let mut graph = rmat(9);
+    let n = graph.num_vertices;
+    graph.edges.push((0, n));
+    graph.edges.extend((n..n + 6).map(|v| (v, v + 1)));
+    graph.num_vertices = n + 7;
+    let store = build_graph_store(
+        &graph,
+        PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 1024),
+    )
+    .unwrap();
+    for policy in [
+        CachePolicyKind::Lru,
+        CachePolicyKind::Fifo,
+        CachePolicyKind::Random,
+    ] {
+        let base_dir = tmp(&format!("bfs-base-{policy:?}"));
+        let crash_dir = tmp(&format!("bfs-crash-{policy:?}"));
+        let cfg = |dir: &Path, crash: Option<u64>, resume: bool| {
+            let ck = CheckpointConfig::new(dir, 2);
+            GtsConfig {
+                checkpoint: Some(if resume { ck.resuming() } else { ck }),
+                cache_policy: policy,
+                cache_limit_bytes: Some(4 * 1024),
+                ..ck_config(2, dir, 3, crash)
+            }
+        };
+        let run = |c: GtsConfig| {
+            let engine = Gts::new(c);
+            let mut bfs = Bfs::new(store.num_vertices(), 0);
+            let result = engine.run(&store, &mut bfs).map(|r| r.to_json());
+            let counters = contract_counters(engine.telemetry());
+            (result, bfs.levels().to_vec(), counters)
+        };
+
+        let (clean_json, clean_levels, clean_counters) = {
+            let (r, l, c) = run(cfg(&base_dir, None, false));
+            (r.expect("uncrashed BFS completes"), l, c)
+        };
+        assert!(
+            clean_counters["cache.misses"] > store.num_pages(),
+            "{policy:?}: the cache must evict and re-stream"
+        );
+        // A checkpoint is eight durable steps: die entering checkpoint
+        // `b + 1` with checkpoint `b` published, for every `b` until the
+        // run outlives the kill.
+        let mut resumed_from = 0;
+        loop {
+            std::fs::remove_dir_all(&crash_dir).ok();
+            let step = 8 * (resumed_from + 1);
+            let what = format!("{policy:?}, killed at step {step}");
+            match run(cfg(&crash_dir, Some(step), false)).0 {
+                Ok(json) => {
+                    assert_eq!(json, clean_json, "{what}");
+                    break;
+                }
+                Err(EngineError::InjectedCrash { step: s }) if s == step => {}
+                Err(other) => panic!("{what}: {other:?}"),
+            }
+            let (resumed, levels, counters) = run(cfg(&crash_dir, None, true));
+            assert_eq!(
+                resumed.expect("resumed BFS completes"),
+                clean_json,
+                "{what}"
+            );
+            assert_eq!(levels, clean_levels, "{what}: BFS levels diverged");
+            assert_eq!(counters, clean_counters, "{what}");
+            resumed_from += 1;
         }
-    };
-    let run = |c: GtsConfig| {
-        let engine = Gts::new(c);
-        let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let result = engine.run(&store, &mut bfs).map(|r| r.to_json());
-        (result, bfs.levels().to_vec())
-    };
+        assert_eq!(resumed_from, 3, "{policy:?}: checkpoints resumed from");
 
-    let (clean_json, clean_levels) = {
-        let (r, l) = run(cfg(&base_dir, None, false));
-        (r.expect("uncrashed BFS completes"), l)
-    };
-    // A checkpoint is eight durable steps: die entering the second one
-    // (sweep 2), with the sweep-1 snapshot published.
-    let (killed, _) = run(cfg(&crash_dir, Some(8), false));
-    assert!(
-        matches!(killed, Err(EngineError::InjectedCrash { step: 8 })),
-        "{killed:?}"
-    );
-    let (resumed, levels) = run(cfg(&crash_dir, None, true));
-    assert_eq!(resumed.expect("resumed BFS completes"), clean_json);
-    assert_eq!(levels, clean_levels, "BFS levels diverged after resume");
-
-    std::fs::remove_dir_all(&base_dir).ok();
-    std::fs::remove_dir_all(&crash_dir).ok();
+        std::fs::remove_dir_all(&base_dir).ok();
+        std::fs::remove_dir_all(&crash_dir).ok();
+    }
 }
 
 /// Blowing the run budget surfaces as a typed error, flushes a final

@@ -6,7 +6,7 @@
 //! - `contains` is a pure observation — probing never changes recency,
 //!   residency, hit/miss answers, or counters.
 
-use gts_storage::{CachePolicy, FifoCache, LruCache, RandomCache};
+use gts_storage::{CachePolicy, FifoCache, LruCache, MmBuf, RandomCache};
 use proptest::prelude::*;
 
 const PID_UNIVERSE: u64 = 24;
@@ -76,6 +76,25 @@ proptest! {
                 prop_assert_eq!(probed.misses(), control.misses(), "policy {}", p);
                 prop_assert_eq!(probed.evictions(), control.evictions(), "policy {}", p);
             }
+        }
+    }
+
+    #[test]
+    fn mmbuf_meets_the_same_contract(input in arb_trace()) {
+        let (capacity, trace) = input;
+        let mut probed = MmBuf::new(capacity);
+        let mut control = MmBuf::new(capacity);
+        for (step, &pid) in trace.iter().enumerate() {
+            let hit = probed.access(pid);
+            prop_assert_eq!(hit, control.access(pid));
+            prop_assert!(probed.len() <= probed.capacity());
+            prop_assert_eq!(probed.hits() + probed.misses(), step as u64 + 1);
+            // Probing residency must not disturb FIFO order or counters.
+            let r: Vec<bool> = (0..PID_UNIVERSE).map(|p| probed.contains(p)).collect();
+            let rc: Vec<bool> = (0..PID_UNIVERSE).map(|p| control.contains(p)).collect();
+            prop_assert_eq!(r, rc);
+            prop_assert_eq!(probed.hits(), control.hits());
+            prop_assert_eq!(probed.evictions(), control.evictions());
         }
     }
 }

@@ -115,7 +115,7 @@ impl CostModel for GpuOnlyEngine {
         for sweep in &trace.sweeps {
             let edges = sweep.total_edges();
             let kernel = KernelCost {
-                class: algo.kernel_class(),
+                class: algo.algorithm().class,
                 lane_slots: (edges as f64 * self.profile.kernel_multiplier).round() as u64,
                 atomic_ops: 0,
             };

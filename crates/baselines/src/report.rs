@@ -11,7 +11,7 @@
 use crate::propagation::{
     min_propagation_threads, pagerank_propagation, Placement, PropagationTrace,
 };
-use gts_gpu::timer::KernelClass;
+use gts_core::programs::{Algorithm, Bc, Bfs, Cc, PageRank, Sssp};
 use gts_graph::{reference, Csr, EdgeList};
 use gts_sim::SimDuration;
 use gts_telemetry::{keys, Telemetry};
@@ -50,23 +50,15 @@ pub enum Algo {
 }
 
 impl Algo {
-    /// Report name (`"BFS"`, `"SSSP"`, `"CC"`, `"PageRank"`, `"BC"`).
-    pub fn name(self) -> &'static str {
+    /// The GTS program's row: the report name and kernel class a
+    /// baseline reports and prices the algorithm under.
+    pub fn algorithm(self) -> &'static Algorithm {
         match self {
-            Algo::Bfs { .. } => "BFS",
-            Algo::Sssp { .. } => "SSSP",
-            Algo::Cc => "CC",
-            Algo::PageRank { .. } => "PageRank",
-            Algo::Bc { .. } => "BC",
-        }
-    }
-
-    /// The GPU kernel class that runs it: PageRank computes, the rest
-    /// traverse.
-    pub(crate) fn kernel_class(self) -> KernelClass {
-        match self {
-            Algo::PageRank { .. } => KernelClass::Compute,
-            _ => KernelClass::Traversal,
+            Algo::Bfs { .. } => &Bfs::ALGORITHM,
+            Algo::Sssp { .. } => &Sssp::ALGORITHM,
+            Algo::Cc => &Cc::ALGORITHM,
+            Algo::PageRank { .. } => &PageRank::ALGORITHM,
+            Algo::Bc { .. } => &Bc::ALGORITHM,
         }
     }
 }
@@ -187,7 +179,7 @@ pub fn account(
     let report = finish_run(
         &tel,
         model.name(),
-        algo.name(),
+        algo.algorithm().report_name,
         elapsed,
         cost.sweeps.len() as u32,
         cost.network_bytes,

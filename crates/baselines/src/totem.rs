@@ -177,7 +177,7 @@ impl CostModel for Totem {
             let gpu_load = &sweep.nodes[0];
             let cpu_load = &sweep.nodes[1];
             let kernel = KernelCost {
-                class: algo.kernel_class(),
+                class: algo.algorithm().class,
                 lane_slots: (gpu_load.edges as f64 * slots_per_edge).round() as u64,
                 atomic_ops: 0,
             };

@@ -50,8 +50,8 @@ fn main() {
         let mut pr = PageRank::new(v, PR_ITERATIONS);
         let measured = prep.run_gts(cfg.clone(), &mut pr).expect("run").elapsed;
         let mut p = params.clone();
-        p.wa_bytes = gts_core::attrs::AlgorithmKind::PageRank.wa_bytes(v);
-        let ra = gts_core::attrs::AlgorithmKind::PageRank.ra_bytes(v);
+        p.wa_bytes = PageRank::ALGORITHM.wa_bytes_per_vertex * v;
+        let ra = PageRank::ALGORITHM.ra_bytes_per_vertex * v;
         // Last-kernel time: one average page's compute-class kernel.
         let avg_edges = prep.store.num_edges() / pages.max(1);
         let last = SimDuration::from_secs_f64(
@@ -79,7 +79,7 @@ fn main() {
             })
             .collect();
         let mut p = params.clone();
-        p.wa_bytes = gts_core::attrs::AlgorithmKind::Bfs.wa_bytes(v);
+        p.wa_bytes = Bfs::ALGORITHM.wa_bytes_per_vertex * v;
         let model = cost::bfs_like(&p, &volumes, 1.0, 0.0);
         t.row(vec![
             "BFS".into(),

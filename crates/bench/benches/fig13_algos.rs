@@ -47,7 +47,10 @@ fn main() {
     ] {
         let mut t = ExperimentTable::new(
             csv,
-            &format!("{}: seconds across engines (paper Fig. 13)", algo.name()),
+            &format!(
+                "{}: seconds across engines (paper Fig. 13)",
+                algo.algorithm().report_name
+            ),
             &["dataset", "GraphX", "Giraph", "PowerGraph", "TOTEM", "GTS"],
         );
         for d in [Dataset::TwitterLike, Dataset::Rmat(18)] {

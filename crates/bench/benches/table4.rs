@@ -6,7 +6,7 @@
 
 use gts_bench::datasets::Prepared;
 use gts_bench::table::ExperimentTable;
-use gts_core::attrs::AlgorithmKind;
+use gts_core::programs::{Bfs, Cc, PageRank, Sssp};
 use gts_graph::Dataset;
 
 fn mb(bytes: u64) -> String {
@@ -15,23 +15,18 @@ fn mb(bytes: u64) -> String {
 
 fn main() {
     let algs = [
-        AlgorithmKind::Bfs,
-        AlgorithmKind::PageRank,
-        AlgorithmKind::Sssp,
-        AlgorithmKind::ConnectedComponents,
+        Bfs::ALGORITHM,
+        PageRank::ALGORITHM,
+        Sssp::ALGORITHM,
+        Cc::ALGORITHM,
     ];
+    let mut header = vec!["dataset", "topology"];
+    header.extend(algs.iter().map(|a| a.report_name));
+    header.push("max WA/topo");
     let mut t = ExperimentTable::new(
         "table4",
         "WA size vs topology size, MiB at 1/1024 scale (paper Table 4)",
-        &[
-            "dataset",
-            "topology",
-            "BFS",
-            "PageRank",
-            "SSSP",
-            "CC",
-            "max WA/topo",
-        ],
+        &header,
     );
     for d in [
         Dataset::Rmat(18),
@@ -45,8 +40,8 @@ fn main() {
         let v = prep.store.num_vertices();
         let mut row = vec![d.name(), mb(topo)];
         let mut worst: f64 = 0.0;
-        for a in algs {
-            let wa = a.wa_bytes(v);
+        for a in &algs {
+            let wa = a.wa_bytes_per_vertex * v;
             worst = worst.max(wa as f64 / topo as f64);
             row.push(mb(wa));
         }

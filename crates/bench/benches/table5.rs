@@ -41,7 +41,7 @@ fn main() {
                 (Algo::Bfs { source: 0 }, pb),
                 (Algo::PageRank { iterations: 3 }, pp),
             ] {
-                let alg = algo.name();
+                let alg = algo.algorithm().report_name;
                 match totem.best_ratio(&prep.csr, &candidates, algo) {
                     Ok((frac, elapsed)) => {
                         // Report the ratio of edges actually placed on the

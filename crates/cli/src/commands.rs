@@ -22,7 +22,7 @@ macro_rules! outln {
     }};
 }
 use gts_core::engine::{CachePolicyKind, GtsConfig, StorageLocation};
-use gts_core::programs::ALGORITHMS;
+use gts_core::programs::{Bfs, Cc, PageRank, Sssp, ALGORITHMS};
 use gts_core::{CheckpointConfig, Engine, FaultConfig, JobOptions, MutationSchedule};
 use gts_core::{Strategy, Telemetry};
 use gts_gpu::GpuConfig;
@@ -401,15 +401,16 @@ fn info(args: &Args) -> Result<(), CliError> {
         store.large_pids().len()
     );
     outln!("topology:  {} bytes", store.topology_bytes());
-    for (name, wa) in [
-        ("BFS", gts_core::attrs::AlgorithmKind::Bfs),
-        ("PageRank", gts_core::attrs::AlgorithmKind::PageRank),
-        ("SSSP", gts_core::attrs::AlgorithmKind::Sssp),
-        ("CC", gts_core::attrs::AlgorithmKind::ConnectedComponents),
+    for alg in [
+        Bfs::ALGORITHM,
+        PageRank::ALGORITHM,
+        Sssp::ALGORITHM,
+        Cc::ALGORITHM,
     ] {
-        let bytes = wa.wa_bytes(store.num_vertices());
+        let bytes = alg.wa_bytes_per_vertex * store.num_vertices();
         outln!(
-            "WA {name:<9} {bytes} bytes{}",
+            "WA {:<9} {bytes} bytes{}",
+            alg.report_name,
             topology_share(bytes, store.topology_bytes())
         );
     }

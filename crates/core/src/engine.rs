@@ -708,7 +708,7 @@ mod tests {
     /// but Strategy-S (WA/4) can.
     fn undersized_p_config(store: &GraphStore, strategy: Strategy) -> GtsConfig {
         let v = store.num_vertices();
-        let wa = crate::attrs::AlgorithmKind::PageRank.wa_bytes(v);
+        let wa = PageRank::ALGORITHM.wa_bytes_per_vertex * v;
         let page = store.cfg().page_size as u64;
         let streams = 16u64;
         let max_sp_vertices = page / 14; // VID(6) + OFF(4) + ADJLIST_SZ(4)

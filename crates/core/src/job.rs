@@ -165,8 +165,9 @@ impl Engine {
     ) -> Result<RunReport, EngineError> {
         let mut job = Job::open(&self.cfg, handle, prog, opts)?;
         let outcome = job.run(handle, prog);
-        job.finish(prog.name());
-        outcome.map(|()| RunReport::from_telemetry(&job.tel, prog.name(), "GTS"))
+        let name = prog.algorithm().report_name;
+        job.finish(name);
+        outcome.map(|()| RunReport::from_telemetry(&job.tel, name, "GTS"))
     }
 }
 
@@ -197,7 +198,8 @@ impl LaneSetup {
         rung: Option<Rung>,
     ) -> Result<LaneSetup, EngineError> {
         let n = cfg.num_gpus;
-        let wa_total = prog.wa_bytes_per_vertex() * store.num_vertices();
+        let alg = prog.algorithm();
+        let wa_total = alg.wa_bytes_per_vertex * store.num_vertices();
         let mut eff = cfg.clone();
         // The effective stream count is capped by the CUDA concurrent-kernel
         // limit the paper cites (32).
@@ -214,7 +216,7 @@ impl LaneSetup {
             let wa_per_gpu = eff.strategy.wa_bytes_per_gpu(wa_total, n);
             let lanes: Result<Vec<GpuLane>, EngineError> = (0..n)
                 .map(|i| {
-                    let (streams, ra_bpv) = (eff.num_streams, prog.ra_bytes_per_vertex());
+                    let (streams, ra_bpv) = (eff.num_streams, alg.ra_bytes_per_vertex);
                     GpuLane::for_engine(&eff, store, streams, wa_per_gpu, ra_bpv, tel, i as u32)
                 })
                 .collect();
@@ -358,7 +360,7 @@ impl<'e> Job<'e> {
             if let Some(wal) = &wal {
                 wal_replayed = handle.recover(wal, &snap)?;
             }
-            ckpt::verify_meta(&snap, handle.store(), cfg, prog.name())
+            ckpt::verify_meta(&snap, handle.store(), cfg, prog.algorithm().report_name)
                 .map_err(EngineError::Checkpoint)?;
             rung = Some(ckpt::rung_of(&snap).map_err(EngineError::Checkpoint)?);
             manifest_skipped = skipped.len() as u64;

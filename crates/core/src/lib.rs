@@ -66,7 +66,6 @@
 //! assert!(trace.contains("traceEvents"));
 //! ```
 
-pub mod attrs;
 pub mod cost;
 pub mod engine;
 pub mod job;

@@ -16,9 +16,9 @@
 //! is the sum over sources of independent runs.
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
 
@@ -44,6 +44,18 @@ pub struct Bc {
 }
 
 impl Bc {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "bc",
+        report_name: "BC",
+        // WA: sigma f32 + delta f32 + bc f32 + level u16.
+        wa_bytes_per_vertex: 14,
+        ra_bytes_per_vertex: 0,
+        class: KernelClass::Traversal,
+        mode: ExecMode::Traversal,
+        build: |n, source, _, _| Box::new(Self::new(n, source)),
+    };
+
     /// BC contribution of shortest paths from `source`.
     ///
     /// # Panics
@@ -134,16 +146,8 @@ impl Bc {
 }
 
 impl GtsProgram for Bc {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::BetweennessCentrality
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Traversal
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Traversal
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn start_vertex(&self) -> Option<u64> {

@@ -8,9 +8,9 @@
 //! containing frontier vertices are streamed next level (Sec. 3.3).
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
 use gts_storage::builder::GraphStore;
@@ -39,6 +39,18 @@ pub struct Bfs {
 }
 
 impl Bfs {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "bfs",
+        report_name: "BFS",
+        // WA: the 2-byte traversal level LV.
+        wa_bytes_per_vertex: 2,
+        ra_bytes_per_vertex: 0,
+        class: KernelClass::Traversal,
+        mode: ExecMode::Traversal,
+        build: |n, source, _, _| Box::new(Self::new(n, source)),
+    };
+
     /// BFS over `num_vertices` from `source`.
     ///
     /// # Panics
@@ -106,16 +118,8 @@ impl Bfs {
 }
 
 impl GtsProgram for Bfs {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::Bfs
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Traversal
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Traversal
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn start_vertex(&self) -> Option<u64> {

@@ -9,9 +9,9 @@
 //! `gts_graph::reference::connected_components`).
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
 use gts_storage::builder::GraphStore;
@@ -24,6 +24,18 @@ pub struct Cc {
 }
 
 impl Cc {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "cc",
+        report_name: "CC",
+        // WA: the 8-byte component label.
+        wa_bytes_per_vertex: 8,
+        ra_bytes_per_vertex: 0,
+        class: KernelClass::Traversal,
+        mode: ExecMode::Sweep,
+        build: |n, _, _, _| Box::new(Self::new(n)),
+    };
+
     /// CC over `num_vertices`; every vertex starts in its own component.
     pub fn new(num_vertices: u64) -> Self {
         Cc {
@@ -70,20 +82,8 @@ impl Cc {
 }
 
 impl GtsProgram for Cc {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::ConnectedComponents
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Traversal
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Sweep
-    }
-
-    fn start_vertex(&self) -> Option<u64> {
-        None
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn summary(&self) -> String {

@@ -8,10 +8,9 @@
 //! [`GtsProgram`].
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SharedKernel,
-    SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SharedKernel, SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_exec::fold_lane;
 use gts_gpu::timer::KernelClass;
@@ -42,6 +41,18 @@ fn record_page(ctx: &PageCtx<'_>, lane: &mut [u64]) -> PageWork {
 }
 
 impl Degrees {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "degrees",
+        report_name: "DegreeDistribution",
+        // WA: one 4-byte count per vertex.
+        wa_bytes_per_vertex: 4,
+        ra_bytes_per_vertex: 0,
+        class: KernelClass::Traversal,
+        mode: ExecMode::Sweep,
+        build: |n, _, _, _| Box::new(Self::new(n)),
+    };
+
     /// Prepare for a graph of `num_vertices`.
     pub fn new(num_vertices: u64) -> Self {
         Degrees {
@@ -74,25 +85,8 @@ impl Degrees {
 }
 
 impl GtsProgram for Degrees {
-    fn kind(&self) -> AlgorithmKind {
-        // Same WA footprint class as SSSP: one 4-byte vector, no RA.
-        AlgorithmKind::Sssp
-    }
-
-    fn name(&self) -> &'static str {
-        "DegreeDistribution"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Traversal
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Sweep
-    }
-
-    fn start_vertex(&self) -> Option<u64> {
-        None
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn summary(&self) -> String {

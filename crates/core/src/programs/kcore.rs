@@ -12,9 +12,9 @@
 //! usually far fewer.
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
 
@@ -28,6 +28,18 @@ pub struct KCore {
 }
 
 impl KCore {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "kcore",
+        report_name: "KCore",
+        // WA: one 4-byte degree per vertex (the alive flags ride along).
+        wa_bytes_per_vertex: 4,
+        ra_bytes_per_vertex: 0,
+        class: KernelClass::Traversal,
+        mode: ExecMode::Sweep,
+        build: |n, _, _, k| Box::new(Self::new(n, k)),
+    };
+
     /// Decompose `num_vertices` for core number `k`.
     pub fn new(num_vertices: u64, k: u32) -> Self {
         KCore {
@@ -49,25 +61,8 @@ impl KCore {
 }
 
 impl GtsProgram for KCore {
-    fn kind(&self) -> AlgorithmKind {
-        // One 4-byte degree vector + flags: SSSP's WA class.
-        AlgorithmKind::Sssp
-    }
-
-    fn name(&self) -> &'static str {
-        "KCore"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Traversal
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Sweep
-    }
-
-    fn start_vertex(&self) -> Option<u64> {
-        None
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn summary(&self) -> String {

@@ -2,8 +2,10 @@
 //!
 //! A [`GtsProgram`] supplies what the paper calls the user-defined GPU
 //! kernels `K_SP` and `K_LP` (Algorithm 1 takes both because Small and
-//! Large pages have slightly different structure), plus the WA/RA layout
-//! the engine must place in device memory.
+//! Large pages have slightly different structure). What the engine must
+//! know before running it — the WA/RA layout to place in device memory,
+//! the kernel class and the iteration mode — is the program's
+//! [`Algorithm`] row in [`ALGORITHMS`], declared once beside its kernels.
 //!
 //! ## Execution semantics of the kernels
 //!
@@ -36,7 +38,6 @@ pub use radius::RadiusEstimation;
 pub use rwr::Rwr;
 pub use sssp::Sssp;
 
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::CkptError;
 use gts_exec::FixedVec;
 use gts_gpu::timer::KernelClass;
@@ -46,64 +47,42 @@ use gts_storage::page::{AdjRun, PageView};
 use gts_storage::rvt::Rvt;
 use gts_storage::{MutationOutcome, PageKind};
 
-/// One row of [`ALGORITHMS`]: an algorithm as every front end names it.
+/// One row of [`ALGORITHMS`]: a program's static facts, declared once
+/// as the program's associated `ALGORITHM` const. Front ends name it by
+/// the row, the engine sizes and prices it by the row, and the
+/// baselines report under the row ([`GtsProgram::algorithm`]).
 pub struct Algorithm {
     /// The name `gts run` and workload `job=` lines use.
     pub name: &'static str,
-    /// What the built program's [`GtsProgram::name`] reports.
+    /// The algorithm's name in reports and snapshots.
     pub report_name: &'static str,
+    /// Device-resident read/write (WA) bytes per vertex (Sec. 3.1,
+    /// Table 4): what must stay on the GPU while topology streams.
+    pub wa_bytes_per_vertex: u64,
+    /// Read-only (RA) bytes per vertex, streamed with each page (Sec.
+    /// 3.1): the previous sweep's vector of a PageRank-like program.
+    pub ra_bytes_per_vertex: u64,
+    /// Kernel cost class: traversal kernels are memory-bound,
+    /// PageRank-like ones compute-bound (Table 1's premise).
+    pub class: KernelClass,
+    /// How the framework iterates the program (Sec. 3.3).
+    pub mode: ExecMode,
     build: fn(n: u64, source: u64, iterations: u32, k: u32) -> Box<dyn GtsProgram>,
 }
 
-/// The programs GTS hosts. An algorithm is declared here once: the CLI's
-/// `gts run <name>`, its help text, and serve's `job=<name>` all read
-/// this table. Each takes what it needs of `(source, iterations, k)`.
+/// The programs GTS hosts, each entry the program's own `ALGORITHM`. The
+/// CLI's `gts run <name>`, its help text, and serve's `job=<name>` all
+/// read this table. Each takes what it needs of `(source, iterations, k)`.
 pub const ALGORITHMS: &[Algorithm] = &[
-    Algorithm {
-        name: "bfs",
-        report_name: "BFS",
-        build: |n, source, _, _| Box::new(Bfs::new(n, source)),
-    },
-    Algorithm {
-        name: "pagerank",
-        report_name: "PageRank",
-        build: |n, _, iterations, _| Box::new(PageRank::new(n, iterations)),
-    },
-    Algorithm {
-        name: "sssp",
-        report_name: "SSSP",
-        build: |n, source, _, _| Box::new(Sssp::new(n, source)),
-    },
-    Algorithm {
-        name: "cc",
-        report_name: "CC",
-        build: |n, _, _, _| Box::new(Cc::new(n)),
-    },
-    Algorithm {
-        name: "bc",
-        report_name: "BC",
-        build: |n, source, _, _| Box::new(Bc::new(n, source)),
-    },
-    Algorithm {
-        name: "rwr",
-        report_name: "RWR",
-        build: |n, source, iterations, _| Box::new(Rwr::new(n, source, iterations)),
-    },
-    Algorithm {
-        name: "degrees",
-        report_name: "DegreeDistribution",
-        build: |n, _, _, _| Box::new(Degrees::new(n)),
-    },
-    Algorithm {
-        name: "kcore",
-        report_name: "KCore",
-        build: |n, _, _, k| Box::new(KCore::new(n, k)),
-    },
-    Algorithm {
-        name: "radius",
-        report_name: "RadiusEstimation",
-        build: |n, _, _, _| Box::new(RadiusEstimation::new(n)),
-    },
+    Bfs::ALGORITHM,
+    PageRank::ALGORITHM,
+    Sssp::ALGORITHM,
+    Cc::ALGORITHM,
+    Bc::ALGORITHM,
+    Rwr::ALGORITHM,
+    Degrees::ALGORITHM,
+    KCore::ALGORITHM,
+    RadiusEstimation::ALGORITHM,
 ];
 
 /// Why [`by_name`] refused to build a program.
@@ -277,42 +256,23 @@ pub enum SweepControl {
     ContinueWith(Vec<u64>),
 }
 
-/// A graph algorithm expressed against the GTS streaming framework.
+/// A graph algorithm expressed against the GTS streaming framework. Its
+/// static facts — report name, WA/RA bytes per vertex, kernel class and
+/// iteration mode — live in its [`Algorithm`] row, not here.
 pub trait GtsProgram {
-    /// Which WA/RA layout class this program uses (drives device-memory
-    /// accounting via [`AlgorithmKind`]).
-    fn kind(&self) -> AlgorithmKind;
+    /// This program's row of [`ALGORITHMS`].
+    fn algorithm(&self) -> &'static Algorithm;
 
-    /// Human-readable algorithm name for reports. Defaults to the layout
-    /// class's name; programs that merely *reuse* another algorithm's
-    /// layout (RWR, degree distribution, ...) override it.
-    fn name(&self) -> &'static str {
-        self.kind().name()
+    /// Iteration style: the row's.
+    fn mode(&self) -> ExecMode {
+        self.algorithm().mode
     }
-
-    /// Device-resident (WA) bytes per vertex; defaults to the layout
-    /// class's.
-    fn wa_bytes_per_vertex(&self) -> u64 {
-        self.kind().wa_bytes_per_vertex()
-    }
-
-    /// Streamed read-only (RA) bytes per vertex; defaults to the layout
-    /// class's. Programs with their own streamed vector (e.g. radius
-    /// estimation's previous-sweep sketches) override it.
-    fn ra_bytes_per_vertex(&self) -> u64 {
-        self.kind().ra_bytes_per_vertex()
-    }
-
-    /// Kernel cost class (traversal kernels are memory-bound, PageRank-like
-    /// kernels compute-bound — Table 1's premise).
-    fn class(&self) -> KernelClass;
-
-    /// Iteration style.
-    fn mode(&self) -> ExecMode;
 
     /// For traversal programs: the vertex whose page seeds `nextPIDSet`
-    /// (Algorithm 1 line 5).
-    fn start_vertex(&self) -> Option<u64>;
+    /// (Algorithm 1 line 5). `None` for sweep programs.
+    fn start_vertex(&self) -> Option<u64> {
+        None
+    }
 
     /// The finished run's result in one line — what `gts run` prints
     /// after `result:`. Empty by default.
@@ -575,12 +535,68 @@ mod tests {
         }
     }
 
+    /// Every row's layout, class and mode (Table 4 for the paper's five;
+    /// RWR and radius stream the previous sweep's vector as RA).
+    #[test]
+    fn rows_declare_layout_class_and_mode() {
+        use ExecMode::{Sweep, Traversal as Trav};
+        use KernelClass::{Compute, Traversal};
+        let want = [
+            ("bfs", 2, 0, Traversal, Trav),
+            ("pagerank", 4, 4, Compute, Sweep),
+            ("sssp", 4, 0, Traversal, Trav),
+            ("cc", 8, 0, Traversal, Sweep),
+            ("bc", 14, 0, Traversal, Trav),
+            ("rwr", 4, 4, Compute, Sweep),
+            ("degrees", 4, 0, Traversal, Sweep),
+            ("kcore", 4, 0, Traversal, Sweep),
+            ("radius", 8, 8, Compute, Sweep),
+        ];
+        assert_eq!(ALGORITHMS.len(), want.len());
+        for (alg, (name, wa, ra, class, mode)) in ALGORITHMS.iter().zip(want) {
+            assert_eq!(alg.name, name);
+            let got = (alg.wa_bytes_per_vertex, alg.ra_bytes_per_vertex);
+            assert_eq!(got, (wa, ra), "{name}");
+            assert_eq!((alg.class, alg.mode), (class, mode), "{name}");
+        }
+    }
+
+    /// RMAT28 (Table 4): 256M vertices, 20 GB topology. WA is a small
+    /// fraction of topology, 1.7 %–10 % per the paper's Sec. 7.1.
+    #[test]
+    fn table4_ratios_hold_at_paper_scale() {
+        let v: u64 = 256 * 1024 * 1024;
+        let topology: u64 = 20 * (1 << 30);
+        for alg in [
+            Bfs::ALGORITHM,
+            PageRank::ALGORITHM,
+            Sssp::ALGORITHM,
+            Cc::ALGORITHM,
+        ] {
+            let ratio = (alg.wa_bytes_per_vertex * v) as f64 / topology as f64;
+            assert!(ratio < 0.11, "{} WA ratio {ratio}", alg.name);
+        }
+    }
+
+    /// Table 4's RMAT28 row: BFS 0.5 GB, PageRank 1 GB, SSSP 1 GB, CC 2 GB
+    /// for 256M vertices.
+    #[test]
+    fn paper_table4_absolute_sizes() {
+        let v: u64 = 256 * 1024 * 1024;
+        let wa = |alg: Algorithm| alg.wa_bytes_per_vertex * v;
+        assert_eq!(wa(Bfs::ALGORITHM), 512 << 20);
+        assert_eq!(wa(PageRank::ALGORITHM), 1 << 30);
+        assert_eq!(wa(Sssp::ALGORITHM), 1 << 30);
+        assert_eq!(wa(Cc::ALGORITHM), 2 << 30);
+    }
+
     #[test]
     fn registry_builds_every_name_and_types_its_refusals() {
         for alg in ALGORITHMS {
             let prog = by_name(alg.name, 16, 15, 1, 2).unwrap();
-            assert_eq!(prog.name(), alg.report_name, "{}", alg.name);
-            assert_eq!(find(alg.name).unwrap().report_name, alg.report_name);
+            // Wired to its own row, not another program's.
+            assert_eq!(prog.algorithm().name, alg.name);
+            assert_eq!(find(alg.name).unwrap().name, alg.name);
         }
         let err = |name, n, source, iterations| {
             by_name(name, n, source, iterations, 2)

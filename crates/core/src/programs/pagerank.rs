@@ -8,10 +8,9 @@
 //! leaks — matching `gts_graph::reference::pagerank`).
 
 use super::{
-    scatter_page, state, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SharedKernel,
-    SweepControl,
+    scatter_page, state, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SharedKernel, SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_exec::{fold_lane, FixedVec};
 use gts_gpu::timer::KernelClass;
@@ -43,6 +42,18 @@ pub struct PageRank {
 }
 
 impl PageRank {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "pagerank",
+        report_name: "PageRank",
+        // WA: the 4-byte nextPR; RA: the streamed 4-byte prevPR.
+        wa_bytes_per_vertex: 4,
+        ra_bytes_per_vertex: 4,
+        class: KernelClass::Compute,
+        mode: ExecMode::Sweep,
+        build: |n, _, iterations, _| Box::new(Self::new(n, iterations)),
+    };
+
     /// The paper's damping factor.
     pub const DEFAULT_DAMPING: f32 = 0.85;
 
@@ -115,20 +126,8 @@ impl PageRank {
 }
 
 impl GtsProgram for PageRank {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::PageRank
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Compute
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Sweep
-    }
-
-    fn start_vertex(&self) -> Option<u64> {
-        None
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn summary(&self) -> String {

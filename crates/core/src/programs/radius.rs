@@ -17,9 +17,9 @@
 //! constant space, exactly as HADI does.
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
 
@@ -42,6 +42,19 @@ pub struct RadiusEstimation {
 }
 
 impl RadiusEstimation {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "radius",
+        report_name: "RadiusEstimation",
+        // WA: one 8-byte sketch per vertex; RA: the previous sweep's
+        // sketches, streamed like PageRank's prevPR.
+        wa_bytes_per_vertex: 8,
+        ra_bytes_per_vertex: 8,
+        class: KernelClass::Compute,
+        mode: ExecMode::Sweep,
+        build: |n, _, _, _| Box::new(Self::new(n)),
+    };
+
     /// Prepare for `num_vertices`. Sketches are exact bitsets when the
     /// graph has at most 64 vertices, FM registers otherwise.
     pub fn new(num_vertices: u64) -> Self {
@@ -92,31 +105,8 @@ fn fm_bit(v: u64) -> u32 {
 }
 
 impl GtsProgram for RadiusEstimation {
-    fn kind(&self) -> AlgorithmKind {
-        // One 8-byte sketch per vertex: CC's WA class.
-        AlgorithmKind::ConnectedComponents
-    }
-
-    fn name(&self) -> &'static str {
-        "RadiusEstimation"
-    }
-
-    fn ra_bytes_per_vertex(&self) -> u64 {
-        // The previous sweep's sketches play the streamed read-only role,
-        // exactly like PageRank's prevPR — 8 bytes per vertex.
-        8
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Compute
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Sweep
-    }
-
-    fn start_vertex(&self) -> Option<u64> {
-        None
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn summary(&self) -> String {

@@ -11,10 +11,9 @@
 //! different Apply rule.
 
 use super::{
-    scatter_page, state, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SharedKernel,
-    SweepControl,
+    scatter_page, state, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SharedKernel, SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_exec::{fold_lane, FixedVec};
 use gts_gpu::timer::KernelClass;
@@ -32,6 +31,18 @@ pub struct Rwr {
 }
 
 impl Rwr {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "rwr",
+        report_name: "RWR",
+        // PageRank's layout: one resident f32 vector, one streamed f32 vector.
+        wa_bytes_per_vertex: 4,
+        ra_bytes_per_vertex: 4,
+        class: KernelClass::Compute,
+        mode: ExecMode::Sweep,
+        build: |n, source, iterations, _| Box::new(Self::new(n, source, iterations)),
+    };
+
     /// Classic restart probability.
     pub const DEFAULT_RESTART: f32 = 0.15;
 
@@ -86,26 +97,8 @@ impl Rwr {
 }
 
 impl GtsProgram for Rwr {
-    fn kind(&self) -> AlgorithmKind {
-        // Same WA/RA layout as PageRank: one resident f32 vector, one
-        // streamed f32 vector.
-        AlgorithmKind::PageRank
-    }
-
-    fn name(&self) -> &'static str {
-        "RWR"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Compute
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Sweep
-    }
-
-    fn start_vertex(&self) -> Option<u64> {
-        None
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn summary(&self) -> String {

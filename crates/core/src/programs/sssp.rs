@@ -7,9 +7,9 @@
 //! are unweighted, so its SSSP runs also used generated weights).
 
 use super::{
-    state, visit_page, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork, SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
+    SweepControl,
 };
-use crate::attrs::AlgorithmKind;
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
 use gts_graph::EdgeList;
@@ -28,6 +28,18 @@ pub struct Sssp {
 }
 
 impl Sssp {
+    /// This program's row of [`super::ALGORITHMS`].
+    pub const ALGORITHM: Algorithm = Algorithm {
+        name: "sssp",
+        report_name: "SSSP",
+        // WA: the 4-byte distance.
+        wa_bytes_per_vertex: 4,
+        ra_bytes_per_vertex: 0,
+        class: KernelClass::Traversal,
+        mode: ExecMode::Traversal,
+        build: |n, source, _, _| Box::new(Self::new(n, source)),
+    };
+
     /// Shortest paths over `num_vertices` from `source`.
     ///
     /// # Panics
@@ -78,16 +90,8 @@ impl Sssp {
 }
 
 impl GtsProgram for Sssp {
-    fn kind(&self) -> AlgorithmKind {
-        AlgorithmKind::Sssp
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Traversal
-    }
-
-    fn mode(&self) -> ExecMode {
-        ExecMode::Traversal
+    fn algorithm(&self) -> &'static Algorithm {
+        &Self::ALGORITHM
     }
 
     fn start_vertex(&self) -> Option<u64> {

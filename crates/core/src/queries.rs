@@ -58,10 +58,12 @@ impl<'s> QueryEngine<'s> {
         self.cache.hit_rate()
     }
 
-    /// All pages holding vertex `v`'s adjacency (its SP, or its LP run).
+    /// All pages holding vertex `v`'s adjacency: its SP or its LP run,
+    /// then the delta pages mutations spilled or grew it into (a spilled
+    /// vertex's home record is empty, DESIGN.md §12).
     fn pages_of(&self, v: u64) -> Vec<u64> {
         let rid = self.store.rid_of_vertex(v);
-        match self.store.view(rid.pid).kind() {
+        let mut pids: Vec<u64> = match self.store.view(rid.pid).kind() {
             PageKind::Small => vec![rid.pid],
             PageKind::Large => {
                 let range = self
@@ -72,7 +74,9 @@ impl<'s> QueryEngine<'s> {
                     .expect("LP has range");
                 (rid.pid..=rid.pid + range as u64).collect()
             }
-        }
+        };
+        pids.extend_from_slice(self.store.delta_pids_of(v));
+        pids
     }
 
     /// Touch a page: cache lookup, transfer on miss, and a small kernel.
@@ -167,7 +171,7 @@ mod tests {
     use super::*;
     use gts_graph::generate::rmat;
     use gts_graph::{Csr, EdgeList};
-    use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
+    use gts_storage::{build_graph_store, MutationBatch, PageFormatConfig, PhysicalIdConfig};
 
     fn setup() -> (EdgeList, GraphStore, Csr) {
         let graph = rmat(9);
@@ -209,6 +213,51 @@ mod tests {
         let mut want: Vec<u64> = edges.iter().map(|&(_, d)| d as u64).collect();
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    /// Every query sees the edges a mutation moved to delta pages: those
+    /// of a Small-Page vertex spilled whole (its home record left empty)
+    /// and those of an LP vertex grown past its chunk run.
+    #[test]
+    fn queries_follow_mutations_into_delta_pages() {
+        let cfg = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 256);
+        // 13 one-edge vertices fill one 256-byte page: two inserts into
+        // vertex 5 spill it whole.
+        let ring: Vec<(u32, u32)> = (0..13).map(|v| (v, (v + 1) % 13)).collect();
+        let mut spilled = build_graph_store(&EdgeList::new(13, ring), cfg).unwrap();
+        let mut b = MutationBatch::new();
+        b.insert(5, 0).insert(5, 1);
+        spilled.apply_mutations(&b).unwrap();
+        assert!(!spilled.delta_pids_of(5).is_empty());
+        // Vertex 0's 300 edges fill a 6-chunk run (348 slots); 60 more
+        // overflow it.
+        let star: Vec<(u32, u32)> = (0..300).map(|i| (0, 1 + i)).collect();
+        let mut grown = build_graph_store(&EdgeList::new(301, star), cfg).unwrap();
+        let mut b = MutationBatch::new();
+        for i in 0..60 {
+            b.insert(0, 1 + i);
+        }
+        grown.apply_mutations(&b).unwrap();
+        assert!(!grown.delta_pids_of(0).is_empty());
+        for (store, v) in [(&spilled, 5), (&grown, 0)] {
+            let edges = store.decode_edges();
+            let want: Vec<u64> = edges.iter().filter(|e| e.0 == v).map(|e| e.1).collect();
+            let mut q = QueryEngine::new(store, 64);
+            let mut got = q.neighbors(v);
+            got.sort_unstable();
+            assert_eq!(got, want, "neighbors({v})");
+            let all: BTreeSet<u64> = (0..store.num_vertices()).collect();
+            let mut got = q.cross_edges(&BTreeSet::from([v]), &all);
+            got.sort_unstable();
+            let want: Vec<(u64, u64)> = edges.iter().filter(|e| e.0 == v).copied().collect();
+            assert_eq!(got, want, "cross_edges({v})");
+            let (members, got) = q.egonet(v);
+            let want = edges
+                .iter()
+                .filter(|(s, d)| members.contains(s) && members.contains(d))
+                .count();
+            assert_eq!(got.len(), want, "egonet({v})");
+        }
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl Job<'_> {
     ) -> Result<(), EngineError> {
         let pids = self.plan.phases()[phase];
         let (strategy, num_gpus) = (self.setup.rung.strategy, self.cfg.num_gpus);
-        let (class, ra_bytes_per_vertex) = (prog.class(), prog.ra_bytes_per_vertex());
+        let alg = prog.algorithm();
+        let (class, ra_bytes_per_vertex) = (alg.class, alg.ra_bytes_per_vertex);
         let page_size = store.cfg().page_size as u64;
         let spans = self.tel.spans_enabled();
         let (lanes, source) = (&mut self.setup.lanes, self.source.as_mut());

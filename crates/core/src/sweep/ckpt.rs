@@ -290,7 +290,7 @@ impl Job<'_> {
     fn build_snapshot(&self, store: &GraphStore, prog: &dyn GtsProgram) -> Snapshot {
         let mut snap = Snapshot::new(SNAPSHOT_VERSION);
         let mut w = ByteWriter::new();
-        w.put_str(prog.name());
+        w.put_str(prog.algorithm().report_name);
         w.put_u64(store_fingerprint(store));
         w.put_u64(config_fingerprint(self.cfg));
         snap.insert("meta", w.into_bytes());

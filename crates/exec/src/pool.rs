@@ -38,11 +38,6 @@ impl ThreadPool {
         }
     }
 
-    /// A pool sized to [`default_host_threads`].
-    pub fn with_default_threads() -> Self {
-        Self::new(default_host_threads())
-    }
-
     pub fn threads(&self) -> usize {
         self.threads
     }

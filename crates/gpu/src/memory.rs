@@ -94,14 +94,6 @@ impl DeviceMemory {
             label,
         })
     }
-
-    /// Allocate room for `len` elements of `T`. The byte count is computed
-    /// in u64 so it cannot wrap on 32-bit targets (a wrapped size would
-    /// defeat the OOM accounting entirely).
-    pub fn alloc_array<T>(&self, len: usize, label: &'static str) -> Result<DeviceAlloc, GpuOom> {
-        let bytes = (len as u64).saturating_mul(std::mem::size_of::<T>() as u64);
-        self.alloc(bytes, label)
-    }
 }
 
 /// RAII guard for a device-memory allocation.
@@ -165,13 +157,6 @@ mod tests {
         let mem = DeviceMemory::new(100);
         assert!(mem.alloc(101, "x").is_err());
         assert_eq!(mem.used(), 0);
-    }
-
-    #[test]
-    fn array_helper_multiplies_by_element_size() {
-        let mem = DeviceMemory::new(1024);
-        let a = mem.alloc_array::<u32>(100, "LV").unwrap();
-        assert_eq!(a.bytes(), 400);
     }
 
     #[test]

@@ -219,32 +219,6 @@ impl GpuTimer {
         s
     }
 
-    /// Asynchronous streamed copy device→host at rate `c2`. The GTS engine
-    /// moves its per-level result bitmaps with blocking [`Self::chunk_d2h`]
-    /// copies; this streamed variant exists for engines that overlap
-    /// result write-back with ongoing kernels (e.g. per-stream partial
-    /// results).
-    pub fn stream_d2h(
-        &mut self,
-        stream: usize,
-        bytes: u64,
-        ready: SimTime,
-        label: &str,
-    ) -> Scheduled {
-        let stream = stream % self.stream_tail.len();
-        self.bytes_d2h += bytes;
-        let ready = ready.max(self.stream_tail[stream]);
-        let dur = self.pcie.latency + self.pcie.stream_bw.transfer_time(bytes);
-        self.transfer_time += dur;
-        let s = self.d2h.submit(ready, dur);
-        if s.start > ready {
-            self.stalls += 1;
-        }
-        self.stream_tail[stream] = s.end;
-        self.record(keys::tid::stream(stream), label, SpanCat::Copy, s);
-        s
-    }
-
     /// Launch a kernel in `stream`; `ready` is when its inputs are on the
     /// device. Launch overhead is hidden iff the compute engine is still
     /// busy when the kernel becomes ready (it was queued in advance).
@@ -513,15 +487,6 @@ mod tests {
             atomic_ops: 1000,
         };
         assert!(c.duration(&cfg) > tr.duration(&cfg));
-    }
-
-    #[test]
-    fn stream_d2h_chains_in_program_order() {
-        let mut t = timer(2);
-        let k = t.stream_kernel(0, cost_ns(1_000_000), SimTime::ZERO, "K");
-        let d = t.stream_d2h(0, 1_000, SimTime::ZERO, "result");
-        assert!(d.start >= k.end, "write-back waits for the kernel");
-        assert_eq!(t.bytes_d2h(), 1_000);
     }
 
     #[test]

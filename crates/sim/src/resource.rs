@@ -110,15 +110,6 @@ impl Resource {
         self.served
     }
 
-    /// Utilisation in [0, 1] relative to a makespan: busy time divided by
-    /// `concurrency * makespan`.
-    pub fn utilisation(&self, makespan: SimDuration) -> f64 {
-        if makespan.is_zero() {
-            return 0.0;
-        }
-        self.busy.as_nanos() as f64 / (self.slots.len() as f64 * makespan.as_nanos() as f64)
-    }
-
     /// Reset to an idle state at t = 0, keeping the configuration.
     pub fn reset(&mut self) {
         for s in &mut self.slots {
@@ -188,8 +179,6 @@ mod tests {
         assert_eq!(r.busy_time(), d(100));
         assert_eq!(r.served(), 2);
         assert_eq!(r.drain_time(), t(100));
-        let u = r.utilisation(d(200));
-        assert!((u - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds in this duration, as a float (for reporting).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// True if this duration is exactly zero.
     #[inline]
     pub const fn is_zero(self) -> bool {

@@ -173,12 +173,6 @@ impl PageFormatConfig {
         PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 64 * 1024)
     }
 
-    /// Trillion-scale configuration: (3,3) IDs. The paper uses 64 MiB pages
-    /// (Hadoop-block compatible); scaled down proportionally here.
-    pub fn large_default() -> Self {
-        PageFormatConfig::new(PhysicalIdConfig::TRILLION, 1024 * 1024)
-    }
-
     /// Record-ID entries a Large Page chunk can carry. The LP layout is
     /// header (kind + entry count) + VID + packed record IDs + checksum
     /// trailer — the entry count lives in the page header, so no separate

@@ -166,17 +166,6 @@ impl Telemetry {
         self.inner.lock().unwrap().spans.len()
     }
 
-    /// Latest span end time (the recorded makespan); zero with no spans.
-    pub fn end_time(&self) -> SimTime {
-        self.inner
-            .lock()
-            .unwrap()
-            .spans
-            .iter()
-            .map(|s| s.end)
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
     /// Total busy time per track, keyed by display name.
     pub fn busy_per_track(&self) -> BTreeMap<String, SimDuration> {
         let g = self.inner.lock().unwrap();
@@ -457,6 +446,5 @@ mod tests {
         let busy = tel.busy_per_track();
         assert_eq!(busy["stream0"], SimDuration::from_nanos(40));
         assert_eq!(busy["0.4"], SimDuration::from_nanos(5));
-        assert_eq!(tel.end_time(), t(40));
     }
 }

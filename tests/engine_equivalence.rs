@@ -57,7 +57,12 @@ fn models() -> Vec<Box<dyn CostModel>> {
 fn every_model_agrees(g: &Csr, algo: Algo, ok: impl Fn(&[f64]) -> bool) {
     for m in models() {
         let r = run(m.as_ref(), g, algo).unwrap();
-        assert!(ok(&r.values), "{} {}", m.name(), algo.name());
+        assert!(
+            ok(&r.values),
+            "{} {}",
+            m.name(),
+            algo.algorithm().report_name
+        );
     }
 }
 

@@ -99,8 +99,14 @@ fn render(g: &Csr) -> String {
     for (model, algos) in cells() {
         for algo in algos {
             let r = run(model.as_ref(), g, algo)
-                .unwrap_or_else(|e: BaselineError| panic!("{}: {e}", algo.name()));
-            writeln!(o, "== {} {} ==", r.report.engine, algo.name()).unwrap();
+                .unwrap_or_else(|e: BaselineError| panic!("{}: {e}", algo.algorithm().report_name));
+            writeln!(
+                o,
+                "== {} {} ==",
+                r.report.engine,
+                algo.algorithm().report_name
+            )
+            .unwrap();
             writeln!(o, "values fnv1a {:016x}", values_hash(algo, &r.values)).unwrap();
             writeln!(o, "{}", r.report.to_json()).unwrap();
             for (k, v) in r.registry.counters() {

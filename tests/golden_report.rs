@@ -173,7 +173,7 @@ fn reports_counters_and_traces_match_pre_refactor_goldens() {
 fn degraded_oom_step_down_matches_golden() {
     let store = store();
     let v = store.num_vertices();
-    let wa = gts_core::attrs::AlgorithmKind::PageRank.wa_bytes(v);
+    let wa = PageRank::ALGORITHM.wa_bytes_per_vertex * v;
     let page = store.cfg().page_size as u64;
     let streams = 16u64;
     let max_sp_vertices = page / 14; // VID(6) + OFF(4) + ADJLIST_SZ(4)

@@ -107,7 +107,7 @@ fn strategy_s_throughput_does_not_scale_but_capacity_does() {
 fn capacity_scales_linearly_with_gpus_under_strategy_s() {
     // Find a device size where 1 GPU OOMs but 4 GPUs fit.
     let s = store();
-    let wa = gts_core::attrs::AlgorithmKind::ConnectedComponents.wa_bytes(s.num_vertices());
+    let wa = Cc::ALGORITHM.wa_bytes_per_vertex * s.num_vertices();
     let streams = 16u64;
     let page = s.cfg().page_size as u64;
     let buffers = streams * page * 2 + s.rvt().memory_bytes();

@@ -97,7 +97,7 @@ mod tests {
     use crate::sweep::ingest::InMemorySource;
     use gts_faults::FaultConfig;
     use gts_graph::generate::rmat;
-    use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
+    use gts_storage::{build_graph_store, MutationBatch, PageFormatConfig, PhysicalIdConfig};
 
     fn small_store() -> GraphStore {
         build_graph_store(
@@ -117,6 +117,33 @@ mod tests {
         assert_eq!(r.repaired, 0);
         assert_eq!(tel.counter(keys::SCRUB_PAGES), store.num_pages());
         assert_eq!(tel.counter(keys::SCRUB_ERRORS), 0);
+    }
+
+    #[test]
+    fn bit_rot_is_detected_on_pages_a_mutation_batch_sealed() {
+        // Pages `apply_mutations` sealed are trusted in memory, but the
+        // scrub hashes the at-rest copy whatever the in-memory page says.
+        let mut store = small_store();
+        let mut batch = MutationBatch::new();
+        for v in 0..64 {
+            batch.insert(v, (v * 7 + 3) % store.num_vertices());
+        }
+        let out = store.apply_mutations(&batch).unwrap();
+        assert!(!out.dirty_pids.is_empty());
+        let mut cfg = FaultConfig::quiet(0xB17);
+        cfg.bit_rot_ppm = 1_000_000; // every page, every pass
+        let plan = FaultPlan::new(cfg);
+        let tel = Telemetry::new();
+        let r = scrub_pass(
+            &store,
+            Some(&plan),
+            &mut InMemorySource,
+            &tel,
+            SimTime::ZERO,
+            4,
+        );
+        assert_eq!(r.pages, store.num_pages());
+        assert_eq!(r.errors, store.num_pages(), "every rotted page is caught");
     }
 
     #[test]

@@ -92,10 +92,13 @@ impl GraphStore {
         &self.pages[pid as usize]
     }
 
-    /// Decoded view of one page. Verification is cached per page: the
-    /// first view of a page pays the checksum + layout walk (a no-op for
-    /// builder-encoded pages, already done at load for reconstructed
-    /// ones), later views are one atomic load.
+    /// Decoded view of one page. Verification is cached per page, and
+    /// later views are one atomic load. The first view of a page the
+    /// builder encoded hashes it and walks its layout, as for any new
+    /// [`Page`]; a reconstructed store's pages were verified at load, so
+    /// their first view is already one load. A page `apply_mutations`
+    /// sealed carries its trailer as matched (DESIGN.md §10 "The page
+    /// trailer"), so its first view walks only the layout.
     ///
     /// # Panics
     /// Panics if the page fails verification — store pages are sealed at

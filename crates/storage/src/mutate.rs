@@ -7,10 +7,12 @@
 //!
 //! * **In-place rewrites.** A Small Page with enough slack absorbs the new
 //!   adjacency directly: the page is rebuilt in slot order — a changed
-//!   record encoded from its new adjacency, every other record's packed
-//!   bytes copied from the old page undecoded — sealed with a fresh
-//!   trailer checksum, and replaces the old page under the same page ID,
-//!   so every inbound [`RecordId`] stays valid.
+//!   record encoded from its new adjacency, each run of unchanged records
+//!   copied from the old page as one block — sealed with a fresh trailer
+//!   checksum, and replaces the old page under the same page ID, so every
+//!   inbound [`RecordId`] stays valid. The pages a batch seals are
+//!   installed with that checksum marked as matched: the next view of
+//!   one walks its layout without hashing it again.
 //! * **Spill to delta pages.** When a Small Page overflows its budget, the
 //!   vertex with the largest record (ties to the lowest VID) is *spilled*:
 //!   its home record is rewritten zero-length and its **entire** adjacency
@@ -45,10 +47,10 @@
 
 use crate::builder::GraphStore;
 use crate::format::{PageKind, RecordId};
-use crate::page::{encode_large_page, AdjRun, Page, SmallPageEncoder};
+use crate::page::{encode_large_page, Page, SmallPageEncoder};
 use crate::rvt::RvtEntry;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One edge mutation. Endpoints are vertex IDs; the vertex set is fixed
@@ -192,25 +194,6 @@ pub struct MutationOutcome {
     pub epoch: u64,
 }
 
-/// Where one slot of a rebuilt Small Page takes its record from.
-enum SlotSource<'a> {
-    /// Not named by the batch: the old page's record, still packed.
-    Kept(AdjRun<'a>),
-    /// The batch's new adjacency; empty for a spilled vertex, whose home
-    /// record stays zero-length.
-    New(&'a [RecordId]),
-}
-
-impl SlotSource<'_> {
-    /// `ADJLIST_SZ` of the record the slot will get.
-    fn len(&self) -> usize {
-        match self {
-            SlotSource::Kept(run) => run.len(),
-            SlotSource::New(adj) => adj.len(),
-        }
-    }
-}
-
 impl GraphStore {
     /// Full current adjacency of `vid`: home record (Small) or home chunk
     /// run (Large), followed by any delta pages, in stored order.
@@ -302,66 +285,85 @@ impl GraphStore {
         }
 
         // --- Stage 2: route overlays to rewrite paths. ---
-        // Small-Page vertices still resident in their home record group by
-        // home page; already-spilled Small-Page vertices and Large-Page
-        // vertices get whole-adjacency rewrites.
-        let mut sp_touched: BTreeSet<u64> = BTreeSet::new();
+        // A Small-Page vertex still resident in its home record is a
+        // touched slot of its home page; an already-spilled Small-Page
+        // vertex or a Large-Page vertex gets a whole-adjacency rewrite. The
+        // overlay is in VID order and a Small Page holds consecutive VIDs,
+        // so a page's touched slots (its overlay range `start_vid ..
+        // start_vid + count`) arrive in ascending slot order.
+        let mut sp_touched: BTreeMap<u64, Vec<(u32, &[RecordId])>> = BTreeMap::new();
         let mut delta_rewrites: BTreeMap<u64, Cow<'_, [RecordId]>> = BTreeMap::new();
         for (&vid, adj) in &overlay {
-            let home = self.vertex_rid[vid as usize].pid;
-            if self.view(home).kind() == PageKind::Large || self.delta_pages.contains_key(&vid) {
+            let home = self.vertex_rid[vid as usize];
+            if self.view(home.pid).kind() == PageKind::Large || self.delta_pages.contains_key(&vid)
+            {
                 delta_rewrites.insert(vid, Cow::Borrowed(adj.as_slice()));
             } else {
-                sp_touched.insert(home);
+                sp_touched
+                    .entry(home.pid)
+                    .or_default()
+                    .push((home.slot, adj));
             }
         }
 
         // --- Stage 3: rebuild touched Small Pages, spilling on overflow. ---
         let mut replaced: BTreeMap<u64, (Page, u64)> = BTreeMap::new();
         let budget = self.cfg.sp_budget();
-        let mut slots: Vec<(u64, SlotSource<'_>)> = Vec::new();
-        for &pid in &sp_touched {
-            slots.clear();
-            slots.extend(self.view(pid).sp_vertices().map(|(vid, run)| {
-                let source = match overlay.get(&vid) {
-                    _ if self.delta_pages.contains_key(&vid) => SlotSource::New(&[]),
-                    Some(adj) => SlotSource::New(adj),
-                    None => SlotSource::Kept(run),
-                };
-                (vid, source)
-            }));
-            let foot = |len: usize| self.cfg.sp_vertex_bytes(len);
-            let mut total: usize = slots.iter().map(|(_, src)| foot(src.len())).sum();
-            // Spill the largest record (ties to the lowest VID) until the
-            // page fits again. This always terminates: the all-spilled
-            // page costs `count` empty records, which fit by construction
-            // (the builder packed `count` non-smaller records here).
-            while total > budget {
-                let mut best: Option<(usize, usize)> = None;
-                for (s, (_, src)) in slots.iter().enumerate() {
-                    if src.len() > best.map_or(0, |(_, len)| len) {
-                        best = Some((s, src.len()));
-                    }
+        let rid_w = self.cfg.id.rid_bytes();
+        for (pid, mut touched) in sp_touched {
+            let view = self.view(pid);
+            // A page's footprint is affine in its edges, so only the
+            // touched records' lengths are read while it fits.
+            let foot = |edges: u64| {
+                view.count() as usize * self.cfg.sp_vertex_bytes(0) + edges as usize * rid_w
+            };
+            let mut edges = self.edges_per_page[pid as usize];
+            for &(slot, adj) in &touched {
+                edges -= view.sp_adj_len(slot) as u64;
+                edges += adj.len() as u64;
+            }
+            if foot(edges) > budget {
+                // Spill the largest record (ties to the lowest VID) until
+                // the page fits again; the victim becomes one more touched
+                // slot, with an empty record. This always terminates: the
+                // all-spilled page costs `count` empty records, which fit
+                // by construction (the builder packed `count` non-smaller
+                // records here).
+                let mut lens: Vec<usize> = view.sp_vertices().map(|(_, run)| run.len()).collect();
+                for &(slot, adj) in &touched {
+                    lens[slot as usize] = adj.len();
                 }
-                let Some((s, len)) = best else { break };
-                total = total - foot(len) + foot(0);
-                let (vid, src) = &mut slots[s];
-                let adj = match std::mem::replace(src, SlotSource::New(&[])) {
-                    SlotSource::New(adj) => Cow::Borrowed(adj),
-                    SlotSource::Kept(run) => Cow::Owned(run.collect()),
-                };
-                delta_rewrites.insert(*vid, adj);
+                while foot(edges) > budget {
+                    // Of equal maxima `max_by_key` keeps the last, so
+                    // walked backwards it keeps the lowest slot.
+                    let Some(slot) = (0..view.count()).rev().max_by_key(|&s| lens[s as usize])
+                    else {
+                        break;
+                    };
+                    let len = std::mem::take(&mut lens[slot as usize]);
+                    if len == 0 {
+                        break;
+                    }
+                    edges -= len as u64;
+                    let adj = match touched.binary_search_by_key(&slot, |&(t, _)| t) {
+                        Ok(i) => Cow::Borrowed(std::mem::take(&mut touched[i].1)),
+                        Err(i) => {
+                            touched.insert(i, (slot, &[]));
+                            Cow::Owned(view.sp_adj_run(slot).collect())
+                        }
+                    };
+                    delta_rewrites.insert(view.sp_vid(slot), adj);
+                }
             }
+            // One walk: each maximal run of untouched slots is one span
+            // copy, and only the touched slots are encoded.
             let mut enc = SmallPageEncoder::new(self.cfg);
-            let mut edges = 0u64;
-            for (vid, src) in &slots {
-                edges += src.len() as u64;
-                match src {
-                    SlotSource::New(adj) => enc.push_vertex(*vid, adj),
-                    SlotSource::Kept(run) => enc.push_run(*vid, run),
-                };
+            for &(slot, adj) in &touched {
+                enc.push_span(&view, enc.num_slots()..slot);
+                enc.push_vertex(view.sp_vid(slot), adj);
             }
-            replaced.insert(pid, (enc.finish(pid), edges));
+            enc.push_span(&view, enc.num_slots()..view.count());
+            replaced.insert(pid, (enc.finish(pid).trust_own_seal(), edges));
         }
 
         // --- Stage 4: whole-adjacency rewrites over home runs + deltas. ---
@@ -383,7 +385,7 @@ impl GraphStore {
             for &pid in &seq {
                 let a = offset.min(adj.len());
                 let b = (offset + cap).min(adj.len());
-                let page = encode_large_page(self.cfg, pid, vid, &adj[a..b]);
+                let page = encode_large_page(self.cfg, pid, vid, &adj[a..b]).trust_own_seal();
                 replaced.insert(pid, (page, (b - a) as u64));
                 offset += cap;
             }
@@ -391,7 +393,7 @@ impl GraphStore {
                 let b = (offset + cap).min(adj.len());
                 let pid = next_pid;
                 next_pid += 1;
-                let page = encode_large_page(self.cfg, pid, vid, &adj[offset..b]);
+                let page = encode_large_page(self.cfg, pid, vid, &adj[offset..b]).trust_own_seal();
                 appended.push((pid, page, (b - offset) as u64));
                 new_delta.entry(vid).or_default().push(pid);
                 offset += cap;
@@ -451,7 +453,7 @@ impl GraphStore {
 mod tests {
     use super::*;
     use crate::builder::build_graph_store;
-    use crate::format::{PageFormatConfig, PhysicalIdConfig};
+    use crate::format::{PageFormatConfig, PhysicalIdConfig, PAGE_HEADER_BYTES};
     use gts_graph::EdgeList;
 
     fn cfg() -> PageFormatConfig {
@@ -659,6 +661,164 @@ mod tests {
         assert_eq!(rebuilt.num_edges(), store.num_edges());
         // The epoch is an in-memory session counter, not persisted.
         assert_eq!(rebuilt.epoch(), 0);
+    }
+
+    /// Apply `batch` to `store` and to the multiset `model`, then check
+    /// the edges against the model and every Small Page against the bytes
+    /// a whole-page decode + `push_vertex` re-encode would produce.
+    fn apply_canonical(store: &mut GraphStore, model: &mut Vec<(u64, u64)>, batch: &MutationBatch) {
+        let out = store.apply_mutations(batch).unwrap();
+        for op in batch.ops() {
+            match *op {
+                EdgeOp::Insert { src, dst } => model.push((src, dst)),
+                EdgeOp::Delete { src, dst } => {
+                    let at = model.iter().position(|&e| e == (src, dst)).unwrap();
+                    model.remove(at);
+                }
+            }
+        }
+        model.sort_unstable();
+        assert_eq!(&edges_of(store), model);
+        assert!(!out.dirty_pids.is_empty());
+        for pid in 0..store.num_pages() {
+            let v = store.view(pid);
+            if v.kind() != PageKind::Small {
+                continue;
+            }
+            let mut enc = SmallPageEncoder::new(store.cfg());
+            for (vid, run) in v.sp_vertices() {
+                enc.push_vertex(vid, &run.collect::<Vec<_>>());
+            }
+            assert_eq!(store.page(pid).data, enc.finish(pid).data, "page {pid}");
+        }
+    }
+
+    /// Eight vertices of two edges each: one 256-byte page, 64 bytes free.
+    fn two_edge_store() -> (GraphStore, Vec<(u64, u64)>) {
+        let edges: Vec<(u32, u32)> = (0..8)
+            .flat_map(|v| [(v, (v + 1) % 8), (v, (v + 3) % 8)])
+            .collect();
+        let store = store_of(8, edges.clone());
+        assert_eq!(store.num_pages(), 1);
+        let mut model: Vec<(u64, u64)> = edges.iter().map(|&(s, d)| (s as u64, d as u64)).collect();
+        model.sort_unstable();
+        (store, model)
+    }
+
+    #[test]
+    fn span_walk_touching_slot_zero_the_last_slot_or_two_neighbours() {
+        for touched in [&[0u64][..], &[7], &[3, 4], &[0, 7], &[2, 3, 5, 6]] {
+            let (mut store, mut model) = two_edge_store();
+            let mut b = MutationBatch::new();
+            for &v in touched {
+                b.insert(v, (v + 5) % 8);
+            }
+            apply_canonical(&mut store, &mut model, &b);
+            // And back down: each touched record shrinks below its start.
+            let mut b = MutationBatch::new();
+            for &v in touched {
+                b.delete(v, (v + 5) % 8).delete(v, (v + 1) % 8);
+            }
+            apply_canonical(&mut store, &mut model, &b);
+        }
+    }
+
+    #[test]
+    fn span_walk_touching_every_slot() {
+        let (mut store, mut model) = two_edge_store();
+        let mut b = MutationBatch::new();
+        for v in 0..8 {
+            b.insert(v, 7 - v);
+        }
+        apply_canonical(&mut store, &mut model, &b);
+    }
+
+    #[test]
+    fn span_walk_shrinking_a_record_to_length_zero() {
+        let (mut store, mut model) = two_edge_store();
+        let mut b = MutationBatch::new();
+        b.delete(5, 6).delete(5, 0);
+        apply_canonical(&mut store, &mut model, &b);
+        assert_eq!(store.view(0).sp_adj_len(5), 0);
+        // An empty record in the middle of a span is copied like any other.
+        let mut b = MutationBatch::new();
+        b.insert(2, 0).insert(7, 0);
+        apply_canonical(&mut store, &mut model, &b);
+        assert_eq!(store.view(0).sp_adj_len(5), 0);
+    }
+
+    #[test]
+    fn spill_victim_outside_the_batch_becomes_an_empty_touched_slot() {
+        // Vertices 2 and 7 hold 8 edges each and the eight others one
+        // each: 236 of the page's 240 bytes, so one rid of slack. Vertex 6
+        // grows by 2 (to 3 < 8): the page overflows, and of the two largest
+        // records, which the batch never names, the lower VID's is spilled.
+        let mut edges: Vec<(u32, u32)> = (0..10)
+            .filter(|&v| v != 2 && v != 7)
+            .map(|v| (v, (v + 1) % 10))
+            .collect();
+        edges.extend((0..8).flat_map(|i| [(2, i), (7, i + 1)]));
+        let mut store = store_of(10, edges.clone());
+        assert_eq!(store.num_pages(), 1);
+        let mut model: Vec<(u64, u64)> = edges.iter().map(|&(s, d)| (s as u64, d as u64)).collect();
+        let mut b = MutationBatch::new();
+        b.insert(6, 0).insert(6, 1);
+        apply_canonical(&mut store, &mut model, &b);
+        let v = store.view(0);
+        assert_eq!(
+            (v.sp_adj_len(2), v.sp_adj_len(6), v.sp_adj_len(7)),
+            (0, 3, 8)
+        );
+        assert_eq!(store.delta_pids_of(2), [1]);
+        assert!(store.delta_pids_of(6).is_empty() && store.delta_pids_of(7).is_empty());
+    }
+
+    #[test]
+    fn apply_sealed_pages_are_trusted_in_memory_only() {
+        let n = 13u32;
+        let mut store = store_of(n, (0..n).map(|v| (v, (v + 1) % n)).collect());
+        let mut b = MutationBatch::new();
+        b.insert(5, 0).insert(5, 1);
+        let out = store.apply_mutations(&b).unwrap();
+        let sealed: Vec<u64> = out
+            .dirty_pids
+            .iter()
+            .chain(&out.new_pids)
+            .copied()
+            .collect();
+        assert_eq!(sealed, [0, 1], "one rebuilt Small Page, one delta page");
+        let at = PAGE_HEADER_BYTES + 1;
+        for &pid in &sealed {
+            let page = store.page(pid);
+            assert!(page.checksum_ok(), "page {pid} is sealed");
+            // Its bytes anywhere else are untrusted: a copy with one
+            // flipped byte is hashed, and refused.
+            let mut data = page.data.clone();
+            data[at] ^= 0x40;
+            let err = Page::new(pid, page.kind, data).verify(cfg()).unwrap_err();
+            assert!(err.contains("checksum"), "page {pid}: {err}");
+        }
+        // `save_store` → `load_store` hashes every page again: the mutated
+        // store round-trips, and a flipped byte in a rebuilt page's image
+        // is refused.
+        let path = std::env::temp_dir().join(format!("gts-mutate-trust-{}", std::process::id()));
+        crate::file::save_store(&store, &path).unwrap();
+        let loaded = crate::file::load_store(&path).unwrap();
+        assert_eq!(loaded.pages(), store.pages());
+        assert_eq!(loaded.decode_edges(), store.decode_edges());
+        let mut bytes = std::fs::read(&path).unwrap();
+        let page0 = bytes.len() - store.num_pages() as usize * cfg().page_size;
+        bytes[page0 + at] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = crate::file::load_store(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        // In memory the seal is trusted: the first cached check of a
+        // sealed page does not hash it, so bytes changed behind the
+        // store's back go unseen there, as after any verification.
+        store.pages[0].data[at] ^= 0x40;
+        assert!(store.page(0).checksum_ok_cached());
+        assert!(!store.page(0).checksum_ok());
     }
 
     #[test]

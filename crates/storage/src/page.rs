@@ -15,6 +15,7 @@ use crate::format::{
     PageFormatConfig, PageKind, PhysicalIdConfig, RecordId, ADJLIST_SZ_BYTES, OFF_BYTES,
     PAGE_HEADER_BYTES, PAGE_TRAILER_BYTES, VID_BYTES,
 };
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Bit set once the trailer checksum has matched (see [`Page::verify`]).
@@ -26,10 +27,12 @@ const VERIFIED_FULL: u8 = 1 << 1;
 ///
 /// A page caches its own verification state: the first successful
 /// [`Page::verify`] (or [`Page::checksum_ok_cached`]) hashes the bytes,
-/// every later call is a single atomic load. This is *verified-once /
-/// borrow-after* semantics — mutating `data` after a successful
-/// verification is NOT detected by the cached paths (the pure
-/// [`Page::checksum_ok`] always recomputes).
+/// every later call is a single atomic load. A page `apply_mutations`
+/// has just sealed starts with its checksum marked as matched, so it is
+/// never hashed twice. This is *verified-once / borrow-after* semantics —
+/// mutating `data` after a successful verification (or after that seal)
+/// is NOT detected by the cached paths (the pure [`Page::checksum_ok`]
+/// always recomputes).
 #[derive(Debug)]
 pub struct Page {
     /// Global page ID (index into the store's page table).
@@ -71,6 +74,17 @@ impl Page {
             data,
             verified: AtomicU8::new(0),
         }
+    }
+
+    /// Mark the trailer checksum of a page this process has just sealed as
+    /// matched, so its first [`Page::verify`] walks only the layout. Only
+    /// `apply_mutations` calls this (DESIGN.md §10 "The page trailer"):
+    /// bytes it sealed are trusted while they stay in memory, and every
+    /// page read, loaded or scrubbed is still hashed.
+    pub(crate) fn trust_own_seal(self) -> Self {
+        debug_assert!(self.checksum_ok(), "page {}: not sealed", self.pid);
+        self.verified.fetch_or(VERIFIED_CSUM, Ordering::Relaxed);
+        self
     }
 
     /// Page size in bytes (the streaming unit of GTS).
@@ -302,16 +316,44 @@ impl SmallPageEncoder {
         self.push_record(vid, adj.len(), |packed| encode_rids(packed, adj, id))
     }
 
-    /// [`Self::push_vertex`] of the entries `run` has not yet yielded, without
-    /// decoding them: the run's packed bytes are copied as they are.
+    /// Append the slots `slots` of the Small Page `from` unchanged: their
+    /// records in one copy and their slot-directory entries in another,
+    /// then each copied entry's `OFF` shifted to where the records landed.
+    /// Slot `s` of `from` becomes slot `s` here, so the span starts at
+    /// [`Self::num_slots`]. `Page::verify`'s contiguity rule is what makes
+    /// a span's records one block.
     ///
     /// # Panics
-    /// Panics if the run's `(p, q)` is not this encoder's, or if the
-    /// vertex does not fit.
-    pub fn push_run(&mut self, vid: u64, run: &AdjRun<'_>) -> u32 {
-        assert_eq!(run.id, self.cfg.id, "vertex {vid}: run of another (p, q)");
-        let bytes = run.packed_bytes();
-        self.push_record(vid, run.left, |packed| packed.copy_from_slice(bytes))
+    /// Panics if `from` has another format, the span does not start at
+    /// the next slot, or it does not fit.
+    pub fn push_span(&mut self, from: &PageView<'_>, slots: Range<u32>) {
+        if slots.is_empty() {
+            return;
+        }
+        assert_eq!(from.cfg, self.cfg, "span of a page of another format");
+        assert_eq!(slots.start, self.slots, "span must start at the next slot");
+        let (first, end) = (
+            from.sp_record(slots.start).start,
+            from.sp_record(slots.end - 1).end,
+        );
+        let dir = from.sp_slot_at(slots.end - 1)..from.sp_slot_at(slots.start) + SLOT_BYTES;
+        assert!(
+            end - first + dir.len() <= self.remaining(),
+            "slots {slots:?} do not fit"
+        );
+        let at = PAGE_HEADER_BYTES + self.record_cursor;
+        self.data[at..at + end - first]
+            .copy_from_slice(&from.page.data[PAGE_HEADER_BYTES + first..PAGE_HEADER_BYTES + end]);
+        self.data[dir.clone()].copy_from_slice(&from.page.data[dir.clone()]);
+        if first != self.record_cursor {
+            for entry in self.data[dir].chunks_exact_mut(SLOT_BYTES) {
+                let off = &mut entry[VID_BYTES..];
+                let moved = read_le::<OFF_BYTES>(off) as usize - first + self.record_cursor;
+                write_le::<OFF_BYTES>(off, moved as u64);
+            }
+        }
+        self.record_cursor += end - first;
+        self.slots = slots.end;
     }
 
     /// One record (`ADJLIST_SZ`, then `len` packed record IDs written by
@@ -472,6 +514,14 @@ impl<'a> PageView<'a> {
         self.cfg.page_size - PAGE_TRAILER_BYTES - (slot as usize + 1) * SLOT_BYTES
     }
 
+    /// Small Page: where `slot`'s record (`ADJLIST_SZ` and its list)
+    /// lies, relative to the start of the record region.
+    fn sp_record(&self, slot: u32) -> Range<usize> {
+        let off = read_le::<OFF_BYTES>(&self.page.data[self.sp_slot_at(slot) + VID_BYTES..]);
+        let len = self.sp_adj_run(slot).len();
+        off as usize..off as usize + ADJLIST_SZ_BYTES + len * self.cfg.id.rid_bytes()
+    }
+
     /// The record a slot's `OFF` field (at the start of `off`) points at.
     #[inline]
     fn sp_record_run(&self, off: &[u8]) -> AdjRun<'a> {
@@ -512,12 +562,6 @@ pub struct AdjRun<'a> {
 }
 
 impl<'a> AdjRun<'a> {
-    /// The packed `(ADJ_PID, ADJ_OFF)` bytes of the entries not yet
-    /// yielded: what [`SmallPageEncoder::push_run`] copies undecoded.
-    pub fn packed_bytes(&self) -> &'a [u8] {
-        &self.bytes[..self.left * self.id.rid_bytes()]
-    }
-
     /// Random access for the cold [`PageView::sp_adj`] / [`PageView::lp_adj`].
     #[inline]
     fn entry(&self, i: u32) -> RecordId {
@@ -696,47 +740,54 @@ mod tests {
     }
 
     #[test]
-    fn push_run_copies_what_push_vertex_would_encode() {
+    fn push_span_copies_what_push_vertex_would_encode() {
         let c = PageFormatConfig::new(PhysicalIdConfig::new(3, 2), 256);
         let lists = [
             vec![RecordId::new(0x01_02_03, 0x0405), RecordId::new(7, 0xFFFF)],
-            vec![],
+            vec![RecordId::new(1, 1)],
             vec![RecordId::new(0xFF_FF_FF, 1)],
+            vec![
+                RecordId::new(9, 9),
+                RecordId::new(8, 8),
+                RecordId::new(7, 7),
+            ],
         ];
         let mut enc = SmallPageEncoder::new(c);
         for (vid, adj) in lists.iter().enumerate() {
             enc.push_vertex(vid as u64, adj);
         }
         let page = enc.finish(3);
-        let mut copy = SmallPageEncoder::new(c);
-        for (vid, mut run) in page.verify(c).unwrap().view().sp_vertices() {
-            if vid == 0 {
-                // A partly consumed run is the entries not yet yielded.
-                assert_eq!(run.next(), Some(lists[0][0]));
-                assert_eq!(run.packed_bytes(), [7, 0, 0, 0xFF, 0xFF]);
-                copy.push_vertex(vid, &lists[0][..1]);
-                copy.push_run(vid + 10, &run);
-            } else {
-                copy.push_run(vid, &run);
+        let old = page.verify(c).unwrap().view();
+        // Slot 1 grows, so the span after it moves up; or it shrinks to
+        // nothing, so the same span moves down.
+        for new in [vec![RecordId::new(5, 5); 4], vec![]] {
+            let mut copy = SmallPageEncoder::new(c);
+            copy.push_span(&old, 0..1);
+            copy.push_vertex(1, &new);
+            copy.push_span(&old, 2..4);
+            copy.push_span(&old, 4..4);
+            let mut want = SmallPageEncoder::new(c);
+            for (vid, adj) in lists.iter().enumerate() {
+                want.push_vertex(vid as u64, if vid == 1 { &new } else { adj });
             }
+            assert_eq!(copy.finish(3).data, want.finish(3).data);
         }
-        let mut want = SmallPageEncoder::new(c);
-        want.push_vertex(0, &lists[0][..1]);
-        want.push_vertex(10, &lists[0][1..]);
-        want.push_vertex(1, &lists[1]);
-        want.push_vertex(2, &lists[2]);
-        assert_eq!(copy.finish(3).data, want.finish(3).data);
+        // The whole page as one span is the page.
+        let mut copy = SmallPageEncoder::new(c);
+        copy.push_span(&old, 0..4);
+        assert_eq!(copy.finish(3).data, page.data);
     }
 
     #[test]
-    #[should_panic(expected = "run of another (p, q)")]
-    fn push_run_of_another_width_panics() {
-        let page = encode_large_page(cfg(), 0, 7, &[RecordId::new(2, 3)]);
-        let run = page.verify(cfg()).unwrap().view().lp_adj_run();
+    #[should_panic(expected = "span of a page of another format")]
+    fn push_span_of_another_format_panics() {
+        let mut enc = SmallPageEncoder::new(cfg());
+        enc.push_vertex(0, &[RecordId::new(2, 3)]);
+        let page = enc.finish(0);
         // Same entry width (4 bytes), different split: the copied bytes
         // would decode to other record IDs.
         let other = PageFormatConfig::new(PhysicalIdConfig::new(3, 1), 256);
-        SmallPageEncoder::new(other).push_run(0, &run);
+        SmallPageEncoder::new(other).push_span(&page.verify(cfg()).unwrap().view(), 0..1);
     }
 
     #[test]

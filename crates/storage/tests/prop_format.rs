@@ -272,6 +272,168 @@ fn load_rejects_resealed_slot_offsets_that_are_not_the_encoders() {
     }
 }
 
+/// A store with every kind of record-ID target, in 512 B pages of
+/// `ORIGINAL` widths: vertex 0's 200 edges fill the Large home run at
+/// pages 0-1, vertices 1-7 share the Small Page 2, and 100 more edges of
+/// vertex 0 overflow into the delta chunk at page 3.
+fn store_with_every_target() -> gts_storage::GraphStore {
+    let mut edges: Vec<(u32, u32)> = (0..200).map(|i| (0, 1 + i % 7)).collect();
+    edges.extend([(1, 2), (1, 0), (2, 3), (3, 4), (5, 6), (7, 1)]);
+    let fmt = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512);
+    let mut store = build_graph_store(&EdgeList::new(8, edges), fmt).unwrap();
+    let mut batch = gts_storage::MutationBatch::new();
+    for i in 0..100 {
+        batch.insert(0, 1 + i % 7);
+    }
+    store.apply_mutations(&batch).unwrap();
+    assert_eq!(store.large_pids(), [0, 1, 3]);
+    assert_eq!(store.small_pids(), [2]);
+    assert_eq!(store.delta_pids_of(0), [3]);
+    store
+}
+
+/// Save `store`, overwrite the first packed record ID of page `pid` (the
+/// first edge of slot 0 on a Small Page, of the chunk on a Large one)
+/// with `rid`, reseal that page so its checksum holds, and load it back.
+fn load_with_resealed_rid(
+    store: &gts_storage::GraphStore,
+    pid: u64,
+    rid: RecordId,
+    name: &str,
+) -> Result<gts_storage::GraphStore, gts_storage::FileError> {
+    use gts_storage::{load_store, page_checksum, save_store};
+    let fmt = store.cfg();
+    let path = std::env::temp_dir().join(format!("gts-fuzz-rid-{name}-{}", std::process::id()));
+    save_store(store, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let first = bytes.len() - store.num_pages() as usize * fmt.page_size;
+    let page = &mut bytes[first + pid as usize * fmt.page_size..][..fmt.page_size];
+    // Header (8), then ADJLIST_SZ (4) on a Small Page or the VID (6) on a
+    // Large one; the entry is a 2-byte page ID and a 2-byte slot.
+    let at = match page[0] {
+        0 => 12,
+        _ => 14,
+    };
+    page[at..at + 2].copy_from_slice(&(rid.pid as u16).to_le_bytes());
+    page[at + 2..at + 4].copy_from_slice(&(rid.slot as u16).to_le_bytes());
+    let sum = page_checksum(page).to_le_bytes();
+    page[fmt.page_size - sum.len()..].copy_from_slice(&sum);
+    std::fs::write(&path, &bytes).unwrap();
+    let result = load_store(&path);
+    std::fs::remove_file(&path).ok();
+    result
+}
+
+fn assert_refused(result: Result<gts_storage::GraphStore, gts_storage::FileError>, want: &str) {
+    match result {
+        Err(gts_storage::FileError::BadHeader(m)) => assert!(m.contains(want), "{m}"),
+        other => panic!("{want}: got {:?}", other.map(|_| "a store")),
+    }
+}
+
+/// A resealed record ID naming a page past the last one is refused, from
+/// a Small Page and from a Large chunk.
+#[test]
+fn load_rejects_a_resealed_rid_past_the_last_page() {
+    let store = store_with_every_target();
+    assert_eq!(store.num_pages(), 4);
+    for pid in [2, 0, 3] {
+        let got = load_with_resealed_rid(&store, pid, RecordId::new(4, 0), "past");
+        assert_refused(got, &format!("page {pid}: record id points at page 4"));
+    }
+}
+
+/// A resealed record ID naming a slot at or past a Small Page's `count`
+/// is refused: the page exists, the slot does not.
+#[test]
+fn load_rejects_a_resealed_rid_past_a_small_pages_slots() {
+    let store = store_with_every_target();
+    assert_eq!(store.view(2).count(), 7);
+    for (from, slot) in [(2, 7), (2, 8), (0, 7), (3, 0xffff)] {
+        let got = load_with_resealed_rid(&store, from, RecordId::new(2, slot), "sp-slot");
+        assert_refused(
+            got,
+            &format!("page {from}: record id names slot {slot} of page 2, which has no such slot"),
+        );
+    }
+}
+
+/// A Large Page holds one vertex, so the only slot a record ID may name
+/// in one is 0 — for a home chunk and for a delta chunk alike.
+#[test]
+fn load_rejects_a_resealed_nonzero_slot_into_a_large_page() {
+    let store = store_with_every_target();
+    for (from, target, slot) in [(2, 0, 1), (2, 1, 1), (2, 3, 1), (0, 3, 2), (3, 0, 0xffff)] {
+        let got = load_with_resealed_rid(&store, from, RecordId::new(target, slot), "lp-slot");
+        assert_refused(
+            got,
+            &format!(
+                "page {from}: record id names slot {slot} of page {target}, which has no such slot"
+            ),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Fuzz the load path past the checksum: flip any byte of any page of
+    /// a valid store file and reseal that page, so the mutation reaches
+    /// the layout, placement and record-ID checks. The load must return a
+    /// typed error or a store whose every record ID resolves to a vertex —
+    /// never panic.
+    #[test]
+    fn load_survives_single_byte_corruption_resealed(
+        corrupt_at_frac in 0.0f64..1.0,
+        new_byte in 0u8..=255,
+        seed in 0u64..50,
+        mutate in 0u8..2,
+    ) {
+        use gts_storage::{load_store, page_checksum, save_store};
+        let graph = gts_graph::generate::Rmat::new(7).with_seed(seed).generate();
+        let fmt = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512);
+        let mut store = build_graph_store(&graph, fmt).unwrap();
+        if mutate == 1 {
+            // 200 more edges fit no Small Page and overflow any Large
+            // home run RMAT7 gives vertex 0: delta chunks.
+            let mut batch = gts_storage::MutationBatch::new();
+            for dst in 0..200 {
+                batch.insert(0, dst % store.num_vertices());
+            }
+            store.apply_mutations(&batch).unwrap();
+        }
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "gts-fuzz-resealed-{}-{}",
+            std::process::id(),
+            (corrupt_at_frac * 1e9) as u64 ^ seed ^ new_byte as u64
+        ));
+        save_store(&store, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first = bytes.len() - store.num_pages() as usize * fmt.page_size;
+        let body = fmt.page_size - 8; // everything but the trailer
+        let flat = ((store.num_pages() as usize * body - 1) as f64 * corrupt_at_frac) as usize;
+        let (pid, at) = (flat / body, flat % body);
+        let page = &mut bytes[first + pid * fmt.page_size..][..fmt.page_size];
+        page[at] = new_byte;
+        let sum = page_checksum(page).to_le_bytes();
+        page[fmt.page_size - sum.len()..].copy_from_slice(&sum);
+        std::fs::write(&path, &bytes).unwrap();
+        let result = std::panic::catch_unwind(|| {
+            load_store(&path).map(|loaded| {
+                let n = loaded.num_vertices();
+                loaded.decode_edges().into_iter().all(|(s, d)| s < n && d < n)
+            })
+        });
+        std::fs::remove_file(&path).ok();
+        match result {
+            Ok(Ok(in_range)) => prop_assert!(in_range, "page {pid} byte {at}: edge out of range"),
+            Ok(Err(_)) => {}
+            Err(_) => prop_assert!(false, "load_store panicked on page {pid} byte {at}"),
+        }
+    }
+}
+
 /// Every `(p, q)` width pair: both the one-load path (`p + q <= 8`) and
 /// the two-load path, up to `(8, 8)`.
 fn all_widths() -> impl Iterator<Item = PhysicalIdConfig> {

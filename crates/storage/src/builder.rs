@@ -262,6 +262,13 @@ impl GraphStore {
     /// untrusted bytes, so every structural and semantic violation
     /// (out-of-bounds offsets, non-consecutive Small-Page VIDs, dangling
     /// record IDs, missing vertices) surfaces as an error, never a panic.
+    ///
+    /// Two passes, both in page-ID order. Pass 1 verifies each page
+    /// (trailer checksum and layout) and places its vertices, while
+    /// recording the page's slot bound: its `count` for a Small Page, 1
+    /// for every Large chunk. Pass 2 checks every record ID against that
+    /// table — the target page exists and has the slot — and its RVT
+    /// translation against the vertex count, without opening the target.
     pub fn reconstruct(
         cfg: PageFormatConfig,
         pages: Vec<Page>,
@@ -277,12 +284,6 @@ impl GraphStore {
                 pages.len()
             ));
         }
-        // Verification pass: after this, PageView accessors cannot go out
-        // of bounds on any page — and each page caches its verified state,
-        // so every later view over it is O(1).
-        for page in &pages {
-            page.verify(cfg)?;
-        }
         let mut rvt_entries = Vec::with_capacity(pages.len());
         let mut small_pids = Vec::new();
         let mut large_pids = Vec::new();
@@ -290,8 +291,12 @@ impl GraphStore {
         let mut vertex_rid = vec![RecordId::new(u64::MAX, 0); num_vertices as usize];
         let mut num_edges = 0u64;
         let mut delta_pages: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        // Slots a record ID may name in each page, indexed by pid.
+        let mut slot_bound: Vec<u32> = Vec::with_capacity(pages.len());
 
-        // First pass: kinds, per-page edges, vertex placements, and the
+        // Pass 1: verify each page — after which its PageView accessors
+        // cannot go out of bounds, and every later view is one load — and
+        // read its kind, edges, vertex placements and slot bound, plus the
         // Large-Page run structure (consecutive chunks of one vertex).
         let mut i = 0usize;
         while i < pages.len() {
@@ -326,6 +331,7 @@ impl GraphStore {
                     small_pids.push(pid);
                     edges_per_page.push(edges);
                     num_edges += edges;
+                    slot_bound.push(count);
                     i += 1;
                 }
                 PageKind::Large => {
@@ -374,6 +380,9 @@ impl GraphStore {
                             delta_pages.entry(vid).or_default().push(pid + c as u64);
                         }
                     }
+                    // A Large chunk, home or delta, holds its vertex at
+                    // slot 0 only (a record ID names a run's first chunk).
+                    slot_bound.resize(slot_bound.len() + chunks, 1);
                     i += chunks;
                 }
             }
@@ -395,8 +404,9 @@ impl GraphStore {
             epoch: 0,
             delta_pages,
         };
-        // Semantic pass over adjacency: every record ID must resolve to a
-        // real vertex (the translation is what every kernel trusts).
+        // Pass 2, over adjacency: every record ID must name a slot that
+        // exists and resolve to a real vertex (the translation is what
+        // every kernel trusts).
         let num_pages = store.num_pages();
         for pid in 0..num_pages {
             let view = store.view(pid);
@@ -404,15 +414,7 @@ impl GraphStore {
                 if rid.pid >= num_pages {
                     return Err(format!("page {pid}: record id points at page {}", rid.pid));
                 }
-                // The slot must exist in the target page: within the slot
-                // count of a Small Page, exactly 0 for a Large Page (a
-                // high-degree vertex's record ID names its first chunk).
-                let target_view = store.view(rid.pid);
-                let slot_ok = match target_view.kind() {
-                    PageKind::Small => rid.slot < target_view.count(),
-                    PageKind::Large => rid.slot == 0,
-                };
-                if !slot_ok {
+                if rid.slot >= slot_bound[rid.pid as usize] {
                     return Err(format!(
                         "page {pid}: record id names slot {} of page {}, which has no such slot",
                         rid.slot, rid.pid
@@ -607,7 +609,7 @@ pub fn build_from_csr(csr: &Csr, cfg: PageFormatConfig) -> Result<GraphStore, Bu
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 mod tests {
     use super::*;
-    use crate::format::{PageKind, PhysicalIdConfig};
+    use crate::format::PhysicalIdConfig;
     use gts_graph::generate::rmat;
     use gts_graph::VertexId;
 
@@ -651,7 +653,7 @@ mod tests {
         // The LP vertex's rid points at its first LP, slot 0.
         let rid = store.rid_of_vertex(0);
         assert_eq!(rid.slot, 0);
-        assert_eq!(store.view(rid.pid).kind(), PageKind::Large);
+        assert!(store.large_pids().contains(&rid.pid));
         assert_eq!(store.rvt().translate(rid), 0);
     }
 

@@ -6,7 +6,10 @@
 //! because everything else (RVT, vertex placements, page kinds, edge
 //! counts) is reconstructible by scanning the pages
 //! ([`GraphStore::reconstruct`]), which also serves as a load-time
-//! integrity check.
+//! integrity check in two passes over the pages: the first verifies each
+//! page (trailer checksum, layout) and places its vertices, recording
+//! how many slots the page holds; the second checks every record ID
+//! against that per-page slot table and the RVT.
 //!
 //! ```text
 //! offset  size  field
@@ -94,8 +97,9 @@ pub fn save_store(store: &GraphStore, path: impl AsRef<Path>) -> Result<(), File
 
 /// Read a store from `path`, reconstructing all metadata from the pages.
 pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
-    let path_buf = path.as_ref().to_path_buf();
-    let mut r = BufReader::new(File::open(&path_buf)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut header = [0u8; HEADER_BYTES];
     r.read_exact(&mut header)
         .map_err(|_| FileError::BadHeader("file shorter than header".into()))?;
@@ -129,7 +133,6 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
     // count must match what the file can actually hold, and the vertex
     // count must be addressable by the format (reconstruct allocates a
     // per-vertex table from it).
-    let file_len = std::fs::metadata(&path_buf).map(|m| m.len()).unwrap_or(0);
     let payload = file_len.saturating_sub(HEADER_BYTES as u64);
     if num_pages.checked_mul(page_size as u64) != Some(payload) {
         return Err(FileError::BadHeader(format!(

@@ -230,15 +230,32 @@ const _: () = assert!(PAGE_TRAILER_BYTES >= LOAD_BYTES);
 
 /// Pack `adj` from the start of `buf`, one `(p, q)`-wide entry each.
 fn encode_rids(buf: &mut [u8], adj: &[RecordId], id: PhysicalIdConfig) {
-    let entries = buf[..adj.len() * id.rid_bytes()].chunks_exact_mut(id.rid_bytes());
-    for (entry, rid) in entries.zip(adj) {
+    let (p, w) = (id.p as usize, id.rid_bytes());
+    let buf = &mut buf[..adj.len() * w];
+    for rid in adj {
         debug_assert!(
             rid.pid <= low_mask(id.p as u32) && rid.slot as u64 <= low_mask(id.q as u32),
             "{rid:?} overflows {id}"
         );
-        let (pid, slot) = entry.split_at_mut(id.p as usize);
-        // Byte loops: the widths are run-time values, and a slice copy of
-        // run-time length is a `memcpy` call per half.
+    }
+    // An entry that fits a word is one fixed-width store of the whole
+    // word while that stays inside `buf`: the bytes it writes past the
+    // entry are the next entry's, which overwrites them in turn.
+    let words = if w <= LOAD_BYTES && buf.len() >= LOAD_BYTES {
+        (buf.len() - LOAD_BYTES) / w + 1
+    } else {
+        0
+    };
+    for (i, rid) in adj[..words].iter().enumerate() {
+        let word = (rid.pid & low_mask(id.p as u32))
+            | (rid.slot as u64 & low_mask(id.q as u32)) << (8 * p);
+        write_le::<LOAD_BYTES>(&mut buf[i * w..], word);
+    }
+    // The last entries of a list, and every entry wider than a word, go
+    // byte by byte: the widths are run-time values, and a slice copy of
+    // run-time length is a `memcpy` call per half.
+    for (entry, rid) in buf[words * w..].chunks_exact_mut(w).zip(&adj[words..]) {
+        let (pid, slot) = entry.split_at_mut(p);
         for (i, b) in pid.iter_mut().enumerate() {
             *b = (rid.pid >> (8 * i)) as u8;
         }
@@ -951,5 +968,38 @@ mod tests {
         let v = page.verify(c).unwrap().view();
         assert_eq!(v.sp_vid(0), 0x00FF_FFFF_FFFF);
         assert_eq!(v.sp_adj(0, 0), RecordId::new(0xABCDEF, 0x123456));
+    }
+
+    /// The word stores of `encode_rids` write exactly the bytes of the
+    /// field-by-field little-endian packing, at every width and list
+    /// length, and nothing past the list.
+    #[test]
+    fn encode_rids_writes_the_bytewise_packing_and_nothing_past_it() {
+        for p in 1u8..=8 {
+            for q in 1u8..=8 {
+                let id = PhysicalIdConfig::new(p, q);
+                let w = id.rid_bytes();
+                for len in 0..12u64 {
+                    let adj: Vec<RecordId> = (0..len)
+                        .map(|i| {
+                            let x = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1);
+                            RecordId::new(
+                                x & low_mask(p as u32),
+                                (x >> 13) as u32 & low_mask(q as u32) as u32,
+                            )
+                        })
+                        .collect();
+                    let mut want = Vec::new();
+                    for rid in &adj {
+                        want.extend_from_slice(&rid.pid.to_le_bytes()[..p as usize]);
+                        want.extend_from_slice(&(rid.slot as u64).to_le_bytes()[..q as usize]);
+                    }
+                    want.resize(want.len() + 16, 0xA5);
+                    let mut got = vec![0xA5u8; adj.len() * w + 16];
+                    encode_rids(&mut got, &adj, id);
+                    assert_eq!(got, want, "({p},{q}) × {len}");
+                }
+            }
+        }
     }
 }

@@ -155,6 +155,9 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
         })?;
         pages.push(Page::new(pid, kind, data.into_boxed_slice()));
     }
+    // Every page is read: close the file and free the read buffer before
+    // the checks allocate their tables.
+    drop(r);
     GraphStore::reconstruct(cfg, pages, num_vertices).map_err(FileError::BadHeader)
 }
 

@@ -324,6 +324,7 @@ fn load_with_resealed_rid(
     result
 }
 
+/// The load failed with a typed error whose message contains `want`.
 fn assert_refused(result: Result<gts_storage::GraphStore, gts_storage::FileError>, want: &str) {
     match result {
         Err(gts_storage::FileError::BadHeader(m)) => assert!(m.contains(want), "{m}"),

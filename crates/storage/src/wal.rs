@@ -521,6 +521,7 @@ mod tests {
     use super::*;
     use crate::builder::build_graph_store;
     use crate::format::{PageFormatConfig, PhysicalIdConfig};
+    use crate::page::Page;
     use gts_graph::EdgeList;
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -790,6 +791,48 @@ mod tests {
         assert!(!asked);
         fs::remove_dir_all(&dir).ok();
         fs::remove_dir_all(&gap_dir).ok();
+    }
+
+    /// The WAL binds only a store's vertex count and format, so a log
+    /// written over store A replays onto a store B that lacks one of A's
+    /// edges. The record that deletes it is the store's to reject:
+    /// replay stops at the record boundary before it, with B equal to
+    /// the first batch applied alone — pages, RVT, delta tables, epoch.
+    #[test]
+    fn replay_rejected_mid_log_stops_at_the_record_boundary() {
+        let dir = tmp_dir("midlog");
+        // 13 one-edge vertices on one 256-byte page; A also has 0 -> 2.
+        let ring: Vec<(u32, u32)> = (0..13).map(|v| (v, (v + 1) % 13)).collect();
+        let mut a = store_of(13, [ring.clone(), vec![(0, 2)]].concat());
+        let b1 = batch(&[(0, 5, 0), (0, 5, 1), (0, 5, 2)]); // overflows: spills 5
+        let mut wal = Wal::open(&dir, &a).unwrap();
+        for b in [b1.clone(), batch(&[(1, 0, 2)]), batch(&[(0, 3, 4)])] {
+            a.apply_mutations_logged(&b, &mut wal).unwrap();
+        }
+        let mut b = store_of(13, ring.clone());
+        let mut want = b.clone();
+        want.apply_mutations(&b1).unwrap();
+        assert!(want.has_delta_pages(), "the first batch must spill");
+        assert_eq!(
+            Wal::load(&dir).unwrap().replay_onto(&mut b),
+            Err(WalError::Rejected(MutateError::EdgeNotFound {
+                src: 0,
+                dst: 2
+            }))
+        );
+        assert_eq!(b.epoch(), 1);
+        assert_eq!(b.pages(), want.pages());
+        assert_eq!(b.rvt(), want.rvt());
+        assert_eq!(b.num_edges(), want.num_edges());
+        for v in 0..13 {
+            assert_eq!(
+                b.delta_pids_of(v),
+                want.delta_pids_of(v),
+                "delta pages of {v}"
+            );
+        }
+        assert!(b.pages().iter().all(Page::checksum_ok));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -68,8 +68,22 @@ fn assert_stores_identical(a: &GraphStore, b: &GraphStore) -> Result<(), TestCas
     prop_assert_eq!(a.num_pages(), b.num_pages(), "page count");
     prop_assert_eq!(a.num_edges(), b.num_edges(), "edge count");
     prop_assert_eq!(a.rvt(), b.rvt(), "RVT");
+    prop_assert_eq!(a.small_pids(), b.small_pids(), "small pids");
+    prop_assert_eq!(a.large_pids(), b.large_pids(), "large pids");
     for (pid, (pa, pb)) in a.pages().iter().zip(b.pages().iter()).enumerate() {
         prop_assert_eq!(&pa.data, &pb.data, "page {} bytes", pid);
+        let pid = pid as u64;
+        prop_assert_eq!(
+            a.edges_in_page(pid),
+            b.edges_in_page(pid),
+            "edges in page {}",
+            pid
+        );
+        prop_assert!(
+            pa.checksum_ok() && pb.checksum_ok(),
+            "page {} checksum",
+            pid
+        );
     }
     for v in 0..a.num_vertices() {
         prop_assert_eq!(

@@ -807,7 +807,7 @@ fn fsck_findings(args: &Args) -> Result<(Vec<&'static str>, Vec<Finding>), CliEr
                 let (base, epoch) = (w.header().base_epoch, store.epoch());
                 // A log based at another epoch is reported, not replayed.
                 let replayed = w.replay_until(&mut store.clone(), |s| {
-                    reachable.push(gts_core::store_fingerprint(s));
+                    reachable.push(gts_core::shape_fingerprint(s));
                     base != epoch
                 });
                 match replayed {

@@ -85,4 +85,4 @@ pub use gts_telemetry::Telemetry;
 pub use job::{Engine, JobOptions};
 pub use report::RunReport;
 pub use strategy::Strategy;
-pub use sweep::ckpt::{snapshot_progress, store_fingerprint};
+pub use sweep::ckpt::{shape_fingerprint, snapshot_progress, store_fingerprint};

@@ -190,9 +190,11 @@ pub struct PageCtx<'a> {
 pub struct KernelScratch {
     /// Out-degrees of the page's *active* vertices, fed to the warp model.
     pub degrees: Vec<u32>,
-    /// Page IDs marked for the next level (the local `nextPIDSet_GPU`);
-    /// the engine drains this after each kernel, so the buffer is reused
-    /// across pages without reallocating.
+    /// Page IDs marked for the next level (the local `nextPIDSet_GPU`).
+    /// `run_page_kernels` takes the buffer after every page, as that
+    /// page's `PageOutcome::next_pids`, so each page that marks pages
+    /// allocates its own; keeping one buffer across pages measured no
+    /// faster.
     pub next_pids: Vec<u64>,
     /// A pool worker's private scatter lane, one integer slot per vertex
     /// (the paper's per-GPU WA copy, Sec. 4.1). All-zero outside

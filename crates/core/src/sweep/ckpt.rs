@@ -30,7 +30,7 @@ use crate::sweep::plan::SweepPlan;
 use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, Snapshot};
 use gts_faults::FaultPlan;
 use gts_sim::{SimDuration, SimTime};
-use gts_storage::builder::GraphStore;
+use gts_storage::builder::{GraphStore, StoreShape};
 use gts_telemetry::{keys, SpanCat, Telemetry, Track};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -79,14 +79,21 @@ fn strategy_from_code(code: u8) -> Result<Strategy, CkptError> {
 /// [`CkptError::Mismatch`] on `"store fingerprint"`) — an in-flight
 /// sweep's saved state describes the pre-mutation topology.
 pub fn store_fingerprint(store: &GraphStore) -> u64 {
+    shape_fingerprint(&store.shape())
+}
+
+/// [`store_fingerprint`] of a store's counts, page size and epoch — all
+/// it reads — as a mutation call reports them between its batches
+/// ([`gts_storage::Wal::replay_until`]).
+pub fn shape_fingerprint(shape: &StoreShape) -> u64 {
     let mut w = ByteWriter::new();
-    w.put_u64(store.num_vertices());
-    w.put_u64(store.num_edges());
-    w.put_u64(store.num_pages());
-    w.put_u64(store.cfg().page_size as u64);
-    w.put_u64(store.small_pids().len() as u64);
-    w.put_u64(store.large_pids().len() as u64);
-    w.put_u64(store.epoch());
+    w.put_u64(shape.num_vertices());
+    w.put_u64(shape.num_edges());
+    w.put_u64(shape.num_pages());
+    w.put_u64(shape.page_size() as u64);
+    w.put_u64(shape.small_pages());
+    w.put_u64(shape.large_pages());
+    w.put_u64(shape.epoch());
     fnv1a(&w.into_bytes())
 }
 
@@ -217,7 +224,7 @@ pub(crate) fn recover_store(
     wal: &gts_storage::Wal,
     target: u64,
 ) -> Result<u64, EngineError> {
-    let applied = wal.replay_until(store, |s| store_fingerprint(s) == target)?;
+    let applied = wal.replay_until(store, |s| shape_fingerprint(s) == target)?;
     let got = store_fingerprint(store);
     if got != target {
         return Err(EngineError::Checkpoint(CkptError::Mismatch {

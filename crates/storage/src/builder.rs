@@ -76,10 +76,74 @@ pub struct GraphStore {
     pub(crate) delta_pages: BTreeMap<u64, Vec<u64>>,
 }
 
+/// A store's counts, page size and epoch: the structure a mutation call
+/// commits batch by batch, readable while the call's page bytes are
+/// still pending ([`GraphStore::apply_batches`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreShape {
+    num_vertices: u64,
+    num_edges: u64,
+    num_pages: u64,
+    page_size: usize,
+    small_pages: u64,
+    large_pages: u64,
+    epoch: u64,
+}
+
+impl StoreShape {
+    /// [`GraphStore::num_vertices`].
+    pub fn num_vertices(&self) -> u64 {
+        self.num_vertices
+    }
+
+    /// [`GraphStore::num_edges`].
+    pub fn num_edges(&self) -> u64 {
+        self.num_edges
+    }
+
+    /// [`GraphStore::num_pages`].
+    pub fn num_pages(&self) -> u64 {
+        self.num_pages
+    }
+
+    /// The page size of [`GraphStore::cfg`].
+    pub fn page_size(&self) -> usize {
+        self.page_size
+    }
+
+    /// Length of [`GraphStore::small_pids`].
+    pub fn small_pages(&self) -> u64 {
+        self.small_pages
+    }
+
+    /// Length of [`GraphStore::large_pids`].
+    pub fn large_pages(&self) -> u64 {
+        self.large_pages
+    }
+
+    /// [`GraphStore::epoch`].
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
 impl GraphStore {
     /// The format this store was built with.
     pub fn cfg(&self) -> PageFormatConfig {
         self.cfg
+    }
+
+    /// This store's counts, page size and epoch.
+    pub fn shape(&self) -> StoreShape {
+        StoreShape {
+            num_vertices: self.num_vertices(),
+            num_edges: self.num_edges,
+            num_pages: self.num_pages(),
+            page_size: self.cfg.page_size,
+            small_pages: self.small_pids.len() as u64,
+            large_pages: self.large_pids.len() as u64,
+            epoch: self.epoch,
+        }
     }
 
     /// All pages, indexed by page ID.

@@ -36,7 +36,7 @@ pub mod page;
 pub mod rvt;
 pub mod wal;
 
-pub use builder::{build_graph_store, BuildError, GraphStore};
+pub use builder::{build_graph_store, BuildError, GraphStore, StoreShape};
 pub use cache::{CachePolicy, FifoCache, LruCache, PageCache, RandomCache};
 pub use device::{BlockDevice, DeviceKind, FetchPolicy, StorageArray, StorageError};
 pub use file::{load_store, save_store, FileError};

@@ -10,9 +10,9 @@
 //!   record encoded from its new adjacency, each run of unchanged records
 //!   copied from the old page as one block — sealed with a fresh trailer
 //!   checksum, and replaces the old page under the same page ID, so every
-//!   inbound [`RecordId`] stays valid. The pages a batch seals are
-//!   installed with that checksum marked as matched: the next view of
-//!   one walks its layout without hashing it again.
+//!   inbound [`crate::format::RecordId`] stays valid. The pages a call
+//!   seals are installed with that checksum marked as matched: the next
+//!   view of one walks its layout without hashing it again.
 //! * **Spill to delta pages.** When a Small Page overflows its budget, the
 //!   vertex with the largest record (ties to the lowest VID) is *spilled*:
 //!   its home record is rewritten zero-length and its **entire** adjacency
@@ -31,10 +31,26 @@
 //! a vertex's home page must widen its plan by
 //! [`GraphStore::delta_pids_for_page`] to see the spilled edges.
 //!
-//! **Atomicity.** The batch is validated and fully staged (replacement
-//! pages, appended pages, RVT entries) before anything is installed; any
-//! error — unknown endpoint, missing edge on delete, page-ID exhaustion —
-//! leaves the store byte-identical to its pre-batch state.
+//! **Structure per batch, bytes once per call.** One engine call takes
+//! k ≥ 1 batches ([`GraphStore::apply_batches`];
+//! [`GraphStore::apply_mutations`] is its k = 1 call). Each batch, in
+//! order, makes every structural decision — per-vertex adjacency, routing,
+//! spill victims, chunk lists, delta-page IDs, per-page edge counts, RVT
+//! entries, the epoch — against the structure the batches before it left,
+//! and commits it. A vertex's adjacency is read off its pages once per
+//! call and edited in its packed on-page form after that. The page bytes
+//! are built once, when the call ends: each changed Small Page by one span
+//! walk over the page as the call found it, each changed chunk from its
+//! vertex's final adjacency. Small Pages are canonical and a chunk is a
+//! function of its vertex's adjacency and chunk list, so the bytes equal
+//! those of k calls of one batch each.
+//!
+//! **Atomicity, per batch.** A batch is validated and all of its decisions
+//! are made before any is committed; any error — unknown endpoint,
+//! missing edge on delete, page-ID exhaustion — discards the batch whole.
+//! The call still ends by building the bytes of the batches before it, so
+//! the store is byte-identical to its state after them (for a one-batch
+//! call, to its state before the call), and the error is returned.
 //!
 //! **Epoch.** Every applied non-empty batch bumps [`GraphStore::epoch`].
 //! The checkpoint fingerprint folds the epoch in, so a snapshot taken
@@ -45,12 +61,11 @@
 //! so the resulting page bytes are identical regardless of host thread
 //! count — the same determinism contract the rest of the engine holds.
 
-use crate::builder::GraphStore;
-use crate::format::{PageKind, RecordId};
-use crate::page::{encode_large_page, Page, SmallPageEncoder};
+use crate::builder::{GraphStore, StoreShape};
+use crate::format::PageKind;
+use crate::page::{encode_large_run, PackedAdj, Page, PageView, SmallPageEncoder};
 use crate::rvt::RvtEntry;
-use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One edge mutation. Endpoints are vertex IDs; the vertex set is fixed
@@ -120,8 +135,8 @@ impl MutationBatch {
     }
 }
 
-/// Why a mutation batch was rejected. The store is untouched in every
-/// case — application is all-or-nothing.
+/// Why a mutation batch was rejected. Nothing of the batch is applied in
+/// any case — application is all-or-nothing per batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MutateError {
     /// An op names a vertex outside the store's fixed vertex set.
@@ -195,56 +210,136 @@ pub struct MutationOutcome {
 }
 
 impl GraphStore {
-    /// Full current adjacency of `vid`: home record (Small) or home chunk
-    /// run (Large), followed by any delta pages, in stored order.
-    fn current_adjacency(&self, vid: u64) -> Vec<RecordId> {
-        let home = self.vertex_rid[vid as usize];
-        let mut adj = Vec::new();
-        let hv = self.view(home.pid);
-        match hv.kind() {
-            PageKind::Small => adj.extend(hv.sp_adj_run(home.slot)),
-            PageKind::Large => {
-                let run = self.rvt.entry(home.pid).lp_range.unwrap_or(0) as u64;
-                for pid in home.pid..=home.pid + run {
-                    adj.extend(self.view(pid).lp_adj_run());
-                }
-            }
-        }
-        if let Some(dps) = self.delta_pages.get(&vid) {
-            for &pid in dps {
-                adj.extend(self.view(pid).lp_adj_run());
-            }
-        }
-        adj
-    }
-
-    /// Lazily materialise the overlay adjacency for `vid`.
-    fn overlay_adj<'m>(
-        &self,
-        overlay: &'m mut BTreeMap<u64, Vec<RecordId>>,
-        vid: u64,
-    ) -> &'m mut Vec<RecordId> {
-        overlay
-            .entry(vid)
-            .or_insert_with(|| self.current_adjacency(vid))
-    }
-
     /// Apply `batch` atomically. On success the store's epoch is bumped
     /// and the returned [`MutationOutcome`] lists the pages whose bytes
     /// changed; on any error the store is byte-identical to before.
     ///
-    /// An empty batch is a no-op (the epoch does not move).
+    /// An empty batch is a no-op (the epoch does not move). This is the
+    /// one-batch call of [`GraphStore::apply_batches`].
     pub fn apply_mutations(
         &mut self,
         batch: &MutationBatch,
     ) -> Result<MutationOutcome, MutateError> {
+        let mut call = Call::new(self);
+        let outcome = call.batch(batch);
+        call.finish();
+        outcome
+    }
+
+    /// Apply `batches` in order in one call, asking `done` after each
+    /// applied one and stopping once it holds; returns how many were
+    /// applied. Each batch commits its structure, epoch included, before
+    /// `done` sees it; the pages the call changed are built once, when it
+    /// ends, into the bytes the same batches applied one call each would
+    /// leave. A batch that fails is discarded whole: the store ends the
+    /// call as after the batches before it, bytes included, and the error
+    /// is returned.
+    pub fn apply_batches<'b>(
+        &mut self,
+        batches: impl IntoIterator<Item = &'b MutationBatch>,
+        mut done: impl FnMut(&StoreShape) -> bool,
+    ) -> Result<u64, MutateError> {
+        let mut call = Call::new(self);
+        let (mut applied, mut failed) = (0, None);
+        for batch in batches {
+            if let Err(e) = call.batch(batch) {
+                failed = Some(e);
+                break;
+            }
+            applied += 1;
+            if done(&call.store.shape()) {
+                break;
+            }
+        }
+        call.finish();
+        failed.map_or(Ok(applied), Err)
+    }
+
+    /// The pages holding `vid`'s adjacency past its home record: its
+    /// Large home run, if it has one, then its delta pages.
+    fn chunk_pids(&self, vid: u64) -> Vec<u64> {
+        let home = self.vertex_rid[vid as usize];
+        let mut pids = Vec::new();
+        if self.view(home.pid).kind() == PageKind::Large {
+            let run = self.rvt.entry(home.pid).lp_range.unwrap_or(0) as u64;
+            pids.extend(home.pid..=home.pid + run);
+        }
+        pids.extend_from_slice(self.delta_pids_of(vid));
+        pids
+    }
+
+    /// `vid`'s adjacency as its pages hold it: the home record (Small)
+    /// or home run (Large), then any delta pages, in stored order.
+    fn packed_adjacency(&self, vid: u64) -> PackedAdj {
+        let home = self.vertex_rid[vid as usize];
+        let mut adj = PackedAdj::new(self.cfg.id);
+        let hv = self.view(home.pid);
+        if hv.kind() == PageKind::Small {
+            adj.extend(hv.sp_adj_run(home.slot));
+        }
+        for pid in self.chunk_pids(vid) {
+            adj.extend(self.view(pid).lp_adj_run());
+        }
+        adj
+    }
+}
+
+/// One call of the mutation engine. Batches commit their structure one
+/// by one; page bytes stay as the call found them until
+/// [`Call::finish`] builds each changed page once. What a committed
+/// batch changed is held here: the current adjacency of every vertex it
+/// touched or spilled, and which records and chunks need encoding.
+struct Call<'s> {
+    store: &'s mut GraphStore,
+    /// Current adjacency of every vertex a committed batch touched or
+    /// spilled; every other vertex's is still on its pages.
+    adj: BTreeMap<u64, PackedAdj>,
+    /// Per Small Page, the slots whose record a committed batch changed.
+    slots: BTreeMap<u64, BTreeSet<u32>>,
+    /// Vertices whose home run and delta pages a committed batch rewrote.
+    chunked: BTreeSet<u64>,
+}
+
+impl<'s> Call<'s> {
+    fn new(store: &'s mut GraphStore) -> Self {
+        Call {
+            store,
+            adj: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            chunked: BTreeSet::new(),
+        }
+    }
+
+    /// `vid`'s adjacency as the batches committed so far left it.
+    fn current(&self, vid: u64) -> PackedAdj {
+        match self.adj.get(&vid) {
+            Some(adj) => adj.clone(),
+            None => self.store.packed_adjacency(vid),
+        }
+    }
+
+    /// Length of the record in `slot` of the Small Page `view` as the
+    /// batches committed so far left it (the page bytes may be older).
+    fn record_len(&self, view: &PageView<'_>, slot: u32) -> usize {
+        let vid = view.sp_vid(slot);
+        match self.adj.get(&vid) {
+            Some(_) if self.store.delta_pages.contains_key(&vid) => 0,
+            Some(adj) => adj.len(),
+            None => view.sp_adj_len(slot) as usize,
+        }
+    }
+
+    /// Make every structural decision of `batch` and commit them, or
+    /// none: on error nothing of the batch is kept.
+    fn batch(&mut self, batch: &MutationBatch) -> Result<MutationOutcome, MutateError> {
+        let store = &*self.store;
         if batch.is_empty() {
             return Ok(MutationOutcome {
-                epoch: self.epoch,
+                epoch: store.epoch,
                 ..MutationOutcome::default()
             });
         }
-        let n = self.num_vertices();
+        let n = store.num_vertices();
         for op in batch.ops() {
             let (&src, &dst) = match op {
                 EdgeOp::Insert { src, dst } | EdgeOp::Delete { src, dst } => (src, dst),
@@ -259,20 +354,24 @@ impl GraphStore {
             }
         }
 
-        // --- Stage 1: per-vertex adjacency overlays. ---
-        let mut overlay: BTreeMap<u64, Vec<RecordId>> = BTreeMap::new();
+        // --- Stage 1: the batch's ops on its touched vertices' lists. ---
+        let mut work: BTreeMap<u64, PackedAdj> = BTreeMap::new();
         let mut inserted = 0u64;
         let mut deleted = 0u64;
         for op in batch.ops() {
             match *op {
                 EdgeOp::Insert { src, dst } => {
-                    let rid = self.rid_of_vertex(dst);
-                    self.overlay_adj(&mut overlay, src).push(rid);
+                    let rid = store.rid_of_vertex(dst);
+                    work.entry(src)
+                        .or_insert_with(|| self.current(src))
+                        .push(rid);
                     inserted += 1;
                 }
                 EdgeOp::Delete { src, dst } => {
-                    let adj = self.overlay_adj(&mut overlay, src);
-                    let pos = adj.iter().position(|&r| self.rvt.translate(r) == dst);
+                    let adj = work.entry(src).or_insert_with(|| self.current(src));
+                    let pos = adj
+                        .run(0..adj.len())
+                        .position(|r| store.rvt.translate(r) == dst);
                     match pos {
                         Some(p) => {
                             adj.remove(p);
@@ -284,43 +383,41 @@ impl GraphStore {
             }
         }
 
-        // --- Stage 2: route overlays to rewrite paths. ---
+        // --- Stage 2: route each touched vertex. ---
         // A Small-Page vertex still resident in its home record is a
         // touched slot of its home page; an already-spilled Small-Page
-        // vertex or a Large-Page vertex gets a whole-adjacency rewrite. The
-        // overlay is in VID order and a Small Page holds consecutive VIDs,
-        // so a page's touched slots (its overlay range `start_vid ..
-        // start_vid + count`) arrive in ascending slot order.
-        let mut sp_touched: BTreeMap<u64, Vec<(u32, &[RecordId])>> = BTreeMap::new();
-        let mut delta_rewrites: BTreeMap<u64, Cow<'_, [RecordId]>> = BTreeMap::new();
-        for (&vid, adj) in &overlay {
-            let home = self.vertex_rid[vid as usize];
-            if self.view(home.pid).kind() == PageKind::Large || self.delta_pages.contains_key(&vid)
+        // vertex or a Large-Page vertex is re-chunked whole. `work` is in
+        // VID order and a Small Page holds consecutive VIDs, so a page's
+        // touched slots arrive in ascending slot order.
+        let mut sp_touched: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut rechunk: BTreeSet<u64> = BTreeSet::new();
+        for &vid in work.keys() {
+            let home = store.vertex_rid[vid as usize];
+            if store.view(home.pid).kind() == PageKind::Large
+                || store.delta_pages.contains_key(&vid)
             {
-                delta_rewrites.insert(vid, Cow::Borrowed(adj.as_slice()));
+                rechunk.insert(vid);
             } else {
-                sp_touched
-                    .entry(home.pid)
-                    .or_default()
-                    .push((home.slot, adj));
+                sp_touched.entry(home.pid).or_default().push(home.slot);
             }
         }
 
-        // --- Stage 3: rebuild touched Small Pages, spilling on overflow. ---
-        let mut replaced: BTreeMap<u64, (Page, u64)> = BTreeMap::new();
-        let budget = self.cfg.sp_budget();
-        let rid_w = self.cfg.id.rid_bytes();
-        for (pid, mut touched) in sp_touched {
-            let view = self.view(pid);
+        // --- Stage 3: touched Small Pages' edges, spilling on overflow. ---
+        let mut replaced: BTreeMap<u64, u64> = BTreeMap::new();
+        let budget = store.cfg.sp_budget();
+        let rid_w = store.cfg.id.rid_bytes();
+        for (pid, touched) in &mut sp_touched {
+            let view = store.view(*pid);
+            let len_after = |slot: u32| work[&view.sp_vid(slot)].len();
             // A page's footprint is affine in its edges, so only the
             // touched records' lengths are read while it fits.
             let foot = |edges: u64| {
-                view.count() as usize * self.cfg.sp_vertex_bytes(0) + edges as usize * rid_w
+                view.count() as usize * store.cfg.sp_vertex_bytes(0) + edges as usize * rid_w
             };
-            let mut edges = self.edges_per_page[pid as usize];
-            for &(slot, adj) in &touched {
-                edges -= view.sp_adj_len(slot) as u64;
-                edges += adj.len() as u64;
+            let mut edges = store.edges_per_page[*pid as usize];
+            for &slot in touched.iter() {
+                edges -= self.record_len(&view, slot) as u64;
+                edges += len_after(slot) as u64;
             }
             if foot(edges) > budget {
                 // Spill the largest record (ties to the lowest VID) until
@@ -330,9 +427,13 @@ impl GraphStore {
                 // by construction (the builder packed `count` non-smaller
                 // records here).
                 let mut lens: Vec<usize> = view.sp_vertices().map(|(_, run)| run.len()).collect();
-                for &(slot, adj) in &touched {
-                    lens[slot as usize] = adj.len();
+                for &slot in self.slots.get(pid).into_iter().flatten() {
+                    lens[slot as usize] = self.record_len(&view, slot);
                 }
+                for &slot in touched.iter() {
+                    lens[slot as usize] = len_after(slot);
+                }
+                let mut victims = Vec::new();
                 while foot(edges) > budget {
                     // Of equal maxima `max_by_key` keeps the last, so
                     // walked backwards it keeps the lowest slot.
@@ -345,106 +446,130 @@ impl GraphStore {
                         break;
                     }
                     edges -= len as u64;
-                    let adj = match touched.binary_search_by_key(&slot, |&(t, _)| t) {
-                        Ok(i) => Cow::Borrowed(std::mem::take(&mut touched[i].1)),
-                        Err(i) => {
-                            touched.insert(i, (slot, &[]));
-                            Cow::Owned(view.sp_adj_run(slot).collect())
-                        }
-                    };
-                    delta_rewrites.insert(view.sp_vid(slot), adj);
+                    victims.push(slot);
+                }
+                for slot in victims {
+                    let vid = view.sp_vid(slot);
+                    if let Err(i) = touched.binary_search(&slot) {
+                        touched.insert(i, slot);
+                        work.insert(vid, self.current(vid));
+                    }
+                    rechunk.insert(vid);
                 }
             }
-            // One walk: each maximal run of untouched slots is one span
-            // copy, and only the touched slots are encoded.
-            let mut enc = SmallPageEncoder::new(self.cfg);
-            for &(slot, adj) in &touched {
-                enc.push_span(&view, enc.num_slots()..slot);
-                enc.push_vertex(view.sp_vid(slot), adj);
-            }
-            enc.push_span(&view, enc.num_slots()..view.count());
-            replaced.insert(pid, (enc.finish(pid).trust_own_seal(), edges));
+            replaced.insert(*pid, edges);
         }
 
-        // --- Stage 4: whole-adjacency rewrites over home runs + deltas. ---
-        let mut appended: Vec<(u64, Page, u64)> = Vec::new();
-        let mut new_delta: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        let mut next_pid = self.pages.len() as u64;
-        let cap = self.cfg.lp_capacity();
-        for (&vid, adj) in &delta_rewrites {
-            let home = self.vertex_rid[vid as usize];
-            let mut seq: Vec<u64> = Vec::new();
-            if self.view(home.pid).kind() == PageKind::Large {
-                let run = self.rvt.entry(home.pid).lp_range.unwrap_or(0) as u64;
-                seq.extend(home.pid..=home.pid + run);
-            }
-            if let Some(dp) = self.delta_pages.get(&vid) {
-                seq.extend_from_slice(dp);
-            }
+        // --- Stage 4: chunk each re-chunked vertex over its home run and
+        // delta pages, allocating delta pages for what overflows. ---
+        let mut appended: Vec<(u64, u64, u64)> = Vec::new();
+        let mut next_pid = store.pages.len() as u64;
+        let cap = store.cfg.lp_capacity();
+        for &vid in &rechunk {
+            let len = work[&vid].len();
             let mut offset = 0usize;
-            for &pid in &seq {
-                let a = offset.min(adj.len());
-                let b = (offset + cap).min(adj.len());
-                let page = encode_large_page(self.cfg, pid, vid, &adj[a..b]).trust_own_seal();
-                replaced.insert(pid, (page, (b - a) as u64));
+            for pid in store.chunk_pids(vid) {
+                replaced.insert(pid, (offset + cap).min(len).saturating_sub(offset) as u64);
                 offset += cap;
             }
-            while offset < adj.len() {
-                let b = (offset + cap).min(adj.len());
-                let pid = next_pid;
+            while offset < len {
+                appended.push((
+                    next_pid,
+                    vid,
+                    (offset + cap).min(len).saturating_sub(offset) as u64,
+                ));
                 next_pid += 1;
-                let page = encode_large_page(self.cfg, pid, vid, &adj[offset..b]).trust_own_seal();
-                appended.push((pid, page, (b - offset) as u64));
-                new_delta.entry(vid).or_default().push(pid);
                 offset += cap;
             }
         }
-
-        // The whole batch is staged; check the page-ID bound before any
-        // install so exhaustion aborts with the store untouched.
-        if next_pid > self.cfg.id.max_page_id() {
+        // The whole batch is decided; check the page-ID bound before any
+        // commit so exhaustion discards the batch.
+        if next_pid > store.cfg.id.max_page_id() {
             return Err(MutateError::TooManyPages {
                 needed: next_pid,
-                max: self.cfg.id.max_page_id(),
+                max: store.cfg.id.max_page_id(),
             });
         }
 
-        // --- Stage 5: install. ---
-        let mut dirty_pids = Vec::with_capacity(replaced.len());
-        let pages_rewritten = replaced.len() as u64;
-        let delta_pages_allocated = appended.len() as u64;
-        for (pid, (page, edges)) in replaced {
-            let old = self.edges_per_page[pid as usize];
-            self.num_edges = self.num_edges - old + edges;
-            self.edges_per_page[pid as usize] = edges;
-            self.pages[pid as usize] = page;
-            dirty_pids.push(pid);
+        // --- Commit the structure. Page bytes wait for `finish`. ---
+        let store = &mut *self.store;
+        for (&pid, &edges) in &replaced {
+            let old = std::mem::replace(&mut store.edges_per_page[pid as usize], edges);
+            store.num_edges = store.num_edges - old + edges;
         }
         let mut new_pids = Vec::with_capacity(appended.len());
-        for (pid, page, edges) in appended {
-            self.pages.push(page);
-            self.rvt.push_entry(RvtEntry {
-                start_vid: self.view(pid).lp_vid(),
+        for &(pid, vid, edges) in &appended {
+            // A placeholder until `finish` encodes the chunk.
+            store
+                .pages
+                .push(Page::new(pid, PageKind::Large, Box::default()));
+            store.rvt.push_entry(RvtEntry {
+                start_vid: vid,
                 lp_range: Some(0),
             });
-            self.large_pids.push(pid);
-            self.edges_per_page.push(edges);
-            self.num_edges += edges;
+            store.large_pids.push(pid);
+            store.edges_per_page.push(edges);
+            store.num_edges += edges;
+            store.delta_pages.entry(vid).or_default().push(pid);
             new_pids.push(pid);
         }
-        for (vid, pids) in new_delta {
-            self.delta_pages.entry(vid).or_default().extend(pids);
+        store.epoch += 1;
+        for (pid, touched) in sp_touched {
+            self.slots.entry(pid).or_default().extend(touched);
         }
-        self.epoch += 1;
+        self.chunked.extend(rechunk);
+        self.adj.extend(work);
         Ok(MutationOutcome {
             inserted,
             deleted,
-            pages_rewritten,
-            delta_pages_allocated,
-            dirty_pids,
+            pages_rewritten: replaced.len() as u64,
+            delta_pages_allocated: new_pids.len() as u64,
+            dirty_pids: replaced.into_keys().collect(),
             new_pids,
-            epoch: self.epoch,
+            epoch: store.epoch,
         })
+    }
+
+    /// Build every page the call changed, once, from the call's final
+    /// adjacency, seal it and install it.
+    fn finish(self) {
+        let Call {
+            store,
+            adj,
+            slots,
+            chunked,
+        } = self;
+        // One walk per Small Page: each maximal run of unchanged slots is
+        // one span copy, and only the changed slots are encoded — a
+        // spilled one as an empty record.
+        for (pid, touched) in slots {
+            let view = store.view(pid);
+            let mut enc = SmallPageEncoder::new(store.cfg);
+            for slot in touched {
+                enc.push_span(&view, enc.num_slots()..slot);
+                let vid = view.sp_vid(slot);
+                if store.delta_pages.contains_key(&vid) {
+                    enc.push_vertex(vid, &[]);
+                } else {
+                    let list = &adj[&vid];
+                    enc.push_run(vid, list.run(0..list.len()));
+                }
+            }
+            enc.push_span(&view, enc.num_slots()..view.count());
+            let page = enc.finish(pid).trust_own_seal();
+            store.pages[pid as usize] = page;
+        }
+        // A chunk's bytes are a function of its vertex's final adjacency
+        // and chunk list: chunk `i` holds entries `i * cap ..`.
+        let cap = store.cfg.lp_capacity();
+        for vid in chunked {
+            let list = &adj[&vid];
+            for (i, pid) in store.chunk_pids(vid).into_iter().enumerate() {
+                let run = list.run((i * cap).min(list.len())..((i + 1) * cap).min(list.len()));
+                let page = encode_large_run(store.cfg, pid, vid, run).trust_own_seal();
+                store.pages[pid as usize] = page;
+            }
+        }
     }
 }
 

@@ -333,6 +333,14 @@ impl SmallPageEncoder {
         self.push_record(vid, adj.len(), |packed| encode_rids(packed, adj, id))
     }
 
+    /// [`Self::push_vertex`] of a list already in its packing: one copy.
+    pub(crate) fn push_run(&mut self, vid: u64, adj: AdjRun<'_>) -> u32 {
+        debug_assert_eq!(adj.id, self.cfg.id, "run of another format");
+        self.push_record(vid, adj.len(), |packed| {
+            packed.copy_from_slice(adj.packed())
+        })
+    }
+
     /// Append the slots `slots` of the Small Page `from` unchanged: their
     /// records in one copy and their slot-directory entries in another,
     /// then each copied entry's `OFF` shifted to where the records landed.
@@ -403,17 +411,38 @@ impl SmallPageEncoder {
 
 /// Encode one Large Page: a chunk of `adj` belonging to vertex `vid`.
 pub fn encode_large_page(cfg: PageFormatConfig, pid: u64, vid: u64, adj: &[RecordId]) -> Page {
+    large_page(cfg, pid, vid, adj.len(), |packed| {
+        encode_rids(packed, adj, cfg.id)
+    })
+}
+
+/// [`encode_large_page`] of a chunk already in its packing: one copy.
+pub(crate) fn encode_large_run(cfg: PageFormatConfig, pid: u64, vid: u64, adj: AdjRun<'_>) -> Page {
+    debug_assert_eq!(adj.id, cfg.id, "run of another format");
+    large_page(cfg, pid, vid, adj.len(), |packed| {
+        packed[..adj.packed().len()].copy_from_slice(adj.packed())
+    })
+}
+
+/// A sealed Large Page of `len` entries, which `fill` packs from the
+/// start of the slice it is given.
+fn large_page(
+    cfg: PageFormatConfig,
+    pid: u64,
+    vid: u64,
+    len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> Page {
     assert!(
-        adj.len() <= cfg.lp_capacity(),
-        "LP chunk of {} exceeds capacity {}",
-        adj.len(),
+        len <= cfg.lp_capacity(),
+        "LP chunk of {len} exceeds capacity {}",
         cfg.lp_capacity()
     );
     let mut data = vec![0u8; cfg.page_size];
     data[0] = PageKind::Large as u8;
-    write_le::<4>(&mut data[1..], adj.len() as u64);
+    write_le::<4>(&mut data[1..], len as u64);
     write_le::<VID_BYTES>(&mut data[PAGE_HEADER_BYTES..], vid);
-    encode_rids(&mut data[PAGE_HEADER_BYTES + VID_BYTES..], adj, cfg.id);
+    fill(&mut data[PAGE_HEADER_BYTES + VID_BYTES..]);
     seal(&mut data);
     Page::new(pid, PageKind::Large, data.into_boxed_slice())
 }
@@ -584,6 +613,70 @@ impl<'a> AdjRun<'a> {
     fn entry(&self, i: u32) -> RecordId {
         assert!((i as usize) < self.left, "entry {i} out of range");
         decode_rid(&self.bytes[i as usize * self.id.rid_bytes()..], self.id)
+    }
+
+    /// The entries not yet yielded, as they are packed on the page.
+    pub(crate) fn packed(&self) -> &'a [u8] {
+        &self.bytes[..self.left * self.id.rid_bytes()]
+    }
+}
+
+/// An adjacency list held off-page in its on-page packing, `(p, q)`
+/// bytes per entry rather than a [`RecordId`] each: what the mutation
+/// engine edits between a vertex's first read in a call and the one
+/// encode that ends the call. Copying a record in or out is one block
+/// copy. [`LOAD_BYTES`] of slack follow the last entry, as on a page, so
+/// a run over the list decodes every entry with one word load.
+#[derive(Debug, Clone)]
+pub(crate) struct PackedAdj {
+    /// `len` packed entries, then the slack.
+    bytes: Vec<u8>,
+    id: PhysicalIdConfig,
+}
+
+impl PackedAdj {
+    /// An empty list of `id`-wide entries.
+    pub(crate) fn new(id: PhysicalIdConfig) -> Self {
+        PackedAdj {
+            bytes: vec![0; LOAD_BYTES],
+            id,
+        }
+    }
+
+    /// Entries in the list.
+    pub(crate) fn len(&self) -> usize {
+        (self.bytes.len() - LOAD_BYTES) / self.id.rid_bytes()
+    }
+
+    /// Append every entry of `run`, a run of the same format.
+    pub(crate) fn extend(&mut self, run: AdjRun<'_>) {
+        debug_assert_eq!(run.id, self.id, "run of another format");
+        self.bytes.truncate(self.bytes.len() - LOAD_BYTES);
+        self.bytes.extend_from_slice(run.packed());
+        self.bytes.resize(self.bytes.len() + LOAD_BYTES, 0);
+    }
+
+    /// Append one entry.
+    pub(crate) fn push(&mut self, rid: RecordId) {
+        let at = self.bytes.len() - LOAD_BYTES;
+        self.bytes.resize(at + self.id.rid_bytes() + LOAD_BYTES, 0);
+        encode_rids(&mut self.bytes[at..], &[rid], self.id);
+    }
+
+    /// Remove entry `i`, keeping the order of the rest.
+    pub(crate) fn remove(&mut self, i: usize) {
+        let w = self.id.rid_bytes();
+        self.bytes.drain(i * w..(i + 1) * w);
+    }
+
+    /// Entries `range` of the list, as a run.
+    pub(crate) fn run(&self, range: Range<usize>) -> AdjRun<'_> {
+        let w = self.id.rid_bytes();
+        AdjRun {
+            bytes: &self.bytes[range.start * w..range.end * w + LOAD_BYTES],
+            left: range.len(),
+            id: self.id,
+        }
     }
 }
 

@@ -10,9 +10,11 @@
 //! * the file is a [`SealedLog`]: a crash mid-append leaves a torn tail
 //!   that the next [`Wal::open`] cuts off, and a rotted interior frame is
 //!   a typed error, never a silent truncation;
-//! * recovery replays the WAL suffix on top of the newest snapshot and
-//!   lands byte-identical to the uncrashed store, epoch included, because
-//!   [`GraphStore::apply_mutations`] is deterministic.
+//! * recovery replays the WAL suffix on top of the newest snapshot, as
+//!   one [`GraphStore::apply_batches`] call that builds each changed page
+//!   once, and lands byte-identical to the uncrashed store, epoch
+//!   included, because the engine is deterministic and its bytes do not
+//!   depend on how batches are grouped into calls.
 //!
 //! This module owns only what is specific to mutations — the header
 //! binding ([`WalHeader`]), the record codec and the epoch chain; framing,
@@ -25,7 +27,7 @@
 //! batch the log already holds (the crash-between-log-and-apply resume
 //! path) verifies the stored record matches and appends nothing.
 
-use crate::builder::GraphStore;
+use crate::builder::{GraphStore, StoreShape};
 use crate::mutate::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
 use gts_ckpt::{
     fnv1a, ByteReader, ByteWriter, CkptError, KillSwitch, LogFormat, LogImage, SealedLog,
@@ -54,8 +56,9 @@ pub enum WalError {
         /// The value actually found.
         got: u64,
     },
-    /// The logged batch was rejected by [`GraphStore::apply_mutations`];
-    /// the log entry is rolled back and the store is untouched.
+    /// The store rejected a logged batch. Logging one, the entry is
+    /// rolled back and the store is untouched; replaying, the store is
+    /// left as after the records before it.
     Rejected(MutateError),
 }
 
@@ -204,6 +207,12 @@ impl WalRecord {
         let pre_epoch = r.take_u64("wal pre-epoch")?;
         let post_epoch = r.take_u64("wal post-epoch")?;
         let count = r.take_u32("wal op count")?;
+        if count == 0 {
+            // An empty batch does not move the epoch and is never logged.
+            return Err(CkptError::Corrupt {
+                reason: "wal record holds no ops".to_string(),
+            });
+        }
         let mut batch = MutationBatch::new();
         for _ in 0..count {
             let tag = r.take_u8("wal op tag")?;
@@ -453,36 +462,39 @@ impl Wal {
     /// mismatch when the log binds another store, or when the first
     /// record to apply does not start at the store's epoch (the log does
     /// not cover the gap). Returns the number of batches applied.
+    ///
+    /// The whole suffix is one [`GraphStore::apply_batches`] call: each
+    /// record commits its structure and epoch in turn, and `done` reads
+    /// that structure ([`StoreShape`]) while the page bytes wait for the
+    /// end of the call, which builds each changed page once. A record
+    /// the store rejects ends replay at the record boundary before it —
+    /// the store as after the records before it, bytes included — with
+    /// [`WalError::Rejected`].
     pub fn replay_until(
         &self,
         store: &mut GraphStore,
-        mut done: impl FnMut(&GraphStore) -> bool,
+        mut done: impl FnMut(&StoreShape) -> bool,
     ) -> Result<u64, WalError> {
         self.header.require_store(&WalHeader::of(store))?;
-        let mut applied = 0u64;
-        if done(store) {
-            return Ok(applied);
+        if done(&store.shape()) {
+            return Ok(0);
         }
-        for rec in &self.records {
-            if rec.post_epoch <= store.epoch() {
-                continue; // already applied before the snapshot
-            }
-            if rec.pre_epoch != store.epoch() {
-                return Err(WalError::Mismatch {
-                    what: "replay pre-epoch",
-                    want: store.epoch(),
-                    got: rec.pre_epoch,
-                });
-            }
-            store
-                .apply_mutations(&rec.batch)
-                .map_err(WalError::Rejected)?;
-            applied += 1;
-            if done(store) {
-                break;
-            }
+        // Records already applied before the snapshot are skipped. The
+        // chain was checked at load and no record is empty, so once the
+        // first record past them starts at the store's epoch, every
+        // later one starts where its predecessor ends.
+        let epoch = store.epoch();
+        let suffix = &self.records[self.records.partition_point(|r| r.post_epoch <= epoch)..];
+        if let Some(first) = suffix.first().filter(|r| r.pre_epoch != epoch) {
+            return Err(WalError::Mismatch {
+                what: "replay pre-epoch",
+                want: epoch,
+                got: first.pre_epoch,
+            });
         }
-        Ok(applied)
+        store
+            .apply_batches(suffix.iter().map(|r| &r.batch), done)
+            .map_err(WalError::Rejected)
     }
 }
 

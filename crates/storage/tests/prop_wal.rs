@@ -230,3 +230,195 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// One generated long run: the vertex count, the seed edges (vertex 0 a
+/// hub near one 256 B chunk's 58 entries, vertex 1 a likely spill
+/// victim), and per batch a hub mode with its count plus op seeds.
+type LongRunSeed = (u32, Vec<(u32, u32)>, Vec<(u8, usize, Vec<(u64, u64, u64)>)>);
+
+fn arb_long_run() -> impl Strategy<Value = LongRunSeed> {
+    (8u32..40).prop_flat_map(|n| {
+        (
+            Just(n),
+            (
+                50u32..70,
+                8u32..20,
+                proptest::collection::vec((2..n, 0..n), 0..60),
+            )
+                .prop_map(move |(hub, second, rest)| {
+                    let mut edges: Vec<(u32, u32)> = (0..hub).map(|i| (0, i % n)).collect();
+                    edges.extend((0..second).map(|i| (1, (i * 7) % n)));
+                    edges.extend(rest);
+                    edges
+                }),
+            proptest::collection::vec(
+                (
+                    0u8..3,
+                    0usize..80,
+                    proptest::collection::vec((0u64..3, 0u64..1000, 0u64..1000), 0..10),
+                ),
+                1..41,
+            ),
+        )
+    })
+}
+
+/// The batches of a long run, valid in order against the seed's edges:
+/// mode 1 grows the hub by `count` edges past its chunks, mode 2 deletes
+/// up to `count` of its edges (down to empty chunks), then the op seeds.
+fn realize_long_run(store: &GraphStore, run: &LongRunSeed) -> Vec<MutationBatch> {
+    let n = u64::from(run.0);
+    let mut edges = store.decode_edges();
+    let mut batches = Vec::new();
+    for (mode, count, seeds) in &run.2 {
+        let mut b = realize_batch(n, &mut edges, seeds);
+        for i in 0..*count as u64 {
+            match mode {
+                1 => {
+                    b.insert(0, i % n);
+                    edges.push((0, i % n));
+                }
+                2 => match edges.iter().position(|&(s, _)| s == 0) {
+                    Some(at) => {
+                        b.delete(0, edges.swap_remove(at).1);
+                    }
+                    None => break,
+                },
+                _ => break,
+            }
+        }
+        if !b.is_empty() {
+            batches.push(b);
+        }
+    }
+    batches
+}
+
+/// The store after each prefix of `batches`, applied one call each.
+fn prefix_states(seed: &GraphStore, batches: &[MutationBatch]) -> Vec<GraphStore> {
+    let mut states = vec![seed.clone()];
+    for b in batches {
+        let mut next = states[states.len() - 1].clone();
+        next.apply_mutations(b).unwrap();
+        states.push(next);
+    }
+    states
+}
+
+/// A copy of the log in `from` whose record `at` has had its body
+/// edited by `flip`, every frame sealed by the log's own append.
+fn flipped_copy(from: &std::path::Path, to: &std::path::Path, at: usize, flip: impl Fn(&mut [u8])) {
+    use gts_ckpt::{LogFormat, SealedLog};
+    let image = SealedLog::load(&from.join(WAL_FILE), &LogFormat::WAL).unwrap();
+    let path = to.join(WAL_FILE);
+    let mut log =
+        SealedLog::create(&path, &LogFormat::WAL, image.binding(), KillSwitch::never()).unwrap();
+    for (i, body) in image.frames().enumerate() {
+        let mut body = body.to_vec();
+        if i == at {
+            flip(&mut body);
+        }
+        log.append(&body).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Up to 40 batches at 256 B pages — a hub growing into delta pages
+    /// and shrinking to empty chunks, spills of victims no batch names —
+    /// replayed as one call from every cut, and stopped at a random
+    /// epoch: each must equal the same batches applied one call each,
+    /// byte for byte.
+    #[test]
+    fn long_replay_equals_one_by_one_from_every_cut(run in arb_long_run(), stop in 0usize..41) {
+        let dir = tmp_dir("long");
+        let seed = build_graph_store(&EdgeList::new(run.0, run.1.clone()), cfg()).unwrap();
+        let batches = realize_long_run(&seed, &run);
+        let states = prefix_states(&seed, &batches);
+        let mut live = seed.clone();
+        let mut wal = Wal::open(&dir, &live).unwrap();
+        for b in &batches {
+            live.apply_mutations_logged(b, &mut wal).unwrap();
+        }
+        let wal = Wal::load(&dir).unwrap();
+        for (cut, state) in states.iter().enumerate() {
+            let mut replayed = state.clone();
+            let applied = wal.replay_onto(&mut replayed).unwrap();
+            prop_assert_eq!(applied as usize, batches.len() - cut);
+            assert_stores_identical(&replayed, &live)?;
+        }
+        let stop = stop.min(batches.len());
+        let cut = stop / 2;
+        let mut part = states[cut].clone();
+        let applied = wal.replay_until(&mut part, |s| s.epoch() == stop as u64).unwrap();
+        prop_assert_eq!(applied as usize, stop - cut);
+        assert_stores_identical(&part, &states[stop])?;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One byte of one record's body flipped and the frame resealed, so
+    /// the flip reaches the record decoder and replay: load + replay
+    /// returns `Ok` or a typed error, never panics, and leaves the store
+    /// at a record boundary — the loaded records before the one that
+    /// failed, applied one call each. Three aims in four flip an op's
+    /// tag (insert ↔ delete) or the low bits of an endpoint, which keep
+    /// the record decodable and often the vertex in range.
+    #[test]
+    fn resealed_record_byte_flip_stops_replay_at_a_record_boundary(
+        run in arb_run(),
+        at in 0usize..8,
+        aim in 0usize..4,
+        byte in 0usize..4096,
+        mask in 1u8..=255,
+    ) {
+        let (n, seed_edges, batch_seeds) = run;
+        let (dir, flipped) = (tmp_dir("flip-src"), tmp_dir("flip"));
+        let seed = build_graph_store(&EdgeList::new(n, seed_edges), cfg()).unwrap();
+        let mut live = seed.clone();
+        let mut edges = live.decode_edges();
+        let mut wal = Wal::open(&dir, &live).unwrap();
+        for seeds in &batch_seeds {
+            let b = realize_batch(n as u64, &mut edges, seeds);
+            live.apply_mutations_logged(&b, &mut wal).unwrap();
+        }
+        // A record body: epochs (16 bytes), op count (4), then 17 bytes
+        // per op — tag, src, dst.
+        flipped_copy(&dir, &flipped, at % batch_seeds.len(), |body| {
+            let op = 20 + 17 * (byte % ((body.len() - 20) / 17));
+            match aim {
+                0 => body[byte % body.len()] ^= mask,
+                1 => body[op] ^= 1,
+                _ => body[op + 1 + 8 * (aim - 2)] ^= 1 + mask % 15,
+            }
+        });
+        let mut replayed = seed.clone();
+        let (loaded, result) = match Wal::load(&flipped) {
+            Ok(w) => {
+                let result = w.replay_onto(&mut replayed);
+                (w.records().to_vec(), result)
+            }
+            Err(e) => (Vec::new(), Err(e)),
+        };
+        // The boundary: the loaded records that apply, one call each. A
+        // log that does not load, or does not chain, applies nothing.
+        let mut want = seed;
+        let mut applied = 0;
+        if matches!(result, Ok(_) | Err(WalError::Rejected(_))) {
+            for batch in loaded.iter().map(|rec| &rec.batch) {
+                if want.apply_mutations(batch).is_err() {
+                    break;
+                }
+                applied += 1;
+            }
+        }
+        match result {
+            Ok(n) => prop_assert_eq!((n, applied), (loaded.len() as u64, loaded.len() as u64)),
+            Err(WalError::Rejected(_)) => prop_assert!(applied < loaded.len() as u64),
+            Err(_) => {}
+        }
+        assert_stores_identical(&replayed, &want)?;
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&flipped).ok();
+    }
+}

@@ -78,7 +78,7 @@ pub struct GraphStore {
 
 /// A store's counts, page size and epoch: the structure a mutation call
 /// commits batch by batch, readable while the call's page bytes are
-/// still pending ([`GraphStore::apply_batches`]).
+/// still pending ([`crate::Wal::replay_until`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreShape {
     num_vertices: u64,

@@ -32,7 +32,7 @@
 //! [`GraphStore::delta_pids_for_page`] to see the spilled edges.
 //!
 //! **Structure per batch, bytes once per call.** One engine call takes
-//! k ≥ 1 batches ([`GraphStore::apply_batches`];
+//! k ≥ 1 batches (`GraphStore::apply_batches`;
 //! [`GraphStore::apply_mutations`] is its k = 1 call). Each batch, in
 //! order, makes every structural decision — per-vertex adjacency, routing,
 //! spill victims, chunk lists, delta-page IDs, per-page edge counts, RVT
@@ -215,7 +215,7 @@ impl GraphStore {
     /// changed; on any error the store is byte-identical to before.
     ///
     /// An empty batch is a no-op (the epoch does not move). This is the
-    /// one-batch call of [`GraphStore::apply_batches`].
+    /// one-batch call of `GraphStore::apply_batches`.
     pub fn apply_mutations(
         &mut self,
         batch: &MutationBatch,
@@ -234,7 +234,7 @@ impl GraphStore {
     /// leave. A batch that fails is discarded whole: the store ends the
     /// call as after the batches before it, bytes included, and the error
     /// is returned.
-    pub fn apply_batches<'b>(
+    pub(crate) fn apply_batches<'b>(
         &mut self,
         batches: impl IntoIterator<Item = &'b MutationBatch>,
         mut done: impl FnMut(&StoreShape) -> bool,
@@ -426,6 +426,8 @@ impl<'s> Call<'s> {
                 // all-spilled page costs `count` empty records, which fit
                 // by construction (the builder packed `count` non-smaller
                 // records here).
+                // The lengths the page holds, then those the batches
+                // before this one and this batch left.
                 let mut lens: Vec<usize> = view.sp_vertices().map(|(_, run)| run.len()).collect();
                 for &slot in self.slots.get(pid).into_iter().flatten() {
                     lens[slot as usize] = self.record_len(&view, slot);
@@ -433,7 +435,6 @@ impl<'s> Call<'s> {
                 for &slot in touched.iter() {
                     lens[slot as usize] = len_after(slot);
                 }
-                let mut victims = Vec::new();
                 while foot(edges) > budget {
                     // Of equal maxima `max_by_key` keeps the last, so
                     // walked backwards it keeps the lowest slot.
@@ -446,9 +447,6 @@ impl<'s> Call<'s> {
                         break;
                     }
                     edges -= len as u64;
-                    victims.push(slot);
-                }
-                for slot in victims {
                     let vid = view.sp_vid(slot);
                     if let Err(i) = touched.binary_search(&slot) {
                         touched.insert(i, slot);

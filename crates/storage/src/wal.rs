@@ -11,7 +11,7 @@
 //!   that the next [`Wal::open`] cuts off, and a rotted interior frame is
 //!   a typed error, never a silent truncation;
 //! * recovery replays the WAL suffix on top of the newest snapshot, as
-//!   one [`GraphStore::apply_batches`] call that builds each changed page
+//!   one `GraphStore::apply_batches` call that builds each changed page
 //!   once, and lands byte-identical to the uncrashed store, epoch
 //!   included, because the engine is deterministic and its bytes do not
 //!   depend on how batches are grouped into calls.
@@ -463,7 +463,7 @@ impl Wal {
     /// record to apply does not start at the store's epoch (the log does
     /// not cover the gap). Returns the number of batches applied.
     ///
-    /// The whole suffix is one [`GraphStore::apply_batches`] call: each
+    /// The whole suffix is one `GraphStore::apply_batches` call: each
     /// record commits its structure and epoch in turn, and `done` reads
     /// that structure ([`StoreShape`]) while the page bytes wait for the
     /// end of the call, which builds each changed page once. A record

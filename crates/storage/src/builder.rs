@@ -160,7 +160,7 @@ impl GraphStore {
     /// later views are one atomic load. The first view of a page the
     /// builder encoded hashes it and walks its layout, as for any new
     /// [`Page`]; a reconstructed store's pages were verified at load, so
-    /// their first view is already one load. A page `apply_mutations`
+    /// their first view is already one load. A page a mutation call
     /// sealed carries its trailer as matched (DESIGN.md §10 "The page
     /// trailer"), so its first view walks only the layout.
     ///

@@ -425,9 +425,8 @@ impl<'s> Call<'s> {
                 // slot, with an empty record. This always terminates: the
                 // all-spilled page costs `count` empty records, which fit
                 // by construction (the builder packed `count` non-smaller
-                // records here).
-                // The lengths the page holds, then those the batches
-                // before this one and this batch left.
+                // records here). The lengths are those the page holds, as
+                // the batches before this one and this batch left them.
                 let mut lens: Vec<usize> = view.sp_vertices().map(|(_, run)| run.len()).collect();
                 for &slot in self.slots.get(pid).into_iter().flatten() {
                     lens[slot as usize] = self.record_len(&view, slot);

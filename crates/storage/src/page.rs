@@ -27,7 +27,7 @@ const VERIFIED_FULL: u8 = 1 << 1;
 ///
 /// A page caches its own verification state: the first successful
 /// [`Page::verify`] (or [`Page::checksum_ok_cached`]) hashes the bytes,
-/// every later call is a single atomic load. A page `apply_mutations`
+/// every later call is a single atomic load. A page a mutation call
 /// has just sealed starts with its checksum marked as matched, so it is
 /// never hashed twice. This is *verified-once / borrow-after* semantics —
 /// mutating `data` after a successful verification (or after that seal)
@@ -78,7 +78,7 @@ impl Page {
 
     /// Mark the trailer checksum of a page this process has just sealed as
     /// matched, so its first [`Page::verify`] walks only the layout. Only
-    /// `apply_mutations` calls this (DESIGN.md §10 "The page trailer"):
+    /// the mutation engine calls this (DESIGN.md §10 "The page trailer"):
     /// bytes it sealed are trusted while they stay in memory, and every
     /// page read, loaded or scrubbed is still hashed.
     pub(crate) fn trust_own_seal(self) -> Self {

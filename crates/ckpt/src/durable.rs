@@ -112,11 +112,12 @@ pub(crate) fn write_atomic(kill: &KillSwitch, path: &Path, bytes: &[u8]) -> Resu
     // Persisting a rename requires fsyncing the containing directory.
     // Some platforms refuse to open directories; treat that as a soft
     // failure rather than aborting the run (the data file itself is
-    // already synced).
+    // already synced). A directory that opens but fails to sync is an
+    // error like any other fsync's.
     kill.step()?;
     if let Some(dir) = path.parent() {
         if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
+            d.sync_all().map_err(|e| CkptError::io("fsync", dir, &e))?;
         }
     }
     Ok(())

@@ -13,8 +13,8 @@
 //! store itself is framed, checksummed and written:
 //!
 //! * [`fnv1a`], [`seal`], [`unseal`] — the one checksum and the one
-//!   trailer ([`fnv1a_lanes`] is the checksum's lane-parallel form, for
-//!   slotted pages); `durable` — the one temp file → fsync → rename →
+//!   trailer ([`xxh64`], a word-wide hash, seals slotted pages instead);
+//!   `durable` — the one temp file → fsync → rename →
 //!   directory fsync and the one append → fsync. No other module calls
 //!   `sync_all` or `rename`, so its [`KillSwitch`] numbers every durable
 //!   step and is the one place a crash is injected.
@@ -53,6 +53,6 @@ pub use codec::{ByteReader, ByteWriter};
 pub use durable::KillSwitch;
 pub use error::CkptError;
 pub use log::{LogFormat, LogImage, SealedLog};
-pub use seal::{fnv1a, fnv1a_lanes, seal, unseal, FNV_LANES};
+pub use seal::{fnv1a, seal, unseal, xxh64};
 pub use snapshot::Snapshot;
 pub use store::CkptStore;

@@ -58,8 +58,8 @@ pub(crate) fn scrub_pass(
             continue;
         };
         // Detection is the trailer check over the *rotted* bytes, not a
-        // trust of the schedule: a flip the checksum cannot see (it never
-        // happens for FNV-1a over these sizes, but the code must not
+        // trust of the schedule: a flip the checksum cannot see (a
+        // single-byte flip never is one for XXH64, but the code must not
         // assume it) would honestly go unnoticed, exactly like hardware.
         let (off, mask) = rot;
         let mut data = page.data.to_vec();

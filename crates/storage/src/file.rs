@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "GTSPAGES"
-//! 8       4     format version (LE u32, currently 3: lane-hashed page trailers)
+//! 8       4     format version (LE u32, currently 4: XXH64 page trailers)
 //! 12      4     page size in bytes (LE u32)
 //! 16      1     p (page-id bytes)
 //! 17      1     q (slot bytes)
@@ -32,9 +32,10 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"GTSPAGES";
-/// Version 3 page trailers are lane-parallel FNV-1a; version 2's are plain
-/// FNV-1a, version 1 has none. Both are rejected as unsupported: rebuild.
-const VERSION: u32 = 3;
+/// Version 4 page trailers are XXH64; version 3's are lane-parallel
+/// FNV-1a, version 2's plain FNV-1a, version 1 has none. Every older
+/// version is rejected as unsupported: rebuild.
+const VERSION: u32 = 4;
 const HEADER_BYTES: usize = 40;
 
 /// Decode a little-endian `u32` at `at` without `unwrap` (the caller
@@ -228,22 +229,37 @@ mod tests {
         assert!(matches!(err, FileError::BadHeader(_)));
     }
 
+    /// Versions 2 and 3 differ from 4 only in the page trailer's
+    /// function: both are refused, and the file is left as it was.
     #[test]
     fn rejects_a_version_2_file_and_leaves_it_untouched() {
         let store = build_graph_store(&rmat(7), PageFormatConfig::small_default()).unwrap();
-        let path = tmp("v2");
-        save_store(&store, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load_store(&path).unwrap_err();
-        let after = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(
-            err.to_string(),
-            "bad store file: unsupported version 2 (expected 3)"
-        );
-        assert_eq!(after, bytes);
+        for version in [2u32, 3] {
+            let path = tmp(&format!("v{version}"));
+            save_store(&store, &path).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = load_store(&path).unwrap_err();
+            let after = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(
+                err.to_string(),
+                format!("bad store file: unsupported version {version} (expected 4)")
+            );
+            assert_eq!(after, bytes);
+        }
+    }
+
+    /// The page trailer's function is part of the format: a change to it
+    /// must fail here, not on a user's store.
+    #[test]
+    fn page_trailer_is_pinned() {
+        let cfg = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 1024);
+        let store = build_graph_store(&rmat(8), cfg).unwrap();
+        let page = &store.pages()[0];
+        assert!(page.checksum_ok());
+        assert_eq!(page.stored_checksum(), 0x4B9D_13D7_9493_F244);
     }
 
     #[test]

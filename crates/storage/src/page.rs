@@ -183,9 +183,9 @@ impl<'a> VerifiedPage<'a> {
     }
 }
 
-/// [`gts_ckpt::fnv1a_lanes`] over everything except the trailer itself.
+/// [`gts_ckpt::xxh64`] over everything except the trailer itself.
 pub fn page_checksum(data: &[u8]) -> u64 {
-    gts_ckpt::fnv1a_lanes(&data[..data.len() - PAGE_TRAILER_BYTES])
+    gts_ckpt::xxh64(&data[..data.len() - PAGE_TRAILER_BYTES])
 }
 
 /// Write the checksum of `data` into its trailer.
@@ -980,9 +980,9 @@ mod tests {
     }
 
     /// Every byte of a sealed page is covered at every page size, whether
-    /// or not the body divides into the hash's lanes evenly — the last
-    /// `body % FNV_LANES` bytes included — and equal-length stripes are
-    /// not interchangeable.
+    /// or not the body divides into the hash's 32-byte stripes and
+    /// 8-byte words evenly — the tail bytes included — and equal-length
+    /// quarters of the body are not interchangeable.
     #[test]
     fn any_flipped_byte_or_swapped_stripe_is_detected_at_every_page_size() {
         for size in [64usize, 65, 66, 67, 72, 100, 101, 256, 4096, 65536] {
@@ -994,15 +994,15 @@ mod tests {
             let page = encode_large_page(c, 0, 0x0102_0304_0506, &adj);
             assert!(page.checksum_ok() && page.verify(c).is_ok(), "{size}");
             // Every position up to 4 KiB; for 64 KiB a stride coprime to
-            // the stripe length plus both sides of every stripe boundary,
-            // the leftover bytes and the trailer.
+            // the stripe length plus both sides of every quarter
+            // boundary, the tail and the trailer.
             let body = size - PAGE_TRAILER_BYTES;
-            let stripe = body / gts_ckpt::FNV_LANES;
+            let quarter = body / 4;
             let mut at: Vec<usize> = (0..size)
                 .step_by(if size > 4096 { 251 } else { 1 })
                 .collect();
-            at.extend((1..=gts_ckpt::FNV_LANES).flat_map(|l| [l * stripe - 1, l * stripe]));
-            at.extend(body - 1..size);
+            at.extend((1..=4).flat_map(|l| [l * quarter - 1, l * quarter]));
+            at.extend(body - body % 32 - 1..size);
             for at in at {
                 let mut data = page.data.clone();
                 data[at] ^= 1 << (at % 8);
@@ -1012,8 +1012,8 @@ mod tests {
                 assert!(err.contains("checksum"), "{size}: flip at {at}: {err}");
             }
             let mut data = page.data.clone();
-            let (a, b) = data.split_at_mut(stripe);
-            a.swap_with_slice(&mut b[stripe..2 * stripe]); // stripes 0 and 2
+            let (a, b) = data.split_at_mut(quarter);
+            a.swap_with_slice(&mut b[quarter..2 * quarter]); // quarters 0 and 2
             assert!(!Page::new(0, PageKind::Large, data).checksum_ok(), "{size}");
         }
     }

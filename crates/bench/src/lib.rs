@@ -1,28 +1,22 @@
 #![warn(missing_docs)]
 
-//! # gts-bench — the experiment harness
+//! # gts-bench — the paper's evaluation as one checked table
 //!
-//! One `harness = false` bench target per table and figure of the paper's
-//! evaluation (Sec. 7 plus Appendices C–E), each printing the paper's rows
-//! next to this reproduction's measurements and writing a CSV under
-//! `target/experiments/`. Run everything with
-//! `cargo bench -p gts-bench`, or one experiment with e.g.
-//! `cargo bench -p gts-bench --bench fig6_distributed`.
+//! [`paper::EXPERIMENTS`] has one row per table and figure of the paper's
+//! evaluation: its datasets, the paper's values, the cells to run, and the
+//! paper's claims, which the runner checks. `cargo bench -p gts-bench`
+//! (or `-- fig9` for one experiment) prints every table beside the paper's
+//! values, writes its CSV under `target/experiments/`, and fails on a
+//! claim that fails without a Deviation; `GTS_BLESS=1` also rewrites the
+//! measured tables and scorecard of `EXPERIMENTS.md`.
 //!
-//! All experiments run at **1/1024 scale** (see [`scale`]): paper RMAT*k*
-//! maps to our RMAT*(k−10)* and every capacity (device memory, host
-//! memory, cluster node memory) divides by 1024, so the paper's regime
-//! boundaries — fits-in-GPU / fits-in-host / must-stream-from-SSD, and the
-//! O.O.M. cells — fall in the same places. Bandwidths are *not* scaled
-//! (they are rates, not capacities); absolute times therefore shrink by
-//! ~1024× and the comparisons are about ratios and crossovers, exactly as
-//! scoped in `DESIGN.md` §1 and recorded per-experiment in
-//! `EXPERIMENTS.md`.
-//!
-//! Everything here reports **simulated** time. How fast this
-//! implementation runs on the wall clock is measured by `benchmark/`
-//! (see `benchmark/README.md`), from outside the crates.
+//! All experiments run at **1/1024 scale** ([`scale`]): paper RMAT*k* is
+//! our RMAT*(k−10)* and every capacity divides by 1024, so the regime
+//! boundaries and O.O.M. cells fall where the paper's do, while unscaled
+//! bandwidths shrink absolute times (DESIGN.md §1). Everything here is
+//! **simulated** time; `benchmark/` measures the wall clock.
 
 pub mod datasets;
+pub mod paper;
 pub mod scale;
 pub mod table;

@@ -16,8 +16,10 @@
 //! die around our RMAT20/21 (paper: RMAT30/31) and PowerGraph one scale
 //! later.
 
-use gts_baselines::cluster::ClusterConfig;
+use gts_baselines::bsp::BspEngine;
+use gts_baselines::cluster::{ClusterConfig, FrameworkProfile};
 use gts_baselines::cpu::{CpuEngine, CpuProfile};
+use gts_baselines::gas::GasEngine;
 use gts_baselines::totem::TotemConfig;
 use gts_core::engine::GtsConfig;
 use gts_gpu::GpuConfig;
@@ -30,12 +32,19 @@ pub const SCALE_SHIFT: u32 = 10;
 /// Scaled GPU device memory (TITAN X 12 GiB → 12 MiB).
 pub const DEVICE_MEMORY: u64 = 12 << 20;
 
-/// Scaled workstation host memory (128 GiB → 128 MiB).
-pub const HOST_MEMORY_DIV: u64 = 1 << SCALE_SHIFT;
-
 /// Paper-equivalent RMAT scale for one of ours.
 pub fn paper_rmat(ours: u32) -> u32 {
     ours + SCALE_SHIFT
+}
+
+/// The paper's name for the dataset `d` stands in for.
+pub fn paper_name(d: Dataset) -> String {
+    match d {
+        Dataset::Rmat(s) => format!("RMAT{}", paper_rmat(s)),
+        Dataset::TwitterLike => "Twitter".into(),
+        Dataset::Uk2007Like => "UK2007".into(),
+        Dataset::YahooWebLike => "YahooWeb".into(),
+    }
 }
 
 /// The scaled GPU.
@@ -48,20 +57,15 @@ pub fn page_format_small() -> PageFormatConfig {
     PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 64 * 1024)
 }
 
-/// The page format used for RMAT20+ (the paper's (3,3) trillion-scale
-/// addressing; the page size stays 64 KiB so the streaming-buffer share of
-/// device memory matches the paper's proportions).
-pub fn page_format_large() -> PageFormatConfig {
-    PageFormatConfig::new(PhysicalIdConfig::TRILLION, 64 * 1024)
-}
-
 /// Format choice per dataset, mirroring the paper's Table 3 policy
-/// ((2,2) for real graphs and RMAT up to 29; (3,3) for RMAT30-32).
+/// ((2,2) for real graphs and RMAT up to 29; (3,3) trillion-scale
+/// addressing for RMAT30-32, with pages still 64 KiB so the streaming
+/// buffers take the paper's share of device memory).
 pub fn page_format_for(d: Dataset) -> PageFormatConfig {
     // Exhaustive on purpose: a new dataset variant must consciously pick
     // its addressing class instead of silently inheriting (2,2).
     match d {
-        Dataset::Rmat(s) if s >= 20 => page_format_large(),
+        Dataset::Rmat(s) if s >= 20 => PageFormatConfig::new(PhysicalIdConfig::TRILLION, 64 << 10),
         Dataset::Rmat(_) | Dataset::TwitterLike | Dataset::Uk2007Like | Dataset::YahooWebLike => {
             page_format_small()
         }
@@ -82,12 +86,17 @@ pub fn cluster() -> ClusterConfig {
     ClusterConfig::scaled(1 << SCALE_SHIFT)
 }
 
-/// A framework profile with its fixed per-superstep cost scaled to match
-/// the workload scale.
-pub fn framework(
-    p: gts_baselines::cluster::FrameworkProfile,
-) -> gts_baselines::cluster::FrameworkProfile {
-    p.scaled(1 << SCALE_SHIFT)
+/// A distributed engine on the scaled cluster, its framework profile's
+/// fixed per-superstep cost scaled to match the workload.
+pub fn bsp(p: FrameworkProfile) -> BspEngine {
+    BspEngine::new(cluster(), p.scaled(1 << SCALE_SHIFT))
+}
+
+/// PowerGraph, the vertex-cut GAS engine, scaled likewise.
+pub fn powergraph() -> GasEngine {
+    let mut gas = GasEngine::new(cluster());
+    gas.profile = gas.profile.scaled(1 << SCALE_SHIFT);
+    gas
 }
 
 /// A scaled CPU engine for the given profile.

@@ -1,164 +1,165 @@
-//! Experiment output formatting: aligned console tables plus CSV files
-//! under `target/experiments/` for downstream plotting.
-//!
-//! Rendering is pure — [`render`] and [`to_csv`] turn a header and rows
-//! into strings without touching the filesystem or stdout;
-//! [`ExperimentTable`] is the figure/table benches' accumulator over them.
+//! Experiment output: a titled table of text cells, rendered as an aligned
+//! console table, a CSV file under `target/experiments/` for plotting, and
+//! a Markdown table for `EXPERIMENTS.md`. Rendering is pure; only
+//! [`Table::write_csv`] touches the filesystem.
 
-use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
+use crate::paper::claim::OOM;
+use gts_core::RunReport;
+use gts_sim::SimDuration;
+use std::path::{Path, PathBuf};
 
-/// A simple experiment table: header row plus data rows, printed aligned
-/// and mirrored to `target/experiments/<id>.csv`.
-pub struct ExperimentTable {
-    id: String,
-    title: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
+/// One experiment table: an id (its CSV's name), a title, a header row and
+/// data rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// The id, e.g. `"fig6_bfs"`.
+    pub id: String,
+    /// The title printed above it.
+    pub title: String,
+    /// Column headers.
+    pub header: Vec<String>,
+    /// Data rows, one cell per header.
+    pub rows: Vec<Vec<String>>,
 }
 
-impl ExperimentTable {
-    /// Start a table for experiment `id` (e.g. `"fig6_bfs"`).
-    pub fn new(id: &str, title: &str, header: &[&str]) -> Self {
-        ExperimentTable {
-            id: id.to_string(),
-            title: title.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+impl Table {
+    /// An empty table; `header` lists the column headers, `", "`-separated.
+    pub fn new(id: &str, title: &str, header: &str) -> Table {
+        let header = header.split(", ").map(String::from).collect();
+        let (id, title) = (id.to_string(), title.to_string());
+        Table {
+            id,
+            title,
+            header,
             rows: Vec::new(),
         }
     }
 
-    /// Append one row (stringified cells).
+    /// Append one row.
+    ///
+    /// # Panics
+    /// When the row's arity differs from the header's.
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells);
     }
 
-    /// Print to stdout and write the CSV; returns the CSV path.
-    pub fn finish(&self) -> PathBuf {
-        print!(
-            "{}",
-            render(&self.id, &self.title, &self.header, &self.rows)
-        );
+    /// The aligned console table, with its leading blank line and title
+    /// banner.
+    pub fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, c) in row.iter().enumerate() {
+                widths[i] = widths[i].max(c.len());
+            }
+        }
+        let line = |cells: Vec<String>| format!("  {}\n", cells.join("  "));
+        let fmt_row = |cells: &[String]| {
+            let cells = cells.iter().zip(&widths).map(|(c, &w)| format!("{c:>w$}"));
+            line(cells.collect())
+        };
+        let mut out = format!("\n== {} — {} ==\n", self.id, self.title);
+        out.push_str(&fmt_row(&self.header));
+        out.push_str(&line(widths.iter().map(|&w| "-".repeat(w)).collect()));
+        self.rows.iter().for_each(|row| out.push_str(&fmt_row(row)));
+        out
+    }
 
-        let dir = out_dir();
-        fs::create_dir_all(&dir).expect("create experiments dir");
+    /// The CSV body: header line plus one line per row.
+    pub fn to_csv(&self) -> String {
+        let lines = std::iter::once(&self.header).chain(&self.rows);
+        lines.map(|cells| cells.join(",") + "\n").collect()
+    }
+
+    /// The Markdown table, under its title.
+    pub fn markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = format!("`{}` — {}\n\n", self.id, self.title);
+        out.push_str(&line(&self.header));
+        out.push_str(&line(&vec!["---".to_string(); self.header.len()]));
+        self.rows.iter().for_each(|row| out.push_str(&line(row)));
+        out
+    }
+
+    /// Write `<dir>/<id>.csv`, returning its path.
+    pub fn write_csv(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.csv", self.id));
-        let mut f = fs::File::create(&path).expect("create csv");
-        write!(f, "{}", to_csv(&self.header, &self.rows)).expect("write csv");
-        println!("  -> {}", path.display());
-        path
+        std::fs::write(&path, self.to_csv())?;
+        Ok(path)
     }
 }
 
-/// Render an aligned console table (pure; includes the leading blank
-/// line and title banner the benches have always printed).
-pub fn render(id: &str, title: &str, header: &[String], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, c) in row.iter().enumerate() {
-            widths[i] = widths[i].max(c.len());
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        let line: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect();
-        format!("  {}\n", line.join("  "))
-    };
-    let mut out = format!("\n== {id} — {title} ==\n");
-    out.push_str(&fmt_row(header));
-    out.push_str(&format!(
-        "  {}\n",
-        widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    ));
-    for row in rows {
-        out.push_str(&fmt_row(row));
-    }
-    out
+/// The workspace root, where `EXPERIMENTS.md` and `target/` live.
+pub fn workspace_root() -> &'static Path {
+    let bench = Path::new(env!("CARGO_MANIFEST_DIR"));
+    bench
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels down")
 }
 
-/// Render the CSV body (pure): header line plus one line per row.
-pub fn to_csv(header: &[String], rows: &[Vec<String>]) -> String {
-    let mut out = format!("{}\n", header.join(","));
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Where experiment CSVs land.
-pub fn out_dir() -> PathBuf {
-    // target/ of the workspace regardless of cwd quirk under cargo bench.
-    let mut dir = std::env::current_dir().expect("cwd");
-    while !dir.join("Cargo.toml").exists() || !dir.join("crates").exists() {
-        if !dir.pop() {
-            return PathBuf::from("target/experiments");
-        }
-    }
-    dir.join("target").join("experiments")
-}
-
-/// Format a simulated duration in seconds with 4 significant digits.
-pub fn secs(d: gts_sim::SimDuration) -> String {
+/// Format a simulated duration in seconds with 4 decimals.
+pub fn secs(d: SimDuration) -> String {
     format!("{:.4}", d.as_secs_f64())
 }
 
-/// Format an outcome: seconds or `O.O.M.` — the figures' failure cells.
-pub fn secs_or_oom<E>(r: &Result<gts_sim::SimDuration, E>) -> String {
-    match r {
-        Ok(d) => secs(*d),
-        Err(_) => "O.O.M.".to_string(),
-    }
+/// A run's cell: its elapsed seconds, or `O.O.M.` for a run that ran out
+/// of memory (`None`).
+pub fn secs_or_oom(r: &Option<RunReport>) -> String {
+    r.as_ref().map_or(OOM.to_string(), |r| secs(r.elapsed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gts_sim::SimDuration;
+
+    fn table(header: &[&str], rows: &[&[&str]]) -> Table {
+        let mut t = Table::new("test_table", "unit test", &header.join(", "));
+        rows.iter()
+            .for_each(|r| t.row(r.iter().map(|c| c.to_string()).collect()));
+        t
+    }
 
     #[test]
     fn table_roundtrip_writes_csv() {
-        let mut t = ExperimentTable::new("test_table", "unit test", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let path = t.finish();
-        let body = fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "a,b\n1,2\n");
-        fs::remove_file(path).ok();
+        let t = table(&["a", "b"], &[&["1", "2"]]);
+        let dir = std::env::temp_dir().join(format!("gts-bench-{}", std::process::id()));
+        let path = t.write_csv(&dir).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     #[should_panic(expected = "arity")]
     fn arity_checked() {
-        let mut t = ExperimentTable::new("x", "y", &["a", "b"]);
-        t.row(vec!["1".into()]);
+        table(&["a", "b"], &[&["1"]]);
     }
 
     #[test]
     fn render_is_aligned_and_pure() {
-        let header = vec!["col".to_string(), "wide_column".to_string()];
-        let rows = vec![vec!["1".to_string(), "2".to_string()]];
-        let s = render("id", "title", &header, &rows);
+        let mut t = table(&["col", "wide_column"], &[&["1", "2"]]);
+        t.id = "id".into();
+        t.title = "title".into();
+        let s = t.render();
         assert!(s.starts_with("\n== id — title ==\n"));
         assert!(s.contains("col  wide_column"));
         assert!(s.contains("  1            2"), "{s}");
-        assert_eq!(to_csv(&header, &rows), "col,wide_column\n1,2\n");
+        assert_eq!(t.to_csv(), "col,wide_column\n1,2\n");
+        let md = t.markdown();
+        assert!(
+            md.ends_with("| col | wide_column |\n| --- | --- |\n| 1 | 2 |\n"),
+            "{md}"
+        );
     }
 
     #[test]
     fn formatting_helpers() {
         assert_eq!(secs(SimDuration::from_millis(1500)), "1.5000");
-        let ok: Result<SimDuration, ()> = Ok(SimDuration::from_secs(2));
-        let err: Result<SimDuration, ()> = Err(());
-        assert_eq!(secs_or_oom(&ok), "2.0000");
-        assert_eq!(secs_or_oom(&err), "O.O.M.");
+        let tel = gts_telemetry::Telemetry::new();
+        tel.set(gts_telemetry::keys::RUN_ELAPSED_NS, 2_000_000_000);
+        let run = RunReport::from_telemetry(&tel, "bfs", "gts");
+        assert_eq!(secs_or_oom(&Some(run)), "2.0000");
+        assert_eq!(secs_or_oom(&None), "O.O.M.");
     }
 }

@@ -112,7 +112,9 @@ pub struct GtsConfig {
     /// telemetry keys. Wall-clock readings vary run to run, so these
     /// keys sit OUTSIDE the determinism contract (like `ckpt.*`) and
     /// the flag defaults to off; the bench harness turns it on to track
-    /// the phase-B share of host time.
+    /// the phase-B share of host time. The flag also records the
+    /// diagnostic `storage.pages_built`: the store pages the run built
+    /// from pending mutations.
     pub measure_host_phases: bool,
     /// Deterministic fault-injection plan for the run: seeded schedules
     /// of transient device read errors, torn pages, and GPU copy/launch

@@ -48,7 +48,6 @@ use gts_sim::{SimDuration, SimTime};
 use gts_storage::builder::GraphStore;
 use gts_storage::Wal;
 use gts_telemetry::{keys, SpanCat, Telemetry, Track};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// A long-lived engine: the validated configuration, with no per-run
@@ -163,10 +162,15 @@ impl Engine {
         prog: &mut dyn GtsProgram,
         opts: &JobOptions,
     ) -> Result<RunReport, EngineError> {
+        let built = handle.store().pages_built();
         let mut job = Job::open(&self.cfg, handle, prog, opts)?;
         let outcome = job.run(handle, prog);
         let name = prog.algorithm().report_name;
         job.finish(name);
+        if self.cfg.measure_host_phases {
+            let built = handle.store().pages_built() - built;
+            job.tel.add(keys::STORAGE_PAGES_BUILT, built);
+        }
         outcome.map(|()| RunReport::from_telemetry(&job.tel, name, "GTS"))
     }
 }
@@ -296,7 +300,7 @@ pub(crate) struct Job<'e> {
     scratch: KernelScratch,
     /// Total degree of every Large-Page vertex (K_PR_LP needs it);
     /// recomputed whenever a mutation boundary changes the topology.
-    pub(crate) lp_degrees: HashMap<u64, u64>,
+    pub(crate) lp_degrees: Vec<u64>,
     /// The pages the next sweep streams.
     pub(crate) plan: SweepPlan,
     /// Simulated clock, sweep about to run and edges traversed, as of the

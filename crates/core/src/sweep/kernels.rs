@@ -15,7 +15,6 @@ use gts_exec::ThreadPool;
 use gts_gpu::warp::MicroTechnique;
 use gts_storage::builder::GraphStore;
 use gts_storage::PageKind;
-use std::collections::HashMap;
 
 /// Result of one page's functional kernel execution: everything the
 /// serial accounting pass (phase B) needs.
@@ -30,8 +29,9 @@ pub struct PageOutcome {
 pub struct KernelEnv<'a> {
     /// The graph being processed.
     pub store: &'a GraphStore,
-    /// Total adjacency length per Large-Page vertex (K_PR_LP needs it).
-    pub lp_degrees: &'a HashMap<u64, u64>,
+    /// Per page ID, the total adjacency length of the vertex a Large
+    /// Page holds (K_PR_LP needs it); see [`lp_total_degrees`].
+    pub lp_degrees: &'a [u64],
     /// Micro-level parallel technique (Sec. 6.2).
     pub technique: MicroTechnique,
     /// The current sweep number.
@@ -57,7 +57,7 @@ pub fn run_page_kernels(
     let ctx_for = |pid: u64| {
         let view = env.store.view(pid);
         let lp_total_degree = if view.kind() == PageKind::Large {
-            *env.lp_degrees.get(&view.lp_vid()).unwrap_or(&0)
+            env.lp_degrees[pid as usize]
         } else {
             0
         };
@@ -92,14 +92,21 @@ pub fn run_page_kernels(
     }
 }
 
-/// Total adjacency length of every Large-Page vertex, keyed by vertex ID.
-pub fn lp_total_degrees(store: &GraphStore) -> HashMap<u64, u64> {
-    let mut map: HashMap<u64, u64> = HashMap::new();
+/// Per page ID, the total adjacency length of the vertex each Large Page
+/// (home chunk or delta page) holds, summed over all of its Large Pages;
+/// 0 for Small Pages. Read off the per-page edge counts and the RVT, so
+/// no page is viewed (nor built, when a mutation left it pending).
+pub fn lp_total_degrees(store: &GraphStore) -> Vec<u64> {
+    let vid_of = |pid: u64| store.rvt().entry(pid).start_vid;
+    let mut per_vertex: std::collections::BTreeMap<u64, u64> = Default::default();
     for &pid in store.large_pids() {
-        let v = store.view(pid);
-        *map.entry(v.lp_vid()).or_insert(0) += v.count() as u64;
+        *per_vertex.entry(vid_of(pid)).or_default() += store.edges_in_page(pid);
     }
-    map
+    let mut degrees = vec![0; store.num_pages() as usize];
+    for &pid in store.large_pids() {
+        degrees[pid as usize] = per_vertex[&vid_of(pid)];
+    }
+    degrees
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use crate::device::StorageError;
 use crate::format::{PageFormatConfig, PageKind, RecordId};
+use crate::mutate::Pending;
 use crate::page::{encode_large_page, AdjRun, Page, PageView, SmallPageEncoder};
 use crate::rvt::{Rvt, RvtEntry};
 use gts_graph::{Csr, EdgeList};
@@ -56,9 +57,17 @@ impl fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// A graph in the slotted page format: the unit GTS streams to GPUs.
+///
+/// Mutation calls commit structure only; a page they changed is built
+/// from [`GraphStore`]'s pending overlay on its first read, which is why
+/// every read of page bytes goes through [`GraphStore::page`].
 #[derive(Debug, Clone)]
 pub struct GraphStore {
     pub(crate) cfg: PageFormatConfig,
+    /// Indexed by pid. A pending page's entry is a zero-length
+    /// placeholder, except that during a mutation call a pending Small
+    /// Page's entry is its base: the page as the first pending call found
+    /// it ([`crate::mutate`]).
     pub(crate) pages: Vec<Page>,
     pub(crate) rvt: Rvt,
     pub(crate) small_pids: Vec<u64>,
@@ -74,11 +83,13 @@ pub struct GraphStore {
     /// build holding the whole adjacency of a spilled Small-Page vertex or
     /// the overflow of a Large-Page vertex.
     pub(crate) delta_pages: BTreeMap<u64, Vec<u64>>,
+    /// What mutation calls committed that no read has built yet.
+    pub(crate) pending: Pending,
 }
 
 /// A store's counts, page size and epoch: the structure a mutation call
-/// commits batch by batch, readable while the call's page bytes are
-/// still pending ([`crate::Wal::replay_until`]).
+/// commits batch by batch, readable in the middle of the call
+/// ([`crate::Wal::replay_until`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreShape {
     num_vertices: u64,
@@ -146,22 +157,28 @@ impl GraphStore {
         }
     }
 
-    /// All pages, indexed by page ID.
-    pub fn pages(&self) -> &[Page] {
-        &self.pages
+    /// All pages, indexed by page ID; builds every pending one.
+    pub fn pages(&self) -> Vec<&Page> {
+        (0..self.num_pages()).map(|pid| self.page(pid)).collect()
     }
 
-    /// One page by ID.
+    /// One page by ID. A page a mutation call changed is built here, on
+    /// its first read — one span walk or chunk copy and one seal — and
+    /// shared by every later read; any other page costs one branch.
     pub fn page(&self, pid: u64) -> &Page {
-        &self.pages[pid as usize]
+        let page = &self.pages[pid as usize];
+        match &page.rebuilt {
+            None => page,
+            Some(cell) => cell.built.get_or_init(|| self.build_pending(pid, cell)),
+        }
     }
 
     /// Decoded view of one page. Verification is cached per page, and
     /// later views are one atomic load. The first view of a page the
     /// builder encoded hashes it and walks its layout, as for any new
     /// [`Page`]; a reconstructed store's pages were verified at load, so
-    /// their first view is already one load. A page a mutation call
-    /// sealed carries its trailer as matched (DESIGN.md §10 "The page
+    /// their first view is already one load. A page built from pending
+    /// mutations carries its trailer as matched (DESIGN.md §10 "The page
     /// trailer"), so its first view walks only the layout.
     ///
     /// # Panics
@@ -169,10 +186,15 @@ impl GraphStore {
     /// build or verified at load, so this only fires when page bytes
     /// were mutated behind the store's back.
     pub fn view(&self, pid: u64) -> PageView<'_> {
-        let page = &self.pages[pid as usize];
+        self.verified(self.page(pid))
+    }
+
+    /// A view of `page`, one of this store's own (a page or a pending
+    /// page's base), under its format; panics as [`GraphStore::view`].
+    pub(crate) fn verified<'a>(&self, page: &'a Page) -> PageView<'a> {
         match page.verify(self.cfg) {
             Ok(token) => PageView::new(token),
-            Err(e) => panic!("store page {pid} failed verification: {e}"),
+            Err(e) => panic!("store page {} failed verification: {e}", page.pid),
         }
     }
 
@@ -277,10 +299,14 @@ impl GraphStore {
     /// Checked [`Self::page`]: an out-of-range page ID becomes a typed
     /// [`StorageError::BadPid`] instead of an index panic.
     pub fn try_page(&self, pid: u64) -> Result<&Page, StorageError> {
-        self.pages.get(pid as usize).ok_or(StorageError::BadPid {
-            pid,
-            num_pages: self.pages.len() as u64,
-        })
+        if pid < self.num_pages() {
+            Ok(self.page(pid))
+        } else {
+            Err(StorageError::BadPid {
+                pid,
+                num_pages: self.num_pages(),
+            })
+        }
     }
 
     /// Checked [`Self::view`]: out-of-range page IDs and verification
@@ -330,9 +356,13 @@ impl GraphStore {
     /// Two passes, both in page-ID order. Pass 1 verifies each page
     /// (trailer checksum and layout) and places its vertices, while
     /// recording the page's slot bound: its `count` for a Small Page, 1
-    /// for every Large chunk. Pass 2 checks every record ID against that
+    /// for the first chunk of a home run, and 0 for every later chunk and
+    /// every delta page. Pass 2 checks every record ID against that
     /// table — the target page exists and has the slot — and its RVT
     /// translation against the vertex count, without opening the target.
+    /// So every record ID of a loaded store is the one
+    /// [`GraphStore::rid_of_vertex`] gives its target, which is what lets
+    /// a delete match an edge by its packed bytes.
     pub fn reconstruct(
         cfg: PageFormatConfig,
         pages: Vec<Page>,
@@ -425,6 +455,8 @@ impl GraphStore {
                             large_pids.push(pid + c as u64);
                             edges_per_page.push(edges);
                             num_edges += edges;
+                            // A record ID names a run by its first chunk.
+                            slot_bound.push(u32::from(c == 0));
                         }
                     } else {
                         // The vertex is already placed: these are delta
@@ -442,11 +474,9 @@ impl GraphStore {
                             edges_per_page.push(edges);
                             num_edges += edges;
                             delta_pages.entry(vid).or_default().push(pid + c as u64);
+                            slot_bound.push(0);
                         }
                     }
-                    // A Large chunk, home or delta, holds its vertex at
-                    // slot 0 only (a record ID names a run's first chunk).
-                    slot_bound.resize(slot_bound.len() + chunks, 1);
                     i += chunks;
                 }
             }
@@ -467,6 +497,7 @@ impl GraphStore {
             edges_per_page,
             epoch: 0,
             delta_pages,
+            pending: Pending::default(),
         };
         // Pass 2, over adjacency: every record ID must name a slot that
         // exists and resolve to a real vertex (the translation is what
@@ -666,6 +697,7 @@ pub fn build_from_csr(csr: &Csr, cfg: PageFormatConfig) -> Result<GraphStore, Bu
         edges_per_page,
         epoch: 0,
         delta_pages: BTreeMap::new(),
+        pending: Pending::default(),
     })
 }
 

@@ -8,8 +8,18 @@
 //! ([`GraphStore::reconstruct`]), which also serves as a load-time
 //! integrity check in two passes over the pages: the first verifies each
 //! page (trailer checksum, layout) and places its vertices, recording
-//! how many slots the page holds; the second checks every record ID
-//! against that per-page slot table and the RVT.
+//! how many slots a record ID may name in the page; the second checks
+//! every record ID against that per-page slot table and the RVT.
+//!
+//! **Canonical record IDs.** A record ID may name a Small Page's slot,
+//! or slot 0 of the *first* chunk of a Large vertex's home run — exactly
+//! the IDs [`GraphStore::rid_of_vertex`] gives, which are all the builder
+//! and the mutation engine ever write. Slot 0 of a later chunk, or of a
+//! delta page, would translate to the same vertex through the RVT, but
+//! the slot table gives those pages no slot, so a file holding one is
+//! refused (`BadHeader`, "... which has no such slot"). Every record ID
+//! of a loaded store is therefore canonical, which is what lets a
+//! mutation delete find an edge by comparing packed bytes.
 //!
 //! ```text
 //! offset  size  field

@@ -10,9 +10,9 @@
 //!   record encoded from its new adjacency, each run of unchanged records
 //!   copied from the old page as one block — sealed with a fresh trailer
 //!   checksum, and replaces the old page under the same page ID, so every
-//!   inbound [`crate::format::RecordId`] stays valid. The pages a call
-//!   seals are installed with that checksum marked as matched: the next
-//!   view of one walks its layout without hashing it again.
+//!   inbound [`crate::format::RecordId`] stays valid. A page so built is
+//!   installed with that checksum marked as matched: the next view of
+//!   it walks its layout without hashing it again.
 //! * **Spill to delta pages.** When a Small Page overflows its budget, the
 //!   vertex with the largest record (ties to the lowest VID) is *spilled*:
 //!   its home record is rewritten zero-length and its **entire** adjacency
@@ -31,26 +31,44 @@
 //! a vertex's home page must widen its plan by
 //! [`GraphStore::delta_pids_for_page`] to see the spilled edges.
 //!
-//! **Structure per batch, bytes once per call.** One engine call takes
+//! **Structure per call, bytes on first read.** One engine call takes
 //! k ≥ 1 batches (`GraphStore::apply_batches`;
 //! [`GraphStore::apply_mutations`] is its k = 1 call). Each batch, in
 //! order, makes every structural decision — per-vertex adjacency, routing,
 //! spill victims, chunk lists, delta-page IDs, per-page edge counts, RVT
 //! entries, the epoch — against the structure the batches before it left,
-//! and commits it. A vertex's adjacency is read off its pages once per
-//! call and edited in its packed on-page form after that. The page bytes
-//! are built once, when the call ends: each changed Small Page by one span
-//! walk over the page as the call found it, each changed chunk from its
-//! vertex's final adjacency. Small Pages are canonical and a chunk is a
-//! function of its vertex's adjacency and chunk list, so the bytes equal
-//! those of k calls of one batch each.
+//! and commits it. What the page bytes still lack stays in the store as a
+//! *pending overlay* that persists across calls: each touched vertex's
+//! adjacency in its packed on-page form, each changed Small Page's touched
+//! slots, and the re-chunked vertices.
+//! A vertex's adjacency is read off its pages once and edited in the
+//! overlay after that, deletes included: a delete removes the first entry
+//! whose packed bytes are its target's record ID, which is exact because
+//! every stored record ID is the canonical one (the builder and this
+//! module write only [`GraphStore::rid_of_vertex`], and
+//! [`GraphStore::reconstruct`] refuses any other at load).
+//!
+//! **Bytes on first read.** A changed page is built on its first read
+//! ([`GraphStore::page`], so every view, `save_store`, scrub and fsck): a
+//! Small Page by one span walk over its *base*, the page as the first
+//! pending call found it, which the build then frees; a chunk, new delta
+//! pages included, from its vertex's adjacency alone, so a pending
+//! chunk's old bytes are freed at once; then one seal. A per-page
+//! `OnceLock` makes the build happen once under shared reads, so phase A
+//! stays parallel. The next mutation call installs what reads built and
+//! drops the overlay entries no pending page needs; a
+//! re-chunked vertex whose adjacency exceeds one page of bytes has its
+//! chunks built before its call returns, so the overlay holds about one
+//! page per pending page. Small Pages are canonical and a chunk is a
+//! function of its vertex's adjacency and chunk list, so the bytes depend
+//! only on the final structure: the same however batches are grouped into
+//! calls and whenever the pages are read.
 //!
 //! **Atomicity, per batch.** A batch is validated and all of its decisions
 //! are made before any is committed; any error — unknown endpoint,
-//! missing edge on delete, page-ID exhaustion — discards the batch whole.
-//! The call still ends by building the bytes of the batches before it, so
-//! the store is byte-identical to its state after them (for a one-batch
-//! call, to its state before the call), and the error is returned.
+//! missing edge on delete, page-ID exhaustion — discards the batch whole,
+//! and the store reads as after the batches before it (for a one-batch
+//! call, as before the call). The error is returned.
 //!
 //! **Epoch.** Every applied non-empty batch bumps [`GraphStore::epoch`].
 //! The checkpoint fingerprint folds the epoch in, so a snapshot taken
@@ -58,8 +76,9 @@
 //! typed mismatch error.
 //!
 //! Application is single-threaded and iterates only ordered containers,
-//! so the resulting page bytes are identical regardless of host thread
-//! count — the same determinism contract the rest of the engine holds.
+//! and a page's bytes depend only on the structure, so they are identical
+//! regardless of host thread count or of which read builds them — the
+//! same determinism contract the rest of the engine holds.
 
 use crate::builder::{GraphStore, StoreShape};
 use crate::format::PageKind;
@@ -67,6 +86,8 @@ use crate::page::{encode_large_run, PackedAdj, Page, PageView, SmallPageEncoder}
 use crate::rvt::RvtEntry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// One edge mutation. Endpoints are vertex IDs; the vertex set is fixed
 /// at build time (mutations change edges, not the vertex universe).
@@ -209,10 +230,95 @@ pub struct MutationOutcome {
     pub epoch: u64,
 }
 
+/// What mutation calls committed that no read has built into page bytes
+/// yet; it feeds the next call's reads of a vertex's adjacency, and
+/// [`GraphStore::build_pending`]. Invariants: a page is pending iff its
+/// [`Page::rebuilt`] is set, iff it is a key of `slots` or a chunk of a
+/// `chunked` vertex; `adj` holds exactly the vertices with a pending
+/// resident record (a touched slot of an unspilled vertex) or in
+/// `chunked`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pending {
+    /// Current adjacency of every vertex named above.
+    adj: BTreeMap<u64, PackedAdj>,
+    /// Per pending Small Page, the slots whose record changed since its
+    /// base.
+    slots: BTreeMap<u64, BTreeSet<u32>>,
+    /// Vertices whose chunk pages — home run and delta pages — are
+    /// pending.
+    chunked: BTreeSet<u64>,
+    /// Pages built so far (a diagnostic count).
+    built: Built,
+}
+
+impl Pending {
+    /// Drop the entries of `store`'s pages that are no longer pending,
+    /// restoring the invariants.
+    fn retain_needed(&mut self, store: &GraphStore) {
+        let is_pending = |pid: u64| store.pages[pid as usize].rebuilt.is_some();
+        self.slots.retain(|&pid, _| is_pending(pid));
+        self.chunked
+            .retain(|&vid| store.chunk_pids(vid).into_iter().any(is_pending));
+        if self.slots.is_empty() && self.chunked.is_empty() {
+            self.adj.clear();
+            return;
+        }
+        let (slots, chunked) = (&self.slots, &self.chunked);
+        self.adj.retain(|&vid, _| {
+            let home = store.vertex_rid[vid as usize];
+            let resident = !store.delta_pages.contains_key(&vid)
+                && slots.get(&home.pid).is_some_and(|s| s.contains(&home.slot));
+            resident || chunked.contains(&vid)
+        });
+    }
+}
+
+/// A pending page's cell. Between calls a Small Page's base — the page as
+/// the first pending call found it — waits here, and the build consumes
+/// it, so a built page is held once; a call works on the base in the
+/// page vector. The built page stays here until the next call installs it.
+#[derive(Debug, Default)]
+pub(crate) struct Rebuild {
+    base: Mutex<Option<Page>>,
+    /// The page, once a read has built it.
+    pub(crate) built: OnceLock<Page>,
+}
+
+impl Rebuild {
+    // The lock is held only to take or to store the whole value, so a
+    // poisoned lock still holds a valid one.
+    fn base(&self) -> std::sync::MutexGuard<'_, Option<Page>> {
+        self.base.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn base_mut(&mut self) -> &mut Option<Page> {
+        self.base.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Rebuild {
+    fn clone(&self) -> Self {
+        Rebuild {
+            base: Mutex::new(self.base().clone()),
+            built: self.built.clone(),
+        }
+    }
+}
+
+/// A clonable build counter.
+#[derive(Debug, Default)]
+struct Built(AtomicU64);
+
+impl Clone for Built {
+    fn clone(&self) -> Self {
+        Built(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
 impl GraphStore {
     /// Apply `batch` atomically. On success the store's epoch is bumped
     /// and the returned [`MutationOutcome`] lists the pages whose bytes
-    /// changed; on any error the store is byte-identical to before.
+    /// changed; on any error the store reads as before.
     ///
     /// An empty batch is a no-op (the epoch does not move). This is the
     /// one-batch call of `GraphStore::apply_batches`.
@@ -220,39 +326,44 @@ impl GraphStore {
         &mut self,
         batch: &MutationBatch,
     ) -> Result<MutationOutcome, MutateError> {
-        let mut call = Call::new(self);
-        let outcome = call.batch(batch);
-        call.finish();
+        self.settle();
+        let outcome = self.commit(batch);
+        self.leave_pending();
         outcome
     }
 
     /// Apply `batches` in order in one call, asking `done` after each
     /// applied one and stopping once it holds; returns how many were
     /// applied. Each batch commits its structure, epoch included, before
-    /// `done` sees it; the pages the call changed are built once, when it
-    /// ends, into the bytes the same batches applied one call each would
-    /// leave. A batch that fails is discarded whole: the store ends the
-    /// call as after the batches before it, bytes included, and the error
-    /// is returned.
+    /// `done` sees it; the pages it changed are built on their first
+    /// read, into the bytes the same batches applied one call each would
+    /// leave. A batch that fails is discarded whole: the store reads as
+    /// after the batches before it, and the error is returned.
     pub(crate) fn apply_batches<'b>(
         &mut self,
         batches: impl IntoIterator<Item = &'b MutationBatch>,
         mut done: impl FnMut(&StoreShape) -> bool,
     ) -> Result<u64, MutateError> {
-        let mut call = Call::new(self);
+        self.settle();
         let (mut applied, mut failed) = (0, None);
         for batch in batches {
-            if let Err(e) = call.batch(batch) {
+            if let Err(e) = self.commit(batch) {
                 failed = Some(e);
                 break;
             }
             applied += 1;
-            if done(&call.store.shape()) {
+            if done(&self.shape()) {
                 break;
             }
         }
-        call.finish();
+        self.leave_pending();
         failed.map_or(Ok(applied), Err)
+    }
+
+    /// Pages this store, and the stores it was cloned from, built from
+    /// pending mutations ([`GraphStore::page`]).
+    pub fn pages_built(&self) -> u64 {
+        self.pending.built.0.load(Ordering::Relaxed)
     }
 
     /// The pages holding `vid`'s adjacency past its home record: its
@@ -260,7 +371,7 @@ impl GraphStore {
     fn chunk_pids(&self, vid: u64) -> Vec<u64> {
         let home = self.vertex_rid[vid as usize];
         let mut pids = Vec::new();
-        if self.view(home.pid).kind() == PageKind::Large {
+        if self.pages[home.pid as usize].kind == PageKind::Large {
             let run = self.rvt.entry(home.pid).lp_range.unwrap_or(0) as u64;
             pids.extend(home.pid..=home.pid + run);
         }
@@ -268,71 +379,50 @@ impl GraphStore {
         pids
     }
 
-    /// `vid`'s adjacency as its pages hold it: the home record (Small)
-    /// or home run (Large), then any delta pages, in stored order.
-    fn packed_adjacency(&self, vid: u64) -> PackedAdj {
+    /// The base of page `pid` (the page itself, unless it is pending),
+    /// verified.
+    fn base_view(&self, pid: u64) -> PageView<'_> {
+        self.verified(&self.pages[pid as usize])
+    }
+
+    /// `vid`'s adjacency as the committed structure has it: from the
+    /// overlay, or else off its pages — the home record (unless the
+    /// vertex spilled, which empties it) or home run, then any delta
+    /// pages, in stored order. A vertex outside the overlay has no
+    /// pending chunk and, unless spilled, no pending record.
+    fn current(&self, vid: u64) -> PackedAdj {
+        if let Some(adj) = self.pending.adj.get(&vid) {
+            return adj.clone();
+        }
         let home = self.vertex_rid[vid as usize];
         let mut adj = PackedAdj::new(self.cfg.id);
-        let hv = self.view(home.pid);
-        if hv.kind() == PageKind::Small {
-            adj.extend(hv.sp_adj_run(home.slot));
+        let spilled = self.delta_pages.contains_key(&vid);
+        if self.pages[home.pid as usize].kind == PageKind::Small && !spilled {
+            adj.extend(self.base_view(home.pid).sp_adj_run(home.slot));
         }
         for pid in self.chunk_pids(vid) {
-            adj.extend(self.view(pid).lp_adj_run());
+            adj.extend(self.base_view(pid).lp_adj_run());
         }
         adj
     }
-}
 
-/// One call of the mutation engine. Batches commit their structure one
-/// by one; page bytes stay as the call found them until
-/// [`Call::finish`] builds each changed page once. What a committed
-/// batch changed is held here: the current adjacency of every vertex it
-/// touched or spilled, and which records and chunks need encoding.
-struct Call<'s> {
-    store: &'s mut GraphStore,
-    /// Current adjacency of every vertex a committed batch touched or
-    /// spilled; every other vertex's is still on its pages.
-    adj: BTreeMap<u64, PackedAdj>,
-    /// Per Small Page, the slots whose record a committed batch changed.
-    slots: BTreeMap<u64, BTreeSet<u32>>,
-    /// Vertices whose home run and delta pages a committed batch rewrote.
-    chunked: BTreeSet<u64>,
-}
-
-impl<'s> Call<'s> {
-    fn new(store: &'s mut GraphStore) -> Self {
-        Call {
-            store,
-            adj: BTreeMap::new(),
-            slots: BTreeMap::new(),
-            chunked: BTreeSet::new(),
-        }
-    }
-
-    /// `vid`'s adjacency as the batches committed so far left it.
-    fn current(&self, vid: u64) -> PackedAdj {
-        match self.adj.get(&vid) {
-            Some(adj) => adj.clone(),
-            None => self.store.packed_adjacency(vid),
-        }
-    }
-
-    /// Length of the record in `slot` of the Small Page `view` as the
-    /// batches committed so far left it (the page bytes may be older).
+    /// Length of the record in `slot` of the Small Page `view` (a base)
+    /// as the committed structure has it.
     fn record_len(&self, view: &PageView<'_>, slot: u32) -> usize {
         let vid = view.sp_vid(slot);
-        match self.adj.get(&vid) {
-            Some(_) if self.store.delta_pages.contains_key(&vid) => 0,
-            Some(adj) => adj.len(),
-            None => view.sp_adj_len(slot) as usize,
+        if self.delta_pages.contains_key(&vid) {
+            0
+        } else if let Some(adj) = self.pending.adj.get(&vid) {
+            adj.len()
+        } else {
+            view.sp_adj_len(slot) as usize
         }
     }
 
     /// Make every structural decision of `batch` and commit them, or
     /// none: on error nothing of the batch is kept.
-    fn batch(&mut self, batch: &MutationBatch) -> Result<MutationOutcome, MutateError> {
-        let store = &*self.store;
+    fn commit(&mut self, batch: &MutationBatch) -> Result<MutationOutcome, MutateError> {
+        let store = &*self;
         if batch.is_empty() {
             return Ok(MutationOutcome {
                 epoch: store.epoch,
@@ -363,16 +453,13 @@ impl<'s> Call<'s> {
                 EdgeOp::Insert { src, dst } => {
                     let rid = store.rid_of_vertex(dst);
                     work.entry(src)
-                        .or_insert_with(|| self.current(src))
+                        .or_insert_with(|| store.current(src))
                         .push(rid);
                     inserted += 1;
                 }
                 EdgeOp::Delete { src, dst } => {
-                    let adj = work.entry(src).or_insert_with(|| self.current(src));
-                    let pos = adj
-                        .run(0..adj.len())
-                        .position(|r| store.rvt.translate(r) == dst);
-                    match pos {
+                    let adj = work.entry(src).or_insert_with(|| store.current(src));
+                    match adj.position(store.rid_of_vertex(dst)) {
                         Some(p) => {
                             adj.remove(p);
                             deleted += 1;
@@ -393,7 +480,7 @@ impl<'s> Call<'s> {
         let mut rechunk: BTreeSet<u64> = BTreeSet::new();
         for &vid in work.keys() {
             let home = store.vertex_rid[vid as usize];
-            if store.view(home.pid).kind() == PageKind::Large
+            if store.pages[home.pid as usize].kind == PageKind::Large
                 || store.delta_pages.contains_key(&vid)
             {
                 rechunk.insert(vid);
@@ -407,7 +494,7 @@ impl<'s> Call<'s> {
         let budget = store.cfg.sp_budget();
         let rid_w = store.cfg.id.rid_bytes();
         for (pid, touched) in &mut sp_touched {
-            let view = store.view(*pid);
+            let view = store.base_view(*pid);
             let len_after = |slot: u32| work[&view.sp_vid(slot)].len();
             // A page's footprint is affine in its edges, so only the
             // touched records' lengths are read while it fits.
@@ -416,7 +503,7 @@ impl<'s> Call<'s> {
             };
             let mut edges = store.edges_per_page[*pid as usize];
             for &slot in touched.iter() {
-                edges -= self.record_len(&view, slot) as u64;
+                edges -= store.record_len(&view, slot) as u64;
                 edges += len_after(slot) as u64;
             }
             if foot(edges) > budget {
@@ -425,11 +512,11 @@ impl<'s> Call<'s> {
                 // slot, with an empty record. This always terminates: the
                 // all-spilled page costs `count` empty records, which fit
                 // by construction (the builder packed `count` non-smaller
-                // records here). The lengths are those the page holds, as
-                // the batches before this one and this batch left them.
+                // records here). The lengths are those the committed
+                // structure and this batch give.
                 let mut lens: Vec<usize> = view.sp_vertices().map(|(_, run)| run.len()).collect();
-                for &slot in self.slots.get(pid).into_iter().flatten() {
-                    lens[slot as usize] = self.record_len(&view, slot);
+                for &slot in store.pending.slots.get(pid).into_iter().flatten() {
+                    lens[slot as usize] = store.record_len(&view, slot);
                 }
                 for &slot in touched.iter() {
                     lens[slot as usize] = len_after(slot);
@@ -449,7 +536,7 @@ impl<'s> Call<'s> {
                     let vid = view.sp_vid(slot);
                     if let Err(i) = touched.binary_search(&slot) {
                         touched.insert(i, slot);
-                        work.insert(vid, self.current(vid));
+                        work.insert(vid, store.current(vid));
                     }
                     rechunk.insert(vid);
                 }
@@ -460,7 +547,7 @@ impl<'s> Call<'s> {
         // --- Stage 4: chunk each re-chunked vertex over its home run and
         // delta pages, allocating delta pages for what overflows. ---
         let mut appended: Vec<(u64, u64, u64)> = Vec::new();
-        let mut next_pid = store.pages.len() as u64;
+        let mut next_pid = store.num_pages();
         let cap = store.cfg.lp_capacity();
         for &vid in &rechunk {
             let len = work[&vid].len();
@@ -488,34 +575,42 @@ impl<'s> Call<'s> {
             });
         }
 
-        // --- Commit the structure. Page bytes wait for `finish`. ---
-        let store = &mut *self.store;
+        // --- Commit the structure; the changed pages become pending. ---
         for (&pid, &edges) in &replaced {
-            let old = std::mem::replace(&mut store.edges_per_page[pid as usize], edges);
-            store.num_edges = store.num_edges - old + edges;
+            let old = std::mem::replace(&mut self.edges_per_page[pid as usize], edges);
+            self.num_edges = self.num_edges - old + edges;
         }
         let mut new_pids = Vec::with_capacity(appended.len());
         for &(pid, vid, edges) in &appended {
-            // A placeholder until `finish` encodes the chunk.
-            store
-                .pages
+            self.pages
                 .push(Page::new(pid, PageKind::Large, Box::default()));
-            store.rvt.push_entry(RvtEntry {
+            self.rvt.push_entry(RvtEntry {
                 start_vid: vid,
                 lp_range: Some(0),
             });
-            store.large_pids.push(pid);
-            store.edges_per_page.push(edges);
-            store.num_edges += edges;
-            store.delta_pages.entry(vid).or_default().push(pid);
+            self.large_pids.push(pid);
+            self.edges_per_page.push(edges);
+            self.num_edges += edges;
+            self.delta_pages.entry(vid).or_default().push(pid);
             new_pids.push(pid);
         }
-        store.epoch += 1;
-        for (pid, touched) in sp_touched {
-            self.slots.entry(pid).or_default().extend(touched);
+        for &pid in replaced.keys().chain(&new_pids) {
+            let page = &mut self.pages[pid as usize];
+            if page.kind == PageKind::Large {
+                // A chunk is built from its vertex's list alone, so its
+                // old bytes are dead: a placeholder holds its place.
+                *page = Page::new(pid, PageKind::Large, Box::default());
+            }
+            // `settle` emptied every cell, so one left here is unbuilt.
+            page.rebuilt.get_or_insert_with(Box::default);
         }
-        self.chunked.extend(rechunk);
-        self.adj.extend(work);
+        self.epoch += 1;
+        let pending = &mut self.pending;
+        for (pid, touched) in sp_touched {
+            pending.slots.entry(pid).or_default().extend(touched);
+        }
+        pending.chunked.extend(rechunk);
+        pending.adj.extend(work);
         Ok(MutationOutcome {
             inserted,
             deleted,
@@ -523,49 +618,106 @@ impl<'s> Call<'s> {
             delta_pages_allocated: new_pids.len() as u64,
             dirty_pids: replaced.into_keys().collect(),
             new_pids,
-            epoch: store.epoch,
+            epoch: self.epoch,
         })
     }
 
-    /// Build every page the call changed, once, from the call's final
-    /// adjacency, seal it and install it.
-    fn finish(self) {
-        let Call {
-            store,
-            adj,
-            slots,
-            chunked,
-        } = self;
-        // One walk per Small Page: each maximal run of unchanged slots is
-        // one span copy, and only the changed slots are encoded — a
-        // spilled one as an empty record.
-        for (pid, touched) in slots {
-            let view = store.view(pid);
-            let mut enc = SmallPageEncoder::new(store.cfg);
-            for slot in touched {
-                enc.push_span(&view, enc.num_slots()..slot);
-                let vid = view.sp_vid(slot);
-                if store.delta_pages.contains_key(&vid) {
-                    enc.push_vertex(vid, &[]);
-                } else {
-                    let list = &adj[&vid];
-                    enc.push_run(vid, list.run(0..list.len()));
+    /// Page `pid`, pending, as the committed structure gives it, sealed:
+    /// a Small Page by one walk over its base — each maximal run of
+    /// unchanged slots one span copy, each changed slot encoded from the
+    /// overlay (a spilled one as an empty record) — a chunk from its
+    /// vertex's adjacency (chunk `i` holds entries `i * cap ..`). The
+    /// build takes a parked base out of `cell` and drops it.
+    pub(crate) fn build_pending(&self, pid: u64, cell: &Rebuild) -> Page {
+        self.pending.built.0.fetch_add(1, Ordering::Relaxed);
+        let adj = &self.pending.adj;
+        let page = match self.pages[pid as usize].kind {
+            PageKind::Small => {
+                let parked = cell.base().take();
+                let view = self.verified(parked.as_ref().unwrap_or(&self.pages[pid as usize]));
+                let mut enc = SmallPageEncoder::new(self.cfg);
+                for &slot in &self.pending.slots[&pid] {
+                    enc.push_span(&view, enc.num_slots()..slot);
+                    let vid = view.sp_vid(slot);
+                    if self.delta_pages.contains_key(&vid) {
+                        enc.push_vertex(vid, &[]);
+                    } else {
+                        let list = &adj[&vid];
+                        enc.push_run(vid, list.run(0..list.len()));
+                    }
                 }
+                enc.push_span(&view, enc.num_slots()..view.count());
+                enc.finish(pid)
             }
-            enc.push_span(&view, enc.num_slots()..view.count());
-            let page = enc.finish(pid).trust_own_seal();
-            store.pages[pid as usize] = page;
-        }
-        // A chunk's bytes are a function of its vertex's final adjacency
-        // and chunk list: chunk `i` holds entries `i * cap ..`.
-        let cap = store.cfg.lp_capacity();
-        for vid in chunked {
-            let list = &adj[&vid];
-            for (i, pid) in store.chunk_pids(vid).into_iter().enumerate() {
+            PageKind::Large => {
+                let vid = self.rvt.entry(pid).start_vid;
+                let (list, cap) = (&adj[&vid], self.cfg.lp_capacity());
+                // Chunk pids ascend: the home run, then the delta pages.
+                let i = self.chunk_pids(vid).partition_point(|&p| p < pid);
                 let run = list.run((i * cap).min(list.len())..((i + 1) * cap).min(list.len()));
-                let page = encode_large_run(store.cfg, pid, vid, run).trust_own_seal();
-                store.pages[pid as usize] = page;
+                encode_large_run(self.cfg, pid, vid, run)
             }
+        };
+        page.trust_own_seal()
+    }
+
+    /// Install every pending page a read has built as the page itself,
+    /// bring every other pending Small Page's base back for the call to
+    /// read, and drop the overlay entries no pending page needs any more.
+    fn settle(&mut self) {
+        let pids: Vec<u64> = (self.pending.slots.keys().copied())
+            .chain(
+                self.pending
+                    .chunked
+                    .iter()
+                    .flat_map(|&vid| self.chunk_pids(vid)),
+            )
+            .collect();
+        let mut settled = false;
+        for pid in pids {
+            let page = &mut self.pages[pid as usize];
+            let Some(cell) = page.rebuilt.as_deref_mut() else {
+                continue;
+            };
+            if let Some(built) = cell.built.take() {
+                *page = built;
+                settled = true;
+            } else if let Some(mut base) = cell.base_mut().take() {
+                base.rebuilt = page.rebuilt.take();
+                *page = base;
+            }
+        }
+        if settled {
+            let mut pending = std::mem::take(&mut self.pending);
+            pending.retain_needed(self);
+            self.pending = pending;
+        }
+    }
+
+    /// End a call: build and install the chunks of every re-chunked
+    /// vertex whose adjacency exceeds one page of bytes, the bound on
+    /// what the overlay holds per pending page; then park each pending
+    /// Small Page's base in its cell, for the build to take.
+    fn leave_pending(&mut self) {
+        let page_size = self.cfg.page_size;
+        let big: Vec<u64> = (self.pending.chunked.iter().copied())
+            .filter(|vid| self.pending.adj[vid].packed_len() > page_size)
+            .collect();
+        for vid in big {
+            for pid in self.chunk_pids(vid) {
+                self.pages[pid as usize] = self.build_pending(pid, &Rebuild::default());
+            }
+            self.pending.chunked.remove(&vid);
+            self.pending.adj.remove(&vid);
+        }
+        for &pid in self.pending.slots.keys() {
+            let page = &mut self.pages[pid as usize];
+            let mut cell = page.rebuilt.take();
+            let base = std::mem::replace(page, Page::new(pid, PageKind::Small, Box::default()));
+            if let Some(cell) = cell.as_deref_mut() {
+                *cell.base_mut() = Some(base);
+            }
+            page.rebuilt = cell;
         }
     }
 }
@@ -776,8 +928,12 @@ mod tests {
         b.insert(5, 0).insert(5, 1).insert(6, 2);
         store.apply_mutations(&b).unwrap();
         assert!(store.has_delta_pages());
-        let rebuilt = GraphStore::reconstruct(cfg(), store.pages().to_vec(), store.num_vertices())
-            .expect("reconstruct");
+        let rebuilt = GraphStore::reconstruct(
+            cfg(),
+            store.pages().into_iter().cloned().collect(),
+            store.num_vertices(),
+        )
+        .expect("reconstruct");
         assert_eq!(rebuilt.decode_edges(), store.decode_edges());
         assert_eq!(rebuilt.delta_pids_of(5), store.delta_pids_of(5));
         assert_eq!(rebuilt.num_edges(), store.num_edges());
@@ -938,7 +1094,11 @@ mod tests {
         // In memory the seal is trusted: the first cached check of a
         // sealed page does not hash it, so bytes changed behind the
         // store's back go unseen there, as after any verification.
-        store.pages[0].data[at] ^= 0x40;
+        let built = store.pages[0]
+            .rebuilt
+            .as_mut()
+            .and_then(|cell| cell.built.get_mut());
+        built.expect("page 0 is built and pending").data[at] ^= 0x40;
         assert!(store.page(0).checksum_ok_cached());
         assert!(!store.page(0).checksum_ok());
     }

@@ -33,6 +33,10 @@ const VERIFIED_FULL: u8 = 1 << 1;
 /// mutating `data` after a successful verification (or after that seal)
 /// is NOT detected by the cached paths (the pure [`Page::checksum_ok`]
 /// always recomputes).
+///
+/// A store page a mutation call changed is *pending*: its bytes are empty
+/// between calls, and `Page::rebuilt` holds the page the calls left,
+/// built on its first read ([`crate::GraphStore::page`]).
 #[derive(Debug)]
 pub struct Page {
     /// Global page ID (index into the store's page table).
@@ -43,6 +47,9 @@ pub struct Page {
     pub data: Box<[u8]>,
     /// Cached verification state ([`VERIFIED_CSUM`] | [`VERIFIED_FULL`]).
     verified: AtomicU8,
+    /// `Some` while the page is pending: what its build needs, then the
+    /// page the store's committed structure gives.
+    pub(crate) rebuilt: Option<Box<crate::mutate::Rebuild>>,
 }
 
 impl Clone for Page {
@@ -53,6 +60,7 @@ impl Clone for Page {
             data: self.data.clone(),
             // The bytes are copied unchanged, so verification carries over.
             verified: AtomicU8::new(self.verified.load(Ordering::Relaxed)),
+            rebuilt: self.rebuilt.clone(),
         }
     }
 }
@@ -73,6 +81,7 @@ impl Page {
             kind,
             data,
             verified: AtomicU8::new(0),
+            rebuilt: None,
         }
     }
 
@@ -623,8 +632,8 @@ impl<'a> AdjRun<'a> {
 
 /// An adjacency list held off-page in its on-page packing, `(p, q)`
 /// bytes per entry rather than a [`RecordId`] each: what the mutation
-/// engine edits between a vertex's first read in a call and the one
-/// encode that ends the call. Copying a record in or out is one block
+/// engine edits between a vertex's first read and the build of the pages
+/// that hold it. Copying a record in or out is one block
 /// copy. [`LOAD_BYTES`] of slack follow the last entry, as on a page, so
 /// a run over the list decodes every entry with one word load.
 #[derive(Debug, Clone)]
@@ -661,6 +670,26 @@ impl PackedAdj {
         let at = self.bytes.len() - LOAD_BYTES;
         self.bytes.resize(at + self.id.rid_bytes() + LOAD_BYTES, 0);
         encode_rids(&mut self.bytes[at..], &[rid], self.id);
+    }
+
+    /// Index of the first entry whose packed bytes are `rid`'s. A word
+    /// load and a mask per entry when an entry fits a word.
+    pub(crate) fn position(&self, rid: RecordId) -> Option<usize> {
+        let w = self.id.rid_bytes();
+        let mut packed = [0u8; 2 * LOAD_BYTES];
+        encode_rids(&mut packed, &[rid], self.id);
+        if w <= LOAD_BYTES {
+            let (want, mask) = (read_le::<LOAD_BYTES>(&packed), low_mask(w as u32));
+            (0..self.len()).position(|i| read_le::<LOAD_BYTES>(&self.bytes[i * w..]) & mask == want)
+        } else {
+            let entries = &self.bytes[..self.len() * w];
+            entries.chunks_exact(w).position(|e| e == &packed[..w])
+        }
+    }
+
+    /// Bytes the packed entries take.
+    pub(crate) fn packed_len(&self) -> usize {
+        self.bytes.len() - LOAD_BYTES
     }
 
     /// Remove entry `i`, keeping the order of the rest.

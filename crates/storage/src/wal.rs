@@ -11,10 +11,11 @@
 //!   that the next [`Wal::open`] cuts off, and a rotted interior frame is
 //!   a typed error, never a silent truncation;
 //! * recovery replays the WAL suffix on top of the newest snapshot, as
-//!   one `GraphStore::apply_batches` call that builds each changed page
-//!   once, and lands byte-identical to the uncrashed store, epoch
-//!   included, because the engine is deterministic and its bytes do not
-//!   depend on how batches are grouped into calls.
+//!   one `GraphStore::apply_batches` call that commits structure only —
+//!   each changed page is built on its first read — and lands
+//!   byte-identical to the uncrashed store, epoch included, because the
+//!   engine is deterministic and its bytes depend neither on how batches
+//!   are grouped into calls nor on when pages are read.
 //!
 //! This module owns only what is specific to mutations — the header
 //! binding ([`WalHeader`]), the record codec and the epoch chain; framing,
@@ -465,10 +466,10 @@ impl Wal {
     ///
     /// The whole suffix is one `GraphStore::apply_batches` call: each
     /// record commits its structure and epoch in turn, and `done` reads
-    /// that structure ([`StoreShape`]) while the page bytes wait for the
-    /// end of the call, which builds each changed page once. A record
-    /// the store rejects ends replay at the record boundary before it —
-    /// the store as after the records before it, bytes included — with
+    /// that structure ([`StoreShape`]); the page bytes wait for each
+    /// changed page's first read, which builds it once. A record the
+    /// store rejects ends replay at the record boundary before it — the
+    /// store reads as after the records before it — with
     /// [`WalError::Rejected`].
     pub fn replay_until(
         &self,
@@ -533,7 +534,6 @@ mod tests {
     use super::*;
     use crate::builder::build_graph_store;
     use crate::format::{PageFormatConfig, PhysicalIdConfig};
-    use crate::page::Page;
     use gts_graph::EdgeList;
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -843,7 +843,7 @@ mod tests {
                 "delta pages of {v}"
             );
         }
-        assert!(b.pages().iter().all(Page::checksum_ok));
+        assert!(b.pages().iter().all(|page| page.checksum_ok()));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -375,6 +375,30 @@ fn load_rejects_a_resealed_nonzero_slot_into_a_large_page() {
     }
 }
 
+/// A record ID names a vertex only as `GraphStore::rid_of_vertex` does:
+/// a Large vertex by its run's first chunk. Slot 0 of a later chunk
+/// or of a delta page would translate to the same vertex, but it is not
+/// canonical, so it is refused at load, as a slot the page does not have
+/// — a delete matches an edge by its packed bytes and relies on this.
+#[test]
+fn load_rejects_a_resealed_rid_naming_a_later_chunk_or_a_delta_page() {
+    let store = store_with_every_target();
+    assert_eq!(store.rid_of_vertex(0), RecordId::new(0, 0));
+    // Page 1 is the home run's second chunk, page 3 vertex 0's delta page.
+    for target in [1, 3] {
+        assert_eq!(store.rvt().translate(RecordId::new(target, 0)), 0);
+        for from in [2, 0, 3] {
+            let got = load_with_resealed_rid(&store, from, RecordId::new(target, 0), "canonical");
+            assert_refused(
+                got,
+                &format!(
+                    "page {from}: record id names slot 0 of page {target}, which has no such slot"
+                ),
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -159,3 +159,51 @@ proptest! {
         }
     }
 }
+
+/// `store` as `save_store` writes it.
+fn saved(store: &GraphStore, name: &str) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!("gts-prop-read-{name}-{}", std::process::id()));
+    gts_storage::save_store(store, &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A mutation call commits structure and leaves the changed pages to
+    /// be built on their first read, so when a page is read must never
+    /// change what it holds. Three stores take the same batches: one is
+    /// read only after the last call, one reads every page after every
+    /// call, one reads the pages `reads` picks after each call. Every
+    /// batch's outcome, then every page byte for byte, the decoded edges
+    /// and the saved file, are the same for all three.
+    #[test]
+    fn page_bytes_do_not_depend_on_when_pages_are_read(run in arb_run(), reads in 0u64..u64::MAX) {
+        let (fmt, n, seed_edges, batch_seeds) = run;
+        let base = build_graph_store(&EdgeList::new(n, seed_edges), fmt).unwrap();
+        let (mut lazy, mut eager, mut some) = (base.clone(), base.clone(), base);
+        let mut model = model_of(&lazy);
+        for (call, seeds) in batch_seeds.iter().enumerate() {
+            let batch = realize_batch(&mut model, seeds);
+            let out = lazy.apply_mutations(&batch).unwrap();
+            prop_assert_eq!(&eager.apply_mutations(&batch).unwrap(), &out, "call {}", call);
+            prop_assert_eq!(&some.apply_mutations(&batch).unwrap(), &out, "call {}", call);
+            eager.pages();
+            for pid in 0..some.num_pages() {
+                if reads.rotate_left((call * 13) as u32 + pid as u32) & 1 == 1 {
+                    some.view(pid);
+                }
+            }
+        }
+        for (name, store) in [("eager", &eager), ("some", &some)] {
+            for (pid, (a, b)) in lazy.pages().iter().zip(store.pages()).enumerate() {
+                prop_assert_eq!(&a.data, &b.data, "{}: page {} bytes", name, pid);
+            }
+            prop_assert_eq!(lazy.decode_edges(), store.decode_edges(), "{}: edges", name);
+            prop_assert_eq!(saved(&lazy, "lazy"), saved(store, name), "{}: saved file", name);
+        }
+        assert_canonical(&lazy, &model)?;
+    }
+}

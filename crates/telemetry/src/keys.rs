@@ -31,6 +31,7 @@
 //! | `ckpt.write_ns` | wall-clock ns spent writing checkpoints (wall-side) |
 //! | `host.phase_a_ns` | wall-clock ns in host phase A kernels (opt-in, wall-side) |
 //! | `host.phase_b_ns` | wall-clock ns in host phase B accounting (opt-in, wall-side) |
+//! | `storage.pages_built` | store pages built from pending mutations during the run (opt-in, diagnostic) |
 //! | `net.bytes` | bytes shipped over the cluster network (baselines) |
 //! | `mem.peak` | peak working-set bytes (max-merged, baselines) |
 //! | `gpu{i}.bytes_h2d` … | per-GPU fields, see the `GPU_*` constants |
@@ -128,6 +129,12 @@ pub const HOST_PHASE_A_NS: &str = "host.phase_a_ns";
 /// Wall-clock nanoseconds the host spent in phase B (accounting) across
 /// all sweeps (same caveats as [`HOST_PHASE_A_NS`]).
 pub const HOST_PHASE_B_NS: &str = "host.phase_b_ns";
+/// Store pages built from pending mutations while the run read them
+/// (`GraphStore::pages_built`; recorded with the host phases). Outside
+/// the contract: which job of several sharing a store builds a page
+/// depends on host scheduling, and a resumed run's store has none
+/// pending.
+pub const STORAGE_PAGES_BUILT: &str = "storage.pages_built";
 /// Mutation batches applied at sweep boundaries (live-topology runs).
 pub const MUT_BATCHES: &str = "mut.batches";
 /// Edges inserted by applied mutation batches.
@@ -246,12 +253,14 @@ pub fn sweep(j: u32, field: &str) -> String {
 
 /// Whether `key` is under the byte-identity contract: equal at every
 /// `host_threads` value and between an uncrashed run and its resumed
-/// twin. The prefixes outside it are wall-clock readings (`host.`) and
+/// twin. The prefixes outside it are wall-clock readings (`host.`),
 /// durability bookkeeping that depends on where a run was interrupted
-/// (`ckpt.`, `wal.`, `serve.journal.`, `serve.resume.`, `serve.wal.`).
+/// (`ckpt.`, `wal.`, `serve.journal.`, `serve.resume.`, `serve.wal.`) and
+/// the page-build diagnostic ([`STORAGE_PAGES_BUILT`]).
 pub fn is_contract(key: &str) -> bool {
-    const OUTSIDE: [&str; 6] = [
+    const OUTSIDE: [&str; 7] = [
         "host.",
+        STORAGE_PAGES_BUILT,
         "ckpt.",
         "wal.",
         "serve.journal.",
@@ -299,6 +308,7 @@ mod tests {
     fn contract_excludes_exactly_the_wall_side_prefixes() {
         for key in [
             HOST_PHASE_A_NS,
+            STORAGE_PAGES_BUILT,
             CKPT_BYTES,
             CKPT_MANIFEST_SKIPPED,
             WAL_APPENDS,

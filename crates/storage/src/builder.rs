@@ -169,7 +169,7 @@ impl GraphStore {
         let page = &self.pages[pid as usize];
         match &page.rebuilt {
             None => page,
-            Some(cell) => cell.built.get_or_init(|| self.build_pending(pid, cell)),
+            Some(cell) => cell.get_or_build(|base| self.build_pending(pid, base)),
         }
     }
 

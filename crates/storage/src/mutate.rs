@@ -86,8 +86,8 @@ use crate::page::{encode_large_run, PackedAdj, Page, PageView, SmallPageEncoder}
 use crate::rvt::RvtEntry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One edge mutation. Endpoints are vertex IDs; the vertex set is fixed
 /// at build time (mutations change edges, not the vertex universe).
@@ -274,32 +274,58 @@ impl Pending {
 }
 
 /// A pending page's cell. Between calls a Small Page's base — the page as
-/// the first pending call found it — waits here, and the build consumes
-/// it, so a built page is held once; a call works on the base in the
-/// page vector. The built page stays here until the next call installs it.
+/// the first pending call found it — is parked here; the first read
+/// builds the page from it and then frees it, so a built page is held
+/// once. A call works on the base in the page vector instead. The built
+/// page stays here until the next call installs it.
 #[derive(Debug, Default)]
 pub(crate) struct Rebuild {
     base: Mutex<Option<Page>>,
-    /// The page, once a read has built it.
-    pub(crate) built: OnceLock<Page>,
+    /// Whether `base` may still hold a page, so that a read of a built
+    /// page costs one load rather than a lock.
+    parked: AtomicBool,
+    built: OnceLock<Page>,
 }
 
 impl Rebuild {
-    // The lock is held only to take or to store the whole value, so a
-    // poisoned lock still holds a valid one.
-    fn base(&self) -> std::sync::MutexGuard<'_, Option<Page>> {
+    // The lock is held to build from the base, to take it or to store
+    // it, so a poisoned lock still holds a valid value.
+    fn base(&self) -> MutexGuard<'_, Option<Page>> {
         self.base.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn base_mut(&mut self) -> &mut Option<Page> {
-        self.base.get_mut().unwrap_or_else(PoisonError::into_inner)
+    /// The page, built by `build` from the parked base on the first call.
+    /// The base is freed only once the page is published, so a clone made
+    /// meanwhile holds one or the other.
+    pub(crate) fn get_or_build(&self, build: impl FnOnce(Option<&Page>) -> Page) -> &Page {
+        let page = self.built.get_or_init(|| build(self.base().as_ref()));
+        if self.parked.load(Ordering::Relaxed) {
+            self.base().take();
+            self.parked.store(false, Ordering::Relaxed);
+        }
+        page
+    }
+
+    fn park(&mut self, base: Page) {
+        *self.base.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(base);
+        *self.parked.get_mut() = true;
+    }
+
+    fn unpark(&mut self) -> Option<Page> {
+        *self.parked.get_mut() = false;
+        self.base
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 }
 
 impl Clone for Rebuild {
     fn clone(&self) -> Self {
+        let base = self.base().clone();
         Rebuild {
-            base: Mutex::new(self.base().clone()),
+            parked: AtomicBool::new(base.is_some()),
+            base: Mutex::new(base),
             built: self.built.clone(),
         }
     }
@@ -610,7 +636,10 @@ impl GraphStore {
             pending.slots.entry(pid).or_default().extend(touched);
         }
         pending.chunked.extend(rechunk);
-        pending.adj.extend(work);
+        // Growth slack would outlive the call in the overlay.
+        pending
+            .adj
+            .extend(work.into_iter().map(|(vid, adj)| (vid, adj.trimmed())));
         Ok(MutationOutcome {
             inserted,
             deleted,
@@ -626,15 +655,14 @@ impl GraphStore {
     /// a Small Page by one walk over its base — each maximal run of
     /// unchanged slots one span copy, each changed slot encoded from the
     /// overlay (a spilled one as an empty record) — a chunk from its
-    /// vertex's adjacency (chunk `i` holds entries `i * cap ..`). The
-    /// build takes a parked base out of `cell` and drops it.
-    pub(crate) fn build_pending(&self, pid: u64, cell: &Rebuild) -> Page {
+    /// vertex's adjacency (chunk `i` holds entries `i * cap ..`). A Small
+    /// Page's base is `parked`, or else its entry in the page vector.
+    pub(crate) fn build_pending(&self, pid: u64, parked: Option<&Page>) -> Page {
         self.pending.built.0.fetch_add(1, Ordering::Relaxed);
         let adj = &self.pending.adj;
         let page = match self.pages[pid as usize].kind {
             PageKind::Small => {
-                let parked = cell.base().take();
-                let view = self.verified(parked.as_ref().unwrap_or(&self.pages[pid as usize]));
+                let view = self.verified(parked.unwrap_or(&self.pages[pid as usize]));
                 let mut enc = SmallPageEncoder::new(self.cfg);
                 for &slot in &self.pending.slots[&pid] {
                     enc.push_span(&view, enc.num_slots()..slot);
@@ -682,7 +710,7 @@ impl GraphStore {
             if let Some(built) = cell.built.take() {
                 *page = built;
                 settled = true;
-            } else if let Some(mut base) = cell.base_mut().take() {
+            } else if let Some(mut base) = cell.unpark() {
                 base.rebuilt = page.rebuilt.take();
                 *page = base;
             }
@@ -705,7 +733,7 @@ impl GraphStore {
             .collect();
         for vid in big {
             for pid in self.chunk_pids(vid) {
-                self.pages[pid as usize] = self.build_pending(pid, &Rebuild::default());
+                self.pages[pid as usize] = self.build_pending(pid, None);
             }
             self.pending.chunked.remove(&vid);
             self.pending.adj.remove(&vid);
@@ -715,7 +743,7 @@ impl GraphStore {
             let mut cell = page.rebuilt.take();
             let base = std::mem::replace(page, Page::new(pid, PageKind::Small, Box::default()));
             if let Some(cell) = cell.as_deref_mut() {
-                *cell.base_mut() = Some(base);
+                cell.park(base);
             }
             page.rebuilt = cell;
         }

@@ -687,6 +687,12 @@ impl PackedAdj {
         }
     }
 
+    /// The list with no spare capacity.
+    pub(crate) fn trimmed(mut self) -> Self {
+        self.bytes.shrink_to_fit();
+        self
+    }
+
     /// Bytes the packed entries take.
     pub(crate) fn packed_len(&self) -> usize {
         self.bytes.len() - LOAD_BYTES

@@ -3,8 +3,9 @@
 //! injected.
 //!
 //! Two disciplines, one per file shape. A file that is replaced whole
-//! (snapshots, the manifest, a fresh log header) goes through
-//! [`write_atomic`]; a file that grows (a [`SealedLog`](crate::SealedLog))
+//! (snapshots, the manifest, a fresh log header, a saved page store) goes
+//! through [`replace_streamed`], of which [`write_atomic`] is the
+//! one-buffer call; a file that grows (a [`SealedLog`](crate::SealedLog))
 //! goes through [`append_sync`] / [`truncate_sync`] on one open handle.
 //!
 //! Each primitive is a fixed sequence of *steps* — the syscalls whose
@@ -16,7 +17,7 @@
 
 use crate::error::CkptError;
 use std::fs::{self, File};
-use std::io::Write as _;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,19 +91,43 @@ impl KillSwitch {
     }
 }
 
-/// Replace `path` with `bytes` crash-atomically, in four steps: write
-/// `<path>.tmp`, fsync it, rename it over `path`, fsync the directory. A
-/// crash at any step leaves either the old file or the new one, never a
-/// mixture.
+/// Replace `path` with `bytes` crash-atomically: [`replace_streamed`]
+/// of one buffer.
 pub(crate) fn write_atomic(kill: &KillSwitch, path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+    replace_streamed(kill, path, bytes.len() as u64, |w| w.write_all(bytes))
+}
+
+/// Replace `path` crash-atomically with the `len` bytes `fill` writes, in
+/// four steps: stream them to `<path>.tmp`, fsync it, rename it over
+/// `path`, fsync the directory. A crash at any step leaves either the old
+/// file or the new one, never a mixture. The bytes pass through a small
+/// buffer, never a whole-file one. `fill` must write exactly `len` bytes
+/// (a write killed in its step lands the first half of them).
+pub fn replace_streamed(
+    kill: &KillSwitch,
+    path: &Path,
+    len: u64,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), CkptError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = Path::new(&tmp);
     {
-        let (n, after) = kill.write_step(bytes.len())?;
-        let mut f = File::create(tmp).map_err(|e| CkptError::io("create", tmp, &e))?;
-        f.write_all(&bytes[..n])
-            .map_err(|e| CkptError::io("write", tmp, &e))?;
+        let (n, after) = kill.write_step(len as usize)?;
+        let f = File::create(tmp).map_err(|e| CkptError::io("create", tmp, &e))?;
+        let mut w = Prefix {
+            inner: BufWriter::new(f),
+            keep: n as u64,
+            seen: 0,
+        };
+        let wrote = fill(&mut w).and_then(|()| {
+            if w.seen != len {
+                return Err(io::Error::other(format!("wrote {} of {len} bytes", w.seen)));
+            }
+            w.inner.flush()
+        });
+        wrote.map_err(|e| CkptError::io("write", tmp, &e))?;
+        let f = w.inner.get_ref();
         after?;
         kill.step()?;
         f.sync_all().map_err(|e| CkptError::io("fsync", tmp, &e))?;
@@ -121,6 +146,27 @@ pub(crate) fn write_atomic(kill: &KillSwitch, path: &Path, bytes: &[u8]) -> Resu
         }
     }
     Ok(())
+}
+
+/// A writer that passes on the first `keep` bytes and drops the rest (a
+/// process killed mid-write), counting every byte it was handed.
+struct Prefix<W> {
+    inner: W,
+    keep: u64,
+    seen: u64,
+}
+
+impl<W: Write> Write for Prefix<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let pass = (self.keep.saturating_sub(self.seen) as usize).min(buf.len());
+        self.inner.write_all(&buf[..pass])?;
+        self.seen += buf.len() as u64;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// Write `bytes` at the end of `file` (opened in append mode) and fsync
@@ -203,6 +249,41 @@ mod tests {
         let kill = KillSwitch::at(4);
         write_atomic(&kill, &path, b"whole").unwrap();
         assert_eq!(kill.steps(), 4);
+    }
+
+    /// A streamed replace in many small writes is crash-atomic at each of
+    /// its four steps: `path` holds the old bytes until the rename and
+    /// the new ones from it on, never a mixture, and the count of durable
+    /// steps is `write_atomic`'s.
+    #[test]
+    fn streamed_replace_leaves_old_or_new_bytes_at_every_step() {
+        let new: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+        let fill = |w: &mut dyn Write| new.chunks(997).try_for_each(|c| w.write_all(c));
+        for k in 0..4 {
+            let path = tmp_path(&format!("streamed-{k}"));
+            fs::write(&path, b"old").unwrap();
+            let kill = KillSwitch::at(k);
+            let got = replace_streamed(&kill, &path, new.len() as u64, fill);
+            assert_eq!(got, Err(CkptError::InjectedCrash { step: k }));
+            let want: &[u8] = if k < 3 { b"old" } else { &new };
+            assert_eq!(fs::read(&path).unwrap(), want, "step {k}");
+            if k == 0 {
+                let torn = fs::read(path.with_extension("tmp")).unwrap();
+                assert_eq!(torn, new[..new.len() / 2], "step 0 lands half");
+            }
+        }
+        let path = tmp_path("streamed-count");
+        let kill = KillSwitch::never();
+        replace_streamed(&kill, &path, new.len() as u64, fill).unwrap();
+        assert_eq!((kill.steps(), fs::read(&path).unwrap()), (4, new.clone()));
+        // A fill that writes other than it declared is refused, the
+        // target untouched.
+        let short = replace_streamed(&kill, &path, 9, |w| w.write_all(b"eight b"));
+        assert!(
+            matches!(short, Err(CkptError::Io { op: "write", .. })),
+            "{short:?}"
+        );
+        assert_eq!(fs::read(&path).unwrap(), new);
     }
 
     #[test]

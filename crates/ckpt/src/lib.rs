@@ -14,8 +14,9 @@
 //!
 //! * [`fnv1a`], [`seal`], [`unseal`] — the one checksum and the one
 //!   trailer ([`xxh64`], a word-wide hash, seals slotted pages instead);
-//!   `durable` — the one temp file → fsync → rename →
-//!   directory fsync and the one append → fsync. No other module calls
+//!   [`replace_streamed`] — the one temp file → fsync → rename →
+//!   directory fsync, also under the saved page store — and the one
+//!   append → fsync. No other module calls
 //!   `sync_all` or `rename`, so its [`KillSwitch`] numbers every durable
 //!   step and is the one place a crash is injected.
 //! * [`Snapshot`] — a versioned container of named byte sections, sealed
@@ -50,7 +51,7 @@ mod snapshot;
 mod store;
 
 pub use codec::{ByteReader, ByteWriter};
-pub use durable::KillSwitch;
+pub use durable::{replace_streamed, KillSwitch};
 pub use error::CkptError;
 pub use log::{LogFormat, LogImage, SealedLog};
 pub use seal::{fnv1a, seal, unseal, xxh64};

@@ -35,6 +35,7 @@ use gts_storage::{
     build_graph_store, load_store, save_store, GraphStore, PageFormatConfig, PhysicalIdConfig, Wal,
     WalError,
 };
+use gts_telemetry::keys;
 
 /// Exit code for usage errors: unknown command, bad flag, bad value.
 pub const EXIT_USAGE: u8 = 2;
@@ -156,6 +157,10 @@ gts fsck     --store <store file> [--wal-dir DIR] [--checkpoint-dir DIR]
         run: fsck,
     },
     Command {
+        synopsis: "gts diff-counters <dump a> <dump b>",
+        run: diff_counters,
+    },
+    Command {
         synopsis: "gts help",
         run: help,
     },
@@ -258,6 +263,10 @@ onto the store by recovery's own loop, checkpoint manifest fallbacks
 (`ckpt.manifest.skipped`) and snapshot reachability through the log, and
 the serve journal's store/WAL bindings. One line per finding; exit 0
 when clean, 3 when an artifact is unreadable, 4 when findings exist.
+
+`gts diff-counters` compares two `--counters-out` / `--jobs-out` dumps but
+for the keys declared Diagnostic (`ckpt.*`, `wal.*`, `serve.journal.*`, ...):
+it prints each differing line and exits 4 naming the keys.
 
 Exit codes: 0 success, 2 usage error, 3 I/O failure, 4 engine failure.";
 
@@ -996,6 +1005,34 @@ fn write_counters(path: &str, tel: &Telemetry) -> Result<(), CliError> {
     std::fs::write(path, lines).map_err(|e| CliError::Io(format!("writing {path}: {e}")))
 }
 
+/// `gts diff-counters`: two dumps must agree on every line but those
+/// whose first word is a key declared Diagnostic (job records included).
+fn diff_counters(args: &Args) -> Result<(), CliError> {
+    let key = |line: &str| line.split(' ').next().unwrap_or("").to_owned();
+    let read = |path: &str| -> Result<Vec<String>, CliError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| CliError::Io(format!("reading {path}: {e}")))?;
+        let contract = |l: &&str| keys::class(&key(l)) != Some(keys::Class::Diagnostic);
+        Ok(text.lines().filter(contract).map(str::to_owned).collect())
+    };
+    let (a, b) = (read(args.positional(0))?, read(args.positional(1))?);
+    if a == b {
+        return Ok(());
+    }
+    let mut differing = std::collections::BTreeSet::new();
+    for (sign, from, other) in [('-', &a, &b), ('+', &b, &a)] {
+        for line in from.iter().filter(|l| !other.contains(l)) {
+            outln!("{sign} {line}");
+            differing.insert(key(line));
+        }
+    }
+    let differing: Vec<String> = differing.into_iter().collect();
+    Err(CliError::Engine(format!(
+        "diff-counters: contract lines differ: {}",
+        differing.join(", ")
+    )))
+}
+
 fn status_word(s: &JobStatus) -> &'static str {
     match s {
         JobStatus::Completed => "completed",
@@ -1022,6 +1059,52 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("gts-cli-test-{}-{name}", std::process::id()));
         p.to_string_lossy().into_owned()
+    }
+
+    /// `gts diff-counters` compares the contract lines only: a difference
+    /// in a Diagnostic key (`ckpt.*`, a serve job's `wal.*`, the journal's
+    /// bytes) passes, one in any other line fails naming its key.
+    #[test]
+    fn diff_counters_sets_aside_exactly_the_diagnostic_lines() {
+        let base = "ckpt.bytes 10\njob=3 status=completed\njob.3.cache.hits 7\n\
+                    job.3.wal.appends 1\nrun.sweeps 4\nserve.journal.bytes 90\n";
+        let diff = |text: &str| {
+            let (a, b) = (tmp("diff-a"), tmp("diff-b"));
+            std::fs::write(&a, base).unwrap();
+            std::fs::write(&b, text).unwrap();
+            let out = dispatch(&sv(&["diff-counters", &a, &b]));
+            std::fs::remove_file(&a).ok();
+            std::fs::remove_file(&b).ok();
+            out
+        };
+        assert!(diff(base).is_ok());
+        let diagnostic_only = base
+            .replace("ckpt.bytes 10", "ckpt.bytes 20")
+            .replace("job.3.wal.appends 1", "job.3.wal.appends 0")
+            .replace("serve.journal.bytes 90\n", "");
+        assert!(diff(&diagnostic_only).is_ok());
+        for (from, to, key) in [
+            ("run.sweeps 4", "run.sweeps 5", "run.sweeps"),
+            (
+                "job.3.cache.hits 7",
+                "job.3.cache.hits 8",
+                "job.3.cache.hits",
+            ),
+            ("status=completed", "status=failed", "job=3"),
+        ] {
+            let err = diff(&base.replace(from, to)).unwrap_err();
+            assert_eq!(err.exit_code(), EXIT_ENGINE, "{err}");
+            assert!(
+                err.to_string().ends_with(&format!("differ: {key}")),
+                "{err}"
+            );
+        }
+        let err = dispatch(&sv(&[
+            "diff-counters",
+            &tmp("diff-none"),
+            &tmp("diff-none"),
+        ]));
+        assert_eq!(err.unwrap_err().exit_code(), EXIT_IO);
     }
 
     fn synopsis(command: &str) -> &'static str {
@@ -2015,19 +2098,10 @@ mod tests {
             std::fs::read_to_string(&rj).unwrap(),
             "resumed per-job dump must match the uncrashed run"
         );
-        let strip = |text: String| -> String {
-            text.lines()
-                .filter(|l| gts_telemetry::keys::is_contract(l))
-                .map(|l| format!("{l}\n"))
-                .collect()
-        };
         let resumed = std::fs::read_to_string(&rc).unwrap();
         assert!(resumed.contains("serve.resume.cached"), "{resumed}");
-        assert_eq!(
-            strip(std::fs::read_to_string(&bc).unwrap()),
-            strip(resumed),
-            "resumed counters must match the uncrashed run"
-        );
+        dispatch(&sv(&["diff-counters", &bc, &rc]))
+            .expect("resumed counters must match the uncrashed run");
         for p in [&el, &st, &wl, &bj, &bc, &cj, &cc, &rj, &rc] {
             std::fs::remove_file(p).ok();
         }

@@ -1453,6 +1453,46 @@ mod tests {
     }
 
     #[test]
+    fn live_sssp_relaxes_an_edge_inserted_out_of_a_settled_vertex() {
+        // The chain 0→1→…→9 plus 0→9 inserted at sweep 1 or 3 (mid-run,
+        // vertex 0 long settled) or 20 (after convergence): dist[9] must
+        // drop to the one-hop weight either way.
+        let chain: Vec<(u32, u32)> = (0..9).map(|v| (v, v + 1)).collect();
+        let mut last = chain.clone();
+        last.push((0, 9));
+        let want = reference::sssp(&Csr::from_edge_list(&gts_graph::EdgeList::new(10, last)), 0);
+        for at in [1, 3, 20] {
+            let fmt = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 256);
+            let mut store =
+                build_graph_store(&gts_graph::EdgeList::new(10, chain.clone()), fmt).unwrap();
+            let mut batch = MutationBatch::new();
+            batch.insert(0, 9);
+            let mut sssp = crate::programs::Sssp::new(10, 0);
+            Gts::new(GtsConfig::default())
+                .run_live(&mut store, &mut sssp, MutationSchedule::new().at(at, batch))
+                .unwrap();
+            assert_eq!(sssp.distances(), want, "batch at sweep {at}");
+        }
+    }
+
+    #[test]
+    fn live_bfs_after_a_delete_answers_a_lower_bound() {
+        // Deleting 4→5 from the chain 0→…→8 after convergence cuts 5..=8
+        // off, but a removed shortcut does not raise settled levels: they
+        // keep 5, 6, 7, 8 where a fresh run finds them unreachable.
+        let chain: Vec<(u32, u32)> = (0..8).map(|v| (v, v + 1)).collect();
+        let fmt = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 256);
+        let mut store = build_graph_store(&gts_graph::EdgeList::new(9, chain), fmt).unwrap();
+        let mut batch = MutationBatch::new();
+        batch.delete(4, 5);
+        let mut bfs = Bfs::new(9, 0);
+        Gts::new(GtsConfig::default())
+            .run_live(&mut store, &mut bfs, MutationSchedule::new().at(20, batch))
+            .unwrap();
+        assert_eq!(bfs.levels(), [0, 1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
     fn live_pagerank_post_done_batch_gets_a_refresh_sweep() {
         // Sweep programs with the default (empty) `on_mutation` get a full
         // refresh sweep per post-Done batch: Fixed(3) converges at sweep 2,

@@ -24,10 +24,12 @@
 //! run still lands its counters, closes its spans, and yields a partial
 //! trace.
 //!
-//! Solo [`crate::Gts::run`] is one job over this API and is pinned
-//! byte-for-byte by the golden fixtures: a job admitted through a service
-//! produces the same report/counters as the same job run solo, at any
-//! `host_threads`.
+//! Every run is one job over this API — [`Engine::run_job`] and
+//! [`Engine::run_job_live`] for a service or a library caller, and the
+//! solo [`crate::Gts`] wrapper, which is an `Engine` plus its own
+//! telemetry handle — and is pinned byte-for-byte by the golden
+//! fixtures: a job admitted through a service produces the same
+//! report/counters as the same job run solo, at any `host_threads`.
 
 use crate::programs::{ExecMode, GtsProgram, KernelScratch, SweepControl};
 use crate::report::RunReport;

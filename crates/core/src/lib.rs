@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 // The sweep-pipeline decomposition must stick: any function growing back
-// toward the old 320-line `Gts::run` monolith trips this lint (threshold
+// toward the old 320-line sweep-loop monolith trips this lint (threshold
 // in clippy.toml at the workspace root).
 #![warn(clippy::too_many_lines)]
 
@@ -11,9 +11,12 @@
 //! streaming topology data to it** over PCI-E, page by page, through
 //! asynchronous streams (Sections 3–6 of the paper).
 //!
-//! * [`engine::Gts`] implements Algorithm 1: the `nextPIDSet` /
+//! * [`Engine`] runs Algorithm 1 as one [`job`] per call
+//!   ([`Engine::run_job`], [`Engine::run_job_live`]): the `nextPIDSet` /
 //!   `cachedPIDMap` / `MMBuf` machinery, SP-then-LP phase separation,
-//!   multi-stream copy/kernel pipelining, and the GPU-side page cache.
+//!   multi-stream copy/kernel pipelining, and the GPU-side page cache,
+//!   staged in [`sweep`]. [`engine::Gts`] is a solo `Engine` that keeps
+//!   its own [`Telemetry`] handle.
 //! * [`programs`] holds the user-level vertex programs with the GPU kernels
 //!   of Appendix B (BFS, PageRank) and Appendix D (SSSP, CC, BC), written
 //!   against the warp-cost model of `gts-gpu`.
@@ -26,17 +29,17 @@
 //! ## Quick start
 //!
 //! ```
-//! use gts_core::engine::{Gts, GtsConfig};
 //! use gts_core::programs::Bfs;
+//! use gts_core::{Engine, GtsConfig, JobOptions};
 //! use gts_graph::generate::rmat;
 //! use gts_storage::{build_graph_store, PageFormatConfig};
 //!
 //! let graph = rmat(10);
 //! let store = build_graph_store(&graph, PageFormatConfig::small_default()).unwrap();
 //! let cfg = GtsConfig { num_streams: 16, ..GtsConfig::default() };
-//! let engine = Gts::builder().config(cfg).build().unwrap();
+//! let engine = Engine::new(cfg).unwrap();
 //! let mut bfs = Bfs::new(store.num_vertices(), 0);
-//! let report = engine.run(&store, &mut bfs).unwrap();
+//! let report = engine.run_job(&store, &mut bfs, &JobOptions::default()).unwrap();
 //! assert!(report.elapsed.as_nanos() > 0);
 //! let levels = bfs.levels();
 //! assert_eq!(levels[0], 0);
@@ -52,17 +55,17 @@
 //! [`Telemetry::to_chrome_trace`] exports a Perfetto-loadable JSON trace:
 //!
 //! ```
-//! use gts_core::engine::Gts;
 //! use gts_core::programs::Bfs;
-//! use gts_core::Telemetry;
+//! use gts_core::{Engine, GtsConfig, JobOptions, Telemetry};
 //! use gts_graph::generate::rmat;
 //! use gts_storage::{build_graph_store, PageFormatConfig};
 //!
 //! let store = build_graph_store(&rmat(8), PageFormatConfig::small_default()).unwrap();
-//! let engine = Gts::builder().telemetry(Telemetry::with_spans()).build().unwrap();
+//! let engine = Engine::new(GtsConfig::default()).unwrap();
+//! let opts = JobOptions::with_telemetry(Telemetry::with_spans());
 //! let mut bfs = Bfs::new(store.num_vertices(), 0);
-//! engine.run(&store, &mut bfs).unwrap();
-//! let trace = engine.telemetry().to_chrome_trace();
+//! engine.run_job(&store, &mut bfs, &opts).unwrap();
+//! let trace = opts.telemetry.to_chrome_trace();
 //! assert!(trace.contains("traceEvents"));
 //! ```
 

@@ -182,7 +182,7 @@ impl GtsProgram for Bfs {
         // first assign) a neighbour's level. Undiscovered residents have
         // nothing to propagate. The returned home pages seed the next
         // sweep; `from_marked` widens them to LP runs and delta pages.
-        // Deleted edges are not re-derived: levels stay upper bounds of
+        // Deleted edges are not re-derived: levels stay lower bounds of
         // the post-deletion distances (documented in DESIGN.md §12).
         let mut seeds = Vec::new();
         for &pid in outcome.dirty_pids.iter().chain(&outcome.new_pids) {

@@ -326,8 +326,14 @@ pub trait GtsProgram {
     /// the affected vertices in their own state and return the pages to
     /// seed the next sweep with; the engine widens those seeds through
     /// [`crate::sweep::plan::SweepPlan::from_marked`] (LP runs and delta
-    /// pages included). The empty default means "no incremental seeds" —
-    /// the engine falls back to a full re-sweep, which is always sound.
+    /// pages included). The empty default means "no incremental seeds":
+    /// a sweep-mode program then gets a full re-sweep, which is sound
+    /// because every sweep re-reads every vertex. A traversal-mode
+    /// program does not: its plan after the batch is only the pending
+    /// frontier plus these seeds, so an edge inserted out of an
+    /// already-settled vertex is never followed unless the program
+    /// re-activates that vertex here (as `Bfs` and `Sssp` do; `Bc` does
+    /// not, DESIGN.md §12).
     fn on_mutation(&mut self, _store: &GraphStore, _outcome: &MutationOutcome) -> Vec<u64> {
         Vec::new()
     }

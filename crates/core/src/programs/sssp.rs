@@ -13,6 +13,8 @@ use super::{
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
 use gts_graph::EdgeList;
+use gts_storage::builder::GraphStore;
+use gts_storage::MutationOutcome;
 
 /// Distance of unreachable vertices.
 pub const DIST_INF: u32 = u32::MAX;
@@ -126,6 +128,30 @@ impl GtsProgram for Sssp {
         } else {
             SweepControl::Continue
         }
+    }
+
+    fn on_mutation(&mut self, store: &GraphStore, outcome: &MutationOutcome) -> Vec<u64> {
+        // As `Bfs::on_mutation`: re-activate every *reached* vertex resident
+        // in a rewritten or freshly-allocated page, since an inserted edge
+        // out of it may lower (or first assign) a neighbour's distance, and
+        // return the pages holding one as the next sweep's seeds. A vertex
+        // settled long ago is otherwise never relaxed again. Deleted edges
+        // are not re-derived: distances stay lower bounds of the
+        // post-deletion distances (DESIGN.md §12).
+        let mut seeds = Vec::new();
+        for &pid in outcome.dirty_pids.iter().chain(&outcome.new_pids) {
+            let mut any = false;
+            visit_page(store.view(pid), |vid, _len, _kind, _rids| {
+                if self.dist[vid as usize] != DIST_INF {
+                    self.active[vid as usize] = true;
+                    any = true;
+                }
+            });
+            if any {
+                seeds.push(pid);
+            }
+        }
+        seeds
     }
 
     fn save_state(&self) -> Vec<u8> {

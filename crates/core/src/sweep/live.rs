@@ -23,15 +23,15 @@ use std::collections::{BTreeMap, VecDeque};
 /// sweep always sees one consistent epoch of the topology. A batch whose
 /// sweep the algorithm never reaches — it converged earlier — is *not*
 /// dropped: the engine keeps the run alive at the fixpoint, applies the
-/// batch, and re-sweeps incrementally (see [`crate::Gts::run_live`]).
+/// batch, and re-sweeps incrementally (see [`crate::Engine::run_job_live`]).
 #[derive(Debug, Clone, Default)]
 pub struct MutationSchedule {
     batches: BTreeMap<u32, MutationBatch>,
 }
 
 impl MutationSchedule {
-    /// An empty schedule ([`crate::Gts::run_live`] then behaves like
-    /// [`crate::Gts::run`]).
+    /// An empty schedule ([`crate::Engine::run_job_live`] then behaves
+    /// like [`crate::Engine::run_job`]).
     pub fn new() -> MutationSchedule {
         MutationSchedule::default()
     }
@@ -74,9 +74,9 @@ pub(crate) struct AppliedMutations {
     pub(crate) wal_bytes: u64,
 }
 
-/// The sweep loop's access to the graph: read-only for [`crate::Gts::run`],
-/// or a mutable store plus a due-ordered mutation queue for
-/// [`crate::Gts::run_live`]. Mutation is confined to
+/// The sweep loop's access to the graph: read-only for
+/// [`crate::Engine::run_job`], or a mutable store plus a due-ordered
+/// mutation queue for [`crate::Engine::run_job_live`]. Mutation is confined to
 /// [`StoreHandle::apply_due`], which only the sweep boundary calls —
 /// mid-sweep code can only obtain `&GraphStore`, so a sweep in flight
 /// always reads one consistent epoch.

@@ -1,4 +1,4 @@
-//! The staged sweep pipeline behind [`crate::engine::Gts::run`].
+//! The staged sweep pipeline behind [`crate::Engine::run_job`].
 //!
 //! Algorithm 1 is a *pipeline* — plan which pages to stream, fetch them
 //! from wherever they live, schedule them onto GPU streams, account the
@@ -32,7 +32,8 @@
 //!   checksum, repair from the authoritative copy, and route detections
 //!   into drive quarantine (DESIGN.md §15).
 //!
-//! `Gts::run` composes these stages; the decomposition is
+//! A `Job` (`crate::job`) composes these stages, one run per
+//! [`crate::Engine::run_job`] call; the decomposition is
 //! behavior-preserving by construction and pinned byte-for-byte by the
 //! golden-report fixtures in `tests/golden/`.
 

@@ -343,7 +343,7 @@ impl Journal {
         self.pending.clear();
         tel.add(keys::SERVE_JOURNAL_FLUSHES, 1);
         tel.set(keys::SERVE_JOURNAL_RECORDS, self.sealed as u64);
-        tel.add("serve.journal.bytes", bytes);
+        tel.add(keys::SERVE_JOURNAL_BYTES, bytes);
         Ok(())
     }
 }

@@ -593,23 +593,23 @@ impl Service<'_> {
         } else if let Some(j) = &mut self.journal {
             j.append(rec.clone());
         }
-        self.tel.add("serve.jobs.admitted", 1);
+        self.tel.add(keys::SERVE_JOBS_ADMITTED, 1);
         let mutating = spec.mutate.is_some();
         self.admission
             .settle(start, spec, rec.ok.then_some(rec.service_ns));
         let tel = &self.tel;
         let (status, finish) = if rec.ok {
             let finish = start.saturating_add(rec.service_ns);
-            tel.add("serve.jobs.completed", 1);
+            tel.add(keys::SERVE_JOBS_COMPLETED, 1);
             if mutating {
-                tel.add("serve.epochs", 1);
+                tel.add(keys::SERVE_EPOCHS, 1);
             }
             if p.attempt > 1 {
                 tel.add(keys::SERVE_RETRY_RECOVERED, 1);
             }
             let latency = finish - spec.at_ns;
-            tel.observe(format!("serve.lat.{}", spec.algorithm), latency);
-            tel.observe("serve.lat.all", latency);
+            tel.observe(keys::scoped(keys::SERVE_LAT, &spec.algorithm), latency);
+            tel.observe(keys::scoped(keys::SERVE_LAT, "all"), latency);
             for (k, v) in &rec.counters {
                 if k.starts_with("tenant.") {
                     tel.add(k, *v);
@@ -618,7 +618,7 @@ impl Service<'_> {
             (JobStatus::Completed, finish)
         } else if mutating || cfg.resilience.retry_max == 0 {
             // Final at once: mutating jobs are never service-retried.
-            tel.add("serve.jobs.failed", 1);
+            tel.add(keys::SERVE_JOBS_FAILED, 1);
             (JobStatus::Failed { error: rec.error }, start)
         } else if p.attempt <= cfg.resilience.retry_max {
             tel.add(keys::SERVE_RETRY_ATTEMPTS, 1);
@@ -668,9 +668,9 @@ impl Service<'_> {
         for out in &outcomes {
             if let JobStatus::Dropped(why) = &out.status {
                 let key = match why {
-                    ServeError::QueueFull { .. } => "serve.drop.queue_full",
-                    ServeError::Rejected { .. } => "serve.drop.rejected",
-                    ServeError::Deadline { .. } => "serve.drop.deadline",
+                    ServeError::QueueFull { .. } => keys::SERVE_DROP_QUEUE_FULL,
+                    ServeError::Rejected { .. } => keys::SERVE_DROP_REJECTED,
+                    ServeError::Deadline { .. } => keys::SERVE_DROP_DEADLINE,
                     ServeError::BreakerOpen { .. } => keys::SERVE_DROP_BREAKER,
                     ServeError::Shed {
                         class,
@@ -678,11 +678,11 @@ impl Service<'_> {
                         ..
                     } => {
                         tel.add(keys::SERVE_SHED_TOTAL, 1);
-                        tel.add(format!("serve.shed.{class}"), 1);
-                        tel.observe("serve.shed.pressure", u64::from(*pressure_pct));
-                        "serve.drop.shed"
+                        tel.add(keys::scoped(keys::SERVE_SHED, class), 1);
+                        tel.observe(keys::SERVE_SHED_PRESSURE, u64::from(*pressure_pct));
+                        keys::SERVE_DROP_SHED
                     }
-                    _ => "serve.drop.other",
+                    _ => keys::SERVE_DROP_OTHER,
                 };
                 tel.add(key, 1);
             }
@@ -691,16 +691,15 @@ impl Service<'_> {
             tel.set(keys::SERVE_BREAKER_TRIPS, self.admission.trips);
         }
         let makespan_ns = outcomes.iter().map(|o| o.finish_ns).max().unwrap_or(0);
-        tel.set("serve.jobs.total", outcomes.len() as u64);
-        tel.set("serve.makespan_ns", makespan_ns);
-        tel.set("serve.slots", cfg.slots as u64);
+        tel.set(keys::SERVE_JOBS_TOTAL, outcomes.len() as u64);
+        tel.set(keys::SERVE_MAKESPAN_NS, makespan_ns);
+        tel.set(keys::SERVE_SLOTS, cfg.slots as u64);
         // Derived percentile counters: histograms rendered into the flat
         // registry, so `--counters-out` dumps and CI diffs carry them.
         for (key, s) in tel.histogram_summaries() {
-            tel.set(format!("{key}.count"), s.count);
-            tel.set(format!("{key}.p50"), s.p50);
-            tel.set(format!("{key}.p95"), s.p95);
-            tel.set(format!("{key}.p99"), s.p99);
+            for (stat, v) in keys::HIST_STATS.iter().zip([s.count, s.p50, s.p95, s.p99]) {
+                tel.set(format!("{key}.{stat}"), v);
+            }
         }
         let count = |f: fn(&JobStatus) -> bool| outcomes.iter().filter(|o| f(&o.status)).count();
         ServeOutcome {
@@ -1443,7 +1442,7 @@ mod tests {
     fn assert_same_service(a: &ServeOutcome, b: &ServeOutcome, what: &str) {
         let strip = |c: &BTreeMap<String, u64>| {
             let mut c = c.clone();
-            c.retain(|k, _| keys::is_contract(k));
+            c.retain(|k, _| keys::class(k) != Some(keys::Class::Diagnostic));
             c
         };
         for (a, b) in a.jobs.iter().zip(&b.jobs) {
@@ -1462,8 +1461,8 @@ mod tests {
             );
         }
         assert_eq!(
-            contract_counters(&a.telemetry),
-            contract_counters(&b.telemetry),
+            a.telemetry.contract_counters(),
+            b.telemetry.contract_counters(),
             "{what}"
         );
     }
@@ -1632,14 +1631,6 @@ at=1000 tenant=b job=pagerank iters=3
         .unwrap()
     }
 
-    /// Service counters with the wall-side journal/resume/WAL keys set
-    /// aside — everything else is under the byte-identity contract.
-    fn contract_counters(t: &Telemetry) -> std::collections::BTreeMap<String, u64> {
-        let mut c = t.counters();
-        c.retain(|k, _| keys::is_contract(k));
-        c
-    }
-
     /// A journal-memoized epoch bump is re-derived from the WAL's logged
     /// bytes on resume (`serve.wal.replayed`), not from the seeded
     /// generator, and the replayed store matches the uncrashed one.
@@ -1680,8 +1671,8 @@ at=1000 tenant=b job=pagerank iters=3
         );
         assert_eq!(resumed_st.epoch(), 2);
         assert_eq!(
-            contract_counters(&baseline.telemetry),
-            contract_counters(&out.telemetry)
+            baseline.telemetry.contract_counters(),
+            out.telemetry.contract_counters()
         );
         for d in [&base_wal, &dir, &wal] {
             std::fs::remove_dir_all(d).ok();

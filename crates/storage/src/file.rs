@@ -38,7 +38,7 @@ use crate::builder::GraphStore;
 use crate::format::{PageFormatConfig, PageKind, PhysicalIdConfig};
 use crate::page::Page;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"GTSPAGES";
@@ -89,21 +89,27 @@ impl From<io::Error> for FileError {
     }
 }
 
-/// Write `store` to `path` (overwriting).
+/// Write `store` to `path`, replacing any file there crash-atomically
+/// through [`gts_ckpt::replace_streamed`]: the pages stream to
+/// `<path>.tmp`, which is fsynced and renamed over `path`, so a crash
+/// leaves the old file or the new one, never a mixture.
 pub fn save_store(store: &GraphStore, path: impl AsRef<Path>) -> Result<(), FileError> {
-    let mut w = BufWriter::new(File::create(path)?);
     let cfg = store.cfg();
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(cfg.page_size as u32).to_le_bytes())?;
-    w.write_all(&[cfg.id.p, cfg.id.q, 0, 0, 0, 0, 0, 0])?;
-    w.write_all(&store.num_vertices().to_le_bytes())?;
-    w.write_all(&store.num_pages().to_le_bytes())?;
-    for page in store.pages() {
-        w.write_all(&page.data)?;
-    }
-    w.flush()?;
-    Ok(())
+    let len = HEADER_BYTES as u64 + store.num_pages() * cfg.page_size as u64;
+    let kill = gts_ckpt::KillSwitch::never();
+    gts_ckpt::replace_streamed(&kill, path.as_ref(), len, |w| {
+        w.write_all(MAGIC)?;
+        w.write_all(&VERSION.to_le_bytes())?;
+        w.write_all(&(cfg.page_size as u32).to_le_bytes())?;
+        w.write_all(&[cfg.id.p, cfg.id.q, 0, 0, 0, 0, 0, 0])?;
+        w.write_all(&store.num_vertices().to_le_bytes())?;
+        w.write_all(&store.num_pages().to_le_bytes())?;
+        for page in store.pages() {
+            w.write_all(&page.data)?;
+        }
+        Ok(())
+    })
+    .map_err(|e| FileError::Io(io::Error::other(e)))
 }
 
 /// Read a store from `path`, reconstructing all metadata from the pages.

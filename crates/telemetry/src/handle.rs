@@ -156,6 +156,15 @@ impl Telemetry {
         self.inner.lock().unwrap().counters.clone()
     }
 
+    /// Snapshot of the counters under the determinism contract: all but
+    /// the keys declared Diagnostic (an undeclared key stays, so it
+    /// cannot hide a difference).
+    pub fn contract_counters(&self) -> BTreeMap<String, u64> {
+        let mut c = self.counters();
+        c.retain(|k, _| crate::keys::class(k) != Some(crate::keys::Class::Diagnostic));
+        c
+    }
+
     /// Snapshot of all recorded spans, in recording order.
     pub fn spans(&self) -> Vec<Span> {
         self.inner.lock().unwrap().spans.clone()

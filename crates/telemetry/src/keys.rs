@@ -1,238 +1,250 @@
-//! Counter-key glossary and track-pid allocation.
+//! Counter-key registry and track-pid allocation.
 //!
-//! Every quantity an engine reports flows through the counter registry
-//! under one of these keys; [`crate::RunReport::from_telemetry`] reads them
-//! back. Global keys are plain constants; per-GPU and per-sweep keys are
-//! built by [`gpu`] and [`sweep`] from a field suffix.
-//!
-//! | key | meaning |
-//! |---|---|
-//! | `run.elapsed_ns` | simulated makespan of the run |
-//! | `run.sweeps` | sweeps / supersteps / iterations executed |
-//! | `run.gpus` | GPUs that participated (count of `gpu{i}.*` scopes) |
-//! | `pages.streamed` | topology pages copied host→device (cache misses) |
-//! | `cache.hits` / `cache.misses` | device page-cache probe outcomes |
-//! | `mmbuf.hits` / `mmbuf.misses` | host main-memory-buffer probe outcomes |
-//! | `mmbuf.evictions` | pages evicted from the MMBuf ring |
-//! | `edges.traversed` | edges processed across all sweeps |
-//! | `kernel.launches` | kernel launches across all GPUs |
-//! | `stream.stalls` | stream operations delayed by a busy engine |
-//! | `io.bytes_read` | bytes fetched from the storage array |
-//! | `io.read_errors` | injected transient device read errors |
-//! | `io.checksum_mismatches` | fetched pages failing the trailer checksum |
-//! | `io.retries` | paid re-fetch attempts after a failed read |
-//! | `io.drives_quarantined` | drives taken offline after repeated failures |
-//! | `degrade.events` | recorded step-downs of the execution strategy |
-//! | `mut.*` | mutation batches applied at sweep boundaries, see `MUT_*` |
-//! | `run.final_strategy` | strategy in effect at run end (1 = P, 2 = S) |
-//! | `run.final_streams` | streams per GPU in effect at run end |
-//! | `run.cache_enabled` | device page cache on (1) or off (0) at run end |
-//! | `ckpt.bytes` | bytes written to checkpoint snapshots (wall-side) |
-//! | `ckpt.write_ns` | wall-clock ns spent writing checkpoints (wall-side) |
-//! | `host.phase_a_ns` | wall-clock ns in host phase A kernels (opt-in, wall-side) |
-//! | `host.phase_b_ns` | wall-clock ns in host phase B accounting (opt-in, wall-side) |
-//! | `storage.pages_built` | store pages built from pending mutations during the run (opt-in, diagnostic) |
-//! | `net.bytes` | bytes shipped over the cluster network (baselines) |
-//! | `mem.peak` | peak working-set bytes (max-merged, baselines) |
-//! | `gpu{i}.bytes_h2d` … | per-GPU fields, see the `GPU_*` constants |
-//! | `sweep{j}.pages` … | per-sweep fields, see the `SWEEP_*` constants |
-//! | `serve.retry.*` / `serve.quarantine.*` / `serve.breaker.*` / `serve.shed.*` | serve-mode resilience counters (sim-side, deterministic) |
-//! | `serve.journal.*` / `serve.resume.*` | service-journal bookkeeping (outside the resume-diff contract, like `ckpt.*`) |
-//! | `wal.*` | mutation write-ahead-log bookkeeping (outside the resume-diff contract, like `ckpt.*`) |
-//! | `scrub.*` | background scrub pass results (sim-side, deterministic) |
-//! | `ckpt.manifest.skipped` | torn/unreadable manifest entries skipped on resume (wall-side) |
+//! Every counter key is declared once below, with its doc, unit and
+//! [`Class`]; one table generates the `pub const` names and [`KEYS`]. A
+//! scoped key is a pattern with one `{placeholder}` (`gpu{i}.bytes_h2d`)
+//! whose constant is the field alone; [`lookup`] resolves any concrete key,
+//! a serve job's `job.<n>.` rendering and a histogram's stats included.
 
-/// Simulated makespan of the run, nanoseconds (set once at run end).
-pub const RUN_ELAPSED_NS: &str = "run.elapsed_ns";
-/// Sweeps (BFS levels, PageRank iterations, supersteps) executed.
-pub const RUN_SWEEPS: &str = "run.sweeps";
-/// Number of GPUs that participated in the run.
-pub const RUN_GPUS: &str = "run.gpus";
-/// Topology pages copied host→device (equals `cache.misses` for GTS).
-pub const PAGES_STREAMED: &str = "pages.streamed";
-/// Device page-cache hits across all GPUs.
-pub const CACHE_HITS: &str = "cache.hits";
-/// Device page-cache misses across all GPUs.
-pub const CACHE_MISSES: &str = "cache.misses";
-/// Host MMBuf hits.
-pub const MMBUF_HITS: &str = "mmbuf.hits";
-/// Host MMBuf misses.
-pub const MMBUF_MISSES: &str = "mmbuf.misses";
-/// Pages evicted from the MMBuf ring.
-pub const MMBUF_EVICTIONS: &str = "mmbuf.evictions";
-/// Edges processed across all sweeps.
-pub const EDGES_TRAVERSED: &str = "edges.traversed";
-/// Kernel launches across all GPUs.
-pub const KERNEL_LAUNCHES: &str = "kernel.launches";
-/// Stream operations whose start was delayed past readiness by a busy
-/// copy/compute engine (pipeline friction; Fig. 10's enemy).
-pub const STREAM_STALLS: &str = "stream.stalls";
-/// Bytes fetched from the storage array (SSD/HDD streaming).
-pub const IO_BYTES_READ: &str = "io.bytes_read";
-/// Injected transient device read errors (each costs a full read + backoff).
-pub const IO_READ_ERRORS: &str = "io.read_errors";
-/// Fetched pages whose trailer checksum failed (torn or corrupt reads).
-pub const IO_CHECKSUM_MISMATCHES: &str = "io.checksum_mismatches";
-/// Paid re-fetch attempts issued after a failed read.
-pub const IO_RETRIES: &str = "io.retries";
-/// Drives quarantined after repeated consecutive failures.
-pub const IO_DRIVES_QUARANTINED: &str = "io.drives_quarantined";
-/// Typed degradation events (strategy step-downs) recorded by the engine.
-pub const DEGRADE_EVENTS: &str = "degrade.events";
-/// Execution strategy in effect when the run ended, after any OOM
-/// step-downs: 1 = Performance, 2 = Scalability, 0 = not recorded.
-pub const RUN_FINAL_STRATEGY: &str = "run.final_strategy";
-/// Streams per GPU in effect when the run ended, after any step-downs.
-pub const RUN_FINAL_STREAMS: &str = "run.final_streams";
-/// Whether the device page cache was enabled at run end (1) or stepped
-/// down to off (0).
-pub const RUN_CACHE_ENABLED: &str = "run.cache_enabled";
-/// Bytes written to checkpoint snapshots. Wall-side bookkeeping: this key
-/// (like `ckpt.write_ns`) is OUTSIDE the determinism contract — an
-/// uncrashed run and a crashed-plus-resumed run write different numbers
-/// of snapshots — so determinism comparisons must filter `ckpt.*` keys.
-pub const CKPT_BYTES: &str = "ckpt.bytes";
-/// Wall-clock nanoseconds spent encoding + fsyncing checkpoint snapshots
-/// (real time, not simulated; outside the determinism contract).
-pub const CKPT_WRITE_NS: &str = "ckpt.write_ns";
-/// Torn or unreadable manifest entries the checkpoint store skipped while
-/// resolving the latest resumable snapshot. Wall-side (like `ckpt.bytes`):
-/// only a crashed-then-resumed run ever skips entries, so the key sits
-/// OUTSIDE the resume-diff determinism contract.
-pub const CKPT_MANIFEST_SKIPPED: &str = "ckpt.manifest.skipped";
-/// Mutation-batch records sealed into the write-ahead log this run.
-/// `wal.*` keys count I/O the crashed and resumed halves of a run split
-/// differently (a resumed run re-logs already-sealed batches as 0-byte
-/// idempotent appends), so — like `ckpt.*` — they sit OUTSIDE the
-/// resume-diff determinism contract and CI filters them.
-pub const WAL_APPENDS: &str = "wal.appends";
-/// Bytes appended to the write-ahead log (same caveats as `wal.appends`).
-pub const WAL_BYTES: &str = "wal.bytes";
-/// WAL records replayed onto the store during crash recovery, before the
-/// snapshot was restored (same caveats as `wal.appends`).
-pub const WAL_REPLAYED: &str = "wal.replayed";
-/// Pages walked by background scrub passes. Scrub runs serially at sweep
-/// boundaries with draws on per-page fault streams, so `scrub.*` keys are
-/// sim-side deterministic at any `host_threads`.
-pub const SCRUB_PAGES: &str = "scrub.pages";
-/// At-rest corruptions (trailer checksum mismatches) scrub detected.
-pub const SCRUB_ERRORS: &str = "scrub.errors";
-/// Detected corruptions scrub repaired by rewriting the page from the
-/// authoritative in-memory copy.
-pub const SCRUB_REPAIRED: &str = "scrub.repaired";
-/// Wall-clock nanoseconds the host spent in phase A (functional kernels)
-/// across all sweeps. Only written when the engine's
-/// `measure_host_phases` flag is on; real time, not simulated, so (like
-/// `ckpt.*`) OUTSIDE the determinism contract — determinism comparisons
-/// must filter `host.*` keys.
-pub const HOST_PHASE_A_NS: &str = "host.phase_a_ns";
-/// Wall-clock nanoseconds the host spent in phase B (accounting) across
-/// all sweeps (same caveats as [`HOST_PHASE_A_NS`]).
-pub const HOST_PHASE_B_NS: &str = "host.phase_b_ns";
-/// Store pages built from pending mutations while the run read them
-/// (`GraphStore::pages_built`; recorded with the host phases). Outside
-/// the contract: which job of several sharing a store builds a page
-/// depends on host scheduling, and a resumed run's store has none
-/// pending.
-pub const STORAGE_PAGES_BUILT: &str = "storage.pages_built";
-/// Mutation batches applied at sweep boundaries (live-topology runs).
-pub const MUT_BATCHES: &str = "mut.batches";
-/// Edges inserted by applied mutation batches.
-pub const MUT_INSERTED: &str = "mut.inserted";
-/// Edges deleted by applied mutation batches.
-pub const MUT_DELETED: &str = "mut.deleted";
-/// Existing pages rewritten in place by mutation batches.
-pub const MUT_PAGES_REWRITTEN: &str = "mut.pages_rewritten";
-/// Delta/overflow pages allocated by mutation batches.
-pub const MUT_DELTA_PAGES: &str = "mut.delta_pages";
-/// Stale cached pages dropped from GPU page caches after mutations.
-pub const MUT_CACHE_INVALIDATIONS: &str = "mut.cache_invalidations";
-/// The store's epoch after the last applied mutation batch (set, not
-/// added: it mirrors `GraphStore::epoch`).
-pub const MUT_EPOCH: &str = "mut.epoch";
-/// Bytes shipped over the simulated cluster network (distributed baselines).
-pub const NETWORK_BYTES: &str = "net.bytes";
-/// Peak working-set bytes (max-merged; CPU/GPU baselines).
-pub const MEMORY_PEAK: &str = "mem.peak";
+/// Whether a key is under the determinism contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// Byte-identical at every `host_threads` value and between an
+    /// uncrashed run and its crashed-then-resumed twin.
+    Contract,
+    /// Outside it: a wall-clock reading, durability bookkeeping that
+    /// depends on where a run was cut, or a host-scheduling diagnostic.
+    Diagnostic,
+}
 
-/// Per-GPU field: bytes copied host→device.
-pub const GPU_BYTES_H2D: &str = "bytes_h2d";
-/// Per-GPU field: bytes copied device→host.
-pub const GPU_BYTES_D2H: &str = "bytes_d2h";
-/// Per-GPU field: bytes copied peer-to-peer.
-pub const GPU_BYTES_P2P: &str = "bytes_p2p";
-/// Per-GPU field: accumulated kernel service time, ns.
-pub const GPU_KERNEL_TIME_NS: &str = "kernel_time_ns";
-/// Per-GPU field: accumulated transfer service time, ns.
-pub const GPU_TRANSFER_TIME_NS: &str = "transfer_time_ns";
-/// Per-GPU field: kernels launched.
-pub const GPU_KERNELS: &str = "kernels";
-/// Per-GPU field: launches whose overhead was hidden by queue-ahead.
-pub const GPU_HIDDEN_LAUNCHES: &str = "hidden_launches";
-/// Per-GPU field: page-cache hits on this GPU.
-pub const GPU_CACHE_HITS: &str = "cache_hits";
-/// Per-GPU field: page-cache misses on this GPU.
-pub const GPU_CACHE_MISSES: &str = "cache_misses";
-/// Per-GPU field: page-cache capacity in pages.
-pub const GPU_CACHE_CAPACITY_PAGES: &str = "cache_capacity_pages";
-/// Per-GPU field: injected transient copy faults absorbed by retry.
-pub const GPU_COPY_FAULTS: &str = "copy_faults";
-/// Per-GPU field: injected transient kernel-launch faults absorbed by retry.
-pub const GPU_LAUNCH_FAULTS: &str = "launch_faults";
+/// One declared key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Key {
+    /// The key, a scope's segment written as `{placeholder}`.
+    pub pattern: &'static str,
+    /// What one unit of the value is (`ns`, `bytes`, `pages`, `count`, ...).
+    pub unit: &'static str,
+    /// Inside or outside the determinism contract.
+    pub class: Class,
+    /// What the key counts.
+    pub doc: &'static str,
+}
 
-/// Per-sweep field: pages visited.
-pub const SWEEP_PAGES: &str = "pages";
-/// Per-sweep field: cache hits.
-pub const SWEEP_CACHE_HITS: &str = "cache_hits";
-/// Per-sweep field: active vertices.
-pub const SWEEP_ACTIVE_VERTICES: &str = "active_vertices";
-/// Per-sweep field: active edges.
-pub const SWEEP_ACTIVE_EDGES: &str = "active_edges";
-/// Per-sweep field: simulated sweep duration, ns.
-pub const SWEEP_ELAPSED_NS: &str = "elapsed_ns";
+/// `NAME = "key", unit, Class;` under a scope prefix: `NAME` is the key
+/// without its scope, [`KEYS`] holds the whole pattern.
+macro_rules! keys {
+    ($($scope:literal {
+        $($(#[doc = $doc:literal])+ $name:ident = $key:literal, $unit:ident, $class:ident;)+
+    })+) => {
+        $($($(#[doc = $doc])+ pub const $name: &str = $key;)+)+
 
-/// Per-tenant field: page-cache hits attributed to the tenant's jobs.
-pub const TENANT_CACHE_HITS: &str = "cache.hits";
-/// Per-tenant field: page-cache misses attributed to the tenant's jobs.
-pub const TENANT_CACHE_MISSES: &str = "cache.misses";
-/// Per-tenant field: pages evicted under the tenant's probes.
-pub const TENANT_CACHE_EVICTIONS: &str = "cache.evictions";
-/// Per-tenant field: topology bytes streamed for the tenant's misses.
-pub const TENANT_CACHE_BYTES_STREAMED: &str = "cache.bytes_streamed";
+        /// Every declared key, in declaration order.
+        pub const KEYS: &[Key] = &[$($(Key {
+            pattern: concat!($scope, $key),
+            unit: stringify!($unit),
+            class: Class::$class,
+            doc: concat!($($doc),+),
+        },)+)+];
+    };
+}
 
-/// Service-level re-admissions of failed jobs (each backoff retry).
-/// Like every `serve.*` key except the journal/resume bookkeeping
-/// below, this is pure sim-clock arithmetic: INSIDE the determinism
-/// contract at any host thread count.
-pub const SERVE_RETRY_ATTEMPTS: &str = "serve.retry.attempts";
-/// Jobs that completed after at least one service-level retry.
-pub const SERVE_RETRY_RECOVERED: &str = "serve.retry.recovered";
-/// Jobs quarantined as poison after exhausting `retry_max` retries.
-pub const SERVE_QUARANTINE_JOBS: &str = "serve.quarantine.jobs";
-/// Execution attempts consumed by jobs that ended quarantined.
-pub const SERVE_QUARANTINE_ATTEMPTS: &str = "serve.quarantine.attempts";
-/// Per-tenant circuit-breaker trips (K consecutive failures).
-pub const SERVE_BREAKER_TRIPS: &str = "serve.breaker.trips";
-/// Arrivals dropped because their tenant's breaker was open.
-pub const SERVE_DROP_BREAKER: &str = "serve.drop.breaker";
-/// Arrivals shed by load-aware admission (see also the per-class
-/// `serve.shed.<class>` keys the scheduler writes).
-pub const SERVE_SHED_TOTAL: &str = "serve.shed.total";
-/// Records appended to the service journal. Journal keys count I/O the
-/// crashed and resumed halves of a run split differently, so (like
-/// `ckpt.*`) `serve.journal.*` and `serve.resume.*` sit OUTSIDE the
-/// resume-diff determinism contract; CI filters them.
-pub const SERVE_JOURNAL_RECORDS: &str = "serve.journal.records";
-/// Journal frames appended and fsynced: one per scheduler step that
-/// settled at least one new record.
-pub const SERVE_JOURNAL_FLUSHES: &str = "serve.journal.flushes";
-/// Executions served from the journal on `--resume-serve` instead of
-/// being re-run (outside the resume-diff contract, as above).
-pub const SERVE_RESUME_CACHED: &str = "serve.resume.cached";
-/// Journaled epoch bumps a resumed service re-derived from the mutation
-/// WAL's logged bytes instead of re-generating the batch (outside the
-/// resume-diff contract, as above).
-pub const SERVE_WAL_REPLAYED: &str = "serve.wal.replayed";
+keys! {
+    "" {
+        /// Simulated makespan of the run (set once at run end).
+        RUN_ELAPSED_NS = "run.elapsed_ns", ns, Contract;
+        /// Sweeps (BFS levels, PageRank iterations, supersteps) executed.
+        RUN_SWEEPS = "run.sweeps", count, Contract;
+        /// GPUs that participated in the run (count of `gpu{i}.*` scopes).
+        RUN_GPUS = "run.gpus", count, Contract;
+        /// Topology pages copied host→device (equals `cache.misses` for GTS).
+        PAGES_STREAMED = "pages.streamed", pages, Contract;
+        /// Device page-cache hits across all GPUs.
+        CACHE_HITS = "cache.hits", pages, Contract;
+        /// Device page-cache misses across all GPUs.
+        CACHE_MISSES = "cache.misses", pages, Contract;
+        /// Host MMBuf hits.
+        MMBUF_HITS = "mmbuf.hits", pages, Contract;
+        /// Host MMBuf misses.
+        MMBUF_MISSES = "mmbuf.misses", pages, Contract;
+        /// Pages evicted from the MMBuf ring.
+        MMBUF_EVICTIONS = "mmbuf.evictions", pages, Contract;
+        /// Edges processed across all sweeps (the MTEPS numerator).
+        EDGES_TRAVERSED = "edges.traversed", edges, Contract;
+        /// Kernel launches across all GPUs.
+        KERNEL_LAUNCHES = "kernel.launches", count, Contract;
+        /// Stream operations whose start was delayed past readiness by a
+        /// busy copy/compute engine (pipeline friction; Fig. 10's enemy).
+        STREAM_STALLS = "stream.stalls", count, Contract;
+        /// Bytes fetched from the storage array (SSD/HDD streaming).
+        IO_BYTES_READ = "io.bytes_read", bytes, Contract;
+        /// Injected transient device read errors (each a full read + backoff).
+        IO_READ_ERRORS = "io.read_errors", count, Contract;
+        /// Fetched pages whose trailer checksum failed (torn or corrupt).
+        IO_CHECKSUM_MISMATCHES = "io.checksum_mismatches", pages, Contract;
+        /// Paid re-fetch attempts issued after a failed read.
+        IO_RETRIES = "io.retries", count, Contract;
+        /// Drives quarantined after repeated consecutive failures.
+        IO_DRIVES_QUARANTINED = "io.drives_quarantined", count, Contract;
+        /// Typed degradation events (strategy step-downs) of the engine.
+        DEGRADE_EVENTS = "degrade.events", count, Contract;
+        /// Execution strategy in effect when the run ended, after any OOM
+        /// step-downs: 1 = Performance, 2 = Scalability, 0 = not recorded.
+        RUN_FINAL_STRATEGY = "run.final_strategy", code, Contract;
+        /// Streams per GPU in effect when the run ended.
+        RUN_FINAL_STREAMS = "run.final_streams", count, Contract;
+        /// Whether the device page cache was still enabled at run end.
+        RUN_CACHE_ENABLED = "run.cache_enabled", flag, Contract;
+        /// Bytes written to checkpoint snapshots.
+        CKPT_BYTES = "ckpt.bytes", bytes, Diagnostic;
+        /// Wall-clock time spent encoding and fsyncing snapshots.
+        CKPT_WRITE_NS = "ckpt.write_ns", ns, Diagnostic;
+        /// Torn or unreadable manifest entries a resume skipped.
+        CKPT_MANIFEST_SKIPPED = "ckpt.manifest.skipped", count, Diagnostic;
+        /// Mutation batches sealed into the write-ahead log (a resumed run
+        /// re-logs sealed ones as 0-byte idempotent appends).
+        WAL_APPENDS = "wal.appends", count, Diagnostic;
+        /// Bytes appended to the write-ahead log.
+        WAL_BYTES = "wal.bytes", bytes, Diagnostic;
+        /// WAL records replayed onto the store by crash recovery.
+        WAL_REPLAYED = "wal.replayed", count, Diagnostic;
+        /// Pages walked by background scrub passes.
+        SCRUB_PAGES = "scrub.pages", pages, Contract;
+        /// At-rest corruptions (trailer checksum mismatches) scrub found.
+        SCRUB_ERRORS = "scrub.errors", pages, Contract;
+        /// Corruptions scrub repaired from the authoritative copy.
+        SCRUB_REPAIRED = "scrub.repaired", pages, Contract;
+        /// Wall-clock time in phase A (kernels), with `measure_host_phases`.
+        HOST_PHASE_A_NS = "host.phase_a_ns", ns, Diagnostic;
+        /// Wall-clock time in phase B (accounting), as `host.phase_a_ns`.
+        HOST_PHASE_B_NS = "host.phase_b_ns", ns, Diagnostic;
+        /// Store pages built from pending mutations while the run read them
+        /// (with the host phases; which job builds one is host scheduling).
+        STORAGE_PAGES_BUILT = "storage.pages_built", pages, Diagnostic;
+        /// Mutation batches applied at sweep boundaries.
+        MUT_BATCHES = "mut.batches", count, Contract;
+        /// Edges inserted by applied mutation batches.
+        MUT_INSERTED = "mut.inserted", edges, Contract;
+        /// Edges deleted by applied mutation batches.
+        MUT_DELETED = "mut.deleted", edges, Contract;
+        /// Existing pages rewritten in place by mutation batches.
+        MUT_PAGES_REWRITTEN = "mut.pages_rewritten", pages, Contract;
+        /// Delta/overflow pages allocated by mutation batches.
+        MUT_DELTA_PAGES = "mut.delta_pages", pages, Contract;
+        /// Stale cached pages dropped from GPU page caches after mutations.
+        MUT_CACHE_INVALIDATIONS = "mut.cache_invalidations", pages, Contract;
+        /// The store's epoch after the last applied batch (set, not added).
+        MUT_EPOCH = "mut.epoch", epoch, Contract;
+        /// Bytes shipped over the simulated cluster network (baselines).
+        NETWORK_BYTES = "net.bytes", bytes, Contract;
+        /// Peak working-set bytes (max-merged; CPU/GPU baselines).
+        MEMORY_PEAK = "mem.peak", bytes, Contract;
+        /// Job attempts the service admitted and executed.
+        SERVE_JOBS_ADMITTED = "serve.jobs.admitted", count, Contract;
+        /// Jobs that completed.
+        SERVE_JOBS_COMPLETED = "serve.jobs.completed", count, Contract;
+        /// Jobs whose failure was final at once (mutating, or no retries).
+        SERVE_JOBS_FAILED = "serve.jobs.failed", count, Contract;
+        /// Jobs in the workload.
+        SERVE_JOBS_TOTAL = "serve.jobs.total", count, Contract;
+        /// Epoch bumps: completed mutating jobs.
+        SERVE_EPOCHS = "serve.epochs", count, Contract;
+        /// Simulated time until the last job settled.
+        SERVE_MAKESPAN_NS = "serve.makespan_ns", ns, Contract;
+        /// Service slots the jobs were multiplexed over.
+        SERVE_SLOTS = "serve.slots", count, Contract;
+        /// Service-level re-admissions of failed jobs (each backoff retry).
+        SERVE_RETRY_ATTEMPTS = "serve.retry.attempts", count, Contract;
+        /// Jobs that completed after at least one service-level retry.
+        SERVE_RETRY_RECOVERED = "serve.retry.recovered", count, Contract;
+        /// Jobs quarantined as poison after exhausting `retry_max` retries.
+        SERVE_QUARANTINE_JOBS = "serve.quarantine.jobs", count, Contract;
+        /// Execution attempts consumed by jobs that ended quarantined.
+        SERVE_QUARANTINE_ATTEMPTS = "serve.quarantine.attempts", count, Contract;
+        /// Per-tenant circuit-breaker trips (K consecutive failures).
+        SERVE_BREAKER_TRIPS = "serve.breaker.trips", count, Contract;
+        /// Arrivals dropped because the shared queue was full.
+        SERVE_DROP_QUEUE_FULL = "serve.drop.queue_full", count, Contract;
+        /// Arrivals dropped because their tenant's queue share was full.
+        SERVE_DROP_REJECTED = "serve.drop.rejected", count, Contract;
+        /// Arrivals dropped because their projected wait passed the deadline.
+        SERVE_DROP_DEADLINE = "serve.drop.deadline", count, Contract;
+        /// Arrivals dropped because their tenant's breaker was open.
+        SERVE_DROP_BREAKER = "serve.drop.breaker", count, Contract;
+        /// Arrivals dropped by load-aware shedding.
+        SERVE_DROP_SHED = "serve.drop.shed", count, Contract;
+        /// Arrivals dropped for any other typed reason.
+        SERVE_DROP_OTHER = "serve.drop.other", count, Contract;
+        /// Arrivals shed by load-aware admission.
+        SERVE_SHED_TOTAL = "serve.shed.total", count, Contract;
+        /// Histogram of the admission pressure each shed arrival saw.
+        SERVE_SHED_PRESSURE = "serve.shed.pressure", pct, Contract;
+        /// Arrivals of one class (algorithm) shed by load-aware admission.
+        SERVE_SHED = "serve.shed.{class}", count, Contract;
+        /// Histogram of completed jobs' latency, per algorithm and `all`.
+        SERVE_LAT = "serve.lat.{alg}", ns, Contract;
+        /// Records the service journal holds (settled executions).
+        SERVE_JOURNAL_RECORDS = "serve.journal.records", count, Diagnostic;
+        /// Journal frames appended and fsynced (one per step that settled).
+        SERVE_JOURNAL_FLUSHES = "serve.journal.flushes", count, Diagnostic;
+        /// Bytes appended to the service journal.
+        SERVE_JOURNAL_BYTES = "serve.journal.bytes", bytes, Diagnostic;
+        /// Executions a resumed service served from its journal.
+        SERVE_RESUME_CACHED = "serve.resume.cached", count, Diagnostic;
+        /// Journaled epoch bumps a resumed service re-derived from the WAL.
+        SERVE_WAL_REPLAYED = "serve.wal.replayed", count, Diagnostic;
+    }
+    "gpu{i}." {
+        /// Per-GPU field: bytes copied host→device.
+        GPU_BYTES_H2D = "bytes_h2d", bytes, Contract;
+        /// Per-GPU field: bytes copied device→host.
+        GPU_BYTES_D2H = "bytes_d2h", bytes, Contract;
+        /// Per-GPU field: bytes copied peer-to-peer.
+        GPU_BYTES_P2P = "bytes_p2p", bytes, Contract;
+        /// Per-GPU field: accumulated kernel service time.
+        GPU_KERNEL_TIME_NS = "kernel_time_ns", ns, Contract;
+        /// Per-GPU field: accumulated transfer service time.
+        GPU_TRANSFER_TIME_NS = "transfer_time_ns", ns, Contract;
+        /// Per-GPU field: kernels launched.
+        GPU_KERNELS = "kernels", count, Contract;
+        /// Per-GPU field: launches whose overhead queue-ahead hid.
+        GPU_HIDDEN_LAUNCHES = "hidden_launches", count, Contract;
+        /// Per-GPU field: page-cache hits on this GPU.
+        GPU_CACHE_HITS = "cache_hits", pages, Contract;
+        /// Per-GPU field: page-cache misses on this GPU.
+        GPU_CACHE_MISSES = "cache_misses", pages, Contract;
+        /// Per-GPU field: page-cache capacity.
+        GPU_CACHE_CAPACITY_PAGES = "cache_capacity_pages", pages, Contract;
+        /// Per-GPU field: injected transient copy faults absorbed by retry.
+        GPU_COPY_FAULTS = "copy_faults", count, Contract;
+        /// Per-GPU field: injected kernel-launch faults absorbed by retry.
+        GPU_LAUNCH_FAULTS = "launch_faults", count, Contract;
+    }
+    "sweep{j}." {
+        /// Per-sweep field: pages visited.
+        SWEEP_PAGES = "pages", pages, Contract;
+        /// Per-sweep field: cache hits.
+        SWEEP_CACHE_HITS = "cache_hits", pages, Contract;
+        /// Per-sweep field: active vertices.
+        SWEEP_ACTIVE_VERTICES = "active_vertices", count, Contract;
+        /// Per-sweep field: active edges.
+        SWEEP_ACTIVE_EDGES = "active_edges", edges, Contract;
+        /// Per-sweep field: simulated sweep duration.
+        SWEEP_ELAPSED_NS = "elapsed_ns", ns, Contract;
+    }
+    "tenant.{tag}." {
+        /// Per-tenant field: page-cache hits of the tenant's jobs.
+        TENANT_CACHE_HITS = "cache.hits", pages, Contract;
+        /// Per-tenant field: page-cache misses of the tenant's jobs.
+        TENANT_CACHE_MISSES = "cache.misses", pages, Contract;
+        /// Per-tenant field: pages evicted under the tenant's probes.
+        TENANT_CACHE_EVICTIONS = "cache.evictions", pages, Contract;
+        /// Per-tenant field: topology bytes streamed for its misses.
+        TENANT_CACHE_BYTES_STREAMED = "cache.bytes_streamed", bytes, Contract;
+    }
+}
+
+/// The `<histogram>.<stat>` counters a histogram renders into the registry.
+pub const HIST_STATS: [&str; 4] = ["count", "p50", "p95", "p99"];
 
 /// Key for per-GPU field `field` of GPU `i` (e.g. `gpu0.bytes_h2d`).
 pub fn gpu(i: u32, field: &str) -> String {
@@ -251,23 +263,43 @@ pub fn sweep(j: u32, field: &str) -> String {
     format!("sweep{j}.{field}")
 }
 
-/// Whether `key` is under the byte-identity contract: equal at every
-/// `host_threads` value and between an uncrashed run and its resumed
-/// twin. The prefixes outside it are wall-clock readings (`host.`),
-/// durability bookkeeping that depends on where a run was interrupted
-/// (`ckpt.`, `wal.`, `serve.journal.`, `serve.resume.`, `serve.wal.`) and
-/// the page-build diagnostic ([`STORAGE_PAGES_BUILT`]).
-pub fn is_contract(key: &str) -> bool {
-    const OUTSIDE: [&str; 7] = [
-        "host.",
-        STORAGE_PAGES_BUILT,
-        "ckpt.",
-        "wal.",
-        "serve.journal.",
-        "serve.resume.",
-        "serve.wal.",
-    ];
-    !OUTSIDE.iter().any(|prefix| key.starts_with(prefix))
+/// `pattern` with its `{placeholder}` replaced by `value`
+/// (`scoped(SERVE_SHED, "bfs")` is `serve.shed.bfs`).
+pub fn scoped(pattern: &str, value: &str) -> String {
+    match pattern.split_once('{').zip(pattern.split_once('}')) {
+        Some(((head, _), (_, tail))) => format!("{head}{value}{tail}"),
+        None => pattern.to_owned(),
+    }
+}
+
+/// Whether concrete `key` is an instance of `pattern`: a placeholder
+/// stands for one non-empty segment without a dot.
+fn matches(pattern: &str, key: &str) -> bool {
+    let Some((head, tail)) = pattern.split_once('{') else {
+        return pattern == key;
+    };
+    let tail = tail.split_once('}').map_or(tail, |(_, t)| t);
+    key.strip_prefix(head).is_some_and(|rest| {
+        let seg = rest.find('.').unwrap_or(rest.len());
+        seg > 0 && matches(tail, &rest[seg..])
+    })
+}
+
+/// The declaration `key` is an instance of: directly, as a serve job's
+/// `job.<n>.<key>` rendering, or as a histogram's `<key>.<stat>` summary.
+/// `None` for an undeclared key.
+pub fn lookup(key: &str) -> Option<&'static Key> {
+    let job = key.strip_prefix("job.").and_then(|k| k.split_once('.'));
+    let hist = key.rsplit_once('.').filter(|(_, s)| HIST_STATS.contains(s));
+    KEYS.iter()
+        .find(|k| matches(k.pattern, key))
+        .or_else(|| lookup(job.filter(|(n, _)| n.parse::<u64>().is_ok())?.1))
+        .or_else(|| lookup(hist?.0))
+}
+
+/// The class of `key`'s declaration; `None` for an undeclared key.
+pub fn class(key: &str) -> Option<Class> {
+    lookup(key).map(|k| k.class)
 }
 
 /// Track-pid allocation shared by all components.
@@ -305,29 +337,86 @@ mod tests {
     use super::*;
 
     #[test]
-    fn contract_excludes_exactly_the_wall_side_prefixes() {
-        for key in [
-            HOST_PHASE_A_NS,
-            STORAGE_PAGES_BUILT,
-            CKPT_BYTES,
-            CKPT_MANIFEST_SKIPPED,
-            WAL_APPENDS,
-            SERVE_JOURNAL_RECORDS,
-            SERVE_RESUME_CACHED,
-            SERVE_WAL_REPLAYED,
+    fn every_scope_resolves_to_its_fields_declaration() {
+        for (key, want) in [
+            (RUN_ELAPSED_NS, RUN_ELAPSED_NS),
+            ("gpu3.bytes_h2d", "gpu{i}.bytes_h2d"),
+            ("sweep12.elapsed_ns", "sweep{j}.elapsed_ns"),
+            (
+                "tenant.alpha.cache.bytes_streamed",
+                "tenant.{tag}.cache.bytes_streamed",
+            ),
+            ("serve.lat.bfs.p95", SERVE_LAT),
+            ("serve.lat.all.count", SERVE_LAT),
+            ("serve.shed.pressure.p50", SERVE_SHED_PRESSURE),
+            ("serve.shed.total", SERVE_SHED_TOTAL),
+            ("serve.shed.kcore", SERVE_SHED),
+            ("job.3.gpu0.kernels", "gpu{i}.kernels"),
+            ("job.3.wal.appends", WAL_APPENDS),
         ] {
-            assert!(!is_contract(key), "{key}");
+            assert_eq!(lookup(key).map(|k| k.pattern), Some(want), "{key}");
         }
+        for key in [
+            "gpu.bytes_h2d",
+            "gpux.nope",
+            "serve.lat.bfs.p42",
+            "job.x.cache.hits",
+            "tenant..cache.hits",
+        ] {
+            assert_eq!(lookup(key), None, "{key}");
+        }
+        assert_eq!(scoped(SERVE_SHED, "bfs"), "serve.shed.bfs");
+        assert_eq!(scoped(SERVE_LAT, "all"), "serve.lat.all");
+    }
+
+    #[test]
+    fn diagnostic_is_exactly_the_wall_side_and_durability_bookkeeping() {
+        let diagnostic: Vec<&str> = KEYS
+            .iter()
+            .filter(|k| k.class == Class::Diagnostic)
+            .map(|k| k.pattern)
+            .collect();
+        assert_eq!(
+            diagnostic,
+            [
+                CKPT_BYTES,
+                CKPT_WRITE_NS,
+                CKPT_MANIFEST_SKIPPED,
+                WAL_APPENDS,
+                WAL_BYTES,
+                WAL_REPLAYED,
+                HOST_PHASE_A_NS,
+                HOST_PHASE_B_NS,
+                STORAGE_PAGES_BUILT,
+                SERVE_JOURNAL_RECORDS,
+                SERVE_JOURNAL_FLUSHES,
+                SERVE_JOURNAL_BYTES,
+                SERVE_RESUME_CACHED,
+                SERVE_WAL_REPLAYED,
+            ]
+        );
+        // A serve job's WAL bookkeeping is as diagnostic as a solo run's.
+        assert_eq!(class("job.3.wal.appends"), Some(Class::Diagnostic));
         for key in [
             RUN_ELAPSED_NS,
             SCRUB_PAGES,
             MUT_EPOCH,
             SERVE_RETRY_ATTEMPTS,
-            "serve.jobs.total",
             "tenant.a.cache.hits",
-            "job.3.wal.appends",
         ] {
-            assert!(is_contract(key), "{key}");
+            assert_eq!(class(key), Some(Class::Contract), "{key}");
+        }
+    }
+
+    #[test]
+    fn every_key_is_declared_once_with_a_doc() {
+        for (i, k) in KEYS.iter().enumerate() {
+            assert!(!k.doc.trim().is_empty(), "{}", k.pattern);
+            assert!(
+                KEYS[..i].iter().all(|e| e.pattern != k.pattern),
+                "{} declared twice",
+                k.pattern
+            );
         }
     }
 }

@@ -88,17 +88,8 @@ fn observe_live(store: &mut GraphStore, cfg: GtsConfig, schedule: MutationSchedu
     Observed {
         result,
         ranks: pr.ranks().iter().map(|&r| f64::from(r)).collect(),
-        counters: contract_counters(engine.telemetry()),
+        counters: engine.telemetry().contract_counters(),
     }
-}
-
-/// The counter registry with the wall-side `ckpt.*` / `wal.*` keys
-/// dropped.
-fn contract_counters(tel: &Telemetry) -> BTreeMap<String, u64> {
-    tel.counters()
-        .into_iter()
-        .filter(|(k, _)| gts_telemetry::keys::is_contract(k))
-        .collect()
 }
 
 /// The exhaustive crash sweep. The configuration is [`ck_config`] plus
@@ -310,7 +301,7 @@ fn bfs_traversal_survives_kill_and_resume() {
             let engine = Gts::new(c);
             let mut bfs = Bfs::new(store.num_vertices(), 0);
             let result = engine.run(&store, &mut bfs).map(|r| r.to_json());
-            let counters = contract_counters(engine.telemetry());
+            let counters = engine.telemetry().contract_counters();
             (result, bfs.levels().to_vec(), counters)
         };
 
@@ -600,12 +591,7 @@ fn live_bfs_killed_at_every_durable_step_resumes_to_the_uncrashed_levels() {
         BfsRun {
             result,
             levels: bfs.levels().to_vec(),
-            counters: engine
-                .telemetry()
-                .counters()
-                .into_iter()
-                .filter(|(k, _)| gts_telemetry::keys::is_contract(k))
-                .collect(),
+            counters: engine.telemetry().contract_counters(),
         }
     };
     for with_wal in [false, true] {

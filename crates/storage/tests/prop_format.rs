@@ -399,6 +399,87 @@ fn load_rejects_a_resealed_rid_naming_a_later_chunk_or_a_delta_page() {
     }
 }
 
+/// The full text of the error a load refused with.
+fn refusal(result: Result<gts_storage::GraphStore, gts_storage::FileError>) -> String {
+    match result {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("a corrupt store file loaded"),
+    }
+}
+
+/// Record IDs whose target page comes after the page that holds them,
+/// refused word for word: a slot past the count of a later Small Page
+/// (a), slot 0 of a later chunk of a Large run (b), and a page at or
+/// past the page count (c). A later page's slot bound is known only once
+/// that page is read.
+#[test]
+fn load_errors_for_record_ids_into_later_pages_are_pinned() {
+    let store = store_with_every_target();
+    assert_eq!(store.view(2).count(), 7);
+    let no_slot = |slot, pid| format!("names slot {slot} of page {pid}, which has no such slot");
+    let cases = [
+        (0, RecordId::new(2, 7), no_slot(7, 2)),
+        (1, RecordId::new(2, 9), no_slot(9, 2)),
+        (0, RecordId::new(1, 0), no_slot(0, 1)),
+        (2, RecordId::new(3, 0), no_slot(0, 3)),
+        (0, RecordId::new(4, 0), "points at page 4".into()),
+        (2, RecordId::new(0xffff, 0), "points at page 65535".into()),
+    ];
+    for (from, rid, what) in cases {
+        let got = refusal(load_with_resealed_rid(&store, from, rid, "pin-later"));
+        assert_eq!(
+            got,
+            format!("bad store file: page {from}: record id {what}")
+        );
+    }
+
+    // (a) again from a Small Page: vertices of one edge each fill
+    // Small Pages 0 to 2, and page 0 names a slot past page 2's count.
+    let edges = (0..60).map(|v| (v, (v + 1) % 60)).collect();
+    let fmt = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512);
+    let store = build_graph_store(&EdgeList::new(60, edges), fmt).unwrap();
+    assert_eq!(store.small_pids(), [0, 1, 2]);
+    let count = store.view(2).count();
+    let got = refusal(load_with_resealed_rid(
+        &store,
+        0,
+        RecordId::new(2, count),
+        "pin-sp",
+    ));
+    assert_eq!(
+        got,
+        format!("bad store file: page 0: record id names slot {count} of page 2, which has no such slot")
+    );
+}
+
+/// (d) A flipped byte on the last page, not resealed, is refused word
+/// for word with both checksums.
+#[test]
+fn load_error_for_a_bad_trailer_on_the_last_page_is_pinned() {
+    use gts_storage::{load_store, page_checksum, save_store};
+    let store = store_with_every_target();
+    let fmt = store.cfg();
+    let path = std::env::temp_dir().join(format!("gts-pin-trailer-{}", std::process::id()));
+    save_store(&store, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - fmt.page_size;
+    let page = &mut bytes[last..];
+    page[100] ^= 1;
+    let mut stored = [0u8; 8];
+    stored.copy_from_slice(&page[fmt.page_size - 8..]);
+    let (stored, computed) = (u64::from_le_bytes(stored), page_checksum(page));
+    std::fs::write(&path, &bytes).unwrap();
+    let got = refusal(load_store(&path));
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        got,
+        format!(
+            "bad store file: page 3: trailer checksum mismatch \
+             (stored {stored:#018x}, computed {computed:#018x})"
+        )
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

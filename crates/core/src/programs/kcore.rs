@@ -17,6 +17,8 @@ use super::{
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
+use gts_storage::builder::GraphStore;
+use gts_storage::MutationOutcome;
 
 /// K-core vertex program. Each sweep counts alive-degrees over the
 /// streamed topology; peeling happens at the sweep barrier (a trivial
@@ -109,6 +111,16 @@ impl GtsProgram for KCore {
         }
         self.degree.fill(0);
         SweepControl::Continue
+    }
+
+    fn on_mutation(&mut self, _store: &GraphStore, _outcome: &MutationOutcome) -> Vec<u64> {
+        // Peeling only ever removes vertices, and an insert can lift a
+        // peeled vertex back into the core (a delete can drop one out):
+        // start over from every vertex alive. No seeds, so the engine
+        // plans a full sweep, which re-peels on the current graph.
+        self.alive.fill(true);
+        self.degree.fill(0);
+        Vec::new()
     }
 
     fn save_state(&self) -> Vec<u8> {

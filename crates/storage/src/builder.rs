@@ -353,14 +353,18 @@ impl GraphStore {
     /// (out-of-bounds offsets, non-consecutive Small-Page VIDs, dangling
     /// record IDs, missing vertices) surfaces as an error, never a panic.
     ///
-    /// Two passes, both in page-ID order. Pass 1 verifies each page
-    /// (trailer checksum and layout) and places its vertices, while
-    /// recording the page's slot bound: its `count` for a Small Page, 1
-    /// for the first chunk of a home run, and 0 for every later chunk and
-    /// every delta page. Pass 2 checks every record ID against that
-    /// table — the target page exists and has the slot — and its RVT
-    /// translation against the vertex count, without opening the target.
-    /// So every record ID of a loaded store is the one
+    /// One walk, in page-ID order, verifies each page (trailer checksum
+    /// and layout; a page [`crate::file::load_store`] verified as it read
+    /// it costs one load) and places its vertices, recording the page's
+    /// slot bound: its `count` for a Small Page, 1 for the first chunk of
+    /// a home run, and 0 for every later chunk and every delta page. The
+    /// same walk decodes every record ID once, keeping per target page
+    /// the highest slot named plus one, and noting any target past the
+    /// last page. One loop over the pages then compares that table with
+    /// the slot bounds. Only when it finds a record ID the bounds refuse
+    /// does [`check_record_ids`] walk the adjacency again, to name the
+    /// first one in page order, so the error reads as it always has. So
+    /// every record ID of a loaded store is the one
     /// [`GraphStore::rid_of_vertex`] gives its target, which is what lets
     /// a delete match an edge by its packed bytes.
     pub fn reconstruct(
@@ -387,11 +391,26 @@ impl GraphStore {
         let mut delta_pages: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         // Slots a record ID may name in each page, indexed by pid.
         let mut slot_bound: Vec<u32> = Vec::with_capacity(pages.len());
+        // The highest slot a record ID names in each page, plus one; the
+        // extra last entry gathers the record IDs naming a page past the
+        // last. An entry is stored only when a slot raises it, which is
+        // rare once its page has been named a few times: a store per
+        // record ID would cost more than decoding it.
+        let mut named = vec![0u32; pages.len() + 1];
+        let past_last = pages.len();
+        let mut note = |adj: AdjRun<'_>| {
+            for rid in adj {
+                let top = &mut named[(rid.pid as usize).min(past_last)];
+                if rid.slot >= *top {
+                    *top = rid.slot.saturating_add(1);
+                }
+            }
+        };
 
-        // Pass 1: verify each page — after which its PageView accessors
-        // cannot go out of bounds, and every later view is one load — and
-        // read its kind, edges, vertex placements and slot bound, plus the
-        // Large-Page run structure (consecutive chunks of one vertex).
+        // Verify each page — after which its PageView accessors cannot go
+        // out of bounds, and every later view is one load — and read its
+        // kind, edges, vertex placements, slot bound and record IDs, plus
+        // the Large-Page run structure (consecutive chunks of one vertex).
         let mut i = 0usize;
         while i < pages.len() {
             let pid = i as u64;
@@ -404,8 +423,7 @@ impl GraphStore {
                     }
                     let start_vid = view.sp_vid(0);
                     let mut edges = 0u64;
-                    for slot in 0..count {
-                        let vid = view.sp_vid(slot);
+                    for ((vid, adj), slot) in view.sp_vertices().zip(0u32..) {
                         if vid != start_vid + slot as u64 {
                             return Err(format!("page {pid}: non-consecutive VIDs at slot {slot}"));
                         }
@@ -416,7 +434,8 @@ impl GraphStore {
                             return Err(format!("page {pid}: vid {vid} placed twice"));
                         }
                         vertex_rid[vid as usize] = RecordId::new(pid, slot);
-                        edges += view.sp_adj_len(slot) as u64;
+                        edges += adj.len() as u64;
+                        note(adj);
                     }
                     rvt_entries.push(RvtEntry {
                         start_vid,
@@ -442,40 +461,31 @@ impl GraphStore {
                         }
                         chunks += 1;
                     }
-                    if vertex_rid[vid as usize].pid == u64::MAX {
-                        // Home run of a high-degree vertex.
+                    // A home run of a high-degree vertex, or — the vertex
+                    // already placed — delta pages appended by a mutation
+                    // batch, each standing alone (LP_RANGE 0). A record ID
+                    // names a run by its first chunk, and no inbound
+                    // record ID ever names a delta page.
+                    let home = vertex_rid[vid as usize].pid == u64::MAX;
+                    if home {
                         vertex_rid[vid as usize] = RecordId::new(pid, 0);
-                        for c in 0..chunks {
-                            let v = pages[i + c].verify(cfg)?.view();
-                            let edges = v.count() as u64;
-                            rvt_entries.push(RvtEntry {
-                                start_vid: vid,
-                                lp_range: Some((chunks - 1 - c) as u32),
-                            });
-                            large_pids.push(pid + c as u64);
-                            edges_per_page.push(edges);
-                            num_edges += edges;
-                            // A record ID names a run by its first chunk.
-                            slot_bound.push(u32::from(c == 0));
-                        }
-                    } else {
-                        // The vertex is already placed: these are delta
-                        // pages appended by a mutation batch. Each one
-                        // stands alone (LP_RANGE 0) — no inbound record
-                        // ID ever names a delta page.
-                        for c in 0..chunks {
-                            let v = pages[i + c].verify(cfg)?.view();
-                            let edges = v.count() as u64;
-                            rvt_entries.push(RvtEntry {
-                                start_vid: vid,
-                                lp_range: Some(0),
-                            });
-                            large_pids.push(pid + c as u64);
-                            edges_per_page.push(edges);
-                            num_edges += edges;
+                    }
+                    for c in 0..chunks {
+                        let v = pages[i + c].verify(cfg)?.view();
+                        let edges = v.count() as u64;
+                        let lp_range = if home { chunks - 1 - c } else { 0 };
+                        rvt_entries.push(RvtEntry {
+                            start_vid: vid,
+                            lp_range: Some(lp_range as u32),
+                        });
+                        large_pids.push(pid + c as u64);
+                        edges_per_page.push(edges);
+                        num_edges += edges;
+                        if !home {
                             delta_pages.entry(vid).or_default().push(pid + c as u64);
-                            slot_bound.push(0);
                         }
+                        slot_bound.push(u32::from(home && c == 0));
+                        note(v.lp_adj_run());
                     }
                     i += chunks;
                 }
@@ -499,39 +509,55 @@ impl GraphStore {
             delta_pages,
             pending: Pending::default(),
         };
-        // Pass 2, over adjacency: every record ID must name a slot that
-        // exists and resolve to a real vertex (the translation is what
-        // every kernel trusts).
-        let num_pages = store.num_pages();
-        for pid in 0..num_pages {
-            let view = store.view(pid);
-            let check = |rid: RecordId| -> Result<(), String> {
-                if rid.pid >= num_pages {
-                    return Err(format!("page {pid}: record id points at page {}", rid.pid));
-                }
-                if rid.slot >= slot_bound[rid.pid as usize] {
-                    return Err(format!(
-                        "page {pid}: record id names slot {} of page {}, which has no such slot",
-                        rid.slot, rid.pid
-                    ));
-                }
-                let target = store.rvt.translate(rid);
-                if target >= num_vertices {
-                    return Err(format!(
-                        "page {pid}: record id resolves to vid {target}, out of range"
-                    ));
-                }
-                Ok(())
-            };
-            match view.kind() {
-                PageKind::Small => view
-                    .sp_vertices()
-                    .try_for_each(|(_, mut adj)| adj.try_for_each(check))?,
-                PageKind::Large => view.lp_adj_run().try_for_each(check)?,
-            }
+        // A record ID within its page's slot bound resolves to a placed
+        // vertex, so it needs no translation check of its own: a Small
+        // Page's VIDs are consecutive and each was checked against the
+        // vertex count, and a bound of 1 admits only slot 0 of a home
+        // run's first chunk, whose LP vid was checked too.
+        let within = named.iter().zip(&slot_bound).all(|(n, b)| n <= b);
+        if named[past_last] > 0 || !within {
+            check_record_ids(&store, &slot_bound)?;
         }
         Ok(store)
     }
+}
+
+/// Check every record ID of `store` against `slot_bound` (the slots each
+/// page has) in page order, returning the first failure: the target page
+/// exists and has the slot, and the RVT translates the ID to a vertex.
+/// The target page itself is never opened. [`GraphStore::reconstruct`]
+/// calls this only on a store whose record IDs it has already found
+/// past a bound, to word the error.
+fn check_record_ids(store: &GraphStore, slot_bound: &[u32]) -> Result<(), String> {
+    let (num_pages, num_vertices) = (store.num_pages(), store.num_vertices());
+    for pid in 0..num_pages {
+        let view = store.view(pid);
+        let check = |rid: RecordId| -> Result<(), String> {
+            if rid.pid >= num_pages {
+                return Err(format!("page {pid}: record id points at page {}", rid.pid));
+            }
+            if rid.slot >= slot_bound[rid.pid as usize] {
+                return Err(format!(
+                    "page {pid}: record id names slot {} of page {}, which has no such slot",
+                    rid.slot, rid.pid
+                ));
+            }
+            let target = store.rvt.translate(rid);
+            if target >= num_vertices {
+                return Err(format!(
+                    "page {pid}: record id resolves to vid {target}, out of range"
+                ));
+            }
+            Ok(())
+        };
+        match view.kind() {
+            PageKind::Small => view
+                .sp_vertices()
+                .try_for_each(|(_, mut adj)| adj.try_for_each(check))?,
+            PageKind::Large => view.lp_adj_run().try_for_each(check)?,
+        }
+    }
+    Ok(())
 }
 
 /// Plan entries produced by placement (pass 1).

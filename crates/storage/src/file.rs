@@ -6,10 +6,15 @@
 //! because everything else (RVT, vertex placements, page kinds, edge
 //! counts) is reconstructible by scanning the pages
 //! ([`GraphStore::reconstruct`]), which also serves as a load-time
-//! integrity check in two passes over the pages: the first verifies each
-//! page (trailer checksum, layout) and places its vertices, recording
-//! how many slots a record ID may name in the page; the second checks
-//! every record ID against that per-page slot table and the RVT.
+//! integrity check. [`load_store`] touches each page's bytes while they
+//! are hot: it reads the pages in batches of about 1 MiB, each straight
+//! into its own buffer with one vectored read, and verifies every page
+//! (trailer checksum, layout) as it arrives. Reconstruct then makes one
+//! walk over the pages that places their vertices, records how many
+//! slots a record ID may name in each page, and notes the highest slot
+//! each record ID names per target page; one loop compares the two
+//! tables. Only a file they refuse is walked again, record ID by record
+//! ID, to name the first bad one in page order.
 //!
 //! **Canonical record IDs.** A record ID may name a Small Page's slot,
 //! or slot 0 of the *first* chunk of a Large vertex's home run — exactly
@@ -20,6 +25,14 @@
 //! refused (`BadHeader`, "... which has no such slot"). Every record ID
 //! of a loaded store is therefore canonical, which is what lets a
 //! mutation delete find an edge by comparing packed bytes.
+//!
+//! **Delta pages after a tail run.** Nothing in the file marks a page as
+//! a delta page: reconstruct takes a run of Large pages for delta pages
+//! when their vertex is already placed. The delta pages first appended
+//! for the vertex of the last base Large run follow that run directly,
+//! so a reload reads them as more chunks of it — the edges, record IDs
+//! and per-page edge counts are kept, the delta bookkeeping is not
+//! (DESIGN.md §12, "A gap in GTSPAGES 4").
 //!
 //! ```text
 //! offset  size  field
@@ -38,7 +51,7 @@ use crate::builder::GraphStore;
 use crate::format::{PageFormatConfig, PageKind, PhysicalIdConfig};
 use crate::page::Page;
 use std::fs::File;
-use std::io::{self, BufReader, Read};
+use std::io::{self, IoSliceMut, Read};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"GTSPAGES";
@@ -47,6 +60,9 @@ const MAGIC: &[u8; 8] = b"GTSPAGES";
 /// version is rejected as unsupported: rebuild.
 const VERSION: u32 = 4;
 const HEADER_BYTES: usize = 40;
+/// Page bytes [`load_store`] reads per batch: each page straight into
+/// its own buffer, then verified while it is in cache.
+const BATCH_BYTES: usize = 1 << 20;
 
 /// Decode a little-endian `u32` at `at` without `unwrap` (the caller
 /// guarantees `buf` holds at least `at + 4` bytes).
@@ -114,12 +130,13 @@ pub fn save_store(store: &GraphStore, path: impl AsRef<Path>) -> Result<(), File
 
 /// Read a store from `path`, reconstructing all metadata from the pages.
 pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
-    let file = File::open(path)?;
+    let mut file = File::open(path)?;
     let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
     let mut header = [0u8; HEADER_BYTES];
-    r.read_exact(&mut header)
-        .map_err(|_| FileError::BadHeader("file shorter than header".into()))?;
+    file.read_exact(&mut header).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => FileError::BadHeader("file shorter than header".into()),
+        _ => FileError::Io(e),
+    })?;
     if &header[0..8] != MAGIC {
         return Err(FileError::BadHeader("wrong magic".into()));
     }
@@ -163,19 +180,54 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
     }
 
     let mut pages = Vec::with_capacity(num_pages as usize);
-    for pid in 0..num_pages {
-        let mut data = vec![0u8; page_size];
-        r.read_exact(&mut data)
-            .map_err(|_| FileError::BadHeader(format!("truncated at page {pid}")))?;
-        let kind = PageKind::from_byte(data[0]).ok_or_else(|| {
-            FileError::BadHeader(format!("page {pid}: unknown kind byte {}", data[0]))
-        })?;
-        pages.push(Page::new(pid, kind, data.into_boxed_slice()));
+    let per_batch = (BATCH_BYTES / page_size).max(1) as u64;
+    let mut batch: Vec<Box<[u8]>> = Vec::new();
+    while (pages.len() as u64) < num_pages {
+        let first = pages.len() as u64;
+        let len = (num_pages - first).min(per_batch) as usize;
+        batch.extend((0..len).map(|_| vec![0u8; page_size].into_boxed_slice()));
+        read_batch(&mut file, &mut batch, first)?;
+        for (pid, data) in (first..).zip(batch.drain(..)) {
+            let kind = PageKind::from_byte(data[0]).ok_or_else(|| {
+                FileError::BadHeader(format!("page {pid}: unknown kind byte {}", data[0]))
+            })?;
+            let page = Page::new(pid, kind, data);
+            // Verified while its bytes are still in cache: reconstruct's
+            // own verify of it is then one load.
+            page.verify(cfg).map_err(FileError::BadHeader)?;
+            pages.push(page);
+        }
     }
-    // Every page is read: close the file and free the read buffer before
-    // the checks allocate their tables.
-    drop(r);
+    drop(file);
     GraphStore::reconstruct(cfg, pages, num_vertices).map_err(FileError::BadHeader)
+}
+
+/// Fill every page buffer of `batch`, whose first page is `first`, with
+/// vectored reads straight from `file`: no copy through a user-space
+/// buffer, and one system call per batch when the file keeps up (the
+/// standard library caps the buffers one call names at the system's
+/// limit; the loop reads the rest). Running out of file is a truncated
+/// store; any other failure is [`FileError::Io`].
+fn read_batch(file: &mut File, batch: &mut [Box<[u8]>], first: u64) -> Result<(), FileError> {
+    let page_size = batch.first().map_or(1, |b| b.len());
+    let mut slices: Vec<IoSliceMut<'_>> = batch.iter_mut().map(|b| IoSliceMut::new(b)).collect();
+    let mut rest = &mut slices[..];
+    let mut filled = 0usize;
+    while !rest.is_empty() {
+        match file.read_vectored(rest) {
+            Ok(0) => {
+                let pid = first + (filled / page_size) as u64;
+                return Err(FileError::BadHeader(format!("truncated at page {pid}")));
+            }
+            Ok(n) => {
+                filled += n;
+                IoSliceMut::advance_slices(&mut rest, n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FileError::Io(e)),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -183,6 +235,7 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
 mod tests {
     use super::*;
     use crate::builder::build_graph_store;
+    use crate::MutationBatch;
     use gts_graph::generate::rmat;
     use gts_graph::EdgeList;
 
@@ -236,6 +289,21 @@ mod tests {
         assert_eq!(loaded.large_pids(), store.large_pids());
     }
 
+    /// 128 B pages put all of RMAT12's pages in one batch, more buffers
+    /// than one vectored read may name (1024 on Linux): the batch takes
+    /// several reads.
+    #[test]
+    fn roundtrip_with_more_pages_per_batch_than_one_read_names() {
+        let cfg = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 128);
+        let store = build_graph_store(&rmat(12), cfg).unwrap();
+        assert!(store.num_pages() > 2048, "{}", store.num_pages());
+        let path = tmp("many");
+        save_store(&store, &path).unwrap();
+        let loaded = load_store(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.pages(), store.pages());
+    }
+
     #[test]
     fn rejects_wrong_magic() {
         let path = tmp("magic");
@@ -278,6 +346,18 @@ mod tests {
         assert_eq!(page.stored_checksum(), 0x4B9D_13D7_9493_F244);
     }
 
+    /// A read that fails for any reason but running out of file is an
+    /// I/O error, not a corrupt file: a directory opens, but reading it
+    /// fails.
+    #[test]
+    fn a_read_error_is_an_io_error() {
+        let dir = tmp("dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = load_store(&dir).unwrap_err();
+        std::fs::remove_dir(&dir).ok();
+        assert!(matches!(err, FileError::Io(_)), "{err}");
+    }
+
     #[test]
     fn rejects_truncated_pages() {
         let graph = rmat(8);
@@ -289,6 +369,53 @@ mod tests {
         let err = load_store(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, FileError::BadHeader(_)), "{err}");
+    }
+
+    /// GTSPAGES 4 has no bit that tells a delta page from one more chunk
+    /// of the Large run before it (module docs). Vertex 300's six chunks
+    /// (pages 18-23) are the last base run, so the delta page a batch
+    /// appends for it (page 24) follows the run directly, and a reload
+    /// reads it as a seventh chunk. What the reload keeps is what a query
+    /// reads: the edges, every vertex's record ID and the edges per page,
+    /// also after a further batch.
+    #[test]
+    fn a_tail_large_run_reloads_its_delta_page_as_a_chunk_and_keeps_its_edges() {
+        let cfg = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 256);
+        let graph = EdgeList::new(301, (0..300).map(|d| (300, d)).collect());
+        let mut store = build_graph_store(&graph, cfg).unwrap();
+        assert_eq!(store.large_pids(), (18..24).collect::<Vec<u64>>());
+        let mut batch = MutationBatch::new();
+        for d in 0..60 {
+            batch.insert(300, d);
+        }
+        store.apply_mutations(&batch).unwrap();
+        assert_eq!(store.delta_pids_of(300), [24]);
+        let path = tmp("tail-run");
+        save_store(&store, &path).unwrap();
+        let mut loaded = load_store(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        // The gap: no delta page, and a run one chunk longer.
+        assert_eq!(loaded.delta_pids_of(300), [0u64; 0]);
+        for pid in 18..25 {
+            assert_eq!(loaded.rvt().entry(pid).lp_range, Some(24 - pid as u32));
+        }
+        let same = |a: &GraphStore, b: &GraphStore| {
+            assert_eq!(a.decode_edges(), b.decode_edges());
+            for v in 0..a.num_vertices() {
+                assert_eq!(a.rid_of_vertex(v), b.rid_of_vertex(v));
+            }
+            assert_eq!(a.num_pages(), b.num_pages());
+            for pid in 0..a.num_pages() {
+                assert_eq!(a.edges_in_page(pid), b.edges_in_page(pid));
+            }
+        };
+        same(&loaded, &store);
+        let mut more = MutationBatch::new();
+        more.insert(300, 7).insert(5, 300).delete(300, 1);
+        store.apply_mutations(&more).unwrap();
+        loaded.apply_mutations(&more).unwrap();
+        same(&loaded, &store);
     }
 
     #[test]

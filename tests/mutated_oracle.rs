@@ -16,8 +16,8 @@
 //!
 //! The live half runs every row through `Engine::run_job_live` while the
 //! same batches land at sweep boundaries (inserts alone, then inserts
-//! and deletes). Insert-only BFS, SSSP and CC, and Degrees under either
-//! schedule, answer exactly; after deletes BFS, SSSP and CC answer a
+//! and deletes). Insert-only BFS, SSSP and CC, and Degrees and k-core
+//! under either schedule, answer exactly; after deletes BFS, SSSP and CC answer a
 //! lower bound (DESIGN.md §12). `KNOWN` names every row that is not
 //! exact, with its reason.
 
@@ -306,18 +306,6 @@ const KNOWN: &[(&str, bool, Option<Owed>, &str)] = &[
     ("rwr", true, None, PAGERANK_LIKE),
     ("bc", false, None, BC),
     ("bc", true, None, BC),
-    (
-        "kcore",
-        false,
-        None,
-        "peeling never revives a vertex an insert lifts back into the core",
-    ),
-    (
-        "kcore",
-        true,
-        None,
-        "peeling never revives a vertex an insert lifts back into the core",
-    ),
     ("radius", false, None, RADIUS),
     ("radius", true, None, RADIUS),
 ];

@@ -400,7 +400,7 @@ impl GraphStore {
         let past_last = pages.len();
         let mut note = |adj: AdjRun<'_>| {
             for rid in adj {
-                let top = &mut named[(rid.pid as usize).min(past_last)];
+                let top = &mut named[rid.pid.min(past_last as u64) as usize];
                 if rid.slot >= *top {
                     *top = rid.slot.saturating_add(1);
                 }

@@ -21,6 +21,7 @@ macro_rules! outln {
         }
     }};
 }
+use gts_ckpt::KillSwitch;
 use gts_core::engine::{CachePolicyKind, GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, Cc, PageRank, Sssp, ALGORITHMS};
 use gts_core::{CheckpointConfig, Engine, FaultConfig, JobOptions, MutationSchedule};
@@ -179,8 +180,10 @@ copy/launch faults) with that seed; recovered faults only add simulated time.
 
 Checkpoint/restart: `--checkpoint-dir` snapshots resumable state every
 `--checkpoint-every` sweeps (default 1) with crash-atomic writes;
-`--resume true` restarts from the latest valid snapshot there. The
-watchdog budgets `--sweep-deadline` / `--run-budget` (simulated ns) abort
+`--resume true` restarts from the latest valid snapshot there, and is
+refused (exit 4, config fingerprint mismatch) unless every flag but
+`--host-threads`, the directories, `--resume` and the budgets matches
+the run that wrote it. The watchdog budgets `--sweep-deadline` / `--run-budget` (simulated ns) abort
 an overrunning run with exit code 4 after flushing a final checkpoint and
 the trace. `--counters-out` writes the final counter registry as sorted
 'key value' lines, also on failure.
@@ -502,8 +505,8 @@ fn job_spec(args: &Args) -> Result<JobSpec, CliError> {
 
 /// The flags shared by `run` and `serve` that shape the engine itself:
 /// GPU topology, streams, strategy, storage tier, device memory, cache
-/// policy, host threads. Each command stacks its own extras (faults,
-/// checkpoints, budgets) on top with struct-update syntax.
+/// policy, host threads. `run` stacks its own extras (checkpoints, WAL,
+/// scrub, budgets) on top with struct-update syntax.
 fn engine_config(args: &Args) -> Result<GtsConfig, CliError> {
     let defaults = GtsConfig::default();
     Ok(GtsConfig {
@@ -544,11 +547,9 @@ fn run(args: &Args) -> Result<(), CliError> {
     let mut faults = args
         .parsed("fault-seed", "seed")?
         .map(FaultConfig::with_seed);
-    if let Some(step) = args.parsed("crash-at-step", "durable step number")? {
-        // The crash step needs a fault plan to live in; without an
-        // explicit seed, use a quiet plan so the kill is the only fault.
-        faults.get_or_insert_with(|| FaultConfig::quiet(0)).crash = Some(step);
-    }
+    let kill = args
+        .parsed("crash-at-step", "durable step number")?
+        .map_or_else(KillSwitch::never, KillSwitch::at);
     if let Some(ppm) = args.parsed("bit-rot-ppm", "parts per million")? {
         // Rot rides in a fault plan; a quiet one makes it the only fault.
         faults
@@ -556,7 +557,6 @@ fn run(args: &Args) -> Result<(), CliError> {
             .bit_rot_ppm = ppm;
     }
     let cfg = GtsConfig {
-        faults,
         wal_dir: args.optional("wal-dir").map(std::path::PathBuf::from),
         scrub_every: args
             .parsed::<std::num::NonZeroU32>("scrub-every", "sweep cadence, >= 1")?
@@ -572,7 +572,12 @@ fn run(args: &Args) -> Result<(), CliError> {
     // Spans cost memory proportional to pages streamed; only record them
     // when the user asked for a trace file.
     let tel = trace_out.map_or_else(Telemetry::new, |_| Telemetry::with_spans());
-    let opts = JobOptions::with_telemetry(tel);
+    let opts = JobOptions {
+        telemetry: tel,
+        tenant: None,
+        faults,
+        kill,
+    };
     let mut prog = spec.program(n).map_err(|e| e.to_string())?;
     // Run the algorithm but hold the result: when the run fails mid-sweep
     // the engine still flushes its open spans and counters, and the
@@ -698,7 +703,7 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
             out.dropped,
             out.failed,
             out.quarantined,
-            out.telemetry.counter("serve.epochs"),
+            out.telemetry.counter(keys::SERVE_EPOCHS),
             out.makespan_ns,
             out.telemetry.histograms_to_json()
         );
@@ -714,7 +719,7 @@ fn serve_cmd(args: &Args) -> Result<(), CliError> {
         outln!("slots:      {}", serve_cfg.slots);
         outln!(
             "epochs:     {} mutation batches applied",
-            out.telemetry.counter("serve.epochs")
+            out.telemetry.counter(keys::SERVE_EPOCHS)
         );
         outln!("makespan:   {} simulated ns", out.makespan_ns);
         for (key, s) in out.telemetry.histogram_summaries() {
@@ -1562,6 +1567,64 @@ mod tests {
             .contains("traceEvents"));
         std::fs::remove_file(&tr).ok();
         std::fs::remove_file(&counters).ok();
+        std::fs::remove_file(&el).ok();
+        std::fs::remove_file(&st).ok();
+        std::fs::remove_dir_all(&ck).ok();
+    }
+
+    /// A resume is the crashed run or nothing: resuming with another
+    /// device memory (which sizes the page cache) or another checkpoint
+    /// cadence (a checkpoint boundary empties the caches) is refused
+    /// with the typed fingerprint mismatch, and the same flags resume.
+    #[test]
+    fn a_resume_with_another_device_memory_or_cadence_is_refused() {
+        let el = tmp("fp.el");
+        let st = tmp("fp.gts");
+        let ck = tmp("fp-ckpts");
+        std::fs::remove_dir_all(&ck).ok();
+        dispatch(&sv(&[
+            "generate", "--kind", "rmat", "--scale", "9", "--out", &el,
+        ]))
+        .unwrap();
+        dispatch(&sv(&[
+            "build",
+            "--graph",
+            &el,
+            "--out",
+            &st,
+            "--page-size",
+            "4096",
+        ]))
+        .unwrap();
+        let run = |memory: &str, every: &str, extra: &[&str]| {
+            let mut argv = sv(&[
+                "run",
+                "pagerank",
+                "--store",
+                &st,
+                "--iterations",
+                "8",
+                "--storage",
+                "ssd:2",
+                "--checkpoint-dir",
+                &ck,
+                "--device-memory",
+                memory,
+                "--checkpoint-every",
+                every,
+            ]);
+            argv.extend(sv(extra));
+            dispatch(&argv)
+        };
+        // Die inside the sweep-6 checkpoint, the sweep-3 one published.
+        let err = run("200000000", "3", &["--crash-at-step", "10"]).unwrap_err();
+        assert!(err.to_string().contains("injected crash"), "{err}");
+        for (memory, every) in [("300000", "3"), ("200000000", "1")] {
+            let err = run(memory, every, &["--resume", "true"]).unwrap_err();
+            assert_eq!(err.exit_code(), EXIT_ENGINE, "{err}");
+            assert!(err.to_string().contains("config fingerprint"), "{err}");
+        }
+        run("200000000", "3", &["--resume", "true"]).unwrap();
         std::fs::remove_file(&el).ok();
         std::fs::remove_file(&st).ok();
         std::fs::remove_dir_all(&ck).ok();

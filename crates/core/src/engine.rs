@@ -28,7 +28,6 @@ use crate::programs::GtsProgram;
 use crate::report::RunReport;
 use crate::strategy::Strategy;
 use gts_ckpt::CkptError;
-use gts_faults::FaultConfig;
 use gts_gpu::memory::GpuOom;
 use gts_gpu::warp::MicroTechnique;
 use gts_gpu::{GpuConfig, PcieConfig};
@@ -116,11 +115,6 @@ pub struct GtsConfig {
     /// diagnostic `storage.pages_built`: the store pages the run built
     /// from pending mutations.
     pub measure_host_phases: bool,
-    /// Deterministic fault-injection plan for the run: seeded schedules
-    /// of transient device read errors, torn pages, and GPU copy/launch
-    /// faults, all absorbed by bounded retry on the simulated clock.
-    /// `None` disables injection entirely (no draws, no schedule drift).
-    pub faults: Option<FaultConfig>,
     /// When a device-memory allocation fails, step the configuration down
     /// instead of aborting: Strategy-P → Strategy-S, then halved stream
     /// counts, then no page cache — each step recorded as a typed degrade
@@ -134,15 +128,16 @@ pub struct GtsConfig {
     /// sealed into `<dir>/wal.log` *before* it applies, so a crash between
     /// checkpoints loses no applied mutation — resume replays the log
     /// suffix on top of the newest snapshot instead of refusing with a
-    /// store-fingerprint mismatch. Ignored by static ([`Gts::run`]) jobs;
-    /// `None` disables logging (and live resume keeps its old refusal).
+    /// store-fingerprint mismatch. Ignored by static ([`Engine::run_job`])
+    /// jobs; `None` disables logging (and live resume keeps its old
+    /// refusal).
     pub wal_dir: Option<PathBuf>,
     /// Background scrub cadence in sweeps (>= 1): at the boundary of
     /// every sweep whose index is a multiple of this, walk every store
     /// page in the serial accounting phase, verify its at-rest trailer
-    /// checksum against the fault plan's bit-rot schedule, repair
-    /// detections from the authoritative in-memory copy, and route them
-    /// to drive quarantine/re-striping. Results land under the sim-side
+    /// checksum against the job's bit-rot schedule ([`JobOptions::faults`]),
+    /// repair detections from the authoritative in-memory copy, and route
+    /// them to drive quarantine/re-striping. Results land under the sim-side
     /// deterministic `scrub.*` counters. `None` disables scrubbing.
     pub scrub_every: Option<u32>,
     /// Watchdog deadline for any single sweep, in simulated nanoseconds.
@@ -204,7 +199,6 @@ impl Default for GtsConfig {
             p2p_sync: true,
             host_threads: gts_exec::default_host_threads(),
             measure_host_phases: false,
-            faults: None,
             degrade_on_oom: true,
             checkpoint: None,
             wal_dir: None,
@@ -218,10 +212,8 @@ impl Default for GtsConfig {
 impl GtsConfig {
     /// Check the configuration's invariants. A configuration is a struct
     /// literal over `..GtsConfig::default()`, and every consumer routes
-    /// through this one checker: [`GtsBuilder::build`] and
-    /// [`Engine::new`] report violations as [`ConfigError`] values,
-    /// [`Gts::new`] panics with the same error's message — so the paths
-    /// can never drift apart on what "valid" means.
+    /// through this one checker: [`Engine::new`] reports violations as
+    /// [`ConfigError`] values.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_gpus < 1 {
             return Err(ConfigError::ZeroGpus);
@@ -482,16 +474,19 @@ impl From<WalError> for EngineError {
 
 pub use crate::sweep::live::MutationSchedule;
 
-/// The GTS engine for solo runs: an [`Engine`] plus the [`Telemetry`]
-/// handle every run records into.
+/// A solo [`Engine`] that keeps its own [`Telemetry`] handle. Kept only
+/// because the frozen benchmark harness names it; every run in this
+/// repository goes through [`Engine::run_job`] / [`Engine::run_job_live`]
+/// with [`JobOptions`].
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct Gts {
     engine: Engine,
     telemetry: Telemetry,
 }
 
-/// Builder for [`Gts`]: the validated configuration plus the telemetry
-/// handle the engine records into.
+/// Builder for [`Gts`], kept for the same reason.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct GtsBuilder {
     cfg: GtsConfig,
@@ -505,9 +500,7 @@ impl GtsBuilder {
         self
     }
 
-    /// Record into `tel` instead of a fresh counters-only handle. Pass
-    /// [`Telemetry::with_spans`] to capture Fig. 3/4-style timelines for
-    /// [`Telemetry::to_chrome_trace`] / [`Telemetry::render_ascii`].
+    /// Record into `tel` instead of a fresh counters-only handle.
     pub fn telemetry(mut self, tel: Telemetry) -> Self {
         self.telemetry = tel;
         self
@@ -523,14 +516,7 @@ impl GtsBuilder {
 }
 
 impl Gts {
-    /// Create an engine with the given configuration.
-    ///
-    /// # Panics
-    /// Panics when [`GtsConfig::validate`] rejects the configuration —
-    /// the exact same [`ConfigError`] set [`Gts::builder`] reports as
-    /// values (zero GPUs/streams/host threads, `mmbuf_percent` above 100,
-    /// a cache cap beyond device memory). Callers that want the error as
-    /// a value use the builder.
+    /// [`Engine::new`], panicking with the [`ConfigError`]'s message.
     pub fn new(cfg: GtsConfig) -> Self {
         match Gts::builder().config(cfg).build() {
             Ok(gts) => gts,
@@ -538,8 +524,7 @@ impl Gts {
         }
     }
 
-    /// A validating builder, starting from [`GtsConfig::default`] and a
-    /// counters-only [`Telemetry`].
+    /// A builder over [`GtsConfig::default`] and a counters-only handle.
     pub fn builder() -> GtsBuilder {
         GtsBuilder {
             cfg: GtsConfig::default(),
@@ -547,62 +532,30 @@ impl Gts {
         }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &GtsConfig {
-        self.engine.config()
-    }
-
-    /// The engine's telemetry handle. After [`Gts::run`] it holds the
-    /// run's counters (and spans, when enabled); [`Gts::run`]'s
-    /// [`RunReport`] is derived from exactly these counters.
+    /// The handle the last run recorded into.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
-    /// Execute `prog` over `store`. Returns the run report; the program
-    /// itself holds the algorithm's output (levels, ranks, ...).
-    ///
-    /// With a fault plan configured ([`GtsConfig::faults`]), injected
-    /// transient faults are absorbed by bounded retry on the simulated
-    /// clock: results stay byte-identical to the fault-free run, only
-    /// counters, spans, and simulated time differ. Unrecoverable faults
-    /// surface as typed errors — and even then the counters and spans
-    /// accumulated so far are flushed, so a partial trace survives.
+    /// [`Engine::run_job`] into the engine's own handle.
     pub fn run(
         &self,
         store: &GraphStore,
         prog: &mut dyn GtsProgram,
     ) -> Result<RunReport, EngineError> {
-        self.engine.run_job(store, prog, &self.job_options())
+        let opts = JobOptions::with_telemetry(self.telemetry.clone());
+        self.engine.run_job(store, prog, &opts)
     }
 
-    /// Execute `prog` over a *live* `store`: each of `schedule`'s mutation
-    /// batches applies atomically at its sweep's boundary, bumping the
-    /// store's epoch, invalidating the rewritten pages in every GPU cache
-    /// and the MMBuf, and pinning freshly-allocated delta pages onto
-    /// surviving drives. The program is notified through
-    /// [`GtsProgram::on_mutation`] and may continue incrementally; batches
-    /// scheduled past the algorithm's convergence still apply — the run
-    /// stays alive at the fixpoint, jumps to the next due boundary, and
-    /// re-sweeps from the mutation's seeds.
-    ///
-    /// Results are byte-identical at any `host_threads`, exactly as for
-    /// [`Gts::run`]: batches apply serially at boundaries, never during a
-    /// sweep.
+    /// [`Engine::run_job_live`] into the engine's own handle.
     pub fn run_live(
         &self,
         store: &mut GraphStore,
         prog: &mut dyn GtsProgram,
         schedule: MutationSchedule,
     ) -> Result<RunReport, EngineError> {
-        self.engine
-            .run_job_live(store, prog, schedule, &self.job_options())
-    }
-
-    /// Solo runs record into the engine's own telemetry handle with no
-    /// tenant attribution.
-    fn job_options(&self) -> JobOptions {
-        JobOptions::with_telemetry(self.telemetry.clone())
+        let opts = JobOptions::with_telemetry(self.telemetry.clone());
+        self.engine.run_job_live(store, prog, schedule, &opts)
     }
 }
 
@@ -610,6 +563,7 @@ impl Gts {
 mod tests {
     use super::*;
     use crate::programs::{Bfs, PageRank};
+    use gts_faults::FaultConfig;
     use gts_graph::generate::rmat;
     use gts_graph::{reference, Csr};
     use gts_storage::{build_graph_store, MutationBatch, PageFormatConfig, PhysicalIdConfig};
@@ -628,9 +582,10 @@ mod tests {
         let g = rmat(9);
         let store =
             build_graph_store(&g, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 1024)).unwrap();
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        engine.run(&store, &mut bfs).unwrap();
+        engine.run_job(&store, &mut bfs, &opts).unwrap();
         let want = reference::bfs(&Csr::from_edge_list(&g), 0);
         assert_eq!(bfs.levels_u32(), want);
     }
@@ -640,9 +595,10 @@ mod tests {
         let g = rmat(8);
         let store =
             build_graph_store(&g, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 1024)).unwrap();
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut pr = PageRank::new(store.num_vertices(), 5);
-        engine.run(&store, &mut pr).unwrap();
+        engine.run_job(&store, &mut pr, &opts).unwrap();
         let want = reference::pagerank(&Csr::from_edge_list(&g), 0.85, 5);
         for (got, want) in pr.ranks().iter().zip(&want) {
             assert!(
@@ -666,7 +622,10 @@ mod tests {
                     ..GtsConfig::default()
                 };
                 let mut bfs = Bfs::new(store.num_vertices(), 0);
-                Gts::new(cfg).run(&store, &mut bfs).unwrap();
+                Engine::new(cfg)
+                    .unwrap()
+                    .run_job(&store, &mut bfs, &JobOptions::default())
+                    .unwrap();
                 results.push(bfs.levels().to_vec());
             }
         }
@@ -684,7 +643,11 @@ mod tests {
                 ..GtsConfig::default()
             };
             let mut pr = PageRank::new(store.num_vertices(), 3);
-            Gts::new(cfg).run(&store, &mut pr).unwrap().elapsed
+            Engine::new(cfg)
+                .unwrap()
+                .run_job(&store, &mut pr, &JobOptions::default())
+                .unwrap()
+                .elapsed
         };
         let one = elapsed(1);
         let two = elapsed(2);
@@ -699,7 +662,10 @@ mod tests {
             ..GtsConfig::default()
         };
         let mut pr = PageRank::new(store.num_vertices(), 1);
-        match Gts::new(cfg).run(&store, &mut pr) {
+        match Engine::new(cfg)
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
+        {
             Err(EngineError::DeviceOom(oom)) => assert_eq!(oom.label, "WABuf"),
             other => panic!("expected OOM, got {other:?}"),
         }
@@ -741,12 +707,17 @@ mod tests {
         };
         let mut pr = PageRank::new(v, 1);
         assert!(matches!(
-            Gts::new(mk(Strategy::Performance)).run(&store, &mut pr),
+            Engine::new(mk(Strategy::Performance)).unwrap().run_job(
+                &store,
+                &mut pr,
+                &JobOptions::default()
+            ),
             Err(EngineError::DeviceOom(_))
         ));
         let mut pr = PageRank::new(v, 1);
-        Gts::new(mk(Strategy::Scalability))
-            .run(&store, &mut pr)
+        Engine::new(mk(Strategy::Scalability))
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
             .expect("Strategy-S must fit");
     }
 
@@ -761,15 +732,17 @@ mod tests {
         )
         .unwrap();
         let v = store.num_vertices();
-        let engine = Gts::new(undersized_p_config(&store, Strategy::Performance));
+        let engine = Engine::new(undersized_p_config(&store, Strategy::Performance)).unwrap();
+        let opts = JobOptions::default();
         let mut pr = PageRank::new(v, 1);
         engine
-            .run(&store, &mut pr)
+            .run_job(&store, &mut pr, &opts)
             .expect("degradation must rescue the O.O.M.");
-        assert_eq!(engine.telemetry().counter(keys::DEGRADE_EVENTS), 1);
+        assert_eq!(opts.telemetry.counter(keys::DEGRADE_EVENTS), 1);
         let mut want = PageRank::new(v, 1);
-        Gts::new(undersized_p_config(&store, Strategy::Scalability))
-            .run(&store, &mut want)
+        Engine::new(undersized_p_config(&store, Strategy::Scalability))
+            .unwrap()
+            .run_job(&store, &mut want, &JobOptions::default())
             .unwrap();
         assert_eq!(pr.ranks(), want.ranks(), "degraded run computes S's result");
     }
@@ -777,23 +750,22 @@ mod tests {
     #[test]
     fn injected_faults_preserve_results_and_add_time() {
         let store = small_store();
-        let run = |faults: Option<FaultConfig>| {
-            let cfg = GtsConfig {
-                storage: StorageLocation::Ssds(2),
-                mmbuf_percent: 0,
-                cache_limit_bytes: Some(0),
-                faults,
-                ..GtsConfig::default()
-            };
-            let engine = Gts::new(cfg);
+        let engine = Engine::new(GtsConfig {
+            storage: StorageLocation::Ssds(2),
+            mmbuf_percent: 0,
+            cache_limit_bytes: Some(0),
+            ..GtsConfig::default()
+        })
+        .unwrap();
+        let run = |opts: JobOptions| {
             let mut pr = PageRank::new(store.num_vertices(), 3);
-            let r = engine.run(&store, &mut pr).unwrap();
-            let retries = engine.telemetry().counter(keys::IO_RETRIES);
+            let r = engine.run_job(&store, &mut pr, &opts).unwrap();
+            let retries = opts.telemetry.counter(keys::IO_RETRIES);
             (pr.ranks().to_vec(), r.elapsed, retries)
         };
-        let clean = run(None);
+        let clean = run(JobOptions::default());
         assert_eq!(clean.2, 0, "no plan, no retries");
-        let faulty = run(Some(FaultConfig::with_seed(0xFA)));
+        let faulty = run(JobOptions::default().faults(FaultConfig::with_seed(0xFA)));
         assert_eq!(faulty.0, clean.0, "ranks must be byte-identical");
         assert!(faulty.2 > 0, "the default rates must fire on ~600 reads");
         assert!(
@@ -802,40 +774,11 @@ mod tests {
             faulty.1,
             clean.1
         );
-    }
-
-    #[test]
-    fn job_options_override_the_engine_fault_domain() {
-        use crate::job::{Engine, JobOptions};
-        let store = small_store();
-        let cfg = GtsConfig {
-            storage: StorageLocation::Ssds(2),
-            mmbuf_percent: 0,
-            cache_limit_bytes: Some(0),
-            faults: None, // the engine itself is fault-free
-            ..GtsConfig::default()
-        };
-        let engine = Engine::new(cfg).unwrap();
-        // A job bringing its own domain sees that domain's faults...
-        let faulty = JobOptions::default().faults(FaultConfig::with_seed(0xFA));
-        let mut pr = PageRank::new(store.num_vertices(), 3);
-        engine.run_job(&store, &mut pr, &faulty).unwrap();
-        assert!(faulty.telemetry.counter(keys::IO_RETRIES) > 0);
-        // ...while the next job on the same engine stays clean, and the
-        // override reproduces the engine-wide config byte for byte.
-        let clean = JobOptions::default();
-        let mut pr = PageRank::new(store.num_vertices(), 3);
-        engine.run_job(&store, &mut pr, &clean).unwrap();
-        assert_eq!(clean.telemetry.counter(keys::IO_RETRIES), 0);
-        let engine_wide = Engine::new(GtsConfig {
-            faults: Some(FaultConfig::with_seed(0xFA)),
-            ..engine.config().clone()
-        })
-        .unwrap();
-        let wide = JobOptions::default();
-        let mut pr = PageRank::new(store.num_vertices(), 3);
-        engine_wide.run_job(&store, &mut pr, &wide).unwrap();
-        assert_eq!(wide.telemetry.counters(), faulty.telemetry.counters());
+        // The plan belongs to its job: the next job on the same engine is
+        // clean again, and the same plan replays the same counters.
+        assert_eq!(run(JobOptions::default()), clean);
+        let again = JobOptions::default().faults(FaultConfig::with_seed(0xFA));
+        assert_eq!(run(again), faulty);
     }
 
     #[test]
@@ -855,14 +798,12 @@ mod tests {
         let mut entry = store.rvt().entry(lp);
         entry.lp_range = None;
         store.rvt_mut().set_entry(lp, entry);
-        let engine = Gts::builder()
-            .telemetry(Telemetry::with_spans())
-            .build()
-            .unwrap();
+        let opts = JobOptions::with_telemetry(Telemetry::with_spans());
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let err = engine.run(&store, &mut bfs).unwrap_err();
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let err = engine.run_job(&store, &mut bfs, &opts).unwrap_err();
         assert!(matches!(err, EngineError::CorruptRvt { .. }));
-        let tel = engine.telemetry();
+        let tel = &opts.telemetry;
         assert!(tel.span_count() > 0, "partial spans survive the error");
         assert!(
             tel.spans().iter().any(|s| s.cat == SpanCat::Run),
@@ -884,7 +825,11 @@ mod tests {
                 ..GtsConfig::default()
             };
             let mut pr = PageRank::new(store.num_vertices(), 2);
-            Gts::new(cfg).run(&store, &mut pr).unwrap().elapsed
+            Engine::new(cfg)
+                .unwrap()
+                .run_job(&store, &mut pr, &JobOptions::default())
+                .unwrap()
+                .elapsed
         };
         let mem = run(StorageLocation::InMemory);
         let ssd = run(StorageLocation::Ssds(1));
@@ -902,7 +847,10 @@ mod tests {
                 ..GtsConfig::default()
             };
             let mut bfs = Bfs::new(store.num_vertices(), 0);
-            Gts::new(cfg).run(&store, &mut bfs).unwrap()
+            Engine::new(cfg)
+                .unwrap()
+                .run_job(&store, &mut bfs, &JobOptions::default())
+                .unwrap()
         };
         let cold = run(0);
         let hot = run(GpuConfig::titan_x().device_memory);
@@ -922,7 +870,11 @@ mod tests {
                 ..GtsConfig::default()
             };
             let mut pr = PageRank::new(store.num_vertices(), 3);
-            Gts::new(cfg).run(&store, &mut pr).unwrap().elapsed
+            Engine::new(cfg)
+                .unwrap()
+                .run_job(&store, &mut pr, &JobOptions::default())
+                .unwrap()
+                .elapsed
         };
         let one = run(1);
         let sixteen = run(16);
@@ -932,13 +884,11 @@ mod tests {
     #[test]
     fn spans_recorded_when_telemetry_enabled() {
         let store = small_store();
-        let engine = Gts::builder()
-            .telemetry(Telemetry::with_spans())
-            .build()
-            .unwrap();
+        let opts = JobOptions::with_telemetry(Telemetry::with_spans());
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        engine.run(&store, &mut bfs).unwrap();
-        let tel = engine.telemetry();
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        engine.run_job(&store, &mut bfs, &opts).unwrap();
+        let tel = &opts.telemetry;
         assert!(tel.span_count() > 0, "spans requested");
         let spans = tel.spans();
         assert!(spans.iter().any(|s| s.cat == SpanCat::Copy));
@@ -958,11 +908,12 @@ mod tests {
     #[test]
     fn spans_skipped_by_default() {
         let store = small_store();
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        engine.run(&store, &mut bfs).unwrap();
-        assert_eq!(engine.telemetry().span_count(), 0);
-        assert!(engine.telemetry().counter(keys::PAGES_STREAMED) > 0);
+        engine.run_job(&store, &mut bfs, &opts).unwrap();
+        assert_eq!(opts.telemetry.span_count(), 0);
+        assert!(opts.telemetry.counter(keys::PAGES_STREAMED) > 0);
     }
 
     #[test]
@@ -992,15 +943,7 @@ mod tests {
             ..d()
         };
         assert_eq!(four.validate(), Ok(()));
-        assert_eq!(
-            Gts::builder()
-                .config(four)
-                .build()
-                .unwrap()
-                .config()
-                .host_threads,
-            4
-        );
+        assert_eq!(Engine::new(four).unwrap().config().host_threads, 4);
         for empty in [StorageLocation::Ssds(0), StorageLocation::Hdds(0)] {
             let cfg = GtsConfig {
                 storage: empty,
@@ -1012,13 +955,12 @@ mod tests {
                 err.to_string(),
                 "storage must name >= 1 device (Ssds(0) / Hdds(0))"
             );
-            // Every consumer reports it too, typed, before any device
-            // array is built.
+            // The engine reports it too, typed, before any device array
+            // is built.
             assert_eq!(
-                Gts::builder().config(cfg.clone()).build().unwrap_err(),
+                Engine::new(cfg).unwrap_err(),
                 ConfigError::ZeroStorageDevices
             );
-            assert!(crate::Engine::new(cfg).is_err());
         }
         // 0 is valid — it disables the MMBuf; only >100 is rejected.
         let no_mmbuf = GtsConfig {
@@ -1040,22 +982,17 @@ mod tests {
             }),
             ConfigError::CacheLimitExceedsDeviceMemory { .. }
         ));
-        let engine = Gts::builder()
-            .config(GtsConfig {
-                num_gpus: 2,
-                num_streams: 8,
-                strategy: Strategy::Scalability,
-                ..d()
-            })
-            .build()
-            .unwrap();
+        let engine = Engine::new(GtsConfig {
+            num_gpus: 2,
+            num_streams: 8,
+            strategy: Strategy::Scalability,
+            ..d()
+        })
+        .unwrap();
         assert_eq!(engine.config().num_gpus, 2);
         assert_eq!(engine.config().num_streams, 8);
         assert_eq!(engine.config().strategy, Strategy::Scalability);
-        assert!(Gts::builder()
-            .config(GtsConfig { num_gpus: 0, ..d() })
-            .build()
-            .is_err());
+        assert!(Engine::new(GtsConfig { num_gpus: 0, ..d() }).is_err());
         assert_eq!(
             rejected(GtsConfig {
                 checkpoint: Some(CheckpointConfig::new("ckpts", 0)),
@@ -1159,13 +1096,15 @@ mod tests {
     #[test]
     fn report_is_a_view_of_the_counter_registry() {
         let store = small_store();
-        let engine = Gts::new(GtsConfig {
+        let engine = Engine::new(GtsConfig {
             num_gpus: 2,
             ..GtsConfig::default()
-        });
+        })
+        .unwrap();
+        let opts = JobOptions::default();
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let r = engine.run(&store, &mut bfs).unwrap();
-        let tel = engine.telemetry();
+        let r = engine.run_job(&store, &mut bfs, &opts).unwrap();
+        let tel = &opts.telemetry;
         assert_eq!(r.elapsed.as_nanos(), tel.counter(keys::RUN_ELAPSED_NS));
         assert_eq!(r.sweeps as u64, tel.counter(keys::RUN_SWEEPS));
         assert_eq!(r.pages_streamed, tel.counter(keys::PAGES_STREAMED));
@@ -1187,15 +1126,16 @@ mod tests {
     #[test]
     fn telemetry_resets_between_runs() {
         let store = small_store();
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let first = engine.run(&store, &mut bfs).unwrap();
+        let first = engine.run_job(&store, &mut bfs, &opts).unwrap();
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let second = engine.run(&store, &mut bfs).unwrap();
+        let second = engine.run_job(&store, &mut bfs, &opts).unwrap();
         // Counters cover exactly one run, not the engine's lifetime.
         assert_eq!(first.pages_streamed, second.pages_streamed);
         assert_eq!(
-            engine.telemetry().counter(keys::EDGES_TRAVERSED),
+            opts.telemetry.counter(keys::EDGES_TRAVERSED),
             second.edges_traversed
         );
     }
@@ -1208,8 +1148,9 @@ mod tests {
             ..GtsConfig::default()
         };
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        Gts::new(cfg)
-            .run(&store, &mut bfs)
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&store, &mut bfs, &JobOptions::default())
             .expect("clamped, not rejected");
     }
 
@@ -1221,7 +1162,10 @@ mod tests {
         )
         .unwrap();
         let mut pr = PageRank::new(store.num_vertices(), 3);
-        let r = Gts::new(GtsConfig::default()).run(&store, &mut pr).unwrap();
+        let r = Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
+            .unwrap();
         assert_eq!(r.sweeps, 3);
         assert_eq!(r.edges_traversed, 0);
         // Every vertex keeps exactly the teleport share.
@@ -1240,7 +1184,10 @@ mod tests {
             ..GtsConfig::default()
         };
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let r = Gts::new(cfg).run(&store, &mut bfs).unwrap();
+        let r = Engine::new(cfg)
+            .unwrap()
+            .run_job(&store, &mut bfs, &JobOptions::default())
+            .unwrap();
         let pages = r.per_gpu[0].cache_capacity_pages as u64;
         assert!(pages * store.cfg().page_size as u64 <= GpuConfig::titan_x().device_memory);
     }
@@ -1258,7 +1205,10 @@ mod tests {
             ..GtsConfig::default()
         };
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        Gts::new(cfg).run(&store, &mut bfs).unwrap();
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&store, &mut bfs, &JobOptions::default())
+            .unwrap();
         let want = reference::bfs(&Csr::from_edge_list(&rmat(6)), 0);
         assert_eq!(bfs.levels_u32(), want);
     }
@@ -1273,9 +1223,15 @@ mod tests {
             ..GtsConfig::default()
         };
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let bfs_run = Gts::new(cfg.clone()).run(&store, &mut bfs).unwrap();
+        let bfs_run = Engine::new(cfg.clone())
+            .unwrap()
+            .run_job(&store, &mut bfs, &JobOptions::default())
+            .unwrap();
         let mut pr = PageRank::new(store.num_vertices(), 1);
-        let pr_run = Gts::new(cfg).run(&store, &mut pr).unwrap();
+        let pr_run = Engine::new(cfg)
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
+            .unwrap();
         let page = store.cfg().page_size as u64;
         // One PR sweep moves topology + RA + 2x WA; pure topology would be
         // pages x page_size.
@@ -1291,9 +1247,10 @@ mod tests {
     #[test]
     fn per_sweep_stats_sum_to_totals() {
         let store = small_store();
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let r = engine.run(&store, &mut bfs).unwrap();
+        let r = engine.run_job(&store, &mut bfs, &opts).unwrap();
         assert_eq!(r.per_sweep.len(), r.sweeps as usize);
         let edges: u64 = r.per_sweep.iter().map(|s| s.active_edges).sum();
         assert_eq!(edges, r.edges_traversed);
@@ -1310,9 +1267,10 @@ mod tests {
     #[test]
     fn report_statistics_are_consistent() {
         let store = small_store();
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut pr = PageRank::new(store.num_vertices(), 2);
-        let r = engine.run(&store, &mut pr).unwrap();
+        let r = engine.run_job(&store, &mut pr, &opts).unwrap();
         assert_eq!(r.algorithm, "PageRank");
         assert_eq!(r.sweeps, 2);
         // Two sweeps over every edge.
@@ -1352,7 +1310,11 @@ mod tests {
         // BFS from the hub must hit the corrupt entry when it widens the
         // chunk run — as a typed error, not a panic.
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        match Gts::new(GtsConfig::default()).run(&store, &mut bfs) {
+        match Engine::new(GtsConfig::default()).unwrap().run_job(
+            &store,
+            &mut bfs,
+            &JobOptions::default(),
+        ) {
             Err(EngineError::CorruptRvt { pid }) => assert_eq!(pid, lp),
             other => panic!("expected CorruptRvt, got {other:?}"),
         }
@@ -1367,7 +1329,10 @@ mod tests {
                 ..GtsConfig::default()
             };
             let mut pr = PageRank::new(store.num_vertices(), 4);
-            let report = Gts::new(cfg).run(&store, &mut pr).unwrap();
+            let report = Engine::new(cfg)
+                .unwrap()
+                .run_job(&store, &mut pr, &JobOptions::default())
+                .unwrap();
             (pr.ranks().to_vec(), report.elapsed, report.edges_traversed)
         };
         let serial = run(1);
@@ -1408,18 +1373,24 @@ mod tests {
             batch.insert(s as u64, d as u64);
         }
         let mut store = store0;
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut bfs = Bfs::new(store.num_vertices(), 0);
         engine
-            .run_live(&mut store, &mut bfs, MutationSchedule::new().at(2, batch))
+            .run_job_live(
+                &mut store,
+                &mut bfs,
+                MutationSchedule::new().at(2, batch),
+                &opts,
+            )
             .unwrap();
         let mut g2 = g.clone();
         g2.edges.extend(extra);
         let want = reference::bfs(&Csr::from_edge_list(&g2), 0);
         assert_eq!(bfs.levels_u32(), want);
         assert_eq!(store.epoch(), 1, "one applied batch, one epoch bump");
-        assert_eq!(engine.telemetry().counter(keys::MUT_EPOCH), 1);
-        assert!(engine.telemetry().counter(keys::MUT_INSERTED) >= 30);
+        assert_eq!(opts.telemetry.counter(keys::MUT_EPOCH), 1);
+        assert!(opts.telemetry.counter(keys::MUT_INSERTED) >= 30);
     }
 
     #[test]
@@ -1437,10 +1408,16 @@ mod tests {
         .unwrap();
         let mut batch = MutationBatch::new();
         batch.insert(0, 32);
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut cc = crate::programs::Cc::new(n as u64);
         let report = engine
-            .run_live(&mut store, &mut cc, MutationSchedule::new().at(50, batch))
+            .run_job_live(
+                &mut store,
+                &mut cc,
+                MutationSchedule::new().at(50, batch),
+                &opts,
+            )
             .unwrap();
         assert!(
             cc.labels().iter().all(|&l| l == 0),
@@ -1448,8 +1425,8 @@ mod tests {
             cc.labels()
         );
         assert!(report.sweeps > 50, "the run must revive past sweep 50");
-        assert_eq!(engine.telemetry().counter(keys::MUT_BATCHES), 1);
-        assert_eq!(engine.telemetry().counter(keys::MUT_EPOCH), 1);
+        assert_eq!(opts.telemetry.counter(keys::MUT_BATCHES), 1);
+        assert_eq!(opts.telemetry.counter(keys::MUT_EPOCH), 1);
     }
 
     #[test]
@@ -1468,8 +1445,14 @@ mod tests {
             let mut batch = MutationBatch::new();
             batch.insert(0, 9);
             let mut sssp = crate::programs::Sssp::new(10, 0);
-            Gts::new(GtsConfig::default())
-                .run_live(&mut store, &mut sssp, MutationSchedule::new().at(at, batch))
+            Engine::new(GtsConfig::default())
+                .unwrap()
+                .run_job_live(
+                    &mut store,
+                    &mut sssp,
+                    MutationSchedule::new().at(at, batch),
+                    &JobOptions::default(),
+                )
                 .unwrap();
             assert_eq!(sssp.distances(), want, "batch at sweep {at}");
         }
@@ -1486,8 +1469,14 @@ mod tests {
         let mut batch = MutationBatch::new();
         batch.delete(4, 5);
         let mut bfs = Bfs::new(9, 0);
-        Gts::new(GtsConfig::default())
-            .run_live(&mut store, &mut bfs, MutationSchedule::new().at(20, batch))
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job_live(
+                &mut store,
+                &mut bfs,
+                MutationSchedule::new().at(20, batch),
+                &JobOptions::default(),
+            )
             .unwrap();
         assert_eq!(bfs.levels(), [0, 1, 2, 3, 4, 5, 6, 7, 8]);
     }
@@ -1506,13 +1495,20 @@ mod tests {
             batch.insert(s as u64, d as u64);
         }
         let mut base = PageRank::new(store.num_vertices(), 3);
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut base)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut base, &JobOptions::default())
             .unwrap();
-        let engine = Gts::new(GtsConfig::default());
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let opts = JobOptions::default();
         let mut pr = PageRank::new(store.num_vertices(), 3);
         let report = engine
-            .run_live(&mut store, &mut pr, MutationSchedule::new().at(10, batch))
+            .run_job_live(
+                &mut store,
+                &mut pr,
+                MutationSchedule::new().at(10, batch),
+                &opts,
+            )
             .unwrap();
         assert_eq!(report.sweeps, 11, "3 iterations + the jump to sweep 10");
         assert_ne!(
@@ -1520,7 +1516,7 @@ mod tests {
             base.ranks(),
             "the refresh sweep must see the inserted edges"
         );
-        assert_eq!(engine.telemetry().counter(keys::MUT_BATCHES), 1);
+        assert_eq!(opts.telemetry.counter(keys::MUT_BATCHES), 1);
     }
 
     #[test]
@@ -1544,16 +1540,18 @@ mod tests {
                 host_threads: threads,
                 ..GtsConfig::default()
             };
-            let engine = Gts::new(cfg);
+            let engine = Engine::new(cfg).unwrap();
+            let opts = JobOptions::default();
             let mut bfs = Bfs::new(store.num_vertices(), 0);
             let report = engine
-                .run_live(
+                .run_job_live(
                     &mut store,
                     &mut bfs,
                     MutationSchedule::new().at(1, ins).at(2, del),
+                    &opts,
                 )
                 .unwrap();
-            let tel = engine.telemetry();
+            let tel = &opts.telemetry;
             let muts: Vec<u64> = [
                 keys::MUT_BATCHES,
                 keys::MUT_INSERTED,
@@ -1605,17 +1603,61 @@ mod tests {
         // sweep-3 boundary and bumps the epoch; Fixed(4) ends before the
         // sweep-4 boundary would re-snapshot the new epoch.
         let mut pr = PageRank::new(store.num_vertices(), 4);
-        Gts::new(mk(false))
-            .run_live(&mut store, &mut pr, MutationSchedule::new().at(3, batch))
+        Engine::new(mk(false))
+            .unwrap()
+            .run_job_live(
+                &mut store,
+                &mut pr,
+                MutationSchedule::new().at(3, batch),
+                &JobOptions::default(),
+            )
             .unwrap();
         assert_eq!(store.epoch(), 1);
         let mut pr2 = PageRank::new(store.num_vertices(), 4);
-        match Gts::new(mk(true)).run(&store, &mut pr2) {
+        match Engine::new(mk(true))
+            .unwrap()
+            .run_job(&store, &mut pr2, &JobOptions::default())
+        {
             Err(EngineError::Checkpoint(CkptError::Mismatch { what, .. })) => {
                 assert_eq!(what, "store fingerprint");
             }
             other => panic!("expected a stale-resume refusal, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_resume_must_bring_the_jobs_own_fault_plan() {
+        // The job checkpoints under its own plan (seed A). Resuming it
+        // with no plan, or under seed B, would be another run: refused,
+        // typed, instead of a silently different schedule.
+        let dir = std::env::temp_dir().join(format!("gts-plan-resume-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = small_store();
+        let engine = |ck: CheckpointConfig| {
+            Engine::new(GtsConfig {
+                storage: StorageLocation::Ssds(2),
+                checkpoint: Some(ck),
+                ..GtsConfig::default()
+            })
+            .unwrap()
+        };
+        let seeded = |seed| JobOptions::default().faults(FaultConfig::with_seed(seed));
+        let ck = CheckpointConfig::new(&dir, 2);
+        let run = |ck: CheckpointConfig, opts: JobOptions| {
+            let mut pr = PageRank::new(store.num_vertices(), 4);
+            engine(ck).run_job(&store, &mut pr, &opts)
+        };
+        run(ck.clone(), seeded(0xA)).unwrap();
+        for opts in [JobOptions::default(), seeded(0xB)] {
+            match run(ck.clone().resuming(), opts) {
+                Err(EngineError::Checkpoint(CkptError::Mismatch { what, .. })) => {
+                    assert_eq!(what, "config fingerprint");
+                }
+                other => panic!("expected a config-fingerprint refusal, got {other:?}"),
+            }
+        }
+        run(ck.resuming(), seeded(0xA)).expect("the same plan resumes");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1654,32 +1696,36 @@ mod tests {
             GtsConfig {
                 checkpoint: Some(if resume { ck.resuming() } else { ck }),
                 wal_dir: Some(wal_dir.clone()),
-                faults: Some(FaultConfig::quiet(7)),
                 ..GtsConfig::default()
             }
         };
+        let opts = || JobOptions::default().faults(FaultConfig::quiet(7));
         let mut base_store = build();
         let mut base_pr = PageRank::new(base_store.num_vertices(), 7);
-        let base = Gts::new(mk(false))
-            .run_live(
+        let base = Engine::new(mk(false))
+            .unwrap()
+            .run_job_live(
                 &mut base_store,
                 &mut base_pr,
                 MutationSchedule::new().at(3, burst(&g, 1, 24)),
+                &opts(),
             )
             .unwrap();
         assert_eq!(base_store.epoch(), 1, "the batch applied");
         // Recover over a FRESH store: the WAL supplies the missing epoch.
         let mut fresh = build();
-        let engine = Gts::new(mk(true));
+        let engine = Engine::new(mk(true)).unwrap();
+        let opts = opts();
         let mut pr2 = PageRank::new(fresh.num_vertices(), 7);
         let report = engine
-            .run_live(
+            .run_job_live(
                 &mut fresh,
                 &mut pr2,
                 MutationSchedule::new().at(3, burst(&g, 1, 24)),
+                &opts,
             )
             .unwrap();
-        assert_eq!(engine.telemetry().counter(keys::WAL_REPLAYED), 1);
+        assert_eq!(opts.telemetry.counter(keys::WAL_REPLAYED), 1);
         assert_eq!(pr2.ranks(), base_pr.ranks());
         assert_eq!(report.elapsed, base.elapsed);
         assert_eq!(report.sweeps, base.sweeps);
@@ -1700,23 +1746,24 @@ mod tests {
         // the rot that was caught. Deterministic at any host_threads.
         let store = small_store();
         let mut quiet_pr = PageRank::new(store.num_vertices(), 6);
-        let quiet = Gts::new(GtsConfig::default())
-            .run(&store, &mut quiet_pr)
+        let quiet = Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut quiet_pr, &JobOptions::default())
             .unwrap();
         let run = |threads: usize| {
             let cfg = GtsConfig {
                 scrub_every: Some(2),
                 host_threads: threads,
-                faults: Some(FaultConfig {
-                    bit_rot_ppm: 300_000,
-                    ..FaultConfig::quiet(0xB17)
-                }),
                 ..GtsConfig::default()
             };
-            let engine = Gts::new(cfg);
+            let engine = Engine::new(cfg).unwrap();
+            let opts = JobOptions::default().faults(FaultConfig {
+                bit_rot_ppm: 300_000,
+                ..FaultConfig::quiet(0xB17)
+            });
             let mut pr = PageRank::new(store.num_vertices(), 6);
-            let report = engine.run(&store, &mut pr).unwrap();
-            let tel = engine.telemetry();
+            let report = engine.run_job(&store, &mut pr, &opts).unwrap();
+            let tel = &opts.telemetry;
             (
                 pr.ranks().to_vec(),
                 report.elapsed,

@@ -25,18 +25,17 @@
 //! trace.
 //!
 //! Every run is one job over this API — [`Engine::run_job`] and
-//! [`Engine::run_job_live`] for a service or a library caller, and the
-//! solo [`crate::Gts`] wrapper, which is an `Engine` plus its own
-//! telemetry handle — and is pinned byte-for-byte by the golden
-//! fixtures: a job admitted through a service produces the same
-//! report/counters as the same job run solo, at any `host_threads`.
+//! [`Engine::run_job_live`], for a service, the CLI or a library caller
+//! alike — and is pinned byte-for-byte by the golden fixtures: a job
+//! admitted through a service produces the same report/counters as the
+//! same job run solo, at any `host_threads`.
 
 use crate::programs::{ExecMode, GtsProgram, KernelScratch, SweepControl};
 use crate::report::RunReport;
 use crate::strategy::Strategy;
 use crate::sweep::account::{self, SweepAccounting};
 use crate::sweep::ckpt::{self, Rung};
-use crate::sweep::ingest::{self, PageSource};
+use crate::sweep::ingest::{self, StorageSource};
 use crate::sweep::kernels::{self, KernelEnv};
 use crate::sweep::live::{MutationSchedule, StoreHandle};
 use crate::sweep::plan::SweepPlan;
@@ -62,8 +61,9 @@ pub struct Engine {
     cfg: GtsConfig,
 }
 
-/// Per-job knobs that are not part of the engine configuration: where
-/// the job's counters land and which tenant it is accounted to.
+/// Per-job inputs that are not part of the engine configuration: where
+/// the job's counters land, which tenant it is accounted to, its fault
+/// plan and its kill switch.
 #[derive(Debug, Clone)]
 pub struct JobOptions {
     /// The job's counter registry (and span sink). Each admitted job
@@ -73,18 +73,20 @@ pub struct JobOptions {
     /// attributes its cache probes to `tenant.<tag>.cache.*` keys in the
     /// job's telemetry. `None` (the solo default) writes no tenant keys.
     pub tenant: Option<String>,
-    /// Per-job fault domain: when set, this job opens its fault plan
-    /// from *this* config instead of the engine-wide
-    /// [`GtsConfig::faults`](crate::GtsConfig), so a service can give
-    /// every admitted job its own seeded schedule. A fault that exhausts
-    /// the job's retry budget surfaces as this job's typed
-    /// [`EngineError`] — it never touches any other job's context.
+    /// The job's fault plan: seeded schedules of transient device read
+    /// errors, torn pages, GPU copy/launch faults and at-rest bit rot,
+    /// absorbed by bounded retry on the simulated clock. `None` disables
+    /// injection entirely (no draws, no schedule drift). A fault that
+    /// exhausts the retry budget surfaces as this job's typed
+    /// [`EngineError`] — it never touches any other job's context. The
+    /// plan is part of the run's identity ([`crate::config_fingerprint`]):
+    /// a resume must bring the same one.
     pub faults: Option<gts_faults::FaultConfig>,
-    /// The kill switch the job's checkpoint store and WAL ask before each
-    /// durable step, for a caller whose own durable files share one step
-    /// numbering with the job's (a service and its journal). A crash step
-    /// in the job's fault config takes precedence; the default never
-    /// fires.
+    /// The one way a job crashes: the kill switch its checkpoint store
+    /// and WAL ask before each durable step (`gts run --crash-at-step`).
+    /// A caller whose own durable files share one step numbering with
+    /// the job's (a service and its journal) hands in its own switch.
+    /// The default never fires.
     pub kill: KillSwitch,
 }
 
@@ -111,8 +113,7 @@ impl JobOptions {
         self
     }
 
-    /// Give this job its own fault domain (builder-style), overriding
-    /// the engine-wide fault config for this job only.
+    /// Give this job a fault plan (builder-style).
     pub fn faults(mut self, faults: gts_faults::FaultConfig) -> JobOptions {
         self.faults = Some(faults);
         self
@@ -133,8 +134,8 @@ impl Engine {
 
     /// Execute `prog` over a shared read-only `store` as one job. The
     /// job's counters land in `opts.telemetry`; the returned report is
-    /// derived from exactly those counters, byte-identical to
-    /// [`crate::Gts::run`] of the same job at any `host_threads`.
+    /// derived from exactly those counters, byte-identical at any
+    /// `host_threads`.
     pub fn run_job(
         &self,
         store: &GraphStore,
@@ -145,8 +146,13 @@ impl Engine {
     }
 
     /// Execute `prog` over a *live* `store` as one job: `schedule`'s
-    /// batches apply at sweep boundaries through the epoch pipeline,
-    /// exactly as [`crate::Gts::run_live`].
+    /// batches apply at sweep boundaries through the epoch pipeline: each
+    /// applies atomically at its sweep's boundary, bumping the store's
+    /// epoch, invalidating the rewritten pages in every GPU cache and the
+    /// MMBuf, and placing fresh delta pages on surviving drives. The
+    /// program hears of it through [`GtsProgram::on_mutation`]; batches
+    /// scheduled past convergence still apply, and the run re-sweeps
+    /// from the mutation's seeds.
     pub fn run_job_live(
         &self,
         store: &mut GraphStore,
@@ -294,7 +300,8 @@ pub(crate) struct Job<'e> {
     /// WAL records the recovery in [`Job::open`] replayed.
     wal_replayed: u64,
     pub(crate) setup: LaneSetup,
-    pub(crate) source: Box<dyn PageSource>,
+    /// Where streamed pages come from: `None` in memory.
+    pub(crate) source: Option<StorageSource>,
     /// Host threads execute kernel bodies (phase A), each into its own
     /// lane of `scratch`; phase B is one serial pass that orders
     /// simulated time, so results are independent of `host_threads`.
@@ -337,12 +344,8 @@ impl<'e> Job<'e> {
             tel.name_thread(Track::new(keys::pid::ENGINE, 0), "run");
             tel.name_thread(Track::new(keys::pid::ENGINE, 1), "cache");
         }
-        let faults = opts.faults.as_ref().or(cfg.faults.as_ref());
-        let kill = match faults.and_then(|f| f.crash) {
-            Some(step) => KillSwitch::at(step),
-            None => opts.kill.clone(),
-        };
-        let faults = faults.cloned().map(FaultPlan::new);
+        let faults = opts.faults.clone().map(FaultPlan::new);
+        let kill = &opts.kill;
         let wal = match (&cfg.wal_dir, &*handle) {
             (Some(dir), StoreHandle::Live { store, .. }) => {
                 Some(Wal::open_with(dir, store, kill.clone())?)
@@ -350,7 +353,9 @@ impl<'e> Job<'e> {
             _ => None,
         };
         let ck = match &cfg.checkpoint {
-            Some(c) => Some(CkptStore::open_with(&c.dir, kill).map_err(EngineError::Checkpoint)?),
+            Some(c) => {
+                Some(CkptStore::open_with(&c.dir, kill.clone()).map_err(EngineError::Checkpoint)?)
+            }
             None => None,
         };
         // WAL recovery runs BEFORE the meta check: a resuming run rolls
@@ -366,7 +371,8 @@ impl<'e> Job<'e> {
             if let Some(wal) = &wal {
                 wal_replayed = handle.recover(wal, &snap)?;
             }
-            ckpt::verify_meta(&snap, handle.store(), cfg, prog.algorithm().report_name)
+            let cfg_fp = ckpt::config_fingerprint(cfg, opts.faults.as_ref());
+            ckpt::verify_meta(&snap, handle.store(), cfg_fp, prog.algorithm().report_name)
                 .map_err(EngineError::Checkpoint)?;
             rung = Some(ckpt::rung_of(&snap).map_err(EngineError::Checkpoint)?);
             manifest_skipped = skipped.len() as u64;
@@ -644,7 +650,9 @@ impl<'e> Job<'e> {
         for (i, lane) in lanes.iter().enumerate() {
             lane.flush_to(tel, i as u32);
         }
-        self.source.flush_to(tel);
+        if let Some(source) = &self.source {
+            source.flush_to(tel);
+        }
         let hits: u64 = lanes.iter().map(|l| l.cache().hits()).sum();
         let misses: u64 = lanes.iter().map(|l| l.cache().misses()).sum();
         tel.add(keys::CACHE_HITS, hits);

@@ -15,8 +15,8 @@
 //!   ([`Engine::run_job`], [`Engine::run_job_live`]): the `nextPIDSet` /
 //!   `cachedPIDMap` / `MMBuf` machinery, SP-then-LP phase separation,
 //!   multi-stream copy/kernel pipelining, and the GPU-side page cache,
-//!   staged in [`sweep`]. [`engine::Gts`] is a solo `Engine` that keeps
-//!   its own [`Telemetry`] handle.
+//!   staged in [`sweep`]. A job's own inputs — its [`Telemetry`]
+//!   handle, tenant, fault plan and kill switch — ride in [`JobOptions`].
 //! * [`programs`] holds the user-level vertex programs with the GPU kernels
 //!   of Appendix B (BFS, PageRank) and Appendix D (SSSP, CC, BC), written
 //!   against the warp-cost model of `gts-gpu`.
@@ -78,9 +78,10 @@ pub mod report;
 pub mod strategy;
 pub mod sweep;
 
+#[doc(hidden)]
+pub use engine::Gts;
 pub use engine::{
-    CheckpointConfig, ConfigError, EngineError, Gts, GtsBuilder, GtsConfig, MutationSchedule,
-    StorageLocation,
+    CheckpointConfig, ConfigError, EngineError, GtsConfig, MutationSchedule, StorageLocation,
 };
 pub use gts_faults::{FaultConfig, FaultPlan};
 pub use gts_storage::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
@@ -88,4 +89,6 @@ pub use gts_telemetry::Telemetry;
 pub use job::{Engine, JobOptions};
 pub use report::RunReport;
 pub use strategy::Strategy;
-pub use sweep::ckpt::{shape_fingerprint, snapshot_progress, store_fingerprint};
+pub use sweep::ckpt::{
+    config_fingerprint, shape_fingerprint, snapshot_progress, store_fingerprint,
+};

@@ -14,6 +14,13 @@
 //!
 //! The paper runs BC in single-source mode (its Fig. 13c); multi-source BC
 //! is the sum over sources of independent runs.
+//!
+//! On a live store a mutation batch restarts the forward phase from the
+//! source on the current graph, the way `KCore` re-peels: Brandes'
+//! dependencies are not incremental, and recorded levels a batch moved
+//! would replay wrong successors. The forward level is the program's own
+//! count, not the sweep index, so a restart at any sweep begins at
+//! level 0.
 
 use super::{
     state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
@@ -21,6 +28,8 @@ use super::{
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
+use gts_storage::builder::GraphStore;
+use gts_storage::MutationOutcome;
 
 const DIST_NULL: u16 = u16::MAX;
 
@@ -40,6 +49,10 @@ pub struct Bc {
     /// Pages whose vertices were frontier members at each forward level.
     pages_by_level: Vec<Vec<u64>>,
     phase: Phase,
+    /// The forward level the next sweep expands. Every forward level
+    /// records at least one page, so between sweeps it equals
+    /// `pages_by_level.len()`, which is how a resume restores it.
+    level: u32,
     source: u64,
 }
 
@@ -74,6 +87,7 @@ impl Bc {
             bc: vec![0.0; n],
             pages_by_level: Vec::new(),
             phase: Phase::Forward,
+            level: 0,
             source,
         }
     }
@@ -91,7 +105,7 @@ impl Bc {
         vid: u64,
         rids: gts_storage::AdjRun<'_>,
     ) {
-        let next = ctx.sweep as u16 + 1;
+        let next = self.level as u16 + 1;
         let sv = self.sigma[vid as usize];
         for rid in rids {
             work.active_edges += 1;
@@ -164,7 +178,7 @@ impl GtsProgram for Bc {
         scratch.reset();
         let mut work = PageWork::default();
         let (level, forward) = match self.phase {
-            Phase::Forward => (ctx.sweep, true),
+            Phase::Forward => (self.level, true),
             Phase::Backward(l) => (l, false),
         };
         assert!(
@@ -197,6 +211,7 @@ impl GtsProgram for Bc {
         match self.phase {
             Phase::Forward => {
                 if !frontier_empty {
+                    self.level += 1;
                     return SweepControl::Continue;
                 }
                 // Forward done. Deepest level D vertices have δ = 0; start
@@ -226,6 +241,13 @@ impl GtsProgram for Bc {
                 }
             }
         }
+    }
+
+    fn on_mutation(&mut self, store: &GraphStore, _outcome: &MutationOutcome) -> Vec<u64> {
+        // Start over on the current graph: fresh σ, δ, scores and
+        // levels, seeded by the source's page alone.
+        *self = Bc::new(self.dist.len() as u64, self.source);
+        vec![store.pid_of_vertex(self.source)]
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -274,6 +296,7 @@ impl GtsProgram for Bc {
         self.pages_by_level = (0..depth)
             .map(|_| r.take_seq("bc.level pids"))
             .collect::<Result<_, _>>()?;
+        self.level = self.pages_by_level.len() as u32;
         r.finish()
     }
 }

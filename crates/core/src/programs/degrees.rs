@@ -142,7 +142,8 @@ impl SharedKernel for Degrees {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Gts, GtsConfig};
+    use crate::engine::GtsConfig;
+    use crate::job::{Engine, JobOptions};
     use gts_graph::generate::rmat;
     use gts_graph::Csr;
     use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
@@ -157,8 +158,9 @@ mod tests {
         .unwrap();
         let csr = Csr::from_edge_list(&graph);
         let mut deg = Degrees::new(store.num_vertices());
-        let report = Gts::new(GtsConfig::default())
-            .run(&store, &mut deg)
+        let report = Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut deg, &JobOptions::default())
             .unwrap();
         assert_eq!(report.sweeps, 1, "single linear scan");
         for v in 0..csr.num_vertices() {
@@ -176,8 +178,9 @@ mod tests {
         .unwrap();
         let csr = Csr::from_edge_list(&graph);
         let mut deg = Degrees::new(store.num_vertices());
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut deg)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut deg, &JobOptions::default())
             .unwrap();
         assert_eq!(deg.histogram(), gts_graph::stats::degree_histogram(&csr));
     }
@@ -194,8 +197,9 @@ mod tests {
         .unwrap();
         assert!(store.large_pids().len() > 1, "hub spans several chunks");
         let mut deg = Degrees::new(store.num_vertices());
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut deg)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut deg, &JobOptions::default())
             .unwrap();
         assert_eq!(deg.degrees()[0], 500);
     }
@@ -215,8 +219,14 @@ mod tests {
         let mut batch = gts_storage::MutationBatch::new();
         batch.insert(7, 8);
         let mut deg = Degrees::new(store.num_vertices());
-        Gts::new(GtsConfig::default())
-            .run_live(&mut store, &mut deg, MutationSchedule::new().at(3, batch))
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job_live(
+                &mut store,
+                &mut deg,
+                MutationSchedule::new().at(3, batch),
+                &JobOptions::default(),
+            )
             .unwrap();
         assert_eq!(deg.degrees()[0], 500);
         assert_eq!(deg.degrees()[7], 1);

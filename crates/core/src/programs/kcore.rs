@@ -143,7 +143,8 @@ impl GtsProgram for KCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Gts, GtsConfig};
+    use crate::engine::GtsConfig;
+    use crate::job::{Engine, JobOptions};
     use gts_graph::generate::rmat;
     use gts_graph::{Csr, EdgeList};
     use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
@@ -180,7 +181,10 @@ mod tests {
         )
         .unwrap();
         let mut kc = KCore::new(store.num_vertices(), k);
-        Gts::new(GtsConfig::default()).run(&store, &mut kc).unwrap();
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut kc, &JobOptions::default())
+            .unwrap();
         kc.in_core().to_vec()
     }
 

@@ -332,8 +332,8 @@ pub trait GtsProgram {
     /// program does not: its plan after the batch is only the pending
     /// frontier plus these seeds, so an edge inserted out of an
     /// already-settled vertex is never followed unless the program
-    /// re-activates that vertex here (as `Bfs` and `Sssp` do; `Bc` does
-    /// not, DESIGN.md §12).
+    /// re-activates that vertex here (as `Bfs` and `Sssp` do), or
+    /// restarts and seeds its start page (as `Bc` does).
     fn on_mutation(&mut self, _store: &GraphStore, _outcome: &MutationOutcome) -> Vec<u64> {
         Vec::new()
     }
@@ -468,7 +468,8 @@ pub(crate) fn scatter_page(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Gts, GtsConfig};
+    use crate::engine::GtsConfig;
+    use crate::job::{Engine, JobOptions};
     use gts_graph::generate::rmat;
     use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
 
@@ -495,8 +496,9 @@ mod tests {
         assert_eq!(ALGORITHMS.len(), want.len());
         for (alg, want) in ALGORITHMS.iter().zip(want) {
             let mut prog = by_name(alg.name, store.num_vertices(), 0, 10, 2).unwrap();
-            Gts::new(GtsConfig::default())
-                .run(&store, &mut *prog)
+            Engine::new(GtsConfig::default())
+                .unwrap()
+                .run_job(&store, &mut *prog, &JobOptions::default())
                 .unwrap();
             assert_eq!(prog.summary(), want, "{}", alg.name);
         }

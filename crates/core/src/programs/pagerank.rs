@@ -213,7 +213,8 @@ impl SharedKernel for PageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Gts, GtsConfig};
+    use crate::engine::GtsConfig;
+    use crate::job::{Engine, JobOptions};
     use gts_graph::generate::rmat;
     use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
 
@@ -226,14 +227,18 @@ mod tests {
         )
         .unwrap();
         let mut pr = PageRank::until_convergence(store.num_vertices(), 1e-6, 200);
-        let report = Gts::new(GtsConfig::default()).run(&store, &mut pr).unwrap();
+        let report = Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
+            .unwrap();
         let at = pr.converged_at().expect("must converge well before 200");
         assert_eq!(report.sweeps, at);
         assert!(at < 100, "converged at {at}");
         // Converged ranks change by < epsilon under one more fixed sweep.
         let mut fixed = PageRank::new(store.num_vertices(), at + 1);
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut fixed)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut fixed, &JobOptions::default())
             .unwrap();
         let delta: f32 = pr
             .ranks()
@@ -253,7 +258,10 @@ mod tests {
         )
         .unwrap();
         let mut pr = PageRank::until_convergence(store.num_vertices(), 0.0, 3);
-        let report = Gts::new(GtsConfig::default()).run(&store, &mut pr).unwrap();
+        let report = Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
+            .unwrap();
         assert_eq!(report.sweeps, 3);
         assert_eq!(pr.converged_at(), None);
     }

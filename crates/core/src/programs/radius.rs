@@ -181,7 +181,8 @@ impl GtsProgram for RadiusEstimation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Gts, GtsConfig};
+    use crate::engine::GtsConfig;
+    use crate::job::{Engine, JobOptions};
     use gts_graph::generate::rmat;
     use gts_graph::{reference, Csr, EdgeList};
     use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
@@ -193,7 +194,10 @@ mod tests {
         )
         .unwrap();
         let mut r = RadiusEstimation::new(store.num_vertices());
-        Gts::new(GtsConfig::default()).run(&store, &mut r).unwrap();
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut r, &JobOptions::default())
+            .unwrap();
         r
     }
 
@@ -274,7 +278,10 @@ mod tests {
         .unwrap();
         assert!(store.large_pids().len() > 1, "hub must span chunks");
         let mut r = RadiusEstimation::new(store.num_vertices());
-        Gts::new(GtsConfig::default()).run(&store, &mut r).unwrap();
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut r, &JobOptions::default())
+            .unwrap();
         assert!(r.is_exact());
         let csr = Csr::from_edge_list(&graph);
         for v in 0..62u32 {

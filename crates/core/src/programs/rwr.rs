@@ -162,7 +162,8 @@ impl SharedKernel for Rwr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Gts, GtsConfig};
+    use crate::engine::GtsConfig;
+    use crate::job::{Engine, JobOptions};
     use gts_graph::generate::rmat;
     use gts_graph::Csr;
     use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
@@ -201,8 +202,9 @@ mod tests {
         .unwrap();
         let csr = Csr::from_edge_list(&graph);
         let mut rwr = Rwr::new(store.num_vertices(), 3, 8);
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut rwr)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut rwr, &JobOptions::default())
             .unwrap();
         let want = reference_rwr(&csr, 3, 0.15, 8);
         for (got, want) in rwr.scores().iter().zip(&want) {
@@ -219,8 +221,9 @@ mod tests {
         )
         .unwrap();
         let mut rwr = Rwr::new(store.num_vertices(), 0, 10);
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut rwr)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut rwr, &JobOptions::default())
             .unwrap();
         let scores = rwr.scores();
         assert!(scores[0] >= 0.15, "seed retains at least the restart mass");

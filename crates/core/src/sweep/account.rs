@@ -2,11 +2,10 @@
 //!
 //! Consumes the page outcomes of [`crate::sweep::kernels`] in page order
 //! and charges their simulated cost: the Alg. 1 line-16 cache check, the
-//! storage/MMBuf fetch via the
-//! [`PageSource`](crate::sweep::ingest::PageSource), the per-target kernel or
-//! H2D+RA+kernel issue on each [`GpuLane`], then the sweep barrier
-//! (line 27), the nextPIDSet/cachedPIDMap write-back (lines 29-30), the
-//! WA synchronisation, and the per-sweep telemetry.
+//! storage/MMBuf fetch via [`crate::sweep::ingest::page_ready`], the
+//! per-target kernel or H2D+RA+kernel issue on each [`GpuLane`], then
+//! the sweep barrier (line 27), the nextPIDSet/cachedPIDMap write-back
+//! (lines 29-30), the WA synchronisation, and the per-sweep telemetry.
 //!
 //! Phase B is one serial pass in page order. Everything it touches is
 //! globally ordered simulated state — the lanes' page caches (hits,
@@ -22,6 +21,7 @@ use crate::job::Job;
 use crate::programs::GtsProgram;
 use crate::report::SweepStats;
 use crate::strategy::Strategy;
+use crate::sweep::ingest;
 use crate::sweep::kernels::PageOutcome;
 use crate::sweep::plan::PageBitmap;
 use crate::sweep::schedule::{self, GpuLane};
@@ -79,7 +79,7 @@ impl Job<'_> {
         let (class, ra_bytes_per_vertex) = (alg.class, alg.ra_bytes_per_vertex);
         let page_size = store.cfg().page_size as u64;
         let spans = self.tel.spans_enabled();
-        let (lanes, source) = (&mut self.setup.lanes, self.source.as_mut());
+        let (lanes, mut source) = (&mut self.setup.lanes, self.source.as_mut());
         let mut pid_hits: Vec<bool> = Vec::with_capacity(lanes.len());
         for (&pid, outcome) in pids.iter().zip(outcomes) {
             let work = &outcome.work;
@@ -101,7 +101,9 @@ impl Job<'_> {
             pid_hits.extend(targets.clone().map(|gi| lanes[gi].probe(pid)));
             let all_cached = pid_hits.iter().all(|&hit| hit);
             let page = store.page(pid);
-            let data_ready = source.page_ready(pid, page, all_cached, acc.sweep_start)?;
+            let start = acc.sweep_start;
+            let data_ready =
+                ingest::page_ready(source.as_deref_mut(), pid, page, all_cached, start)?;
             for (ti, gi) in targets.enumerate() {
                 let cost = KernelCost {
                     class,

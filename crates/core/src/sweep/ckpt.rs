@@ -22,13 +22,14 @@
 //! resumed run see identical schedules. Timers and drive queues are fully
 //! drained at the boundary barrier, so fresh ones behave identically.
 
-use crate::engine::{EngineError, GtsConfig, StorageLocation};
+use crate::engine::{CheckpointConfig, EngineError, GtsConfig};
 use crate::job::Job;
 use crate::programs::GtsProgram;
 use crate::strategy::Strategy;
+use crate::sweep::ingest::StorageSource;
 use crate::sweep::plan::SweepPlan;
 use gts_ckpt::{fnv1a, ByteReader, ByteWriter, CkptError, Snapshot};
-use gts_faults::FaultPlan;
+use gts_faults::{FaultConfig, FaultPlan};
 use gts_sim::{SimDuration, SimTime};
 use gts_storage::builder::{GraphStore, StoreShape};
 use gts_telemetry::{keys, SpanCat, Telemetry, Track};
@@ -97,65 +98,30 @@ pub fn shape_fingerprint(shape: &StoreShape) -> u64 {
     fnv1a(&w.into_bytes())
 }
 
-/// Fingerprint of the configuration facets that shape a run's schedule.
-/// `host_threads` is excluded (any value is byte-identical by contract),
-/// as are the checkpoint block itself, the WAL directory, and the fault
-/// plan's crash step — a resumed run differs from the crashed one in
-/// exactly those. `scrub_every` and the bit-rot rate ARE folded in: scrub
-/// passes draw on the fault plan's per-page streams, so a run scrubbed on
-/// a different cadence is a different schedule.
-pub(crate) fn config_fingerprint(cfg: &GtsConfig) -> u64 {
-    let mut w = ByteWriter::new();
-    w.put_u64(cfg.num_gpus as u64);
-    w.put_u64(cfg.num_streams as u64);
-    w.put_u8(strategy_code(cfg.strategy));
-    match cfg.storage {
-        StorageLocation::InMemory => w.put_u8(0),
-        StorageLocation::Ssds(k) => {
-            w.put_u8(1);
-            w.put_u64(k as u64);
-        }
-        StorageLocation::Hdds(k) => {
-            w.put_u8(2);
-            w.put_u64(k as u64);
-        }
-    }
-    w.put_u32(cfg.mmbuf_percent);
-    w.put_u8(cfg.cache_policy as u8);
-    w.put_bool(cfg.cache_limit_bytes.is_some());
-    w.put_u64(cfg.cache_limit_bytes.unwrap_or(0));
-    w.put_bool(cfg.p2p_sync);
-    w.put_bool(cfg.degrade_on_oom);
-    w.put_bool(cfg.scrub_every.is_some());
-    w.put_u32(cfg.scrub_every.unwrap_or(0));
-    // A plan with every injection rate at zero never draws a fault, so it
-    // is behaviorally identical to no plan at all — normalize it to None.
-    // (The CLI hosts `--crash-at-step` in a quiet plan when no
-    // `--fault-seed` is given; the resumed run, crash step gone, must
-    // still fingerprint-match.)
-    let quiet = |f: &gts_faults::FaultConfig| {
-        f.read_error_ppm == 0
-            && f.corrupt_page_ppm == 0
-            && f.copy_fault_ppm == 0
-            && f.launch_fault_ppm == 0
-            && f.bit_rot_ppm == 0
+/// The identity of a run: what a snapshot records and a resume must
+/// match, or be refused with a typed [`CkptError::Mismatch`] on
+/// `"config fingerprint"`. It hashes the whole configuration and the
+/// job's fault plan, with the resume-neutral fields reset — the ones a
+/// resumed run may change without changing a simulated number:
+/// `host_threads` and `measure_host_phases` (wall-side only), where the
+/// snapshots and the WAL live and whether this run resumes, and the two
+/// watchdog budgets (a run resumed after a blown budget runs without
+/// it). Every other field is part of the schedule, `checkpoint.every`
+/// included: a checkpoint boundary is a cold-cache boundary.
+pub fn config_fingerprint(cfg: &GtsConfig, faults: Option<&FaultConfig>) -> u64 {
+    let normalized = GtsConfig {
+        host_threads: 1,
+        measure_host_phases: false,
+        checkpoint: cfg
+            .checkpoint
+            .as_ref()
+            .map(|c| CheckpointConfig::new("", c.every)),
+        wal_dir: None,
+        sweep_deadline_ns: None,
+        run_budget_ns: None,
+        ..cfg.clone()
     };
-    match &cfg.faults {
-        Some(f) if !quiet(f) => {
-            w.put_bool(true);
-            w.put_u64(f.seed);
-            w.put_u32(f.read_error_ppm);
-            w.put_u32(f.corrupt_page_ppm);
-            w.put_u32(f.copy_fault_ppm);
-            w.put_u32(f.launch_fault_ppm);
-            w.put_u32(f.bit_rot_ppm);
-            w.put_u32(f.max_retries);
-            w.put_u32(f.quarantine_after);
-            w.put_u64(f.backoff.as_nanos());
-        }
-        _ => w.put_bool(false),
-    }
-    fnv1a(&w.into_bytes())
+    fnv1a(format!("{normalized:?} {faults:?}").as_bytes())
 }
 
 /// The `meta` section: the algorithm's name, then the store and
@@ -170,15 +136,16 @@ fn read_meta(snap: &Snapshot) -> Result<(String, u64, u64), CkptError> {
 }
 
 /// Check a loaded snapshot against this run's schema version, algorithm,
-/// graph store, and configuration before anything is restored from it.
+/// graph store, and [`config_fingerprint`] before anything is restored
+/// from it.
 pub(crate) fn verify_meta(
     snap: &Snapshot,
     store: &GraphStore,
-    cfg: &GtsConfig,
+    cfg_fp: u64,
     algorithm: &str,
 ) -> Result<(), CkptError> {
     snap.require_version(SNAPSHOT_VERSION)?;
-    let (alg, store_fp, cfg_fp) = read_meta(snap)?;
+    let (alg, store_fp, got_cfg_fp) = read_meta(snap)?;
     if alg != algorithm {
         return Err(CkptError::Corrupt {
             reason: format!("snapshot was taken by {alg}, this run executes {algorithm}"),
@@ -186,7 +153,7 @@ pub(crate) fn verify_meta(
     }
     for (what, want, got) in [
         ("store fingerprint", store_fingerprint(store), store_fp),
-        ("config fingerprint", config_fingerprint(cfg), cfg_fp),
+        ("config fingerprint", cfg_fp, got_cfg_fp),
     ] {
         if got != want {
             return Err(CkptError::Mismatch { what, want, got });
@@ -270,7 +237,9 @@ impl Job<'_> {
         for lane in &mut self.setup.lanes {
             lane.checkpoint_reset();
         }
-        self.source.checkpoint_reset();
+        if let Some(source) = &mut self.source {
+            source.checkpoint_reset();
+        }
         let snap = self.build_snapshot(store, prog);
         let started = Instant::now();
         let bytes = ck.write(self.sweep as u64, &snap)?;
@@ -299,7 +268,8 @@ impl Job<'_> {
         let mut w = ByteWriter::new();
         w.put_str(prog.algorithm().report_name);
         w.put_u64(store_fingerprint(store));
-        w.put_u64(config_fingerprint(self.cfg));
+        let faults = self.faults.as_ref().map(FaultPlan::config);
+        w.put_u64(config_fingerprint(self.cfg, faults));
         snap.insert("meta", w.into_bytes());
 
         let mut w = ByteWriter::new();
@@ -349,7 +319,8 @@ impl Job<'_> {
         }
         snap.insert("faults", w.into_bytes());
 
-        let (quarantined, failures) = self.source.export_recovery();
+        let recovery = self.source.as_ref().map(StorageSource::export_recovery);
+        let (quarantined, failures) = recovery.unwrap_or_default();
         let mut w = ByteWriter::new();
         w.put_seq(&quarantined);
         w.put_seq(&failures);
@@ -404,7 +375,9 @@ impl Job<'_> {
         let quarantined: Vec<bool> = r.take_seq("storage quarantine flags")?;
         let failures: Vec<u32> = r.take_seq("storage failure counts")?;
         r.finish()?;
-        self.source.import_recovery(&quarantined, &failures);
+        if let Some(source) = &mut self.source {
+            source.import_recovery(&quarantined, &failures);
+        }
 
         let mut r = ByteReader::new(snap.section("clock")?);
         let t_ns = r.take_u64("clock t")?;
@@ -415,5 +388,132 @@ impl Job<'_> {
         (self.sweep, self.edges) = (sweep, edges);
         self.plan = SweepPlan::from_parts(sp, lp);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{CachePolicyKind, StorageLocation};
+    use gts_gpu::warp::MicroTechnique;
+    use gts_gpu::{GpuConfig, PcieConfig};
+    use gts_sim::SimDuration;
+
+    /// Every field of `GtsConfig` is classified here: the literal below
+    /// names them all (no `..default()`), so adding a field fails to
+    /// compile until it is added to it and to exactly one of the two
+    /// lists. A neutral field may differ between a run and its resume; a
+    /// schedule field must move the fingerprint.
+    #[test]
+    fn every_config_field_is_either_resume_neutral_or_moves_the_fingerprint() {
+        let base = GtsConfig {
+            num_gpus: 2,
+            num_streams: 8,
+            strategy: Strategy::Performance,
+            technique: MicroTechnique::default_edge_centric(),
+            gpu: GpuConfig::titan_x(),
+            pcie: PcieConfig::gen3_x16(),
+            storage: StorageLocation::Ssds(2),
+            mmbuf_percent: 20,
+            cache_policy: CachePolicyKind::Lru,
+            cache_limit_bytes: Some(1 << 20),
+            p2p_sync: true,
+            host_threads: 2,
+            measure_host_phases: false,
+            degrade_on_oom: true,
+            checkpoint: Some(CheckpointConfig::new("ck", 2)),
+            wal_dir: Some("wal".into()),
+            scrub_every: Some(2),
+            sweep_deadline_ns: Some(1_000),
+            run_budget_ns: Some(10_000),
+        };
+        type Edit = (&'static str, fn(&mut GtsConfig));
+        let neutral: [Edit; 7] = [
+            ("host_threads", |c| c.host_threads = 4),
+            ("measure_host_phases", |c| c.measure_host_phases = true),
+            ("checkpoint.dir", |c| {
+                c.checkpoint = Some(CheckpointConfig::new("elsewhere", 2));
+            }),
+            ("checkpoint.resume", |c| {
+                c.checkpoint = Some(CheckpointConfig::new("ck", 2).resuming());
+            }),
+            ("wal_dir", |c| c.wal_dir = None),
+            ("sweep_deadline_ns", |c| c.sweep_deadline_ns = None),
+            ("run_budget_ns", |c| c.run_budget_ns = Some(1)),
+        ];
+        let schedule: [Edit; 16] = [
+            ("num_gpus", |c| c.num_gpus = 4),
+            ("num_streams", |c| c.num_streams = 16),
+            ("strategy", |c| c.strategy = Strategy::Scalability),
+            ("technique", |c| c.technique = MicroTechnique::VertexCentric),
+            ("gpu", |c| {
+                c.gpu = GpuConfig::titan_x().with_device_memory(300_000)
+            }),
+            ("pcie", |c| c.pcie.latency = SimDuration::from_micros(7)),
+            ("storage", |c| c.storage = StorageLocation::Hdds(2)),
+            ("mmbuf_percent", |c| c.mmbuf_percent = 0),
+            ("cache_policy", |c| c.cache_policy = CachePolicyKind::Fifo),
+            ("cache_limit_bytes", |c| c.cache_limit_bytes = None),
+            ("p2p_sync", |c| c.p2p_sync = false),
+            ("degrade_on_oom", |c| c.degrade_on_oom = false),
+            ("checkpoint", |c| c.checkpoint = None),
+            ("checkpoint.every", |c| {
+                c.checkpoint = Some(CheckpointConfig::new("ck", 1));
+            }),
+            ("scrub_every", |c| c.scrub_every = None),
+            ("scrub_every value", |c| c.scrub_every = Some(3)),
+        ];
+        let want = config_fingerprint(&base, None);
+        for (field, edit) in neutral {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            assert_eq!(config_fingerprint(&cfg, None), want, "{field} is neutral");
+        }
+        for (field, edit) in schedule {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            assert_ne!(config_fingerprint(&cfg, None), want, "{field} is schedule");
+        }
+    }
+
+    /// The job's fault plan is part of the identity, field by field, and a
+    /// quiet plan is not the same run as no plan.
+    #[test]
+    fn every_fault_field_moves_the_fingerprint() {
+        let cfg = GtsConfig::default();
+        let plan = FaultConfig {
+            seed: 7,
+            read_error_ppm: 1,
+            corrupt_page_ppm: 2,
+            copy_fault_ppm: 3,
+            launch_fault_ppm: 4,
+            bit_rot_ppm: 5,
+            max_retries: 6,
+            quarantine_after: 7,
+            backoff: SimDuration::from_micros(8),
+        };
+        let want = config_fingerprint(&cfg, Some(&plan));
+        assert_ne!(config_fingerprint(&cfg, None), want);
+        let quiet = FaultConfig::quiet(0);
+        assert_ne!(
+            config_fingerprint(&cfg, Some(&quiet)),
+            config_fingerprint(&cfg, None)
+        );
+        let edits: [fn(&mut FaultConfig); 9] = [
+            |f| f.seed = 8,
+            |f| f.read_error_ppm = 0,
+            |f| f.corrupt_page_ppm = 0,
+            |f| f.copy_fault_ppm = 0,
+            |f| f.launch_fault_ppm = 0,
+            |f| f.bit_rot_ppm = 0,
+            |f| f.max_retries = 0,
+            |f| f.quarantine_after = 0,
+            |f| f.backoff = SimDuration::from_micros(9),
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut other = plan.clone();
+            edit(&mut other);
+            assert_ne!(config_fingerprint(&cfg, Some(&other)), want, "field {i}");
+        }
     }
 }

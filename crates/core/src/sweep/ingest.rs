@@ -7,7 +7,7 @@
 //! caches generates no storage traffic and no MMBuf churn at all — that
 //! rule lives here, in exactly one place, as the `all_cached` fast path.
 //!
-//! A [`PageSource`] answers only the "when" question on the simulated
+//! [`page_ready`] answers only the "when" question on the simulated
 //! clock; scheduling the resulting H2D copies is the next stage
 //! ([`crate::sweep::schedule`]). Every storage fetch verifies the page's
 //! trailer checksum and is subject to the run's fault plan (injected
@@ -23,78 +23,21 @@ use gts_storage::device::StorageArray;
 use gts_storage::Page;
 use gts_telemetry::{keys, Telemetry};
 
-/// Where streamed pages come from, on the simulated clock.
-pub trait PageSource {
-    /// The instant page `pid`'s bytes are available on the host for H2D
-    /// scheduling. `all_cached` is the Alg. 1 line-16 predicate: every
-    /// target GPU holds the page, so the source must not be touched (no
-    /// storage fetch, no MMBuf admission). `page` is the page itself so
-    /// a storage-backed source can verify its trailer checksum; a fetch
-    /// that keeps failing surfaces as a typed error, never a panic.
-    fn page_ready(
-        &mut self,
-        pid: u64,
-        page: &Page,
-        all_cached: bool,
-        sweep_start: SimTime,
-    ) -> Result<SimTime, EngineError>;
-
-    /// Flush the source's counters (MMBuf hits/misses, I/O bytes) into
-    /// `tel`'s registry at end of run.
-    fn flush_to(&self, tel: &Telemetry);
-
-    /// Checkpoint-boundary reset: the warm state a resumed run could not
-    /// rebuild (the MMBuf) goes cold, as in a new run, while its counters
-    /// keep counting over the whole run ([`CachePolicy::clear`]). The
-    /// in-memory source holds no such state.
-    fn checkpoint_reset(&mut self) {}
-
-    /// Per-drive recovery state (quarantine flags, consecutive-failure
-    /// counts) for a snapshot; empty for sources without drives.
-    fn export_recovery(&self) -> (Vec<bool>, Vec<u32>) {
-        (Vec::new(), Vec::new())
+/// The instant page `pid`'s bytes are available on the host for H2D
+/// scheduling, wherever the graph lives: in memory (`source` is `None`,
+/// the paper's in-memory setting) every page is ready the moment the
+/// sweep starts; otherwise the [`StorageSource`] answers.
+pub fn page_ready(
+    source: Option<&mut StorageSource>,
+    pid: u64,
+    page: &Page,
+    all_cached: bool,
+    start: SimTime,
+) -> Result<SimTime, EngineError> {
+    match source {
+        Some(source) => source.page_ready(pid, page, all_cached, start),
+        None => Ok(start),
     }
-
-    /// Restore state captured by [`PageSource::export_recovery`]. Ignored
-    /// by sources without drives (and by arrays of a different shape).
-    fn import_recovery(&mut self, _quarantined: &[bool], _failures: &[u32]) {}
-
-    /// Drop host-side buffered copies of `pids` after a mutation batch
-    /// rewrote them: the buffered bytes are stale and the next access must
-    /// re-fetch. Sources without host buffering ignore it.
-    fn invalidate(&mut self, _pids: &[u64]) {}
-
-    /// Register pages allocated *after* build (delta/overflow pages from a
-    /// mutation batch) so storage placement can pin them to surviving
-    /// drives instead of the original stripe map. Sources without drives
-    /// ignore it.
-    fn note_new_pages(&mut self, _pids: &[u64]) {}
-
-    /// A background scrub pass found page `pid`'s at-rest copy failing its
-    /// trailer checksum at simulated instant `when`. Storage-backed
-    /// sources route the detection to the hosting drive's failure streak
-    /// (repeated rot quarantines the drive and re-stripes its pages);
-    /// sources without drives ignore it.
-    fn note_scrub_detection(&mut self, _pid: u64, _when: SimTime) {}
-}
-
-/// The whole graph is resident in main memory (the paper's in-memory
-/// setting): every page is ready the moment the sweep starts.
-#[derive(Debug, Default)]
-pub struct InMemorySource;
-
-impl PageSource for InMemorySource {
-    fn page_ready(
-        &mut self,
-        _pid: u64,
-        _page: &Page,
-        _all_cached: bool,
-        start: SimTime,
-    ) -> Result<SimTime, EngineError> {
-        Ok(start)
-    }
-
-    fn flush_to(&self, _tel: &Telemetry) {}
 }
 
 /// Pages stream from a striped storage array through the MMBuf
@@ -120,88 +63,102 @@ impl StorageSource {
     pub fn array(&self) -> &StorageArray {
         &self.array
     }
-}
 
-impl PageSource for StorageSource {
-    fn page_ready(
+    /// The instant page `pid`'s bytes are available on the host.
+    /// `all_cached` is the Alg. 1 line-16 predicate: every target GPU
+    /// holds the page, so storage must not be touched (no fetch, no MMBuf
+    /// admission). `page` is the page itself so the fetch can verify its
+    /// trailer checksum; a fetch that keeps failing surfaces as a typed
+    /// error, never a panic.
+    pub fn page_ready(
         &mut self,
         pid: u64,
         page: &Page,
         all_cached: bool,
         start: SimTime,
     ) -> Result<SimTime, EngineError> {
-        // Alg. 1 line 16: cached-everywhere pages skip storage entirely.
-        if all_cached {
+        if all_cached || self.mmbuf.access(pid) {
             return Ok(start);
         }
-        if self.mmbuf.access(pid) {
-            Ok(start)
-        } else {
-            let bytes = page.size_bytes() as u64;
-            let policy = gts_storage::FetchPolicy::verified(page);
-            Ok(self.array.fetch(pid, bytes, start, policy)?.end)
-        }
+        let bytes = page.size_bytes() as u64;
+        let policy = gts_storage::FetchPolicy::verified(page);
+        Ok(self.array.fetch(pid, bytes, start, policy)?.end)
     }
 
-    fn flush_to(&self, tel: &Telemetry) {
+    /// Flush the MMBuf's and the array's counters (hits/misses, I/O
+    /// bytes) into `tel`'s registry.
+    pub fn flush_to(&self, tel: &Telemetry) {
         tel.add(keys::MMBUF_HITS, self.mmbuf.hits());
         tel.add(keys::MMBUF_MISSES, self.mmbuf.misses());
         tel.add(keys::MMBUF_EVICTIONS, self.mmbuf.evictions());
         self.array.flush_to(tel);
     }
 
-    fn checkpoint_reset(&mut self) {
-        // A resumed run's MMBuf starts empty; the checkpointing run must
-        // go cold at the same boundary or the ready-times diverge.
+    /// Checkpoint-boundary reset: a resumed run's MMBuf starts empty, so
+    /// the checkpointing run's goes cold at the same boundary or the
+    /// ready-times diverge. Its counters keep counting over the whole run
+    /// ([`CachePolicy::clear`]).
+    pub fn checkpoint_reset(&mut self) {
         self.mmbuf.clear();
     }
 
-    fn export_recovery(&self) -> (Vec<bool>, Vec<u32>) {
+    /// Per-drive recovery state (quarantine flags, consecutive-failure
+    /// counts) for a snapshot.
+    pub fn export_recovery(&self) -> (Vec<bool>, Vec<u32>) {
         self.array.export_recovery_state()
     }
 
-    fn import_recovery(&mut self, quarantined: &[bool], failures: &[u32]) {
+    /// Restore state captured by [`StorageSource::export_recovery`]
+    /// (ignored by an array of a different shape).
+    pub fn import_recovery(&mut self, quarantined: &[bool], failures: &[u32]) {
         self.array.import_recovery_state(quarantined, failures);
     }
 
-    fn invalidate(&mut self, pids: &[u64]) {
+    /// Drop the MMBuf's copies of `pids` after a mutation batch rewrote
+    /// them: the buffered bytes are stale and the next access re-fetches.
+    pub fn invalidate(&mut self, pids: &[u64]) {
         for &pid in pids {
             self.mmbuf.invalidate(pid);
         }
     }
 
-    fn note_new_pages(&mut self, pids: &[u64]) {
+    /// Place pages allocated *after* build (delta/overflow pages from a
+    /// mutation batch) on surviving drives instead of the original
+    /// stripe map.
+    pub fn note_new_pages(&mut self, pids: &[u64]) {
         self.array.place_new_pages(pids);
     }
 
-    fn note_scrub_detection(&mut self, pid: u64, when: SimTime) {
+    /// A background scrub pass found page `pid`'s at-rest copy failing
+    /// its trailer checksum at simulated instant `when`: charge the
+    /// hosting drive's failure streak (repeated rot quarantines the drive
+    /// and re-stripes its pages).
+    pub fn note_scrub_detection(&mut self, pid: u64, when: SimTime) {
         self.array.note_corrupt_page(pid, when);
     }
 }
 
-/// Build the source the configuration asks for, telemetry attached.
-/// `num_pages` sizes the MMBuf as `cfg.mmbuf_percent` of the graph;
-/// `faults` (when present) injects the run's device-read fault schedule.
+/// The source the configuration asks for, telemetry attached: `None`
+/// in memory, else a [`StorageSource`] whose MMBuf holds
+/// `cfg.mmbuf_percent` of the graph's `num_pages`. `faults` (when
+/// present) injects the run's device-read fault schedule.
 pub fn for_config(
     cfg: &GtsConfig,
     num_pages: u64,
     tel: &Telemetry,
     faults: Option<&FaultPlan>,
-) -> Box<dyn PageSource> {
-    let array = match cfg.storage {
-        StorageLocation::InMemory => return Box::new(InMemorySource),
+) -> Option<StorageSource> {
+    let mut array = match cfg.storage {
+        StorageLocation::InMemory => return None,
         StorageLocation::Ssds(k) => StorageArray::ssds(k),
         StorageLocation::Hdds(k) => StorageArray::hdds(k),
     };
-    let mut array = array;
     array.attach_telemetry(tel.clone());
     if let Some(plan) = faults {
         array.attach_faults(plan.clone());
     }
-    Box::new(StorageSource::new(
-        array,
-        FifoCache::with_fraction(num_pages, cfg.mmbuf_percent),
-    ))
+    let mmbuf = FifoCache::with_fraction(num_pages, cfg.mmbuf_percent);
+    Some(StorageSource::new(array, mmbuf))
 }
 
 #[cfg(test)]
@@ -224,14 +181,10 @@ mod tests {
     #[test]
     fn in_memory_pages_are_always_ready_at_sweep_start() {
         let page = sample_page();
-        let mut src = InMemorySource;
         let start = SimTime::ZERO + gts_sim::SimDuration::from_nanos(500);
         for pid in 0..4 {
-            assert_eq!(src.page_ready(pid, &page, false, start).unwrap(), start);
+            assert_eq!(page_ready(None, pid, &page, false, start).unwrap(), start);
         }
-        let tel = Telemetry::new();
-        src.flush_to(&tel);
-        assert!(tel.counters().is_empty(), "nothing to flush");
     }
 
     #[test]

@@ -146,7 +146,7 @@ mod tests {
     }
 
     /// One sweep of `prog` over all of `store` through `run_page_kernels`,
-    /// then `end_sweep`: what `Gts::run`, serve's scheduler and the frozen
+    /// then `end_sweep`: what `Engine::run_job`, serve's scheduler and the frozen
     /// benchmark each do with a scratch they keep between jobs.
     fn one_sweep(
         store: &gts_storage::GraphStore,

@@ -246,8 +246,10 @@ impl Job<'_> {
         for lane in &mut self.setup.lanes {
             dropped += lane.invalidate_pages(&o.dirty_pids);
         }
-        self.source.invalidate(&o.dirty_pids);
-        self.source.note_new_pages(&o.new_pids);
+        if let Some(source) = &mut self.source {
+            source.invalidate(&o.dirty_pids);
+            source.note_new_pages(&o.new_pids);
+        }
         let store = handle.store();
         self.lp_degrees = kernels::lp_total_degrees(store);
         let tel = &self.tel;

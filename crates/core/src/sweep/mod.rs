@@ -8,10 +8,11 @@
 //! * [`plan`] — page-bitmap frontier → [`SweepPlan`]: SP/LP ordering and the
 //!   `split_and_expand` chunk-run widening (Alg. 1 lines 4-7, 28).
 //!   Pure: no clocks, no telemetry.
-//! * [`ingest`] — a [`PageSource`] answering "when is page j's data ready
-//!   on the host?" (Alg. 1 lines 15-26). The line-16 rule — pages cached
-//!   on *every* target GPU never touch storage or the MMBuf — lives here,
-//!   in one place.
+//! * [`ingest`] — [`ingest::page_ready`] answering "when is page j's data
+//!   ready on the host?" (Alg. 1 lines 15-26): at sweep start in memory,
+//!   else through a [`StorageSource`]. The line-16 rule — pages cached on
+//!   *every* target GPU never touch storage or the MMBuf — lives here, in
+//!   one place.
 //! * [`schedule`] — a [`GpuLane`] owning one GPU's cache probe, stream
 //!   round-robin, and H2D/RA/kernel issue against `GpuTimer` (Fig. 2
 //!   step 2). The GPU baselines reuse it instead of hand-rolling timer
@@ -46,6 +47,6 @@ pub mod plan;
 pub mod schedule;
 pub(crate) mod scrub;
 
-pub use ingest::{InMemorySource, PageSource, StorageSource};
+pub use ingest::StorageSource;
 pub use plan::SweepPlan;
 pub use schedule::GpuLane;

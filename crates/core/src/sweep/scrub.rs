@@ -19,7 +19,7 @@
 //! advances no simulated time, only the counters and (with spans on) a
 //! zero-width marker at the boundary instant.
 
-use crate::sweep::ingest::PageSource;
+use crate::sweep::ingest::StorageSource;
 use gts_faults::FaultPlan;
 use gts_sim::SimTime;
 use gts_storage::builder::GraphStore;
@@ -38,11 +38,12 @@ pub(crate) struct ScrubReport {
 }
 
 /// Walk every page of `store`, verify its at-rest copy, repair and route
-/// detections, and account the pass under the `scrub.*` counters.
+/// detections to the storage array (`None` in memory: no drive to
+/// charge), and account the pass under the `scrub.*` counters.
 pub(crate) fn scrub_pass(
     store: &GraphStore,
     faults: Option<&FaultPlan>,
-    source: &mut dyn PageSource,
+    mut source: Option<&mut StorageSource>,
     tel: &Telemetry,
     t: SimTime,
     sweep: u32,
@@ -73,7 +74,9 @@ pub(crate) fn scrub_pass(
         // bit-flip is self-inverse, so the store stays byte-identical),
         // and charge the detection to the hosting drive.
         report.repaired += 1;
-        source.note_scrub_detection(pid, t);
+        if let Some(source) = source.as_deref_mut() {
+            source.note_scrub_detection(pid, t);
+        }
     }
     tel.add(keys::SCRUB_PAGES, report.pages);
     tel.add(keys::SCRUB_ERRORS, report.errors);
@@ -94,7 +97,6 @@ pub(crate) fn scrub_pass(
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 mod tests {
     use super::*;
-    use crate::sweep::ingest::InMemorySource;
     use gts_faults::FaultConfig;
     use gts_graph::generate::rmat;
     use gts_storage::{build_graph_store, MutationBatch, PageFormatConfig, PhysicalIdConfig};
@@ -111,7 +113,7 @@ mod tests {
     fn clean_pass_walks_every_page_and_finds_nothing() {
         let store = small_store();
         let tel = Telemetry::new();
-        let r = scrub_pass(&store, None, &mut InMemorySource, &tel, SimTime::ZERO, 4);
+        let r = scrub_pass(&store, None, None, &tel, SimTime::ZERO, 4);
         assert_eq!(r.pages, store.num_pages());
         assert_eq!(r.errors, 0);
         assert_eq!(r.repaired, 0);
@@ -134,14 +136,7 @@ mod tests {
         cfg.bit_rot_ppm = 1_000_000; // every page, every pass
         let plan = FaultPlan::new(cfg);
         let tel = Telemetry::new();
-        let r = scrub_pass(
-            &store,
-            Some(&plan),
-            &mut InMemorySource,
-            &tel,
-            SimTime::ZERO,
-            4,
-        );
+        let r = scrub_pass(&store, Some(&plan), None, &tel, SimTime::ZERO, 4);
         assert_eq!(r.pages, store.num_pages());
         assert_eq!(r.errors, store.num_pages(), "every rotted page is caught");
     }
@@ -154,14 +149,7 @@ mod tests {
             cfg.bit_rot_ppm = 400_000; // rot ~40% of pages per pass
             let plan = FaultPlan::new(cfg);
             let tel = Telemetry::new();
-            let r = scrub_pass(
-                &store,
-                Some(&plan),
-                &mut InMemorySource,
-                &tel,
-                SimTime::ZERO,
-                4,
-            );
+            let r = scrub_pass(&store, Some(&plan), None, &tel, SimTime::ZERO, 4);
             (r, tel.counter(keys::SCRUB_REPAIRED))
         };
         let (a, repaired) = run();

@@ -2,9 +2,10 @@
 //! engine configuration, results equal the sequential references and the
 //! run report stays internally consistent.
 
-use gts_core::engine::{Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, Cc, PageRank, Sssp};
 use gts_core::Strategy as MultiGpuStrategy;
+use gts_core::{Engine, JobOptions};
 use gts_gpu::MicroTechnique;
 use gts_graph::{reference, Csr, EdgeList};
 use gts_storage::{build_graph_store, PageFormatConfig, PhysicalIdConfig};
@@ -63,7 +64,7 @@ proptest! {
         let store = build_graph_store(&g, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512)).unwrap();
         let csr = Csr::from_edge_list(&g);
         let mut bfs = Bfs::new(store.num_vertices(), source);
-        let report = Gts::new(cfg).run(&store, &mut bfs).unwrap();
+        let report = Engine::new(cfg).unwrap().run_job(&store, &mut bfs, &JobOptions::default()).unwrap();
         prop_assert_eq!(bfs.levels_u32(), reference::bfs(&csr, source as u32));
         // Report consistency.
         prop_assert!(report.cache_hit_rate >= 0.0 && report.cache_hit_rate <= 1.0);
@@ -75,10 +76,10 @@ proptest! {
         let store = build_graph_store(&g, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512)).unwrap();
         let csr = Csr::from_edge_list(&g);
         let mut sssp = Sssp::new(store.num_vertices(), 0);
-        Gts::new(cfg.clone()).run(&store, &mut sssp).unwrap();
+        Engine::new(cfg.clone()).unwrap().run_job(&store, &mut sssp, &JobOptions::default()).unwrap();
         prop_assert_eq!(sssp.distances(), &reference::sssp(&csr, 0)[..]);
         let mut cc = Cc::new(store.num_vertices());
-        Gts::new(cfg).run(&store, &mut cc).unwrap();
+        Engine::new(cfg).unwrap().run_job(&store, &mut cc, &JobOptions::default()).unwrap();
         prop_assert_eq!(cc.labels_u32(), reference::connected_components(&csr));
     }
 
@@ -87,7 +88,7 @@ proptest! {
         let store = build_graph_store(&g, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512)).unwrap();
         let csr = Csr::from_edge_list(&g);
         let mut pr = PageRank::new(store.num_vertices(), iters);
-        let report = Gts::new(cfg).run(&store, &mut pr).unwrap();
+        let report = Engine::new(cfg).unwrap().run_job(&store, &mut pr, &JobOptions::default()).unwrap();
         let want = reference::pagerank(&csr, 0.85, iters);
         for (got, want) in pr.ranks().iter().zip(&want) {
             prop_assert!((*got as f64 - want).abs() < 1e-4);
@@ -101,7 +102,7 @@ proptest! {
         let store = build_graph_store(&g, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 512)).unwrap();
         let run = || {
             let mut bfs = Bfs::new(store.num_vertices(), 0);
-            Gts::new(cfg.clone()).run(&store, &mut bfs).unwrap().elapsed
+            Engine::new(cfg.clone()).unwrap().run_job(&store, &mut bfs, &JobOptions::default()).unwrap().elapsed
         };
         prop_assert_eq!(run(), run());
     }

@@ -40,9 +40,11 @@ pub const PPM_SCALE: u32 = 1_000_000;
 
 /// Rates and recovery policy for one seeded fault schedule.
 ///
-/// A `FaultConfig` travels inside the engine config, so it is plain data:
-/// the live per-entity RNG streams belong to the [`FaultPlan`] built from
-/// it.
+/// A `FaultConfig` is plain data a job carries in its options (or a
+/// service in its fault template): the live per-entity RNG streams belong
+/// to the [`FaultPlan`] built from it. It schedules faults the run
+/// absorbs or reports; a process death is not one of them, it is the
+/// job's kill switch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Seed for every per-entity fault stream.
@@ -67,10 +69,6 @@ pub struct FaultConfig {
     pub quarantine_after: u32,
     /// Simulated backoff charged between an error and its retry.
     pub backoff: SimDuration,
-    /// An injected process death, for kill-and-resume chaos testing: the
-    /// 0-based durable I/O step (`gts_ckpt::KillSwitch`) at which the
-    /// run dies. `None` (the default) never crashes.
-    pub crash: Option<u64>,
 }
 
 impl FaultConfig {
@@ -88,7 +86,6 @@ impl FaultConfig {
             max_retries: 4,
             quarantine_after: 3,
             backoff: SimDuration::from_micros(100),
-            crash: None,
         }
     }
 
@@ -109,12 +106,10 @@ impl FaultConfig {
     /// seed, the job id, and the attempt number — so every job (and every
     /// service-level retry of it) draws an unrelated schedule, while the
     /// schedule itself stays a pure function of `(service seed, job,
-    /// attempt)` at any host thread count. The crash step is stripped:
-    /// process death belongs to the service, never to one tenant's job.
+    /// attempt)` at any host thread count.
     pub fn derived(&self, job: u64, attempt: u32) -> FaultConfig {
         FaultConfig {
             seed: domain_seed(self.seed, job, u64::from(attempt)),
-            crash: None,
             ..self.clone()
         }
     }
@@ -427,31 +422,17 @@ mod tests {
     }
 
     #[test]
-    fn crash_point_rides_in_the_config() {
-        assert_eq!(FaultConfig::with_seed(1).crash, None);
-        let plan = FaultPlan::new(FaultConfig {
-            crash: Some(3),
-            ..FaultConfig::quiet(1)
-        });
-        assert_eq!(plan.config().crash, Some(3));
-    }
-
-    #[test]
     fn derived_domains_are_deterministic_independent_and_crash_free() {
-        let svc = FaultConfig {
-            crash: Some(1),
-            ..FaultConfig::with_seed(42)
-        };
+        let svc = FaultConfig::with_seed(42);
         // Deterministic: same (job, attempt), same domain.
         assert_eq!(svc.derived(3, 1), svc.derived(3, 1));
         // Independent: job ids and attempts each shift the seed.
         assert_ne!(svc.derived(3, 1).seed, svc.derived(4, 1).seed);
         assert_ne!(svc.derived(3, 1).seed, svc.derived(3, 2).seed);
-        // Policy rides along; the crash step does not.
+        // Policy rides along.
         let d = svc.derived(0, 1);
         assert_eq!(d.max_retries, svc.max_retries);
         assert_eq!(d.read_error_ppm, svc.read_error_ppm);
-        assert_eq!(d.crash, None);
         // And the derived schedule really differs from the parent's.
         let a = FaultPlan::new(FaultConfig {
             read_error_ppm: 500_000,

@@ -93,9 +93,11 @@ pub(crate) fn jerr(e: CkptError) -> ServeError {
     }
 }
 
-/// The identity a journal is bound to. `cfg_fp` must be computed from a
-/// *normalized* config rendering (host threads and crash step
-/// excluded) so a journal written at `--host-threads 4` resumes at 1.
+/// The identity a journal is bound to. `cfg_fp` is computed from the
+/// scheduler's config rendering, whose engine part is
+/// `gts_core::config_fingerprint` (host threads set aside) and which
+/// leaves the crash step out, so a journal written at `--host-threads 4`
+/// resumes at 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Header {
     pub workload_fp: u64,

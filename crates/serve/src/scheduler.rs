@@ -81,7 +81,7 @@ use crate::workload::{seeded_batch, JobSpec};
 use crate::ServeError;
 use gts_ckpt::{fnv1a, CkptError, KillSwitch};
 use gts_core::programs;
-use gts_core::{Engine, EngineError, JobOptions, MutationSchedule, RunReport};
+use gts_core::{config_fingerprint, Engine, EngineError, JobOptions, MutationSchedule, RunReport};
 use gts_exec::ThreadPool;
 use gts_faults::FaultConfig;
 use gts_storage::builder::GraphStore;
@@ -118,7 +118,9 @@ pub struct ServeConfig {
     /// log-before-apply path over this directory), the journal header
     /// binds the log's epoch range, and a resumed service re-derives
     /// journaled epoch bumps from the log instead of re-generating
-    /// them. `None` (default) keeps no WAL.
+    /// them. `None` (default) keeps no WAL. This is the service's one
+    /// WAL: [`serve`] refuses an engine that carries its own `wal_dir`
+    /// (or a `checkpoint` block).
     pub wal_dir: Option<std::path::PathBuf>,
     /// Injected process death for crash-consistency testing: the
     /// 0-based durable I/O step ([`KillSwitch`]) at which the daemon
@@ -429,17 +431,15 @@ fn rebuild_report(spec: &JobSpec, counters: &BTreeMap<String, u64>) -> RunReport
     RunReport::from_telemetry(&tel, algorithm, "GTS")
 }
 
-/// The normalized config rendering the journal header is bound to.
-/// Host threads and host-phase measurement are excluded — both are
-/// wall-side only, and resuming at a different `--host-threads` is part
-/// of the determinism contract. The crash step and journal location
-/// are excluded too: the resumed run drops the crash flag by design.
+/// The config rendering the journal header is bound to: the engine's
+/// [`config_fingerprint`] (which sets the resume-neutral fields aside,
+/// `host_threads` among them) and the service's own knobs. The crash
+/// step and the journal and WAL locations are left out: a resumed
+/// service drops the crash by design.
 fn config_rendering(engine: &Engine, cfg: &ServeConfig) -> String {
-    let mut ecfg = engine.config().clone();
-    ecfg.host_threads = 1;
-    ecfg.measure_host_phases = false;
     format!(
-        "engine={ecfg:?} slots={} queue={} tenant_queue={} deadline={:?} faults={:?} resilience={:?}",
+        "engine={:016x} slots={} queue={} tenant_queue={} deadline={:?} faults={:?} resilience={:?}",
+        config_fingerprint(engine.config(), None),
         cfg.slots,
         cfg.queue_capacity,
         cfg.tenant_queue_capacity,
@@ -728,6 +728,16 @@ pub fn serve(
     cfg: &ServeConfig,
 ) -> Result<ServeOutcome, ServeError> {
     cfg.validate()?;
+    let ecfg = engine.config();
+    if ecfg.checkpoint.is_some() || ecfg.wal_dir.is_some() {
+        // Every read job would snapshot into one shared directory, and
+        // mutating jobs would log outside the journal's binding.
+        return Err(ServeError::Config(
+            "the engine must carry no checkpoint or wal_dir: the service's WAL is \
+             ServeConfig::wal_dir"
+                .into(),
+        ));
+    }
     for spec in workload {
         spec.check(store.num_vertices())
             .map_err(|e| ServeError::Workload(e.to_string()))?;
@@ -796,7 +806,7 @@ mod tests {
     use super::*;
     use crate::workload::{parse, synthetic};
     use gts_core::programs::Bfs;
-    use gts_core::{Gts, GtsConfig};
+    use gts_core::{CheckpointConfig, GtsConfig};
     use gts_graph::generate::rmat;
     use gts_storage::{build_graph_store, PageFormatConfig};
     use std::path::PathBuf;
@@ -847,8 +857,8 @@ mod tests {
 
     /// The tentpole contract: a job admitted through the service has the
     /// same report and counters as the same job run solo, epoch by
-    /// epoch, and the tenant rollup is its only addition over plain
-    /// `Gts::run`.
+    /// epoch, and the tenant rollup is its only addition over a job run
+    /// with no tenant.
     #[test]
     fn jobs_are_byte_identical_to_solo_runs() {
         let engine = engine(2);
@@ -884,15 +894,12 @@ mod tests {
         assert_eq!(st.epoch(), solo_st.epoch());
         // Job 0 vs the plain solo path: identical once the tenant rollup
         // (the only serve-mode addition) is set aside.
-        let gts = Gts::builder()
-            .config(engine.config().clone())
-            .build()
-            .unwrap();
+        let plain = JobOptions::default();
         let mut bfs = Bfs::new(solo_st.num_vertices(), 0);
-        gts.run(&store(), &mut bfs).unwrap();
+        engine.run_job(&store(), &mut bfs, &plain).unwrap();
         let mut tagged = out.jobs[0].counters.clone();
         tagged.retain(|k, _| !k.starts_with("tenant."));
-        assert_eq!(tagged, gts.telemetry().counters());
+        assert_eq!(tagged, plain.telemetry.counters());
     }
 
     #[test]
@@ -1787,5 +1794,35 @@ at=1000 tenant=b job=pagerank iters=3
             serve(&engine(1), &mut st, &[spec], &ServeConfig::default()),
             Err(ServeError::Workload(_))
         ));
+    }
+
+    /// The service's WAL is [`ServeConfig::wal_dir`]: an engine that
+    /// brings its own WAL directory or checkpoint block is refused before
+    /// anything is opened, and the store is untouched.
+    #[test]
+    fn an_engine_with_its_own_wal_or_checkpoints_is_refused() {
+        let jobs = parse("at=0 tenant=a job=bfs mutate-at=1 inserts=4").unwrap();
+        let dir = tempdir("own-durability");
+        for ecfg in [
+            GtsConfig {
+                wal_dir: Some(dir.join("wal")),
+                ..GtsConfig::default()
+            },
+            GtsConfig {
+                checkpoint: Some(CheckpointConfig::new(dir.join("ck"), 1)),
+                ..GtsConfig::default()
+            },
+        ] {
+            let mut st = store();
+            let got = serve(
+                &Engine::new(ecfg).unwrap(),
+                &mut st,
+                &jobs,
+                &ServeConfig::default(),
+            );
+            assert!(matches!(got, Err(ServeError::Config(_))), "{got:?}");
+            assert_eq!(st.epoch(), 0);
+        }
+        assert!(!dir.exists(), "nothing was created");
     }
 }

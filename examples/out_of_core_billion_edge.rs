@@ -14,9 +14,10 @@
 
 use gts_baselines::gpu_only::{GpuOnlyEngine, GpuOnlyProfile};
 use gts_baselines::{run, Algo};
-use gts_core::engine::{Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{GtsConfig, StorageLocation};
 use gts_core::programs::PageRank;
 use gts_core::Strategy;
+use gts_core::{Engine, JobOptions};
 use gts_gpu::GpuConfig;
 use gts_graph::generate::Rmat;
 use gts_graph::Csr;
@@ -61,10 +62,16 @@ fn main() {
         storage: StorageLocation::Ssds(2),
         mmbuf_percent: 20,
         gpu: device.clone(),
+        // Report the O.O.M. instead of stepping down to Strategy-S.
+        degrade_on_oom: false,
         ..GtsConfig::default()
     };
     let mut pr = PageRank::new(store.num_vertices(), 10);
-    match Gts::new(p_cfg).run(&store, &mut pr) {
+    match Engine::new(p_cfg).expect("valid configuration").run_job(
+        &store,
+        &mut pr,
+        &JobOptions::default(),
+    ) {
         Err(e) => println!("GTS Strategy-P: {e}"),
         Ok(_) => unreachable!("full WA replica cannot fit"),
     }
@@ -80,8 +87,9 @@ fn main() {
         ..GtsConfig::default()
     };
     let mut pr = PageRank::new(store.num_vertices(), 10);
-    let report = Gts::new(s_cfg)
-        .run(&store, &mut pr)
+    let report = Engine::new(s_cfg)
+        .expect("valid configuration")
+        .run_job(&store, &mut pr, &JobOptions::default())
         .expect("Strategy-S fits");
     println!(
         "GTS Strategy-S: 10 PageRank iterations in simulated {} \

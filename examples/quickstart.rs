@@ -5,9 +5,8 @@
 //! cargo run --release -p gts-examples --example quickstart
 //! ```
 
-use gts_core::engine::Gts;
 use gts_core::programs::{Bfs, PageRank};
-use gts_core::Telemetry;
+use gts_core::{Engine, GtsConfig, JobOptions, Telemetry};
 use gts_graph::generate::rmat;
 use gts_graph::{reference, Csr};
 use gts_storage::{build_graph_store, PageFormatConfig};
@@ -35,14 +34,14 @@ fn main() {
     );
 
     // 3. Run BFS: only pages containing frontier vertices are streamed
-    //    each level (Sec. 3.3). Span recording is on so step 6 can export
-    //    the copy/kernel timeline.
-    let engine = Gts::builder()
-        .telemetry(Telemetry::with_spans())
-        .build()
-        .expect("default config is valid");
+    //    each level (Sec. 3.3). The engine holds only the validated
+    //    configuration; each run is one job whose counters (and, here,
+    //    spans, so step 6 can export the copy/kernel timeline) land in
+    //    the job's own telemetry handle.
+    let engine = Engine::new(GtsConfig::default()).expect("default config is valid");
+    let opts = JobOptions::with_telemetry(Telemetry::with_spans());
     let mut bfs = Bfs::new(store.num_vertices(), 0);
-    let report = engine.run(&store, &mut bfs).expect("bfs");
+    let report = engine.run_job(&store, &mut bfs, &opts).expect("bfs");
     let reached = bfs.levels().iter().filter(|&&l| l != u16::MAX).count();
     println!(
         "BFS:      {} levels, {} vertices reached, simulated {} ({:.0} MTEPS), \
@@ -58,7 +57,7 @@ fn main() {
     // 4. Run ten PageRank iterations: the whole topology streams once per
     //    iteration while nextPR stays in device memory (Sec. 3.1).
     let mut pr = PageRank::new(store.num_vertices(), 10);
-    let report = engine.run(&store, &mut pr).expect("pagerank");
+    let report = engine.run_job(&store, &mut pr, &opts).expect("pagerank");
     let mut top: Vec<(usize, f32)> = pr.ranks().iter().copied().enumerate().collect();
     top.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!(
@@ -72,15 +71,15 @@ fn main() {
     assert_eq!(bfs.levels_u32(), reference::bfs(&csr, 0));
     println!("verified: engine BFS equals the sequential reference");
 
-    // 6. The run left a full trace in the telemetry handle: export it as
+    // 6. The last job left a full trace in the telemetry handle: export it as
     //    chrome://tracing JSON (load in ui.perfetto.dev) — the paper's
     //    Fig. 4 timeline for your own run.
     let mut path = std::env::temp_dir();
     path.push("gts-quickstart-trace.json");
-    std::fs::write(&path, engine.telemetry().to_chrome_trace()).expect("write trace");
+    std::fs::write(&path, opts.telemetry.to_chrome_trace()).expect("write trace");
     println!(
         "trace: {} spans exported to {}",
-        engine.telemetry().span_count(),
+        opts.telemetry.span_count(),
         path.display()
     );
 }

@@ -11,9 +11,10 @@
 //! cargo run --release -p gts-examples --example social_network_analytics
 //! ```
 
-use gts_core::engine::{Gts, GtsConfig};
+use gts_core::engine::GtsConfig;
 use gts_core::programs::{Cc, PageRank, Sssp};
 use gts_core::Strategy;
+use gts_core::{Engine, JobOptions};
 use gts_graph::Dataset;
 use gts_storage::{build_graph_store, PageFormatConfig};
 use std::collections::HashMap;
@@ -27,15 +28,17 @@ fn main() {
         store.num_edges()
     );
 
-    let engine = Gts::new(GtsConfig {
+    let engine = Engine::new(GtsConfig {
         num_gpus: 2,
         strategy: Strategy::Performance,
         ..GtsConfig::default()
-    });
+    })
+    .expect("valid configuration");
+    let opts = JobOptions::default();
 
     // Influencer ranking.
     let mut pr = PageRank::new(store.num_vertices(), 10);
-    let report = engine.run(&store, &mut pr).expect("pagerank");
+    let report = engine.run_job(&store, &mut pr, &opts).expect("pagerank");
     let mut ranked: Vec<(usize, f32)> = pr.ranks().iter().copied().enumerate().collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!(
@@ -48,7 +51,7 @@ fn main() {
 
     // Community structure: weakly connected components.
     let mut cc = Cc::new(store.num_vertices());
-    let report = engine.run(&store, &mut cc).expect("cc");
+    let report = engine.run_job(&store, &mut cc, &opts).expect("cc");
     let mut sizes: HashMap<u64, u64> = HashMap::new();
     for &label in cc.labels() {
         *sizes.entry(label).or_insert(0) += 1;
@@ -67,7 +70,7 @@ fn main() {
     // interaction costs.
     let source = ranked[0].0 as u64;
     let mut sssp = Sssp::new(store.num_vertices(), source);
-    let report = engine.run(&store, &mut sssp).expect("sssp");
+    let report = engine.run_job(&store, &mut sssp, &opts).expect("sssp");
     let reachable = sssp.distances().iter().filter(|&&d| d != u32::MAX).count();
     let avg: f64 = sssp
         .distances()

@@ -7,8 +7,9 @@
 //! cargo run --release -p gts-examples --example web_graph_traversal
 //! ```
 
-use gts_core::engine::{Gts, GtsConfig};
+use gts_core::engine::GtsConfig;
 use gts_core::programs::{Bc, Bfs};
+use gts_core::{Engine, JobOptions};
 use gts_graph::generate::web_like;
 use gts_storage::{build_graph_store, PageFormatConfig};
 
@@ -33,7 +34,10 @@ fn main() {
             ..GtsConfig::default()
         };
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        let report = Gts::new(cfg).run(&store, &mut bfs).expect("bfs");
+        let report = Engine::new(cfg)
+            .expect("valid configuration")
+            .run_job(&store, &mut bfs, &JobOptions::default())
+            .expect("bfs");
         let depth = bfs
             .levels()
             .iter()
@@ -53,8 +57,9 @@ fn main() {
     // Betweenness centrality from the crawl seed: which pages carry the
     // shortest-path traffic (two-phase streamed Brandes, Appendix D).
     let mut bc = Bc::new(store.num_vertices(), 0);
-    let report = Gts::new(GtsConfig::default())
-        .run(&store, &mut bc)
+    let report = Engine::new(GtsConfig::default())
+        .expect("valid configuration")
+        .run_job(&store, &mut bc, &JobOptions::default())
         .expect("bc");
     let mut hubs: Vec<(usize, f32)> = bc.centrality().iter().copied().enumerate().collect();
     hubs.sort_by(|a, b| b.1.total_cmp(&a.1));

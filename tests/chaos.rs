@@ -11,8 +11,9 @@
 //! Like the repo's other sampling-based property tests, this sweeps a
 //! fixed seed set rather than pulling in a property-testing framework.
 
-use gts_core::engine::{EngineError, Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{EngineError, GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, PageRank};
+use gts_core::{Engine, JobOptions};
 use gts_core::{FaultConfig, Strategy, Telemetry};
 use gts_graph::generate::rmat;
 use gts_sim::SimDuration;
@@ -30,7 +31,7 @@ fn store() -> GraphStore {
 /// The 4-GPU Strategy-P SSD configuration the chaos CI job sweeps: every
 /// fault domain is exercised (striped drives, H2D copies, kernel
 /// launches) and the MMBuf is disabled so each sweep really re-reads.
-fn chaos_config(host_threads: usize, faults: Option<FaultConfig>) -> GtsConfig {
+fn chaos_config(host_threads: usize) -> GtsConfig {
     GtsConfig {
         num_gpus: 4,
         strategy: Strategy::Performance,
@@ -38,7 +39,6 @@ fn chaos_config(host_threads: usize, faults: Option<FaultConfig>) -> GtsConfig {
         mmbuf_percent: 0,
         cache_limit_bytes: Some(0),
         host_threads,
-        faults,
         ..GtsConfig::default()
     }
 }
@@ -53,14 +53,14 @@ struct Observed {
 }
 
 fn observe(store: &GraphStore, host_threads: usize, faults: Option<FaultConfig>) -> Observed {
-    let engine = Gts::builder()
-        .config(chaos_config(host_threads, faults))
-        .telemetry(Telemetry::with_spans())
-        .build()
-        .unwrap();
+    let engine = Engine::new(chaos_config(host_threads)).unwrap();
+    let opts = JobOptions {
+        faults,
+        ..JobOptions::with_telemetry(Telemetry::with_spans())
+    };
     let mut pr = PageRank::new(store.num_vertices(), 3);
-    let result = engine.run(store, &mut pr).map(|r| r.to_json());
-    let tel = engine.telemetry();
+    let result = engine.run_job(store, &mut pr, &opts).map(|r| r.to_json());
+    let tel = &opts.telemetry;
     Observed {
         result,
         ranks: pr.ranks().iter().map(|&r| f64::from(r)).collect(),
@@ -162,12 +162,13 @@ fn any_seed_recovers_or_fails_typed_and_host_threads_never_matter() {
 fn bfs_results_survive_recoverable_faults() {
     let store = store();
     let run = |faults: Option<FaultConfig>| {
-        let engine = Gts::builder()
-            .config(chaos_config(2, faults))
-            .build()
-            .unwrap();
+        let engine = Engine::new(chaos_config(2)).unwrap();
+        let opts = JobOptions {
+            faults,
+            ..JobOptions::default()
+        };
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        engine.run(&store, &mut bfs).unwrap();
+        engine.run_job(&store, &mut bfs, &opts).unwrap();
         bfs.levels().to_vec()
     };
     let clean = run(None);

@@ -2,8 +2,9 @@
 //! results equal the sequential references, across algorithms, datasets
 //! and format configurations.
 
-use gts_core::engine::{Gts, GtsConfig};
+use gts_core::engine::GtsConfig;
 use gts_core::programs::{Bc, Bfs, Cc, PageRank, Sssp};
+use gts_core::{Engine, JobOptions};
 use gts_graph::generate::{erdos_renyi, rmat, web_like, Rmat};
 use gts_graph::{reference, Csr, EdgeList};
 use gts_storage::{build_graph_store, GraphStore, PageFormatConfig, PhysicalIdConfig};
@@ -37,8 +38,9 @@ fn bfs_matches_reference_everywhere() {
         let store = store_for(&graph, 2048);
         let csr = Csr::from_edge_list(&graph);
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut bfs)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut bfs, &JobOptions::default())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(bfs.levels_u32(), reference::bfs(&csr, 0), "{name}");
     }
@@ -50,7 +52,10 @@ fn pagerank_matches_reference_everywhere() {
         let store = store_for(&graph, 2048);
         let csr = Csr::from_edge_list(&graph);
         let mut pr = PageRank::new(store.num_vertices(), 6);
-        Gts::new(GtsConfig::default()).run(&store, &mut pr).unwrap();
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
+            .unwrap();
         let want = reference::pagerank(&csr, 0.85, 6);
         for (v, (got, want)) in pr.ranks().iter().zip(&want).enumerate() {
             assert!(
@@ -67,8 +72,9 @@ fn sssp_matches_reference_everywhere() {
         let store = store_for(&graph, 2048);
         let csr = Csr::from_edge_list(&graph);
         let mut sssp = Sssp::new(store.num_vertices(), 0);
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut sssp)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut sssp, &JobOptions::default())
             .unwrap();
         assert_eq!(sssp.distances(), &reference::sssp(&csr, 0)[..], "{name}");
     }
@@ -80,7 +86,10 @@ fn cc_matches_reference_everywhere() {
         let store = store_for(&graph, 2048);
         let csr = Csr::from_edge_list(&graph);
         let mut cc = Cc::new(store.num_vertices());
-        Gts::new(GtsConfig::default()).run(&store, &mut cc).unwrap();
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut cc, &JobOptions::default())
+            .unwrap();
         let want = reference::connected_components(&csr);
         assert_eq!(cc.labels_u32(), want, "{name}");
     }
@@ -92,7 +101,10 @@ fn bc_matches_reference_everywhere() {
         let store = store_for(&graph, 2048);
         let csr = Csr::from_edge_list(&graph);
         let mut bc = Bc::new(store.num_vertices(), 0);
-        Gts::new(GtsConfig::default()).run(&store, &mut bc).unwrap();
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut bc, &JobOptions::default())
+            .unwrap();
         let want = reference::betweenness(&csr, &[0]);
         for (v, (got, want)) in bc.centrality().iter().zip(&want).enumerate() {
             let scale = want.abs().max(1.0);
@@ -112,8 +124,9 @@ fn results_are_invariant_to_page_size() {
     for page_size in [512usize, 1024, 4096, 65536] {
         let store = store_for(&graph, page_size);
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut bfs)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut bfs, &JobOptions::default())
             .unwrap();
         assert_eq!(bfs.levels_u32(), want, "page size {page_size}");
     }
@@ -132,7 +145,10 @@ fn results_are_invariant_to_physical_id_widths() {
     ] {
         let store = build_graph_store(&graph, PageFormatConfig::new(id, 4096)).expect("store");
         let mut pr = PageRank::new(store.num_vertices(), 4);
-        Gts::new(GtsConfig::default()).run(&store, &mut pr).unwrap();
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
+            .unwrap();
         for (got, want) in pr.ranks().iter().zip(&want) {
             assert!((*got as f64 - want).abs() < 1e-4, "{id}");
         }
@@ -147,8 +163,9 @@ fn bfs_from_every_source_class() {
     let csr = Csr::from_edge_list(&graph);
     for source in [0u64, 17, 513, 1023] {
         let mut bfs = Bfs::new(store.num_vertices(), source);
-        Gts::new(GtsConfig::default())
-            .run(&store, &mut bfs)
+        Engine::new(GtsConfig::default())
+            .unwrap()
+            .run_job(&store, &mut bfs, &JobOptions::default())
             .unwrap();
         assert_eq!(
             bfs.levels_u32(),

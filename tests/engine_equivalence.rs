@@ -13,8 +13,9 @@ use gts_baselines::report::values_to_u32;
 use gts_baselines::totem::{Totem, TotemConfig};
 use gts_baselines::xstream::{XStream, XStreamConfig};
 use gts_baselines::{run, Algo, CostModel};
-use gts_core::engine::{Gts, GtsConfig};
+use gts_core::engine::GtsConfig;
 use gts_core::programs::{Bfs, Cc, PageRank, Sssp};
+use gts_core::{Engine, JobOptions};
 use gts_gpu::GpuConfig;
 use gts_graph::generate::rmat;
 use gts_graph::{reference, Csr};
@@ -76,8 +77,9 @@ fn gts_bfs(csr_graph: &Csr) -> Vec<u32> {
     let store =
         build_graph_store(&el, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 2048)).unwrap();
     let mut bfs = Bfs::new(store.num_vertices(), 0);
-    Gts::new(GtsConfig::default())
-        .run(&store, &mut bfs)
+    Engine::new(GtsConfig::default())
+        .unwrap()
+        .run_job(&store, &mut bfs, &JobOptions::default())
         .unwrap();
     bfs.levels_u32()
 }
@@ -102,7 +104,10 @@ fn all_engines_agree_on_pagerank() {
     let store =
         build_graph_store(&el, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 2048)).unwrap();
     let mut pr = PageRank::new(store.num_vertices(), 5);
-    Gts::new(GtsConfig::default()).run(&store, &mut pr).unwrap();
+    Engine::new(GtsConfig::default())
+        .unwrap()
+        .run_job(&store, &mut pr, &JobOptions::default())
+        .unwrap();
     for (a, b) in pr.ranks().iter().zip(&want) {
         assert!((*a as f64 - b).abs() < 1e-4, "GTS");
     }
@@ -123,12 +128,16 @@ fn traversal_engines_agree_on_sssp_and_cc() {
     let store =
         build_graph_store(&el, PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 2048)).unwrap();
     let mut sssp = Sssp::new(store.num_vertices(), 0);
-    Gts::new(GtsConfig::default())
-        .run(&store, &mut sssp)
+    Engine::new(GtsConfig::default())
+        .unwrap()
+        .run_job(&store, &mut sssp, &JobOptions::default())
         .unwrap();
     assert_eq!(sssp.distances(), &want_sssp[..]);
     let mut cc = Cc::new(store.num_vertices());
-    Gts::new(GtsConfig::default()).run(&store, &mut cc).unwrap();
+    Engine::new(GtsConfig::default())
+        .unwrap()
+        .run_job(&store, &mut cc, &JobOptions::default())
+        .unwrap();
     assert_eq!(cc.labels_u32(), want_cc);
 }
 
@@ -154,8 +163,9 @@ fn performance_ordering_matches_the_papers_headlines() {
     )
     .unwrap();
     let mut pr = PageRank::new(store.num_vertices(), 5);
-    let gts = Gts::new(GtsConfig::default())
-        .run(&store, &mut pr)
+    let gts = Engine::new(GtsConfig::default())
+        .unwrap()
+        .run_job(&store, &mut pr, &JobOptions::default())
         .unwrap()
         .elapsed;
 

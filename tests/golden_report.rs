@@ -14,8 +14,9 @@
 //! GTS_BLESS=1 cargo test -p gts-integration --test golden_report
 //! ```
 
-use gts_core::engine::{Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, GtsProgram, PageRank};
+use gts_core::{Engine, JobOptions};
 use gts_core::{MutationSchedule, Strategy, Telemetry};
 use gts_gpu::GpuConfig;
 use gts_graph::generate::rmat;
@@ -132,14 +133,11 @@ fn reports_counters_and_traces_match_pre_refactor_goldens() {
             ),
         ];
         for (alg, mk) in runs {
-            let engine = Gts::builder()
-                .config(cfg.clone())
-                .telemetry(Telemetry::with_spans())
-                .build()
-                .unwrap();
+            let engine = Engine::new(cfg.clone()).unwrap();
+            let opts = JobOptions::with_telemetry(Telemetry::with_spans());
             let mut prog = mk();
-            let report = engine.run(&store, prog.as_mut()).unwrap();
-            let tel = engine.telemetry();
+            let report = engine.run_job(&store, prog.as_mut(), &opts).unwrap();
+            let tel = &opts.telemetry;
             check_or_bless(
                 &format!("{name}_{alg}.report.json"),
                 &format!("{}\n", report.to_json()),
@@ -187,16 +185,13 @@ fn degraded_oom_step_down_matches_golden() {
         gpu: GpuConfig::titan_x().with_device_memory(buffers + wa / 2),
         ..GtsConfig::default()
     };
-    let engine = Gts::builder()
-        .config(cfg)
-        .telemetry(Telemetry::with_spans())
-        .build()
-        .unwrap();
+    let engine = Engine::new(cfg).unwrap();
+    let opts = JobOptions::with_telemetry(Telemetry::with_spans());
     let mut pr = PageRank::new(v, 3);
     let report = engine
-        .run(&store, &mut pr)
+        .run_job(&store, &mut pr, &opts)
         .expect("step-down must rescue the run");
-    let tel = engine.telemetry();
+    let tel = &opts.telemetry;
     assert!(
         tel.counter(keys::DEGRADE_EVENTS) >= 1,
         "no step-down recorded"
@@ -243,18 +238,22 @@ fn live_mutation_run_matches_golden() {
     for &(s, d) in &doomed[..4] {
         batch.delete(s, d);
     }
-    let engine = Gts::builder()
-        .config(GtsConfig {
-            storage: StorageLocation::Ssds(2),
-            ..GtsConfig::default()
-        })
-        .build()
-        .unwrap();
+    let engine = Engine::new(GtsConfig {
+        storage: StorageLocation::Ssds(2),
+        ..GtsConfig::default()
+    })
+    .unwrap();
+    let opts = JobOptions::default();
     let mut bfs = Bfs::new(store.num_vertices(), 0);
     let report = engine
-        .run_live(&mut store, &mut bfs, MutationSchedule::new().at(1, batch))
+        .run_job_live(
+            &mut store,
+            &mut bfs,
+            MutationSchedule::new().at(1, batch),
+            &opts,
+        )
         .unwrap();
-    let tel = engine.telemetry();
+    let tel = &opts.telemetry;
     assert_eq!(tel.counter(keys::MUT_BATCHES), 1, "the batch applied");
     assert!(tel.counter(keys::MUT_DELTA_PAGES) >= 1, "no delta page");
 

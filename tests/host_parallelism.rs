@@ -2,9 +2,10 @@
 //! counters, and chrome traces are byte-identical for any `host_threads`
 //! value (ISSUE: real wall-clock may improve, simulated numbers may not).
 
-use gts_core::engine::{Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{GtsConfig, StorageLocation};
 use gts_core::programs::{by_name, Bfs, GtsProgram, PageRank};
 use gts_core::Telemetry;
+use gts_core::{Engine, JobOptions};
 use gts_graph::generate::rmat;
 use gts_storage::{build_graph_store, GraphStore, PageFormatConfig, PhysicalIdConfig};
 
@@ -37,18 +38,11 @@ fn run_artifacts(
         host_threads,
         ..GtsConfig::default()
     };
-    let engine = Gts::builder()
-        .config(cfg)
-        .telemetry(Telemetry::with_spans())
-        .build()
-        .unwrap();
-    let report = engine.run(s, prog).unwrap();
-    let counters = format!("{:?}", engine.telemetry().counters());
-    (
-        report.to_json(),
-        counters,
-        engine.telemetry().to_chrome_trace(),
-    )
+    let engine = Engine::new(cfg).unwrap();
+    let opts = JobOptions::with_telemetry(Telemetry::with_spans());
+    let report = engine.run_job(s, prog, &opts).unwrap();
+    let counters = format!("{:?}", opts.telemetry.counters());
+    (report.to_json(), counters, opts.telemetry.to_chrome_trace())
 }
 
 #[test]
@@ -86,7 +80,10 @@ fn pagerank_results_match_serial_exactly() {
             ..GtsConfig::default()
         };
         let mut pr = PageRank::new(s.num_vertices(), 5);
-        Gts::new(cfg).run(&s, &mut pr).unwrap();
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&s, &mut pr, &JobOptions::default())
+            .unwrap();
         pr.ranks().to_vec()
     };
     let serial = run(1);

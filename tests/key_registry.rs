@@ -9,6 +9,7 @@
 //! a journaled serve run with retries and shedding that is killed and
 //! resumed. A key that `keys::lookup` cannot resolve fails the test.
 
+use gts_ckpt::KillSwitch;
 use gts_core::engine::{CheckpointConfig, EngineError, GtsConfig, StorageLocation};
 use gts_core::programs::Bfs;
 use gts_core::{Engine, FaultConfig, JobOptions, MutationSchedule, Telemetry};
@@ -91,18 +92,12 @@ fn durable_live_keys() -> BTreeSet<String> {
         MutationSchedule::new().at(2, batch)
     };
     let (ck, wal) = (tmp("ck"), tmp("wal"));
-    let cfg = |crash: Option<u64>, resume: bool| {
+    let cfg = |resume: bool| {
         let checkpoint = CheckpointConfig::new(&ck, 1);
         GtsConfig {
             num_gpus: 2,
             storage: StorageLocation::Ssds(2),
             mmbuf_percent: 20,
-            faults: Some(FaultConfig {
-                crash,
-                bit_rot_ppm: 10_000,
-                read_error_ppm: 20_000,
-                ..FaultConfig::with_seed(0xA11CE)
-            }),
             checkpoint: Some(if resume {
                 checkpoint.resuming()
             } else {
@@ -116,8 +111,16 @@ fn durable_live_keys() -> BTreeSet<String> {
     };
     let mut out = BTreeSet::new();
     for (crash, resume) in [(Some(14), false), (None, true)] {
-        let engine = Engine::new(cfg(crash, resume)).unwrap();
-        let opts = JobOptions::with_telemetry(Telemetry::new());
+        let engine = Engine::new(cfg(resume)).unwrap();
+        let opts = JobOptions {
+            faults: Some(FaultConfig {
+                bit_rot_ppm: 10_000,
+                read_error_ppm: 20_000,
+                ..FaultConfig::with_seed(0xA11CE)
+            }),
+            kill: crash.map_or_else(KillSwitch::never, KillSwitch::at),
+            ..JobOptions::with_telemetry(Telemetry::new())
+        };
         let mut bfs = Bfs::new(base.num_vertices(), 0);
         let got = engine.run_job_live(&mut base.clone(), &mut bfs, schedule(), &opts);
         match (crash, got) {

@@ -16,12 +16,13 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use gts_ckpt::{CkptError, CkptStore};
+use gts_ckpt::{CkptError, CkptStore, KillSwitch};
 use gts_core::engine::{
-    CachePolicyKind, CheckpointConfig, EngineError, Gts, GtsConfig, StorageLocation,
+    CachePolicyKind, CheckpointConfig, EngineError, GtsConfig, StorageLocation,
 };
 use gts_core::programs::{Bfs, PageRank};
 use gts_core::{store_fingerprint, FaultConfig, MutationSchedule, Strategy, Telemetry};
+use gts_core::{Engine, JobOptions};
 use gts_graph::generate::rmat;
 use gts_storage::{
     build_graph_store, GraphStore, MutationBatch, PageFormatConfig, PhysicalIdConfig,
@@ -47,20 +48,31 @@ fn tmp(name: &str) -> PathBuf {
 /// The CI kill-resume configuration: 4-GPU Strategy-P over striped SSDs
 /// with the MMBuf enabled, so resume must reproduce cold-buffer
 /// boundaries, and checkpoints every 2 sweeps.
-fn ck_config(host_threads: usize, dir: &Path, seed: u64, crash: Option<u64>) -> GtsConfig {
+fn ck_config(host_threads: usize, dir: &Path) -> GtsConfig {
     GtsConfig {
         num_gpus: 4,
         strategy: Strategy::Performance,
         storage: StorageLocation::Ssds(2),
         mmbuf_percent: 20,
         host_threads,
-        faults: Some(FaultConfig {
-            crash,
-            ..FaultConfig::with_seed(seed)
-        }),
         checkpoint: Some(CheckpointConfig::new(dir, 2)),
         ..GtsConfig::default()
     }
+}
+
+/// A job's own inputs, spans on: its fault plan and, for a run that is
+/// killed, the durable step it dies at.
+fn job(faults: Option<FaultConfig>, crash: Option<u64>) -> JobOptions {
+    JobOptions {
+        faults,
+        kill: crash.map_or_else(KillSwitch::never, KillSwitch::at),
+        ..JobOptions::with_telemetry(Telemetry::with_spans())
+    }
+}
+
+/// [`job`] under [`FaultConfig::with_seed`]`(seed)`.
+fn seeded(seed: u64, crash: Option<u64>) -> JobOptions {
+    job(Some(FaultConfig::with_seed(seed)), crash)
 }
 
 /// One observed run: report JSON, program ranks, and the counter
@@ -71,24 +83,25 @@ struct Observed {
     counters: BTreeMap<String, u64>,
 }
 
-fn observe(store: &GraphStore, cfg: GtsConfig) -> Observed {
-    observe_live(&mut store.clone(), cfg, MutationSchedule::new())
+fn observe(store: &GraphStore, cfg: GtsConfig, opts: JobOptions) -> Observed {
+    observe_live(&mut store.clone(), cfg, opts, MutationSchedule::new())
 }
 
-fn observe_live(store: &mut GraphStore, cfg: GtsConfig, schedule: MutationSchedule) -> Observed {
-    let engine = Gts::builder()
-        .config(cfg)
-        .telemetry(Telemetry::with_spans())
-        .build()
-        .unwrap();
+fn observe_live(
+    store: &mut GraphStore,
+    cfg: GtsConfig,
+    opts: JobOptions,
+    schedule: MutationSchedule,
+) -> Observed {
+    let engine = Engine::new(cfg).unwrap();
     let mut pr = PageRank::new(store.num_vertices(), 8);
     let result = engine
-        .run_live(store, &mut pr, schedule)
+        .run_job_live(store, &mut pr, schedule, &opts)
         .map(|r| r.to_json());
     Observed {
         result,
         ranks: pr.ranks().iter().map(|&r| f64::from(r)).collect(),
-        counters: engine.telemetry().contract_counters(),
+        counters: opts.telemetry.contract_counters(),
     }
 }
 
@@ -117,20 +130,20 @@ fn kill_at_every_durable_step_then_resume_is_byte_identical() {
         }
         MutationSchedule::new().at(3, batch)
     };
-    let cfg = |threads: usize, dirs: &[PathBuf; 2], resume: bool, crash: Option<u64>| {
+    let cfg = |threads: usize, dirs: &[PathBuf; 2], resume: bool| {
         let ck = CheckpointConfig::new(&dirs[0], 2);
         GtsConfig {
-            faults: Some(FaultConfig {
-                crash,
-                bit_rot_ppm: 10_000,
-                ..FaultConfig::with_seed(0xA11CE)
-            }),
             checkpoint: Some(if resume { ck.resuming() } else { ck }),
             wal_dir: Some(dirs[1].clone()),
             scrub_every: Some(2),
-            ..ck_config(threads, &dirs[0], 0xA11CE, None)
+            ..ck_config(threads, &dirs[0])
         }
     };
+    let faults = FaultConfig {
+        bit_rot_ppm: 10_000,
+        ..FaultConfig::with_seed(0xA11CE)
+    };
+    let job = |crash: Option<u64>| job(Some(faults.clone()), crash);
     let mut cells: Vec<(u64, String)> = Vec::new();
     for threads in [1usize, 4] {
         let base_dirs = [
@@ -140,7 +153,8 @@ fn kill_at_every_durable_step_then_resume_is_byte_identical() {
         let mut clean_store = base.clone();
         let clean = observe_live(
             &mut clean_store,
-            cfg(threads, &base_dirs, false, None),
+            cfg(threads, &base_dirs, false),
+            job(None),
             schedule(),
         );
         let clean_json = clean.result.expect("uncrashed run completes");
@@ -159,7 +173,8 @@ fn kill_at_every_durable_step_then_resume_is_byte_identical() {
             let what = format!("{threads} threads, step {k}");
             let killed = observe_live(
                 &mut base.clone(),
-                cfg(threads, &dirs, false, Some(k)),
+                cfg(threads, &dirs, false),
+                job(Some(k)),
                 schedule(),
             );
             match killed.result {
@@ -175,10 +190,11 @@ fn kill_at_every_durable_step_then_resume_is_byte_identical() {
             // store. A kill before the first manifest was renamed into
             // place leaves nothing to resume; re-run instead.
             let mut st = base.clone();
-            let mut resumed = observe_live(&mut st, cfg(threads, &dirs, true, None), schedule());
+            let mut resumed =
+                observe_live(&mut st, cfg(threads, &dirs, true), job(None), schedule());
             if let Err(EngineError::Checkpoint(CkptError::NoSnapshot { .. })) = resumed.result {
                 st = base.clone();
-                resumed = observe_live(&mut st, cfg(threads, &dirs, false, None), schedule());
+                resumed = observe_live(&mut st, cfg(threads, &dirs, false), job(None), schedule());
             }
             assert_eq!(
                 resumed.result.expect("restart completes"),
@@ -224,12 +240,12 @@ fn torn_snapshot_falls_back_to_previous_and_still_matches() {
     let base_dir = tmp("torn-base");
     let crash_dir = tmp("torn-crash");
 
-    let clean = observe(&store, ck_config(1, &base_dir, 7, None));
+    let clean = observe(&store, ck_config(1, &base_dir), seeded(7, None));
     let clean_json = clean.result.expect("uncrashed run completes");
 
     // Snapshots 4 and 6 are retained; tear 6, which the manifest names
     // first.
-    observe(&store, ck_config(1, &crash_dir, 7, None))
+    observe(&store, ck_config(1, &crash_dir), seeded(7, None))
         .result
         .expect("the run that leaves the snapshots completes");
     let newest = crash_dir.join("ckpt-0000000006.snap");
@@ -245,8 +261,9 @@ fn torn_snapshot_falls_back_to_previous_and_still_matches() {
         &store,
         GtsConfig {
             checkpoint: Some(CheckpointConfig::new(&crash_dir, 2).resuming()),
-            ..ck_config(1, &crash_dir, 7, None)
+            ..ck_config(1, &crash_dir)
         },
+        seeded(7, None),
     );
     assert_eq!(
         resumed.result.expect("resume from fallback completes"),
@@ -288,25 +305,25 @@ fn bfs_traversal_survives_kill_and_resume() {
     ] {
         let base_dir = tmp(&format!("bfs-base-{policy:?}"));
         let crash_dir = tmp(&format!("bfs-crash-{policy:?}"));
-        let cfg = |dir: &Path, crash: Option<u64>, resume: bool| {
+        let cfg = |dir: &Path, resume: bool| {
             let ck = CheckpointConfig::new(dir, 2);
             GtsConfig {
                 checkpoint: Some(if resume { ck.resuming() } else { ck }),
                 cache_policy: policy,
                 cache_limit_bytes: Some(4 * 1024),
-                ..ck_config(2, dir, 3, crash)
+                ..ck_config(2, dir)
             }
         };
-        let run = |c: GtsConfig| {
-            let engine = Gts::new(c);
+        let run = |c: GtsConfig, opts: JobOptions| {
+            let engine = Engine::new(c).unwrap();
             let mut bfs = Bfs::new(store.num_vertices(), 0);
-            let result = engine.run(&store, &mut bfs).map(|r| r.to_json());
-            let counters = engine.telemetry().contract_counters();
+            let result = engine.run_job(&store, &mut bfs, &opts).map(|r| r.to_json());
+            let counters = opts.telemetry.contract_counters();
             (result, bfs.levels().to_vec(), counters)
         };
 
         let (clean_json, clean_levels, clean_counters) = {
-            let (r, l, c) = run(cfg(&base_dir, None, false));
+            let (r, l, c) = run(cfg(&base_dir, false), seeded(3, None));
             (r.expect("uncrashed BFS completes"), l, c)
         };
         assert!(
@@ -321,7 +338,7 @@ fn bfs_traversal_survives_kill_and_resume() {
             std::fs::remove_dir_all(&crash_dir).ok();
             let step = 8 * (resumed_from + 1);
             let what = format!("{policy:?}, killed at step {step}");
-            match run(cfg(&crash_dir, Some(step), false)).0 {
+            match run(cfg(&crash_dir, false), seeded(3, Some(step))).0 {
                 Ok(json) => {
                     assert_eq!(json, clean_json, "{what}");
                     break;
@@ -329,7 +346,7 @@ fn bfs_traversal_survives_kill_and_resume() {
                 Err(EngineError::InjectedCrash { step: s }) if s == step => {}
                 Err(other) => panic!("{what}: {other:?}"),
             }
-            let (resumed, levels, counters) = run(cfg(&crash_dir, None, true));
+            let (resumed, levels, counters) = run(cfg(&crash_dir, true), seeded(3, None));
             assert_eq!(
                 resumed.expect("resumed BFS completes"),
                 clean_json,
@@ -360,21 +377,19 @@ fn run_budget_exceeded_checkpoints_then_resumes_to_the_same_answer() {
     let base_dir = tmp("budget-base");
     let dead_dir = tmp("budget-dead");
 
-    let clean = observe(&store, ck_config(1, &base_dir, 11, None));
+    let clean = observe(&store, ck_config(1, &base_dir), seeded(11, None));
     let clean_json = clean.result.expect("uncrashed run completes");
 
     // A budget of 1 ns trips at the first watchdog check (end of the
     // first sweep), long before the run can finish.
-    let engine = Gts::builder()
-        .config(GtsConfig {
-            run_budget_ns: Some(1),
-            ..ck_config(1, &dead_dir, 11, None)
-        })
-        .telemetry(Telemetry::with_spans())
-        .build()
-        .unwrap();
+    let engine = Engine::new(GtsConfig {
+        run_budget_ns: Some(1),
+        ..ck_config(1, &dead_dir)
+    })
+    .unwrap();
+    let opts = seeded(11, None);
     let mut pr = PageRank::new(store.num_vertices(), 8);
-    match engine.run(&store, &mut pr) {
+    match engine.run_job(&store, &mut pr, &opts) {
         Err(EngineError::DeadlineExceeded {
             what: "run_budget_ns",
             limit_ns: 1,
@@ -388,15 +403,16 @@ fn run_budget_exceeded_checkpoints_then_resumes_to_the_same_answer() {
     let (_, snap) = ck.load_latest().expect("deadline flushes a checkpoint");
     assert!(snap.section("clock").is_ok(), "snapshot decodes intact");
     // …and the trace is still exportable (spans were not lost).
-    let trace = engine.telemetry().to_chrome_trace();
+    let trace = opts.telemetry.to_chrome_trace();
     assert!(trace.contains("ckpt"), "trace lost the checkpoint span");
 
     let resumed = observe(
         &store,
         GtsConfig {
             checkpoint: Some(CheckpointConfig::new(&dead_dir, 2).resuming()),
-            ..ck_config(1, &dead_dir, 11, None)
+            ..ck_config(1, &dead_dir)
         },
+        seeded(11, None),
     );
     let resumed_json = resumed.result.expect("resume after deadline completes");
     assert_eq!(resumed.ranks, clean.ranks, "ranks diverged after deadline");
@@ -428,9 +444,10 @@ fn sweep_deadline_is_typed_without_checkpointing() {
         sweep_deadline_ns: Some(1),
         ..GtsConfig::default()
     };
-    let engine = Gts::new(cfg);
+    let engine = Engine::new(cfg).unwrap();
+    let opts = JobOptions::default();
     let mut pr = PageRank::new(store.num_vertices(), 4);
-    match engine.run(&store, &mut pr) {
+    match engine.run_job(&store, &mut pr, &opts) {
         Err(EngineError::DeadlineExceeded {
             what: "sweep_deadline_ns",
             limit_ns: 1,
@@ -453,9 +470,12 @@ fn generous_budgets_never_trip() {
         run_budget_ns: Some(u64::MAX),
         ..GtsConfig::default()
     };
-    let engine = Gts::new(cfg);
+    let engine = Engine::new(cfg).unwrap();
+    let opts = JobOptions::default();
     let mut pr = PageRank::new(store.num_vertices(), 4);
-    engine.run(&store, &mut pr).expect("generous budgets pass");
+    engine
+        .run_job(&store, &mut pr, &opts)
+        .expect("generous budgets pass");
 }
 
 /// Resuming against a different configuration (or graph) is refused with
@@ -466,7 +486,7 @@ fn resume_refuses_a_mismatched_config_or_store() {
     let dir = tmp("mismatch");
 
     // Die entering the second checkpoint (sweep 4): snapshot 2 is whole.
-    let killed = observe(&store, ck_config(1, &dir, 5, Some(8)));
+    let killed = observe(&store, ck_config(1, &dir), seeded(5, Some(8)));
     assert!(matches!(
         killed.result,
         Err(EngineError::InjectedCrash { step: 8 })
@@ -476,9 +496,9 @@ fn resume_refuses_a_mismatched_config_or_store() {
     let wrong_cfg = GtsConfig {
         num_gpus: 2,
         checkpoint: Some(CheckpointConfig::new(&dir, 2).resuming()),
-        ..ck_config(1, &dir, 5, None)
+        ..ck_config(1, &dir)
     };
-    match observe(&store, wrong_cfg).result {
+    match observe(&store, wrong_cfg, seeded(5, None)).result {
         Err(EngineError::Checkpoint(CkptError::Mismatch { what, .. })) => {
             assert_eq!(what, "config fingerprint");
         }
@@ -493,9 +513,9 @@ fn resume_refuses_a_mismatched_config_or_store() {
     .unwrap();
     let resume_cfg = GtsConfig {
         checkpoint: Some(CheckpointConfig::new(&dir, 2).resuming()),
-        ..ck_config(1, &dir, 5, None)
+        ..ck_config(1, &dir)
     };
-    match observe(&other_store, resume_cfg).result {
+    match observe(&other_store, resume_cfg, seeded(5, None)).result {
         Err(EngineError::Checkpoint(CkptError::Mismatch { what, .. })) => {
             assert_eq!(what, "store fingerprint");
         }
@@ -506,10 +526,10 @@ fn resume_refuses_a_mismatched_config_or_store() {
     let empty = tmp("mismatch-empty");
     let cold_cfg = GtsConfig {
         checkpoint: Some(CheckpointConfig::new(&empty, 2).resuming()),
-        ..ck_config(1, &empty, 5, None)
+        ..ck_config(1, &empty)
     };
     assert!(matches!(
-        observe(&store, cold_cfg).result,
+        observe(&store, cold_cfg, seeded(5, None)).result,
         Err(EngineError::Checkpoint(CkptError::NoSnapshot { .. }))
     ));
 
@@ -582,16 +602,17 @@ fn live_bfs_killed_at_every_durable_step_resumes_to_the_uncrashed_levels() {
         batch.insert(1, 10);
         MutationSchedule::new().at(3, batch)
     };
-    let run = |store: &mut GraphStore, cfg: GtsConfig| {
-        let engine = Gts::new(cfg);
+    let run = |store: &mut GraphStore, cfg: GtsConfig, crash: Option<u64>| {
+        let engine = Engine::new(cfg).unwrap();
+        let opts = job(None, crash);
         let mut bfs = Bfs::new(store.num_vertices(), 0);
         let result = engine
-            .run_live(store, &mut bfs, schedule())
+            .run_job_live(store, &mut bfs, schedule(), &opts)
             .map(|r| r.to_json());
         BfsRun {
             result,
             levels: bfs.levels().to_vec(),
-            counters: engine.telemetry().contract_counters(),
+            counters: opts.telemetry.contract_counters(),
         }
     };
     for with_wal in [false, true] {
@@ -603,21 +624,17 @@ fn live_bfs_killed_at_every_durable_step_resumes_to_the_uncrashed_levels() {
                     tmp(&format!("bfs-{tag}-wal-{with_wal}-{threads}")),
                 ]
             };
-            let cfg = |dirs: &[PathBuf; 2], resume: bool, crash: Option<u64>| {
+            let cfg = |dirs: &[PathBuf; 2], resume: bool| {
                 let ck = CheckpointConfig::new(&dirs[0], 1);
                 GtsConfig {
                     host_threads: threads,
-                    faults: crash.map(|k| FaultConfig {
-                        crash: Some(k),
-                        ..FaultConfig::quiet(0)
-                    }),
                     checkpoint: Some(if resume { ck.resuming() } else { ck }),
                     wal_dir: with_wal.then(|| dirs[1].clone()),
                     ..GtsConfig::default()
                 }
             };
             let base_dirs = dirs("base");
-            let clean = run(&mut base.clone(), cfg(&base_dirs, false, None));
+            let clean = run(&mut base.clone(), cfg(&base_dirs, false), None);
             let clean_json = clean.result.expect("uncrashed run completes");
             assert_eq!(
                 clean.levels,
@@ -632,7 +649,7 @@ fn live_bfs_killed_at_every_durable_step_resumes_to_the_uncrashed_levels() {
                     std::fs::remove_dir_all(d).ok();
                 }
                 let what = format!("wal {with_wal}, {threads} threads, step {k}");
-                let killed = run(&mut base.clone(), cfg(&dirs, false, Some(k)));
+                let killed = run(&mut base.clone(), cfg(&dirs, false), Some(k));
                 match killed.result {
                     Ok(json) => {
                         assert_eq!(json, clean_json, "{what}");
@@ -641,7 +658,7 @@ fn live_bfs_killed_at_every_durable_step_resumes_to_the_uncrashed_levels() {
                     Err(EngineError::InjectedCrash { step }) if step == k => {}
                     Err(other) => panic!("{what}: expected the injected crash, got {other:?}"),
                 }
-                let mut resumed = run(&mut base.clone(), cfg(&dirs, true, None));
+                let mut resumed = run(&mut base.clone(), cfg(&dirs, true), None);
                 let rerun = match &resumed.result {
                     Err(EngineError::Checkpoint(CkptError::NoSnapshot { .. })) => true,
                     // DESIGN.md §10: without a WAL a snapshot taken after
@@ -653,7 +670,7 @@ fn live_bfs_killed_at_every_durable_step_resumes_to_the_uncrashed_levels() {
                     _ => false,
                 };
                 if rerun {
-                    resumed = run(&mut base.clone(), cfg(&dirs, false, None));
+                    resumed = run(&mut base.clone(), cfg(&dirs, false), None);
                 }
                 assert_eq!(
                     resumed.result.expect("restart completes"),
@@ -694,10 +711,15 @@ fn hostile_section_counts_resume_to_typed_errors() {
     };
     let resume = || {
         let mut pr = PageRank::new(store.num_vertices(), 4);
-        Gts::new(cfg(true)).run(&store, &mut pr)
+        Engine::new(cfg(true))
+            .unwrap()
+            .run_job(&store, &mut pr, &JobOptions::default())
     };
     let mut pr = PageRank::new(store.num_vertices(), 4);
-    Gts::new(cfg(false)).run(&store, &mut pr).unwrap();
+    Engine::new(cfg(false))
+        .unwrap()
+        .run_job(&store, &mut pr, &JobOptions::default())
+        .unwrap();
     let ck = CkptStore::open(&dir).unwrap();
     let (seq, good) = ck.load_latest().unwrap();
     resume().expect("the untouched snapshot resumes");

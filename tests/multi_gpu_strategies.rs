@@ -2,9 +2,10 @@
 //! GPU counts — functional equivalence, capacity scaling, speedup shapes,
 //! and the peer-to-peer synchronisation advantage.
 
-use gts_core::engine::{EngineError, Gts, GtsConfig};
+use gts_core::engine::{EngineError, GtsConfig};
 use gts_core::programs::{Bfs, Cc, PageRank, Sssp};
 use gts_core::Strategy;
+use gts_core::{Engine, JobOptions};
 use gts_gpu::GpuConfig;
 use gts_graph::generate::rmat;
 use gts_graph::{reference, Csr};
@@ -38,13 +39,22 @@ fn every_algorithm_is_strategy_and_gpu_count_invariant() {
                 ..GtsConfig::default()
             };
             let mut bfs = Bfs::new(store.num_vertices(), 0);
-            Gts::new(cfg.clone()).run(&store, &mut bfs).unwrap();
+            Engine::new(cfg.clone())
+                .unwrap()
+                .run_job(&store, &mut bfs, &JobOptions::default())
+                .unwrap();
             assert_eq!(bfs.levels_u32(), want_bfs, "{strategy:?}/{gpus} BFS");
             let mut sssp = Sssp::new(store.num_vertices(), 0);
-            Gts::new(cfg.clone()).run(&store, &mut sssp).unwrap();
+            Engine::new(cfg.clone())
+                .unwrap()
+                .run_job(&store, &mut sssp, &JobOptions::default())
+                .unwrap();
             assert_eq!(sssp.distances(), &want_sssp[..], "{strategy:?}/{gpus} SSSP");
             let mut cc = Cc::new(store.num_vertices());
-            Gts::new(cfg).run(&store, &mut cc).unwrap();
+            Engine::new(cfg)
+                .unwrap()
+                .run_job(&store, &mut cc, &JobOptions::default())
+                .unwrap();
             assert_eq!(cc.labels_u32(), want_cc, "{strategy:?}/{gpus} CC");
         }
     }
@@ -63,8 +73,9 @@ fn strategy_p_pagerank_speedup_is_fairly_linear() {
             ..GtsConfig::default()
         };
         let mut pr = PageRank::new(s.num_vertices(), 5);
-        Gts::new(cfg)
-            .run(&s, &mut pr)
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&s, &mut pr, &JobOptions::default())
             .unwrap()
             .elapsed
             .as_secs_f64()
@@ -89,8 +100,9 @@ fn strategy_s_throughput_does_not_scale_but_capacity_does() {
             ..GtsConfig::default()
         };
         let mut pr = PageRank::new(s.num_vertices(), 5);
-        Gts::new(cfg)
-            .run(&s, &mut pr)
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&s, &mut pr, &JobOptions::default())
             .unwrap()
             .elapsed
             .as_secs_f64()
@@ -123,7 +135,10 @@ fn capacity_scales_linearly_with_gpus_under_strategy_s() {
             ..GtsConfig::default()
         };
         let mut cc = Cc::new(s.num_vertices());
-        Gts::new(cfg).run(&s, &mut cc).map(|_| ())
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&s, &mut cc, &JobOptions::default())
+            .map(|_| ())
     };
     assert!(matches!(run(1), Err(EngineError::DeviceOom(_))));
     run(4).expect("4 GPUs split WA into quarters");
@@ -142,8 +157,9 @@ fn p2p_sync_beats_naive_sync_and_gap_grows_with_gpus() {
             ..GtsConfig::default()
         };
         let mut pr = PageRank::new(s.num_vertices(), 5);
-        Gts::new(cfg)
-            .run(&s, &mut pr)
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&s, &mut pr, &JobOptions::default())
             .unwrap()
             .elapsed
             .as_secs_f64()
@@ -173,7 +189,10 @@ fn page_assignment_is_balanced_under_strategy_p() {
         ..GtsConfig::default()
     };
     let mut pr = PageRank::new(s.num_vertices(), 1);
-    let report = Gts::new(cfg).run(&s, &mut pr).unwrap();
+    let report = Engine::new(cfg)
+        .unwrap()
+        .run_job(&s, &mut pr, &JobOptions::default())
+        .unwrap();
     let bytes: Vec<u64> = report.per_gpu.iter().map(|g| g.bytes_h2d).collect();
     let max = *bytes.iter().max().unwrap() as f64;
     let min = *bytes.iter().min().unwrap() as f64;

@@ -16,10 +16,10 @@
 //!
 //! The live half runs every row through `Engine::run_job_live` while the
 //! same batches land at sweep boundaries (inserts alone, then inserts
-//! and deletes). Insert-only BFS, SSSP and CC, and Degrees and k-core
-//! under either schedule, answer exactly; after deletes BFS, SSSP and CC answer a
-//! lower bound (DESIGN.md §12). `KNOWN` names every row that is not
-//! exact, with its reason.
+//! and deletes). Insert-only BFS, SSSP and CC, and Degrees, k-core and
+//! BC under either schedule, answer exactly; after deletes BFS, SSSP and
+//! CC answer a lower bound (DESIGN.md §12). `KNOWN` names every row that
+//! is not exact, with its reason.
 
 use gts_core::engine::{CachePolicyKind, GtsConfig, StorageLocation};
 use gts_core::programs::{
@@ -304,16 +304,12 @@ const KNOWN: &[(&str, bool, Option<Owed>, &str)] = &[
     ("pagerank", true, None, PAGERANK_LIKE),
     ("rwr", false, None, PAGERANK_LIKE),
     ("rwr", true, None, PAGERANK_LIKE),
-    ("bc", false, None, BC),
-    ("bc", true, None, BC),
     ("radius", false, None, RADIUS),
     ("radius", true, None, RADIUS),
 ];
 
 const PAGERANK_LIKE: &str = "a fixed iteration budget: sweeps before a batch ran over the old \
     topology, and a batch after the last iteration gets one refresh sweep, not a re-run";
-const BC: &str = "no on_mutation: the forward BFS and the recorded levels the backward phase \
-    replays are not re-derived, so an edge out of a settled vertex is never followed";
 const RADIUS: &str = "an estimate is the last sweep a vertex's sketch changed and sketches \
     only grow: a batch's changes are dated from the sweep it lands at, deletions never shrink";
 

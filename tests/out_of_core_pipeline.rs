@@ -2,8 +2,9 @@
 //! secondary storage through MMBuf to the GPUs, with correct results and
 //! sensible timing relationships.
 
-use gts_core::engine::{Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, PageRank};
+use gts_core::{Engine, JobOptions};
 use gts_graph::generate::rmat;
 use gts_graph::{reference, Csr};
 use gts_sim::SimDuration;
@@ -19,7 +20,11 @@ fn store() -> GraphStore {
 
 fn pr_elapsed(store: &GraphStore, cfg: GtsConfig) -> SimDuration {
     let mut pr = PageRank::new(store.num_vertices(), 3);
-    Gts::new(cfg).run(store, &mut pr).unwrap().elapsed
+    Engine::new(cfg)
+        .unwrap()
+        .run_job(store, &mut pr, &JobOptions::default())
+        .unwrap()
+        .elapsed
 }
 
 #[test]
@@ -43,7 +48,10 @@ fn results_identical_across_storage_backends() {
             ..GtsConfig::default()
         };
         let mut bfs = Bfs::new(store.num_vertices(), 0);
-        Gts::new(cfg).run(&store, &mut bfs).unwrap();
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&store, &mut bfs, &JobOptions::default())
+            .unwrap();
         assert_eq!(bfs.levels_u32(), want, "{storage:?}");
     }
 }
@@ -118,10 +126,11 @@ fn fully_cached_pages_generate_no_storage_or_transfer_traffic() {
         mmbuf_percent: 10,
         ..GtsConfig::default()
     };
-    let engine = Gts::new(cfg);
+    let engine = Engine::new(cfg).unwrap();
+    let opts = JobOptions::default();
     let mut pr = PageRank::new(s.num_vertices(), 4);
-    let report = engine.run(&s, &mut pr).unwrap();
-    let tel = engine.telemetry();
+    let report = engine.run_job(&s, &mut pr, &opts).unwrap();
+    let tel = &opts.telemetry;
     let pages = s.num_pages();
 
     // Streaming happened exactly once per page, all in sweep 0.
@@ -173,7 +182,10 @@ fn bfs_streams_only_frontier_pages() {
         ..GtsConfig::default()
     };
     let mut bfs = Bfs::new(store.num_vertices(), 0);
-    let report = Gts::new(cfg).run(&store, &mut bfs).unwrap();
+    let report = Engine::new(cfg)
+        .unwrap()
+        .run_job(&store, &mut bfs, &JobOptions::default())
+        .unwrap();
     // Each level marks at most 2 pages (the current and next run of
     // consecutive vertices); a full-broadcast engine would stream
     // pages × levels ≈ num_pages × 4095.

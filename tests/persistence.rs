@@ -2,9 +2,10 @@
 //! file and loaded back must be a drop-in replacement — identical results
 //! *and* identical simulated timing under every engine configuration.
 
-use gts_core::engine::{Gts, GtsConfig, StorageLocation};
+use gts_core::engine::{GtsConfig, StorageLocation};
 use gts_core::programs::{Bfs, PageRank};
 use gts_core::Strategy;
+use gts_core::{Engine, JobOptions};
 use gts_graph::generate::rmat;
 use gts_storage::{build_graph_store, load_store, save_store, PageFormatConfig, PhysicalIdConfig};
 
@@ -38,17 +39,29 @@ fn loaded_store_is_a_drop_in_replacement() {
         },
     ] {
         let mut a = Bfs::new(built.num_vertices(), 0);
-        let ra = Gts::new(cfg.clone()).run(&built, &mut a).unwrap();
+        let ra = Engine::new(cfg.clone())
+            .unwrap()
+            .run_job(&built, &mut a, &JobOptions::default())
+            .unwrap();
         let mut b = Bfs::new(loaded.num_vertices(), 0);
-        let rb = Gts::new(cfg.clone()).run(&loaded, &mut b).unwrap();
+        let rb = Engine::new(cfg.clone())
+            .unwrap()
+            .run_job(&loaded, &mut b, &JobOptions::default())
+            .unwrap();
         assert_eq!(a.levels(), b.levels());
         assert_eq!(ra.elapsed, rb.elapsed, "timing must be identical too");
         assert_eq!(ra.pages_streamed, rb.pages_streamed);
 
         let mut pa = PageRank::new(built.num_vertices(), 3);
-        Gts::new(cfg.clone()).run(&built, &mut pa).unwrap();
+        Engine::new(cfg.clone())
+            .unwrap()
+            .run_job(&built, &mut pa, &JobOptions::default())
+            .unwrap();
         let mut pb = PageRank::new(loaded.num_vertices(), 3);
-        Gts::new(cfg).run(&loaded, &mut pb).unwrap();
+        Engine::new(cfg)
+            .unwrap()
+            .run_job(&loaded, &mut pb, &JobOptions::default())
+            .unwrap();
         assert_eq!(pa.ranks(), pb.ranks(), "f32 ranks must be bit-identical");
     }
 }

@@ -3,9 +3,10 @@
 //! chrome://tracing JSON exporter — validated with a small self-contained
 //! JSON parser (the workspace has no serde).
 
-use gts_core::engine::{Gts, GtsConfig};
+use gts_core::engine::GtsConfig;
 use gts_core::programs::{Bfs, PageRank};
 use gts_core::Telemetry;
+use gts_core::{Engine, JobOptions};
 use gts_graph::generate::rmat;
 use gts_storage::{build_graph_store, PageFormatConfig};
 use gts_telemetry::{keys, SpanCat};
@@ -216,18 +217,16 @@ mod json {
 /// A small multi-stream BFS run with spans on, the Fig. 4 scenario.
 fn traced_bfs_run() -> (gts_core::RunReport, Telemetry) {
     let store = build_graph_store(&rmat(10), PageFormatConfig::small_default()).unwrap();
-    let engine = Gts::builder()
-        .config(GtsConfig {
-            num_streams: 8,
-            cache_limit_bytes: Some(0), // force streaming so copy spans exist
-            ..GtsConfig::default()
-        })
-        .telemetry(Telemetry::with_spans())
-        .build()
-        .unwrap();
+    let engine = Engine::new(GtsConfig {
+        num_streams: 8,
+        cache_limit_bytes: Some(0), // force streaming so copy spans exist
+        ..GtsConfig::default()
+    })
+    .unwrap();
+    let opts = JobOptions::with_telemetry(Telemetry::with_spans());
     let mut bfs = Bfs::new(store.num_vertices(), 0);
-    let report = engine.run(&store, &mut bfs).unwrap();
-    (report, engine.telemetry().clone())
+    let report = engine.run_job(&store, &mut bfs, &opts).unwrap();
+    (report, opts.telemetry.clone())
 }
 
 #[test]
@@ -371,18 +370,16 @@ fn sweep_spans_and_sweep_counters_share_one_timing_definition() {
     check(&tel, &report);
 
     let store = build_graph_store(&rmat(10), PageFormatConfig::small_default()).unwrap();
-    let engine = Gts::builder()
-        .config(GtsConfig {
-            num_streams: 8,
-            cache_limit_bytes: Some(0),
-            ..GtsConfig::default()
-        })
-        .telemetry(Telemetry::with_spans())
-        .build()
-        .unwrap();
+    let engine = Engine::new(GtsConfig {
+        num_streams: 8,
+        cache_limit_bytes: Some(0),
+        ..GtsConfig::default()
+    })
+    .unwrap();
+    let opts = JobOptions::with_telemetry(Telemetry::with_spans());
     let mut pr = PageRank::new(store.num_vertices(), 3);
-    let report = engine.run(&store, &mut pr).unwrap();
-    check(engine.telemetry(), &report);
+    let report = engine.run_job(&store, &mut pr, &opts).unwrap();
+    check(&opts.telemetry, &report);
 }
 
 #[test]
@@ -458,26 +455,28 @@ fn derived_report_equals_the_registry_for_every_engine() {
 
     // And GTS itself.
     let store = build_graph_store(&edges, PageFormatConfig::small_default()).unwrap();
-    let engine = Gts::builder().build().unwrap();
+    let engine = Engine::new(GtsConfig::default()).unwrap();
+    let opts = JobOptions::default();
     let mut pr = PageRank::new(store.num_vertices(), 3);
-    let run = engine.run(&store, &mut pr).unwrap();
-    check(&run, engine.telemetry(), "GTS");
+    let run = engine.run_job(&store, &mut pr, &opts).unwrap();
+    check(&run, &opts.telemetry, "GTS");
     assert_eq!(
         run.pages_streamed,
-        engine.telemetry().counter(keys::PAGES_STREAMED)
+        opts.telemetry.counter(keys::PAGES_STREAMED)
     );
     assert_eq!(
         run.edges_traversed,
-        engine.telemetry().counter(keys::EDGES_TRAVERSED)
+        opts.telemetry.counter(keys::EDGES_TRAVERSED)
     );
 }
 
 #[test]
 fn counters_only_mode_records_no_spans() {
     let store = build_graph_store(&rmat(9), PageFormatConfig::small_default()).unwrap();
-    let engine = Gts::builder().build().unwrap();
+    let engine = Engine::new(GtsConfig::default()).unwrap();
+    let opts = JobOptions::default();
     let mut bfs = Bfs::new(store.num_vertices(), 0);
-    engine.run(&store, &mut bfs).unwrap();
-    assert_eq!(engine.telemetry().span_count(), 0);
-    assert!(engine.telemetry().counter(keys::PAGES_STREAMED) > 0);
+    engine.run_job(&store, &mut bfs, &opts).unwrap();
+    assert_eq!(opts.telemetry.span_count(), 0);
+    assert!(opts.telemetry.counter(keys::PAGES_STREAMED) > 0);
 }

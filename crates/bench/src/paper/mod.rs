@@ -9,7 +9,7 @@
 //! one that fails without a Deviation fails the run, and so does a
 //! Deviation whose claim holds, so a stale one cannot linger.
 //!
-//! Two entry points, two grids: [`bench`] (`cargo bench -p gts-bench`)
+//! Two entry points, two grids: [`bench()`] (`cargo bench -p gts-bench`)
 //! runs the bench grids, and a tier-1 test runs the small smoke grids,
 //! where the claims marked `smoke` must hold.
 

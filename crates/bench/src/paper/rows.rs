@@ -585,30 +585,34 @@ fn fig10(ctx: &Ctx) -> Tables {
 fn fig11(ctx: &Ctx) -> Tables {
     // The paper sweeps 32 MB..5120 MB; ours scale by 1/1024.
     let header = "dataset, 32, 1024, 2048, 3072, 4096, 5120";
+    let policies = [("random", Random), ("lru", Lru)];
     let mut tables = Vec::new();
-    for (name, policy) in [("random", Random), ("lru", Lru)] {
+    for (name, _) in policies {
         let time = format!("BFS elapsed seconds vs cache size KiB, {name} (paper Fig. 11a)");
         let hits = format!("BFS cache hit rate % vs cache size KiB, {name} (paper Fig. 11b)");
-        tables.push((
-            Table::new(&format!("fig11_time_{name}"), &time, header),
-            (policy, false),
-        ));
-        tables.push((
-            Table::new(&format!("fig11_hitrate_{name}"), &hits, header),
-            (policy, true),
-        ));
+        tables.push(Table::new(&format!("fig11_time_{name}"), &time, header));
+        tables.push(Table::new(&format!("fig11_hitrate_{name}"), &hits, header));
     }
-    by_dataset(ctx, tables, |prep, (policy, hits)| {
-        let mut row = Vec::new();
-        for kib in [32, 1024, 2048, 3072, 4096, 5120] {
-            let cfg = tuned(|c| (c.cache_limit_bytes, c.cache_policy) = (Some(kib << 10), policy));
-            row.push(match (prep.gts(cfg, BFS)?, hits) {
-                (Some(r), true) => format!("{:.1}", r.cache_hit_rate * 100.0),
-                (r, _) => secs_or_oom(&r),
-            });
+    // One run per (dataset, policy, size) fills both of its tables' cells.
+    for &d in ctx.datasets {
+        let prep = Prepared::build(d);
+        for (pair, (_, policy)) in tables.chunks_mut(2).zip(policies) {
+            let (mut time, mut hits) = (vec![prep.name.clone()], vec![prep.name.clone()]);
+            for kib in [32, 1024, 2048, 3072, 4096, 5120] {
+                let cfg =
+                    tuned(|c| (c.cache_limit_bytes, c.cache_policy) = (Some(kib << 10), policy));
+                let r = prep.gts(cfg, BFS)?;
+                hits.push(match &r {
+                    Some(r) => format!("{:.1}", r.cache_hit_rate * 100.0),
+                    None => secs_or_oom(&r),
+                });
+                time.push(secs_or_oom(&r));
+            }
+            pair[0].row(time);
+            pair[1].row(hits);
         }
-        Ok(row)
-    })
+    }
+    Ok(tables)
 }
 
 /// Fig. 13: SSSP and CC across engines on the grid's smallest and largest

@@ -7,6 +7,7 @@
 //! through [`replace_streamed`], of which [`write_atomic`] is the
 //! one-buffer call; a file that grows (a [`SealedLog`](crate::SealedLog))
 //! goes through [`append_sync`] / [`truncate_sync`] on one open handle.
+//! The directory either lives in is made by [`create_dir_synced`].
 //!
 //! Each primitive is a fixed sequence of *steps* — the syscalls whose
 //! effect a later process can observe — and asks its [`KillSwitch`]
@@ -135,15 +136,47 @@ pub fn replace_streamed(
     kill.step()?;
     fs::rename(tmp, path).map_err(|e| CkptError::io("rename", path, &e))?;
     // Persisting a rename requires fsyncing the containing directory.
-    // Some platforms refuse to open directories; treat that as a soft
-    // failure rather than aborting the run (the data file itself is
-    // already synced). A directory that opens but fails to sync is an
-    // error like any other fsync's.
     kill.step()?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            d.sync_all().map_err(|e| CkptError::io("fsync", dir, &e))?;
+    sync_parent(path)
+}
+
+/// Create `dir` and each missing ancestor, fsyncing every new directory's
+/// parent so that its entry survives a power loss as a renamed file's
+/// does. An existing `dir` is left as it is.
+///
+/// This is not a kill step. A kill never rolls the page cache back
+/// ([`KillSwitch`]), so a directory made before one is there after it,
+/// and numbering this call would only shift every later step. A model
+/// disk that drops unsynced directory entries (ROADMAP item 7(a)) is what
+/// would make it one, and let a harness drop its fsync.
+pub(crate) fn create_dir_synced(dir: &Path) -> Result<(), CkptError> {
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.is_dir())
+        .collect();
+    for d in missing.into_iter().rev() {
+        if let Err(e) = fs::create_dir(d) {
+            if !(e.kind() == io::ErrorKind::AlreadyExists && d.is_dir()) {
+                return Err(CkptError::io("create", d, &e));
+            }
         }
+        sync_parent(d)?;
+    }
+    Ok(())
+}
+
+/// Fsync the directory holding `path`, which persists a new or renamed
+/// entry there. Some platforms refuse to open directories; that is a soft
+/// failure (the entry's own bytes are already synced). A directory that
+/// opens but fails to sync is an error like any other fsync's.
+fn sync_parent(path: &Path) -> Result<(), CkptError> {
+    let dir = match path.parent() {
+        Some(dir) if dir.as_os_str().is_empty() => Path::new("."),
+        Some(dir) => dir,
+        None => return Ok(()),
+    };
+    if let Ok(d) = File::open(dir) {
+        d.sync_all().map_err(|e| CkptError::io("fsync", dir, &e))?;
     }
     Ok(())
 }
@@ -311,5 +344,24 @@ mod tests {
         append_sync(&kill, &mut open(), &path, b"x").unwrap();
         truncate_sync(&kill, &open(), &path, 4).unwrap();
         assert_eq!(kill.steps(), 4);
+    }
+
+    /// A nested missing directory is made whole and an existing one is
+    /// left alone; neither is a durable step of the store that asks.
+    #[test]
+    fn a_new_directory_is_made_with_its_ancestors_and_asks_no_step() {
+        let root = tmp_path("mkdir").with_file_name("nested");
+        let deep = root.join("a").join("b");
+        let kill = KillSwitch::never();
+        crate::CkptStore::open_with(&deep, kill.clone()).unwrap();
+        assert!(deep.is_dir());
+        crate::CkptStore::open_with(&deep, kill.clone()).unwrap();
+        create_dir_synced(&deep).unwrap();
+        assert_eq!(kill.steps(), 0);
+        // A file in the way is an error, not a directory.
+        let file = root.join("file");
+        fs::write(&file, b"x").unwrap();
+        let err = create_dir_synced(&file.join("c")).unwrap_err();
+        assert!(matches!(err, CkptError::Io { op: "create", .. }), "{err:?}");
     }
 }

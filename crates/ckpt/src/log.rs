@@ -24,7 +24,7 @@
 //! append and is treated as one.)
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::durable::{append_sync, truncate_sync, write_atomic, KillSwitch};
+use crate::durable::{append_sync, create_dir_synced, truncate_sync, write_atomic, KillSwitch};
 use crate::error::CkptError;
 use crate::seal::{seal, unseal, TRAILER};
 use std::fs::{self, File, OpenOptions};
@@ -209,7 +209,7 @@ impl SealedLog {
         kill: KillSwitch,
     ) -> Result<SealedLog, CkptError> {
         if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir).map_err(|e| CkptError::io("create", dir, &e))?;
+            create_dir_synced(dir)?;
         }
         let header = encode_header(format, binding);
         write_atomic(&kill, path, &header)?;

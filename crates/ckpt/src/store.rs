@@ -15,7 +15,7 @@
 //! Retention is two snapshots: the newest plus one fallback. Older files
 //! are unlinked after the manifest stops naming them.
 
-use crate::durable::{write_atomic, KillSwitch};
+use crate::durable::{create_dir_synced, write_atomic, KillSwitch};
 use crate::error::CkptError;
 use crate::snapshot::Snapshot;
 use std::fs;
@@ -43,7 +43,7 @@ impl CkptStore {
     /// [`CkptStore::open`] with `kill` gating every durable step.
     pub fn open_with(dir: impl Into<PathBuf>, kill: KillSwitch) -> Result<Self, CkptError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| CkptError::io("create", &dir, &e))?;
+        create_dir_synced(&dir)?;
         Ok(Self { dir, kill })
     }
 

@@ -68,7 +68,7 @@ impl Bfs {
         }
     }
 
-    /// Final per-vertex levels ([`LV_NULL`] = unreached).
+    /// Final per-vertex levels ([`u16::MAX`] = unreached).
     pub fn levels(&self) -> &[u16] {
         &self.lv
     }

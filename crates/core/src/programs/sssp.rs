@@ -61,7 +61,7 @@ impl Sssp {
         }
     }
 
-    /// Final distances ([`DIST_INF`] = unreachable).
+    /// Final distances ([`u32::MAX`] = unreachable).
     pub fn distances(&self) -> &[u32] {
         &self.dist
     }

@@ -163,7 +163,7 @@ pub(crate) fn verify_meta(
 }
 
 /// The store fingerprint and sweep index a snapshot of this schema
-/// version recorded, read ahead of [`verify_meta`]: crash recovery needs
+/// version recorded, read ahead of `verify_meta`: crash recovery needs
 /// the *target* state before the caller's store can be rolled forward to
 /// match it.
 pub fn snapshot_progress(snap: &Snapshot) -> Result<(u64, u32), CkptError> {

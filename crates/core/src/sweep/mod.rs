@@ -22,13 +22,13 @@
 //! * [`kernels`] — phase A: functional kernel execution, possibly spread
 //!   over host threads (simulated time is accounted afterwards, in
 //!   [`account`], so host parallelism can never change a number).
-//! * [`ckpt`] — sweep-boundary snapshots: build, write, verify, and
+//! * `ckpt` — sweep-boundary snapshots: build, write, verify, and
 //!   restore the resumable state behind crash-consistent
 //!   checkpoint/restart.
-//! * [`live`] — live-topology glue: mutation schedules, the sweep loop's
+//! * `live` — live-topology glue: mutation schedules, the sweep loop's
 //!   store handle, and the boundary application path that keeps every
 //!   in-flight sweep on one consistent epoch (DESIGN.md §12).
-//! * [`scrub`] — background at-rest verification: walk the store's pages
+//! * `scrub` — background at-rest verification: walk the store's pages
 //!   at a configured sweep cadence, detect seeded bit rot by trailer
 //!   checksum, repair from the authoritative copy, and route detections
 //!   into drive quarantine (DESIGN.md §15).

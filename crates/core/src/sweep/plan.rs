@@ -1,6 +1,6 @@
 //! Stage 1 — planning: which pages the next sweep streams, in what order.
 //!
-//! The engine keeps `nextPIDSet` as a [`PageBitmap`], one bit per page,
+//! The engine keeps `nextPIDSet` as a `PageBitmap`, one bit per page,
 //! and a [`SweepPlan`] is that set materialised as two sorted page lists:
 //! Small Pages first, then Large Pages (Sec. 3.2's phase separation —
 //! batching by kind reduces kernel switching). Planning is

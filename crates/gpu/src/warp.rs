@@ -15,7 +15,7 @@
 //!   technique to each page depending on the characteristics of the page").
 //!
 //! The unit produced here is a **lane-slot**: one SIMD lane occupied for
-//! one edge-step (including forced-idle lanes). [`timer::KernelCost`]
+//! one edge-step (including forced-idle lanes). [`crate::timer::KernelCost`]
 //! converts lane-slots to simulated time.
 
 /// Hardware warp width (CUDA: 32 lanes).

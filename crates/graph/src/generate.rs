@@ -69,7 +69,7 @@ impl Rmat {
     /// and picks a quadrant by comparing `r = k · 2^-53` (the exact value
     /// `Rng::f64` returns) against the cumulative probabilities `a`,
     /// `a + b`, `a + b + c`. The comparisons run on integers and the pick
-    /// has no branch ([`quadrant`]); the edge list is bit for bit the one
+    /// has no branch (`quadrant`); the edge list is bit for bit the one
     /// the `f64` if-chain gives. A level appends its quadrant's two bits to
     /// the Morton code of `(src, dst)`, which is split once per edge.
     pub fn generate(&self) -> EdgeList {

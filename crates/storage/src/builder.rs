@@ -12,7 +12,7 @@
 
 use crate::device::StorageError;
 use crate::format::{PageFormatConfig, PageKind, RecordId};
-use crate::mutate::Pending;
+use crate::mutate::{MutationKey, Pending};
 use crate::page::{encode_large_page, AdjRun, Page, PageView, SmallPageEncoder};
 use crate::rvt::{Rvt, RvtEntry};
 use gts_graph::{Csr, EdgeList};
@@ -68,7 +68,7 @@ pub struct GraphStore {
     /// placeholder, except that during a mutation call a pending Small
     /// Page's entry is its base: the page as the first pending call found
     /// it ([`crate::mutate`]).
-    pub(crate) pages: Vec<Page>,
+    pub(crate) pages: Pages,
     pub(crate) rvt: Rvt,
     pub(crate) small_pids: Vec<u64>,
     pub(crate) large_pids: Vec<u64>,
@@ -85,6 +85,25 @@ pub struct GraphStore {
     pub(crate) delta_pages: BTreeMap<u64, Vec<u64>>,
     /// What mutation calls committed that no read has built yet.
     pub(crate) pending: Pending,
+}
+
+/// The store's page vector. Its field is private to this module, and the
+/// mutation engine reaches it through the [`MutationKey`] only
+/// `mutate.rs` can make, so no other module indexes it: each reads a page
+/// through [`GraphStore::page`], which builds a pending one first.
+#[derive(Debug, Clone)]
+pub(crate) struct Pages(Vec<Page>);
+
+impl Pages {
+    /// The vector, for the mutation engine.
+    pub(crate) fn get(&self, _: MutationKey) -> &Vec<Page> {
+        &self.0
+    }
+
+    /// The vector, mutably, for the mutation engine.
+    pub(crate) fn get_mut(&mut self, _: MutationKey) -> &mut Vec<Page> {
+        &mut self.0
+    }
 }
 
 /// A store's counts, page size and epoch: the structure a mutation call
@@ -166,7 +185,7 @@ impl GraphStore {
     /// its first read — one span walk or chunk copy and one seal — and
     /// shared by every later read; any other page costs one branch.
     pub fn page(&self, pid: u64) -> &Page {
-        let page = &self.pages[pid as usize];
+        let page = &self.pages.0[pid as usize];
         match &page.rebuilt {
             None => page,
             Some(cell) => cell.get_or_build(|base| self.build_pending(pid, base)),
@@ -231,7 +250,7 @@ impl GraphStore {
 
     /// Total number of pages.
     pub fn num_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.pages.0.len() as u64
     }
 
     /// Where vertex `v` lives.
@@ -362,7 +381,7 @@ impl GraphStore {
     /// the highest slot named plus one, and noting any target past the
     /// last page. One loop over the pages then compares that table with
     /// the slot bounds. Only when it finds a record ID the bounds refuse
-    /// does [`check_record_ids`] walk the adjacency again, to name the
+    /// does `check_record_ids` walk the adjacency again, to name the
     /// first one in page order, so the error reads as it always has. So
     /// every record ID of a loaded store is the one
     /// [`GraphStore::rid_of_vertex`] gives its target, which is what lets
@@ -498,7 +517,7 @@ impl GraphStore {
         }
         let store = GraphStore {
             cfg,
-            pages,
+            pages: Pages(pages),
             rvt: Rvt::new(rvt_entries),
             small_pids,
             large_pids,
@@ -714,7 +733,7 @@ pub fn build_from_csr(csr: &Csr, cfg: PageFormatConfig) -> Result<GraphStore, Bu
 
     Ok(GraphStore {
         cfg,
-        pages,
+        pages: Pages(pages),
         rvt: Rvt::new(rvt_entries),
         small_pids,
         large_pids,

@@ -255,7 +255,7 @@ impl Pending {
     /// Drop the entries of `store`'s pages that are no longer pending,
     /// restoring the invariants.
     fn retain_needed(&mut self, store: &GraphStore) {
-        let is_pending = |pid: u64| store.pages[pid as usize].rebuilt.is_some();
+        let is_pending = |pid: u64| store.pages.get(KEY)[pid as usize].rebuilt.is_some();
         self.slots.retain(|&pid, _| is_pending(pid));
         self.chunked
             .retain(|&vid| store.chunk_pids(vid).into_iter().any(is_pending));
@@ -272,6 +272,16 @@ impl Pending {
         });
     }
 }
+
+/// The mutation engine's capability. The store's page vector
+/// ([`crate::builder::Pages`]) and [`Page::trust_own_seal`] take one, and
+/// its field is private to this module, so no other module can make one:
+/// only this engine indexes the page vector beside the builder, and only
+/// a page it has just built and sealed skips its hash.
+#[derive(Clone, Copy)]
+pub(crate) struct MutationKey(());
+
+const KEY: MutationKey = MutationKey(());
 
 /// A pending page's cell. Between calls a Small Page's base — the page as
 /// the first pending call found it — is parked here; the first read
@@ -397,7 +407,7 @@ impl GraphStore {
     fn chunk_pids(&self, vid: u64) -> Vec<u64> {
         let home = self.vertex_rid[vid as usize];
         let mut pids = Vec::new();
-        if self.pages[home.pid as usize].kind == PageKind::Large {
+        if self.pages.get(KEY)[home.pid as usize].kind == PageKind::Large {
             let run = self.rvt.entry(home.pid).lp_range.unwrap_or(0) as u64;
             pids.extend(home.pid..=home.pid + run);
         }
@@ -408,7 +418,7 @@ impl GraphStore {
     /// The base of page `pid` (the page itself, unless it is pending),
     /// verified.
     fn base_view(&self, pid: u64) -> PageView<'_> {
-        self.verified(&self.pages[pid as usize])
+        self.verified(&self.pages.get(KEY)[pid as usize])
     }
 
     /// `vid`'s adjacency as the committed structure has it: from the
@@ -423,7 +433,7 @@ impl GraphStore {
         let home = self.vertex_rid[vid as usize];
         let mut adj = PackedAdj::new(self.cfg.id);
         let spilled = self.delta_pages.contains_key(&vid);
-        if self.pages[home.pid as usize].kind == PageKind::Small && !spilled {
+        if self.pages.get(KEY)[home.pid as usize].kind == PageKind::Small && !spilled {
             adj.extend(self.base_view(home.pid).sp_adj_run(home.slot));
         }
         for pid in self.chunk_pids(vid) {
@@ -506,7 +516,7 @@ impl GraphStore {
         let mut rechunk: BTreeSet<u64> = BTreeSet::new();
         for &vid in work.keys() {
             let home = store.vertex_rid[vid as usize];
-            if store.pages[home.pid as usize].kind == PageKind::Large
+            if store.pages.get(KEY)[home.pid as usize].kind == PageKind::Large
                 || store.delta_pages.contains_key(&vid)
             {
                 rechunk.insert(vid);
@@ -609,6 +619,7 @@ impl GraphStore {
         let mut new_pids = Vec::with_capacity(appended.len());
         for &(pid, vid, edges) in &appended {
             self.pages
+                .get_mut(KEY)
                 .push(Page::new(pid, PageKind::Large, Box::default()));
             self.rvt.push_entry(RvtEntry {
                 start_vid: vid,
@@ -621,7 +632,7 @@ impl GraphStore {
             new_pids.push(pid);
         }
         for &pid in replaced.keys().chain(&new_pids) {
-            let page = &mut self.pages[pid as usize];
+            let page = &mut self.pages.get_mut(KEY)[pid as usize];
             if page.kind == PageKind::Large {
                 // A chunk is built from its vertex's list alone, so its
                 // old bytes are dead: a placeholder holds its place.
@@ -660,9 +671,9 @@ impl GraphStore {
     pub(crate) fn build_pending(&self, pid: u64, parked: Option<&Page>) -> Page {
         self.pending.built.0.fetch_add(1, Ordering::Relaxed);
         let adj = &self.pending.adj;
-        let page = match self.pages[pid as usize].kind {
+        let page = match self.pages.get(KEY)[pid as usize].kind {
             PageKind::Small => {
-                let view = self.verified(parked.unwrap_or(&self.pages[pid as usize]));
+                let view = self.verified(parked.unwrap_or(&self.pages.get(KEY)[pid as usize]));
                 let mut enc = SmallPageEncoder::new(self.cfg);
                 for &slot in &self.pending.slots[&pid] {
                     enc.push_span(&view, enc.num_slots()..slot);
@@ -686,7 +697,7 @@ impl GraphStore {
                 encode_large_run(self.cfg, pid, vid, run)
             }
         };
-        page.trust_own_seal()
+        page.trust_own_seal(KEY)
     }
 
     /// Install every pending page a read has built as the page itself,
@@ -703,7 +714,7 @@ impl GraphStore {
             .collect();
         let mut settled = false;
         for pid in pids {
-            let page = &mut self.pages[pid as usize];
+            let page = &mut self.pages.get_mut(KEY)[pid as usize];
             let Some(cell) = page.rebuilt.as_deref_mut() else {
                 continue;
             };
@@ -733,13 +744,13 @@ impl GraphStore {
             .collect();
         for vid in big {
             for pid in self.chunk_pids(vid) {
-                self.pages[pid as usize] = self.build_pending(pid, None);
+                self.pages.get_mut(KEY)[pid as usize] = self.build_pending(pid, None);
             }
             self.pending.chunked.remove(&vid);
             self.pending.adj.remove(&vid);
         }
         for &pid in self.pending.slots.keys() {
-            let page = &mut self.pages[pid as usize];
+            let page = &mut self.pages.get_mut(KEY)[pid as usize];
             let mut cell = page.rebuilt.take();
             let base = std::mem::replace(page, Page::new(pid, PageKind::Small, Box::default()));
             if let Some(cell) = cell.as_deref_mut() {
@@ -1122,7 +1133,7 @@ mod tests {
         // In memory the seal is trusted: the first cached check of a
         // sealed page does not hash it, so bytes changed behind the
         // store's back go unseen there, as after any verification.
-        let built = store.pages[0]
+        let built = store.pages.get_mut(KEY)[0]
             .rebuilt
             .as_mut()
             .and_then(|cell| cell.built.get_mut());

@@ -15,6 +15,7 @@ use crate::format::{
     PageFormatConfig, PageKind, PhysicalIdConfig, RecordId, ADJLIST_SZ_BYTES, OFF_BYTES,
     PAGE_HEADER_BYTES, PAGE_TRAILER_BYTES, VID_BYTES,
 };
+use crate::mutate::MutationKey;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -87,10 +88,11 @@ impl Page {
 
     /// Mark the trailer checksum of a page this process has just sealed as
     /// matched, so its first [`Page::verify`] walks only the layout. Only
-    /// the mutation engine calls this (DESIGN.md §10 "The page trailer"):
-    /// bytes it sealed are trusted while they stay in memory, and every
-    /// page read, loaded or scrubbed is still hashed.
-    pub(crate) fn trust_own_seal(self) -> Self {
+    /// the mutation engine can make the [`MutationKey`] this takes
+    /// (DESIGN.md §10 "The page trailer"): bytes it sealed are trusted
+    /// while they stay in memory, and every page read, loaded or scrubbed
+    /// is still hashed.
+    pub(crate) fn trust_own_seal(self, _: MutationKey) -> Self {
         debug_assert!(self.checksum_ok(), "page {}: not sealed", self.pid);
         self.verified.fetch_or(VERIFIED_CSUM, Ordering::Relaxed);
         self
@@ -336,7 +338,7 @@ impl SmallPageEncoder {
     /// Returns the slot number assigned.
     ///
     /// # Panics
-    /// Panics if the vertex does not fit; callers must check [`fits`].
+    /// Panics if the vertex does not fit; callers must check [`Self::fits`].
     pub fn push_vertex(&mut self, vid: u64, adj: &[RecordId]) -> u32 {
         let id = self.cfg.id;
         self.push_record(vid, adj.len(), |packed| encode_rids(packed, adj, id))
@@ -606,7 +608,7 @@ impl<'a> PageView<'a> {
 /// Large-Page chunk — as a run of packed record IDs. The slot bound, the
 /// record offset, `ADJLIST_SZ` and the `(p, q)` widths were taken once,
 /// when the run was cut out of the page; each entry is then one
-/// fixed-width load ([`decode_rid`]).
+/// fixed-width load (`decode_rid`).
 #[derive(Debug, Clone)]
 pub struct AdjRun<'a> {
     /// From the next entry to [`LOAD_BYTES`] past the last one.

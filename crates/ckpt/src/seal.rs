@@ -5,8 +5,9 @@
 //! [`Snapshot`](crate::Snapshot) seals a whole file, a
 //! [`SealedLog`](crate::SealedLog) seals its header and each frame body.
 //! `gts-storage` hashes slotted pages — fixed-size, re-hashed by every
-//! batch that touches them — with the word-wide [`xxh64`] instead
-//! (`GTSPAGES` version 4); everything else keeps plain [`fnv1a`].
+//! batch that touches them — and a store file's page-role table with the
+//! word-wide [`xxh64`] instead (`GTSPAGES` version 5); everything else
+//! keeps plain [`fnv1a`].
 
 use crate::error::CkptError;
 

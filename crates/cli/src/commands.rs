@@ -170,7 +170,7 @@ gts fsck     --store <store file> [--wal-dir DIR] [--checkpoint-dir DIR]
 const NOTES: &str = "\
 Edge files are the binary GTSEDGES format produced by `gts generate`, or plain
 text 'src dst' lines. Store files are the GTSPAGES slotted-page format of the
-paper's Section 2, version 4 (an older file is refused: rebuild it).
+paper's Section 2, version 5 (an older file is refused: rebuild it).
 `--trace-out` writes a chrome://tracing / Perfetto JSON timeline of the run
 (the paper's Fig. 4 pipeline). `--host-threads` sets the real threads used for
 kernel execution on this machine (default: all cores); results, traces and

@@ -62,19 +62,7 @@ impl<'s> QueryEngine<'s> {
     /// then the delta pages mutations spilled or grew it into (a spilled
     /// vertex's home record is empty, DESIGN.md §12).
     fn pages_of(&self, v: u64) -> Vec<u64> {
-        let rid = self.store.rid_of_vertex(v);
-        let mut pids: Vec<u64> = match self.store.view(rid.pid).kind() {
-            PageKind::Small => vec![rid.pid],
-            PageKind::Large => {
-                let range = self
-                    .store
-                    .rvt()
-                    .entry(rid.pid)
-                    .lp_range
-                    .expect("LP has range");
-                (rid.pid..=rid.pid + range as u64).collect()
-            }
-        };
+        let mut pids: Vec<u64> = self.store.run_pids(self.store.pid_of_vertex(v)).collect();
         pids.extend_from_slice(self.store.delta_pids_of(v));
         pids
     }

@@ -83,12 +83,9 @@ impl SweepPlan {
     /// so without this widening a mutated vertex's overflow edges would
     /// never be streamed.
     ///
-    /// Fails with [`EngineError::CorruptRvt`] if a Large Page's RVT entry
-    /// is missing its `LP_RANGE` (the tuple the paper's Fig. 12 stores as
-    /// −1 only for Small Pages) — a store corruption the engine surfaces
-    /// instead of panicking — and with [`EngineError::Storage`] when a
-    /// marked pid is out of range (`ContinueWith` lists are
-    /// program-supplied, so they are validated, not trusted).
+    /// Fails with [`EngineError::Storage`] when a marked pid is out of
+    /// range (`ContinueWith` lists are program-supplied, so they are
+    /// validated, not trusted).
     pub fn from_marked(
         store: &GraphStore,
         marked: impl IntoIterator<Item = u64>,
@@ -98,14 +95,7 @@ impl SweepPlan {
         for pid in marked {
             match store.try_view(pid)?.kind() {
                 PageKind::Small => sps.push(pid),
-                PageKind::Large => {
-                    let range = store
-                        .rvt()
-                        .entry(pid)
-                        .lp_range
-                        .ok_or(EngineError::CorruptRvt { pid })?;
-                    lps.extend(pid..=pid + range as u64);
-                }
+                PageKind::Large => lps.extend(store.run_pids(pid)),
             }
             lps.extend(store.delta_pids_for_page(pid));
         }
@@ -214,8 +204,8 @@ mod tests {
         let first = lps[0];
         // Marking only the first chunk must pull in the entire run...
         let plan = SweepPlan::from_marked(&store, [first]).unwrap();
-        let run_len = store.rvt().entry(first).lp_range.unwrap() as usize + 1;
-        let want: Vec<u64> = (first..first + run_len as u64).collect();
+        // The hub is the star's one Large vertex.
+        let want = lps.to_vec();
         assert_eq!(plan.lp_pids(), want.as_slice());
         assert!(plan.sp_pids().is_empty());
         // ...and marking several chunks of the same run must not duplicate.

@@ -18,6 +18,34 @@ use crate::rvt::{Rvt, RvtEntry};
 use gts_graph::{Csr, EdgeList};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::RangeInclusive;
+
+/// A page's place in its vertex's layout, fixed when the page is made and
+/// recorded as one byte per page, its discriminant, in the store file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PageRole {
+    /// A Small Page.
+    Small,
+    /// The first chunk of a Large vertex's home run.
+    Head,
+    /// A later chunk of the run before it.
+    Chunk,
+    /// A page a mutation batch appended for its vertex.
+    Delta,
+}
+
+impl PageRole {
+    /// Every role, indexed by its byte.
+    pub(crate) const ALL: [PageRole; 4] = [Self::Small, Self::Head, Self::Chunk, Self::Delta];
+
+    /// The kind of page this role is.
+    pub(crate) fn kind(self) -> PageKind {
+        match self {
+            Self::Small => PageKind::Small,
+            Self::Head | Self::Chunk | Self::Delta => PageKind::Large,
+        }
+    }
+}
 
 /// Reasons a graph cannot be represented under a given format config.
 ///
@@ -222,10 +250,31 @@ impl GraphStore {
         &self.rvt
     }
 
-    /// Mutable access to the RVT, for tests that inject corruption (a
-    /// truncated entry) to exercise the engine's error path.
-    pub fn rvt_mut(&mut self) -> &mut Rvt {
-        &mut self.rvt
+    /// The pages of `pid`'s run from `pid` to its end: `pid` and the later
+    /// chunks after it for a chunk of a Large home run, `pid` alone for a
+    /// Small Page or a delta page. A record ID names a run by its first
+    /// chunk, so for that chunk this is the whole run.
+    pub fn run_pids(&self, pid: u64) -> RangeInclusive<u64> {
+        pid..=pid + self.rvt.entry(pid).lp_range.map_or(0, u64::from)
+    }
+
+    /// Each page's role, by page ID, from the store's own bookkeeping (the
+    /// kind lists, each vertex's home and the delta-page table), never
+    /// from page bytes: what [`crate::file::save_store`] records.
+    pub(crate) fn page_roles(&self) -> Vec<PageRole> {
+        let mut roles = vec![PageRole::Small; self.num_pages() as usize];
+        for &pid in &self.large_pids {
+            let home = self.vertex_rid[self.rvt.entry(pid).start_vid as usize].pid;
+            roles[pid as usize] = if home == pid {
+                PageRole::Head
+            } else {
+                PageRole::Chunk
+            };
+        }
+        for &pid in self.delta_pages.values().flatten() {
+            roles[pid as usize] = PageRole::Delta;
+        }
+        roles
     }
 
     /// Page IDs of all Small Pages, ascending (Table 3's #SP).
@@ -283,12 +332,6 @@ impl GraphStore {
         self.delta_pages.get(&vid).map_or(&[], |v| v.as_slice())
     }
 
-    /// True if any vertex has delta pages (the store has grown beyond
-    /// in-place rewrites).
-    pub fn has_delta_pages(&self) -> bool {
-        !self.delta_pages.is_empty()
-    }
-
     /// Delta pages of every vertex resident in page `pid`. The planner
     /// widens a marked home page by these: an inbound record ID always
     /// names the *home* page, so a sweep that re-activates a vertex must
@@ -298,21 +341,13 @@ impl GraphStore {
             return Vec::new();
         }
         let view = self.view(pid);
-        let (lo, hi) = match view.kind() {
-            PageKind::Small => {
-                let s = self.rvt.entry(pid).start_vid;
-                (s, s + (view.count() as u64).saturating_sub(1))
-            }
-            PageKind::Large => {
-                let v = view.lp_vid();
-                (v, v)
-            }
+        let lo = self.rvt.entry(pid).start_vid;
+        let hi = match view.kind() {
+            PageKind::Small => lo + (view.count() as u64).saturating_sub(1),
+            PageKind::Large => lo,
         };
-        let mut out = Vec::new();
-        for (_, pids) in self.delta_pages.range(lo..=hi) {
-            out.extend_from_slice(pids);
-        }
-        out
+        let deltas = self.delta_pages.range(lo..=hi).flat_map(|(_, pids)| pids);
+        deltas.copied().collect()
     }
 
     /// Checked [`Self::page`]: an out-of-range page ID becomes a typed
@@ -364,33 +399,32 @@ impl GraphStore {
         out
     }
 
-    /// Reassemble a store from raw pages (e.g. read back from disk by
-    /// [`crate::file`]). All metadata — the RVT, vertex placements, page
-    /// kind lists and per-page edge counts — is reconstructed by scanning
-    /// the pages, which doubles as an integrity check: pages come from
-    /// untrusted bytes, so every structural and semantic violation
-    /// (out-of-bounds offsets, non-consecutive Small-Page VIDs, dangling
-    /// record IDs, missing vertices) surfaces as an error, never a panic.
+    /// Reassemble a store from raw pages and their recorded roles, as
+    /// [`crate::file::load_store`] read them, each page labelled with the
+    /// kind its role names (so its verify refuses a kind byte that says
+    /// otherwise): the RVT, vertex placements, kind lists, delta-page table
+    /// and per-page edge counts are rebuilt from them. Pages and roles are
+    /// untrusted bytes, so every violation (a bad layout, non-consecutive
+    /// Small-Page VIDs, a role the pages before it contradict, a dangling
+    /// record ID, a missing vertex) is an error, never a panic.
     ///
-    /// One walk, in page-ID order, verifies each page (trailer checksum
-    /// and layout; a page [`crate::file::load_store`] verified as it read
-    /// it costs one load) and places its vertices, recording the page's
-    /// slot bound: its `count` for a Small Page, 1 for the first chunk of
-    /// a home run, and 0 for every later chunk and every delta page. The
-    /// same walk decodes every record ID once, keeping per target page
-    /// the highest slot named plus one, and noting any target past the
-    /// last page. One loop over the pages then compares that table with
-    /// the slot bounds. Only when it finds a record ID the bounds refuse
-    /// does `check_record_ids` walk the adjacency again, to name the
-    /// first one in page order, so the error reads as it always has. So
-    /// every record ID of a loaded store is the one
+    /// One walk in page-ID order verifies each page (one load for a page
+    /// `load_store` verified), places it by its role, records its slot
+    /// bound — its `count` for a Small Page, 1 for a run head, 0 for a
+    /// later chunk or a delta page — and keeps per target page the
+    /// highest slot a record ID names plus one. One loop then compares
+    /// the two tables; only a store it refuses is walked again by
+    /// `check_record_ids`, to name the first bad record ID in page order.
+    /// So every record ID of a loaded store is the one
     /// [`GraphStore::rid_of_vertex`] gives its target, which is what lets
     /// a delete match an edge by its packed bytes.
-    pub fn reconstruct(
+    pub(crate) fn reconstruct(
         cfg: PageFormatConfig,
         pages: Vec<Page>,
+        roles: &[PageRole],
         num_vertices: u64,
     ) -> Result<GraphStore, String> {
+        debug_assert_eq!(roles.len(), pages.len());
         // The vertex table is allocated from the caller-supplied count;
         // bound it by what the pages could possibly hold so corrupt
         // metadata cannot trigger a huge allocation.
@@ -427,87 +461,78 @@ impl GraphStore {
         };
 
         // Verify each page — after which its PageView accessors cannot go
-        // out of bounds, and every later view is one load — and read its
-        // kind, edges, vertex placements, slot bound and record IDs, plus
-        // the Large-Page run structure (consecutive chunks of one vertex).
-        let mut i = 0usize;
-        while i < pages.len() {
-            let pid = i as u64;
-            let view = pages[i].verify(cfg)?.view();
-            match view.kind() {
-                PageKind::Small => {
-                    let count = view.count();
-                    if count == 0 {
-                        return Err(format!("empty small page {pid}"));
-                    }
-                    let start_vid = view.sp_vid(0);
-                    let mut edges = 0u64;
-                    for ((vid, adj), slot) in view.sp_vertices().zip(0u32..) {
-                        if vid != start_vid + slot as u64 {
-                            return Err(format!("page {pid}: non-consecutive VIDs at slot {slot}"));
-                        }
-                        if vid >= num_vertices {
-                            return Err(format!("page {pid}: vid {vid} out of range"));
-                        }
-                        if vertex_rid[vid as usize].pid != u64::MAX {
-                            return Err(format!("page {pid}: vid {vid} placed twice"));
-                        }
-                        vertex_rid[vid as usize] = RecordId::new(pid, slot);
-                        edges += adj.len() as u64;
-                        note(adj);
-                    }
-                    rvt_entries.push(RvtEntry {
-                        start_vid,
-                        lp_range: None,
-                    });
-                    small_pids.push(pid);
-                    edges_per_page.push(edges);
-                    num_edges += edges;
-                    slot_bound.push(count);
-                    i += 1;
+        // out of bounds — and place it by its role. `run` is the vertex
+        // whose run the previous page is a head or a later chunk of.
+        let mut run = None;
+        for ((page, &role), pid) in pages.iter().zip(roles).zip(0u64..) {
+            let view = page.verify(cfg)?.view();
+            if view.kind() == PageKind::Small {
+                let count = view.count();
+                if count == 0 {
+                    return Err(format!("empty small page {pid}"));
                 }
-                PageKind::Large => {
-                    let vid = view.lp_vid();
+                let start_vid = view.sp_vid(0);
+                let mut edges = 0u64;
+                for ((vid, adj), slot) in view.sp_vertices().zip(0u32..) {
+                    if vid != start_vid + slot as u64 {
+                        return Err(format!("page {pid}: non-consecutive VIDs at slot {slot}"));
+                    }
                     if vid >= num_vertices {
-                        return Err(format!("page {pid}: LP vid {vid} out of range"));
+                        return Err(format!("page {pid}: vid {vid} out of range"));
                     }
-                    // Measure the run: consecutive LPs of the same vertex.
-                    let mut chunks = 0usize;
-                    while i + chunks < pages.len() {
-                        let v = pages[i + chunks].verify(cfg)?.view();
-                        if v.kind() != PageKind::Large || v.lp_vid() != vid {
-                            break;
-                        }
-                        chunks += 1;
+                    if vertex_rid[vid as usize].pid != u64::MAX {
+                        return Err(format!("page {pid}: vid {vid} placed twice"));
                     }
-                    // A home run of a high-degree vertex, or — the vertex
-                    // already placed — delta pages appended by a mutation
-                    // batch, each standing alone (LP_RANGE 0). A record ID
-                    // names a run by its first chunk, and no inbound
-                    // record ID ever names a delta page.
-                    let home = vertex_rid[vid as usize].pid == u64::MAX;
-                    if home {
-                        vertex_rid[vid as usize] = RecordId::new(pid, 0);
-                    }
-                    for c in 0..chunks {
-                        let v = pages[i + c].verify(cfg)?.view();
-                        let edges = v.count() as u64;
-                        let lp_range = if home { chunks - 1 - c } else { 0 };
-                        rvt_entries.push(RvtEntry {
-                            start_vid: vid,
-                            lp_range: Some(lp_range as u32),
-                        });
-                        large_pids.push(pid + c as u64);
-                        edges_per_page.push(edges);
-                        num_edges += edges;
-                        if !home {
-                            delta_pages.entry(vid).or_default().push(pid + c as u64);
-                        }
-                        slot_bound.push(u32::from(home && c == 0));
-                        note(v.lp_adj_run());
-                    }
-                    i += chunks;
+                    vertex_rid[vid as usize] = RecordId::new(pid, slot);
+                    edges += adj.len() as u64;
+                    note(adj);
                 }
+                rvt_entries.push(RvtEntry {
+                    start_vid,
+                    lp_range: None,
+                });
+                small_pids.push(pid);
+                edges_per_page.push(edges);
+                num_edges += edges;
+                slot_bound.push(count);
+                run = None;
+                continue;
+            }
+            let vid = view.lp_vid();
+            if vid >= num_vertices {
+                return Err(format!("page {pid}: LP vid {vid} out of range"));
+            }
+            let placed = vertex_rid[vid as usize].pid != u64::MAX;
+            let refuse = |what: &str, why: &str| {
+                Err(format!("page {pid}: {what} of vid {vid}, which {why}"))
+            };
+            match role {
+                PageRole::Head if placed => return refuse("run head", "is already placed"),
+                PageRole::Head => vertex_rid[vid as usize] = RecordId::new(pid, 0),
+                PageRole::Chunk if run != Some(vid) => {
+                    return refuse("later chunk", "follows no run of it")
+                }
+                PageRole::Delta if !placed => return refuse("delta page", "is not yet placed"),
+                PageRole::Delta => delta_pages.entry(vid).or_default().push(pid),
+                PageRole::Chunk | PageRole::Small => {}
+            }
+            run = (role != PageRole::Delta).then_some(vid);
+            let edges = view.count() as u64;
+            // A delta page stands alone; a run's lengths are set below.
+            rvt_entries.push(RvtEntry {
+                start_vid: vid,
+                lp_range: Some(0),
+            });
+            large_pids.push(pid);
+            edges_per_page.push(edges);
+            num_edges += edges;
+            slot_bound.push(u32::from(role == PageRole::Head));
+            note(view.lp_adj_run());
+        }
+        // A later chunk lengthens the run of the page before it by one.
+        for pid in (1..rvt_entries.len()).rev() {
+            if roles[pid] == PageRole::Chunk {
+                rvt_entries[pid - 1].lp_range = rvt_entries[pid].lp_range.map(|r| r + 1);
             }
         }
         for (v, rid) in vertex_rid.iter().enumerate() {

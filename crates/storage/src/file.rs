@@ -1,20 +1,21 @@
 //! On-disk persistence of slotted-page stores.
 //!
 //! The paper keeps graphs "in PCI-E SSDs" as files of slotted pages
-//! (Sec. 1); this module provides that durable form. The format is
-//! deliberately minimal — a fixed header followed by the raw page images —
-//! because everything else (RVT, vertex placements, page kinds, edge
-//! counts) is reconstructible by scanning the pages
-//! ([`GraphStore::reconstruct`]), which also serves as a load-time
-//! integrity check. [`load_store`] touches each page's bytes while they
-//! are hot: it reads the pages in batches of about 1 MiB, each straight
-//! into its own buffer with one vectored read, and verifies every page
-//! (trailer checksum, layout) as it arrives. Reconstruct then makes one
-//! walk over the pages that places their vertices, records how many
-//! slots a record ID may name in each page, and notes the highest slot
-//! each record ID names per target page; one loop compares the two
-//! tables. Only a file they refuse is walked again, record ID by record
-//! ID, to name the first bad one in page order.
+//! (Sec. 1); this module provides that durable form: a fixed header, one
+//! role byte per page and their checksum, then the raw page images.
+//! Everything else (RVT, vertex placements, kind lists, delta pages, edge
+//! counts) is rebuilt at load from the pages placed by their roles, which
+//! doubles as an integrity check. [`load_store`] reads the pages in
+//! batches of about 1 MiB, each straight into its own buffer with one
+//! vectored read, and verifies each as it arrives, while its bytes are
+//! hot.
+//!
+//! **Page roles.** A page is a Small Page, the head of a Large vertex's
+//! home run, a later chunk of the run before it, or a delta page. The
+//! role is fixed when the page is made, and [`save_store`] writes it from
+//! the store's bookkeeping, never from page bytes, so a reloaded store
+//! has the saved one's runs and delta pages (DESIGN.md §12). A role table
+//! the pages contradict is refused (`BadHeader`).
 //!
 //! **Canonical record IDs.** A record ID may name a Small Page's slot,
 //! or slot 0 of the *first* chunk of a Large vertex's home run — exactly
@@ -26,43 +27,46 @@
 //! of a loaded store is therefore canonical, which is what lets a
 //! mutation delete find an edge by comparing packed bytes.
 //!
-//! **Delta pages after a tail run.** Nothing in the file marks a page as
-//! a delta page: reconstruct takes a run of Large pages for delta pages
-//! when their vertex is already placed. The delta pages first appended
-//! for the vertex of the last base Large run follow that run directly,
-//! so a reload reads them as more chunks of it — the edges, record IDs
-//! and per-page edge counts are kept, the delta bookkeeping is not
-//! (DESIGN.md §12, "A gap in GTSPAGES 4").
-//!
 //! ```text
 //! offset  size  field
 //! 0       8     magic "GTSPAGES"
-//! 8       4     format version (LE u32, currently 4: XXH64 page trailers)
+//! 8       4     format version (LE u32, currently 5: recorded page roles)
 //! 12      4     page size in bytes (LE u32)
 //! 16      1     p (page-id bytes)
 //! 17      1     q (slot bytes)
 //! 18      6     reserved (zero)
 //! 24      8     number of vertices (LE u64)
-//! 32      8     number of pages (LE u64)
-//! 40      ...   page images, page_size bytes each
+//! 32      8     number of pages n (LE u64)
+//! 40      n     page roles, one byte per page: 0 Small Page, 1 run head,
+//!               2 later chunk, 3 delta page
+//! 40+n    8     role checksum (LE u64, XXH64 of the n role bytes)
+//! 48+n    ...   page images, page_size bytes each
 //! ```
 
-use crate::builder::GraphStore;
-use crate::format::{PageFormatConfig, PageKind, PhysicalIdConfig};
+use crate::builder::{GraphStore, PageRole};
+use crate::format::{PageFormatConfig, PhysicalIdConfig};
 use crate::page::Page;
 use std::fs::File;
 use std::io::{self, IoSliceMut, Read};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"GTSPAGES";
-/// Version 4 page trailers are XXH64; version 3's are lane-parallel
-/// FNV-1a, version 2's plain FNV-1a, version 1 has none. Every older
-/// version is rejected as unsupported: rebuild.
-const VERSION: u32 = 4;
+/// Version 5 records each page's role. Version 4 has the same XXH64 page
+/// trailers but no roles; version 3's trailers are lane-parallel FNV-1a,
+/// version 2's plain FNV-1a, version 1 has none. Every older version is
+/// rejected as unsupported: rebuild.
+const VERSION: u32 = 5;
 const HEADER_BYTES: usize = 40;
+/// The role table's checksum, after its one byte per page.
+const ROLE_SUM_BYTES: usize = 8;
 /// Page bytes [`load_store`] reads per batch: each page straight into
 /// its own buffer, then verified while it is in cache.
 const BATCH_BYTES: usize = 1 << 20;
+
+/// Refuse the file as corrupt or foreign.
+fn bad<T>(why: impl Into<String>) -> Result<T, FileError> {
+    Err(FileError::BadHeader(why.into()))
+}
 
 /// Decode a little-endian `u32` at `at` without `unwrap` (the caller
 /// guarantees `buf` holds at least `at + 4` bytes).
@@ -111,7 +115,9 @@ impl From<io::Error> for FileError {
 /// leaves the old file or the new one, never a mixture.
 pub fn save_store(store: &GraphStore, path: impl AsRef<Path>) -> Result<(), FileError> {
     let cfg = store.cfg();
-    let len = HEADER_BYTES as u64 + store.num_pages() * cfg.page_size as u64;
+    let roles: Vec<u8> = store.page_roles().into_iter().map(|r| r as u8).collect();
+    let len = (HEADER_BYTES + roles.len() + ROLE_SUM_BYTES) as u64
+        + store.num_pages() * cfg.page_size as u64;
     let kill = gts_ckpt::KillSwitch::never();
     gts_ckpt::replace_streamed(&kill, path.as_ref(), len, |w| {
         w.write_all(MAGIC)?;
@@ -120,6 +126,8 @@ pub fn save_store(store: &GraphStore, path: impl AsRef<Path>) -> Result<(), File
         w.write_all(&[cfg.id.p, cfg.id.q, 0, 0, 0, 0, 0, 0])?;
         w.write_all(&store.num_vertices().to_le_bytes())?;
         w.write_all(&store.num_pages().to_le_bytes())?;
+        w.write_all(&roles)?;
+        w.write_all(&gts_ckpt::xxh64(&roles).to_le_bytes())?;
         for page in store.pages() {
             w.write_all(&page.data)?;
         }
@@ -128,7 +136,8 @@ pub fn save_store(store: &GraphStore, path: impl AsRef<Path>) -> Result<(), File
     .map_err(|e| FileError::Io(io::Error::other(e)))
 }
 
-/// Read a store from `path`, reconstructing all metadata from the pages.
+/// Read a store from `path`, rebuilding all metadata from the pages and
+/// their recorded roles.
 pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
     let mut file = File::open(path)?;
     let file_len = file.metadata()?.len();
@@ -138,18 +147,18 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
         _ => FileError::Io(e),
     })?;
     if &header[0..8] != MAGIC {
-        return Err(FileError::BadHeader("wrong magic".into()));
+        return bad("wrong magic");
     }
     let version = le_u32(&header, 8);
     if version != VERSION {
-        return Err(FileError::BadHeader(format!(
+        return bad(format!(
             "unsupported version {version} (expected {VERSION})"
-        )));
+        ));
     }
     let page_size = le_u32(&header, 12) as usize;
     let (p, q) = (header[16], header[17]);
     if !(1..=8).contains(&p) || !(1..=8).contains(&q) {
-        return Err(FileError::BadHeader(format!("bad id widths ({p},{q})")));
+        return bad(format!("bad id widths ({p},{q})"));
     }
     let num_vertices = le_u64(&header, 24);
     let num_pages = le_u64(&header, 32);
@@ -158,25 +167,44 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
     // a corrupt or foreign file.
     let id = PhysicalIdConfig::new(p, q);
     if !(64..=(1 << 30)).contains(&page_size) || page_size as u64 > id.max_page_size() {
-        return Err(FileError::BadHeader(format!(
-            "implausible page size {page_size} for {id}"
-        )));
+        return bad(format!("implausible page size {page_size} for {id}"));
     }
     let cfg = PageFormatConfig::new(id, page_size);
     // Bound the untrusted counts before allocating anything: the page
-    // count must match what the file can actually hold, and the vertex
-    // count must be addressable by the format (reconstruct allocates a
-    // per-vertex table from it).
+    // count must match what the file can actually hold (each page's image
+    // and role byte, plus the role checksum), and the vertex count must be
+    // addressable by the format (reconstruct allocates a per-vertex table
+    // from it).
     let payload = file_len.saturating_sub(HEADER_BYTES as u64);
-    if num_pages.checked_mul(page_size as u64) != Some(payload) {
-        return Err(FileError::BadHeader(format!(
+    let holds = num_pages
+        .checked_mul(page_size as u64 + 1)
+        .and_then(|b| b.checked_add(ROLE_SUM_BYTES as u64));
+    if holds != Some(payload) {
+        return bad(format!(
             "header claims {num_pages} pages of {page_size} B but the file holds {payload} payload bytes"
-        )));
+        ));
     }
     if num_vertices > id.max_page_id().saturating_mul(id.max_slot()) {
-        return Err(FileError::BadHeader(format!(
+        return bad(format!(
             "header claims {num_vertices} vertices, beyond what {id} can address"
-        )));
+        ));
+    }
+
+    let mut table = vec![0u8; num_pages as usize + ROLE_SUM_BYTES];
+    file.read_exact(&mut table)?;
+    let (role_bytes, sum) = table.split_at(num_pages as usize);
+    let (stored, computed) = (le_u64(sum, 0), gts_ckpt::xxh64(role_bytes));
+    if stored != computed {
+        return bad(format!(
+            "role table checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
+        ));
+    }
+    let mut roles = Vec::with_capacity(num_pages as usize);
+    for (&byte, pid) in role_bytes.iter().zip(0u64..) {
+        let Some(&role) = PageRole::ALL.get(byte as usize) else {
+            return bad(format!("page {pid}: unknown role byte {byte}"));
+        };
+        roles.push(role);
     }
 
     let mut pages = Vec::with_capacity(num_pages as usize);
@@ -188,18 +216,16 @@ pub fn load_store(path: impl AsRef<Path>) -> Result<GraphStore, FileError> {
         batch.extend((0..len).map(|_| vec![0u8; page_size].into_boxed_slice()));
         read_batch(&mut file, &mut batch, first)?;
         for (pid, data) in (first..).zip(batch.drain(..)) {
-            let kind = PageKind::from_byte(data[0]).ok_or_else(|| {
-                FileError::BadHeader(format!("page {pid}: unknown kind byte {}", data[0]))
-            })?;
-            let page = Page::new(pid, kind, data);
-            // Verified while its bytes are still in cache: reconstruct's
-            // own verify of it is then one load.
+            let page = Page::new(pid, roles[pid as usize].kind(), data);
+            // Verified while its bytes are still in cache, which refuses a
+            // kind byte its role contradicts: reconstruct's own verify of
+            // it is then one load.
             page.verify(cfg).map_err(FileError::BadHeader)?;
             pages.push(page);
         }
     }
     drop(file);
-    GraphStore::reconstruct(cfg, pages, num_vertices).map_err(FileError::BadHeader)
+    GraphStore::reconstruct(cfg, pages, &roles, num_vertices).map_err(FileError::BadHeader)
 }
 
 /// Fill every page buffer of `batch`, whose first page is `first`, with
@@ -217,7 +243,7 @@ fn read_batch(file: &mut File, batch: &mut [Box<[u8]>], first: u64) -> Result<()
         match file.read_vectored(rest) {
             Ok(0) => {
                 let pid = first + (filled / page_size) as u64;
-                return Err(FileError::BadHeader(format!("truncated at page {pid}")));
+                return bad(format!("truncated at page {pid}"));
             }
             Ok(n) => {
                 filled += n;
@@ -313,12 +339,13 @@ mod tests {
         assert!(matches!(err, FileError::BadHeader(_)));
     }
 
-    /// Versions 2 and 3 differ from 4 only in the page trailer's
-    /// function: both are refused, and the file is left as it was.
+    /// Versions 2 and 3 differ from 4 in the page trailer's function, and
+    /// version 4 from 5 in recording no page roles: each is refused, and
+    /// the file is left as it was.
     #[test]
     fn rejects_a_version_2_file_and_leaves_it_untouched() {
         let store = build_graph_store(&rmat(7), PageFormatConfig::small_default()).unwrap();
-        for version in [2u32, 3] {
+        for version in [2u32, 3, 4] {
             let path = tmp(&format!("v{version}"));
             save_store(&store, &path).unwrap();
             let mut bytes = std::fs::read(&path).unwrap();
@@ -329,7 +356,7 @@ mod tests {
             std::fs::remove_file(&path).ok();
             assert_eq!(
                 err.to_string(),
-                format!("bad store file: unsupported version {version} (expected 4)")
+                format!("bad store file: unsupported version {version} (expected 5)")
             );
             assert_eq!(after, bytes);
         }
@@ -371,15 +398,10 @@ mod tests {
         assert!(matches!(err, FileError::BadHeader(_)), "{err}");
     }
 
-    /// GTSPAGES 4 has no bit that tells a delta page from one more chunk
-    /// of the Large run before it (module docs). Vertex 300's six chunks
-    /// (pages 18-23) are the last base run, so the delta page a batch
-    /// appends for it (page 24) follows the run directly, and a reload
-    /// reads it as a seventh chunk. What the reload keeps is what a query
-    /// reads: the edges, every vertex's record ID and the edges per page,
-    /// also after a further batch.
-    #[test]
-    fn a_tail_large_run_reloads_its_delta_page_as_a_chunk_and_keeps_its_edges() {
+    /// Vertex 300's six chunks (pages 18-23) are the last base run, so
+    /// the delta page a batch appends for it (page 24) follows the run
+    /// directly; 301 vertices in 256 B pages.
+    fn tail_run_store() -> GraphStore {
         let cfg = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 256);
         let graph = EdgeList::new(301, (0..300).map(|d| (300, d)).collect());
         let mut store = build_graph_store(&graph, cfg).unwrap();
@@ -390,16 +412,27 @@ mod tests {
         }
         store.apply_mutations(&batch).unwrap();
         assert_eq!(store.delta_pids_of(300), [24]);
+        store
+    }
+
+    /// The recorded role keeps the delta page that follows the last base
+    /// run a delta page: the reload has the saved store's run lengths and
+    /// delta pages, and the same edges, record IDs and edges per page,
+    /// also after a further batch.
+    #[test]
+    fn a_tail_large_runs_delta_page_reloads_as_a_delta_page_and_keeps_its_edges() {
+        let mut store = tail_run_store();
         let path = tmp("tail-run");
         save_store(&store, &path).unwrap();
         let mut loaded = load_store(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        // The gap: no delta page, and a run one chunk longer.
-        assert_eq!(loaded.delta_pids_of(300), [0u64; 0]);
-        for pid in 18..25 {
-            assert_eq!(loaded.rvt().entry(pid).lp_range, Some(24 - pid as u32));
+        assert_eq!(loaded.delta_pids_of(300), [24]);
+        for pid in 18..24 {
+            assert_eq!(loaded.rvt().entry(pid).lp_range, Some(23 - pid as u32));
         }
+        assert_eq!(loaded.rvt().entry(24).lp_range, Some(0));
+        assert_eq!(loaded.rvt(), store.rvt());
         let same = |a: &GraphStore, b: &GraphStore| {
             assert_eq!(a.decode_edges(), b.decode_edges());
             for v in 0..a.num_vertices() {
@@ -416,6 +449,79 @@ mod tests {
         store.apply_mutations(&more).unwrap();
         loaded.apply_mutations(&more).unwrap();
         same(&loaded, &store);
+        assert_eq!(loaded.delta_pids_of(300), store.delta_pids_of(300));
+    }
+
+    /// The load's refusal of [`tail_run_store`]'s file once `edit` has
+    /// changed its role table, the role bytes and then their checksum
+    /// (and, if `reseal`, the checksum has been set to match the roles).
+    fn refusal_with_roles(name: &str, reseal: bool, edit: impl FnOnce(&mut [u8])) -> String {
+        let store = tail_run_store();
+        let path = tmp(name);
+        save_store(&store, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let n = store.num_pages() as usize;
+        let table = &mut bytes[HEADER_BYTES..][..n + ROLE_SUM_BYTES];
+        edit(table);
+        if reseal {
+            let sum = gts_ckpt::xxh64(&table[..n]).to_le_bytes();
+            table[n..].copy_from_slice(&sum);
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let got = load_store(&path);
+        std::fs::remove_file(&path).ok();
+        match got {
+            Err(e @ FileError::BadHeader(_)) => e.to_string(),
+            other => panic!("expected BadHeader, got {:?}", other.map(|_| "a store")),
+        }
+    }
+
+    /// A flipped role byte, or a flipped byte of the role checksum, no
+    /// longer matches the checksum.
+    #[test]
+    fn a_flipped_role_or_role_checksum_byte_is_refused() {
+        // Page 24 is the last page; byte 25 the checksum's first.
+        for at in [24, 25] {
+            let got = refusal_with_roles(&format!("flip-{at}"), false, |t| t[at] ^= 1);
+            assert!(
+                got.starts_with("bad store file: role table checksum mismatch (stored "),
+                "{got}"
+            );
+        }
+    }
+
+    /// A resealed role table that contradicts the pages is refused, each
+    /// inconsistency with its own message: an unknown role byte; a role
+    /// the page's kind byte contradicts, by the page's own verify (a page
+    /// is labelled with its role's kind); a later chunk that follows no
+    /// run of its vertex; a head of a placed vertex; a delta page of a
+    /// vertex not yet placed.
+    #[test]
+    fn a_resealed_inconsistent_role_table_is_refused() {
+        let cases: [(usize, u8, &str); 6] = [
+            (3, 4, "page 3: unknown role byte 4"),
+            (0, 1, "page 0: Small by its header, labelled Large"),
+            (18, 0, "page 18: Large by its header, labelled Small"),
+            (
+                18,
+                2,
+                "page 18: later chunk of vid 300, which follows no run of it",
+            ),
+            (
+                19,
+                1,
+                "page 19: run head of vid 300, which is already placed",
+            ),
+            (
+                18,
+                3,
+                "page 18: delta page of vid 300, which is not yet placed",
+            ),
+        ];
+        for (pid, role, want) in cases {
+            let got = refusal_with_roles(&format!("roles-{pid}-{role}"), true, |r| r[pid] = role);
+            assert_eq!(got, format!("bad store file: {want}"));
+        }
     }
 
     #[test]

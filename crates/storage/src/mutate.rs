@@ -46,7 +46,7 @@
 //! whose packed bytes are its target's record ID, which is exact because
 //! every stored record ID is the canonical one (the builder and this
 //! module write only [`GraphStore::rid_of_vertex`], and
-//! [`GraphStore::reconstruct`] refuses any other at load).
+//! [`crate::file::load_store`] refuses any other).
 //!
 //! **Bytes on first read.** A changed page is built on its first read
 //! ([`GraphStore::page`], so every view, `save_store`, scrub and fsck): a
@@ -408,8 +408,7 @@ impl GraphStore {
         let home = self.vertex_rid[vid as usize];
         let mut pids = Vec::new();
         if self.pages.get(KEY)[home.pid as usize].kind == PageKind::Large {
-            let run = self.rvt.entry(home.pid).lp_range.unwrap_or(0) as u64;
-            pids.extend(home.pid..=home.pid + run);
+            pids.extend(self.run_pids(home.pid));
         }
         pids.extend_from_slice(self.delta_pids_of(vid));
         pids
@@ -621,7 +620,7 @@ impl GraphStore {
             self.pages
                 .get_mut(KEY)
                 .push(Page::new(pid, PageKind::Large, Box::default()));
-            self.rvt.push_entry(RvtEntry {
+            self.rvt.entries.push(RvtEntry {
                 start_vid: vid,
                 lp_range: Some(0),
             });
@@ -868,7 +867,6 @@ mod tests {
             !out.new_pids.is_empty(),
             "the page was full: something must spill"
         );
-        assert!(store.has_delta_pages());
         let mut want: Vec<(u64, u64)> = edges.iter().map(|&(s, d)| (s as u64, d as u64)).collect();
         want.push((5, 0));
         want.push((5, 1));
@@ -966,10 +964,11 @@ mod tests {
         let mut b = MutationBatch::new();
         b.insert(5, 0).insert(5, 1).insert(6, 2);
         store.apply_mutations(&b).unwrap();
-        assert!(store.has_delta_pages());
+        assert!(!store.delta_pids_of(5).is_empty());
         let rebuilt = GraphStore::reconstruct(
             cfg(),
             store.pages().into_iter().cloned().collect(),
+            &store.page_roles(),
             store.num_vertices(),
         )
         .expect("reconstruct");

@@ -24,7 +24,9 @@ pub struct RvtEntry {
 /// each GPU's device memory by the engine).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Rvt {
-    entries: Vec<RvtEntry>,
+    /// Indexed by page ID; the mutation engine appends each new delta
+    /// page's entry in page-ID order.
+    pub(crate) entries: Vec<RvtEntry>,
 }
 
 impl Rvt {
@@ -33,35 +35,10 @@ impl Rvt {
         Rvt { entries }
     }
 
-    /// Number of pages covered.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The entry for `pid`.
     #[inline]
     pub fn entry(&self, pid: u64) -> RvtEntry {
         self.entries[pid as usize]
-    }
-
-    /// Overwrite the entry for `pid`. The builder always produces a
-    /// consistent table; this exists so tests can inject corruption
-    /// (e.g. a Large Page stripped of its `LP_RANGE`) and assert the
-    /// engine surfaces it as a typed error instead of panicking.
-    pub fn set_entry(&mut self, pid: u64, entry: RvtEntry) {
-        self.entries[pid as usize] = entry;
-    }
-
-    /// Append the entry for a newly allocated page. Mutation batches use
-    /// this when they grow the store with delta pages; the table stays
-    /// indexed by page ID, so entries must be pushed in pid order.
-    pub fn push_entry(&mut self, entry: RvtEntry) {
-        self.entries.push(entry);
     }
 
     /// Translate a record ID to its vertex ID:
@@ -113,8 +90,6 @@ mod tests {
             start_vid: 7,
             lp_range: None,
         }]);
-        assert_eq!(rvt.len(), 1);
-        assert!(!rvt.is_empty());
         assert_eq!(rvt.entry(0).start_vid, 7);
         assert!(rvt.memory_bytes() > 0);
     }

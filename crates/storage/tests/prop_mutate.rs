@@ -3,7 +3,8 @@
 //! delete-to-empty and page-full cases all occur) and any sequence of
 //! valid batches, every Small Page is *canonical* after every batch — the
 //! bytes a whole-page decode + `push_vertex` + `finish` would produce —
-//! verifies from scratch, and holds exactly the model's adjacency lists.
+//! verifies from scratch, and holds exactly the model's adjacency lists;
+//! and a store saved after any such history loads back equal.
 
 use gts_graph::EdgeList;
 use gts_storage::page::SmallPageEncoder;
@@ -38,15 +39,33 @@ fn arb_run() -> impl Strategy<Value = RunSeed> {
             Just(n),
             // A third of the seed edges leave one of three hub vertices.
             proptest::collection::vec((0..3 * n, 0..n), 0..500).prop_map(move |edges| {
-                let src = |s: u32| if s < n { s } else { s % 3 };
+                let src = |s: u32| {
+                    if s < n {
+                        s
+                    } else {
+                        hub(n.into(), s.into()) as u32
+                    }
+                };
                 edges.into_iter().map(|(s, d)| (src(s), d)).collect()
             }),
+            // A quarter of the batches insert only out of the last vertex.
             proptest::collection::vec(
-                proptest::collection::vec((0u64..6, 0u64..10_000, 0u64..10_000), 1..48),
+                prop_oneof![Just(0u64..6), Just(0u64..6), Just(0u64..6), Just(3u64..4)]
+                    .prop_flat_map(|kinds| {
+                        proptest::collection::vec((kinds, 0u64..10_000, 0u64..10_000), 1..48)
+                    }),
                 1..8,
             ),
         )
     })
+}
+
+/// Hub `h % 3` of `n` vertices: the first two and the last. The last
+/// base page is then often a chunk of the last vertex's Large run, and a
+/// batch that inserts only out of that vertex appends a delta page right
+/// after it.
+fn hub(n: u64, h: u64) -> u64 {
+    [0, 1, n - 1][(h % 3) as usize]
 }
 
 /// Per-vertex destination lists in stored order: what a delete's "first
@@ -75,8 +94,9 @@ fn realize_batch(model: &mut Model, seeds: &[(u64, u64, u64)]) -> MutationBatch 
     let n = model.len() as u64;
     let mut b = MutationBatch::new();
     for &(kind, a, c) in seeds {
-        // 0..=2 insert anywhere, 3 insert at a hub, 4..=5 delete.
-        let src = if kind == 3 { a % 3 } else { a % n };
+        // 0..=2 insert anywhere, 3 insert out of the last vertex, 4..=5
+        // delete.
+        let src = if kind == 3 { n - 1 } else { a % n };
         if kind < 4 {
             b.insert(src, c % n);
             model[src as usize].push(c % n);
@@ -205,5 +225,66 @@ proptest! {
             prop_assert_eq!(saved(&lazy, "lazy"), saved(store, name), "{}: saved file", name);
         }
         assert_canonical(&lazy, &model)?;
+    }
+}
+
+/// `store` saved and loaded back.
+fn reloaded(store: &GraphStore) -> GraphStore {
+    let path = std::env::temp_dir().join(format!("gts-prop-reload-{}", std::process::id()));
+    gts_storage::save_store(store, &path).unwrap();
+    let loaded = gts_storage::load_store(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    loaded
+}
+
+/// `loaded` equals `store` in every page, the RVT, the kind lists, every
+/// vertex's record ID and delta pages, every page's edge count and the
+/// edge count; its epoch, a session counter, starts again at 0.
+fn assert_equal_reload(store: &GraphStore, loaded: &GraphStore) -> Result<(), TestCaseError> {
+    prop_assert_eq!(loaded.pages(), store.pages());
+    prop_assert_eq!(loaded.rvt(), store.rvt());
+    prop_assert_eq!(loaded.small_pids(), store.small_pids());
+    prop_assert_eq!(loaded.large_pids(), store.large_pids());
+    for v in 0..store.num_vertices() {
+        prop_assert_eq!(
+            loaded.rid_of_vertex(v),
+            store.rid_of_vertex(v),
+            "vertex {}",
+            v
+        );
+        prop_assert_eq!(
+            loaded.delta_pids_of(v),
+            store.delta_pids_of(v),
+            "vertex {}",
+            v
+        );
+    }
+    for pid in 0..store.num_pages() {
+        prop_assert_eq!(
+            loaded.edges_in_page(pid),
+            store.edges_in_page(pid),
+            "page {}",
+            pid
+        );
+    }
+    prop_assert_eq!(loaded.num_edges(), store.num_edges());
+    prop_assert_eq!(loaded.epoch(), 0);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `load_store(save_store(s))` is `s` after any mutation history,
+    /// also where a delta page directly follows a Large run of its vertex.
+    #[test]
+    fn a_saved_store_loads_back_equal(run in arb_run()) {
+        let (fmt, n, seed_edges, batch_seeds) = run;
+        let mut store = build_graph_store(&EdgeList::new(n, seed_edges), fmt).unwrap();
+        let mut model = model_of(&store);
+        for seeds in &batch_seeds {
+            store.apply_mutations(&realize_batch(&mut model, seeds)).unwrap();
+        }
+        assert_equal_reload(&store, &reloaded(&store))?;
     }
 }

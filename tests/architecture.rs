@@ -51,7 +51,7 @@ struct Rule {
     /// The files scanned: workspace-relative paths of files or
     /// directories, `*` matching any one component.
     scan: &'static [&'static str],
-    /// Files inside `scan` the rule exempts.
+    /// Files or directories inside `scan` the rule exempts.
     allowed: &'static [&'static str],
     /// Scan only the lines before a file's first `#[cfg(test)]`.
     non_test: bool,
@@ -294,6 +294,17 @@ const RULES: &[Rule] = &[
         since: "durable directory creation",
         seed: ("crates/ckpt/src/store.rs", "fs::create_dir_all(&dir)?;"),
     },
+    Rule {
+        keeps: "a page's run length is read only inside gts-storage: any other reader asks `GraphStore::run_pids`",
+        scan: &["crates/*/src", "crates/bench/benches"],
+        allowed: &["crates/storage/src"],
+        non_test: true,
+        pats: &[Pat::Sub(".lp_range")],
+        want: 0,
+        why: "§12 \"Delta pages\"",
+        since: "GTSPAGES 5 page roles",
+        seed: ("crates/core/src/queries.rs", "let range = self.store.rvt().entry(pid).lp_range;"),
+    },
 ];
 
 /// A name a change removed, which no file in `scan` may bring back.
@@ -436,6 +447,16 @@ const TOMBSTONES: &[Tombstone] = &[
         why: "a fault plan on the engine config; a job's plan is `JobOptions::faults`",
         removed_by: "5f179f0 one home per run input",
     },
+    Tombstone {
+        pats: &[
+            Pat::Word("rvt_mut"),
+            Pat::Word("set_entry"),
+            Pat::Word("CorruptRvt"),
+        ],
+        scan: &["crates", "tests", "examples", "benchmark"],
+        why: "a test back door that stripped a Large page's run length, and the engine error only it could reach; load refuses an inconsistent role table",
+        removed_by: "GTSPAGES 5 page roles",
+    },
 ];
 
 /// One file of the tree: its workspace-relative path and its text.
@@ -559,7 +580,7 @@ fn hits(
 ) -> Vec<String> {
     let mut out = Vec::new();
     for (path, text) in files {
-        if !in_scope(path, scan) || allowed.contains(&path.as_str()) {
+        if !in_scope(path, scan) || in_scope(path, allowed) {
             continue;
         }
         if pats

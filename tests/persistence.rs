@@ -3,11 +3,14 @@
 //! *and* identical simulated timing under every engine configuration.
 
 use gts_core::engine::{GtsConfig, StorageLocation};
-use gts_core::programs::{Bfs, PageRank};
+use gts_core::programs::{Bfs, GtsProgram, PageRank};
 use gts_core::Strategy;
 use gts_core::{Engine, JobOptions};
 use gts_graph::generate::rmat;
-use gts_storage::{build_graph_store, load_store, save_store, PageFormatConfig, PhysicalIdConfig};
+use gts_graph::EdgeList;
+use gts_storage::{
+    build_graph_store, load_store, save_store, MutationBatch, PageFormatConfig, PhysicalIdConfig,
+};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -63,6 +66,56 @@ fn loaded_store_is_a_drop_in_replacement() {
             .run_job(&loaded, &mut pb, &JobOptions::default())
             .unwrap();
         assert_eq!(pa.ranks(), pb.ranks(), "f32 ranks must be bit-identical");
+    }
+}
+
+/// A mutated store whose last base page ends vertex 300's Large run, with
+/// the delta page a batch appended for that vertex right after it, runs
+/// as its reload does: the same report and result for BFS and PageRank,
+/// in memory and out of core.
+#[test]
+fn a_mutated_store_with_a_tail_run_and_its_reload_run_alike() {
+    // A chain 0 → … → 300, and vertex 300's 300 out-edges: the last run.
+    let mut edges: Vec<(u32, u32)> = (0..300).map(|v| (v, v + 1)).collect();
+    edges.extend((0..300).map(|d| (300, d)));
+    let cfg = PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 256);
+    let mut store = build_graph_store(&EdgeList::new(301, edges), cfg).unwrap();
+    let last_base = store.num_pages() - 1;
+    let mut batch = MutationBatch::new();
+    for d in 0..60 {
+        batch.insert(300, d);
+    }
+    store.apply_mutations(&batch).unwrap();
+    assert_eq!(store.delta_pids_of(300), [last_base + 1]);
+    let path = tmp("tail-run");
+    save_store(&store, &path).unwrap();
+    let loaded = load_store(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    for cfg in [
+        GtsConfig::default(),
+        GtsConfig {
+            num_gpus: 2,
+            strategy: Strategy::Scalability,
+            storage: StorageLocation::Ssds(2),
+            cache_limit_bytes: Some(4 * 256),
+            ..GtsConfig::default()
+        },
+    ] {
+        let engine = Engine::new(cfg).unwrap();
+        let run = |prog: &mut dyn GtsProgram, store| {
+            let report = engine.run_job(store, prog, &JobOptions::default()).unwrap();
+            (report.to_json(), prog.summary())
+        };
+        let n = store.num_vertices();
+        assert_eq!(
+            run(&mut Bfs::new(n, 0), &loaded),
+            run(&mut Bfs::new(n, 0), &store)
+        );
+        assert_eq!(
+            run(&mut PageRank::new(n, 3), &loaded),
+            run(&mut PageRank::new(n, 3), &store)
+        );
     }
 }
 

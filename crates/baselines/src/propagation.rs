@@ -64,7 +64,6 @@ pub struct PropagationTrace {
 
 use gts_exec::ThreadPool;
 use gts_graph::Csr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Unreached/unset marker for min-propagation.
 pub const UNSET: f64 = f64::INFINITY;
@@ -76,16 +75,19 @@ pub const UNSET: f64 = f64::INFINITY;
 ///   pass a symmetrised graph for weakly connected components).
 /// * `edge_val(v, w, x)` is the candidate value arriving at `w` along edge
 ///   `v→w` when `v` holds `x` (BFS: `x + 1`; SSSP: `x + weight`; CC: `x`).
-///   Candidates must be non-negative (sign bit clear): the parallel sweep
-///   takes minima through `AtomicU64::fetch_min` on the IEEE-754 bit
-///   pattern, which orders exactly like the numbers on `[0, +inf]`.
+///   Candidates must be non-negative (sign bit clear): a sweep takes
+///   minima of their IEEE-754 bit patterns, which order exactly like the
+///   numbers on `[0, +inf]`.
 /// * `placement` places each vertex for load accounting.
 ///
-/// Every thread count produces the same trace: `min` is commutative (and
-/// bit-exact on f64 bits), the per-vertex activation flag depends only on
-/// whether the sweep's minimal candidate beats the old value (not on the
-/// order candidates land), and per-worker load shards merge with integer
-/// addition.
+/// Each worker takes the minima of the candidates it sends into a dense
+/// lane of its own (`u64::MAX`, above every candidate, is "none"),
+/// allocated when its first active vertex sends; the lanes are min-folded
+/// into the values in worker order. Every thread
+/// count produces the same trace: `min` is commutative (and bit-exact on
+/// f64 bits), a vertex is active next sweep exactly when its folded value
+/// is strictly below its old one (not depending on the order candidates
+/// land), and per-worker load shards merge with integer addition.
 pub fn min_propagation_threads(
     g: &Csr,
     source: Option<u32>,
@@ -112,19 +114,20 @@ pub fn min_propagation_threads(
     let mut sweeps = Vec::new();
     loop {
         // Synchronous (BSP) semantics: all sends read this superstep's
-        // values, all receives land in `next` — in-place updates would let
-        // a value hop through many vertices in one superstep and
+        // values, all receives land in the lanes — in-place updates would
+        // let a value hop through many vertices in one superstep and
         // undercount the supersteps/messages the accountants price.
-        let next: Vec<AtomicU64> = values.iter().map(|x| AtomicU64::new(x.to_bits())).collect();
-        let next_active: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let shards = pool.par_ranges(
             n,
             4096,
-            || SweepLoads::new(placement.parts()),
-            |loads, r| {
+            || (SweepLoads::new(placement.parts()), Vec::new()),
+            |(loads, lane), r| {
                 for v in r {
                     if !active[v] {
                         continue;
+                    }
+                    if lane.is_empty() {
+                        lane.resize(n, u64::MAX);
                     }
                     let v = v as u32;
                     let pv = placement.of(v);
@@ -142,36 +145,30 @@ pub fn min_propagation_threads(
                         if pw != pv {
                             loads.nodes[pw].remote_msgs_in += 1;
                         }
-                        // `prev` is a running min of the old value and the
-                        // candidates applied so far, so observing a strict
-                        // improvement here is equivalent to the serial test
-                        // `min_candidate < old value` — the first executor
-                        // of a minimal candidate always sees it.
-                        let prev = next[w as usize].fetch_min(cand.to_bits(), Ordering::Relaxed);
-                        if cand.to_bits() < prev {
-                            next_active[w as usize].store(true, Ordering::Relaxed);
-                        }
+                        let slot = &mut lane[w as usize];
+                        *slot = (*slot).min(cand.to_bits());
                     }
                 }
             },
         );
         let mut loads = SweepLoads::new(placement.parts());
-        for shard in shards {
+        let mut next_active = vec![false; n];
+        for (shard, lane) in shards {
             for (slot, s) in loads.nodes.iter_mut().zip(shard.nodes) {
                 slot.active_vertices += s.active_vertices;
                 slot.edges += s.edges;
                 slot.msgs_in += s.msgs_in;
                 slot.remote_msgs_in += s.remote_msgs_in;
             }
+            // The running value only falls, so "some lane beat it" is
+            // "the folded value is below the old one".
+            for ((x, on), cand) in values.iter_mut().zip(&mut next_active).zip(lane) {
+                if cand < x.to_bits() {
+                    *x = f64::from_bits(cand);
+                    *on = true;
+                }
+            }
         }
-        values = next
-            .into_iter()
-            .map(|a| f64::from_bits(a.into_inner()))
-            .collect();
-        let next_active: Vec<bool> = next_active
-            .into_iter()
-            .map(AtomicBool::into_inner)
-            .collect();
         sweeps.push(loads);
         if !next_active.contains(&true) {
             break;

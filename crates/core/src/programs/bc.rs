@@ -23,8 +23,8 @@
 //! level 0.
 
 use super::{
-    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
+    PageCtx, PageWork, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -174,37 +174,8 @@ impl GtsProgram for Bc {
             .unwrap_or_default()
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.reset();
-        let mut work = PageWork::default();
-        let (level, forward) = match self.phase {
-            Phase::Forward => (self.level, true),
-            Phase::Backward(l) => (l, false),
-        };
-        assert!(
-            level + 1 < DIST_NULL as u32,
-            "BC traversal depth exceeds the 2-byte dist field"
-        );
-        let cur = level as u16;
-        let mut page_active = false;
-        visit_page(ctx.view, |vid, len, _kind, rids| {
-            if self.dist[vid as usize] != cur {
-                return;
-            }
-            scratch.degrees.push(len);
-            work.active_vertices += 1;
-            page_active = true;
-            if forward {
-                self.forward_vertex(ctx, scratch, &mut work, vid, rids);
-            } else {
-                self.backward_vertex(ctx, &mut work, level, vid, rids);
-            }
-        });
-        if forward && page_active {
-            self.record_forward_page(level, ctx.pid);
-        }
-        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
-        work
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::InOrder(self)
     }
 
     fn end_sweep(&mut self, _sweep: u32, frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -298,5 +269,40 @@ impl GtsProgram for Bc {
             .collect::<Result<_, _>>()?;
         self.level = self.pages_by_level.len() as u32;
         r.finish()
+    }
+}
+
+impl InOrderKernel for Bc {
+    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
+        scratch.reset();
+        let mut work = PageWork::default();
+        let (level, forward) = match self.phase {
+            Phase::Forward => (self.level, true),
+            Phase::Backward(l) => (l, false),
+        };
+        assert!(
+            level + 1 < DIST_NULL as u32,
+            "BC traversal depth exceeds the 2-byte dist field"
+        );
+        let cur = level as u16;
+        let mut page_active = false;
+        visit_page(ctx.view, |vid, len, _kind, rids| {
+            if self.dist[vid as usize] != cur {
+                return;
+            }
+            scratch.degrees.push(len);
+            work.active_vertices += 1;
+            page_active = true;
+            if forward {
+                self.forward_vertex(ctx, scratch, &mut work, vid, rids);
+            } else {
+                self.backward_vertex(ctx, &mut work, level, vid, rids);
+            }
+        });
+        if forward && page_active {
+            self.record_forward_page(level, ctx.pid);
+        }
+        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
+        work
     }
 }

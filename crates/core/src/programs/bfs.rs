@@ -8,8 +8,8 @@
 //! containing frontier vertices are streamed next level (Sec. 3.3).
 
 use super::{
-    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
+    PageCtx, PageWork, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -131,33 +131,8 @@ impl GtsProgram for Bfs {
         format!("{reached} vertices reached from {}", self.source)
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.reset();
-        let mut work = PageWork::default();
-        // LV is 2 bytes (Table 4); a level that would collide with the
-        // LV_NULL sentinel means the traversal is deeper than the format
-        // supports — fail loudly rather than loop forever re-discovering.
-        assert!(
-            ctx.sweep + 1 < LV_NULL as u32,
-            "BFS depth exceeds the 2-byte LV field"
-        );
-        let cur = ctx.sweep as u16;
-        // K_BFS_SP / K_BFS_LP: frontier vertices expand, plus any vertex a
-        // mutation re-activated (`pending` is only consulted, never drained
-        // here — an LP vertex spans several chunks and must stay active for
-        // all of them).
-        visit_page(ctx.view, |vid, len, _kind, rids| {
-            let lv = self.lv[vid as usize];
-            let active = lv == cur || (!self.pending.is_empty() && self.pending.contains(&vid));
-            if !active || lv == LV_NULL {
-                return;
-            }
-            scratch.degrees.push(len);
-            work.active_vertices += 1;
-            self.expand(ctx, scratch, &mut work, vid, rids);
-        });
-        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
-        work
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::InOrder(self)
     }
 
     fn end_sweep(&mut self, _sweep: u32, frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -226,5 +201,36 @@ impl GtsProgram for Bfs {
             self.pending = r.take_seq("bfs.pending")?.into_iter().collect();
         }
         r.finish()
+    }
+}
+
+impl InOrderKernel for Bfs {
+    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
+        scratch.reset();
+        let mut work = PageWork::default();
+        // LV is 2 bytes (Table 4); a level that would collide with the
+        // LV_NULL sentinel means the traversal is deeper than the format
+        // supports — fail loudly rather than loop forever re-discovering.
+        assert!(
+            ctx.sweep + 1 < LV_NULL as u32,
+            "BFS depth exceeds the 2-byte LV field"
+        );
+        let cur = ctx.sweep as u16;
+        // K_BFS_SP / K_BFS_LP: frontier vertices expand, plus any vertex a
+        // mutation re-activated (`pending` is only consulted, never drained
+        // here — an LP vertex spans several chunks and must stay active for
+        // all of them).
+        visit_page(ctx.view, |vid, len, _kind, rids| {
+            let lv = self.lv[vid as usize];
+            let active = lv == cur || (!self.pending.is_empty() && self.pending.contains(&vid));
+            if !active || lv == LV_NULL {
+                return;
+            }
+            scratch.degrees.push(len);
+            work.active_vertices += 1;
+            self.expand(ctx, scratch, &mut work, vid, rids);
+        });
+        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
+        work
     }
 }

@@ -9,8 +9,8 @@
 //! `gts_graph::reference::connected_components`).
 
 use super::{
-    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
+    PageCtx, PageWork, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -93,16 +93,8 @@ impl GtsProgram for Cc {
         format!("{} weakly connected components", labels.len())
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.reset();
-        let mut work = PageWork::default();
-        visit_page(ctx.view, |vid, len, _kind, rids| {
-            scratch.degrees.push(len);
-            work.active_vertices += 1;
-            self.propagate(ctx, &mut work, vid, rids);
-        });
-        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
-        work
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::InOrder(self)
     }
 
     fn end_sweep(&mut self, _sweep: u32, _frontier_empty: bool, any_update: bool) -> SweepControl {
@@ -140,5 +132,19 @@ impl GtsProgram for Cc {
         let mut r = ByteReader::new(bytes);
         state::load(&mut r, "cc.label", &mut self.label)?;
         r.finish()
+    }
+}
+
+impl InOrderKernel for Cc {
+    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
+        scratch.reset();
+        let mut work = PageWork::default();
+        visit_page(ctx.view, |vid, len, _kind, rids| {
+            scratch.degrees.push(len);
+            work.active_vertices += 1;
+            self.propagate(ctx, &mut work, vid, rids);
+        });
+        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
+        work
     }
 }

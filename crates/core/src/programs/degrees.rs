@@ -8,36 +8,38 @@
 //! [`GtsProgram`].
 
 use super::{
-    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SharedKernel, SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, Kernel, PageCtx, PageWork, SumKernel,
+    SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
-use gts_exec::fold_lane;
 use gts_gpu::timer::KernelClass;
 
 /// Degree-distribution vertex program (single sweep).
 pub struct Degrees {
     /// Kernel target: a vertex's Small-Page record and each of its
-    /// Large-Page chunks add their length. Integer sums, so pages can
-    /// execute on any number of host threads (into their lanes).
+    /// Large-Page chunks add their length ([`RecordLengths`]).
     acc: Vec<u64>,
     /// Plain snapshot taken at end of sweep, what `degrees()` exposes.
     degree: Vec<u32>,
 }
 
-/// The kernel body: record the page's record lengths into `lane` (the
-/// program's `acc` on the serial path, a worker's lane on the pool).
-fn record_page(ctx: &PageCtx<'_>, lane: &mut [u64]) -> PageWork {
-    let mut work = PageWork::default();
-    visit_page(ctx.view, |vid, len, _kind, _rids| {
-        lane[vid as usize] += len as u64;
-        work.active_vertices += 1;
-        work.atomic_ops += 1;
-    });
-    // The kernel only reads slot headers: one lane-slot per vertex.
-    work.lane_slots = work.active_vertices;
-    work.updated = true;
-    work
+/// The kernel: add each record's length into its vertex's slot of the
+/// lane. Integer sums, so pages may run on any number of workers.
+struct RecordLengths;
+
+impl SumKernel for RecordLengths {
+    fn scatter(&self, ctx: &PageCtx<'_>, _degrees: &mut Vec<u32>, lane: &mut [u64]) -> PageWork {
+        let mut work = PageWork::default();
+        visit_page(ctx.view, |vid, len, _kind, _rids| {
+            lane[vid as usize] += len as u64;
+            work.active_vertices += 1;
+            work.atomic_ops += 1;
+        });
+        // The kernel only reads slot headers: one lane-slot per vertex.
+        work.lane_slots = work.active_vertices;
+        work.updated = true;
+        work
+    }
 }
 
 impl Degrees {
@@ -94,16 +96,11 @@ impl GtsProgram for Degrees {
         format!("max out-degree {max}")
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, _scratch: &mut KernelScratch) -> PageWork {
-        record_page(ctx, &mut self.acc)
-    }
-
-    fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
-        Some(self)
-    }
-
-    fn absorb(&mut self, worker: &mut KernelScratch) {
-        fold_lane(&mut self.acc, &mut worker.lane);
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::Sum {
+            scatter: &RecordLengths,
+            acc: &mut self.acc,
+        }
     }
 
     fn end_sweep(&mut self, _sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -129,13 +126,6 @@ impl GtsProgram for Degrees {
         self.acc = acc.into_iter().map(u64::from).collect();
         state::load(&mut r, "degrees.degree", &mut self.degree)?;
         r.finish()
-    }
-}
-
-impl SharedKernel for Degrees {
-    fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.size_lane(self.acc.len());
-        record_page(ctx, &mut scratch.lane)
     }
 }
 

@@ -12,8 +12,8 @@
 //! usually far fewer.
 
 use super::{
-    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
+    PageCtx, PageWork, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -71,30 +71,8 @@ impl GtsProgram for KCore {
         format!("{}-core has {} vertices", self.k, self.core_size())
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.reset();
-        let mut work = PageWork::default();
-        visit_page(ctx.view, |vid, len, _kind, rids| {
-            scratch.degrees.push(len);
-            if !self.alive[vid as usize] {
-                return;
-            }
-            work.active_vertices += 1;
-            for rid in rids {
-                work.active_edges += 1;
-                let adj = ctx.rvt.translate(rid) as usize;
-                if !self.alive[adj] {
-                    continue;
-                }
-                // The edge contributes to both endpoints' degrees.
-                self.degree[vid as usize] += 1;
-                self.degree[adj] += 1;
-                work.atomic_ops += 2;
-            }
-        });
-        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
-        work.updated = true;
-        work
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::InOrder(self)
     }
 
     fn end_sweep(&mut self, _sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -137,6 +115,34 @@ impl GtsProgram for KCore {
         state::load(&mut r, "kcore.alive", &mut self.alive)?;
         state::load(&mut r, "kcore.degree", &mut self.degree)?;
         r.finish()
+    }
+}
+
+impl InOrderKernel for KCore {
+    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
+        scratch.reset();
+        let mut work = PageWork::default();
+        visit_page(ctx.view, |vid, len, _kind, rids| {
+            scratch.degrees.push(len);
+            if !self.alive[vid as usize] {
+                return;
+            }
+            work.active_vertices += 1;
+            for rid in rids {
+                work.active_edges += 1;
+                let adj = ctx.rvt.translate(rid) as usize;
+                if !self.alive[adj] {
+                    continue;
+                }
+                // The edge contributes to both endpoints' degrees.
+                self.degree[vid as usize] += 1;
+                self.degree[adj] += 1;
+                work.atomic_ops += 2;
+            }
+        });
+        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
+        work.updated = true;
+        work
     }
 }
 

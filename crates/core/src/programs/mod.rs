@@ -10,10 +10,10 @@
 //! ## Execution semantics of the kernels
 //!
 //! On real hardware each kernel runs on thousands of GPU threads with
-//! atomic updates (`atomicAdd`, compare-and-swap on LV — Appendix B). All
-//! of those updates are commutative and idempotent-per-claim, so applying
-//! them sequentially on the host produces bit-identical WA state; the
-//! parallel-hardware *cost* is accounted separately through
+//! atomic updates (`atomicAdd`, compare-and-swap on LV — Appendix B). A
+//! program's [`Kernel`] names which: integer adds, folded exactly from
+//! any number of host workers, or claims applied page by page in order.
+//! The parallel-hardware *cost* is accounted separately through
 //! [`PageWork::lane_slots`] / [`PageWork::atomic_ops`] feeding the
 //! warp-level duration model in `gts-gpu`. This functional/timed split is
 //! the core of the simulation substitution (DESIGN.md §1).
@@ -185,7 +185,8 @@ pub struct PageCtx<'a> {
 }
 
 /// Reusable per-job scratch so kernels stay allocation-free on the hot
-/// path: the calling thread's, which owns one more per pool worker.
+/// path: the calling thread's, which owns one lane per further pool
+/// worker of a [`Kernel::Sum`].
 #[derive(Default)]
 pub struct KernelScratch {
     /// Out-degrees of the page's *active* vertices, fed to the warp model.
@@ -196,28 +197,28 @@ pub struct KernelScratch {
     /// allocates its own; keeping one buffer across pages measured no
     /// faster.
     pub next_pids: Vec<u64>,
-    /// A pool worker's private scatter lane, one integer slot per vertex
-    /// (the paper's per-GPU WA copy, Sec. 4.1). All-zero outside
-    /// `run_page_kernels`, which folds it into the program
-    /// ([`GtsProgram::absorb`]) before returning.
-    pub lane: Vec<u64>,
-    /// The pool workers' scratches, kept across phases and sweeps. Empty
-    /// on the serial path, which has no lane.
-    pub workers: Vec<KernelScratch>,
+    /// Pool workers 1, 2, ... of a sum kernel, kept across phases and
+    /// sweeps. Empty at one thread: worker 0 is the calling thread, which
+    /// uses `degrees` and adds straight into the program's accumulator.
+    pub(crate) lanes: Vec<Lane>,
+}
+
+/// A pool worker's own buffers for a [`SumKernel`].
+#[derive(Default)]
+pub(crate) struct Lane {
+    /// The worker's `KernelScratch::degrees`.
+    pub(crate) degrees: Vec<u32>,
+    /// One integer slot per vertex: the paper's per-GPU WA copy (Sec.
+    /// 4.1). All-zero outside `run_page_kernels`, which folds it into the
+    /// program's accumulator (`gts_exec::fold_lane`) before returning.
+    pub(crate) wa: Vec<u64>,
 }
 
 impl KernelScratch {
-    /// Clear the per-page buffers, keeping capacity (and the lane).
+    /// Clear the per-page buffers, keeping capacity.
     pub fn reset(&mut self) {
         self.degrees.clear();
         self.next_pids.clear();
-    }
-
-    /// Grow the lane to at least `n` zeroed slots.
-    pub fn size_lane(&mut self, n: usize) {
-        if self.lane.len() < n {
-            self.lane.resize(n, 0);
-        }
     }
 }
 
@@ -282,9 +283,8 @@ pub trait GtsProgram {
         String::new()
     }
 
-    /// The kernel: process one streamed page (K_SP or K_LP depending on
-    /// `ctx.view.kind()`), updating WA state and reporting work done.
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork;
+    /// The kernel, and how its page invocations fold into WA.
+    fn kernel(&mut self) -> Kernel<'_>;
 
     /// End-of-sweep callback (Algorithm 1 line 31's loop condition).
     /// `frontier_empty` is whether any page was marked for the next level;
@@ -337,38 +337,44 @@ pub trait GtsProgram {
     fn on_mutation(&mut self, _store: &GraphStore, _outcome: &MutationOutcome) -> Vec<u64> {
         Vec::new()
     }
-
-    /// The shared-state form of the kernel, if this program supports
-    /// executing pages concurrently on host threads. Returning `Some`
-    /// asserts that every WA update the kernel performs is an exact integer
-    /// addition — the final state is a pure function of the multiset of
-    /// updates, independent of page order and of which worker made them —
-    /// which is the property the paper relies on for device-side atomics.
-    /// Programs whose accounting depends on claim order (the CAS-based
-    /// traversal family) return `None` and run serially.
-    fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
-        None
-    }
-
-    /// Fold what one pool worker's [`SharedKernel`] calls left in
-    /// `worker.lane` into this program and zero the lane
-    /// (`gts_exec::fold_lane`); `run_page_kernels` calls it per worker, in
-    /// worker-index order, before it returns. Default: nothing to fold.
-    fn absorb(&mut self, _worker: &mut KernelScratch) {}
 }
 
-/// A kernel whose page invocations may run concurrently (`&self`, `Sync`).
-/// The contract is **read `&self`, write only your scratch**: WA updates
-/// are wrapping integer adds into `scratch.lane` and reach the program
-/// through [`GtsProgram::absorb`]; workers share nothing, so none is atomic.
-///
-/// Implementors must guarantee `process_page_shared` + `absorb` is
-/// observationally identical to [`GtsProgram::process_page`] — the engine
-/// picks between them based on `host_threads`, and reports/traces must not
-/// change.
-pub trait SharedKernel: Sync {
-    /// Process one streamed page; see [`GtsProgram::process_page`].
-    fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork;
+/// A program's kernel (the paper's `K_SP` / `K_LP`), typed by how its
+/// WA updates fold, which decides whether the host may split its pages
+/// over workers (on hardware every update is an atomic, Appendix B).
+pub enum Kernel<'a> {
+    /// Page order matters, or no parallel form was measured (DESIGN.md
+    /// §8 rule 4): pages run one after another on the calling thread.
+    InOrder(&'a mut dyn InOrderKernel),
+    /// Every WA update is a wrapping integer add, so any split of the
+    /// pages over any number of workers folds to the same bits. Worker 0,
+    /// the calling thread, adds straight into `acc` (the paper's one
+    /// GPU); every other worker adds into a lane of its own, and the lanes
+    /// fold into `acc` in worker order (Strategy-P's per-GPU WA copies,
+    /// Sec. 4.1).
+    Sum {
+        /// The kernel: reads the program, writes only the lane it is lent.
+        scatter: &'a dyn SumKernel,
+        /// The program's accumulator, borrowed beside `scatter`.
+        acc: &'a mut [u64],
+    },
+}
+
+/// The kernel of a [`Kernel::InOrder`] program.
+pub trait InOrderKernel {
+    /// Process one streamed page (K_SP or K_LP depending on
+    /// `ctx.view.kind()`), updating WA state and reporting work done.
+    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork;
+}
+
+/// The kernel of a [`Kernel::Sum`] program: it reads `&self` and adds
+/// into `lane` only, so pages may run concurrently and none of its
+/// updates is atomic. It marks no page for a next sweep.
+pub trait SumKernel: Sync {
+    /// Process one streamed page (K_SP or K_LP), adding its WA updates
+    /// into `lane` (one slot per vertex) and reporting work done;
+    /// `degrees` is the worker's buffer for the warp model.
+    fn scatter(&self, ctx: &PageCtx<'_>, degrees: &mut Vec<u32>, lane: &mut [u64]) -> PageWork;
 }
 
 /// The reading half of [`GtsProgram::save_state`] /
@@ -426,43 +432,46 @@ where
 
 /// The rank scatter PageRank and RWR share (`K_PR_SP` / `K_PR_LP`, App.
 /// B.2): every vertex adds `factor * prev[v] / ADJLIST_SZ`, in 2^-52 fixed
-/// point, to each out-neighbour's slot of `lane` — the program's own
-/// accumulator on the serial path, the worker's lane on the pool. The
-/// hardware's `atomicAdd` (Algorithm 4 line 16) is a wrapping add: nobody
-/// else writes `lane`, and integer sums do not depend on their order.
-pub(crate) fn scatter_page(
-    ctx: &PageCtx<'_>,
-    prev: &[f32],
-    factor: f32,
-    degrees: &mut Vec<u32>,
-    lane: &mut [u64],
-) -> PageWork {
-    degrees.clear();
-    let mut work = PageWork::default();
-    visit_page(ctx.view, |vid, len, kind, rids| {
-        degrees.push(len);
-        work.active_vertices += 1;
-        // K_PR_LP divides by the vertex's total ADJLIST_SZ across all
-        // chunks, not this chunk's count (Algorithm 5 line 7).
-        let total_degree = match kind {
-            PageKind::Small => len as u64,
-            PageKind::Large => ctx.lp_total_degree,
-        };
-        if total_degree == 0 {
-            return;
-        }
-        let share = factor * prev[vid as usize] / total_degree as f32;
-        let share = FixedVec::to_fixed(share as f64);
-        for rid in rids {
-            let slot = &mut lane[ctx.rvt.translate(rid) as usize];
-            *slot = slot.wrapping_add(share);
-        }
-        work.active_edges += len as u64;
-        work.atomic_ops += len as u64;
-        work.updated = true;
-    });
-    work.lane_slots = ctx.technique.lane_slots(degrees);
-    work
+/// point, to each out-neighbour's slot of the lane. The hardware's
+/// `atomicAdd` (Algorithm 4 line 16) is a wrapping add: nobody else writes
+/// the lane, and integer sums do not depend on their order.
+pub(crate) struct RankScatter {
+    /// RA: the previous sweep's scores, streamed with each page.
+    pub(crate) prev: Vec<f32>,
+    /// The share of a score a vertex passes on: PageRank's damping,
+    /// RWR's `1 - restart`.
+    pub(crate) factor: f32,
+}
+
+impl SumKernel for RankScatter {
+    fn scatter(&self, ctx: &PageCtx<'_>, degrees: &mut Vec<u32>, lane: &mut [u64]) -> PageWork {
+        degrees.clear();
+        let mut work = PageWork::default();
+        visit_page(ctx.view, |vid, len, kind, rids| {
+            degrees.push(len);
+            work.active_vertices += 1;
+            // K_PR_LP divides by the vertex's total ADJLIST_SZ across all
+            // chunks, not this chunk's count (Algorithm 5 line 7).
+            let total_degree = match kind {
+                PageKind::Small => len as u64,
+                PageKind::Large => ctx.lp_total_degree,
+            };
+            if total_degree == 0 {
+                return;
+            }
+            let share = self.factor * self.prev[vid as usize] / total_degree as f32;
+            let share = FixedVec::to_fixed(share as f64);
+            for rid in rids {
+                let slot = &mut lane[ctx.rvt.translate(rid) as usize];
+                *slot = slot.wrapping_add(share);
+            }
+            work.active_edges += len as u64;
+            work.atomic_ops += len as u64;
+            work.updated = true;
+        });
+        work.lane_slots = ctx.technique.lane_slots(degrees);
+        work
+    }
 }
 
 #[cfg(test)]

@@ -3,16 +3,13 @@
 //! The read/write attribute vector (WA, device-resident) is `nextPR`; the
 //! read-only vector (RA, streamed page-by-page) is `prevPR` (Sec. 3.1).
 //! Each kernel scatters `df * prevPR[v] / ADJLIST_SZ` to every
-//! out-neighbour (`super::scatter_page`, shared with RWR); dangling
+//! out-neighbour (`super::RankScatter`, shared with RWR); dangling
 //! vertices scatter nothing, exactly like the paper's kernel (so mass
 //! leaks — matching `gts_graph::reference::pagerank`).
 
-use super::{
-    scatter_page, state, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SharedKernel, SweepControl,
-};
+use super::{state, Algorithm, ExecMode, GtsProgram, Kernel, RankScatter, SweepControl};
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
-use gts_exec::{fold_lane, FixedVec};
+use gts_exec::FixedVec;
 use gts_gpu::timer::KernelClass;
 
 /// When a PageRank run stops.
@@ -27,16 +24,16 @@ enum Termination {
 
 /// PageRank vertex program.
 pub struct PageRank {
-    /// RA: previous iteration's ranks, streamed alongside pages.
-    prev: Vec<f32>,
+    /// The kernel: RA (the previous iteration's ranks, streamed
+    /// alongside pages) and the damping factor as its `factor`.
+    scatter: RankScatter,
     /// WA: next iteration's ranks, materialised from `acc` at end of sweep.
     next: Vec<f32>,
     /// The `atomicAdd` target: scattered shares accumulate here in 2^-52
-    /// fixed point — straight from the serial kernel, through per-worker
-    /// lanes from the pool — so the sums carry the same bits in any
-    /// execution order (see `gts_exec::fold_lane`).
+    /// fixed point — straight from worker 0, folded in from every other
+    /// worker's lane — so the sums carry the same bits in any execution
+    /// order (see `gts_exec::fold_lane`).
     acc: Vec<u64>,
-    df: f32,
     termination: Termination,
     converged_at: Option<u32>,
 }
@@ -95,10 +92,12 @@ impl PageRank {
         let n = num_vertices as usize;
         let base = (1.0 - df) / n as f32;
         PageRank {
-            prev: vec![1.0 / n as f32; n],
+            scatter: RankScatter {
+                prev: vec![1.0 / n as f32; n],
+                factor: df,
+            },
             next: vec![base; n],
             acc: vec![0; n],
-            df,
             termination,
             converged_at: None,
         }
@@ -107,7 +106,7 @@ impl PageRank {
     /// Fold the fixed-point scatter sums into `next` (teleport base plus
     /// accumulated shares) and reset the accumulator for the next sweep.
     fn materialize(&mut self) {
-        let base = (1.0 - self.df) / self.next.len() as f32;
+        let base = (1.0 - self.scatter.factor) / self.next.len() as f32;
         for (slot, acc) in self.next.iter_mut().zip(&mut self.acc) {
             *slot = (base as f64 + FixedVec::from_fixed(std::mem::take(acc))) as f32;
         }
@@ -136,17 +135,11 @@ impl GtsProgram for PageRank {
             .unwrap_or_default()
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        let degrees = &mut scratch.degrees;
-        scatter_page(ctx, &self.prev, self.df, degrees, &mut self.acc)
-    }
-
-    fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
-        Some(self)
-    }
-
-    fn absorb(&mut self, worker: &mut KernelScratch) {
-        fold_lane(&mut self.acc, &mut worker.lane);
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::Sum {
+            scatter: &self.scatter,
+            acc: &mut self.acc,
+        }
     }
 
     fn end_sweep(&mut self, sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -157,7 +150,7 @@ impl GtsProgram for PageRank {
                 let delta: f32 = self
                     .next
                     .iter()
-                    .zip(&self.prev)
+                    .zip(&self.scatter.prev)
                     .map(|(a, b)| (a - b).abs())
                     .sum();
                 if delta < epsilon {
@@ -175,7 +168,7 @@ impl GtsProgram for PageRank {
         // nextPR should be initialized after being copied to prevPR");
         // re-initialisation happened in `materialize` (accumulator reset +
         // teleport base re-applied on the next fold).
-        std::mem::swap(&mut self.prev, &mut self.next);
+        std::mem::swap(&mut self.scatter.prev, &mut self.next);
         SweepControl::Continue
     }
 
@@ -184,7 +177,7 @@ impl GtsProgram for PageRank {
         // sweep, so `acc` is empty — only the rank vectors and the
         // convergence marker carry state.
         let mut w = ByteWriter::new();
-        w.put_seq(&self.prev);
+        w.put_seq(&self.scatter.prev);
         w.put_seq(&self.next);
         w.put_bool(self.converged_at.is_some());
         w.put_u32(self.converged_at.unwrap_or(0));
@@ -193,20 +186,12 @@ impl GtsProgram for PageRank {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load(&mut r, "pagerank.prev", &mut self.prev)?;
+        state::load(&mut r, "pagerank.prev", &mut self.scatter.prev)?;
         state::load(&mut r, "pagerank.next", &mut self.next)?;
         let some = r.take_bool("pagerank.converged_at tag")?;
         let at = r.take_u32("pagerank.converged_at")?;
         self.converged_at = some.then_some(at);
         r.finish()
-    }
-}
-
-impl SharedKernel for PageRank {
-    fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.size_lane(self.acc.len());
-        let KernelScratch { degrees, lane, .. } = scratch;
-        scatter_page(ctx, &self.prev, self.df, degrees, lane)
     }
 }
 

@@ -17,8 +17,8 @@
 //! constant space, exactly as HADI does.
 
 use super::{
-    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
+    PageCtx, PageWork, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -118,6 +118,40 @@ impl GtsProgram for RadiusEstimation {
         )
     }
 
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::InOrder(self)
+    }
+
+    fn end_sweep(&mut self, _sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        if self.changed {
+            self.changed = false;
+            SweepControl::Continue
+        } else {
+            SweepControl::Done
+        }
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_seq(&self.prev);
+        w.put_seq(&self.cur);
+        w.put_seq(&self.last_change);
+        w.put_bool(self.changed);
+        w.into_bytes()
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
+        let mut r = ByteReader::new(bytes);
+        state::load(&mut r, "radius.prev", &mut self.prev)?;
+        state::load(&mut r, "radius.cur", &mut self.cur)?;
+        state::load(&mut r, "radius.last_change", &mut self.last_change)?;
+        self.changed = r.take_bool("radius.changed")?;
+        r.finish()
+    }
+}
+
+impl InOrderKernel for RadiusEstimation {
     fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
         scratch.reset();
         let mut work = PageWork::default();
@@ -147,34 +181,6 @@ impl GtsProgram for RadiusEstimation {
         });
         work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
         work
-    }
-
-    fn end_sweep(&mut self, _sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
-        std::mem::swap(&mut self.prev, &mut self.cur);
-        if self.changed {
-            self.changed = false;
-            SweepControl::Continue
-        } else {
-            SweepControl::Done
-        }
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_seq(&self.prev);
-        w.put_seq(&self.cur);
-        w.put_seq(&self.last_change);
-        w.put_bool(self.changed);
-        w.into_bytes()
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
-        let mut r = ByteReader::new(bytes);
-        state::load(&mut r, "radius.prev", &mut self.prev)?;
-        state::load(&mut r, "radius.cur", &mut self.cur)?;
-        state::load(&mut r, "radius.last_change", &mut self.last_change)?;
-        self.changed = r.take_bool("radius.changed")?;
-        r.finish()
     }
 }
 

@@ -10,20 +10,20 @@
 //! previous one — so it exercises the identical engine path with a
 //! different Apply rule.
 
-use super::{
-    scatter_page, state, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SharedKernel, SweepControl,
-};
+use super::{state, Algorithm, ExecMode, GtsProgram, Kernel, RankScatter, SweepControl};
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
-use gts_exec::{fold_lane, FixedVec};
+use gts_exec::FixedVec;
 use gts_gpu::timer::KernelClass;
 
 /// Random-walk-with-restart vertex program.
 pub struct Rwr {
-    prev: Vec<f32>,
+    /// The kernel: the previous sweep's scores and `1 - restart` as its
+    /// `factor`.
+    scatter: RankScatter,
     /// Scores materialised from `acc` at the end of each sweep.
     next: Vec<f32>,
-    /// `atomicAdd` target in 2^-52 fixed point, exactly as PageRank's.
+    /// `atomicAdd` target in 2^-52 fixed point, worker 0's and every
+    /// lane's adds folded exactly as PageRank's.
     acc: Vec<u64>,
     restart: f32,
     seed: u64,
@@ -68,7 +68,10 @@ impl Rwr {
         let mut next = vec![0.0f32; n];
         next[seed as usize] = c;
         Rwr {
-            prev,
+            scatter: RankScatter {
+                prev,
+                factor: 1.0 - c,
+            },
             next,
             acc: vec![0; n],
             restart: c,
@@ -112,17 +115,11 @@ impl GtsProgram for Rwr {
         format!("closest to {}: {}", self.seed, near.join(" "))
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        let walk = 1.0 - self.restart;
-        scatter_page(ctx, &self.prev, walk, &mut scratch.degrees, &mut self.acc)
-    }
-
-    fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
-        Some(self)
-    }
-
-    fn absorb(&mut self, worker: &mut KernelScratch) {
-        fold_lane(&mut self.acc, &mut worker.lane);
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::Sum {
+            scatter: &self.scatter,
+            acc: &mut self.acc,
+        }
     }
 
     fn end_sweep(&mut self, sweep: u32, _frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -130,7 +127,7 @@ impl GtsProgram for Rwr {
         if sweep + 1 >= self.iterations {
             return SweepControl::Done;
         }
-        std::mem::swap(&mut self.prev, &mut self.next);
+        std::mem::swap(&mut self.scatter.prev, &mut self.next);
         SweepControl::Continue
     }
 
@@ -138,24 +135,16 @@ impl GtsProgram for Rwr {
         // Boundary invariant: `materialize` already folded and cleared
         // `acc`, so only the two score vectors carry state.
         let mut w = ByteWriter::new();
-        w.put_seq(&self.prev);
+        w.put_seq(&self.scatter.prev);
         w.put_seq(&self.next);
         w.into_bytes()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let mut r = ByteReader::new(bytes);
-        state::load(&mut r, "rwr.prev", &mut self.prev)?;
+        state::load(&mut r, "rwr.prev", &mut self.scatter.prev)?;
         state::load(&mut r, "rwr.next", &mut self.next)?;
         r.finish()
-    }
-}
-
-impl SharedKernel for Rwr {
-    fn process_page_shared(&self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.size_lane(self.acc.len());
-        let KernelScratch { degrees, lane, .. } = scratch;
-        scatter_page(ctx, &self.prev, 1.0 - self.restart, degrees, lane)
     }
 }
 

@@ -7,8 +7,8 @@
 //! are unweighted, so its SSSP runs also used generated weights).
 
 use super::{
-    state, visit_page, Algorithm, ExecMode, GtsProgram, KernelScratch, PageCtx, PageWork,
-    SweepControl,
+    state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
+    PageCtx, PageWork, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -105,19 +105,8 @@ impl GtsProgram for Sssp {
         format!("{reached} vertices reachable from {}", self.source)
     }
 
-    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
-        scratch.reset();
-        let mut work = PageWork::default();
-        visit_page(ctx.view, |vid, len, _kind, rids| {
-            if !self.active[vid as usize] {
-                return;
-            }
-            scratch.degrees.push(len);
-            work.active_vertices += 1;
-            self.relax(ctx, scratch, &mut work, vid, rids);
-        });
-        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
-        work
+    fn kernel(&mut self) -> Kernel<'_> {
+        Kernel::InOrder(self)
     }
 
     fn end_sweep(&mut self, _sweep: u32, frontier_empty: bool, _any_update: bool) -> SweepControl {
@@ -169,5 +158,22 @@ impl GtsProgram for Sssp {
         state::load(&mut r, "sssp.active", &mut self.active)?;
         self.next_active.fill(false);
         r.finish()
+    }
+}
+
+impl InOrderKernel for Sssp {
+    fn process_page(&mut self, ctx: &PageCtx<'_>, scratch: &mut KernelScratch) -> PageWork {
+        scratch.reset();
+        let mut work = PageWork::default();
+        visit_page(ctx.view, |vid, len, _kind, rids| {
+            if !self.active[vid as usize] {
+                return;
+            }
+            scratch.degrees.push(len);
+            work.active_vertices += 1;
+            self.relax(ctx, scratch, &mut work, vid, rids);
+        });
+        work.lane_slots = ctx.technique.lane_slots(&scratch.degrees);
+        work
     }
 }

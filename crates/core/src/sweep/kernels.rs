@@ -3,15 +3,15 @@
 //! Kernels really run on the host and produce exact algorithm results;
 //! only *time* is simulated, and that accounting happens strictly
 //! afterwards in [`crate::sweep::account`]. Splitting the two phases is
-//! what makes host parallelism safe: the pages of a program with a
-//! [`crate::programs::SharedKernel`] (PageRank, RWR, degrees) execute
-//! concurrently on the thread pool here, each into its own scratch — the
-//! other six run on the calling thread whatever `host_threads` says — and
-//! phase B, one serial pass, consumes the outcomes in page order, so
-//! `host_threads` can never change a simulated number.
+//! what makes host parallelism safe: the pages of a [`Kernel::Sum`]
+//! program (PageRank, RWR, degrees) execute on the thread pool here, each
+//! worker adding into its own lane — a [`Kernel::InOrder`] program runs
+//! on the calling thread whatever `host_threads` says — and phase B, one
+//! serial pass, consumes the outcomes in page order, so `host_threads`
+//! can never change a simulated number.
 
-use crate::programs::{GtsProgram, KernelScratch, PageCtx, PageWork};
-use gts_exec::ThreadPool;
+use crate::programs::{GtsProgram, Kernel, KernelScratch, Lane, PageCtx, PageWork};
+use gts_exec::{fold_lane, ThreadPool};
 use gts_gpu::warp::MicroTechnique;
 use gts_storage::builder::GraphStore;
 use gts_storage::PageKind;
@@ -38,15 +38,13 @@ pub struct KernelEnv<'a> {
     pub sweep: u32,
 }
 
-/// Execute the functional kernels for `pids` (phase A of a sweep). When
-/// the program exposes a [`crate::programs::SharedKernel`] and more than
-/// one host thread is configured, pages run concurrently on the pool, each
-/// worker scattering into the lane of its own `scratch.workers` entry
-/// (created on first use, kept for the job); before this returns, the
-/// lanes are folded into the program in worker-index order
-/// ([`GtsProgram::absorb`]) and left all-zero. Outcomes come back in page
-/// order and the folds are exact integer sums, so the program state and
-/// the returned [`PageWork`]s are bit-identical to serial execution.
+/// Execute the functional kernels for `pids` (phase A of a sweep) as the
+/// program's [`Kernel`] says, returning their outcomes in page order. A
+/// sum kernel gets as many workers as there are threads and pages; worker
+/// `w > 0` adds into the lane of `scratch`'s entry `w - 1` (created on
+/// first use, kept for the job), all-zero again when this returns. The
+/// program state and the returned [`PageWork`]s are bit-identical at every
+/// thread count.
 pub fn run_page_kernels(
     prog: &mut dyn GtsProgram,
     pool: &ThreadPool,
@@ -70,25 +68,34 @@ pub fn run_page_kernels(
             lp_total_degree,
         }
     };
-    let outcome = |work, scratch: &mut KernelScratch| PageOutcome {
-        work,
-        next_pids: std::mem::take(&mut scratch.next_pids),
-    };
-    let workers = pool.threads().min(pids.len());
-    if let Some(kernel) = prog.shared_kernel().filter(|_| workers > 1) {
-        if scratch.workers.len() < workers {
-            scratch.workers.resize_with(workers, KernelScratch::default);
+    match prog.kernel() {
+        Kernel::InOrder(kernel) => pids
+            .iter()
+            .map(|&pid| PageOutcome {
+                work: kernel.process_page(&ctx_for(pid), scratch),
+                next_pids: std::mem::take(&mut scratch.next_pids),
+            })
+            .collect(),
+        Kernel::Sum { scatter, acc } => {
+            let lent = pool.threads().min(pids.len()).max(1) - 1;
+            let KernelScratch { degrees, lanes, .. } = scratch;
+            lanes.resize_with(lanes.len().max(lent), Lane::default);
+            let n = acc.len();
+            let mut workers = vec![(degrees, acc)];
+            for Lane { degrees, wa } in &mut lanes[..lent] {
+                wa.resize(wa.len().max(n), 0);
+                workers.push((degrees, &mut wa[..n]));
+            }
+            let outcomes =
+                pool.par_map_with(pids, &mut workers, |(degrees, lane), _, &pid| PageOutcome {
+                    work: scatter.scatter(&ctx_for(pid), degrees, lane),
+                    next_pids: Vec::new(),
+                });
+            let (own, lent) = workers.split_at_mut(1);
+            lent.iter_mut()
+                .for_each(|(_, lane)| fold_lane(own[0].1, lane));
+            outcomes
         }
-        let lent = &mut scratch.workers[..workers];
-        let outcomes = pool.par_map_with(pids, lent, |scratch, _, &pid| {
-            outcome(kernel.process_page_shared(&ctx_for(pid), scratch), scratch)
-        });
-        lent.iter_mut().for_each(|worker| prog.absorb(worker));
-        outcomes
-    } else {
-        pids.iter()
-            .map(|&pid| outcome(prog.process_page(&ctx_for(pid), scratch), scratch))
-            .collect()
     }
 }
 
@@ -180,15 +187,15 @@ mod tests {
         };
         let (big, small) = (build(9, 512), build(7, 1024));
         assert!(!big.large_pids().is_empty());
+        let zeroed =
+            |scratch: &KernelScratch| scratch.lanes.iter().all(|l| l.wa.iter().all(|&s| s == 0));
         let mut reused = KernelScratch::default();
         let pr = |scratch: &mut _| one_sweep(&big, &mut PageRank::new(512, 1), 3, scratch);
         let first = pr(&mut reused);
-        assert_eq!(reused.workers.len(), 3);
-        assert!(reused.workers.iter().any(|w| w.lane.len() == 512));
-        assert!(reused
-            .workers
-            .iter()
-            .all(|w| w.lane.iter().all(|&l| l == 0)));
+        // Workers 1 and 2 have lanes; worker 0 added into the program.
+        assert_eq!(reused.lanes.len(), 2);
+        assert!(reused.lanes.iter().any(|l| l.wa.len() == 512));
+        assert!(zeroed(&reused));
         // Another program, fewer vertices, then the first again: each as
         // if its scratch were fresh.
         for threads in [1, 2, 4] {
@@ -197,13 +204,17 @@ mod tests {
                 one_sweep(&small, &mut Rwr::new(128, 5, 1), threads, &mut reused),
                 one_sweep(&small, &mut Rwr::new(128, 5, 1), 1, fresh)
             );
+            assert!(zeroed(&reused));
             assert_eq!(
                 one_sweep(&small, &mut Degrees::new(128), threads, &mut reused),
                 one_sweep(&small, &mut Degrees::new(128), 1, fresh)
             );
-            // The serial path scattered straight into the programs.
-            assert!(fresh.workers.is_empty() && fresh.lane.is_empty());
+            assert!(zeroed(&reused));
+            // One thread scattered straight into the programs.
+            assert!(fresh.lanes.is_empty());
             assert_eq!(pr(&mut reused), first);
+            assert!(zeroed(&reused));
         }
+        assert_eq!(reused.lanes.len(), 3);
     }
 }

@@ -6,9 +6,9 @@
 //! associates exactly — the final bits are a pure function of the *multiset*
 //! of addends, independent of thread count and interleaving.
 //!
-//! The engine scatters into plain `u64` *lanes*, one per worker, folded
-//! into the program's accumulator in worker order by [`fold_lane`], and
-//! pays for no atomic. [`FixedVec`] is the shared form of the same sum (one
+//! The engine scatters into plain `u64` *lanes*: worker 0's is the
+//! program's accumulator, and every other worker's is folded into it in
+//! worker order by [`fold_lane`]. It pays for no atomic. [`FixedVec`] is the shared form of the same sum (one
 //! `fetch_add` per addend), kept as the reference the lanes are tested
 //! against.
 //!

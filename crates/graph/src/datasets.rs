@@ -58,22 +58,6 @@ impl Dataset {
             Dataset::YahooWebLike => web_like(256, 5400, 4, 44),
         }
     }
-
-    /// The full sweep used by the comparison figures (Figs. 6–8): the
-    /// three real-graph look-alikes plus RMAT18..22 (the paper's
-    /// RMAT28..32 at 1/1024 scale).
-    pub fn comparison_sweep() -> Vec<Dataset> {
-        vec![
-            Dataset::TwitterLike,
-            Dataset::Uk2007Like,
-            Dataset::YahooWebLike,
-            Dataset::Rmat(18),
-            Dataset::Rmat(19),
-            Dataset::Rmat(20),
-            Dataset::Rmat(21),
-            Dataset::Rmat(22),
-        ]
-    }
 }
 
 #[cfg(test)]

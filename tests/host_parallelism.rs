@@ -47,7 +47,7 @@ fn run_artifacts(
 
 #[test]
 fn pagerank_artifacts_are_byte_identical_across_thread_counts() {
-    // PageRank opts into the shared (parallel) kernel path; its fixed-point
+    // PageRank is a `Kernel::Sum` (pages run on the pool); its fixed-point
     // accumulator makes the scatter order invisible.
     let s = store();
     let serial = artifacts(&s, 1, |n| Box::new(PageRank::new(n, 5)));
@@ -61,9 +61,9 @@ fn pagerank_artifacts_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn bfs_artifacts_are_byte_identical_across_thread_counts() {
-    // BFS has no shared kernel (claim order matters), so every thread
-    // count must take the serial fallback — trivially identical, but this
-    // pins the fallback in place.
+    // BFS is a `Kernel::InOrder` (claim order matters), so every thread
+    // count runs its pages on the calling thread — trivially identical,
+    // but this pins that in place.
     let s = store();
     let serial = artifacts(&s, 1, |n| Box::new(Bfs::new(n, 0)));
     let par = artifacts(&s, 4, |n| Box::new(Bfs::new(n, 0)));
@@ -98,9 +98,10 @@ fn pagerank_results_match_serial_exactly() {
 
 #[test]
 fn every_lane_program_is_thread_invariant_with_large_pages_and_with_few_pages() {
-    // All three shared kernels scatter into per-worker lanes. Their result
-    // vectors (`save_state` holds them bit for bit) and every artifact must
-    // not depend on how many lanes there were — on a store whose hub spans
+    // All three sum kernels scatter into per-worker lanes (worker 0's is
+    // the program's accumulator). Their result vectors (`save_state` holds
+    // them bit for bit) and every artifact must not depend on how many
+    // lanes there were — on a store whose hub spans
     // Large-Page chunks, and on one with fewer Small Pages than threads.
     let hub = store();
     assert!(!hub.large_pids().is_empty());

@@ -12,8 +12,12 @@
 # iff the change wins at least 9/10 of the decided pairs and its median is
 # better than the parent's by more than the parent's interquartile range.
 # The last line is `exact: ok` iff `sim_elapsed_ms` is equal within every
-# pair and no run reported a failed operation. Edits nothing in either
-# tree except what `run.sh` itself leaves behind.
+# pair and no run reported a failed operation. Before it, one line per
+# pair gives the box's cpuset `sched_load_balance` flag (read-only, from
+# the first readable of BALANCE_PATHS, else `unreadable`) before and
+# after each run, and a `balance:` line says whether the flag held for the
+# whole series: a series that straddles a flip is bimodal. Edits nothing
+# in either tree except what `run.sh` itself leaves behind.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -32,9 +36,25 @@ unset CARGO_TARGET_DIR
 runs="$(mktemp -d)"
 trap 'rm -rf "$runs"' EXIT
 
+BALANCE_PATHS=(/sys/fs/cgroup/cpuset/jobs/cpuset.sched_load_balance
+  /sys/fs/cgroup/cpuset/cpuset.sched_load_balance)
+balance() { # the first readable flag, or `unreadable`
+  local path
+  for path in "${BALANCE_PATHS[@]}"; do
+    if [ -r "$path" ]; then
+      cat "$path"
+      return
+    fi
+  done
+  echo unreadable
+}
+
 run() { # side tree → appends the run's result line to $runs/side
+  local before
+  before="$(balance)"
   bash "$2/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds 10 --trace 0 |
     tail -n 1 >>"$runs/$1"
+  echo "$1 $before->$(balance)" >>"$runs/balance.$i"
 }
 for i in $(seq "$pairs"); do
   if ((i % 2)); then
@@ -42,10 +62,18 @@ for i in $(seq "$pairs"); do
   else
     run change "$change" && run parent "$parent"
   fi
-  echo "pair $i/$pairs" >&2
+  echo "pair $i/$pairs: balance $(paste -sd' ' "$runs/balance.$i")" >&2
 done
 
 echo "$workload, seed $seed, $pairs alternating pairs (parent/change per pair)"
+for i in $(seq "$pairs"); do
+  echo "  pair $i sched_load_balance (before->after): $(paste -sd' ' "$runs/balance.$i")"
+done
+flags="$(awk '{ split($2, f, "->"); print f[1]; print f[2] }' "$runs"/balance.* | sort -u | paste -sd' ')"
+case "$flags" in
+  *' '*) echo "balance: CHANGED during the series ($flags): bimodal, run it again" ;;
+  *) echo "balance: $flags throughout" ;;
+esac
 awk -v pairs="$pairs" '
   function value(line, name,   at, rest) {
     at = index(line, "\"" name "\":{\"value\":")

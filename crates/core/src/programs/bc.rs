@@ -24,7 +24,7 @@
 
 use super::{
     state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
-    PageCtx, PageWork, SweepControl,
+    PageCtx, PageWork, Param, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -66,6 +66,7 @@ impl Bc {
         ra_bytes_per_vertex: 0,
         class: KernelClass::Traversal,
         mode: ExecMode::Traversal,
+        reads: &[Param::Source],
         build: |n, source, _, _| Box::new(Self::new(n, source)),
     };
 

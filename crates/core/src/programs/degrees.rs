@@ -52,6 +52,7 @@ impl Degrees {
         ra_bytes_per_vertex: 0,
         class: KernelClass::Traversal,
         mode: ExecMode::Sweep,
+        reads: &[],
         build: |n, _, _, _| Box::new(Self::new(n)),
     };
 

@@ -13,7 +13,7 @@
 
 use super::{
     state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
-    PageCtx, PageWork, SweepControl,
+    PageCtx, PageWork, Param, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -39,6 +39,7 @@ impl KCore {
         ra_bytes_per_vertex: 0,
         class: KernelClass::Traversal,
         mode: ExecMode::Sweep,
+        reads: &[Param::K],
         build: |n, _, _, k| Box::new(Self::new(n, k)),
     };
 

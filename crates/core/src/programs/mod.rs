@@ -67,7 +67,41 @@ pub struct Algorithm {
     pub class: KernelClass,
     /// How the framework iterates the program (Sec. 3.3).
     pub mode: ExecMode,
+    /// Which of a job's `(source, iterations, k)` `build` reads.
+    pub reads: &'static [Param],
     build: fn(n: u64, source: u64, iterations: u32, k: u32) -> Box<dyn GtsProgram>,
+}
+
+/// A job parameter a program may read. [`by_name`] hands a program's
+/// `build` a fixed default for each one its row does not list, so no
+/// program can depend on a parameter its row does not declare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Param {
+    /// The source vertex.
+    Source,
+    /// The iteration bound.
+    Iterations,
+    /// The core parameter.
+    K,
+}
+
+impl Algorithm {
+    /// `(source, iterations, k)` as this row's program is built from
+    /// them: each parameter the row does not read is replaced by a fixed
+    /// default. Two jobs of one row with equal triples build the same
+    /// program.
+    pub fn params(&self, source: u64, iterations: u32, k: u32) -> (u64, u32, u32) {
+        let reads = |p| self.reads.contains(&p);
+        (
+            if reads(Param::Source) { source } else { 0 },
+            if reads(Param::Iterations) {
+                iterations
+            } else {
+                1
+            },
+            if reads(Param::K) { k } else { 0 },
+        )
+    }
 }
 
 /// The programs GTS hosts, each entry the program's own `ALGORITHM`. The
@@ -144,7 +178,9 @@ pub fn check_params(n: u64, source: u64, iterations: u32) -> Result<(), ProgramE
     Ok(())
 }
 
-/// Build the program called `name` for a graph of `n` vertices.
+/// Build the program called `name` for a graph of `n` vertices. The
+/// raw parameters are checked first; the program is then built from
+/// [`Algorithm::params`].
 pub fn by_name(
     name: &str,
     n: u64,
@@ -154,6 +190,7 @@ pub fn by_name(
 ) -> Result<Box<dyn GtsProgram>, ProgramError> {
     let algorithm = find(name)?;
     check_params(n, source, iterations)?;
+    let (source, iterations, k) = algorithm.params(source, iterations, k);
     Ok((algorithm.build)(n, source, iterations, k))
 }
 
@@ -551,6 +588,51 @@ mod tests {
             }
             edges.sort_unstable();
             assert_eq!(edges, store.decode_edges());
+        }
+    }
+
+    /// Every row's declared parameters, and a run that cannot see any
+    /// other: on RMAT8, another value of an undeclared parameter leaves
+    /// the final state and the contract counters byte-identical.
+    #[test]
+    fn rows_declare_the_parameters_their_programs_read() {
+        let store = build_graph_store(
+            &rmat(8),
+            PageFormatConfig::new(PhysicalIdConfig::ORIGINAL, 4096),
+        )
+        .unwrap();
+        let engine = Engine::new(GtsConfig::default()).unwrap();
+        let run = |name, source, iterations, k| {
+            let mut prog = by_name(name, store.num_vertices(), source, iterations, k).unwrap();
+            let opts = JobOptions::with_telemetry(gts_telemetry::Telemetry::new());
+            engine.run_job(&store, &mut *prog, &opts).unwrap();
+            (prog.save_state(), opts.telemetry.contract_counters())
+        };
+        use Param::{Iterations, Source, K};
+        let want: [(&str, &[Param]); 9] = [
+            ("bfs", &[Source]),
+            ("pagerank", &[Iterations]),
+            ("sssp", &[Source]),
+            ("cc", &[]),
+            ("bc", &[Source]),
+            ("rwr", &[Source, Iterations]),
+            ("degrees", &[]),
+            ("kcore", &[K]),
+            ("radius", &[]),
+        ];
+        assert_eq!(ALGORITHMS.len(), want.len());
+        for (alg, (name, reads)) in ALGORITHMS.iter().zip(want) {
+            assert_eq!((alg.name, alg.reads), (name, reads));
+            let base = run(name, 0, 3, 2);
+            if !reads.contains(&Source) {
+                assert!(run(name, 5, 3, 2) == base, "{name} reads source");
+            }
+            if !reads.contains(&Iterations) {
+                assert!(run(name, 0, 7, 2) == base, "{name} reads iterations");
+            }
+            if !reads.contains(&K) {
+                assert!(run(name, 0, 3, 4) == base, "{name} reads k");
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! vertices scatter nothing, exactly like the paper's kernel (so mass
 //! leaks — matching `gts_graph::reference::pagerank`).
 
-use super::{state, Algorithm, ExecMode, GtsProgram, Kernel, RankScatter, SweepControl};
+use super::{state, Algorithm, ExecMode, GtsProgram, Kernel, Param, RankScatter, SweepControl};
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_exec::FixedVec;
 use gts_gpu::timer::KernelClass;
@@ -48,6 +48,7 @@ impl PageRank {
         ra_bytes_per_vertex: 4,
         class: KernelClass::Compute,
         mode: ExecMode::Sweep,
+        reads: &[Param::Iterations],
         build: |n, _, iterations, _| Box::new(Self::new(n, iterations)),
     };
 

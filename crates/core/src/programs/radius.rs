@@ -52,6 +52,7 @@ impl RadiusEstimation {
         ra_bytes_per_vertex: 8,
         class: KernelClass::Compute,
         mode: ExecMode::Sweep,
+        reads: &[],
         build: |n, _, _, _| Box::new(Self::new(n)),
     };
 

@@ -10,7 +10,7 @@
 //! previous one — so it exercises the identical engine path with a
 //! different Apply rule.
 
-use super::{state, Algorithm, ExecMode, GtsProgram, Kernel, RankScatter, SweepControl};
+use super::{state, Algorithm, ExecMode, GtsProgram, Kernel, Param, RankScatter, SweepControl};
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_exec::FixedVec;
 use gts_gpu::timer::KernelClass;
@@ -40,6 +40,7 @@ impl Rwr {
         ra_bytes_per_vertex: 4,
         class: KernelClass::Compute,
         mode: ExecMode::Sweep,
+        reads: &[Param::Source, Param::Iterations],
         build: |n, source, iterations, _| Box::new(Self::new(n, source, iterations)),
     };
 

@@ -8,7 +8,7 @@
 
 use super::{
     state, visit_page, Algorithm, ExecMode, GtsProgram, InOrderKernel, Kernel, KernelScratch,
-    PageCtx, PageWork, SweepControl,
+    PageCtx, PageWork, Param, SweepControl,
 };
 use gts_ckpt::{ByteReader, ByteWriter, CkptError};
 use gts_gpu::timer::KernelClass;
@@ -39,6 +39,7 @@ impl Sssp {
         ra_bytes_per_vertex: 0,
         class: KernelClass::Traversal,
         mode: ExecMode::Traversal,
+        reads: &[Param::Source],
         build: |n, source, _, _| Box::new(Self::new(n, source)),
     };
 

@@ -60,10 +60,12 @@
 //! Admission is one state struct with two mutators
 //! ([`resilience`](crate::resilience)): decide an arrival, settle an
 //! admitted attempt. Execution is separate: a read wave runs its
-//! attempts speculatively in parallel, a mutating job runs once
-//! admitted, and either may instead be a journal hit. Every attempt then
-//! goes through one settle path — admission, the journal append for a
-//! live execution, and the outcome or retry.
+//! attempts speculatively in parallel, once per distinct run (attempts
+//! of one program, parameters and tenant share one run when no fault
+//! template is set), a mutating job runs once admitted, and either may
+//! instead be a journal hit. Every attempt then goes through one settle
+//! path — admission, the journal append for a live execution, and the
+//! outcome or retry.
 //!
 //! ## Determinism
 //!
@@ -217,7 +219,10 @@ pub struct JobOutcome {
     /// How the job ended.
     pub status: JobStatus,
     /// The job's full counter registry — byte-identical to the same job
-    /// run solo (empty for dropped and failed jobs).
+    /// run solo (empty for dropped and failed jobs). A job that settled
+    /// a copy of an identical job's run in its wave carries none of the
+    /// wall-side Diagnostic keys (`host.phase_a_ns`, `host.phase_b_ns`,
+    /// `storage.pages_built`): it did no host work.
     pub counters: BTreeMap<String, u64>,
     /// The job's report (completed jobs only).
     pub report: Option<RunReport>,
@@ -303,8 +308,10 @@ fn attempt_options(spec: &JobSpec, cfg: &ServeConfig, p: &Pending) -> JobOptions
 }
 
 /// One admitted attempt's execution, however it was obtained: a live
-/// engine run, or a journal memo hit (for a mutation, with its epoch
-/// bump replayed onto the store).
+/// engine run, a copy of an identical attempt's run in the same wave, or
+/// a journal memo hit (for a mutation, with its epoch bump replayed onto
+/// the store).
+#[derive(Clone)]
 struct Execution {
     rec: ExecRecord,
     /// The live run's report (completed live runs only).
@@ -344,6 +351,23 @@ impl Execution {
             report,
             cached: false,
         }
+    }
+
+    /// This run as attempt `p`'s own: `p`'s job and attempt, and when
+    /// `p` did not run it, none of a read's wall-side keys — a follower
+    /// did no host work.
+    fn settled_as(mut self, p: &Pending) -> Execution {
+        if (self.rec.job, self.rec.attempt) != (p.seq, p.attempt) {
+            (self.rec.job, self.rec.attempt) = (p.seq, p.attempt);
+            for key in [
+                keys::HOST_PHASE_A_NS,
+                keys::HOST_PHASE_B_NS,
+                keys::STORAGE_PAGES_BUILT,
+            ] {
+                self.rec.counters.remove(key);
+            }
+        }
+        self
     }
 
     fn cached(rec: ExecRecord) -> Execution {
@@ -420,15 +444,12 @@ fn run_mutating(
 }
 
 /// Rebuild a journal-restored completion's report from its memoized
-/// counters — [`RunReport::from_telemetry`] reads nothing else, so the
-/// rebuilt report equals the one the crashed run held in memory.
+/// counters — a live run's report reads nothing else
+/// ([`RunReport::from_counters`]), so the rebuilt report equals the one
+/// the crashed run held in memory.
 fn rebuild_report(spec: &JobSpec, counters: &BTreeMap<String, u64>) -> RunReport {
-    let tel = Telemetry::new();
-    for (k, v) in counters {
-        tel.set(k, *v);
-    }
     let algorithm = programs::find(&spec.algorithm).map_or(&*spec.algorithm, |a| a.report_name);
-    RunReport::from_telemetry(&tel, algorithm, "GTS")
+    RunReport::from_counters(counters, algorithm, "GTS")
 }
 
 /// The config rendering the journal header is bound to: the engine's
@@ -512,16 +533,59 @@ impl Service<'_> {
     /// One read wave: speculative parallel execution (reads are
     /// side-effect-free, so running ones that admission later drops
     /// wastes only wall time), then settlement in deterministic order.
-    /// Journal-memoized attempts skip the engine entirely.
+    /// Journal-memoized attempts skip the engine entirely. Every other
+    /// attempt runs once per distinct [`JobSpec::run_key`]: the first
+    /// with a key in wave order runs it, and each later one (a
+    /// follower) settles a copy. Under a fault template every attempt
+    /// has its own fault plan, so none is shared.
     fn wave(&mut self, store: &GraphStore, wave: &[Pending]) -> Result<(), ServeError> {
         let (engine, jobs, cfg) = (self.engine, self.jobs, self.cfg);
-        let svc = &*self;
-        let execs = self.pool.par_map(wave, |_, p| match svc.memo(p) {
-            Some(rec) => Execution::cached(rec),
-            None => run_read(engine, store, &jobs[p.seq as usize], p, cfg),
+        let mut runs: Vec<&Pending> = Vec::new();
+        let mut first = std::collections::HashMap::new();
+        let journal = self.journal.as_ref();
+        // Each attempt's run, by index into `runs`; `None` for a memo hit.
+        let from: Vec<Option<usize>> = wave
+            .iter()
+            .map(|p| {
+                if journal.is_some_and(|j| j.cached(p.seq, p.attempt).is_some()) {
+                    return None;
+                }
+                let fresh = runs.len();
+                let run = match cfg.faults {
+                    None => *first.entry(jobs[p.seq as usize].run_key()).or_insert(fresh),
+                    Some(_) => fresh,
+                };
+                if run == fresh {
+                    runs.push(p);
+                }
+                Some(run)
+            })
+            .collect();
+        let followers = from.iter().flatten().count() - runs.len();
+        if followers > 0 {
+            self.tel.add(keys::SERVE_RUNS_SHARED, followers as u64);
+        }
+        let mut execs: Vec<Option<Execution>> = self.pool.par_map(&runs, |_, p| {
+            Some(run_read(engine, store, &jobs[p.seq as usize], p, cfg))
         });
-        for (p, exec) in wave.iter().zip(execs) {
-            self.settle(p, |_| Ok(exec))?;
+        let mut left = vec![0usize; runs.len()];
+        for &r in from.iter().flatten() {
+            left[r] += 1;
+        }
+        for (p, run) in wave.iter().zip(from) {
+            let exec = run.map(|r| {
+                left[r] -= 1;
+                let exec = if left[r] == 0 {
+                    execs[r].take()
+                } else {
+                    execs[r].clone()
+                };
+                exec.expect("a run outlives its last attempt").settled_as(p)
+            });
+            self.settle(p, |svc| match exec {
+                Some(exec) => Ok(exec),
+                None => Ok(Execution::cached(svc.memo(p).expect("a memo hit"))),
+            })?;
         }
         Ok(())
     }
@@ -900,6 +964,97 @@ mod tests {
         let mut tagged = out.jobs[0].counters.clone();
         tagged.retain(|k, _| !k.starts_with("tenant."));
         assert_eq!(tagged, plain.telemetry.counters());
+    }
+
+    /// Reads with one to three twins in their wave: of one tenant, and
+    /// source-free programs given different sources. Eight are followers.
+    fn twin_workload() -> Vec<JobSpec> {
+        parse(
+            "at=0 tenant=a job=bfs source=3\n\
+             at=100 tenant=a job=bfs source=3\n\
+             at=200 tenant=b job=bfs source=3\n\
+             at=300 tenant=a job=cc source=1\n\
+             at=400 tenant=a job=cc source=7\n\
+             at=500 tenant=a job=cc\n\
+             at=600 tenant=b job=pagerank iters=3 source=2\n\
+             at=700 tenant=b job=pagerank iters=3 source=9\n\
+             at=800 tenant=b job=pagerank iters=4\n\
+             at=900 tenant=b job=degrees k=5\n\
+             at=1000 tenant=b job=degrees iters=2\n\
+             at=1100 tenant=m job=bfs mutate-at=1 inserts=16 seed=5\n\
+             at=1200 tenant=a job=cc source=2\n\
+             at=1300 tenant=a job=cc\n\
+             at=1400 tenant=b job=bfs source=3\n\
+             at=1500 tenant=b job=bfs source=3\n\
+             at=1600 tenant=m job=cc mutate-at=1 inserts=8 seed=7\n\
+             at=1700 tenant=b job=pagerank iters=3\n\
+             at=1800 tenant=b job=pagerank iters=3 source=4\n",
+        )
+        .unwrap()
+    }
+
+    /// A follower settles what its own solo run gives: counters (less the
+    /// wall-side Diagnostic keys, which only the run that did the work
+    /// keeps), `result_fp`, `service_ns` and report, at any host thread
+    /// count, with or without a journal.
+    #[test]
+    fn twins_share_one_run_and_equal_their_solo_runs() {
+        let strip = |c: &BTreeMap<String, u64>| {
+            let mut c = c.clone();
+            c.retain(|k, _| keys::class(k) != Some(keys::Class::Diagnostic));
+            c
+        };
+        let jobs = twin_workload();
+        for threads in [1, 4] {
+            let engine = Engine::new(GtsConfig {
+                host_threads: threads,
+                measure_host_phases: true,
+                ..GtsConfig::default()
+            })
+            .unwrap();
+            for journal in [false, true] {
+                let dir = tempdir("twins");
+                let cfg = ServeConfig {
+                    journal: journal.then(|| JournalConfig {
+                        dir: dir.clone(),
+                        resume: false,
+                    }),
+                    ..ServeConfig::default()
+                };
+                let what = format!("{threads} threads, journal {journal}");
+                let out = serve(&engine, &mut store(), &jobs, &cfg).unwrap();
+                assert_eq!(out.completed, jobs.len(), "{what}");
+                assert_eq!(out.telemetry.counter(keys::SERVE_RUNS_SHARED), 8, "{what}");
+                let mut solo_st = store();
+                for (job, spec) in out.jobs.iter().zip(&jobs) {
+                    let mut prog = spec.program(solo_st.num_vertices()).unwrap();
+                    let opts = job_options(spec);
+                    let report = match spec.mutate {
+                        Some(m) => {
+                            let batch = seeded_batch(&solo_st, m.inserts, m.deletes, m.seed);
+                            let schedule = MutationSchedule::new().at(m.at_sweep, batch);
+                            engine
+                                .run_job_live(&mut solo_st, &mut *prog, schedule, &opts)
+                                .unwrap()
+                        }
+                        None => engine.run_job(&solo_st, &mut *prog, &opts).unwrap(),
+                    };
+                    let at = format!("{what}: job {}", job.index);
+                    let counters = opts.telemetry.counters();
+                    assert_eq!(strip(&job.counters), strip(&counters), "{at}");
+                    assert_eq!(job.result_fp, fnv1a(&prog.save_state()), "{at}");
+                    assert_eq!(job.service_ns, report.elapsed.as_nanos(), "{at}");
+                    let got = job.report.as_ref().unwrap();
+                    assert_eq!(format!("{got:?}"), format!("{report:?}"), "{at}");
+                }
+                // Wall-side keys stay with the attempt that ran: one per
+                // distinct run (10), none on a follower.
+                let ran = out.jobs.iter();
+                let ran = ran.filter(|j| j.counters.contains_key(keys::HOST_PHASE_A_NS));
+                assert_eq!(ran.count(), jobs.len() - 8, "{what}");
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
     }
 
     #[test]
@@ -1466,6 +1621,9 @@ mod tests {
                 "{what}: job {}",
                 a.index
             );
+            // A report rebuilt from memoized counters equals the live one.
+            let report = |o: &JobOutcome| format!("{:?}", o.report);
+            assert_eq!(report(a), report(b), "{what}: job {}", a.index);
         }
         assert_eq!(
             a.telemetry.contract_counters(),
@@ -1557,6 +1715,8 @@ at=1000 tenant=b job=pagerank iters=3
         .unwrap();
         let baseline = assert_every_cut_resumes(&jobs, ServeConfig::default());
         assert_eq!(baseline.telemetry.counter("serve.epochs"), 2);
+        let baseline = assert_every_cut_resumes(&twin_workload(), ServeConfig::default());
+        assert_eq!(baseline.telemetry.counter(keys::SERVE_RUNS_SHARED), 8);
     }
 
     /// Retries, quarantines and breaker drops are not journaled: a

@@ -177,6 +177,16 @@ impl JobSpec {
         Ok(())
     }
 
+    /// What a read job's run depends on besides the store: its algorithm,
+    /// the parameters that row reads ([`programs::Algorithm::params`]),
+    /// and its tenant, which names its `tenant.<t>.cache.*` counters. Two
+    /// read jobs with one key run identically over one store epoch.
+    pub fn run_key(&self) -> (&str, (u64, u32, u32), &str) {
+        let (s, i, k) = (self.source, self.iterations, self.k);
+        let params = programs::find(&self.algorithm).map_or((s, i, k), |a| a.params(s, i, k));
+        (&self.algorithm, params, &self.tenant)
+    }
+
     /// Build the program this job runs over `num_vertices` vertices.
     pub fn program(&self, num_vertices: u64) -> Result<Box<dyn GtsProgram>, ProgramError> {
         programs::by_name(

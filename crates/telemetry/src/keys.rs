@@ -192,6 +192,9 @@ keys! {
         SERVE_RESUME_CACHED = "serve.resume.cached", count, Diagnostic;
         /// Journaled epoch bumps a resumed service re-derived from the WAL.
         SERVE_WAL_REPLAYED = "serve.wal.replayed", count, Diagnostic;
+        /// Read attempts that took a copy of an identical attempt's run in
+        /// their wave instead of running (a resume shares fewer).
+        SERVE_RUNS_SHARED = "serve.runs.shared", count, Diagnostic;
     }
     "gpu{i}." {
         /// Per-GPU field: bytes copied host→device.
@@ -393,6 +396,7 @@ mod tests {
                 SERVE_JOURNAL_BYTES,
                 SERVE_RESUME_CACHED,
                 SERVE_WAL_REPLAYED,
+                SERVE_RUNS_SHARED,
             ]
         );
         // A serve job's WAL bookkeeping is as diagnostic as a solo run's.

@@ -9,6 +9,7 @@ use crate::json::{escape, num};
 use crate::keys;
 use crate::Telemetry;
 use gts_sim::SimDuration;
+use std::collections::BTreeMap;
 
 /// Per-GPU statistics of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -96,71 +97,79 @@ pub struct RunReport {
 
 impl RunReport {
     /// Build the report for `engine` running `algorithm` from the counters
-    /// currently in `tel`'s registry. Every field is read straight from
-    /// the [`keys`] glossary, so the report and the registry cannot
-    /// disagree.
+    /// currently in `tel`'s registry: [`RunReport::from_counters`] over
+    /// them, under one lock.
     pub fn from_telemetry(
         tel: &Telemetry,
         algorithm: impl Into<String>,
         engine: impl Into<String>,
     ) -> Self {
-        let hits = tel.counter(keys::CACHE_HITS);
-        let misses = tel.counter(keys::CACHE_MISSES);
+        Self::from_counters(&tel.lock().counters, algorithm, engine)
+    }
+
+    /// Build the report for `engine` running `algorithm` from a counter
+    /// registry. Every field is read straight from the [`keys`] glossary,
+    /// so the report and the registry cannot disagree.
+    pub fn from_counters(
+        counters: &BTreeMap<String, u64>,
+        algorithm: impl Into<String>,
+        engine: impl Into<String>,
+    ) -> Self {
+        // Absent is zero, as `Telemetry::counter` reads it.
+        let c = |key: &str| counters.get(key).copied().unwrap_or(0);
+        let hits = c(keys::CACHE_HITS);
+        let misses = c(keys::CACHE_MISSES);
         let probes = hits + misses;
-        let sweeps = tel.counter(keys::RUN_SWEEPS) as u32;
-        let per_gpu = (0..tel.counter(keys::RUN_GPUS) as u32)
+        let sweeps = c(keys::RUN_SWEEPS) as u32;
+        let per_gpu = (0..c(keys::RUN_GPUS) as u32)
             .map(|i| GpuRunStats {
-                bytes_h2d: tel.counter(keys::gpu(i, keys::GPU_BYTES_H2D)),
-                bytes_d2h: tel.counter(keys::gpu(i, keys::GPU_BYTES_D2H)),
-                kernel_time: SimDuration::from_nanos(
-                    tel.counter(keys::gpu(i, keys::GPU_KERNEL_TIME_NS)),
-                ),
-                transfer_time: SimDuration::from_nanos(
-                    tel.counter(keys::gpu(i, keys::GPU_TRANSFER_TIME_NS)),
-                ),
-                kernels: tel.counter(keys::gpu(i, keys::GPU_KERNELS)),
-                cache_hits: tel.counter(keys::gpu(i, keys::GPU_CACHE_HITS)),
-                cache_misses: tel.counter(keys::gpu(i, keys::GPU_CACHE_MISSES)),
-                cache_capacity_pages: tel.counter(keys::gpu(i, keys::GPU_CACHE_CAPACITY_PAGES))
-                    as usize,
+                bytes_h2d: c(&keys::gpu(i, keys::GPU_BYTES_H2D)),
+                bytes_d2h: c(&keys::gpu(i, keys::GPU_BYTES_D2H)),
+                kernel_time: SimDuration::from_nanos(c(&keys::gpu(i, keys::GPU_KERNEL_TIME_NS))),
+                transfer_time: SimDuration::from_nanos(c(&keys::gpu(
+                    i,
+                    keys::GPU_TRANSFER_TIME_NS,
+                ))),
+                kernels: c(&keys::gpu(i, keys::GPU_KERNELS)),
+                cache_hits: c(&keys::gpu(i, keys::GPU_CACHE_HITS)),
+                cache_misses: c(&keys::gpu(i, keys::GPU_CACHE_MISSES)),
+                cache_capacity_pages: c(&keys::gpu(i, keys::GPU_CACHE_CAPACITY_PAGES)) as usize,
             })
             .collect();
         let per_sweep = (0..sweeps)
             .map(|j| SweepStats {
-                pages: tel.counter(keys::sweep(j, keys::SWEEP_PAGES)),
-                cache_hits: tel.counter(keys::sweep(j, keys::SWEEP_CACHE_HITS)),
-                active_vertices: tel.counter(keys::sweep(j, keys::SWEEP_ACTIVE_VERTICES)),
-                active_edges: tel.counter(keys::sweep(j, keys::SWEEP_ACTIVE_EDGES)),
-                elapsed: SimDuration::from_nanos(
-                    tel.counter(keys::sweep(j, keys::SWEEP_ELAPSED_NS)),
-                ),
+                pages: c(&keys::sweep(j, keys::SWEEP_PAGES)),
+                cache_hits: c(&keys::sweep(j, keys::SWEEP_CACHE_HITS)),
+                active_vertices: c(&keys::sweep(j, keys::SWEEP_ACTIVE_VERTICES)),
+                active_edges: c(&keys::sweep(j, keys::SWEEP_ACTIVE_EDGES)),
+                elapsed: SimDuration::from_nanos(c(&keys::sweep(j, keys::SWEEP_ELAPSED_NS))),
             })
             .collect();
         RunReport {
             algorithm: algorithm.into(),
             engine: engine.into(),
-            elapsed: SimDuration::from_nanos(tel.counter(keys::RUN_ELAPSED_NS)),
+            elapsed: SimDuration::from_nanos(c(keys::RUN_ELAPSED_NS)),
             sweeps,
-            pages_streamed: tel.counter(keys::PAGES_STREAMED),
+            pages_streamed: c(keys::PAGES_STREAMED),
             cache_hits: hits,
             cache_hit_rate: if probes == 0 {
                 0.0
             } else {
                 hits as f64 / probes as f64
             },
-            edges_traversed: tel.counter(keys::EDGES_TRAVERSED),
+            edges_traversed: c(keys::EDGES_TRAVERSED),
             per_gpu,
             per_sweep,
-            network_bytes: tel.counter(keys::NETWORK_BYTES),
-            memory_peak: tel.counter(keys::MEMORY_PEAK),
-            final_strategy: match tel.counter(keys::RUN_FINAL_STRATEGY) {
+            network_bytes: c(keys::NETWORK_BYTES),
+            memory_peak: c(keys::MEMORY_PEAK),
+            final_strategy: match c(keys::RUN_FINAL_STRATEGY) {
                 1 => "performance".to_string(),
                 2 => "scalability".to_string(),
                 _ => "none".to_string(),
             },
-            final_streams: tel.counter(keys::RUN_FINAL_STREAMS) as u32,
-            cache_enabled: tel.counter(keys::RUN_CACHE_ENABLED) != 0,
-            degrade_events: tel.counter(keys::DEGRADE_EVENTS),
+            final_streams: c(keys::RUN_FINAL_STREAMS) as u32,
+            cache_enabled: c(keys::RUN_CACHE_ENABLED) != 0,
+            degrade_events: c(keys::DEGRADE_EVENTS),
         }
     }
 

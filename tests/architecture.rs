@@ -312,6 +312,17 @@ const RULES: &[Rule] = &[
         since: "GTSPAGES 5 page roles",
         seeds: &[("crates/core/src/queries.rs", "let range = self.store.rvt().entry(pid).lp_range;")],
     },
+    Rule {
+        keeps: "serve runs a read job in one place, the wave's shared read path",
+        scan: &["crates/serve/src"],
+        allowed: &[],
+        non_test: true,
+        pats: &[Pat::Sub("run_job(")],
+        want: 1,
+        why: "§13 \"One run per distinct read\"",
+        since: "one engine run per distinct read",
+        seeds: &[("crates/serve/src/solo.rs", "let report = engine.run_job(store, &mut *prog, &opts)?;")],
+    },
 ];
 
 /// A name a change removed, which no file in `scan` may bring back.

@@ -67,7 +67,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
             "smoke table3: * @ #LP < * @ #SP — most topology pages are Small Pages",
             "table3: RMAT18, RMAT19, RMAT20, RMAT21, RMAT22 @ #SP rises — page counts grow with graph size",
             "table3: uk2007-like, yahooweb-like @ #LP < twitter-like @ #LP — only the skewed datasets (Twitter, RMAT29) produce noticeable Large Page counts",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
         ],
     },
     Experiment {
@@ -103,9 +103,9 @@ pub static EXPERIMENTS: [Experiment; 18] = [
             "fig6_*: * @ GTS < * @ GraphX, Giraph, Naiad, PowerGraph — GTS beats every distributed engine on every dataset",
             "deviates: at RMAT21 our SSD streaming at 20 % MMBuf is proportionally heavier than the paper's: bandwidths are unscaled while the graph shrank",
             "fig6_*: * @ GTS × 10 < * @ GraphX, Giraph, Naiad, PowerGraph — GTS beats the distributed engines by one to three orders of magnitude",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "fig6_*: * @ GraphX, Naiad, PowerGraph < * @ Giraph — Giraph is the slowest distributed engine",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "smoke fig6_*: * @ PowerGraph < * @ GraphX, Giraph, Naiad — PowerGraph is the fastest distributed engine",
             "fig6_bfs: RMAT20 @ Naiad is O.O.M. — Naiad runs out of memory first (RMAT30)",
             "fig6_bfs: RMAT20 @ GraphX, Giraph, PowerGraph runs — GraphX, Giraph and PowerGraph still run BFS on RMAT30",
@@ -125,12 +125,12 @@ pub static EXPERIMENTS: [Experiment; 18] = [
             "fig7_bfs: twitter-like, uk2007-like @ Galois, Ligra / GTS in 0.5..2 — on small graphs Galois and Ligra land in the same band as GTS for BFS (either side may win slightly)",
             "deviates: our scaled per-level costs are relatively cheaper than the paper's real launch and PCI-E latencies",
             "fig7_pagerank: * @ GTS < * @ MTGL, Galois, Ligra, Ligra+ — for PageRank GTS clearly beats every CPU engine",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "fig7_*: RMAT19 @ MTGL, Ligra is O.O.M. — Ligra needs its transpose and runs out of memory a scale before Ligra+ and Galois",
             "fig7_*: RMAT19 @ Galois, Ligra+ runs — Galois and Ligra+ still run RMAT29",
             "fig7_*: RMAT20 @ MTGL, Galois, Ligra, Ligra+ is O.O.M. — the CPU engines run out of memory by RMAT30",
             "fig7_*: yahooweb-like @ MTGL, Galois, Ligra, Ligra+ is O.O.M. — the CPU engines have no YahooWeb results",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "smoke fig7_*: * @ GTS runs — GTS keeps going where the CPU engines stop",
         ],
     },
@@ -146,9 +146,9 @@ pub static EXPERIMENTS: [Experiment; 18] = [
             "fig8_*: RMAT20 @ TOTEM is O.O.M. — TOTEM cannot process RMAT30+ (contiguous host CSR)",
             "smoke fig8_*: * @ GTS runs — GTS runs everything",
             "fig8_bfs: * @ GTS < * @ TOTEM — for BFS, GTS consistently outperforms TOTEM",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "fig8_pagerank: twitter-like, RMAT17, RMAT18, RMAT19 @ TOTEM crosses GTS at RMAT18 — TOTEM slightly outperforms GTS for PageRank on the small graphs but loses as graphs grow",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "fig8_pagerank: RMAT19 @ TOTEM / GTS in 1.5..3.5 — at RMAT29 TOTEM's PageRank takes two to three times GTS's (paper: 176 s vs 60 s)",
         ],
     },
@@ -183,7 +183,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
             "smoke fig10_*: * @ 1, 2, 4, 8, 16, 32 falls — elapsed time falls as streams grow toward the CUDA limit of 32, for both algorithms",
             "fig10_pagerank: * @ 32 < * @ 16 — PageRank keeps gaining all the way to 32 streams",
             "fig10_bfs: * @ 32 < * @ 16 — BFS keeps gaining to 32 streams too, although its transfer:kernel ratios alone suggest saturation at 2–3 (Sec. 3.2's queue-ahead effect)",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
         ],
     },
     Experiment {
@@ -191,7 +191,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
         grid: [&[R(16), R(17), R(18), R(19)], SMOKE], paper: &[],
         claims: &[
             "fig11_hitrate_random: * @ 32, 1024, 2048, 3072, 4096, 5120 rises — hit rates grow with cache size",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "fig11_hitrate_random: RMAT16, RMAT17 @ 3072 / 5120 in 0.3..0.8 — hit rates grow roughly linearly with cache size (random replacement)",
             "fig11_hitrate_lru: RMAT16, RMAT17 @ 3072 / 5120 in 0.3..0.8 — hit rates grow roughly linearly with cache size (LRU, the engine default and the paper's policy)",
             "deviates: GTS's level-synchronous page order is cyclic, LRU's adversarial pattern: the hit rate stays near 0 until the whole page set fits",
@@ -200,7 +200,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
             "fig11_time_lru: * @ 32, 1024, 2048, 3072, 4096, 5120 falls — elapsed time falls as the hit rate rises (LRU)",
             "deviates: GTS's level-synchronous page order is cyclic, LRU's adversarial pattern: the hit rate stays near 0 until the whole page set fits",
             "fig11_time_*: RMAT19 @ 5120 is O.O.M. — the largest cache point is missing for RMAT29 (its WABuf leaves no room)",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
         ],
     },
     Experiment {
@@ -212,7 +212,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
             "smoke fig13a_sssp, fig13b_cc: * @ PowerGraph, GraphX < * @ GraphX, Giraph — the distributed engines keep their Fig. 6 order (PowerGraph < GraphX < Giraph)",
             "fig13b_cc: RMAT18 @ GTS × 10 < RMAT18 @ GraphX — GraphX's RMAT28 CC run blows up while GTS stays in single digits",
             "fig13c_bc: * @ GTS < * @ TOTEM — BC: GTS beats TOTEM on Twitter, RMAT27 and RMAT28",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
         ],
     },
     Experiment {
@@ -221,10 +221,10 @@ pub static EXPERIMENTS: [Experiment; 18] = [
         claims: &[
             "smoke fig14_*: * @ hybrid / edge-centric in 0..1 — hybrid is never worse than edge-centric",
             "fig14_*: * @ hybrid < * @ edge-centric — hybrid improves on edge-centric modestly (paper: by up to 6 % for BFS, 24 % for PageRank)",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "smoke fig14_bfs: 1:04 @ vertex-centric / edge-centric in 0.8..1.25 — BFS: the three techniques are close at density 1:4",
             "fig14_pagerank: 1:04 @ vertex-centric / edge-centric in 0.8..1.25 — PageRank: the three techniques are close at density 1:4",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
             "smoke fig14_*: 1:04 @ vertex-centric / edge-centric < 1:32 @ vertex-centric / edge-centric — edge-centric beats vertex-centric by a growing margin as density rises",
             "smoke fig14_pagerank: 1:32 @ edge-centric × 2 < 1:32 @ vertex-centric — PageRank at 1:32: edge-centric beats vertex-centric several-fold (paper: 6.9×)",
             "fig14_bfs: 1:32 @ edge-centric × 2 < 1:32 @ vertex-centric — BFS at 1:32: edge-centric beats vertex-centric several-fold (paper: 4.4×)",
@@ -238,7 +238,7 @@ pub static EXPERIMENTS: [Experiment; 18] = [
             "smoke cost_model: * @ model/measured in 0.5..2 — Eq. (1) and Eq. (2) land within about 2× of the measured times",
             "smoke cost_model: * @ model/measured in 0.8..1.25 — the models track the simulator within tens of percent (Sec. 7.5: 190 s modelled vs 153 s measured)",
             "cost_model: * @ model/measured in 1..2 — the model lands above the measurement, pessimistic as buffering helps (Sec. 7.5)",
-            "deviates: not yet attributed (ROADMAP 4(c))",
+            "deviates: not yet attributed (ROADMAP 3(c))",
         ],
     },
     Experiment {

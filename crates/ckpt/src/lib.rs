@@ -12,8 +12,9 @@
 //! This crate is where every durable byte other than the slotted-page
 //! store itself is framed, checksummed and written:
 //!
-//! * [`fnv1a`], [`seal`], [`unseal`] — the one checksum and the one
-//!   trailer ([`xxh64`], a word-wide hash, seals slotted pages instead);
+//! * [`xxh64`], [`seal`], [`unseal`] — the one checksum and the one
+//!   trailer, over every snapshot, log header, log frame and slotted
+//!   page ([`fnv1a`] only fingerprints identities, and seals nothing);
 //!   [`replace_streamed`] — the one temp file → fsync → rename →
 //!   directory fsync, also under the saved page store — and the one
 //!   append → fsync. No other module calls

@@ -3,8 +3,8 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! header    magic 8 bytes | version u32 | binding u64 len + bytes | u64 FNV-1a of the preceding
-//! frame*    body len u32  | body        | u64 FNV-1a of the body
+//! header    magic 8 bytes | version u32 | binding u64 len + bytes | u64 XXH64 of the preceding
+//! frame*    body len u32  | body        | u64 XXH64 of the body
 //! ```
 //!
 //! The *binding* is opaque to this module: the caller writes what ties
@@ -47,17 +47,19 @@ pub struct LogFormat {
 
 impl LogFormat {
     /// The mutation write-ahead log of `gts-storage` (v1 was the
-    /// whole-image-rewrite layout with a fixed header).
+    /// whole-image-rewrite layout with a fixed header; v2 sealed with
+    /// FNV-1a).
     pub const WAL: LogFormat = LogFormat {
         magic: *b"GTSWAL1\0",
-        version: 2,
+        version: 3,
     };
     /// The service journal of `gts-serve` (v1–v2 were snapshot-per-flush
     /// directories, not logs; v3 frames held five record kinds; v4 bound
-    /// the store by its own fingerprint, v5 by the checkpoints' one).
+    /// the store by its own fingerprint, v5 by the checkpoints' one and
+    /// sealed with FNV-1a).
     pub const JOURNAL: LogFormat = LogFormat {
         magic: *b"GTSJRNL\0",
-        version: 5,
+        version: 6,
     };
 }
 

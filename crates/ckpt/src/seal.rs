@@ -1,13 +1,13 @@
 //! The checksums and the one trailer every on-disk format here uses.
 //!
-//! A *sealed* byte string is `payload | u64 LE FNV-1a(payload)`;
+//! A *sealed* byte string is `payload | u64 LE XXH64(payload)`;
 //! [`seal`] writes the trailer, [`unseal`] checks it and strips it.
 //! [`Snapshot`](crate::Snapshot) seals a whole file, a
-//! [`SealedLog`](crate::SealedLog) seals its header and each frame body.
-//! `gts-storage` hashes slotted pages — fixed-size, re-hashed by every
-//! batch that touches them — and a store file's page-role table with the
-//! word-wide [`xxh64`] instead (`GTSPAGES` version 5); everything else
-//! keeps plain [`fnv1a`].
+//! [`SealedLog`](crate::SealedLog) seals its header and each frame body,
+//! and `gts-storage` trails every slotted page and a store file's
+//! page-role table with the same word-wide [`xxh64`]. [`fnv1a`] is left
+//! for identity fingerprints — a store's, a workload's, a program
+//! state's — which are compared, never written as a checksum.
 
 use crate::error::CkptError;
 
@@ -94,11 +94,11 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Append the FNV-1a of `buf[from..]` to `buf` as an 8-byte
+/// Append the XXH64 of `buf[from..]` to `buf` as an 8-byte
 /// little-endian trailer (`from` skips a prefix the checksum does not
 /// cover, such as a frame's length field).
 pub fn seal(buf: &mut Vec<u8>, from: usize) {
-    let sum = fnv1a(&buf[from..]);
+    let sum = xxh64(&buf[from..]);
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -119,7 +119,7 @@ pub fn unseal(sealed: &[u8]) -> Result<&[u8], CkptError> {
         trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
         trailer[7],
     ]);
-    let computed = fnv1a(payload);
+    let computed = xxh64(payload);
     if stored != computed {
         return Err(CkptError::Corrupt {
             reason: format!("checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"),
@@ -136,6 +136,13 @@ mod tests {
         (0..len as u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect()
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Standard FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
     }
 
     #[test]

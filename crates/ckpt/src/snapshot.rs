@@ -3,14 +3,19 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic      8 bytes   b"GTSCKPT1"
+//! magic      8 bytes   b"GTSCKPT2"
 //! version    u32       payload schema version (the engine's, not ours)
 //! sections   u32       section count
 //! per section:
 //!   name     u32 len + UTF-8 bytes
 //!   body     u64 len + raw bytes
-//! checksum   u64       FNV-1a over every preceding byte
+//! checksum   u64       XXH64 over every preceding byte
 //! ```
+//!
+//! The magic's last digit is the container's own version. It is read
+//! before the checksum, so a `GTSCKPT1` file (the same layout sealed
+//! with FNV-1a) is refused as [`CkptError::VersionMismatch`], never as
+//! a checksum mismatch that would read as rot.
 //!
 //! Sections are stored in name order (`BTreeMap`), so encoding is
 //! deterministic: the same engine state always produces the same bytes —
@@ -22,10 +27,14 @@ use crate::error::CkptError;
 use crate::seal::{seal, unseal};
 use std::collections::BTreeMap;
 
-const MAGIC: &[u8; 8] = b"GTSCKPT1";
+/// The magic; its digit is the container's version, `CONTAINER`.
+const MAGIC: &[u8; 8] = b"GTSCKPT2";
+const CONTAINER: u32 = 2;
+/// Container 1: the same layout, sealed with FNV-1a.
+const FNV_SEALED: &[u8; 8] = b"GTSCKPT1";
 
 /// A named-section container with a schema version and a whole-file
-/// FNV-1a checksum.
+/// XXH64 checksum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     version: u32,
@@ -97,13 +106,22 @@ impl Snapshot {
     /// Parse and validate the wire format: magic, checksum, and section
     /// table must all be intact, or the snapshot is rejected as torn.
     pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
-        let payload = unseal(bytes)?;
-        let mut r = ByteReader::new(payload);
-        if r.take_raw("snapshot magic", MAGIC.len())? != MAGIC {
-            return Err(CkptError::Corrupt {
-                reason: "bad magic".to_string(),
-            });
+        match ByteReader::new(bytes).take_raw("snapshot magic", MAGIC.len())? {
+            magic if magic == MAGIC => {}
+            magic if magic == FNV_SEALED => {
+                return Err(CkptError::VersionMismatch {
+                    found: CONTAINER - 1,
+                    expected: CONTAINER,
+                })
+            }
+            _ => {
+                return Err(CkptError::Corrupt {
+                    reason: "bad magic".to_string(),
+                })
+            }
         }
+        let mut r = ByteReader::new(unseal(bytes)?);
+        r.take_raw("snapshot magic", MAGIC.len())?;
         let version = r.take_u32("snapshot version")?;
         let count = r.take_u32("section count")?;
         let mut sections = BTreeMap::new();
@@ -126,7 +144,6 @@ impl Snapshot {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 mod tests {
     use super::*;
-    use crate::fnv1a;
 
     fn sample() -> Snapshot {
         let mut s = Snapshot::new(3);
@@ -206,12 +223,5 @@ mod tests {
                 expected: 5
             }
         );
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
     }
 }

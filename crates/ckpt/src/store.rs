@@ -9,8 +9,9 @@
 //! (pointing at the previous snapshot) or the new manifest (pointing at a
 //! fully synced new snapshot) — never a manifest whose first entry is a
 //! half-written file. Defense in depth: even if a filesystem reorders the
-//! writes, every snapshot carries a whole-file FNV-1a checksum, and
-//! [`CkptStore::load_latest`] skips entries that fail it.
+//! writes, every snapshot carries a whole-file XXH64 checksum, and
+//! [`CkptStore::load_latest`] skips entries that fail it. A snapshot of
+//! an older container version is refused, typed, not skipped.
 //!
 //! Retention is two snapshots: the newest plus one fallback. Older files
 //! are unlinked after the manifest stops naming them.
@@ -123,10 +124,16 @@ impl CkptStore {
                 skipped.push((*name).to_string());
                 continue;
             };
-            let Ok(snap) = Snapshot::decode(&bytes) else {
+            let snap = match Snapshot::decode(&bytes) {
+                Ok(snap) => snap,
+                // Another build's container is not damage: it is refused
+                // by its version, not walked past as rot.
+                Err(e @ CkptError::VersionMismatch { .. }) => return Err(e),
                 // Torn or corrupt: fall back to the next entry.
-                skipped.push((*name).to_string());
-                continue;
+                Err(_) => {
+                    skipped.push((*name).to_string());
+                    continue;
+                }
             };
             let Some(seq) = Self::parse_seq(name) else {
                 skipped.push((*name).to_string());

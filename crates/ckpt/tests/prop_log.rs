@@ -167,7 +167,7 @@ fn foreign_kinds_and_versions_are_refused_by_name() {
         SealedLog::load(&path, &FORMAT).unwrap_err(),
         CkptError::VersionMismatch {
             found: 1,
-            expected: 2
+            expected: 3
         }
     );
     assert!(matches!(

@@ -231,24 +231,57 @@ fn encode(records: &[ExecRecord]) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// Encoded bytes of the smallest record (empty error, no counters) and
+/// of the smallest counter (empty key): what bounds a count read from
+/// the frame before anything is allocated for it.
+const MIN_RECORD_BYTES: usize = 4 + 4 + 1 + 8 + 8 + 8 + 8 + 4;
+const MIN_COUNTER_BYTES: usize = 8 + 8;
+
+/// The largest number of items of at least `width` bytes each that the
+/// `remaining` bytes can hold, or `claimed` when that is fewer.
+fn fits(claimed: u32, remaining: usize, width: usize) -> usize {
+    (claimed as usize).min(remaining / width)
+}
+
 fn decode(bytes: &[u8]) -> Result<Vec<ExecRecord>, CkptError> {
     let mut r = ByteReader::new(bytes);
     let n = r.take_u32("record count")?;
-    let mut records = Vec::with_capacity((n as usize).min(bytes.len()));
+    let mut records = Vec::with_capacity(fits(n, r.remaining(), MIN_RECORD_BYTES));
     for _ in 0..n {
         let job = r.take_u32("exec job")?;
         let attempt = r.take_u32("exec attempt")?;
-        let ok = r.take_bool("exec ok")?;
+        let ok = match r.take_u8("exec ok")? {
+            0 => false,
+            1 => true,
+            other => {
+                return Err(CkptError::Corrupt {
+                    reason: format!("exec ok byte {other} is neither 0 nor 1"),
+                })
+            }
+        };
         let error = r.take_str("exec error")?;
         let service_ns = r.take_u64("exec service")?;
         let result_fp = r.take_u64("exec result fp")?;
         let epoch = r.take_u64("exec epoch")?;
         let k = r.take_u32("exec counter count")?;
-        let mut counters = BTreeMap::new();
+        // `encode` writes a registry in key order, so the map is built
+        // in one bulk pass from the sorted run; a key out of that order
+        // or repeated was not written by `encode`.
+        let mut sorted: Vec<(String, u64)> =
+            Vec::with_capacity(fits(k, r.remaining(), MIN_COUNTER_BYTES));
         for _ in 0..k {
             let key = r.take_str("exec counter key")?;
-            counters.insert(key, r.take_u64("exec counter value")?);
+            if sorted.last().is_some_and(|(prev, _)| *prev >= key) {
+                return Err(CkptError::Corrupt {
+                    reason: format!(
+                        "exec counter key {key:?} is out of order or repeated in record \
+                         ({job}, {attempt})"
+                    ),
+                });
+            }
+            sorted.push((key, r.take_u64("exec counter value")?));
         }
+        let counters = BTreeMap::from_iter(sorted);
         records.push(ExecRecord {
             job,
             attempt,
@@ -325,6 +358,12 @@ impl Journal {
         self.cached.get(&(job, attempt))
     }
 
+    /// [`Journal::cached`], moved out of the memo table: an attempt
+    /// settles once, so its record is handed over rather than copied.
+    pub(crate) fn take(&mut self, job: u32, attempt: u32) -> Option<ExecRecord> {
+        self.cached.remove(&(job, attempt))
+    }
+
     /// Append one live execution (memo hits are already in the log from
     /// the crashed run).
     pub(crate) fn append(&mut self, rec: ExecRecord) {
@@ -353,6 +392,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -409,6 +449,174 @@ mod tests {
         assert!(matches!(err, ServeError::Journal(_)), "{err}");
         // A binding of the wrong width is not a journal header.
         assert!(Header::decode(&[0; 31]).is_err());
+    }
+
+    /// `encode`, with each record's counters written from a list — in
+    /// the list's order and multiplicity — instead of its map.
+    fn encode_listed(records: &[(ExecRecord, Vec<(String, u64)>)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(records.len() as u32);
+        for (e, counters) in records {
+            w.put_u32(e.job);
+            w.put_u32(e.attempt);
+            w.put_bool(e.ok);
+            w.put_str(&e.error);
+            w.put_u64(e.service_ns);
+            w.put_u64(e.result_fp);
+            w.put_u64(e.epoch.unwrap_or(0));
+            w.put_u32(counters.len() as u32);
+            for (k, v) in counters {
+                w.put_str(k);
+                w.put_u64(*v);
+            }
+        }
+        w.into_bytes()
+    }
+
+    const KEYS: [&str; 8] = [
+        "",
+        "gpu0.kernels",
+        "gpu1.kernels",
+        "run.sweeps",
+        "sweep0.pages",
+        "sweep10.pages",
+        "tenant.a.cache.hits",
+        "tenant.é.cache.hits",
+    ];
+
+    fn arb_records() -> impl Strategy<Value = Vec<ExecRecord>> {
+        let record = (
+            (0u32..300, 1u32..4, 0u8..2, 0usize..3),
+            (0u64..1 << 40, 0u64..u64::MAX, 0u64..4),
+            proptest::collection::vec((0usize..KEYS.len(), 0u64..u64::MAX), 0..8),
+        )
+            .prop_map(
+                |((job, attempt, ok, error), (service_ns, result_fp, epoch), kv)| ExecRecord {
+                    job,
+                    attempt,
+                    ok: ok == 1,
+                    error: ["", "gpu0: H2D copy failed", "ünïcode"][error].to_string(),
+                    service_ns,
+                    result_fp,
+                    epoch: (epoch > 0).then_some(epoch),
+                    counters: kv
+                        .into_iter()
+                        .map(|(k, v)| (KEYS[k].to_string(), v))
+                        .collect(),
+                },
+            );
+        proptest::collection::vec(record, 0..5)
+    }
+
+    /// One damage to a frame body: a byte-level edit, or a counter list
+    /// with one key moved out of order or repeated.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        None,
+        Truncate(f64),
+        Flip(f64, u8),
+        Extend(Vec<u8>),
+        /// Overwrite the `u32` at a position: a count, or any 4 bytes.
+        Word(f64, u32),
+        SwapCounters(usize, f64),
+        RepeatCounter(usize, f64),
+    }
+
+    fn arb_edit() -> impl Strategy<Value = Edit> {
+        prop_oneof![
+            Just(Edit::None),
+            (0.0f64..1.0).prop_map(Edit::Truncate),
+            (0.0f64..1.0, 0u8..8).prop_map(|(at, bit)| Edit::Flip(at, bit)),
+            proptest::collection::vec(0u8..=255, 1..24).prop_map(Edit::Extend),
+            (0.0f64..1.0, 0u32..u32::MAX).prop_map(|(at, v)| Edit::Word(at, v)),
+            (0.0f64..1.0).prop_map(|at| Edit::Word(at, u32::MAX)),
+            (0usize..5, 0.0f64..1.0).prop_map(|(r, at)| Edit::SwapCounters(r, at)),
+            (0usize..5, 0.0f64..1.0).prop_map(|(r, at)| Edit::RepeatCounter(r, at)),
+        ]
+    }
+
+    /// The bytes of `records` after `edit`, and whether the edit must be
+    /// refused (a key out of order or repeated is never `encode`'s).
+    fn damaged(records: &[ExecRecord], edit: &Edit) -> (Vec<u8>, bool) {
+        let mut bytes = encode(records);
+        let at = |f: f64, len: usize| ((len.saturating_sub(1)) as f64 * f) as usize;
+        let mut listed: Vec<(ExecRecord, Vec<(String, u64)>)> = records
+            .iter()
+            .map(|e| (e.clone(), e.counters.clone().into_iter().collect()))
+            .collect();
+        match *edit {
+            Edit::None => return (bytes, false),
+            Edit::Truncate(f) => bytes.truncate(at(f, bytes.len())),
+            Edit::Flip(f, bit) => {
+                let i = at(f, bytes.len());
+                bytes[i] ^= 1 << bit;
+            }
+            Edit::Extend(ref tail) => bytes.extend_from_slice(tail),
+            Edit::Word(f, v) => {
+                let i = at(f, bytes.len().saturating_sub(3));
+                if bytes.len() >= 4 {
+                    bytes[i..i + 4].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            Edit::SwapCounters(r, f) | Edit::RepeatCounter(r, f) => {
+                let Some((_, list)) = listed.get_mut(r) else {
+                    return (bytes, false);
+                };
+                let i = at(f, list.len());
+                if matches!(edit, Edit::SwapCounters(..)) && list.len() >= 2 {
+                    let j = i.min(list.len() - 2);
+                    list.swap(j, j + 1);
+                } else if matches!(edit, Edit::RepeatCounter(..)) && !list.is_empty() {
+                    let copy = list[i].clone();
+                    list.insert(i, copy);
+                } else {
+                    return (bytes, false);
+                }
+                return (encode_listed(&listed), true);
+            }
+        }
+        (bytes, false)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Damage an encoded frame body: the decoder returns a typed
+        /// error or records that encode back to exactly the bytes it was
+        /// given (the original records when nothing was changed), never
+        /// panics, and never sizes an allocation from a count the bytes
+        /// cannot hold (a `u32::MAX` count would abort the test).
+        #[test]
+        fn a_damaged_frame_body_decodes_exactly_or_is_refused(
+            records in arb_records(),
+            edit in arb_edit(),
+        ) {
+            let listed: Vec<_> = records
+                .iter()
+                .map(|e| (e.clone(), e.counters.clone().into_iter().collect()))
+                .collect();
+            prop_assert_eq!(encode_listed(&listed), encode(&records));
+            let (bytes, refused) = damaged(&records, &edit);
+            match decode(&bytes) {
+                Ok(got) => {
+                    prop_assert!(!refused, "{:?} was accepted", edit);
+                    prop_assert_eq!(encode(&got), bytes.clone(), "{:?}", edit);
+                    if matches!(edit, Edit::None) {
+                        prop_assert_eq!(got, records.clone());
+                    }
+                }
+                Err(e) => {
+                    prop_assert!(!matches!(edit, Edit::None), "{:?}", e);
+                    prop_assert!(
+                        matches!(e, CkptError::Corrupt { .. } | CkptError::Truncated { .. }),
+                        "{:?}: {:?}", edit, e
+                    );
+                    if refused {
+                        prop_assert!(matches!(e, CkptError::Corrupt { .. }), "{:?}", e);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

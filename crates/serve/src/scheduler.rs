@@ -89,6 +89,7 @@ use gts_faults::FaultConfig;
 use gts_storage::builder::GraphStore;
 use gts_telemetry::{keys, Telemetry};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Service provisioning and admission-control bounds.
 #[derive(Debug, Clone)]
@@ -524,10 +525,9 @@ impl Service<'_> {
     }
 
     /// The journal's memoized execution of `p`, when it settled before
-    /// the crash.
-    fn memo(&self, p: &Pending) -> Option<ExecRecord> {
-        let j = self.journal.as_ref()?;
-        j.cached(p.seq, p.attempt).cloned()
+    /// the crash, taken for `p`'s one settlement.
+    fn memo(&mut self, p: &Pending) -> Option<ExecRecord> {
+        self.journal.as_mut()?.take(p.seq, p.attempt)
     }
 
     /// One read wave: speculative parallel execution (reads are
@@ -674,10 +674,10 @@ impl Service<'_> {
             let latency = finish - spec.at_ns;
             tel.observe(keys::scoped(keys::SERVE_LAT, &spec.algorithm), latency);
             tel.observe(keys::scoped(keys::SERVE_LAT, "all"), latency);
-            for (k, v) in &rec.counters {
-                if k.starts_with("tenant.") {
-                    tel.add(k, *v);
-                }
+            let from = (Bound::Included("tenant."), Bound::Unbounded);
+            let tenant_keys = rec.counters.range::<str, _>(from);
+            for (k, v) in tenant_keys.take_while(|(k, _)| k.starts_with("tenant.")) {
+                tel.add(k, *v);
             }
             (JobStatus::Completed, finish)
         } else if mutating || cfg.resilience.retry_max == 0 {

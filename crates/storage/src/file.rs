@@ -77,7 +77,7 @@ fn le_u32(buf: &[u8], at: usize) -> u32 {
 }
 
 /// Decode a little-endian `u64` at `at`.
-fn le_u64(buf: &[u8], at: usize) -> u64 {
+pub(crate) fn le_u64(buf: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&buf[at..at + 8]);
     u64::from_le_bytes(b)

@@ -156,6 +156,14 @@ impl MutationBatch {
     }
 }
 
+impl FromIterator<EdgeOp> for MutationBatch {
+    fn from_iter<I: IntoIterator<Item = EdgeOp>>(ops: I) -> Self {
+        Self {
+            ops: ops.into_iter().collect(),
+        }
+    }
+}
+
 /// Why a mutation batch was rejected. Nothing of the batch is applied in
 /// any case — application is all-or-nothing per batch.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -29,6 +29,7 @@
 //! path) verifies the stored record matches and appends nothing.
 
 use crate::builder::{GraphStore, StoreShape};
+use crate::file::le_u64;
 use crate::mutate::{EdgeOp, MutateError, MutationBatch, MutationOutcome};
 use gts_ckpt::{
     fnv1a, ByteReader, ByteWriter, CkptError, KillSwitch, LogFormat, LogImage, SealedLog,
@@ -185,6 +186,9 @@ fn store_identity_fp(num_vertices: u64, page_size: u32, p: u8, q: u8) -> u64 {
     fnv1a(&w.into_bytes())
 }
 
+/// Encoded width of one op: a tag byte, then `src` and `dst` as `u64`.
+const OP_BYTES: usize = 17;
+
 impl WalRecord {
     fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -203,37 +207,39 @@ impl WalRecord {
         w.into_bytes()
     }
 
+    /// Decode a record body. The op count must account for every byte
+    /// after the 20-byte header — checked before anything is allocated —
+    /// and the fixed-width ops are then read in one pass.
     fn decode(body: &[u8]) -> Result<WalRecord, CkptError> {
         let mut r = ByteReader::new(body);
         let pre_epoch = r.take_u64("wal pre-epoch")?;
         let post_epoch = r.take_u64("wal post-epoch")?;
-        let count = r.take_u32("wal op count")?;
+        let count = r.take_u32("wal op count")? as usize;
         if count == 0 {
             // An empty batch does not move the epoch and is never logged.
             return Err(CkptError::Corrupt {
                 reason: "wal record holds no ops".to_string(),
             });
         }
-        let mut batch = MutationBatch::new();
-        for _ in 0..count {
-            let tag = r.take_u8("wal op tag")?;
-            let src = r.take_u64("wal op src")?;
-            let dst = r.take_u64("wal op dst")?;
-            match tag {
-                0 => batch.insert(src, dst),
-                1 => batch.delete(src, dst),
+        let ops = r.take_raw("wal ops", count.saturating_mul(OP_BYTES))?;
+        r.finish()?;
+        let mut batch = Vec::with_capacity(count);
+        for op in ops.chunks_exact(OP_BYTES) {
+            let (src, dst) = (le_u64(op, 1), le_u64(op, 9));
+            batch.push(match op[0] {
+                0 => EdgeOp::Insert { src, dst },
+                1 => EdgeOp::Delete { src, dst },
                 other => {
                     return Err(CkptError::Corrupt {
                         reason: format!("unknown wal op tag {other}"),
                     })
                 }
-            };
+            });
         }
-        r.finish()?;
         Ok(WalRecord {
             pre_epoch,
             post_epoch,
-            batch,
+            batch: batch.into_iter().collect(),
         })
     }
 }
@@ -417,14 +423,15 @@ impl Wal {
                 });
             }
             // Already logged (the crash-between-log-and-apply resume
-            // path): verify the stored record is the same batch.
+            // path): the stored record must be the same batch, byte for
+            // byte. Fingerprints only word the refusal.
             let stored = &self.records[(pre - self.header.base_epoch) as usize];
-            let (want, got) = (fnv1a(&stored.encode()), fnv1a(&rec.encode()));
+            let (want, got) = (stored.encode(), rec.encode());
             if want != got {
                 return Err(WalError::Mismatch {
                     what: "duplicate batch fingerprint",
-                    want,
-                    got,
+                    want: fnv1a(&want),
+                    got: fnv1a(&got),
                 });
             }
             return Ok(0);
@@ -535,6 +542,7 @@ mod tests {
     use crate::builder::build_graph_store;
     use crate::format::{PageFormatConfig, PhysicalIdConfig};
     use gts_graph::EdgeList;
+    use proptest::prelude::*;
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -651,6 +659,105 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A re-log is checked against the stored record's bytes, not a
+    /// fingerprint of them: the same batch appends nothing however often
+    /// it comes back, and every other batch at a logged epoch — one op
+    /// changed, reordered, added or dropped — is refused, typed, with
+    /// the file left as it was.
+    #[test]
+    fn relog_compares_the_records_bytes() {
+        let dir = tmp_dir("relog");
+        let store = store_of(8, vec![(0, 1)]);
+        let mut wal = Wal::open(&dir, &store).unwrap();
+        let logged = [(0, 2, 3), (1, 0, 1), (0, 4, 5)];
+        wal.log_batch(&batch(&logged), 0, 1).unwrap();
+        wal.log_batch(&batch(&[(0, 6, 7)]), 1, 2).unwrap();
+        let len = fs::metadata(wal.path()).unwrap().len();
+        for _ in 0..3 {
+            assert_eq!(wal.log_batch(&batch(&logged), 0, 1).unwrap(), 0);
+        }
+        for other in [
+            vec![(1, 2, 3), (1, 0, 1), (0, 4, 5)],
+            vec![(0, 2, 3), (1, 0, 1), (0, 4, 4)],
+            vec![(0, 2, 3), (1, 0, 1), (0, 4, 5 | 1 << 40)],
+            vec![(1, 0, 1), (0, 2, 3), (0, 4, 5)],
+            vec![(0, 2, 3), (1, 0, 1)],
+            vec![(0, 2, 3), (1, 0, 1), (0, 4, 5), (0, 4, 5)],
+        ] {
+            let err = wal.log_batch(&batch(&other), 0, 1).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    WalError::Mismatch {
+                        what: "duplicate batch fingerprint",
+                        want,
+                        got,
+                    } if want != got
+                ),
+                "{other:?}: {err:?}"
+            );
+        }
+        assert_eq!(fs::metadata(wal.path()).unwrap().len(), len);
+        assert_eq!(Wal::load(&dir).unwrap().records().len(), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Damage an encoded record body — cut it, flip a bit, extend it,
+        /// or overwrite any 4 bytes (the op count among them) — and the
+        /// decoder returns a typed error or a record that encodes back to
+        /// exactly the bytes it was given (the original when nothing
+        /// changed), never panics, and never sizes an allocation from a
+        /// count the bytes cannot hold.
+        #[test]
+        fn a_damaged_record_body_decodes_exactly_or_is_refused(
+            epoch in 0u64..u64::MAX,
+            ops in proptest::collection::vec((0u8..2, 0u64..u64::MAX, 0u64..1 << 20), 1..6),
+            edit in (0u8..5, 0.0f64..1.0, 0u8..8, 0u32..u32::MAX),
+        ) {
+            let rec = WalRecord {
+                pre_epoch: epoch,
+                post_epoch: epoch.wrapping_add(1),
+                batch: batch(&ops),
+            };
+            let mut bytes = rec.encode();
+            let (kind, f, bit, word) = edit;
+            let at = |len: usize| (len.saturating_sub(1) as f64 * f) as usize;
+            match kind {
+                0 => {}
+                1 => bytes.truncate(at(bytes.len())),
+                2 => {
+                    let i = at(bytes.len());
+                    bytes[i] ^= 1 << bit;
+                }
+                3 => bytes.extend_from_slice(&word.to_le_bytes()[..1 + bit as usize % 4]),
+                _ => {
+                    // Half the time the op count itself, else any 4 bytes.
+                    let i = if bit < 4 { 16 } else { at(bytes.len() - 3) };
+                    let v = if bit % 2 == 0 { u32::MAX } else { word };
+                    bytes[i..i + 4].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            match WalRecord::decode(&bytes) {
+                Ok(got) => {
+                    prop_assert_eq!(got.encode(), bytes.clone(), "edit {:?}", edit);
+                    if kind == 0 {
+                        prop_assert_eq!(got.batch.ops(), rec.batch.ops());
+                    }
+                }
+                Err(e) => {
+                    prop_assert!(kind != 0, "{:?}", e);
+                    prop_assert!(
+                        matches!(e, CkptError::Corrupt { .. } | CkptError::Truncated { .. }),
+                        "edit {:?}: {:?}", edit, e
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -873,7 +980,7 @@ mod tests {
             Wal::load(&dir).unwrap_err(),
             WalError::Log(CkptError::VersionMismatch {
                 found: 1,
-                expected: 2
+                expected: 3
             })
         );
     }

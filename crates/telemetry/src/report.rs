@@ -10,6 +10,7 @@ use crate::keys;
 use crate::Telemetry;
 use gts_sim::SimDuration;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Per-GPU statistics of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -121,30 +122,8 @@ impl RunReport {
         let misses = c(keys::CACHE_MISSES);
         let probes = hits + misses;
         let sweeps = c(keys::RUN_SWEEPS) as u32;
-        let per_gpu = (0..c(keys::RUN_GPUS) as u32)
-            .map(|i| GpuRunStats {
-                bytes_h2d: c(&keys::gpu(i, keys::GPU_BYTES_H2D)),
-                bytes_d2h: c(&keys::gpu(i, keys::GPU_BYTES_D2H)),
-                kernel_time: SimDuration::from_nanos(c(&keys::gpu(i, keys::GPU_KERNEL_TIME_NS))),
-                transfer_time: SimDuration::from_nanos(c(&keys::gpu(
-                    i,
-                    keys::GPU_TRANSFER_TIME_NS,
-                ))),
-                kernels: c(&keys::gpu(i, keys::GPU_KERNELS)),
-                cache_hits: c(&keys::gpu(i, keys::GPU_CACHE_HITS)),
-                cache_misses: c(&keys::gpu(i, keys::GPU_CACHE_MISSES)),
-                cache_capacity_pages: c(&keys::gpu(i, keys::GPU_CACHE_CAPACITY_PAGES)) as usize,
-            })
-            .collect();
-        let per_sweep = (0..sweeps)
-            .map(|j| SweepStats {
-                pages: c(&keys::sweep(j, keys::SWEEP_PAGES)),
-                cache_hits: c(&keys::sweep(j, keys::SWEEP_CACHE_HITS)),
-                active_vertices: c(&keys::sweep(j, keys::SWEEP_ACTIVE_VERTICES)),
-                active_edges: c(&keys::sweep(j, keys::SWEEP_ACTIVE_EDGES)),
-                elapsed: SimDuration::from_nanos(c(&keys::sweep(j, keys::SWEEP_ELAPSED_NS))),
-            })
-            .collect();
+        let per_gpu = indexed(counters, "gpu", c(keys::RUN_GPUS) as u32, set_gpu_field);
+        let per_sweep = indexed(counters, "sweep", sweeps, set_sweep_field);
         RunReport {
             algorithm: algorithm.into(),
             engine: engine.into(),
@@ -281,6 +260,66 @@ impl RunReport {
     }
 }
 
+/// Store the value of key `gpu{i}.{field}` in GPU `i`'s entry.
+fn set_gpu_field(g: &mut GpuRunStats, field: &str, v: u64) {
+    match field {
+        keys::GPU_BYTES_H2D => g.bytes_h2d = v,
+        keys::GPU_BYTES_D2H => g.bytes_d2h = v,
+        keys::GPU_KERNEL_TIME_NS => g.kernel_time = SimDuration::from_nanos(v),
+        keys::GPU_TRANSFER_TIME_NS => g.transfer_time = SimDuration::from_nanos(v),
+        keys::GPU_KERNELS => g.kernels = v,
+        keys::GPU_CACHE_HITS => g.cache_hits = v,
+        keys::GPU_CACHE_MISSES => g.cache_misses = v,
+        keys::GPU_CACHE_CAPACITY_PAGES => g.cache_capacity_pages = v as usize,
+        _ => {}
+    }
+}
+
+/// Store the value of key `sweep{j}.{field}` in sweep `j`'s entry.
+fn set_sweep_field(s: &mut SweepStats, field: &str, v: u64) {
+    match field {
+        keys::SWEEP_PAGES => s.pages = v,
+        keys::SWEEP_CACHE_HITS => s.cache_hits = v,
+        keys::SWEEP_ACTIVE_VERTICES => s.active_vertices = v,
+        keys::SWEEP_ACTIVE_EDGES => s.active_edges = v,
+        keys::SWEEP_ELAPSED_NS => s.elapsed = SimDuration::from_nanos(v),
+        _ => {}
+    }
+}
+
+/// `n` default entries, entry `i` filled by `set(entry, field, value)`
+/// from every key `{prefix}{i}.{field}` in `counters` — the keys
+/// [`keys::gpu`] and [`keys::sweep`] write. One walk of the map's
+/// ordered `prefix` range; a key whose index is not as `format!` writes
+/// it (a leading zero, a sign, past `u32`) or not below `n` is no one's.
+fn indexed<T: Default>(
+    counters: &BTreeMap<String, u64>,
+    prefix: &str,
+    n: u32,
+    set: fn(&mut T, &str, u64),
+) -> Vec<T> {
+    let mut out: Vec<T> = (0..n).map(|_| T::default()).collect();
+    let from = (Bound::Included(prefix), Bound::Unbounded);
+    for (key, &v) in counters.range::<str, _>(from) {
+        let Some(rest) = key.strip_prefix(prefix) else {
+            break;
+        };
+        let Some((index, field)) = rest.split_once('.') else {
+            continue;
+        };
+        let canonical =
+            index.bytes().all(|b| b.is_ascii_digit()) && (index == "0" || !index.starts_with('0'));
+        let entry = canonical
+            .then(|| index.parse::<u32>().ok())
+            .flatten()
+            .and_then(|i| out.get_mut(i as usize));
+        if let Some(entry) = entry {
+            set(entry, field, v);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,6 +391,135 @@ mod tests {
         assert!(j.contains("\"final_strategy\": \"none\""));
         assert!(j.contains("\"cache_enabled\": false"));
         assert!(j.contains("\"degrade_events\": 0"));
+    }
+
+    /// The format-and-lookup build of the per-GPU and per-sweep series
+    /// that `indexed` replaced, kept as the reference it must equal.
+    fn by_lookup(counters: &BTreeMap<String, u64>) -> (Vec<GpuRunStats>, Vec<SweepStats>) {
+        let c = |key: &str| counters.get(key).copied().unwrap_or(0);
+        let per_gpu = (0..c(keys::RUN_GPUS) as u32)
+            .map(|i| GpuRunStats {
+                bytes_h2d: c(&keys::gpu(i, keys::GPU_BYTES_H2D)),
+                bytes_d2h: c(&keys::gpu(i, keys::GPU_BYTES_D2H)),
+                kernel_time: SimDuration::from_nanos(c(&keys::gpu(i, keys::GPU_KERNEL_TIME_NS))),
+                transfer_time: SimDuration::from_nanos(c(&keys::gpu(
+                    i,
+                    keys::GPU_TRANSFER_TIME_NS,
+                ))),
+                kernels: c(&keys::gpu(i, keys::GPU_KERNELS)),
+                cache_hits: c(&keys::gpu(i, keys::GPU_CACHE_HITS)),
+                cache_misses: c(&keys::gpu(i, keys::GPU_CACHE_MISSES)),
+                cache_capacity_pages: c(&keys::gpu(i, keys::GPU_CACHE_CAPACITY_PAGES)) as usize,
+            })
+            .collect();
+        let per_sweep = (0..c(keys::RUN_SWEEPS) as u32)
+            .map(|j| SweepStats {
+                pages: c(&keys::sweep(j, keys::SWEEP_PAGES)),
+                cache_hits: c(&keys::sweep(j, keys::SWEEP_CACHE_HITS)),
+                active_vertices: c(&keys::sweep(j, keys::SWEEP_ACTIVE_VERTICES)),
+                active_edges: c(&keys::sweep(j, keys::SWEEP_ACTIVE_EDGES)),
+                elapsed: SimDuration::from_nanos(c(&keys::sweep(j, keys::SWEEP_ELAPSED_NS))),
+            })
+            .collect();
+        (per_gpu, per_sweep)
+    }
+
+    fn assert_matches_lookup(counters: &BTreeMap<String, u64>) {
+        let r = RunReport::from_counters(counters, "BFS", "GTS");
+        let (per_gpu, per_sweep) = by_lookup(counters);
+        assert_eq!(r.per_gpu, per_gpu, "{counters:?}");
+        assert_eq!(r.per_sweep, per_sweep, "{counters:?}");
+    }
+
+    const GPU_FIELDS: [&str; 9] = [
+        keys::GPU_BYTES_H2D,
+        keys::GPU_BYTES_D2H,
+        keys::GPU_KERNEL_TIME_NS,
+        keys::GPU_TRANSFER_TIME_NS,
+        keys::GPU_KERNELS,
+        keys::GPU_CACHE_HITS,
+        keys::GPU_CACHE_MISSES,
+        keys::GPU_CACHE_CAPACITY_PAGES,
+        keys::GPU_COPY_FAULTS,
+    ];
+    const SWEEP_FIELDS: [&str; 6] = [
+        keys::SWEEP_PAGES,
+        keys::SWEEP_CACHE_HITS,
+        keys::SWEEP_ACTIVE_VERTICES,
+        keys::SWEEP_ACTIVE_EDGES,
+        keys::SWEEP_ELAPSED_NS,
+        "unknown",
+    ];
+
+    /// Random registries: indices on both sides of `run.gpus` and
+    /// `run.sweeps`, known and unknown fields, and keys that sort around
+    /// the two prefixes.
+    #[test]
+    fn indexed_walk_equals_format_and_lookup_on_random_registries() {
+        let mut rng = gts_sim::Rng::seed_from_u64(52);
+        for _ in 0..500 {
+            let mut counters = BTreeMap::new();
+            counters.insert(keys::RUN_GPUS.to_string(), rng.below_u64(5));
+            counters.insert(keys::RUN_SWEEPS.to_string(), rng.below_u64(14));
+            for _ in 0..rng.below_usize(60) {
+                let key = match rng.below_u32(4) {
+                    0 => keys::gpu(rng.below_u32(6), GPU_FIELDS[rng.below_usize(9)]),
+                    1 => keys::sweep(rng.below_u32(16), SWEEP_FIELDS[rng.below_usize(6)]),
+                    2 => ["gp", "gpu", "gpv", "sweep", "sweeps", "swef", "run.gpu"]
+                        [rng.below_usize(7)]
+                    .to_string(),
+                    _ => format!("tenant.t{}.cache.hits", rng.below_u32(3)),
+                };
+                counters.insert(key, rng.next_u64() >> rng.below_u32(64));
+            }
+            assert_matches_lookup(&counters);
+        }
+    }
+
+    /// Keys `keys::gpu` / `keys::sweep` never write for an index the
+    /// report reads are ignored, as the lookups ignored them.
+    #[test]
+    fn indexed_walk_ignores_keys_no_lookup_would_name() {
+        let adversarial = [
+            "gpu01.kernels",
+            "gpu00.kernels",
+            "gpu+1.kernels",
+            "gpu-0.kernels",
+            "gpu 1.kernels",
+            "gpu\u{0661}.kernels",
+            "gpu2.kernels",
+            "gpu4294967296.kernels",
+            "gpu18446744073709551616.kernels",
+            "gpu99999999999999999999999999.kernels",
+            "gpu.kernels",
+            "gpu0",
+            "gpu0.",
+            "gpu0.unknown",
+            "gpu0.kernels.x",
+            "gpu",
+            "sweep9.pages",
+            "sweep3.pages",
+            "sweep02.pages",
+            "sweep01.pages",
+            "sweep+1.pages",
+            "sweeps",
+            "sweeps.pages",
+            "sweep.pages",
+        ];
+        let mut counters: BTreeMap<String, u64> =
+            adversarial.iter().map(|k| (k.to_string(), 7)).collect();
+        // GPU 1 and sweeps 1–2 are named only in forms no lookup makes.
+        counters.insert("gpu0.kernels".to_string(), 1);
+        counters.insert("sweep0.pages".to_string(), 3);
+        counters.insert(keys::RUN_SWEEPS.to_string(), 3);
+        // `as u32` keeps the low word of an oversized GPU count.
+        counters.insert(keys::RUN_GPUS.to_string(), (1 << 32) + 2);
+        assert_matches_lookup(&counters);
+        let r = RunReport::from_counters(&counters, "BFS", "GTS");
+        let kernels: Vec<u64> = r.per_gpu.iter().map(|g| g.kernels).collect();
+        assert_eq!(kernels, [1, 0]);
+        let pages: Vec<u64> = r.per_sweep.iter().map(|s| s.pages).collect();
+        assert_eq!(pages, [3, 0, 0]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A few invariants of the design live in where code sits, not in what
 //! it computes: kernels scatter without atomics, the edge loop runs over
-//! a concrete slotted-page run, a page is hashed in one place, every
-//! counter key is declared once. Each is one row of [`RULES`]: the files
+//! a concrete slotted-page run, a page is hashed in one place, a durable
+//! frame is sealed by XXH64, every counter key is declared once. Each is one row of [`RULES`]: the files
 //! it scans, the line patterns it counts there and how many matching
 //! lines those files may hold. Each name a change removed, and that must
 //! not come back, is one row of [`TOMBSTONES`].
@@ -125,6 +125,33 @@ const RULES: &[Rule] = &[
         why: "§10 \"The page trailer\"",
         since: "27f1b96 XXH64 page trailers",
         seeds: &[(PAGE_RS, "let again = gts_ckpt::xxh64(data);")],
+    },
+    Rule {
+        keeps: "a durable frame is sealed by XXH64: the log, snapshot, checkpoint-store and durable-write code never calls FNV-1a",
+        scan: &[
+            "crates/ckpt/src/log.rs",
+            "crates/ckpt/src/snapshot.rs",
+            "crates/ckpt/src/store.rs",
+            "crates/ckpt/src/durable.rs",
+        ],
+        allowed: &[],
+        non_test: false,
+        pats: &[Pat::Sub("fnv1a(")],
+        want: 0,
+        why: "§10 \"On-disk formats\"",
+        since: "XXH64-sealed durable frames",
+        seeds: &[("crates/ckpt/src/log.rs", "let sum = gts_ckpt::fnv1a(&frame[LEN_PREFIX..]);")],
+    },
+    Rule {
+        keeps: "`seal` and `unseal` each check a trailer with one XXH64 call",
+        scan: &["crates/ckpt/src/seal.rs"],
+        allowed: &[],
+        non_test: true,
+        pats: &[Pat::Sub("= xxh64(")],
+        want: 2,
+        why: "§10 \"On-disk formats\"",
+        since: "XXH64-sealed durable frames",
+        seeds: &[("crates/ckpt/src/seal.rs", "let again = xxh64(payload);")],
     },
     Rule {
         keeps: "one Small-Page builder serves every mutation call",
